@@ -52,7 +52,7 @@ class Relation:
         #: deterministic iteration like a list, O(1) delete unlike one.
         self._indexes: dict[int, dict[Constant, dict[Row, None]]] = {}
         #: Mutation counter; memoized statistics and external caches (the
-        #: batch executor's hash tables) are valid while it is unchanged.
+        #: join kernels' hash tables) are valid while it is unchanged.
         self._version = 0
         #: Memoized per-column distinct counts: column -> (version, count).
         self._stats: dict[int, tuple[int, int]] = {}
@@ -306,7 +306,7 @@ class Relation:
         """Mutation counter: changes iff the row set changed.
 
         External caches keyed on ``(relation, version)`` — memoized
-        statistics, the batch executor's hash tables — stay valid exactly
+        statistics, the join kernels' hash tables — stay valid exactly
         while the version is unchanged.
         """
         return self._version
@@ -337,7 +337,7 @@ class Relation:
         table; id-equality is exactly constant-equality.  The mirror is
         maintained eagerly on inserts and rebuilt here after any other
         mutation.  Callers must treat the returned list as immutable — it
-        is shared with the kernel executor's caches, which key on
+        is shared with the join kernels' caches, which key on
         :attr:`version`.
         """
         rows = self._introws
@@ -356,7 +356,7 @@ class Relation:
 
         Memoized per version: valid exactly while the row set is
         unchanged, the same coherence rule as the memoized statistics and
-        the executors' hash tables.
+        the join kernels' hash tables.
         """
         block = self._block
         if block is None or block.version != self._version:

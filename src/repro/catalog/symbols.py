@@ -1,6 +1,6 @@
 """Process-wide constant interning: every constant gets a small int id.
 
-The kernel executor (:mod:`repro.engine.kernels`) joins over plain ints
+The join kernels (:mod:`repro.engine.kernels`) run over plain ints
 instead of :class:`~repro.logic.terms.Constant` objects.  Hashing a
 ``Constant`` allocates a tuple per call (``hash(("const", value))``); an
 ``int`` hashes to itself.  The :class:`SymbolTable` maps each constant to a
@@ -16,7 +16,7 @@ Design points:
   ``Constant(1)`` stay distinct.  :meth:`extern` returns the
   first-interned representative of an equality class; since answer sets
   compare by constant equality, this preserves answer-set identity across
-  executors.
+  evaluators.
 * **Append-only.**  Ids are never reused or remapped, so interned columns
   cached anywhere in the process stay valid for its lifetime.  A fault
   (guard cancellation, injected error) can at worst leave an *unused* id
@@ -116,6 +116,6 @@ class SymbolTable:
 
 
 #: The process-wide table.  Relations intern into it at insert time; the
-#: kernel compiler and executors read it.  Append-only, so sharing one
+#: kernel compiler and the kernels read it.  Append-only, so sharing one
 #: table across every knowledge base in the process is safe.
 SYMBOLS = SymbolTable()

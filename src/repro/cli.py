@@ -220,7 +220,6 @@ def _query_session(args: argparse.Namespace, trace: bool = False) -> Session:
     session = Session(
         _build_kb(args),
         engine=args.engine,
-        executor=args.executor,
         trace=trace,
     )
     if getattr(args, "load", None):
@@ -236,10 +235,7 @@ def run_explain(args: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
     session = _query_session(args)
     explanation = explain_plan(
-        session.kb,
-        _statement_text(args.query),
-        engine=args.engine,
-        executor=args.executor,
+        session.kb, _statement_text(args.query), engine=args.engine
     )
     if args.json:
         print(json.dumps(explanation.as_dict(), indent=2, sort_keys=True), file=out)
@@ -788,10 +784,6 @@ def main(argv: list[str] | None = None) -> int:
         obs_parser.add_argument(
             "--engine", choices=("seminaive", "topdown", "magic"),
             default="seminaive", help="evaluation engine",
-        )
-        obs_parser.add_argument(
-            "--executor", choices=("batch", "nested", "kernel"), default=None,
-            help="bottom-up execution model (default: kernel, or $REPRO_EXECUTOR)",
         )
         obs_parser.add_argument(
             "--json", action="store_true", help="emit machine-readable JSON"

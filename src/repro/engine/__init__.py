@@ -1,13 +1,16 @@
 """Deductive engine: data-query (retrieve) evaluation.
 
-Two interchangeable engines — semi-naive bottom-up and top-down with
-call-pattern tabling — behind one public API (:func:`retrieve`,
-:func:`evaluate_conjunction`).  The bottom-up engine offers three
-executors (the ``executor`` knob): the set-at-a-time hash-join executor
-of :mod:`repro.engine.plan` (default), the tuple-at-a-time nested-loop
-reference executor of :mod:`repro.engine.joins`, and the interned
-columnar kernel executor of :mod:`repro.engine.kernels` which lowers
-compiled plans to symbol-id space."""
+Interchangeable engines — semi-naive bottom-up, top-down with
+call-pattern tabling, and magic-sets rewriting — behind one public API
+(:func:`retrieve`, :func:`evaluate_conjunction`).  Bottom-up evaluation
+has one execution path: :mod:`repro.engine.plan` compiles a rule body or
+query conjunction to a logical plan, :mod:`repro.engine.kernels` lowers
+it to an integer kernel over interned symbol ids, and the one stratum
+driver in :mod:`repro.engine.seminaive` runs the fixpoint.  The
+tuple-at-a-time joins of :mod:`repro.engine.joins` serve top-down
+evaluation, provenance and incremental maintenance, and — as
+:mod:`repro.engine.reference`, which nothing here imports — the oracle
+the test suites compare the production path against."""
 
 from repro.engine.evaluate import (
     ENGINES,
@@ -23,7 +26,6 @@ from repro.engine.guard import (
     ResourceGuard,
 )
 from repro.engine.plan import (
-    EXECUTORS,
     ConjunctionPlan,
     RulePlan,
     compile_conjunction,
@@ -52,7 +54,6 @@ from repro.engine.viewcache import CacheStats, ViewCache
 
 __all__ = [
     "ENGINES",
-    "EXECUTORS",
     "MODES",
     "CancellationToken",
     "Diagnostics",

@@ -15,8 +15,11 @@ from typing import TYPE_CHECKING, Iterator, MutableMapping, Sequence
 from repro.errors import EngineError, ResourceExhausted, SafetyError
 from repro.catalog.database import KnowledgeBase
 from repro.engine.guard import Diagnostics, ResourceGuard, degrade_catch
-from repro.engine.joins import bind_row, join_conjunction, relation_cost_estimator
-from repro.engine.plan import compile_conjunction, resolve_executor
+from repro.engine.joins import relation_cost_estimator
+from repro.engine.kernels import (
+    compile_conjunction_kernel,
+    substitutions_from_kernel_batch,
+)
 from repro.engine.seminaive import SemiNaiveEngine
 from repro.engine.topdown import TopDownEngine
 from repro.logic.atoms import Atom, atoms_variables
@@ -29,15 +32,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Engine selector values accepted by the public API.
 ENGINES = ("seminaive", "topdown", "magic")
 
-#: A compiled-plan cache: ``(rules_version, executor, fingerprint)`` ->
-#: compiled conjunction plan/kernel.  Sessions pass a bounded mapping so
+#: A compiled-plan cache: ``(rules_version, fingerprint)`` -> compiled
+#: conjunction kernel.  Sessions pass a bounded mapping so
 #: repeat point lookups skip recompilation (see :class:`repro.session.Session`).
 PlanCache = MutableMapping[tuple, object]
 
 
 def _plan_cache_key(
     kb: KnowledgeBase,
-    executor: str,
     conjuncts: Sequence[Atom],
     negated: Sequence[Atom],
 ) -> tuple:
@@ -52,7 +54,6 @@ def _plan_cache_key(
     """
     return (
         kb.rules_version,
-        executor,
         " & ".join(str(atom) for atom in conjuncts),
         " & ".join(str(atom) for atom in negated),
     )
@@ -124,7 +125,6 @@ def evaluate_conjunction(
     engine: str = "seminaive",
     max_derived_facts: int | None = None,
     negated: Sequence[Atom] = (),
-    executor: str | None = None,
     guard: ResourceGuard | None = None,
     cache: "ViewCache | None" = None,
     tracer=None,
@@ -133,22 +133,16 @@ def evaluate_conjunction(
     """Enumerate substitutions satisfying a conjunction over the database.
 
     ``negated`` conjuncts filter solutions by absence (closed world); their
-    variables must be bound by the positive conjuncts.  ``executor``
-    selects the bottom-up execution model: ``"batch"`` compiles the
-    conjunction (and the rules under it) into set-at-a-time hash-join
-    plans, ``"nested"`` uses the tuple-at-a-time reference executor, and
-    ``"kernel"`` lowers the compiled plans to integer join kernels over
-    interned symbol ids (:mod:`repro.engine.kernels`).  ``None`` (the
-    default) resolves via :func:`repro.engine.plan.default_executor` —
-    normally ``kernel``, overridable with the ``REPRO_EXECUTOR``
-    environment variable.  Only the seminaive engine honours the knob;
-    topdown and magic are tuple-at-a-time by construction.
+    variables must be bound by the positive conjuncts.  Under the
+    seminaive engine the conjunction (and the rules under it) is compiled
+    to a plan and lowered to an integer join kernel over interned symbol
+    ids (:mod:`repro.engine.kernels`); topdown and magic are
+    tuple-at-a-time by construction.
 
     ``plan_cache`` (a mutable mapping, usually a session's bounded cache)
-    memoizes the compiled plan/kernel for the query conjunction itself
-    under ``(kb.rules_version, executor, fingerprint)``, so repeat point
-    lookups skip recompilation.  Honoured by the batch and kernel
-    executors of the seminaive engine.
+    memoizes the compiled kernel for the query conjunction itself under
+    ``(kb.rules_version, fingerprint)``, so repeat point lookups skip
+    recompilation.  Honoured by the seminaive engine.
 
     ``guard`` governs the whole evaluation (deadline, fact budget,
     cancellation).  In strict mode exhaustion raises a
@@ -165,9 +159,8 @@ def evaluate_conjunction(
     (cached relations were computed without one, so answers could differ).
     """
     _check_engine(engine)
-    executor = resolve_executor(executor)
     iterator = _evaluate_conjunction(
-        kb, conjuncts, engine, max_derived_facts, negated, executor, guard, cache,
+        kb, conjuncts, engine, max_derived_facts, negated, guard, cache,
         tracer, plan_cache,
     )
     if guard is None or guard.mode != "degrade":
@@ -185,7 +178,6 @@ def _evaluate_conjunction(
     engine: str,
     max_derived_facts: int | None,
     negated: Sequence[Atom],
-    executor: str,
     guard: ResourceGuard | None,
     cache: "ViewCache | None" = None,
     tracer=None,
@@ -241,15 +233,12 @@ def _evaluate_conjunction(
         cache
         if use_cache
         else SemiNaiveEngine(
-            kb, max_derived_facts=max_derived_facts, executor=executor, guard=guard,
-            tracer=tracer,
+            kb, max_derived_facts=max_derived_facts, guard=guard, tracer=tracer
         )
     )
     try:
         if use_cache:
-            derived = cache.evaluate(
-                wanted, executor=executor, guard=guard, tracer=tracer
-            )
+            derived = cache.evaluate(wanted, guard=guard, tracer=tracer)
         else:
             derived = materializer.evaluate(wanted)
     except ResourceExhausted as error:
@@ -270,71 +259,23 @@ def _evaluate_conjunction(
             return kb.relation(predicate)
         return derived.get(predicate)
 
-    if executor == "kernel":
-        # The query conjunction runs as an integer kernel: compile (or
-        # fetch from the plan cache), execute over interned rows, and
-        # externalize ids back into substitutions at the boundary.
-        from repro.engine.kernels import (
-            compile_conjunction_kernel,
-            substitutions_from_kernel_batch,
-        )
-
-        key = _plan_cache_key(kb, executor, conjuncts, negated)
-        kernel = plan_cache.get(key) if plan_cache is not None else None
-        if kernel is None:
-            estimate = relation_cost_estimator(relation_view)
-            kernel = compile_conjunction_kernel(conjuncts, negated, estimate=estimate)
-            if plan_cache is not None:
-                plan_cache[key] = kernel
-        yield from substitutions_from_kernel_batch(
-            kernel, kernel.execute_rows(relation_view, guard, tracer)
-        )
-        return
-
-    if executor == "batch":
-        # The query conjunction itself runs set-at-a-time too: compile it
-        # (negated conjuncts become anti-join probes) and adapt the binding
-        # batch back into substitutions at the boundary.
-        key = _plan_cache_key(kb, executor, conjuncts, negated)
-        plan = plan_cache.get(key) if plan_cache is not None else None
-        if plan is None:
-            estimate = relation_cost_estimator(relation_view)
-            plan = compile_conjunction(conjuncts, negated, estimate=estimate)
-            if plan_cache is not None:
-                plan_cache[key] = plan
-        schema = plan.schema
-        for binding in plan.execute(relation_view, guard, tracer):
-            yield Substitution(dict(zip(schema, binding)))
-        return
-
-    def resolver(atom: Atom, theta: Substitution) -> Iterator[Substitution]:
-        relation = relation_view(atom.predicate)
-        if relation is None:
-            return
-        pattern = [arg if is_constant(arg) else None for arg in atom.args]
-        for row in relation.lookup(pattern):
-            extended = bind_row(atom, row, theta)
-            if extended is not None:
-                yield extended
-
-    def absent(theta: Substitution) -> bool:
-        for atom in negated:
-            instantiated = theta.apply(atom)
-            if not instantiated.is_ground():
-                raise SafetyError(
-                    f"negated conjunct {instantiated} is not ground; bind its "
-                    "variables with positive conjuncts"
-                )
-            if next(resolver(instantiated, theta), None) is not None:
-                return False
-        return True
-
-    estimate = relation_cost_estimator(relation_view)
-    for theta in join_conjunction(resolver, conjuncts, estimate=estimate):
-        if guard is not None:
-            guard.tick()
-        if not negated or absent(theta):
-            yield theta
+    # The query conjunction runs as an integer kernel: compile (or fetch
+    # from the plan cache), execute over interned rows, and externalize
+    # ids back into substitutions at the boundary.
+    key = _plan_cache_key(kb, conjuncts, negated)
+    kernel = plan_cache.get(key) if plan_cache is not None else None
+    if kernel is None:
+        estimate = relation_cost_estimator(relation_view)
+        kernel = compile_conjunction_kernel(conjuncts, negated, estimate=estimate)
+        if plan_cache is not None:
+            plan_cache[key] = kernel
+    try:
+        batch = kernel.execute_rows(relation_view, guard, tracer)
+    finally:
+        # The kernel may outlive this query in the plan cache; its build
+        # sides must not keep this query's relations alive with it.
+        kernel.release()
+    yield from substitutions_from_kernel_batch(kernel, batch)
 
 
 def retrieve(
@@ -344,7 +285,6 @@ def retrieve(
     engine: str = "seminaive",
     max_derived_facts: int | None = None,
     negated_qualifier: Sequence[Atom] = (),
-    executor: str | None = None,
     guard: ResourceGuard | None = None,
     cache: "ViewCache | None" = None,
     tracer=None,
@@ -357,8 +297,7 @@ def retrieve(
     qualifier, so its variables must all occur in the qualifier.
     ``negated_qualifier`` conjuncts filter by absence ("foreign students who
     are not married"); their variables must be bound by the subject or the
-    positive qualifier.  ``executor`` selects the bottom-up execution model
-    (see :func:`evaluate_conjunction`).
+    positive qualifier.
 
     ``guard`` puts the query under a resource budget: strict mode raises
     :class:`~repro.errors.ResourceExhausted` on exhaustion; degrade mode
@@ -367,7 +306,6 @@ def retrieve(
     :class:`~repro.session.Session` hands each query a fresh one.
     """
     _check_engine(engine)
-    executor = resolve_executor(executor)
     if subject.is_comparison():
         raise EngineError("the subject of retrieve may not be a comparison")
 
@@ -394,16 +332,13 @@ def retrieve(
     rows: list[tuple[Constant, ...]] = []
     from repro.obs.trace import traced_span
 
-    with traced_span(
-        tracer, "retrieve", subject=str(subject), engine=engine, executor=executor
-    ):
+    with traced_span(tracer, "retrieve", subject=str(subject), engine=engine):
         for theta in evaluate_conjunction(
             kb,
             conjunction,
             engine=engine,
             max_derived_facts=max_derived_facts,
             negated=tuple(negated_qualifier),
-            executor=executor,
             guard=guard,
             cache=cache,
             tracer=tracer,

@@ -1,10 +1,9 @@
 """Unified resource governance for query evaluation.
 
-Every evaluation path of the system — the semi-naive engine (both the
-``batch`` and ``nested`` executors), the top-down tabled engine, magic-sets
-evaluation, incremental view maintenance, and the ``describe``
-derivation-tree search — can be governed by one :class:`ResourceGuard`
-carrying:
+Every evaluation path of the system — the semi-naive engine, the top-down
+tabled engine, magic-sets evaluation, incremental view maintenance, and the
+``describe`` derivation-tree search — can be governed by one
+:class:`ResourceGuard` carrying:
 
 * a **wall-clock deadline** (seconds of evaluation time);
 * a **derived-fact budget** (rows materialised/tabled across the query);

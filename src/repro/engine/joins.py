@@ -1,4 +1,4 @@
-"""Generic conjunction solving: the tuple-at-a-time reference executor.
+"""Generic conjunction solving, one binding at a time.
 
 Given a *resolver* — a callback that, for a positive atom (with the current
 bindings already applied), yields substitutions extending it against some
@@ -8,13 +8,14 @@ variable; order comparisons filter once ground.  Conjuncts are greedily
 reordered so bound atoms run first (index-friendly) and comparisons run as
 soon as they are ground.
 
-This is the *reference* executor: a depth-first nested-loops join, one
-substitution per binding.  The top-down engine and other resolver-based
-callers (provenance, incremental maintenance) are built on it, and the
-bottom-up engine keeps it as the ``executor="nested"`` fallback.  The
-set-at-a-time hash-join executor in :mod:`repro.engine.plan` is the fast
-path for bottom-up evaluation; :func:`order_conjuncts` and
-:func:`relation_cost_estimator` are shared by both.
+This is a depth-first nested-loops join, one substitution per binding.
+The top-down engine and other resolver-based callers (provenance,
+incremental maintenance) are built on it, and so is the reference
+evaluator the test suites use as their oracle
+(:mod:`repro.engine.reference`).  Bottom-up evaluation itself runs on the
+integer kernels of :mod:`repro.engine.kernels`; :func:`order_conjuncts` and
+:func:`relation_cost_estimator` are shared with its planner
+(:mod:`repro.engine.plan`).
 """
 
 from __future__ import annotations

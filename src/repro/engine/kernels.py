@@ -1,68 +1,66 @@
-"""Plan-specialized integer join kernels: the ``executor="kernel"`` backend.
+"""Plan-specialized integer join kernels: the bottom-up execution layer.
 
-The batch executor (:mod:`repro.engine.plan`) is set-at-a-time but still
-joins over :class:`~repro.logic.terms.Constant` tuples — every hash-table
-probe and every dedup check re-hashes constants, and ``Constant.__hash__``
-allocates a tuple per call.  This module *kernelizes* a compiled physical
-plan into the integer domain of the process-wide symbol table
-(:data:`repro.catalog.symbols.SYMBOLS`):
+A logical plan (:mod:`repro.engine.plan`) fixes join order, slot layout
+and safety; this module *lowers* it into the integer domain of the
+process-wide symbol table (:data:`repro.catalog.symbols.SYMBOLS`) and runs
+it:
 
-* every step is re-specialized over **symbol ids** — the build side reads
+* every step is specialized over **symbol ids** — the build side reads
   a relation's interned rows (:meth:`Relation.int_rows` /
   :meth:`Relation.column_block`), constant arguments are interned once at
   compile time, and join keys are plain ints (id-equality is exactly
-  constant-equality, see :mod:`repro.catalog.symbols`);
+  constant-equality, see :mod:`repro.catalog.symbols`), so no probe or
+  dedup check ever hashes a :class:`~repro.logic.terms.Constant`;
 * adjacent scan→join→compare steps are **fused**: a comparison whose
   operands are ground right after a join becomes a per-row filter closure
   applied inside that join's probe loop, so no intermediate batch is
   materialised;
 * each filter/operand is a small closure specialized at compile time over
   the concrete slot indexes and interned constants — the hot loop carries
-  no interpretation of step metadata.
-
-Join *order* and slot layout come from :func:`repro.engine.plan.compile_rule`
-/ :func:`~repro.engine.plan.compile_conjunction`, so the kernel executor is
-order- and safety-equivalent to the batch executor by construction; only
-the value domain and the loop bodies differ.
+  no interpretation of step metadata;
+* build-side hash tables are memoized per step and invalidated through
+  the build side's ``version``, so a stable EDB relation is hashed once
+  per kernel no matter how many delta iterations probe it.
 
 Order comparisons (``<``, ``>=``, …) are about *values*, not identities,
 so their closures externalize ids back to constants before comparing —
-they keep the exact semantics (including the incompatible-type
-:class:`~repro.errors.LogicError`) of :class:`repro.engine.plan._Compare`.
+they keep the semantics of
+:func:`repro.logic.builtins.evaluate_comparison`, including the
+incompatible-type :class:`~repro.errors.LogicError`.
 
-:class:`IntTable` is the transient fact store the semi-naive engine uses
-in kernel mode: an append-only list/set pair of id tuples, presenting the
-same ``(arity, version, int_rows, distinct_count)`` surface as
-:class:`~repro.catalog.relation.Relation`, so build-side memoization and
-the cardinality estimator work unchanged.
+Two backends share plans, slot layouts and constant interning, so they
+agree answer-for-answer (the differential and parity suites pin this);
+which one runs is decided by
+:func:`repro.catalog.columnar.numpy_backend`, never by a caller:
 
-When the numpy columnar backend is enabled
-(``REPRO_COLUMNAR_BACKEND=numpy``), every step additionally carries a
-``run_block`` **vector path** operating on 2-D ``int64`` arrays instead of
-python tuple batches:
-
-* the build side of a single-key join is laid out once per
+* **python** — batches are lists of id tuples (each step's ``run``) and
+  the stratum's facts live in :class:`IntTable`;
+* **numpy** — batches are 2-D ``int64`` arrays (each step's ``run_block``)
+  and the facts live in :class:`GrowTable` / :class:`ArrayTable`.  The
+  build side of a single-key join is laid out once per
   ``(relation, version)`` as sorted key ids + group starts/counts + a 2-D
-  extension array (a CSR-style layout), and a whole probe column is
-  resolved in one ``np.searchsorted`` call;
-* matches expand with ``np.repeat`` plus a concatenated-``arange`` gather —
-  no per-tuple python work;
-* fused ``=``/``!=`` comparison filters become boolean masks; order
-  comparisons (value semantics) and multi-key joins fall back to the
-  scalar loops for just that step, preserving semantics exactly;
-* batch dedup (:func:`unique_block`) runs ``np.unique`` over a structured
-  (void) view of the row bytes, so within-batch duplicate elimination is
-  one C call.
+  extension array (a CSR-style layout), a whole probe column is resolved
+  in one ``np.searchsorted`` call, and matches expand with ``np.repeat``
+  plus a concatenated-``arange`` gather.  Fused ``=``/``!=`` filters become
+  boolean masks; order comparisons and multi-key joins fall back to the
+  scalar loops for just that step.  Batch dedup (:func:`unique_block`)
+  runs ``np.unique`` over a structured (void) view of the row bytes.
 
-The vector and scalar paths share plans, slot layouts, and constant
-interning, so they agree answer-for-answer; the differential and parity
-suites pin this.
+:class:`IntTable` and :class:`GrowTable` are the fixpoint tables the one
+stratum driver (:meth:`SemiNaiveEngine._evaluate_stratum`) runs over.
+Both present the ``(arity, version, int_rows, distinct_count)`` read
+surface of a :class:`~repro.catalog.relation.Relation`, so build-side
+memoization and the cardinality estimator work unchanged, plus the three
+calls the driver makes: ``admit`` (screen a fired batch against the table
+and the round's pending rows), ``extend`` (make the pending rows visible
+and hand them back as the next delta table) and ``flush`` (externalize
+into the derived relation).
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.errors import ArityError, LogicError
 from repro.catalog.columnar import numpy_backend, numpy_min_rows
@@ -114,35 +112,52 @@ def _projector(cols: Sequence[int]) -> Callable[[Sequence[int]], tuple]:
 
 
 class IntTable:
-    """An append-only set of interned rows (the kernel's working store).
+    """An append-only set of interned rows: the python backend's fixpoint table.
 
     ``version`` is the row count: rows are only ever appended, so the
     count is a valid monotone version for ``(identity, version)``-keyed
     build-table memos — the same protocol as :attr:`Relation.version`.
     """
 
-    __slots__ = ("arity", "rows", "index", "_stats", "_array", "_array_version")
+    __slots__ = ("arity", "rows", "index", "_pending", "_stats")
 
-    def __init__(self, arity: int, rows: Sequence[tuple[int, ...]] = ()) -> None:
+    def __init__(self, arity: int, rows: Iterable[tuple[int, ...]] = ()) -> None:
         self.arity = arity
         self.rows: list[tuple[int, ...]] = list(rows)
         self.index: set[tuple[int, ...]] = set(self.rows)
+        #: Rows admitted this round, not yet visible (insertion-ordered).
+        self._pending: dict[tuple[int, ...], None] = {}
         self._stats: dict[int, tuple[int, int]] = {}
-        self._array: object = None
-        self._array_version = -1
 
-    def add(self, row: tuple[int, ...]) -> bool:
-        """Append a row; returns ``False`` if it was already present."""
-        if row in self.index:
-            return False
-        self.index.add(row)
-        self.rows.append(row)
-        return True
+    def admit(self, fired: IntBatch) -> int:
+        """Stage the fired rows that are neither visible nor already
+        pending this round; returns how many were new."""
+        index = self.index
+        pending = self._pending
+        before = len(pending)
+        for row in fired:
+            if row not in index:
+                pending[row] = None
+        return len(pending) - before
 
-    def extend_new(self, rows) -> None:
-        """Append rows known to be absent (caller already deduplicated)."""
-        self.index.update(rows)
-        self.rows.extend(rows)
+    def extend(self) -> "IntTable | None":
+        """Make the pending rows visible; returns them as the next delta
+        table (``None`` when the round admitted nothing)."""
+        pending = self._pending
+        if not pending:
+            return None
+        self._pending = {}
+        # Rows were screened against the table when admitted and the
+        # pending dict deduplicated across rules: extend without re-probing.
+        self.index.update(pending)
+        self.rows.extend(pending)
+        return IntTable(self.arity, pending)
+
+    def flush(self, relation) -> None:
+        """Externalize the visible rows into *relation* (id tuples ->
+        constant rows, one bulk load)."""
+        if self.rows:
+            relation.load_interned(self.rows)
 
     def int_rows(self) -> list[tuple[int, ...]]:
         return self.rows
@@ -166,20 +181,9 @@ class IntTable:
         self._stats[column] = (len(self.rows), count)
         return count
 
-    def as_array(self, np):
-        """The rows as a 2-D ``int64`` array, memoized per version."""
-        if self._array is not None and self._array_version == len(self.rows):
-            return self._array
-        arr = np.asarray(self.rows, dtype=np.int64)
-        if arr.ndim != 2:
-            arr = arr.reshape(len(self.rows), self.arity)
-        self._array = arr
-        self._array_version = len(self.rows)
-        return arr
-
 
 class ArrayTable:
-    """A read-only, array-backed table: the vector path's delta store.
+    """A read-only, array-backed table: the numpy backend's delta store.
 
     Presents the same ``(arity, version, int_rows, distinct_count)``
     surface as :class:`IntTable`, so kernel compilation, the cardinality
@@ -216,21 +220,26 @@ class ArrayTable:
 
 
 class GrowTable:
-    """An append-only array-backed table: the vector path's accumulator.
+    """An append-only array-backed set of rows: the numpy backend's
+    fixpoint table.
 
-    Rows arrive as disjoint, already-deduplicated 2-D ``int64`` blocks
-    (the vector fixpoint screens each batch before extending), so the
-    table never re-probes membership: it just collects blocks and
-    concatenates lazily.  Presents the same read surface as
-    :class:`IntTable` — ``(arity, version, int_rows, distinct_count,
-    as_array)`` — so kernel compilation, the cardinality estimator, and
-    the scalar fallbacks consume it unchanged, while the vector path
-    reads the 2-D array with no tuple materialisation anywhere in the
-    fixpoint.
+    The same driver-facing calls as :class:`IntTable` — :meth:`admit`,
+    :meth:`extend`, :meth:`flush` — over 2-D ``int64`` blocks: admitted
+    rows are deduplicated in one batch ``np.unique`` pass, then screened
+    against the accumulated facts one membership check per *unique* row,
+    keyed by the row's raw bytes (the same void view ``np.unique`` sorts)
+    and never materialized as a tuple.  (A fully vectorized variant —
+    sorted void chunks probed via ``searchsorted`` — measured slower:
+    per-iteration numpy call overhead on small deltas outweighs C-level
+    set lookups on interned bytes.)  Visible rows are disjoint blocks
+    concatenated lazily, so python-level work scales with new facts, not
+    raw join output.  The read surface — ``(arity, version, int_rows,
+    distinct_count, as_array)`` — is :class:`ArrayTable`'s.
     """
 
     __slots__ = (
-        "arity", "_np", "_parts", "_length",
+        "arity", "_np", "_parts", "_length", "_seen",
+        "_pending", "_pending_keys",
         "_array", "_array_length", "_rows", "_rows_length",
     )
 
@@ -239,16 +248,58 @@ class GrowTable:
         self._np = np
         self._parts: list = []
         self._length = 0
+        #: Raw row bytes of every visible row (mirrors ``IntTable.index``).
+        self._seen: set[bytes] = set()
+        #: Blocks admitted this round, not yet visible, and their keys.
+        self._pending: list = []
+        self._pending_keys: set[bytes] = set()
         self._array: object = None
         self._array_length = -1
         self._rows: list[tuple[int, ...]] | None = None
         self._rows_length = -1
 
-    def extend_block(self, arr) -> None:
-        """Append a block of rows known to be new (caller deduplicated)."""
-        if len(arr):
-            self._parts.append(arr)
-            self._length += len(arr)
+    def admit(self, fired) -> int:
+        """Stage the fired rows that are neither visible nor already
+        pending this round; returns how many were new."""
+        np = self._np
+        uniq = unique_block(np, fired)
+        if uniq.shape[1]:
+            keys = _void_rows(np, uniq).tolist()
+        else:
+            keys = [b""] * len(uniq)
+        seen = self._seen
+        pending = self._pending_keys
+        keep = [
+            i for i, key in enumerate(keys)
+            if key not in seen and key not in pending
+        ]
+        if not keep:
+            return 0
+        if len(keep) != len(keys):
+            uniq = uniq[np.asarray(keep, dtype=np.intp)]
+            keys = [keys[i] for i in keep]
+        pending.update(keys)
+        self._pending.append(uniq)
+        return len(keys)
+
+    def extend(self) -> "ArrayTable | None":
+        """Make the pending rows visible; returns them as the next delta
+        table (``None`` when the round admitted nothing)."""
+        parts = self._pending
+        if not parts:
+            return None
+        block = parts[0] if len(parts) == 1 else self._np.concatenate(parts)
+        self._seen.update(self._pending_keys)
+        self._pending = []
+        self._pending_keys = set()
+        self._parts.append(block)
+        self._length += len(block)
+        return ArrayTable(self.arity, block, self._np)
+
+    def flush(self, relation) -> None:
+        """Externalize the visible rows into *relation* in one flat pass."""
+        if self._length:
+            relation.load_interned_block(self.as_array())
 
     @property
     def version(self) -> int:
@@ -286,7 +337,7 @@ class GrowTable:
 def _vec_source(relation, np):
     """``(get_column, row_count)`` for any build-side store.
 
-    Relations expose zero-copy columnar views; ``IntTable``/``ArrayTable``
+    Relations expose zero-copy columnar views; ``ArrayTable``/``GrowTable``
     expose a (memoized) 2-D array sliced per column.
     """
     if hasattr(relation, "column_block"):
@@ -391,10 +442,14 @@ def _filtered_rows(relation, const_checks, dup_checks):
 class _KJoin:
     """A hash join specialized over symbol ids, with fused row filters.
 
-    Mirrors :class:`repro.engine.plan._HashJoin` — same key slots/columns,
-    same memoized build side — but the build reads interned rows and the
-    probe loop applies any fused comparison filters before a combined row
-    is admitted to the output batch.
+    Runs one :class:`repro.engine.plan._HashJoin` record: the build side
+    (the relation) is filtered by the constant and repeated-variable
+    checks, projected to the columns that bind new variables, and hashed
+    on the join-key columns; the probe loop applies any fused comparison
+    filters before a combined row is admitted to the output batch.  The
+    build is memoized and reused while the build side's ``version`` is
+    unchanged — the common case for EDB relations probed across many
+    delta iterations.
     """
 
     __slots__ = (
@@ -434,6 +489,10 @@ class _KJoin:
         self._project = _projector(out_cols)
         self._key_of = _projector(key_cols)
         self._probe_key = _projector(key_slots)
+        self.release()
+
+    def release(self) -> None:
+        """Forget the memoized build sides (and the relations they pin)."""
         self._cache_rel: object = None
         self._cache_ver = -1
         self._cache_table: object = None
@@ -739,6 +798,10 @@ class _KAntiJoin:
         self.key_slots = key_slots
         self.key_cols = key_cols
         self.const_checks = const_checks
+        self.release()
+
+    def release(self) -> None:
+        """Forget the memoized key sets (and the relations they pin)."""
         self._cache_rel: object = None
         self._cache_ver = -1
         self._cache_keys: set | None = None
@@ -842,11 +905,11 @@ def _compare_filter(step: _Compare, skip_check: bool = False) -> RowFilter:
     """Specialize one comparison into an id-row filter closure.
 
     Equality/disequality compare ids directly (id-equality is
-    constant-equality); order operators externalize to values and keep the
-    incompatible-type error of the batch executor.  *skip_check* elides
-    that comparability check — only set when the type analysis proved both
-    operands homogeneous (both numeric, both str, or both bool), in which
-    case the check can never fire.
+    constant-equality); order operators externalize to values and raise
+    :class:`~repro.errors.LogicError` on incompatible types.  *skip_check*
+    elides that comparability check — only set when the type analysis
+    proved both operands homogeneous (both numeric, both str, or both
+    bool), in which case the check can never fire.
     """
     op = step.op
     left_slot, right_slot = step.left_slot, step.right_slot
@@ -904,7 +967,7 @@ def _vector_spec(step: _Compare):
 
 
 class ConjunctionKernel:
-    """A kernelized physical plan: same schema, id-domain steps."""
+    """A lowered plan: the logical plan's schema, id-domain steps."""
 
     __slots__ = ("schema", "steps", "described")
 
@@ -919,9 +982,11 @@ class ConjunctionKernel:
         self.described = described
 
     def execute(self, relations, guard=None, tracer=None) -> IntBatch:
-        """Run the kernel; guard checkpoints and ``join_probes`` accounting
-        follow :meth:`ConjunctionPlan.execute` — one tick per step boundary,
-        charged with the batch size."""
+        """Run the kernel.  *guard* (a
+        :class:`~repro.engine.guard.ResourceGuard`) is checkpointed at
+        every step boundary, charged with the batch size; *tracer* (a
+        :class:`~repro.obs.trace.Tracer`) accumulates the same per-step
+        batch sizes as the ``join_probes`` counter."""
         batch: IntBatch = [()]
         for step in self.steps:
             if guard is not None:
@@ -960,6 +1025,17 @@ class ConjunctionKernel:
             return self.execute(relations, guard, tracer)
         batch = self.execute_block(relations, np, guard, tracer)
         return [tuple(row) for row in batch.tolist()]
+
+    def release(self) -> None:
+        """Drop every step's memoized build side.
+
+        A kernel that outlives one evaluation (the session plan cache)
+        must not keep that evaluation's relations, or the hash tables
+        built from them, alive; within one evaluation the memos stay.
+        """
+        for step in self.steps:
+            if isinstance(step, (_KJoin, _KAntiJoin)):
+                step.release()
 
 
 class RuleKernel:
@@ -1097,7 +1173,7 @@ def kernelize_conjunction(
     """
     steps: list = []
     described: list[str] = []
-    for step, line in zip(plan.steps, plan.described):
+    for index, (step, line) in enumerate(zip(plan.steps, plan.described)):
         if isinstance(step, _HashJoin):
             kjoin = _KJoin(
                 step.predicate,
@@ -1126,14 +1202,25 @@ def kernelize_conjunction(
         elif isinstance(step, _Compare):
             skip_check = False
             if var_domains is not None and step.op not in ("=", "!="):
-                skip_check = _order_check_skippable(
-                    _operand_domain(
-                        step.left_slot, step.left_const, plan.schema, var_domains
-                    ),
-                    _operand_domain(
-                        step.right_slot, step.right_const, plan.schema, var_domains
-                    ),
-                )
+                # A variable's domain is the meet over *every* atom it
+                # occurs in, so it describes the batch only once all of
+                # them have been joined: a later join keyed on an operand's
+                # slot has yet to narrow that operand, and the check stays.
+                unsettled = {
+                    slot
+                    for later in plan.steps[index + 1:]
+                    if isinstance(later, _HashJoin)
+                    for slot in later.key_slots
+                }
+                if step.left_slot not in unsettled and step.right_slot not in unsettled:
+                    skip_check = _order_check_skippable(
+                        _operand_domain(
+                            step.left_slot, step.left_const, plan.schema, var_domains
+                        ),
+                        _operand_domain(
+                            step.right_slot, step.right_const, plan.schema, var_domains
+                        ),
+                    )
             check = _compare_filter(step, skip_check=skip_check)
             spec = _vector_spec(step)
             if steps and isinstance(steps[-1], _KJoin):

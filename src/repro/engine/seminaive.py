@@ -9,53 +9,41 @@ position at a time, so no derivation is recomputed.
 Evaluation is *relevance-restricted*: only predicates the query (transitively)
 depends on are materialised.
 
-Three executors drive rule bodies (the ``executor`` knob; ``None`` picks
-the process default, normally ``"kernel"`` — see
-:func:`repro.engine.plan.default_executor` and the ``REPRO_EXECUTOR``
-environment variable):
+There is one stratum driver (:meth:`SemiNaiveEngine._evaluate_stratum`).
+Each rule body is compiled once per ``(rule, delta-position)`` into a
+logical plan (:mod:`repro.engine.plan`), lowered to an integer kernel over
+interned symbol ids (:mod:`repro.engine.kernels`) and kept for the lifetime
+of the stratum evaluation; the stratum's facts live in kernel tables for
+the whole fixpoint and are externalized back into relations when the
+stratum completes.  The tables come in two backends behind one interface —
+:class:`~repro.engine.kernels.IntTable` (id tuples) and, when the numpy
+columnar backend is on (``REPRO_COLUMNAR_BACKEND=numpy``),
+:class:`~repro.engine.kernels.GrowTable` (2-D ``int64`` arrays: deltas stay
+arrays between iterations, probes resolve whole columns at a time, and
+per-rule dedup is one batch ``np.unique`` pass counted by the
+``probe_batches`` / ``dedup_batch_rows`` tracer counters).  The backend is
+observed (:func:`repro.catalog.columnar.numpy_backend`), never selected by
+a caller.
 
-* ``"batch"`` — the set-at-a-time hash-join executor of
-  :mod:`repro.engine.plan`: each rule body is compiled once per
-  ``(rule, delta-position)`` into a physical plan, cached for the lifetime
-  of the stratum evaluation, and executed over whole relations;
-* ``"nested"`` — the tuple-at-a-time nested-loop reference executor of
-  :mod:`repro.engine.joins`; the join order is still computed once per
-  ``(rule, delta-position)`` rather than on every delta iteration.
-* ``"kernel"`` (default) — the integer-interned kernels of
-  :mod:`repro.engine.kernels`: the same compiled plans lowered to symbol
-  ids, with the whole stratum fixpoint running over id tuples and the
-  results externalized back into relations when the stratum completes.
-  When the numpy columnar backend is on (``REPRO_COLUMNAR_BACKEND=numpy``)
-  the fixpoint additionally runs *vectorized*: deltas stay 2-D ``int64``
-  arrays between iterations, probes resolve whole columns at a time, and
-  per-iteration dedup is one batch ``np.unique`` pass
-  (counted by the ``probe_batches`` / ``dedup_batch_rows`` tracer
-  counters) followed by a membership check against the accumulated table.
+The tuple-at-a-time evaluator this engine started from survives as
+:mod:`repro.engine.reference` — a test oracle, imported by nothing here.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from repro.errors import SafetyError
 from repro.catalog.columnar import numpy_backend
 from repro.catalog.database import KnowledgeBase
-from repro.catalog.relation import Relation, Row
+from repro.catalog.relation import Relation
 from repro.engine.guard import ResourceGuard
-from repro.engine.joins import bind_row, join_conjunction, order_conjuncts, relation_cost_estimator
-from repro.engine.plan import (
-    DELTA_PREFIX as _DELTA_PREFIX,
-    RulePlan,
-    analysis_estimator,
-    compile_rule,
-    resolve_executor,
-)
+from repro.engine.joins import relation_cost_estimator
+from repro.engine.kernels import GrowTable, IntTable, RuleKernel, compile_rule_kernel
+from repro.engine.plan import DELTA_PREFIX as _DELTA_PREFIX, analysis_estimator
 from repro.engine.safety import check_rule_safety
 from repro.obs.trace import traced_span
 from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule
-from repro.logic.substitution import Substitution
-from repro.logic.terms import is_constant
 
 
 class SemiNaiveEngine:
@@ -69,13 +57,6 @@ class SemiNaiveEngine:
         Legacy fact budget; shorthand for ``guard=ResourceGuard(max_facts=N)``
         (ignored when an explicit *guard* is given).  Exceeding it raises
         :class:`~repro.errors.EvaluationLimitError`.
-    executor:
-        ``"batch"`` for the set-at-a-time hash-join executor,
-        ``"nested"`` for the tuple-at-a-time reference executor,
-        ``"kernel"`` for the integer-interned kernel executor;
-        ``None`` (the default) resolves via
-        :func:`repro.engine.plan.default_executor` (normally ``kernel``,
-        overridable with ``REPRO_EXECUTOR``).
     guard:
         A :class:`~repro.engine.guard.ResourceGuard` governing the whole
         evaluation (deadline, fact/step/iteration budgets, cancellation).
@@ -90,20 +71,18 @@ class SemiNaiveEngine:
         :class:`~repro.analysis.absint.summary.AnalysisSummary` is used
         directly.  When enabled, join ordering falls back to abstract
         cardinality estimates for not-yet-materialised IDB relations and
-        the kernel executor specializes comparisons/joins from inferred
-        column domains.
+        kernel lowering specializes comparisons/joins from inferred column
+        domains.
     """
 
     def __init__(
         self,
         kb: KnowledgeBase,
         max_derived_facts: int | None = None,
-        executor: str | None = None,
         guard: ResourceGuard | None = None,
         tracer=None,
         analysis=None,
     ) -> None:
-        executor = resolve_executor(executor)
         if max_derived_facts is not None and max_derived_facts < 1:
             raise ValueError(
                 f"max_derived_facts must be at least 1, got {max_derived_facts!r} "
@@ -114,20 +93,14 @@ class SemiNaiveEngine:
         self._kb = kb
         self._guard = guard
         self._tracer = tracer
-        self._executor = executor
         #: Analysis-informed planning: ``None`` resolves via the
         #: ``REPRO_PLAN_ANALYSIS`` flag, ``False`` disables, ``True`` forces,
         #: and an :class:`AnalysisSummary` instance is used as-is.
         self._analysis = analysis
         self._derived: dict[str, Relation] = {}
-        self._delta: dict[str, Relation] = {}
         self._evaluated: set[str] = set()
-        #: Per-stratum cache: (rule index, delta position) -> compiled plan
-        #: (batch executor), pre-ordered body (nested executor), or lowered
-        #: integer kernel (kernel executor).
-        self._plans: dict[tuple[int, int], RulePlan] = {}
-        self._orders: dict[tuple[int, int], list[Atom]] = {}
-        self._kernels: dict[tuple[int, int], object] = {}
+        #: Per-stratum cache: (rule index, delta position) -> lowered kernel.
+        self._kernels: dict[tuple[int, int], RuleKernel] = {}
 
     # -- public API ---------------------------------------------------------------
 
@@ -178,11 +151,6 @@ class SemiNaiveEngine:
         return self._relation(predicate)
 
     @property
-    def executor(self) -> str:
-        """The executor this engine evaluates rule bodies with."""
-        return self._executor
-
-    @property
     def guard(self) -> ResourceGuard | None:
         """The resource guard governing this engine (``None`` = unbounded)."""
         return self._guard
@@ -196,9 +164,7 @@ class SemiNaiveEngine:
         return self._derived[predicate]
 
     def _relation_view(self, predicate: str) -> Relation | None:
-        """The relation an atom of *predicate* currently reads (or ``None``)."""
-        if predicate.startswith(_DELTA_PREFIX):
-            return self._delta.get(predicate[len(_DELTA_PREFIX):])
+        """The stored or already-derived relation of *predicate* (or ``None``)."""
         if self._kb.is_edb(predicate):
             return self._kb.relation(predicate)
         if self._kb.is_idb(predicate):
@@ -234,264 +200,120 @@ class SemiNaiveEngine:
             return relation_cost_estimator(relation_for)
         return analysis_estimator(relation_for, summary)
 
-    def _resolver(self, atom: Atom, theta: Substitution) -> Iterator[Substitution]:
-        """Resolve a positive atom against EDB, derived, or delta relations."""
-        relation = self._relation_view(atom.predicate)
-        if relation is None:
-            return  # undefined predicate: empty extension
-        pattern = [arg if is_constant(arg) else None for arg in atom.args]
-        for row in relation.lookup(pattern):
-            extended = bind_row(atom, row, theta)
-            if extended is not None:
-                yield extended
-
-    def _head_row(self, rule: Rule, theta: Substitution) -> Row:
-        head = theta.apply(rule.head)
-        if not head.is_ground():
-            raise SafetyError(f"derived head is not ground: {head} (rule {rule})")
-        return tuple(head.args)  # type: ignore[return-value]
-
-    def _negatives_absent(self, rule: Rule, theta: Substitution) -> bool:
-        """Whether every negated body atom has no matching stored/derived row.
-
-        Stratification guarantees the negated predicates' relations are
-        complete by the time the rule fires (their strata come first).
-        """
-        for atom in rule.negated:
-            instantiated = theta.apply(atom)
-            if not instantiated.is_ground():
-                raise SafetyError(
-                    f"negated atom {instantiated} is not ground at evaluation time"
-                )
-            predicate = instantiated.predicate
-            if self._kb.is_edb(predicate):
-                relation = self._kb.relation(predicate)
-            elif self._kb.is_idb(predicate):
-                relation = self._relation(predicate)
-            else:
-                continue  # undefined predicate: trivially absent
-            if next(relation.lookup(list(instantiated.args)), None) is not None:
-                return False
-        return True
-
-    def _fire_rule(self, rule: Rule, plan_key: tuple[int, int]) -> list[Row]:
-        """All head rows derivable from one rule under current relations.
-
-        The join order is cardinality-aware and computed once per
-        ``(rule, delta-position)`` for the stratum; with the batch executor
-        the whole body runs as cached-plan hash joins.
-        """
-        guard = self._guard
-        tracer = self._tracer
-        if self._executor == "batch":
-            plan = self._plans.get(plan_key)
-            if plan is None:
-                estimate = self._cost_estimator(self._relation_view)
-                plan = compile_rule(rule, estimate=estimate)
-                self._plans[plan_key] = plan
-            return plan.execute(self._relation_view, guard, tracer)
-        ordered = self._orders.get(plan_key)
-        if ordered is None:
-            estimate = self._cost_estimator(self._relation_view)
-            ordered = order_conjuncts(rule.body, estimate=estimate)
-            self._orders[plan_key] = ordered
-        rows: list[Row] = []
-        solutions = 0
-        for theta in join_conjunction(self._resolver, ordered, reorder=False):
-            solutions += 1
-            if guard is not None:
-                guard.tick()
-            if rule.negated and not self._negatives_absent(rule, theta):
-                continue
-            rows.append(self._head_row(rule, theta))
-        if tracer is not None and solutions:
-            tracer.count("join_probes", solutions)
-        return rows
-
     def _evaluate_stratum(self, stratum: set[str]) -> None:
-        if self._executor == "kernel":
-            np = numpy_backend()
-            if np is not None:
-                self._evaluate_stratum_kernel_vec(stratum, np)
-            else:
-                self._evaluate_stratum_kernel(stratum)
-            return
-        kb = self._kb
-        rules = [r for p in sorted(stratum) for r in kb.rules_for(p)]
-        for rule in rules:
-            check_rule_safety(rule)
-        # Plans are cached for the lifetime of this stratum evaluation.
-        self._plans = {}
-        self._orders = {}
+        """The stratum fixpoint, over integer kernels and kernel tables.
 
-        # Initial round: full evaluation (recursive atoms see empty relations).
-        # Rows are materialised before insertion: a rule like a permutation
-        # rule reads the very relation its head writes.
-        guard = self._guard
-        tracer = self._tracer
-        delta_rows: dict[str, set[Row]] = {p: set() for p in stratum}
-        for rule_index, rule in enumerate(rules):
-            with traced_span(tracer, "rule", rule=str(rule), phase="initial"):
-                relation = self._relation(rule.head.predicate)
-                inserted = 0
-                for row in self._fire_rule(rule, (rule_index, -1)):
-                    if relation.insert(row):
-                        delta_rows[rule.head.predicate].add(row)
-                        inserted += 1
-                if guard is not None and inserted:
-                    guard.count_facts(inserted)
-                if tracer is not None and inserted:
-                    tracer.count("facts_derived", inserted)
+        An initial round fires every rule in full (recursive atoms see the
+        rows earlier rules of the round derived); then, while the last
+        round derived anything, every recursive rule fires once per
+        occurrence of a stratum predicate in its body with that occurrence
+        reading the *delta*.  The stratum's derived and delta fact sets
+        live as kernel tables (:class:`~repro.engine.kernels.IntTable`, or
+        :class:`~repro.engine.kernels.GrowTable` under the numpy backend)
+        for the whole fixpoint: no per-row coercion, journaling, or
+        constant hashing on the hot path.  Within an iteration the tables
+        extend only at the iteration boundary, so every rule of one
+        iteration sees the same facts — and each build side bumps its
+        version once per iteration, not once per rule.
 
-        recursive_rules = [
-            (index, rule, [i for i, b in enumerate(rule.body) if b.predicate in stratum])
-            for index, rule in enumerate(rules)
-        ]
-        recursive_rules = [(i, r, occs) for i, r, occs in recursive_rules if occs]
-        if not recursive_rules:
-            return
-
-        # Pre-build each rule's delta rewritings once; the per-iteration work
-        # is pure plan execution.
-        rewritten_rules: list[tuple[int, int, Rule]] = []
-        for rule_index, rule, occurrences in recursive_rules:
-            for position in occurrences:
-                body = list(rule.body)
-                original = body[position]
-                body[position] = Atom(_DELTA_PREFIX + original.predicate, original.args)
-                rewritten_rules.append((rule_index, position, rule.with_body(body)))
-
-        iteration = 0
-        while any(delta_rows.values()):
-            iteration += 1
-            if guard is not None:
-                guard.iteration()
-            with traced_span(tracer, "iteration", index=iteration):
-                if tracer is not None:
-                    tracer.count(
-                        "delta_rows", sum(len(rows) for rows in delta_rows.values())
-                    )
-                self._delta = {
-                    p: Relation(self._relation(p).arity, rows)
-                    for p, rows in delta_rows.items()
-                }
-                new_rows: dict[str, set[Row]] = {p: set() for p in stratum}
-                for rule_index, position, rewritten in rewritten_rules:
-                    with traced_span(
-                        tracer,
-                        "rule",
-                        rule=str(rules[rule_index]),
-                        delta_position=position,
-                    ):
-                        target = new_rows[rewritten.head.predicate]
-                        before = len(target)
-                        relation = self._relation(rewritten.head.predicate)
-                        for row in self._fire_rule(rewritten, (rule_index, position)):
-                            if row not in relation:
-                                target.add(row)
-                        if tracer is not None and len(target) != before:
-                            tracer.count("facts_derived", len(target) - before)
-                for predicate, rows in new_rows.items():
-                    self._relation(predicate).insert_many(rows)
-                    if guard is not None and rows:
-                        guard.count_facts(len(rows))
-                delta_rows = new_rows
-                self._delta = {}
-
-    def _evaluate_stratum_kernel(self, stratum: set[str]) -> None:
-        """Integer-domain stratum fixpoint for ``executor="kernel"``.
-
-        Mirrors :meth:`_evaluate_stratum` step for step — same initial
-        round, same delta rewriting, same guard/tracer accounting — but
-        the stratum's derived and delta fact sets live as
-        :class:`~repro.engine.kernels.IntTable` id tuples for the whole
-        fixpoint: no per-row coercion, journaling, or constant hashing on
-        the hot path.  Rows are externalized back to constants and
-        bulk-inserted into the derived relations when the stratum finishes.
-        The flush runs on the way out even when a budget trips mid-fixpoint
-        (bottom-up derivation is monotone, so the partial table is a sound
-        under-approximation — the same degrade contract as the other
-        executors).
+        Rows are externalized back to constants and bulk-loaded into the
+        derived relations when the stratum finishes.  The flush runs on the
+        way out even when a budget trips mid-fixpoint: bottom-up derivation
+        is monotone, so the partial table is a sound under-approximation
+        (the degrade contract).
         """
-        from repro.engine.kernels import IntTable, RuleKernel, compile_rule_kernel
-
         kb = self._kb
         rules = [r for p in sorted(stratum) for r in kb.rules_for(p)]
         for rule in rules:
             check_rule_safety(rule)
+        # Kernels are cached for the lifetime of this stratum evaluation.
         self._kernels = {}
         guard = self._guard
         tracer = self._tracer
-        tables = {p: IntTable(self._relation(p).arity) for p in stratum}
-        kdelta: dict[str, IntTable] = {}
+        np = numpy_backend()
+        tables = {
+            p: IntTable(self._relation(p).arity)
+            if np is None
+            else GrowTable(self._relation(p).arity, np)
+            for p in stratum
+        }
+        deltas: dict[str, object] = {}
 
-        def kview(predicate: str):
-            """Kernel-side relation view: IntTables for in-flight predicates,
-            the ordinary relations (interned on demand) for everything else."""
+        def view(predicate: str):
+            """Kernel-side relation view: kernel tables for in-flight
+            predicates, the ordinary relations (interned on demand) for
+            everything else."""
             if predicate.startswith(_DELTA_PREFIX):
-                return kdelta.get(predicate[len(_DELTA_PREFIX):])
+                return deltas.get(predicate[len(_DELTA_PREFIX):])
             table = tables.get(predicate)
             if table is not None:
                 return table
             return self._relation_view(predicate)
 
-        def fire(rule: Rule, plan_key: tuple[int, int]) -> list[tuple[int, ...]]:
+        def fire(rule: Rule, plan_key: tuple[int, int]) -> int:
+            """Fire one rule and admit its head rows; how many were new."""
             kernel = self._kernels.get(plan_key)
             if kernel is None:
-                estimate = self._cost_estimator(kview)
-                kernel = compile_rule_kernel(
-                    rule, estimate=estimate, summary=self._analysis_summary()
+                kernel = self._kernels[plan_key] = compile_rule_kernel(
+                    rule,
+                    estimate=self._cost_estimator(view),
+                    summary=self._analysis_summary(),
                 )
-                self._kernels[plan_key] = kernel
-            assert isinstance(kernel, RuleKernel)
-            return kernel.execute(kview, guard, tracer)
+            if np is None:
+                fired = kernel.execute(view, guard, tracer)
+            else:
+                fired = kernel.execute_block(view, np, guard, tracer)
+            if not len(fired):
+                return 0
+            if tracer is not None and np is not None:
+                tracer.count("dedup_batch_rows", len(fired))
+            new = tables[rule.head.predicate].admit(fired)
+            if tracer is not None and new:
+                tracer.count("facts_derived", new)
+            return new
 
         try:
-            delta_sets: dict[str, set[tuple[int, ...]]] = {p: set() for p in stratum}
+            # Initial round.  Each rule's rows become visible at once: a
+            # later rule of the round may read the relation an earlier one
+            # wrote (and a permutation rule reads the very relation its
+            # head writes, which is why firing completes before admission).
             for rule_index, rule in enumerate(rules):
                 with traced_span(tracer, "rule", rule=str(rule), phase="initial"):
-                    table = tables[rule.head.predicate]
-                    inserted = 0
-                    for irow in fire(rule, (rule_index, -1)):
-                        if table.add(irow):
-                            delta_sets[rule.head.predicate].add(irow)
-                            inserted += 1
-                    if guard is not None and inserted:
-                        guard.count_facts(inserted)
-                    if tracer is not None and inserted:
-                        tracer.count("facts_derived", inserted)
+                    new = fire(rule, (rule_index, -1))
+                    if new:
+                        tables[rule.head.predicate].extend()
+                        if guard is not None:
+                            guard.count_facts(new)
 
-            recursive_rules = [
-                (index, rule, [i for i, b in enumerate(rule.body) if b.predicate in stratum])
-                for index, rule in enumerate(rules)
-            ]
-            recursive_rules = [(i, r, occs) for i, r, occs in recursive_rules if occs]
-            if not recursive_rules:
+            # Pre-build each rule's delta rewritings once; the per-iteration
+            # work is pure kernel execution.
+            rewritten_rules: list[tuple[int, int, Rule]] = []
+            for rule_index, rule in enumerate(rules):
+                for position, original in enumerate(rule.body):
+                    if original.predicate in stratum:
+                        body = list(rule.body)
+                        body[position] = Atom(
+                            _DELTA_PREFIX + original.predicate, original.args
+                        )
+                        rewritten_rules.append(
+                            (rule_index, position, rule.with_body(body))
+                        )
+            if not rewritten_rules:
                 return
 
-            rewritten_rules: list[tuple[int, int, Rule]] = []
-            for rule_index, rule, occurrences in recursive_rules:
-                for position in occurrences:
-                    body = list(rule.body)
-                    original = body[position]
-                    body[position] = Atom(_DELTA_PREFIX + original.predicate, original.args)
-                    rewritten_rules.append((rule_index, position, rule.with_body(body)))
-
+            # The tables started empty, so the first delta is the tables
+            # themselves (nothing extends them until the iteration ends).
+            deltas = dict(tables)
             iteration = 0
-            while any(delta_sets.values()):
+            while any(len(delta) for delta in deltas.values()):
                 iteration += 1
                 if guard is not None:
                     guard.iteration()
                 with traced_span(tracer, "iteration", index=iteration):
                     if tracer is not None:
                         tracer.count(
-                            "delta_rows", sum(len(rows) for rows in delta_sets.values())
+                            "delta_rows", sum(len(delta) for delta in deltas.values())
                         )
-                    kdelta = {
-                        p: IntTable(tables[p].arity, list(rows))
-                        for p, rows in delta_sets.items()
-                    }
-                    new_sets: dict[str, set[tuple[int, ...]]] = {p: set() for p in stratum}
                     for rule_index, position, rewritten in rewritten_rules:
                         with traced_span(
                             tracer,
@@ -499,211 +321,16 @@ class SemiNaiveEngine:
                             rule=str(rules[rule_index]),
                             delta_position=position,
                         ):
-                            target = new_sets[rewritten.head.predicate]
-                            before = len(target)
-                            index = tables[rewritten.head.predicate].index
-                            for irow in fire(rewritten, (rule_index, position)):
-                                if irow not in index:
-                                    target.add(irow)
-                            if tracer is not None and len(target) != before:
-                                tracer.count("facts_derived", len(target) - before)
-                    for predicate, rows in new_sets.items():
-                        # Rows were checked against the table while firing,
-                        # and the per-predicate set already deduplicated
-                        # across rules: extend without re-probing.
-                        tables[predicate].extend_new(rows)
-                        if guard is not None and rows:
-                            guard.count_facts(len(rows))
-                    delta_sets = new_sets
-                    kdelta = {}
+                            fire(rewritten, (rule_index, position))
+                    deltas = {}
+                    for predicate, table in tables.items():
+                        delta = table.extend()
+                        if delta is not None:
+                            deltas[predicate] = delta
+                            if guard is not None:
+                                guard.count_facts(len(delta))
         finally:
-            # Externalize once per stratum: id tuples -> constant rows.
             # Runs on the exception path too, so a tripped budget leaves the
             # usual sound partial materialisation behind.
             for predicate, table in tables.items():
-                if table.rows:
-                    self._relation(predicate).load_interned(table.rows)
-
-    def _evaluate_stratum_kernel_vec(self, stratum: set[str], np) -> None:
-        """Vectorized kernel fixpoint: deltas stay 2-D ``int64`` arrays.
-
-        Mirrors :meth:`_evaluate_stratum_kernel` — same rewriting, same
-        guard/tracer accounting at the same boundaries — but rule firing
-        runs :meth:`RuleKernel.execute_block` (whole-column probes) and the
-        per-round duplicate elimination is a batch ``np.unique`` pass
-        (``dedup_batch_rows`` counts rows entering it) followed by one
-        membership check per *unique* row — keyed by the row's raw bytes,
-        never materialized as a tuple — against the accumulated fact set.
-        Derived rows stay 2-D arrays for the entire stratum
-        (:class:`~repro.engine.kernels.GrowTable`) and flush through
-        :meth:`~repro.catalog.relation.Relation.load_interned_block` in one
-        flat externalization pass, so python-level work scales with new
-        facts, not raw join output.  The flush still runs on the way out
-        when a budget trips mid-fixpoint (same sound-under-approximation
-        contract as the scalar paths).
-        """
-        from repro.engine.kernels import (
-            ArrayTable,
-            GrowTable,
-            RuleKernel,
-            _void_rows,
-            compile_rule_kernel,
-            unique_block,
-        )
-
-        kb = self._kb
-        rules = [r for p in sorted(stratum) for r in kb.rules_for(p)]
-        for rule in rules:
-            check_rule_safety(rule)
-        self._kernels = {}
-        guard = self._guard
-        tracer = self._tracer
-        tables = {p: GrowTable(self._relation(p).arity, np) for p in stratum}
-        # Membership is tracked per predicate as a set of raw row bytes
-        # (the same void view np.unique sorts), mirroring IntTable.index
-        # without ever building an id tuple.  (A fully vectorized variant
-        # — sorted void chunks probed via searchsorted — measured slower:
-        # per-iteration numpy call overhead on small deltas outweighs
-        # C-level set lookups on interned bytes.)
-        seen: dict[str, set[bytes]] = {p: set() for p in stratum}
-        kdelta: dict[str, ArrayTable] = {}
-
-        def kview(predicate: str):
-            if predicate.startswith(_DELTA_PREFIX):
-                return kdelta.get(predicate[len(_DELTA_PREFIX):])
-            table = tables.get(predicate)
-            if table is not None:
-                return table
-            return self._relation_view(predicate)
-
-        def fire(rule: Rule, plan_key: tuple[int, int]):
-            kernel = self._kernels.get(plan_key)
-            if kernel is None:
-                estimate = self._cost_estimator(kview)
-                kernel = compile_rule_kernel(
-                    rule, estimate=estimate, summary=self._analysis_summary()
-                )
-                self._kernels[plan_key] = kernel
-            assert isinstance(kernel, RuleKernel)
-            return kernel.execute_block(kview, np, guard, tracer)
-
-        def screen(predicate: str, fired, extra_seen=None):
-            """Batch-dedup fired head rows; ``(array, keys)`` of new rows."""
-            if tracer is not None:
-                tracer.count("dedup_batch_rows", len(fired))
-            uniq = unique_block(np, fired)
-            if uniq.shape[1]:
-                keys = _void_rows(np, uniq).tolist()
-            else:
-                keys = [b""] * len(uniq)
-            old = seen[predicate]
-            if extra_seen:
-                keep = [
-                    i for i, key in enumerate(keys)
-                    if key not in old and key not in extra_seen
-                ]
-            else:
-                keep = [i for i, key in enumerate(keys) if key not in old]
-            if not keep:
-                return uniq[:0], []
-            if len(keep) == len(keys):
-                return uniq, keys
-            return (
-                uniq[np.asarray(keep, dtype=np.intp)],
-                [keys[i] for i in keep],
-            )
-
-        try:
-            # deltas: predicate -> list of disjoint new-row arrays.
-            deltas: dict[str, list] = {p: [] for p in stratum}
-            for rule_index, rule in enumerate(rules):
-                with traced_span(tracer, "rule", rule=str(rule), phase="initial"):
-                    fired = fire(rule, (rule_index, -1))
-                    if len(fired):
-                        new_arr, new_keys = screen(rule.head.predicate, fired)
-                        if new_keys:
-                            seen[rule.head.predicate].update(new_keys)
-                            tables[rule.head.predicate].extend_block(new_arr)
-                            deltas[rule.head.predicate].append(new_arr)
-                            if guard is not None:
-                                guard.count_facts(len(new_keys))
-                            if tracer is not None:
-                                tracer.count("facts_derived", len(new_keys))
-
-            recursive_rules = [
-                (index, rule, [i for i, b in enumerate(rule.body) if b.predicate in stratum])
-                for index, rule in enumerate(rules)
-            ]
-            recursive_rules = [(i, r, occs) for i, r, occs in recursive_rules if occs]
-            if not recursive_rules:
-                return
-
-            rewritten_rules: list[tuple[int, int, Rule]] = []
-            for rule_index, rule, occurrences in recursive_rules:
-                for position in occurrences:
-                    body = list(rule.body)
-                    original = body[position]
-                    body[position] = Atom(_DELTA_PREFIX + original.predicate, original.args)
-                    rewritten_rules.append((rule_index, position, rule.with_body(body)))
-
-            iteration = 0
-            while any(parts for parts in deltas.values()):
-                iteration += 1
-                if guard is not None:
-                    guard.iteration()
-                with traced_span(tracer, "iteration", index=iteration):
-                    if tracer is not None:
-                        tracer.count(
-                            "delta_rows",
-                            sum(len(a) for parts in deltas.values() for a in parts),
-                        )
-                    kdelta = {
-                        p: ArrayTable(
-                            tables[p].arity,
-                            parts[0] if len(parts) == 1 else np.concatenate(parts),
-                            np,
-                        )
-                        for p, parts in deltas.items()
-                        if parts
-                    }
-                    new_parts: dict[str, list] = {p: [] for p in stratum}
-                    new_seen: dict[str, set] = {p: set() for p in stratum}
-                    for rule_index, position, rewritten in rewritten_rules:
-                        with traced_span(
-                            tracer,
-                            "rule",
-                            rule=str(rules[rule_index]),
-                            delta_position=position,
-                        ):
-                            fired = fire(rewritten, (rule_index, position))
-                            if len(fired):
-                                predicate = rewritten.head.predicate
-                                new_arr, new_keys = screen(
-                                    predicate, fired, new_seen[predicate]
-                                )
-                                if new_keys:
-                                    new_seen[predicate].update(new_keys)
-                                    new_parts[predicate].append(new_arr)
-                                    if tracer is not None:
-                                        tracer.count("facts_derived", len(new_keys))
-                    for predicate, parts in new_parts.items():
-                        if parts:
-                            # Tables extend only at the iteration boundary —
-                            # the same visibility the scalar paths give rules
-                            # within one iteration, and one build-side
-                            # version bump per iteration instead of one per
-                            # rule.
-                            added = 0
-                            table = tables[predicate]
-                            for part in parts:
-                                table.extend_block(part)
-                                added += len(part)
-                            seen[predicate].update(new_seen[predicate])
-                            if guard is not None:
-                                guard.count_facts(added)
-                    deltas = new_parts
-                    kdelta = {}
-        finally:
-            for predicate, table in tables.items():
-                if len(table):
-                    self._relation(predicate).load_interned_block(table.as_array(np))
+                table.flush(self._relation(predicate))

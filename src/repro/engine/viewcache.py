@@ -217,7 +217,6 @@ class ViewCache:
     def evaluate(
         self,
         predicates: Sequence[str],
-        executor: str | None = None,
         guard: ResourceGuard | None = None,
         tracer=None,
     ) -> dict[str, Relation]:
@@ -268,7 +267,7 @@ class ViewCache:
                     tracer.count("cache_incremental_refreshes")
             else:
                 with traced_span(tracer, "cache.recompute", predicates=members):
-                    self._recompute(members, profiles, executor, guard, tracer)
+                    self._recompute(members, profiles, guard, tracer)
                 self.stats.misses += 1
                 self.stats.full_refreshes += 1
                 if tracer is not None:
@@ -492,7 +491,6 @@ class ViewCache:
         self,
         members: list[str],
         profiles: dict[str, tuple[dict[str, int], frozenset[str]]],
-        executor: str,
         guard: ResourceGuard | None,
         tracer=None,
     ) -> None:
@@ -503,9 +501,7 @@ class ViewCache:
             ):
                 del self._views[predicate]
                 self.stats.invalidations += 1
-        engine = SemiNaiveEngine(
-            self._kb, executor=executor, guard=guard, tracer=tracer
-        )
+        engine = SemiNaiveEngine(self._kb, guard=guard, tracer=tracer)
         # On a ResourceExhausted trip ``_inflight`` deliberately stays set:
         # the degrade path reads sound partial fixpoints from it via
         # :meth:`partial_relation`.  The next probe overwrites it.

@@ -1,8 +1,9 @@
 """Pre-execution plan rendering: what a retrieve *would* do.
 
-``explain_plan`` compiles the same physical plans the engines cache at
-evaluation time (:mod:`repro.engine.plan`) and renders them — per stratum,
-per rule, per step — as text or JSON, *before* running anything.  Join
+``explain_plan`` compiles the same plans and kernels the engines cache at
+evaluation time (:mod:`repro.engine.plan`, :mod:`repro.engine.kernels`) and
+renders them — per stratum, per rule, per step — as text or JSON, *before*
+running anything.  Join
 orders and row estimates come from the shared cardinality estimator over
 the stored EDB relations; IDB sizes are unknown pre-execution, so the
 rendering is the cold-start plan (the engines re-estimate against
@@ -17,8 +18,8 @@ Engine coverage:
   path as evaluation) and the *rewritten* program's strata and plans are
   shown, plus rewrite statistics;
 * ``topdown`` — rules and the greedy conjunction order; the engine is
-  tuple-at-a-time and tabling is demand-driven, so there is no batch plan
-  to print.
+  tuple-at-a-time and tabling is demand-driven, so there is no kernel to
+  print.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 from repro.catalog.database import KnowledgeBase
 from repro.engine.joins import order_conjuncts, relation_cost_estimator
-from repro.engine.plan import compile_conjunction, compile_rule, resolve_executor
+from repro.engine.kernels import compile_conjunction_kernel
 from repro.errors import EngineError, SafetyError
 from repro.lang.ast import RetrieveStatement
 from repro.logic.atoms import Atom
@@ -38,7 +39,7 @@ _ENGINES = ("seminaive", "topdown", "magic")
 
 @dataclass
 class RuleExplanation:
-    """One rule's compiled plan (or join order, for the nested executor)."""
+    """One rule's compiled kernel (or resolution order, under topdown)."""
 
     rule: str
     steps: list[str]
@@ -109,7 +110,6 @@ class QueryExplanation:
 
     statement: str
     engine: str
-    executor: str
     strata: list[StratumExplanation]
     query_steps: list[str]
     answer_variables: list[str]
@@ -120,7 +120,6 @@ class QueryExplanation:
         return {
             "statement": self.statement,
             "engine": self.engine,
-            "executor": self.executor,
             "strata": [stratum.as_dict() for stratum in self.strata],
             "query_steps": list(self.query_steps),
             "answer_variables": list(self.answer_variables),
@@ -131,7 +130,7 @@ class QueryExplanation:
     def format(self) -> str:
         lines = [
             f"explain {self.statement}",
-            f"engine: {self.engine}   executor: {self.executor}",
+            f"engine: {self.engine}",
         ]
         for note in self.notes:
             lines.append(f"note: {note}")
@@ -223,16 +222,15 @@ def _analysis_entries(summary, predicates) -> list[PredicateAnalysis]:
     return entries
 
 
-def _steps_for(conjuncts, negated, executor, estimate) -> list[str]:
-    """Step lines for one conjunction under the chosen executor."""
-    if executor == "batch":
-        return list(compile_conjunction(conjuncts, negated, estimate=estimate).described)
-    if executor == "kernel":
-        from repro.engine.kernels import compile_conjunction_kernel
+def _kernel_steps(conjuncts, negated, estimate) -> list[str]:
+    """Step lines of the kernel a conjunction compiles to (bottom-up)."""
+    return list(
+        compile_conjunction_kernel(conjuncts, negated, estimate=estimate).described
+    )
 
-        return list(
-            compile_conjunction_kernel(conjuncts, negated, estimate=estimate).described
-        )
+
+def _resolution_steps(conjuncts, negated, estimate) -> list[str]:
+    """Step lines of the greedy tuple-at-a-time resolution order (topdown)."""
     ordered = order_conjuncts(conjuncts, estimate=estimate)
     steps = [f"nested_loop {atom}" for atom in ordered]
     steps.extend(f"check not {atom}" for atom in negated)
@@ -240,9 +238,13 @@ def _steps_for(conjuncts, negated, executor, estimate) -> list[str]:
 
 
 def _strata_for(
-    kb: KnowledgeBase, conjuncts, executor: str, estimate
+    kb: KnowledgeBase, conjuncts, steps_for, estimate
 ) -> list[StratumExplanation]:
-    """Evaluation strata for the IDB predicates the conjunction needs."""
+    """Evaluation strata for the IDB predicates the conjunction needs.
+
+    *steps_for* renders one rule body: :func:`_kernel_steps` or
+    :func:`_resolution_steps`.
+    """
     graph = kb.dependency_graph()
     relevant = _relevant_idb(kb, conjuncts)
     strata: list[StratumExplanation] = []
@@ -261,11 +263,7 @@ def _strata_for(
                 ]
                 if delta_positions:
                     recursive = True
-                if executor == "batch":
-                    plan = compile_rule(rule, estimate=estimate)
-                    steps = list(plan.plan.described)
-                else:
-                    steps = _steps_for(rule.body, rule.negated, executor, estimate)
+                steps = steps_for(rule.body, rule.negated, estimate)
                 rules.append(RuleExplanation(str(rule), steps, delta_positions))
         strata.append(StratumExplanation(len(strata) + 1, members, recursive, rules))
     return strata
@@ -275,7 +273,6 @@ def explain_plan(
     kb: KnowledgeBase,
     statement: "RetrieveStatement | str",
     engine: str = "seminaive",
-    executor: str | None = None,
 ) -> QueryExplanation:
     """Render the evaluation plan of a retrieve statement without running it.
 
@@ -284,7 +281,6 @@ def explain_plan(
     """
     if engine not in _ENGINES:
         raise EngineError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
-    executor = resolve_executor(executor)
     parsed = _as_statement(statement)
     # Mirror retrieve's subject validation: explaining a statement that
     # execution would reject must fail the same way.
@@ -334,16 +330,16 @@ def explain_plan(
             f"{program.magic_rules} magic rules"
         )
         inner_estimate = _cold_estimator(program.kb)
-        strata = _strata_for(program.kb, [program.goal], executor, inner_estimate)
-        query_steps = _steps_for([program.goal], [], executor, inner_estimate)
+        strata = _strata_for(program.kb, [program.goal], _kernel_steps, inner_estimate)
+        query_steps = _kernel_steps([program.goal], [], inner_estimate)
         answer_variables = [str(v) for v in program.goal.variables()]
     elif engine == "topdown":
         notes.append(
             "top-down evaluation tables IDB call patterns on demand; "
             "the conjunction below is the greedy resolution order"
         )
-        strata = _strata_for(kb, conjuncts + negated, "nested", estimate)
-        query_steps = _steps_for(conjuncts, negated, "nested", estimate)
+        strata = _strata_for(kb, conjuncts + negated, _resolution_steps, estimate)
+        query_steps = _resolution_steps(conjuncts, negated, estimate)
         seen: list[str] = []
         for atom in conjuncts:
             for variable in atom.variables():
@@ -351,19 +347,14 @@ def explain_plan(
                     seen.append(str(variable))
         answer_variables = seen
     else:
-        strata = _strata_for(kb, conjuncts + negated, executor, estimate)
-        plan = compile_conjunction(conjuncts, negated, estimate=estimate)
-        query_steps = (
-            list(plan.described)
-            if executor == "batch"
-            else _steps_for(conjuncts, negated, executor, estimate)
-        )
-        answer_variables = [str(v) for v in plan.schema]
+        strata = _strata_for(kb, conjuncts + negated, _kernel_steps, estimate)
+        kernel = compile_conjunction_kernel(conjuncts, negated, estimate=estimate)
+        query_steps = list(kernel.described)
+        answer_variables = [str(v) for v in kernel.schema]
 
     return QueryExplanation(
         statement=str(parsed),
         engine=engine,
-        executor=executor,
         strata=strata,
         query_steps=query_steps,
         answer_variables=answer_variables,

@@ -56,7 +56,6 @@ class SessionPool:
         size: int = 4,
         engine: str = "seminaive",
         style: str = "standard",
-        executor: str | None = None,
         trace: bool = False,
     ) -> None:
         if size < 1:
@@ -64,7 +63,6 @@ class SessionPool:
         self.size = size
         self.engine = engine
         self.style = style
-        self.executor = executor
         self.trace = trace
         self._threads = ThreadPoolExecutor(
             max_workers=size, thread_name_prefix="dbk-query"
@@ -89,7 +87,6 @@ class SessionPool:
             snapshot.kb,
             engine=self.engine,
             style=self.style,
-            executor=self.executor,
             trace=self.trace,
         )
         self._local.slot = (snapshot.snapshot_id, session)
@@ -158,6 +155,5 @@ class SessionPool:
             "queries": self.queries,
             "session_builds": self.session_builds,
             "engine": self.engine,
-            "executor": self.executor,
             "traced": self.trace,
         }

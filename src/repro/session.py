@@ -57,9 +57,9 @@ QueryResult = Union[
 
 
 class PlanCache(OrderedDict):
-    """A bounded LRU mapping for compiled conjunction plans/kernels.
+    """A bounded LRU mapping for compiled conjunction kernels.
 
-    Keys are ``(kb.rules_version, executor, fingerprint)`` (built by
+    Keys are ``(kb.rules_version, fingerprint)`` (built by
     :func:`repro.engine.evaluate._plan_cache_key`), so a rule change keys
     out every stale plan while fact-only mutations keep plans warm — that
     is the point: a repeat point lookup after EDB churn misses the
@@ -155,7 +155,6 @@ class Session:
         engine: str = "seminaive",
         style: str = "standard",
         config: SearchConfig | None = None,
-        executor: str | None = None,
         guard: ResourceGuard | None = None,
         cache: "ViewCache | bool | None" = True,
         lint: str = "warn",
@@ -176,13 +175,6 @@ class Session:
         self.engine = engine
         self.style = style
         self.config = config
-        #: Bottom-up execution model for retrieve statements: "batch"
-        #: (set-at-a-time hash joins), "nested" (tuple-at-a-time), or
-        #: "kernel" (integer-interned join kernels; the default — see
-        #: repro.engine.plan.default_executor and REPRO_EXECUTOR).
-        from repro.engine.plan import resolve_executor
-
-        self.executor = resolve_executor(executor)
         #: Compiled-plan cache for retrieve conjunctions (see
         #: :class:`PlanCache`), or ``None`` when disabled.
         self.plan_cache: PlanCache | None = PlanCache() if plan_cache else None
@@ -254,7 +246,6 @@ class Session:
             statement=str(statement),
             kind=type(statement).__name__,
             engine=self.engine,
-            executor=self.executor,
         ):
             try:
                 return self._dispatch(statement, active, tracer)
@@ -342,7 +333,6 @@ class Session:
             "retrieve",
             str(statement),
             self.engine,
-            self.executor,
             self.cache.dependency_fingerprint(predicates),
         )
         memoized = self.cache.lookup_statement(key)
@@ -366,7 +356,6 @@ class Session:
             statement.qualifier,
             engine=self.engine,
             negated_qualifier=statement.negated_qualifier,
-            executor=self.executor,
             guard=guard,
             cache=self.cache,
             tracer=tracer,

@@ -3,7 +3,7 @@
 Covers :mod:`repro.catalog.symbols` (intern/extern identity, the
 first-representative rule, append-only growth) and the coherence of
 :class:`~repro.catalog.relation.Relation`'s interned mirror and columnar
-snapshot with its mutation version — the invariants the kernel executor's
+snapshot with its mutation version — the invariants the join kernels'
 ``(identity, version)`` caches rely on.
 """
 

@@ -118,12 +118,11 @@ class TestFactBudget:
         assert info.value.consumed >= 30
         assert isinstance(info.value, ReproError)
 
-    @pytest.mark.parametrize("executor", ["batch", "nested"])
-    def test_degrade_returns_sound_partial(self, executor):
+    def test_degrade_returns_sound_partial(self):
         kb = chain_kb(40)
         full = set(retrieve(kb, parse_atom("path(X, Y)")).rows)
         guard = ResourceGuard(max_facts=30, mode="degrade")
-        result = retrieve(kb, parse_atom("path(X, Y)"), executor=executor, guard=guard)
+        result = retrieve(kb, parse_atom("path(X, Y)"), guard=guard)
         assert not result.complete
         assert result.diagnostics is not None and result.diagnostics.degraded
         assert result.diagnostics.budget == "facts"

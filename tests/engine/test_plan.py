@@ -1,16 +1,18 @@
-"""Unit tests for the set-at-a-time plan compiler and executor."""
+"""Unit tests for the plan compiler, run through its kernel lowering.
+
+``compile_rule`` / ``compile_conjunction`` produce logical plans (join
+order, slot layout, safety checks); what a plan *means* is pinned here by
+executing its lowering, ``compile_rule_kernel(...).execute``, over small
+relations and externalizing the id rows back to constants.
+"""
 
 import pytest
 
-from repro.errors import EngineError, LogicError, SafetyError
+from repro.errors import LogicError, SafetyError
 from repro.catalog.relation import Relation
-from repro.engine import retrieve
-from repro.engine.plan import (
-    EXECUTORS,
-    check_executor,
-    compile_conjunction,
-    compile_rule,
-)
+from repro.catalog.symbols import SYMBOLS
+from repro.engine.kernels import compile_conjunction_kernel, compile_rule_kernel
+from repro.engine.plan import compile_conjunction, compile_rule
 from repro.engine.seminaive import SemiNaiveEngine
 from repro.lang.parser import parse_atom, parse_rule
 from repro.logic.atoms import Atom, comparison
@@ -23,13 +25,14 @@ def view_of(relations):
 
 
 def values(rows):
-    return sorted(tuple(c.value for c in row) for row in rows)
+    """Id rows from a kernel, externalized and sorted as python values."""
+    return sorted(tuple(c.value for c in SYMBOLS.extern_row(row)) for row in rows)
 
 
 class TestCompile:
     def test_simple_hash_join(self):
         rule = parse_rule("grand(X, Z) <- parent(X, Y) and parent(Y, Z).")
-        plan = compile_rule(rule)
+        plan = compile_rule_kernel(rule)
         relations = {
             "parent": Relation(2, [("a", "b"), ("b", "c"), ("b", "d")]),
         }
@@ -37,13 +40,13 @@ class TestCompile:
 
     def test_constant_filter_on_build_side(self):
         rule = parse_rule("p(X) <- q(X, k).")
-        plan = compile_rule(rule)
+        plan = compile_rule_kernel(rule)
         relations = {"q": Relation(2, [("a", "k"), ("b", "m")])}
         assert values(plan.execute(view_of(relations))) == [("a",)]
 
     def test_repeated_variable_within_atom(self):
         rule = parse_rule("loop(X) <- edge(X, X).")
-        plan = compile_rule(rule)
+        plan = compile_rule_kernel(rule)
         relations = {"edge": Relation(2, [("a", "a"), ("a", "b"), ("c", "c")])}
         assert values(plan.execute(view_of(relations))) == [("a",), ("c",)]
 
@@ -55,19 +58,19 @@ class TestCompile:
                 comparison(Variable("Y"), "=", "k"),
             ],
         )
-        plan = compile_rule(rule)
+        plan = compile_rule_kernel(rule)
         relations = {"q": Relation(1, [("a",)])}
         assert values(plan.execute(view_of(relations))) == [("a", "k")]
 
     def test_order_comparison_filters(self):
         rule = parse_rule("big(X) <- size(X, V) and (V > 2).")
-        plan = compile_rule(rule)
+        plan = compile_rule_kernel(rule)
         relations = {"size": Relation(2, [("a", 1), ("b", 3), ("c", 5)])}
         assert values(plan.execute(view_of(relations))) == [("b",), ("c",)]
 
     def test_incompatible_order_comparison_raises(self):
         rule = parse_rule("big(X) <- size(X, V) and (V > 2).")
-        plan = compile_rule(rule)
+        plan = compile_rule_kernel(rule)
         relations = {"size": Relation(2, [("a", "tall")])}
         with pytest.raises(LogicError):
             plan.execute(view_of(relations))
@@ -78,7 +81,7 @@ class TestCompile:
             [Atom("all", [Variable("X")])],
             negated=[Atom("banned", [Variable("X")])],
         )
-        plan = compile_rule(rule)
+        plan = compile_rule_kernel(rule)
         relations = {
             "all": Relation(1, [("a",), ("b",), ("c",)]),
             "banned": Relation(1, [("b",)]),
@@ -91,7 +94,7 @@ class TestCompile:
             [Atom("all", [Variable("X")])],
             negated=[Atom("ghost", [Variable("X")])],
         )
-        plan = compile_rule(rule)
+        plan = compile_rule_kernel(rule)
         relations = {"all": Relation(1, [("a",)])}
         assert values(plan.execute(view_of(relations))) == [("a",)]
 
@@ -110,38 +113,46 @@ class TestCompile:
             compile_rule(rule)
 
     def test_undefined_body_predicate_is_empty(self):
-        plan = compile_rule(parse_rule("p(X) <- ghost(X)."))
+        plan = compile_rule_kernel(parse_rule("p(X) <- ghost(X)."))
         assert plan.execute(view_of({})) == []
 
     def test_constant_head_argument(self):
-        plan = compile_rule(parse_rule("tagged(X, yes) <- q(X)."))
+        plan = compile_rule_kernel(parse_rule("tagged(X, yes) <- q(X)."))
         relations = {"q": Relation(1, [("a",)])}
         assert values(plan.execute(view_of(relations))) == [("a", "yes")]
 
     def test_conjunction_schema_order(self):
-        plan = compile_conjunction(
-            [parse_atom("q(X, Y)")],
-        )
-        relations = {"q": Relation(2, [("a", "b")])}
+        conjuncts = [parse_atom("q(X, Y)")]
+        plan = compile_conjunction(conjuncts)
         assert [v.name for v in plan.schema] == ["X", "Y"]
-        assert plan.execute(view_of(relations)) != []
+        kernel = compile_conjunction_kernel(conjuncts)
+        assert kernel.schema == plan.schema
+        relations = {"q": Relation(2, [("a", "b")])}
+        assert values(kernel.execute(view_of(relations))) == [("a", "b")]
+
+    def test_plans_are_records_not_runtimes(self):
+        plan = compile_rule(parse_rule("p(X) <- q(X, Y) and (Y != k)."))
+        assert not hasattr(plan, "execute")
+        assert not hasattr(plan.plan, "execute")
+        assert not any(hasattr(step, "run") for step in plan.plan.steps)
 
 
 class TestBuildSideMemoization:
     def test_hash_table_reused_while_version_unchanged(self):
         rule = parse_rule("p(X, Y) <- q(X, Y).")
-        plan = compile_rule(rule)
+        plan = compile_rule_kernel(rule)
         relation = Relation(2, [("a", "b")])
         view = view_of({"q": relation})
         plan.execute(view)
-        step = plan.plan.steps[0]
+        step = plan.kernel.steps[0]
         table = step._cache_table
+        assert table is not None
         plan.execute(view)
         assert step._cache_table is table  # reused, not rebuilt
 
     def test_hash_table_invalidated_on_mutation(self):
         rule = parse_rule("p(X, Y) <- q(X, Y).")
-        plan = compile_rule(rule)
+        plan = compile_rule_kernel(rule)
         relation = Relation(2, [("a", "b")])
         view = view_of({"q": relation})
         assert len(plan.execute(view)) == 1
@@ -149,50 +160,13 @@ class TestBuildSideMemoization:
         assert len(plan.execute(view)) == 2
 
 
-class TestExecutorKnob:
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(EngineError):
-            check_executor("vectorised")
-        with pytest.raises(EngineError):
-            SemiNaiveEngine(None, executor="vectorised")  # kb unused before check
-
-    def test_retrieve_rejects_unknown_executor(self, uni):
-        with pytest.raises(EngineError):
-            retrieve(uni, parse_atom("honor(X)"), executor="vectorised")
-
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_both_executors_agree_on_university(self, uni, executor):
-        result = retrieve(uni, parse_atom("honor(X)"), executor=executor)
-        assert sorted(result.values()) == ["ann", "bob", "carol", "frank", "grace"]
-
-    def test_engine_exposes_executor(self, uni):
-        assert SemiNaiveEngine(uni).executor == "kernel"
-        assert SemiNaiveEngine(uni, executor="nested").executor == "nested"
-
-    def test_default_executor_env_override(self, uni, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "batch")
-        assert SemiNaiveEngine(uni).executor == "batch"
-        monkeypatch.setenv("REPRO_EXECUTOR", "vectorised")
-        with pytest.raises(EngineError):
-            SemiNaiveEngine(uni)
-
-
 class TestPlanCaching:
-    def test_plans_cached_per_stratum(self):
-        from repro.datasets import chain_graph_kb
-
-        engine = SemiNaiveEngine(chain_graph_kb(10), executor="batch")
-        engine.derived_relation("path")
-        # Two rules; the recursive one also has a delta plan.
-        keys = set(engine._plans)
-        assert (0, -1) in keys and (1, -1) in keys
-        assert any(delta >= 0 for _, delta in keys)
-
     def test_kernels_cached_per_stratum(self):
         from repro.datasets import chain_graph_kb
 
-        engine = SemiNaiveEngine(chain_graph_kb(10), executor="kernel")
+        engine = SemiNaiveEngine(chain_graph_kb(10))
         engine.derived_relation("path")
+        # Two rules; the recursive one also has a delta kernel.
         keys = set(engine._kernels)
         assert (0, -1) in keys and (1, -1) in keys
         assert any(delta >= 0 for _, delta in keys)

@@ -157,28 +157,20 @@ def drive(scenario: str, make, run, snapshot=None):
     )
 
 
-def run_query(engine: str, executor: str = "batch"):
+def run_query(engine: str):
     def run(kb, guard):
-        result = retrieve(
-            kb, parse_atom("path(X, Y)"), engine=engine, executor=executor, guard=guard
-        )
+        result = retrieve(kb, parse_atom("path(X, Y)"), engine=engine, guard=guard)
         return frozenset(result.rows)
 
     return run
 
 
 class TestQueryPathsLeaveKbUntouched:
-    def test_seminaive_batch(self):
-        drive("seminaive-batch", lambda: chain_kb(24), run_query("seminaive", "batch"))
-
-    def test_seminaive_nested(self):
-        drive("seminaive-nested", lambda: chain_kb(24), run_query("seminaive", "nested"))
-
     def test_seminaive_kernel(self):
         # Deeper kernel-specific invariants (symbol table, interned
         # mirrors) live in test_kernel_faults.py; this pins the shared
         # contract: injected faults leave the catalog untouched.
-        drive("seminaive-kernel", lambda: chain_kb(24), run_query("seminaive", "kernel"))
+        drive("seminaive-kernel", lambda: chain_kb(24), run_query("seminaive"))
 
     def test_topdown(self):
         drive("topdown", lambda: chain_kb(20), run_query("topdown"))

@@ -1,6 +1,6 @@
-"""Fault injection inside the kernel executor's integer loops.
+"""Fault injection inside the join kernels' integer loops.
 
-The kernel executor interns constants into the process-wide symbol table,
+Bottom-up evaluation interns constants into the process-wide symbol table,
 mirrors relations as id tuples / columnar blocks, and runs the semi-naive
 fixpoint over transient :class:`IntTable` stores.  A fault raised at any
 guard checkpoint *inside* those loops (guard cancellation, a resource
@@ -120,7 +120,7 @@ def drive_kernel(scenario: str, make, run) -> None:
 class TestKernelQueryFaults:
     def test_recursive_chain_query(self):
         def run(kb, guard):
-            result = retrieve(kb, SUBJECT, executor="kernel", guard=guard)
+            result = retrieve(kb, SUBJECT, guard=guard)
             return frozenset(result.rows)
 
         drive_kernel("kernel-chain", lambda: chain_kb(24), run)
@@ -135,7 +135,7 @@ class TestKernelQueryFaults:
             return kb
 
         def run(kb, guard):
-            result = retrieve(kb, SUBJECT, executor="kernel", guard=guard)
+            result = retrieve(kb, SUBJECT, guard=guard)
             return frozenset(result.rows)
 
         drive_kernel("kernel-warm-mirrors", make, run)
@@ -148,7 +148,7 @@ class TestKernelViewCacheFaults:
         def make():
             kb = chain_kb(16)
             cache = ViewCache(kb)
-            retrieve(kb, SUBJECT, executor="kernel", cache=cache)  # warm
+            retrieve(kb, SUBJECT, cache=cache)  # warm
             kb.relation("edge").delete(kb.relation("edge").rows()[5])
             kb.add_fact("edge", 100, 0)
             return kb, cache
@@ -167,11 +167,7 @@ class TestKernelViewCacheFaults:
 
         kb, cache = make()
         counting = CountingGuard()
-        reference = frozenset(
-            retrieve(
-                kb, SUBJECT, executor="kernel", guard=counting, cache=cache
-            ).rows
-        )
+        reference = frozenset(retrieve(kb, SUBJECT, guard=counting, cache=cache).rows)
         assert counting.checkpoints > 0
 
         exercised = 0
@@ -179,20 +175,14 @@ class TestKernelViewCacheFaults:
             kb, cache = make()
             try:
                 retrieve(
-                    kb,
-                    SUBJECT,
-                    executor="kernel",
-                    guard=FaultInjectingGuard(point),
-                    cache=cache,
+                    kb, SUBJECT, guard=FaultInjectingGuard(point), cache=cache
                 )
             except InjectedFault:
                 exercised += 1
                 assert_symbols_consistent()
                 assert_mirrors_coherent(kb)
                 assert_cache_consistent(kb, cache)
-            clean = frozenset(
-                retrieve(kb, SUBJECT, executor="kernel", cache=cache).rows
-            )
+            clean = frozenset(retrieve(kb, SUBJECT, cache=cache).rows)
             assert clean == reference, (
                 f"{scenario}: recovery diverged after fault at checkpoint "
                 f"{point} (seed {SEED})"

@@ -12,7 +12,6 @@ class TestExplain:
     def test_nonrecursive_plan_structure(self, uni):
         explanation = explain_plan(uni, "retrieve honor(X)")
         assert explanation.engine == "seminaive"
-        assert explanation.executor == "kernel"
         assert explanation.answer_variables == ["X"]
         strata = explanation.strata
         assert [s.recursive for s in strata] == [False]
@@ -28,11 +27,6 @@ class TestExplain:
             rule for s in recursive for rule in s.rules if rule.delta_positions
         ]
         assert delta_rules, "recursive rules must list their delta rewrites"
-
-    def test_nested_executor_renders_nested_loops(self, uni):
-        explanation = explain_plan(uni, "retrieve honor(X)", executor="nested")
-        steps = explanation.strata[0].rules[0].steps
-        assert any(step.startswith("nested_loop") for step in steps)
 
     def test_qualifier_becomes_query_steps(self, uni):
         explanation = explain_plan(
@@ -53,6 +47,9 @@ class TestExplain:
         explanation = explain_plan(uni, "retrieve honor(X)", engine="topdown")
         assert explanation.engine == "topdown"
         assert explanation.format()
+        # Tuple-at-a-time resolution renders as nested loops, not kernels.
+        steps = explanation.strata[0].rules[0].steps
+        assert any(step.startswith("nested_loop") for step in steps)
 
     def test_format_and_as_dict_agree(self, uni):
         explanation = explain_plan(uni, "retrieve honor(X)")

@@ -1,9 +1,9 @@
-"""Disabled tracing must be (nearly) free on the benchmark smoke pair.
+"""Disabled tracing must be (nearly) free on two small recursive workloads.
 
 Instrumentation sites guard on ``tracer is None`` (or receive the shared
 :data:`~repro.obs.NULL_TRACER` whose every method is a no-op), and they
 fire per rule / iteration / plan step — never per row.  This test times
-the benchmark runner's smoke workloads with tracing off versus the null
+a chain and a random-graph closure with tracing off versus the null
 tracer and holds the ratio under 5%.
 
 Timing assertions are noisy under CI load, so each measurement takes the

@@ -34,24 +34,22 @@ from tests.property.test_engine_differential import (
 EXAMPLES = int(os.environ.get("DIFFERENTIAL_EXAMPLES", "30"))
 
 
-def _scan(kb, predicate, executor="batch"):
+def _scan(kb, predicate):
     arity = kb.schema(predicate).arity
     subject = Atom(predicate, VARIABLES[:arity])
-    return retrieve(kb, subject, executor=executor).to_set()
+    return retrieve(kb, subject).to_set()
 
 
 def assert_planning_parity(kb, predicates):
     for predicate in predicates:
-        for executor in ("batch", "kernel"):
-            with planning_override(True):
-                informed = _scan(kb, predicate, executor)
-            with planning_override(False):
-                syntactic = _scan(kb, predicate, executor)
-            assert informed == syntactic, (
-                f"{predicate} under {executor}: analysis-informed planning "
-                f"changed the answers\n  on={sorted(informed)}\n"
-                f"  off={sorted(syntactic)}"
-            )
+        with planning_override(True):
+            informed = _scan(kb, predicate)
+        with planning_override(False):
+            syntactic = _scan(kb, predicate)
+        assert informed == syntactic, (
+            f"{predicate}: analysis-informed planning changed the answers\n"
+            f"  on={sorted(informed)}\n  off={sorted(syntactic)}"
+        )
 
 
 @settings(max_examples=EXAMPLES, deadline=None)

@@ -1,9 +1,10 @@
 """Numpy-backend parity for the vectorized columnar probe pipeline.
 
-The kernel executor runs two implementations of the same semi-naive
-fixpoint: a scalar per-tuple loop (python backend) and a vectorized
-whole-column pipeline (numpy backend — searchsorted hash probes, batch
-``np.unique`` dedup, array-native accumulation).  Both must produce
+The one stratum driver runs over two table/operator backends: id-tuple
+tables with a scalar per-tuple loop (python backend) and array tables with
+a vectorized whole-column pipeline (numpy backend — searchsorted hash
+probes, batch ``np.unique`` dedup, array-native accumulation).  Both must
+produce
 
 * *identical* answer sets, and
 * *identical* shared trace counters (``facts_derived``, ``delta_rows``,
@@ -53,7 +54,7 @@ def materialize(kb_factory, predicates, backend):
         kb = kb_factory()
         tracer = Tracer()
         with tracer.span("parity"):
-            engine = SemiNaiveEngine(kb, executor="kernel", tracer=tracer)
+            engine = SemiNaiveEngine(kb, tracer=tracer)
             answers = {
                 predicate: frozenset(engine.derived_relation(predicate).rows())
                 for predicate in predicates
@@ -195,7 +196,7 @@ def test_persistence_byte_identical_across_backends(tmp_path):
     for backend in ("python", "numpy"):
         with backend_override(backend, min_rows=1 if backend == "numpy" else None):
             kb = _university_like_kb()
-            SemiNaiveEngine(kb, executor="kernel").derived_relation("path")
+            SemiNaiveEngine(kb).derived_relation("path")
             kb_path = tmp_path / f"{backend}.json"
             csv_path = tmp_path / f"{backend}.csv"
             save_kb(kb, str(kb_path))

@@ -1,26 +1,26 @@
 """Cross-engine differential testing on randomized positive programs.
 
-Every engine configuration the repo ships —
+The baseline is the reference evaluator (``repro.engine.reference``: the
+tuple-at-a-time semi-naive loop, kept as a test oracle and reachable from
+no production path).  Every engine configuration the repo ships —
 
-* semi-naive bottom-up with the set-at-a-time hash-join executor,
-* semi-naive bottom-up with the nested-loop reference executor,
-* semi-naive bottom-up with the interned columnar kernel executor,
-* the kernel executor again with the numpy vector pipeline forced on
-  (skipped silently when numpy is not importable),
+* semi-naive bottom-up over the python table backend,
+* the same with the numpy table backend forced on (skipped silently when
+  numpy is not importable),
+* the same with analysis-informed planning forced off (the purely
+  syntactic join order — answers must not depend on the
+  abstract-interpretation summary),
 * top-down evaluation with call-pattern tabling,
 * magic-sets rewriting followed by semi-naive evaluation,
-* the batch executor again with analysis-informed planning forced off
-  (the purely syntactic join order — answers must not depend on the
-  abstract-interpretation summary),
 
-— must produce *identical* answer sets for every data query.  Hypothesis
+— must produce the baseline's answer set for every data query.  Hypothesis
 generates random safe programs (layered non-recursive programs with
 comparisons, and recursive graph programs) plus full-scan and
 bound-constant subjects; any divergence shrinks to a minimal program.
 
 Programs stay in the positive fragment because the magic-sets rewrite
-rejects negation by design; executor parity *with* negation is covered by
-``test_executor_parity.py``.
+rejects negation by design; parity with the reference *under* negation is
+covered by ``test_executor_parity.py``.
 
 The per-test example count follows ``DIFFERENTIAL_EXAMPLES`` (default 30
 for quick local runs); CI raises it so the three tests together evaluate
@@ -39,6 +39,8 @@ from repro.logic.atoms import Atom, comparison
 from repro.logic.clauses import Rule
 from repro.logic.terms import Constant, Variable
 
+from tests.oracle import reference_answers
+
 EXAMPLES = int(os.environ.get("DIFFERENTIAL_EXAMPLES", "30"))
 
 CONSTANTS = ["a", "b", "c", "d", "e"]
@@ -53,43 +55,37 @@ def _numpy_available() -> bool:
     return True
 
 
-#: Every (engine, executor, columnar backend, analysis) tuple under test;
-#: the first is the baseline.  Backend ``None`` leaves the ambient backend
-#: decision alone; ``"numpy"`` forces the vector pipeline with the row
-#: floor at 1 so every delta takes the vectorized path (the numpy config
-#: drops out of the matrix when numpy is not importable).  Analysis
-#: ``None`` keeps the ambient planner default (analysis-informed);
-#: ``"off"`` pins the purely syntactic planner for the run.
+#: Every (engine, table backend, analysis) tuple checked against the
+#: reference evaluator.  Backend ``"python"`` pins the id-tuple tables;
+#: ``"numpy"`` forces the array tables with the row floor at 1 so every
+#: delta takes the vectorized path (the numpy config drops out of the
+#: matrix when numpy is not importable).  Analysis ``None`` keeps the
+#: ambient planner default (analysis-informed); ``"off"`` pins the purely
+#: syntactic planner for the run.
 CONFIGS = (
-    ("seminaive", "batch", None, None),
-    ("seminaive", "nested", None, None),
-    ("seminaive", "kernel", None, None),
-    ("topdown", "batch", None, None),
-    ("magic", "batch", None, None),
-    ("seminaive", "batch", None, "off"),
-) + ((("seminaive", "kernel", "numpy", None),) if _numpy_available() else ())
+    ("seminaive", "python", None),
+    ("seminaive", "python", "off"),
+    ("topdown", "python", None),
+    ("magic", "python", None),
+) + ((("seminaive", "numpy", None),) if _numpy_available() else ())
 
 
-def _answers(kb, subject, engine, executor, backend, analysis):
+def _answers(kb, subject, engine, backend, analysis):
     from repro.analysis.absint.summary import planning_override
 
     with planning_override(False if analysis == "off" else None):
-        if backend is None:
-            return retrieve(kb, subject, engine=engine, executor=executor).to_set()
         with backend_override(backend, min_rows=1):
-            return retrieve(kb, subject, engine=engine, executor=executor).to_set()
+            return retrieve(kb, subject, engine=engine).to_set()
 
 
 def assert_engines_agree(kb, subject):
-    """All engine configurations return the same answer set for *subject*."""
-    results = {
-        config: _answers(kb, subject, *config) for config in CONFIGS
-    }
-    baseline = results[CONFIGS[0]]
+    """Every engine configuration returns the reference answer set."""
+    baseline = reference_answers(kb, subject)
     rules = "\n".join(str(rule) for rule in kb.rules())
-    for config, rows in results.items():
+    for config in CONFIGS:
+        rows = _answers(kb, subject, *config)
         assert rows == baseline, (
-            f"{config} diverged from {CONFIGS[0]} on {subject}:\n"
+            f"{config} diverged from the reference evaluator on {subject}:\n"
             f"  baseline={sorted(baseline)}\n  got={sorted(rows)}\n"
             f"program:\n{rules}"
         )

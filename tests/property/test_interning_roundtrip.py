@@ -1,16 +1,17 @@
 """Interning invariants: round-trips through the symbol table and persistence.
 
-The kernel executor rewrites every constant into a symbol id from the
-process-wide :data:`repro.catalog.symbols.SYMBOLS` table.  Three things
+Bottom-up evaluation rewrites every constant into a symbol id from the
+process-wide :data:`repro.catalog.symbols.SYMBOLS` table.  Two things
 must hold for that to be invisible to users:
 
 * ``extern(intern(c))`` is *equal* to ``c`` for every constant, and equal
   constants intern to the same id (id-equality is constant-equality);
-* the three bottom-up executors derive identical answer sets on any
-  program (interning must not change semantics);
 * persistence writes the original, un-interned constants: ``save_kb`` /
-  ``load_kb`` and CSV export/import round-trip byte-for-byte even after a
-  kernel-executor run has interned the whole knowledge base.
+  ``load_kb`` and CSV export/import round-trip byte-for-byte even after an
+  evaluation has interned the whole knowledge base.
+
+(That interning does not change *answers* is ``test_executor_parity.py``:
+the reference evaluator it compares against never interns.)
 """
 
 import json
@@ -21,9 +22,7 @@ from hypothesis import strategies as st
 from repro.catalog.database import KnowledgeBase
 from repro.catalog.persist import export_csv, import_csv, load_kb, save_kb
 from repro.catalog.symbols import SYMBOLS
-from repro.engine import retrieve
 from repro.engine.seminaive import SemiNaiveEngine
-from repro.datasets import random_graph_kb
 from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule
 from repro.logic.terms import Constant, Variable
@@ -65,25 +64,6 @@ class TestSymbolTable:
         assert SYMBOLS.extern_row(SYMBOLS.intern_row(row)) == row
 
 
-class TestExecutorAnswerSets:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        nodes=st.integers(3, 12),
-        edges=st.integers(3, 24),
-        seed=st.integers(0, 1_000),
-    )
-    def test_three_executors_agree_on_transitive_closure(self, nodes, edges, seed):
-        kb = random_graph_kb(
-            nodes=nodes, edges=min(edges, nodes * (nodes - 1)), seed=seed
-        )
-        subject = Atom("path", [Variable("X"), Variable("Y")])
-        answers = {
-            executor: retrieve(kb, subject, executor=executor).to_set()
-            for executor in ("batch", "nested", "kernel")
-        }
-        assert answers["kernel"] == answers["batch"] == answers["nested"]
-
-
 def _mixed_kb(rows):
     """An EDB relation of generated rows plus a rule that derives from it."""
     kb = KnowledgeBase("roundtrip")
@@ -99,8 +79,8 @@ def _mixed_kb(rows):
 
 
 def _intern_everything(kb):
-    """Force the kernel executor over the whole kb (interns every constant)."""
-    SemiNaiveEngine(kb, executor="kernel").derived_relation("known")
+    """Evaluate over the whole kb (interns every constant)."""
+    SemiNaiveEngine(kb).derived_relation("known")
 
 
 class TestPersistenceRoundTrip:
