@@ -9,10 +9,12 @@ One fixpoint driver (:mod:`.fixpoint`) runs three abstract domains:
 * :mod:`.cardinality` — row/distinct estimates with cap widening, plus
   recursion-structure classification.
 
-:mod:`.summary` bundles the results into the cached, engine-facing
-:class:`~repro.analysis.absint.summary.AnalysisSummary`; :mod:`.lintpass`
-turns the same results into the ``KB7xx`` diagnostics.  Importing this
-package registers the lint pass.
+:mod:`.summary` bundles the results into the
+:class:`~repro.analysis.absint.summary.AnalysisSummary` that ``explain``
+renders; :mod:`.lintpass` turns the same inference into the ``KB7xx``
+diagnostics.  The evaluation engine consumes neither (it shares only
+:meth:`.modes.ModeTable.schedule_rule` with the magic rewrite).  Importing
+this package registers the lint pass.
 """
 
 from repro.analysis.absint import lintpass as lintpass  # registers the pass
@@ -25,9 +27,6 @@ from repro.analysis.absint.lattice import BOTTOM, TOP, ColumnDomain
 from repro.analysis.absint.modes import ModeTable, adornment_of, infer_modes
 from repro.analysis.absint.summary import (
     AnalysisSummary,
-    fingerprint_of,
-    planning_enabled,
-    planning_override,
     summarize,
     summary_for,
 )
@@ -41,12 +40,9 @@ __all__ = [
     "ModeTable",
     "TOP",
     "adornment_of",
-    "fingerprint_of",
     "infer_cardinalities",
     "infer_modes",
     "infer_types",
-    "planning_enabled",
-    "planning_override",
     "recursion_profile",
     "summarize",
     "summary_for",

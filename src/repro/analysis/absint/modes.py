@@ -13,15 +13,13 @@ Two consumers share this module:
 * the abstract-interpretation summary records the inferred adornment set
   per predicate (query entry points are conservatively seeded all-free,
   since ad-hoc queries can call them any way);
-* :mod:`repro.engine.magic` pulls each rule's per-body-atom adornments
-  from a memoized :class:`ModeTable` instead of recomputing the SIPS walk
-  for every query — the table lives on the cached analysis summary, so
-  repeat queries reuse the schedules.
+* :mod:`repro.engine.magic` takes each rule's per-body-atom adornments
+  from :meth:`ModeTable.schedule_rule`, the same walk the analysis runs,
+  so the rewrite and the inferred modes cannot disagree.
 
 :func:`adornment_of` is the canonical definition (the magic rewrite
-imports it from here); :meth:`ModeTable.schedule_rule` replicates the
-rewrite's bound-set bookkeeping exactly, which the rewrite's output
-depends on.
+imports it from here); :meth:`ModeTable.schedule_rule` is the rewrite's
+bound-set bookkeeping, which the rewrite's output depends on.
 """
 
 from __future__ import annotations
@@ -81,9 +79,8 @@ class ModeTable:
 
     ``schedule(predicate, adornment)`` returns one :class:`RuleSchedule`
     per defining rule, computed once per ``(predicate, adornment)`` pair
-    for the table's lifetime — the analysis summary caches the table per
-    ``(rules_version, EDB versions)``, so the magic rewrite's per-query
-    work shrinks to dictionary lookups for every already-seen call pattern.
+    for the table's lifetime (one :func:`infer_modes` fixpoint, which asks
+    for the same pair on every sweep).
     """
 
     def __init__(self, rules: Iterable[Rule]) -> None:
@@ -148,18 +145,16 @@ def _constraint_seeds(constraints) -> dict[str, set[str]]:
     return seeds
 
 
-def infer_modes(
-    model: "ProgramModel", table: ModeTable | None = None
-) -> dict[str, frozenset[str]]:
+def infer_modes(model: "ProgramModel") -> dict[str, frozenset[str]]:
     """Infer the adornment set every predicate can be called with.
 
     Every rule-defined predicate seeds all-free — any ad-hoc query may
     call it — and bound call patterns flow down through rule bodies under
     the SIPS walk.  EDB predicates appear in the result too: their
     adornments are the access patterns rule bodies subject them to
-    (useful to the planner and ``explain``).
+    (shown by ``explain``).
     """
-    table = table if table is not None else ModeTable(model.rules)
+    table = ModeTable(model.rules)
     arity_of: dict[str, int] = dict(model.edb)
     arity_of.update(model.declared_idb)
     for rule in model.rules:

@@ -14,7 +14,7 @@ results join across a predicate's rules under the shared fixpoint driver.
 A meet of two non-empty column domains hitting bottom is recorded as a
 :class:`TypeEvent` — that is the evidence the ``KB702`` (provably empty
 join) and ``KB701`` (provably failing order comparison) diagnostics are
-built from; the engine-facing summary only keeps the final domains.
+built from; the summary only keeps the final domains.
 """
 
 from __future__ import annotations
@@ -72,12 +72,6 @@ class RuleTypes:
     """The abstract evaluation of one rule body."""
 
     variables: dict[Variable, ColumnDomain] = field(default_factory=dict)
-    #: Domains after the positive atoms alone, before comparison guards
-    #: refine them.  Consumers that use domains to *justify eliding a
-    #: guard's own runtime check* (the kernel's comparison specialization)
-    #: must read these — the guard-narrowed ``variables`` would be
-    #: circular evidence.
-    atom_variables: dict[Variable, ColumnDomain] = field(default_factory=dict)
     #: Whether the body can (abstractly) produce any row at all.
     contributes: bool = True
     events: list[TypeEvent] = field(default_factory=list)
@@ -195,8 +189,6 @@ def rule_types(
                         )
             else:
                 _meet_into(result, arg, domain, atom)
-
-    result.atom_variables = dict(result.variables)
 
     # Comparisons refine (and order comparisons are checked for provable
     # incompatibility — the evidence behind KB701).

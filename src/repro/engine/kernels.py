@@ -26,7 +26,8 @@ Order comparisons (``<``, ``>=``, …) are about *values*, not identities,
 so their closures externalize ids back to constants before comparing —
 they keep the semantics of
 :func:`repro.logic.builtins.evaluate_comparison`, including the
-incompatible-type :class:`~repro.errors.LogicError`.
+incompatible-type :class:`~repro.errors.LogicError`: the comparability
+check runs on every row, under both backends.
 
 Two backends share plans, slot layouts and constant interning, so they
 agree answer-for-answer (the differential and parity suites pin this);
@@ -67,7 +68,6 @@ from repro.catalog.columnar import numpy_backend, numpy_min_rows
 from repro.catalog.symbols import SYMBOLS
 from repro.engine.joins import CostEstimator
 from repro.engine.plan import (
-    DELTA_PREFIX,
     ConjunctionPlan,
     RulePlan,
     _AntiJoin,
@@ -455,7 +455,6 @@ class _KJoin:
     __slots__ = (
         "predicate", "arity", "key_slots", "key_cols",
         "const_checks", "dup_checks", "out_cols", "fused", "fused_specs",
-        "dense_hint",
         "_project", "_key_of", "_probe_key",
         "_cache_rel", "_cache_ver", "_cache_table",
         "_vcache_rel", "_vcache_ver", "_vcache_table",
@@ -480,10 +479,6 @@ class _KJoin:
         self.out_cols = out_cols
         self.fused: list[RowFilter] = []
         self.fused_specs: list = []
-        #: Analysis hint: the key column's value domain is proven compact
-        #: (small exact enum), so the vector build may lay the table out as
-        #: a dense id->group lookup instead of sorted keys + searchsorted.
-        self.dense_hint = False
         # Specialized at compile time: C-speed projectors over the
         # concrete column/slot indexes this join uses.
         self._project = _projector(out_cols)
@@ -630,17 +625,6 @@ class _KJoin:
             unique_keys, starts = np.unique(sorted_keys, return_index=True)
             counts = np.diff(np.append(starts, m))
             table = ("hash", unique_keys, starts, counts, ext)
-            if self.dense_hint and len(unique_keys):
-                base = int(unique_keys[0])
-                span = int(unique_keys[-1]) - base + 1
-                # Dense remap only when the id range is actually compact:
-                # probes become one gather instead of a searchsorted.
-                if span <= max(4096, 8 * len(unique_keys)) and span <= (1 << 20):
-                    lookup = np.full(span, -1, dtype=np.int64)
-                    lookup[unique_keys - base] = np.arange(
-                        len(unique_keys), dtype=np.int64
-                    )
-                    table = ("dense", base, lookup, starts, counts, ext)
         self._vcache_rel = relation
         self._vcache_ver = version
         self._vcache_table = table
@@ -676,32 +660,6 @@ class _KJoin:
                     np.repeat(batch, len(ext), axis=0),
                     np.tile(ext, (len(batch), 1)),
                 ],
-                axis=1,
-            )
-        elif table[0] == "dense":
-            _, base, lookup, starts, counts, ext = table
-            probe = batch[:, self.key_slots[0]]
-            # Dense remap probe: key ids index straight into the lookup
-            # array (out-of-range and absent keys resolve to group -1).
-            offsets = np.clip(probe - base, 0, len(lookup) - 1)
-            slots = np.where(
-                (probe >= base) & (probe - base < len(lookup)), lookup[offsets], -1
-            )
-            hits = np.nonzero(slots >= 0)[0]
-            if not len(hits):
-                return np.empty((0, width), dtype=np.int64)
-            groups = slots[hits]
-            group_counts = counts[groups]
-            total = int(group_counts.sum())
-            bound = batch[np.repeat(hits, group_counts)]
-            # Concatenated-arange gather: starts repeated per match plus a
-            # within-group offset enumerates every matching build row.
-            ends = np.cumsum(group_counts)
-            within = np.arange(total, dtype=np.int64) - np.repeat(
-                ends - group_counts, group_counts
-            )
-            out = np.concatenate(
-                [bound, ext[np.repeat(starts[groups], group_counts) + within]],
                 axis=1,
             )
         else:
@@ -901,15 +859,12 @@ def _operand_reader(
     return lambda row, c=const: c  # type: ignore[misc]
 
 
-def _compare_filter(step: _Compare, skip_check: bool = False) -> RowFilter:
+def _compare_filter(step: _Compare) -> RowFilter:
     """Specialize one comparison into an id-row filter closure.
 
     Equality/disequality compare ids directly (id-equality is
     constant-equality); order operators externalize to values and raise
-    :class:`~repro.errors.LogicError` on incompatible types.  *skip_check*
-    elides that comparability check — only set when the type analysis
-    proved both operands homogeneous (both numeric, both str, or both
-    bool), in which case the check can never fire.
+    :class:`~repro.errors.LogicError` on incompatible types.
     """
     op = step.op
     left_slot, right_slot = step.left_slot, step.right_slot
@@ -931,8 +886,6 @@ def _compare_filter(step: _Compare, skip_check: bool = False) -> RowFilter:
     compare = _ORDER_OPS[op]
     left = _operand_reader(left_slot, step.left_const)
     right = _operand_reader(right_slot, step.right_const)
-    if skip_check:
-        return lambda row: compare(left(row).value, right(row).value)
 
     def check(row: tuple[int, ...]) -> bool:
         l, r = left(row), right(row)
@@ -1089,107 +1042,28 @@ class RuleKernel:
         return columns[0] if len(columns) == 1 else np.concatenate(columns, axis=1)
 
 
-def _strip_delta(predicate: str) -> str:
-    if predicate.startswith(DELTA_PREFIX):
-        return predicate[len(DELTA_PREFIX):]
-    return predicate
-
-
-def _rule_var_domains(rule: Rule, summary):
-    """Per-variable abstract domains of one rule body under *summary*.
-
-    Delta-prefixed body atoms (semi-naive rewrites) read the base
-    predicate's column domains — a delta is a subset of the full relation
-    — so delta variants share the original rule's memo entry, keyed on
-    the delta-stripped rule text.  The memo lives on the summary itself:
-    repeat compiles against an unchanged knowledge base skip the
-    abstract evaluation entirely.
-
-    Returns the *pre-guard* domains (positive atoms only): using the
-    comparison-narrowed domains to justify skipping a comparison's own
-    comparability check would be circular — ``X < 1`` narrows ``X`` to
-    numeric even when the column also holds strings.
-    """
-    key = ("var_domains", str(rule).replace(DELTA_PREFIX, ""))
-    cached = summary.memo.get(key)
-    if cached is not None:
-        return cached
-
-    from repro.analysis.absint.typeinfer import rule_types
-
-    types = summary.types
-
-    class _TypesView:
-        __slots__ = ()
-
-        @staticmethod
-        def get(predicate: str, default=None):
-            return types.get(_strip_delta(predicate), default)
-
-    domains = rule_types(rule, _TypesView()).atom_variables  # type: ignore[arg-type]
-    summary.memo[key] = domains
-    return domains
-
-
-def _operand_domain(slot, const, schema, var_domains):
-    from repro.analysis.absint.lattice import TOP, from_constant
-
-    if slot is None:
-        return from_constant(const)
-    return var_domains.get(schema[slot], TOP)
-
-
-def _order_check_skippable(left, right) -> bool:
-    """Whether ``comparable()`` is provably redundant for these domains.
-
-    Both-numeric passes the check and compares cleanly; both-str / both-bool
-    likewise.  Mixed non-numeric kinds (str vs bool) would *pass*
-    ``comparable()`` yet raise ``TypeError`` inside python's ``<``, so they
-    must keep the guarded closure.
-    """
-    if left.numeric_only and right.numeric_only:
-        return True
-    for kind in ("str", "bool"):
-        single = frozenset({kind})
-        if left.kinds == single and right.kinds == single:
-            return True
-    return False
-
-
-def kernelize_conjunction(
-    plan: ConjunctionPlan, summary=None, var_domains=None
-) -> ConjunctionKernel:
+def kernelize_conjunction(plan: ConjunctionPlan) -> ConjunctionKernel:
     """Lower a compiled plan into the integer domain, fusing filters.
 
     A comparison step whose predecessor (after lowering) is a join is
     folded into that join's probe loop; chains of comparisons after one
     join all fuse, since filters do not change the slot schema.
-
-    With an :class:`~repro.analysis.absint.summary.AnalysisSummary` the
-    lowering additionally specializes from proven facts: order comparisons
-    whose operand domains (*var_domains*, keyed by schema variable) are
-    homogeneous drop the per-row comparability check, and single-key joins
-    whose key column domain is proven compact get the dense-remap hint.
     """
     steps: list = []
     described: list[str] = []
-    for index, (step, line) in enumerate(zip(plan.steps, plan.described)):
+    for step, line in zip(plan.steps, plan.described):
         if isinstance(step, _HashJoin):
-            kjoin = _KJoin(
-                step.predicate,
-                step.arity,
-                step.key_slots,
-                step.key_cols,
-                [(col, SYMBOLS.intern(value)) for col, value in step.const_checks],
-                step.dup_checks,
-                step.out_cols,
-            )
-            if summary is not None and len(step.key_cols) == 1:
-                compact = summary.compact_key(
-                    _strip_delta(step.predicate), step.key_cols[0]
+            steps.append(
+                _KJoin(
+                    step.predicate,
+                    step.arity,
+                    step.key_slots,
+                    step.key_cols,
+                    [(col, SYMBOLS.intern(value)) for col, value in step.const_checks],
+                    step.dup_checks,
+                    step.out_cols,
                 )
-                kjoin.dense_hint = compact is not None
-            steps.append(kjoin)
+            )
             described.append(line)
         elif isinstance(step, _Bind):
             source_id = (
@@ -1200,28 +1074,7 @@ def kernelize_conjunction(
             steps.append(_KBind(step.source_slot, source_id))
             described.append(line)
         elif isinstance(step, _Compare):
-            skip_check = False
-            if var_domains is not None and step.op not in ("=", "!="):
-                # A variable's domain is the meet over *every* atom it
-                # occurs in, so it describes the batch only once all of
-                # them have been joined: a later join keyed on an operand's
-                # slot has yet to narrow that operand, and the check stays.
-                unsettled = {
-                    slot
-                    for later in plan.steps[index + 1:]
-                    if isinstance(later, _HashJoin)
-                    for slot in later.key_slots
-                }
-                if step.left_slot not in unsettled and step.right_slot not in unsettled:
-                    skip_check = _order_check_skippable(
-                        _operand_domain(
-                            step.left_slot, step.left_const, plan.schema, var_domains
-                        ),
-                        _operand_domain(
-                            step.right_slot, step.right_const, plan.schema, var_domains
-                        ),
-                    )
-            check = _compare_filter(step, skip_check=skip_check)
+            check = _compare_filter(step)
             spec = _vector_spec(step)
             if steps and isinstance(steps[-1], _KJoin):
                 steps[-1].fused.append(check)
@@ -1250,26 +1103,20 @@ def compile_conjunction_kernel(
     conjuncts: Sequence[Atom],
     negated: Sequence[Atom] = (),
     estimate: CostEstimator | None = None,
-    summary=None,
 ) -> ConjunctionKernel:
     """Compile a conjunction straight to an integer kernel.
 
     Ordering, slot layout, and safety checking are those of
     :func:`repro.engine.plan.compile_conjunction`; the result is its
-    kernelized lowering (analysis-specialized when *summary* is given).
+    kernelized lowering.
     """
-    plan = compile_conjunction(conjuncts, negated, estimate=estimate)
-    var_domains = None
-    if summary is not None:
-        var_domains = _rule_var_domains(
-            Rule(Atom("__query", plan.schema), list(conjuncts), list(negated)),
-            summary,
-        )
-    return kernelize_conjunction(plan, summary=summary, var_domains=var_domains)
+    return kernelize_conjunction(
+        compile_conjunction(conjuncts, negated, estimate=estimate)
+    )
 
 
 def compile_rule_kernel(
-    rule: Rule, estimate: CostEstimator | None = None, summary=None
+    rule: Rule, estimate: CostEstimator | None = None
 ) -> RuleKernel:
     """Compile one rule to an integer kernel with head projection."""
     plan: RulePlan = compile_rule(rule, estimate=estimate)
@@ -1277,12 +1124,7 @@ def compile_rule_kernel(
         (True, SYMBOLS.intern(value)) if is_const else (is_const, value)  # type: ignore[arg-type]
         for is_const, value in plan.head_template
     ]
-    var_domains = _rule_var_domains(rule, summary) if summary is not None else None
-    return RuleKernel(
-        rule,
-        kernelize_conjunction(plan.plan, summary=summary, var_domains=var_domains),
-        template,
-    )
+    return RuleKernel(rule, kernelize_conjunction(plan.plan), template)
 
 
 def substitutions_from_kernel_batch(kernel: ConjunctionKernel, batch: IntBatch):

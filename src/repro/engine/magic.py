@@ -15,7 +15,11 @@ the bindings flowing from the query:
 Arbitrary conjunctive queries are handled through a synthetic goal rule:
 ``__goal(free vars) <- conjunction``; the sideways information passing
 (left-to-right SIPS) then adorns each body atom with whatever is bound by
-constants and earlier atoms.
+constants and earlier atoms.  The SIPS walk is
+:meth:`repro.analysis.absint.modes.ModeTable.schedule_rule`, run per
+``(rule, adornment)`` as the worklist reaches it — the one function the
+binding-mode analysis also runs, and the only thing this package takes
+from the abstract interpretation.
 
 Scope: positive programs (stratified negation falls back to the plain
 engine with a clear error from :func:`magic_rewrite`).
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from repro.errors import EngineError
-from repro.analysis.absint.modes import ModeTable, RuleSchedule, adornment_of
+from repro.analysis.absint.modes import ModeTable, adornment_of
 from repro.catalog.database import KnowledgeBase
 from repro.engine.seminaive import SemiNaiveEngine
 from repro.logic.atoms import Atom
@@ -78,34 +82,11 @@ class MagicProgram:
     magic_rules: int = 0
 
 
-def _schedule_for(
-    mode_table: ModeTable | None, predicate: str, adornment: str, rule: Rule
-) -> RuleSchedule:
-    """The SIPS schedule of one rule under one adornment.
-
-    Prefers the memoized table from a cached analysis summary (repeat
-    queries with already-seen call patterns skip the walk entirely);
-    falls back to computing the schedule directly.
-    """
-    if mode_table is not None:
-        for schedule in mode_table.schedule(predicate, adornment):
-            if schedule.rule is rule:
-                return schedule
-    return ModeTable.schedule_rule(rule, adornment)
-
-
-def magic_rewrite(
-    kb: KnowledgeBase,
-    conjunction: Sequence[Atom],
-    mode_table: ModeTable | None = None,
-) -> MagicProgram:
+def magic_rewrite(kb: KnowledgeBase, conjunction: Sequence[Atom]) -> MagicProgram:
     """Rewrite *kb* for the given conjunctive query.
 
     Returns a new knowledge base (sharing fact storage via copies) whose
     rules derive only query-relevant facts, plus the goal atom to retrieve.
-    *mode_table* (normally the cached analysis summary's) supplies memoized
-    per-rule adornment schedules; the rewrite output is identical with or
-    without it.
     """
     for rule in kb.rules():
         if not rule.is_positive():
@@ -147,15 +128,10 @@ def magic_rewrite(
         processed.add((predicate, adornment))
         for rule in rules_by_pred.get(predicate, ()):
             head = rule.head
-            # The per-atom adornments come from the (memoized) SIPS
-            # schedule — the same left-to-right bookkeeping the binding-mode
-            # analysis runs, so the rewrite and the analysis always agree.
-            schedule = _schedule_for(
-                mode_table if predicate != GOAL else None,
-                predicate,
-                adornment,
-                rule,
-            )
+            # The per-atom adornments come from the SIPS schedule — the
+            # same ``schedule_rule`` the binding-mode analysis runs, so the
+            # rewrite and the analysis always agree.
+            schedule = ModeTable.schedule_rule(rule, adornment)
             magic_guard = Atom(
                 magic_name(predicate, adornment), _bound_args(head, adornment)
             )
@@ -220,14 +196,7 @@ def magic_conjunction(
     from repro.engine.guard import degrade_catch
     from repro.engine.joins import bind_row
 
-    mode_table: ModeTable | None = None
-    from repro.analysis.absint.summary import planning_enabled, summary_for
-
-    if planning_enabled():
-        # The cached summary's mode table memoizes the SIPS schedules, so
-        # repeat queries with already-seen call patterns skip the walk.
-        mode_table = summary_for(kb).mode_table
-    program = magic_rewrite(kb, conjunction, mode_table=mode_table)
+    program = magic_rewrite(kb, conjunction)
     if tracer is not None:
         tracer.event(
             "magic.rewrite",
@@ -235,14 +204,11 @@ def magic_conjunction(
             magic_rules=program.magic_rules,
             goal=str(program.goal),
         )
-    # The rewritten kb is fresh per query: analysing it would miss the
-    # summary cache every time, so the inner engine runs analysis-free.
     engine = SemiNaiveEngine(
         program.kb,
         max_derived_facts=max_derived_facts,
         guard=guard,
         tracer=tracer,
-        analysis=False,
     )
     try:
         relation = engine.derived_relation(program.goal.predicate)

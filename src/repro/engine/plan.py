@@ -1,7 +1,9 @@
 """Logical plans for rule bodies and query conjunctions.
 
 A conjunction is compiled *once* into a plan: the join order is chosen by
-the cardinality estimator (:func:`repro.engine.joins.order_conjuncts`),
+:func:`repro.engine.joins.order_conjuncts` under the caller's cardinality
+estimator (live relation statistics:
+:func:`repro.engine.joins.relation_cost_estimator`),
 every variable gets a slot in the *slot schema* (the ordered list of
 variables bound so far), and each conjunct becomes one step record:
 
@@ -24,62 +26,17 @@ a stratum evaluation (:meth:`SemiNaiveEngine._evaluate_stratum`).
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from repro.errors import SafetyError
-from repro.catalog.relation import Relation
 from repro.engine.joins import CostEstimator, order_conjuncts
 from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule
 from repro.logic.terms import Constant, Variable, is_constant
 
 #: Marker prefix distinguishing a delta occurrence inside a rewritten body
-#: (shared by the semi-naive engine and the analysis-aware estimator).
+#: (shared by the semi-naive engine and the reference evaluator).
 DELTA_PREFIX = "\x7fdelta\x7f:"
-
-#: Accessor from predicate name to its current relation (``None`` =
-#: undefined predicate, i.e. an empty extension).
-RelationView = Callable[[str], Relation | None]
-
-
-def analysis_estimator(relation_for: RelationView, summary) -> CostEstimator:
-    """A cost estimator backed by live stats *and* analysis estimates.
-
-    Live relation statistics win whenever the relation is non-empty (they
-    are exact); the abstract cardinality estimate from *summary* (an
-    :class:`~repro.analysis.absint.summary.AnalysisSummary`) fills in for
-    IDB predicates whose relations are still empty at plan-compile time —
-    exactly the blind spot of the purely syntactic ordering, since plans
-    are compiled once per stratum before any facts are derived.
-    """
-    from repro.engine.joins import relation_cost_estimator
-
-    live = relation_cost_estimator(relation_for)
-
-    def estimate(atom: Atom, bound: set[Variable]) -> float | None:
-        relation = relation_for(atom.predicate)
-        if relation is not None and len(relation) > 0:
-            return live(atom, bound)
-        predicate = atom.predicate
-        if predicate.startswith(DELTA_PREFIX):
-            if relation is None:
-                return None  # delta not materialised yet: genuinely unknown
-            predicate = predicate[len(DELTA_PREFIX):]
-        rows = summary.estimated_rows(predicate)
-        if rows is None:
-            return live(atom, bound)
-        if rows <= 0:
-            return 0.0
-        size = float(rows)
-        distincts = summary.distinct_estimates(predicate) or ()
-        for column, arg in enumerate(atom.args):
-            if is_constant(arg) or arg in bound:
-                distinct = distincts[column] if column < len(distincts) else 1.0
-                if distinct > 1.0:
-                    size /= distinct
-        return max(size, 0.001)
-
-    return estimate
 
 
 class _HashJoin(NamedTuple):

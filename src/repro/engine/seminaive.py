@@ -9,7 +9,10 @@ position at a time, so no derivation is recomputed.
 Evaluation is *relevance-restricted*: only predicates the query (transitively)
 depends on are materialised.
 
-There is one stratum driver (:meth:`SemiNaiveEngine._evaluate_stratum`).
+There is one stratum driver (:meth:`SemiNaiveEngine._evaluate_stratum`)
+and one planner: join order comes from the live statistics of the
+relations and kernel tables in view when a rule is first fired
+(:func:`repro.engine.joins.relation_cost_estimator`), nothing else.
 Each rule body is compiled once per ``(rule, delta-position)`` into a
 logical plan (:mod:`repro.engine.plan`), lowered to an integer kernel over
 interned symbol ids (:mod:`repro.engine.kernels`) and kept for the lifetime
@@ -39,7 +42,7 @@ from repro.catalog.relation import Relation
 from repro.engine.guard import ResourceGuard
 from repro.engine.joins import relation_cost_estimator
 from repro.engine.kernels import GrowTable, IntTable, RuleKernel, compile_rule_kernel
-from repro.engine.plan import DELTA_PREFIX as _DELTA_PREFIX, analysis_estimator
+from repro.engine.plan import DELTA_PREFIX as _DELTA_PREFIX
 from repro.engine.safety import check_rule_safety
 from repro.obs.trace import traced_span
 from repro.logic.atoms import Atom
@@ -64,15 +67,6 @@ class SemiNaiveEngine:
         A :class:`~repro.obs.trace.Tracer` recording stratum / iteration /
         rule spans with ``facts_derived``, ``delta_rows`` and ``join_probes``
         counters.  ``None`` (the default) keeps the hot path untraced.
-    analysis:
-        Analysis-informed planning control: ``None`` (the default) follows
-        the ``REPRO_PLAN_ANALYSIS`` flag, ``False`` disables it, ``True``
-        forces it, and a prebuilt
-        :class:`~repro.analysis.absint.summary.AnalysisSummary` is used
-        directly.  When enabled, join ordering falls back to abstract
-        cardinality estimates for not-yet-materialised IDB relations and
-        kernel lowering specializes comparisons/joins from inferred column
-        domains.
     """
 
     def __init__(
@@ -81,7 +75,6 @@ class SemiNaiveEngine:
         max_derived_facts: int | None = None,
         guard: ResourceGuard | None = None,
         tracer=None,
-        analysis=None,
     ) -> None:
         if max_derived_facts is not None and max_derived_facts < 1:
             raise ValueError(
@@ -93,10 +86,6 @@ class SemiNaiveEngine:
         self._kb = kb
         self._guard = guard
         self._tracer = tracer
-        #: Analysis-informed planning: ``None`` resolves via the
-        #: ``REPRO_PLAN_ANALYSIS`` flag, ``False`` disables, ``True`` forces,
-        #: and an :class:`AnalysisSummary` instance is used as-is.
-        self._analysis = analysis
         self._derived: dict[str, Relation] = {}
         self._evaluated: set[str] = set()
         #: Per-stratum cache: (rule index, delta position) -> lowered kernel.
@@ -171,35 +160,6 @@ class SemiNaiveEngine:
             return self._relation(predicate)
         return None
 
-    def _analysis_summary(self):
-        """Resolve (and pin) the analysis summary, or ``None`` when off.
-
-        The summary itself is cached per knowledge base keyed on
-        ``(rules_version, EDB versions)`` (see
-        :func:`repro.analysis.absint.summary.summary_for`), so resolving it
-        here is a dictionary hit for every repeat evaluation.
-        """
-        analysis = self._analysis
-        if analysis is False:
-            return None
-        if analysis is None or analysis is True:
-            from repro.analysis.absint.summary import planning_enabled, summary_for
-
-            if analysis is None and not planning_enabled():
-                self._analysis = False
-                return None
-            summary = summary_for(self._kb)
-            self._analysis = summary
-            return summary
-        return analysis
-
-    def _cost_estimator(self, relation_for):
-        """The join-order estimator: live stats + analysis fallback."""
-        summary = self._analysis_summary()
-        if summary is None:
-            return relation_cost_estimator(relation_for)
-        return analysis_estimator(relation_for, summary)
-
     def _evaluate_stratum(self, stratum: set[str]) -> None:
         """The stratum fixpoint, over integer kernels and kernel tables.
 
@@ -250,14 +210,14 @@ class SemiNaiveEngine:
                 return table
             return self._relation_view(predicate)
 
+        estimate = relation_cost_estimator(view)
+
         def fire(rule: Rule, plan_key: tuple[int, int]) -> int:
             """Fire one rule and admit its head rows; how many were new."""
             kernel = self._kernels.get(plan_key)
             if kernel is None:
                 kernel = self._kernels[plan_key] = compile_rule_kernel(
-                    rule,
-                    estimate=self._cost_estimator(view),
-                    summary=self._analysis_summary(),
+                    rule, estimate=estimate
                 )
             if np is None:
                 fired = kernel.execute(view, guard, tracer)

@@ -7,7 +7,10 @@ running anything.  Join
 orders and row estimates come from the shared cardinality estimator over
 the stored EDB relations; IDB sizes are unknown pre-execution, so the
 rendering is the cold-start plan (the engines re-estimate against
-materialised IDB relations as strata complete).
+materialised IDB relations as strata complete).  Next to the plan sits a
+per-predicate *analysis* block (binding modes, column domains, estimated
+rows, recursion class) from :func:`repro.analysis.absint.summary.summary_for`
+— an annotation only: no join order shown here depends on it.
 
 Engine coverage:
 
@@ -173,20 +176,12 @@ def _as_statement(statement: "RetrieveStatement | str") -> RetrieveStatement:
     return parsed
 
 
-def _cold_estimator(kb: KnowledgeBase, summary=None):
-    """The pre-execution estimator: EDB sizes known, IDB sizes unknown.
-
-    With an analysis *summary*, the inferred cardinality estimates fill the
-    IDB gap — the same estimator the semi-naive engine plans with.
-    """
+def _cold_estimator(kb: KnowledgeBase):
+    """The pre-execution estimator: EDB sizes known, IDB sizes unknown."""
 
     def relation_for(predicate: str):
         return kb.relation(predicate) if kb.is_edb(predicate) else None
 
-    if summary is not None:
-        from repro.engine.plan import analysis_estimator
-
-        return analysis_estimator(relation_for, summary)
     return relation_cost_estimator(relation_for)
 
 
@@ -302,24 +297,18 @@ def explain_plan(
             )
     conjuncts: list[Atom] = [parsed.subject, *parsed.qualifier]
     negated = list(parsed.negated_qualifier)
-    # Explain always renders the analysis; the planner flag only controls
-    # whether the *estimator* consumes it (mirroring actual evaluation).
-    from repro.analysis.absint.summary import planning_enabled, summary_for
+    estimate = _cold_estimator(kb)
+    notes = [
+        "row estimates use stored EDB sizes; "
+        "IDB sizes are unknown before execution"
+    ]
+    # The analysis block annotates the plan; the estimator never reads it
+    # (mirroring evaluation, which orders joins from live statistics).
+    from repro.analysis.absint.summary import summary_for
 
-    summary = summary_for(kb)
-    if planning_enabled():
-        estimate = _cold_estimator(kb, summary)
-        notes = [
-            "row estimates use stored EDB sizes; "
-            "IDB sizes come from the analysis cardinality estimates"
-        ]
-    else:
-        estimate = _cold_estimator(kb)
-        notes = [
-            "row estimates use stored EDB sizes; "
-            "IDB sizes are unknown before execution"
-        ]
-    analysis = _analysis_entries(summary, _relevant_idb(kb, conjuncts + negated))
+    analysis = _analysis_entries(
+        summary_for(kb), _relevant_idb(kb, conjuncts + negated)
+    )
 
     if engine == "magic":
         from repro.engine.magic import magic_rewrite

@@ -142,14 +142,13 @@ class TestComparisonFusion:
         assert (Constant("a"), Constant("a")) not in kernel
 
 
-class TestAnalysisGuardSoundness:
-    """The analysis-informed check elision must not use circular evidence.
+class TestOrderTypeCheck:
+    """An order comparison checks comparability on every row it sees.
 
-    ``X < 1`` narrows ``X`` to numeric *inside the abstract evaluation of
-    the guard itself*; using that narrowed domain to skip the guard's
-    comparability check would turn the engine's ``LogicError`` on mixed
-    columns into a raw ``TypeError``.  The skip decision reads the
-    pre-guard (positive-atom) domains instead.
+    A mixed-type column under ``<`` must surface as the engine's
+    ``LogicError``, never as python's raw ``TypeError`` — wherever the
+    comparison was fused, and whatever later joins would have narrowed
+    the operand to.
     """
 
     MIXED = "e0(a, a).\ne0(1, a).\nc0(X) <- e0(X, Y) and (X < 1).\n"
@@ -173,27 +172,6 @@ class TestAnalysisGuardSoundness:
         )
         with pytest.raises(LogicError):
             retrieve(kb_from_program(program), parse_atom("c0(X)"))
-
-    def test_pre_guard_domains_drive_skip_decision(self):
-        from repro import kb_from_program
-        from repro.analysis.absint.lattice import from_constant
-        from repro.analysis.absint.summary import summary_for
-        from repro.engine.kernels import (
-            _order_check_skippable,
-            _rule_var_domains,
-        )
-
-        kb = kb_from_program(self.MIXED + "n(1). n(2).\nc1(X) <- n(X) and (X < 2).\n")
-        summary = summary_for(kb)
-        three = from_constant(Constant(3))
-
-        mixed = _rule_var_domains(parse_rule("c0(X) <- e0(X, Y) and (X < 1)"), summary)
-        x = next(v for v in mixed if str(v) == "X")
-        assert not _order_check_skippable(mixed[x], three)
-
-        homogeneous = _rule_var_domains(parse_rule("c1(X) <- n(X) and (X < 2)"), summary)
-        x = next(v for v in homogeneous if str(v) == "X")
-        assert _order_check_skippable(homogeneous[x], three)
 
 
 class TestRuleKernel:

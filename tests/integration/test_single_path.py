@@ -1,4 +1,4 @@
-"""Guards for "one executor, one fixpoint loop".
+"""Guards for "one executor, one fixpoint loop, one planner".
 
 Bottom-up evaluation has exactly one production path.  These tests keep it
 that way from the outside: the names the statement-level benchmark's tracer
@@ -6,19 +6,35 @@ patches by string still resolve (a traced run crashes at install otherwise,
 and nothing else in tier-1 would notice), the reference evaluator stays a
 test oracle that no production module imports, and no ``executor`` selector
 is reachable from the library API or the command line.
+
+The planner half: the engine orders joins from live relation statistics
+and consumes nothing of the abstract interpretation (which stays a lint
+pass and an ``explain`` annotation).  No analysis parameter, import or
+environment flag may grow back, and — the defect the old hookup's cache
+caused — a knowledge base that was queried and explained is freed once
+its owner drops it.
 """
 
 import ast
+import gc
 import importlib
 import importlib.util
 import inspect
+import weakref
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.engine import SemiNaiveEngine, evaluate_conjunction, retrieve
+from repro.engine.kernels import (
+    compile_conjunction_kernel,
+    compile_rule_kernel,
+    kernelize_conjunction,
+)
+from repro.engine.magic import magic_rewrite
 from repro.obs.explain import explain_plan
+from repro.server import MultiVersionCatalog, SessionPool
 from repro.session import Session
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -50,22 +66,109 @@ def test_benchmark_trace_target_resolves(module_name, path):
     assert callable(vars(owner)[attribute])
 
 
+def _imported_names(source: Path) -> list[str]:
+    """Every dotted name *source* imports (``from a import b`` gives ``a``
+    and ``a.b``), function-level imports included."""
+    names: list[str] = []
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names.append(module)
+            names.extend(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
 def test_reference_evaluator_is_imported_by_no_production_module():
     importers = []
     for source in sorted(PACKAGE.rglob("*.py")):
         if source == PACKAGE / "engine" / "reference.py":
             continue
-        for node in ast.walk(ast.parse(source.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                names = [module, *(f"{module}.{alias.name}" for alias in node.names)]
-            else:
-                continue
-            if any(name.split(".")[-1] == "reference" for name in names):
-                importers.append(str(source.relative_to(ROOT)))
+        if any(name.split(".")[-1] == "reference" for name in _imported_names(source)):
+            importers.append(str(source.relative_to(ROOT)))
     assert importers == []
+
+
+def test_engine_imports_only_the_mode_schedule_from_absint():
+    # The magic rewrite shares ``ModeTable.schedule_rule`` with the mode
+    # analysis; summaries, type and cardinality inference stay out.
+    absint = "repro.analysis.absint"
+    offenders = []
+    for source in sorted((PACKAGE / "engine").rglob("*.py")):
+        for name in _imported_names(source):
+            if name.startswith(absint) and not name.startswith(absint + ".modes"):
+                offenders.append(f"{source.relative_to(ROOT)}: {name}")
+    assert offenders == []
+
+
+def test_no_planner_environment_flag():
+    # Spelled in two halves so that a grep for the flag stays empty here too.
+    flag = "REPRO_PLAN_" + "ANALYSIS"
+    assert [
+        str(source.relative_to(ROOT))
+        for source in sorted((ROOT / "src").rglob("*.py"))
+        if flag in source.read_text()
+    ] == []
+
+
+@pytest.mark.parametrize(
+    "entry_point",
+    [
+        SemiNaiveEngine.__init__,
+        kernelize_conjunction,
+        compile_conjunction_kernel,
+        compile_rule_kernel,
+        magic_rewrite,
+    ],
+    ids=lambda entry_point: entry_point.__qualname__,
+)
+def test_no_analysis_parameter(entry_point):
+    hookups = {"analysis", "summary", "var_domains", "mode_table"}
+    assert not hookups & set(inspect.signature(entry_point).parameters)
+
+
+PATH_PROGRAM = """
+edge(a, b). edge(b, c). edge(c, d).
+path(X, Y) <- edge(X, Y).
+path(X, Y) <- edge(X, Z) and path(Z, Y).
+"""
+
+
+def test_queried_and_explained_knowledge_bases_are_freed():
+    dropped = []
+    for _ in range(20):
+        session = Session()
+        session.load(PATH_PROGRAM)
+        assert len(session.query("retrieve path(X, Y)").rows) == 6
+        assert explain_plan(session.kb, "path(X, Y)").analysis
+        dropped.append(weakref.ref(session.kb))
+        del session
+    gc.collect()
+    assert sum(ref() is not None for ref in dropped) == 0
+
+
+def test_served_snapshots_are_freed_as_commits_publish_past_them():
+    seed = Session()
+    seed.load(PATH_PROGRAM)
+    catalog = MultiVersionCatalog(seed.kb)
+    pool = SessionPool(size=1)
+    published = []
+    try:
+        for index in range(12):
+            _, snapshot = catalog.commit(
+                lambda kb, index=index: kb.add_fact("edge", "d", f"n{index}")
+            )
+            outcome = pool.query_sync(snapshot, "retrieve path(X, Y)")
+            assert len(outcome.result.rows) == 6 + 4 * (index + 1)
+            published.append(weakref.ref(snapshot.kb))
+            del snapshot, outcome
+        gc.collect()
+        # The catalog pins its current snapshot and the pool slot its
+        # session's; both are the latest.
+        assert sum(ref() is not None for ref in published) <= 2
+    finally:
+        pool.shutdown()
 
 
 @pytest.mark.parametrize(

@@ -7,9 +7,6 @@ no production path).  Every engine configuration the repo ships —
 * semi-naive bottom-up over the python table backend,
 * the same with the numpy table backend forced on (skipped silently when
   numpy is not importable),
-* the same with analysis-informed planning forced off (the purely
-  syntactic join order — answers must not depend on the
-  abstract-interpretation summary),
 * top-down evaluation with call-pattern tabling,
 * magic-sets rewriting followed by semi-naive evaluation,
 
@@ -55,27 +52,21 @@ def _numpy_available() -> bool:
     return True
 
 
-#: Every (engine, table backend, analysis) tuple checked against the
-#: reference evaluator.  Backend ``"python"`` pins the id-tuple tables;
-#: ``"numpy"`` forces the array tables with the row floor at 1 so every
-#: delta takes the vectorized path (the numpy config drops out of the
-#: matrix when numpy is not importable).  Analysis ``None`` keeps the
-#: ambient planner default (analysis-informed); ``"off"`` pins the purely
-#: syntactic planner for the run.
+#: Every (engine, table backend) pair checked against the reference
+#: evaluator.  Backend ``"python"`` pins the id-tuple tables; ``"numpy"``
+#: forces the array tables with the row floor at 1 so every delta takes the
+#: vectorized path (the numpy config drops out of the matrix when numpy is
+#: not importable).
 CONFIGS = (
-    ("seminaive", "python", None),
-    ("seminaive", "python", "off"),
-    ("topdown", "python", None),
-    ("magic", "python", None),
-) + ((("seminaive", "numpy", None),) if _numpy_available() else ())
+    ("seminaive", "python"),
+    ("topdown", "python"),
+    ("magic", "python"),
+) + ((("seminaive", "numpy"),) if _numpy_available() else ())
 
 
-def _answers(kb, subject, engine, backend, analysis):
-    from repro.analysis.absint.summary import planning_override
-
-    with planning_override(False if analysis == "off" else None):
-        with backend_override(backend, min_rows=1):
-            return retrieve(kb, subject, engine=engine).to_set()
+def _answers(kb, subject, engine, backend):
+    with backend_override(backend, min_rows=1):
+        return retrieve(kb, subject, engine=engine).to_set()
 
 
 def assert_engines_agree(kb, subject):
