@@ -15,7 +15,7 @@ query statements behind one coherent instrument:
   (necessity tests), subjectless describe (possibility tests), wildcard
   describe, disjunctive hypotheses, and ``compare``;
 * the surrounding system: proof trees (``explain``), intensional answers,
-  rule-base diagnostics, incremental view maintenance, and persistence.
+  rule-base diagnostics, a materialized view cache, and persistence.
 
 Quick start::
 

@@ -172,7 +172,8 @@ def run_cache_report(args: argparse.Namespace, out=None) -> int:
         session.query(query)
     warm_s = (time.perf_counter() - started) / max(repeats, 1)
 
-    # Mutate-then-requery: a single-fact delta repaired incrementally.
+    # Mutate-then-requery: the cache repairs a non-recursive view in place
+    # and recomputes a closure that contains recursion.
     mutate_s = None
     victim = next(
         (p for p in session.kb.edb_predicates() if len(session.kb.relation(p))),

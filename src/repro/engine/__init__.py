@@ -8,7 +8,9 @@ query conjunction to a logical plan, :mod:`repro.engine.kernels` lowers
 it to an integer kernel over interned symbol ids, and the one stratum
 driver in :mod:`repro.engine.seminaive` runs the fixpoint.  The
 tuple-at-a-time joins of :mod:`repro.engine.joins` serve top-down
-evaluation, provenance and incremental maintenance, and — as
+evaluation, provenance and the view cache's one-pass repair of
+non-recursive views (:mod:`repro.engine.incremental`, which only
+:mod:`repro.engine.viewcache` imports), and — as
 :mod:`repro.engine.reference`, which nothing here imports — the oracle
 the test suites compare the production path against."""
 
@@ -31,7 +33,6 @@ from repro.engine.plan import (
     compile_conjunction,
     compile_rule,
 )
-from repro.engine.incremental import MaterializedDatabase
 from repro.engine.kernels import (
     ConjunctionKernel,
     IntTable,
@@ -71,7 +72,6 @@ __all__ = [
     "derivable",
     "evaluate_conjunction",
     "retrieve",
-    "MaterializedDatabase",
     "MagicProgram",
     "magic_conjunction",
     "magic_rewrite",

@@ -153,10 +153,11 @@ def evaluate_conjunction(
 
     ``cache`` (a :class:`~repro.engine.viewcache.ViewCache` bound to *kb*)
     serves the seminaive engine's IDB materialisations from warm views when
-    their dependency fingerprints are current, refreshing small EDB deltas
-    incrementally.  It is ignored for other engines, for a mismatched
-    knowledge base, and under an explicit ``max_derived_facts`` limit
-    (cached relations were computed without one, so answers could differ).
+    their dependency fingerprints are current, repairing non-recursive
+    views in place under small EDB deltas.  It is ignored for other
+    engines, for a mismatched knowledge base, and under an explicit
+    ``max_derived_facts`` limit (cached relations were computed without
+    one, so answers could differ).
     """
     _check_engine(engine)
     iterator = _evaluate_conjunction(

@@ -1,8 +1,8 @@
 """Unified resource governance for query evaluation.
 
 Every evaluation path of the system — the semi-naive engine, the top-down
-tabled engine, magic-sets evaluation, incremental view maintenance, and the
-``describe`` derivation-tree search — can be governed by one
+tabled engine, magic-sets evaluation, the view cache's in-place repair, and
+the ``describe`` derivation-tree search — can be governed by one
 :class:`ResourceGuard` carrying:
 
 * a **wall-clock deadline** (seconds of evaluation time);

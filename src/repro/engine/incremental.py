@@ -1,29 +1,29 @@
-"""Incremental maintenance of materialised IDB relations.
+"""One-pass repair of warm materialised views under a small EDB delta.
 
-A production deductive database does not recompute its derived relations
-from scratch on every update.  :class:`MaterializedDatabase` keeps every
-IDB predicate materialised and maintains it under fact insertions
-(semi-naive delta propagation) and deletions (the classic
-**delete-and-rederive / DRed** algorithm: overdelete everything whose
-derivation may use the deleted facts, then rederive what is still supported,
-propagating rederivations as insertions).
+The view cache (:mod:`repro.engine.viewcache`) is the only caller.  When a
+stale closure is positive and **non-recursive** and the change journal
+yields a small net delta, the cache hands its warm relations here instead
+of recomputing them.  A closure that contains a recursive predicate is
+recomputed on the integer kernels (:mod:`repro.engine.seminaive`) and never
+reaches this module: delete-and-rederive through recursion lost to the
+kernel fixpoint by 4-10x when measured (``docs/ALGORITHMS.md`` section 9).
 
-Scope: positive programs are maintained incrementally.  When the rule set
-uses stratified negation, updates fall back to full recomputation (an
-insertion may then *remove* derived facts; a counting/DRed treatment of
-negation is out of scope).  :attr:`MaterializedDatabase.incremental`
-reports which mode is active.
+Without recursion, repair needs no fixpoint: one bottom-up pass, one
+predicate per stratum.  Every relation a predicate's rules read is final
+before the predicate is visited, and the predicate never reads itself.
+Rules fire with one body occurrence restricted to the delta through the
+generic resolver join (:func:`repro.engine.joins.join_conjunction`); delta
+rows are few, so each firing is a handful of index probes.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.errors import CatalogError
 from repro.catalog.database import KnowledgeBase
 from repro.catalog.relation import Relation, Row
-from repro.engine.joins import bind_row, join_conjunction
-from repro.engine.seminaive import SemiNaiveEngine
+from repro.engine.joins import Resolver, bind_row, join_conjunction
 from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule
 from repro.logic.substitution import Substitution
@@ -34,331 +34,133 @@ from repro.logic.unify import match
 Delta = dict[str, set[Row]]
 
 
-def _split_body(body, index):
-    """Split a rule body around the delta occurrence at *index*.
-
-    Comparisons are state-free filters, so any prefix comparison whose
-    variables are not bound by the prefix's positive atoms (or the delta
-    atom itself) is moved to the suffix, where its binders live — otherwise
-    the split join could not evaluate it.
-    """
-    chosen = body[index]
-    raw_prefix = body[:index]
-    suffix = list(body[index + 1 :])
-    bound = set(chosen.variables())
-    for atom in raw_prefix:
-        if not atom.is_comparison():
-            bound.update(atom.variables())
-    prefix = []
-    for atom in raw_prefix:
-        if atom.is_comparison() and not set(atom.variables()) <= bound:
-            suffix.insert(0, atom)
-        else:
-            prefix.append(atom)
-    return prefix, chosen, suffix
-
-
-#: Maintenance strategies.
-STRATEGY_DRED = "dred"
-STRATEGY_COUNTING = "counting"
-STRATEGY_AUTO = "auto"
-STRATEGY_RECOMPUTE = "recompute"
-
-
+# Named for the standalone maintained database this class once was; the name
+# stays only because benchmarks/e2e/trace.py patches
+# ``MaterializedDatabase.apply_edb_delta`` by string.
 class MaterializedDatabase:
-    """A knowledge base with all IDB relations materialised and maintained.
+    """Maintainer over the view cache's relations for *predicates*.
 
-    The wrapped :class:`KnowledgeBase` is mutated by :meth:`insert` /
-    :meth:`delete`; the derived relations are kept consistent with it.  The
-    rule set is fixed at construction time (rule changes require a new
-    instance).
-
-    ``strategy`` selects the maintenance algorithm:
-
-    * ``"dred"`` — delete-and-rederive; handles recursion.
-    * ``"counting"`` — exact derivation counts per fact; deletion is then a
-      decrement instead of an overdelete/rederive sweep, but the algorithm
-      is only sound for **non-recursive** programs (a cyclic derivation
-      would need an infinite count).
-    * ``"auto"`` (default) — counting when the program is positive and
-      non-recursive, DRed when it is positive and recursive, full
-      recomputation when it uses negation.
+    *derived* maps each of *predicates* to its materialisation, consistent
+    with some *past* EDB state; :meth:`apply_edb_delta` brings them up to
+    the current one.  *predicates* must be self-contained (every IDB
+    predicate one of their rules reads is a member), and each must be
+    positive and non-recursive — anything else raises
+    :class:`~repro.errors.CatalogError`.  Nothing is computed here.
     """
 
     def __init__(
-        self, kb: KnowledgeBase, strategy: str = STRATEGY_AUTO, guard=None
-    ) -> None:
-        self._kb = kb
-        #: Optional :class:`~repro.engine.guard.ResourceGuard` governing
-        #: recomputations and maintenance propagation.
-        self._guard = guard
-        self._rules: list[Rule] = kb.rules()
-        positive = all(rule.is_positive() for rule in self._rules)
-        recursive = bool(kb.dependency_graph().recursive_predicates())
-        if strategy == STRATEGY_AUTO:
-            if not positive:
-                strategy = STRATEGY_RECOMPUTE
-            elif recursive:
-                strategy = STRATEGY_DRED
-            else:
-                strategy = STRATEGY_COUNTING
-        if strategy == STRATEGY_COUNTING and recursive:
-            raise CatalogError(
-                "counting maintenance is unsound for recursive programs; "
-                "use strategy='dred'"
-            )
-        if strategy in (STRATEGY_DRED, STRATEGY_COUNTING) and not positive:
-            raise CatalogError(
-                f"strategy {strategy!r} requires a positive program; "
-                "negation falls back to strategy='recompute'"
-            )
-        if strategy not in (STRATEGY_DRED, STRATEGY_COUNTING, STRATEGY_RECOMPUTE):
-            raise CatalogError(f"unknown maintenance strategy: {strategy!r}")
-        self.strategy = strategy
-        self.incremental = strategy != STRATEGY_RECOMPUTE
-        self._strata: list[list[str]] = kb.dependency_graph().evaluation_strata(
-            set(kb.idb_predicates())
-        )
-        self._derived: dict[str, Relation] = {}
-        self._counts: dict[str, dict[Row, int]] = {}
-        self._recompute_all()
-
-    # -- public API ----------------------------------------------------------------
-
-    @classmethod
-    def for_views(
-        cls,
+        self,
         kb: KnowledgeBase,
         derived: dict[str, Relation],
         predicates: set[str],
         guard=None,
-    ) -> "MaterializedDatabase":
-        """A maintainer over externally owned materialisations.
-
-        Built for the view cache (:mod:`repro.engine.viewcache`): *derived*
-        holds already-materialised relations for exactly *predicates* —
-        consistent with some *past* EDB state — and :meth:`apply_edb_delta`
-        brings them up to the current one.  Maintenance is restricted to
-        *predicates* (whose rules must be positive and self-contained: every
-        IDB predicate a rule reads is in the set) and uses DRed for
-        deletions, semi-naive propagation for insertions.  Unlike the normal
-        constructor, nothing is recomputed here.
-        """
-        self = cls.__new__(cls)
+    ) -> None:
+        graph = kb.dependency_graph()
+        for predicate in sorted(predicates):
+            if graph.is_recursive_predicate(predicate):
+                raise CatalogError(
+                    f"one-pass view repair does not cover recursive predicate "
+                    f"{predicate}; recompute it from scratch"
+                )
+            if any(rule.negated for rule in kb.rules_for(predicate)):
+                raise CatalogError(
+                    f"one-pass view repair covers positive rules only; "
+                    f"recompute {predicate} from scratch"
+                )
         self._kb = kb
-        self._guard = guard
-        self._rules = [r for r in kb.rules() if r.head.predicate in predicates]
-        if any(not rule.is_positive() for rule in self._rules):
-            raise CatalogError(
-                "view maintenance covers positive rules only; recompute "
-                "negated programs from scratch"
-            )
-        self.strategy = STRATEGY_DRED
-        self.incremental = True
-        self._strata = kb.dependency_graph().evaluation_strata(set(predicates))
         self._derived = derived
-        self._counts = {}
-        return self
+        #: Optional :class:`~repro.engine.guard.ResourceGuard`; ticks once
+        #: per delta row fired.
+        self._guard = guard
+        # Singleton components (nothing here is recursive), dependency order.
+        self._order: list[str] = [
+            predicate
+            for stratum in graph.evaluation_strata(predicates)
+            for predicate in stratum
+        ]
 
     def apply_edb_delta(self, added: Delta, removed: Delta) -> None:
         """Propagate already-applied EDB changes into the materialisations.
 
         The stored relations must already reflect the change: *removed* rows
-        are gone from them, *added* rows are present.  Deletions run first
-        (DRed over-delete/rederive against the current state), then
-        insertions propagate semi-naively; with positive rules either order
-        reaches the same fixpoint, the deletions-first order just keeps the
-        rederivation frontier smaller.
+        are gone from them, *added* rows are present.  Each predicate is
+        visited once, after everything it reads: rows whose derivation may
+        have used a removed row are *suspects*; a suspect no rule still
+        derives is *lost* (deleted, and a removed row for the predicates
+        above); a row some rule derives from an added row and the view lacks
+        is *fresh* (inserted, and an added row for the predicates above).
         """
-        removed = {p: set(rows) for p, rows in removed.items() if rows}
-        added = {p: set(rows) for p, rows in added.items() if rows}
-        if removed:
-            self._dred(removed)
-        if added:
-            self._propagate_insertions(added)
-
-    @property
-    def kb(self) -> KnowledgeBase:
-        """The underlying knowledge base."""
-        return self._kb
-
-    def relation(self, predicate: str) -> Relation:
-        """The current (stored or derived) relation of a predicate."""
-        if self._kb.is_edb(predicate):
-            return self._kb.relation(predicate)
-        if predicate in self._derived:
-            return self._derived[predicate]
-        raise CatalogError(f"unknown or ruleless predicate: {predicate}")
-
-    def rows(self, predicate: str) -> set[Row]:
-        """The current rows of a predicate, as a set."""
-        return set(self.relation(predicate).rows())
-
-    def holds(self, atom: Atom) -> bool:
-        """Whether a ground atom is currently true."""
-        if not atom.is_ground():
-            raise CatalogError(f"holds() needs a ground atom, got {atom}")
-        relation = self.relation(atom.predicate)
-        return next(relation.lookup(list(atom.args)), None) is not None
-
-    def insert(self, predicate: str, *values: object) -> bool:
-        """Insert one EDB fact, maintaining every derived relation.
-
-        Returns ``False`` when the fact was already present.  The update is
-        atomic: a failure during propagation (a guard trip, an injected
-        fault) restores the stored fact and every derived relation.
-        """
-        if not self._kb.is_edb(predicate):
-            raise CatalogError(
-                f"facts can only be inserted into EDB predicates, not {predicate}"
-            )
-        staged = self._begin(predicate)
-        try:
-            if not self._kb.add_fact(predicate, *values):
-                return False
-            if not self.incremental:
-                self._recompute_all()
-                return True
-            row: Row = tuple(Atom(predicate, values).args)  # type: ignore[assignment]
-            if self.strategy == STRATEGY_COUNTING:
-                self._counting_update({predicate: {row}}, sign=+1)
-            else:
-                self._propagate_insertions({predicate: {row}})
-            return True
-        except BaseException:
-            self._restore(predicate, staged)
-            raise
-
-    def delete(self, predicate: str, *values: object) -> bool:
-        """Delete one EDB fact, maintaining every derived relation (DRed).
-
-        Returns ``False`` when the fact was absent.  Atomic like
-        :meth:`insert`: a failed maintenance sweep restores the fact and the
-        derived relations.
-        """
-        if not self._kb.is_edb(predicate):
-            raise CatalogError(
-                f"facts can only be deleted from EDB predicates, not {predicate}"
-            )
-        atom = Atom(predicate, values)
-        row: Row = tuple(atom.args)  # type: ignore[assignment]
-        staged = self._begin(predicate)
-        try:
-            if not self._kb.relation(predicate).delete(row):
-                return False
-            if not self.incremental:
-                self._recompute_all()
-                return True
-            if self.strategy == STRATEGY_COUNTING:
-                self._counting_update({predicate: {row}}, sign=-1)
-            else:
-                self._dred({predicate: {row}})
-            return True
-        except BaseException:
-            self._restore(predicate, staged)
-            raise
+        # Private copies: derived deltas are added as the pass climbs.
+        added = {p: rows for p, rows in added.items() if rows}
+        removed = {p: rows for p, rows in removed.items() if rows}
+        current = self._resolver()
+        # Offering the removed rows back makes the join read a superset of
+        # the old state, so no old derivation is missed; the view itself
+        # filters out what the added rows let through.
+        before = self._resolver(offered=removed)
+        for predicate in self._order:
+            relation = self._derived[predicate]
+            rules = self._kb.rules_for(predicate)
+            suspects = {
+                row
+                for rule in rules
+                for row in self._fire(rule, removed, before)
+                if row in relation
+            }
+            lost = {
+                row for row in suspects if not self._derivable(rules, row, current)
+            }
+            for row in lost:
+                relation.delete(row)
+            fresh = {
+                row
+                for rule in rules
+                for row in self._fire(rule, added, current)
+                if row not in relation
+            }
+            relation.insert_many(fresh)
+            if lost:
+                removed[predicate] = lost
+            if fresh:
+                added[predicate] = fresh
 
     # -- internals --------------------------------------------------------------------
 
-    def _begin(self, predicate: str):
-        """Checkpoint the state one update can change.
+    def _resolver(self, offered: Delta | None = None) -> Resolver:
+        """A resolver over the current relations, plus the *offered* rows.
 
-        The stored relation of *predicate* plus every materialised relation
-        of a predicate that (transitively) depends on it; unrelated derived
-        relations are not copied.  Checkpoints are shallow row-set copies.
-        """
-        graph = self._kb.dependency_graph()
-        affected = [
-            p for p in self._derived if predicate in graph.dependencies(p)
-        ]
-        return (
-            self._kb.relation(predicate).checkpoint(),
-            self._derived,
-            {p: self._derived[p].checkpoint() for p in affected},
-            {p: dict(c) for p, c in self._counts.items()} if self._counts else None,
-        )
-
-    def _restore(self, predicate: str, staged) -> None:
-        """Undo a failed update from its :meth:`_begin` checkpoint."""
-        edb, derived_ref, derived_rows, counts = staged
-        self._kb.relation(predicate).restore(edb)
-        # The recompute path reassigns ``self._derived`` wholesale; point it
-        # back at the pre-update mapping before restoring touched row sets.
-        self._derived = derived_ref
-        for name, snapshot in derived_rows.items():
-            self._derived[name].restore(snapshot)
-        if counts is not None:
-            self._counts = counts
-
-    def _recompute_all(self) -> None:
-        engine = SemiNaiveEngine(self._kb, guard=self._guard)
-        self._derived = dict(engine.evaluate(None))
-        for predicate in self._kb.idb_predicates():
-            self._derived.setdefault(
-                predicate, Relation(self._kb.schema(predicate).arity)
-            )
-        if self.strategy == STRATEGY_COUNTING:
-            self._initial_counts()
-
-    def _initial_counts(self) -> None:
-        """Derivation counts per fact (counting strategy, non-recursive)."""
-        resolver = self._resolver_with()
-        self._counts = {p: {} for p in self._kb.idb_predicates()}
-        for rule in self._rules:
-            counts = self._counts[rule.head.predicate]
-            for theta in join_conjunction(resolver, rule.body):
-                head = theta.apply(rule.head)
-                if head.is_ground():
-                    row = tuple(head.args)
-                    counts[row] = counts.get(row, 0) + 1
-
-    def _resolver_with(self, extra: Delta | None = None, exclude: Delta | None = None):
-        """A resolver over the current relations, with optional adjustments.
-
-        ``extra`` re-offers rows that were (or are being) physically removed
-        (overdeletion and the deletion-side "old view"); ``exclude`` hides
-        rows (the insertion-side "old view" of the counting update).
+        Both are read at call time, so one resolver serves the whole pass.
         """
 
         def resolve(atom: Atom, theta: Substitution) -> Iterator[Substitution]:
             predicate = atom.predicate
             if self._kb.is_edb(predicate):
                 relation = self._kb.relation(predicate)
-            elif predicate in self._derived:
-                relation = self._derived[predicate]
             else:
-                relation = None
-            hidden = exclude.get(predicate, set()) if exclude else set()
+                relation = self._derived.get(predicate)
             if relation is not None:
                 pattern = [arg if is_constant(arg) else None for arg in atom.args]
                 for row in relation.lookup(pattern):
-                    if row in hidden:
-                        continue
                     extended = bind_row(atom, row, theta)
                     if extended is not None:
                         yield extended
-            if extra is not None and predicate in extra:
-                seen = relation
-                for row in extra[predicate]:
-                    if row in hidden:
-                        continue
-                    if seen is not None and row in seen:
-                        continue  # already yielded from the relation
+            if offered is not None:
+                # Offered rows were physically removed, so none of them was
+                # already yielded from the relation.
+                for row in offered.get(predicate, ()):
                     extended = bind_row(atom, row, theta)
                     if extended is not None:
                         yield extended
 
         return resolve
 
-    def _fire_with_delta(
-        self, rule: Rule, delta: Delta, extra: Delta | None = None
-    ) -> Iterator[Row]:
+    def _fire(self, rule: Rule, delta: Delta, resolver: Resolver) -> Iterator[Row]:
         """Head rows of *rule* whose derivation uses at least one delta row.
 
         One body occurrence at a time is restricted to the delta; the others
-        read the full relations (the standard semi-naive rewriting).
+        read the full relations through *resolver* (the standard semi-naive
+        rewriting).
         """
-        resolver = self._resolver_with(extra=extra)
         for index, atom in enumerate(rule.body):
             if atom.is_comparison() or atom.predicate not in delta:
                 continue
@@ -376,166 +178,13 @@ class MaterializedDatabase:
                     if head.is_ground():
                         yield tuple(head.args)  # type: ignore[misc]
 
-    def _propagate_insertions(self, delta: Delta) -> None:
-        """Semi-naive insertion propagation through the strata."""
-        accumulated: Delta = {p: set(rows) for p, rows in delta.items()}
-        for stratum in self._strata:
-            stratum_rules = [rule for p in stratum for rule in self._kb.rules_for(p)]
-            current: Delta = {p: set(rows) for p, rows in accumulated.items()}
-            while current:
-                if self._guard is not None:
-                    self._guard.iteration()
-                new_rows: Delta = {}
-                for rule in stratum_rules:
-                    relation = self._derived[rule.head.predicate]
-                    for row in self._fire_with_delta(rule, current):
-                        if row not in relation and row not in new_rows.get(
-                            rule.head.predicate, set()
-                        ):
-                            new_rows.setdefault(rule.head.predicate, set()).add(row)
-                for predicate, rows in new_rows.items():
-                    self._derived[predicate].insert_many(rows)
-                    accumulated.setdefault(predicate, set()).update(rows)
-                current = new_rows
-
-    def _dred(self, deleted: Delta) -> None:
-        """Delete-and-rederive after EDB deletions."""
-        # Phase 1: overdelete.  Joins must see the pre-deletion state; the
-        # already-removed EDB rows (and, transitively, the overdeleted IDB
-        # rows once removed) are offered back through ``extra``.
-        overdeleted: Delta = {p: set(rows) for p, rows in deleted.items()}
-        frontier: Delta = {p: set(rows) for p, rows in deleted.items()}
-        while frontier:
-            if self._guard is not None:
-                self._guard.iteration()
-            next_frontier: Delta = {}
-            for rule in self._rules:
-                head_pred = rule.head.predicate
-                relation = self._derived[head_pred]
-                for row in self._fire_with_delta(rule, frontier, extra=overdeleted):
-                    if row in overdeleted.get(head_pred, set()):
-                        continue
-                    if row in relation:
-                        next_frontier.setdefault(head_pred, set()).add(row)
-                        overdeleted.setdefault(head_pred, set()).add(row)
-            frontier = next_frontier
-        for predicate, rows in overdeleted.items():
-            if predicate in self._derived:
-                for row in rows:
-                    self._derived[predicate].delete(row)
-
-        # Phase 2: rederive.  An overdeleted IDB row returns when some rule
-        # still derives it from the remaining state; returns propagate as
-        # insertions (they may re-support other overdeleted rows in higher
-        # strata or later semi-naive rounds).
-        rederived: Delta = {}
-        for stratum in self._strata:
-            # Within a recursive stratum, rederivation itself must reach a
-            # fixpoint: a row that comes back can support another candidate.
-            changed = True
-            while changed:
-                changed = False
-                for predicate in stratum:
-                    candidates = overdeleted.get(predicate, set()) - self.rows(predicate)
-                    if not candidates:
-                        continue
-                    supported = self._rederivable(predicate, candidates)
-                    if supported:
-                        self._derived[predicate].insert_many(supported)
-                        rederived.setdefault(predicate, set()).update(supported)
-                        changed = True
-        if rederived:
-            self._propagate_insertions(rederived)
-
-    # -- counting strategy --------------------------------------------------------
-
-    def _count_derivations(self, rule: Rule, delta: Delta, sign: int) -> Iterator[Row]:
-        """Head rows of derivations gained (+1) or lost (-1), one per derivation.
-
-        The standard disjoint decomposition over the first delta occurrence:
-        earlier atoms read the *old* state, the chosen occurrence reads the
-        delta, later atoms read the *new* state.  For insertions (delta rows
-        already stored) old = current minus delta; for deletions (delta rows
-        already removed) old = current plus delta.
-        """
-        if sign > 0:
-            old_resolver = self._resolver_with(exclude=delta)
-            new_resolver = self._resolver_with()
-        else:
-            old_resolver = self._resolver_with(extra=delta)
-            new_resolver = self._resolver_with()
-        for index, atom in enumerate(rule.body):
-            if atom.is_comparison() or atom.predicate not in delta:
+    def _derivable(self, rules: Sequence[Rule], row: Row, resolver: Resolver) -> bool:
+        """Whether some rule derives *row* from what *resolver* reads."""
+        for rule in rules:
+            theta = match(rule.head, Atom(rule.head.predicate, row))
+            if theta is None:
                 continue
-            prefix, _chosen, suffix = _split_body(rule.body, index)
-            # Bind the delta row first: the old-view prefix join and the
-            # new-view suffix join are then driven by its constants.  The
-            # two sides must stay separate (disjoint decomposition), so
-            # joins cannot be merged into one reordered conjunction.
-            for row in delta[atom.predicate]:
-                theta = bind_row(atom, row, Substitution.EMPTY)
-                if theta is None:
-                    continue
-                for theta2 in join_conjunction(old_resolver, prefix, theta):
-                    for theta3 in join_conjunction(new_resolver, suffix, theta2):
-                        head = theta3.apply(rule.head)
-                        if head.is_ground():
-                            yield tuple(head.args)  # type: ignore[misc]
-
-    def _counting_update(self, delta: Delta, sign: int) -> None:
-        """Propagate an EDB change through the (non-recursive) strata."""
-        pending: Delta = {p: set(rows) for p, rows in delta.items()}
-        for stratum in self._strata:
-            for predicate in stratum:
-                counts = self._counts[predicate]
-                relation = self._derived[predicate]
-                changed: set[Row] = set()
-                for rule in self._kb.rules_for(predicate):
-                    for row in self._count_derivations(rule, pending, sign):
-                        before = counts.get(row, 0)
-                        counts[row] = before + sign
-                        if sign > 0 and before == 0:
-                            changed.add(row)
-                        elif sign < 0 and counts[row] == 0:
-                            changed.add(row)
-                            del counts[row]
-                        elif sign < 0 and counts[row] < 0:
-                            raise AssertionError(
-                                f"negative derivation count for {predicate}{row}"
-                            )
-                if not changed:
-                    continue
-                if sign > 0:
-                    relation.insert_many(changed)
-                else:
-                    for row in changed:
-                        relation.delete(row)
-                pending.setdefault(predicate, set()).update(changed)
-
-    def derivation_count(self, atom: Atom) -> int:
-        """The number of derivations of a ground IDB atom (counting mode)."""
-        if self.strategy != STRATEGY_COUNTING:
-            raise CatalogError("derivation counts are tracked by the counting strategy only")
-        if not atom.is_ground():
-            raise CatalogError(f"derivation_count() needs a ground atom, got {atom}")
-        return self._counts.get(atom.predicate, {}).get(tuple(atom.args), 0)  # type: ignore[arg-type]
-
-    # -- DRed helpers --------------------------------------------------------------
-
-    def _rederivable(self, predicate: str, candidates: set[Row]) -> set[Row]:
-        """Candidate rows of *predicate* still derivable by some rule."""
-        resolver = self._resolver_with()
-        supported: set[Row] = set()
-        for row in candidates:
-            target = Atom(predicate, row)
-            for rule in self._kb.rules_for(predicate):
-                theta = match(rule.head, target)
-                if theta is None:
-                    continue
-                found = next(
-                    iter(join_conjunction(resolver, theta.apply_all(rule.body))), None
-                )
-                if found is not None:
-                    supported.add(row)
-                    break
-        return supported
+            body = theta.apply_all(rule.body)
+            if next(join_conjunction(resolver, body), None) is not None:
+                return True
+        return False

@@ -1,4 +1,4 @@
-"""Version-keyed materialized IDB view cache with incremental refresh.
+"""Version-keyed materialized IDB view cache with in-place view repair.
 
 Serving workloads re-issue the same queries against a slowly changing
 knowledge base, yet every ``retrieve`` recomputes the full semi-naive
@@ -16,14 +16,16 @@ next probe notices the mismatch.  Transaction rollback
 (:meth:`~repro.catalog.relation.Relation.restore`) bumps the same counters,
 so a cache can never serve state from a rolled-back world.
 
-On a stale probe the cache first tries an **incremental refresh**: the
-per-relation change journal (:meth:`~repro.catalog.relation.Relation.changes_since`)
-reconstructs the net EDB delta since the cached versions, and when it is
-small (``incremental_threshold``) the cached relations are repaired in
-place through the existing delete-and-rederive / semi-naive propagation
-machinery (:meth:`~repro.engine.incremental.MaterializedDatabase.for_views`)
-instead of recomputing the fixpoint cold.  Negated rule sets, large deltas,
-journal gaps, and rule changes all fall back to a full recompute.
+On a stale probe the cache picks one of two routes from what it observes.
+The per-relation change journal (:meth:`~repro.catalog.relation.Relation.changes_since`)
+reconstructs the net EDB delta since the cached versions; when it is small
+(:data:`REPAIR_MAX_DELTA_ROWS`) and the closure is positive and
+**non-recursive**, the cached relations are repaired in place by the
+one-pass maintainer of :mod:`repro.engine.incremental`.  A closure that
+contains a recursive predicate is recomputed on the kernels — the fixpoint
+is faster there than any repair through recursion was — and so are negated
+rule sets, large deltas, journal gaps, and rule changes.  A ``cache.probe``
+span that recomputes says why in its ``reason`` attribute.
 
 A failure mid-refresh (guard trip, cancellation, injected fault) drops the
 affected entries before propagating: the cache is always either consistent
@@ -63,9 +65,9 @@ from repro.engine.seminaive import SemiNaiveEngine
 #: Default ceiling on derived rows pinned across all cached views.
 DEFAULT_MAX_ROWS = 1_000_000
 
-#: Default net-delta size (rows) above which a stale view is recomputed
-#: cold instead of refreshed incrementally.
-DEFAULT_INCREMENTAL_THRESHOLD = 64
+#: Net-delta size (rows) above which a stale view is recomputed cold
+#: instead of repaired in place.
+REPAIR_MAX_DELTA_ROWS = 64
 
 #: Default ceiling on memoized knowledge-query results.
 DEFAULT_MAX_STATEMENTS = 256
@@ -174,9 +176,6 @@ class ViewCache:
     max_rows:
         Total derived rows the cache may pin; least-recently-used views are
         evicted past it.
-    incremental_threshold:
-        Net EDB delta size (rows) up to which a stale view is refreshed
-        in place through delta propagation / DRed; larger deltas recompute.
     max_statements:
         Memoized knowledge-query results retained (LRU).
     """
@@ -185,19 +184,12 @@ class ViewCache:
         self,
         kb: KnowledgeBase,
         max_rows: int = DEFAULT_MAX_ROWS,
-        incremental_threshold: int = DEFAULT_INCREMENTAL_THRESHOLD,
         max_statements: int = DEFAULT_MAX_STATEMENTS,
     ) -> None:
         if max_rows < 1:
             raise ValueError(f"max_rows must be at least 1, got {max_rows!r}")
-        if incremental_threshold < 0:
-            raise ValueError(
-                f"incremental_threshold must be non-negative, got "
-                f"{incremental_threshold!r}"
-            )
         self._kb = kb
         self.max_rows = max_rows
-        self.incremental_threshold = incremental_threshold
         self.max_statements = max_statements
         self._views: dict[str, _ViewEntry] = {}
         self._statements: OrderedDict[tuple, object] = OrderedDict()
@@ -223,13 +215,14 @@ class ViewCache:
         """Materialised relations for the requested IDB predicates.
 
         Drop-in for :meth:`SemiNaiveEngine.evaluate`: probes the cache,
-        refreshes warm-but-stale views incrementally when the EDB delta is
-        small, and falls back to a governed full recompute otherwise.  Only
+        repairs warm-but-stale non-recursive views in place when the EDB
+        delta is small, and runs a governed full recompute otherwise.  Only
         complete (untripped) computations are stored; a
         :class:`~repro.errors.ResourceExhausted` trip propagates with the
         cache unchanged (stale entries dropped, nothing half-written).
         *tracer* records one ``cache.probe`` span per call whose ``outcome``
-        attribute mirrors the :class:`CacheStats` counter the call bumps.
+        attribute mirrors the :class:`CacheStats` counter the call bumps; a
+        ``recompute`` outcome carries the ``reason`` repair was not taken.
         """
         from repro.obs.trace import traced_span
 
@@ -260,7 +253,8 @@ class ViewCache:
                     tracer.count("cache_hits")
                 return {p: self._views[p].relation for p in wanted}
 
-            if self._refresh_incrementally(members, profiles, guard, tracer):
+            reason = self._refresh_incrementally(members, profiles, guard, tracer)
+            if reason is None:
                 self.stats.incremental_refreshes += 1
                 if tracer is not None:
                     tracer.annotate(outcome="incremental")
@@ -271,7 +265,7 @@ class ViewCache:
                 self.stats.misses += 1
                 self.stats.full_refreshes += 1
                 if tracer is not None:
-                    tracer.annotate(outcome="recompute")
+                    tracer.annotate(outcome="recompute", reason=reason)
                     tracer.count("cache_misses")
             self._evict()
             self._update_gauges()
@@ -405,32 +399,36 @@ class ViewCache:
         profiles: dict[str, tuple[dict[str, int], frozenset[str]]],
         guard: ResourceGuard | None,
         tracer=None,
-    ) -> bool:
-        """Repair warm-but-stale views in place; ``True`` on success.
+    ) -> str | None:
+        """Repair warm-but-stale views in place.
 
-        Requires every closure member cached at one consistent EDB snapshot
-        under the current rule set, positive rules, reconstructable journals
-        for every changed dependency, and a net delta within the threshold.
+        Returns ``None`` once the views are current, otherwise the reason
+        they must be recomputed.  Repair requires every closure member
+        cached at one consistent EDB snapshot under the current rule set,
+        positive rules, reconstructable journals for every changed
+        dependency, a net delta within :data:`REPAIR_MAX_DELTA_ROWS` and —
+        unless that delta is empty — no recursive member.
         """
         kb = self._kb
         rules_version = kb.rules_version
         entries = {p: self._views.get(p) for p in members}
         if any(entry is None for entry in entries.values()):
-            return False
+            return "cold"
         base: dict[str, int] = {}
         for predicate, entry in entries.items():
-            if entry.rules_version != rules_version:
-                return False
-            if entry.undefined != profiles[predicate][1]:
-                return False
+            if (
+                entry.rules_version != rules_version
+                or entry.undefined != profiles[predicate][1]
+            ):
+                return "rules"
             for name, version in entry.edb_versions.items():
                 if base.setdefault(name, version) != version:
-                    return False  # entries cached at different snapshots
+                    return "snapshot"  # entries cached at different snapshots
         for predicate in members:
             if any(rule.negated for rule in kb.rules_for(predicate)):
                 # An insertion can *remove* derived facts under negation;
-                # the DRed/propagation repair only covers positive rules.
-                return False
+                # the repair only covers positive rules.
+                return "negation"
 
         added: Delta = {}
         removed: Delta = {}
@@ -441,17 +439,14 @@ class ViewCache:
                 continue
             changes = relation.changes_since(cached_version)
             if changes is None:
-                # Journal gap (restore/clear or window overrun): the repair
-                # cannot reconstruct the delta.  Count the fallback so the
-                # full recompute that follows is diagnosable (see
-                # Relation.journal_resets and Session.cache_stats).
-                if tracer is not None:
-                    tracer.count("journal_reset_fallbacks")
-                return False
+                # Journal gap (restore/clear or window overrun): the delta
+                # cannot be reconstructed (see Relation.journal_resets and
+                # Session.cache_stats).
+                return "journal_gap"
             add, remove = _net_delta(changes)
             total += len(add) + len(remove)
-            if total > self.incremental_threshold:
-                return False
+            if total > REPAIR_MAX_DELTA_ROWS:
+                return "delta_size"
             if add:
                 added[name] = add
             if remove:
@@ -460,10 +455,14 @@ class ViewCache:
         if total:
             from repro.obs.trace import traced_span
 
+            graph = kb.dependency_graph()
+            if any(graph.is_recursive_predicate(p) for p in members):
+                # The closure holds every IDB dependency, so a view that
+                # merely reads a recursive predicate routes with it.  The
+                # kernel fixpoint beats repair through recursion.
+                return "recursive"
             derived = {p: entries[p].relation for p in members}
-            maintainer = MaterializedDatabase.for_views(
-                kb, derived, set(members), guard=guard
-            )
+            maintainer = MaterializedDatabase(kb, derived, set(members), guard=guard)
             try:
                 with traced_span(
                     tracer,
@@ -485,7 +484,7 @@ class ViewCache:
             entry = entries[predicate]
             entry.edb_versions = dict(profiles[predicate][0])
             entry.tick = self._clock
-        return True
+        return None
 
     def _recompute(
         self,

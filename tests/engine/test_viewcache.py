@@ -5,7 +5,7 @@ import pytest
 from repro.catalog.database import KnowledgeBase
 from repro.catalog.relation import JOURNAL_LIMIT, Relation
 from repro.engine.evaluate import retrieve
-from repro.engine.viewcache import ViewCache
+from repro.engine.viewcache import REPAIR_MAX_DELTA_ROWS, ViewCache
 from repro.errors import CoreError
 from repro.lang.parser import parse_atom, parse_rule
 from repro.session import Session
@@ -19,6 +19,20 @@ def chain_kb(n=10):
     kb.add_rule(parse_rule("path(X, Y) <- edge(X, Y)"))
     kb.add_rule(parse_rule("path(X, Z) <- edge(X, Y) and path(Y, Z)"))
     return kb
+
+
+def layered_kb():
+    """Non-recursive views over a graph; ``fork`` reads ``two``."""
+    kb = KnowledgeBase("layered")
+    kb.declare_edb("edge", 2)
+    kb.add_facts("edge", [(0, 1), (1, 2), (2, 3), (0, 2)])
+    kb.add_rule(parse_rule("two(X, Z) <- edge(X, Y) and edge(Y, Z)"))
+    kb.add_rule(parse_rule("fork(X) <- two(X, Y) and edge(X, Y)"))
+    return kb
+
+
+def values(relation):
+    return {tuple(c.value for c in row) for row in relation.rows()}
 
 
 class TestChangeJournal:
@@ -102,23 +116,49 @@ class TestInvalidation:
         assert set(cache.evaluate(["path"])["path"].rows()) == before
 
     def test_incremental_refresh_on_small_delta(self):
+        kb = layered_kb()
+        cache = ViewCache(kb)
+        assert values(cache.evaluate(["fork"])["fork"]) == {(0,)}
+        kb.add_fact("edge", 1, 3)
+        kb.relation("edge").delete(kb.relation("edge").rows()[3])  # edge(0, 2)
+        derived = cache.evaluate(["two", "fork"])
+        assert cache.stats.incremental_refreshes == 1
+        assert cache.stats.full_refreshes == 1
+        assert values(derived["two"]) == {(0, 2), (0, 3), (1, 3)}
+        assert values(derived["fork"]) == {(1,)}
+
+    def test_suspect_row_survives_through_a_second_rule(self):
+        kb = layered_kb()
+        kb.add_rule(parse_rule("two(X, Z) <- edge(X, Z) and edge(Z, W)"))
+        cache = ViewCache(kb)
+        assert (0, 2) in values(cache.evaluate(["two"])["two"])
+        kb.relation("edge").delete(kb.relation("edge").rows()[0])  # edge(0, 1)
+        refreshed = values(cache.evaluate(["two"])["two"])
+        assert cache.stats.incremental_refreshes == 1
+        # 0 -> 1 -> 2 is gone, but the direct rule still derives two(0, 2);
+        # two(0, 1) had no other support.
+        assert (0, 2) in refreshed and (0, 1) not in refreshed
+        assert refreshed == values(ViewCache(kb).evaluate(["two"])["two"])
+
+    def test_large_delta_falls_back_to_recompute(self):
+        kb = layered_kb()
+        cache = ViewCache(kb)
+        cache.evaluate(["fork"])
+        for i in range(200, 201 + REPAIR_MAX_DELTA_ROWS):
+            kb.add_fact("edge", i, i + 1)
+        cache.evaluate(["fork"])
+        assert cache.stats.incremental_refreshes == 0
+        assert cache.stats.full_refreshes == 2
+
+    def test_recursive_closure_recomputes(self):
         kb = chain_kb()
         cache = ViewCache(kb)
         cache.evaluate(["path"])
         kb.add_fact("edge", 100, 0)
         refreshed = cache.evaluate(["path"])["path"]
-        assert cache.stats.incremental_refreshes == 1
-        assert (100, 5) in {(r[0].value, r[1].value) for r in refreshed.rows()}
-
-    def test_large_delta_falls_back_to_recompute(self):
-        kb = chain_kb()
-        cache = ViewCache(kb, incremental_threshold=2)
-        cache.evaluate(["path"])
-        for i in range(200, 206):
-            kb.add_fact("edge", i, i + 1)
-        cache.evaluate(["path"])
         assert cache.stats.incremental_refreshes == 0
         assert cache.stats.full_refreshes == 2
+        assert (100, 5) in values(refreshed)
 
     def test_net_zero_delta_restamps_without_work(self):
         kb = chain_kb()
@@ -154,8 +194,6 @@ class TestEviction:
         kb = chain_kb(3)
         with pytest.raises(ValueError):
             ViewCache(kb, max_rows=0)
-        with pytest.raises(ValueError):
-            ViewCache(kb, incremental_threshold=-1)
 
 
 class TestSessionIntegration:

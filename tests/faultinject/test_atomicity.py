@@ -30,7 +30,7 @@ from repro.catalog import KnowledgeBase, import_csv
 from repro.core.describe import describe
 from repro.engine.evaluate import retrieve
 from repro.engine.guard import ResourceGuard
-from repro.engine.incremental import MaterializedDatabase
+from repro.engine.viewcache import ViewCache
 from repro.lang.parser import parse_atom, parse_rule
 
 #: Seed for injection-point selection; override with FAULTINJECT_SEED.
@@ -83,6 +83,29 @@ def chain_kb(n: int) -> KnowledgeBase:
     kb.add_rule(parse_rule("path(X, Y) <- edge(X, Y)"))
     kb.add_rule(parse_rule("path(X, Z) <- edge(X, Y) and path(Y, Z)"))
     return kb
+
+
+def layered_kb() -> KnowledgeBase:
+    """Non-recursive views over a chain with shortcuts; ``fork`` reads ``two``.
+
+    A stale ``fork`` closure is repaired in place, where ``path`` over
+    :func:`chain_kb` is recomputed.
+    """
+    kb = KnowledgeBase("layered")
+    kb.declare_edb("edge", 2)
+    for i in range(24):
+        kb.add_fact("edge", i, i + 1)
+    for i in range(0, 24, 2):
+        kb.add_fact("edge", i, i + 2)
+    kb.add_rule(parse_rule("two(X, Z) <- edge(X, Y) and edge(Y, Z)"))
+    kb.add_rule(parse_rule("fork(X) <- two(X, Y) and edge(X, Y)"))
+    return kb
+
+
+def delete_edges(kb: KnowledgeBase, *positions: int) -> None:
+    rows = kb.relation("edge").rows()
+    for position in positions:
+        kb.relation("edge").delete(rows[position])
 
 
 def kb_state(kb: KnowledgeBase) -> tuple:
@@ -200,41 +223,41 @@ class TestImportPath:
 
 
 class TestIncrementalMaintenance:
+    """A faulted in-place view repair never touches the knowledge base.
+
+    Cache-side consistency after the same faults is pinned by
+    ``test_viewcache_faults.py``; here the contract is the catalog's.
+    """
+
     @staticmethod
-    def _snapshot(mdb: MaterializedDatabase) -> tuple:
-        derived = {
-            predicate: frozenset(mdb.rows(predicate))
-            for predicate in mdb.kb.idb_predicates()
-        }
-        return (kb_state(mdb.kb), derived)
+    def _drive(scenario: str, mutate) -> None:
+        subject = parse_atom("fork(X)")
+
+        def make():
+            kb = layered_kb()
+            cache = ViewCache(kb)
+            retrieve(kb, subject, cache=cache)  # warm
+            mutate(kb)
+            return kb, cache
+
+        def run(ctx, guard):
+            kb, cache = ctx
+            return frozenset(retrieve(kb, subject, guard=guard, cache=cache).rows)
+
+        kb, cache = make()
+        run((kb, cache), None)
+        assert cache.stats.incremental_refreshes == 1, f"{scenario}: not repaired"
+        drive(scenario, make, run, snapshot=lambda ctx: kb_state(ctx[0]))
 
     def test_insert_propagation(self):
-        def make():
-            return MaterializedDatabase(chain_kb(16), strategy="dred")
+        def mutate(kb):
+            for i in range(1, 20, 2):
+                kb.add_fact("edge", i, i + 2)
 
-        def run(mdb, guard):
-            mdb._guard = guard
-            try:
-                mdb.insert("edge", 100, 0)
-            finally:
-                mdb._guard = None
-            return self._snapshot(mdb)
+        self._drive("repair-insert", mutate)
 
-        drive("incremental-insert", make, run, snapshot=self._snapshot)
-
-    def test_delete_dred(self):
-        def make():
-            return MaterializedDatabase(chain_kb(16), strategy="dred")
-
-        def run(mdb, guard):
-            mdb._guard = guard
-            try:
-                mdb.delete("edge", 8, 9)
-            finally:
-                mdb._guard = None
-            return self._snapshot(mdb)
-
-        drive("incremental-delete", make, run, snapshot=self._snapshot)
+    def test_delete_repair(self):
+        self._drive("repair-delete", lambda kb: delete_edges(kb, *range(2, 30, 3)))
 
 
 def test_total_injection_points_meet_target():

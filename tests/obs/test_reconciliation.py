@@ -87,6 +87,19 @@ class TestCacheReconciliation:
         )
         assert root.find("cache.repair")
 
+    def test_recursive_closure_traced_as_recompute_with_reason(self):
+        session = traced_session(university_kb())
+        session.query("retrieve prior(X, Y)")
+        relation = session.kb.relation("prereq")
+        relation.delete(relation.rows()[0])
+        session.query("retrieve prior(X, Y)")
+        root = session.last_trace
+        probe = root.find("cache.probe")[0]
+        assert probe.attributes["outcome"] == "recompute"
+        assert probe.attributes["reason"] == "recursive"
+        assert root.total("cache_misses") == root.attributes["cache_delta"]["misses"] == 1
+        assert not root.find("cache.repair")
+
     def test_trace_off_by_default_and_last_trace_none(self):
         session = Session(university_kb())
         session.query("retrieve honor(X)")
