@@ -139,36 +139,28 @@ class Relation:
         """Insert many rows; returns how many were new."""
         return sum(1 for row in rows if self.insert(row))
 
+    # benchmarks/e2e/trace.py patches ``Relation.load_interned`` and
+    # ``Relation.load_interned_block`` by string (``catalog.relation.flush``).
     def load_interned(self, int_rows: Sequence[tuple[int, ...]]) -> int:
         """Bulk-load rows given as symbol-id tuples (the kernel flush path).
 
         Semantically ``insert_many`` of the externalized rows, but
-        wholesale: one C-level dict build instead of per-row coercion and
-        journaling.  Because the mutation is not row-at-a-time, journal
-        semantics follow :meth:`restore` — derived structures drop, the
-        version bumps, and the journal resets so incremental consumers
-        recompute.  Returns how many rows were new.
+        wholesale: one bulk :meth:`SymbolTable.extern_rows` pass and one
+        C-level dict build instead of per-row coercion and journaling.
+        Because the mutation is not row-at-a-time, journal semantics follow
+        :meth:`restore` — derived structures drop, the version bumps, and
+        the journal resets so incremental consumers recompute.  A row of
+        the wrong width raises before anything is loaded.  Returns how
+        many rows were new.
         """
         self._assert_mutable()
         if not int_rows:
             return 0
-        extern_row = SYMBOLS.extern_row
-        rows = [extern_row(irow) for irow in int_rows]
-        for row in rows:
-            if len(row) != self.arity:
-                raise ArityError(f"expected {self.arity} columns, got {len(row)}")
-        self._unshare()
-        before = len(self._rows)
-        was_empty = before == 0
-        self._rows.update(dict.fromkeys(rows))
-        added = len(self._rows) - before
-        if not added:
-            return 0
-        self._invalidate_derived()
-        if was_empty and len(self._rows) == len(int_rows):
-            # No duplicates collapsed: the id tuples are the exact mirror.
-            self._introws = list(int_rows)
-        return added
+        arity = self.arity
+        if set(map(len, int_rows)) != {arity}:
+            width = next(len(irow) for irow in int_rows if len(irow) != arity)
+            raise ArityError(f"expected {arity} columns, got {width}")
+        return self._absorb(SYMBOLS.extern_rows(int_rows), int_rows=int_rows)
 
     def load_interned_block(self, block) -> int:
         """Bulk-load a 2-D block of *distinct* symbol-id rows.
@@ -189,26 +181,38 @@ class Relation:
         if not count:
             return 0
         if width == 0:
-            rows: list[Row] = [()]
+            rows: list[Row] = [()] * count
         else:
             rows = SYMBOLS.extern_block(block.ravel().tolist(), width)
+        return self._absorb(rows, block=block)
+
+    def _absorb(self, rows: list[Row], int_rows=None, block=None) -> int:
+        """Merge bulk-loaded *rows* into the row set; returns how many
+        were new.
+
+        The shared tail of the two bulk loaders.  When the relation was
+        empty and no duplicate collapsed, the ids the rows were
+        externalized from are the exact interned mirror and are kept —
+        *int_rows* as the mirror itself, *block* stashed for
+        :meth:`int_rows` to materialize tuples from on demand.
+        """
         self._unshare()
         before = len(self._rows)
-        was_empty = before == 0
-        if was_empty:
+        if before:
+            self._rows.update(dict.fromkeys(rows))
+        else:
             # One dict build instead of build-then-merge (restore() sets
             # the same precedent for rebinding the row dict wholesale).
             self._rows = dict.fromkeys(rows)
-        else:
-            self._rows.update(dict.fromkeys(rows))
         added = len(self._rows) - before
         if not added:
             return 0
         self._invalidate_derived()
-        if was_empty and len(self._rows) == count:
-            # The block *is* the interned mirror; int_rows() materializes
-            # tuples from it lazily if and when a consumer asks.
-            self._intblock = (block, self._version)
+        if not before and added == len(rows):
+            if block is None:
+                self._introws = list(int_rows)
+            else:
+                self._intblock = (block, self._version)
         return added
 
     def delete(self, row: Sequence[object]) -> bool:

@@ -5,7 +5,12 @@ instead of :class:`~repro.logic.terms.Constant` objects.  Hashing a
 ``Constant`` allocates a tuple per call (``hash(("const", value))``); an
 ``int`` hashes to itself.  The :class:`SymbolTable` maps each constant to a
 dense id once, at load/insert time, so the hot join loops never touch a
-``Constant`` again until answers are externalized.
+``Constant`` again.  Ids turn back into constants in bulk, at the two
+places a row set leaves the kernels — a derived table's flush into its
+relation and a ``retrieve`` answer — through :meth:`SymbolTable.extern_rows`
+/ :meth:`SymbolTable.extern_block`; the per-id :meth:`SymbolTable.extern`
+and per-row :meth:`SymbolTable.extern_row` serve order comparisons and
+substitution streams.
 
 Design points:
 
@@ -32,6 +37,7 @@ Design points:
 from __future__ import annotations
 
 import threading
+from itertools import chain
 from typing import Iterable, Sequence
 
 from repro.logic.terms import Constant
@@ -85,21 +91,37 @@ class SymbolTable:
         constants = self._constants
         return tuple(constants[sid] for sid in row)
 
+    # benchmarks/e2e/trace.py patches ``SymbolTable.extern_rows`` and
+    # ``SymbolTable.extern_block`` by string (``catalog.symbols.extern``).
     def extern_rows(
         self, rows: Iterable[Sequence[int]]
     ) -> list[tuple[Constant, ...]]:
-        constants = self._constants
-        return [tuple(constants[sid] for sid in row) for row in rows]
+        """Map equal-width id rows back to constant rows, in one bulk pass.
+
+        The one externalization call of both id -> constant boundaries: a
+        flushed derived table (:meth:`Relation.load_interned`) and a
+        ``retrieve`` answer.  The rows are flattened at C level and cut
+        back into tuples by :meth:`extern_block`, so the cost per row is a
+        few list lookups, not a Python frame.  Every row must have the
+        width of the first (one relation's rows, one answer's rows).
+        """
+        if not isinstance(rows, (list, tuple)):
+            rows = list(rows)
+        if not rows:
+            return []
+        width = len(rows[0])
+        if not width:
+            return [()] * len(rows)
+        return self.extern_block(chain.from_iterable(rows), width)
 
     def extern_block(
-        self, flat_ids: Sequence[int], width: int
+        self, flat_ids: Iterable[int], width: int
     ) -> list[tuple[Constant, ...]]:
         """Externalize a flattened row-major block into *width*-tuples.
 
         One C-level ``map``/``zip`` pass instead of a per-row
-        :meth:`extern_row` call — the bulk-flush path for array-backed
-        derived tables.  ``width`` must be positive (zero-arity rows have
-        nothing to externalize).
+        :meth:`extern_row` call.  ``width`` must be positive (zero-arity
+        rows have nothing to externalize).
         """
         source = map(self._constants.__getitem__, flat_ids)
         return list(zip(*([source] * width)))

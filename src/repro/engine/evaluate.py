@@ -5,6 +5,16 @@ whose substitution for the variables of ``p`` and ``psi`` satisfies
 ``p and psi``, returning the values of the free variables (those of ``p``).
 When ``p`` uses a predicate unknown to the database, it is an ad-hoc
 predicate defined by ``psi`` (the paper's Example 2 ``answer`` predicate).
+
+The answer is a *set of constant tuples*, and under the seminaive engine
+it is built as one: :func:`_seminaive_batch` solves the conjunction over
+interned symbol ids, and ``retrieve`` projects that id batch onto the free
+variables, deduplicates id tuples and turns the distinct rows into
+constants in one bulk :meth:`~repro.catalog.symbols.SymbolTable.extern_rows`
+call — no substitution is built.  :func:`evaluate_conjunction` is the
+substitution-stream view of the same batch, for the callers that want
+bindings rather than an answer set (integrity constraints, ``derivable``);
+topdown and magic produce substitutions natively, one tuple at a time.
 """
 
 from __future__ import annotations
@@ -14,9 +24,12 @@ from typing import TYPE_CHECKING, Iterator, MutableMapping, Sequence
 
 from repro.errors import EngineError, ResourceExhausted, SafetyError
 from repro.catalog.database import KnowledgeBase
+from repro.catalog.symbols import SYMBOLS
 from repro.engine.guard import Diagnostics, ResourceGuard, degrade_catch
 from repro.engine.joins import relation_cost_estimator
 from repro.engine.kernels import (
+    IntBatch,
+    _projector,
     compile_conjunction_kernel,
     substitutions_from_kernel_batch,
 )
@@ -219,6 +232,35 @@ def _evaluate_conjunction(
                 yield theta
         return
 
+    schema, batch = _seminaive_batch(
+        kb, conjuncts, max_derived_facts, negated, guard, cache, tracer,
+        plan_cache,
+    )
+    yield from substitutions_from_kernel_batch(schema, batch)
+
+
+def _seminaive_batch(
+    kb: KnowledgeBase,
+    conjuncts: Sequence[Atom],
+    max_derived_facts: int | None,
+    negated: Sequence[Atom],
+    guard: ResourceGuard | None,
+    cache: "ViewCache | None",
+    tracer,
+    plan_cache: PlanCache | None,
+) -> tuple[tuple[Variable, ...], IntBatch]:
+    """Solve a conjunction bottom-up, staying in the id domain.
+
+    Materialises the IDB views the conjunction reads (through *cache* or a
+    fresh :class:`SemiNaiveEngine`), runs the conjunction's kernel over
+    them and returns ``(schema, batch)``: one symbol-id tuple per
+    solution, column *i* binding ``schema[i]``.  Callers decide where ids
+    become constants — :func:`retrieve` after projection and dedup,
+    :func:`evaluate_conjunction` per substitution.  A degrade-mode guard
+    never escapes: whatever it cut short, the batch is a sound
+    under-approximation (empty when only that is sound) and the trip is
+    on ``guard.tripped``.
+    """
     positive_predicates = {
         a.predicate for a in conjuncts if not a.is_comparison() and kb.is_idb(a.predicate)
     }
@@ -252,7 +294,7 @@ def _evaluate_conjunction(
             # Absence filtering against a *partial* negated relation would
             # over-approximate (rows could pass that a complete evaluation
             # rejects); the only sound degraded answer is the empty one.
-            return
+            return (), []
         derived = {p: materializer.partial_relation(p) for p in wanted}
 
     def relation_view(predicate: str):
@@ -261,8 +303,7 @@ def _evaluate_conjunction(
         return derived.get(predicate)
 
     # The query conjunction runs as an integer kernel: compile (or fetch
-    # from the plan cache), execute over interned rows, and externalize
-    # ids back into substitutions at the boundary.
+    # from the plan cache) and execute over interned rows.
     key = _plan_cache_key(kb, conjuncts, negated)
     kernel = plan_cache.get(key) if plan_cache is not None else None
     if kernel is None:
@@ -272,11 +313,37 @@ def _evaluate_conjunction(
             plan_cache[key] = kernel
     try:
         batch = kernel.execute_rows(relation_view, guard, tracer)
+    except ResourceExhausted as error:
+        # The final join hands its batch over whole or not at all: a trip
+        # inside it leaves the empty answer as the degraded one.
+        degrade_catch(guard, error)
+        batch = []
     finally:
         # The kernel may outlive this query in the plan cache; its build
         # sides must not keep this query's relations alive with it.
         kernel.release()
-    yield from substitutions_from_kernel_batch(kernel, batch)
+    return kernel.schema, batch
+
+
+def _distinct_answers(
+    schema: tuple[Variable, ...], batch: IntBatch, free_vars: Sequence[Variable]
+) -> list[tuple[Constant, ...]]:
+    """Project an id batch onto *free_vars*, dedup, externalize — once.
+
+    Id-equality is constant-equality, so deduplicating id tuples (in
+    first-occurrence order, ``dict`` insertion order) gives exactly the
+    distinct constant rows; they cross into constants in one
+    :meth:`SymbolTable.extern_rows` call.
+    """
+    if not batch:
+        return []
+    for variable in free_vars:
+        if variable not in schema:
+            raise SafetyError(f"free variable {variable} is not bound by the query")
+    slots = [schema.index(variable) for variable in free_vars]
+    if slots != list(range(len(schema))):  # else the batch is the projection
+        batch = map(_projector(slots), batch)
+    return SYMBOLS.extern_rows(list(dict.fromkeys(batch)))
 
 
 def retrieve(
@@ -329,34 +396,44 @@ def retrieve(
             )
         conjunction = tuple(qualifier)
 
-    seen: set[tuple[Constant, ...]] = set()
-    rows: list[tuple[Constant, ...]] = []
+    negated = tuple(negated_qualifier)
     from repro.obs.trace import traced_span
 
     with traced_span(tracer, "retrieve", subject=str(subject), engine=engine):
-        for theta in evaluate_conjunction(
-            kb,
-            conjunction,
-            engine=engine,
-            max_derived_facts=max_derived_facts,
-            negated=tuple(negated_qualifier),
-            guard=guard,
-            cache=cache,
-            tracer=tracer,
-            plan_cache=plan_cache,
-        ):
-            values = []
-            for variable in free_vars:
-                term = theta.apply_term(variable)
-                if not is_constant(term):
-                    raise SafetyError(
-                        f"free variable {variable} is not bound by the query"
-                    )
-                values.append(term)
-            row = tuple(values)
-            if row not in seen:
-                seen.add(row)
-                rows.append(row)
+        if engine == "seminaive":
+            schema, batch = _seminaive_batch(
+                kb, conjunction, max_derived_facts, negated, guard, cache,
+                tracer, plan_cache,
+            )
+            rows = _distinct_answers(schema, batch, free_vars)
+        else:
+            # Topdown and magic solve tuple-at-a-time: their substitution
+            # stream is projected and deduplicated row by row.
+            seen: set[tuple[Constant, ...]] = set()
+            rows = []
+            for theta in evaluate_conjunction(
+                kb,
+                conjunction,
+                engine=engine,
+                max_derived_facts=max_derived_facts,
+                negated=negated,
+                guard=guard,
+                cache=cache,
+                tracer=tracer,
+                plan_cache=plan_cache,
+            ):
+                values = []
+                for variable in free_vars:
+                    term = theta.apply_term(variable)
+                    if not is_constant(term):
+                        raise SafetyError(
+                            f"free variable {variable} is not bound by the query"
+                        )
+                    values.append(term)
+                row = tuple(values)
+                if row not in seen:
+                    seen.add(row)
+                    rows.append(row)
         if tracer is not None:
             tracer.count("answer_rows", len(rows))
     diagnostics = guard.diagnostics() if guard is not None else None

@@ -56,6 +56,14 @@ calls the driver makes: ``admit`` (screen a fired batch against the table
 and the round's pending rows), ``extend`` (make the pending rows visible
 and hand them back as the next delta table) and ``flush`` (externalize
 into the derived relation).
+
+Ids become constants again at exactly two boundaries, one bulk call each:
+a table's ``flush`` (:meth:`Relation.load_interned` /
+:meth:`Relation.load_interned_block`) and the ``retrieve`` answer
+(:mod:`repro.engine.evaluate`, which consumes
+:meth:`ConjunctionKernel.execute_rows` batches as they are).  Only
+:func:`substitutions_from_kernel_batch` externalizes row by row, for the
+callers that want a substitution per solution.
 """
 
 from __future__ import annotations
@@ -481,7 +489,13 @@ class _KJoin:
         self.fused_specs: list = []
         # Specialized at compile time: C-speed projectors over the
         # concrete column/slot indexes this join uses.
-        self._project = _projector(out_cols)
+        # A keyless scan binding every column as is needs no projection:
+        # the build side's rows are the extensions.
+        self._project = (
+            None
+            if not key_cols and out_cols == list(range(arity))
+            else _projector(out_cols)
+        )
         self._key_of = _projector(key_cols)
         self._probe_key = _projector(key_slots)
         self.release()
@@ -502,7 +516,7 @@ class _KJoin:
         rows = _filtered_rows(relation, self.const_checks, self.dup_checks)
         project = self._project
         if not self.key_cols:
-            table: object = list(map(project, rows))
+            table: object = list(rows if project is None else map(project, rows))
         elif len(self.key_cols) == 1:
             key_col = self.key_cols[0]
             single: dict[int, list[tuple[int, ...]]] = {}
@@ -540,6 +554,10 @@ class _KJoin:
                         row = binding + extension
                         if all(check(row) for check in fused):
                             append(row)
+            elif batch == [()]:
+                # The first step of a kernel: the unit batch extends to
+                # the build side itself.
+                result = list(table)  # type: ignore[call-overload]
             else:
                 for binding in batch:
                     for extension in table:  # type: ignore[union-attr]
@@ -1127,11 +1145,15 @@ def compile_rule_kernel(
     return RuleKernel(rule, kernelize_conjunction(plan.plan), template)
 
 
-def substitutions_from_kernel_batch(kernel: ConjunctionKernel, batch: IntBatch):
-    """Externalize an id batch back into :class:`Substitution` objects."""
+# Only :func:`repro.engine.evaluate.evaluate_conjunction` streams
+# substitutions (``retrieve`` externalizes whole answers instead); the
+# function stays in this module because benchmarks/e2e/trace.py patches
+# ``kernels.substitutions_from_kernel_batch`` by string.
+def substitutions_from_kernel_batch(schema: Sequence[Variable], batch: IntBatch):
+    """Externalize an id batch, one :class:`Substitution` per binding:
+    column *i* of *batch* binds ``schema[i]`` (a kernel's slot schema)."""
     from repro.logic.substitution import Substitution
 
-    schema = kernel.schema
     extern_row = SYMBOLS.extern_row
     for binding in batch:
         yield Substitution(dict(zip(schema, extern_row(binding))))

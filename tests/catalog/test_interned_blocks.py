@@ -96,3 +96,36 @@ class TestLoadInternedBlock:
         version = rel.version
         assert rel.load_interned_block(_block([_ids("a")])) == 0
         assert rel.version == version
+
+
+class TestBulkLoadersAgree:
+    """``load_interned`` and ``load_interned_block`` share one tail."""
+
+    ROWS = [("a", "b"), ("b", "c"), ("c", "a")]
+
+    def _loaded(self, seed_rows):
+        int_rows = [tuple(_ids(*row)) for row in self.ROWS]
+        by_rows, by_block = Relation(2, seed_rows), Relation(2, seed_rows)
+        assert by_rows.load_interned(int_rows) == by_block.load_interned_block(
+            _block(int_rows)
+        )
+        return by_rows, by_block
+
+    @pytest.mark.parametrize("seed_rows", [[], [("b", "c")]], ids=["empty", "seeded"])
+    def test_same_rows_mirror_and_journal(self, seed_rows):
+        by_rows, by_block = self._loaded(seed_rows)
+        assert by_rows.rows() == by_block.rows()
+        assert by_rows.int_rows() == by_block.int_rows()
+        assert by_rows.version == by_block.version
+        assert by_rows.journal_resets == by_block.journal_resets
+        assert by_rows.changes_since(0) is None and by_block.changes_since(0) is None
+
+    def test_extern_rows_equals_extern_block(self):
+        int_rows = [tuple(_ids(*row)) for row in self.ROWS]
+        flat = [sid for row in int_rows for sid in row]
+        assert SYMBOLS.extern_rows(int_rows) == SYMBOLS.extern_block(flat, 2)
+
+    def test_zero_width_block_collapses_to_one_row(self):
+        rel = Relation(0)
+        assert rel.load_interned_block(np.empty((3, 0), dtype=np.int64)) == 1
+        assert rel.rows() == [()] and rel.int_rows() == [()]

@@ -100,6 +100,41 @@ class TestRelationInternedMirror:
         assert refreshed.int_rows() == relation.int_rows()
 
 
+class TestExternRows:
+    """The bulk pass equals the per-row one it replaced."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [(), (), ()],
+            [("a",), ("b",), ("a",)],
+            [("a", 7, False), (2.5, "a", True), (7, 7, 7)],
+        ],
+        ids=["empty", "width-0", "width-1", "mixed-types"],
+    )
+    def test_equals_extern_row_per_row(self, rows):
+        constants = [tuple(Constant(value) for value in row) for row in rows]
+        int_rows = [SYMBOLS.intern_row(row) for row in constants]
+        assert SYMBOLS.extern_rows(int_rows) == constants
+        assert SYMBOLS.extern_rows(int_rows) == [
+            SYMBOLS.extern_row(row) for row in int_rows
+        ]
+
+    def test_accepts_any_iterable_of_rows(self):
+        int_rows = [SYMBOLS.intern_row((Constant("a"), Constant("b")))] * 2
+        expected = [(Constant("a"), Constant("b"))] * 2
+        assert SYMBOLS.extern_rows(iter(int_rows)) == expected
+        assert SYMBOLS.extern_rows(dict.fromkeys(int_rows)) == expected[:1]
+
+    def test_returns_the_first_interned_representative(self):
+        table = SymbolTable()
+        table.intern(Constant(3))
+        sid = table.intern(Constant(3.0))
+        ((representative,),) = table.extern_rows([(sid,)])
+        assert isinstance(representative.value, int)
+
+
 class TestLoadInterned:
     def test_load_interned_equals_insert_many(self):
         rows = [("a", "b"), ("b", "c"), ("c", "d")]
@@ -135,6 +170,40 @@ class TestLoadInterned:
         relation = Relation(2)
         with pytest.raises(ArityError):
             relation.load_interned([SYMBOLS.intern_row((Constant("a"),))])
+
+    def test_in_batch_duplicates_collapse_on_a_non_empty_relation(self):
+        relation = Relation(2, [("a", "b")])
+        existing = SYMBOLS.intern_row((Constant("a"), Constant("b")))
+        fresh = SYMBOLS.intern_row((Constant("b"), Constant("c")))
+        assert relation.load_interned([fresh, existing, fresh, fresh]) == 1
+        assert relation.rows() == [
+            (Constant("a"), Constant("b")), (Constant("b"), Constant("c")),
+        ]
+        assert relation.int_rows() == [existing, fresh]
+
+    def test_in_batch_duplicates_on_an_empty_relation_keep_the_mirror_exact(self):
+        relation = Relation(1)
+        a = SYMBOLS.intern_row((Constant("a"),))
+        b = SYMBOLS.intern_row((Constant("b"),))
+        assert relation.load_interned([a, b, a]) == 2
+        assert relation.int_rows() == [a, b]
+
+    def test_wrong_arity_row_in_the_middle_loads_nothing(self):
+        relation = Relation(2, [("a", "b")])
+        relation.insert(("b", "c"))
+        version, resets = relation.version, relation.journal_resets
+        good = SYMBOLS.intern_row((Constant("c"), Constant("d")))
+        bad = SYMBOLS.intern_row((Constant("c"),))
+        with pytest.raises(ArityError, match="expected 2 columns, got 1"):
+            relation.load_interned([good, bad, good])
+        assert relation.rows() == [
+            (Constant("a"), Constant("b")), (Constant("b"), Constant("c")),
+        ]
+        assert relation.version == version
+        assert relation.journal_resets == resets
+        assert relation.changes_since(version - 1) == [
+            ("+", (Constant("b"), Constant("c")))
+        ]
 
     def test_noop_on_empty_or_all_duplicate_input(self):
         relation = Relation(1, [("a",)])

@@ -210,12 +210,36 @@ class TestCounters:
         assert tracer.counters == {"join_probes": 1 + 4}
 
 
+class TestOpeningScan:
+    def test_full_scan_hands_over_a_copy_of_the_build_side(self, kb):
+        # A keyless scan binding every column skips projection and the row
+        # loop; what it returns must still be the caller's own list, never
+        # the relation's interned mirror.
+        relation = kb.relation("edge")
+        kernel = compile_conjunction_kernel([parse_atom("edge(X, Y)")])
+        batch = kernel.execute(kb.relation)
+        assert batch == relation.int_rows() and batch is not relation.int_rows()
+        batch.clear()
+        assert len(relation.int_rows()) == 4
+        assert kernel.execute(kb.relation) == relation.int_rows()
+
+    def test_partial_and_repeated_scans_still_project(self, kb):
+        a = SYMBOLS.intern(Constant("a"))
+        assert compile_conjunction_kernel([parse_atom("edge(X, X)")]).execute(
+            kb.relation
+        ) == [(a,)]
+        rows = compile_conjunction_kernel([parse_atom("edge(a, Y)")]).execute(
+            kb.relation
+        )
+        assert SYMBOLS.extern_rows(rows) == [(Constant("b"),), (Constant("a"),)]
+
+
 class TestSubstitutions:
     def test_externalized_substitutions_bind_schema_variables(self, kb):
         conjuncts = [parse_atom("edge(a, Y)")]
         kernel = compile_conjunction_kernel(conjuncts)
         batch = kernel.execute(kb.relation)
-        substitutions = list(substitutions_from_kernel_batch(kernel, batch))
+        substitutions = list(substitutions_from_kernel_batch(kernel.schema, batch))
         values = {s[Variable("Y")] for s in substitutions}
         assert values == {Constant("b"), Constant("a")}
 

@@ -19,6 +19,10 @@ The cache routes by what it observes (a recursive closure recomputes, a
 positive non-recursive one is repaired in one pass), so no threshold
 parameter, maintenance strategy or standalone maintained-database API may
 grow back.
+
+The answer half: under the seminaive engine ids become constants once, at
+the answer — ``retrieve`` builds no substitution and externalizes in a
+number of bulk calls that does not depend on how many rows it returns.
 """
 
 import ast
@@ -32,6 +36,7 @@ from pathlib import Path
 import pytest
 
 import repro.engine
+from repro.catalog.symbols import SymbolTable
 from repro.cli import main
 from repro.engine import SemiNaiveEngine, evaluate_conjunction, retrieve
 from repro.engine.kernels import (
@@ -43,9 +48,13 @@ from repro.engine.incremental import MaterializedDatabase
 from repro.engine.magic import magic_rewrite
 from repro.engine.viewcache import ViewCache
 from repro.errors import CatalogError
+from repro.lang.parser import parse_atom
+from repro.logic.substitution import Substitution
 from repro.obs.explain import explain_plan
 from repro.server import MultiVersionCatalog, SessionPool
 from repro.session import Session
+
+from tests.engine.test_guard import chain_kb
 
 ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = ROOT / "src" / "repro"
@@ -234,3 +243,34 @@ def test_only_the_view_cache_imports_the_maintainer():
         )
     ]
     assert importers == ["engine/viewcache.py"]
+
+
+def _count_calls(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_seminaive_retrieve_externalizes_once_at_the_answer(monkeypatch):
+    calls_by_size = {}
+    for length in (10, 45):  # 55 and 1035 answer rows
+        kb = chain_kb(length)
+        subject = parse_atom("path(X, Y)")
+        expected = retrieve(kb, subject, engine="topdown").to_set()
+        calls = {}
+        with monkeypatch.context() as patch:
+            _count_calls(patch, Substitution, "__init__", calls)
+            _count_calls(patch, SymbolTable, "extern_rows", calls)
+            _count_calls(patch, SymbolTable, "extern_block", calls)
+            result = retrieve(kb, subject, engine="seminaive")
+        assert len(result.rows) == length * (length + 1) // 2
+        assert result.to_set() == expected
+        assert "__init__" not in calls  # no Substitution was built
+        calls_by_size[len(result.rows)] = calls
+    small, large = calls_by_size.values()
+    assert max(calls_by_size) > 1000
+    assert small == large and small["extern_rows"] >= 1
