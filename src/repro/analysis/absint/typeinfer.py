@@ -1,8 +1,8 @@
 """Type/domain inference: per-column abstract values for every predicate.
 
 EDB predicates are seeded from their stored columns — distinct symbol ids
-from the relation's interned :class:`~repro.catalog.columnar.ColumnBlock`
-mirror, externalized once per distinct value (when the analysis runs over
+from the relation's interned mirror (:meth:`Relation.int_rows`),
+externalized once per distinct value (when the analysis runs over
 a parsed source program, the program's facts seed the columns instead).
 Rule transfer is abstract evaluation of one body: each variable's domain
 is the meet of every column it joins against, constants meet the columns
@@ -100,14 +100,10 @@ def seed_types(model: "ProgramModel") -> dict[str, PredicateDomains]:
             if len(relation) == 0:
                 seeds[predicate] = (TOP,) * arity
                 continue
-            block = relation.column_block()
-            columns = []
-            for index in range(arity):
-                distinct = set(block.columns[index])
-                columns.append(
-                    from_values(SYMBOLS.extern(sid).value for sid in distinct)
-                )
-            seeds[predicate] = tuple(columns)
+            seeds[predicate] = tuple(
+                from_values(SYMBOLS.extern(sid).value for sid in set(column))
+                for column in zip(*relation.int_rows())
+            )
         return seeds
 
     collected: dict[str, list[set | None]] = {}

@@ -1,7 +1,6 @@
 """Catalog subsystem: schemas, stored relations, the knowledge base, and
 predicate dependency analysis."""
 
-from repro.catalog.columnar import ColumnBlock
 from repro.catalog.database import KnowledgeBase
 from repro.catalog.persist import export_csv, import_csv, load_kb, save_kb
 from repro.catalog.dependencies import DependencyGraph, dependency_graph
@@ -39,7 +38,6 @@ __all__ = [
     "save_kb",
     "DependencyGraph",
     "dependency_graph",
-    "ColumnBlock",
     "Relation",
     "PredicateKind",
     "PredicateSchema",

@@ -4,6 +4,14 @@ Each EDB predicate's fact set is a :class:`Relation`: a set of constant
 tuples plus lazily built per-column indexes, so pattern lookups with bound
 arguments avoid full scans.  This is the storage substrate under the
 deductive engine.
+
+A relation has two shapes: the ``Constant`` row dict, which is the source
+of truth (persistence, display and the resolver-style engines read it),
+and a lazy mirror of the same rows as symbol-id tuples
+(:meth:`Relation.int_rows`), which the join kernels read.  Everything else
+— indexes, distinct counts — is derived from the row dict and dropped or
+maintained on mutation; :meth:`Relation.check_invariants` states the
+coherence rules.
 """
 
 from __future__ import annotations
@@ -11,7 +19,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Iterator, Sequence
 
-from repro.catalog.columnar import ColumnBlock, numpy_backend, numpy_min_rows
 from repro.catalog.symbols import SYMBOLS
 from repro.errors import ArityError, CatalogError
 from repro.logic.terms import Constant, Term, is_constant, make_term
@@ -71,17 +78,6 @@ class Relation:
         #: interned at insert time) and dropped to ``None`` (dirty) by any
         #: non-append mutation; :meth:`int_rows` rebuilds it lazily.
         self._introws: list[tuple[int, ...]] | None = []
-        #: Memoized columnar snapshot, valid while its version matches.
-        self._block: ColumnBlock | None = None
-        #: A 2-D id block that *is* the interned mirror, stashed by
-        #: :meth:`load_interned_block` as ``(block, version)``.  While the
-        #: version still matches, :meth:`int_rows` materializes tuples
-        #: from it (one C-level ``tolist``) instead of re-interning every
-        #: constant; any later mutation simply outdates it.
-        self._intblock: tuple[object, int] | None = None
-        #: Memoized row sequence (insertion order) for positional access
-        #: aligned with the columnar mirror: (version, list of rows).
-        self._rowseq: tuple[int, list[Row]] | None = None
         for row in rows:
             self.insert(row)
 
@@ -139,8 +135,8 @@ class Relation:
         """Insert many rows; returns how many were new."""
         return sum(1 for row in rows if self.insert(row))
 
-    # benchmarks/e2e/trace.py patches ``Relation.load_interned`` and
-    # ``Relation.load_interned_block`` by string (``catalog.relation.flush``).
+    # benchmarks/e2e/trace.py patches ``Relation.load_interned`` by string
+    # (``catalog.relation.flush``).
     def load_interned(self, int_rows: Sequence[tuple[int, ...]]) -> int:
         """Bulk-load rows given as symbol-id tuples (the kernel flush path).
 
@@ -160,42 +156,7 @@ class Relation:
         if set(map(len, int_rows)) != {arity}:
             width = next(len(irow) for irow in int_rows if len(irow) != arity)
             raise ArityError(f"expected {arity} columns, got {width}")
-        return self._absorb(SYMBOLS.extern_rows(int_rows), int_rows=int_rows)
-
-    def load_interned_block(self, block) -> int:
-        """Bulk-load a 2-D block of *distinct* symbol-id rows.
-
-        The vector kernel flush: ``block`` is anything with ``shape``,
-        ``ravel()``, and ``tolist()`` — in practice a numpy ``int64``
-        array.  Distinct id rows externalize to distinct constant rows
-        (equal constants intern to one id), so unlike
-        :meth:`load_interned` no duplicate collapse is possible and the
-        externalization runs as one flat :meth:`SymbolTable.extern_block`
-        pass.  Mutation semantics match :meth:`load_interned`: derived
-        structures drop, the version bumps, the journal resets.
-        """
-        self._assert_mutable()
-        count, width = block.shape
-        if width != self.arity:
-            raise ArityError(f"expected {self.arity} columns, got {width}")
-        if not count:
-            return 0
-        if width == 0:
-            rows: list[Row] = [()] * count
-        else:
-            rows = SYMBOLS.extern_block(block.ravel().tolist(), width)
-        return self._absorb(rows, block=block)
-
-    def _absorb(self, rows: list[Row], int_rows=None, block=None) -> int:
-        """Merge bulk-loaded *rows* into the row set; returns how many
-        were new.
-
-        The shared tail of the two bulk loaders.  When the relation was
-        empty and no duplicate collapsed, the ids the rows were
-        externalized from are the exact interned mirror and are kept —
-        *int_rows* as the mirror itself, *block* stashed for
-        :meth:`int_rows` to materialize tuples from on demand.
-        """
+        rows = SYMBOLS.extern_rows(int_rows)
         self._unshare()
         before = len(self._rows)
         if before:
@@ -209,11 +170,14 @@ class Relation:
             return 0
         self._invalidate_derived()
         if not before and added == len(rows):
-            if block is None:
-                self._introws = list(int_rows)
-            else:
-                self._intblock = (block, self._version)
+            # The relation was empty and no duplicate collapsed: the ids
+            # the rows were externalized from are the exact mirror.
+            self._introws = list(int_rows)
         return added
+
+    # Only so benchmarks/e2e/trace.py's ``Relation.load_interned_block``
+    # TARGETS row still resolves; nothing calls it.
+    load_interned_block = load_interned
 
     def delete(self, row: Sequence[object]) -> bool:
         """Delete a row; returns ``False`` if it was absent.
@@ -229,8 +193,6 @@ class Relation:
         self._version += 1
         self._log("-", coerced)
         self._introws = None
-        self._block = None
-        self._intblock = None
         for column, index in self._indexes.items():
             bucket = index.get(coerced[column])
             if bucket is not None:
@@ -265,8 +227,6 @@ class Relation:
         self._indexes.clear()
         self._stats.clear()
         self._introws = None
-        self._block = None
-        self._intblock = None
         self._version += 1
         self._reset_journal()
 
@@ -346,27 +306,9 @@ class Relation:
         """
         rows = self._introws
         if rows is None:
-            stashed = self._intblock
-            if stashed is not None and stashed[1] == self._version:
-                rows = [tuple(irow) for irow in stashed[0].tolist()]
-            else:
-                intern_row = SYMBOLS.intern_row
-                rows = [intern_row(row) for row in self._rows]
-            self._introws = rows
+            intern_row = SYMBOLS.intern_row
+            rows = self._introws = [intern_row(row) for row in self._rows]
         return rows
-
-    def column_block(self) -> ColumnBlock:
-        """The columnar (``array('q')``) snapshot of :meth:`int_rows`.
-
-        Memoized per version: valid exactly while the row set is
-        unchanged, the same coherence rule as the memoized statistics and
-        the join kernels' hash tables.
-        """
-        block = self._block
-        if block is None or block.version != self._version:
-            block = ColumnBlock.from_rows(self.arity, self.int_rows(), self._version)
-            self._block = block
-        return block
 
     def _index_for(self, column: int) -> dict[Constant, dict[Row, None]]:
         if column not in self._indexes:
@@ -411,49 +353,6 @@ class Relation:
             if all(row[i] == v for i, v in rest):
                 yield row
 
-    def row_seq(self) -> list[Row]:
-        """Stored rows in insertion order, memoized per version.
-
-        Positionally aligned with :meth:`int_rows` / :meth:`column_block`,
-        so a columnar ``select`` index addresses the *stored* constant row
-        — no externalization needed.  Treat the list as immutable.
-        """
-        cached = self._rowseq
-        if cached is None or cached[0] != self._version:
-            cached = (self._version, list(self._rows))
-            self._rowseq = cached
-        return cached[1]
-
-    def columnar_lookup(self, pattern: Sequence[Term | None]) -> list[Row] | None:
-        """Bulk pattern lookup over the interned columnar mirror.
-
-        The vector-scan alternative to :meth:`lookup` for resolver-style
-        callers (the top-down engine): pattern constants are mapped to
-        symbol ids, the match runs as one vectorized ``select`` over the
-        columnar block, and the hits index straight into the stored row
-        sequence — the original ``Constant`` tuples, not re-materialised
-        copies.  Returns ``None`` when the scan does not engage (numpy
-        backend off, relation below the row floor, or an unbound pattern —
-        callers fall back to :meth:`lookup`); a pattern constant the
-        process has never interned matches nothing.
-        """
-        if numpy_backend() is None or len(self._rows) < numpy_min_rows():
-            return None
-        if len(pattern) != self.arity:
-            raise ArityError(f"pattern arity {len(pattern)} != relation arity {self.arity}")
-        const_checks = []
-        for column, term in enumerate(pattern):
-            if term is None or not is_constant(term):
-                continue
-            sid = SYMBOLS.id_of(term)
-            if sid is None:
-                return []
-            const_checks.append((column, sid))
-        if not const_checks:
-            return None
-        rows = self.row_seq()
-        return [rows[i] for i in self.column_block().select(const_checks)]
-
     def distinct_count(self, column: int) -> int:
         """Number of distinct values in a column.
 
@@ -473,6 +372,55 @@ class Relation:
         self._stats[column] = (self._version, count)
         return count
 
+    def check_invariants(self) -> None:
+        """Raise :class:`CatalogError` naming the first derived structure
+        that disagrees with the row dict.
+
+        The coherence rules of this class, as one executable statement:
+        the interned mirror is dirty (``None``) or externalizes row for row
+        to the rows; every materialised index partitions exactly the rows;
+        every distinct count stamped with the current version is the true
+        count; a frozen relation is never marked shared.  O(rows) per
+        structure — for tests and fault-injection harnesses, not for a
+        query path.
+        """
+        rows = list(self._rows)
+        mirror = self._introws
+        if mirror is not None:
+            if len(mirror) != len(rows):
+                raise CatalogError(
+                    f"interned mirror holds {len(mirror)} rows, the relation {len(rows)}"
+                )
+            for position, (irow, row) in enumerate(zip(mirror, rows)):
+                try:
+                    same = SYMBOLS.extern_row(irow) == row
+                except IndexError:  # an id the symbol table never issued
+                    same = False
+                if not same:
+                    raise CatalogError(
+                        f"interned mirror row {position} is {irow!r}, "
+                        f"which is not the stored row {row!r}"
+                    )
+        for column, index in self._indexes.items():
+            expected: dict[Constant, dict[Row, None]] = {}
+            for row in rows:
+                expected.setdefault(row[column], {})[row] = None
+            for value in {**index, **expected}:
+                if index.get(value) != expected.get(value):
+                    raise CatalogError(
+                        f"index on column {column} has a wrong bucket for {value!r}"
+                    )
+        for column, (version, count) in self._stats.items():
+            if version == self._version:
+                actual = len({row[column] for row in rows})
+                if count != actual:
+                    raise CatalogError(
+                        f"memoized distinct count of column {column} is "
+                        f"{count}, the rows have {actual}"
+                    )
+        if self._frozen and self._shared:
+            raise CatalogError("a frozen relation is marked copy-on-write shared")
+
     def copy(self) -> "Relation":
         """An independent copy (indexes rebuilt lazily)."""
         clone = Relation(self.arity)
@@ -483,11 +431,10 @@ class Relation:
     def freeze(self) -> "Relation":
         """An immutable copy sharing row storage with this relation — O(1).
 
-        The copy takes the *current* ``_rows`` dict, interned mirror, and
-        columnar blocks by reference and keeps this relation's version
-        number, so caches keyed on ``(relation, version)`` — the view
-        cache's dependency fingerprints above all — remain valid across
-        the freeze.  This relation is marked shared: its next in-place
+        The copy takes the *current* ``_rows`` dict and interned mirror by
+        reference and keeps this relation's version number, so caches keyed
+        on ``(relation, version)`` — the view cache's dependency
+        fingerprints above all — remain valid across the freeze.  This relation is marked shared: its next in-place
         mutation privatizes the storage (see :meth:`_unshare`), leaving
         the frozen copy untouched.  Index buckets and the change journal
         are *not* shared — live mutators update them in place — so the
@@ -495,7 +442,7 @@ class Relation:
 
         Frozen copies are safe for concurrent readers without locks:
         every mutator raises, and the remaining lazy memoizations
-        (indexes, statistics, columnar blocks) are idempotent rebinds.
+        (indexes, statistics, the interned mirror) are idempotent rebinds.
         """
         if self._frozen:
             return self
@@ -511,9 +458,6 @@ class Relation:
         clone._journal_base = self._version
         clone.journal_resets = self.journal_resets
         clone._introws = self._introws
-        clone._block = self._block
-        clone._intblock = self._intblock
-        clone._rowseq = self._rowseq
         self._shared = True
         return clone
 

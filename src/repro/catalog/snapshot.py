@@ -58,7 +58,7 @@ class KBSnapshot:
     kb:
         The frozen clone.  Safe for any number of concurrent reader
         threads: every mutator raises, and the remaining lazy
-        memoizations (indexes, columnar blocks, the dependency graph's
+        memoizations (indexes, the interned mirror, the dependency graph's
         reachability cache) are idempotent.
     snapshot_id:
         Monotone publication counter.  Clients observing ids go

@@ -312,7 +312,7 @@ def _seminaive_batch(
         if plan_cache is not None:
             plan_cache[key] = kernel
     try:
-        batch = kernel.execute_rows(relation_view, guard, tracer)
+        batch = kernel.execute(relation_view, guard, tracer)
     except ResourceExhausted as error:
         # The final join hands its batch over whole or not at all: a trip
         # inside it leaves the empty answer as the degraded one.

@@ -18,15 +18,7 @@ logical plan (:mod:`repro.engine.plan`), lowered to an integer kernel over
 interned symbol ids (:mod:`repro.engine.kernels`) and kept for the lifetime
 of the stratum evaluation; the stratum's facts live in kernel tables for
 the whole fixpoint and are externalized back into relations when the
-stratum completes.  The tables come in two backends behind one interface —
-:class:`~repro.engine.kernels.IntTable` (id tuples) and, when the numpy
-columnar backend is on (``REPRO_COLUMNAR_BACKEND=numpy``),
-:class:`~repro.engine.kernels.GrowTable` (2-D ``int64`` arrays: deltas stay
-arrays between iterations, probes resolve whole columns at a time, and
-per-rule dedup is one batch ``np.unique`` pass counted by the
-``probe_batches`` / ``dedup_batch_rows`` tracer counters).  The backend is
-observed (:func:`repro.catalog.columnar.numpy_backend`), never selected by
-a caller.
+stratum completes.
 
 The tuple-at-a-time evaluator this engine started from survives as
 :mod:`repro.engine.reference` — a test oracle, imported by nothing here.
@@ -36,12 +28,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.catalog.columnar import numpy_backend
 from repro.catalog.database import KnowledgeBase
 from repro.catalog.relation import Relation
 from repro.engine.guard import ResourceGuard
 from repro.engine.joins import relation_cost_estimator
-from repro.engine.kernels import GrowTable, IntTable, RuleKernel, compile_rule_kernel
+from repro.engine.kernels import IntTable, RuleKernel, compile_rule_kernel
 from repro.engine.plan import DELTA_PREFIX as _DELTA_PREFIX
 from repro.engine.safety import check_rule_safety
 from repro.obs.trace import traced_span
@@ -168,8 +159,7 @@ class SemiNaiveEngine:
         round derived anything, every recursive rule fires once per
         occurrence of a stratum predicate in its body with that occurrence
         reading the *delta*.  The stratum's derived and delta fact sets
-        live as kernel tables (:class:`~repro.engine.kernels.IntTable`, or
-        :class:`~repro.engine.kernels.GrowTable` under the numpy backend)
+        live as kernel tables (:class:`~repro.engine.kernels.IntTable`)
         for the whole fixpoint: no per-row coercion, journaling, or
         constant hashing on the hot path.  Within an iteration the tables
         extend only at the iteration boundary, so every rule of one
@@ -190,14 +180,8 @@ class SemiNaiveEngine:
         self._kernels = {}
         guard = self._guard
         tracer = self._tracer
-        np = numpy_backend()
-        tables = {
-            p: IntTable(self._relation(p).arity)
-            if np is None
-            else GrowTable(self._relation(p).arity, np)
-            for p in stratum
-        }
-        deltas: dict[str, object] = {}
+        tables = {p: IntTable(self._relation(p).arity) for p in stratum}
+        deltas: dict[str, IntTable] = {}
 
         def view(predicate: str):
             """Kernel-side relation view: kernel tables for in-flight
@@ -219,14 +203,9 @@ class SemiNaiveEngine:
                 kernel = self._kernels[plan_key] = compile_rule_kernel(
                     rule, estimate=estimate
                 )
-            if np is None:
-                fired = kernel.execute(view, guard, tracer)
-            else:
-                fired = kernel.execute_block(view, np, guard, tracer)
-            if not len(fired):
+            fired = kernel.execute(view, guard, tracer)
+            if not fired:
                 return 0
-            if tracer is not None and np is not None:
-                tracer.count("dedup_batch_rows", len(fired))
             new = tables[rule.head.predicate].admit(fired)
             if tracer is not None and new:
                 tracer.count("facts_derived", new)

@@ -43,6 +43,9 @@ from repro.session import Session
 #: is a client error (or abuse), rejected before buffering it all.
 MAX_BODY_BYTES = 1 << 20
 
+#: Most header lines accepted on one request.
+MAX_HEADERS = 100
+
 #: Seconds an idle keep-alive connection may sit between requests.
 IDLE_TIMEOUT = 60.0
 
@@ -57,6 +60,10 @@ _REASONS = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+class _BadRequest(Exception):
+    """Request framing the reader cannot parse: answered ``400``, then closed."""
 
 
 class _HttpRequest:
@@ -203,7 +210,20 @@ class KnowledgeServer:
             self._connections.add(task)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _BadRequest as error:
+                    # The byte stream is no longer at a request boundary:
+                    # answer, then close instead of reading on.
+                    self.responses_by_status[400] = (
+                        self.responses_by_status.get(400, 0) + 1
+                    )
+                    payload = {
+                        "ok": False,
+                        "error": {"type": "BadRequest", "message": str(error)},
+                    }
+                    await self._write_response(writer, 400, payload, keep_alive=False)
+                    break
                 if request is None:
                     break
                 status, payload = await self._dispatch(request)
@@ -230,25 +250,44 @@ class KnowledgeServer:
             except (ConnectionError, asyncio.TimeoutError):
                 pass
 
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> bytes:
+        try:
+            return await asyncio.wait_for(reader.readline(), IDLE_TIMEOUT)
+        except ValueError:  # StreamReader's way of reporting an over-limit line
+            raise _BadRequest("request or header line is too long") from None
+
     async def _read_request(self, reader: asyncio.StreamReader) -> _HttpRequest | None:
-        line = await asyncio.wait_for(reader.readline(), IDLE_TIMEOUT)
+        line = await self._read_line(reader)
         if not line:
             return None
         try:
             method, path, _version = line.decode("latin-1").split()
         except ValueError:
-            raise ConnectionError("malformed request line") from None
+            raise _BadRequest("malformed request line") from None
         headers: dict[str, str] = {}
-        while True:
-            header = await asyncio.wait_for(reader.readline(), IDLE_TIMEOUT)
+        for _ in range(MAX_HEADERS + 1):
+            header = await self._read_line(reader)
             if header in (b"\r\n", b"\n", b""):
                 break
             name, _, value = header.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
+        else:
+            raise _BadRequest(f"more than {MAX_HEADERS} header lines")
+        raw = headers.get("content-length") or "0"
+        try:
+            length = int(raw) if raw.isascii() and raw.isdigit() else -1
+        except ValueError:  # more digits than int() parses
+            length = -1
+        if length < 0:
+            raise _BadRequest(
+                f"Content-Length must be a non-negative integer, got {raw[:40]!r}"
+            )
         if length > MAX_BODY_BYTES:
             raise ConnectionError("request body too large")
-        body = await reader.readexactly(length) if length else b""
+        body = b""
+        if length > 0:
+            body = await asyncio.wait_for(reader.readexactly(length), IDLE_TIMEOUT)
         return _HttpRequest(method.upper(), path.split("?", 1)[0], headers, body)
 
     async def _write_response(

@@ -1,15 +1,13 @@
-"""Block-level interning: ``extern_block``, ``load_interned_block``,
-and the lazy interned mirror.
+"""Bulk interning boundaries: ``extern_block`` and ``load_interned``.
 
-The vector fixpoint flushes its results as 2-D ``int64`` arrays; these
+The fixpoint flushes its results as one batch of symbol-id rows; these
 tests pin the flush contract — flat one-pass externalization, arity
-checking, dedup against existing rows, and the lazy ``_intblock`` mirror
-that lets ``int_rows()`` skip re-interning until the relation mutates.
+checking, dedup against existing rows and inside the batch, and the
+interned mirror: kept as loaded when nothing collapsed, rebuilt from the
+rows otherwise.
 """
 
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.catalog.relation import Relation
 from repro.catalog.symbols import SYMBOLS
@@ -18,11 +16,7 @@ from repro.logic.terms import Constant
 
 
 def _ids(*values):
-    return [SYMBOLS.intern(Constant(v)) for v in values]
-
-
-def _block(rows):
-    return np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+    return tuple(SYMBOLS.intern(Constant(v)) for v in values)
 
 
 class TestExternBlock:
@@ -48,8 +42,7 @@ class TestExternBlock:
 class TestLoadInternedBlock:
     def test_bulk_load_into_empty_relation(self):
         rel = Relation(2)
-        block = _block([_ids("a", "b"), _ids("c", "d")])
-        assert rel.load_interned_block(block) == 2
+        assert rel.load_interned([_ids("a", "b"), _ids("c", "d")]) == 2
         assert set(rel.rows()) == {
             (Constant("a"), Constant("b")),
             (Constant("c"), Constant("d")),
@@ -58,74 +51,71 @@ class TestLoadInternedBlock:
     def test_arity_mismatch_rejected(self):
         rel = Relation(3)
         with pytest.raises(ArityError):
-            rel.load_interned_block(_block([_ids("a", "b")]))
+            rel.load_interned([_ids("a", "b")])
+        assert len(rel) == 0
 
     def test_empty_block_is_noop(self):
         rel = Relation(2)
         version = rel.version
-        assert rel.load_interned_block(np.empty((0, 2), dtype=np.int64)) == 0
+        assert rel.load_interned([]) == 0
         assert rel.version == version
 
     def test_dedup_against_existing_rows(self):
         rel = Relation(1)
         rel.insert(("a",))
-        block = _block([_ids("a"), _ids("b")])
-        assert rel.load_interned_block(block) == 1
+        assert rel.load_interned([_ids("a"), _ids("b")]) == 1
         assert len(rel) == 2
 
     def test_lazy_mirror_serves_int_rows(self):
+        # Nothing collapsed on the way into an empty relation: the ids the
+        # rows were externalized from are kept as the mirror, not re-interned.
         rel = Relation(2)
-        block = _block([_ids("p", "q"), _ids("r", "s")])
-        rel.load_interned_block(block)
-        expected = [tuple(row) for row in block.tolist()]
-        assert rel.int_rows() == expected
+        batch = [_ids("p", "q"), _ids("r", "s")]
+        rel.load_interned(batch)
+        assert rel._introws == batch
+        assert rel.int_rows() == batch
 
     def test_mirror_dropped_on_mutation(self):
         rel = Relation(1)
-        rel.load_interned_block(_block([_ids("a")]))
+        rel.load_interned([_ids("a")])
+        rel.delete(("a",))
         rel.insert(("b",))
-        # The stale mirror must not shadow the new row.
-        assert rel.int_rows() == [
-            SYMBOLS.intern_row((Constant("a"),)),
-            SYMBOLS.intern_row((Constant("b"),)),
-        ]
+        # The stale mirror must not shadow the new row set.
+        assert rel.int_rows() == [SYMBOLS.intern_row((Constant("b"),))]
 
     def test_all_duplicates_leaves_version_alone(self):
         rel = Relation(1)
         rel.insert(("a",))
         version = rel.version
-        assert rel.load_interned_block(_block([_ids("a")])) == 0
+        assert rel.load_interned([_ids("a")]) == 0
         assert rel.version == version
 
 
 class TestBulkLoadersAgree:
-    """``load_interned`` and ``load_interned_block`` share one tail."""
+    """``load_interned`` is ``insert_many`` of the externalized rows, bulk."""
 
     ROWS = [("a", "b"), ("b", "c"), ("c", "a")]
 
-    def _loaded(self, seed_rows):
-        int_rows = [tuple(_ids(*row)) for row in self.ROWS]
-        by_rows, by_block = Relation(2, seed_rows), Relation(2, seed_rows)
-        assert by_rows.load_interned(int_rows) == by_block.load_interned_block(
-            _block(int_rows)
-        )
-        return by_rows, by_block
-
     @pytest.mark.parametrize("seed_rows", [[], [("b", "c")]], ids=["empty", "seeded"])
     def test_same_rows_mirror_and_journal(self, seed_rows):
-        by_rows, by_block = self._loaded(seed_rows)
-        assert by_rows.rows() == by_block.rows()
-        assert by_rows.int_rows() == by_block.int_rows()
-        assert by_rows.version == by_block.version
-        assert by_rows.journal_resets == by_block.journal_resets
-        assert by_rows.changes_since(0) is None and by_block.changes_since(0) is None
+        by_rows, bulk = Relation(2, seed_rows), Relation(2, seed_rows)
+        version = bulk.version
+        assert by_rows.insert_many(self.ROWS) == bulk.load_interned(
+            [_ids(*row) for row in self.ROWS]
+        )
+        assert by_rows.rows() == bulk.rows()
+        assert by_rows.int_rows() == bulk.int_rows()
+        # The bulk load is wholesale: its delta is not reconstructable.
+        assert by_rows.changes_since(version) is not None
+        assert bulk.changes_since(version) is None
+        bulk.check_invariants()
 
     def test_extern_rows_equals_extern_block(self):
-        int_rows = [tuple(_ids(*row)) for row in self.ROWS]
+        int_rows = [_ids(*row) for row in self.ROWS]
         flat = [sid for row in int_rows for sid in row]
         assert SYMBOLS.extern_rows(int_rows) == SYMBOLS.extern_block(flat, 2)
 
     def test_zero_width_block_collapses_to_one_row(self):
         rel = Relation(0)
-        assert rel.load_interned_block(np.empty((3, 0), dtype=np.int64)) == 1
+        assert rel.load_interned([(), (), ()]) == 1
         assert rel.rows() == [()] and rel.int_rows() == [()]

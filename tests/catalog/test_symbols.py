@@ -1,15 +1,14 @@
-"""Unit tests for the process-wide symbol table and the columnar mirror.
+"""Unit tests for the process-wide symbol table and the interned mirror.
 
 Covers :mod:`repro.catalog.symbols` (intern/extern identity, the
 first-representative rule, append-only growth) and the coherence of
-:class:`~repro.catalog.relation.Relation`'s interned mirror and columnar
-snapshot with its mutation version — the invariants the join kernels'
+:class:`~repro.catalog.relation.Relation`'s interned mirror with its
+mutation version — the invariants the join kernels'
 ``(identity, version)`` caches rely on.
 """
 
 import pytest
 
-from repro.catalog.columnar import ColumnBlock
 from repro.catalog.relation import Relation
 from repro.catalog.symbols import SYMBOLS, SymbolTable
 from repro.errors import ArityError
@@ -88,16 +87,6 @@ class TestRelationInternedMirror:
         relation.int_rows()
         relation.restore(snapshot)
         assert relation.int_rows() == [SYMBOLS.intern_row((Constant("a"),))]
-
-    def test_column_block_memoized_per_version(self):
-        relation = Relation(2, [("a", "b")])
-        block = relation.column_block()
-        assert relation.column_block() is block
-        relation.insert(("b", "c"))
-        refreshed = relation.column_block()
-        assert refreshed is not block
-        assert refreshed.version == relation.version
-        assert refreshed.int_rows() == relation.int_rows()
 
 
 class TestExternRows:
@@ -213,23 +202,3 @@ class TestLoadInterned:
             relation.load_interned([SYMBOLS.intern_row((Constant("a"),))]) == 0
         )
         assert relation.version == version
-
-
-class TestColumnBlock:
-    def test_from_rows_and_row_access(self):
-        rows = [(1, 2), (3, 4), (5, 6)]
-        block = ColumnBlock.from_rows(2, rows, version=7)
-        assert block.arity == 2
-        assert block.version == 7
-        assert [block.row(i) for i in range(3)] == rows
-        assert block.int_rows() == rows
-
-    def test_select_applies_constant_and_duplicate_checks(self):
-        # select yields row *indexes*: const_checks pin column == id,
-        # dup_checks require two columns to hold the same id.
-        rows = [(1, 1), (1, 2), (2, 2), (3, 1)]
-        block = ColumnBlock.from_rows(2, rows, version=0)
-        assert list(block.select([(0, 1)], [])) == [0, 1]
-        assert list(block.select([], [(0, 1)])) == [0, 2]
-        assert list(block.select([(0, 1)], [(0, 1)])) == [0]
-        assert list(block.select([], [])) == [0, 1, 2, 3]

@@ -7,7 +7,7 @@ answer parity with the tuple-at-a-time reference evaluator
 fusion into the preceding join's probe loop, order-comparison semantics
 over externalized values (including the incompatible-type
 ``LogicError``), head projection, probe accounting, and the
-:class:`IntTable` / ``GrowTable`` fixpoint tables.
+:class:`IntTable` fixpoint table.
 """
 
 import pytest
@@ -318,71 +318,3 @@ class TestKernelCaches:
         empty.declare_edb("edge", 2)
         assert kernel.execute(empty.relation) == []
         assert isinstance(kernel, ConjunctionKernel)
-
-
-class TestGrowTable:
-    """The numpy backend's fixpoint table (numpy only)."""
-
-    @pytest.fixture
-    def np(self):
-        return pytest.importorskip("numpy")
-
-    def _gt(self, np, *blocks, arity=2):
-        from repro.engine.kernels import GrowTable
-
-        table = GrowTable(arity, np)
-        for rows in blocks:
-            self._grow(np, table, rows)
-        return table
-
-    @staticmethod
-    def _grow(np, table, rows):
-        """Admit one block and make it visible; the delta table (or None)."""
-        table.admit(np.array(rows, dtype=np.int64).reshape(len(rows), table.arity))
-        return table.extend()
-
-    def test_empty_table(self, np):
-        table = self._gt(np)
-        assert len(table) == 0 and table.version == 0
-        assert table.as_array().shape == (0, 2)
-        assert table.int_rows() == []
-
-    def test_blocks_concatenate_in_order(self, np):
-        table = self._gt(np, [(1, 2)], [(3, 4), (5, 6)])
-        assert len(table) == 3
-        assert table.as_array().tolist() == [[1, 2], [3, 4], [5, 6]]
-        assert table.int_rows() == [(1, 2), (3, 4), (5, 6)]
-
-    def test_version_is_monotone_row_count(self, np):
-        table = self._gt(np, [(1, 1)])
-        assert table.version == 1
-        self._grow(np, table, [(2, 2), (3, 3)])
-        assert table.version == 3
-
-    def test_empty_block_extension_is_noop(self, np):
-        table = self._gt(np, [(1, 2)])
-        assert self._grow(np, table, []) is None
-        assert len(table) == 1 and table.version == 1
-
-    def test_as_array_memoized_per_version(self, np):
-        table = self._gt(np, [(1, 2)], [(3, 4)])
-        first = table.as_array()
-        assert table.as_array() is first
-        self._grow(np, table, [(5, 6)])
-        assert table.as_array() is not first
-        assert table.as_array().tolist() == [[1, 2], [3, 4], [5, 6]]
-
-    def test_distinct_count(self, np):
-        table = self._gt(np, [(1, 9), (2, 9)], [(3, 9)])
-        assert table.distinct_count(0) == 3
-        assert table.distinct_count(1) == 1
-
-    def test_admit_screens_batch_pending_and_visible_rows(self, np):
-        table = self._gt(np, [(1, 2)])
-        batch = np.array([[1, 2], [3, 4], [3, 4]], dtype=np.int64)
-        assert table.admit(batch) == 1  # (1,2) visible, (3,4) once
-        assert table.admit(np.array([[3, 4], [5, 6]], dtype=np.int64)) == 1
-        assert len(table) == 1  # nothing visible before extend()
-        delta = table.extend()
-        assert delta.as_array(np).tolist() == [[3, 4], [5, 6]]
-        assert table.int_rows() == [(1, 2), (3, 4), (5, 6)]

@@ -108,8 +108,20 @@ def delete_edges(kb: KnowledgeBase, *positions: int) -> None:
         kb.relation("edge").delete(rows[position])
 
 
+def check_relations(kb: KnowledgeBase) -> None:
+    """Every stored relation's derived structures agree with its rows
+    (:meth:`Relation.check_invariants` raises on the first that does not)."""
+    for name in kb.edb_predicates():
+        kb.relation(name).check_invariants()
+
+
 def kb_state(kb: KnowledgeBase) -> tuple:
-    """A deep observable snapshot: catalog, rows, and index/stats probes."""
+    """A deep observable snapshot: catalog, rows, and index/stats probes.
+
+    The relations' internal coherence is checked on the way, before the
+    statistics probes below can refresh a stale memo.
+    """
+    check_relations(kb)
     facts = {name: frozenset(kb.facts(name)) for name in kb.edb_predicates()}
     stats = {
         name: tuple(

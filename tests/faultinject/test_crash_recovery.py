@@ -74,8 +74,11 @@ def canonical(kb: KnowledgeBase) -> str:
 
     The kb's display name is the one field durability does not promise to
     preserve (a recovered kb is rebuilt under its snapshot's name), so it
-    is excluded from the byte comparison.
+    is excluded from the byte comparison.  Every stored relation's
+    internal coherence is checked on the way.
     """
+    for name in kb.edb_predicates():
+        kb.relation(name).check_invariants()
     payload = kb_to_dict(kb)
     payload.pop("name", None)
     return json.dumps(payload, sort_keys=True)

@@ -1,14 +1,13 @@
 """Fault injection inside the join kernels' integer loops.
 
 Bottom-up evaluation interns constants into the process-wide symbol table,
-mirrors relations as id tuples / columnar blocks, and runs the semi-naive
+mirrors relations as id tuples, and runs the semi-naive
 fixpoint over transient :class:`IntTable` stores.  A fault raised at any
 guard checkpoint *inside* those loops (guard cancellation, a resource
 budget trip, an injected failure) must leave:
 
 1. the **catalog** untouched — facts, rules, statistics, and every
-   relation's interned mirror coherent with its row set (no stale
-   columns);
+   relation's interned mirror coherent with its row set;
 2. the **symbol table** consistent — every issued id round-trips
    (``intern(extern(id)) == id``): interning is append-only, so there is
    no such thing as a half-interned symbol;
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 from repro.catalog.symbols import SYMBOLS
 from repro.engine.evaluate import retrieve
-from repro.engine.seminaive import SemiNaiveEngine
 from repro.engine.viewcache import ViewCache
 from repro.lang.parser import parse_atom
 
@@ -39,6 +37,7 @@ from tests.faultinject.test_atomicity import (
     injection_points,
     kb_state,
 )
+from tests.faultinject.test_viewcache_faults import assert_cache_consistent
 
 #: Minimum injections across this module's scenarios.
 TARGET_TOTAL = 60
@@ -57,28 +56,12 @@ def assert_symbols_consistent() -> None:
         )
 
 
-def assert_mirrors_coherent(kb) -> None:
-    """Interned mirrors and columnar blocks must match the stored rows."""
-    for name in kb.edb_predicates():
-        relation = kb.relation(name)
-        rows = relation.rows()
-        externed = [SYMBOLS.extern_row(row) for row in relation.int_rows()]
-        assert externed == rows, f"stale interned mirror on {name} (seed {SEED})"
-        block = relation.column_block()
-        assert block.version == relation.version, (
-            f"stale columnar block on {name} (seed {SEED})"
-        )
-        assert [
-            SYMBOLS.extern_row(row) for row in block.int_rows()
-        ] == rows, f"stale columns on {name} (seed {SEED})"
-
-
 def kernel_snapshot(kb) -> tuple:
-    """`kb_state` plus the kernel-specific invariants (checked, not stored:
-    the symbol table legitimately grows across runs — append-only — so its
-    size cannot be part of a divergence comparison)."""
+    """`kb_state` (which checks every relation's interned mirror against
+    its rows) plus the symbol-table invariant (checked, not stored: the
+    table legitimately grows across runs — append-only — so its size
+    cannot be part of a divergence comparison)."""
     assert_symbols_consistent()
-    assert_mirrors_coherent(kb)
     return kb_state(kb)
 
 
@@ -126,12 +109,11 @@ class TestKernelQueryFaults:
         drive_kernel("kernel-chain", lambda: chain_kb(24), run)
 
     def test_query_with_warm_mirrors(self):
-        # Force the interned mirrors and columnar blocks to exist before
-        # the faulted run: a mid-loop fault must not leave them stale.
+        # Force the interned mirror to exist before the faulted run: a
+        # mid-loop fault must not leave it stale.
         def make():
             kb = chain_kb(20)
             kb.relation("edge").int_rows()
-            kb.relation("edge").column_block()
             return kb
 
         def run(kb, guard):
@@ -153,18 +135,6 @@ class TestKernelViewCacheFaults:
             kb.add_fact("edge", 100, 0)
             return kb, cache
 
-        def assert_cache_consistent(kb, cache):
-            for predicate, entry in cache._views.items():
-                if not cache._is_fresh(
-                    predicate, cache._dependency_profile(predicate)
-                ):
-                    continue
-                expected = SemiNaiveEngine(kb).evaluate([predicate])[predicate]
-                assert set(entry.relation.rows()) == set(expected.rows()), (
-                    f"cache serves a half-refreshed view of {predicate} "
-                    f"(seed {SEED})"
-                )
-
         kb, cache = make()
         counting = CountingGuard()
         reference = frozenset(retrieve(kb, SUBJECT, guard=counting, cache=cache).rows)
@@ -180,7 +150,6 @@ class TestKernelViewCacheFaults:
             except InjectedFault:
                 exercised += 1
                 assert_symbols_consistent()
-                assert_mirrors_coherent(kb)
                 assert_cache_consistent(kb, cache)
             clean = frozenset(retrieve(kb, SUBJECT, cache=cache).rows)
             assert clean == reference, (

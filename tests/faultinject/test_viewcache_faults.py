@@ -31,6 +31,7 @@ from tests.faultinject.test_atomicity import (
     FaultInjectingGuard,
     InjectedFault,
     chain_kb,
+    check_relations,
     delete_edges,
     injection_points,
     layered_kb,
@@ -43,8 +44,11 @@ _EXERCISED: dict[str, int] = {}
 
 
 def assert_cache_consistent(kb, cache: ViewCache) -> None:
-    """No fresh-looking cached view may differ from a fresh evaluation."""
+    """No fresh-looking cached view may differ from a fresh evaluation,
+    and no relation — stored or cached — may be internally incoherent."""
+    check_relations(kb)
     for predicate, entry in cache._views.items():
+        entry.relation.check_invariants()
         if not cache._is_fresh(predicate, cache._dependency_profile(predicate)):
             continue
         expected = SemiNaiveEngine(kb).evaluate([predicate])[predicate]

@@ -23,6 +23,11 @@ grow back.
 The answer half: under the seminaive engine ids become constants once, at
 the answer — ``retrieve`` builds no substitution and externalizes in a
 number of bulk calls that does not depend on how many rows it returns.
+
+The table half: one backend and two shapes of a ``Relation`` (the constant
+row dict and its id-tuple mirror).  The array backend, its module, its
+twin step methods and the environment variables that selected it may not
+grow back; the library reads no environment variable at all.
 """
 
 import ast
@@ -30,15 +35,21 @@ import gc
 import importlib
 import importlib.util
 import inspect
+import os
+import re
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
 import pytest
 
 import repro.engine
+from repro.catalog.relation import Relation
 from repro.catalog.symbols import SymbolTable
 from repro.cli import main
 from repro.engine import SemiNaiveEngine, evaluate_conjunction, retrieve
+from repro.engine import kernels
 from repro.engine.kernels import (
     compile_conjunction_kernel,
     compile_rule_kernel,
@@ -274,3 +285,52 @@ def test_seminaive_retrieve_externalizes_once_at_the_answer(monkeypatch):
     small, large = calls_by_size.values()
     assert max(calls_by_size) > 1000
     assert small == large and small["extern_rows"] >= 1
+
+
+def test_the_array_backend_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.catalog.columnar")
+
+
+def test_library_reads_no_environment_variable_and_names_no_numpy():
+    retired = re.compile(r"os\.environ|getenv|REPRO_|numpy")
+    offenders = [
+        f"{source.relative_to(ROOT)}:{number}"
+        for source in sorted(PACKAGE.rglob("*.py"))
+        for number, line in enumerate(source.read_text().splitlines(), 1)
+        if retired.search(line)
+    ]
+    assert offenders == []
+
+
+def test_kernel_steps_have_one_run_method():
+    step_classes = [
+        value
+        for name, value in vars(kernels).items()
+        if inspect.isclass(value) and name.startswith("_K")
+    ]
+    assert len(step_classes) == 4
+    for step_class in step_classes:
+        assert hasattr(step_class, "run") and not hasattr(step_class, "run_block")
+    for kernel_class in (kernels.ConjunctionKernel, kernels.RuleKernel):
+        assert not hasattr(kernel_class, "execute_block")
+        assert not hasattr(kernel_class, "execute_rows")
+
+
+def test_relation_has_two_shapes():
+    retired = {"column_block", "row_seq", "columnar_lookup"}
+    assert not retired & set(dir(Relation))
+    assert not {"_block", "_intblock", "_rowseq"} & set(vars(Relation(1)))
+
+
+def test_retrieve_imports_no_numpy():
+    script = (
+        "import sys\n"
+        "from repro.datasets import university_kb\n"
+        "from repro.engine import retrieve\n"
+        "from repro.lang.parser import parse_atom\n"
+        "assert retrieve(university_kb(), parse_atom('honor(X)')).rows\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)

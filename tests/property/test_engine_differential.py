@@ -4,9 +4,7 @@ The baseline is the reference evaluator (``repro.engine.reference``: the
 tuple-at-a-time semi-naive loop, kept as a test oracle and reachable from
 no production path).  Every engine configuration the repo ships —
 
-* semi-naive bottom-up over the python table backend,
-* the same with the numpy table backend forced on (skipped silently when
-  numpy is not importable),
+* semi-naive bottom-up over the integer kernels,
 * top-down evaluation with call-pattern tabling,
 * magic-sets rewriting followed by semi-naive evaluation,
 
@@ -29,7 +27,6 @@ import os
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.catalog.columnar import backend_override
 from repro.catalog.database import KnowledgeBase
 from repro.engine import retrieve
 from repro.logic.atoms import Atom, comparison
@@ -44,39 +41,18 @@ CONSTANTS = ["a", "b", "c", "d", "e"]
 VARIABLES = [Variable(n) for n in ("X", "Y", "Z", "W")]
 
 
-def _numpy_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy ships in CI images
-        return False
-    return True
-
-
-#: Every (engine, table backend) pair checked against the reference
-#: evaluator.  Backend ``"python"`` pins the id-tuple tables; ``"numpy"``
-#: forces the array tables with the row floor at 1 so every delta takes the
-#: vectorized path (the numpy config drops out of the matrix when numpy is
-#: not importable).
-CONFIGS = (
-    ("seminaive", "python"),
-    ("topdown", "python"),
-    ("magic", "python"),
-) + ((("seminaive", "numpy"),) if _numpy_available() else ())
-
-
-def _answers(kb, subject, engine, backend):
-    with backend_override(backend, min_rows=1):
-        return retrieve(kb, subject, engine=engine).to_set()
+#: Every engine checked against the reference evaluator.
+CONFIGS = ("seminaive", "topdown", "magic")
 
 
 def assert_engines_agree(kb, subject):
     """Every engine configuration returns the reference answer set."""
     baseline = reference_answers(kb, subject)
     rules = "\n".join(str(rule) for rule in kb.rules())
-    for config in CONFIGS:
-        rows = _answers(kb, subject, *config)
+    for engine in CONFIGS:
+        rows = retrieve(kb, subject, engine=engine).to_set()
         assert rows == baseline, (
-            f"{config} diverged from the reference evaluator on {subject}:\n"
+            f"{engine} diverged from the reference evaluator on {subject}:\n"
             f"  baseline={sorted(baseline)}\n  got={sorted(rows)}\n"
             f"program:\n{rules}"
         )

@@ -15,16 +15,13 @@ as a list, order included.  Hypothesis checks it on the differential
 suite's generated programs; the explicit cases pin the shapes where the
 two sides could drift apart (existential variables, repeated and constant
 subject arguments, Boolean and ad-hoc subjects, negation, numerically
-equal constants, degrade-mode trips, error paths).  Every check runs under
-the python table backend and, when numpy is importable, under the array
-backend with the row floor at 1.
+equal constants, degrade-mode trips, error paths).
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.catalog.columnar import backend_override
 from repro.catalog.database import KnowledgeBase
 from repro.engine import ResourceGuard, evaluate_conjunction, retrieve
 from repro.errors import ArityError, SafetyError
@@ -36,13 +33,9 @@ from tests.engine.test_guard import chain_kb
 from tests.property.test_engine_differential import (
     EXAMPLES,
     VARIABLES,
-    _numpy_available,
     positive_layered_program,
     recursive_graph_program,
 )
-
-BACKENDS = ("python",) + (("numpy",) if _numpy_available() else ())
-
 
 def stream_rows(kb, subject, qualifier=(), negated=(), guard=None):
     """What ``retrieve`` must return, rebuilt from the substitution stream."""
@@ -64,23 +57,19 @@ def stream_rows(kb, subject, qualifier=(), negated=(), guard=None):
 
 
 def assert_parity(kb, subject, qualifier=(), negated=(), guard=None):
-    """``retrieve`` equals the stream's projection under every backend;
-    returns the (python backend) result for further assertions."""
-    results = []
-    for backend in BACKENDS:
-        with backend_override(backend, min_rows=1):
-            expected_guard = guard.fresh() if guard is not None else None
-            expected = stream_rows(kb, subject, qualifier, negated, expected_guard)
-            result_guard = guard.fresh() if guard is not None else None
-            result = retrieve(
-                kb, subject, qualifier, negated_qualifier=negated, guard=result_guard
-            )
-        assert result.rows == expected, (backend, str(subject))
-        assert len(set(result.rows)) == len(result.rows)
-        if guard is not None:
-            assert result.diagnostics.degraded == (expected_guard.tripped is not None)
-        results.append(result)
-    return results[0]
+    """``retrieve`` equals the stream's projection; returns the result
+    for further assertions."""
+    expected_guard = guard.fresh() if guard is not None else None
+    expected = stream_rows(kb, subject, qualifier, negated, expected_guard)
+    result_guard = guard.fresh() if guard is not None else None
+    result = retrieve(
+        kb, subject, qualifier, negated_qualifier=negated, guard=result_guard
+    )
+    assert result.rows == expected, str(subject)
+    assert len(set(result.rows)) == len(result.rows)
+    if guard is not None:
+        assert result.diagnostics.degraded == (expected_guard.tripped is not None)
+    return result
 
 
 # -- generated programs ----------------------------------------------------------
