@@ -47,12 +47,11 @@ def test_extended_artifacts(uni_session):
     assert intensional.fully_intensional
 
 
-@pytest.mark.parametrize("engine", ["seminaive", "topdown"])
 @pytest.mark.parametrize("people", [100, 400])
-def bench_negation(benchmark, engine, people):
+def bench_negation(benchmark, people):
     kb = negation_kb(people)
     subject = parse_atom("unmarried_foreign(X)")
-    result = benchmark(retrieve, kb, subject, (), engine)
+    result = benchmark(retrieve, kb, subject)
     assert result.rows
 
 

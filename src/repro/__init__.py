@@ -5,8 +5,8 @@ A knowledge-rich (deductive) database in pure Python, with the paper's twin
 query statements behind one coherent instrument:
 
 * ``retrieve p where psi`` — data queries, answered with data (semi-naive
-  bottom-up, top-down tabled, or magic-sets evaluation; stratified negation
-  in rules and qualifiers);
+  bottom-up evaluation, optionally over a magic-sets rewriting; stratified
+  negation in rules and qualifiers);
 * ``describe p where psi`` — knowledge queries, answered with *rules*
   describing what the concept ``p`` means under the circumstances ``psi``
   (Algorithms 1 and 2, with the Imielinski transformation, tag bounds and

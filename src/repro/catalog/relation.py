@@ -6,7 +6,7 @@ arguments avoid full scans.  This is the storage substrate under the
 deductive engine.
 
 A relation has two shapes: the ``Constant`` row dict, which is the source
-of truth (persistence, display and the resolver-style engines read it),
+of truth (persistence, display, proof search and view repair read it),
 and a lazy mirror of the same rows as symbol-id tuples
 (:meth:`Relation.int_rows`), which the join kernels read.  Everything else
 — indexes, distinct counts — is derived from the row dict and dropped or

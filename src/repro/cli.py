@@ -63,7 +63,7 @@ import time
 from repro.errors import ReproError
 from repro.catalog.database import KnowledgeBase
 from repro.core.answers import DescribeResult
-from repro.engine.evaluate import RetrieveResult
+from repro.engine.evaluate import ENGINES, RetrieveResult
 from repro.engine.guard import ResourceGuard
 from repro.lang.pretty import format_bindings, format_rules
 from repro.session import Session
@@ -695,8 +695,8 @@ def main(argv: list[str] | None = None) -> int:
             help="reader session slots (worker threads; default: 4)",
         )
         serve_parser.add_argument(
-            "--engine", choices=("seminaive", "topdown", "magic"),
-            default="seminaive", help="evaluation engine for reads",
+            "--engine", choices=ENGINES, default="seminaive",
+            help="evaluation engine for reads",
         )
         serve_parser.add_argument(
             "--no-trace", action="store_true",
@@ -783,8 +783,8 @@ def main(argv: list[str] | None = None) -> int:
             "--load", metavar="FILE", help="load a definition file first"
         )
         obs_parser.add_argument(
-            "--engine", choices=("seminaive", "topdown", "magic"),
-            default="seminaive", help="evaluation engine",
+            "--engine", choices=ENGINES, default="seminaive",
+            help="evaluation engine",
         )
         obs_parser.add_argument(
             "--json", action="store_true", help="emit machine-readable JSON"
@@ -812,7 +812,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--dataset", choices=_DATASETS, help="start from a bundled database")
     parser.add_argument("--load", metavar="FILE", help="load a definition file")
     parser.add_argument(
-        "--engine", choices=("seminaive", "topdown"), default="seminaive",
+        "--engine", choices=ENGINES, default="seminaive",
         help="data-query engine",
     )
     parser.add_argument(

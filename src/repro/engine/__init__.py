@@ -1,15 +1,17 @@
 """Deductive engine: data-query (retrieve) evaluation.
 
-Interchangeable engines — semi-naive bottom-up, top-down with
-call-pattern tabling, and magic-sets rewriting — behind one public API
-(:func:`retrieve`, :func:`evaluate_conjunction`).  Bottom-up evaluation
-has one execution path: :mod:`repro.engine.plan` compiles a rule body or
-query conjunction to a logical plan, :mod:`repro.engine.kernels` lowers
-it to an integer kernel over interned symbol ids, and the one stratum
-driver in :mod:`repro.engine.seminaive` runs the fixpoint.  The
-tuple-at-a-time joins of :mod:`repro.engine.joins` serve top-down
-evaluation, provenance and the view cache's one-pass repair of
-non-recursive views (:mod:`repro.engine.incremental`, which only
+One evaluator behind one public API (:func:`retrieve`,
+:func:`evaluate_conjunction`): :mod:`repro.engine.plan` compiles a rule
+body or query conjunction to a logical plan, :mod:`repro.engine.kernels`
+lowers it to an integer kernel over interned symbol ids, and the one
+stratum driver in :mod:`repro.engine.seminaive` runs the fixpoint.
+``engine="magic"`` is the same evaluator run over the magic-sets
+rewriting of the program for the goal (:mod:`repro.engine.magic`); both
+hand ``retrieve`` an id batch and the answer is externalized once.  The
+tuple-at-a-time joins of :mod:`repro.engine.joins` (``join_conjunction``,
+``Resolver``, ``bind_row``) answer no query: they serve ``explain`` proof
+trees (:mod:`repro.engine.provenance`), the view cache's one-pass repair
+of non-recursive views (:mod:`repro.engine.incremental`, which only
 :mod:`repro.engine.viewcache` imports), and — as
 :mod:`repro.engine.reference`, which nothing here imports — the oracle
 the test suites compare the production path against."""
@@ -50,7 +52,6 @@ from repro.engine.provenance import (
 )
 from repro.engine.safety import check_rule_safety, safety_problems
 from repro.engine.seminaive import SemiNaiveEngine
-from repro.engine.topdown import TopDownEngine
 from repro.engine.viewcache import CacheStats, ViewCache
 
 __all__ = [
@@ -83,7 +84,6 @@ __all__ = [
     "check_rule_safety",
     "safety_problems",
     "SemiNaiveEngine",
-    "TopDownEngine",
     "CacheStats",
     "ViewCache",
 ]

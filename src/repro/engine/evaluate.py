@@ -6,15 +6,15 @@ whose substitution for the variables of ``p`` and ``psi`` satisfies
 When ``p`` uses a predicate unknown to the database, it is an ad-hoc
 predicate defined by ``psi`` (the paper's Example 2 ``answer`` predicate).
 
-The answer is a *set of constant tuples*, and under the seminaive engine
-it is built as one: :func:`_seminaive_batch` solves the conjunction over
-interned symbol ids, and ``retrieve`` projects that id batch onto the free
+The answer is a *set of constant tuples*, and it is built as one under
+both engines: :func:`_answer_batch` solves the conjunction over interned
+symbol ids (bottom-up over the whole relevant IDB, or over its magic-sets
+rewriting), and ``retrieve`` projects that id batch onto the free
 variables, deduplicates id tuples and turns the distinct rows into
 constants in one bulk :meth:`~repro.catalog.symbols.SymbolTable.extern_rows`
 call — no substitution is built.  :func:`evaluate_conjunction` is the
 substitution-stream view of the same batch, for the callers that want
-bindings rather than an answer set (integrity constraints, ``derivable``);
-topdown and magic produce substitutions natively, one tuple at a time.
+bindings rather than an answer set (integrity constraints, ``derivable``).
 """
 
 from __future__ import annotations
@@ -33,17 +33,17 @@ from repro.engine.kernels import (
     compile_conjunction_kernel,
     substitutions_from_kernel_batch,
 )
+from repro.engine.magic import magic_conjunction
 from repro.engine.seminaive import SemiNaiveEngine
-from repro.engine.topdown import TopDownEngine
 from repro.logic.atoms import Atom, atoms_variables
 from repro.logic.substitution import Substitution
-from repro.logic.terms import Constant, Variable, is_constant, is_variable
+from repro.logic.terms import Constant, Variable, is_variable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.viewcache import ViewCache
 
 #: Engine selector values accepted by the public API.
-ENGINES = ("seminaive", "topdown", "magic")
+ENGINES = ("seminaive", "magic")
 
 #: A compiled-plan cache: ``(rules_version, fingerprint)`` -> compiled
 #: conjunction kernel.  Sessions pass a bounded mapping so
@@ -136,7 +136,6 @@ def evaluate_conjunction(
     kb: KnowledgeBase,
     conjuncts: Sequence[Atom],
     engine: str = "seminaive",
-    max_derived_facts: int | None = None,
     negated: Sequence[Atom] = (),
     guard: ResourceGuard | None = None,
     cache: "ViewCache | None" = None,
@@ -146,11 +145,11 @@ def evaluate_conjunction(
     """Enumerate substitutions satisfying a conjunction over the database.
 
     ``negated`` conjuncts filter solutions by absence (closed world); their
-    variables must be bound by the positive conjuncts.  Under the
-    seminaive engine the conjunction (and the rules under it) is compiled
-    to a plan and lowered to an integer join kernel over interned symbol
-    ids (:mod:`repro.engine.kernels`); topdown and magic are
-    tuple-at-a-time by construction.
+    variables must be bound by the positive conjuncts.  The conjunction
+    (and the rules under it — as written, or magic-rewritten for the goal)
+    is compiled to a plan and lowered to an integer join kernel over
+    interned symbol ids (:mod:`repro.engine.kernels`); the substitutions
+    are built from the finished id batch.
 
     ``plan_cache`` (a mutable mapping, usually a session's bounded cache)
     memoizes the compiled kernel for the query conjunction itself under
@@ -160,89 +159,55 @@ def evaluate_conjunction(
     ``guard`` governs the whole evaluation (deadline, fact budget,
     cancellation).  In strict mode exhaustion raises a
     :class:`~repro.errors.ResourceExhausted` error; in degrade mode the
-    enumeration ends early instead — everything yielded is genuinely
-    derivable, so the prefix is a sound under-approximation — and the trip
-    is recorded on ``guard.tripped``.
+    batch is cut short instead — everything yielded is genuinely
+    derivable, a sound under-approximation — and the trip is recorded on
+    ``guard.tripped``.
 
     ``cache`` (a :class:`~repro.engine.viewcache.ViewCache` bound to *kb*)
     serves the seminaive engine's IDB materialisations from warm views when
     their dependency fingerprints are current, repairing non-recursive
-    views in place under small EDB deltas.  It is ignored for other
-    engines, for a mismatched knowledge base, and under an explicit
-    ``max_derived_facts`` limit (cached relations were computed without
-    one, so answers could differ).
+    views in place under small EDB deltas.  It is ignored for the magic
+    engine and for a mismatched knowledge base.
     """
     _check_engine(engine)
-    iterator = _evaluate_conjunction(
-        kb, conjuncts, engine, max_derived_facts, negated, guard, cache,
-        tracer, plan_cache,
+    schema, batch = _answer_batch(
+        kb, conjuncts, engine, negated, guard, cache, tracer, plan_cache
     )
-    if guard is None or guard.mode != "degrade":
-        yield from iterator
-        return
-    try:
-        yield from iterator
-    except ResourceExhausted as error:
-        degrade_catch(guard, error)
+    yield from substitutions_from_kernel_batch(schema, batch)
 
 
-def _evaluate_conjunction(
+def _answer_batch(
     kb: KnowledgeBase,
     conjuncts: Sequence[Atom],
     engine: str,
-    max_derived_facts: int | None,
     negated: Sequence[Atom],
     guard: ResourceGuard | None,
-    cache: "ViewCache | None" = None,
-    tracer=None,
-    plan_cache: PlanCache | None = None,
-) -> Iterator[Substitution]:
-    if engine == "magic":
-        from repro.engine.magic import magic_conjunction
+    cache: "ViewCache | None",
+    tracer,
+    plan_cache: PlanCache | None,
+) -> tuple[tuple[Variable, ...], IntBatch]:
+    """Solve a conjunction under *engine*: ``(schema, batch)``, one
+    symbol-id tuple per solution, column *i* binding ``schema[i]``.
 
+    Callers decide where ids become constants — :func:`retrieve` after
+    projection and dedup, :func:`evaluate_conjunction` per substitution.
+    A degrade-mode guard never escapes either producer: whatever it cut
+    short, the batch is a sound under-approximation and the trip is on
+    ``guard.tripped``.
+    """
+    if engine == "magic":
         if negated:
             raise EngineError(
-                "the magic engine covers positive queries; use seminaive or "
-                "topdown for negated qualifiers"
+                "the magic engine covers positive queries; use seminaive "
+                "for negated qualifiers"
             )
-        yield from magic_conjunction(
-            kb, conjuncts, max_derived_facts=max_derived_facts, guard=guard,
-            tracer=tracer,
-        )
-        return
-    if engine == "topdown":
-        evaluator = TopDownEngine(
-            kb, max_table_rows=max_derived_facts, guard=guard, tracer=tracer
-        )
-
-        def absent_topdown(theta: Substitution) -> bool:
-            for atom in negated:
-                instantiated = theta.apply(atom)
-                if not instantiated.is_ground():
-                    raise SafetyError(
-                        f"negated conjunct {instantiated} is not ground; bind its "
-                        "variables with positive conjuncts"
-                    )
-                if next(iter(evaluator.query((instantiated,))), None) is not None:
-                    return False
-            return True
-
-        for theta in evaluator.query(conjuncts):
-            if not negated or absent_topdown(theta):
-                yield theta
-        return
-
-    schema, batch = _seminaive_batch(
-        kb, conjuncts, max_derived_facts, negated, guard, cache, tracer,
-        plan_cache,
-    )
-    yield from substitutions_from_kernel_batch(schema, batch)
+        return magic_conjunction(kb, conjuncts, guard=guard, tracer=tracer)
+    return _seminaive_batch(kb, conjuncts, negated, guard, cache, tracer, plan_cache)
 
 
 def _seminaive_batch(
     kb: KnowledgeBase,
     conjuncts: Sequence[Atom],
-    max_derived_facts: int | None,
     negated: Sequence[Atom],
     guard: ResourceGuard | None,
     cache: "ViewCache | None",
@@ -252,32 +217,18 @@ def _seminaive_batch(
     """Solve a conjunction bottom-up, staying in the id domain.
 
     Materialises the IDB views the conjunction reads (through *cache* or a
-    fresh :class:`SemiNaiveEngine`), runs the conjunction's kernel over
-    them and returns ``(schema, batch)``: one symbol-id tuple per
-    solution, column *i* binding ``schema[i]``.  Callers decide where ids
-    become constants — :func:`retrieve` after projection and dedup,
-    :func:`evaluate_conjunction` per substitution.  A degrade-mode guard
-    never escapes: whatever it cut short, the batch is a sound
-    under-approximation (empty when only that is sound) and the trip is
-    on ``guard.tripped``.
+    fresh :class:`SemiNaiveEngine`) and runs the conjunction's kernel over
+    them.  A degraded batch is empty when only that is sound.
     """
     positive_predicates = {
         a.predicate for a in conjuncts if not a.is_comparison() and kb.is_idb(a.predicate)
     }
     negated_predicates = {a.predicate for a in negated if kb.is_idb(a.predicate)}
     wanted = sorted(positive_predicates | negated_predicates)
-    # A cache only applies when bound to this knowledge base and when no
-    # explicit fact limit is in force: cached views were materialised
-    # without one, so a limited evaluation could legitimately differ.
-    use_cache = (
-        cache is not None and cache.kb is kb and max_derived_facts is None
-    )
+    # A cache only applies when bound to this knowledge base.
+    use_cache = cache is not None and cache.kb is kb
     materializer = (
-        cache
-        if use_cache
-        else SemiNaiveEngine(
-            kb, max_derived_facts=max_derived_facts, guard=guard, tracer=tracer
-        )
+        cache if use_cache else SemiNaiveEngine(kb, guard=guard, tracer=tracer)
     )
     try:
         if use_cache:
@@ -351,7 +302,6 @@ def retrieve(
     subject: Atom,
     qualifier: Sequence[Atom] = (),
     engine: str = "seminaive",
-    max_derived_facts: int | None = None,
     negated_qualifier: Sequence[Atom] = (),
     guard: ResourceGuard | None = None,
     cache: "ViewCache | None" = None,
@@ -400,40 +350,10 @@ def retrieve(
     from repro.obs.trace import traced_span
 
     with traced_span(tracer, "retrieve", subject=str(subject), engine=engine):
-        if engine == "seminaive":
-            schema, batch = _seminaive_batch(
-                kb, conjunction, max_derived_facts, negated, guard, cache,
-                tracer, plan_cache,
-            )
-            rows = _distinct_answers(schema, batch, free_vars)
-        else:
-            # Topdown and magic solve tuple-at-a-time: their substitution
-            # stream is projected and deduplicated row by row.
-            seen: set[tuple[Constant, ...]] = set()
-            rows = []
-            for theta in evaluate_conjunction(
-                kb,
-                conjunction,
-                engine=engine,
-                max_derived_facts=max_derived_facts,
-                negated=negated,
-                guard=guard,
-                cache=cache,
-                tracer=tracer,
-                plan_cache=plan_cache,
-            ):
-                values = []
-                for variable in free_vars:
-                    term = theta.apply_term(variable)
-                    if not is_constant(term):
-                        raise SafetyError(
-                            f"free variable {variable} is not bound by the query"
-                        )
-                    values.append(term)
-                row = tuple(values)
-                if row not in seen:
-                    seen.add(row)
-                    rows.append(row)
+        schema, batch = _answer_batch(
+            kb, conjunction, engine, negated, guard, cache, tracer, plan_cache
+        )
+        rows = _distinct_answers(schema, batch, free_vars)
         if tracer is not None:
             tracer.count("answer_rows", len(rows))
     diagnostics = guard.diagnostics() if guard is not None else None

@@ -1,12 +1,12 @@
 """Unified resource governance for query evaluation.
 
-Every evaluation path of the system — the semi-naive engine, the top-down
-tabled engine, magic-sets evaluation, the view cache's in-place repair, and
-the ``describe`` derivation-tree search — can be governed by one
-:class:`ResourceGuard` carrying:
+Every evaluation path of the system — the semi-naive engine (run directly
+or over a magic-sets rewriting), the view cache's in-place repair, the
+``explain`` proof search and the ``describe`` derivation-tree search — can
+be governed by one :class:`ResourceGuard` carrying:
 
 * a **wall-clock deadline** (seconds of evaluation time);
-* a **derived-fact budget** (rows materialised/tabled across the query);
+* a **derived-fact budget** (rows materialised across the query);
 * **step / depth / iteration budgets** (resolution steps, derivation-tree
   depth, fixpoint iterations);
 * a cooperative :class:`CancellationToken` (another thread may cancel a
@@ -129,7 +129,7 @@ class ResourceGuard:
         Wall-clock seconds the query may run (measured from the first
         checkpoint); must be positive.
     max_facts:
-        Derived/tabled-row budget across every engine the query touches.
+        Derived-row budget across every engine the query touches.
     max_steps:
         Resolution/derivation step budget.
     max_depth:
@@ -300,25 +300,22 @@ class ResourceGuard:
             self._since_time_check = 0
             self._check_time(error)
 
-    def count_facts(self, count: int = 1, error=None, detail: str | None = None) -> None:
-        """Record *count* newly derived/tabled facts; check the fact budget.
-
-        *detail* is appended to the error message (e.g. which predicate was
-        being tabled when the budget tripped).
-        """
+    def count_facts(self, count: int = 1, error=None) -> None:
+        """Record *count* newly derived facts; check the fact budget."""
         self._checkpoint()
         if self._disarmed:
             return
         self.start()
         self.facts += count
         if self.max_facts is not None and self.facts > self.max_facts:
-            message = (
+            self._trip(
+                BUDGET_FACTS,
+                self.facts,
+                self.max_facts,
                 f"derived-fact budget of {self.max_facts} exceeded "
-                f"({self.facts} facts derived)"
+                f"({self.facts} facts derived)",
+                error,
             )
-            if detail:
-                message += f" {detail}"
-            self._trip(BUDGET_FACTS, self.facts, self.max_facts, message, error)
         self._check_time(error)
 
     def iteration(self, error=None) -> None:

@@ -9,11 +9,12 @@ reordered so bound atoms run first (index-friendly) and comparisons run as
 soon as they are ground.
 
 This is a depth-first nested-loops join, one substitution per binding.
-The top-down engine and other resolver-based callers (provenance, the
-view cache's one-pass repair of non-recursive views) are built on it, and
-so is the reference evaluator the test suites use as their oracle
-(:mod:`repro.engine.reference`).  Bottom-up evaluation itself runs on the
-integer kernels of :mod:`repro.engine.kernels`; :func:`order_conjuncts` and
+No query is answered through it: its callers are ``explain`` proof search
+(:mod:`repro.engine.provenance`), the view cache's one-pass repair of
+non-recursive views (:mod:`repro.engine.incremental`) and the reference
+evaluator the test suites use as their oracle
+(:mod:`repro.engine.reference`).  Query evaluation runs on the integer
+kernels of :mod:`repro.engine.kernels`; :func:`order_conjuncts` and
 :func:`relation_cost_estimator` are shared with its planner
 (:mod:`repro.engine.plan`).
 """

@@ -21,22 +21,28 @@ constants and earlier atoms.  The SIPS walk is
 binding-mode analysis also runs, and the only thing this package takes
 from the abstract interpretation.
 
-Scope: positive programs (stratified negation falls back to the plain
-engine with a clear error from :func:`magic_rewrite`).
+The rewritten program runs on the one bottom-up engine
+(:class:`~repro.engine.seminaive.SemiNaiveEngine`), and
+:func:`magic_conjunction` hands its goal relation back as an id batch —
+goal direction is a rewrite, not a second evaluator.
+
+Scope: positive programs (:func:`magic_rewrite` rejects negation with a
+clear error; the plain engine evaluates those).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from repro.errors import EngineError
+from repro.errors import EngineError, ResourceExhausted
 from repro.analysis.absint.modes import ModeTable, adornment_of
 from repro.catalog.database import KnowledgeBase
+from repro.engine.guard import ResourceGuard, degrade_catch
+from repro.engine.kernels import IntBatch
 from repro.engine.seminaive import SemiNaiveEngine
 from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule
-from repro.logic.substitution import Substitution
 from repro.logic.terms import Variable
 
 __all__ = [
@@ -85,8 +91,9 @@ class MagicProgram:
 def magic_rewrite(kb: KnowledgeBase, conjunction: Sequence[Atom]) -> MagicProgram:
     """Rewrite *kb* for the given conjunctive query.
 
-    Returns a new knowledge base (sharing fact storage via copies) whose
-    rules derive only query-relevant facts, plus the goal atom to retrieve.
+    Returns a new knowledge base (sharing the stored relations' row storage,
+    copy-on-write) whose rules derive only query-relevant facts, plus the
+    goal atom to retrieve.
     """
     for rule in kb.rules():
         if not rule.is_positive():
@@ -181,21 +188,19 @@ def magic_rewrite(kb: KnowledgeBase, conjunction: Sequence[Atom]) -> MagicProgra
 def magic_conjunction(
     kb: KnowledgeBase,
     conjunction: Sequence[Atom],
-    max_derived_facts: int | None = None,
-    guard=None,
+    guard: ResourceGuard | None = None,
     tracer=None,
-) -> Iterator[Substitution]:
-    """Enumerate solutions of a conjunction via magic-sets evaluation.
+) -> tuple[tuple[Variable, ...], IntBatch]:
+    """Solve a conjunction via magic-sets evaluation, in the id domain.
 
-    *guard* (a :class:`~repro.engine.guard.ResourceGuard`) governs the inner
-    bottom-up evaluation; in degrade mode a tripped budget yields the goal
-    rows derived so far (a sound under-approximation) instead of raising.
+    Returns ``(schema, batch)``: the conjunction's variables in first
+    occurrence order and the rewritten goal relation's symbol-id rows, one
+    per solution — the contract of the bottom-up producer in
+    :mod:`repro.engine.evaluate`.  *guard* governs the inner bottom-up
+    evaluation; in degrade mode a tripped budget returns the goal rows
+    derived so far (a sound under-approximation) instead of raising.
     *tracer* records a ``magic.rewrite`` event plus the inner engine's spans.
     """
-    from repro.errors import ResourceExhausted
-    from repro.engine.guard import degrade_catch
-    from repro.engine.joins import bind_row
-
     program = magic_rewrite(kb, conjunction)
     if tracer is not None:
         tracer.event(
@@ -204,18 +209,10 @@ def magic_conjunction(
             magic_rules=program.magic_rules,
             goal=str(program.goal),
         )
-    engine = SemiNaiveEngine(
-        program.kb,
-        max_derived_facts=max_derived_facts,
-        guard=guard,
-        tracer=tracer,
-    )
+    engine = SemiNaiveEngine(program.kb, guard=guard, tracer=tracer)
     try:
         relation = engine.derived_relation(program.goal.predicate)
     except ResourceExhausted as error:
         degrade_catch(guard, error)  # re-raises unless the guard degrades
         relation = engine.partial_relation(program.goal.predicate)
-    for row in relation.rows():
-        theta = bind_row(program.goal, row, Substitution.EMPTY)
-        if theta is not None:
-            yield theta
+    return tuple(program.goal.args), relation.int_rows()

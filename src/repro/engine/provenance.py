@@ -11,6 +11,12 @@ built-in comparisons.
 proof per answer row of a query.  Proof search is top-down with on-path
 loop avoidance, so it terminates on recursive predicates (every derivable
 fact has a finite derivation).
+
+A :class:`~repro.engine.guard.ResourceGuard` governs the whole statement:
+the fixpoint under the proof, every rule application tried and the depth
+of the descent.  Strict guards only — a partial proof is not a proof.  A
+proof deeper than the interpreter's stack ends in the same located
+``depth`` error a ``max_depth`` budget raises, never a ``RecursionError``.
 """
 
 from __future__ import annotations
@@ -18,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from repro.errors import EngineError
+from repro.errors import EngineError, EvaluationLimitError
 from repro.catalog.database import KnowledgeBase
 from repro.engine.evaluate import retrieve
+from repro.engine.guard import BUDGET_DEPTH, ResourceGuard, require_strict
 from repro.engine.joins import bind_row, join_conjunction
 from repro.engine.seminaive import SemiNaiveEngine
 from repro.logic.atoms import Atom
@@ -84,10 +91,13 @@ class ProofSearch:
     rule applications over those relations.
     """
 
-    def __init__(self, kb: KnowledgeBase) -> None:
+    def __init__(self, kb: KnowledgeBase, guard: ResourceGuard | None = None) -> None:
+        require_strict(guard, "explain", error=EngineError)
         self._kb = kb
-        self._engine = SemiNaiveEngine(kb)
+        self._guard = guard
+        self._engine = SemiNaiveEngine(kb, guard=guard)
         self._renamer = VariableRenamer()
+        self._deepest = 0
 
     def _relation_for(self, predicate: str):
         if self._kb.is_edb(predicate):
@@ -106,8 +116,20 @@ class ProofSearch:
             if extended is not None:
                 yield extended
 
-    def prove(self, atom: Atom, _path: frozenset[Atom] = frozenset()) -> ProofNode | None:
+    def prove(self, atom: Atom) -> ProofNode | None:
         """A proof of a ground atom, or ``None`` when it is not derivable."""
+        self._deepest = 0
+        try:
+            return self._prove(atom, frozenset())
+        except RecursionError:
+            raise EvaluationLimitError(
+                f"the proof of {atom} is deeper than the interpreter's stack "
+                f"allows (descent reached derivation depth {self._deepest})",
+                budget=BUDGET_DEPTH,
+                consumed=self._deepest,
+            ) from None
+
+    def _prove(self, atom: Atom, _path: frozenset[Atom]) -> ProofNode | None:
         if not atom.is_ground():
             raise EngineError(f"can only explain ground atoms, got {atom}")
         if atom.is_comparison():
@@ -126,6 +148,10 @@ class ProofSearch:
         if next(derived.lookup(list(atom.args)), None) is None:
             return None
         path = _path | {atom}
+        guard = self._guard
+        if guard is not None:
+            guard.check_depth(len(path))
+        self._deepest = max(self._deepest, len(path))
         for rule in self._kb.rules_for(predicate):
             renamed = self._renamer.rename_rule(rule)
             theta = unify(renamed.head, atom)
@@ -134,12 +160,14 @@ class ProofSearch:
             for solution in join_conjunction(
                 self._resolver, theta.apply_all(renamed.body), theta
             ):
+                if guard is not None:
+                    guard.tick()
                 if renamed.negated and not self._negatives_absent(renamed, solution):
                     continue
                 children = []
                 failed = False
                 for body_atom in solution.apply_all(renamed.body):
-                    child = self.prove(body_atom, path)
+                    child = self._prove(body_atom, path)
                     if child is None:
                         failed = True
                         break
@@ -190,18 +218,22 @@ def explain_statement(
     subject: Atom,
     qualifier: Sequence[Atom] = (),
     limit: int | None = 10,
+    guard: ResourceGuard | None = None,
 ) -> Explanation:
     """Evaluate ``explain subject [where qualifier]``.
 
     A ground subject without qualifier yields at most one proof; otherwise
-    each answer row is explained (capped by *limit*).
+    each answer row is explained (capped by *limit*).  *guard* (strict
+    mode only) is one budget for the whole statement.
     """
     if subject.is_ground() and not qualifier:
-        proof = ProofSearch(kb).prove(subject)
+        proof = ProofSearch(kb, guard).prove(subject)
         proofs = [(subject, proof)] if proof is not None else []
         return Explanation(subject, (), proofs)
     return Explanation(
-        subject, tuple(qualifier), explain_all(kb, subject, qualifier, limit=limit)
+        subject,
+        tuple(qualifier),
+        explain_all(kb, subject, qualifier, limit=limit, guard=guard),
     )
 
 
@@ -215,14 +247,15 @@ def explain_all(
     subject: Atom,
     qualifier: Sequence[Atom] = (),
     limit: int | None = None,
+    guard: ResourceGuard | None = None,
 ) -> list[tuple[Atom, ProofNode]]:
     """One proof per answer of ``retrieve subject where qualifier``.
 
     Returns (ground subject instance, proof) pairs; ``limit`` caps how many
     answers are explained.
     """
-    search = ProofSearch(kb)
-    result = retrieve(kb, subject, qualifier)
+    search = ProofSearch(kb, guard)
+    result = retrieve(kb, subject, qualifier, guard=guard)
     proofs: list[tuple[Atom, ProofNode]] = []
     for index, row in enumerate(result.rows):
         if limit is not None and index >= limit:

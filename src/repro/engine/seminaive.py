@@ -47,13 +47,11 @@ class SemiNaiveEngine:
     ----------
     kb:
         The knowledge base to evaluate.
-    max_derived_facts:
-        Legacy fact budget; shorthand for ``guard=ResourceGuard(max_facts=N)``
-        (ignored when an explicit *guard* is given).  Exceeding it raises
-        :class:`~repro.errors.EvaluationLimitError`.
     guard:
         A :class:`~repro.engine.guard.ResourceGuard` governing the whole
-        evaluation (deadline, fact/step/iteration budgets, cancellation).
+        evaluation (deadline, fact/step/iteration budgets, cancellation);
+        ``ResourceGuard(max_facts=N)`` is the derived-fact budget, and
+        exceeding it raises :class:`~repro.errors.EvaluationLimitError`.
     tracer:
         A :class:`~repro.obs.trace.Tracer` recording stratum / iteration /
         rule spans with ``facts_derived``, ``delta_rows`` and ``join_probes``
@@ -63,17 +61,9 @@ class SemiNaiveEngine:
     def __init__(
         self,
         kb: KnowledgeBase,
-        max_derived_facts: int | None = None,
         guard: ResourceGuard | None = None,
         tracer=None,
     ) -> None:
-        if max_derived_facts is not None and max_derived_facts < 1:
-            raise ValueError(
-                f"max_derived_facts must be at least 1, got {max_derived_facts!r} "
-                "(omit the argument to disable the budget)"
-            )
-        if guard is None and max_derived_facts is not None:
-            guard = ResourceGuard(max_facts=max_derived_facts)
         self._kb = kb
         self._guard = guard
         self._tracer = tracer

@@ -19,10 +19,7 @@ Engine coverage:
   which body positions get delta-rewritten in recursive strata;
 * ``magic`` — the magic-sets rewrite is performed for real (same code
   path as evaluation) and the *rewritten* program's strata and plans are
-  shown, plus rewrite statistics;
-* ``topdown`` — rules and the greedy conjunction order; the engine is
-  tuple-at-a-time and tabling is demand-driven, so there is no kernel to
-  print.
+  shown, plus rewrite statistics.
 """
 
 from __future__ import annotations
@@ -30,19 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.catalog.database import KnowledgeBase
-from repro.engine.joins import order_conjuncts, relation_cost_estimator
+from repro.engine.joins import relation_cost_estimator
 from repro.engine.kernels import compile_conjunction_kernel
 from repro.errors import EngineError, SafetyError
 from repro.lang.ast import RetrieveStatement
 from repro.logic.atoms import Atom
 
-#: Engine names explain_plan understands (mirrors ``evaluate.ENGINES``).
-_ENGINES = ("seminaive", "topdown", "magic")
-
 
 @dataclass
 class RuleExplanation:
-    """One rule's compiled kernel (or resolution order, under topdown)."""
+    """One rule's compiled kernel."""
 
     rule: str
     steps: list[str]
@@ -224,22 +218,8 @@ def _kernel_steps(conjuncts, negated, estimate) -> list[str]:
     )
 
 
-def _resolution_steps(conjuncts, negated, estimate) -> list[str]:
-    """Step lines of the greedy tuple-at-a-time resolution order (topdown)."""
-    ordered = order_conjuncts(conjuncts, estimate=estimate)
-    steps = [f"nested_loop {atom}" for atom in ordered]
-    steps.extend(f"check not {atom}" for atom in negated)
-    return steps
-
-
-def _strata_for(
-    kb: KnowledgeBase, conjuncts, steps_for, estimate
-) -> list[StratumExplanation]:
-    """Evaluation strata for the IDB predicates the conjunction needs.
-
-    *steps_for* renders one rule body: :func:`_kernel_steps` or
-    :func:`_resolution_steps`.
-    """
+def _strata_for(kb: KnowledgeBase, conjuncts, estimate) -> list[StratumExplanation]:
+    """Evaluation strata for the IDB predicates the conjunction needs."""
     graph = kb.dependency_graph()
     relevant = _relevant_idb(kb, conjuncts)
     strata: list[StratumExplanation] = []
@@ -258,7 +238,7 @@ def _strata_for(
                 ]
                 if delta_positions:
                     recursive = True
-                steps = steps_for(rule.body, rule.negated, estimate)
+                steps = _kernel_steps(rule.body, rule.negated, estimate)
                 rules.append(RuleExplanation(str(rule), steps, delta_positions))
         strata.append(StratumExplanation(len(strata) + 1, members, recursive, rules))
     return strata
@@ -274,8 +254,12 @@ def explain_plan(
     *statement* is a parsed :class:`RetrieveStatement` or its source text
     (a bare conjunction is accepted and wrapped in ``retrieve``).
     """
-    if engine not in _ENGINES:
-        raise EngineError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
+    # Imported here: repro.engine.evaluate reaches this package (through
+    # repro.obs.trace) while it is itself being imported.
+    from repro.engine.evaluate import ENGINES
+
+    if engine not in ENGINES:
+        raise EngineError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     parsed = _as_statement(statement)
     # Mirror retrieve's subject validation: explaining a statement that
     # execution would reject must fail the same way.
@@ -319,24 +303,11 @@ def explain_plan(
             f"{program.magic_rules} magic rules"
         )
         inner_estimate = _cold_estimator(program.kb)
-        strata = _strata_for(program.kb, [program.goal], _kernel_steps, inner_estimate)
+        strata = _strata_for(program.kb, [program.goal], inner_estimate)
         query_steps = _kernel_steps([program.goal], [], inner_estimate)
         answer_variables = [str(v) for v in program.goal.variables()]
-    elif engine == "topdown":
-        notes.append(
-            "top-down evaluation tables IDB call patterns on demand; "
-            "the conjunction below is the greedy resolution order"
-        )
-        strata = _strata_for(kb, conjuncts + negated, _resolution_steps, estimate)
-        query_steps = _resolution_steps(conjuncts, negated, estimate)
-        seen: list[str] = []
-        for atom in conjuncts:
-            for variable in atom.variables():
-                if str(variable) not in seen:
-                    seen.append(str(variable))
-        answer_variables = seen
     else:
-        strata = _strata_for(kb, conjuncts + negated, _kernel_steps, estimate)
+        strata = _strata_for(kb, conjuncts + negated, estimate)
         kernel = compile_conjunction_kernel(conjuncts, negated, estimate=estimate)
         query_steps = list(kernel.described)
         answer_variables = [str(v) for v in kernel.schema]

@@ -297,7 +297,9 @@ class Session:
         if isinstance(statement, ExplainStatement):
             from repro.engine.provenance import explain_statement
 
-            return explain_statement(self.kb, statement.subject, statement.qualifier)
+            return explain_statement(
+                self.kb, statement.subject, statement.qualifier, guard=active
+            )
         if isinstance(statement, CompareStatement):
             return self._memoized("compare", statement, self._compare, active, tracer)
         raise CoreError(f"cannot execute statement: {statement!r}")

@@ -13,11 +13,8 @@ from repro.core.necessity import describe_necessary, describe_without
 from repro.core.possibility import is_possible
 from repro.engine.evaluate import retrieve
 from repro.engine.guard import CancellationToken, Diagnostics, ResourceGuard
-from repro.engine.seminaive import SemiNaiveEngine
-from repro.engine.topdown import TopDownEngine
 from repro.errors import (
     CoreError,
-    EvaluationLimitError,
     QueryCancelled,
     ReproError,
     ResourceExhausted,
@@ -77,38 +74,8 @@ class TestConstruction:
         assert fresh.token is token
 
 
-class TestLegacyBudgetMapping:
-    @pytest.mark.parametrize("bad", [0, -3])
-    def test_seminaive_rejects_non_positive_cap(self, bad):
-        kb = chain_kb(3)
-        with pytest.raises(ValueError, match="at least 1"):
-            SemiNaiveEngine(kb, max_derived_facts=bad)
-
-    @pytest.mark.parametrize("bad", [0, -3])
-    def test_topdown_rejects_non_positive_cap(self, bad):
-        kb = chain_kb(3)
-        with pytest.raises(ValueError, match="at least 1"):
-            TopDownEngine(kb, max_table_rows=bad)
-
-    def test_seminaive_legacy_cap_builds_guard(self):
-        engine = SemiNaiveEngine(chain_kb(40), max_derived_facts=50)
-        with pytest.raises(EvaluationLimitError) as info:
-            engine.evaluate(["path"])
-        assert info.value.budget == "facts"
-        assert info.value.limit == 50
-
-    def test_topdown_cap_message_names_predicate_and_rows(self):
-        engine = TopDownEngine(chain_kb(40), max_table_rows=50)
-        with pytest.raises(EvaluationLimitError) as info:
-            list(engine.query([parse_atom("path(X, Y)")]))
-        message = str(info.value)
-        assert "path" in message
-        assert "rows tabled" in message
-        assert info.value.budget == "facts"
-
-
 class TestFactBudget:
-    @pytest.mark.parametrize("engine", ["seminaive", "topdown", "magic"])
+    @pytest.mark.parametrize("engine", ["seminaive", "magic"])
     def test_strict_trip_is_resource_exhausted(self, engine):
         kb = chain_kb(40)
         guard = ResourceGuard(max_facts=30)
@@ -275,6 +242,51 @@ class TestVerdictQueriesRequireStrict:
             kb, parse_atom("ancestor(X, Y)"), parse_atom("parent(X, Y)"), guard=guard
         ).necessary
         assert is_possible(kb, parse_body("parent(X, Y)"), guard=guard.fresh())
+
+
+class TestExplainGovernance:
+    def test_explain_trips_the_budget_retrieve_trips(self):
+        # Same session, same guard: explain may not run a 45 150-fact
+        # fixpoint that retrieve is refused.
+        session = Session(chain_kb(300), guard=ResourceGuard(max_facts=10))
+        with pytest.raises(ResourceExhausted) as retrieved:
+            session.query("retrieve path(0, 300)")
+        with pytest.raises(ResourceExhausted) as explained:
+            session.query("explain path(0, 300)")
+        assert type(explained.value) is type(retrieved.value)
+        assert explained.value.budget == retrieved.value.budget == "facts"
+        assert explained.value.limit == 10
+
+    def test_explain_counts_rule_applications_and_depth(self):
+        kb = chain_kb(10)
+        with pytest.raises(ResourceExhausted) as steps:
+            Session(kb, guard=ResourceGuard(max_steps=3)).query("explain path(0, 8)")
+        assert steps.value.budget == "steps"
+        with pytest.raises(ResourceExhausted) as depth:
+            Session(kb, guard=ResourceGuard(max_depth=3)).query("explain path(0, 8)")
+        assert depth.value.budget == "depth" and depth.value.limit == 3
+        ample = Session(kb, guard=ResourceGuard(max_depth=20, max_steps=10**4))
+        assert len(ample.query("explain path(0, 8)")) == 1
+
+    def test_proof_deeper_than_the_stack_is_a_located_depth_error(self):
+        # Ungoverned on purpose: the interpreter's stack is the one budget
+        # every proof has, and running out of it is not a traceback.
+        # (reach/1 keeps the fixpoint linear in the chain; path(0, 1200)
+        # fails the same way after a 720 600-fact closure.)
+        kb = chain_kb(1500)
+        kb.add_rule(parse_rule("reach(Y) <- edge(0, Y)"))
+        kb.add_rule(parse_rule("reach(Y) <- reach(X) and edge(X, Y)"))
+        with pytest.raises(ResourceExhausted) as info:
+            Session(kb).query("explain reach(1500)")
+        assert info.value.budget == "depth"
+        assert info.value.consumed > 100
+        assert "reach(1500)" in str(info.value)
+
+    def test_explain_rejects_degrade(self):
+        # A partial proof is not a proof.
+        session = Session(chain_kb(5), guard=ResourceGuard(mode="degrade"))
+        with pytest.raises(ReproError, match="strict"):
+            session.query("explain path(0, 3)")
 
 
 class TestSessionGuard:

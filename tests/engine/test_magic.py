@@ -1,5 +1,7 @@
 """Tests for magic-sets rewriting and evaluation."""
 
+import os
+
 import pytest
 
 from repro.errors import EngineError
@@ -15,6 +17,9 @@ from repro.catalog.database import KnowledgeBase
 from repro.datasets import chain_graph_kb, component_graph_kb, random_graph_kb
 from repro.lang.parser import parse_atom, parse_body, parse_rule
 from repro.logic.terms import Variable
+
+#: Random graphs per agreement test, scaled like the differential suite.
+GRAPHS = max(1, int(os.environ.get("DIFFERENTIAL_EXAMPLES", "30")) // 30)
 
 
 class TestAdornments:
@@ -58,6 +63,20 @@ class TestRewrite:
         with pytest.raises(EngineError):
             magic_rewrite(kb, parse_body("q(X)"))
 
+    def test_rewritten_program_shares_the_stored_rows_copy_on_write(self):
+        kb = chain_graph_kb(6)
+        live = kb.relation("edge")
+        before = live.int_rows()
+        program = magic_rewrite(kb, parse_body("path(n0, Y)"))
+        shared = program.kb.relation("edge")
+        assert shared.int_rows() is before  # no copy, no re-interning
+        rows = shared.rows()
+        kb.add_fact("edge", "n6", "n7")
+        assert len(live) == len(rows) + 1
+        assert shared.rows() == rows  # the live write privatized its storage
+        live.check_invariants()
+        shared.check_invariants()
+
     def test_statistics_populated(self):
         kb = chain_graph_kb(4)
         program = magic_rewrite(kb, parse_body("path(n0, Y)"))
@@ -77,11 +96,14 @@ class TestMagicEngine:
         assert magic == plain
 
     def test_agrees_on_random_graphs(self):
-        kb = random_graph_kb(nodes=10, edges=20, seed=5)
-        for subject in ("path(n0, Y)", "path(X, Y)"):
-            plain = retrieve(kb, parse_atom(subject)).to_set()
-            magic = retrieve(kb, parse_atom(subject), engine="magic").to_set()
-            assert magic == plain
+        # One graph locally; CI's differential step (DIFFERENTIAL_EXAMPLES=175)
+        # widens it to five.
+        for seed in range(5, 5 + GRAPHS):
+            kb = random_graph_kb(nodes=10, edges=20, seed=seed)
+            for subject in ("path(n0, Y)", "path(X, n3)", "path(X, Y)"):
+                plain = retrieve(kb, parse_atom(subject)).to_set()
+                magic = retrieve(kb, parse_atom(subject), engine="magic").to_set()
+                assert magic == plain, (seed, subject)
 
     def test_conjunctive_query(self, uni):
         qualifier = parse_body("can_ta(X, databases) and student(X, math, V) and (V > 3.7)")

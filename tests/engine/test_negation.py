@@ -6,8 +6,20 @@ from repro.errors import SafetyError, TypingError
 from repro.catalog.database import KnowledgeBase
 from repro.engine import retrieve
 from repro.lang.parser import parse_atom, parse_body, parse_rule
+from tests.oracle import reference_answers
 
-ENGINES = ("seminaive", "topdown")
+#: Magic-sets rewriting covers positive programs only, so negation has one
+#: engine; the second opinion is the reference evaluator.
+ENGINES = ("seminaive",)
+
+
+def checked_retrieve(kb, subject, qualifier=(), negated=(), engine="seminaive"):
+    """``retrieve``, cross-checked against the reference evaluator."""
+    result = retrieve(
+        kb, subject, qualifier, engine=engine, negated_qualifier=negated
+    )
+    assert result.to_set() == reference_answers(kb, subject, qualifier, negated)
+    return result
 
 
 @pytest.fixture
@@ -39,19 +51,19 @@ def marriage_kb():
 class TestNegationInRules:
     def test_are_all_foreign_students_married(self, marriage_kb, engine):
         # The paper's "Are they?" query: search for a counterexample.
-        result = retrieve(marriage_kb, parse_atom("unmarried_foreign(X)"), engine=engine)
+        result = checked_retrieve(marriage_kb, parse_atom("unmarried_foreign(X)"), engine=engine)
         assert result.values() == ["bob"]
 
     def test_negation_of_edb(self, marriage_kb, engine):
         kb = marriage_kb
         kb.add_rule(parse_rule("ghost(X) <- foreign(X) and not person(X, france, single)."))
-        result = retrieve(kb, parse_atom("ghost(X)"), engine=engine)
+        result = checked_retrieve(kb, parse_atom("ghost(X)"), engine=engine)
         assert sorted(result.values()) == ["carol", "emil"]
 
     def test_negation_of_undefined_predicate_is_vacuous(self, marriage_kb, engine):
         kb = marriage_kb
         kb.add_rule(parse_rule("odd(X) <- married(X) and not flagged(X)."))
-        result = retrieve(kb, parse_atom("odd(X)"), engine=engine)
+        result = checked_retrieve(kb, parse_atom("odd(X)"), engine=engine)
         assert sorted(result.values()) == ["ann", "carol", "emil"]
 
     def test_negation_over_recursion(self, engine):
@@ -68,35 +80,35 @@ class TestNegationInRules:
                 parse_rule("unreachable(X) <- node(X) and not path(a, X)."),
             ]
         )
-        result = retrieve(kb, parse_atom("unreachable(X)"), engine=engine)
+        result = checked_retrieve(kb, parse_atom("unreachable(X)"), engine=engine)
         assert sorted(result.values()) == ["a", "d"]
 
     def test_double_negation_through_strata(self, marriage_kb, engine):
         kb = marriage_kb
         kb.add_rule(parse_rule("settled(X) <- person(X, C, S) and not unmarried_foreign(X)."))
-        result = retrieve(kb, parse_atom("settled(X)"), engine=engine)
+        result = checked_retrieve(kb, parse_atom("settled(X)"), engine=engine)
         assert sorted(result.values()) == ["ann", "carol", "dave", "emil"]
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 class TestNegationInQualifiers:
     def test_retrieve_with_not(self, marriage_kb, engine):
-        result = retrieve(
+        result = checked_retrieve(
             marriage_kb,
             parse_atom("witness(X)"),
             parse_body("foreign(X)"),
+            parse_body("married(X)"),
             engine=engine,
-            negated_qualifier=parse_body("married(X)"),
         )
         assert result.values() == ["bob"]
 
     def test_not_with_constants(self, marriage_kb, engine):
-        result = retrieve(
+        result = checked_retrieve(
             marriage_kb,
             parse_atom("witness(X)"),
             parse_body("person(X, C, S)"),
+            parse_body("foreign(X)"),
             engine=engine,
-            negated_qualifier=parse_body("foreign(X)"),
         )
         assert sorted(result.values()) == ["ann", "dave"]
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import EvaluationLimitError, SafetyError
 from repro.catalog.database import KnowledgeBase
+from repro.engine.guard import ResourceGuard
 from repro.engine.seminaive import SemiNaiveEngine
 from repro.datasets import chain_graph_kb, random_graph_kb
 from repro.lang.parser import parse_rule
@@ -105,9 +106,11 @@ class TestRecursive:
 class TestLimitsAndErrors:
     def test_budget_enforced(self):
         kb = chain_graph_kb(60)
-        engine = SemiNaiveEngine(kb, max_derived_facts=100)
-        with pytest.raises(EvaluationLimitError):
+        engine = SemiNaiveEngine(kb, guard=ResourceGuard(max_facts=100))
+        with pytest.raises(EvaluationLimitError) as info:
             engine.derived_relation("path")
+        assert info.value.budget == "facts"
+        assert info.value.limit == 100
 
     def test_unsafe_rule_rejected(self):
         kb = KnowledgeBase(enforce_recursion_discipline=False)

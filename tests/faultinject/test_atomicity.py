@@ -30,6 +30,7 @@ from repro.catalog import KnowledgeBase, import_csv
 from repro.core.describe import describe
 from repro.engine.evaluate import retrieve
 from repro.engine.guard import ResourceGuard
+from repro.engine.provenance import explain_statement
 from repro.engine.viewcache import ViewCache
 from repro.lang.parser import parse_atom, parse_rule
 
@@ -207,11 +208,15 @@ class TestQueryPathsLeaveKbUntouched:
         # contract: injected faults leave the catalog untouched.
         drive("seminaive-kernel", lambda: chain_kb(24), run_query("seminaive"))
 
-    def test_topdown(self):
-        drive("topdown", lambda: chain_kb(20), run_query("topdown"))
-
     def test_magic(self):
         drive("magic", lambda: chain_kb(20), run_query("magic"))
+
+    def test_explain_proof_search(self):
+        def run(kb, guard):
+            explanation = explain_statement(kb, parse_atom("path(0, 20)"), guard=guard)
+            return str(explanation)
+
+        drive("explain", lambda: chain_kb(20), run)
 
     def test_describe_search(self):
         from repro.datasets.genealogy import genealogy_kb

@@ -246,6 +246,19 @@ def test_exhausted_guard_is_a_structured_408_on_the_wire(tiny_tier_server) -> No
         assert payload["ok"] and payload["result"]["rows"]
 
 
+def test_explain_is_governed_by_its_tier_on_the_wire(tiny_tier_server) -> None:
+    """``explain`` runs a fixpoint under its proof: same tier, same 408."""
+    handle, _ = tiny_tier_server
+    with ServerClient(handle.host, handle.port, client="faultinject") as client:
+        with pytest.raises(ServerClientError) as caught:
+            client.query("explain path(0, 12)", tier="tiny")
+        assert caught.value.status == 408
+        assert caught.value.error["budget"] == "facts"
+        assert client.stats()["tiers"]["tiny"]["exhausted"] == 1
+        payload = client.query("explain path(0, 12)", tier="batch")
+        assert payload["ok"]
+
+
 def test_dropped_connections_leave_the_server_healthy(tiny_tier_server) -> None:
     """Clients vanishing mid-request never wedge or corrupt the server."""
     handle, catalog = tiny_tier_server

@@ -9,7 +9,9 @@ from repro.core.answers import DescribeResult
 from repro.core.compare import ConceptComparison
 from repro.core.necessity import NecessityResult
 from repro.core.possibility import PossibilityResult
-from repro.engine.evaluate import RetrieveResult
+from repro.engine.evaluate import ENGINES, RetrieveResult
+from repro.lang.parser import parse_atom, parse_body
+from tests.oracle import reference_answers
 
 
 class TestDefinitions:
@@ -76,10 +78,14 @@ class TestQueryDispatch:
         assert isinstance(result, ConceptComparison)
 
     def test_engine_selection(self, uni):
-        for engine in ("seminaive", "topdown"):
+        expected = reference_answers(
+            uni, parse_atom("honor(X)"), parse_body("enroll(X, databases)")
+        )
+        for engine in ENGINES:
             session = Session(uni, engine=engine)
             result = session.query("retrieve honor(X) where enroll(X, databases)")
             assert sorted(result.values()) == ["ann", "bob", "carol"]
+            assert result.to_set() == expected
 
     def test_mixed_negated_and_positive_rejected(self, uni):
         with pytest.raises(CoreError):

@@ -20,9 +20,14 @@ positive non-recursive one is repaired in one pass), so no threshold
 parameter, maintenance strategy or standalone maintained-database API may
 grow back.
 
-The answer half: under the seminaive engine ids become constants once, at
-the answer — ``retrieve`` builds no substitution and externalizes in a
-number of bulk calls that does not depend on how many rows it returns.
+The answer half: ids become constants once, at the answer — under either
+engine ``retrieve`` builds no substitution and externalizes in a number of
+bulk calls that does not depend on how many rows it returns.
+
+The strategy half: two engines, both the one bottom-up evaluator (run on
+the program as written, or on its magic-sets rewriting).  The tabled
+top-down engine, its selector value and the legacy fact caps may not grow
+back, and the tuple-at-a-time join operators answer no query.
 
 The table half: one backend and two shapes of a ``Relation`` (the constant
 row dict and its id-tuple mirror).  The array backend, its module, its
@@ -35,6 +40,7 @@ import gc
 import importlib
 import importlib.util
 import inspect
+import io
 import os
 import re
 import subprocess
@@ -48,7 +54,7 @@ import repro.engine
 from repro.catalog.relation import Relation
 from repro.catalog.symbols import SymbolTable
 from repro.cli import main
-from repro.engine import SemiNaiveEngine, evaluate_conjunction, retrieve
+from repro.engine import ENGINES, SemiNaiveEngine, evaluate_conjunction, retrieve
 from repro.engine import kernels
 from repro.engine.kernels import (
     compile_conjunction_kernel,
@@ -56,16 +62,18 @@ from repro.engine.kernels import (
     kernelize_conjunction,
 )
 from repro.engine.incremental import MaterializedDatabase
-from repro.engine.magic import magic_rewrite
+from repro.engine.magic import magic_conjunction, magic_rewrite
 from repro.engine.viewcache import ViewCache
-from repro.errors import CatalogError
+from repro.errors import CatalogError, EngineError
 from repro.lang.parser import parse_atom
 from repro.logic.substitution import Substitution
+from repro.obs import explain
 from repro.obs.explain import explain_plan
 from repro.server import MultiVersionCatalog, SessionPool
 from repro.session import Session
 
 from tests.engine.test_guard import chain_kb
+from tests.oracle import reference_answers
 
 ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = ROOT / "src" / "repro"
@@ -267,24 +275,79 @@ def _count_calls(monkeypatch, owner, name, calls):
 
 
 def test_seminaive_retrieve_externalizes_once_at_the_answer(monkeypatch):
-    calls_by_size = {}
-    for length in (10, 45):  # 55 and 1035 answer rows
-        kb = chain_kb(length)
-        subject = parse_atom("path(X, Y)")
-        expected = retrieve(kb, subject, engine="topdown").to_set()
-        calls = {}
-        with monkeypatch.context() as patch:
-            _count_calls(patch, Substitution, "__init__", calls)
-            _count_calls(patch, SymbolTable, "extern_rows", calls)
-            _count_calls(patch, SymbolTable, "extern_block", calls)
-            result = retrieve(kb, subject, engine="seminaive")
-        assert len(result.rows) == length * (length + 1) // 2
-        assert result.to_set() == expected
-        assert "__init__" not in calls  # no Substitution was built
-        calls_by_size[len(result.rows)] = calls
-    small, large = calls_by_size.values()
-    assert max(calls_by_size) > 1000
-    assert small == large and small["extern_rows"] >= 1
+    # Both engines, despite the name (kept for the test-id record).
+    for engine in ENGINES:
+        calls_by_size = {}
+        for length in (10, 45):  # 55 and 1035 answer rows
+            kb = chain_kb(length)
+            subject = parse_atom("path(X, Y)")
+            expected = reference_answers(kb, subject)
+            calls = {}
+            with monkeypatch.context() as patch:
+                _count_calls(patch, Substitution, "__init__", calls)
+                _count_calls(patch, SymbolTable, "extern_rows", calls)
+                _count_calls(patch, SymbolTable, "extern_block", calls)
+                result = retrieve(kb, subject, engine=engine)
+            assert len(result.rows) == length * (length + 1) // 2
+            assert result.to_set() == expected
+            assert "__init__" not in calls, engine  # no Substitution was built
+            calls_by_size[len(result.rows)] = calls
+        small, large = calls_by_size.values()
+        assert max(calls_by_size) > 1000
+        assert small == large and small["extern_rows"] >= 1, engine
+
+
+def test_the_topdown_engine_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.engine.topdown")
+    assert "TopDownEngine" not in repro.engine.__all__
+    assert ENGINES == ("seminaive", "magic")
+    assert not hasattr(explain, "_ENGINES")
+    with pytest.raises(EngineError, match="seminaive.*magic"):
+        retrieve(chain_kb(3), parse_atom("path(X, Y)"), engine="topdown")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--engine", "{}", "--dataset", "university"],  # the shell
+        ["retrieve", "--engine", "{}", "--dataset", "university", "honor(X)"],
+    ],
+    ids=["shell", "subcommand"],
+)
+def test_every_cli_engine_flag_reads_the_one_engine_list(argv, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([arg.format("topdown") for arg in argv])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'topdown'" in capsys.readouterr().err
+    # ...and the shell takes magic, which its own tuple used to refuse.
+    monkeypatch.setattr("sys.stdin", io.StringIO("retrieve honor(X)\n"))
+    assert main([arg.format("magic") for arg in argv]) == 0
+    assert "ann" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "entry_point",
+    [retrieve, evaluate_conjunction, SemiNaiveEngine.__init__, magic_conjunction],
+    ids=lambda entry_point: entry_point.__qualname__,
+)
+def test_no_legacy_fact_cap_parameter(entry_point):
+    # ResourceGuard(max_facts=) is the one fact budget.
+    retired = {"max_derived_" + "facts", "max_table_" + "rows"}
+    assert not retired & set(inspect.signature(entry_point).parameters)
+
+
+def test_tuple_at_a_time_joins_answer_no_query():
+    importers = [
+        str(source.relative_to(PACKAGE))
+        for source in sorted(PACKAGE.rglob("*.py"))
+        if "repro.engine.joins.join_conjunction" in _imported_names(source)
+    ]
+    assert importers == [
+        "engine/incremental.py",
+        "engine/provenance.py",
+        "engine/reference.py",
+    ]
 
 
 def test_the_array_backend_module_is_gone():

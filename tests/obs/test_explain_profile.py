@@ -43,14 +43,6 @@ class TestExplain:
         assert "magic" in rendered
         assert any("magic-sets rewrite" in note for note in explanation.notes)
 
-    def test_topdown_engine_notes_strategy(self, uni):
-        explanation = explain_plan(uni, "retrieve honor(X)", engine="topdown")
-        assert explanation.engine == "topdown"
-        assert explanation.format()
-        # Tuple-at-a-time resolution renders as nested loops, not kernels.
-        steps = explanation.strata[0].rules[0].steps
-        assert any(step.startswith("nested_loop") for step in steps)
-
     def test_format_and_as_dict_agree(self, uni):
         explanation = explain_plan(uni, "retrieve honor(X)")
         tree = explanation.as_dict()
