@@ -12,6 +12,13 @@ and a lazy mirror of the same rows as symbol-id tuples
 — indexes, distinct counts — is derived from the row dict and dropped or
 maintained on mutation; :meth:`Relation.check_invariants` states the
 coherence rules.
+
+Either shape can be the one that is missing.  A stored relation always has
+its row dict (ids cannot stand in for it: ``3`` and ``3.0`` share one) and
+builds the mirror on demand.  A *derived* relation, bulk-loaded from a
+fixpoint table (:meth:`Relation.load_interned`), starts **id-only**: the
+id rows are the relation and the row dict is built by the first caller
+that wants constants — which a ``retrieve`` over it never does.
 """
 
 from __future__ import annotations
@@ -54,7 +61,11 @@ class Relation:
         #: O(1) per relation and the copy is paid only by relations that
         #: actually change afterwards.
         self._shared = False
-        self._rows: dict[Row, None] = {}
+        #: ``None`` in the id-only state (see :meth:`load_interned`):
+        #: ``_introws`` is then the relation and :meth:`_constants` builds
+        #: this dict on first need.  Only ``len``, ``int_rows``,
+        #: ``version``, ``distinct_count`` and ``freeze`` do without it.
+        self._rows: dict[Row, None] | None = {}
         #: Index buckets are insertion-ordered ``dict[Row, None]`` sets:
         #: deterministic iteration like a list, O(1) delete unlike one.
         self._indexes: dict[int, dict[Constant, dict[Row, None]]] = {}
@@ -83,12 +94,32 @@ class Relation:
 
     # -- mutation -----------------------------------------------------------------
 
-    def _assert_mutable(self) -> None:
+    def _begin_mutation(self) -> None:
+        """Entry of every mutator: raises on a frozen relation, and leaves
+        the id-only state (mutators, their journal entries and the index
+        buckets they maintain all work on ``Constant`` rows)."""
         if self._frozen:
             raise CatalogError(
                 "relation belongs to a published snapshot and is immutable; "
                 "mutate the live knowledge base instead"
             )
+        if self._rows is None:
+            self._constants()
+
+    def _constants(self) -> dict[Row, None]:
+        """The ``Constant`` row dict, built from the id rows if this is
+        the first call that needs it.
+
+        Build-then-bind: the finished dict is bound in one assignment, so
+        concurrent lock-free readers of a frozen relation each see either
+        no dict (and build an equal one) or a complete one, never a
+        partial one.
+        """
+        rows = self._rows
+        if rows is None:
+            rows = dict.fromkeys(SYMBOLS.extern_rows(self._introws))
+            self._rows = rows
+        return rows
 
     def _unshare(self) -> None:
         """Privatize row storage shared with a frozen snapshot copy.
@@ -117,7 +148,7 @@ class Relation:
 
     def insert(self, row: Sequence[object]) -> bool:
         """Insert a row; returns ``False`` if it was already present."""
-        self._assert_mutable()
+        self._begin_mutation()
         coerced = self._coerce(row)
         if coerced in self._rows:
             return False
@@ -141,38 +172,40 @@ class Relation:
         """Bulk-load rows given as symbol-id tuples (the kernel flush path).
 
         Semantically ``insert_many`` of the externalized rows, but
-        wholesale: one bulk :meth:`SymbolTable.extern_rows` pass and one
-        C-level dict build instead of per-row coercion and journaling.
-        Because the mutation is not row-at-a-time, journal semantics follow
-        :meth:`restore` — derived structures drop, the version bumps, and
-        the journal resets so incremental consumers recompute.  A row of
-        the wrong width raises before anything is loaded.  Returns how
-        many rows were new.
+        wholesale, with no per-row coercion or journaling.  An empty
+        relation whose storage no snapshot shares — every derived relation
+        at its flush — keeps the distinct id rows *as* the relation and
+        externalizes nothing: it is id-only until a caller wants constants
+        (:meth:`_constants`).  Otherwise the rows are externalized in one
+        bulk :meth:`SymbolTable.extern_rows` pass and merged into the row
+        dict.  Because the mutation is not row-at-a-time, journal semantics
+        follow :meth:`restore` — derived structures drop, the version
+        bumps, and the journal resets so incremental consumers recompute.
+        A row of the wrong width raises before anything is loaded.
+        Returns how many rows were new.
         """
-        self._assert_mutable()
+        self._begin_mutation()
         if not int_rows:
             return 0
         arity = self.arity
         if set(map(len, int_rows)) != {arity}:
             width = next(len(irow) for irow in int_rows if len(irow) != arity)
             raise ArityError(f"expected {arity} columns, got {width}")
+        if not self._rows and not self._shared:
+            # Id-equality is constant-equality, so distinct id rows are
+            # exactly the distinct constant rows, in the same order.
+            distinct = list(dict.fromkeys(int_rows))
+            self._invalidate_derived()
+            self._rows = None
+            self._introws = distinct
+            return len(distinct)
         rows = SYMBOLS.extern_rows(int_rows)
         self._unshare()
         before = len(self._rows)
-        if before:
-            self._rows.update(dict.fromkeys(rows))
-        else:
-            # One dict build instead of build-then-merge (restore() sets
-            # the same precedent for rebinding the row dict wholesale).
-            self._rows = dict.fromkeys(rows)
+        self._rows.update(dict.fromkeys(rows))
         added = len(self._rows) - before
-        if not added:
-            return 0
-        self._invalidate_derived()
-        if not before and added == len(rows):
-            # The relation was empty and no duplicate collapsed: the ids
-            # the rows were externalized from are the exact mirror.
-            self._introws = list(int_rows)
+        if added:
+            self._invalidate_derived()
         return added
 
     # Only so benchmarks/e2e/trace.py's ``Relation.load_interned_block``
@@ -184,7 +217,7 @@ class Relation:
 
         O(1) per maintained index: buckets are hash sets, not lists.
         """
-        self._assert_mutable()
+        self._begin_mutation()
         coerced = self._coerce(row)
         if coerced not in self._rows:
             return False
@@ -203,7 +236,7 @@ class Relation:
 
     def clear(self) -> None:
         """Remove every row."""
-        self._assert_mutable()
+        self._begin_mutation()
         if self._shared:
             # The frozen snapshot copy keeps the old dict; no point copying
             # rows only to clear them.
@@ -276,10 +309,11 @@ class Relation:
         return self._version
 
     def __len__(self) -> int:
-        return len(self._rows)
+        rows = self._rows
+        return len(self._introws if rows is None else rows)
 
     def __iter__(self) -> Iterator[Row]:
-        return iter(self._rows)
+        return iter(self._constants())
 
     def __contains__(self, row: object) -> bool:
         if not isinstance(row, tuple):
@@ -288,11 +322,11 @@ class Relation:
             coerced = self._coerce(row)
         except (ArityError, CatalogError):
             return False
-        return coerced in self._rows
+        return coerced in self._constants()
 
     def rows(self) -> list[Row]:
         """All rows, in insertion order."""
-        return list(self._rows)
+        return list(self._constants())
 
     def int_rows(self) -> list[tuple[int, ...]]:
         """The rows as symbol-id tuples, in insertion order.
@@ -300,9 +334,9 @@ class Relation:
         Ids come from the process-wide :data:`~repro.catalog.symbols.SYMBOLS`
         table; id-equality is exactly constant-equality.  The mirror is
         maintained eagerly on inserts and rebuilt here after any other
-        mutation.  Callers must treat the returned list as immutable — it
-        is shared with the join kernels' caches, which key on
-        :attr:`version`.
+        mutation (in the id-only state it is the relation itself).  Callers
+        must treat the returned list as immutable — it is shared with the
+        join kernels' caches, which key on :attr:`version`.
         """
         rows = self._introws
         if rows is None:
@@ -313,7 +347,7 @@ class Relation:
     def _index_for(self, column: int) -> dict[Constant, dict[Row, None]]:
         if column not in self._indexes:
             index: dict[Constant, dict[Row, None]] = {}
-            for row in self._rows:
+            for row in self._constants():
                 index.setdefault(row[column], {})[row] = None
             self._indexes[column] = index
         return self._indexes[column]
@@ -333,10 +367,10 @@ class Relation:
             if term is not None and is_constant(term)
         ]
         if not bound:
-            yield from self._rows
+            yield from self._constants()
             return
         probe_column, probe_value = bound[0]
-        if len(bound) > 1 and self._rows:
+        if len(bound) > 1 and len(self):
             # Prefer the column with the most distinct values (smallest
             # expected bucket).  distinct_count is memoized, so choosing the
             # probe costs no index builds; only the winner's index is
@@ -358,7 +392,8 @@ class Relation:
 
         O(1) when the column's index exists; otherwise computed once and
         memoized until the next mutation — the planner can ask for
-        statistics without forcing an index build.
+        statistics without forcing an index build (or, of an id-only
+        relation, the row dict: distinct ids are distinct constants).
         """
         if not 0 <= column < self.arity:
             raise ArityError(f"column {column} out of range for arity {self.arity}")
@@ -368,39 +403,63 @@ class Relation:
         cached = self._stats.get(column)
         if cached is not None and cached[0] == self._version:
             return cached[1]
-        count = len({row[column] for row in self._rows})
+        rows = self._rows
+        count = len({row[column] for row in (self._introws if rows is None else rows)})
         self._stats[column] = (self._version, count)
         return count
 
     def check_invariants(self) -> None:
-        """Raise :class:`CatalogError` naming the first derived structure
-        that disagrees with the row dict.
+        """Raise :class:`CatalogError` naming the first structure that
+        disagrees with the rows.
 
-        The coherence rules of this class, as one executable statement:
-        the interned mirror is dirty (``None``) or externalizes row for row
-        to the rows; every materialised index partitions exactly the rows;
-        every distinct count stamped with the current version is the true
-        count; a frozen relation is never marked shared.  O(rows) per
-        structure — for tests and fault-injection harnesses, not for a
-        query path.
+        The coherence rules of this class, as one executable statement.
+        With a row dict: the interned mirror is dirty (``None``) or
+        externalizes row for row to the rows.  Id-only (no row dict): the
+        mirror is the relation — non-empty, distinct rows of the relation's
+        width over ids the symbol table issued — and no index exists,
+        since indexes are built from (and force) the row dict.  Either
+        way: every materialised index partitions exactly the rows; every
+        distinct count stamped with the current version is the true count;
+        a frozen relation is never marked shared.  O(rows) per structure,
+        and it forces nothing — for tests and fault-injection harnesses,
+        not for a query path.
         """
-        rows = list(self._rows)
         mirror = self._introws
-        if mirror is not None:
-            if len(mirror) != len(rows):
+        if self._rows is None:
+            if not mirror:
+                raise CatalogError("an id-only relation has no id rows")
+            if len(set(mirror)) != len(mirror):
+                raise CatalogError("an id-only relation holds a row twice")
+            if self._indexes:
+                raise CatalogError("an id-only relation has a Constant index")
+            if set(map(len, mirror)) != {self.arity}:
                 raise CatalogError(
-                    f"interned mirror holds {len(mirror)} rows, the relation {len(rows)}"
+                    f"an id-only relation of arity {self.arity} holds a row "
+                    "of another width"
                 )
-            for position, (irow, row) in enumerate(zip(mirror, rows)):
-                try:
-                    same = SYMBOLS.extern_row(irow) == row
-                except IndexError:  # an id the symbol table never issued
-                    same = False
-                if not same:
+            try:
+                rows = SYMBOLS.extern_rows(mirror)
+            except IndexError:
+                raise CatalogError(
+                    "an id-only relation holds an id the symbol table never issued"
+                ) from None
+        else:
+            rows = list(self._rows)
+            if mirror is not None:
+                if len(mirror) != len(rows):
                     raise CatalogError(
-                        f"interned mirror row {position} is {irow!r}, "
-                        f"which is not the stored row {row!r}"
+                        f"interned mirror holds {len(mirror)} rows, the relation {len(rows)}"
                     )
+                for position, (irow, row) in enumerate(zip(mirror, rows)):
+                    try:
+                        same = SYMBOLS.extern_row(irow) == row
+                    except IndexError:  # an id the symbol table never issued
+                        same = False
+                    if not same:
+                        raise CatalogError(
+                            f"interned mirror row {position} is {irow!r}, "
+                            f"which is not the stored row {row!r}"
+                        )
         for column, index in self._indexes.items():
             expected: dict[Constant, dict[Row, None]] = {}
             for row in rows:
@@ -424,7 +483,7 @@ class Relation:
     def copy(self) -> "Relation":
         """An independent copy (indexes rebuilt lazily)."""
         clone = Relation(self.arity)
-        clone._rows = dict(self._rows)
+        clone._rows = dict(self._constants())
         clone._introws = None  # rebuilt lazily, like the indexes
         return clone
 
@@ -432,7 +491,8 @@ class Relation:
         """An immutable copy sharing row storage with this relation — O(1).
 
         The copy takes the *current* ``_rows`` dict and interned mirror by
-        reference and keeps this relation's version number, so caches keyed
+        reference (an id-only relation stays id-only, and so does its copy)
+        and keeps this relation's version number, so caches keyed
         on ``(relation, version)`` — the view cache's dependency
         fingerprints above all — remain valid across the freeze.  This relation is marked shared: its next in-place
         mutation privatizes the storage (see :meth:`_unshare`), leaving
@@ -442,7 +502,8 @@ class Relation:
 
         Frozen copies are safe for concurrent readers without locks:
         every mutator raises, and the remaining lazy memoizations
-        (indexes, statistics, the interned mirror) are idempotent rebinds.
+        (indexes, statistics, the interned mirror, an id-only relation's
+        row dict) are idempotent build-then-bind assignments.
         """
         if self._frozen:
             return self
@@ -473,7 +534,7 @@ class Relation:
 
         O(rows) shallow dict copy; rows themselves are immutable tuples.
         """
-        return dict(self._rows)
+        return dict(self._constants())
 
     def restore(self, snapshot: dict[Row, None]) -> None:
         """Reset the row set to a :meth:`checkpoint` snapshot.
@@ -482,7 +543,7 @@ class Relation:
         version is bumped past every mid-transaction value, so external
         caches keyed on ``(relation, version)`` cannot serve stale state.
         """
-        self._assert_mutable()
+        self._begin_mutation()
         self._rows = dict(snapshot)
         self._shared = False  # rebinding privatizes the row storage
         self._invalidate_derived()

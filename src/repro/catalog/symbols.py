@@ -5,12 +5,13 @@ instead of :class:`~repro.logic.terms.Constant` objects.  Hashing a
 ``Constant`` allocates a tuple per call (``hash(("const", value))``); an
 ``int`` hashes to itself.  The :class:`SymbolTable` maps each constant to a
 dense id once, at load/insert time, so the hot join loops never touch a
-``Constant`` again.  Ids turn back into constants in bulk, at the two
-places a row set leaves the kernels — a derived table's flush into its
-relation and a ``retrieve`` answer — through :meth:`SymbolTable.extern_rows`
-/ :meth:`SymbolTable.extern_block`; the per-id :meth:`SymbolTable.extern`
-and per-row :meth:`SymbolTable.extern_row` serve order comparisons and
-substitution streams.
+``Constant`` again.  Ids turn back into constants in bulk, where a row
+set leaves the id domain — a ``retrieve`` answer, or the first reader that
+asks a derived relation for constants (:meth:`Relation.load_interned`
+keeps a flushed table's rows as ids) — through
+:meth:`SymbolTable.extern_rows` / :meth:`SymbolTable.extern_block`; the
+per-id :meth:`SymbolTable.extern` and per-row :meth:`SymbolTable.extern_row`
+serve order comparisons and substitution streams.
 
 Design points:
 
@@ -98,9 +99,9 @@ class SymbolTable:
     ) -> list[tuple[Constant, ...]]:
         """Map equal-width id rows back to constant rows, in one bulk pass.
 
-        The one externalization call of both id -> constant boundaries: a
-        flushed derived table (:meth:`Relation.load_interned`) and a
-        ``retrieve`` answer.  The rows are flattened at C level and cut
+        The one externalization call of every id -> constant boundary: a
+        ``retrieve`` answer, and a bulk-loaded relation's row dict if a
+        reader ever wants it.  The rows are flattened at C level and cut
         back into tuples by :meth:`extern_block`, so the cost per row is a
         few list lookups, not a Python frame.  Every row must have the
         width of the first (one relation's rows, one answer's rows).

@@ -349,7 +349,8 @@ def retrieve(
     negated = tuple(negated_qualifier)
     from repro.obs.trace import traced_span
 
-    with traced_span(tracer, "retrieve", subject=str(subject), engine=engine):
+    # The span stringifies the subject if it is ever serialized.
+    with traced_span(tracer, "retrieve", subject=subject, engine=engine):
         schema, batch = _answer_batch(
             kb, conjunction, engine, negated, guard, cache, tracer, plan_cache
         )

@@ -38,6 +38,12 @@ Resolver = Callable[[Atom, Substitution], Iterator[Substitution]]
 #: which of its variables are already bound.  ``None`` = unknown predicate.
 CostEstimator = Callable[[Atom, set[Variable]], float | None]
 
+#: Marker prefix of the one delta occurrence inside a semi-naive rewritten
+#: body (:func:`repro.engine.plan.delta_rewritings`; the reference
+#: evaluator rewrites with the same marker).  It lives here because
+#: :func:`order_conjuncts` must recognise the occurrence.
+DELTA_PREFIX = "\x7fdelta\x7f:"
+
 
 def _boundness(atom: Atom, bound: set[Variable]) -> float:
     """Fraction of the atom's arguments that are constants or bound vars."""
@@ -61,6 +67,15 @@ def order_conjuncts(
     that are constants or already-bound variables).  With an estimator, it
     is the lowest expected row count — a small relation beats a large one
     even at equal boundness, the classic cardinality-aware improvement.
+
+    A delta occurrence (:data:`DELTA_PREFIX`) is always the first positive
+    atom, whatever it would cost: the delta is the one operand that is new
+    on every iteration of a fixpoint, so scanning it makes every other
+    atom a build side hashed once per stratum and the iteration's work
+    |delta| probes.  Costing it instead goes wrong exactly when it matters
+    — at the first iteration the delta *is* the whole relation, ties with
+    the relation it was copied from, and the order chosen then is the one
+    the stratum keeps.
 
     Raises :class:`SafetyError` if an order comparison can never become
     ground (the conjunction is unsafe).
@@ -87,7 +102,12 @@ def order_conjuncts(
         if ready is None:
             # 2. The cheapest positive atom.
             positives = [a for a in remaining if not a.is_comparison()]
-            if positives:
+            delta = next(
+                (a for a in positives if a.predicate.startswith(DELTA_PREFIX)), None
+            )
+            if delta is not None:
+                ready = delta
+            elif positives:
                 if estimate is not None:
                     def cost(atom: Atom) -> tuple:
                         estimated = estimate(atom, bound)

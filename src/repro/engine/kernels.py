@@ -14,7 +14,10 @@ it:
 * adjacent scan→join→compare steps are **fused**: a comparison whose
   operands are ground right after a join becomes a per-row filter closure
   applied inside that join's probe loop, so no intermediate batch is
-  materialised;
+  materialised; and a rule whose last step is a join fuses its **head**
+  the same way — the probe loop builds each head row straight from the
+  binding and the build-side row and stages it in the head's fixpoint
+  table, so a derived fact is touched once (:meth:`_KJoin.fuse_head`);
 * each filter/operand is a small closure specialized at compile time over
   the concrete slot indexes and interned constants — the hot loop carries
   no interpretation of step metadata;
@@ -35,14 +38,14 @@ next.  :class:`IntTable` is the fixpoint table the one stratum driver
 ``(arity, version, int_rows, distinct_count)`` read surface of a
 :class:`~repro.catalog.relation.Relation`, so build-side memoization and
 the cardinality estimator work unchanged, plus the three calls the
-driver makes: ``admit`` (screen a fired batch against the table
+driver makes: ``admit`` (screen fired rows against the table
 and the round's pending rows), ``extend`` (make the pending rows visible
-and hand them back as the next delta table) and ``flush`` (externalize
-into the derived relation).
+and hand them back as the next delta table) and ``flush`` (hand the id
+rows to the derived relation, which keeps them as they are —
+:meth:`Relation.load_interned`).
 
-Ids become constants again at exactly two boundaries, one bulk call each:
-a table's ``flush`` (:meth:`Relation.load_interned`) and the
-``retrieve`` answer (:mod:`repro.engine.evaluate`, which consumes
+Ids become constants again at one boundary on the ``retrieve`` path, in
+one bulk call: the answer (:mod:`repro.engine.evaluate`, which consumes
 :meth:`ConjunctionKernel.execute` batches as they are).  Only
 :func:`substitutions_from_kernel_batch` externalizes row by row, for the
 callers that want a substitution per solution.
@@ -51,6 +54,7 @@ callers that want a substitution per solution.
 from __future__ import annotations
 
 import operator
+from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 from repro.errors import ArityError, LogicError
@@ -88,15 +92,14 @@ _ORDER_OPS: dict[str, Callable[[object, object], bool]] = {
 def _projector(cols: Sequence[int]) -> Callable[[Sequence[int]], tuple]:
     """A row -> tuple projector specialized over fixed column indexes.
 
-    ``operator.itemgetter`` runs the multi-column case at C speed; the
-    zero/one column cases need wrapping because itemgetter would return a
-    scalar (or not accept zero indexes).
+    ``operator.itemgetter`` runs every non-empty case at C speed: one
+    column is taken as a one-element slice, because itemgetter over a
+    single index would return the scalar.
     """
     if not cols:
         return lambda row: ()
     if len(cols) == 1:
-        col = cols[0]
-        return lambda row: (row[col],)
+        return operator.itemgetter(slice(cols[0], cols[0] + 1))
     return operator.itemgetter(*cols)
 
 
@@ -108,21 +111,24 @@ class IntTable:
     build-table memos — the same protocol as :attr:`Relation.version`.
     """
 
-    __slots__ = ("arity", "rows", "index", "_pending", "_stats")
+    __slots__ = ("arity", "rows", "index", "pending", "_stats")
 
     def __init__(self, arity: int, rows: Iterable[tuple[int, ...]] = ()) -> None:
         self.arity = arity
         self.rows: list[tuple[int, ...]] = list(rows)
-        self.index: set[tuple[int, ...]] = set(self.rows)
+        #: Membership set of ``rows``; ``None`` on a delta table, which is
+        #: scanned and hashed but never asked whether it holds a row.
+        self.index: set[tuple[int, ...]] | None = set(self.rows)
         #: Rows admitted this round, not yet visible (insertion-ordered).
-        self._pending: dict[tuple[int, ...], None] = {}
+        #: A rule kernel's fused tail stages head rows here directly.
+        self.pending: dict[tuple[int, ...], None] = {}
         self._stats: dict[int, tuple[int, int]] = {}
 
-    def admit(self, fired: IntBatch) -> int:
+    def admit(self, fired: Iterable[tuple[int, ...]]) -> int:
         """Stage the fired rows that are neither visible nor already
         pending this round; returns how many were new."""
         index = self.index
-        pending = self._pending
+        pending = self.pending
         before = len(pending)
         for row in fired:
             if row not in index:
@@ -132,19 +138,22 @@ class IntTable:
     def extend(self) -> "IntTable | None":
         """Make the pending rows visible; returns them as the next delta
         table (``None`` when the round admitted nothing)."""
-        pending = self._pending
+        pending = self.pending
         if not pending:
             return None
-        self._pending = {}
+        self.pending = {}
         # Rows were screened against the table when admitted and the
         # pending dict deduplicated across rules: extend without re-probing.
         self.index.update(pending)
         self.rows.extend(pending)
-        return IntTable(self.arity, pending)
+        delta = IntTable(self.arity)
+        delta.rows = list(pending)
+        delta.index = None
+        return delta
 
     def flush(self, relation) -> None:
-        """Externalize the visible rows into *relation* (id tuples ->
-        constant rows, one bulk load)."""
+        """Hand the visible rows to *relation* (one bulk load; the rows
+        stay ids until a reader of the relation wants constants)."""
         if self.rows:
             relation.load_interned(self.rows)
 
@@ -171,13 +180,30 @@ class IntTable:
         return count
 
 
-def _filtered_rows(relation, const_checks, dup_checks):
-    """Build-side rows passing the constant/duplicate checks."""
+def _row_screen(
+    const_checks: Sequence[tuple[int, int]], dup_checks: Sequence[tuple[int, int]]
+) -> Callable[[list[tuple[int, ...]]], list[tuple[int, ...]]]:
+    """The build-side screen of one atom, specialized at compile time:
+    rows -> the rows passing the constant and repeated-variable checks,
+    in the same order.
+
+    Nearly every screened atom is a bound-argument lookup — ``path(src, Y)``
+    — so one constant check, and constant checks alone, compile to a bare
+    comparison inside the comprehension; only a repeated variable pays for
+    the generic pair loops.
+    """
     if not const_checks and not dup_checks:
-        return relation.int_rows()
-    return [
+        return lambda rows: rows
+    if not dup_checks:
+        if len(const_checks) == 1:
+            ((col, sid),) = const_checks
+            return lambda rows: [row for row in rows if row[col] == sid]
+        cols = operator.itemgetter(*[col for col, _ in const_checks])
+        sids = tuple(sid for _, sid in const_checks)
+        return lambda rows: [row for row in rows if cols(row) == sids]
+    return lambda rows: [
         row
-        for row in relation.int_rows()
+        for row in rows
         if all(row[c] == sid for c, sid in const_checks)
         and all(row[left] == row[right] for left, right in dup_checks)
     ]
@@ -194,12 +220,17 @@ class _KJoin:
     build is memoized and reused while the build side's ``version`` is
     unchanged — the common case for EDB relations probed across many
     delta iterations.
+
+    As the last step of a rule kernel the join can also carry the rule's
+    head (:meth:`fuse_head`): the probe loop then emits head rows into the
+    head's fixpoint table instead of bindings into a batch.
     """
 
     __slots__ = (
         "predicate", "arity", "key_slots", "key_cols",
         "const_checks", "dup_checks", "out_cols", "fused",
-        "_project", "_key_of", "_probe_key",
+        "_screen", "_project", "_key_of", "_probe_key",
+        "_head_binding", "_head_build_first",
         "_cache_rel", "_cache_ver", "_cache_table",
     )
 
@@ -221,8 +252,9 @@ class _KJoin:
         self.dup_checks = dup_checks
         self.out_cols = out_cols
         self.fused: list[RowFilter] = []
-        # Specialized at compile time: C-speed projectors over the
-        # concrete column/slot indexes this join uses.
+        # Specialized at compile time: C-speed screens and projectors over
+        # the concrete column/slot indexes this join uses.
+        self._screen = _row_screen(const_checks, dup_checks)
         # A keyless scan binding every column as is needs no projection:
         # the build side's rows are the extensions.
         self._project = (
@@ -230,9 +262,40 @@ class _KJoin:
             if not key_cols and out_cols == list(range(arity))
             else _projector(out_cols)
         )
-        self._key_of = _projector(key_cols)
-        self._probe_key = _projector(key_slots)
+        # One key column is hashed and probed as the bare id, several as
+        # the id tuple: itemgetter gives exactly that.
+        self._key_of = operator.itemgetter(*key_cols) if key_cols else None
+        self._probe_key = operator.itemgetter(*key_slots) if key_slots else None
+        self._head_binding: Callable | None = None
+        self._head_build_first = False
         self.release()
+
+    def fuse_head(self, head_slots: Sequence[int], bound: int) -> bool:
+        """Specialize this join — a rule kernel's last step, probed by
+        bindings of *bound* slots — to emit the rule's head.
+
+        ``head_slots`` names, per head argument, the slot its variable is
+        bound in: a slot below *bound* is read from the binding, any other
+        from the build-side row.  When the build-side columns sit together
+        at one end of the head, a head row is the concatenation of two
+        pre-cut pieces — the build side is projected to its piece once,
+        at hash time, and the binding's piece is cut once per binding — so
+        the probe loop builds no combined tuple.  Returns whether the head
+        has that shape (and the join now runs fused); comparison filters
+        read the combined row, so a join carrying any stays as it is.
+        """
+        from_build = [slot >= bound for slot in head_slots]
+        switches = sum(a != b for a, b in zip(from_build, from_build[1:]))
+        if self.fused or switches > 1:
+            return False
+        self._head_build_first = bool(from_build) and from_build[0]
+        self._head_binding = _projector(
+            [slot for slot in head_slots if slot < bound]
+        )
+        self._project = _projector(
+            [self.out_cols[slot - bound] for slot in head_slots if slot >= bound]
+        )
+        return True
 
     def release(self) -> None:
         """Forget the memoized build side (and the relation it pins)."""
@@ -244,90 +307,86 @@ class _KJoin:
         version = relation.version
         if self._cache_rel is relation and self._cache_ver == version:
             return self._cache_table
-        rows = _filtered_rows(relation, self.const_checks, self.dup_checks)
+        rows = self._screen(relation.int_rows())
         project = self._project
-        if not self.key_cols:
-            table: object = list(rows if project is None else map(project, rows))
-        elif len(self.key_cols) == 1:
-            key_col = self.key_cols[0]
-            single: dict[int, list[tuple[int, ...]]] = {}
-            for row in rows:
-                single.setdefault(row[key_col], []).append(project(row))
-            table = single
+        key_of = self._key_of
+        if key_of is None:
+            # Never written to: a plain scan shares the build side's rows.
+            table: object = rows if project is None else list(map(project, rows))
         else:
-            key_of = self._key_of
-            multi: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+            table = {}
             for row in rows:
-                multi.setdefault(key_of(row), []).append(project(row))
-            table = multi
+                table.setdefault(key_of(row), []).append(project(row))
         self._cache_rel = relation
         self._cache_ver = version
         self._cache_table = table
         return table
 
-    def run(self, batch: IntBatch, relations) -> IntBatch:
+    def run(self, batch: IntBatch, relations, table: "IntTable | None" = None):
+        """Extend every binding of *batch* by its matching build-side rows.
+
+        With *table* — handed only to a head-fused join
+        (:meth:`fuse_head`) — each match is built as the rule's head row
+        and staged in *table* in the same loop, and the number of rows
+        that were new is returned instead of a batch.
+        """
         relation = relations(self.predicate)
         if relation is None or len(relation) == 0:
-            return []
+            return [] if table is None else 0
         if relation.arity != self.arity:
             raise ArityError(
                 f"atom {self.predicate}/{self.arity} does not match relation "
                 f"arity {relation.arity}"
             )
-        table = self._build(relation)
-        fused = self.fused
-        result: IntBatch = []
-        append = result.append
-        if not self.key_slots:
-            if fused:
-                for binding in batch:
-                    for extension in table:  # type: ignore[union-attr]
-                        row = binding + extension
-                        if all(check(row) for check in fused):
-                            append(row)
-            elif batch == [()]:
+        built = self._build(relation)
+        if self._probe_key is None:
+            if table is None and not self.fused and batch == [()]:
                 # The first step of a kernel: the unit batch extends to
                 # the build side itself.
-                result = list(table)  # type: ignore[call-overload]
-            else:
-                for binding in batch:
-                    for extension in table:  # type: ignore[union-attr]
-                        append(binding + extension)
-        elif len(self.key_slots) == 1:
-            slot = self.key_slots[0]
-            get = table.get  # type: ignore[union-attr]
-            if fused:
-                for binding in batch:
-                    matches = get(binding[slot])
-                    if matches:
-                        for extension in matches:
-                            row = binding + extension
-                            if all(check(row) for check in fused):
-                                append(row)
-            else:
-                for binding in batch:
-                    matches = get(binding[slot])
-                    if matches:
-                        for extension in matches:
-                            append(binding + extension)
+                return list(built)  # type: ignore[call-overload]
+            matched: Iterable = repeat(built)
         else:
-            probe_key = self._probe_key
-            get = table.get  # type: ignore[union-attr]
-            if fused:
-                for binding in batch:
-                    matches = get(probe_key(binding))
+            matched = map(built.get, map(self._probe_key, batch))  # type: ignore[union-attr]
+        if table is not None:
+            index = table.index
+            pending = table.pending
+            before = len(pending)
+            cut = self._head_binding
+            if self._head_build_first:
+                for binding, matches in zip(batch, matched):
                     if matches:
+                        piece = cut(binding)
                         for extension in matches:
-                            row = binding + extension
-                            if all(check(row) for check in fused):
-                                append(row)
+                            row = extension + piece
+                            if row not in index:
+                                pending[row] = None
             else:
-                for binding in batch:
-                    matches = get(probe_key(binding))
+                for binding, matches in zip(batch, matched):
                     if matches:
+                        piece = cut(binding)
                         for extension in matches:
-                            append(binding + extension)
+                            row = piece + extension
+                            if row not in index:
+                                pending[row] = None
+            return len(pending) - before
+        fused = self.fused
+        if not fused:
+            return [
+                binding + extension
+                for binding, matches in zip(batch, matched)
+                if matches
+                for extension in matches
+            ]
+        result: IntBatch = []
+        append = result.append
+        for binding, matches in zip(batch, matched):
+            if matches:
+                for extension in matches:
+                    row = binding + extension
+                    if all(check(row) for check in fused):
+                        append(row)
         return result
+
 
 class _KBind:
     """``=`` with one unbound side, over ids."""
@@ -363,7 +422,7 @@ class _KAntiJoin:
 
     __slots__ = (
         "predicate", "arity", "key_slots", "key_cols", "const_checks",
-        "_cache_rel", "_cache_ver", "_cache_keys",
+        "_screen", "_cache_rel", "_cache_ver", "_cache_keys",
     )
 
     def __init__(
@@ -379,6 +438,7 @@ class _KAntiJoin:
         self.key_slots = key_slots
         self.key_cols = key_cols
         self.const_checks = const_checks
+        self._screen = _row_screen(const_checks, ())
         self.release()
 
     def release(self) -> None:
@@ -393,7 +453,7 @@ class _KAntiJoin:
             return self._cache_keys  # type: ignore[return-value]
         key_cols = self.key_cols
         keys: set = set()
-        for row in _filtered_rows(relation, self.const_checks, ()):
+        for row in self._screen(relation.int_rows()):
             keys.add(tuple(row[c] for c in key_cols))
         self._cache_rel = relation
         self._cache_ver = version
@@ -468,6 +528,22 @@ def _compare_filter(step: _Compare) -> RowFilter:
     return check
 
 
+def _run_steps(steps: Sequence, relations, guard, tracer) -> IntBatch:
+    """Thread the unit batch through *steps*.  *guard* is checkpointed at
+    every step boundary, charged with the batch size; *tracer* accumulates
+    the same per-step batch sizes as the ``join_probes`` counter."""
+    batch: IntBatch = [()]
+    for step in steps:
+        if guard is not None:
+            guard.tick(len(batch))
+        if tracer is not None:
+            tracer.count("join_probes", len(batch))
+        batch = step.run(batch, relations)
+        if not batch:
+            return []
+    return batch
+
+
 class ConjunctionKernel:
     """A lowered plan: the logical plan's schema, id-domain steps."""
 
@@ -484,21 +560,10 @@ class ConjunctionKernel:
         self.described = described
 
     def execute(self, relations, guard=None, tracer=None) -> IntBatch:
-        """Run the kernel.  *guard* (a
-        :class:`~repro.engine.guard.ResourceGuard`) is checkpointed at
-        every step boundary, charged with the batch size; *tracer* (a
-        :class:`~repro.obs.trace.Tracer`) accumulates the same per-step
-        batch sizes as the ``join_probes`` counter."""
-        batch: IntBatch = [()]
-        for step in self.steps:
-            if guard is not None:
-                guard.tick(len(batch))
-            if tracer is not None:
-                tracer.count("join_probes", len(batch))
-            batch = step.run(batch, relations)
-            if not batch:
-                return []
-        return batch
+        """Run the kernel under *guard* (a
+        :class:`~repro.engine.guard.ResourceGuard`) and *tracer* (a
+        :class:`~repro.obs.trace.Tracer`): one binding per solution."""
+        return _run_steps(self.steps, relations, guard, tracer)
 
     def release(self) -> None:
         """Drop every step's memoized build side.
@@ -513,9 +578,14 @@ class ConjunctionKernel:
 
 
 class RuleKernel:
-    """A conjunction kernel plus the rule's head projection (over ids)."""
+    """A rule's body steps plus its head, firing into a fixpoint table.
 
-    __slots__ = ("rule", "kernel", "head_template", "_fast_project")
+    The head is carried by the last step when that is a join of the right
+    shape (:meth:`_KJoin.fuse_head`); otherwise the finished bindings are
+    projected onto ``head_template`` and admitted as a batch.
+    """
+
+    __slots__ = ("rule", "kernel", "head_template", "_project", "_body", "_tail")
 
     def __init__(
         self,
@@ -526,25 +596,43 @@ class RuleKernel:
         self.rule = rule
         self.kernel = kernel
         self.head_template = head_template
-        # The common all-variables head projects at C speed; heads with
-        # constant arguments take the generic template loop.
+        self._body = kernel.steps
+        self._tail: _KJoin | None = None
         if all(not is_const for is_const, _ in head_template):
-            self._fast_project = _projector([value for _, value in head_template])
+            # The all-variables head projects at C speed, or not at all
+            # when the last join takes it over.
+            slots = [value for _, value in head_template]
+            self._project = _projector(slots)
+            last = kernel.steps[-1] if kernel.steps else None
+            if isinstance(last, _KJoin) and last.fuse_head(
+                slots, len(kernel.schema) - len(last.out_cols)
+            ):
+                self._body, self._tail = kernel.steps[:-1], last
+                kernel.described[-1] += " [head fused]"
         else:
-            self._fast_project = None
+            # Heads with constant arguments take the generic template loop.
+            self._project = lambda binding: tuple(
+                value if is_const else binding[value]
+                for is_const, value in head_template
+            )
 
-    def execute(self, relations, guard=None, tracer=None) -> IntBatch:
-        batch = self.kernel.execute(relations, guard, tracer)
+    def execute(self, relations, table: IntTable, guard=None, tracer=None) -> int:
+        """Fire the rule into *table*, the head predicate's fixpoint
+        table: stage every head row that is neither visible nor pending
+        there and return how many were new.  *guard* and *tracer* see the
+        same step boundaries as :meth:`ConjunctionKernel.execute`."""
+        batch = _run_steps(self._body, relations, guard, tracer)
         if not batch:
-            return []
-        project = self._fast_project
-        if project is not None:
-            return list(map(project, batch))
-        template = self.head_template
-        return [
-            tuple(value if is_const else binding[value] for is_const, value in template)
-            for binding in batch
-        ]
+            return 0
+        tail = self._tail
+        if tail is None:
+            return table.admit(map(self._project, batch))
+        if guard is not None:
+            guard.tick(len(batch))
+        if tracer is not None:
+            tracer.count("join_probes", len(batch))
+        return tail.run(batch, relations, table)
+
 
 def kernelize_conjunction(plan: ConjunctionPlan) -> ConjunctionKernel:
     """Lower a compiled plan into the integer domain, fusing filters.

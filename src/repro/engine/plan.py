@@ -21,7 +21,8 @@ conjunctions at compile time; it does not run.  Execution belongs to
 :mod:`repro.engine.kernels`, which lowers these records to integer
 kernels over interned symbol ids.  The semi-naive engine compiles one plan
 per ``(rule, delta-position)`` and keeps its lowering for the lifetime of
-a stratum evaluation (:meth:`SemiNaiveEngine._evaluate_stratum`).
+a stratum evaluation (:meth:`SemiNaiveEngine._evaluate_stratum`);
+:func:`delta_rewritings` builds the delta variants.
 """
 
 from __future__ import annotations
@@ -29,14 +30,33 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from repro.errors import SafetyError
-from repro.engine.joins import CostEstimator, order_conjuncts
+from repro.engine.joins import DELTA_PREFIX, CostEstimator, order_conjuncts
 from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule
 from repro.logic.terms import Constant, Variable, is_constant
 
-#: Marker prefix distinguishing a delta occurrence inside a rewritten body
-#: (shared by the semi-naive engine and the reference evaluator).
-DELTA_PREFIX = "\x7fdelta\x7f:"
+
+def delta_rewritings(rule: Rule, stratum) -> list[tuple[int, Rule]]:
+    """The semi-naive variants of *rule*: one ``(body position, rewritten
+    rule)`` per occurrence of a *stratum* predicate in its body, with that
+    occurrence reading the delta (:data:`~repro.engine.joins.DELTA_PREFIX`).
+
+    :func:`order_conjuncts` puts the delta occurrence first, so every
+    variant's plan starts with its delta scan — for the engine, for
+    ``explain`` and for the reference evaluator alike.
+    """
+    variants: list[tuple[int, Rule]] = []
+    for position, atom in enumerate(rule.body):
+        if atom.predicate in stratum:
+            body = list(rule.body)
+            body[position] = Atom(DELTA_PREFIX + atom.predicate, atom.args)
+            variants.append((position, rule.with_body(body)))
+    return variants
+
+
+def _show(atom: Atom) -> str:
+    """An atom as a step line prints it (the delta marker made readable)."""
+    return str(atom).replace(DELTA_PREFIX, "delta:")
 
 
 class _HashJoin(NamedTuple):
@@ -224,7 +244,7 @@ def compile_conjunction(
             expected = estimate(atom, set(slots))
             if expected is not None:
                 notes.append(f"est~{expected:.0f} rows")
-        described.append(f"hash_join {atom} [{'; '.join(notes)}]")
+        described.append(f"hash_join {_show(atom)} [{'; '.join(notes)}]")
         for variable in out_vars:
             slots[variable] = len(slots)
 

@@ -33,10 +33,9 @@ from repro.catalog.relation import Relation
 from repro.engine.guard import ResourceGuard
 from repro.engine.joins import relation_cost_estimator
 from repro.engine.kernels import IntTable, RuleKernel, compile_rule_kernel
-from repro.engine.plan import DELTA_PREFIX as _DELTA_PREFIX
+from repro.engine.plan import DELTA_PREFIX as _DELTA_PREFIX, delta_rewritings
 from repro.engine.safety import check_rule_safety
 from repro.obs.trace import traced_span
-from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule
 
 
@@ -148,16 +147,20 @@ class SemiNaiveEngine:
         rows earlier rules of the round derived); then, while the last
         round derived anything, every recursive rule fires once per
         occurrence of a stratum predicate in its body with that occurrence
-        reading the *delta*.  The stratum's derived and delta fact sets
-        live as kernel tables (:class:`~repro.engine.kernels.IntTable`)
-        for the whole fixpoint: no per-row coercion, journaling, or
-        constant hashing on the hot path.  Within an iteration the tables
-        extend only at the iteration boundary, so every rule of one
-        iteration sees the same facts — and each build side bumps its
-        version once per iteration, not once per rule.
+        reading the *delta* — and, the planner puts it first, driving the
+        join: every other atom is a build side hashed once per version, so
+        an iteration's work is |delta| probes.  The stratum's derived and
+        delta fact sets live as kernel tables
+        (:class:`~repro.engine.kernels.IntTable`) for the whole fixpoint: no
+        per-row coercion, journaling, or constant hashing on the hot path.
+        Within an iteration the tables extend only at the iteration
+        boundary, so every rule of one iteration sees the same facts — and
+        each build side bumps its version once per iteration, not once per
+        rule.
 
-        Rows are externalized back to constants and bulk-loaded into the
-        derived relations when the stratum finishes.  The flush runs on the
+        The id rows are bulk-loaded into the derived relations as they are
+        when the stratum finishes (a relation turns them into constants
+        only for a reader that wants constants).  The flush runs on the
         way out even when a budget trips mid-fixpoint: bottom-up derivation
         is monotone, so the partial table is a sound under-approximation
         (the degrade contract).
@@ -166,6 +169,8 @@ class SemiNaiveEngine:
         rules = [r for p in sorted(stratum) for r in kb.rules_for(p)]
         for rule in rules:
             check_rule_safety(rule)
+        # Span labels, formatted once per stratum rather than once per fire.
+        labels = [str(rule) for rule in rules]
         # Kernels are cached for the lifetime of this stratum evaluation.
         self._kernels = {}
         guard = self._guard
@@ -187,16 +192,13 @@ class SemiNaiveEngine:
         estimate = relation_cost_estimator(view)
 
         def fire(rule: Rule, plan_key: tuple[int, int]) -> int:
-            """Fire one rule and admit its head rows; how many were new."""
+            """Fire one rule into its head's table; how many rows were new."""
             kernel = self._kernels.get(plan_key)
             if kernel is None:
                 kernel = self._kernels[plan_key] = compile_rule_kernel(
                     rule, estimate=estimate
                 )
-            fired = kernel.execute(view, guard, tracer)
-            if not fired:
-                return 0
-            new = tables[rule.head.predicate].admit(fired)
+            new = kernel.execute(view, tables[rule.head.predicate], guard, tracer)
             if tracer is not None and new:
                 tracer.count("facts_derived", new)
             return new
@@ -205,9 +207,12 @@ class SemiNaiveEngine:
             # Initial round.  Each rule's rows become visible at once: a
             # later rule of the round may read the relation an earlier one
             # wrote (and a permutation rule reads the very relation its
-            # head writes, which is why firing completes before admission).
+            # head writes, which is why admitted rows stay pending until
+            # the rule has fired in full).
             for rule_index, rule in enumerate(rules):
-                with traced_span(tracer, "rule", rule=str(rule), phase="initial"):
+                with traced_span(
+                    tracer, "rule", rule=labels[rule_index], phase="initial"
+                ):
                     new = fire(rule, (rule_index, -1))
                     if new:
                         tables[rule.head.predicate].extend()
@@ -216,46 +221,41 @@ class SemiNaiveEngine:
 
             # Pre-build each rule's delta rewritings once; the per-iteration
             # work is pure kernel execution.
-            rewritten_rules: list[tuple[int, int, Rule]] = []
-            for rule_index, rule in enumerate(rules):
-                for position, original in enumerate(rule.body):
-                    if original.predicate in stratum:
-                        body = list(rule.body)
-                        body[position] = Atom(
-                            _DELTA_PREFIX + original.predicate, original.args
-                        )
-                        rewritten_rules.append(
-                            (rule_index, position, rule.with_body(body))
-                        )
+            rewritten_rules = [
+                (rule_index, position, rewritten)
+                for rule_index, rule in enumerate(rules)
+                for position, rewritten in delta_rewritings(rule, stratum)
+            ]
             if not rewritten_rules:
                 return
 
             # The tables started empty, so the first delta is the tables
             # themselves (nothing extends them until the iteration ends).
             deltas = dict(tables)
+            delta_rows = sum(len(table) for table in tables.values())
             iteration = 0
-            while any(len(delta) for delta in deltas.values()):
+            while delta_rows:
                 iteration += 1
                 if guard is not None:
                     guard.iteration()
                 with traced_span(tracer, "iteration", index=iteration):
                     if tracer is not None:
-                        tracer.count(
-                            "delta_rows", sum(len(delta) for delta in deltas.values())
-                        )
+                        tracer.count("delta_rows", delta_rows)
                     for rule_index, position, rewritten in rewritten_rules:
                         with traced_span(
                             tracer,
                             "rule",
-                            rule=str(rules[rule_index]),
+                            rule=labels[rule_index],
                             delta_position=position,
                         ):
                             fire(rewritten, (rule_index, position))
                     deltas = {}
+                    delta_rows = 0
                     for predicate, table in tables.items():
                         delta = table.extend()
                         if delta is not None:
                             deltas[predicate] = delta
+                            delta_rows += len(delta)
                             if guard is not None:
                                 guard.count_facts(len(delta))
         finally:

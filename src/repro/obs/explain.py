@@ -15,8 +15,9 @@ rows, recursion class) from :func:`repro.analysis.absint.summary.summary_for`
 Engine coverage:
 
 * ``seminaive`` — the full picture: evaluation strata of the relevant IDB
-  predicates, one compiled plan per rule, the query-conjunction plan, and
-  which body positions get delta-rewritten in recursive strata;
+  predicates, one compiled kernel per rule, the query-conjunction plan,
+  and, in recursive strata, the delta variant the fixpoint iterates for
+  each delta-rewritten body position (its first join is the delta scan);
 * ``magic`` — the magic-sets rewrite is performed for real (same code
   path as evaluation) and the *rewritten* program's strata and plans are
   shown, plus rewrite statistics.
@@ -28,7 +29,8 @@ from dataclasses import dataclass, field
 
 from repro.catalog.database import KnowledgeBase
 from repro.engine.joins import relation_cost_estimator
-from repro.engine.kernels import compile_conjunction_kernel
+from repro.engine.kernels import compile_conjunction_kernel, compile_rule_kernel
+from repro.engine.plan import delta_rewritings
 from repro.errors import EngineError, SafetyError
 from repro.lang.ast import RetrieveStatement
 from repro.logic.atoms import Atom
@@ -40,14 +42,24 @@ class RuleExplanation:
 
     rule: str
     steps: list[str]
-    #: Body positions that reference the rule's own stratum — each gets a
-    #: delta-rewritten plan variant during semi-naive iteration.
-    delta_positions: list[int] = field(default_factory=list)
+    #: Body position that references the rule's own stratum -> the steps of
+    #: the delta variant semi-naive iteration fires for it.  The rule's own
+    #: ``steps`` run once, in the initial round.
+    delta_variants: dict[int, list[str]] = field(default_factory=dict)
+
+    @property
+    def delta_positions(self) -> list[int]:
+        """The delta-rewritten body positions."""
+        return list(self.delta_variants)
 
     def as_dict(self) -> dict:
         entry: dict[str, object] = {"rule": self.rule, "steps": list(self.steps)}
-        if self.delta_positions:
-            entry["delta_positions"] = list(self.delta_positions)
+        if self.delta_variants:
+            entry["delta_positions"] = self.delta_positions
+            entry["delta_variants"] = {
+                str(position): list(steps)
+                for position, steps in self.delta_variants.items()
+            }
         return entry
 
 
@@ -145,9 +157,13 @@ class QueryExplanation:
                 lines.append(f"  rule {rule.rule}")
                 for number, step in enumerate(rule.steps, 1):
                     lines.append(f"    {number}. {step}")
-                if rule.delta_positions:
-                    positions = ", ".join(str(p) for p in rule.delta_positions)
+                if rule.delta_variants:
+                    positions = ", ".join(str(p) for p in rule.delta_variants)
                     lines.append(f"    delta rewritings at body positions: {positions}")
+                for position, steps in rule.delta_variants.items():
+                    lines.append(f"    delta variant, body position {position}:")
+                    for number, step in enumerate(steps, 1):
+                        lines.append(f"      {number}. {step}")
         lines.append("query conjunction:")
         for number, step in enumerate(self.query_steps, 1):
             lines.append(f"  {number}. {step}")
@@ -218,6 +234,11 @@ def _kernel_steps(conjuncts, negated, estimate) -> list[str]:
     )
 
 
+def _rule_steps(rule, estimate) -> list[str]:
+    """Step lines of the kernel a rule compiles to, head included."""
+    return list(compile_rule_kernel(rule, estimate=estimate).kernel.described)
+
+
 def _strata_for(kb: KnowledgeBase, conjuncts, estimate) -> list[StratumExplanation]:
     """Evaluation strata for the IDB predicates the conjunction needs."""
     graph = kb.dependency_graph()
@@ -232,14 +253,15 @@ def _strata_for(kb: KnowledgeBase, conjuncts, estimate) -> list[StratumExplanati
         recursive = False
         for predicate in members:
             for rule in kb.rules_for(predicate):
-                delta_positions = [
-                    i for i, atom in enumerate(rule.body)
-                    if atom.predicate in stratum_set
-                ]
-                if delta_positions:
+                variants = {
+                    position: _rule_steps(rewritten, estimate)
+                    for position, rewritten in delta_rewritings(rule, stratum_set)
+                }
+                if variants:
                     recursive = True
-                steps = _kernel_steps(rule.body, rule.negated, estimate)
-                rules.append(RuleExplanation(str(rule), steps, delta_positions))
+                rules.append(
+                    RuleExplanation(str(rule), _rule_steps(rule, estimate), variants)
+                )
         strata.append(StratumExplanation(len(strata) + 1, members, recursive, rules))
     return strata
 

@@ -36,8 +36,9 @@ from typing import Iterator
 #: long-lived session must not grow without bound.
 ROOT_LIMIT = 16
 
-#: Attribute value types stored verbatim; anything else is stringified at
-#: record time so a span tree is always JSON-serializable.
+#: Attribute value types rendered verbatim; anything else (a rule, an atom)
+#: is stringified when the tree is serialized, so a span nobody renders
+#: formats nothing and a rendered tree is always JSON-serializable.
 _PLAIN = (str, int, float, bool, type(None))
 
 
@@ -273,8 +274,10 @@ def traced_span(tracer: NullTracer | None, name: str, **attributes: object) -> o
         with traced_span(tracer, "stratum", predicates=members):
             ...
 
-    costs one ``is None`` check when tracing is off.
+    costs one ``is None`` check when tracing is off, and a tracer that
+    records nothing (:attr:`NullTracer.enabled` false) one attribute read
+    more — not a second call that repacks *attributes* to drop them.
     """
-    if tracer is None:
+    if tracer is None or not tracer.enabled:
         return _NULL_CONTEXT
     return tracer.span(name, **attributes)

@@ -3,7 +3,8 @@
 from repro.catalog.database import KnowledgeBase
 from repro.catalog.relation import Relation
 from repro.engine import retrieve
-from repro.engine.joins import order_conjuncts, relation_cost_estimator
+from repro.engine.joins import DELTA_PREFIX, order_conjuncts, relation_cost_estimator
+from repro.logic.atoms import Atom
 from repro.lang.parser import parse_atom, parse_body, parse_rule
 from repro.logic.terms import Variable
 
@@ -42,6 +43,38 @@ class TestCostEstimator:
     def test_unknown_predicate_is_none(self):
         estimate = make_estimator({})
         assert estimate(parse_atom("ghost(X)"), set()) is None
+
+
+class TestDeltaFirst:
+    """A delta occurrence drives the join, whatever it would cost."""
+
+    BODY = [
+        parse_atom("edge(X, Z)"),
+        Atom(DELTA_PREFIX + "path", parse_atom("path(Z, Y)").args),
+    ]
+
+    def test_delta_beats_a_cheaper_relation(self):
+        estimate = make_estimator(
+            {
+                "edge": [("a", "b")],
+                DELTA_PREFIX + "path": [(f"x{i}", f"y{i}") for i in range(50)],
+            }
+        )
+        ordered = order_conjuncts(self.BODY, estimate=estimate)
+        assert [a.predicate for a in ordered] == [DELTA_PREFIX + "path", "edge"]
+
+    def test_delta_wins_the_first_iteration_size_tie(self):
+        # The first delta of path is path itself, as large as the edge
+        # relation it was copied from: the tie used to go to body order.
+        rows = [(f"n{i}", f"n{i + 1}") for i in range(20)]
+        estimate = make_estimator({"edge": rows, DELTA_PREFIX + "path": rows})
+        assert order_conjuncts(self.BODY, estimate=estimate)[0] is self.BODY[1]
+        assert order_conjuncts(self.BODY)[0] is self.BODY[1]  # no estimator either
+
+    def test_ready_comparisons_still_run_before_it(self):
+        body = [*self.BODY, parse_body("(W = k)")[0]]
+        ordered = order_conjuncts(body)
+        assert ordered[0].is_comparison() and ordered[1] is self.BODY[1]
 
 
 class TestOrdering:

@@ -6,8 +6,9 @@ answer parity with the tuple-at-a-time reference evaluator
 (:mod:`repro.engine.reference`, via ``tests/oracle.py``), comparison
 fusion into the preceding join's probe loop, order-comparison semantics
 over externalized values (including the incompatible-type
-``LogicError``), head projection, probe accounting, and the
-:class:`IntTable` fixpoint table.
+``LogicError``), head projection — fused into a rule's last join or not
+—, build-side screening, probe accounting, and the :class:`IntTable`
+fixpoint table.
 """
 
 import pytest
@@ -174,21 +175,136 @@ class TestOrderTypeCheck:
             retrieve(kb_from_program(program), parse_atom("c0(X)"))
 
 
+def fired_rows(kernel, relations, arity):
+    """Fire a rule kernel into a fresh table; the head rows, as constants."""
+    table = IntTable(arity)
+    new = kernel.execute(relations, table)
+    table.extend()
+    assert new == len(table)
+    return {SYMBOLS.extern_row(row) for row in table.rows}
+
+
 class TestRuleKernel:
     def test_head_projection_parity(self, kb):
         rule = parse_rule("linked(Y, X) <- edge(X, Y).")
         nested = nested_head_rows(kb, rule)
         kernel = compile_rule_kernel(rule)
-        rows = {SYMBOLS.extern_row(r) for r in kernel.execute(kb.relation)}
+        rows = fired_rows(kernel, kb.relation, 2)
         assert rows == nested and rows
 
     def test_constant_in_head(self, kb):
         rule = parse_rule("tagged(X, marker) <- edge(X, Y).")
         nested = nested_head_rows(kb, rule)
         kernel = compile_rule_kernel(rule)
-        rows = {SYMBOLS.extern_row(r) for r in kernel.execute(kb.relation)}
+        rows = fired_rows(kernel, kb.relation, 2)
         assert rows == nested
         assert all(row[1] == Constant("marker") for row in rows)
+
+
+class TestFusedHead:
+    """A rule whose last step is a join builds its head in that join's
+    probe loop; every other rule projects and admits the finished batch.
+    Either way the table receives exactly the reference evaluator's rows."""
+
+    @pytest.fixture
+    def wide(self):
+        base = KnowledgeBase()
+        base.declare_edb("p", 3)
+        base.add_facts("p", [("a", "k", 1), ("b", "k", 1), ("c", "m", 2), ("a", "m", 2)])
+        base.declare_edb("q", 3)
+        base.add_facts("q", [("k", 1, "u"), ("k", 1, "v"), ("m", 2, "u"), ("m", 3, "w")])
+        base.declare_edb("r", 1)
+        base.add_facts("r", [("a",), ("c",)])
+        return base
+
+    FUSED = [
+        "swap(Y, X) <- p(X, Y, Z).",                        # one step, all build side
+        "both(X, W) <- p(X, Y, Z) and q(Y, Z, W).",         # binding piece + build piece
+        "back(W, X) <- p(X, Y, Z) and q(Y, Z, W).",         # build piece + binding piece
+        "keys(W, Y, Z) <- p(X, Y, Z) and q(Y, Z, W).",      # multi-column key in the head
+        "twice(W, W, X) <- p(X, Y, Z) and q(Y, Z, W).",     # repeated head variable
+        "semi(X) <- p(X, Y, Z) and r(X).",                  # nothing from the build side
+        "unit <- p(X, Y, Z) and r(X).",                     # zero-arity head
+        "cross(X, V) <- r(X) and r(V).",                    # keyless last join
+    ]
+    NOT_FUSED = [
+        "mixed(X, W, Y) <- p(X, Y, Z) and q(Y, Z, W).",     # build column between two
+        "tag(X, W, marker) <- p(X, Y, Z) and q(Y, Z, W).",  # constant in the head
+        "big(X, W) <- p(X, Y, Z) and q(Y, Z, W) and (W != u).",  # the last join filters
+        "same(X, V) <- p(X, Y, Z) and (V = X).",            # last step a bind
+        "lone(X, W) <- p(X, Y, Z) and q(Y, Z, W) and not r(X).",  # last step an anti-join
+    ]
+
+    @pytest.mark.parametrize("text", FUSED + NOT_FUSED)
+    def test_rows_match_the_reference(self, wide, text):
+        rule = parse_rule(text)
+        kernel = compile_rule_kernel(rule)
+        assert (kernel._tail is not None) == (text in self.FUSED)
+        assert kernel.kernel.described[-1].endswith("[head fused]") == (
+            text in self.FUSED
+        )
+        rows = fired_rows(kernel, wide.relation, rule.head.arity)
+        assert rows == nested_head_rows(wide, rule) and rows
+
+    def test_head_rows_are_screened_against_visible_and_pending_rows(self, wide):
+        rule = parse_rule("both(X, W) <- p(X, Y, Z) and q(Y, Z, W).")
+        kernel = compile_rule_kernel(rule)
+        table = IntTable(2)
+        first = kernel.execute(wide.relation, table)
+        assert first == len(table.pending) == 5 and len(table) == 0
+        assert kernel.execute(wide.relation, table) == 0  # all pending already
+        table.extend()
+        assert kernel.execute(wide.relation, table) == 0  # all visible now
+        assert table.extend() is None and len(table) == 5
+
+    def test_fused_tail_charges_the_same_step_boundaries(self, wide):
+        rule = parse_rule("both(X, W) <- p(X, Y, Z) and q(Y, Z, W).")
+        tracer = TestCounters._Tracer()
+        compile_rule_kernel(rule).execute(wide.relation, IntTable(2), tracer=tracer)
+        body = TestCounters._Tracer()
+        compile_conjunction_kernel(rule.body).execute(wide.relation, tracer=body)
+        assert tracer.counters == body.counters == {"join_probes": 1 + 4}
+
+    def test_arity_mismatch_raises_from_the_tail(self, wide):
+        from repro.errors import ArityError
+
+        kernel = compile_rule_kernel(parse_rule("bad(X, W) <- p(X, Y, Z) and r(X, W)."))
+        assert kernel._tail is not None
+        with pytest.raises(ArityError):
+            kernel.execute(wide.relation, IntTable(2))
+
+    def test_delta_table_carries_no_membership_set(self):
+        table = IntTable(1, [(1,)])
+        table.admit([(2,)])
+        delta = table.extend()
+        assert delta.index is None and delta.rows == [(2,)]
+        assert delta.version == len(delta) == 1 and delta.distinct_count(0) == 1
+        with pytest.raises(TypeError):
+            (2,) in delta
+
+
+class TestRowScreen:
+    """Build-side screening is specialized per shape; same rows, same order."""
+
+    @pytest.mark.parametrize(
+        "atom",
+        ["edge(a, Y)", "edge(a, a)", "edge(X, X)", "score(X, 2)", "edge(X, Y)"],
+    )
+    def test_shapes_agree_with_the_reference(self, kb, atom):
+        nested, kernel = run_both(kb, [parse_atom(atom)])
+        assert kernel == nested
+
+    def test_constant_checks_keep_build_side_order(self, kb):
+        kb.add_facts("edge", [("a", "z"), ("b", "a")])
+        kernel = compile_conjunction_kernel([parse_atom("edge(a, Y)")])
+        rows = SYMBOLS.extern_rows(kernel.execute(kb.relation))
+        assert [row[0].value for row in rows] == ["b", "a", "z"]
+
+    def test_negated_atom_with_a_constant(self, kb):
+        nested, kernel = run_both(
+            kb, [parse_atom("score(X, V)")], negated=[parse_atom("edge(a, X)")]
+        )
+        assert kernel == nested == {(Constant("c"), Constant(3))}
 
 
 class TestCounters:

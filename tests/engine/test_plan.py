@@ -2,8 +2,9 @@
 
 ``compile_rule`` / ``compile_conjunction`` produce logical plans (join
 order, slot layout, safety checks); what a plan *means* is pinned here by
-executing its lowering, ``compile_rule_kernel(...).execute``, over small
-relations and externalizing the id rows back to constants.
+firing its lowering, ``compile_rule_kernel(...).execute``, into a fresh
+fixpoint table over small relations and externalizing the id rows back to
+constants.
 """
 
 import pytest
@@ -11,7 +12,11 @@ import pytest
 from repro.errors import LogicError, SafetyError
 from repro.catalog.relation import Relation
 from repro.catalog.symbols import SYMBOLS
-from repro.engine.kernels import compile_conjunction_kernel, compile_rule_kernel
+from repro.engine.kernels import (
+    IntTable,
+    compile_conjunction_kernel,
+    compile_rule_kernel,
+)
 from repro.engine.plan import compile_conjunction, compile_rule
 from repro.engine.seminaive import SemiNaiveEngine
 from repro.lang.parser import parse_atom, parse_rule
@@ -22,6 +27,14 @@ from repro.logic.terms import Variable
 
 def view_of(relations):
     return lambda predicate: relations.get(predicate)
+
+
+def fire(kernel, view):
+    """The head rows a rule kernel stages into an empty fixpoint table."""
+    table = IntTable(kernel.rule.head.arity)
+    assert kernel.execute(view, table) == len(table.pending)
+    table.extend()
+    return table.rows
 
 
 def values(rows):
@@ -36,19 +49,19 @@ class TestCompile:
         relations = {
             "parent": Relation(2, [("a", "b"), ("b", "c"), ("b", "d")]),
         }
-        assert values(plan.execute(view_of(relations))) == [("a", "c"), ("a", "d")]
+        assert values(fire(plan, view_of(relations))) == [("a", "c"), ("a", "d")]
 
     def test_constant_filter_on_build_side(self):
         rule = parse_rule("p(X) <- q(X, k).")
         plan = compile_rule_kernel(rule)
         relations = {"q": Relation(2, [("a", "k"), ("b", "m")])}
-        assert values(plan.execute(view_of(relations))) == [("a",)]
+        assert values(fire(plan, view_of(relations))) == [("a",)]
 
     def test_repeated_variable_within_atom(self):
         rule = parse_rule("loop(X) <- edge(X, X).")
         plan = compile_rule_kernel(rule)
         relations = {"edge": Relation(2, [("a", "a"), ("a", "b"), ("c", "c")])}
-        assert values(plan.execute(view_of(relations))) == [("a",), ("c",)]
+        assert values(fire(plan, view_of(relations))) == [("a",), ("c",)]
 
     def test_equality_binds_then_joins(self):
         rule = Rule(
@@ -60,20 +73,20 @@ class TestCompile:
         )
         plan = compile_rule_kernel(rule)
         relations = {"q": Relation(1, [("a",)])}
-        assert values(plan.execute(view_of(relations))) == [("a", "k")]
+        assert values(fire(plan, view_of(relations))) == [("a", "k")]
 
     def test_order_comparison_filters(self):
         rule = parse_rule("big(X) <- size(X, V) and (V > 2).")
         plan = compile_rule_kernel(rule)
         relations = {"size": Relation(2, [("a", 1), ("b", 3), ("c", 5)])}
-        assert values(plan.execute(view_of(relations))) == [("b",), ("c",)]
+        assert values(fire(plan, view_of(relations))) == [("b",), ("c",)]
 
     def test_incompatible_order_comparison_raises(self):
         rule = parse_rule("big(X) <- size(X, V) and (V > 2).")
         plan = compile_rule_kernel(rule)
         relations = {"size": Relation(2, [("a", "tall")])}
         with pytest.raises(LogicError):
-            plan.execute(view_of(relations))
+            fire(plan, view_of(relations))
 
     def test_anti_join_negation(self):
         rule = Rule(
@@ -86,7 +99,7 @@ class TestCompile:
             "all": Relation(1, [("a",), ("b",), ("c",)]),
             "banned": Relation(1, [("b",)]),
         }
-        assert values(plan.execute(view_of(relations))) == [("a",), ("c",)]
+        assert values(fire(plan, view_of(relations))) == [("a",), ("c",)]
 
     def test_negated_undefined_predicate_is_vacuous(self):
         rule = Rule(
@@ -96,7 +109,7 @@ class TestCompile:
         )
         plan = compile_rule_kernel(rule)
         relations = {"all": Relation(1, [("a",)])}
-        assert values(plan.execute(view_of(relations))) == [("a",)]
+        assert values(fire(plan, view_of(relations))) == [("a",)]
 
     def test_unbound_negated_variable_rejected_at_compile(self):
         rule = Rule(
@@ -114,12 +127,12 @@ class TestCompile:
 
     def test_undefined_body_predicate_is_empty(self):
         plan = compile_rule_kernel(parse_rule("p(X) <- ghost(X)."))
-        assert plan.execute(view_of({})) == []
+        assert fire(plan, view_of({})) == []
 
     def test_constant_head_argument(self):
         plan = compile_rule_kernel(parse_rule("tagged(X, yes) <- q(X)."))
         relations = {"q": Relation(1, [("a",)])}
-        assert values(plan.execute(view_of(relations))) == [("a", "yes")]
+        assert values(fire(plan, view_of(relations))) == [("a", "yes")]
 
     def test_conjunction_schema_order(self):
         conjuncts = [parse_atom("q(X, Y)")]
@@ -143,11 +156,11 @@ class TestBuildSideMemoization:
         plan = compile_rule_kernel(rule)
         relation = Relation(2, [("a", "b")])
         view = view_of({"q": relation})
-        plan.execute(view)
+        fire(plan, view)
         step = plan.kernel.steps[0]
         table = step._cache_table
         assert table is not None
-        plan.execute(view)
+        fire(plan, view)
         assert step._cache_table is table  # reused, not rebuilt
 
     def test_hash_table_invalidated_on_mutation(self):
@@ -155,9 +168,9 @@ class TestBuildSideMemoization:
         plan = compile_rule_kernel(rule)
         relation = Relation(2, [("a", "b")])
         view = view_of({"q": relation})
-        assert len(plan.execute(view)) == 1
+        assert len(fire(plan, view)) == 1
         relation.insert(("c", "d"))
-        assert len(plan.execute(view)) == 2
+        assert len(fire(plan, view)) == 2
 
 
 class TestPlanCaching:

@@ -48,6 +48,7 @@ def assert_cache_consistent(kb, cache: ViewCache) -> None:
     and no relation — stored or cached — may be internally incoherent."""
     check_relations(kb)
     for predicate, entry in cache._views.items():
+        # As cached: a recomputed view is id-only, a repaired one is not.
         entry.relation.check_invariants()
         if not cache._is_fresh(predicate, cache._dependency_profile(predicate)):
             continue
@@ -55,6 +56,8 @@ def assert_cache_consistent(kb, cache: ViewCache) -> None:
         assert set(entry.relation.rows()) == set(expected.rows()), (
             f"cache serves a half-refreshed view of {predicate} (seed {SEED})"
         )
+        # ... and again with the row dict the comparison just forced.
+        entry.relation.check_invariants()
 
 
 def drive_cache(scenario: str, make_kb, subject, mutate, repairs: int) -> int:

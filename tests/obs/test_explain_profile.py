@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.datasets import routing_kb, university_kb
+from repro.datasets import (
+    enterprise_kb,
+    routing_kb,
+    symmetric_routing_kb,
+    university_kb,
+)
 from repro.errors import ReproError
 from repro.obs import explain_plan, profile_trace
 from repro.session import Session
@@ -27,6 +32,41 @@ class TestExplain:
             rule for s in recursive for rule in s.rules if rule.delta_positions
         ]
         assert delta_rules, "recursive rules must list their delta rewrites"
+
+    @pytest.mark.parametrize(
+        "kb,statement",
+        [
+            (routing_kb(), "retrieve reach(X, Y)"),
+            (symmetric_routing_kb(), "retrieve link(X, Y)"),
+            (enterprise_kb(), "retrieve chain(X, Y)"),
+            (university_kb(), "retrieve prior(X, Y)"),
+        ],
+        ids=["routing", "permutation", "enterprise", "university"],
+    )
+    def test_every_delta_variant_starts_with_its_delta_scan(self, kb, statement):
+        explanation = explain_plan(kb, statement)
+        variants = [
+            (rule, position, steps)
+            for stratum in explanation.strata
+            for rule in stratum.rules
+            for position, steps in rule.delta_variants.items()
+        ]
+        assert variants
+        for rule, position, steps in variants:
+            assert steps[0].startswith("hash_join delta:"), (rule.rule, steps)
+            assert "scan" in steps[0]
+            # One delta occurrence per variant; every other atom is a build side.
+            assert sum("delta:" in step for step in steps) == 1
+            assert rule.delta_positions == list(rule.delta_variants)
+        rendered = explanation.format()
+        assert "delta variant, body position" in rendered
+        assert "\x7f" not in rendered
+        tree = explanation.as_dict()
+        assert any(
+            "delta_variants" in rule
+            for stratum in tree["strata"]
+            for rule in stratum["rules"]
+        )
 
     def test_qualifier_becomes_query_steps(self, uni):
         explanation = explain_plan(

@@ -151,6 +151,14 @@ class TestTracedSpan:
     def test_none_returns_shared_null_context(self):
         assert traced_span(None, "x") is traced_span(None, "y")
 
+    def test_disabled_tracer_gets_the_null_context_without_a_span_call(self):
+        class Loud(NullTracer):
+            def span(self, name, **attributes):
+                raise AssertionError("a disabled tracer's span() was called")
+
+        assert traced_span(Loud(), "x", rule="r") is traced_span(None, "x")
+        assert traced_span(NULL_TRACER, "x") is traced_span(None, "x")
+
     def test_real_tracer_records(self):
         tracer = Tracer()
         with traced_span(tracer, "stratum", predicates=["p"]):
