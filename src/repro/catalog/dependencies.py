@@ -39,6 +39,7 @@ class DependencyGraph:
             for predicate in component:
                 self._component_of[predicate] = index
         self._reachable_cache: dict[str, frozenset[str]] = {}
+        self._recursive: frozenset[str] | None = None
 
     # -- basic relations -------------------------------------------------------
 
@@ -73,40 +74,46 @@ class DependencyGraph:
     # -- recursion ----------------------------------------------------------------
 
     def is_recursive_rule(self, rule: Rule) -> bool:
-        """Whether the rule's head and some body predicate are mutually dependent."""
+        """Whether the rule's head and some body predicate are mutually dependent.
+
+        Answered from the component index: two distinct predicates are
+        mutually dependent exactly when they share a strongly connected
+        component, and a predicate with itself when it occurs in its own
+        rule's body.
+        """
         head = rule.head.predicate
+        component = self._component_of.get(head)
         for body_atom in (*rule.body, *rule.negated):
             if body_atom.is_comparison():
                 continue
             predicate = body_atom.predicate
             if predicate == head:
                 return True
-            if self.mutually_dependent(head, predicate):
+            if component is not None and self._component_of.get(predicate) == component:
                 return True
         return False
 
     def is_recursive_predicate(self, predicate: str) -> bool:
         """Whether the predicate heads at least one recursive rule."""
-        return any(
-            rule.head.predicate == predicate and self.is_recursive_rule(rule)
-            for rule in self._rules
-        )
+        return predicate in self.recursive_predicates()
 
     def recursive_predicates(self) -> frozenset[str]:
-        """All recursive predicates."""
-        return frozenset(
-            rule.head.predicate for rule in self._rules if self.is_recursive_rule(rule)
-        )
+        """All recursive predicates (computed once per graph)."""
+        if self._recursive is None:
+            self._recursive = frozenset(
+                rule.head.predicate
+                for rule in self._rules
+                if self.is_recursive_rule(rule)
+            )
+        return self._recursive
 
     def depends_on_recursion(self, predicate: str) -> bool:
         """Whether the predicate is recursive or depends on a recursive one.
 
         This is the precondition Algorithm 1 requires to be *false*.
         """
-        if self.is_recursive_predicate(predicate):
-            return True
         recursive = self.recursive_predicates()
-        return bool(self.dependencies(predicate) & recursive)
+        return predicate in recursive or bool(self.dependencies(predicate) & recursive)
 
     def recursion_class(self, predicate: str) -> frozenset[str]:
         """Predicates mutually recursive with *predicate* (its SCC)."""

@@ -56,7 +56,7 @@ def run_algorithm1(
             f"{subject.predicate} is recursive or depends on a recursive "
             "predicate; use Algorithm 2"
         )
-    program = untransformed_program(kb.rules())
+    program = untransformed_program(kb.rules(), kb.dependency_graph())
     search = DerivationSearch(
         program, config or algorithm1_config(), guard=guard, tracer=tracer
     )

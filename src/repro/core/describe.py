@@ -87,9 +87,12 @@ def describe(
             )
     hypothesis = tuple(hypothesis)
 
-    if algorithm == "auto":
+    # ``auto`` settles the precondition here, once; a forced Algorithm 1
+    # still has run_algorithm1 check it (and refuse a recursive subject).
+    forced = algorithm != "auto"
+    if not forced:
         algorithm = (
-            "algorithm2" if kb.depends_on_recursion(subject.predicate) else "algorithm1"
+            "algorithm2" if graph.depends_on_recursion(subject.predicate) else "algorithm1"
         )
 
     from repro.obs.trace import traced_span
@@ -102,7 +105,7 @@ def describe(
             if algorithm == "algorithm1":
                 raw_answers, statistics = run_algorithm1(
                     kb, subject, hypothesis, config=config or algorithm1_config(),
-                    guard=guard, tracer=tracer,
+                    check_precondition=forced, guard=guard, tracer=tracer,
                 )
             else:
                 raw_answers, statistics = run_algorithm2(

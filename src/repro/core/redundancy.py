@@ -53,22 +53,45 @@ def _match_rigid(pattern: Atom, target: Atom, theta: Substitution) -> Substituti
     return result
 
 
-def subsumes(general: Rule, specific: Rule) -> bool:
-    """Whether *general* theta-subsumes *specific* (so *specific* is redundant)."""
-    renamed = VariableRenamer().rename_rule(general)
-    head_theta = _match_rigid(renamed.head, specific.head, Substitution.EMPTY)
+class _Split:
+    """One rule with its body split once into positive and comparison parts."""
+
+    __slots__ = ("head", "positive", "comparisons", "predicates")
+
+    def __init__(self, rule: Rule) -> None:
+        self.head = rule.head
+        self.positive = [b for b in rule.body if not b.is_comparison()]
+        self.comparisons = [b for b in rule.body if b.is_comparison()]
+        self.predicates = frozenset(b.predicate for b in self.positive)
+
+
+def _can_subsume(general: _Split, specific: _Split) -> bool:
+    """The screen: conditions every theta-subsumption meets.
+
+    A subsumption maps the general head onto the specific head and each
+    positive conjunct of the general body onto a conjunct of the specific
+    body with the same predicate, so the heads share a predicate and the
+    general rule's body predicates all occur in the specific body.  (Body
+    *length* is no such condition: two general conjuncts may map onto one.)
+    """
+    return (
+        general.head.predicate == specific.head.predicate
+        and general.predicates <= specific.predicates
+    )
+
+
+def _subsumes_split(general: _Split, specific: _Split) -> bool:
+    """Theta-subsumption between split rules; *general* is renamed apart."""
+    head_theta = _match_rigid(general.head, specific.head, Substitution.EMPTY)
     if head_theta is None:
         return False
-    general_positive = [b for b in renamed.body if not b.is_comparison()]
-    general_comparisons = [b for b in renamed.body if b.is_comparison()]
-    specific_positive = [b for b in specific.body if not b.is_comparison()]
-    specific_comparisons = [b for b in specific.body if b.is_comparison()]
+    specific_positive = specific.positive
 
     def extend(theta: Substitution, remaining: list[Atom]) -> bool:
         if not remaining:
             return all(
-                implies(specific_comparisons, theta.apply(comparison))
-                for comparison in general_comparisons
+                implies(specific.comparisons, theta.apply(comparison))
+                for comparison in general.comparisons
             )
         first, *rest = remaining
         for target in specific_positive:
@@ -77,7 +100,12 @@ def subsumes(general: Rule, specific: Rule) -> bool:
                 return True
         return False
 
-    return extend(head_theta, general_positive)
+    return extend(head_theta, general.positive)
+
+
+def subsumes(general: Rule, specific: Rule) -> bool:
+    """Whether *general* theta-subsumes *specific* (so *specific* is redundant)."""
+    return _subsumes_split(_Split(VariableRenamer().rename_rule(general)), _Split(specific))
 
 
 def equivalent(left: Rule, right: Rule) -> bool:
@@ -86,21 +114,28 @@ def equivalent(left: Rule, right: Rule) -> bool:
 
 
 def eliminate_redundant(answers: Sequence[KnowledgeAnswer]) -> list[KnowledgeAnswer]:
-    """Drop answers subsumed by other answers; keep the first of variants."""
+    """Drop answers subsumed by other answers; keep the first of variants.
+
+    Each answer is renamed apart and split once, and the matcher runs only
+    on the pairs that pass :func:`_can_subsume`.
+    """
+    renamer = VariableRenamer()
+    specifics = [_Split(answer.rule) for answer in answers]
+    generals = [_Split(renamer.rename_rule(answer.rule)) for answer in answers]
+
+    def covers(general_index: int, specific_index: int) -> bool:
+        general, specific = generals[general_index], specifics[specific_index]
+        return _can_subsume(general, specific) and _subsumes_split(general, specific)
+
     kept: list[KnowledgeAnswer] = []
     for index, candidate in enumerate(answers):
         redundant = False
-        for other_index, other in enumerate(answers):
-            if other_index == index:
+        for other_index in range(len(answers)):
+            if other_index == index or not covers(other_index, index):
                 continue
-            if not subsumes(other.rule, candidate.rule):
-                continue
-            if subsumes(candidate.rule, other.rule):
-                # Variants: keep whichever comes first in the answer order.
-                if other_index < index:
-                    redundant = True
-                    break
-            else:
+            # Variants subsume each other: keep whichever comes first in
+            # the answer order.
+            if other_index < index or not covers(index, other_index):
                 redundant = True
                 break
         if not redundant:

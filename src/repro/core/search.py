@@ -10,10 +10,14 @@ The paper's flowchart (Figures 1 and 3) enumerates, per tree formula ``q``:
 
 A rule application survives only if its subtree identifies at least one
 hypothesis conjunct ("subtrees without hypothesis leaves are cut off below
-their subtree roots"); a rule applied at the *root* that never becomes
-productive is emitted verbatim (box 19 — this is how ``describe honor(X)``
-returns the honor definition).  Comparison formulas are never identified;
-they surface as leaves and are post-processed (module ``comparisons``).
+their subtree roots").  That rule is applied before the subtree is built:
+a formula whose predicate cannot reach any hypothesis predicate through the
+searched program's rules (:meth:`DerivationSearch._reaching`) has no
+productive subtree, so it takes choice 3 at once.  A rule applied at the
+*root* that never becomes productive is emitted verbatim (box 19 — this is
+how ``describe honor(X)`` returns the honor definition).  Comparison
+formulas are never identified; they surface as leaves and are
+post-processed (module ``comparisons``).
 
 We implement this as a recursive backtracking enumerator, threading the
 global substitution functionally (so "undoing" is free), which visits the
@@ -141,8 +145,13 @@ class DerivationSearch:
         self._guard = guard
         self._tracer = tracer
         self._rules_by_pred: dict[str, list[Rule]] = {}
+        # Reverse rule graph: body predicate -> heads of the rules using it.
+        self._used_by: dict[str, set[str]] = {}
         for rule in program.rules:
-            self._rules_by_pred.setdefault(rule.head.predicate, []).append(rule)
+            head = rule.head.predicate
+            self._rules_by_pred.setdefault(head, []).append(rule)
+            for body_atom in rule.body:
+                self._used_by.setdefault(body_atom.predicate, set()).add(head)
         permutation_heads = {
             r.head.predicate
             for r in program.rules
@@ -163,6 +172,7 @@ class DerivationSearch:
         }
         self._mode = "describe"
         self._hypothesis: list[tuple[int, Atom]] = []
+        self._relevant: frozenset[str] = frozenset()
 
     # -- public API -------------------------------------------------------------
 
@@ -177,6 +187,7 @@ class DerivationSearch:
             if not atom.is_comparison()
         ]
         self._hypothesis = hyp_positive
+        self._relevant = self._reaching({atom.predicate for _, atom in hyp_positive})
         answers: list[RawAnswer] = []
         with traced_span(self._tracer, "search", subject=str(subject)):
             try:
@@ -191,6 +202,24 @@ class DerivationSearch:
             finalized = self._finalize(answers)
             self._record_counters()
             return finalized
+
+    def _reaching(self, targets: set[str]) -> frozenset[str]:
+        """*targets* plus every predicate some rule chain leads from to one.
+
+        Only a formula over one of these can have a hypothesis leaf below
+        it (or be one), whatever the substitution: identification needs the
+        hypothesis conjunct's own predicate, and expansion only ever
+        introduces the body predicates of the searched program's rules —
+        transformed rules and auxiliary predicates included.
+        """
+        reaching = set(targets)
+        frontier = list(targets)
+        while frontier:
+            for head in self._used_by.get(frontier.pop(), ()):
+                if head not in reaching:
+                    reaching.add(head)
+                    frontier.append(head)
+        return frozenset(reaching)
 
     def _record_counters(self) -> None:
         """Mirror the search statistics onto the current trace span."""
@@ -396,16 +425,21 @@ class DerivationSearch:
             )
         if self._guard is not None:
             self._guard.check_depth(depth, error=SearchBudgetExceeded)
-        current = theta.apply(atom)
-
-        if current.is_comparison():
-            # Comparisons are never identified or expanded (paper, section 4).
+        describing = self._mode == "describe"
+        if atom.is_comparison() or (describing and atom.predicate not in self._relevant):
+            # Comparisons are never identified or expanded (paper, section
+            # 4); a formula no hypothesis predicate is reachable from could
+            # only grow subtrees without hypothesis leaves, which are cut
+            # off below their roots — so it is a leaf (choice 3) already.
             yield _Expansion(theta, (atom,), frozenset())
             return
+        current = theta.apply(atom)
 
         # 1. Identification with a hypothesis conjunct (describe mode only).
-        if self._mode == "describe":
+        if describing:
             for index, hyp_atom in self._hypothesis:
+                if hyp_atom.predicate != current.predicate:
+                    continue
                 extended = unify(current, theta.apply(hyp_atom), theta)
                 if extended is None:
                     continue
@@ -445,7 +479,7 @@ class DerivationSearch:
             for expansion in self._expand_sequence(
                 renamed.body, extended, new_tree, child_tags, child_budget, depth + 1
             ):
-                if self._mode == "expand":
+                if not describing:
                     yield _Expansion(
                         expansion.theta,
                         expansion.leaves,
@@ -458,7 +492,7 @@ class DerivationSearch:
         # 3. Unidentified leaf.  Full-expansion mode must expand every
         #    defined predicate, so the leaf choice is reserved for EDB-level
         #    formulas there.
-        if self._mode == "describe" or current.predicate not in self._rules_by_pred:
+        if describing or current.predicate not in self._rules_by_pred:
             yield _Expansion(theta, (atom,), frozenset())
 
     def _child_tags(self, rule: Rule, tag: Tag, body: Sequence[Atom]) -> list[Tag]:

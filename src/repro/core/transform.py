@@ -313,18 +313,25 @@ def transitivity_rule(predicate: str, rule: Rule) -> Rule:
 # -- whole-program transformation --------------------------------------------------
 
 
-def transform_rules(rules: Sequence[Rule], style: str = "standard") -> TransformedProgram:
+def transform_rules(
+    rules: Sequence[Rule],
+    style: str = "standard",
+    graph: DependencyGraph | None = None,
+) -> TransformedProgram:
     """Transform every recursive predicate of a rule set.
 
     ``style`` is ``"standard"`` (Imielinski, auxiliary predicate) or
     ``"modified"`` (aux-free transitivity where applicable, standard
     elsewhere).  Permutation rules pass through with the ``perm`` kind.
     Mutual recursion across distinct predicates is outside the paper's
-    fragment and raises :class:`TransformError`.
+    fragment and raises :class:`TransformError`.  ``graph`` is the
+    dependency graph of *rules* when the caller already holds it (a
+    knowledge base caches its own).
     """
     if style not in ("standard", "modified"):
         raise TransformError(f"unknown transformation style: {style!r}")
-    graph = DependencyGraph(rules)
+    if graph is None:
+        graph = DependencyGraph(rules)
     program = TransformedProgram()
     taken = {r.head.predicate for r in rules}
 
@@ -361,7 +368,8 @@ def transform_rules(rules: Sequence[Rule], style: str = "standard") -> Transform
         for rule in replacement:
             program.add(rule, rule.label or KIND_PLAIN)
 
-    transformed_graph = DependencyGraph(program.rules)
+    # Nothing rewritten: the program is the input rule set, graph included.
+    transformed_graph = DependencyGraph(program.rules) if recursive_by_pred else graph
     program.recursive_predicates = (
         transformed_graph.recursive_predicates() | set(recursive_by_pred)
     )
@@ -370,18 +378,21 @@ def transform_rules(rules: Sequence[Rule], style: str = "standard") -> Transform
 
 def transform_knowledge_base(kb: KnowledgeBase, style: str = "standard") -> TransformedProgram:
     """Transform all IDB rules of a knowledge base."""
-    return transform_rules(kb.rules(), style=style)
+    return transform_rules(kb.rules(), style=style, graph=kb.dependency_graph())
 
 
-def untransformed_program(rules: Sequence[Rule]) -> TransformedProgram:
+def untransformed_program(
+    rules: Sequence[Rule], graph: DependencyGraph | None = None
+) -> TransformedProgram:
     """Wrap raw rules without transforming (for Algorithm 1 and baselines).
 
     Recursive rules keep honest kind labels (``rT``-style limiting does not
     apply to them; the search treats any non-plain recursive kind as
     tag-limited, so here they are all labelled ``plain`` — Algorithm 1
-    simply has no tag machinery).
+    simply has no tag machinery).  ``graph`` as for :func:`transform_rules`.
     """
-    graph = DependencyGraph(rules)
+    if graph is None:
+        graph = DependencyGraph(rules)
     program = TransformedProgram()
     for rule in rules:
         if graph.is_recursive_rule(rule) and is_permutation_rule(rule):

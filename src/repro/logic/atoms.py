@@ -36,6 +36,18 @@ class Atom:
         self.predicate = predicate
         self.args: tuple[Term, ...] = tuple(make_term(a) for a in args)
 
+    @classmethod
+    def of_terms(cls, predicate: str, terms: tuple[Term, ...]) -> "Atom":
+        """An atom over a tuple of terms, taken as is (no coercion).
+
+        For images of an existing atom — substitution, renaming — whose
+        arguments are terms already.
+        """
+        atom = cls.__new__(cls)
+        atom.predicate = predicate
+        atom.args = terms
+        return atom
+
     # -- structural protocol -------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -37,7 +37,7 @@ class Rule:
     hashing and survives substitution and the ``with_*`` copies.
     """
 
-    __slots__ = ("head", "body", "negated", "label", "span")
+    __slots__ = ("head", "body", "negated", "label", "span", "_variables")
 
     def __init__(
         self,
@@ -61,6 +61,7 @@ class Rule:
         self.label = label
         #: Optional source location (a :class:`~repro.lang.source.SourceSpan`).
         self.span = span
+        self._variables: tuple[Variable, ...] | None = None
 
     # -- structural protocol ----------------------------------------------------
 
@@ -100,7 +101,24 @@ class Rule:
 
     def variables(self) -> frozenset[Variable]:
         """All distinct variables of the rule."""
-        return atoms_variables((self.head, *self.body, *self.negated))
+        return frozenset(self.ordered_variables())
+
+    def ordered_variables(self) -> tuple[Variable, ...]:
+        """The distinct variables in first-occurrence order (head, then body).
+
+        Computed once per rule: a rule is renamed apart every time it is
+        applied, and the order is what keeps fresh names — and so printed
+        answers — independent of ``PYTHONHASHSEED``.
+        """
+        ordered = self._variables
+        if ordered is None:
+            seen: dict[Variable, None] = {}
+            for atom in (self.head, *self.body, *self.negated):
+                for arg in atom.args:
+                    if arg.__class__ is Variable:
+                        seen[arg] = None
+            ordered = self._variables = tuple(seen)
+        return ordered
 
     def head_variables(self) -> frozenset[Variable]:
         """Variables occurring in the head."""

@@ -40,28 +40,25 @@ class VariableRenamer:
     def renaming_for(self, variables: Iterable[Variable]) -> Substitution:
         """A substitution renaming each of *variables* to a fresh variable.
 
-        Substitution bindings resolve through chains, so no fresh name may
-        collide with another variable of the input set (possible when the
-        input already contains mechanically renamed variables).
+        Fresh names are handed out in the order *variables* lists them, so
+        the numbering never follows a set's iteration order.  Substitution
+        bindings resolve through chains, so no fresh name may collide with
+        another variable of the input (possible when the input already
+        contains mechanically renamed variables).
         """
-        originals = set(variables)
-        mapping: dict[Variable, Variable] = {}
-        for variable in originals:
+        mapping: dict[Variable, Variable] = dict.fromkeys(variables)  # type: ignore[assignment]
+        for variable in mapping:
             fresh = self.fresh_like(variable)
-            while fresh in originals:
+            while fresh in mapping:
                 fresh = self.fresh_like(variable)
             mapping[variable] = fresh
         return Substitution(mapping)  # type: ignore[arg-type]
 
     def rename_rule(self, rule: Rule) -> Rule:
         """A variant of *rule* whose variables are all fresh."""
-        theta = self.renaming_for(rule.variables())
-        return rule.substitute(theta)
+        return rule.substitute(self.renaming_for(rule.ordered_variables()))
 
     def rename_atoms(self, atoms: Sequence[Atom]) -> tuple[Atom, ...]:
         """Variants of *atoms* with shared variables renamed consistently."""
-        variables: set[Variable] = set()
-        for atom in atoms:
-            variables.update(atom.variables())
-        theta = self.renaming_for(variables)
+        theta = self.renaming_for(v for atom in atoms for v in atom.variables())
         return theta.apply_all(atoms)

@@ -99,10 +99,21 @@ class Substitution:
         return term
 
     def apply(self, atom: Atom) -> Atom:
-        """The image of an atom."""
-        if not self._map:
+        """The image of an atom (the atom itself when no argument changes)."""
+        mapping = self._map
+        if not mapping:
             return atom
-        return Atom(atom.predicate, [self.apply_term(a) for a in atom.args])
+        image = None
+        for index, arg in enumerate(atom.args):
+            if arg.__class__ is Variable:
+                term = mapping.get(arg)
+                if term is not None:
+                    if image is None:
+                        image = list(atom.args)
+                    image[index] = term
+        if image is None:
+            return atom
+        return Atom.of_terms(atom.predicate, tuple(image))
 
     def apply_all(self, atoms: Sequence[Atom]) -> tuple[Atom, ...]:
         """The image of a sequence of atoms."""

@@ -28,18 +28,26 @@ class Variable:
     :mod:`repro.logic.rename`) produces fresh variables by suffixing names.
     """
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_hash")
 
     def __init__(self, name: str) -> None:
         if not name:
             raise LogicError("variable name must be non-empty")
         self.name = name
+        # Carried, not recomputed: unification and substitution hash the
+        # same few variables tens of thousands of times per statement.
+        self._hash = hash(("var", name))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Variable) and self.name == other.name
 
     def __hash__(self) -> int:
-        return hash(("var", self.name))
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild from the name: a pickled hash is stale under another
+        # PYTHONHASHSEED.
+        return (Variable, (self.name,))
 
     def __repr__(self) -> str:
         return f"Variable({self.name!r})"
@@ -91,6 +99,11 @@ class Constant:
         if cached is None:
             cached = self._hash = hash(("const", self.value))
         return cached
+
+    def __reduce__(self):
+        # Rebuild from the value: a pickled hash is stale under another
+        # PYTHONHASHSEED.
+        return (Constant, (self.value,))
 
     def __repr__(self) -> str:
         return f"Constant({self.value!r})"

@@ -97,3 +97,54 @@ class TestStrata:
         strata = g.evaluation_strata({"honor", "prior", "can_ta"})
         flat = {p for stratum in strata for p in stratum}
         assert "student" not in flat
+
+
+class TestRecursionAgainstTheDefinition:
+    """The component-index answers agree with the paper's definition."""
+
+    @staticmethod
+    def _recursive_by_definition(g, rule):
+        # Section 2.1: head and some body predicate are mutually dependent.
+        head = rule.head.predicate
+        return any(
+            atom.predicate == head or g.mutually_dependent(head, atom.predicate)
+            for atom in (*rule.body, *rule.negated)
+            if not atom.is_comparison()
+        )
+
+    def test_random_rule_sets(self):
+        import random
+
+        from repro.logic.atoms import Atom
+        from repro.logic.clauses import Rule
+
+        rng = random.Random(20)
+        for _ in range(300):
+            predicates = [f"p{i}" for i in range(rng.randint(1, 7))]
+            rules = []
+            for _ in range(rng.randint(1, 10)):
+                body = [
+                    Atom(rng.choice(predicates + ["e", "f"]), ["X"])
+                    for _ in range(rng.randint(0, 3))
+                ]
+                if rng.random() < 0.2:
+                    body.append(Atom(">", ["X", 1]))
+                negated = [Atom(rng.choice(predicates), ["X"])] if rng.random() < 0.15 else []
+                rules.append(Rule(Atom(rng.choice(predicates), ["X"]), body, negated))
+            g = DependencyGraph(rules)
+            expected = {
+                rule.head.predicate
+                for rule in rules
+                if self._recursive_by_definition(g, rule)
+            }
+            for rule in rules:
+                assert g.is_recursive_rule(rule) == self._recursive_by_definition(g, rule), (
+                    [str(r) for r in rules],
+                    str(rule),
+                )
+            assert g.recursive_predicates() == expected
+            for predicate in predicates:
+                assert g.is_recursive_predicate(predicate) == (predicate in expected)
+                assert g.depends_on_recursion(predicate) == (
+                    predicate in expected or bool(g.dependencies(predicate) & expected)
+                )

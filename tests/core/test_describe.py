@@ -21,6 +21,42 @@ class TestDispatch:
         with pytest.raises(NonRecursiveSubjectRequired):
             describe(uni, parse_atom("prior(X, Y)"), algorithm="algorithm1")
 
+    @pytest.mark.parametrize("subject", ["honor(X)", "prior(X, Y)"])
+    def test_auto_checks_the_precondition_once(self, uni, subject, monkeypatch):
+        from repro.catalog.dependencies import DependencyGraph
+
+        calls = []
+        checked = DependencyGraph.depends_on_recursion
+
+        def counting(self, predicate):
+            calls.append(predicate)
+            return checked(self, predicate)
+
+        monkeypatch.setattr(DependencyGraph, "depends_on_recursion", counting)
+        describe(uni, parse_atom(subject))
+        assert calls == [parse_atom(subject).predicate]
+
+    @pytest.mark.parametrize(
+        "subject, graphs_built", [("honor(X)", 0), ("prior(X, Y)", 1)]
+    )
+    def test_describe_reuses_the_cached_dependency_graph(
+        self, uni, subject, graphs_built, monkeypatch
+    ):
+        from repro.catalog.dependencies import DependencyGraph
+
+        uni.dependency_graph()
+        built = []
+        init = DependencyGraph.__init__
+
+        def counting(self, rules):
+            built.append(self)
+            init(self, rules)
+
+        monkeypatch.setattr(DependencyGraph, "__init__", counting)
+        describe(uni, parse_atom(subject))
+        # Only a rewritten program (Algorithm 2) needs a graph of its own.
+        assert len(built) == graphs_built
+
     def test_algorithm2_works_on_nonrecursive_subjects(self, uni):
         auto = describe(uni, parse_atom("honor(X)"))
         forced = describe(uni, parse_atom("honor(X)"), algorithm="algorithm2")

@@ -88,3 +88,52 @@ class TestEliminateRedundant:
     def test_unrelated_answers_all_kept(self):
         answers = [answer("p(X) <- q(X)."), answer("p(X) <- r(X).")]
         assert eliminate_redundant(answers) == answers
+
+
+class TestScreen:
+    """The matcher runs only on pairs that can subsume."""
+
+    def test_matcher_entered_linearly_on_a_wide_union(self, monkeypatch):
+        from repro.core import describe, redundancy
+        from repro.datasets import wide_union_kb
+        from repro.lang.parser import parse_atom, parse_body
+
+        calls = []
+        matcher = redundancy._subsumes_split
+
+        def counting(general, specific):
+            calls.append((general, specific))
+            return matcher(general, specific)
+
+        monkeypatch.setattr(redundancy, "_subsumes_split", counting)
+        for breadth in (4, 16, 48):
+            calls.clear()
+            result = describe(
+                wide_union_kb(breadth), parse_atom("concept(X)"), parse_body("alt0(X, V)")
+            )
+            assert len(result.answers) == breadth
+            assert 0 < len(calls) <= 2 * (breadth - 1)
+
+    def test_screen_needs_body_predicates_not_body_length(self):
+        # Two general conjuncts may map onto one specific conjunct, so a
+        # longer rule can subsume a shorter one: length is no screen.
+        longer = answer("p(X) <- q(X, Y) and q(X, Z).")
+        shorter = answer("p(X) <- q(X, a).")
+        assert subsumes(longer.rule, shorter.rule)
+        assert eliminate_redundant([shorter, longer]) == [longer]
+
+    def test_screened_pairs_are_not_redundant(self):
+        answers = [
+            answer("p(X) <- q(X)."),
+            answer("p(X) <- r(X)."),
+            answer("p(X) <- q(X) and r(X)."),
+            answer("s(X) <- q(X)."),
+        ]
+        kept = eliminate_redundant(answers)
+        assert kept == [answers[0], answers[1], answers[3]]
+
+    def test_variants_keep_the_first(self):
+        first = answer("p(X) <- q(X, Y).")
+        second = answer("p(X) <- q(X, Z).")
+        assert eliminate_redundant([first, second]) == [first]
+        assert eliminate_redundant([second, first]) == [second]

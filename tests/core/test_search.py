@@ -173,3 +173,101 @@ class TestExpandSubject:
         )
         expansions = list(search.expand_subject(parse_atom("prior(X, Y)")))
         assert expansions  # finite and non-empty under the tag bound
+
+
+def described(kb, subject_text, hypothesis_text):
+    from repro.core import describe
+
+    return describe(kb, parse_atom(subject_text), parse_body(hypothesis_text))
+
+
+class TestRelevanceCut:
+    """Work is proportional to what the hypothesis can reach."""
+
+    def test_reach_set_follows_rules_backwards(self):
+        search = search_over(
+            ["p(X) <- q(X) and r(X).", "q(X) <- e(X).", "r(X) <- f(X).", "s(X) <- p(X)."]
+        )
+        assert search._reaching({"e"}) == {"e", "q", "p", "s"}
+        assert search._reaching(set()) == frozenset()
+
+    def test_reach_set_includes_auxiliary_predicates(self):
+        search = search_over(
+            ["path(X, Y) <- edge(X, Y).", "path(X, Y) <- edge(X, Z) and path(Z, Y)."],
+            transform=True,
+        )
+        assert search._reaching({"edge"}) == {"edge", "path", "path_chain"}
+
+    def test_steps_do_not_grow_with_unreachable_depth(self):
+        from repro.datasets import rule_chain_kb
+
+        shallow = described(rule_chain_kb(4), "c0(X)", "e0(X, T0)")
+        deep = described(rule_chain_kb(64), "c0(X)", "e0(X, T0)")
+        assert deep.statistics.steps == shallow.statistics.steps
+        assert deep.statistics.rule_applications == shallow.statistics.rule_applications
+
+    def test_steps_grow_linearly_along_the_productive_path(self):
+        from repro.datasets import rule_tree_kb
+
+        steps = [
+            described(rule_tree_kb(depth, 2), "t_0_0(X)", "leaf0(X)").statistics.steps
+            for depth in range(1, 9)
+        ]
+        growth = {later - earlier for earlier, later in zip(steps, steps[1:])}
+        assert len(growth) == 1 and growth.pop() > 0, steps
+
+    def test_unreachable_formula_still_ticks_and_surfaces_as_leaf(self):
+        search = search_over(["p(X) <- q(X) and r(X).", "r(X) <- f(X) and g(X)."])
+        answers = search.describe(parse_atom("p(X)"), parse_body("q(X)"))
+        assert [[b.predicate for b in a.body] for a in answers] == [["r"]]
+        # the root identification attempt, q, and r once per choice for q
+        # (identified, left as a leaf) — never r's own body
+        assert search.statistics.steps == 4
+        assert search.statistics.rule_applications == 1
+
+    def test_expand_mode_is_not_cut(self):
+        search = search_over(["p(X) <- q(X) and r(X).", "r(X) <- f(X) and g(X)."])
+        search.describe(parse_atom("p(X)"), parse_body("q(X)"))
+        expansions = list(search.expand_subject(parse_atom("p(X)")))
+        assert [[b.predicate for b in e.leaves] for e in expansions] == [["q", "f", "g"]]
+
+    @pytest.mark.parametrize(
+        "dataset, subject, hypothesis, expected",
+        [
+            (
+                "university",
+                "prior(X, Y)",
+                "prior(databases, Y)",
+                [
+                    "prior(X, Y) <- (X = databases).",
+                    "prior(X, Y) <- prereq(X, Y).",
+                    "prior(X, Y) <- prior_chain(databases, X).",
+                ],
+            ),
+            (
+                "university",
+                "prior(X, Y)",
+                "prior(X, databases)",
+                [
+                    "prior(X, Y) <- (Y = databases).",
+                    "prior(X, Y) <- prereq(X, Y).",
+                    "prior(X, Y) <- prior(X1, Y) and prior_chain(X1, X).",
+                ],
+            ),
+            (
+                "enterprise",
+                "chain(X, Y)",
+                "manages(alice, Y)",
+                ["chain(X, Y) <- (X = alice).", "chain(X, Y) <- chain_chain(alice, X)."],
+            ),
+        ],
+    )
+    def test_auxiliary_reachable_hypothesis_keeps_its_answers(
+        self, dataset, subject, hypothesis, expected, request
+    ):
+        # E6, E7 and D2: the hypothesis predicate is reached through the
+        # transformed program's auxiliary chain predicate only.
+        kb = request.getfixturevalue("uni" if dataset == "university" else dataset)
+        result = described(kb, subject, hypothesis)
+        assert result.algorithm == "algorithm2"
+        assert sorted(map(str, result.answers)) == sorted(expected)

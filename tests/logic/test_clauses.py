@@ -80,3 +80,22 @@ class TestIntegrityConstraint:
     def test_variables(self):
         constraint = IntegrityConstraint([Atom("p", ["X", "Y"])])
         assert constraint.variables() == frozenset({Variable("X"), Variable("Y")})
+
+
+class TestOrderedVariables:
+    def test_first_occurrence_order_head_first(self):
+        rule = Rule(
+            Atom("p", ["B", "A"]),
+            [Atom("q", ["A", "C"]), comparison("C", ">", 3)],
+            negated=[Atom("r", ["D", "B"])],
+        )
+        assert [v.name for v in rule.ordered_variables()] == ["B", "A", "C", "D"]
+        assert rule.variables() == frozenset(rule.ordered_variables())
+
+    def test_copies_recompute(self):
+        rule = Rule(Atom("p", ["X"]), [Atom("q", ["X", "Y"])])
+        assert rule.ordered_variables() is rule.ordered_variables()
+        swapped = rule.with_body([Atom("q", ["X", "Z"])])
+        assert [v.name for v in swapped.ordered_variables()] == ["X", "Z"]
+        image = rule.substitute(substitution_from_pairs([("Y", "a")]))
+        assert [v.name for v in image.ordered_variables()] == ["X"]

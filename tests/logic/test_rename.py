@@ -53,3 +53,18 @@ class TestVariableRenamer:
         atoms = renamer.rename_atoms([Atom("p", ["X"]), Atom("q", ["X"])])
         assert atoms[0].args[0] == atoms[1].args[0]
         assert atoms[0].args[0] != Variable("X")
+
+    def test_fresh_names_follow_first_occurrence(self):
+        # Numbering by occurrence, not by a set's iteration order, is what
+        # keeps printed answers independent of PYTHONHASHSEED.
+        rule = parse_rule("p(B, A) <- q(A, C) and r(D, B).")
+        renamed = VariableRenamer().rename_rule(rule)
+        assert [v.name for v in renamed.ordered_variables()] == ["B#0", "A#1", "C#2", "D#3"]
+        atoms = VariableRenamer(start=5).rename_atoms([Atom("q", ["Z", "A"]), Atom("r", ["A", "M"])])
+        assert [str(a) for a in atoms] == ["q(Z#5, A#6)", "r(A#6, M#7)"]
+
+    def test_renaming_avoids_names_already_present(self):
+        renamer = VariableRenamer()
+        theta = renamer.renaming_for([Variable("X"), Variable("X#0"), Variable("X")])
+        assert theta.apply_term(Variable("X")) == Variable("X#1")
+        assert theta.apply_term(Variable("X#0")) == Variable("X#2")

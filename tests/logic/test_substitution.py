@@ -101,3 +101,24 @@ class TestRestriction:
         assert theta(("X", "Y")).is_renaming()
         assert not theta(("X", "a")).is_renaming()
         assert not theta(("X", "Z"), ("Y", "Z")).is_renaming()
+
+
+class TestApplyKeepsUnchangedAtoms:
+    def test_untouched_atom_is_returned_as_is(self):
+        atom = Atom("p", ["Y", "a", 3])
+        assert theta(("X", "a")).apply(atom) is atom
+        assert Substitution.EMPTY.apply(atom) is atom
+
+    def test_image_is_built_from_terms(self):
+        atom = Atom("p", ["X", "Y", "a", "X"])
+        image = theta(("X", "b"), ("Y", "Z")).apply(atom)
+        assert image == Atom("p", ["b", "Z", "a", "b"])
+        assert image is not atom and atom.args[0] == Variable("X")
+        assert all(isinstance(arg, (Variable, Constant)) for arg in image.args)
+        assert hash(image) == hash(Atom("p", ["b", "Z", "a", "b"]))
+
+    def test_apply_all_keeps_unchanged_members(self):
+        touched, untouched = Atom("p", ["X"]), Atom("q", ["Y"])
+        image = theta(("X", "a")).apply_all([touched, untouched])
+        assert image == (Atom("p", ["a"]), untouched)
+        assert image[1] is untouched
