@@ -9,8 +9,10 @@ stdlib-only by design, and the protocol surface is four JSON endpoints::
     GET  /stats
     GET  /healthz
 
-Reads pin the snapshot current at request start and evaluate on the
-session pool — never blocking, and never blocked by, the writer.  Commits
+Reads pin the snapshot current at request start and go to the session
+pool — which answers a repeat from its snapshot-keyed answer memo right on
+the event loop and evaluates anything else on a worker thread — never
+blocking, and never blocked by, the writer.  Commits
 run on a dedicated writer thread through
 :meth:`MultiVersionCatalog.commit
 <repro.server.catalog.MultiVersionCatalog.commit>`, so each one is a
@@ -25,17 +27,18 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from typing import Awaitable
 
 from repro.errors import LanguageError, ReproError, ResourceExhausted, ServerError
 from repro.lang.ast import ConstraintStatement, RuleStatement
 from repro.lang.parser import parse_statement
 from repro.server.catalog import MultiVersionCatalog
-from repro.server.pool import SessionPool
+from repro.server.pool import STAGES, SessionPool
 from repro.server.protocol import (
     STATUS_DRAINING,
     STATUS_NOT_FOUND,
+    encode_query_envelope,
     error_payload,
-    result_payload,
 )
 from repro.session import Session
 
@@ -48,6 +51,10 @@ MAX_HEADERS = 100
 
 #: Seconds an idle keep-alive connection may sit between requests.
 IDLE_TIMEOUT = 60.0
+
+#: Seconds a refused request's unread input is discarded for before the
+#: connection is closed (see :meth:`KnowledgeServer._discard_input`).
+LINGER_SECONDS = 2.0
 
 _REASONS = {
     200: "OK",
@@ -65,18 +72,35 @@ _REASONS = {
 class _BadRequest(Exception):
     """Request framing the reader cannot parse: answered ``400``, then closed."""
 
+    status = 400
+    kind = "BadRequest"
+
+
+class _PayloadTooLarge(_BadRequest):
+    """A declared body over :data:`MAX_BODY_BYTES`: ``413``, then closed."""
+
+    status = 413
+    kind = "PayloadTooLarge"
+
 
 class _HttpRequest:
-    """One parsed request: method, path, headers, JSON body."""
+    """One framed request: method, path, body, and when its bytes arrived.
 
-    __slots__ = ("method", "path", "headers", "body", "keep_alive")
+    ``head_at`` and ``received`` are ``perf_counter`` readings: the head
+    complete in the buffer, and the last body byte read.
+    """
 
-    def __init__(self, method: str, path: str, headers: dict, body: bytes) -> None:
+    __slots__ = ("method", "path", "body", "keep_alive", "head_at", "received")
+
+    def __init__(
+        self, method: str, path: str, body: bytes, keep_alive: bool, head_at: float
+    ) -> None:
         self.method = method
         self.path = path
-        self.headers = headers
         self.body = body
-        self.keep_alive = headers.get("connection", "keep-alive").lower() != "close"
+        self.keep_alive = keep_alive
+        self.head_at = head_at
+        self.received = time.perf_counter()
 
     def json(self) -> dict:
         if not self.body:
@@ -138,7 +162,7 @@ class KnowledgeServer:
         self._server: asyncio.base_events.Server | None = None
         #: Open keep-alive connections' handler tasks, cancelled at the
         #: end of a drain (idle connections would otherwise outlive the
-        #: event loop, parked in a readline).
+        #: event loop, parked in a read).
         self._connections: set[asyncio.Task] = set()
         #: One writer thread: commits are serialized anyway (the catalog's
         #: write lock), and keeping them off the reader pool means a slow
@@ -210,34 +234,31 @@ class KnowledgeServer:
             self._connections.add(task)
         try:
             while True:
+                keep_alive = False
+                request = None
                 try:
-                    request = await self._read_request(reader)
+                    request = await self._read_request(reader, writer)
+                    if request is None:
+                        break
+                    status, payload = await self._dispatch(request)
+                    keep_alive = request.keep_alive
                 except _BadRequest as error:
                     # The byte stream is no longer at a request boundary:
                     # answer, then close instead of reading on.
-                    self.responses_by_status[400] = (
-                        self.responses_by_status.get(400, 0) + 1
-                    )
+                    status = error.status
                     payload = {
                         "ok": False,
-                        "error": {"type": "BadRequest", "message": str(error)},
+                        "error": {"type": error.kind, "message": str(error)},
                     }
-                    await self._write_response(writer, 400, payload, keep_alive=False)
-                    break
-                if request is None:
-                    break
-                status, payload = await self._dispatch(request)
                 self.responses_by_status[status] = (
                     self.responses_by_status.get(status, 0) + 1
                 )
-                await self._write_response(writer, status, payload, request.keep_alive)
-                if not request.keep_alive:
+                await self._write_response(writer, status, payload, keep_alive)
+                if request is None:  # refused by the framer, input left unread
+                    await self._discard_input(reader, writer)
+                if not keep_alive:
                     break
-        except (
-            asyncio.IncompleteReadError,
-            asyncio.TimeoutError,
-            ConnectionError,
-        ):
+        except (asyncio.IncompleteReadError, ConnectionError):
             pass  # client went away or idled out; nothing to answer
         except asyncio.CancelledError:
             pass  # drain cancelled an idle keep-alive connection
@@ -251,30 +272,75 @@ class KnowledgeServer:
                 pass
 
     @staticmethod
-    async def _read_line(reader: asyncio.StreamReader) -> bytes:
-        try:
-            return await asyncio.wait_for(reader.readline(), IDLE_TIMEOUT)
-        except ValueError:  # StreamReader's way of reporting an over-limit line
-            raise _BadRequest("request or header line is too long") from None
+    async def _read(read: Awaitable[bytes], writer: asyncio.StreamWriter) -> bytes:
+        """Await one stream read; hang up if it outlasts ``IDLE_TIMEOUT``.
 
-    async def _read_request(self, reader: asyncio.StreamReader) -> _HttpRequest | None:
-        line = await self._read_line(reader)
-        if not line:
-            return None
+        One timer per awaited read.  When it fires the transport is
+        aborted, which ends the pending read the way a vanished client
+        does (``IncompleteReadError``), so the handler closes without a
+        response.
+        """
+        timer = asyncio.get_running_loop().call_later(
+            IDLE_TIMEOUT, writer.transport.abort
+        )
         try:
-            method, path, _version = line.decode("latin-1").split()
+            return await read
+        finally:
+            timer.cancel()
+
+    @staticmethod
+    async def _discard_input(
+        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Half-close, then read the client out before the socket is closed.
+
+        Closing with received bytes unread resets the connection, and a
+        client still sending its oversize body would see the reset instead
+        of the ``413``.  Bounded: at most twice :data:`MAX_BODY_BYTES`
+        within :data:`LINGER_SECONDS`; a client that sends more is reset.
+        """
+        if writer.can_write_eof():
+            writer.write_eof()
+        timer = asyncio.get_running_loop().call_later(
+            LINGER_SECONDS, writer.transport.abort
+        )
+        try:
+            left = 2 * MAX_BODY_BYTES
+            while left > 0:
+                chunk = await reader.read(1 << 16)
+                if not chunk:
+                    break
+                left -= len(chunk)
+        finally:
+            timer.cancel()
+
+    async def _read_request(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> _HttpRequest | None:
+        """Frame one request: the whole head in one read, then the body."""
+        try:
+            head = await self._read(reader.readuntil(b"\r\n\r\n"), writer)
+        except asyncio.IncompleteReadError:
+            return None  # closed (or idled out) before a full head arrived
+        except asyncio.LimitOverrunError:
+            raise _BadRequest("request or header line is too long") from None
+        head_at = time.perf_counter()
+        request_line, *header_lines = head[:-4].decode("latin-1").split("\r\n")
+        try:
+            method, path, version = request_line.split()
         except ValueError:
             raise _BadRequest("malformed request line") from None
-        headers: dict[str, str] = {}
-        for _ in range(MAX_HEADERS + 1):
-            header = await self._read_line(reader)
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = header.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        else:
+        if len(header_lines) > MAX_HEADERS:
             raise _BadRequest(f"more than {MAX_HEADERS} header lines")
-        raw = headers.get("content-length") or "0"
+        raw = "0"
+        connection = ""
+        for line in header_lines:
+            name, _, value = line.partition(":")
+            name = name.strip().lower()
+            if name == "content-length":
+                raw = value.strip() or "0"
+            elif name == "connection":
+                connection = value.strip().lower()
         try:
             length = int(raw) if raw.isascii() and raw.isdigit() else -1
         except ValueError:  # more digits than int() parses
@@ -284,20 +350,32 @@ class KnowledgeServer:
                 f"Content-Length must be a non-negative integer, got {raw[:40]!r}"
             )
         if length > MAX_BODY_BYTES:
-            raise ConnectionError("request body too large")
-        body = b""
-        if length > 0:
-            body = await asyncio.wait_for(reader.readexactly(length), IDLE_TIMEOUT)
-        return _HttpRequest(method.upper(), path.split("?", 1)[0], headers, body)
+            raise _PayloadTooLarge(
+                f"request body of {length} bytes is over the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
+        body = await self._read(reader.readexactly(length), writer) if length else b""
+        if version == "HTTP/1.0":  # closes unless the client asks otherwise
+            keep_alive = connection == "keep-alive"
+        else:
+            keep_alive = connection != "close"
+        return _HttpRequest(
+            method.upper(), path.split("?", 1)[0], body, keep_alive, head_at
+        )
 
     async def _write_response(
         self,
         writer: asyncio.StreamWriter,
         status: int,
-        payload: dict,
+        payload: "dict | bytes",
         keep_alive: bool,
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        """Send one response; *payload* is a document or an encoded body."""
+        body = (
+            payload
+            if isinstance(payload, bytes)
+            else json.dumps(payload).encode("utf-8")
+        )
         connection = "keep-alive" if keep_alive else "close"
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
@@ -311,7 +389,7 @@ class KnowledgeServer:
 
     # -- routing -------------------------------------------------------------------
 
-    async def _dispatch(self, request: _HttpRequest) -> tuple[int, dict]:
+    async def _dispatch(self, request: _HttpRequest) -> "tuple[int, dict | bytes]":
         self.requests += 1
         self._inflight += 1
         try:
@@ -357,7 +435,7 @@ class KnowledgeServer:
 
     # -- endpoints -----------------------------------------------------------------
 
-    async def _handle_query(self, request: _HttpRequest) -> tuple[int, dict]:
+    async def _handle_query(self, request: _HttpRequest) -> tuple[int, bytes]:
         body = request.json()
         statement = body.get("statement")
         if not isinstance(statement, str) or not statement.strip():
@@ -370,35 +448,44 @@ class KnowledgeServer:
             )
         want_trace = bool(body.get("trace", False))
         client = body.get("client")
+        decoded = time.perf_counter()
         async with state.slot():
+            admitted = time.perf_counter()
             snapshot = self.catalog.current  # pinned for the whole evaluation
             guard = state.fresh_guard()
-            started = time.perf_counter()
             try:
                 outcome = await self.pool.query(
                     snapshot,
                     statement,
                     guard=guard,
                     attributes={"tier": tier_name, "client": client},
+                    want_trace=want_trace,
                 )
             except ReproError as error:
                 if isinstance(error, ResourceExhausted):
                     state.exhausted += 1
                 raise
-        kind, payload = result_payload(outcome.result)
-        response = {
-            "ok": True,
-            "snapshot": {
-                "id": outcome.snapshot.snapshot_id,
-                "token": outcome.snapshot.token,
-            },
-            "kind": kind,
-            "result": payload,
-            "elapsed_ms": round((time.perf_counter() - started) * 1000, 3),
+        ready = time.perf_counter()
+        if outcome.body is None:
+            outcome.body = encode_query_envelope(outcome.snapshot, outcome.result)
+        encoded = time.perf_counter()
+        stamps = (request.head_at, request.received, decoded, admitted, ready, encoded)
+        stage_ms = {
+            name: 1e3 * (end - start)
+            for name, start, end in zip(STAGES, stamps, stamps[1:])
         }
+        totals = self.pool.stage_ms
+        for name, ms in stage_ms.items():
+            totals[name] += ms
+        tail = f', "elapsed_ms": {round(1e3 * (encoded - admitted), 3)!r}'
         if want_trace and outcome.trace is not None:
-            response["trace"] = outcome.trace
-        return 200, response
+            attributes = {
+                **outcome.trace.get("attributes", {}),
+                **{name: round(ms, 3) for name, ms in stage_ms.items()},
+            }
+            trace = {**outcome.trace, "attributes": dict(sorted(attributes.items()))}
+            tail += f', "trace": {json.dumps(trace)}'
+        return 200, outcome.body + tail.encode("ascii") + b"}"
 
     async def _handle_commit(self, request: _HttpRequest) -> tuple[int, dict]:
         body = request.json()

@@ -10,6 +10,13 @@ out on its next request.  Because a slot is exclusive to its thread, the
 session (and its tracer) needs no locking; because sessions are bound to
 *frozen* snapshot knowledge bases, two slots sharing one snapshot never
 race on catalog state either.
+
+In front of the slots sits the *answer memo*: a published snapshot is
+immutable, so a complete answer is a pure function of (snapshot, statement
+text), and :meth:`SessionPool.query` serves a repeat from a dict on the
+event-loop thread — no worker hop, no parse, no slot session.  The memo
+belongs to exactly one snapshot object and is dropped whole the moment a
+query pins another, so an entry is never served across a publication.
 """
 
 from __future__ import annotations
@@ -17,12 +24,18 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.catalog.snapshot import KBSnapshot
 from repro.engine.guard import ResourceGuard
-from repro.session import Session
+from repro.engine.viewcache import DEFAULT_MAX_STATEMENTS
+from repro.session import Session, memoizable
+
+#: The stages of one served ``/query`` the HTTP front end times, in request
+#: order (``docs/OBSERVABILITY.md``); :attr:`SessionPool.stage_ms` totals them.
+STAGES = ("read_ms", "decode_ms", "queue_wait_ms", "evaluate_ms", "encode_ms")
 
 
 @dataclass
@@ -33,13 +46,17 @@ class QueryOutcome:
     every response quotes its id and fingerprint token, which is what
     makes reads attributable to exactly one published state.  ``trace``
     is the finished ``server.request`` span tree (``None`` untraced) and
-    ``elapsed_s`` the slot-side wall clock (queue wait excluded).
+    ``elapsed_s`` the slot-side wall clock (queue wait excluded).  ``body``
+    is the encoded response envelope
+    (:func:`~repro.server.protocol.encode_query_envelope`), kept here by
+    the HTTP front end so a memoized outcome is serialized once.
     """
 
     result: object
     snapshot: KBSnapshot
     elapsed_s: float
     trace: dict | None = None
+    body: bytes | None = None
 
 
 class SessionPool:
@@ -71,6 +88,14 @@ class SessionPool:
         self._lock = threading.Lock()
         self.queries = 0
         self.session_builds = 0
+        #: The answer memo (statement text -> outcome) and the one snapshot
+        #: it belongs to.  Event-loop thread only, hence no lock.
+        self._answers: OrderedDict[str, QueryOutcome] = OrderedDict()
+        self._answers_of: KBSnapshot | None = None
+        self.answer_hits = 0
+        self.answer_misses = 0
+        #: Summed stage times of the requests the front end answered 200.
+        self.stage_ms = dict.fromkeys(STAGES, 0.0)
 
     # -- slot side (worker threads) ----------------------------------------------
 
@@ -136,13 +161,49 @@ class SessionPool:
         statement: str,
         guard: ResourceGuard | None = None,
         attributes: dict | None = None,
+        want_trace: bool = False,
     ) -> QueryOutcome:
-        """Evaluate on a pool thread without blocking the event loop."""
+        """Answer from the memo, or evaluate on a pool thread.
+
+        A repeat of a statement already answered completely on *snapshot*
+        returns the stored outcome right here on the event loop, after a
+        *guard* checkpoint (a hit must still observe cancellation, as the
+        session's own memo does).  Anything else takes a worker slot, and
+        its outcome is stored if it is what a session memoizes
+        (:func:`~repro.session.memoizable`) and the memo still belongs to
+        the snapshot it ran against.  A request that wants its trace
+        (*want_trace*) neither reads nor feeds the memo: it is asking for
+        the span tree of an evaluation.
+        """
+        if not want_trace:
+            if snapshot is not self._answers_of:
+                self._answers.clear()
+                self._answers_of = snapshot
+            hit = self._answers.get(statement)
+            if hit is not None:
+                if guard is not None:
+                    guard.check()
+                self._answers.move_to_end(statement)
+                with self._lock:
+                    self.queries += 1
+                self.answer_hits += 1
+                return hit
+            self.answer_misses += 1
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
+        outcome = await loop.run_in_executor(
             self._threads,
             lambda: self.query_sync(snapshot, statement, guard, attributes),
         )
+        if (
+            not want_trace
+            and outcome.snapshot is self._answers_of
+            and memoizable(outcome.result)
+        ):
+            outcome.trace = None  # its request did not ask; keep no span tree
+            self._answers[statement] = outcome
+            while len(self._answers) > DEFAULT_MAX_STATEMENTS:
+                self._answers.popitem(last=False)
+        return outcome
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop the worker threads (idempotent)."""
@@ -156,4 +217,8 @@ class SessionPool:
             "session_builds": self.session_builds,
             "engine": self.engine,
             "traced": self.trace,
+            "answer_hits": self.answer_hits,
+            "answer_misses": self.answer_misses,
+            "answer_entries": len(self._answers),
+            **{name: round(total, 3) for name, total in self.stage_ms.items()},
         }

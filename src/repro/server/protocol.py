@@ -3,19 +3,24 @@
 Responses are JSON objects with a stable envelope::
 
     {"ok": true,  "snapshot": {"id": 3, "token": "9f2c…"}, "kind": "...",
-     "result": …, "rendered": "…", "elapsed_ms": 1.8}
+     "result": …, "elapsed_ms": 1.8}
     {"ok": false, "error": {"type": "AdmissionError", "message": "…",
      "budget": "admission", "tier": "interactive"}}
 
 ``snapshot`` attributes every read to exactly one published version (see
 :mod:`repro.catalog.snapshot`).  ``result`` is a structured rendering per
-result kind; ``rendered`` is the same human text the ``dbk`` shell would
-print.  Status codes: 200 ok, 400 bad statement, 404 unknown path, 408
-budget exhausted, 429 admission rejected, 500 internal, 503 draining.
+result kind (verdicts and comparisons carry ``rendered``, the human text
+the ``dbk`` shell would print).  :func:`encode_query_envelope` is the one
+encoder of the success envelope.  Status codes: 200 ok, 400 bad statement,
+404 unknown path, 408 budget exhausted, 413 body too large, 429 admission
+rejected, 500 internal, 503 draining.
 """
 
 from __future__ import annotations
 
+import json
+
+from repro.catalog.snapshot import KBSnapshot
 from repro.core.answers import DescribeResult
 from repro.core.compare import ConceptComparison
 from repro.core.necessity import NecessityResult
@@ -88,6 +93,27 @@ def result_payload(result: object) -> tuple[str, object]:
     if isinstance(result, str):  # definition acknowledgement
         return "ack", result
     return type(result).__name__, str(result)
+
+
+def encode_query_envelope(snapshot: KBSnapshot, result: object) -> bytes:
+    """The ``/query`` success envelope up to, not including, ``elapsed_ms``.
+
+    Everything in it is a function of the pinned snapshot and the answer,
+    so the bytes can be kept beside a memoized answer and reused: the
+    caller finishes a response by appending ``, "elapsed_ms": N}`` (and
+    the trace, when asked for).  Key order and separators are those of
+    ``json.dumps`` on the whole envelope.
+    """
+    kind, payload = result_payload(result)
+    document = json.dumps(
+        {
+            "ok": True,
+            "snapshot": {"id": snapshot.snapshot_id, "token": snapshot.token},
+            "kind": kind,
+            "result": payload,
+        }
+    )
+    return document[:-1].encode("utf-8")
 
 
 def error_payload(error: BaseException) -> tuple[int, dict]:

@@ -103,6 +103,18 @@ def _complete(result: object) -> bool:
     return diagnostics is None or diagnostics.complete
 
 
+def memoizable(result: object) -> bool:
+    """Whether *result* is an answer the statement memo keeps.
+
+    That is a complete ``retrieve`` / ``describe`` (every form) /
+    ``compare`` answer: definition acknowledgements and ``explain`` proofs
+    are never memoized, and neither is anything a budget degraded.
+    """
+    from repro.engine.provenance import Explanation
+
+    return not isinstance(result, (str, Explanation)) and _complete(result)
+
+
 class Session:
     """A knowledge base plus the query language on top of it.
 

@@ -34,6 +34,10 @@ The table half: one backend and two shapes of a ``Relation`` (the constant
 row dict and its id-tuple mirror).  The array backend, its module, its
 twin step methods and the environment variables that selected it may not
 grow back; the library reads no environment variable at all.
+
+The framing half: the HTTP front end reads a request head in one step
+under one idle timer per awaited read.  The per-line reader — a
+``wait_for`` task and timer around every ``readline`` — may not grow back.
 """
 
 import ast
@@ -419,3 +423,14 @@ def test_retrieve_imports_no_numpy():
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
+
+
+def test_the_http_front_end_has_no_per_line_reader():
+    tree = ast.parse((PACKAGE / "server" / "http.py").read_text())
+    called = {
+        node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, (ast.Attribute, ast.Name))
+    }
+    assert called.isdisjoint({"wait_for", "readline"})

@@ -106,5 +106,15 @@ def test_stats_shape(catalog):
         assert stats["size"] == 3
         assert stats["engine"] == "seminaive"
         assert stats["queries"] == 0
+        assert stats["session_builds"] == 0
+        assert stats["traced"] is False
+        memo = ("answer_hits", "answer_misses", "answer_entries")
+        stages = ("read_ms", "decode_ms", "queue_wait_ms", "evaluate_ms", "encode_ms")
+        assert all(stats[name] == 0 for name in memo + stages)
+        asyncio.run(pool.query(catalog.current, "retrieve path(0, Y)"))
+        asyncio.run(pool.query(catalog.current, "retrieve path(0, Y)"))
+        stats = pool.stats()
+        assert [stats[name] for name in memo] == [1, 1, 1]
+        assert stats["queries"] == 2
     finally:
         pool.shutdown()
