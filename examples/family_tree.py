@@ -1,4 +1,4 @@
-"""A family tree: recursion, concept comparison, and engine choice.
+"""A family tree: recursion, concept comparison, and goal-directed retrieval.
 
 The classic genealogy domain on three royal generations, exercising:
 
@@ -7,7 +7,8 @@ The classic genealogy domain on three royal generations, exercising:
 * the recursive ``ancestor`` in the paper's preferred (modified,
   aux-free) transformation style;
 * ``compare`` between related concepts (sibling vs. cousin);
-* the magic-sets engine on a selective recursive query.
+* a selective recursive query, which the session answers goal-directed
+  (magic sets) by itself — there is no engine to choose.
 
 Run with::
 
@@ -27,14 +28,15 @@ def banner(text: str) -> None:
 
 
 def main() -> None:
-    session = Session(genealogy_kb(), style="modified", engine="magic")
+    session = Session(genealogy_kb(), style="modified")
 
     banner("The family knowledge")
     for rule in session.kb.rules():
         print(" ", rule)
 
-    banner("Data: who are william's ancestors?  (magic-sets engine)")
+    banner("Data: who are william's ancestors?  (answered goal-directed)")
     print(render(session.query("retrieve ancestor(X, william)")))
+    print(f"\n  goal-directed reads so far: {session.cache_stats()['goal_directed']}")
 
     banner("Knowledge: what makes someone charles's sibling?")
     print(render(session.query("describe sibling(X, Y) where parent(elizabeth, X)")))

@@ -25,7 +25,7 @@ bound-set bookkeeping, which the rewrite's output depends on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.analysis.absint.fixpoint import Equation, solve
 from repro.logic.atoms import Atom
@@ -197,18 +197,3 @@ def infer_modes(model: "ProgramModel") -> dict[str, frozenset[str]]:
         return old | new  # type: ignore[operator]
 
     return solve(equations, initial, join)  # type: ignore[return-value]
-
-
-def atoms_adornments(
-    atoms: Sequence[Atom], initially_bound: frozenset[Variable] = frozenset()
-) -> dict[str, set[str]]:
-    """Adornments a query conjunction induces, under the same SIPS walk."""
-    seeds: dict[str, set[str]] = {}
-    bound: set[Variable] = set(initially_bound)
-    for atom in atoms:
-        if atom.is_comparison():
-            bound.update(atom.variables())
-            continue
-        seeds.setdefault(atom.predicate, set()).add(adornment_of(atom, bound))
-        bound.update(atom.variables())
-    return seeds

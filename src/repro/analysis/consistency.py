@@ -22,7 +22,7 @@ from typing import Iterator
 
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.registry import register
-from repro.lang.tokens import KEYWORDS
+from repro.logic.terms import RESERVED_WORDS as KEYWORDS
 
 CONFLICTING_DEFINITIONS = "KB601"
 IDB_SHADOWS_EDB = "KB602"

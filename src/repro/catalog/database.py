@@ -438,11 +438,10 @@ class KnowledgeBase:
         Used to evaluate a transformed rule set against the original one
         (the discipline check is off in the copy: transformed programs
         contain rules like ``r_T`` that are linear but not strongly linear).
-        The stored relations are shared as frozen copy-on-write clones
-        (:meth:`Relation.freeze`, O(1), interned mirror included): the copy
-        may declare relations of its own but cannot write to a shared one,
-        and a later write to this database leaves the copy's rows as they
-        were.
+        The copy holds the stored relation objects themselves: it reads
+        every later write to this database (a goal-directed program kept
+        across writes depends on that); it may declare relations of its
+        own but must not write to a shared one.
         """
         clone = KnowledgeBase(
             name or f"{self.name}_rewritten", enforce_recursion_discipline=False
@@ -450,7 +449,7 @@ class KnowledgeBase:
         clone._schemas = {
             n: s for n, s in self._schemas.items() if s.kind is PredicateKind.EDB
         }
-        clone._relations = {n: r.freeze() for n, r in self._relations.items()}
+        clone._relations = dict(self._relations)
         clone._constraints = list(self._constraints)
         for rule in rules:
             clone.add_rule(rule)

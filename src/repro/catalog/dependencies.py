@@ -33,6 +33,7 @@ class DependencyGraph:
             for negated_atom in rule.negated:
                 deps.add(negated_atom.predicate)
                 self._negative_edges.add((rule.head.predicate, negated_atom.predicate))
+        self._negated_heads = frozenset(head for head, _ in self._negative_edges)
         self._components = self._strongly_connected_components()
         self._component_of: dict[str, int] = {}
         for index, component in enumerate(self._components):
@@ -136,6 +137,11 @@ class DependencyGraph:
             if self._component_of.get(head) is not None
             and self._component_of.get(head) == self._component_of.get(negated)
         )
+
+    def reaches_negation(self, predicate: str) -> bool:
+        """Whether a rule of *predicate*, or of a dependency, negates an atom."""
+        heads = self._negated_heads
+        return predicate in heads or not heads.isdisjoint(self.dependencies(predicate))
 
     def is_stratified(self) -> bool:
         """Whether no predicate depends negatively on its own recursion class."""

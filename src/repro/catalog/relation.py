@@ -85,9 +85,9 @@ class Relation:
         #: diagnosable (surfaced via ``Session.cache_stats``).
         self.journal_resets = 0
         #: Interned mirror of ``_rows``: symbol-id tuples in insertion
-        #: order, maintained eagerly on the append path (constants are
-        #: interned at insert time) and dropped to ``None`` (dirty) by any
-        #: non-append mutation; :meth:`int_rows` rebuilds it lazily.
+        #: order, maintained row by row (an insert appends its id row, a
+        #: delete removes it) and dropped to ``None`` (dirty) by a
+        #: wholesale change; :meth:`int_rows` rebuilds it lazily.
         self._introws: list[tuple[int, ...]] | None = []
         for row in rows:
             self.insert(row)
@@ -215,7 +215,9 @@ class Relation:
     def delete(self, row: Sequence[object]) -> bool:
         """Delete a row; returns ``False`` if it was absent.
 
-        O(1) per maintained index: buckets are hash sets, not lists.
+        O(1) per maintained index: buckets are hash sets, not lists.  The
+        interned mirror loses its one id row (dropping it would re-intern
+        every remaining row on the next read).
         """
         self._begin_mutation()
         coerced = self._coerce(row)
@@ -225,7 +227,8 @@ class Relation:
         del self._rows[coerced]
         self._version += 1
         self._log("-", coerced)
-        self._introws = None
+        if self._introws is not None:
+            self._introws.remove(SYMBOLS.intern_row(coerced))
         for column, index in self._indexes.items():
             bucket = index.get(coerced[column])
             if bucket is not None:
@@ -333,10 +336,10 @@ class Relation:
 
         Ids come from the process-wide :data:`~repro.catalog.symbols.SYMBOLS`
         table; id-equality is exactly constant-equality.  The mirror is
-        maintained eagerly on inserts and rebuilt here after any other
-        mutation (in the id-only state it is the relation itself).  Callers
-        must treat the returned list as immutable — it is shared with the
-        join kernels' caches, which key on :attr:`version`.
+        maintained through inserts and deletes and rebuilt here after a
+        wholesale change (in the id-only state it is the relation itself).
+        Callers must treat the returned list as immutable — it is shared
+        with the join kernels' caches, which key on :attr:`version`.
         """
         rows = self._introws
         if rows is None:

@@ -63,7 +63,7 @@ import time
 from repro.errors import ReproError
 from repro.catalog.database import KnowledgeBase
 from repro.core.answers import DescribeResult
-from repro.engine.evaluate import ENGINES, RetrieveResult
+from repro.engine.evaluate import RetrieveResult
 from repro.engine.guard import ResourceGuard
 from repro.lang.pretty import format_bindings, format_rules
 from repro.session import Session
@@ -173,7 +173,7 @@ def run_cache_report(args: argparse.Namespace, out=None) -> int:
     warm_s = (time.perf_counter() - started) / max(repeats, 1)
 
     # Mutate-then-requery: the cache repairs a non-recursive view in place
-    # and recomputes a closure that contains recursion.
+    # and recomputes a recursive closure (or leaves a bound goal to magic).
     mutate_s = None
     victim = next(
         (p for p in session.kb.edb_predicates() if len(session.kb.relation(p))),
@@ -218,11 +218,7 @@ def _statement_text(parts: list[str]) -> str:
 
 def _query_session(args: argparse.Namespace, trace: bool = False) -> Session:
     """A session for one observability subcommand (dataset and/or file)."""
-    session = Session(
-        _build_kb(args),
-        engine=args.engine,
-        trace=trace,
-    )
+    session = Session(_build_kb(args), trace=trace)
     if getattr(args, "load", None):
         with open(args.load) as handle:
             session.load(handle.read())
@@ -235,9 +231,7 @@ def run_explain(args: argparse.Namespace, out=None) -> int:
 
     out = out if out is not None else sys.stdout
     session = _query_session(args)
-    explanation = explain_plan(
-        session.kb, _statement_text(args.query), engine=args.engine
-    )
+    explanation = explain_plan(session.kb, _statement_text(args.query))
     if args.json:
         print(json.dumps(explanation.as_dict(), indent=2, sort_keys=True), file=out)
     else:
@@ -418,7 +412,6 @@ def run_serve(args: argparse.Namespace, out=None) -> int:
             host=args.host,
             port=args.port,
             pool_size=args.pool_size,
-            engine=args.engine,
             trace=not args.no_trace,
             drain_timeout=args.drain_timeout,
         )
@@ -695,10 +688,6 @@ def main(argv: list[str] | None = None) -> int:
             help="reader session slots (worker threads; default: 4)",
         )
         serve_parser.add_argument(
-            "--engine", choices=ENGINES, default="seminaive",
-            help="evaluation engine for reads",
-        )
-        serve_parser.add_argument(
             "--no-trace", action="store_true",
             help="disable per-request server spans",
         )
@@ -783,10 +772,6 @@ def main(argv: list[str] | None = None) -> int:
             "--load", metavar="FILE", help="load a definition file first"
         )
         obs_parser.add_argument(
-            "--engine", choices=ENGINES, default="seminaive",
-            help="evaluation engine",
-        )
-        obs_parser.add_argument(
             "--json", action="store_true", help="emit machine-readable JSON"
         )
         if command == "profile":
@@ -811,10 +796,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dataset", choices=_DATASETS, help="start from a bundled database")
     parser.add_argument("--load", metavar="FILE", help="load a definition file")
-    parser.add_argument(
-        "--engine", choices=ENGINES, default="seminaive",
-        help="data-query engine",
-    )
     parser.add_argument(
         "--style", choices=("standard", "modified"), default="standard",
         help="transformation style for recursive describe",
@@ -858,7 +839,7 @@ def main(argv: list[str] | None = None) -> int:
     kb = _build_kb(args) if (args.durable is None or args.dataset) else None
     try:
         session = Session(
-            kb, engine=args.engine, style=args.style, guard=guard,
+            kb, style=args.style, guard=guard,
             cache=not args.no_cache, durable=args.durable,
         )
         if args.load:

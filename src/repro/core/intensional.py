@@ -79,7 +79,6 @@ def intensional_answer(
     kb: KnowledgeBase,
     subject: Atom,
     qualifier: Sequence[Atom] = (),
-    engine: str = "seminaive",
     config: SearchConfig | None = None,
     guard: ResourceGuard | None = None,
 ) -> IntensionalAnswer:
@@ -92,7 +91,7 @@ def intensional_answer(
     truncated.
     """
     qualifier = tuple(qualifier)
-    extension = retrieve(kb, subject, qualifier, engine=engine, guard=guard)
+    extension = retrieve(kb, subject, qualifier, guard=guard)
     description = describe(kb, subject, qualifier, config=config, guard=guard)
 
     all_rows = list(extension.rows)
@@ -101,7 +100,7 @@ def intensional_answer(
     for answer in description.answers:
         conjunction = tuple(answer.rule.body) + qualifier
         try:
-            witnesses = retrieve(kb, answer.rule.head, conjunction, engine=engine)
+            witnesses = retrieve(kb, answer.rule.head, conjunction)
         except SafetyError:
             continue  # rule body not evaluable standalone (unbound comparisons)
         rows = [row for row in witnesses.rows if row in set(all_rows)]

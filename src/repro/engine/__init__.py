@@ -5,9 +5,10 @@ One evaluator behind one public API (:func:`retrieve`,
 body or query conjunction to a logical plan, :mod:`repro.engine.kernels`
 lowers it to an integer kernel over interned symbol ids, and the one
 stratum driver in :mod:`repro.engine.seminaive` runs the fixpoint.
-``engine="magic"`` is the same evaluator run over the magic-sets
-rewriting of the program for the goal (:mod:`repro.engine.magic`); both
-hand ``retrieve`` an id batch and the answer is externalized once.  The
+A goal that binds every recursive predicate it reads, over views that are
+not fresh, is routed by :mod:`repro.engine.evaluate` to the same evaluator
+run over the magic-sets rewriting for its shape (:mod:`repro.engine.magic`);
+both hand ``retrieve`` an id batch and the answer is externalized once.  The
 tuple-at-a-time joins of :mod:`repro.engine.joins` (``join_conjunction``,
 ``Resolver``, ``bind_row``) answer no query: they serve ``explain`` proof
 trees (:mod:`repro.engine.provenance`), the view cache's one-pass repair
@@ -17,7 +18,6 @@ of non-recursive views (:mod:`repro.engine.incremental`, which only
 the test suites compare the production path against."""
 
 from repro.engine.evaluate import (
-    ENGINES,
     RetrieveResult,
     derivable,
     evaluate_conjunction,
@@ -55,7 +55,6 @@ from repro.engine.seminaive import SemiNaiveEngine
 from repro.engine.viewcache import CacheStats, ViewCache
 
 __all__ = [
-    "ENGINES",
     "MODES",
     "CancellationToken",
     "Diagnostics",

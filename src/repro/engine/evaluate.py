@@ -6,13 +6,15 @@ whose substitution for the variables of ``p`` and ``psi`` satisfies
 When ``p`` uses a predicate unknown to the database, it is an ad-hoc
 predicate defined by ``psi`` (the paper's Example 2 ``answer`` predicate).
 
-The answer is a *set of constant tuples*, and it is built as one under
-both engines: :func:`_answer_batch` solves the conjunction over interned
-symbol ids (bottom-up over the whole relevant IDB, or over its magic-sets
-rewriting), and ``retrieve`` projects that id batch onto the free
-variables, deduplicates id tuples and turns the distinct rows into
-constants in one bulk :meth:`~repro.catalog.symbols.SymbolTable.extern_rows`
-call — no substitution is built.  :func:`evaluate_conjunction` is the
+The answer is a *set of constant tuples*, and it is built as one on both
+routes: :func:`_answer_batch` solves the conjunction over interned symbol
+ids — bottom-up over the whole relevant IDB, or over its magic-sets
+rewriting when the goal binds every recursive predicate it reads and no
+fresh view answers it by lookup (chosen there, never by the caller) — and
+``retrieve`` projects that id batch onto the free variables, deduplicates
+id tuples and turns the distinct rows into constants in one bulk
+:meth:`~repro.catalog.symbols.SymbolTable.extern_rows` call — no
+substitution is built.  :func:`evaluate_conjunction` is the
 substitution-stream view of the same batch, for the callers that want
 bindings rather than an answer set (integrity constraints, ``derivable``).
 """
@@ -37,39 +39,16 @@ from repro.engine.magic import magic_conjunction
 from repro.engine.seminaive import SemiNaiveEngine
 from repro.logic.atoms import Atom, atoms_variables
 from repro.logic.substitution import Substitution
-from repro.logic.terms import Constant, Variable, is_variable
+from repro.logic.terms import Constant, Variable, is_constant, is_variable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.viewcache import ViewCache
 
-#: Engine selector values accepted by the public API.
-ENGINES = ("seminaive", "magic")
-
-#: A compiled-plan cache: ``(rules_version, fingerprint)`` -> compiled
-#: conjunction kernel.  Sessions pass a bounded mapping so
-#: repeat point lookups skip recompilation (see :class:`repro.session.Session`).
+#: A compiled-plan cache: ``(rules_version, conjunction)`` -> compiled
+#: conjunction kernel, and ``(rules_version, "__goal", shape)`` -> rewritten
+#: goal-directed program.  Sessions pass a bounded mapping so repeat lookups
+#: skip recompilation (see :class:`repro.session.Session`).
 PlanCache = MutableMapping[tuple, object]
-
-
-def _plan_cache_key(
-    kb: KnowledgeBase,
-    conjuncts: Sequence[Atom],
-    negated: Sequence[Atom],
-) -> tuple:
-    """The cache key for a compiled conjunction.
-
-    ``rules_version`` keys out any rule change (compiled plans inline the
-    join order chosen against the rules); the textual fingerprint keys the
-    conjunction shape.  Fact-only mutations keep the key stable — the join
-    order is frozen from the first compilation, which is correctness-neutral
-    (any order is valid) and the point of the cache: repeat lookups after
-    EDB churn skip straight to execution.
-    """
-    return (
-        kb.rules_version,
-        " & ".join(str(atom) for atom in conjuncts),
-        " & ".join(str(atom) for atom in negated),
-    )
 
 
 @dataclass
@@ -127,15 +106,9 @@ class RetrieveResult:
         return f"{{{names}: {len(self.rows)} rows}}"
 
 
-def _check_engine(engine: str) -> None:
-    if engine not in ENGINES:
-        raise EngineError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-
-
 def evaluate_conjunction(
     kb: KnowledgeBase,
     conjuncts: Sequence[Atom],
-    engine: str = "seminaive",
     negated: Sequence[Atom] = (),
     guard: ResourceGuard | None = None,
     cache: "ViewCache | None" = None,
@@ -152,9 +125,8 @@ def evaluate_conjunction(
     are built from the finished id batch.
 
     ``plan_cache`` (a mutable mapping, usually a session's bounded cache)
-    memoizes the compiled kernel for the query conjunction itself under
-    ``(kb.rules_version, fingerprint)``, so repeat point lookups skip
-    recompilation.  Honoured by the seminaive engine.
+    keeps what was compiled for the conjunction — its kernel, or the
+    goal-directed program of its shape — under ``kb.rules_version``.
 
     ``guard`` governs the whole evaluation (deadline, fact budget,
     cancellation).  In strict mode exhaustion raises a
@@ -163,31 +135,57 @@ def evaluate_conjunction(
     derivable, a sound under-approximation — and the trip is recorded on
     ``guard.tripped``.
 
-    ``cache`` (a :class:`~repro.engine.viewcache.ViewCache` bound to *kb*)
-    serves the seminaive engine's IDB materialisations from warm views when
-    their dependency fingerprints are current, repairing non-recursive
-    views in place under small EDB deltas.  It is ignored for the magic
-    engine and for a mismatched knowledge base.
+    ``cache`` (a :class:`~repro.engine.viewcache.ViewCache` bound to *kb*;
+    ignored for another knowledge base) serves IDB materialisations from
+    warm views, repairs stale non-recursive ones in place, and decides
+    whether a bound goal over a stale view is answered goal-directed.
     """
-    _check_engine(engine)
     schema, batch = _answer_batch(
-        kb, conjuncts, engine, negated, guard, cache, tracer, plan_cache
+        kb, conjuncts, negated, guard, cache, tracer, plan_cache
     )
     yield from substitutions_from_kernel_batch(schema, batch)
+
+
+def goal_verdict(
+    kb: KnowledgeBase, conjuncts: Sequence[Atom], negated: Sequence[Atom] = ()
+) -> str | None:
+    """Whether the goal-directed route can answer a conjunction, from what
+    is observable before evaluation: ``None`` when no conjunct reads a
+    predicate that is recursive or depends on one (no candidate: bottom-up
+    over a non-recursive closure derives little a goal would not), else
+    ``"bound"`` when the conjunction is positive, every rule it reaches is,
+    and every such conjunct carries a constant argument, else why not:
+    ``"negation"`` or ``"free_goal"``."""
+    graph = kb.dependency_graph()
+    idb = [a for a in conjuncts if not a.is_comparison() and kb.is_idb(a.predicate)]
+    recursive = [a for a in idb if graph.depends_on_recursion(a.predicate)]
+    if not recursive:
+        return None
+    if negated or any(graph.reaches_negation(a.predicate) for a in idb):
+        return "negation"
+    if not all(any(map(is_constant, a.args)) for a in recursive):
+        return "free_goal"
+    return "bound"
 
 
 def _answer_batch(
     kb: KnowledgeBase,
     conjuncts: Sequence[Atom],
-    engine: str,
     negated: Sequence[Atom],
     guard: ResourceGuard | None,
     cache: "ViewCache | None",
     tracer,
     plan_cache: PlanCache | None,
 ) -> tuple[tuple[Variable, ...], IntBatch]:
-    """Solve a conjunction under *engine*: ``(schema, batch)``, one
-    symbol-id tuple per solution, column *i* binding ``schema[i]``.
+    """Solve a conjunction: ``(schema, batch)``, one symbol-id tuple per
+    solution, column *i* binding ``schema[i]``.
+
+    The route is chosen here.  A conjunction :func:`goal_verdict` calls
+    bound goes to :func:`magic_conjunction` unless *cache* holds a fresh
+    view of what it reads (a lookup beats any derivation) or has seen this
+    very dependency state miss once already (a second reader is served by
+    materialising for all that follow) — without a cache, always: nothing
+    would keep a materialisation.  Everything else materialises.
 
     Callers decide where ids become constants — :func:`retrieve` after
     projection and dedup, :func:`evaluate_conjunction` per substitution.
@@ -195,14 +193,16 @@ def _answer_batch(
     short, the batch is a sound under-approximation and the trip is on
     ``guard.tripped``.
     """
-    if engine == "magic":
-        if negated:
-            raise EngineError(
-                "the magic engine covers positive queries; use seminaive "
-                "for negated qualifiers"
-            )
-        return magic_conjunction(kb, conjuncts, guard=guard, tracer=tracer)
-    return _seminaive_batch(kb, conjuncts, negated, guard, cache, tracer, plan_cache)
+    if cache is not None and cache.kb is not kb:
+        cache = None  # a cache only applies when bound to this knowledge base
+    verdict = goal_verdict(kb, conjuncts, negated)
+    if cache is not None or verdict != "bound":
+        answer = _seminaive_batch(
+            kb, conjuncts, negated, guard, cache, tracer, plan_cache, verdict
+        )
+        if answer is not None:
+            return answer
+    return magic_conjunction(kb, conjuncts, guard, tracer, plan_cache)
 
 
 def _seminaive_batch(
@@ -213,26 +213,30 @@ def _seminaive_batch(
     cache: "ViewCache | None",
     tracer,
     plan_cache: PlanCache | None,
-) -> tuple[tuple[Variable, ...], IntBatch]:
+    verdict: str | None = None,
+) -> tuple[tuple[Variable, ...], IntBatch] | None:
     """Solve a conjunction bottom-up, staying in the id domain.
 
-    Materialises the IDB views the conjunction reads (through *cache* or a
-    fresh :class:`SemiNaiveEngine`) and runs the conjunction's kernel over
-    them.  A degraded batch is empty when only that is sound.
+    Materialises the IDB views the conjunction reads (through *cache*, bound
+    to *kb*, or a fresh :class:`SemiNaiveEngine`) and runs its kernel over
+    them.  A degraded batch is empty when only that is sound.  *verdict*
+    (:func:`goal_verdict`) is for the cache's probe: given ``"bound"`` it
+    may leave the views alone and the answer — ``None`` — to the
+    goal-directed route; without it this always materialises.
     """
     positive_predicates = {
         a.predicate for a in conjuncts if not a.is_comparison() and kb.is_idb(a.predicate)
     }
     negated_predicates = {a.predicate for a in negated if kb.is_idb(a.predicate)}
     wanted = sorted(positive_predicates | negated_predicates)
-    # A cache only applies when bound to this knowledge base.
-    use_cache = cache is not None and cache.kb is kb
     materializer = (
-        cache if use_cache else SemiNaiveEngine(kb, guard=guard, tracer=tracer)
+        cache if cache is not None else SemiNaiveEngine(kb, guard=guard, tracer=tracer)
     )
     try:
-        if use_cache:
-            derived = cache.evaluate(wanted, guard=guard, tracer=tracer)
+        if cache is not None:
+            derived = cache.evaluate(wanted, guard, tracer, goal=verdict)
+            if derived is None:
+                return None
         else:
             derived = materializer.evaluate(wanted)
     except ResourceExhausted as error:
@@ -254,8 +258,11 @@ def _seminaive_batch(
         return derived.get(predicate)
 
     # The query conjunction runs as an integer kernel: compile (or fetch
-    # from the plan cache) and execute over interned rows.
-    key = _plan_cache_key(kb, conjuncts, negated)
+    # from the plan cache) and execute over interned rows.  The key is the
+    # atoms, not their text (printing cannot tell every pair of distinct
+    # terms apart), under ``rules_version``: a fact-only mutation keeps it,
+    # and the join order of the first compilation, which any order may be.
+    key = (kb.rules_version, tuple(conjuncts), tuple(negated))
     kernel = plan_cache.get(key) if plan_cache is not None else None
     if kernel is None:
         estimate = relation_cost_estimator(relation_view)
@@ -297,11 +304,32 @@ def _distinct_answers(
     return SYMBOLS.extern_rows(list(dict.fromkeys(batch)))
 
 
+def query_conjunction(
+    kb: KnowledgeBase, subject: Atom, qualifier: Sequence[Atom]
+) -> tuple[list[Variable], tuple[Atom, ...]]:
+    """What ``retrieve subject where qualifier`` solves: the subject's
+    distinct (free) variables and the conjunction.  An unknown subject is
+    defined by the qualifier (paper, Example 2): it stays out of it."""
+    if subject.is_comparison():
+        raise EngineError("the subject of retrieve may not be a comparison")
+    free_vars = list(dict.fromkeys(filter(is_variable, subject.args)))
+    if kb.has_predicate(subject.predicate):
+        kb.schema(subject.predicate).check_arity(subject.arity)
+        return free_vars, (subject, *qualifier)
+    qualifier_vars = atoms_variables(qualifier)
+    missing = [v for v in free_vars if v not in qualifier_vars]
+    if missing:
+        names = ", ".join(v.name for v in missing)
+        raise SafetyError(
+            f"ad-hoc subject variable(s) {names} do not occur in the qualifier"
+        )
+    return free_vars, tuple(qualifier)
+
+
 def retrieve(
     kb: KnowledgeBase,
     subject: Atom,
     qualifier: Sequence[Atom] = (),
-    engine: str = "seminaive",
     negated_qualifier: Sequence[Atom] = (),
     guard: ResourceGuard | None = None,
     cache: "ViewCache | None" = None,
@@ -323,36 +351,14 @@ def retrieve(
     answer a sound under-approximation.  The guard is one activation — a
     :class:`~repro.session.Session` hands each query a fresh one.
     """
-    _check_engine(engine)
-    if subject.is_comparison():
-        raise EngineError("the subject of retrieve may not be a comparison")
-
-    free_vars: list[Variable] = []
-    for arg in subject.args:
-        if is_variable(arg) and arg not in free_vars:
-            free_vars.append(arg)
-
-    if kb.has_predicate(subject.predicate):
-        kb.schema(subject.predicate).check_arity(subject.arity)
-        conjunction: tuple[Atom, ...] = (subject, *qualifier)
-    else:
-        # Ad-hoc subject: defined through the qualifier (paper, Example 2).
-        qualifier_vars = atoms_variables(qualifier)
-        missing = [v for v in free_vars if v not in qualifier_vars]
-        if missing:
-            names = ", ".join(v.name for v in missing)
-            raise SafetyError(
-                f"ad-hoc subject variable(s) {names} do not occur in the qualifier"
-            )
-        conjunction = tuple(qualifier)
-
+    free_vars, conjunction = query_conjunction(kb, subject, qualifier)
     negated = tuple(negated_qualifier)
     from repro.obs.trace import traced_span
 
     # The span stringifies the subject if it is ever serialized.
-    with traced_span(tracer, "retrieve", subject=subject, engine=engine):
+    with traced_span(tracer, "retrieve", subject=subject):
         schema, batch = _answer_batch(
-            kb, conjunction, engine, negated, guard, cache, tracer, plan_cache
+            kb, conjunction, negated, guard, cache, tracer, plan_cache
         )
         rows = _distinct_answers(schema, batch, free_vars)
         if tracer is not None:
@@ -369,11 +375,10 @@ def retrieve(
 def derivable(
     kb: KnowledgeBase,
     atom: Atom,
-    engine: str = "seminaive",
     guard: ResourceGuard | None = None,
     cache: "ViewCache | None" = None,
 ) -> bool:
     """Whether some instance of *atom* is derivable from the database."""
-    for _ in evaluate_conjunction(kb, (atom,), engine=engine, guard=guard, cache=cache):
+    for _ in evaluate_conjunction(kb, (atom,), guard=guard, cache=cache):
         return True
     return False

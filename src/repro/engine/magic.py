@@ -12,10 +12,14 @@ the bindings flowing from the query:
     path__bf(X, Y) <- magic_path__bf(X) and edge(X, Z) and path__bf(Z, Y).
     magic_path__bf(Z) <- magic_path__bf(X) and edge(X, Z).
 
-Arbitrary conjunctive queries are handled through a synthetic goal rule:
-``__goal(free vars) <- conjunction``; the sideways information passing
-(left-to-right SIPS) then adorns each body atom with whatever is bound by
-constants and earlier atoms.  The SIPS walk is
+Arbitrary conjunctive queries are handled through a synthetic goal rule
+``__goal(constants, free vars) <- conjunction`` over the *shape* of the
+conjunction: every constant becomes a parameter variable (``$0``, ``$1``,
+... — names the lexer cannot produce) and a leading bound argument, so
+``path(n0, Y)`` and ``path(n7, Y)`` rewrite to one program and differ only
+in the one row of the magic seed relation (``magic___goal__bf``).  The
+sideways information passing (left-to-right SIPS) then adorns each body
+atom with whatever is bound by parameters and earlier atoms.  The SIPS walk is
 :meth:`repro.analysis.absint.modes.ModeTable.schedule_rule`, run per
 ``(rule, adornment)`` as the worklist reaches it — the one function the
 binding-mode analysis also runs, and the only thing this package takes
@@ -24,38 +28,30 @@ from the abstract interpretation.
 The rewritten program runs on the one bottom-up engine
 (:class:`~repro.engine.seminaive.SemiNaiveEngine`), and
 :func:`magic_conjunction` hands its goal relation back as an id batch —
-goal direction is a rewrite, not a second evaluator.
+goal direction is a rewrite, not a second evaluator.  A program depends on
+the rule set and the goal's shape only and reads the stored relations live,
+so the caller's plan cache keeps it, kernels and all: a later evaluation
+re-seeds it and pays for the fixpoint alone.
 
-Scope: positive programs (:func:`magic_rewrite` rejects negation with a
-clear error; the plain engine evaluates those).
+Scope: goals whose *reachable* rules are positive (:func:`magic_rewrite`
+raises otherwise; :mod:`repro.engine.evaluate` never routes one here).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import MutableMapping, Sequence
 
 from repro.errors import EngineError, ResourceExhausted
-from repro.analysis.absint.modes import ModeTable, adornment_of
+from repro.analysis.absint.modes import ModeTable
 from repro.catalog.database import KnowledgeBase
+from repro.catalog.relation import Relation
 from repro.engine.guard import ResourceGuard, degrade_catch
 from repro.engine.kernels import IntBatch
-from repro.engine.seminaive import SemiNaiveEngine
+from repro.engine.seminaive import CompiledStratum, SemiNaiveEngine
 from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule
-from repro.logic.terms import Variable
-
-__all__ = [
-    "GOAL",
-    "ADORN_SEP",
-    "MAGIC_PREFIX",
-    "MagicProgram",
-    "adorned_name",
-    "adornment_of",  # canonical definition lives in analysis.absint.modes
-    "magic_conjunction",
-    "magic_name",
-    "magic_rewrite",
-]
+from repro.logic.terms import Constant, Variable, is_constant
 
 #: Synthetic goal predicate for conjunction queries.
 GOAL = "__goal"
@@ -78,62 +74,71 @@ def _bound_args(atom: Atom, adornment: str) -> list:
     return [arg for arg, letter in zip(atom.args, adornment) if letter == "b"]
 
 
+def goal_shape(
+    conjunction: Sequence[Atom],
+) -> tuple[tuple[Atom, ...], tuple[Constant, ...]]:
+    """Split a conjunction into its shape — parameter variable ``$i`` where
+    the *i*-th constant occurrence (comparisons included) was, so it does
+    not depend on which constants happen to be equal — and its constants."""
+    constants = [arg for atom in conjunction for arg in atom.args if is_constant(arg)]
+    parameters = (Variable(f"${index}") for index in range(len(constants)))
+    shape = tuple(
+        Atom(a.predicate, [next(parameters) if is_constant(t) else t for t in a.args])
+        for a in conjunction
+    )
+    return shape, tuple(constants)
+
+
 @dataclass
 class MagicProgram:
-    """The rewritten program plus the query to run against it."""
+    """The rewritten program of one goal shape, kept for re-evaluation."""
 
-    kb: KnowledgeBase
-    goal: Atom  # adorned goal atom to evaluate
+    source: KnowledgeBase  # the knowledge base whose stored relations it reads
+    kb: KnowledgeBase  # the rewritten rules over those relations, live
+    goal: Atom  # adorned goal atom: the parameters, then the free variables
+    schema: tuple[Variable, ...]  # the conjunction's variables, in order
+    seeds: Relation  # the magic seed relation: one row, the goal's constants
     adorned_predicates: int = 0
     magic_rules: int = 0
+    #: Handed to every engine that runs the program.
+    compiled: dict[tuple[str, ...], CompiledStratum] = field(default_factory=dict)
+
+    def seed(self, constants: Sequence[Constant]) -> None:
+        """Make *constants* the one row of the magic seed relation."""
+        self.seeds.clear()
+        self.seeds.insert(constants)
 
 
 def magic_rewrite(kb: KnowledgeBase, conjunction: Sequence[Atom]) -> MagicProgram:
-    """Rewrite *kb* for the given conjunctive query.
+    """Rewrite *kb* for the shape of the given conjunctive query.
 
-    Returns a new knowledge base (sharing the stored relations' row storage,
-    copy-on-write) whose rules derive only query-relevant facts, plus the
-    goal atom to retrieve.
+    The program's knowledge base holds *kb*'s stored relations themselves
+    and rules that derive only goal-relevant facts, seeded with the
+    conjunction's own constants.  Only rules the goal reaches are looked
+    at; a negated one raises :class:`~repro.errors.EngineError`.
     """
-    for rule in kb.rules():
-        if not rule.is_positive():
-            raise EngineError(
-                "magic-sets rewriting covers positive programs only; "
-                f"rule {rule} uses negation"
-            )
+    shape, constants = goal_shape(conjunction)
+    parameters = [Variable(f"${index}") for index in range(len(constants))]
+    free_vars = list(dict.fromkeys(v for atom in conjunction for v in atom.variables()))
+    goal_adornment = "b" * len(parameters) + "f" * len(free_vars)
+    goal_rule = Rule(Atom(GOAL, [*parameters, *free_vars]), shape)
 
-    free_vars: list[Variable] = []
-    for atom in conjunction:
-        for variable in atom.variables():
-            if variable not in free_vars:
-                free_vars.append(variable)
-    goal_head = Atom(GOAL, free_vars)
-    goal_rule = Rule(goal_head, conjunction)
-
-    rules_by_pred: dict[str, list[Rule]] = {GOAL: [goal_rule]}
-    for rule in kb.rules():
-        rules_by_pred.setdefault(rule.head.predicate, []).append(rule)
-
-    def is_rewritable(predicate: str) -> bool:
-        return predicate in rules_by_pred
-
-    new_rules: list[Rule] = []
-    seen_rule_texts: set[str] = set()
-    worklist: list[tuple[str, str]] = [(GOAL, "f" * len(free_vars))]
+    #: Insertion-ordered and deduplicated (two call patterns can emit one rule).
+    new_rules: dict[Rule, None] = {}
+    worklist: list[tuple[str, str]] = [(GOAL, goal_adornment)]
     processed: set[tuple[str, str]] = set()
-
-    def emit(rule: Rule) -> None:
-        text = str(rule)
-        if text not in seen_rule_texts:
-            seen_rule_texts.add(text)
-            new_rules.append(rule)
 
     while worklist:
         predicate, adornment = worklist.pop()
         if (predicate, adornment) in processed:
             continue
         processed.add((predicate, adornment))
-        for rule in rules_by_pred.get(predicate, ()):
+        for rule in [goal_rule] if predicate == GOAL else kb.rules_for(predicate):
+            if not rule.is_positive():
+                raise EngineError(
+                    "magic-sets rewriting covers positive programs only; "
+                    f"rule {rule}, which the goal reaches, uses negation"
+                )
             head = rule.head
             # The per-atom adornments come from the SIPS schedule — the
             # same ``schedule_rule`` the binding-mode analysis runs, so the
@@ -149,14 +154,14 @@ def magic_rewrite(kb: KnowledgeBase, conjunction: Sequence[Atom]) -> MagicProgra
                     continue
                 entry = schedule.entry_at(index)
                 assert entry is not None  # every non-comparison atom has one
-                if is_rewritable(body_atom.predicate):
+                if kb.is_idb(body_atom.predicate):
                     body_adornment = entry.adornment
                     # Magic rule: the bindings reaching this subgoal.
                     magic_head = Atom(
                         magic_name(body_atom.predicate, body_adornment),
                         _bound_args(body_atom, body_adornment),
                     )
-                    emit(Rule(magic_head, list(new_body)))
+                    new_rules[Rule(magic_head, list(new_body))] = None
                     worklist.append((body_atom.predicate, body_adornment))
                     new_body.append(
                         Atom(
@@ -166,23 +171,26 @@ def magic_rewrite(kb: KnowledgeBase, conjunction: Sequence[Atom]) -> MagicProgra
                     )
                 else:
                     new_body.append(body_atom)
-            emit(
+            new_rules[
                 Rule(Atom(adorned_name(predicate, adornment), head.args), new_body)
-            )
+            ] = None
 
     rewritten = kb.with_rules([])
-    seed_predicate = magic_name(GOAL, "f" * len(free_vars))
-    rewritten.declare_edb(seed_predicate, 0)
-    rewritten.add_fact(seed_predicate)
+    seed_predicate = magic_name(GOAL, goal_adornment)
+    rewritten.declare_edb(seed_predicate, len(parameters))
     for rule in new_rules:
         rewritten.add_rule(rule)
-
-    return MagicProgram(
+    program = MagicProgram(
+        source=kb,
         kb=rewritten,
-        goal=Atom(adorned_name(GOAL, "f" * len(free_vars)), free_vars),
+        goal=Atom(adorned_name(GOAL, goal_adornment), [*parameters, *free_vars]),
+        schema=tuple(free_vars),
+        seeds=rewritten.relation(seed_predicate),
         adorned_predicates=len(processed),
         magic_rules=sum(1 for r in new_rules if r.head.predicate.startswith(MAGIC_PREFIX)),
     )
+    program.seed(constants)
+    return program
 
 
 def magic_conjunction(
@@ -190,29 +198,46 @@ def magic_conjunction(
     conjunction: Sequence[Atom],
     guard: ResourceGuard | None = None,
     tracer=None,
+    plan_cache: MutableMapping[tuple, object] | None = None,
 ) -> tuple[tuple[Variable, ...], IntBatch]:
     """Solve a conjunction via magic-sets evaluation, in the id domain.
 
     Returns ``(schema, batch)``: the conjunction's variables in first
     occurrence order and the rewritten goal relation's symbol-id rows, one
     per solution — the contract of the bottom-up producer in
-    :mod:`repro.engine.evaluate`.  *guard* governs the inner bottom-up
-    evaluation; in degrade mode a tripped budget returns the goal rows
-    derived so far (a sound under-approximation) instead of raising.
-    *tracer* records a ``magic.rewrite`` event plus the inner engine's spans.
+    :mod:`repro.engine.evaluate`.  *guard* governs the inner evaluation; in
+    degrade mode a tripped budget returns the goal rows derived so far (a
+    sound under-approximation).  *plan_cache* keeps the program under
+    ``(rules_version, shape)``: a hit re-seeds it and neither rewrites nor
+    compiles.  *tracer* records a ``magic.rewrite`` event per rewrite.
     """
-    program = magic_rewrite(kb, conjunction)
-    if tracer is not None:
-        tracer.event(
-            "magic.rewrite",
-            adorned_predicates=program.adorned_predicates,
-            magic_rules=program.magic_rules,
-            goal=str(program.goal),
-        )
-    engine = SemiNaiveEngine(program.kb, guard=guard, tracer=tracer)
+    shape, constants = goal_shape(conjunction)
+    key = (kb.rules_version, GOAL, shape)
+    program = plan_cache.get(key) if plan_cache is not None else None
+    if program is not None and program.source is kb:
+        program.seed(constants)
+    else:
+        program = magic_rewrite(kb, conjunction)
+        if plan_cache is not None:
+            plan_cache[key] = program
+        if tracer is not None:
+            tracer.event(
+                "magic.rewrite",
+                adorned_predicates=program.adorned_predicates,
+                magic_rules=program.magic_rules,
+                goal=str(program.goal),
+            )
+    engine = SemiNaiveEngine(
+        program.kb, guard=guard, tracer=tracer, compiled=program.compiled
+    )
     try:
         relation = engine.derived_relation(program.goal.predicate)
     except ResourceExhausted as error:
         degrade_catch(guard, error)  # re-raises unless the guard degrades
         relation = engine.partial_relation(program.goal.predicate)
-    return tuple(program.goal.args), relation.int_rows()
+    finally:
+        for stratum in program.compiled.values():
+            stratum.release()  # a kept program pins no relation
+    rows = relation.int_rows()
+    bound = len(constants)
+    return program.schema, [row[bound:] for row in rows] if bound else rows

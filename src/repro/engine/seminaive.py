@@ -15,8 +15,9 @@ relations and kernel tables in view when a rule is first fired
 (:func:`repro.engine.joins.relation_cost_estimator`), nothing else.
 Each rule body is compiled once per ``(rule, delta-position)`` into a
 logical plan (:mod:`repro.engine.plan`), lowered to an integer kernel over
-interned symbol ids (:mod:`repro.engine.kernels`) and kept for the lifetime
-of the stratum evaluation; the stratum's facts live in kernel tables for
+interned symbol ids (:mod:`repro.engine.kernels`) and kept
+(:class:`CompiledStratum`) for the lifetime of the engine, or of the
+mapping its caller handed in; the stratum's facts live in kernel tables for
 the whole fixpoint and are externalized back into relations when the
 stratum completes.
 
@@ -39,6 +40,30 @@ from repro.obs.trace import traced_span
 from repro.logic.clauses import Rule
 
 
+class CompiledStratum:
+    """One stratum's rules as the driver wants them, built once: safety
+    checked, with span labels and delta rewritings, plus the lowered kernel
+    of each ``(rule index, delta position)`` as first fired (``-1``: the
+    rule in full; any join order is correct, the first one is kept)."""
+
+    def __init__(self, rules: list[Rule], stratum: set[str]) -> None:
+        for rule in rules:
+            check_rule_safety(rule)
+        self.rules = rules
+        self.labels = [str(rule) for rule in rules]
+        self.rewritten = [
+            (rule_index, position, rewritten)
+            for rule_index, rule in enumerate(rules)
+            for position, rewritten in delta_rewritings(rule, stratum)
+        ]
+        self.kernels: dict[tuple[int, int], RuleKernel] = {}
+
+    def release(self) -> None:
+        """Drop the kernels' memoized build sides."""
+        for kernel in self.kernels.values():
+            kernel.kernel.release()
+
+
 class SemiNaiveEngine:
     """Bottom-up evaluator producing materialised IDB relations.
 
@@ -55,6 +80,10 @@ class SemiNaiveEngine:
         A :class:`~repro.obs.trace.Tracer` recording stratum / iteration /
         rule spans with ``facts_derived``, ``delta_rows`` and ``join_probes``
         counters.  ``None`` (the default) keeps the hot path untraced.
+    compiled:
+        Stratum members -> :class:`CompiledStratum`.  A caller that keeps
+        one rule set hands in the same mapping every time, compiles nothing
+        after the first evaluation, and releases the build sides after each.
     """
 
     def __init__(
@@ -62,14 +91,14 @@ class SemiNaiveEngine:
         kb: KnowledgeBase,
         guard: ResourceGuard | None = None,
         tracer=None,
+        compiled: dict[tuple[str, ...], CompiledStratum] | None = None,
     ) -> None:
         self._kb = kb
         self._guard = guard
         self._tracer = tracer
         self._derived: dict[str, Relation] = {}
         self._evaluated: set[str] = set()
-        #: Per-stratum cache: (rule index, delta position) -> lowered kernel.
-        self._kernels: dict[tuple[int, int], RuleKernel] = {}
+        self._compiled = {} if compiled is None else compiled
 
     # -- public API ---------------------------------------------------------------
 
@@ -119,11 +148,6 @@ class SemiNaiveEngine:
         """
         return self._relation(predicate)
 
-    @property
-    def guard(self) -> ResourceGuard | None:
-        """The resource guard governing this engine (``None`` = unbounded)."""
-        return self._guard
-
     # -- internals -------------------------------------------------------------------
 
     def _relation(self, predicate: str) -> Relation:
@@ -165,14 +189,13 @@ class SemiNaiveEngine:
         is monotone, so the partial table is a sound under-approximation
         (the degrade contract).
         """
-        kb = self._kb
-        rules = [r for p in sorted(stratum) for r in kb.rules_for(p)]
-        for rule in rules:
-            check_rule_safety(rule)
-        # Span labels, formatted once per stratum rather than once per fire.
-        labels = [str(rule) for rule in rules]
-        # Kernels are cached for the lifetime of this stratum evaluation.
-        self._kernels = {}
+        members = tuple(sorted(stratum))
+        program = self._compiled.get(members)
+        if program is None:
+            program = self._compiled[members] = CompiledStratum(
+                [r for p in members for r in self._kb.rules_for(p)], stratum
+            )
+        rules, labels, kernels = program.rules, program.labels, program.kernels
         guard = self._guard
         tracer = self._tracer
         tables = {p: IntTable(self._relation(p).arity) for p in stratum}
@@ -193,9 +216,9 @@ class SemiNaiveEngine:
 
         def fire(rule: Rule, plan_key: tuple[int, int]) -> int:
             """Fire one rule into its head's table; how many rows were new."""
-            kernel = self._kernels.get(plan_key)
+            kernel = kernels.get(plan_key)
             if kernel is None:
-                kernel = self._kernels[plan_key] = compile_rule_kernel(
+                kernel = kernels[plan_key] = compile_rule_kernel(
                     rule, estimate=estimate
                 )
             new = kernel.execute(view, tables[rule.head.predicate], guard, tracer)
@@ -219,13 +242,8 @@ class SemiNaiveEngine:
                         if guard is not None:
                             guard.count_facts(new)
 
-            # Pre-build each rule's delta rewritings once; the per-iteration
-            # work is pure kernel execution.
-            rewritten_rules = [
-                (rule_index, position, rewritten)
-                for rule_index, rule in enumerate(rules)
-                for position, rewritten in delta_rewritings(rule, stratum)
-            ]
+            # Per-iteration work is pure kernel execution.
+            rewritten_rules = program.rewritten
             if not rewritten_rules:
                 return
 

@@ -27,6 +27,13 @@ is faster there than any repair through recursion was — and so are negated
 rule sets, large deltas, journal gaps, and rule changes.  A ``cache.probe``
 span that recomputes says why in its ``reason`` attribute.
 
+A third route belongs to a caller whose conjunction binds every recursive
+predicate it reads (``goal="bound"``): the first miss on a dependency state
+is left to goal-directed evaluation (:mod:`repro.engine.magic`), the cache
+remembers that state — one per closure — and a second miss on the *same*
+state materialises: readers of a base that stopped changing get lookups,
+and one that changes between reads never pays for a closure nobody rereads.
+
 A failure mid-refresh (guard trip, cancellation, injected fault) drops the
 affected entries before propagating: the cache is always either consistent
 or invalidated, never serving a half-refreshed view.
@@ -53,7 +60,7 @@ from __future__ import annotations
 
 import sys
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from repro.catalog.database import KnowledgeBase
@@ -81,12 +88,14 @@ class CacheStats:
     derivation at all); ``incremental_refreshes`` served after an in-place
     delta repair; ``misses`` required a full fixpoint recompute.
     ``invalidations`` counts cached views discarded because their
-    fingerprint no longer matched.  ``rows_pinned`` / ``bytes_pinned`` are
-    current gauges (bytes are an estimate), the rest are monotone counters.
+    fingerprint no longer matched; ``goal_directed`` probes left a miss to
+    the caller's goal-directed evaluation.  ``rows_pinned`` / ``bytes_pinned``
+    are current gauges (bytes are an estimate), the rest monotone counters.
     """
 
     hits: int = 0
     misses: int = 0
+    goal_directed: int = 0
     invalidations: int = 0
     incremental_refreshes: int = 0
     full_refreshes: int = 0
@@ -99,7 +108,9 @@ class CacheStats:
     @property
     def probes(self) -> int:
         """Total data-view probes."""
-        return self.hits + self.incremental_refreshes + self.misses
+        return (
+            self.hits + self.incremental_refreshes + self.misses + self.goal_directed
+        )
 
     @property
     def hit_rate(self) -> float:
@@ -110,19 +121,7 @@ class CacheStats:
 
     def as_dict(self) -> dict:
         """A JSON-friendly snapshot (counters plus derived rates)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "incremental_refreshes": self.incremental_refreshes,
-            "full_refreshes": self.full_refreshes,
-            "evictions": self.evictions,
-            "statement_hits": self.statement_hits,
-            "statement_misses": self.statement_misses,
-            "rows_pinned": self.rows_pinned,
-            "bytes_pinned": self.bytes_pinned,
-            "hit_rate": round(self.hit_rate, 4),
-        }
+        return {**asdict(self), "hit_rate": round(self.hit_rate, 4)}
 
 
 @dataclass
@@ -193,6 +192,8 @@ class ViewCache:
         self.max_statements = max_statements
         self._views: dict[str, _ViewEntry] = {}
         self._statements: OrderedDict[tuple, object] = OrderedDict()
+        #: Closure members -> dependency state of the last goal-directed miss.
+        self._first_miss: dict[tuple[str, ...], tuple] = {}
         self._clock = 0
         #: The engine of an in-flight full recompute; degrade-mode callers
         #: read sound partial relations from it after a budget trip.
@@ -211,7 +212,8 @@ class ViewCache:
         predicates: Sequence[str],
         guard: ResourceGuard | None = None,
         tracer=None,
-    ) -> dict[str, Relation]:
+        goal: str | None = None,
+    ) -> dict[str, Relation] | None:
         """Materialised relations for the requested IDB predicates.
 
         Drop-in for :meth:`SemiNaiveEngine.evaluate`: probes the cache,
@@ -220,18 +222,26 @@ class ViewCache:
         complete (untripped) computations are stored; a
         :class:`~repro.errors.ResourceExhausted` trip propagates with the
         cache unchanged (stale entries dropped, nothing half-written).
-        *tracer* records one ``cache.probe`` span per call whose ``outcome``
-        attribute mirrors the :class:`CacheStats` counter the call bumps; a
-        ``recompute`` outcome carries the ``reason`` repair was not taken.
+
+        *goal* is the caller's :func:`~repro.engine.evaluate.goal_verdict`:
+        given ``"bound"``, the first miss on a dependency state returns
+        ``None`` and materialises nothing (a fresh view is served, a second
+        miss on the remembered state materialises); any other is only
+        recorded.  *tracer* records one ``cache.probe`` span per call whose
+        ``outcome`` mirrors the :class:`CacheStats` counter the call bumps:
+        ``recompute`` carries the ``reason`` repair was not taken,
+        ``goal_directed`` whether the views were ``stale`` or ``cold``, any
+        other probe of a goal its ``not_goal_directed`` (``free_goal``,
+        ``negation``, ``fresh_view``, ``second_miss``).
         """
         from repro.obs.trace import traced_span
 
-        kb = self._kb
         self._inflight = None  # drop partials from any previous trip
         if guard is not None:
             # Even a warm probe must observe cancellation and deadlines: a
             # hit performs no derivation, so this is its one checkpoint.
             guard.check()
+        kb = self._kb
         wanted = [p for p in predicates if kb.is_idb(p)]
         if not wanted:
             return {}
@@ -242,8 +252,26 @@ class ViewCache:
         members = sorted(closure)
         with traced_span(tracer, "cache.probe", predicates=members):
             profiles = {p: self._dependency_profile(p) for p in members}
+            fresh = all(self._is_fresh(p, profiles[p]) for p in members)
+            if goal == "bound":
+                state = (kb.rules_version, profiles)
+                if fresh:
+                    goal = "fresh_view"
+                elif self._first_miss.get(tuple(members)) == state:
+                    goal = "second_miss"
+                else:
+                    self._first_miss[tuple(members)] = state
+                    self.stats.goal_directed += 1
+                    if tracer is not None:
+                        cold = any(p not in self._views for p in members)
+                        reason = "cold" if cold else "stale"
+                        tracer.annotate(outcome="goal_directed", reason=reason)
+                        tracer.count("cache_goal_directed")
+                    return None
+            if tracer is not None and goal is not None:
+                tracer.annotate(not_goal_directed=goal)
 
-            if all(self._is_fresh(p, profiles[p]) for p in members):
+            if fresh:
                 self._clock += 1
                 for predicate in members:
                     self._views[predicate].tick = self._clock
@@ -301,6 +329,7 @@ class ViewCache:
         """Drop every cached view and memoized statement result."""
         self.invalidate()
         self._statements.clear()
+        self._first_miss.clear()
 
     def dependency_fingerprint(self, predicates: Sequence[str]) -> tuple:
         """A hashable digest of everything the given predicates depend on.
@@ -312,27 +341,17 @@ class ViewCache:
         predicates, so results memoized under the fingerprint never need
         explicit invalidation — a mutation simply changes the key.
         """
-        kb = self._kb
-        edb: dict[str, int] = {}
-        undefined: set[str] = set()
-        for predicate in predicates:
-            if kb.is_edb(predicate):
-                edb[predicate] = kb.relation(predicate).version
-            elif not kb.is_idb(predicate) and not kb.is_builtin(predicate):
-                undefined.add(predicate)
-            profile_edb, profile_undefined = self._dependency_profile(predicate)
-            edb.update(profile_edb)
-            undefined.update(profile_undefined)
-        return (
-            self._kb.rules_version,
-            tuple(sorted(edb.items())),
-            frozenset(undefined),
-        )
+        graph = self._kb.dependency_graph()
+        names = set(predicates).union(*map(graph.dependencies, predicates))
+        edb, undefined = self._profile(names)
+        return (self._kb.rules_version, tuple(sorted(edb.items())), undefined)
 
     # -- statement memo ------------------------------------------------------------
 
-    def statement_key(self, kind: str, text: str, *extra: object) -> tuple:
-        """A memo key for a knowledge query under the current catalog.
+    def statement_key(self, kind: str, statement: object, *extra: object) -> tuple:
+        """A memo key for a parsed statement under the current catalog
+        (the statement itself, not its text: printing cannot tell every
+        pair of distinct terms apart).
 
         Knowledge answers depend on the rule and constraint sets only, never
         on stored facts, so the key embeds both catalog versions; any rule
@@ -340,7 +359,7 @@ class ViewCache:
         """
         return (
             kind,
-            text,
+            statement,
             self._kb.rules_version,
             self._kb.constraints_version,
             *extra,
@@ -369,11 +388,14 @@ class ViewCache:
         self, predicate: str
     ) -> tuple[dict[str, int], frozenset[str]]:
         """Current (EDB dependency versions, undefined dependencies)."""
+        return self._profile(self._kb.dependency_graph().dependencies(predicate))
+
+    def _profile(self, names) -> tuple[dict[str, int], frozenset[str]]:
+        """(Version of each stored name, the names nothing defines)."""
         kb = self._kb
-        graph = kb.dependency_graph()
         edb: dict[str, int] = {}
         undefined: set[str] = set()
-        for name in graph.dependencies(predicate):
+        for name in names:
             if kb.is_edb(name):
                 edb[name] = kb.relation(name).version
             elif not kb.is_idb(name) and not kb.is_builtin(name):

@@ -8,7 +8,8 @@ symbols.  ``%`` starts a comment running to end of line.
 from __future__ import annotations
 
 from repro.errors import LexError
-from repro.lang.tokens import KEYWORDS, Token, TokenType
+from repro.lang.tokens import Token, TokenType
+from repro.logic.terms import RESERVED_WORDS as KEYWORDS
 
 _SINGLE_CHAR = {
     "(": TokenType.LPAREN,

@@ -24,24 +24,6 @@ class TokenType(Enum):
     EOF = "eof"
 
 
-#: Reserved words of the language (case-sensitive, all lowercase).
-KEYWORDS = frozenset(
-    {
-        "retrieve",
-        "describe",
-        "explain",
-        "compare",
-        "with",
-        "where",
-        "and",
-        "or",
-        "not",
-        "necessary",
-        "true",
-    }
-)
-
-
 @dataclass(frozen=True)
 class Token:
     """One lexical token with its source position (1-based)."""

@@ -20,6 +20,12 @@ from repro.errors import LogicError
 #: Python types allowed as constant values.
 ConstantValue = Union[str, int, float, bool]
 
+#: Reserved words of the language (case-sensitive; the lexer's keywords), here
+#: because a string constant spelled like one must print quoted.
+RESERVED_WORDS = frozenset(
+    "retrieve describe explain compare with where and or not necessary true".split()
+)
+
 
 class Variable:
     """A logical variable, identified by its name.
@@ -109,9 +115,20 @@ class Constant:
         return f"Constant({self.value!r})"
 
     def __str__(self) -> str:
-        if isinstance(self.value, str):
-            return self.value
-        return repr(self.value)
+        """The spelling the parser reads back as this constant: a string that
+        is not one identifier (``"1"``, ``"New York"``, ``"where"``) is quoted."""
+        value = self.value
+        if not isinstance(value, str):
+            return repr(value)
+        if (  # one IDENT token: a lower-case-initial word that is not reserved
+            value[:1].isalpha()
+            and not value[0].isupper()
+            and (value.isalnum() or value.replace("_", "a").replace("#", "a").isalnum())
+            and value not in RESERVED_WORDS
+        ):
+            return value
+        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{escaped}"'
 
     def is_numeric(self) -> bool:
         """Whether the constant can participate in order comparisons."""

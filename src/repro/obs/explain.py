@@ -12,15 +12,16 @@ per-predicate *analysis* block (binding modes, column domains, estimated
 rows, recursion class) from :func:`repro.analysis.absint.summary.summary_for`
 — an annotation only: no join order shown here depends on it.
 
-Engine coverage:
+The route is the one a first evaluation takes — nothing cached yet —
+(:func:`repro.engine.evaluate.goal_verdict`), printed with its reason:
 
-* ``seminaive`` — the full picture: evaluation strata of the relevant IDB
+* ``materialise`` — the full picture: evaluation strata of the relevant IDB
   predicates, one compiled kernel per rule, the query-conjunction plan,
   and, in recursive strata, the delta variant the fixpoint iterates for
   each delta-rewritten body position (its first join is the delta scan);
-* ``magic`` — the magic-sets rewrite is performed for real (same code
-  path as evaluation) and the *rewritten* program's strata and plans are
-  shown, plus rewrite statistics.
+* ``goal_directed`` — the magic-sets rewrite is performed for real (same
+  code path as evaluation) and the *rewritten* program's strata and plans
+  are shown, plus rewrite statistics.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from repro.catalog.database import KnowledgeBase
 from repro.engine.joins import relation_cost_estimator
 from repro.engine.kernels import compile_conjunction_kernel, compile_rule_kernel
 from repro.engine.plan import delta_rewritings
-from repro.errors import EngineError, SafetyError
+from repro.errors import EngineError
 from repro.lang.ast import RetrieveStatement
-from repro.logic.atoms import Atom
 
 
 @dataclass
@@ -118,7 +118,10 @@ class QueryExplanation:
     """The full pre-execution story of one retrieve statement."""
 
     statement: str
-    engine: str
+    #: ``"goal_directed"`` or ``"materialise"``, and why (``None`` when no
+    #: recursive predicate is read: nothing to choose).
+    route: str
+    reason: str | None
     strata: list[StratumExplanation]
     query_steps: list[str]
     answer_variables: list[str]
@@ -128,7 +131,8 @@ class QueryExplanation:
     def as_dict(self) -> dict:
         return {
             "statement": self.statement,
-            "engine": self.engine,
+            "route": self.route,
+            "reason": self.reason,
             "strata": [stratum.as_dict() for stratum in self.strata],
             "query_steps": list(self.query_steps),
             "answer_variables": list(self.answer_variables),
@@ -139,7 +143,7 @@ class QueryExplanation:
     def format(self) -> str:
         lines = [
             f"explain {self.statement}",
-            f"engine: {self.engine}",
+            f"route: {self.route}" + (f" ({self.reason})" if self.reason else ""),
         ]
         for note in self.notes:
             lines.append(f"note: {note}")
@@ -227,13 +231,6 @@ def _analysis_entries(summary, predicates) -> list[PredicateAnalysis]:
     return entries
 
 
-def _kernel_steps(conjuncts, negated, estimate) -> list[str]:
-    """Step lines of the kernel a conjunction compiles to (bottom-up)."""
-    return list(
-        compile_conjunction_kernel(conjuncts, negated, estimate=estimate).described
-    )
-
-
 def _rule_steps(rule, estimate) -> list[str]:
     """Step lines of the kernel a rule compiles to, head included."""
     return list(compile_rule_kernel(rule, estimate=estimate).kernel.described)
@@ -269,39 +266,23 @@ def _strata_for(kb: KnowledgeBase, conjuncts, estimate) -> list[StratumExplanati
 def explain_plan(
     kb: KnowledgeBase,
     statement: "RetrieveStatement | str",
-    engine: str = "seminaive",
 ) -> QueryExplanation:
     """Render the evaluation plan of a retrieve statement without running it.
 
     *statement* is a parsed :class:`RetrieveStatement` or its source text
-    (a bare conjunction is accepted and wrapped in ``retrieve``).
+    (a bare conjunction is accepted and wrapped in ``retrieve``).  A bound
+    goal is shown on the goal-directed route it takes while no fresh view
+    answers it (a second miss on one dependency state materialises).
     """
     # Imported here: repro.engine.evaluate reaches this package (through
     # repro.obs.trace) while it is itself being imported.
-    from repro.engine.evaluate import ENGINES
+    from repro.engine.evaluate import goal_verdict, query_conjunction
+    from repro.engine.magic import magic_rewrite
 
-    if engine not in ENGINES:
-        raise EngineError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     parsed = _as_statement(statement)
-    # Mirror retrieve's subject validation: explaining a statement that
-    # execution would reject must fail the same way.
-    if parsed.subject.is_comparison():
-        raise EngineError("the subject of retrieve may not be a comparison")
-    if kb.has_predicate(parsed.subject.predicate):
-        kb.schema(parsed.subject.predicate).check_arity(parsed.subject.arity)
-    else:
-        qualifier_vars = {
-            v for atom in parsed.qualifier for v in atom.variables()
-        }
-        missing = [
-            v for v in parsed.subject.variables() if v not in qualifier_vars
-        ]
-        if missing:
-            names = ", ".join(v.name for v in missing)
-            raise SafetyError(
-                f"ad-hoc subject variable(s) {names} do not occur in the qualifier"
-            )
-    conjuncts: list[Atom] = [parsed.subject, *parsed.qualifier]
+    # retrieve's own validation and conjunction: explaining a statement
+    # that execution would reject fails the same way.
+    conjuncts = list(query_conjunction(kb, parsed.subject, parsed.qualifier)[1])
     negated = list(parsed.negated_qualifier)
     estimate = _cold_estimator(kb)
     notes = [
@@ -316,30 +297,24 @@ def explain_plan(
         summary_for(kb), _relevant_idb(kb, conjuncts + negated)
     )
 
-    if engine == "magic":
-        from repro.engine.magic import magic_rewrite
-
-        program = magic_rewrite(kb, conjuncts)  # negation raises EngineError here
+    reason = goal_verdict(kb, conjuncts, negated)
+    program = None
+    if reason == "bound":  # no negation: the rewritten program is what runs
+        reason, program = "cold", magic_rewrite(kb, conjuncts)
         notes.append(
             f"magic-sets rewrite: {program.adorned_predicates} adorned call patterns, "
             f"{program.magic_rules} magic rules"
         )
-        inner_estimate = _cold_estimator(program.kb)
-        strata = _strata_for(program.kb, [program.goal], inner_estimate)
-        query_steps = _kernel_steps([program.goal], [], inner_estimate)
-        answer_variables = [str(v) for v in program.goal.variables()]
-    else:
-        strata = _strata_for(kb, conjuncts + negated, estimate)
-        kernel = compile_conjunction_kernel(conjuncts, negated, estimate=estimate)
-        query_steps = list(kernel.described)
-        answer_variables = [str(v) for v in kernel.schema]
-
+        kb, conjuncts, estimate = program.kb, [program.goal], _cold_estimator(program.kb)
+    kernel = compile_conjunction_kernel(conjuncts, negated, estimate=estimate)
+    schema = kernel.schema if program is None else program.schema
     return QueryExplanation(
         statement=str(parsed),
-        engine=engine,
-        strata=strata,
-        query_steps=query_steps,
-        answer_variables=answer_variables,
+        route="materialise" if program is None else "goal_directed",
+        reason=reason,
+        strata=_strata_for(kb, conjuncts + negated, estimate),
+        query_steps=list(kernel.described),
+        answer_variables=[str(v) for v in schema],
         notes=notes,
         analysis=analysis,
     )

@@ -139,7 +139,6 @@ class KnowledgeServer:
         host: str = "127.0.0.1",
         port: int = 0,
         pool_size: int = 4,
-        engine: str = "seminaive",
         trace: bool = True,
         drain_timeout: float = 5.0,
     ) -> None:
@@ -147,7 +146,7 @@ class KnowledgeServer:
 
         self.catalog = catalog
         self.pool = pool if pool is not None else SessionPool(
-            size=pool_size, engine=engine, trace=trace
+            size=pool_size, trace=trace
         )
         tier_table = tiers if tiers is not None else default_tiers(self.pool.size)
         self.tiers = {name: TierState(tier) for name, tier in tier_table.items()}

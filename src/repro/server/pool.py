@@ -71,14 +71,12 @@ class SessionPool:
     def __init__(
         self,
         size: int = 4,
-        engine: str = "seminaive",
         style: str = "standard",
         trace: bool = False,
     ) -> None:
         if size < 1:
             raise ValueError(f"pool size must be at least 1, got {size}")
         self.size = size
-        self.engine = engine
         self.style = style
         self.trace = trace
         self._threads = ThreadPoolExecutor(
@@ -88,6 +86,7 @@ class SessionPool:
         self._lock = threading.Lock()
         self.queries = 0
         self.session_builds = 0
+        self.goal_directed = 0  # evaluated reads answered goal-directed
         #: The answer memo (statement text -> outcome) and the one snapshot
         #: it belongs to.  Event-loop thread only, hence no lock.
         self._answers: OrderedDict[str, QueryOutcome] = OrderedDict()
@@ -108,12 +107,7 @@ class SessionPool:
         cached = getattr(self._local, "slot", None)
         if cached is not None and cached[0] == snapshot.snapshot_id:
             return cached[1]
-        session = Session(
-            snapshot.kb,
-            engine=self.engine,
-            style=self.style,
-            trace=self.trace,
-        )
+        session = Session(snapshot.kb, style=self.style, trace=self.trace)
         self._local.slot = (snapshot.snapshot_id, session)
         with self._lock:
             self.session_builds += 1
@@ -139,18 +133,23 @@ class SessionPool:
             self.queries += 1
         started = time.perf_counter()
         tracer = session.tracer
+        routed = session.cache.stats.goal_directed
         if tracer is None:
             result = session.query(statement, guard=guard)
-            return QueryOutcome(result, snapshot, time.perf_counter() - started)
-        with tracer.span(
-            "server.request",
-            snapshot_id=snapshot.snapshot_id,
-            snapshot_token=snapshot.token,
-            **(attributes or {}),
-        ):
-            tracer.count("server_requests")
-            result = session.query(statement, guard=guard)
-        trace = tracer.last.as_dict() if tracer.last is not None else None
+        else:
+            with tracer.span(
+                "server.request",
+                snapshot_id=snapshot.snapshot_id,
+                snapshot_token=snapshot.token,
+                **(attributes or {}),
+            ):
+                tracer.count("server_requests")
+                result = session.query(statement, guard=guard)
+        last = tracer.last if tracer is not None else None
+        trace = last.as_dict() if last is not None else None
+        if session.cache.stats.goal_directed != routed:
+            with self._lock:
+                self.goal_directed += 1
         return QueryOutcome(result, snapshot, time.perf_counter() - started, trace)
 
     # -- async side (event loop) --------------------------------------------------
@@ -215,7 +214,7 @@ class SessionPool:
             "size": self.size,
             "queries": self.queries,
             "session_builds": self.session_builds,
-            "engine": self.engine,
+            "goal_directed": self.goal_directed,
             "traced": self.trace,
             "answer_hits": self.answer_hits,
             "answer_misses": self.answer_misses,

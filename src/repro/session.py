@@ -57,15 +57,16 @@ QueryResult = Union[
 
 
 class PlanCache(OrderedDict):
-    """A bounded LRU mapping for compiled conjunction kernels.
+    """A bounded LRU mapping for what a retrieve compiled: conjunction
+    kernels and the goal-directed programs of bound goals.
 
-    Keys are ``(kb.rules_version, fingerprint)`` (built by
-    :func:`repro.engine.evaluate._plan_cache_key`), so a rule change keys
-    out every stale plan while fact-only mutations keep plans warm — that
-    is the point: a repeat point lookup after EDB churn misses the
-    statement memo (its key embeds relation versions) but still skips
-    query-plan compilation.  Entries under dead rule versions age out of
-    the LRU bound.
+    Keys start with ``kb.rules_version`` and go on with the conjunction's
+    atoms or, for a goal-directed program, its shape
+    (:func:`repro.engine.magic.goal_shape`), so a rule change keys out
+    every stale plan while fact-only mutations keep plans warm — that is
+    the point: a repeat lookup after EDB churn misses the statement memo
+    (its key embeds relation versions) but still skips rewriting and
+    compilation.  Entries under dead rule versions age out of the LRU bound.
     """
 
     def __init__(self, limit: int = 256) -> None:
@@ -164,7 +165,6 @@ class Session:
     def __init__(
         self,
         kb: KnowledgeBase | None = None,
-        engine: str = "seminaive",
         style: str = "standard",
         config: SearchConfig | None = None,
         guard: ResourceGuard | None = None,
@@ -184,7 +184,6 @@ class Session:
             self.kb = open_durable(durable, kb=kb, tracer=tracer_arg)
         else:
             self.kb = kb if kb is not None else KnowledgeBase()
-        self.engine = engine
         self.style = style
         self.config = config
         #: Compiled-plan cache for retrieve conjunctions (see
@@ -257,7 +256,6 @@ class Session:
             "query",
             statement=str(statement),
             kind=type(statement).__name__,
-            engine=self.engine,
         ):
             try:
                 return self._dispatch(statement, active, tracer)
@@ -333,8 +331,6 @@ class Session:
         """
         if self.cache is None:
             return self._retrieve_cold(statement, guard, tracer)
-        if guard is not None:
-            guard.check()  # a memo hit must still observe cancellation
         atoms = (
             statement.subject,
             *statement.qualifier,
@@ -343,23 +339,10 @@ class Session:
         predicates = sorted(
             {atom.predicate for atom in atoms if not atom.is_comparison()}
         )
-        key = self.cache.statement_key(
-            "retrieve",
-            str(statement),
-            self.engine,
+        return self._memoized(
+            "retrieve", statement, self._retrieve_cold, guard, tracer,
             self.cache.dependency_fingerprint(predicates),
         )
-        memoized = self.cache.lookup_statement(key)
-        if memoized is not None:
-            if tracer is not None:
-                tracer.count("statement_memo_hits")
-            return memoized
-        if tracer is not None:
-            tracer.count("statement_memo_misses")
-        result = self._retrieve_cold(statement, guard, tracer)
-        if _complete(result):
-            self.cache.store_statement(key, result)
-        return result
 
     def _retrieve_cold(
         self, statement: RetrieveStatement, guard, tracer=None
@@ -368,7 +351,6 @@ class Session:
             self.kb,
             statement.subject,
             statement.qualifier,
-            engine=self.engine,
             negated_qualifier=statement.negated_qualifier,
             guard=guard,
             cache=self.cache,
@@ -378,12 +360,13 @@ class Session:
 
     # -- knowledge-query memo ----------------------------------------------------------
 
-    def _memoized(self, kind, statement, evaluate, guard, tracer=None):
-        """Evaluate a knowledge query through the cache's statement memo.
+    def _memoized(self, kind, statement, evaluate, guard, tracer=None, *depends):
+        """Evaluate a query through the cache's statement memo.
 
         Describe/compare answers depend on the rule and constraint sets
-        only — never on stored facts — so the memo key is the statement text
-        plus the answer-shaping knobs; the catalog versions are embedded by
+        only — never on stored facts — so the memo key is the statement
+        plus the answer-shaping knobs (*depends* replaces them: a retrieve's
+        dependency fingerprint); the catalog versions are embedded by
         :meth:`ViewCache.statement_key`.  Degraded (budget-tripped) results
         are returned but not stored: a cached answer must be complete.
         """
@@ -392,7 +375,7 @@ class Session:
         if guard is not None:
             guard.check()  # a memo hit must still observe cancellation
         key = self.cache.statement_key(
-            kind, str(statement), self.style, repr(self.config)
+            kind, statement, *(depends or (self.style, repr(self.config)))
         )
         memoized = self.cache.lookup_statement(key)
         if memoized is not None:

@@ -6,11 +6,11 @@ import pytest
 from repro.core import describe
 from repro.core.search import SearchConfig
 from repro.core.transform import transform_rules
-from repro.engine import ENGINES, SemiNaiveEngine, retrieve
+from repro.engine import SemiNaiveEngine, retrieve
 from repro.datasets import genealogy_kb
 from repro.catalog.database import KnowledgeBase
 from repro.lang.parser import parse_atom, parse_body, parse_rule
-from tests.oracle import reference_answers
+from tests.oracle import ROUTES, forced_retrieve, reference_answers
 
 
 @pytest.fixture
@@ -128,14 +128,22 @@ class TestAnswerCaps:
 
 class TestEnginePlumbing:
     def test_session_magic_engine(self, uni):
+        """A session takes the magic route by itself for a bound goal on a
+        recursive predicate, and only for that."""
         from repro.session import Session
 
-        session = Session(uni, engine="magic")
+        session = Session(uni)
         result = session.query("retrieve honor(X) where enroll(X, databases)")
         assert sorted(result.values()) == ["ann", "bob", "carol"]
+        assert session.cache_stats()["goal_directed"] == 0
+        result = session.query("retrieve prior(databases, Y)")
+        assert sorted(result.values()) == ["datastructures", "programming"]
+        assert session.cache_stats()["goal_directed"] == 1
 
     def test_genealogy_engines_agree(self, royals):
         for subject in ("ancestor(george, Y)", "cousin(X, Y)", "sibling(charles, Y)"):
             baseline = reference_answers(royals, parse_atom(subject))
-            for engine in ENGINES:
-                assert retrieve(royals, parse_atom(subject), engine=engine).to_set() == baseline
+            assert retrieve(royals, parse_atom(subject)).to_set() == baseline
+            for route in ROUTES:
+                answers = forced_retrieve(route, royals, parse_atom(subject)).to_set()
+                assert answers == baseline, route

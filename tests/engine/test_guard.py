@@ -22,6 +22,7 @@ from repro.errors import (
 )
 from repro.lang.parser import parse_atom, parse_body, parse_rule
 from repro.session import Session
+from tests.oracle import forced_retrieve
 
 
 def chain_kb(n: int) -> KnowledgeBase:
@@ -80,7 +81,7 @@ class TestFactBudget:
         kb = chain_kb(40)
         guard = ResourceGuard(max_facts=30)
         with pytest.raises(ResourceExhausted) as info:
-            list(retrieve(kb, parse_atom("path(X, Y)"), engine=engine, guard=guard).rows)
+            forced_retrieve(engine, kb, parse_atom("path(X, Y)"), guard=guard)
         assert info.value.budget == "facts"
         assert info.value.consumed >= 30
         assert isinstance(info.value, ReproError)

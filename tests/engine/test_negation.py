@@ -9,15 +9,14 @@ from repro.lang.parser import parse_atom, parse_body, parse_rule
 from tests.oracle import reference_answers
 
 #: Magic-sets rewriting covers positive programs only, so negation has one
-#: engine; the second opinion is the reference evaluator.
+#: route (``retrieve`` takes it by itself; the parameter only keeps the
+#: test ids); the second opinion is the reference evaluator.
 ENGINES = ("seminaive",)
 
 
 def checked_retrieve(kb, subject, qualifier=(), negated=(), engine="seminaive"):
     """``retrieve``, cross-checked against the reference evaluator."""
-    result = retrieve(
-        kb, subject, qualifier, engine=engine, negated_qualifier=negated
-    )
+    result = retrieve(kb, subject, qualifier, negated_qualifier=negated)
     assert result.to_set() == reference_answers(kb, subject, qualifier, negated)
     return result
 
@@ -118,7 +117,6 @@ class TestNegationInQualifiers:
                 marriage_kb,
                 parse_atom("witness(X)"),
                 parse_body("foreign(X)"),
-                engine=engine,
                 negated_qualifier=parse_body("married(W)"),
             )
 

@@ -180,6 +180,25 @@ class TestPlanCaching:
         engine = SemiNaiveEngine(chain_graph_kb(10))
         engine.derived_relation("path")
         # Two rules; the recursive one also has a delta kernel.
-        keys = set(engine._kernels)
+        assert list(engine._compiled) == [("path",)]
+        keys = set(engine._compiled["path",].kernels)
         assert (0, -1) in keys and (1, -1) in keys
         assert any(delta >= 0 for _, delta in keys)
+
+    def test_a_kept_mapping_compiles_each_stratum_once(self):
+        from repro.datasets import chain_graph_kb
+
+        kb = chain_graph_kb(10)
+        compiled: dict = {}
+        first = SemiNaiveEngine(kb, compiled=compiled).derived_relation("path")
+        kernels = dict(compiled["path",].kernels)
+        kb.add_fact("edge", "n10", "n11")
+        second = SemiNaiveEngine(kb, compiled=compiled).derived_relation("path")
+        assert len(second) == len(first) + 11
+        assert compiled["path",].kernels == kernels  # the same objects, refired
+        compiled["path",].release()
+        assert all(
+            step._cache_rel is None
+            for kernel in kernels.values()
+            for step in kernel.kernel.steps
+        )

@@ -154,7 +154,8 @@ class TestDeltaDrivenFixpoint:
     def test_every_delta_kernel_scans_its_delta_first(self):
         engine = SemiNaiveEngine(self.kb("non_linear"))
         engine.evaluate()
-        variants = {key: k for key, k in engine._kernels.items() if key[1] >= 0}
+        (stratum,) = engine._compiled.values()
+        variants = {key: k for key, k in stratum.kernels.items() if key[1] >= 0}
         assert sorted(variants) == [(1, 0), (1, 1)]
         for kernel in variants.values():
             first, second = kernel.kernel.described

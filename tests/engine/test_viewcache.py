@@ -172,6 +172,61 @@ class TestInvalidation:
         assert cache.evaluate(["path"])["path"] is before
 
 
+class TestGoalDirectedRoute:
+    """What the ``cache.probe`` span of each read says about its route."""
+
+    def probes(self, session, statement):
+        session.query(statement)
+        return [
+            {k: v for k, v in span.attributes.items() if k != "predicates"}
+            for span in session.last_trace.find("cache.probe")
+        ]
+
+    def test_every_route_names_itself_and_its_reason(self):
+        session = Session(chain_kb(), trace=True)
+        read = lambda node: self.probes(session, f"retrieve path({node}, Y)")  # noqa: E731
+        assert read(0) == [{"outcome": "goal_directed", "reason": "cold"}]
+        assert read(0) == []  # the statement memo answered: no probe at all
+        assert read(1) == [
+            {"outcome": "recompute", "reason": "cold", "not_goal_directed": "second_miss"}
+        ]
+        assert read(2) == [{"outcome": "hit", "not_goal_directed": "fresh_view"}]
+        session.kb.add_fact("edge", 10, 11)
+        assert read(3) == [{"outcome": "goal_directed", "reason": "stale"}]
+        assert read(4) == [
+            {"outcome": "recompute", "reason": "recursive", "not_goal_directed": "second_miss"}
+        ]
+        assert self.probes(session, "retrieve path(X, Y)") == [
+            {"outcome": "hit", "not_goal_directed": "free_goal"}
+        ]
+        stats = session.cache_stats()
+        assert (stats["goal_directed"], stats["misses"], stats["hits"]) == (2, 2, 2)
+        assert stats["hit_rate"] == round(2 / 6, 4)
+
+    def test_negation_and_non_recursive_reads_say_so_or_nothing(self):
+        session = Session(layered_kb(), trace=True)
+        session.load(
+            "path(X, Y) <- edge(X, Y). path(X, Y) <- edge(X, Z) and path(Z, Y)."
+            " oneway(X, Y) <- path(X, Y) and not path(Y, X)."
+        )
+        assert self.probes(session, "retrieve oneway(0, Y)") == [
+            {"outcome": "recompute", "reason": "cold", "not_goal_directed": "negation"}
+        ]
+        # No recursion read: no candidate, nothing to say.
+        assert self.probes(session, "retrieve two(0, Z)") == [
+            {"outcome": "recompute", "reason": "cold"}
+        ]
+
+    def test_a_forced_probe_never_defers(self):
+        kb = chain_kb()
+        cache = ViewCache(kb)
+        assert cache.evaluate(["path"], goal="bound") is None  # left to the goal
+        assert cache.stats.goal_directed == 1 and not cache._views
+        assert len(cache.evaluate(["path"])["path"]) == 55  # no verdict: materialise
+        cache.clear()
+        assert cache.evaluate(["path"], goal="bound") is None  # clear() forgets the miss
+
+
 class TestEviction:
     def test_lru_rows_budget(self):
         kb = chain_kb(12)  # path has 78 rows

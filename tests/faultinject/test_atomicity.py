@@ -33,6 +33,7 @@ from repro.engine.guard import ResourceGuard
 from repro.engine.provenance import explain_statement
 from repro.engine.viewcache import ViewCache
 from repro.lang.parser import parse_atom, parse_rule
+from tests.oracle import forced_retrieve
 
 #: Seed for injection-point selection; override with FAULTINJECT_SEED.
 SEED = int(os.environ.get("FAULTINJECT_SEED", "20260806"))
@@ -193,9 +194,9 @@ def drive(scenario: str, make, run, snapshot=None):
     )
 
 
-def run_query(engine: str):
+def run_query(route: str):
     def run(kb, guard):
-        result = retrieve(kb, parse_atom("path(X, Y)"), engine=engine, guard=guard)
+        result = forced_retrieve(route, kb, parse_atom("path(X, Y)"), guard=guard)
         return frozenset(result.rows)
 
     return run

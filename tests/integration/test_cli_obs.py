@@ -38,7 +38,7 @@ class TestExplainCommand:
     def test_explains_every_example_program(self, capsys, program, query):
         assert main(["explain", "--load", str(EXAMPLES / program), query]) == 0
         out = capsys.readouterr().out
-        assert "engine: seminaive" in out
+        assert "route: " in out
         assert "stratum 1" in out
         assert "query conjunction:" in out
 
@@ -52,13 +52,19 @@ class TestExplainCommand:
     def test_json_output(self, capsys):
         assert main(["explain", "--dataset", "university", "honor(X)", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["engine"] == "seminaive"
+        assert (payload["route"], payload["reason"]) == ("materialise", None)
         assert payload["strata"][0]["predicates"] == ["honor"]
 
     def test_magic_engine(self, capsys):
-        args = ["explain", "--dataset", "university", "honor(ann)", "--engine", "magic"]
+        """A bound goal on a recursive predicate explains as the magic
+        route, with the reason; nothing selects it."""
+        args = ["explain", "--dataset", "university", "prior(databases, Y)"]
         assert main(args) == 0
-        assert "magic-sets rewrite" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "route: goal_directed (cold)" in out
+        assert "magic-sets rewrite" in out
+        assert main(["explain", "--dataset", "university", "prior(X, Y)"]) == 0
+        assert "route: materialise (free_goal)" in capsys.readouterr().out
 
     def test_bad_statement_exits_2(self, capsys):
         assert main(["explain", "--dataset", "university", "nonexistent(X)"]) == 2

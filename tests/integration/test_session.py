@@ -9,7 +9,7 @@ from repro.core.answers import DescribeResult
 from repro.core.compare import ConceptComparison
 from repro.core.necessity import NecessityResult
 from repro.core.possibility import PossibilityResult
-from repro.engine.evaluate import ENGINES, RetrieveResult
+from repro.engine.evaluate import RetrieveResult
 from repro.lang.parser import parse_atom, parse_body
 from tests.oracle import reference_answers
 
@@ -78,14 +78,22 @@ class TestQueryDispatch:
         assert isinstance(result, ConceptComparison)
 
     def test_engine_selection(self, uni):
-        expected = reference_answers(
+        """The selection is the session's own: nothing to pass, and the
+        counters say which route each statement took."""
+        with pytest.raises(TypeError):
+            Session(uni, engine="magic")
+        session = Session(uni)
+        result = session.query("retrieve honor(X) where enroll(X, databases)")
+        assert sorted(result.values()) == ["ann", "bob", "carol"]
+        assert result.to_set() == reference_answers(
             uni, parse_atom("honor(X)"), parse_body("enroll(X, databases)")
         )
-        for engine in ENGINES:
-            session = Session(uni, engine=engine)
-            result = session.query("retrieve honor(X) where enroll(X, databases)")
-            assert sorted(result.values()) == ["ann", "bob", "carol"]
-            assert result.to_set() == expected
+        assert session.cache_stats()["goal_directed"] == 0  # no recursion read
+        result = session.query("retrieve prior(databases, Y)")
+        assert result.to_set() == reference_answers(
+            uni, parse_atom("prior(databases, Y)")
+        )
+        assert session.cache_stats()["goal_directed"] == 1
 
     def test_mixed_negated_and_positive_rejected(self, uni):
         with pytest.raises(CoreError):

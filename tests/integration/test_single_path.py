@@ -20,15 +20,17 @@ positive non-recursive one is repaired in one pass), so no threshold
 parameter, maintenance strategy or standalone maintained-database API may
 grow back.
 
-The answer half: ids become constants once, at the answer — under either
-engine ``retrieve`` builds no substitution, externalizes in exactly one
+The answer half: ids become constants once, at the answer — on either
+route ``retrieve`` builds no substitution, externalizes in exactly one
 bulk call however many rows it returns, and leaves the derived relation
 it read id-only (the flush of the fixpoint table is not a boundary).
 
-The strategy half: two engines, both the one bottom-up evaluator (run on
-the program as written, or on its magic-sets rewriting).  The tabled
-top-down engine, its selector value and the legacy fact caps may not grow
-back, and the tuple-at-a-time join operators answer no query.
+The strategy half: two routes, both the one bottom-up evaluator (run on
+the program as written, or on its magic-sets rewriting), chosen by the
+code from what it observes.  No ``engine`` parameter, ``ENGINES`` tuple or
+``--engine`` flag may grow back — a test forces a route by calling its
+producer — and neither may the tabled top-down engine or the legacy fact
+caps; the tuple-at-a-time join operators answer no query.
 
 The table half: one backend and two shapes of a ``Relation`` (the constant
 row dict and its id-tuple mirror).  The array backend, its module, its
@@ -59,7 +61,7 @@ import repro.engine
 from repro.catalog.relation import Relation
 from repro.catalog.symbols import SymbolTable
 from repro.cli import main
-from repro.engine import ENGINES, SemiNaiveEngine, evaluate_conjunction, retrieve
+from repro.engine import SemiNaiveEngine, evaluate_conjunction, retrieve
 from repro.engine import kernels
 from repro.engine.kernels import (
     compile_conjunction_kernel,
@@ -69,7 +71,7 @@ from repro.engine.kernels import (
 from repro.engine.incremental import MaterializedDatabase
 from repro.engine.magic import magic_conjunction, magic_rewrite
 from repro.engine.viewcache import ViewCache
-from repro.errors import CatalogError, EngineError
+from repro.errors import CatalogError
 from repro.lang.parser import parse_atom
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Constant
@@ -79,7 +81,7 @@ from repro.server import MultiVersionCatalog, SessionPool
 from repro.session import Session
 
 from tests.engine.test_guard import chain_kb
-from tests.oracle import reference_answers
+from tests.oracle import ROUTES, forced_retrieve, reference_answers
 
 ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = ROOT / "src" / "repro"
@@ -281,8 +283,9 @@ def _count_calls(monkeypatch, owner, name, calls):
 
 
 def test_seminaive_retrieve_externalizes_once_at_the_answer(monkeypatch):
-    # Both engines, despite the name (kept for the test-id record).
-    for engine in ENGINES:
+    # Both routes and the routed default, despite the name (kept for the
+    # test-id record).
+    for engine in (None, *ROUTES):
         calls_by_size = {}
         for length in (10, 45):  # 55 and 1035 answer rows
             kb = chain_kb(length)
@@ -294,7 +297,10 @@ def test_seminaive_retrieve_externalizes_once_at_the_answer(monkeypatch):
                 _count_calls(patch, SymbolTable, "extern_rows", calls)
                 _count_calls(patch, SymbolTable, "extern_block", calls)
                 _count_calls(patch, Constant, "__hash__", calls)
-                result = retrieve(kb, subject, engine=engine)
+                if engine is None:
+                    result = retrieve(kb, subject)
+                else:
+                    result = forced_retrieve(engine, kb, subject)
             assert len(result.rows) == length * (length + 1) // 2
             assert result.to_set() == expected
             assert "__init__" not in calls, engine  # no Substitution was built
@@ -327,9 +333,8 @@ def test_the_topdown_engine_is_gone():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.engine.topdown")
     assert "TopDownEngine" not in repro.engine.__all__
-    assert ENGINES == ("seminaive", "magic")
     assert not hasattr(explain, "_ENGINES")
-    with pytest.raises(EngineError, match="seminaive.*magic"):
+    with pytest.raises(TypeError):
         retrieve(chain_kb(3), parse_atom("path(X, Y)"), engine="topdown")
 
 
@@ -342,14 +347,34 @@ def test_the_topdown_engine_is_gone():
     ids=["shell", "subcommand"],
 )
 def test_every_cli_engine_flag_reads_the_one_engine_list(argv, monkeypatch, capsys):
+    # The one list is empty now (ids kept for the record): no site takes
+    # the flag, and each answers without it.
     with pytest.raises(SystemExit) as exit_info:
-        main([arg.format("topdown") for arg in argv])
+        main([arg.format("magic") for arg in argv])
     assert exit_info.value.code == 2
-    assert "invalid choice: 'topdown'" in capsys.readouterr().err
-    # ...and the shell takes magic, which its own tuple used to refuse.
+    assert "unrecognized arguments: --engine" in capsys.readouterr().err
     monkeypatch.setattr("sys.stdin", io.StringIO("retrieve honor(X)\n"))
-    assert main([arg.format("magic") for arg in argv]) == 0
+    assert main([arg for arg in argv if arg not in ("--engine", "{}")]) == 0
     assert "ann" in capsys.readouterr().out
+
+
+def test_no_function_takes_an_engine_parameter():
+    """The route is chosen by ``evaluate._answer_batch``; nothing under
+    ``src/repro`` may offer it as an argument, a tuple or a flag again."""
+    offenders = []
+    for source in sorted(PACKAGE.rglob("*.py")):
+        text = source.read_text()
+        where = str(source.relative_to(ROOT))
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                spec = node.args
+                names = [a.arg for a in spec.posonlyargs + spec.args + spec.kwonlyargs]
+                if "engine" in names:
+                    offenders.append(f"{where}:{node.lineno} {node.name}(engine)")
+        for retired in ("ENGINES", "--" + "engine", "engine="):
+            if retired in text:
+                offenders.append(f"{where}: {retired}")
+    assert offenders == []
 
 
 @pytest.mark.parametrize(

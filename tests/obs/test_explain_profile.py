@@ -16,7 +16,7 @@ from repro.session import Session
 class TestExplain:
     def test_nonrecursive_plan_structure(self, uni):
         explanation = explain_plan(uni, "retrieve honor(X)")
-        assert explanation.engine == "seminaive"
+        assert explanation.route == "materialise"
         assert explanation.answer_variables == ["X"]
         strata = explanation.strata
         assert [s.recursive for s in strata] == [False]
@@ -76,17 +76,26 @@ class TestExplain:
         assert any("enroll" in step for step in explanation.query_steps)
 
     def test_magic_engine_explains_rewritten_program(self, uni):
-        explanation = explain_plan(
-            uni, "retrieve honor(ann)", engine="magic"
-        )
+        explanation = explain_plan(uni, "retrieve prior(databases, Y)")
+        assert (explanation.route, explanation.reason) == ("goal_directed", "cold")
         rendered = explanation.format()
-        assert "magic" in rendered
+        assert "route: goal_directed (cold)" in rendered
+        assert "magic_prior__bf" in rendered
         assert any("magic-sets rewrite" in note for note in explanation.notes)
+        assert explanation.answer_variables == ["Y"]
+
+    def test_route_and_reason_are_the_verdict_of_a_first_evaluation(self, uni):
+        assert explain_plan(uni, "retrieve prior(X, Y)").reason == "free_goal"
+        negated = explain_plan(
+            uni, "retrieve w(Y) where prior(databases, Y) and not prereq(databases, Y)"
+        )
+        assert (negated.route, negated.reason) == ("materialise", "negation")
+        assert "route: materialise (negation)" in negated.format()
 
     def test_format_and_as_dict_agree(self, uni):
         explanation = explain_plan(uni, "retrieve honor(X)")
         tree = explanation.as_dict()
-        assert tree["engine"] == "seminaive"
+        assert (tree["route"], tree["reason"]) == ("materialise", None)
         assert tree["strata"][0]["predicates"] == ["honor"]
         assert explanation.format()  # renders without raising
 

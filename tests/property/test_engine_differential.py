@@ -1,20 +1,20 @@
-"""Cross-engine differential testing on randomized positive programs.
+"""Routed vs reference: differential testing on randomized positive programs.
 
 The baseline is the reference evaluator (``repro.engine.reference``: the
 tuple-at-a-time semi-naive loop, kept as a test oracle and reachable from
-no production path).  Every engine configuration the repo ships —
-
-* semi-naive bottom-up over the integer kernels,
-* magic-sets rewriting followed by semi-naive evaluation,
-
-— must produce the baseline's answer set for every data query.  Hypothesis
+no production path).  ``retrieve`` — which picks its own route: semi-naive
+bottom-up over the integer kernels for a free goal, the magic-sets
+rewriting for a goal that binds the recursion it reads — must produce the
+baseline's answer set for every data query.  Hypothesis
 generates random safe programs (layered non-recursive programs with
 comparisons, and recursive graph programs) plus full-scan and
 bound-constant subjects; any divergence shrinks to a minimal program.
+Each route forced against the other, across every adornment and through
+writes, is ``test_goal_routing.py``.
 
-Programs stay in the positive fragment because the magic-sets rewrite
-rejects negation by design; parity with the reference *under* negation is
-covered by ``test_executor_parity.py``.
+Programs stay in the positive fragment; parity with the reference *under*
+negation (always the materialising route) is covered by
+``test_executor_parity.py``.
 
 The per-test example count follows ``DIFFERENTIAL_EXAMPLES`` (default 30
 for quick local runs); CI raises it so the three tests together evaluate
@@ -29,13 +29,13 @@ from hypothesis import strategies as st
 
 from repro.catalog.database import KnowledgeBase
 from repro.datasets import chain_graph_kb
-from repro.engine import ENGINES, retrieve
+from repro.engine import retrieve
 from repro.lang.parser import parse_atom
 from repro.logic.atoms import Atom, comparison
 from repro.logic.clauses import Rule
 from repro.logic.terms import Constant, Variable
 
-from tests.oracle import reference_answers, reference_rows
+from tests.oracle import ROUTES, forced_retrieve, reference_answers, reference_rows
 
 EXAMPLES = int(os.environ.get("DIFFERENTIAL_EXAMPLES", "30"))
 
@@ -43,21 +43,15 @@ CONSTANTS = ["a", "b", "c", "d", "e"]
 VARIABLES = [Variable(n) for n in ("X", "Y", "Z", "W")]
 
 
-#: Every engine checked against the reference evaluator.
-CONFIGS = ENGINES
-
-
 def assert_engines_agree(kb, subject):
-    """Every engine configuration returns the reference answer set."""
+    """The routed ``retrieve`` returns the reference answer set."""
     baseline = reference_answers(kb, subject)
-    rules = "\n".join(str(rule) for rule in kb.rules())
-    for engine in CONFIGS:
-        rows = retrieve(kb, subject, engine=engine).to_set()
-        assert rows == baseline, (
-            f"{engine} diverged from the reference evaluator on {subject}:\n"
-            f"  baseline={sorted(baseline)}\n  got={sorted(rows)}\n"
-            f"program:\n{rules}"
-        )
+    rows = retrieve(kb, subject).to_set()
+    assert rows == baseline, (
+        f"retrieve diverged from the reference evaluator on {subject}:\n"
+        f"  baseline={sorted(baseline)}\n  got={sorted(rows)}\n"
+        "program:\n" + "\n".join(str(rule) for rule in kb.rules())
+    )
 
 
 @st.composite
@@ -181,7 +175,8 @@ def test_bound_subjects_agree(program, data):
 
 
 def test_deep_chain_goals_agree():
-    """Bound and half-bound goals 400 derivation steps deep, both engines.
+    """Bound and half-bound goals 400 derivation steps deep, routed and on
+    each forced route.
 
     The reference closure is materialised once (its tuple-at-a-time loop
     is the slow side) and each goal's expected answer is read off it.
@@ -196,5 +191,6 @@ def test_deep_chain_goals_agree():
             if all(arg in VARIABLES or arg == value for value, arg in zip(row, subject.args))
         }
         assert expected, goal
-        for engine in CONFIGS:
-            assert retrieve(kb, subject, engine=engine).to_set() == expected, (engine, goal)
+        assert retrieve(kb, subject).to_set() == expected, goal
+        for route in ROUTES:
+            assert forced_retrieve(route, kb, subject).to_set() == expected, (route, goal)

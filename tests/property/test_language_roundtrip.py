@@ -15,8 +15,13 @@ from repro.logic.clauses import Rule
 from repro.logic.terms import Constant, Variable
 
 variables = st.sampled_from([Variable(n) for n in ("X", "Y", "Z", "Gpa")])
+#: Strings the lexer would not read back bare: numerals, spaces, quotes,
+#: backslashes, reserved words, capitals, the empty string.
+AWKWARD = ("1", "-2", "3.5", "New York", "where", "true", "X", "_x", "", 'say "hi"', "a\\b", "é")
+
 constants = st.one_of(
-    st.sampled_from([Constant(v) for v in ("ann", "databases", "f88")]),
+    st.sampled_from([Constant(v) for v in ("ann", "databases", "f88", "x#1")]),
+    st.sampled_from([Constant(v) for v in AWKWARD]),
     st.integers(min_value=-99, max_value=99).map(Constant),
     st.floats(
         min_value=-99, max_value=99, allow_nan=False, allow_infinity=False
@@ -63,6 +68,17 @@ class TestRoundTrip:
     def test_rule_statement_round_trips(self, rule):
         statement = RuleStatement(rule)
         assert parse_statement(str(statement)) == statement
+
+    def test_a_string_constant_does_not_reparse_as_a_number(self):
+        """``p("1")`` used to print as ``p(1)`` and come back an integer."""
+        statement = parse_statement('retrieve p("1", 1, "1.5", 1.5)')
+        values = [arg.value for arg in statement.subject.args]
+        assert values == ["1", 1, "1.5", 1.5]
+        assert str(statement) == 'retrieve p("1", 1, "1.5", 1.5)'
+        assert parse_statement(str(statement)) == statement
+        assert Constant("1") != Constant(1) and str(Constant("1")) != str(Constant(1))
+        for text in AWKWARD:
+            assert parse_rule(f"p({Constant(text)}).").head.args == (Constant(text),)
 
     @settings(max_examples=60, deadline=None)
     @given(atoms())

@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.database import KnowledgeBase
-from repro.engine import ENGINES, retrieve
+from repro.engine import retrieve
 from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule
 from repro.logic.terms import Variable
 
-from tests.oracle import reference_answers
+from tests.oracle import ROUTES, forced_retrieve, reference_answers
 
 CONSTANTS = ["a", "b", "c", "d"]
 VARIABLES = [Variable(n) for n in ("X", "Y", "Z")]
@@ -70,9 +70,9 @@ def layered_program(draw):
     return kb, idb_predicates
 
 
-def full_extension(kb, predicate, arity, engine):
+def full_extension(kb, predicate, arity, route):
     subject = Atom(predicate, VARIABLES[:arity])
-    return retrieve(kb, subject, engine=engine).to_set()
+    return forced_retrieve(route, kb, subject).to_set()
 
 
 class TestRandomPrograms:
@@ -83,8 +83,8 @@ class TestRandomPrograms:
         kb, idb_predicates = program
         for predicate, arity in idb_predicates:
             baseline = reference_answers(kb, Atom(predicate, VARIABLES[:arity]))
-            for engine in ENGINES:
-                assert full_extension(kb, predicate, arity, engine) == baseline
+            for route in ROUTES:
+                assert full_extension(kb, predicate, arity, route) == baseline
 
     @settings(max_examples=20, deadline=None)
     @given(layered_program(), st.sampled_from(CONSTANTS))

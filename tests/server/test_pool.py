@@ -100,11 +100,11 @@ def test_pool_size_validation():
 
 
 def test_stats_shape(catalog):
-    pool = SessionPool(size=3, engine="seminaive", trace=False)
+    pool = SessionPool(size=3, trace=False)
     try:
         stats = pool.stats()
         assert stats["size"] == 3
-        assert stats["engine"] == "seminaive"
+        assert "engine" not in stats and stats["goal_directed"] == 0
         assert stats["queries"] == 0
         assert stats["session_builds"] == 0
         assert stats["traced"] is False
@@ -116,5 +116,7 @@ def test_stats_shape(catalog):
         stats = pool.stats()
         assert [stats[name] for name in memo] == [1, 1, 1]
         assert stats["queries"] == 2
+        # The one evaluated read was a cold bound goal on a recursive view.
+        assert stats["goal_directed"] == 1
     finally:
         pool.shutdown()
