@@ -10,6 +10,7 @@ recursive predicates).
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
 from typing import Iterable, Iterator, Sequence
 
@@ -33,6 +34,9 @@ from repro.logic.typing import (
     is_strongly_linear,
     is_typed_with_respect_to,
 )
+
+#: Issues :attr:`KnowledgeBase.lineage` numbers, one per live knowledge base.
+_LINEAGES = itertools.count()
 
 
 class KnowledgeBase:
@@ -69,6 +73,14 @@ class KnowledgeBase:
         #: bumps both past every mid-transaction value.
         self._rules_version = 0
         self._constraints_version = 0
+        #: Which live knowledge base this state descends from.  The version
+        #: counters above and the relations' own are unique only within one
+        #: knowledge base — two of them can reach equal counters over
+        #: different rows — so whatever compares versions across objects
+        #: (:meth:`dependency_stamp`) compares this too.  Process-unique; a
+        #: published snapshot's frozen clone inherits it, a :meth:`copy` or
+        #: :meth:`with_rules` rewrite starts its own.
+        self._lineage = next(_LINEAGES)
         #: A frozen knowledge base is the payload of a published
         #: :class:`~repro.catalog.snapshot.KBSnapshot`: every mutator
         #: raises, so concurrent readers need no locks.
@@ -148,7 +160,10 @@ class KnowledgeBase:
         """Declare a stored (EDB) predicate."""
         schema = PredicateSchema(name, arity, PredicateKind.EDB, attributes)
         self._register(schema)
-        self._relations[name] = Relation(arity)
+        # Declaring again is a no-op: a fresh relation here would restart the
+        # version counter under rows the version-keyed caches already saw.
+        if name not in self._relations:
+            self._relations[name] = Relation(arity)
         self._autocommit()
         return schema
 
@@ -416,11 +431,68 @@ class KnowledgeBase:
         """Mutation counter over the integrity-constraint set."""
         return self._constraints_version
 
+    @property
+    def lineage(self) -> int:
+        """The live knowledge base this state descends from (its own number,
+        or — for a published snapshot's frozen clone — its source's)."""
+        return self._lineage
+
     def dependency_graph(self) -> DependencyGraph:
         """The (cached) dependency graph of the current rule set."""
         if self._graph is None:
             self._graph = DependencyGraph(self._rules)
         return self._graph
+
+    def stored_versions(
+        self, names: Iterable[str]
+    ) -> tuple[dict[str, int], frozenset[str]]:
+        """``(version of each stored name, the names nothing defines)``.
+
+        Rule-defined and built-in names appear in neither: what they mean
+        is the rule set's business (:attr:`rules_version`).
+        """
+        relations, schemas = self._relations, self._schemas
+        versions: dict[str, int] = {}
+        undefined: set[str] = set()
+        for name in names:
+            relation = relations.get(name)
+            if relation is not None:
+                versions[name] = relation.version
+            elif name not in schemas and not is_builtin_predicate(name):
+                undefined.add(name)
+        return versions, frozenset(undefined)
+
+    def dependency_stamp(self, predicates: Iterable[str] = ()) -> tuple:
+        """Everything an answer over *predicates* is a function of, as one
+        hashable value.
+
+        ``(lineage, rules_version, constraints_version, ((stored name,
+        version), ...), undefined names)``, the last two over the predicates
+        and all they transitively depend on.  Two states with equal stamps
+        give equal answers to any query that reads only these predicates —
+        on this knowledge base, on a later state of it, or on any published
+        snapshot of it — so an answer kept under its stamp never needs
+        invalidating: a mutation it could observe changes the stamp.  A
+        knowledge query (``describe`` / ``compare``) reads rules and
+        constraints only: its stamp is that of no predicates.  This is the
+        one definition behind the session's statement memo
+        (:meth:`ViewCache.dependency_fingerprint
+        <repro.engine.viewcache.ViewCache.dependency_fingerprint>`) and the
+        server's answer memo (:mod:`repro.server.pool`).
+        """
+        predicates = tuple(predicates)
+        names = set(predicates)
+        if predicates:
+            graph = self.dependency_graph()
+            names.update(*map(graph.dependencies, predicates))
+        versions, undefined = self.stored_versions(names)
+        return (
+            self._lineage,
+            self._rules_version,
+            self._constraints_version,
+            tuple(sorted(versions.items())),
+            undefined,
+        )
 
     def is_recursive(self, predicate: str) -> bool:
         """Whether the predicate heads a recursive rule."""

@@ -395,8 +395,10 @@ class Relation:
 
         O(1) when the column's index exists; otherwise computed once and
         memoized until the next mutation — the planner can ask for
-        statistics without forcing an index build (or, of an id-only
-        relation, the row dict: distinct ids are distinct constants).
+        statistics without forcing an index build.  Counted over the id
+        mirror whenever there is one (distinct ids are distinct constants,
+        and hashing an int beats a ``Constant``'s Python-level ``__hash__``);
+        over the rows only while the mirror is dirty.
         """
         if not 0 <= column < self.arity:
             raise ArityError(f"column {column} out of range for arity {self.arity}")
@@ -406,8 +408,8 @@ class Relation:
         cached = self._stats.get(column)
         if cached is not None and cached[0] == self._version:
             return cached[1]
-        rows = self._rows
-        count = len({row[column] for row in (self._introws if rows is None else rows)})
+        mirror = self._introws
+        count = len({row[column] for row in (self._rows if mirror is None else mirror)})
         self._stats[column] = (self._version, count)
         return count
 

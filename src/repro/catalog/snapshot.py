@@ -10,11 +10,14 @@ current at request start and evaluate against it without locks: the
 frozen clone can never change, so a reader observes either all of a
 commit or none of it, never a half-applied delta.
 
-Version counters survive freezing unchanged, so the view cache's
-dependency fingerprints (:meth:`ViewCache.dependency_fingerprint
-<repro.engine.viewcache.ViewCache.dependency_fingerprint>`) mean the
-same thing on a snapshot as on the live catalog — "the view cache keys
-on the pinned fingerprint unchanged".
+Version counters and the lineage survive freezing unchanged, so a
+dependency stamp (:meth:`KnowledgeBase.dependency_stamp
+<repro.catalog.database.KnowledgeBase.dependency_stamp>`) means the same
+thing on a snapshot as on the live catalog — "the view cache keys on the
+pinned fingerprint unchanged" — and on every other snapshot of that
+catalog: an answer stamped on one publication is valid on any later one
+that moved none of the counters the stamp names, which is what lets the
+server's answer memo outlive a commit (:mod:`repro.server.pool`).
 """
 
 from __future__ import annotations
@@ -27,8 +30,12 @@ from repro.errors import CatalogError
 
 #: A knowledge base's full dependency state: the rules/catalog version,
 #: every EDB relation's ``(name, version)`` pair (sorted), and the
-#: constraint-set version.  Equal fingerprints mean equal derivable
-#: content, the same contract the view cache relies on.
+#: constraint-set version.  Within one live knowledge base's publications,
+#: equal fingerprints mean equal derivable content — the same contract the
+#: view cache relies on; two knowledge bases can count their way to the same
+#: vector over different rows, which is why a
+#: :meth:`~repro.catalog.database.KnowledgeBase.dependency_stamp` also
+#: carries the lineage.
 Fingerprint = tuple[int, tuple[tuple[str, int], ...], int]
 
 
@@ -108,7 +115,7 @@ def publish_snapshot(
     version — reuse the previous snapshot's frozen copy outright, keeping
     its lazily built indexes warm across publications.  A commit that
     changed nothing (equal fingerprint) returns *previous* itself, so
-    pooled reader sessions keyed on ``snapshot_id`` stay warm.
+    pooled reader sessions (bound to its frozen knowledge base) stay warm.
 
     Must be called from the writer (no concurrent mutation): the server
     serializes publication under its write lock.
@@ -149,6 +156,7 @@ def publish_snapshot(
     clone._graph = kb._graph
     clone._rules_version = kb._rules_version
     clone._constraints_version = kb._constraints_version
+    clone._lineage = kb._lineage
     clone._frozen = True
     next_id = (
         snapshot_id

@@ -40,8 +40,8 @@ or invalidated, never serving a half-refreshed view.
 
 The cache also memoizes **knowledge-query results** (describe and friends),
 which depend only on the rule and constraint sets — never on stored facts —
-so their key is just ``(statement, style, config, rules_version,
-constraints_version)``.
+so their key is just the statement, the answer-shaping knobs and the
+dependency stamp of no predicates (the two catalog versions).
 
 Only *complete* results are ever cached: an evaluation that tripped a
 resource budget (a sound under-approximation) is returned to the caller but
@@ -334,36 +334,39 @@ class ViewCache:
     def dependency_fingerprint(self, predicates: Sequence[str]) -> tuple:
         """A hashable digest of everything the given predicates depend on.
 
-        Combines the rule-set version, the version of every EDB relation any
-        of the predicates transitively depends on (including the predicates
-        themselves when stored), and the set of undefined dependencies.  Two
-        equal fingerprints guarantee equal answers for any query over these
-        predicates, so results memoized under the fingerprint never need
-        explicit invalidation — a mutation simply changes the key.
+        The knowledge base's :meth:`dependency stamp
+        <repro.catalog.database.KnowledgeBase.dependency_stamp>` of them: the
+        rule- and constraint-set versions, the version of every EDB relation
+        any of the predicates transitively depends on (including the
+        predicates themselves when stored), and the set of undefined
+        dependencies.  Two equal fingerprints guarantee equal answers for
+        any query over these predicates, so results memoized under the
+        fingerprint never need explicit invalidation — a mutation simply
+        changes the key.
         """
-        graph = self._kb.dependency_graph()
-        names = set(predicates).union(*map(graph.dependencies, predicates))
-        edb, undefined = self._profile(names)
-        return (self._kb.rules_version, tuple(sorted(edb.items())), undefined)
+        return self._kb.dependency_stamp(predicates)
 
     # -- statement memo ------------------------------------------------------------
 
-    def statement_key(self, kind: str, statement: object, *extra: object) -> tuple:
+    def statement_key(
+        self, kind: str, statement: object, reads: Sequence[str], *extra: object
+    ) -> tuple:
         """A memo key for a parsed statement under the current catalog
         (the statement itself, not its text: printing cannot tell every
         pair of distinct terms apart).
 
-        Knowledge answers depend on the rule and constraint sets only, never
-        on stored facts, so the key embeds both catalog versions; any rule
-        or constraint change silently orphans old entries (evicted LRU).
+        The key embeds the dependency stamp of *reads*, the predicates whose
+        stored facts the answer is a function of
+        (:meth:`Session.reads <repro.session.Session.reads>`).  Knowledge
+        answers read none — they depend on the rule and constraint sets
+        only — so theirs is the two catalog versions alone; either way a
+        change the answer could observe silently orphans old entries
+        (evicted LRU).  *extra* carries the answer-shaping knobs.
         """
-        return (
-            kind,
-            statement,
-            self._kb.rules_version,
-            self._kb.constraints_version,
-            *extra,
+        stamp = (
+            self.dependency_fingerprint(reads) if reads else self._kb.dependency_stamp()
         )
+        return (kind, statement, stamp, *extra)
 
     def lookup_statement(self, key: tuple) -> object | None:
         """The memoized result under *key*, or ``None``."""
@@ -388,19 +391,8 @@ class ViewCache:
         self, predicate: str
     ) -> tuple[dict[str, int], frozenset[str]]:
         """Current (EDB dependency versions, undefined dependencies)."""
-        return self._profile(self._kb.dependency_graph().dependencies(predicate))
-
-    def _profile(self, names) -> tuple[dict[str, int], frozenset[str]]:
-        """(Version of each stored name, the names nothing defines)."""
         kb = self._kb
-        edb: dict[str, int] = {}
-        undefined: set[str] = set()
-        for name in names:
-            if kb.is_edb(name):
-                edb[name] = kb.relation(name).version
-            elif not kb.is_idb(name) and not kb.is_builtin(name):
-                undefined.add(name)
-        return edb, frozenset(undefined)
+        return kb.stored_versions(kb.dependency_graph().dependencies(predicate))
 
     def _is_fresh(
         self, predicate: str, profile: tuple[dict[str, int], frozenset[str]]

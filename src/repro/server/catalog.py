@@ -79,7 +79,7 @@ class MultiVersionCatalog:
         mutation publishes nothing (readers keep the previous snapshot).
         Returns ``(mutate's return value, the now-current snapshot)``; a
         commit that changed nothing republishes the previous snapshot
-        object, keeping pooled reader sessions keyed on its id warm.
+        object, keeping pooled reader sessions bound to it warm.
         """
         with self._write_lock:
             with self._kb.transaction():

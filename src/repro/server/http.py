@@ -10,9 +10,10 @@ stdlib-only by design, and the protocol surface is four JSON endpoints::
     GET  /healthz
 
 Reads pin the snapshot current at request start and go to the session
-pool — which answers a repeat from its snapshot-keyed answer memo right on
-the event loop and evaluates anything else on a worker thread — never
-blocking, and never blocked by, the writer.  Commits
+pool — which answers a repeat from its answer memo right on the event loop
+(as long as no commit wrote what the statement reads) and evaluates
+anything else on a worker thread — never blocking, and never blocked by,
+the writer.  Commits
 run on a dedicated writer thread through
 :meth:`MultiVersionCatalog.commit
 <repro.server.catalog.MultiVersionCatalog.commit>`, so each one is a
@@ -37,7 +38,8 @@ from repro.server.pool import STAGES, SessionPool
 from repro.server.protocol import (
     STATUS_DRAINING,
     STATUS_NOT_FOUND,
-    encode_query_envelope,
+    encode_answer_tail,
+    encode_snapshot_head,
     error_payload,
 )
 from repro.session import Session
@@ -465,8 +467,10 @@ class KnowledgeServer:
                     state.exhausted += 1
                 raise
         ready = time.perf_counter()
-        if outcome.body is None:
-            outcome.body = encode_query_envelope(outcome.snapshot, outcome.result)
+        answer = outcome.answer
+        if answer.tail is None:  # first response for this answer: kept with it
+            answer.tail = encode_answer_tail(answer.result)
+        head = encode_snapshot_head(outcome.snapshot)
         encoded = time.perf_counter()
         stamps = (request.head_at, request.received, decoded, admitted, ready, encoded)
         stage_ms = {
@@ -476,15 +480,15 @@ class KnowledgeServer:
         totals = self.pool.stage_ms
         for name, ms in stage_ms.items():
             totals[name] += ms
-        tail = f', "elapsed_ms": {round(1e3 * (encoded - admitted), 3)!r}'
+        closing = f', "elapsed_ms": {round(1e3 * (encoded - admitted), 3)!r}'
         if want_trace and outcome.trace is not None:
             attributes = {
                 **outcome.trace.get("attributes", {}),
                 **{name: round(ms, 3) for name, ms in stage_ms.items()},
             }
             trace = {**outcome.trace, "attributes": dict(sorted(attributes.items()))}
-            tail += f', "trace": {json.dumps(trace)}'
-        return 200, outcome.body + tail.encode("ascii") + b"}"
+            closing += f', "trace": {json.dumps(trace)}'
+        return 200, b"".join((head, answer.tail, closing.encode("ascii"), b"}"))
 
     async def _handle_commit(self, request: _HttpRequest) -> tuple[int, dict]:
         body = request.json()

@@ -3,20 +3,28 @@
 Query evaluation is synchronous Python, so the asyncio front end hands
 each admitted request to a small :class:`~concurrent.futures.ThreadPoolExecutor`.
 Each worker thread owns one slot: a cached
-:class:`~repro.session.Session` keyed on the pinned snapshot's id.  While
-commits are rare, consecutive requests land on a warm session — warm view
-cache, warm plan cache — and a publication simply ages the slot's session
-out on its next request.  Because a slot is exclusive to its thread, the
-session (and its tracer) needs no locking; because sessions are bound to
-*frozen* snapshot knowledge bases, two slots sharing one snapshot never
-race on catalog state either.
+:class:`~repro.session.Session` over the pinned snapshot's frozen
+knowledge base.  While commits are rare, consecutive requests land on a
+warm session — warm view cache, warm plan cache — and a publication simply
+ages the slot's session out on its next request.  Because a slot is
+exclusive to its thread, the session (and its tracer) needs no locking;
+because sessions are bound to *frozen* snapshot knowledge bases, two slots
+sharing one snapshot never race on catalog state either.
 
-In front of the slots sits the *answer memo*: a published snapshot is
-immutable, so a complete answer is a pure function of (snapshot, statement
-text), and :meth:`SessionPool.query` serves a repeat from a dict on the
-event-loop thread — no worker hop, no parse, no slot session.  The memo
-belongs to exactly one snapshot object and is dropped whole the moment a
-query pins another, so an entry is never served across a publication.
+In front of the slots sits the *answer memo*: a complete answer is a pure
+function of what its statement reads — the rule and constraint sets, and
+for a ``retrieve`` the stored relations its predicates reach — so the
+worker stamps each answer with exactly that
+(:meth:`KnowledgeBase.dependency_stamp
+<repro.catalog.database.KnowledgeBase.dependency_stamp>`), and
+:meth:`SessionPool.query` serves a repeat from a dict on the event-loop
+thread — no worker hop, no parse, no slot session — under *any* pinned
+snapshot whose stamp for the statement equals the stored one.  A
+publication therefore retires only the answers that read what it wrote:
+the first lookup under another snapshot recomputes the stamp against the
+pinned knowledge base once, and either carries the entry over or drops it
+and evaluates.  An entry holds no snapshot and no relation, only the answer
+and its encoded bytes, so the memo pins no superseded publication.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -31,6 +40,8 @@ from dataclasses import dataclass
 from repro.catalog.snapshot import KBSnapshot
 from repro.engine.guard import ResourceGuard
 from repro.engine.viewcache import DEFAULT_MAX_STATEMENTS
+from repro.lang.parser import parse_statement
+from repro.obs.trace import traced_span
 from repro.session import Session, memoizable
 
 #: The stages of one served ``/query`` the HTTP front end times, in request
@@ -39,24 +50,49 @@ STAGES = ("read_ms", "decode_ms", "queue_wait_ms", "evaluate_ms", "encode_ms")
 
 
 @dataclass
-class QueryOutcome:
-    """One evaluated request: the result plus its attribution.
+class Answer:
+    """The part of an outcome that does not depend on the pinned snapshot.
 
-    ``snapshot`` is the pinned version the query actually ran against —
-    every response quotes its id and fingerprint token, which is what
-    makes reads attributable to exactly one published state.  ``trace``
-    is the finished ``server.request`` span tree (``None`` untraced) and
-    ``elapsed_s`` the slot-side wall clock (queue wait excluded).  ``body``
-    is the encoded response envelope
-    (:func:`~repro.server.protocol.encode_query_envelope`), kept here by
-    the HTTP front end so a memoized outcome is serialized once.
+    ``reads`` and ``stamp`` are set by the worker on an answer the memo may
+    keep (:func:`~repro.session.memoizable`): the predicates the statement
+    reads (:meth:`Session.reads <repro.session.Session.reads>`) and the
+    pinned knowledge base's dependency stamp of them.  ``tail`` is the
+    encoded ``kind``/``result`` part of the response
+    (:func:`~repro.server.protocol.encode_answer_tail`), kept here by the
+    HTTP front end so a memoized answer is serialized once.  ``pinned`` is
+    the memo's: a weak reference to the frozen knowledge base the entry was
+    last validated against — never a strong one, or every stored answer
+    would pin a whole superseded publication.
     """
 
     result: object
+    reads: tuple[str, ...] | None = None
+    stamp: tuple | None = None
+    tail: bytes | None = None
+    pinned: "weakref.ref | None" = None
+
+
+@dataclass
+class QueryOutcome:
+    """One answered request: the answer plus its attribution.
+
+    ``snapshot`` is the pinned version the request is answered for — every
+    response quotes its id and fingerprint token, which is what makes reads
+    attributable to exactly one published state (an answer served from the
+    memo is, by its stamp, the answer an evaluation of that state gives).
+    ``trace`` is the finished ``server.request`` span tree (``None``
+    untraced) and ``elapsed_s`` the slot-side wall clock (queue wait
+    excluded; zero for a memo hit).
+    """
+
+    answer: Answer
     snapshot: KBSnapshot
     elapsed_s: float
     trace: dict | None = None
-    body: bytes | None = None
+
+    @property
+    def result(self) -> object:
+        return self.answer.result
 
 
 class SessionPool:
@@ -87,28 +123,31 @@ class SessionPool:
         self.queries = 0
         self.session_builds = 0
         self.goal_directed = 0  # evaluated reads answered goal-directed
-        #: The answer memo (statement text -> outcome) and the one snapshot
-        #: it belongs to.  Event-loop thread only, hence no lock.
-        self._answers: OrderedDict[str, QueryOutcome] = OrderedDict()
-        self._answers_of: KBSnapshot | None = None
+        #: The answer memo (statement text -> stamped answer).  Event-loop
+        #: thread only, hence no lock.
+        self._answers: OrderedDict[str, Answer] = OrderedDict()
         self.answer_hits = 0
         self.answer_misses = 0
+        self.answer_carried = 0  # hits that crossed a publication
+        self.answer_retired = 0  # entries a publication made stale
         #: Summed stage times of the requests the front end answered 200.
         self.stage_ms = dict.fromkeys(STAGES, 0.0)
 
     # -- slot side (worker threads) ----------------------------------------------
 
     def _session_for(self, snapshot: KBSnapshot) -> Session:
-        """This slot's session for *snapshot*, rebuilt when the id moved on.
+        """This slot's session over *snapshot*, rebuilt when it is bound to
+        another frozen knowledge base (ids repeat across catalogs; the
+        object does not).
 
         Slot state is thread-local, so no lock guards the cache; only the
         shared counters take the (uncontended) pool lock.
         """
-        cached = getattr(self._local, "slot", None)
-        if cached is not None and cached[0] == snapshot.snapshot_id:
-            return cached[1]
+        session = getattr(self._local, "session", None)
+        if session is not None and session.kb is snapshot.kb:
+            return session
         session = Session(snapshot.kb, style=self.style, trace=self.trace)
-        self._local.slot = (snapshot.snapshot_id, session)
+        self._local.session = session
         with self._lock:
             self.session_builds += 1
         return session
@@ -126,7 +165,8 @@ class SessionPool:
         tests and benchmarks that manage their own threads.  With tracing
         on, the evaluation runs under a ``server.request`` root span (the
         session's own ``query`` span nests inside it) annotated with the
-        snapshot attribution and, afterwards, the admission attributes.
+        snapshot attribution and, afterwards, the admission attributes.  An
+        answer the memo may keep leaves here stamped with what it read.
         """
         session = self._session_for(snapshot)
         with self._lock:
@@ -134,23 +174,27 @@ class SessionPool:
         started = time.perf_counter()
         tracer = session.tracer
         routed = session.cache.stats.goal_directed
-        if tracer is None:
-            result = session.query(statement, guard=guard)
-        else:
-            with tracer.span(
-                "server.request",
-                snapshot_id=snapshot.snapshot_id,
-                snapshot_token=snapshot.token,
-                **(attributes or {}),
-            ):
+        with traced_span(
+            tracer,
+            "server.request",
+            snapshot_id=snapshot.snapshot_id,
+            snapshot_token=snapshot.token,
+            **(attributes or {}),
+        ):
+            if tracer is not None:
                 tracer.count("server_requests")
-                result = session.query(statement, guard=guard)
+            parsed = parse_statement(statement)
+            result = session.execute(parsed, guard=guard)
         last = tracer.last if tracer is not None else None
         trace = last.as_dict() if last is not None else None
         if session.cache.stats.goal_directed != routed:
             with self._lock:
                 self.goal_directed += 1
-        return QueryOutcome(result, snapshot, time.perf_counter() - started, trace)
+        answer = Answer(result)
+        if memoizable(result):
+            answer.reads = session.reads(parsed)
+            answer.stamp = snapshot.kb.dependency_stamp(answer.reads)
+        return QueryOutcome(answer, snapshot, time.perf_counter() - started, trace)
 
     # -- async side (event loop) --------------------------------------------------
 
@@ -164,21 +208,30 @@ class SessionPool:
     ) -> QueryOutcome:
         """Answer from the memo, or evaluate on a pool thread.
 
-        A repeat of a statement already answered completely on *snapshot*
-        returns the stored outcome right here on the event loop, after a
-        *guard* checkpoint (a hit must still observe cancellation, as the
-        session's own memo does).  Anything else takes a worker slot, and
-        its outcome is stored if it is what a session memoizes
-        (:func:`~repro.session.memoizable`) and the memo still belongs to
-        the snapshot it ran against.  A request that wants its trace
-        (*want_trace*) neither reads nor feeds the memo: it is asking for
-        the span tree of an evaluation.
+        A repeat of a statement whose stored answer is valid for *snapshot*
+        returns it right here on the event loop, after a *guard* checkpoint
+        (a hit must still observe cancellation, as the session's own memo
+        does).  Valid means: last validated against this very snapshot, or —
+        checked once per entry and snapshot — stamped with the dependency
+        stamp *snapshot* gives what the statement reads; an entry that fails
+        the check is retired, in whichever direction the pin moved, so a
+        stale pin is still answered from its own snapshot.  Anything else
+        takes a worker slot, and its answer is stored if the worker stamped
+        it and no other evaluation of the statement got there first.  A
+        request that wants its trace (*want_trace*) neither reads nor feeds
+        the memo: it is asking for the span tree of an evaluation.
         """
         if not want_trace:
-            if snapshot is not self._answers_of:
-                self._answers.clear()
-                self._answers_of = snapshot
+            kb = snapshot.kb
             hit = self._answers.get(statement)
+            if hit is not None and hit.pinned() is not kb:
+                if kb.dependency_stamp(hit.reads) == hit.stamp:
+                    hit.pinned = weakref.ref(kb)
+                    self.answer_carried += 1
+                else:
+                    del self._answers[statement]
+                    self.answer_retired += 1
+                    hit = None
             if hit is not None:
                 if guard is not None:
                     guard.check()
@@ -186,22 +239,21 @@ class SessionPool:
                 with self._lock:
                     self.queries += 1
                 self.answer_hits += 1
-                return hit
+                return QueryOutcome(hit, snapshot, 0.0)
             self.answer_misses += 1
         loop = asyncio.get_running_loop()
         outcome = await loop.run_in_executor(
             self._threads,
             lambda: self.query_sync(snapshot, statement, guard, attributes),
         )
-        if (
-            not want_trace
-            and outcome.snapshot is self._answers_of
-            and memoizable(outcome.result)
-        ):
-            outcome.trace = None  # its request did not ask; keep no span tree
-            self._answers[statement] = outcome
-            while len(self._answers) > DEFAULT_MAX_STATEMENTS:
-                self._answers.popitem(last=False)
+        answer = outcome.answer
+        if not want_trace and answer.stamp is not None:
+            # First writer wins: of two racing evaluations the later pin may
+            # finish first, and the lookup re-validates whichever is kept.
+            answer.pinned = weakref.ref(snapshot.kb)
+            if self._answers.setdefault(statement, answer) is answer:
+                while len(self._answers) > DEFAULT_MAX_STATEMENTS:
+                    self._answers.popitem(last=False)
         return outcome
 
     def shutdown(self, wait: bool = True) -> None:
@@ -218,6 +270,8 @@ class SessionPool:
             "traced": self.trace,
             "answer_hits": self.answer_hits,
             "answer_misses": self.answer_misses,
+            "answer_carried": self.answer_carried,
+            "answer_retired": self.answer_retired,
             "answer_entries": len(self._answers),
             **{name: round(total, 3) for name, total in self.stage_ms.items()},
         }

@@ -10,8 +10,9 @@ Responses are JSON objects with a stable envelope::
 ``snapshot`` attributes every read to exactly one published version (see
 :mod:`repro.catalog.snapshot`).  ``result`` is a structured rendering per
 result kind (verdicts and comparisons carry ``rendered``, the human text
-the ``dbk`` shell would print).  :func:`encode_query_envelope` is the one
-encoder of the success envelope.  Status codes: 200 ok, 400 bad statement,
+the ``dbk`` shell would print).  :func:`encode_snapshot_head` and
+:func:`encode_answer_tail` are the one encoder of the success envelope, in
+its two parts.  Status codes: 200 ok, 400 bad statement,
 404 unknown path, 408 budget exhausted, 413 body too large, 429 admission
 rejected, 500 internal, 503 draining.
 """
@@ -95,25 +96,34 @@ def result_payload(result: object) -> tuple[str, object]:
     return type(result).__name__, str(result)
 
 
-def encode_query_envelope(snapshot: KBSnapshot, result: object) -> bytes:
-    """The ``/query`` success envelope up to, not including, ``elapsed_ms``.
+def encode_snapshot_head(snapshot: KBSnapshot) -> bytes:
+    """The ``/query`` success envelope up to, not including, ``kind``.
 
-    Everything in it is a function of the pinned snapshot and the answer,
-    so the bytes can be kept beside a memoized answer and reused: the
-    caller finishes a response by appending ``, "elapsed_ms": N}`` (and
-    the trace, when asked for).  Key order and separators are those of
-    ``json.dumps`` on the whole envelope.
+    The per-snapshot part: every response quotes the id and token of the
+    snapshot its request pinned, whichever publication the answer was first
+    computed on.
     """
-    kind, payload = result_payload(result)
     document = json.dumps(
         {
             "ok": True,
             "snapshot": {"id": snapshot.snapshot_id, "token": snapshot.token},
-            "kind": kind,
-            "result": payload,
         }
     )
     return document[:-1].encode("utf-8")
+
+
+def encode_answer_tail(result: object) -> bytes:
+    """The envelope's ``, "kind": …, "result": …`` — the per-answer part.
+
+    A function of the answer alone, so the bytes can be kept beside a
+    memoized answer and reused under any snapshot the answer is valid for:
+    the caller finishes a response as head + tail + ``, "elapsed_ms": N}``
+    (and the trace, when asked for).  Key order and separators are those of
+    ``json.dumps`` on the whole envelope.
+    """
+    kind, payload = result_payload(result)
+    document = json.dumps({"kind": kind, "result": payload})
+    return b", " + document[1:-1].encode("utf-8")
 
 
 def error_payload(error: BaseException) -> tuple[int, dict]:

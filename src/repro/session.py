@@ -237,6 +237,33 @@ class Session:
         """
         return self.execute(parse_statement(source), guard=guard)
 
+    @staticmethod
+    def reads(statement: Statement) -> tuple[str, ...] | None:
+        """The predicates whose stored facts *statement*'s answer reads.
+
+        Together with the rule and constraint sets that is all a memoized
+        answer is a function of, so it is what the statement memo — and the
+        server's answer memo — stamp an answer with
+        (:meth:`KnowledgeBase.dependency_stamp
+        <repro.catalog.database.KnowledgeBase.dependency_stamp>`, which adds
+        everything the named predicates depend on).  A ``retrieve`` reads
+        the predicates its atoms name; ``describe`` and ``compare`` read no
+        stored fact; ``None`` for a statement no memo keeps (a definition,
+        an ``explain``).
+        """
+        if isinstance(statement, RetrieveStatement):
+            atoms = (
+                statement.subject,
+                *statement.qualifier,
+                *statement.negated_qualifier,
+            )
+            return tuple(
+                sorted({atom.predicate for atom in atoms if not atom.is_comparison()})
+            )
+        if isinstance(statement, (DescribeStatement, CompareStatement)):
+            return ()
+        return None
+
     def execute(
         self, statement: Statement, guard: ResourceGuard | None = None
     ) -> QueryResult:
@@ -299,7 +326,9 @@ class Session:
             self.kb.add_constraint(statement.constraint)
             return f"constrained: {statement.constraint}"
         if isinstance(statement, RetrieveStatement):
-            return self._retrieve(statement, active, tracer)
+            return self._memoized(
+                "retrieve", statement, self._retrieve, active, tracer
+            )
         if isinstance(statement, DescribeStatement):
             return self._memoized(
                 "describe", statement, self._describe, active, tracer
@@ -319,34 +348,6 @@ class Session:
     def _retrieve(
         self, statement: RetrieveStatement, guard, tracer=None
     ) -> RetrieveResult:
-        """A data query, memoized on its full dependency fingerprint.
-
-        Unlike knowledge queries, retrieve answers depend on stored facts,
-        so the memo key embeds the version of every EDB relation any
-        referenced predicate transitively depends on
-        (:meth:`ViewCache.dependency_fingerprint`): the warm path for an
-        unchanged knowledge base is a dict probe — no fixpoint, no join.
-        Any mutation changes the fingerprint and the stale entry simply
-        ages out of the LRU.
-        """
-        if self.cache is None:
-            return self._retrieve_cold(statement, guard, tracer)
-        atoms = (
-            statement.subject,
-            *statement.qualifier,
-            *statement.negated_qualifier,
-        )
-        predicates = sorted(
-            {atom.predicate for atom in atoms if not atom.is_comparison()}
-        )
-        return self._memoized(
-            "retrieve", statement, self._retrieve_cold, guard, tracer,
-            self.cache.dependency_fingerprint(predicates),
-        )
-
-    def _retrieve_cold(
-        self, statement: RetrieveStatement, guard, tracer=None
-    ) -> RetrieveResult:
         return retrieve(
             self.kb,
             statement.subject,
@@ -358,24 +359,29 @@ class Session:
             plan_cache=self.plan_cache,
         )
 
-    # -- knowledge-query memo ----------------------------------------------------------
+    # -- statement memo ------------------------------------------------------------------
 
-    def _memoized(self, kind, statement, evaluate, guard, tracer=None, *depends):
+    def _memoized(self, kind, statement, evaluate, guard, tracer=None):
         """Evaluate a query through the cache's statement memo.
 
-        Describe/compare answers depend on the rule and constraint sets
-        only — never on stored facts — so the memo key is the statement
-        plus the answer-shaping knobs (*depends* replaces them: a retrieve's
-        dependency fingerprint); the catalog versions are embedded by
-        :meth:`ViewCache.statement_key`.  Degraded (budget-tripped) results
-        are returned but not stored: a cached answer must be complete.
+        The key is the statement, the answer-shaping knobs and the
+        dependency stamp of what the statement reads (:meth:`reads`,
+        :meth:`ViewCache.statement_key`).  Describe/compare answers depend
+        on the rule and constraint sets only — never on stored facts — so
+        fact mutations leave them warm; a retrieve's stamp embeds the
+        version of every EDB relation any referenced predicate transitively
+        depends on, so its warm path for an unchanged knowledge base is a
+        dict probe — no fixpoint, no join — and any mutation it could see
+        changes the key (the stale entry ages out of the LRU).  Degraded
+        (budget-tripped) results are returned but not stored: a cached
+        answer must be complete.
         """
         if self.cache is None:
             return evaluate(statement, guard, tracer)
         if guard is not None:
             guard.check()  # a memo hit must still observe cancellation
         key = self.cache.statement_key(
-            kind, statement, *(depends or (self.style, repr(self.config)))
+            kind, statement, self.reads(statement), self.style, repr(self.config)
         )
         memoized = self.cache.lookup_statement(key)
         if memoized is not None:

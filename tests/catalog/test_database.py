@@ -45,8 +45,14 @@ class TestSchema:
     def test_redeclaration_same_shape_is_idempotent(self):
         kb = KnowledgeBase()
         kb.declare_edb("p", 1)
+        kb.add_fact("p", "a")
+        relation, version = kb.relation("p"), kb.relation("p").version
         kb.declare_edb("p", 1)
         assert kb.edb_predicates() == ["p"]
+        # The stored rows and their version counter survive: a fresh relation
+        # would count back up to versions the caches have already seen.
+        assert kb.relation("p") is relation and relation.version == version
+        assert len(kb.facts("p")) == 1
 
     def test_unknown_predicate(self):
         kb = KnowledgeBase()

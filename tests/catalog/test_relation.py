@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ArityError, CatalogError
 from repro.catalog.relation import Relation
+from repro.catalog.symbols import SYMBOLS
 from repro.logic.terms import Constant, Variable
 
 
@@ -134,6 +135,32 @@ class TestStatistics:
         assert rel.distinct_count(0) == 1
         rel.insert(("z", "b"))
         assert rel.distinct_count(0) == 2
+
+    @pytest.mark.parametrize("state", ["mirror", "dirty", "id_only"])
+    def test_distinct_count_agrees_in_every_storage_state(self, state, monkeypatch):
+        # 3 and 3.0 are one constant (one id); "3" is another.
+        rows = [(3, "a"), (3.0, "b"), ("3", "a"), (4, "a"), (3, "c")]
+        rel = Relation(2)
+        if state == "id_only":
+            rel.load_interned([SYMBOLS.intern_row(rel._coerce(row)) for row in rows])
+            assert rel._rows is None and rel._introws is not None
+        else:
+            for row in rows:
+                rel.insert(row)
+            if state == "dirty":
+                rel.restore(rel.checkpoint())
+                assert rel._introws is None
+            else:
+                assert rel._introws is not None
+                # With a mirror the count never hashes a Constant.
+                monkeypatch.setattr(
+                    Constant, "__hash__", lambda self: pytest.fail("hashed a Constant")
+                )
+        assert [rel.distinct_count(column) for column in (0, 1)] == [3, 3]
+        monkeypatch.undo()
+        assert len(rel) == 5
+        assert rel._indexes == {}
+        rel.check_invariants()  # re-derives each memoized count from the rows
 
     def test_delete_after_many_inserts_keeps_index_consistent(self):
         rel = Relation(2, [(f"k{i % 3}", f"v{i}") for i in range(30)])

@@ -141,3 +141,50 @@ class TestFingerprint:
         snapshot = publish_snapshot(kb)
         assert snapshot.fingerprint == kb_fingerprint(kb)
         assert snapshot.token == fingerprint_token(snapshot.fingerprint)
+
+
+class TestDependencyStamp:
+    """What an answer is a function of (:meth:`KnowledgeBase.dependency_stamp`)."""
+
+    def test_a_snapshot_stamps_what_its_source_stamped(self):
+        kb = small_kb()
+        snapshot = publish_snapshot(kb)
+        assert snapshot.kb.lineage == kb.lineage
+        for reads in ((), ("path",), ("color",), ("edge", "nothing")):
+            assert snapshot.kb.dependency_stamp(reads) == kb.dependency_stamp(reads)
+
+    def test_a_stamp_moves_only_with_what_the_predicates_reach(self):
+        kb = small_kb()
+        path, color, knowledge = (
+            kb.dependency_stamp(["path"]),
+            kb.dependency_stamp(["color"]),
+            kb.dependency_stamp(),
+        )
+        kb.add_fact("color", "blue")
+        assert kb.dependency_stamp(["path"]) == path
+        assert kb.dependency_stamp() == knowledge
+        assert kb.dependency_stamp(["color"]) != color
+        kb.add_fact("edge", "c", "d")
+        assert kb.dependency_stamp(["path"]) != path
+        assert kb.dependency_stamp() == knowledge
+        kb.add_rule(parse_rule("loop(X) <- edge(X, X)"))
+        assert kb.dependency_stamp() != knowledge
+
+    def test_an_undefined_dependency_is_part_of_the_stamp(self):
+        kb = small_kb()
+        kb.add_rule(parse_rule("tinted(X) <- edge(X, Y) and paint(Y)"))
+        stamp = kb.dependency_stamp(["tinted"])
+        assert stamp[-1] == frozenset({"paint"})
+        kb.declare_edb("paint", 1)
+        assert kb.dependency_stamp(["tinted"]) != stamp
+
+    def test_equal_version_vectors_of_two_knowledge_bases_stamp_apart(self):
+        first, second = small_kb(), small_kb()
+        second.relation("color").delete(("red",))
+        second.add_fact("color", "green")
+        first.add_fact("color", "blue")
+        first.relation("color").delete(("blue",))
+        assert kb_fingerprint(first) == kb_fingerprint(second)
+        assert rows(first, "color") != rows(second, "color")
+        assert first.dependency_stamp(["color"]) != second.dependency_stamp(["color"])
+        assert first.copy().lineage != first.lineage

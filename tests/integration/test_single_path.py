@@ -40,6 +40,12 @@ grow back; the library reads no environment variable at all.
 The framing half: the HTTP front end reads a request head in one step
 under one idle timer per awaited read.  The per-line reader — a
 ``wait_for`` task and timer around every ``readline`` — may not grow back.
+
+The memo half: the served answer memo has one store and one validity rule,
+the knowledge base's dependency stamp.  Nothing in ``server/pool.py`` may
+drop the store wholesale when the pinned snapshot changes, and ``server/``
+may not walk the dependency graph itself (it asks the knowledge base what
+a statement's predicates reach).
 """
 
 import ast
@@ -459,3 +465,51 @@ def test_the_http_front_end_has_no_per_line_reader():
         and isinstance(node.func, (ast.Attribute, ast.Name))
     }
     assert called.isdisjoint({"wait_for", "readline"})
+
+
+def _calls(tree: ast.AST):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+
+def test_the_answer_memo_is_never_dropped_wholesale():
+    source = (PACKAGE / "server" / "pool.py").read_text()
+    assert "_answers_of" not in source
+    pool = next(
+        node
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef) and node.name == "SessionPool"
+    )
+
+    def is_store(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "_answers"
+
+    for method in pool.body:
+        if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if method.name != "__init__":  # the store is bound once, there
+            rebound = [
+                node
+                for node in ast.walk(method)
+                if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+                and any(map(is_store, getattr(node, "targets", None) or [node.target]))
+            ]
+            assert not rebound, f"{method.name} rebinds the answer store"
+        if method.name != "shutdown":
+            cleared = [
+                call
+                for call in _calls(method)
+                if isinstance(call.func, ast.Attribute)
+                and call.func.attr == "clear"
+                and is_store(call.func.value)
+            ]
+            assert not cleared, f"{method.name} clears the answer store"
+
+
+def test_the_server_walks_no_dependency_graph_of_its_own():
+    for source in sorted((PACKAGE / "server").glob("*.py")):
+        called = {
+            call.func.attr if isinstance(call.func, ast.Attribute) else call.func.id
+            for call in _calls(ast.parse(source.read_text()))
+            if isinstance(call.func, (ast.Attribute, ast.Name))
+        }
+        assert called.isdisjoint({"dependency_graph", "dependencies"}), source.name

@@ -19,8 +19,16 @@ commit/read schedules (with reads deliberately pinned to stale
 snapshots — the adversarial case a wall-clock race rarely produces),
 and a seeded multi-threaded run hammers one catalog with concurrent
 readers while a writer publishes batch after batch.
+
+``query_sync`` evaluates every read; :meth:`SessionPool.query` answers
+repeats from the answer memo, which carries an entry across a publication
+when the commit wrote nothing the statement reads.  The same attribution
+statement is therefore checked a second time through ``query``, over
+schedules that also commit to relations some statements do not read, add a
+rule, and declare a predicate a rule had been reading as undefined.
 """
 
+import asyncio
 import os
 import threading
 
@@ -34,6 +42,7 @@ from repro.logic.clauses import Rule
 from repro.logic.terms import Variable
 from repro.server.catalog import MultiVersionCatalog
 from repro.server.pool import SessionPool
+from repro.session import Session
 
 EXAMPLES = int(os.environ.get("DIFFERENTIAL_EXAMPLES", "30"))
 
@@ -155,6 +164,137 @@ def test_reads_equal_full_evaluation_of_one_snapshot(ops):
         ids = [snapshot.snapshot_id for snapshot, _ in published]
         assert ids == sorted(set(ids))
     finally:
+        pool.shutdown()
+
+
+# -- the same property through the answer memo ------------------------------------------
+
+#: ``k`` reads ``late``, which nothing defines until a commit declares it.
+LATE_RULE = Rule(Atom("k", (X,)), (Atom("e", (X, Y)), Atom("late", (Y,))))
+#: Committed mid-schedule: from then on ``j`` reads ``u`` as well.
+WIDENING_RULE = Rule(Atom("j", (X, Z)), (Atom("u", (X, Z)),))
+
+MEMO_STATEMENTS = (
+    "retrieve e(X, Y)",
+    "retrieve j(X, Z)",
+    "retrieve u(X, Y)",
+    "retrieve k(X)",
+    "retrieve j(a, Z) where not u(a, Z)",
+    "describe j(X, Z)",
+    "describe k(X) where e(X, b)",
+)
+
+
+def memo_kb(state: dict) -> KnowledgeBase:
+    """An independent knowledge base in the modelled *state* (the oracle)."""
+    kb = KnowledgeBase("oracle")
+    kb.declare_edb("e", 2)
+    kb.declare_edb("u", 2)
+    kb.add_rule(JOIN_RULE)
+    kb.add_rule(LATE_RULE)
+    if state["late"] is not None:
+        kb.declare_edb("late", 1)
+    if state["widened"]:
+        kb.add_rule(WIDENING_RULE)
+    for name in ("e", "u", "late"):
+        for row in state[name] or ():
+            kb.add_fact(name, *row)
+    return kb
+
+
+def rendered(result) -> object:
+    """An answer as a comparable value: binding set, or the rule texts."""
+    if hasattr(result, "to_set"):
+        return frozenset(result.to_set())
+    return sorted(str(rule) for rule in result.rules())
+
+
+@st.composite
+def memo_schedules(draw):
+    """Commits to ``e`` / ``u`` / ``late``, the two catalog changes, and
+    reads pinned anywhere in the chain.  One schedule reads only one or two
+    of :data:`MEMO_STATEMENTS`, and reads outnumber commits, so that most
+    reads find an entry to validate."""
+    pairs = [(a, b) for a in CONSTANTS for b in CONSTANTS]
+    change = st.one_of(
+        st.tuples(st.sampled_from(["add", "delete"]), st.sampled_from(["e", "u"]),
+                  st.sampled_from(pairs)),
+        st.tuples(st.sampled_from(["add", "delete"]), st.just("late"),
+                  st.sampled_from([(c,) for c in CONSTANTS])),
+    )
+    statements = draw(
+        st.lists(st.sampled_from(MEMO_STATEMENTS), min_size=1, max_size=2, unique=True)
+    )
+    read = st.tuples(
+        st.just("read"),
+        st.tuples(
+            st.integers(min_value=0, max_value=10_000),  # pin (mod)
+            st.sampled_from(statements),
+        ),
+    )
+    op = st.one_of(
+        read,
+        read,
+        st.tuples(st.just("commit"), st.lists(change, max_size=3)),
+        st.tuples(st.sampled_from(["widen", "declare"]), st.none()),
+    )
+    return draw(st.lists(op, min_size=1, max_size=20))
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(memo_schedules())
+def test_memo_reads_equal_full_evaluation_of_the_pinned_snapshot(ops):
+    state = {"e": frozenset(), "u": frozenset(), "late": None, "widened": False}
+    catalog = MultiVersionCatalog(memo_kb(state))
+    pool = SessionPool(size=1)
+    published = [(catalog.current, state)]
+    reads = 0
+    loop = asyncio.new_event_loop()
+    try:
+        for kind, payload in ops:
+            if kind == "read":
+                pin, statement = payload
+                snapshot, pinned_state = published[pin % len(published)]
+                outcome = loop.run_until_complete(pool.query(snapshot, statement))
+                reads += 1
+                want = Session(memo_kb(pinned_state)).query(statement)
+                assert rendered(outcome.result) == rendered(want), (
+                    f"{statement!r} pinned at snapshot {snapshot.snapshot_id} "
+                    f"diverged from an evaluation of {pinned_state}"
+                )
+                assert outcome.snapshot is snapshot
+                continue
+            state = dict(state)
+
+            def mutate(kb, kind=kind, payload=payload):
+                if kind == "widen" and not state["widened"]:
+                    kb.add_rule(WIDENING_RULE)
+                    state["widened"] = True
+                elif kind == "declare" and state["late"] is None:
+                    kb.declare_edb("late", 1)
+                    state["late"] = frozenset()
+                for op, name, row in payload or ():
+                    if state[name] is None:
+                        continue  # late is not declared yet
+                    if op == "add":
+                        kb.add_fact(name, *row)
+                        state[name] = state[name] | {row}
+                    else:
+                        kb._tx_touch(name)
+                        kb.relation(name).delete(row)
+                        state[name] = state[name] - {row}
+
+            _, snapshot = catalog.commit(mutate)
+            if snapshot is not published[-1][0]:
+                published.append((snapshot, state))
+            else:
+                assert state == published[-1][1]  # a no-op commit
+        stats = pool.stats()
+        assert stats["answer_hits"] + stats["answer_misses"] == reads
+        assert stats["answer_carried"] <= stats["answer_hits"]
+        assert stats["answer_retired"] <= stats["answer_misses"]
+    finally:
+        loop.close()
         pool.shutdown()
 
 

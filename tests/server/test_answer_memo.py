@@ -1,14 +1,20 @@
 """The answer memo: a warm read is answered on the event loop.
 
-A published snapshot is immutable, so a complete answer is a function of
-(snapshot, statement text).  :meth:`SessionPool.query` keeps such answers —
-and the HTTP front end their encoded bodies — in a memo that belongs to
-one snapshot object.  These tests pin what the short path must and must
-not do, over a real loopback server and on the pool directly:
+A complete answer is a function of what its statement reads — the rule and
+constraint sets and, for a ``retrieve``, the stored relations its
+predicates reach.  :meth:`SessionPool.query` keeps such answers — and the
+HTTP front end their encoded ``kind``/``result`` bytes — stamped with
+exactly that, and serves one under any pinned snapshot that gives the
+statement the same stamp.  These tests pin what the short path must and
+must not do, over a real loopback server and on the pool directly:
 
-* a repeat is byte-for-byte the first response, ``elapsed_ms`` aside;
-* an entry is never served across a publication, and an answer computed
-  against a snapshot the memo has moved on from is not stored;
+* a repeat is byte-for-byte the first response, ``elapsed_ms`` aside, and
+  a repeat carried across a publication byte-for-byte a fresh evaluation,
+  ``elapsed_ms`` aside (it quotes the snapshot its request pinned);
+* a commit retires exactly the entries that read what it wrote, in both
+  directions of a moving pin, and a relation replaced wholesale never
+  serves a carried answer;
+* entries keep no superseded publication alive;
 * errors, budget trips, ``explain``, definitions and requests that ask
   for their trace are neither stored nor served from the memo;
 * a hit parses nothing and takes no worker slot, yet is still counted;
@@ -16,13 +22,16 @@ not do, over a real loopback server and on the pool directly:
 """
 
 import asyncio
+import gc
 import http.client
 import json
 import socket
 import threading
+import weakref
 
 import pytest
 
+import repro.server.pool
 import repro.session
 from repro.datasets.university import university_kb
 from repro.engine.guard import ResourceGuard
@@ -115,22 +124,85 @@ def test_a_repeat_differs_from_the_first_response_in_elapsed_ms_only(university,
         assert json.dumps(json.loads(raw)).encode() == raw
 
 
-# -- (b) never across a publication ----------------------------------------------------
+# -- (b) a publication retires what it touched, and nothing else -----------------------
 
 
-def test_a_commit_retires_every_entry(university):
-    statement = "retrieve honor(X)"
+def counting_evaluations(monkeypatch) -> dict[str, int]:
+    """Statement text -> how many times a worker evaluated it."""
+    calls: dict[str, int] = {}
+    evaluate = SessionPool.query_sync
+
+    def counting(self, snapshot, statement, *args, **kwargs):
+        calls[statement] = calls.get(statement, 0) + 1
+        return evaluate(self, snapshot, statement, *args, **kwargs)
+
+    monkeypatch.setattr(SessionPool, "query_sync", counting)
+    return calls
+
+
+def test_a_commit_retires_exactly_the_entries_that_read_what_it_wrote(
+    university, monkeypatch
+):
+    calls = counting_evaluations(monkeypatch)
+    unread = ["retrieve honor(X)", KIND_STATEMENTS["describe"]]
+    read = "retrieve enroll(X, C)"
+    commits = 5
     with ServerClient(university.host, university.port) as client:
-        before = client.query(statement)
-        assert client.query(statement)["snapshot"] == before["snapshot"]
-        assert memo_counters(university) == (1, 1, 1)
+        first = {statement: client.query(statement) for statement in [*unread, read]}
+        for index in range(commits):
+            committed = client.commit(f"enroll(w{index}, databases).")["snapshot"]
+            for statement in unread:
+                carried = client.query(statement)
+                # Served from the memo, attributed to the snapshot it pinned.
+                assert carried["snapshot"] == committed
+                assert carried["result"] == first[statement]["result"]
+            assert [f"w{index}", "databases"] in client.query(read)["result"]["rows"]
+        assert {statement: calls[statement] for statement in unread} == {
+            statement: 1 for statement in unread
+        }
+        assert calls[read] == commits + 1
+        pool = client.stats()["pool"]
+        assert pool["answer_carried"] == commits * len(unread)
+        assert pool["answer_retired"] == commits
+        assert pool["answer_hits"] == pool["answer_carried"]
+
+        # A commit to a relation honor does read retires it (and not the describe).
+        before = client.query("retrieve honor(X)")
         client.commit("student(zoe, math, 4.0).")
-        after = client.query(statement)
+        after = client.query("retrieve honor(X)")
+        client.query(KIND_STATEMENTS["describe"])
     assert after["snapshot"]["id"] == before["snapshot"]["id"] + 1
     assert after["snapshot"]["token"] != before["snapshot"]["token"]
     assert ["zoe"] in after["result"]["rows"]
     assert ["zoe"] not in before["result"]["rows"]
-    assert memo_counters(university) == (1, 2, 1)
+    assert calls["retrieve honor(X)"] == 2
+    assert calls[KIND_STATEMENTS["describe"]] == 1
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_STATEMENTS))
+def test_a_carried_response_is_a_fresh_evaluation_in_all_but_elapsed_ms(university, kind):
+    statement = KIND_STATEMENTS[kind]
+
+    def upto_elapsed(raw: bytes) -> bytes:
+        prefix, separator, _ = raw.partition(b', "elapsed_ms": ')
+        assert separator
+        return prefix
+
+    first = post_query(university, statement=statement)
+    with ServerClient(university.host, university.port) as client:
+        committed = client.commit("enroll(zoe, databases).")["snapshot"]
+    carried = post_query(university, statement=statement)
+    # A request for its trace always evaluates: the fresh answer to compare with.
+    fresh = post_query(university, statement=statement, trace=True)
+    stats = university.server.pool.stats()
+    assert (stats["answer_hits"], stats["answer_carried"]) == (1, 1)
+    assert upto_elapsed(carried) == upto_elapsed(fresh)
+    assert json.loads(carried)["snapshot"] == committed
+    assert json.dumps(json.loads(carried)).encode() == carried
+    before, after = json.loads(first), json.loads(carried)
+    assert before.pop("snapshot") != after.pop("snapshot")
+    del before["elapsed_ms"], after["elapsed_ms"]
+    assert before == after
 
 
 def test_an_answer_for_a_snapshot_the_memo_left_is_not_stored(monkeypatch):
@@ -164,11 +236,15 @@ def test_an_answer_for_a_snapshot_the_memo_left_is_not_stored(monkeypatch):
     finally:
         release.set()
         pool.shutdown()
-    assert stale.snapshot is old and fresh.snapshot is new
+    assert stale.snapshot is old and fresh.snapshot is new and again.snapshot is new
     assert len(fresh.result.rows) == len(stale.result.rows) + 1
-    assert again is fresh
-    assert pool.stats()["answer_entries"] == 1
-    assert pool.stats()["answer_hits"] == 1
+    # The late answer, stamped with the edge version of the snapshot the
+    # memo had moved on from, did not displace the one stored meanwhile.
+    assert stale.answer.stamp != fresh.answer.stamp
+    assert again.answer is fresh.answer
+    stats = pool.stats()
+    assert (stats["answer_entries"], stats["answer_hits"]) == (1, 1)
+    assert (stats["answer_carried"], stats["answer_retired"]) == (0, 0)
 
 
 def test_a_stale_pin_is_answered_from_its_own_snapshot():
@@ -188,10 +264,102 @@ def test_a_stale_pin_is_answered_from_its_own_snapshot():
     finally:
         pool.shutdown()
     assert [outcome.snapshot for outcome in outcomes] == [new, new, old, new]
-    assert outcomes[1] is outcomes[0]
+    assert outcomes[1].answer is outcomes[0].answer
     assert len(outcomes[2].result.rows) == len(outcomes[0].result.rows) - 1
-    # Each change of pinned snapshot dropped the memo: one hit in four.
+    assert len(outcomes[3].result.rows) == len(outcomes[0].result.rows)
+    # The commit wrote what path reads, so each change of pinned snapshot
+    # retired the entry, in either direction: one hit in four.
     assert (pool.answer_hits, pool.answer_misses) == (1, 3)
+    assert (pool.answer_carried, pool.answer_retired) == (0, 2)
+
+
+def test_a_pin_moving_over_an_unread_commit_is_carried_in_both_directions():
+    catalog = MultiVersionCatalog(university_kb())
+    pool = SessionPool(size=1)
+    old = catalog.current
+    _, new = catalog.commit(lambda kb: kb.add_fact("enroll", "zoe", "databases"))
+
+    async def scenario():
+        return [
+            await pool.query(snapshot, "retrieve honor(X)")
+            for snapshot in (new, old, new, old)
+        ]
+
+    try:
+        outcomes = asyncio.run(scenario())
+    finally:
+        pool.shutdown()
+    assert [outcome.snapshot for outcome in outcomes] == [new, old, new, old]
+    assert all(outcome.answer is outcomes[0].answer for outcome in outcomes)
+    assert (pool.answer_hits, pool.answer_misses) == (3, 1)
+    assert (pool.answer_carried, pool.answer_retired) == (3, 0)
+
+
+def test_a_relation_replaced_wholesale_never_serves_a_carried_answer(monkeypatch):
+    calls = counting_evaluations(monkeypatch)
+    catalog = MultiVersionCatalog(chain_kb(3))
+    pool = SessionPool(size=1)
+    statement = "retrieve edge(X, Y)"
+
+    def rows() -> set:
+        outcome = asyncio.run(pool.query(catalog.current, statement))
+        assert outcome.snapshot is catalog.current
+        return {tuple(c.value for c in row) for row in outcome.result.rows}
+
+    def reload(kb):
+        kb._tx_touch("edge")
+        kb.relation("edge").clear()
+        for source in range(3):  # as many rows as before, none of them the same
+            kb.add_fact("edge", source, source + 10)
+
+    def failing(kb):
+        kb.add_fact("edge", 7, 8)
+        raise RuntimeError("rolled back")
+
+    try:
+        assert rows() == {(0, 1), (1, 2), (2, 3)}
+        with pytest.raises(RuntimeError):
+            catalog.commit(failing)
+        # The rollback restored edge wholesale: same rows, a version no
+        # stamp has seen.  Republishing must not carry the stored answer.
+        restored = catalog.republish()
+        assert restored.kb.relation("edge").version != 3
+        assert rows() == {(0, 1), (1, 2), (2, 3)}
+        catalog.commit(reload)
+        assert rows() == {(0, 10), (1, 11), (2, 12)}
+        assert rows() == {(0, 10), (1, 11), (2, 12)}
+    finally:
+        pool.shutdown()
+    assert calls[statement] == 3
+    assert (pool.answer_hits, pool.answer_carried, pool.answer_retired) == (1, 0, 2)
+
+
+def test_the_memo_keeps_no_superseded_publication_alive():
+    catalog = MultiVersionCatalog(university_kb())
+    pool = SessionPool(size=1)
+    publications: list[weakref.ref] = []
+
+    async def scenario():
+        for index in range(300):
+            catalog.commit(lambda kb: kb.add_fact("enroll", f"w{index}", "databases"))
+            snapshot = catalog.current
+            publications.append(weakref.ref(snapshot.kb))
+            publications.append(weakref.ref(snapshot.kb.relation("enroll")))
+            outcome = await pool.query(snapshot, f"retrieve enroll(w{index}, C)")
+            assert [row[0].value for row in outcome.result.rows] == ["databases"]
+            del snapshot, outcome
+
+    try:
+        asyncio.run(scenario())
+        gc.collect()
+        alive = [ref() for ref in publications if ref() is not None]
+        # Only the current publication (the catalog's, and the slot session's).
+        current = catalog.current.kb
+        assert alive == [current, current.relation("enroll")]
+        stats = pool.stats()
+        assert stats["answer_entries"] == 256 and stats["answer_misses"] == 300
+    finally:
+        pool.shutdown()
 
 
 # -- (c) what the memo neither stores nor serves ---------------------------------------
@@ -270,7 +438,7 @@ def test_a_request_for_its_trace_always_evaluates(chain):
 
 def test_a_hit_parses_nothing_and_takes_no_worker(university, monkeypatch):
     calls = {"parse": 0, "evaluate": 0}
-    parse, evaluate = repro.session.parse_statement, SessionPool.query_sync
+    parse, evaluate = repro.server.pool.parse_statement, SessionPool.query_sync
 
     def counting_parse(source):
         calls["parse"] += 1
@@ -280,6 +448,7 @@ def test_a_hit_parses_nothing_and_takes_no_worker(university, monkeypatch):
         calls["evaluate"] += 1
         return evaluate(self, *args, **kwargs)
 
+    monkeypatch.setattr(repro.server.pool, "parse_statement", counting_parse)
     monkeypatch.setattr(repro.session, "parse_statement", counting_parse)
     monkeypatch.setattr(SessionPool, "query_sync", counting_evaluate)
     statements = sorted(KIND_STATEMENTS.values())

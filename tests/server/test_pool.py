@@ -4,6 +4,7 @@ import asyncio
 
 import pytest
 
+from repro.catalog.database import KnowledgeBase
 from repro.engine.guard import ResourceGuard
 from repro.errors import ResourceExhausted
 from repro.server import MultiVersionCatalog, SessionPool
@@ -94,6 +95,43 @@ class TestAsyncQuery:
             pool.shutdown()
 
 
+def single_fact_catalog(value: str) -> MultiVersionCatalog:
+    kb = KnowledgeBase("served")
+    kb.declare_edb("e", 1)
+    kb.add_fact("e", value)
+    return MultiVersionCatalog(kb)
+
+
+def test_one_pool_serving_two_catalogs_answers_each_from_its_own():
+    """Snapshot ids, version vectors and tokens repeat across catalogs: both
+    of these publish id 0 under one token over different rows.  Neither the
+    slot session nor a memo entry may be taken for the other catalog's."""
+    first, second = single_fact_catalog("x"), single_fact_catalog("y")
+    a, b = first.current, second.current
+    assert (a.snapshot_id, a.fingerprint, a.token) == (b.snapshot_id, b.fingerprint, b.token)
+    assert a.kb.lineage != b.kb.lineage
+    statement = "retrieve e(X)"
+
+    def values(outcome) -> list:
+        return [row[0].value for row in outcome.result.rows]
+
+    pool = SessionPool(size=1)
+    try:
+        served = [pool.query_sync(snapshot, statement) for snapshot in (a, b, a)]
+        assert [values(outcome) for outcome in served] == [["x"], ["y"], ["x"]]
+        assert pool.session_builds == 3
+
+        async def scenario():
+            return [await pool.query(snapshot, statement) for snapshot in (a, a, b, b, a)]
+
+        served = asyncio.run(scenario())
+        assert [values(outcome) for outcome in served] == [["x"], ["x"], ["y"], ["y"], ["x"]]
+        assert [outcome.snapshot for outcome in served] == [a, a, b, b, a]
+        assert (pool.answer_hits, pool.answer_carried, pool.answer_retired) == (2, 0, 2)
+    finally:
+        pool.shutdown()
+
+
 def test_pool_size_validation():
     with pytest.raises(ValueError):
         SessionPool(size=0)
@@ -109,12 +147,13 @@ def test_stats_shape(catalog):
         assert stats["session_builds"] == 0
         assert stats["traced"] is False
         memo = ("answer_hits", "answer_misses", "answer_entries")
+        moved = ("answer_carried", "answer_retired")
         stages = ("read_ms", "decode_ms", "queue_wait_ms", "evaluate_ms", "encode_ms")
-        assert all(stats[name] == 0 for name in memo + stages)
+        assert all(stats[name] == 0 for name in memo + moved + stages)
         asyncio.run(pool.query(catalog.current, "retrieve path(0, Y)"))
         asyncio.run(pool.query(catalog.current, "retrieve path(0, Y)"))
         stats = pool.stats()
-        assert [stats[name] for name in memo] == [1, 1, 1]
+        assert [stats[name] for name in memo + moved] == [1, 1, 1, 0, 0]
         assert stats["queries"] == 2
         # The one evaluated read was a cold bound goal on a recursive view.
         assert stats["goal_directed"] == 1
