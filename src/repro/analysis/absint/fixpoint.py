@@ -1,13 +1,14 @@
 """The one fixpoint driver behind every abstract domain.
 
-All three analyses — binding modes, type/domain inference, cardinality
-estimation — are least-fixpoint computations over a monotone equation
-system: each :class:`Equation` recomputes one target's abstract value from
-the current state, and the solver joins the result into the target,
-re-queueing every equation that depends on it.  The domains differ only in
-their value type, ``join``, and (for cardinality, whose chains of floats
-can climb indefinitely) the *widening* applied after a target has been
-updated :data:`MAX_UPDATES` times.
+Both analyses — binding modes and type/domain inference — are
+least-fixpoint computations over a monotone equation system: each
+:class:`Equation` recomputes one target's abstract value from the current
+state, and the solver joins the result into the target, re-queueing every
+equation that depends on it.  The domains differ only in their value type
+and ``join``.  Both are of finite height — adornment sets over a fixed
+arity; kinds, a capped enum facet and an interval whose bounds are values
+that occur in the program or its stored columns (the language has no
+arithmetic to make new ones) — so the solver has no widening step.
 
 The worklist is deterministic (FIFO over equation indexes, seeded in
 declaration order), so analysis results — and the diagnostics derived from
@@ -20,10 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-__all__ = ["Equation", "MAX_UPDATES", "solve"]
-
-#: Per-target update budget before the widening hook engages.
-MAX_UPDATES = 32
+__all__ = ["Equation", "solve"]
 
 
 @dataclass(frozen=True)
@@ -43,16 +41,12 @@ def solve(
     equations: list[Equation],
     initial: Mapping[str, object],
     join: Callable[[object, object], object],
-    widen: Callable[[str, object], object] | None = None,
-    max_updates: int = MAX_UPDATES,
 ) -> dict[str, object]:
     """Solve the equation system to its least fixpoint.
 
     ``initial`` seeds the state (every target and dependency key should be
     present).  ``join`` combines an equation's result into the target's
-    current value; ``widen(target, value)`` jumps a target straight to a
-    stable over-approximation once it has been updated *max_updates* times
-    (required for domains of unbounded height, a no-op for finite ones).
+    current value.
     """
     state: dict[str, object] = dict(initial)
     dependents: dict[str, list[int]] = {}
@@ -62,7 +56,6 @@ def solve(
 
     worklist: deque[int] = deque(range(len(equations)))
     queued: set[int] = set(worklist)
-    updates: dict[str, int] = {}
     rounds = 0
     limit = max(1000, 100 * len(equations))
     while worklist:
@@ -79,12 +72,6 @@ def solve(
         new = join(old, equation.transfer(state))
         if new == old:
             continue
-        count = updates.get(target, 0) + 1
-        updates[target] = count
-        if widen is not None and count > max_updates:
-            new = widen(target, new)
-            if new == old:
-                continue
         state[target] = new
         for dependent in dependents.get(target, ()):
             if dependent not in queued:

@@ -122,14 +122,6 @@ class ColumnDomain:
                 return False
         return True
 
-    def distinct_bound(self) -> int | None:
-        """An upper bound on the number of distinct values, when known."""
-        if self.is_bottom:
-            return 0
-        if self.values is not None:
-            return len(self.values)
-        return None
-
     # -- lattice operations -------------------------------------------------------
 
     def join(self, other: "ColumnDomain") -> "ColumnDomain":

@@ -1,6 +1,7 @@
-"""Pass 7 — abstract interpretation (modes, types, cardinalities).
+"""Pass 7 — abstract interpretation (column types, recursion shape).
 
-Findings derived from the fixpoint analyses in this package:
+Findings derived from type inference (:mod:`.typeinfer`; KB701, KB702,
+KB704) and from the dependency graph's recursion classes (KB703):
 
 * **KB701** — an order comparison whose operands are provably
   type-incompatible (one side can only be numeric, the other only

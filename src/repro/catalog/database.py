@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.errors import (
     ArityError,
@@ -37,6 +37,18 @@ from repro.logic.typing import (
 
 #: Issues :attr:`KnowledgeBase.lineage` numbers, one per live knowledge base.
 _LINEAGES = itertools.count()
+
+
+class DependencyStamp(NamedTuple):
+    """What :meth:`KnowledgeBase.dependency_stamp` returns (see there)."""
+
+    lineage: int
+    rules_version: int
+    constraints_version: int
+    #: ``(stored name, relation version)`` pairs, sorted by name.
+    versions: tuple[tuple[str, int], ...]
+    #: The dependencies nothing defines.
+    undefined: frozenset[str]
 
 
 class KnowledgeBase:
@@ -443,31 +455,13 @@ class KnowledgeBase:
             self._graph = DependencyGraph(self._rules)
         return self._graph
 
-    def stored_versions(
-        self, names: Iterable[str]
-    ) -> tuple[dict[str, int], frozenset[str]]:
-        """``(version of each stored name, the names nothing defines)``.
-
-        Rule-defined and built-in names appear in neither: what they mean
-        is the rule set's business (:attr:`rules_version`).
-        """
-        relations, schemas = self._relations, self._schemas
-        versions: dict[str, int] = {}
-        undefined: set[str] = set()
-        for name in names:
-            relation = relations.get(name)
-            if relation is not None:
-                versions[name] = relation.version
-            elif name not in schemas and not is_builtin_predicate(name):
-                undefined.add(name)
-        return versions, frozenset(undefined)
-
-    def dependency_stamp(self, predicates: Iterable[str] = ()) -> tuple:
+    def dependency_stamp(self, predicates: Iterable[str] = ()) -> DependencyStamp:
         """Everything an answer over *predicates* is a function of, as one
         hashable value.
 
-        ``(lineage, rules_version, constraints_version, ((stored name,
-        version), ...), undefined names)``, the last two over the predicates
+        A :class:`DependencyStamp`: ``(lineage, rules_version,
+        constraints_version, ((stored name, version), ...), undefined
+        names)``, the last two over the predicates
         and all they transitively depend on.  Two states with equal stamps
         give equal answers to any query that reads only these predicates —
         on this knowledge base, on a later state of it, or on any published
@@ -475,8 +469,10 @@ class KnowledgeBase:
         invalidating: a mutation it could observe changes the stamp.  A
         knowledge query (``describe`` / ``compare``) reads rules and
         constraints only: its stamp is that of no predicates.  This is the
-        one definition behind the session's statement memo
-        (:meth:`ViewCache.dependency_fingerprint
+        one definition behind every cached thing in the process: a
+        materialised view and the goal-directed first-miss state
+        (:mod:`repro.engine.viewcache`, one stamp per view), the session's
+        statement memo (:meth:`ViewCache.dependency_fingerprint
         <repro.engine.viewcache.ViewCache.dependency_fingerprint>`) and the
         server's answer memo (:mod:`repro.server.pool`).
         """
@@ -485,13 +481,24 @@ class KnowledgeBase:
         if predicates:
             graph = self.dependency_graph()
             names.update(*map(graph.dependencies, predicates))
-        versions, undefined = self.stored_versions(names)
-        return (
+        # Rule-defined and built-in names appear in neither list: what they
+        # mean is the rule set's business (``rules_version``).
+        relations, schemas = self._relations, self._schemas
+        versions: list[tuple[str, int]] = []
+        undefined: set[str] = set()
+        for name in names:
+            relation = relations.get(name)
+            if relation is not None:
+                versions.append((name, relation.version))
+            elif name not in schemas and not is_builtin_predicate(name):
+                undefined.add(name)
+        versions.sort()
+        return DependencyStamp(
             self._lineage,
             self._rules_version,
             self._constraints_version,
-            tuple(sorted(versions.items())),
-            undefined,
+            tuple(versions),
+            frozenset(undefined),
         )
 
     def is_recursive(self, predicate: str) -> bool:

@@ -400,7 +400,7 @@ def run_serve(args: argparse.Namespace, out=None) -> int:
     kb = _build_kb(args) if (args.durable is None or args.dataset) else None
     catalog = MultiVersionCatalog(kb=kb, durable=args.durable)
     if args.load:
-        loader = Session(catalog.kb, cache=False, plan_cache=False)
+        loader = Session(catalog.kb, cache=False)
         with open(args.load) as handle:
             count = loader.load(handle.read())
         catalog.republish()

@@ -23,11 +23,15 @@ from typing import Iterator, Sequence
 from repro.errors import CatalogError
 from repro.catalog.database import KnowledgeBase
 from repro.catalog.relation import Relation, Row
-from repro.engine.joins import Resolver, bind_row, join_conjunction
+from repro.engine.joins import (
+    Resolver,
+    bind_row,
+    join_conjunction,
+    relation_resolver,
+)
 from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule
 from repro.logic.substitution import Substitution
-from repro.logic.terms import is_constant
 from repro.logic.unify import match
 
 #: A per-predicate set of rows.
@@ -93,11 +97,14 @@ class MaterializedDatabase:
         # Private copies: derived deltas are added as the pass climbs.
         added = {p: rows for p, rows in added.items() if rows}
         removed = {p: rows for p, rows in removed.items() if rows}
-        current = self._resolver()
+        # Both resolvers read the relations (and *removed*, which grows as
+        # the pass climbs) at call time, so they serve the whole pass.
+        current = relation_resolver(self._relation_for)
         # Offering the removed rows back makes the join read a superset of
         # the old state, so no old derivation is missed; the view itself
-        # filters out what the added rows let through.
-        before = self._resolver(offered=removed)
+        # filters out what the added rows let through.  They were physically
+        # removed, so the relation yields none of them a second time.
+        before = relation_resolver(self._relation_for, offered=removed)
         for predicate in self._order:
             relation = self._derived[predicate]
             rules = self._kb.rules_for(predicate)
@@ -126,33 +133,10 @@ class MaterializedDatabase:
 
     # -- internals --------------------------------------------------------------------
 
-    def _resolver(self, offered: Delta | None = None) -> Resolver:
-        """A resolver over the current relations, plus the *offered* rows.
-
-        Both are read at call time, so one resolver serves the whole pass.
-        """
-
-        def resolve(atom: Atom, theta: Substitution) -> Iterator[Substitution]:
-            predicate = atom.predicate
-            if self._kb.is_edb(predicate):
-                relation = self._kb.relation(predicate)
-            else:
-                relation = self._derived.get(predicate)
-            if relation is not None:
-                pattern = [arg if is_constant(arg) else None for arg in atom.args]
-                for row in relation.lookup(pattern):
-                    extended = bind_row(atom, row, theta)
-                    if extended is not None:
-                        yield extended
-            if offered is not None:
-                # Offered rows were physically removed, so none of them was
-                # already yielded from the relation.
-                for row in offered.get(predicate, ()):
-                    extended = bind_row(atom, row, theta)
-                    if extended is not None:
-                        yield extended
-
-        return resolve
+    def _relation_for(self, predicate: str) -> Relation | None:
+        if self._kb.is_edb(predicate):
+            return self._kb.relation(predicate)
+        return self._derived.get(predicate)
 
     def _fire(self, rule: Rule, delta: Delta, resolver: Resolver) -> Iterator[Row]:
         """Head rows of *rule* whose derivation uses at least one delta row.

@@ -13,7 +13,9 @@ No query is answered through it: its callers are ``explain`` proof search
 (:mod:`repro.engine.provenance`), the view cache's one-pass repair of
 non-recursive views (:mod:`repro.engine.incremental`) and the reference
 evaluator the test suites use as their oracle
-(:mod:`repro.engine.reference`).  Query evaluation runs on the integer
+(:mod:`repro.engine.reference`); the first two resolve atoms through
+:func:`relation_resolver`, the oracle through a copy of its own.  Query
+evaluation runs on the integer
 kernels of :mod:`repro.engine.kernels`; :func:`order_conjuncts` and
 :func:`relation_cost_estimator` are shared with its planner
 (:mod:`repro.engine.plan`).
@@ -21,7 +23,7 @@ kernels of :mod:`repro.engine.kernels`; :func:`order_conjuncts` and
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import SafetyError
 from repro.logic.atoms import Atom
@@ -29,6 +31,9 @@ from repro.logic.builtins import evaluate_comparison
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Variable, is_constant, is_variable
 from repro.logic.unify import unify_terms
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.catalog.relation import Relation, Row
 
 #: A resolver maps a (partially instantiated) positive atom to candidate
 #: substitutions that make it true, each already composed over the input.
@@ -228,3 +233,33 @@ def bind_row(atom: Atom, row: Sequence[object], theta: Substitution) -> Substitu
         elif arg != value:
             return None
     return current
+
+
+def relation_resolver(
+    relation_for: Callable[[str], Relation | None],
+    offered: Mapping[str, Iterable[Row]] | None = None,
+) -> Resolver:
+    """A resolver that probes ``relation_for(predicate)`` by an atom's constants.
+
+    *relation_for* returns the relation an atom of the predicate reads, or
+    ``None`` for an undefined one (empty extension); it is called per
+    resolution, so one resolver follows relations that change under it.
+    *offered* rows, per predicate, are matched after the relation's own —
+    the caller guarantees the relation holds none of them.
+    """
+
+    def resolve(atom: Atom, theta: Substitution) -> Iterator[Substitution]:
+        relation = relation_for(atom.predicate)
+        if relation is not None:
+            pattern = [arg if is_constant(arg) else None for arg in atom.args]
+            for row in relation.lookup(pattern):
+                extended = bind_row(atom, row, theta)
+                if extended is not None:
+                    yield extended
+        if offered is not None:
+            for row in offered.get(atom.predicate, ()):
+                extended = bind_row(atom, row, theta)
+                if extended is not None:
+                    yield extended
+
+    return resolve

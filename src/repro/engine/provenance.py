@@ -22,20 +22,19 @@ proof deeper than the interpreter's stack ends in the same located
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.errors import EngineError, EvaluationLimitError
 from repro.catalog.database import KnowledgeBase
 from repro.engine.evaluate import retrieve
 from repro.engine.guard import BUDGET_DEPTH, ResourceGuard, require_strict
-from repro.engine.joins import bind_row, join_conjunction
+from repro.engine.joins import join_conjunction, relation_resolver
 from repro.engine.seminaive import SemiNaiveEngine
 from repro.logic.atoms import Atom
 from repro.logic.builtins import evaluate_comparison
 from repro.logic.clauses import Rule
 from repro.logic.rename import VariableRenamer
 from repro.logic.substitution import Substitution
-from repro.logic.terms import is_constant
 from repro.logic.unify import unify
 
 #: How a proof node is justified.
@@ -106,16 +105,6 @@ class ProofSearch:
             return self._engine.derived_relation(predicate)
         return None
 
-    def _resolver(self, atom: Atom, theta: Substitution) -> Iterator[Substitution]:
-        relation = self._relation_for(atom.predicate)
-        if relation is None:
-            return
-        pattern = [arg if is_constant(arg) else None for arg in atom.args]
-        for row in relation.lookup(pattern):
-            extended = bind_row(atom, row, theta)
-            if extended is not None:
-                yield extended
-
     def prove(self, atom: Atom) -> ProofNode | None:
         """A proof of a ground atom, or ``None`` when it is not derivable."""
         self._deepest = 0
@@ -152,13 +141,14 @@ class ProofSearch:
         if guard is not None:
             guard.check_depth(len(path))
         self._deepest = max(self._deepest, len(path))
+        resolver = relation_resolver(self._relation_for)
         for rule in self._kb.rules_for(predicate):
             renamed = self._renamer.rename_rule(rule)
             theta = unify(renamed.head, atom)
             if theta is None:
                 continue
             for solution in join_conjunction(
-                self._resolver, theta.apply_all(renamed.body), theta
+                resolver, theta.apply_all(renamed.body), theta
             ):
                 if guard is not None:
                     guard.tick()

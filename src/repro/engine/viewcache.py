@@ -2,23 +2,29 @@
 
 Serving workloads re-issue the same queries against a slowly changing
 knowledge base, yet every ``retrieve`` recomputes the full semi-naive
-fixpoint from scratch.  :class:`ViewCache` closes that gap: computed IDB
-relations are memoized keyed on a **dependency fingerprint** —
+fixpoint from scratch.  :class:`ViewCache` closes that gap: each computed
+IDB relation is kept with the **dependency stamp** of its predicate
+(:meth:`KnowledgeBase.dependency_stamp
+<repro.catalog.database.KnowledgeBase.dependency_stamp>`) and is fresh
+exactly while the knowledge base still stamps the predicate the same —
 
-* the knowledge base's :attr:`~repro.catalog.database.KnowledgeBase.rules_version`
-  (any rule/catalog change invalidates every view), and
+* the rule-set and constraint-set versions (any rule, catalog or
+  constraint change retires every view once), and
 * the :attr:`~repro.catalog.relation.Relation.version` of each EDB relation
   the predicate *transitively* depends on (via the dependency graph), so a
-  fact inserted into ``enroll`` invalidates ``honor`` but not ``path``.
+  fact inserted into ``enroll`` retires ``honor`` but not ``path``, and
+* the dependencies nothing defines yet (declaring one retires the view).
 
-Nothing subscribes to anything: a mutation simply bumps a counter, and the
+It is the rule the statement memo below and the server's answer memo
+(:mod:`repro.server.pool`) are valid by; there is no other.  Nothing
+subscribes to anything: a mutation simply bumps a counter, and the
 next probe notices the mismatch.  Transaction rollback
 (:meth:`~repro.catalog.relation.Relation.restore`) bumps the same counters,
 so a cache can never serve state from a rolled-back world.
 
 On a stale probe the cache picks one of two routes from what it observes.
 The per-relation change journal (:meth:`~repro.catalog.relation.Relation.changes_since`)
-reconstructs the net EDB delta since the cached versions; when it is small
+reconstructs the net EDB delta since the stamped versions; when it is small
 (:data:`REPAIR_MAX_DELTA_ROWS`) and the closure is positive and
 **non-recursive**, the cached relations are repaired in place by the
 one-pass maintainer of :mod:`repro.engine.incremental`.  A closure that
@@ -63,7 +69,7 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from repro.catalog.database import KnowledgeBase
+from repro.catalog.database import DependencyStamp, KnowledgeBase
 from repro.catalog.relation import Relation, Row
 from repro.engine.guard import ResourceGuard
 from repro.engine.incremental import Delta, MaterializedDatabase
@@ -88,7 +94,7 @@ class CacheStats:
     derivation at all); ``incremental_refreshes`` served after an in-place
     delta repair; ``misses`` required a full fixpoint recompute.
     ``invalidations`` counts cached views discarded because their
-    fingerprint no longer matched; ``goal_directed`` probes left a miss to
+    stamp no longer matched; ``goal_directed`` probes left a miss to
     the caller's goal-directed evaluation.  ``rows_pinned`` / ``bytes_pinned``
     are current gauges (bytes are an estimate), the rest monotone counters.
     """
@@ -126,15 +132,12 @@ class CacheStats:
 
 @dataclass
 class _ViewEntry:
-    """One materialised IDB relation plus the state it was computed under."""
+    """One materialised IDB relation plus the state it is current for."""
 
     relation: Relation
-    rules_version: int
-    #: EDB dependency name -> its relation version at materialisation time.
-    edb_versions: dict[str, int]
-    #: Dependency predicates that were undefined at materialisation time
-    #: (empty extension); a later definition must invalidate the view.
-    undefined: frozenset[str]
+    #: ``kb.dependency_stamp((predicate,))`` when the relation was computed
+    #: or last repaired; the view is fresh while the stamp still reads so.
+    stamp: DependencyStamp
     #: LRU clock value of the last probe that served this entry.
     tick: int = 0
 
@@ -192,8 +195,8 @@ class ViewCache:
         self.max_statements = max_statements
         self._views: dict[str, _ViewEntry] = {}
         self._statements: OrderedDict[tuple, object] = OrderedDict()
-        #: Closure members -> dependency state of the last goal-directed miss.
-        self._first_miss: dict[tuple[str, ...], tuple] = {}
+        #: Closure members -> their stamps at the last goal-directed miss.
+        self._first_miss: dict[tuple[str, ...], dict[str, DependencyStamp]] = {}
         self._clock = 0
         #: The engine of an in-flight full recompute; degrade-mode callers
         #: read sound partial relations from it after a budget trip.
@@ -251,16 +254,18 @@ class ViewCache:
             closure.update(q for q in graph.dependencies(predicate) if kb.is_idb(q))
         members = sorted(closure)
         with traced_span(tracer, "cache.probe", predicates=members):
-            profiles = {p: self._dependency_profile(p) for p in members}
-            fresh = all(self._is_fresh(p, profiles[p]) for p in members)
+            stamps = {p: kb.dependency_stamp((p,)) for p in members}
+            fresh = all(
+                p in self._views and self._views[p].stamp == stamps[p]
+                for p in members
+            )
             if goal == "bound":
-                state = (kb.rules_version, profiles)
                 if fresh:
                     goal = "fresh_view"
-                elif self._first_miss.get(tuple(members)) == state:
+                elif self._first_miss.get(tuple(members)) == stamps:
                     goal = "second_miss"
                 else:
-                    self._first_miss[tuple(members)] = state
+                    self._first_miss[tuple(members)] = stamps
                     self.stats.goal_directed += 1
                     if tracer is not None:
                         cold = any(p not in self._views for p in members)
@@ -281,7 +286,7 @@ class ViewCache:
                     tracer.count("cache_hits")
                 return {p: self._views[p].relation for p in wanted}
 
-            reason = self._refresh_incrementally(members, profiles, guard, tracer)
+            reason = self._refresh_incrementally(members, stamps, guard, tracer)
             if reason is None:
                 self.stats.incremental_refreshes += 1
                 if tracer is not None:
@@ -289,7 +294,7 @@ class ViewCache:
                     tracer.count("cache_incremental_refreshes")
             else:
                 with traced_span(tracer, "cache.recompute", predicates=members):
-                    self._recompute(members, profiles, guard, tracer)
+                    self._recompute(members, stamps, guard, tracer)
                 self.stats.misses += 1
                 self.stats.full_refreshes += 1
                 if tracer is not None:
@@ -331,7 +336,7 @@ class ViewCache:
         self._statements.clear()
         self._first_miss.clear()
 
-    def dependency_fingerprint(self, predicates: Sequence[str]) -> tuple:
+    def dependency_fingerprint(self, predicates: Sequence[str]) -> DependencyStamp:
         """A hashable digest of everything the given predicates depend on.
 
         The knowledge base's :meth:`dependency stamp
@@ -387,30 +392,10 @@ class ViewCache:
 
     # -- internals -----------------------------------------------------------------
 
-    def _dependency_profile(
-        self, predicate: str
-    ) -> tuple[dict[str, int], frozenset[str]]:
-        """Current (EDB dependency versions, undefined dependencies)."""
-        kb = self._kb
-        return kb.stored_versions(kb.dependency_graph().dependencies(predicate))
-
-    def _is_fresh(
-        self, predicate: str, profile: tuple[dict[str, int], frozenset[str]]
-    ) -> bool:
-        entry = self._views.get(predicate)
-        if entry is None:
-            return False
-        edb_versions, undefined = profile
-        return (
-            entry.rules_version == self._kb.rules_version
-            and entry.edb_versions == edb_versions
-            and entry.undefined == undefined
-        )
-
     def _refresh_incrementally(
         self,
         members: list[str],
-        profiles: dict[str, tuple[dict[str, int], frozenset[str]]],
+        stamps: dict[str, DependencyStamp],
         guard: ResourceGuard | None,
         tracer=None,
     ) -> str | None:
@@ -418,24 +403,23 @@ class ViewCache:
 
         Returns ``None`` once the views are current, otherwise the reason
         they must be recomputed.  Repair requires every closure member
-        cached at one consistent EDB snapshot under the current rule set,
-        positive rules, reconstructable journals for every changed
-        dependency, a net delta within :data:`REPAIR_MAX_DELTA_ROWS` and —
-        unless that delta is empty — no recursive member.
+        cached at one consistent EDB snapshot under the current rule and
+        constraint sets, positive rules, reconstructable journals for every
+        changed dependency, a net delta within
+        :data:`REPAIR_MAX_DELTA_ROWS` and — unless that delta is empty — no
+        recursive member.  *stamps* are the members' current stamps.
         """
         kb = self._kb
-        rules_version = kb.rules_version
         entries = {p: self._views.get(p) for p in members}
         if any(entry is None for entry in entries.values()):
             return "cold"
         base: dict[str, int] = {}
         for predicate, entry in entries.items():
-            if (
-                entry.rules_version != rules_version
-                or entry.undefined != profiles[predicate][1]
-            ):
+            # Only the stored versions may differ for a repair to make sense.
+            current = stamps[predicate]
+            if entry.stamp._replace(versions=current.versions) != current:
                 return "rules"
-            for name, version in entry.edb_versions.items():
+            for name, version in entry.stamp.versions:
                 if base.setdefault(name, version) != version:
                     return "snapshot"  # entries cached at different snapshots
         for predicate in members:
@@ -496,22 +480,21 @@ class ViewCache:
         self._clock += 1
         for predicate in members:
             entry = entries[predicate]
-            entry.edb_versions = dict(profiles[predicate][0])
+            entry.stamp = stamps[predicate]
             entry.tick = self._clock
         return None
 
     def _recompute(
         self,
         members: list[str],
-        profiles: dict[str, tuple[dict[str, int], frozenset[str]]],
+        stamps: dict[str, DependencyStamp],
         guard: ResourceGuard | None,
         tracer=None,
     ) -> None:
         """Full semi-naive materialisation of the closure; stores on success."""
         for predicate in members:
-            if predicate in self._views and not self._is_fresh(
-                predicate, profiles[predicate]
-            ):
+            entry = self._views.get(predicate)
+            if entry is not None and entry.stamp != stamps[predicate]:
                 del self._views[predicate]
                 self.stats.invalidations += 1
         engine = SemiNaiveEngine(self._kb, guard=guard, tracer=tracer)
@@ -522,14 +505,10 @@ class ViewCache:
         derived = engine.evaluate(members)
         self._inflight = None
         self._clock += 1
-        rules_version = self._kb.rules_version
         for predicate in members:
-            edb_versions, undefined = profiles[predicate]
             self._views[predicate] = _ViewEntry(
                 relation=derived[predicate],
-                rules_version=rules_version,
-                edb_versions=dict(edb_versions),
-                undefined=undefined,
+                stamp=stamps[predicate],
                 tick=self._clock,
             )
 

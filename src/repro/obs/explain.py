@@ -4,13 +4,15 @@
 evaluation time (:mod:`repro.engine.plan`, :mod:`repro.engine.kernels`) and
 renders them — per stratum, per rule, per step — as text or JSON, *before*
 running anything.  Join
-orders and row estimates come from the shared cardinality estimator over
-the stored EDB relations; IDB sizes are unknown pre-execution, so the
-rendering is the cold-start plan (the engines re-estimate against
-materialised IDB relations as strata complete).  Next to the plan sits a
-per-predicate *analysis* block (binding modes, column domains, estimated
-rows, recursion class) from :func:`repro.analysis.absint.summary.summary_for`
-— an annotation only: no join order shown here depends on it.
+orders and the per-step ``est~N rows`` come from the one cardinality
+estimator (:func:`repro.engine.joins.relation_cost_estimator`) over the
+stored EDB relations; IDB sizes are unknown pre-execution, so the
+rendering is the cold-start plan (evaluation plans each stratum against
+the materialised relations of the strata below it, whose sizes it then
+reads exactly).  Next to the plan sits a per-predicate *analysis* block
+(binding modes, column domains, recursion class) from
+:func:`repro.analysis.absint.summary.summary_for` — an annotation only,
+and no estimate: no join order shown here depends on it.
 
 The route is the one a first evaluation takes — nothing cached yet —
 (:func:`repro.engine.evaluate.goal_verdict`), printed with its reason:
@@ -88,7 +90,6 @@ class PredicateAnalysis:
     predicate: str
     modes: list[str]
     columns: list[str]
-    rows: str
     recursion: str | None = None
 
     def as_dict(self) -> dict:
@@ -96,7 +97,6 @@ class PredicateAnalysis:
             "predicate": self.predicate,
             "modes": list(self.modes),
             "columns": list(self.columns),
-            "rows": self.rows,
         }
         if self.recursion is not None:
             entry["recursion"] = self.recursion
@@ -107,7 +107,6 @@ class PredicateAnalysis:
         if self.modes:
             parts.append("modes " + ", ".join(self.modes))
         parts.append("cols (" + ", ".join(self.columns) + ")")
-        parts.append(self.rows)
         if self.recursion is not None:
             parts.append(f"recursion: {self.recursion}")
         return f"{self.predicate}: " + "; ".join(parts)
@@ -148,7 +147,7 @@ class QueryExplanation:
         for note in self.notes:
             lines.append(f"note: {note}")
         if self.analysis:
-            lines.append("analysis (binding modes / column domains / cardinality):")
+            lines.append("analysis (binding modes / column domains):")
             for entry in self.analysis:
                 lines.append(f"  {entry.format()}")
         for stratum in self.strata:
@@ -218,13 +217,11 @@ def _analysis_entries(summary, predicates) -> list[PredicateAnalysis]:
     entries = []
     for predicate in sorted(predicates):
         domains = summary.column_domains(predicate) or ()
-        estimate = summary.cards.get(predicate)
         entries.append(
             PredicateAnalysis(
                 predicate=predicate,
                 modes=sorted(summary.adornments(predicate)),
                 columns=[domain.describe() for domain in domains],
-                rows="rows unknown" if estimate is None else estimate.describe(),
                 recursion=summary.recursion.get(predicate),
             )
         )

@@ -171,9 +171,7 @@ class KnowledgeServer:
         self._write_threads = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="dbk-write"
         )
-        self._writer_session = Session(
-            catalog.kb, cache=False, plan_cache=False
-        )
+        self._writer_session = Session(catalog.kb, cache=False)
 
     # -- lifecycle -----------------------------------------------------------------
 

@@ -171,7 +171,6 @@ class Session:
         cache: "ViewCache | bool | None" = True,
         lint: str = "warn",
         trace: "Tracer | bool | None" = False,
-        plan_cache: bool = True,
         durable: str | None = None,
     ) -> None:
         if durable is not None:
@@ -187,8 +186,8 @@ class Session:
         self.style = style
         self.config = config
         #: Compiled-plan cache for retrieve conjunctions (see
-        #: :class:`PlanCache`), or ``None`` when disabled.
-        self.plan_cache: PlanCache | None = PlanCache() if plan_cache else None
+        #: :class:`PlanCache`).
+        self.plan_cache = PlanCache()
         #: Session-wide resource governance specification (see class doc).
         self.guard = guard
         from repro.catalog.loader import LINT_POLICIES

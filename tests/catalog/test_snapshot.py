@@ -10,7 +10,8 @@ from repro.catalog import (
 )
 from repro.engine import retrieve
 from repro.errors import CatalogError
-from repro.lang.parser import parse_atom, parse_rule
+from repro.lang.parser import parse_atom, parse_body, parse_rule
+from repro.logic.clauses import IntegrityConstraint
 
 
 def small_kb() -> KnowledgeBase:
@@ -168,6 +169,15 @@ class TestDependencyStamp:
         assert kb.dependency_stamp(["path"]) != path
         assert kb.dependency_stamp() == knowledge
         kb.add_rule(parse_rule("loop(X) <- edge(X, X)"))
+        assert kb.dependency_stamp() != knowledge
+
+    def test_a_constraint_change_moves_every_stamp(self):
+        # Knowledge answers read the constraint set, and the one stamp is
+        # also what a cached view is fresh by: it moves for both.
+        kb = small_kb()
+        path, knowledge = kb.dependency_stamp(["path"]), kb.dependency_stamp()
+        kb.add_constraint(IntegrityConstraint(parse_body("edge(X, X)")))
+        assert kb.dependency_stamp(["path"]) != path
         assert kb.dependency_stamp() != knowledge
 
     def test_an_undefined_dependency_is_part_of_the_stamp(self):

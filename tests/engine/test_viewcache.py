@@ -227,6 +227,62 @@ class TestGoalDirectedRoute:
         assert cache.evaluate(["path"], goal="bound") is None  # clear() forgets the miss
 
 
+class TestFreshByOneStamp:
+    """A view is fresh exactly while the knowledge base stamps its predicate
+    (:meth:`KnowledgeBase.dependency_stamp`) as it did when the view was
+    computed or last repaired."""
+
+    probes = TestGoalDirectedRoute.probes
+
+    def warm_session(self):
+        kb = layered_kb()
+        kb.declare_edb("color", 1)
+        kb.add_fact("color", "red")
+        session = Session(kb, trace=True)
+        session.query("retrieve fork(X)")
+        return session
+
+    @pytest.mark.parametrize(
+        "change, probe",
+        [
+            # A write outside the closure: the stamp did not move.
+            ("color(blue).", {"outcome": "hit"}),
+            # One inside it: stale, and small enough to repair in place.
+            ("edge(1, 3).", {"outcome": "incremental"}),
+            ("loop(X) <- edge(X, X).", {"outcome": "recompute", "reason": "rules"}),
+            # The stamp carries the constraints version, so a constraint
+            # change recomputes every view once, as a rule change does.
+            (
+                "not (edge(X, X) and color(X)).",
+                {"outcome": "recompute", "reason": "rules"},
+            ),
+        ],
+    )
+    def test_what_retires_a_view(self, change, probe):
+        session = self.warm_session()
+        before = session.cache._views["fork"].stamp
+        session.query(change)
+        moved = session.kb.dependency_stamp(("fork",)) != before
+        assert moved == (probe["outcome"] != "hit")
+        # Another statement over the same view: the memo cannot answer it.
+        assert self.probes(session, "retrieve fork(Y)") == [probe]
+        for predicate, entry in session.cache._views.items():
+            assert entry.stamp == session.kb.dependency_stamp((predicate,))
+        assert self.probes(session, "retrieve fork(Z)") == [{"outcome": "hit"}]
+
+    def test_declaring_an_undefined_dependency_retires_the_view(self):
+        session = self.warm_session()
+        session.kb.add_rule(parse_rule("tinted(X) <- two(X, Y) and paint(Y)"))
+        assert len(session.query("retrieve tinted(X)")) == 0
+        assert session.cache._views["tinted"].stamp.undefined == frozenset({"paint"})
+        session.kb.declare_edb("paint", 1)
+        session.kb.add_fact("paint", 2)
+        assert self.probes(session, "retrieve tinted(Y)") == [
+            {"outcome": "recompute", "reason": "rules"}
+        ]
+        assert values(session.cache._views["tinted"].relation) == {(0,)}
+
+
 class TestEviction:
     def test_lru_rows_budget(self):
         kb = chain_kb(12)  # path has 78 rows

@@ -50,7 +50,7 @@ def assert_cache_consistent(kb, cache: ViewCache) -> None:
     for predicate, entry in cache._views.items():
         # As cached: a recomputed view is id-only, a repaired one is not.
         entry.relation.check_invariants()
-        if not cache._is_fresh(predicate, cache._dependency_profile(predicate)):
+        if entry.stamp != kb.dependency_stamp((predicate,)):
             continue
         expected = SemiNaiveEngine(kb).evaluate([predicate])[predicate]
         assert set(entry.relation.rows()) == set(expected.rows()), (

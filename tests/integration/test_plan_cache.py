@@ -87,12 +87,6 @@ class TestSessionPlanCache:
         assert session.plan_cache.hits == 2
         assert session.cache_stats()["goal_directed"] == 3
 
-    def test_cache_can_be_disabled(self):
-        session = seeded_session(plan_cache=False)
-        assert session.plan_cache is None
-        answers = session.query("retrieve path(a, X)")
-        assert (Constant("d"),) in answers.to_set()
-
 
 class TestKeysTellTermsApart:
     """``Constant("1")`` and ``Constant(1)`` used to print alike, and the

@@ -14,6 +14,12 @@ environment flag may grow back, and — the defect the old hookup's cache
 caused — a knowledge base that was queried and explained is freed once
 its owner drops it.
 
+One estimator: ``relation_cost_estimator`` is the only reader of relation
+statistics.  The abstract cardinality domain (``absint/cardinality.py``,
+the widening hook it alone needed in the fixpoint driver) may not grow
+back beside it, and neither may ``Session(plan_cache=)``, an opt-out whose
+only callers skipped one allocation.
+
 The view-repair half: a stale view has one repair scheme with one caller.
 The cache routes by what it observes (a recursive closure recomputes, a
 positive non-recursive one is repaired in one pass), so no threshold
@@ -45,10 +51,12 @@ The memo half: the served answer memo has one store and one validity rule,
 the knowledge base's dependency stamp.  Nothing in ``server/pool.py`` may
 drop the store wholesale when the pinned snapshot changes, and ``server/``
 may not walk the dependency graph itself (it asks the knowledge base what
-a statement's predicates reach).
+a statement's predicates reach).  A cached view is fresh by the same stamp:
+an entry holds its relation, its stamp and its LRU tick, nothing else.
 """
 
 import ast
+import dataclasses
 import gc
 import importlib
 import importlib.util
@@ -64,6 +72,8 @@ from pathlib import Path
 import pytest
 
 import repro.engine
+from repro.analysis.absint import fixpoint
+from repro.catalog.database import KnowledgeBase
 from repro.catalog.relation import Relation
 from repro.catalog.symbols import SymbolTable
 from repro.cli import main
@@ -76,7 +86,7 @@ from repro.engine.kernels import (
 )
 from repro.engine.incremental import MaterializedDatabase
 from repro.engine.magic import magic_conjunction, magic_rewrite
-from repro.engine.viewcache import ViewCache
+from repro.engine.viewcache import ViewCache, _ViewEntry
 from repro.errors import CatalogError
 from repro.lang.parser import parse_atom
 from repro.logic.substitution import Substitution
@@ -513,3 +523,33 @@ def test_the_server_walks_no_dependency_graph_of_its_own():
             if isinstance(call.func, (ast.Attribute, ast.Name))
         }
         assert called.isdisjoint({"dependency_graph", "dependencies"}), source.name
+
+
+def test_the_cardinality_domain_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.analysis.absint.cardinality")
+    assert "widen" not in inspect.signature(fixpoint.solve).parameters
+
+
+def test_relation_statistics_have_one_reader():
+    callers = sorted(
+        str(source.relative_to(PACKAGE))
+        for source in PACKAGE.rglob("*.py")
+        if any(
+            isinstance(call.func, ast.Attribute) and call.func.attr == "distinct_count"
+            for call in _calls(ast.parse(source.read_text()))
+        )
+    )
+    # relation.py's own call picks the index column of a lookup.
+    assert callers == ["catalog/relation.py", "engine/joins.py"]
+
+
+def test_a_cached_view_is_fresh_by_its_stamp_alone():
+    assert [f.name for f in dataclasses.fields(_ViewEntry)] == [
+        "relation", "stamp", "tick",
+    ]
+    assert not hasattr(KnowledgeBase, "stored_versions")
+
+
+def test_a_session_always_has_a_plan_cache():
+    assert "plan_cache" not in inspect.signature(Session.__init__).parameters

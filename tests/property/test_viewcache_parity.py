@@ -8,15 +8,29 @@ driven through the identical sequence.  A degrade-mode resource guard may
 shrink *uncached* answers (sound under-approximation), so under degradation
 the invariant weakens to: the cached answer is complete and the uncached
 answer is a subset of it.
+
+In-place repair joins through the substitution resolver
+(:mod:`repro.engine.joins`) while every other answer comes from the integer
+kernels, so the last property drives repair over a *typed* layered program
+— numeric columns that mix ``3`` / ``3.0``, order and equality comparisons,
+``!=`` self-joins, repeated variables — where the two operator sets could
+disagree, and through a row that makes an order comparison ill-typed.
 """
 
+import os
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.database import KnowledgeBase
 from repro.engine.guard import ResourceGuard
+from repro.errors import LogicError
 from repro.lang.parser import parse_rule
 from repro.session import Session
+
+#: Examples for the typed-repair property (CI's differential step raises it).
+TYPED_EXAMPLES = int(os.environ.get("DIFFERENTIAL_EXAMPLES", "40"))
 
 NODES = ["a", "b", "c", "d", "e", "f"]
 
@@ -195,3 +209,106 @@ def test_incremental_refresh_matches_recompute(facts, delta):
         # Each row toggles one edge, so the delta is never a no-op and the
         # fork/two closure must have taken the repair route.
         assert cached.cache_stats()["incremental_refreshes"] > repairs
+
+
+# -- repair over typed columns ------------------------------------------------------
+
+#: Positive and non-recursive, so every stale closure is repaired in place.
+TYPED_RULES = [
+    "hi(X) <- score(X, C, G) and (G > 3.5)",
+    "rival(X, Y) <- score(X, C, G) and score(Y, C, H) and (X != Y)",
+    "three(X) <- score(X, C, G) and (G = 3)",
+    "top(X) <- hi(X) and score(X, C, G) and (G >= 4)",  # a comparison over a view
+    "selfish(X) <- link(X, X)",  # a repeated variable
+    "peers(X, Y) <- hi(X) and link(X, Y) and hi(Y)",  # a view joined twice
+]
+
+TYPED_QUERIES = [
+    "retrieve hi(X)",
+    "retrieve rival(X, Y)",
+    "retrieve three(X)",
+    "retrieve top(X)",
+    "retrieve selfish(X)",
+    "retrieve peers(X, Y)",
+]
+
+PEOPLE = ["ann", "bob", "cy"]
+
+score_rows = st.tuples(
+    st.sampled_from(PEOPLE),
+    st.sampled_from(["db", "os"]),
+    st.sampled_from([3, 3.0, 3.5, 4, 4.0]),
+)
+link_rows = st.tuples(st.sampled_from(PEOPLE), st.sampled_from(PEOPLE))
+
+typed_step = st.one_of(
+    st.tuples(st.just("score"), score_rows),
+    st.tuples(st.just("link"), link_rows),
+    st.tuples(st.just("ill-typed"), st.sampled_from(PEOPLE)),
+)
+
+
+def typed_kb(scores, links) -> KnowledgeBase:
+    kb = KnowledgeBase()
+    kb.declare_edb("score", 3)
+    kb.declare_edb("link", 2)
+    kb.add_facts("score", scores)
+    kb.add_facts("link", links)
+    for rule in TYPED_RULES:
+        kb.add_rule(parse_rule(rule))
+    return kb
+
+
+def toggle(kb: KnowledgeBase, name: str, row) -> None:
+    """Delete the row when stored, insert it otherwise: never a no-op."""
+    if not kb.relation(name).delete(row):
+        kb.add_fact(name, *row)
+
+
+def assert_typed_parity(warm: Session, context) -> None:
+    """The warm session agrees with an uncached one over the same state."""
+    fresh = Session(warm.kb, cache=False)
+    for query in TYPED_QUERIES:
+        assert answer(warm.query(query)) == answer(fresh.query(query)), (
+            f"repair diverged on {query!r} after {context}"
+        )
+
+
+@settings(max_examples=TYPED_EXAMPLES, deadline=None)
+@given(
+    scores=st.lists(score_rows, min_size=1, max_size=6, unique=True),
+    links=st.lists(link_rows, max_size=4, unique=True),
+    # One or two changes between requeries: a repair sees pure inserts, pure
+    # deletes and mixed deltas.
+    steps=st.lists(
+        st.lists(typed_step, min_size=1, max_size=2), min_size=2, max_size=8
+    ),
+)
+def test_typed_repair_parity(scores, links, steps):
+    warm = Session(typed_kb(scores, links))
+    for query in TYPED_QUERIES:
+        warm.query(query)
+
+    for index, step in enumerate(steps):
+        context = (scores, links, steps[: index + 1])
+        for kind, payload in step:
+            if kind != "ill-typed":
+                toggle(warm.kb, kind, payload)
+                continue
+            # (G > 3.5) cannot order a string against a number: the repair
+            # and a cold evaluation must refuse alike, and the refusal must
+            # leave nothing half-repaired behind.
+            row = (payload, "db", "oops")
+            warm.kb.add_fact("score", *row)
+            with pytest.raises(LogicError) as cold:
+                Session(warm.kb, cache=False).query("retrieve hi(X)")
+            with pytest.raises(LogicError) as repaired:
+                warm.query("retrieve hi(X)")
+            assert str(repaired.value) == str(cold.value), context
+            warm.kb.relation("score").delete(row)
+        assert_typed_parity(warm, context)
+
+    # Every step changed a stored relation some cached closure reads (a
+    # change undone within the step still restamps), and every closure here
+    # is one the cache repairs rather than recomputes.
+    assert warm.cache_stats()["incremental_refreshes"] > 0
