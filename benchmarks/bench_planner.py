@@ -8,7 +8,8 @@ probe the huge relation through its index instead of scanning it.
 import pytest
 
 from repro.catalog.database import KnowledgeBase
-from repro.engine.joins import join_conjunction, relation_cost_estimator, bind_row
+from repro.engine.joins import join_conjunction, bind_row
+from repro.engine.plan import relation_cost_estimator
 from repro.lang.parser import parse_body
 from repro.logic.terms import is_constant
 from conftest import report

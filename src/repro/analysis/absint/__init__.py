@@ -9,7 +9,7 @@ One fixpoint driver (:mod:`.fixpoint`) runs two abstract domains:
 
 There is no cardinality domain: row estimates have one source in the
 process, the live relation statistics of
-:func:`repro.engine.joins.relation_cost_estimator`
+:func:`repro.engine.plan.relation_cost_estimator`
 (``docs/ALGORITHMS.md`` section 12 records what was removed and the
 condition for its return).
 

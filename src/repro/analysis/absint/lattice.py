@@ -101,12 +101,6 @@ class ColumnDomain:
         """Provably non-numeric (non-empty and every kind is str/bool)."""
         return bool(self.kinds) and self.kinds <= _NONNUMERIC
 
-    def single_kind(self) -> str | None:
-        """The one possible kind, when there is exactly one."""
-        if len(self.kinds) == 1:
-            return next(iter(self.kinds))
-        return None
-
     def contains(self, constant: Constant) -> bool:
         """Whether the domain admits *constant* (soundness check)."""
         value = constant.value

@@ -12,7 +12,7 @@ inference directly.
 
 Nothing under :mod:`repro.engine` reads a summary, and no summary holds a
 row estimate: join ordering and kernel lowering use live relation
-statistics only (:func:`repro.engine.joins.relation_cost_estimator`, the
+statistics only (:func:`repro.engine.plan.relation_cost_estimator`, the
 one cardinality estimator in the process).  Nothing is cached here
 either — the type seeds are the stored columns read through
 :attr:`ProgramModel.source_kb`, so a summary is valid for exactly the

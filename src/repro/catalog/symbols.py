@@ -74,15 +74,6 @@ class SymbolTable:
         intern = self.intern
         return tuple(intern(constant) for constant in row)
 
-    def id_of(self, constant: Constant) -> int | None:
-        """The id for *constant* if already interned, else ``None``.
-
-        A read-only probe: lookups for constants the process has never
-        stored (e.g. a query pattern over values absent from every
-        relation) must not grow the table.
-        """
-        return self._ids.get(constant)
-
     def extern(self, sid: int) -> Constant:
         """The constant for an id (first-interned representative)."""
         return self._constants[sid]

@@ -28,7 +28,6 @@ from repro.errors import EngineError, ResourceExhausted, SafetyError
 from repro.catalog.database import KnowledgeBase
 from repro.catalog.symbols import SYMBOLS
 from repro.engine.guard import Diagnostics, ResourceGuard, degrade_catch
-from repro.engine.joins import relation_cost_estimator
 from repro.engine.kernels import (
     IntBatch,
     _projector,
@@ -36,6 +35,7 @@ from repro.engine.kernels import (
     substitutions_from_kernel_batch,
 )
 from repro.engine.magic import magic_conjunction
+from repro.engine.plan import relation_cost_estimator
 from repro.engine.seminaive import SemiNaiveEngine
 from repro.logic.atoms import Atom, atoms_variables
 from repro.logic.substitution import Substitution

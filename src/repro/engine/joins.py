@@ -6,7 +6,8 @@ fact source — :func:`join_conjunction` enumerates all bindings satisfying a
 conjunction.  Comparison atoms are evaluated inline: ``=`` may bind a
 variable; order comparisons filter once ground.  Conjuncts are greedily
 reordered so bound atoms run first (index-friendly) and comparisons run as
-soon as they are ground.
+soon as they are ground (:func:`repro.engine.plan.order_conjuncts`, the
+planner's own order).
 
 This is a depth-first nested-loops join, one substitution per binding.
 No query is answered through it: its callers are ``explain`` proof search
@@ -15,21 +16,19 @@ non-recursive views (:mod:`repro.engine.incremental`) and the reference
 evaluator the test suites use as their oracle
 (:mod:`repro.engine.reference`); the first two resolve atoms through
 :func:`relation_resolver`, the oracle through a copy of its own.  Query
-evaluation runs on the integer
-kernels of :mod:`repro.engine.kernels`; :func:`order_conjuncts` and
-:func:`relation_cost_estimator` are shared with its planner
-(:mod:`repro.engine.plan`).
+evaluation runs on the integer kernels of :mod:`repro.engine.kernels`.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
+from repro.engine.plan import CostEstimator, order_conjuncts
 from repro.errors import SafetyError
 from repro.logic.atoms import Atom
 from repro.logic.builtins import evaluate_comparison
 from repro.logic.substitution import Substitution
-from repro.logic.terms import Variable, is_constant, is_variable
+from repro.logic.terms import is_constant, is_variable
 from repro.logic.unify import unify_terms
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -38,126 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: A resolver maps a (partially instantiated) positive atom to candidate
 #: substitutions that make it true, each already composed over the input.
 Resolver = Callable[[Atom, Substitution], Iterator[Substitution]]
-
-#: A cost estimator: expected number of matching rows for an atom, given
-#: which of its variables are already bound.  ``None`` = unknown predicate.
-CostEstimator = Callable[[Atom, set[Variable]], float | None]
-
-#: Marker prefix of the one delta occurrence inside a semi-naive rewritten
-#: body (:func:`repro.engine.plan.delta_rewritings`; the reference
-#: evaluator rewrites with the same marker).  It lives here because
-#: :func:`order_conjuncts` must recognise the occurrence.
-DELTA_PREFIX = "\x7fdelta\x7f:"
-
-
-def _boundness(atom: Atom, bound: set[Variable]) -> float:
-    """Fraction of the atom's arguments that are constants or bound vars."""
-    if not atom.args:
-        return 1.0
-    score = 0
-    for arg in atom.args:
-        if is_constant(arg) or arg in bound:
-            score += 1
-    return score / len(atom.args)
-
-
-def order_conjuncts(
-    conjuncts: Sequence[Atom],
-    initially_bound: set[Variable] | None = None,
-    estimate: CostEstimator | None = None,
-) -> list[Atom]:
-    """Greedy join order: cheapest positive atom next; comparisons ASAP.
-
-    Without an estimator, "cheapest" is "most bound" (fraction of arguments
-    that are constants or already-bound variables).  With an estimator, it
-    is the lowest expected row count — a small relation beats a large one
-    even at equal boundness, the classic cardinality-aware improvement.
-
-    A delta occurrence (:data:`DELTA_PREFIX`) is always the first positive
-    atom, whatever it would cost: the delta is the one operand that is new
-    on every iteration of a fixpoint, so scanning it makes every other
-    atom a build side hashed once per stratum and the iteration's work
-    |delta| probes.  Costing it instead goes wrong exactly when it matters
-    — at the first iteration the delta *is* the whole relation, ties with
-    the relation it was copied from, and the order chosen then is the one
-    the stratum keeps.
-
-    Raises :class:`SafetyError` if an order comparison can never become
-    ground (the conjunction is unsafe).
-    """
-    remaining = list(conjuncts)
-    bound: set[Variable] = set(initially_bound or ())
-    ordered: list[Atom] = []
-    while remaining:
-        # 1. Any comparison that is ready?  '=' is ready when one side is
-        #    bound/constant; other comparisons when both sides are.
-        ready = None
-        for atom in remaining:
-            if not atom.is_comparison():
-                continue
-            sides_bound = [
-                is_constant(arg) or arg in bound for arg in atom.args
-            ]
-            if atom.predicate == "=" and any(sides_bound):
-                ready = atom
-                break
-            if all(sides_bound):
-                ready = atom
-                break
-        if ready is None:
-            # 2. The cheapest positive atom.
-            positives = [a for a in remaining if not a.is_comparison()]
-            delta = next(
-                (a for a in positives if a.predicate.startswith(DELTA_PREFIX)), None
-            )
-            if delta is not None:
-                ready = delta
-            elif positives:
-                if estimate is not None:
-                    def cost(atom: Atom) -> tuple:
-                        estimated = estimate(atom, bound)
-                        if estimated is None:
-                            estimated = float("inf")
-                        return (estimated, -_boundness(atom, bound), remaining.index(atom))
-
-                    ready = min(positives, key=cost)
-                else:
-                    ready = max(
-                        positives,
-                        key=lambda a: (_boundness(a, bound), -remaining.index(a)),
-                    )
-            else:
-                # Only comparisons left and none ready.
-                leftovers = " and ".join(str(a) for a in remaining)
-                raise SafetyError(f"comparisons can never become ground: {leftovers}")
-        remaining.remove(ready)
-        ordered.append(ready)
-        bound.update(ready.variables())
-    return ordered
-
-
-def relation_cost_estimator(relation_for) -> CostEstimator:
-    """A cost estimator from a ``predicate -> Relation | None`` accessor.
-
-    Expected rows = relation size divided by the distinct count of each
-    bound column (the standard independence assumption).
-    """
-
-    def estimate(atom: Atom, bound: set[Variable]) -> float | None:
-        relation = relation_for(atom.predicate)
-        if relation is None:
-            return None
-        size = float(len(relation))
-        if size == 0:
-            return 0.0
-        for column, arg in enumerate(atom.args):
-            if is_constant(arg) or arg in bound:
-                distinct = relation.distinct_count(column)
-                if distinct:
-                    size /= distinct
-        return max(size, 0.001)
-
-    return estimate
 
 
 def solve_comparison(atom: Atom, theta: Substitution) -> Iterator[Substitution]:
@@ -191,7 +70,7 @@ def join_conjunction(
 
     The enumeration is a depth-first nested-loops join; the resolver is
     expected to use indexes for atoms with bound arguments.  ``estimate``
-    (see :func:`relation_cost_estimator`) switches the join order from
+    (see :func:`repro.engine.plan.relation_cost_estimator`) switches the join order from
     boundness-greedy to cardinality-aware.
     """
     start = theta if theta is not None else Substitution.EMPTY

@@ -59,8 +59,8 @@ from typing import Callable, Iterable, Sequence
 
 from repro.errors import ArityError, LogicError
 from repro.catalog.symbols import SYMBOLS
-from repro.engine.joins import CostEstimator
 from repro.engine.plan import (
+    CostEstimator,
     ConjunctionPlan,
     RulePlan,
     _AntiJoin,

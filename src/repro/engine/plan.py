@@ -1,9 +1,8 @@
 """Logical plans for rule bodies and query conjunctions.
 
 A conjunction is compiled *once* into a plan: the join order is chosen by
-:func:`repro.engine.joins.order_conjuncts` under the caller's cardinality
-estimator (live relation statistics:
-:func:`repro.engine.joins.relation_cost_estimator`),
+:func:`order_conjuncts` under the caller's cardinality estimator (live
+relation statistics: :func:`relation_cost_estimator`, the one estimator),
 every variable gets a slot in the *slot schema* (the ordered list of
 variables bound so far), and each conjunct becomes one step record:
 
@@ -27,19 +26,138 @@ a stratum evaluation (:meth:`SemiNaiveEngine._evaluate_stratum`);
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from repro.errors import SafetyError
-from repro.engine.joins import DELTA_PREFIX, CostEstimator, order_conjuncts
 from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule
 from repro.logic.terms import Constant, Variable, is_constant
 
 
+#: A cost estimator: expected number of matching rows for an atom, given
+#: which of its variables are already bound.  ``None`` = unknown predicate.
+CostEstimator = Callable[[Atom, set[Variable]], float | None]
+
+#: Marker prefix of the one delta occurrence inside a semi-naive rewritten
+#: body (:func:`delta_rewritings`; the reference evaluator rewrites with the
+#: same marker), which :func:`order_conjuncts` puts first.
+DELTA_PREFIX = "\x7fdelta\x7f:"
+
+
+def _boundness(atom: Atom, bound: set[Variable]) -> float:
+    """Fraction of the atom's arguments that are constants or bound vars."""
+    if not atom.args:
+        return 1.0
+    score = 0
+    for arg in atom.args:
+        if is_constant(arg) or arg in bound:
+            score += 1
+    return score / len(atom.args)
+
+
+def order_conjuncts(
+    conjuncts: Sequence[Atom],
+    initially_bound: set[Variable] | None = None,
+    estimate: CostEstimator | None = None,
+) -> list[Atom]:
+    """Greedy join order: cheapest positive atom next; comparisons ASAP.
+
+    Without an estimator, "cheapest" is "most bound" (fraction of arguments
+    that are constants or already-bound variables).  With an estimator, it
+    is the lowest expected row count — a small relation beats a large one
+    even at equal boundness, the classic cardinality-aware improvement.
+
+    A delta occurrence (:data:`DELTA_PREFIX`) is always the first positive
+    atom, whatever it would cost: the delta is the one operand that is new
+    on every iteration of a fixpoint, so scanning it makes every other
+    atom a build side hashed once per stratum and the iteration's work
+    |delta| probes.  Costing it instead goes wrong exactly when it matters
+    — at the first iteration the delta *is* the whole relation, ties with
+    the relation it was copied from, and the order chosen then is the one
+    the stratum keeps.
+
+    Raises :class:`SafetyError` if an order comparison can never become
+    ground (the conjunction is unsafe).
+    """
+    remaining = list(conjuncts)
+    bound: set[Variable] = set(initially_bound or ())
+    ordered: list[Atom] = []
+    while remaining:
+        # 1. Any comparison that is ready?  '=' is ready when one side is
+        #    bound/constant; other comparisons when both sides are.
+        ready = None
+        for atom in remaining:
+            if not atom.is_comparison():
+                continue
+            sides_bound = [
+                is_constant(arg) or arg in bound for arg in atom.args
+            ]
+            if atom.predicate == "=" and any(sides_bound):
+                ready = atom
+                break
+            if all(sides_bound):
+                ready = atom
+                break
+        if ready is None:
+            # 2. The cheapest positive atom.
+            positives = [a for a in remaining if not a.is_comparison()]
+            delta = next(
+                (a for a in positives if a.predicate.startswith(DELTA_PREFIX)), None
+            )
+            if delta is not None:
+                ready = delta
+            elif positives:
+                if estimate is not None:
+                    def cost(atom: Atom) -> tuple:
+                        estimated = estimate(atom, bound)
+                        if estimated is None:
+                            estimated = float("inf")
+                        return (estimated, -_boundness(atom, bound), remaining.index(atom))
+
+                    ready = min(positives, key=cost)
+                else:
+                    ready = max(
+                        positives,
+                        key=lambda a: (_boundness(a, bound), -remaining.index(a)),
+                    )
+            else:
+                # Only comparisons left and none ready.
+                leftovers = " and ".join(str(a) for a in remaining)
+                raise SafetyError(f"comparisons can never become ground: {leftovers}")
+        remaining.remove(ready)
+        ordered.append(ready)
+        bound.update(ready.variables())
+    return ordered
+
+
+def relation_cost_estimator(relation_for) -> CostEstimator:
+    """A cost estimator from a ``predicate -> Relation | None`` accessor.
+
+    Expected rows = relation size divided by the distinct count of each
+    bound column (the standard independence assumption).
+    """
+
+    def estimate(atom: Atom, bound: set[Variable]) -> float | None:
+        relation = relation_for(atom.predicate)
+        if relation is None:
+            return None
+        size = float(len(relation))
+        if size == 0:
+            return 0.0
+        for column, arg in enumerate(atom.args):
+            if is_constant(arg) or arg in bound:
+                distinct = relation.distinct_count(column)
+                if distinct:
+                    size /= distinct
+        return max(size, 0.001)
+
+    return estimate
+
+
 def delta_rewritings(rule: Rule, stratum) -> list[tuple[int, Rule]]:
     """The semi-naive variants of *rule*: one ``(body position, rewritten
     rule)`` per occurrence of a *stratum* predicate in its body, with that
-    occurrence reading the delta (:data:`~repro.engine.joins.DELTA_PREFIX`).
+    occurrence reading the delta (:data:`DELTA_PREFIX`).
 
     :func:`order_conjuncts` puts the delta occurrence first, so every
     variant's plan starts with its delta scan — for the engine, for

@@ -20,13 +20,12 @@ from typing import Iterator, Sequence
 from repro.errors import SafetyError
 from repro.catalog.database import KnowledgeBase
 from repro.catalog.relation import Relation, Row
-from repro.engine.joins import (
-    bind_row,
-    join_conjunction,
+from repro.engine.joins import bind_row, join_conjunction
+from repro.engine.plan import (
+    DELTA_PREFIX as _DELTA_PREFIX,
     order_conjuncts,
     relation_cost_estimator,
 )
-from repro.engine.plan import DELTA_PREFIX as _DELTA_PREFIX
 from repro.engine.safety import check_rule_safety
 from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule

@@ -18,23 +18,14 @@ fix hint — to every :class:`SafetyError` it raises.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.safety import (
-    UNBOUND_COMPARISON,
-    bound_variables,
-    rule_safety_diagnostics,
-)
+from repro.analysis.safety import bound_variables, rule_safety_diagnostics
 from repro.errors import SafetyError
-from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule
 
 __all__ = [
     "bound_variables",
     "safety_problems",
     "check_rule_safety",
-    "check_query_safety",
 ]
 
 
@@ -52,38 +43,3 @@ def check_rule_safety(rule: Rule) -> None:
             f"unsafe rule {rule}: {messages}", diagnostics=diagnostics
         )
 
-
-def check_query_safety(subject: Atom, qualifier: Sequence[Atom]) -> None:
-    """Raise :class:`SafetyError` when a retrieve query is unsafe.
-
-    The query behaves like the rule ``subject <- subject' and qualifier``
-    where ``subject'`` is present only when the subject predicate is known;
-    callers that treat the subject as ad hoc (defined by the qualifier)
-    should pass the qualifier alone via a synthetic rule.
-    """
-    body = list(qualifier)
-    bound = bound_variables(body) | subject.variable_set()
-    for atom in body:
-        if atom.is_comparison() and atom.predicate != "=":
-            for variable in atom.variables():
-                if variable not in bound:
-                    message = (
-                        f"comparison {atom} uses variable {variable} "
-                        "bound by neither subject nor qualifier"
-                    )
-                    raise SafetyError(
-                        message,
-                        diagnostics=[
-                            Diagnostic(
-                                code=UNBOUND_COMPARISON,
-                                severity=Severity.ERROR,
-                                message=message,
-                                predicate=subject.predicate,
-                                hint=(
-                                    "bind the variable in the subject or a "
-                                    "positive qualifier conjunct"
-                                ),
-                                pass_name="safety",
-                            )
-                        ],
-                    )

@@ -12,7 +12,7 @@ depends on are materialised.
 There is one stratum driver (:meth:`SemiNaiveEngine._evaluate_stratum`)
 and one planner: join order comes from the live statistics of the
 relations and kernel tables in view when a rule is first fired
-(:func:`repro.engine.joins.relation_cost_estimator`), nothing else.
+(:func:`repro.engine.plan.relation_cost_estimator`), nothing else.
 Each rule body is compiled once per ``(rule, delta-position)`` into a
 logical plan (:mod:`repro.engine.plan`), lowered to an integer kernel over
 interned symbol ids (:mod:`repro.engine.kernels`) and kept
@@ -32,9 +32,12 @@ from typing import Sequence
 from repro.catalog.database import KnowledgeBase
 from repro.catalog.relation import Relation
 from repro.engine.guard import ResourceGuard
-from repro.engine.joins import relation_cost_estimator
 from repro.engine.kernels import IntTable, RuleKernel, compile_rule_kernel
-from repro.engine.plan import DELTA_PREFIX as _DELTA_PREFIX, delta_rewritings
+from repro.engine.plan import (
+    DELTA_PREFIX as _DELTA_PREFIX,
+    delta_rewritings,
+    relation_cost_estimator,
+)
 from repro.engine.safety import check_rule_safety
 from repro.obs.trace import traced_span
 from repro.logic.clauses import Rule

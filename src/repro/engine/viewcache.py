@@ -15,12 +15,11 @@ exactly while the knowledge base still stamps the predicate the same —
   fact inserted into ``enroll`` retires ``honor`` but not ``path``, and
 * the dependencies nothing defines yet (declaring one retires the view).
 
-It is the rule the statement memo below and the server's answer memo
-(:mod:`repro.server.pool`) are valid by; there is no other.  Nothing
-subscribes to anything: a mutation simply bumps a counter, and the
-next probe notices the mismatch.  Transaction rollback
-(:meth:`~repro.catalog.relation.Relation.restore`) bumps the same counters,
-so a cache can never serve state from a rolled-back world.
+It is the rule every kept answer is valid by too (:class:`AnswerMemo`);
+there is no other.  Nothing subscribes to anything: a mutation simply
+bumps a counter, and the next probe notices the mismatch.  Transaction
+rollback (:meth:`~repro.catalog.relation.Relation.restore`) bumps the same
+counters, so a cache can never serve state from a rolled-back world.
 
 On a stale probe the cache picks one of two routes from what it observes.
 The per-relation change journal (:meth:`~repro.catalog.relation.Relation.changes_since`)
@@ -44,20 +43,19 @@ A failure mid-refresh (guard trip, cancellation, injected fault) drops the
 affected entries before propagating: the cache is always either consistent
 or invalidated, never serving a half-refreshed view.
 
-The cache also memoizes **knowledge-query results** (describe and friends),
-which depend only on the rule and constraint sets — never on stored facts —
-so their key is just the statement, the answer-shaping knobs and the
-dependency stamp of no predicates (the two catalog versions).
+The cache also owns a session's **statement memo**, an :class:`AnswerMemo`
+of whole answers keyed by statement; the server's answer memo
+(:mod:`repro.server.pool`) is the other instance of that class.
 
-Only *complete* results are ever cached: an evaluation that tripped a
+Only *complete* results are ever kept: an evaluation that tripped a
 resource budget (a sound under-approximation) is returned to the caller but
-not stored.  Serving a complete cached answer under a budget is always
+not stored.  Serving a complete kept answer under a budget is always
 sound — that is the point: the hot path for an unchanged knowledge base
 becomes a dict probe that no budget can trip.
 
 Memory is bounded by ``max_rows`` (total derived rows pinned) with
-least-recently-used eviction, and by ``max_statements`` for the knowledge
-memo.  :attr:`ViewCache.stats` reports hits, misses, invalidations,
+least-recently-used eviction, and by :data:`DEFAULT_MAX_STATEMENTS` for the
+statement memo.  :attr:`ViewCache.stats` reports hits, misses, invalidations,
 incremental vs full refreshes, evictions, and rows/bytes pinned — surfaced
 through ``Session.cache_stats()`` and the ``dbk cache`` subcommand.
 """
@@ -65,6 +63,7 @@ through ``Session.cache_stats()`` and the ``dbk cache`` subcommand.
 from __future__ import annotations
 
 import sys
+import weakref
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -82,8 +81,98 @@ DEFAULT_MAX_ROWS = 1_000_000
 #: instead of repaired in place.
 REPAIR_MAX_DELTA_ROWS = 64
 
-#: Default ceiling on memoized knowledge-query results.
+#: Ceiling on the answers one :class:`AnswerMemo` keeps.
 DEFAULT_MAX_STATEMENTS = 256
+
+
+class LRUCache(OrderedDict):
+    """A bounded least-recently-used mapping whose :meth:`get` counts hits
+    and misses: the one eviction policy, under a session's plan cache
+    (:data:`repro.session.PlanCache`) and every :class:`AnswerMemo`."""
+
+    def __init__(self, limit: int = 256) -> None:
+        super().__init__()
+        self.limit = limit
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key, default=None):
+        found = super().get(key, default)
+        if found is default:
+            self.misses += 1
+        else:
+            self.hits += 1
+            self.move_to_end(key)
+        return found
+
+    def __setitem__(self, key, value) -> None:
+        super().__setitem__(key, value)
+        self.move_to_end(key)
+        while len(self) > self.limit:
+            self.popitem(last=False)
+
+
+@dataclass
+class Answer:
+    """A result plus what it is valid by.
+
+    The evaluating session sets ``reads`` (:meth:`Session.reads
+    <repro.session.Session.reads>`) and their dependency ``stamp`` on an
+    answer a memo may keep; the HTTP front end keeps the encoded response
+    ``tail`` here, so a memoized answer is serialized once.  ``pinned`` is a
+    *weak* reference to the knowledge base the entry was last validated
+    against, or every kept answer would pin a superseded publication.
+    """
+
+    result: object
+    reads: tuple[str, ...] | None = None
+    stamp: DependencyStamp | None = None
+    tail: bytes | None = None
+    pinned: "weakref.ref | None" = None
+
+
+class AnswerMemo(LRUCache):
+    """Complete answers, each served while the knowledge base stamps what it
+    read the same.
+
+    A hit on the frozen knowledge base an entry is pinned to is a dict probe.
+    Under any other — another snapshot, or a live one, which no pin vouches
+    for — :meth:`lookup` restamps what the entry reads once: equal, the entry
+    is *carried* and pinned there; otherwise it is *retired* on the spot.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(DEFAULT_MAX_STATEMENTS)
+        self.carried = 0  # hits validated by their stamp, not their pin
+        self.retired = 0  # entries a change to what they read made stale
+
+    def lookup(
+        self, key, kb: KnowledgeBase, guard: ResourceGuard | None = None
+    ) -> Answer | None:
+        """The answer kept under *key* if it is valid on *kb*, else ``None``.
+
+        A valid entry passes *guard*'s checkpoint before it counts as a hit:
+        a hit evaluates nothing, yet must still observe cancellation."""
+        entry = OrderedDict.get(self, key)
+        if entry is not None and (entry.pinned() is not kb or not kb.frozen):
+            if kb.dependency_stamp(entry.reads) == entry.stamp:
+                entry.pinned = weakref.ref(kb)
+                self.carried += 1
+            else:
+                del self[key]
+                self.retired += 1
+                entry = None
+        if entry is not None and guard is not None:
+            guard.check()
+        return self.get(key)
+
+    def keep(self, key, answer: Answer, kb: KnowledgeBase) -> None:
+        """Store *answer*, stamped on *kb*, unless another got there first
+        (of two racing evaluations the later pin may finish first, and
+        :meth:`lookup` re-validates whichever is kept)."""
+        if key not in self:
+            answer.pinned = weakref.ref(kb)
+            self[key] = answer
 
 
 @dataclass
@@ -167,7 +256,7 @@ def _net_delta(changes: Sequence[tuple[str, Row]]) -> tuple[set[Row], set[Row]]:
 
 
 class ViewCache:
-    """Materialized IDB views plus a knowledge-query memo for one KB.
+    """Materialized IDB views plus a statement memo for one KB.
 
     Parameters
     ----------
@@ -178,23 +267,15 @@ class ViewCache:
     max_rows:
         Total derived rows the cache may pin; least-recently-used views are
         evicted past it.
-    max_statements:
-        Memoized knowledge-query results retained (LRU).
     """
 
-    def __init__(
-        self,
-        kb: KnowledgeBase,
-        max_rows: int = DEFAULT_MAX_ROWS,
-        max_statements: int = DEFAULT_MAX_STATEMENTS,
-    ) -> None:
+    def __init__(self, kb: KnowledgeBase, max_rows: int = DEFAULT_MAX_ROWS) -> None:
         if max_rows < 1:
             raise ValueError(f"max_rows must be at least 1, got {max_rows!r}")
         self._kb = kb
         self.max_rows = max_rows
-        self.max_statements = max_statements
         self._views: dict[str, _ViewEntry] = {}
-        self._statements: OrderedDict[tuple, object] = OrderedDict()
+        self._statements = AnswerMemo()
         #: Closure members -> their stamps at the last goal-directed miss.
         self._first_miss: dict[tuple[str, ...], dict[str, DependencyStamp]] = {}
         self._clock = 0
@@ -345,50 +426,28 @@ class ViewCache:
         any of the predicates transitively depends on (including the
         predicates themselves when stored), and the set of undefined
         dependencies.  Two equal fingerprints guarantee equal answers for
-        any query over these predicates, so results memoized under the
-        fingerprint never need explicit invalidation — a mutation simply
-        changes the key.
+        any query over these predicates, so an answer stamped with one is
+        valid for as long as the knowledge base fingerprints them the same —
+        what the statement memo checks — and never needs invalidating.
         """
         return self._kb.dependency_stamp(predicates)
 
     # -- statement memo ------------------------------------------------------------
 
-    def statement_key(
-        self, kind: str, statement: object, reads: Sequence[str], *extra: object
-    ) -> tuple:
-        """A memo key for a parsed statement under the current catalog
-        (the statement itself, not its text: printing cannot tell every
-        pair of distinct terms apart).
-
-        The key embeds the dependency stamp of *reads*, the predicates whose
-        stored facts the answer is a function of
-        (:meth:`Session.reads <repro.session.Session.reads>`).  Knowledge
-        answers read none — they depend on the rule and constraint sets
-        only — so theirs is the two catalog versions alone; either way a
-        change the answer could observe silently orphans old entries
-        (evicted LRU).  *extra* carries the answer-shaping knobs.
-        """
-        stamp = (
-            self.dependency_fingerprint(reads) if reads else self._kb.dependency_stamp()
-        )
-        return (kind, statement, stamp, *extra)
-
-    def lookup_statement(self, key: tuple) -> object | None:
-        """The memoized result under *key*, or ``None``."""
-        result = self._statements.get(key)
-        if result is None:
+    def lookup_statement(self, key: tuple) -> Answer | None:
+        """The answer kept under *key* — the parsed statement (printing
+        cannot tell every pair of distinct terms apart) and the
+        answer-shaping knobs — if still valid (:meth:`AnswerMemo.lookup`)."""
+        answer = self._statements.lookup(key, self._kb)
+        if answer is None:
             self.stats.statement_misses += 1
-            return None
-        self._statements.move_to_end(key)
-        self.stats.statement_hits += 1
-        return result
+        else:
+            self.stats.statement_hits += 1
+        return answer
 
-    def store_statement(self, key: tuple, result: object) -> None:
-        """Memoize a complete knowledge-query result (LRU-bounded)."""
-        self._statements[key] = result
-        self._statements.move_to_end(key)
-        while len(self._statements) > self.max_statements:
-            self._statements.popitem(last=False)
+    def store_statement(self, key: tuple, answer: Answer) -> None:
+        """Keep a complete, stamped answer (first writer wins, LRU-bounded)."""
+        self._statements.keep(key, answer, self._kb)
 
     # -- internals -----------------------------------------------------------------
 

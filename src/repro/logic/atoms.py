@@ -11,7 +11,7 @@ recognises them.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import LogicError
 from repro.logic.terms import Constant, Term, Variable, is_constant, is_variable, make_term
@@ -142,9 +142,3 @@ def atoms_variables(atoms: Iterable[Atom]) -> frozenset[Variable]:
     for atom in atoms:
         result.update(atom.variables())
     return frozenset(result)
-
-
-def iter_terms(atoms: Iterable[Atom]) -> Iterator[Term]:
-    """Iterate over every term occurrence in *atoms* (with duplicates)."""
-    for atom in atoms:
-        yield from atom.args

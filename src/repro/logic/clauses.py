@@ -160,10 +160,6 @@ class Rule:
         """A copy with a replacement positive body."""
         return Rule(self.head, body, self.negated, label=self.label, span=self.span)
 
-    def with_head(self, head: Atom) -> "Rule":
-        """A copy with a replacement head."""
-        return Rule(head, self.body, self.negated, label=self.label, span=self.span)
-
 
 class IntegrityConstraint:
     """A negative Horn clause ``not (p_1 and ... and p_n)``.

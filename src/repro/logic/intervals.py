@@ -361,13 +361,3 @@ def contradicts(alphas: Sequence[Atom], beta: Atom) -> bool:
 def implies_all(alphas: Sequence[Atom], betas: Sequence[Atom]) -> bool:
     """Whether *alphas* implies every atom of *betas*."""
     return all(implies(alphas, beta) for beta in betas)
-
-
-def shares_variables(alpha: Atom, beta: Atom) -> bool:
-    """Whether two comparison atoms mention a common variable.
-
-    The paper restricts the remove/discard tests to comparisons whose
-    "corresponding variables are identical"; sharing no variable at all makes
-    the tests vacuous, so callers skip such pairs.
-    """
-    return bool(alpha.variable_set() & beta.variable_set())

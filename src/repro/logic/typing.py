@@ -67,16 +67,6 @@ def is_strongly_linear(rule: Rule) -> bool:
     return count_body_occurrences(rule, rule.head.predicate) == 1
 
 
-def is_linear(rule: Rule, mutually_recursive: set[str]) -> bool:
-    """Whether exactly one body atom is mutually recursive with the head.
-
-    *mutually_recursive* is the set of predicates mutually recursive with the
-    rule's head predicate (including the head predicate itself).
-    """
-    count = sum(1 for b in rule.body if b.predicate in mutually_recursive)
-    return count == 1
-
-
 def is_permutation_rule(rule: Rule) -> bool:
     """Whether the rule has the shape ``p(X1..Xn) <- p(Xpi(1)..Xpi(n))``.
 

@@ -5,7 +5,7 @@ evaluation time (:mod:`repro.engine.plan`, :mod:`repro.engine.kernels`) and
 renders them — per stratum, per rule, per step — as text or JSON, *before*
 running anything.  Join
 orders and the per-step ``est~N rows`` come from the one cardinality
-estimator (:func:`repro.engine.joins.relation_cost_estimator`) over the
+estimator (:func:`repro.engine.plan.relation_cost_estimator`) over the
 stored EDB relations; IDB sizes are unknown pre-execution, so the
 rendering is the cold-start plan (evaluation plans each stratum against
 the materialised relations of the strata below it, whose sizes it then
@@ -31,9 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.catalog.database import KnowledgeBase
-from repro.engine.joins import relation_cost_estimator
 from repro.engine.kernels import compile_conjunction_kernel, compile_rule_kernel
-from repro.engine.plan import delta_rewritings
+from repro.engine.plan import delta_rewritings, relation_cost_estimator
 from repro.errors import EngineError
 from repro.lang.ast import RetrieveStatement
 

@@ -11,20 +11,17 @@ exclusive to its thread, the session (and its tracer) needs no locking;
 because sessions are bound to *frozen* snapshot knowledge bases, two slots
 sharing one snapshot never race on catalog state either.
 
-In front of the slots sits the *answer memo*: a complete answer is a pure
-function of what its statement reads — the rule and constraint sets, and
-for a ``retrieve`` the stored relations its predicates reach — so the
-worker stamps each answer with exactly that
-(:meth:`KnowledgeBase.dependency_stamp
-<repro.catalog.database.KnowledgeBase.dependency_stamp>`), and
-:meth:`SessionPool.query` serves a repeat from a dict on the event-loop
-thread — no worker hop, no parse, no slot session — under *any* pinned
-snapshot whose stamp for the statement equals the stored one.  A
-publication therefore retires only the answers that read what it wrote:
-the first lookup under another snapshot recomputes the stamp against the
-pinned knowledge base once, and either carries the entry over or drops it
-and evaluates.  An entry holds no snapshot and no relation, only the answer
-and its encoded bytes, so the memo pins no superseded publication.
+In front of the slots sits the *answer memo*, an
+:class:`~repro.engine.viewcache.AnswerMemo` keyed by statement text: a
+complete answer is a pure function of what its statement reads, the slot
+session stamps it with exactly that (:meth:`Session.answer
+<repro.session.Session.answer>`), and :meth:`SessionPool.query` serves a
+repeat from a dict on the event-loop thread — no worker hop, no parse, no
+slot session — under *any* pinned snapshot that stamps the statement the
+same.  A publication therefore retires only the answers that read what it
+wrote.  A served statement consults this memo only: a miss evaluates past
+the slot session's own.  An entry holds no snapshot and no relation, so the
+memo pins no superseded publication.
 """
 
 from __future__ import annotations
@@ -32,17 +29,15 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-import weakref
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.catalog.snapshot import KBSnapshot
 from repro.engine.guard import ResourceGuard
-from repro.engine.viewcache import DEFAULT_MAX_STATEMENTS
+from repro.engine.viewcache import Answer, AnswerMemo
 from repro.lang.parser import parse_statement
 from repro.obs.trace import traced_span
-from repro.session import Session, memoizable
+from repro.session import Session
 
 #: The stages of one served ``/query`` the HTTP front end times, in request
 #: order (``docs/OBSERVABILITY.md``); :attr:`SessionPool.stage_ms` totals them.
@@ -50,31 +45,9 @@ STAGES = ("read_ms", "decode_ms", "queue_wait_ms", "evaluate_ms", "encode_ms")
 
 
 @dataclass
-class Answer:
-    """The part of an outcome that does not depend on the pinned snapshot.
-
-    ``reads`` and ``stamp`` are set by the worker on an answer the memo may
-    keep (:func:`~repro.session.memoizable`): the predicates the statement
-    reads (:meth:`Session.reads <repro.session.Session.reads>`) and the
-    pinned knowledge base's dependency stamp of them.  ``tail`` is the
-    encoded ``kind``/``result`` part of the response
-    (:func:`~repro.server.protocol.encode_answer_tail`), kept here by the
-    HTTP front end so a memoized answer is serialized once.  ``pinned`` is
-    the memo's: a weak reference to the frozen knowledge base the entry was
-    last validated against — never a strong one, or every stored answer
-    would pin a whole superseded publication.
-    """
-
-    result: object
-    reads: tuple[str, ...] | None = None
-    stamp: tuple | None = None
-    tail: bytes | None = None
-    pinned: "weakref.ref | None" = None
-
-
-@dataclass
 class QueryOutcome:
-    """One answered request: the answer plus its attribution.
+    """One answered request: the answer (the part that does not depend on
+    the pinned snapshot) plus its attribution.
 
     ``snapshot`` is the pinned version the request is answered for — every
     response quotes its id and fingerprint token, which is what makes reads
@@ -125,13 +98,16 @@ class SessionPool:
         self.goal_directed = 0  # evaluated reads answered goal-directed
         #: The answer memo (statement text -> stamped answer).  Event-loop
         #: thread only, hence no lock.
-        self._answers: OrderedDict[str, Answer] = OrderedDict()
-        self.answer_hits = 0
-        self.answer_misses = 0
-        self.answer_carried = 0  # hits that crossed a publication
-        self.answer_retired = 0  # entries a publication made stale
+        self._answers = AnswerMemo()
         #: Summed stage times of the requests the front end answered 200.
         self.stage_ms = dict.fromkeys(STAGES, 0.0)
+
+    answer_hits = property(lambda self: self._answers.hits)
+    answer_misses = property(lambda self: self._answers.misses)
+    #: Hits that crossed a publication.
+    answer_carried = property(lambda self: self._answers.carried)
+    #: Entries a publication made stale.
+    answer_retired = property(lambda self: self._answers.retired)
 
     # -- slot side (worker threads) ----------------------------------------------
 
@@ -165,8 +141,10 @@ class SessionPool:
         tests and benchmarks that manage their own threads.  With tracing
         on, the evaluation runs under a ``server.request`` root span (the
         session's own ``query`` span nests inside it) annotated with the
-        snapshot attribution and, afterwards, the admission attributes.  An
-        answer the memo may keep leaves here stamped with what it read.
+        snapshot attribution and, afterwards, the admission attributes.
+        The slot session evaluates past its statement memo
+        (:meth:`Session.answer <repro.session.Session.answer>`) and stamps
+        an answer a memo may keep with what it read.
         """
         session = self._session_for(snapshot)
         with self._lock:
@@ -183,17 +161,12 @@ class SessionPool:
         ):
             if tracer is not None:
                 tracer.count("server_requests")
-            parsed = parse_statement(statement)
-            result = session.execute(parsed, guard=guard)
+            answer = session.answer(parse_statement(statement), guard=guard)
         last = tracer.last if tracer is not None else None
         trace = last.as_dict() if last is not None else None
         if session.cache.stats.goal_directed != routed:
             with self._lock:
                 self.goal_directed += 1
-        answer = Answer(result)
-        if memoizable(result):
-            answer.reads = session.reads(parsed)
-            answer.stamp = snapshot.kb.dependency_stamp(answer.reads)
         return QueryOutcome(answer, snapshot, time.perf_counter() - started, trace)
 
     # -- async side (event loop) --------------------------------------------------
@@ -208,52 +181,29 @@ class SessionPool:
     ) -> QueryOutcome:
         """Answer from the memo, or evaluate on a pool thread.
 
-        A repeat of a statement whose stored answer is valid for *snapshot*
-        returns it right here on the event loop, after a *guard* checkpoint
-        (a hit must still observe cancellation, as the session's own memo
-        does).  Valid means: last validated against this very snapshot, or —
-        checked once per entry and snapshot — stamped with the dependency
-        stamp *snapshot* gives what the statement reads; an entry that fails
-        the check is retired, in whichever direction the pin moved, so a
-        stale pin is still answered from its own snapshot.  Anything else
-        takes a worker slot, and its answer is stored if the worker stamped
-        it and no other evaluation of the statement got there first.  A
+        A repeat whose stored answer is valid for *snapshot*
+        (:meth:`AnswerMemo.lookup <repro.engine.viewcache.AnswerMemo.lookup>`;
+        an invalid one is retired, whichever way the pin moved) returns
+        right here on the event loop, after a *guard* checkpoint (a hit must
+        still observe cancellation, as the session's own memo does).
+        Anything else takes a worker slot, and its answer is kept if the
+        slot session stamped it and no other evaluation got there first.  A
         request that wants its trace (*want_trace*) neither reads nor feeds
         the memo: it is asking for the span tree of an evaluation.
         """
         if not want_trace:
-            kb = snapshot.kb
-            hit = self._answers.get(statement)
-            if hit is not None and hit.pinned() is not kb:
-                if kb.dependency_stamp(hit.reads) == hit.stamp:
-                    hit.pinned = weakref.ref(kb)
-                    self.answer_carried += 1
-                else:
-                    del self._answers[statement]
-                    self.answer_retired += 1
-                    hit = None
+            hit = self._answers.lookup(statement, snapshot.kb, guard)
             if hit is not None:
-                if guard is not None:
-                    guard.check()
-                self._answers.move_to_end(statement)
                 with self._lock:
                     self.queries += 1
-                self.answer_hits += 1
                 return QueryOutcome(hit, snapshot, 0.0)
-            self.answer_misses += 1
         loop = asyncio.get_running_loop()
         outcome = await loop.run_in_executor(
             self._threads,
             lambda: self.query_sync(snapshot, statement, guard, attributes),
         )
-        answer = outcome.answer
-        if not want_trace and answer.stamp is not None:
-            # First writer wins: of two racing evaluations the later pin may
-            # finish first, and the lookup re-validates whichever is kept.
-            answer.pinned = weakref.ref(snapshot.kb)
-            if self._answers.setdefault(statement, answer) is answer:
-                while len(self._answers) > DEFAULT_MAX_STATEMENTS:
-                    self._answers.popitem(last=False)
+        if not want_trace and outcome.answer.stamp is not None:
+            self._answers.keep(statement, outcome.answer, snapshot.kb)
         return outcome
 
     def shutdown(self, wait: bool = True) -> None:

@@ -13,11 +13,14 @@ to the right evaluator over one knowledge base.
     ...
     >>> session.query("describe honor(X)")
     ...
+
+:meth:`Session.execute` goes through the session's statement memo;
+:meth:`Session.answer` evaluates past it, for the server's pool, which
+keeps answers in a memo of its own.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Union
 
 from repro.errors import CoreError
@@ -31,7 +34,7 @@ from repro.core.search import SearchConfig
 from repro.core.wildcard import describe_wildcard
 from repro.engine.evaluate import RetrieveResult, retrieve
 from repro.engine.guard import ResourceGuard
-from repro.engine.viewcache import ViewCache
+from repro.engine.viewcache import Answer, LRUCache, ViewCache
 from repro.lang.ast import (
     CompareStatement,
     ConstraintStatement,
@@ -56,39 +59,16 @@ QueryResult = Union[
 ]
 
 
-class PlanCache(OrderedDict):
-    """A bounded LRU mapping for what a retrieve compiled: conjunction
-    kernels and the goal-directed programs of bound goals.
-
-    Keys start with ``kb.rules_version`` and go on with the conjunction's
-    atoms or, for a goal-directed program, its shape
-    (:func:`repro.engine.magic.goal_shape`), so a rule change keys out
-    every stale plan while fact-only mutations keep plans warm — that is
-    the point: a repeat lookup after EDB churn misses the statement memo
-    (its key embeds relation versions) but still skips rewriting and
-    compilation.  Entries under dead rule versions age out of the LRU bound.
-    """
-
-    def __init__(self, limit: int = 256) -> None:
-        super().__init__()
-        self.limit = limit
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key, default=None):
-        found = super().get(key, default)
-        if found is default:
-            self.misses += 1
-        else:
-            self.hits += 1
-            self.move_to_end(key)
-        return found
-
-    def __setitem__(self, key, value) -> None:
-        super().__setitem__(key, value)
-        self.move_to_end(key)
-        while len(self) > self.limit:
-            self.popitem(last=False)
+#: What a retrieve compiled — conjunction kernels and the goal-directed
+#: programs of bound goals — in the one bounded LRU mapping.  Keys start with
+#: ``kb.rules_version`` and go on with the conjunction's atoms or, for a
+#: goal-directed program, its shape (:func:`repro.engine.magic.goal_shape`),
+#: so a rule change keys out every stale plan while fact-only mutations keep
+#: plans warm — that is the point: a repeat lookup after EDB churn misses the
+#: statement memo (the answer read a relation that changed) but still skips
+#: rewriting and compilation.  Entries under dead rule versions age out of
+#: the LRU bound.
+PlanCache = LRUCache
 
 
 def _complete(result: object) -> bool:
@@ -102,18 +82,6 @@ def _complete(result: object) -> bool:
         return all(_complete(value) for value in result.values())
     diagnostics = getattr(result, "diagnostics", None)
     return diagnostics is None or diagnostics.complete
-
-
-def memoizable(result: object) -> bool:
-    """Whether *result* is an answer the statement memo keeps.
-
-    That is a complete ``retrieve`` / ``describe`` (every form) /
-    ``compare`` answer: definition acknowledgements and ``explain`` proofs
-    are never memoized, and neither is anything a budget degraded.
-    """
-    from repro.engine.provenance import Explanation
-
-    return not isinstance(result, (str, Explanation)) and _complete(result)
 
 
 class Session:
@@ -138,11 +106,11 @@ class Session:
     ``None`` disables caching, and a :class:`ViewCache` instance (bound to
     the same knowledge base) is adopted as-is — useful for sharing one cache
     across sessions or tuning its budgets.  The cache memoizes both
-    materialised IDB views for ``retrieve`` and knowledge-query results
-    (``describe``/``compare``); version-keyed fingerprints invalidate them
-    automatically on catalog mutation and transaction rollback, and only
-    complete (non-degraded) answers are ever stored.  :meth:`cache_stats`
-    reports its behaviour.
+    materialised IDB views for ``retrieve`` and statement answers
+    (``retrieve``/``describe``/``compare``); each is valid while the
+    dependency stamp of what it reads is unchanged, which catalog mutation
+    and transaction rollback change, and only complete (non-degraded)
+    answers are ever stored.  :meth:`cache_stats` reports its behaviour.
 
     ``trace`` turns on query tracing: ``True`` builds a fresh
     :class:`~repro.obs.trace.Tracer`, a :class:`Tracer` instance is adopted
@@ -186,7 +154,7 @@ class Session:
         self.style = style
         self.config = config
         #: Compiled-plan cache for retrieve conjunctions (see
-        #: :class:`PlanCache`).
+        #: :data:`PlanCache`).
         self.plan_cache = PlanCache()
         #: Session-wide resource governance specification (see class doc).
         self.guard = guard
@@ -241,9 +209,8 @@ class Session:
         """The predicates whose stored facts *statement*'s answer reads.
 
         Together with the rule and constraint sets that is all a memoized
-        answer is a function of, so it is what the statement memo — and the
-        server's answer memo — stamp an answer with
-        (:meth:`KnowledgeBase.dependency_stamp
+        answer is a function of, so it is what the session stamps an answer
+        with (:meth:`KnowledgeBase.dependency_stamp
         <repro.catalog.database.KnowledgeBase.dependency_stamp>`, which adds
         everything the named predicates depend on).  A ``retrieve`` reads
         the predicates its atoms name; ``describe`` and ``compare`` read no
@@ -266,17 +233,32 @@ class Session:
     def execute(
         self, statement: Statement, guard: ResourceGuard | None = None
     ) -> QueryResult:
-        """Evaluate a parsed statement.
+        """Evaluate a parsed statement, through the statement memo.
 
         With tracing on (:attr:`tracer`), every query runs under a root
         ``query`` span annotated, on completion, with the guard's consumed
         budgets and the cache-stats delta — one trace object tells the whole
         story (see ``docs/OBSERVABILITY.md``).
         """
+        return self._run(statement, guard, memoize=True).result
+
+    def answer(
+        self, statement: Statement, guard: ResourceGuard | None = None
+    ) -> Answer:
+        """Evaluate a parsed statement past the statement memo, for a caller
+        that has missed a memo of its own (:mod:`repro.server.pool`).  A
+        caching session stamps a complete answer with what it reads."""
+        return self._run(statement, guard, memoize=False)
+
+    def _run(
+        self, statement: Statement, guard: ResourceGuard | None, memoize: bool
+    ) -> Answer:
+        """One statement under its guard and, when tracing, its ``query``
+        span."""
         active = self._activate(guard)
         tracer = self.tracer
         if tracer is None:
-            return self._dispatch(statement, active, None)
+            return self._answer(statement, active, None, memoize)
         stats_before = self.cache.stats.as_dict() if self.cache is not None else None
         with tracer.span(
             "query",
@@ -284,7 +266,7 @@ class Session:
             kind=type(statement).__name__,
         ):
             try:
-                return self._dispatch(statement, active, tracer)
+                return self._answer(statement, active, tracer, memoize)
             finally:
                 if active is not None:
                     tracer.annotate(
@@ -325,13 +307,9 @@ class Session:
             self.kb.add_constraint(statement.constraint)
             return f"constrained: {statement.constraint}"
         if isinstance(statement, RetrieveStatement):
-            return self._memoized(
-                "retrieve", statement, self._retrieve, active, tracer
-            )
+            return self._retrieve(statement, active, tracer)
         if isinstance(statement, DescribeStatement):
-            return self._memoized(
-                "describe", statement, self._describe, active, tracer
-            )
+            return self._describe(statement, active, tracer)
         if isinstance(statement, ExplainStatement):
             from repro.engine.provenance import explain_statement
 
@@ -339,7 +317,7 @@ class Session:
                 self.kb, statement.subject, statement.qualifier, guard=active
             )
         if isinstance(statement, CompareStatement):
-            return self._memoized("compare", statement, self._compare, active, tracer)
+            return self._compare(statement, active, tracer)
         raise CoreError(f"cannot execute statement: {statement!r}")
 
     # -- retrieve ----------------------------------------------------------------------
@@ -360,39 +338,40 @@ class Session:
 
     # -- statement memo ------------------------------------------------------------------
 
-    def _memoized(self, kind, statement, evaluate, guard, tracer=None):
-        """Evaluate a query through the cache's statement memo.
+    def _answer(self, statement, guard, tracer, memoize: bool) -> Answer:
+        """Evaluate a statement, through the statement memo if *memoize*.
 
-        The key is the statement, the answer-shaping knobs and the
-        dependency stamp of what the statement reads (:meth:`reads`,
-        :meth:`ViewCache.statement_key`).  Describe/compare answers depend
-        on the rule and constraint sets only — never on stored facts — so
-        fact mutations leave them warm; a retrieve's stamp embeds the
-        version of every EDB relation any referenced predicate transitively
-        depends on, so its warm path for an unchanged knowledge base is a
-        dict probe — no fixpoint, no join — and any mutation it could see
-        changes the key (the stale entry ages out of the LRU).  Degraded
-        (budget-tripped) results are returned but not stored: a cached
-        answer must be complete.
+        The key is the statement (its class is its kind) and the
+        answer-shaping knobs; an entry is served while the knowledge base
+        stamps what the statement reads (:meth:`reads`) the same, so fact
+        mutations leave describe/compare answers warm and a mutation a
+        retrieve could see retires its entry.  Definitions, ``explain``
+        proofs and degraded (budget-tripped) results are never kept.  A
+        caching session stamps every answer it could keep once
+        (:meth:`ViewCache.dependency_fingerprint`), memo or not.
         """
-        if self.cache is None:
-            return evaluate(statement, guard, tracer)
-        if guard is not None:
-            guard.check()  # a memo hit must still observe cancellation
-        key = self.cache.statement_key(
-            kind, statement, self.reads(statement), self.style, repr(self.config)
-        )
-        memoized = self.cache.lookup_statement(key)
-        if memoized is not None:
+        reads = self.reads(statement)
+        if reads is None:
+            return Answer(self._dispatch(statement, guard, tracer))
+        memo = self.cache if memoize else None
+        if memo is not None:
+            if guard is not None:
+                guard.check()  # a memo hit must still observe cancellation
+            key = (statement, self.style, repr(self.config))
+            kept = memo.lookup_statement(key)
+            if kept is not None:
+                if tracer is not None:
+                    tracer.count("statement_memo_hits")
+                return kept
             if tracer is not None:
-                tracer.count("statement_memo_hits")
-            return memoized
-        if tracer is not None:
-            tracer.count("statement_memo_misses")
-        result = evaluate(statement, guard, tracer)
-        if _complete(result):
-            self.cache.store_statement(key, result)
-        return result
+                tracer.count("statement_memo_misses")
+        result = self._dispatch(statement, guard, tracer)
+        if self.cache is None or not _complete(result):
+            return Answer(result)
+        answer = Answer(result, reads, self.cache.dependency_fingerprint(reads))
+        if memo is not None:
+            memo.store_statement(key, answer)
+        return answer
 
     def cache_stats(self) -> dict:
         """A JSON-friendly snapshot of the view cache's behaviour.

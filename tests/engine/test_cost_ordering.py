@@ -3,7 +3,7 @@
 from repro.catalog.database import KnowledgeBase
 from repro.catalog.relation import Relation
 from repro.engine import retrieve
-from repro.engine.joins import DELTA_PREFIX, order_conjuncts, relation_cost_estimator
+from repro.engine.plan import DELTA_PREFIX, order_conjuncts, relation_cost_estimator
 from repro.logic.atoms import Atom
 from repro.lang.parser import parse_atom, parse_body, parse_rule
 from repro.logic.terms import Variable

@@ -3,12 +3,8 @@
 import pytest
 
 from repro.errors import SafetyError
-from repro.engine.joins import (
-    bind_row,
-    join_conjunction,
-    order_conjuncts,
-    solve_comparison,
-)
+from repro.engine.joins import bind_row, join_conjunction, solve_comparison
+from repro.engine.plan import order_conjuncts
 from repro.lang.parser import parse_atom, parse_body
 from repro.logic.atoms import Atom
 from repro.logic.substitution import Substitution

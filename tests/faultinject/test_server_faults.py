@@ -136,9 +136,9 @@ def test_mid_commit_faults_publish_nothing() -> None:
 def test_mid_read_faults_leave_snapshots_intact() -> None:
     """A reader dying at any guard checkpoint perturbs no shared state.
 
-    Each trial gets a cold :class:`SessionPool`: a warm pool's statement
-    memo would answer the repeat without re-evaluating (and so without
-    ever crossing a checkpoint) — exactly the behaviour
+    Each trial gets a cold :class:`SessionPool`: a warm pool's view cache
+    would answer the repeat without re-evaluating (and so crossing one
+    checkpoint only) — exactly the behaviour
     ``test_view_cache_keys_on_pinned_fingerprint`` pins down in the
     isolation property suite.  Here the point is the *evaluation* path.
     """

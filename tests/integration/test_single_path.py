@@ -47,12 +47,20 @@ The framing half: the HTTP front end reads a request head in one step
 under one idle timer per awaited read.  The per-line reader — a
 ``wait_for`` task and timer around every ``readline`` — may not grow back.
 
-The memo half: the served answer memo has one store and one validity rule,
-the knowledge base's dependency stamp.  Nothing in ``server/pool.py`` may
-drop the store wholesale when the pinned snapshot changes, and ``server/``
-may not walk the dependency graph itself (it asks the knowledge base what
-a statement's predicates reach).  A cached view is fresh by the same stamp:
-an entry holds its relation, its stamp and its LRU tick, nothing else.
+The memo half: a kept answer has one class, one eviction policy and one
+validity rule, the knowledge base's dependency stamp.  The session's
+statement memo and the served answer memo are two instances of
+``AnswerMemo``; one LRU class holds every ``popitem`` / ``move_to_end``;
+nothing under ``server/`` stamps anything itself (the slot session stamps,
+the memo validates), walks the dependency graph, or drops the store
+wholesale when the pinned snapshot changes.  A cached view is fresh by the
+same stamp: an entry holds its relation, its stamp and its LRU tick,
+nothing else.
+
+The join half: ``engine/joins.py`` holds the resolver join only; the join
+order and the one cardinality estimator are the planner's
+(``engine/plan.py``), and only repair, proof search and the reference
+evaluator import the resolver.
 """
 
 import ast
@@ -541,7 +549,23 @@ def test_relation_statistics_have_one_reader():
         )
     )
     # relation.py's own call picks the index column of a lookup.
-    assert callers == ["catalog/relation.py", "engine/joins.py"]
+    assert callers == ["catalog/relation.py", "engine/plan.py"]
+
+
+def test_only_repair_proofs_and_the_reference_import_the_resolver_join():
+    importers = [
+        str(source.relative_to(PACKAGE))
+        for source in sorted(PACKAGE.rglob("*.py"))
+        if any(
+            name == "repro.engine.joins" or name.startswith("repro.engine.joins.")
+            for name in _imported_names(source)
+        )
+    ]
+    assert importers == [
+        "engine/incremental.py",
+        "engine/provenance.py",
+        "engine/reference.py",
+    ]
 
 
 def test_a_cached_view_is_fresh_by_its_stamp_alone():
@@ -553,3 +577,32 @@ def test_a_cached_view_is_fresh_by_its_stamp_alone():
 
 def test_a_session_always_has_a_plan_cache():
     assert "plan_cache" not in inspect.signature(Session.__init__).parameters
+
+
+def test_one_class_evicts_least_recently_used():
+    owners = set()
+    for source in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(source.read_text())
+        classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+        for call in _calls(tree):
+            if isinstance(call.func, ast.Attribute) and call.func.attr in (
+                "popitem", "move_to_end",
+            ):
+                owner = next((c.name for c in classes if call in ast.walk(c)), None)
+                owners.add(f"{source.relative_to(PACKAGE)}::{owner}")
+    assert owners == {"engine/viewcache.py::LRUCache"}
+
+
+def test_the_server_stamps_nothing_itself():
+    for source in sorted((PACKAGE / "server").glob("*.py")):
+        called = {
+            call.func.attr
+            for call in _calls(ast.parse(source.read_text()))
+            if isinstance(call.func, ast.Attribute)
+        }
+        assert "dependency_stamp" not in called, source.name
+
+
+def test_the_statement_memo_has_no_key_of_its_own_and_no_bound_knob():
+    assert not hasattr(ViewCache, "statement_key")
+    assert "max_statements" not in inspect.signature(ViewCache.__init__).parameters

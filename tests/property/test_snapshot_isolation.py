@@ -20,12 +20,15 @@ snapshots — the adversarial case a wall-clock race rarely produces),
 and a seeded multi-threaded run hammers one catalog with concurrent
 readers while a writer publishes batch after batch.
 
-``query_sync`` evaluates every read; :meth:`SessionPool.query` answers
-repeats from the answer memo, which carries an entry across a publication
-when the commit wrote nothing the statement reads.  The same attribution
-statement is therefore checked a second time through ``query``, over
-schedules that also commit to relations some statements do not read, add a
-rule, and declare a predicate a rule had been reading as undefined.
+``query_sync`` evaluates every read on the slot session (a repeat is a
+view-cache hit); :meth:`SessionPool.query` answers repeats from the answer
+memo, which carries an entry across a publication when the commit wrote
+nothing the statement reads.  The same attribution statement is therefore
+checked a second time through ``query``, over schedules that also commit to
+relations some statements do not read, add a rule, and declare a predicate
+a rule had been reading as undefined — and a third time on one live
+session, whose statement memo is the same class validating against a
+knowledge base that changes under it.
 """
 
 import asyncio
@@ -298,10 +301,89 @@ def test_memo_reads_equal_full_evaluation_of_the_pinned_snapshot(ops):
         pool.shutdown()
 
 
+# -- the same memo in a session over a live knowledge base --------------------------------
+
+#: Asked of one live session after every change.  ``j`` reads ``e`` (and
+#: ``u`` once the widening rule is in), ``k`` reads ``e`` and ``late``,
+#: which is undefined until declared; the knowledge statements read no
+#: stored fact, and the possibility test turns on the constraint.
+SESSION_STATEMENTS = (
+    "retrieve j(X, Z)",
+    "retrieve k(X)",
+    "describe k(X) where e(X, b)",
+    "describe where e(X, Y) and late(Y)",
+    "compare (describe j(X, Z)) with (describe k(X))",
+)
+CONSTRAINT = "not (e(X, Y) and late(Y))."
+
+
+def shown(result) -> object:
+    return frozenset(result.to_set()) if hasattr(result, "to_set") else str(result)
+
+
+@st.composite
+def session_changes(draw):
+    """Writes to ``e`` (read by both retrieves), ``u`` (read by no statement
+    until the rule is added) and ``late``, plus the rule, the constraint and
+    the declaration of ``late``, in any order."""
+    pairs = [(a, b) for a in CONSTANTS for b in CONSTANTS]
+    op = st.sampled_from(["add", "delete"])
+    write = st.one_of(
+        st.tuples(st.just("write"), op, st.sampled_from(["e", "u"]), st.sampled_from(pairs)),
+        st.tuples(st.just("write"), op, st.just("late"),
+                  st.sampled_from([(c,) for c in CONSTANTS])),
+    )
+    catalog = st.sampled_from([("widen",), ("constrain",), ("declare",)])
+    return draw(st.lists(st.one_of(write, write, catalog), min_size=1, max_size=12))
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(session_changes())
+def test_session_memo_reads_equal_a_fresh_session_across_changes(changes):
+    state = {
+        "e": frozenset({("a", "b"), ("b", "c")}), "u": frozenset(), "late": None,
+        "widened": False, "constrained": False,
+    }
+    session = Session(memo_kb(state))
+    kb = session.kb
+    # A first round evaluates, a second (after no change) is all hits.
+    for change in (None, None, *changes):
+        state = dict(state)
+        kind, *payload = change or ("none",)
+        if kind == "write" and state[payload[1]] is not None:
+            op, name, row = payload
+            if op == "add":
+                kb.add_fact(name, *row)
+                state[name] = state[name] | {row}
+            else:
+                kb.relation(name).delete(row)
+                state[name] = state[name] - {row}
+        elif kind == "widen" and not state["widened"]:
+            kb.add_rule(WIDENING_RULE)
+            state["widened"] = True
+        elif kind == "declare" and state["late"] is None:
+            kb.declare_edb("late", 1)
+            state["late"] = frozenset()
+        elif kind == "constrain" and not state["constrained"]:
+            session.query(CONSTRAINT)
+            state["constrained"] = True
+        fresh = Session(memo_kb(state))
+        if state["constrained"]:
+            fresh.query(CONSTRAINT)
+        for statement in SESSION_STATEMENTS:
+            assert shown(session.query(statement)) == shown(fresh.query(statement)), (
+                f"{statement!r} after {change} diverged from a fresh session on {state}"
+            )
+        # A stale entry is retired when found, not left to age out of the LRU.
+        assert len(session.cache._statements) <= len(SESSION_STATEMENTS)
+    assert session.cache_stats()["statement_hits"] >= len(SESSION_STATEMENTS)
+
+
 @settings(max_examples=max(EXAMPLES // 3, 5), deadline=None)
 @given(schedules())
 def test_view_cache_keys_on_pinned_fingerprint(ops):
-    """Warm repeats on a pinned snapshot hit the memo and stay correct."""
+    """Warm repeats on a pinned snapshot hit the slot's view cache and stay
+    correct."""
     catalog = MultiVersionCatalog(fresh_kb([("a", "b"), ("b", "c")]))
     pool = SessionPool(size=1)
     try:
@@ -326,8 +408,8 @@ def test_view_cache_keys_on_pinned_fingerprint(ops):
         stats = session.cache_stats()
         assert stats["enabled"]
         # Same slot, same snapshot id, same fingerprint: the repeat must
-        # have been a statement-memo hit, not a recomputation.
-        assert stats["statement_hits"] >= 1, stats
+        # have been a view-cache hit, not a recomputation.
+        assert stats["hits"] >= 1 and stats["full_refreshes"] == 1, stats
     finally:
         pool.shutdown()
 

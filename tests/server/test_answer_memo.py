@@ -425,10 +425,21 @@ def test_a_request_for_its_trace_always_evaluates(chain):
         assert memo_counters(chain) == (1, 1, 1)
         traced.append(client.query(statement, trace=True))
     assert memo_counters(chain) == (1, 1, 1)
+
+    def spans(node):
+        yield node
+        for child in node.get("children", ()):
+            yield from spans(child)
+
     for payload in traced:
         root = payload["trace"]
         assert root["name"] == "server.request"
         assert any(child["name"] == "query" for child in root["children"])
+        # An evaluation: the retrieve ran, and no statement memo answered.
+        names = [span["name"] for span in spans(root)]
+        assert "retrieve" in names, names
+        assert not any("statement_memo_hits" in span.get("counters", {})
+                       for span in spans(root))
         assert payload["result"] == plain[0]["result"]
     assert all("trace" not in payload for payload in plain)
 

@@ -5,8 +5,10 @@ import asyncio
 import pytest
 
 from repro.catalog.database import KnowledgeBase
-from repro.engine.guard import ResourceGuard
-from repro.errors import ResourceExhausted
+from repro.datasets.university import university_kb
+from repro.engine.guard import CancellationToken, ResourceGuard
+from repro.engine.viewcache import ViewCache
+from repro.errors import QueryCancelled, ResourceExhausted
 from repro.server import MultiVersionCatalog, SessionPool
 from tests.faultinject.test_atomicity import chain_kb
 
@@ -128,6 +130,65 @@ def test_one_pool_serving_two_catalogs_answers_each_from_its_own():
         assert [values(outcome) for outcome in served] == [["x"], ["x"], ["y"], ["y"], ["x"]]
         assert [outcome.snapshot for outcome in served] == [a, a, b, b, a]
         assert (pool.answer_hits, pool.answer_carried, pool.answer_retired) == (2, 0, 2)
+    finally:
+        pool.shutdown()
+
+
+def counting(monkeypatch, owner, name) -> list:
+    calls: list = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "statement", ["describe honor(X)", "retrieve student(X, math, V)"]
+)
+def test_a_served_miss_stamps_once_and_consults_one_memo(statement, monkeypatch):
+    """The pool's memo is the only one a served statement consults: a miss
+    evaluates on the slot session past the session's own memo, which stamps
+    the answer once for the pool to keep.  A request for its trace consults
+    no memo at all."""
+    catalog = MultiVersionCatalog(university_kb())
+    stamps = counting(monkeypatch, KnowledgeBase, "dependency_stamp")
+    lookups = counting(monkeypatch, ViewCache, "lookup_statement")
+    pool = SessionPool(size=1)
+    try:
+        outcome = asyncio.run(pool.query(catalog.current, statement))
+        assert outcome.answer.stamp is not None and pool.answer_misses == 1
+        assert len(stamps) == 1
+        asyncio.run(pool.query(catalog.current, statement, want_trace=True))
+        assert lookups == []
+        assert pool.stats()["answer_entries"] == 1
+    finally:
+        pool.shutdown()
+
+
+def test_a_cancelled_request_counts_as_a_miss_only_when_it_misses(catalog):
+    """The checkpoint comes after the lookup and before a hit counts: a
+    cancelled miss is a miss (its evaluation raises), a cancelled hit is
+    neither."""
+    token = CancellationToken()
+    token.cancel()
+    cancelled = ResourceGuard(token=token)
+    pool = SessionPool(size=1)
+
+    async def ask(guard=None):
+        return await pool.query(catalog.current, "retrieve path(0, Y)", guard=guard)
+
+    try:
+        with pytest.raises(QueryCancelled):
+            asyncio.run(ask(cancelled))
+        assert (pool.answer_hits, pool.answer_misses) == (0, 1)
+        asyncio.run(ask())
+        with pytest.raises(QueryCancelled):
+            asyncio.run(ask(cancelled))
+        assert (pool.answer_hits, pool.answer_misses) == (0, 2)
     finally:
         pool.shutdown()
 
