@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.logic.clauses import Rule
+from repro.logic.graphs import strongly_connected_components
 
 
 class DependencyGraph:
@@ -150,60 +151,14 @@ class DependencyGraph:
     # -- stratification (evaluation order) -------------------------------------------
 
     def _strongly_connected_components(self) -> list[list[str]]:
-        """Tarjan's SCCs over the direct-dependency graph (iterative)."""
+        """The SCCs of the direct-dependency graph, in Tarjan's order."""
         nodes = sorted(
             set(self._direct)
             | {dep for deps in self._direct.values() for dep in deps}
         )
-        index: dict[str, int] = {}
-        lowlink: dict[str, int] = {}
-        on_stack: set[str] = set()
-        stack: list[str] = []
-        components: list[list[str]] = []
-        counter = [0]
-
-        def strongconnect(start: str) -> None:
-            work: list[tuple[str, Iterable[str]]] = [
-                (start, iter(sorted(self._direct.get(start, ()))))
-            ]
-            index[start] = lowlink[start] = counter[0]
-            counter[0] += 1
-            stack.append(start)
-            on_stack.add(start)
-            while work:
-                node, successors = work[-1]
-                advanced = False
-                for succ in successors:
-                    if succ not in index:
-                        index[succ] = lowlink[succ] = counter[0]
-                        counter[0] += 1
-                        stack.append(succ)
-                        on_stack.add(succ)
-                        work.append((succ, iter(sorted(self._direct.get(succ, ())))))
-                        advanced = True
-                        break
-                    if succ in on_stack:
-                        lowlink[node] = min(lowlink[node], index[succ])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-                if lowlink[node] == index[node]:
-                    component = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
-                            break
-                    components.append(component)
-
-        for node in nodes:
-            if node not in index:
-                strongconnect(node)
-        return components
+        return strongly_connected_components(
+            nodes, lambda node: sorted(self._direct.get(node, ()))
+        )
 
     def evaluation_strata(self, idb_predicates: set[str]) -> list[list[str]]:
         """IDB predicates grouped into bottom-up evaluation strata.

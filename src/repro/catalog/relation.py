@@ -1,30 +1,35 @@
-"""In-memory stored relations with per-column hash indexes.
+"""In-memory stored relations and the id tables their readers probe.
 
-Each EDB predicate's fact set is a :class:`Relation`: a set of constant
-tuples plus lazily built per-column indexes, so pattern lookups with bound
-arguments avoid full scans.  This is the storage substrate under the
-deductive engine.
+Each EDB predicate's fact set is a :class:`Relation`, the storage
+substrate under the deductive engine.  A relation has two shapes: the
+``Constant`` row dict, which is the source of truth (persistence, display
+and the mutators read it), and a lazy mirror of the same rows as symbol-id
+tuples (:meth:`Relation.int_rows`).
 
-A relation has two shapes: the ``Constant`` row dict, which is the source
-of truth (persistence, display, proof search and view repair read it),
-and a lazy mirror of the same rows as symbol-id tuples
-(:meth:`Relation.int_rows`), which the join kernels read.  Everything else
-— indexes, distinct counts — is derived from the row dict and dropped or
-maintained on mutation; :meth:`Relation.check_invariants` states the
-coherence rules.
+Every probe reads the mirror.  A reader names a :class:`Shape` — which
+columns it fixes to constants, which it probes by, which it wants back —
+and gets the relation's one table of that shape (:meth:`Relation.table`):
+filled from the id rows on first request, kept, updated row by row by
+``insert`` / ``delete``, and dropped by a wholesale change.  The join
+kernels and :meth:`Relation.lookup` (the resolver's probe) are such
+readers, so every step over one relation and shape probes the same table,
+across reads and writes.  Distinct counts are memoized per version beside
+it; :meth:`Relation.check_invariants` states the coherence rules.
 
-Either shape can be the one that is missing.  A stored relation always has
-its row dict (ids cannot stand in for it: ``3`` and ``3.0`` share one) and
-builds the mirror on demand.  A *derived* relation, bulk-loaded from a
-fixpoint table (:meth:`Relation.load_interned`), starts **id-only**: the
-id rows are the relation and the row dict is built by the first caller
-that wants constants — which a ``retrieve`` over it never does.
+Either shape of the rows can be the one that is missing.  A stored
+relation always has its row dict (ids cannot stand in for it: ``3`` and
+``3.0`` share one) and builds the mirror on demand.  A *derived* relation,
+bulk-loaded from a fixpoint table (:meth:`Relation.load_interned`), starts
+**id-only**: the id rows are the relation and the row dict is built by the
+first caller that wants constants — which neither a ``retrieve`` nor a
+probe over it ever does.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.catalog.symbols import SYMBOLS
 from repro.errors import ArityError, CatalogError
@@ -32,6 +37,87 @@ from repro.logic.terms import Constant, Term, is_constant, make_term
 
 #: A stored tuple: constants only.
 Row = tuple[Constant, ...]
+
+#: An id table: join key -> bucket, each bucket an insertion-ordered dict
+#: from an entry (a projected id row) to the number of rows projecting to it.
+IdTable = dict[object, dict[tuple[int, ...], int]]
+
+
+def projector(cols: Sequence[int]) -> Callable[[Sequence[int]], tuple]:
+    """A row -> tuple projector specialized over fixed column indexes.
+
+    ``operator.itemgetter`` runs every non-empty case at C speed: one
+    column is taken as a one-element slice, because itemgetter over a
+    single index would return the scalar.
+    """
+    if not cols:
+        return lambda row: ()
+    if len(cols) == 1:
+        return operator.itemgetter(slice(cols[0], cols[0] + 1))
+    return operator.itemgetter(*cols)
+
+
+def key_reader(cols: Sequence[int]) -> Callable[[Sequence[int]], object]:
+    """A row -> key reader: the bare id for one column, the id tuple for
+    several, ``()`` for none — the form every id table keys on."""
+    return operator.itemgetter(*cols) if cols else projector(())
+
+
+class Shape(NamedTuple):
+    """How one reader groups a relation's id rows: ``consts`` are the
+    columns it fixes to constants, ``keys`` the join-key columns it probes
+    per binding (neither names a value, so a relation keeps one table per
+    shape whatever its readers bind), ``dups`` the column pairs a repeated
+    variable makes equal, ``cols`` the columns an entry keeps.  The table
+    holds, per constant part a reader asked for, an :data:`IdTable` of just
+    the rows with that part, so a cold point probe screens the relation
+    rather than hashing all of it.  Entries are counted because two rows
+    of a bucket can project to one entry; a delete lowers the count."""
+
+    consts: tuple[int, ...]
+    keys: tuple[int, ...]
+    dups: tuple[tuple[int, int], ...]
+    cols: tuple[int, ...]
+
+    def screen(self, rows: Sequence[tuple[int, ...]], const: object) -> Sequence:
+        """The rows whose constant part is *const*."""
+        if not self.consts:
+            return rows
+        const_of = key_reader(self.consts)
+        return [row for row in rows if const_of(row) == const]
+
+    def extend(self, table: IdTable, rows: Sequence[tuple[int, ...]]) -> IdTable:
+        """Add *rows* — of one constant part — to *table*."""
+        dups = self.dups
+        if dups:
+            rows = [row for row in rows if all(row[a] == row[b] for a, b in dups)]
+        get = table.get
+        # Keys and entries are cut at C speed; the loop only files them.
+        keys, entries = map(key_reader(self.keys), rows), map(projector(self.cols), rows)
+        for key, entry in zip(keys, entries):
+            bucket = get(key)
+            if bucket is None:
+                table[key] = {entry: 1}
+            elif entry in bucket:
+                bucket[entry] += 1
+            else:
+                bucket[entry] = 1
+        return table
+
+    def remove(self, table: IdTable, row: tuple[int, ...]) -> None:
+        """Take one row of the relation out of *table*."""
+        if not all(row[a] == row[b] for a, b in self.dups):
+            return
+        key = key_reader(self.keys)(row)
+        bucket = table[key]
+        entry = projector(self.cols)(row)
+        if bucket[entry] > 1:
+            bucket[entry] -= 1
+        else:
+            del bucket[entry]
+            if not bucket:
+                del table[key]
+
 
 #: How many recent mutations a relation's change journal retains.  Deltas
 #: older than the journal window (or spanning a :meth:`Relation.restore` /
@@ -41,10 +127,11 @@ JOURNAL_LIMIT = 1024
 
 
 class Relation:
-    """A set of ground tuples of fixed arity, with hash indexes.
+    """A set of ground tuples of fixed arity, with kept id tables.
 
-    Indexes are built per column on first use and maintained incrementally
-    afterwards.  Iteration order is insertion order (deterministic runs).
+    Tables are built per :class:`Shape` on first request and maintained
+    incrementally afterwards.  Iteration order is insertion order
+    (deterministic runs).
     """
 
     def __init__(self, arity: int, rows: Iterable[Sequence[object]] = ()) -> None:
@@ -63,14 +150,17 @@ class Relation:
         self._shared = False
         #: ``None`` in the id-only state (see :meth:`load_interned`):
         #: ``_introws`` is then the relation and :meth:`_constants` builds
-        #: this dict on first need.  Only ``len``, ``int_rows``,
-        #: ``version``, ``distinct_count`` and ``freeze`` do without it.
+        #: this dict on first need.  Only ``len``, ``int_rows``, ``table``,
+        #: ``lookup``, ``version``, ``distinct_count`` and ``freeze`` do
+        #: without it.
         self._rows: dict[Row, None] | None = {}
-        #: Index buckets are insertion-ordered ``dict[Row, None]`` sets:
-        #: deterministic iteration like a list, O(1) delete unlike one.
-        self._indexes: dict[int, dict[Constant, dict[Row, None]]] = {}
+        #: Id tables by shape and constant part (:meth:`table`): built
+        #: from the interned mirror, so one exists only while the mirror
+        #: does; maintained by :meth:`insert` / :meth:`delete`, dropped by
+        #: a wholesale change.
+        self._tables: dict[Shape, dict[object, IdTable]] = {}
         #: Mutation counter; memoized statistics and external caches (the
-        #: join kernels' hash tables) are valid while it is unchanged.
+        #: view cache's dependency stamps) are valid while it is unchanged.
         self._version = 0
         #: Memoized per-column distinct counts: column -> (version, count).
         self._stats: dict[int, tuple[int, int]] = {}
@@ -96,8 +186,8 @@ class Relation:
 
     def _begin_mutation(self) -> None:
         """Entry of every mutator: raises on a frozen relation, and leaves
-        the id-only state (mutators, their journal entries and the index
-        buckets they maintain all work on ``Constant`` rows)."""
+        the id-only state (mutators and their journal entries work on
+        ``Constant`` rows)."""
         if self._frozen:
             raise CatalogError(
                 "relation belongs to a published snapshot and is immutable; "
@@ -157,9 +247,12 @@ class Relation:
         self._version += 1
         self._log("+", coerced)
         if self._introws is not None:
-            self._introws.append(SYMBOLS.intern_row(coerced))
-        for column, index in self._indexes.items():
-            index.setdefault(coerced[column], {})[coerced] = None
+            irow = SYMBOLS.intern_row(coerced)
+            self._introws.append(irow)
+            for shape, filled in self._tables.items():
+                table = filled.get(key_reader(shape.consts)(irow))
+                if table is not None:
+                    shape.extend(table, (irow,))
         return True
 
     def insert_many(self, rows: Iterable[Sequence[object]]) -> int:
@@ -215,7 +308,7 @@ class Relation:
     def delete(self, row: Sequence[object]) -> bool:
         """Delete a row; returns ``False`` if it was absent.
 
-        O(1) per maintained index: buckets are hash sets, not lists.  The
+        O(1) per kept table: buckets are counted hash maps, not lists.  The
         interned mirror loses its one id row (dropping it would re-intern
         every remaining row on the next read).
         """
@@ -228,13 +321,12 @@ class Relation:
         self._version += 1
         self._log("-", coerced)
         if self._introws is not None:
-            self._introws.remove(SYMBOLS.intern_row(coerced))
-        for column, index in self._indexes.items():
-            bucket = index.get(coerced[column])
-            if bucket is not None:
-                bucket.pop(coerced, None)
-                if not bucket:
-                    del index[coerced[column]]
+            irow = SYMBOLS.intern_row(coerced)
+            self._introws.remove(irow)
+            for shape, filled in self._tables.items():
+                table = filled.get(key_reader(shape.consts)(irow))
+                if table is not None:
+                    shape.remove(table, irow)
         return True
 
     def clear(self) -> None:
@@ -252,15 +344,16 @@ class Relation:
     def _invalidate_derived(self) -> None:
         """Drop every derived structure after a wholesale row-set change.
 
-        One sequence shared by :meth:`clear` and :meth:`restore` so the two
-        can never diverge: indexes and memoized per-column statistics are
-        dropped (rebuilt lazily), the version is bumped so external caches
-        keyed on ``(relation, version)`` cannot serve stale state, and the
-        journal is reset so incremental consumers fall back to full
-        recomputation.  A missed step here is a stale-probe-column bug in
-        :meth:`lookup` — pinned by ``tests/catalog/test_relation_invalidation.py``.
+        One sequence shared by :meth:`clear`, :meth:`restore` and
+        :meth:`load_interned` so they can never diverge: the interned
+        mirror, the id tables and memoized per-column statistics are dropped
+        (rebuilt lazily), the version is bumped so external caches keyed on
+        ``(relation, version)`` cannot serve stale state, and the journal is
+        reset so incremental consumers fall back to full recomputation.  A
+        missed step here is a stale probe in :meth:`lookup` or a kernel —
+        pinned by ``tests/catalog/test_relation_invalidation.py``.
         """
-        self._indexes.clear()
+        self._tables.clear()
         self._stats.clear()
         self._introws = None
         self._version += 1
@@ -306,7 +399,7 @@ class Relation:
         """Mutation counter: changes iff the row set changed.
 
         External caches keyed on ``(relation, version)`` — memoized
-        statistics, the join kernels' hash tables — stay valid exactly
+        statistics, the view cache's dependency stamps — stay valid exactly
         while the version is unchanged.
         """
         return self._version
@@ -338,8 +431,8 @@ class Relation:
         table; id-equality is exactly constant-equality.  The mirror is
         maintained through inserts and deletes and rebuilt here after a
         wholesale change (in the id-only state it is the relation itself).
-        Callers must treat the returned list as immutable — it is shared
-        with the join kernels' caches, which key on :attr:`version`.
+        Callers must treat the returned list as immutable — a keyless
+        kernel scan reads it as it is.
         """
         rows = self._introws
         if rows is None:
@@ -347,64 +440,63 @@ class Relation:
             rows = self._introws = [intern_row(row) for row in self._rows]
         return rows
 
-    def _index_for(self, column: int) -> dict[Constant, dict[Row, None]]:
-        if column not in self._indexes:
-            index: dict[Constant, dict[Row, None]] = {}
-            for row in self._constants():
-                index.setdefault(row[column], {})[row] = None
-            self._indexes[column] = index
-        return self._indexes[column]
+    def table(self, shape: Shape, const: object = ()) -> IdTable:
+        """The relation's id table of *shape* for the constant part
+        *const* (``()`` without constant columns), built from the id rows
+        on first request and kept: :meth:`insert` and :meth:`delete`
+        update it in O(1), a wholesale change drops it.  On a frozen
+        relation a finished table is bound in one assignment, so readers
+        racing to build one each get a complete, equal table."""
+        filled = self._tables.get(shape)
+        if filled is None:
+            filled = self._tables[shape] = {}
+        table = filled.get(const)
+        if table is None:
+            rows = shape.screen(self.int_rows(), const)
+            table = filled[const] = shape.extend({}, rows)
+        return table
 
     def lookup(self, pattern: Sequence[Term | None]) -> Iterator[Row]:
         """Rows matching a pattern of constants and wildcards.
 
         *pattern* has one entry per column: a :class:`Constant` pins the
-        column, a variable or ``None`` leaves it free.  The most selective
-        bound column drives an index probe; remaining bound columns filter.
+        column, a variable or ``None`` leaves it free.  The pinned columns
+        are the constant part of one id table (:meth:`table`): the first
+        probe of a value screens the rows holding it, a later one looks it
+        up.  Rows come back as the symbol table's representatives
+        (``3`` for a stored ``3.0`` when ``3`` was interned first), as
+        ``retrieve`` answers do, and the probe interns nothing: a constant
+        the symbol table has never seen matches no row.  An id-only
+        relation stays id-only.
         """
         if len(pattern) != self.arity:
             raise ArityError(f"pattern arity {len(pattern)} != relation arity {self.arity}")
-        bound = [
-            (i, term)
-            for i, term in enumerate(pattern)
-            if term is not None and is_constant(term)
-        ]
-        if not bound:
-            yield from self._constants()
-            return
-        probe_column, probe_value = bound[0]
-        if len(bound) > 1 and len(self):
-            # Prefer the column with the most distinct values (smallest
-            # expected bucket).  distinct_count is memoized, so choosing the
-            # probe costs no index builds; only the winner's index is
-            # materialised below.
-            best_count = -1
-            for column, value in bound:
-                count = self.distinct_count(column)
-                if count > best_count:
-                    best_count = count
-                    probe_column, probe_value = column, value
-        candidates = self._index_for(probe_column).get(probe_value, [])  # type: ignore[arg-type]
-        rest = [(i, v) for i, v in bound if i != probe_column]
-        for row in candidates:
-            if all(row[i] == v for i, v in rest):
-                yield row
+        bound = tuple(
+            i for i, term in enumerate(pattern) if term is not None and is_constant(term)
+        )
+        # The id rows first: they intern every stored constant, so a
+        # pattern constant without an id is one no row holds.
+        rows: Iterable[tuple[int, ...]] = self.int_rows()
+        if bound:
+            ids = [SYMBOLS.id_of(pattern[i]) for i in bound]  # type: ignore[arg-type]
+            if None in ids:
+                return
+            shape = Shape(bound, (), (), tuple(range(self.arity)))
+            const = ids[0] if len(ids) == 1 else tuple(ids)
+            rows = self.table(shape, const).get((), ())
+        yield from map(SYMBOLS.extern_row, rows)
 
     def distinct_count(self, column: int) -> int:
         """Number of distinct values in a column.
 
-        O(1) when the column's index exists; otherwise computed once and
-        memoized until the next mutation — the planner can ask for
-        statistics without forcing an index build.  Counted over the id
-        mirror whenever there is one (distinct ids are distinct constants,
-        and hashing an int beats a ``Constant``'s Python-level ``__hash__``);
-        over the rows only while the mirror is dirty.
+        Computed once and memoized until the next mutation — the planner
+        can ask for statistics without forcing a table build.  Counted over
+        the id mirror whenever there is one (distinct ids are distinct
+        constants, and hashing an int beats a ``Constant``'s Python-level
+        ``__hash__``); over the rows only while the mirror is dirty.
         """
         if not 0 <= column < self.arity:
             raise ArityError(f"column {column} out of range for arity {self.arity}")
-        index = self._indexes.get(column)
-        if index is not None:
-            return len(index)
         cached = self._stats.get(column)
         if cached is not None and cached[0] == self._version:
             return cached[1]
@@ -421,13 +513,12 @@ class Relation:
         With a row dict: the interned mirror is dirty (``None``) or
         externalizes row for row to the rows.  Id-only (no row dict): the
         mirror is the relation — non-empty, distinct rows of the relation's
-        width over ids the symbol table issued — and no index exists,
-        since indexes are built from (and force) the row dict.  Either
-        way: every materialised index partitions exactly the rows; every
-        distinct count stamped with the current version is the true count;
-        a frozen relation is never marked shared.  O(rows) per structure,
-        and it forces nothing — for tests and fault-injection harnesses,
-        not for a query path.
+        width over ids the symbol table issued.  Either way: every kept id
+        table equals a fresh build from the id rows; every distinct count
+        stamped with the current version is the true count; a frozen
+        relation is never marked shared.  O(rows) per structure, and it
+        forces nothing — for tests and fault-injection harnesses, not for a
+        query path.
         """
         mirror = self._introws
         if self._rows is None:
@@ -435,8 +526,6 @@ class Relation:
                 raise CatalogError("an id-only relation has no id rows")
             if len(set(mirror)) != len(mirror):
                 raise CatalogError("an id-only relation holds a row twice")
-            if self._indexes:
-                raise CatalogError("an id-only relation has a Constant index")
             if set(map(len, mirror)) != {self.arity}:
                 raise CatalogError(
                     f"an id-only relation of arity {self.arity} holds a row "
@@ -465,14 +554,14 @@ class Relation:
                             f"interned mirror row {position} is {irow!r}, "
                             f"which is not the stored row {row!r}"
                         )
-        for column, index in self._indexes.items():
-            expected: dict[Constant, dict[Row, None]] = {}
-            for row in rows:
-                expected.setdefault(row[column], {})[row] = None
-            for value in {**index, **expected}:
-                if index.get(value) != expected.get(value):
+        for shape, filled in self._tables.items():
+            for const, table in filled.items():
+                if mirror is None or table != shape.extend(
+                    {}, shape.screen(mirror, const)
+                ):
                     raise CatalogError(
-                        f"index on column {column} has a wrong bucket for {value!r}"
+                        f"the kept table of {shape!r} for {const!r} is not a "
+                        "fresh build of the id rows"
                     )
         for column, (version, count) in self._stats.items():
             if version == self._version:
@@ -486,10 +575,10 @@ class Relation:
             raise CatalogError("a frozen relation is marked copy-on-write shared")
 
     def copy(self) -> "Relation":
-        """An independent copy (indexes rebuilt lazily)."""
+        """An independent copy (id rows and tables rebuilt lazily)."""
         clone = Relation(self.arity)
         clone._rows = dict(self._constants())
-        clone._introws = None  # rebuilt lazily, like the indexes
+        clone._introws = None
         return clone
 
     def freeze(self) -> "Relation":
@@ -499,15 +588,16 @@ class Relation:
         reference (an id-only relation stays id-only, and so does its copy)
         and keeps this relation's version number, so caches keyed
         on ``(relation, version)`` — the view cache's dependency
-        fingerprints above all — remain valid across the freeze.  This relation is marked shared: its next in-place
-        mutation privatizes the storage (see :meth:`_unshare`), leaving
-        the frozen copy untouched.  Index buckets and the change journal
-        are *not* shared — live mutators update them in place — so the
-        frozen copy rebuilds indexes lazily and reports no deltas.
+        fingerprints above all — remain valid across the freeze.  This
+        relation is marked shared: its next in-place mutation privatizes the
+        storage (see :meth:`_unshare`), leaving the frozen copy untouched.
+        The id tables and the change journal are *not* shared — live
+        mutators update them in place — so the frozen copy builds its own
+        tables lazily and reports no deltas.
 
         Frozen copies are safe for concurrent readers without locks:
         every mutator raises, and the remaining lazy memoizations
-        (indexes, statistics, the interned mirror, an id-only relation's
+        (id tables, statistics, the interned mirror, an id-only relation's
         row dict) are idempotent build-then-bind assignments.
         """
         if self._frozen:
@@ -517,7 +607,7 @@ class Relation:
         clone._frozen = True
         clone._shared = False
         clone._rows = self._rows
-        clone._indexes = {}
+        clone._tables = {}
         clone._version = self._version
         clone._stats = dict(self._stats)
         clone._journal = deque()
@@ -544,8 +634,8 @@ class Relation:
     def restore(self, snapshot: dict[Row, None]) -> None:
         """Reset the row set to a :meth:`checkpoint` snapshot.
 
-        Indexes and memoized statistics are dropped (rebuilt lazily) and the
-        version is bumped past every mid-transaction value, so external
+        Id tables and memoized statistics are dropped (rebuilt lazily) and
+        the version is bumped past every mid-transaction value, so external
         caches keyed on ``(relation, version)`` cannot serve stale state.
         """
         self._begin_mutation()

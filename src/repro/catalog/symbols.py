@@ -69,6 +69,11 @@ class SymbolTable:
                 self._ids[constant] = sid
         return sid
 
+    def id_of(self, constant: Constant) -> int | None:
+        """The id of *constant*, or ``None`` if it was never interned —
+        a probe that must not grow the table."""
+        return self._ids.get(constant)
+
     def intern_row(self, row: Sequence[Constant]) -> tuple[int, ...]:
         """Intern every constant of a stored row."""
         intern = self.intern

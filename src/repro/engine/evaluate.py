@@ -26,11 +26,11 @@ from typing import TYPE_CHECKING, Iterator, MutableMapping, Sequence
 
 from repro.errors import EngineError, ResourceExhausted, SafetyError
 from repro.catalog.database import KnowledgeBase
+from repro.catalog.relation import projector
 from repro.catalog.symbols import SYMBOLS
 from repro.engine.guard import Diagnostics, ResourceGuard, degrade_catch
 from repro.engine.kernels import (
     IntBatch,
-    _projector,
     compile_conjunction_kernel,
     substitutions_from_kernel_batch,
 )
@@ -276,10 +276,6 @@ def _seminaive_batch(
         # inside it leaves the empty answer as the degraded one.
         degrade_catch(guard, error)
         batch = []
-    finally:
-        # The kernel may outlive this query in the plan cache; its build
-        # sides must not keep this query's relations alive with it.
-        kernel.release()
     return kernel.schema, batch
 
 
@@ -300,7 +296,7 @@ def _distinct_answers(
             raise SafetyError(f"free variable {variable} is not bound by the query")
     slots = [schema.index(variable) for variable in free_vars]
     if slots != list(range(len(schema))):  # else the batch is the projection
-        batch = map(_projector(slots), batch)
+        batch = map(projector(slots), batch)
     return SYMBOLS.extern_rows(list(dict.fromkeys(batch)))
 
 

@@ -28,7 +28,7 @@ from repro.errors import SafetyError
 from repro.logic.atoms import Atom
 from repro.logic.builtins import evaluate_comparison
 from repro.logic.substitution import Substitution
-from repro.logic.terms import is_constant, is_variable
+from repro.logic.terms import is_variable
 from repro.logic.unify import unify_terms
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -130,8 +130,7 @@ def relation_resolver(
     def resolve(atom: Atom, theta: Substitution) -> Iterator[Substitution]:
         relation = relation_for(atom.predicate)
         if relation is not None:
-            pattern = [arg if is_constant(arg) else None for arg in atom.args]
-            for row in relation.lookup(pattern):
+            for row in relation.lookup(atom.args):
                 extended = bind_row(atom, row, theta)
                 if extended is not None:
                     yield extended

@@ -5,9 +5,9 @@ and safety; this module *lowers* it into the integer domain of the
 process-wide symbol table (:data:`repro.catalog.symbols.SYMBOLS`) and runs
 it:
 
-* every step is specialized over **symbol ids** — the build side reads
-  a relation's interned rows (:meth:`Relation.int_rows`), constant
-  arguments are interned once at compile time, and join keys are plain
+* every step is specialized over **symbol ids** — the build side is
+  built from a relation's interned rows (:meth:`Relation.int_rows`),
+  constant arguments are interned once at compile time, and keys are plain
   ints (id-equality is exactly constant-equality, see
   :mod:`repro.catalog.symbols`), so no probe or dedup check ever hashes a
   :class:`~repro.logic.terms.Constant`;
@@ -21,9 +21,12 @@ it:
 * each filter/operand is a small closure specialized at compile time over
   the concrete slot indexes and interned constants — the hot loop carries
   no interpretation of step metadata;
-* build-side hash tables are memoized per step and invalidated through
-  the build side's ``version``, so a stable EDB relation is hashed once
-  per kernel no matter how many delta iterations probe it.
+* a step holds compiled code only: its build side is the relation's own id
+  table of the step's :class:`~repro.catalog.relation.Shape`
+  (:meth:`Relation.table`, :meth:`IntTable.table`), which the relation
+  keeps and updates across evaluations, reads and writes — every step over
+  one relation and shape probes one table, and a kernel kept in a plan
+  cache pins no relation.
 
 Order comparisons (``<``, ``>=``, …) are about *values*, not identities,
 so their closures externalize ids back to constants before comparing —
@@ -35,13 +38,14 @@ check runs on every row.
 A batch is a list of id tuples, passed from one step's ``run`` to the
 next.  :class:`IntTable` is the fixpoint table the one stratum driver
 (:meth:`SemiNaiveEngine._evaluate_stratum`) runs over.  It presents the
-``(arity, version, int_rows, distinct_count)`` read surface of a
-:class:`~repro.catalog.relation.Relation`, so build-side memoization and
-the cardinality estimator work unchanged, plus the three calls the
-driver makes: ``admit`` (screen fired rows against the table
-and the round's pending rows), ``extend`` (make the pending rows visible
-and hand them back as the next delta table) and ``flush`` (hand the id
-rows to the derived relation, which keeps them as they are —
+``(arity, int_rows, table, distinct_count)`` read surface of a
+:class:`~repro.catalog.relation.Relation`, so the steps and the
+cardinality estimator read either alike, plus the three calls the driver
+makes: ``admit`` (screen fired rows against the table and the round's
+pending rows), ``extend`` (make the pending rows visible — a kept id table
+takes them on its next request — and hand them back as the next delta
+table) and ``flush``
+(hand the id rows to the derived relation, which keeps them as they are —
 :meth:`Relation.load_interned`).
 
 Ids become constants again at one boundary on the ``retrieve`` path, in
@@ -54,10 +58,12 @@ callers that want a substitution per solution.
 from __future__ import annotations
 
 import operator
+from functools import partial
 from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 from repro.errors import ArityError, LogicError
+from repro.catalog.relation import IdTable, Shape, key_reader, projector
 from repro.catalog.symbols import SYMBOLS
 from repro.engine.plan import (
     CostEstimator,
@@ -89,40 +95,28 @@ _ORDER_OPS: dict[str, Callable[[object, object], bool]] = {
 }
 
 
-def _projector(cols: Sequence[int]) -> Callable[[Sequence[int]], tuple]:
-    """A row -> tuple projector specialized over fixed column indexes.
-
-    ``operator.itemgetter`` runs every non-empty case at C speed: one
-    column is taken as a one-element slice, because itemgetter over a
-    single index would return the scalar.
-    """
-    if not cols:
-        return lambda row: ()
-    if len(cols) == 1:
-        return operator.itemgetter(slice(cols[0], cols[0] + 1))
-    return operator.itemgetter(*cols)
-
-
 class IntTable:
     """An append-only set of interned rows: the stratum fixpoint table.
 
     ``version`` is the row count: rows are only ever appended, so the
-    count is a valid monotone version for ``(identity, version)``-keyed
-    build-table memos — the same protocol as :attr:`Relation.version`.
+    count is a valid monotone version, as :attr:`Relation.version` is.
     """
 
-    __slots__ = ("arity", "rows", "index", "pending", "_stats")
+    __slots__ = ("arity", "rows", "index", "pending", "_stats", "_tables")
 
     def __init__(self, arity: int, rows: Iterable[tuple[int, ...]] = ()) -> None:
         self.arity = arity
         self.rows: list[tuple[int, ...]] = list(rows)
         #: Membership set of ``rows``; ``None`` on a delta table, which is
-        #: scanned and hashed but never asked whether it holds a row.
+        #: scanned and probed but never asked whether it holds a row.
         self.index: set[tuple[int, ...]] | None = set(self.rows)
         #: Rows admitted this round, not yet visible (insertion-ordered).
         #: A rule kernel's fused tail stages head rows here directly.
         self.pending: dict[tuple[int, ...], None] = {}
         self._stats: dict[int, tuple[int, int]] = {}
+        #: Id tables by shape and constant part, as :meth:`Relation.table`
+        #: keeps them, with the number of rows they cover (see :meth:`table`).
+        self._tables: dict[Shape, tuple[dict[object, IdTable], int]] = {}
 
     def admit(self, fired: Iterable[tuple[int, ...]]) -> int:
         """Stage the fired rows that are neither visible nor already
@@ -160,6 +154,21 @@ class IntTable:
     def int_rows(self) -> list[tuple[int, ...]]:
         return self.rows
 
+    def table(self, shape: Shape, const: object = ()) -> IdTable:
+        """The id table of *shape* for *const* over the visible rows, built
+        on first request and kept; kept tables take the rows appended since
+        when next requested, so one no step probes again costs nothing."""
+        filled, covered = self._tables.get(shape, ({}, 0))
+        rows = self.rows
+        if filled and covered < len(rows):
+            for key, table in filled.items():
+                shape.extend(table, shape.screen(rows[covered:], key))
+        table = filled.get(const)
+        if table is None:
+            table = filled[const] = shape.extend({}, shape.screen(rows, const))
+        self._tables[shape] = (filled, len(rows))
+        return table
+
     @property
     def version(self) -> int:
         return len(self.rows)
@@ -180,46 +189,41 @@ class IntTable:
         return count
 
 
-def _row_screen(
-    const_checks: Sequence[tuple[int, int]], dup_checks: Sequence[tuple[int, int]]
-) -> Callable[[list[tuple[int, ...]]], list[tuple[int, ...]]]:
-    """The build-side screen of one atom, specialized at compile time:
-    rows -> the rows passing the constant and repeated-variable checks,
-    in the same order.
-
-    Nearly every screened atom is a bound-argument lookup — ``path(src, Y)``
-    — so one constant check, and constant checks alone, compile to a bare
-    comparison inside the comprehension; only a repeated variable pays for
-    the generic pair loops.
-    """
-    if not const_checks and not dup_checks:
-        return lambda rows: rows
-    if not dup_checks:
-        if len(const_checks) == 1:
-            ((col, sid),) = const_checks
-            return lambda rows: [row for row in rows if row[col] == sid]
-        cols = operator.itemgetter(*[col for col, _ in const_checks])
-        sids = tuple(sid for _, sid in const_checks)
-        return lambda rows: [row for row in rows if cols(row) == sids]
-    return lambda rows: [
-        row
-        for row in rows
-        if all(row[c] == sid for c, sid in const_checks)
-        and all(row[left] == row[right] for left, right in dup_checks)
-    ]
+def _probe(
+    key_slots: Sequence[int],
+    key_cols: Sequence[int],
+    const_checks: Sequence[tuple[int, int]],
+    dup_checks: Sequence[tuple[int, int]],
+    cols: Sequence[int],
+) -> tuple[Shape, Callable[[tuple[int, ...]], object] | None, object]:
+    """One atom's probe, lowered: ``(shape, key_of, const)``.  Constant and
+    join-key columns are each taken in column order; ``key_of`` reads a
+    binding's join key (``None`` without one: every binding probes key
+    ``()``), and ``const`` is the constants' ids as the table keys them."""
+    consts = sorted(const_checks)
+    joins = sorted(zip(key_cols, key_slots))
+    shape = Shape(
+        tuple(col for col, _ in consts),
+        tuple(col for col, _ in joins),
+        tuple(dup_checks),
+        tuple(cols),
+    )
+    key_of = key_reader([slot for _, slot in joins]) if joins else None
+    sids = tuple(sid for _, sid in consts)
+    return shape, key_of, sids[0] if len(sids) == 1 else sids
 
 
 class _KJoin:
     """A hash join specialized over symbol ids, with fused row filters.
 
-    Runs one :class:`repro.engine.plan._HashJoin` record: the build side
-    (the relation) is filtered by the constant and repeated-variable
-    checks, projected to the columns that bind new variables, and hashed
-    on the join-key columns; the probe loop applies any fused comparison
-    filters before a combined row is admitted to the output batch.  The
-    build is memoized and reused while the build side's ``version`` is
-    unchanged — the common case for EDB relations probed across many
-    delta iterations.
+    Runs one :class:`repro.engine.plan._HashJoin` record.  The build side
+    is the relation's id table of the step's shape: rows passing the
+    repeated-variable checks, keyed on the constant and join-key columns,
+    each entry the columns that bind new variables.  The relation builds
+    it once and keeps it current, so the join holds no data.  The probe
+    loop applies any fused comparison filters before a combined row is
+    admitted to the output batch.  A keyless scan binding every column as
+    it is reads the relation's id rows themselves.
 
     As the last step of a rule kernel the join can also carry the rule's
     head (:meth:`fuse_head`): the probe loop then emits head rows into the
@@ -227,11 +231,8 @@ class _KJoin:
     """
 
     __slots__ = (
-        "predicate", "arity", "key_slots", "key_cols",
-        "const_checks", "dup_checks", "out_cols", "fused",
-        "_screen", "_project", "_key_of", "_probe_key",
-        "_head_binding", "_head_build_first",
-        "_cache_rel", "_cache_ver", "_cache_table",
+        "predicate", "arity", "out_cols", "fused", "shape", "_key_of", "_const",
+        "_lower", "_keyless", "_head_binding", "_head_build_first",
     )
 
     def __init__(
@@ -246,29 +247,25 @@ class _KJoin:
     ) -> None:
         self.predicate = predicate
         self.arity = arity
-        self.key_slots = key_slots
-        self.key_cols = key_cols
-        self.const_checks = const_checks
-        self.dup_checks = dup_checks
         self.out_cols = out_cols
         self.fused: list[RowFilter] = []
-        # Specialized at compile time: C-speed screens and projectors over
-        # the concrete column/slot indexes this join uses.
-        self._screen = _row_screen(const_checks, dup_checks)
-        # A keyless scan binding every column as is needs no projection:
-        # the build side's rows are the extensions.
-        self._project = (
-            None
-            if not key_cols and out_cols == list(range(arity))
-            else _projector(out_cols)
-        )
-        # One key column is hashed and probed as the bare id, several as
-        # the id tuple: itemgetter gives exactly that.
-        self._key_of = operator.itemgetter(*key_cols) if key_cols else None
-        self._probe_key = operator.itemgetter(*key_slots) if key_slots else None
         self._head_binding: Callable | None = None
         self._head_build_first = False
-        self.release()
+        # The build side's shape, but for the columns its entries keep.
+        self._lower = partial(_probe, key_slots, key_cols, const_checks, dup_checks)
+        self._keyless = not (key_cols or const_checks or dup_checks)
+        self._extensions(out_cols)
+
+    def _extensions(self, cols: Sequence[int]) -> None:
+        """Take the build side's extensions as the row's *cols*: entries
+        of the step's shape, or — a keyless scan binding every column as
+        it is — the relation's id rows themselves (``shape`` ``None``)."""
+        self.shape: Shape | None
+        self._key_of: Callable | None
+        if self._keyless and list(cols) == list(range(self.arity)):
+            self.shape = self._key_of = self._const = None
+        else:
+            self.shape, self._key_of, self._const = self._lower(cols)
 
     def fuse_head(self, head_slots: Sequence[int], bound: int) -> bool:
         """Specialize this join — a rule kernel's last step, probed by
@@ -278,8 +275,9 @@ class _KJoin:
         bound in: a slot below *bound* is read from the binding, any other
         from the build-side row.  When the build-side columns sit together
         at one end of the head, a head row is the concatenation of two
-        pre-cut pieces — the build side is projected to its piece once,
-        at hash time, and the binding's piece is cut once per binding — so
+        pre-cut pieces — the build side's entries *are* its piece (the
+        step's shape takes those columns, in head order), and the
+        binding's piece is cut once per binding — so
         the probe loop builds no combined tuple.  Returns whether the head
         has that shape (and the join now runs fused); comparison filters
         read the combined row, so a join carrying any stays as it is.
@@ -289,38 +287,11 @@ class _KJoin:
         if self.fused or switches > 1:
             return False
         self._head_build_first = bool(from_build) and from_build[0]
-        self._head_binding = _projector(
-            [slot for slot in head_slots if slot < bound]
-        )
-        self._project = _projector(
+        self._head_binding = projector([slot for slot in head_slots if slot < bound])
+        self._extensions(
             [self.out_cols[slot - bound] for slot in head_slots if slot >= bound]
         )
         return True
-
-    def release(self) -> None:
-        """Forget the memoized build side (and the relation it pins)."""
-        self._cache_rel: object = None
-        self._cache_ver = -1
-        self._cache_table: object = None
-
-    def _build(self, relation) -> object:
-        version = relation.version
-        if self._cache_rel is relation and self._cache_ver == version:
-            return self._cache_table
-        rows = self._screen(relation.int_rows())
-        project = self._project
-        key_of = self._key_of
-        if key_of is None:
-            # Never written to: a plain scan shares the build side's rows.
-            table: object = rows if project is None else list(map(project, rows))
-        else:
-            table = {}
-            for row in rows:
-                table.setdefault(key_of(row), []).append(project(row))
-        self._cache_rel = relation
-        self._cache_ver = version
-        self._cache_table = table
-        return table
 
     def run(self, batch: IntBatch, relations, table: "IntTable | None" = None):
         """Extend every binding of *batch* by its matching build-side rows.
@@ -338,15 +309,23 @@ class _KJoin:
                 f"atom {self.predicate}/{self.arity} does not match relation "
                 f"arity {relation.arity}"
             )
-        built = self._build(relation)
-        if self._probe_key is None:
+        key_of = self._key_of
+        if self.shape is None:
+            built: object = relation.int_rows()
+        else:
+            built = relation.table(self.shape, self._const)
+            if key_of is None:
+                built = built.get(())  # type: ignore[attr-defined]
+                if not built:
+                    return [] if table is None else 0
+        if key_of is None:
             if table is None and not self.fused and batch == [()]:
                 # The first step of a kernel: the unit batch extends to
                 # the build side itself.
                 return list(built)  # type: ignore[call-overload]
             matched: Iterable = repeat(built)
         else:
-            matched = map(built.get, map(self._probe_key, batch))  # type: ignore[union-attr]
+            matched = map(built.get, map(key_of, batch))  # type: ignore[attr-defined]
         if table is not None:
             index = table.index
             pending = table.pending
@@ -418,12 +397,11 @@ class _KFilter:
 
 
 class _KAntiJoin:
-    """A negated atom as an anti-join over id keys (memoized key set)."""
+    """A negated atom as an anti-join: a binding survives when its key —
+    every column of the atom is a constant or a bound variable — is absent
+    from the relation's id table of the step's shape."""
 
-    __slots__ = (
-        "predicate", "arity", "key_slots", "key_cols", "const_checks",
-        "_screen", "_cache_rel", "_cache_ver", "_cache_keys",
-    )
+    __slots__ = ("predicate", "arity", "shape", "_key_of", "_const")
 
     def __init__(
         self,
@@ -435,30 +413,9 @@ class _KAntiJoin:
     ) -> None:
         self.predicate = predicate
         self.arity = arity
-        self.key_slots = key_slots
-        self.key_cols = key_cols
-        self.const_checks = const_checks
-        self._screen = _row_screen(const_checks, ())
-        self.release()
-
-    def release(self) -> None:
-        """Forget the memoized key set (and the relation it pins)."""
-        self._cache_rel: object = None
-        self._cache_ver = -1
-        self._cache_keys: set | None = None
-
-    def _keys(self, relation) -> set:
-        version = relation.version
-        if self._cache_rel is relation and self._cache_ver == version:
-            return self._cache_keys  # type: ignore[return-value]
-        key_cols = self.key_cols
-        keys: set = set()
-        for row in self._screen(relation.int_rows()):
-            keys.add(tuple(row[c] for c in key_cols))
-        self._cache_rel = relation
-        self._cache_ver = version
-        self._cache_keys = keys
-        return keys
+        self.shape, self._key_of, self._const = _probe(
+            key_slots, key_cols, const_checks, (), ()
+        )
 
     def run(self, batch: IntBatch, relations) -> IntBatch:
         relation = relations(self.predicate)
@@ -469,15 +426,12 @@ class _KAntiJoin:
                 f"negated atom {self.predicate}/{self.arity} does not match "
                 f"relation arity {relation.arity}"
             )
-        keys = self._keys(relation)
-        if not keys:
-            return batch
-        slots = self.key_slots
-        return [
-            binding
-            for binding in batch
-            if tuple(binding[s] for s in slots) not in keys
-        ]
+        keys = relation.table(self.shape, self._const)
+        key_of = self._key_of
+        if key_of is None:
+            return [] if () in keys else batch
+        return [binding for binding in batch if key_of(binding) not in keys]
+
 
 def _operand_reader(
     slot: int | None, const: Constant | None
@@ -565,17 +519,6 @@ class ConjunctionKernel:
         :class:`~repro.obs.trace.Tracer`): one binding per solution."""
         return _run_steps(self.steps, relations, guard, tracer)
 
-    def release(self) -> None:
-        """Drop every step's memoized build side.
-
-        A kernel that outlives one evaluation (the session plan cache)
-        must not keep that evaluation's relations, or the hash tables
-        built from them, alive; within one evaluation the memos stay.
-        """
-        for step in self.steps:
-            if isinstance(step, (_KJoin, _KAntiJoin)):
-                step.release()
-
 
 class RuleKernel:
     """A rule's body steps plus its head, firing into a fixpoint table.
@@ -602,7 +545,7 @@ class RuleKernel:
             # The all-variables head projects at C speed, or not at all
             # when the last join takes it over.
             slots = [value for _, value in head_template]
-            self._project = _projector(slots)
+            self._project = projector(slots)
             last = kernel.steps[-1] if kernel.steps else None
             if isinstance(last, _KJoin) and last.fuse_head(
                 slots, len(kernel.schema) - len(last.out_cols)

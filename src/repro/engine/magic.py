@@ -235,9 +235,6 @@ def magic_conjunction(
     except ResourceExhausted as error:
         degrade_catch(guard, error)  # re-raises unless the guard degrades
         relation = engine.partial_relation(program.goal.predicate)
-    finally:
-        for stratum in program.compiled.values():
-            stratum.release()  # a kept program pins no relation
     rows = relation.int_rows()
     bound = len(constants)
     return program.schema, [row[bound:] for row in rows] if bound else rows

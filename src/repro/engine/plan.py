@@ -70,7 +70,7 @@ def order_conjuncts(
     A delta occurrence (:data:`DELTA_PREFIX`) is always the first positive
     atom, whatever it would cost: the delta is the one operand that is new
     on every iteration of a fixpoint, so scanning it makes every other
-    atom a build side hashed once per stratum and the iteration's work
+    atom a build side, a table its relation keeps, and the iteration's work
     |delta| probes.  Costing it instead goes wrong exactly when it matters
     — at the first iteration the delta *is* the whole relation, ties with
     the relation it was copied from, and the order chosen then is the one

@@ -30,7 +30,6 @@ from repro.engine.safety import check_rule_safety
 from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule
 from repro.logic.substitution import Substitution
-from repro.logic.terms import is_constant
 
 
 def reference_fixpoint(
@@ -89,8 +88,7 @@ class _ReferenceEngine:
         relation = self._relation_view(atom.predicate)
         if relation is None:
             return  # undefined predicate: empty extension
-        pattern = [arg if is_constant(arg) else None for arg in atom.args]
-        for row in relation.lookup(pattern):
+        for row in relation.lookup(atom.args):
             extended = bind_row(atom, row, theta)
             if extended is not None:
                 yield extended

@@ -61,11 +61,6 @@ class CompiledStratum:
         ]
         self.kernels: dict[tuple[int, int], RuleKernel] = {}
 
-    def release(self) -> None:
-        """Drop the kernels' memoized build sides."""
-        for kernel in self.kernels.values():
-            kernel.kernel.release()
-
 
 class SemiNaiveEngine:
     """Bottom-up evaluator producing materialised IDB relations.
@@ -85,8 +80,9 @@ class SemiNaiveEngine:
         counters.  ``None`` (the default) keeps the hot path untraced.
     compiled:
         Stratum members -> :class:`CompiledStratum`.  A caller that keeps
-        one rule set hands in the same mapping every time, compiles nothing
-        after the first evaluation, and releases the build sides after each.
+        one rule set hands in the same mapping every time and compiles
+        nothing after the first evaluation; the kernels hold no data, so
+        the mapping pins no relation.
     """
 
     def __init__(
@@ -175,15 +171,15 @@ class SemiNaiveEngine:
         round derived anything, every recursive rule fires once per
         occurrence of a stratum predicate in its body with that occurrence
         reading the *delta* — and, the planner puts it first, driving the
-        join: every other atom is a build side hashed once per version, so
-        an iteration's work is |delta| probes.  The stratum's derived and
-        delta fact sets live as kernel tables
-        (:class:`~repro.engine.kernels.IntTable`) for the whole fixpoint: no
-        per-row coercion, journaling, or constant hashing on the hot path.
-        Within an iteration the tables extend only at the iteration
-        boundary, so every rule of one iteration sees the same facts — and
-        each build side bumps its version once per iteration, not once per
-        rule.
+        join: every other atom is a build side, an id table its relation
+        keeps (a stored relation across evaluations, a fixpoint table
+        across iterations, extended by each delta), so an iteration's work
+        is |delta| probes.  The stratum's derived and delta fact sets live
+        as kernel tables (:class:`~repro.engine.kernels.IntTable`) for the
+        whole fixpoint: no per-row coercion, journaling, or constant
+        hashing on the hot path.  Within an iteration the tables extend
+        only at the iteration boundary, so every rule of one iteration sees
+        the same facts.
 
         The id rows are bulk-loaded into the derived relations as they are
         when the stratum finishes (a relation turns them into constants

@@ -34,6 +34,7 @@ from typing import Hashable, Iterable, Sequence
 from repro.errors import LogicError
 from repro.logic.atoms import Atom
 from repro.logic.builtins import negate_comparison
+from repro.logic.graphs import strongly_connected_components
 from repro.logic.terms import Term, is_constant, is_variable
 
 
@@ -210,60 +211,17 @@ class ComparisonSystem:
         nodes: list[Hashable],
         union: _UnionFind,
     ) -> dict[Hashable, int]:
-        """Map each class root to its SCC id in the order graph (Tarjan)."""
+        """Map each class root to its SCC id in the order graph."""
         roots = sorted({union.find(n) for n in nodes}, key=repr)
         adjacency: dict[Hashable, list[Hashable]] = {r: [] for r in roots}
         for lo, hi, _strict in edges:
             adjacency[lo].append(hi)
-
-        index: dict[Hashable, int] = {}
-        lowlink: dict[Hashable, int] = {}
-        on_stack: set[Hashable] = set()
-        stack: list[Hashable] = []
-        component: dict[Hashable, int] = {}
-        counter = [0]
-        comp_counter = [0]
-
-        def strongconnect(start: Hashable) -> None:
-            # Iterative Tarjan to survive deep graphs.
-            work = [(start, iter(adjacency[start]))]
-            index[start] = lowlink[start] = counter[0]
-            counter[0] += 1
-            stack.append(start)
-            on_stack.add(start)
-            while work:
-                node, successors = work[-1]
-                advanced = False
-                for succ in successors:
-                    if succ not in index:
-                        index[succ] = lowlink[succ] = counter[0]
-                        counter[0] += 1
-                        stack.append(succ)
-                        on_stack.add(succ)
-                        work.append((succ, iter(adjacency[succ])))
-                        advanced = True
-                        break
-                    if succ in on_stack:
-                        lowlink[node] = min(lowlink[node], index[succ])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-                if lowlink[node] == index[node]:
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component[member] = comp_counter[0]
-                        if member == node:
-                            break
-                    comp_counter[0] += 1
-
-        for root in roots:
-            if root not in index:
-                strongconnect(root)
-        return component
+        components = strongly_connected_components(roots, adjacency.__getitem__)
+        return {
+            member: number
+            for number, members in enumerate(components)
+            for member in members
+        }
 
     def _propagate_bounds(
         self,

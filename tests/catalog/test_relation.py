@@ -1,4 +1,4 @@
-"""Unit tests for stored relations and their indexes."""
+"""Unit tests for stored relations and their id tables."""
 
 import pytest
 
@@ -45,7 +45,7 @@ class TestMutation:
 
     def test_delete_maintains_index(self):
         rel = Relation(2, [("a", "b"), ("a", "c")])
-        list(rel.lookup([Constant("a"), None]))  # build index on column 0
+        list(rel.lookup([Constant("a"), None]))  # build the column-0 table
         rel.delete(("a", "b"))
         assert rows_of(rel.lookup([Constant("a"), None])) == [("a", "c")]
 
@@ -119,8 +119,8 @@ class TestStatistics:
         rel = Relation(2, [("a", "b"), ("a", "c"), ("x", "b")])
         assert rel.distinct_count(0) == 2
         assert rel.distinct_count(1) == 2
-        # Statistics must not have forced index builds.
-        assert rel._indexes == {}
+        # Statistics must not have forced a table build.
+        assert rel._tables == {}
 
     def test_distinct_count_memoized_and_invalidated(self):
         rel = Relation(1, [("a",), ("b",)])
@@ -131,7 +131,7 @@ class TestStatistics:
 
     def test_distinct_count_uses_live_index(self):
         rel = Relation(2, [("a", "b"), ("a", "c")])
-        list(rel.lookup([Constant("a"), None]))  # builds the column-0 index
+        list(rel.lookup([Constant("a"), None]))  # builds the column-0 table
         assert rel.distinct_count(0) == 1
         rel.insert(("z", "b"))
         assert rel.distinct_count(0) == 2
@@ -159,12 +159,12 @@ class TestStatistics:
         assert [rel.distinct_count(column) for column in (0, 1)] == [3, 3]
         monkeypatch.undo()
         assert len(rel) == 5
-        assert rel._indexes == {}
+        assert rel._tables == {}
         rel.check_invariants()  # re-derives each memoized count from the rows
 
     def test_delete_after_many_inserts_keeps_index_consistent(self):
         rel = Relation(2, [(f"k{i % 3}", f"v{i}") for i in range(30)])
-        list(rel.lookup([Constant("k0"), None]))  # build index
+        list(rel.lookup([Constant("k0"), None]))  # build the table
         for i in range(0, 30, 2):
             rel.delete((f"k{i % 3}", f"v{i}"))
         survivors = rows_of(rel.lookup([Constant("k0"), None]))

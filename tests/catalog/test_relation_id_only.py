@@ -8,12 +8,13 @@ below drives one relation that is left id-only for as long as the drawn
 operations allow and a twin that bulk-loads eagerly — externalize, then
 ``restore`` the merged row dict, which is the wholesale mutation
 ``load_interned`` is documented to be — through the same operations, and
-holds them to the same rows, order, versions, journal answers and copies,
-with ``check_invariants()`` on both after every step.
+holds them to the same rows, order, versions, journal answers, probes and
+copies, with ``check_invariants()`` on both after every step.
 
-The pins after it say which calls leave a relation id-only, which force
-the dict, and that a frozen id-only relation read from several threads at
-once materialises one coherent dict.
+The pins after it say which calls leave a relation id-only (``lookup``
+among them: it reads id tables), which force the dict, and that a frozen
+id-only relation read from several threads at once materialises one
+coherent dict.
 """
 
 import sys
@@ -24,7 +25,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.catalog.relation import Relation
+from repro.catalog.relation import Relation, Shape
 from repro.catalog.symbols import SYMBOLS
 from repro.errors import CatalogError
 from repro.logic.terms import Constant
@@ -121,16 +122,18 @@ class IdOnlyAgainstEager(RuleBasedStateMachine):
         assert self.lazy.version == self.eager.version
         self.marks.append(self.lazy.version)
 
+    @rule(pattern=PATTERNS)
+    def lookup(self, pattern):
+        was_id_only = id_only(self.lazy)
+        terms = [None if value is None else Constant(value) for value in pattern]
+        assert list(self.lazy.lookup(terms)) == list(self.eager.lookup(terms))
+        assert id_only(self.lazy) == was_id_only
+
     # -- readers that force it -----------------------------------------------------
 
     @rule()
     def rows(self):
         assert self.lazy.rows() == self.eager.rows() == list(self.lazy)
-
-    @rule(pattern=PATTERNS)
-    def lookup(self, pattern):
-        terms = [None if value is None else Constant(value) for value in pattern]
-        assert list(self.lazy.lookup(terms)) == list(self.eager.lookup(terms))
 
     @rule(row=ROWS)
     def contains(self, row):
@@ -207,7 +210,6 @@ class TestWhatForcesTheDict:
         [
             lambda r: r.rows(),
             lambda r: list(r),
-            lambda r: list(r.lookup([Constant("a"), None])),
             lambda r: ("a", "b") in r,
             lambda r: r.checkpoint(),
             lambda r: r.copy(),
@@ -216,7 +218,7 @@ class TestWhatForcesTheDict:
             lambda r: r.load_interned([ids(("z", "z"))]),
         ],
         ids=[
-            "rows", "iter", "lookup", "contains", "checkpoint", "copy",
+            "rows", "iter", "contains", "checkpoint", "copy",
             "insert", "delete", "second_load",
         ],
     )
@@ -225,6 +227,20 @@ class TestWhatForcesTheDict:
         read(relation)
         assert not id_only(relation)
         relation.check_invariants()
+
+    def test_lookup_does_not(self):
+        relation = loaded()
+        frozen = relation.freeze()
+        for probed in (relation, frozen):
+            assert list(probed.lookup([Constant("a"), None])) == [
+                SYMBOLS.extern_row(ids(("a", "b"))),
+                SYMBOLS.extern_row(ids(("a", "c"))),
+            ]
+            assert list(probed.lookup([None, None])) == SYMBOLS.extern_rows(
+                probed.int_rows()
+            )
+            assert id_only(probed) and probed._tables
+            probed.check_invariants()
 
     def test_id_level_dedup_keeps_first_occurrences_in_order(self):
         relation = Relation(1)
@@ -281,8 +297,8 @@ class TestInvariantsOfTheIdOnlyState:
 
     def test_names_an_index_built_behind_its_back(self):
         relation = loaded()
-        relation._indexes[0] = {}
-        with pytest.raises(CatalogError, match="Constant index"):
+        relation._tables[Shape((), (0,), (), (1,))] = {(): {}}
+        with pytest.raises(CatalogError, match="not a fresh build of the id rows"):
             relation.check_invariants()
 
     def test_names_an_empty_id_only_relation(self):

@@ -1,20 +1,22 @@
 """Derived-structure invalidation across wholesale row-set changes.
 
-``Relation.lookup`` memoizes per-column ``distinct_count`` statistics (used
-to pick the index probe column) keyed on the mutation version, and the
+``Relation`` keeps id tables for its probes and memoizes per-column
+``distinct_count`` statistics keyed on the mutation version, and the
 change journal feeds incremental view maintenance.  ``restore()`` and
 ``clear()`` replace the row set wholesale, so every derived structure must
 drop together — these tests pin the mutate → rollback → lookup sequence
-that would surface a stale probe column or stale statistics.
+that would surface a stale table or stale statistics.
 
 ``Relation.check_invariants`` states the same coherence rules as one
 executable check; the last class pins that it holds after every mutator
 and names the structure a hand-made corruption broke.
 """
 
+import re
+
 import pytest
 
-from repro.catalog.relation import Relation
+from repro.catalog.relation import Relation, Shape
 from repro.catalog.symbols import SYMBOLS
 from repro.errors import CatalogError
 from repro.logic.terms import make_term
@@ -38,14 +40,14 @@ class TestRestoreInvalidation:
     def test_mutate_rollback_lookup_uses_valid_probe_column(self):
         relation = fresh_relation()
         snapshot = relation.checkpoint()
-        # Build indexes and memoize statistics against the mutated state:
+        # Build tables and memoize statistics against the mutated state:
         # column 0 becomes far more selective than column 1.
         for n in range(20):
             relation.insert((f"k{n}", "x"))
         assert lookup_rows(relation, ["a", "x"]) == [("a", "x")]
         assert relation.distinct_count(0) == 23
         relation.restore(snapshot)
-        # The memoized stats and indexes reflected the pre-rollback rows;
+        # The memoized stats and tables reflected the pre-rollback rows;
         # a multi-bound lookup must still probe correctly.
         assert lookup_rows(relation, ["a", "x"]) == [("a", "x")]
         assert lookup_rows(relation, ["b", "z"]) == [("b", "z")]
@@ -108,7 +110,8 @@ class TestClearInvalidation:
 
 def warm(relation):
     """Materialise every derived structure, so a mutator has something to
-    leave stale: the interned mirror, both column indexes, the statistics."""
+    leave stale: the interned mirror, the id tables of both one-column
+    probes, the statistics."""
     relation.int_rows()
     for column in range(relation.arity):
         relation.distinct_count(column)
@@ -190,9 +193,10 @@ class TestCheckInvariants:
 
     def test_names_a_corrupted_index_bucket(self):
         relation = warm(fresh_relation())
-        bucket = relation._indexes[0][make_term("a")]
+        shape, a = Shape((0,), (), (), (0, 1)), SYMBOLS.intern(make_term("a"))
+        bucket = relation._tables[shape][a][()]
         bucket.pop(next(iter(bucket)))
-        with pytest.raises(CatalogError, match="index on column 0"):
+        with pytest.raises(CatalogError, match=re.escape(f"{shape!r} for {a!r} is not")):
             relation.check_invariants()
 
     def test_names_a_stale_statistic(self):

@@ -45,17 +45,20 @@ class TestRelationCheckpoint:
 
     def test_restore_bumps_version_and_rebuilds_indexes(self):
         relation = Relation(2, [(1, 2), (1, 3), (2, 4)])
-        list(relation.lookup([relation.rows()[0][0], None]))  # force an index
+        list(relation.lookup([relation.rows()[0][0], None]))  # force a table
         snapshot = relation.checkpoint()
         relation.insert((9, 9))
+        assert relation._tables
         version = relation.version
         relation.restore(snapshot)
         assert relation.version > version
+        assert relation._tables == {}  # dropped with the row set
         probe = relation.rows()[0][0]
         assert {r for r in relation.lookup([probe, None])} == {
             r for r in relation.rows() if r[0] == probe
         }
         assert relation.distinct_count(0) == 2
+        relation.check_invariants()
 
 
 class TestKBTransaction:

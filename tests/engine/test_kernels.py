@@ -14,6 +14,7 @@ fixpoint table.
 import pytest
 
 from repro.catalog.database import KnowledgeBase
+from repro.catalog.relation import Shape
 from repro.catalog.symbols import SYMBOLS
 from repro.engine.kernels import (
     ConjunctionKernel,
@@ -395,6 +396,17 @@ class TestIntTable:
         table.admit([(3, 9)])
         table.extend()
         assert table.distinct_count(1) == 2
+
+    def test_kept_tables_follow_extend(self):
+        table = IntTable(2, [(1, 2)])
+        shape = Shape((), (0,), (), (1,))
+        kept = table.table(shape)
+        table.admit([(1, 3), (2, 4)])
+        assert table.table(shape) == {1: {(2,): 1}}  # pending rows are not visible
+        delta = table.extend()
+        assert table.table(shape) is kept  # extended in place, not rebuilt
+        assert kept == shape.extend({}, table.rows) == {1: {(2,): 1, (3,): 1}, 2: {(4,): 1}}
+        assert delta.table(shape) == {1: {(3,): 1}, 2: {(4,): 1}}
 
     def test_flush_loads_visible_rows_only(self):
         from repro.catalog.relation import Relation

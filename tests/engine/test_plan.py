@@ -151,26 +151,36 @@ class TestCompile:
 
 
 class TestBuildSideMemoization:
+    """A step's build side is its relation's id table of the step's shape:
+    the relation keeps it, the step holds none."""
+
+    RULE = "p(X, Z) <- q(X, Y) and q(Y, Z)."
+
     def test_hash_table_reused_while_version_unchanged(self):
-        rule = parse_rule("p(X, Y) <- q(X, Y).")
-        plan = compile_rule_kernel(rule)
-        relation = Relation(2, [("a", "b")])
+        plan = compile_rule_kernel(parse_rule(self.RULE))
+        relation = Relation(2, [("a", "b"), ("b", "c")])
         view = view_of({"q": relation})
         fire(plan, view)
-        step = plan.kernel.steps[0]
-        table = step._cache_table
-        assert table is not None
+        ((shape, filled),) = relation._tables.items()
+        assert shape == plan.kernel.steps[-1].shape
+        table = filled[()]
         fire(plan, view)
-        assert step._cache_table is table  # reused, not rebuilt
+        assert relation._tables == {shape: {(): table}}
+        assert relation._tables[shape][()] is table  # reused, not rebuilt
+        assert not any("_cache" in slot for slot in type(plan.kernel.steps[-1]).__slots__)
 
     def test_hash_table_invalidated_on_mutation(self):
-        rule = parse_rule("p(X, Y) <- q(X, Y).")
-        plan = compile_rule_kernel(rule)
-        relation = Relation(2, [("a", "b")])
+        plan = compile_rule_kernel(parse_rule(self.RULE))
+        relation = Relation(2, [("a", "b"), ("b", "c")])
         view = view_of({"q": relation})
-        assert len(fire(plan, view)) == 1
+        assert values(fire(plan, view)) == [("a", "c")]
+        (filled,) = relation._tables.values()
+        table = filled[()]
         relation.insert(("c", "d"))
-        assert len(fire(plan, view)) == 2
+        # Kept and updated in place by the insert, not dropped and rebuilt.
+        assert relation._tables[plan.kernel.steps[-1].shape][()] is table
+        assert values(fire(plan, view)) == [("a", "c"), ("b", "d")]
+        relation.check_invariants()
 
 
 class TestPlanCaching:
@@ -192,13 +202,13 @@ class TestPlanCaching:
         compiled: dict = {}
         first = SemiNaiveEngine(kb, compiled=compiled).derived_relation("path")
         kernels = dict(compiled["path",].kernels)
+        edge = kb.relation("edge")
+        tables = {(s, c): t for s, filled in edge._tables.items() for c, t in filled.items()}
+        assert tables  # the recursive rule's join on edge
         kb.add_fact("edge", "n10", "n11")
         second = SemiNaiveEngine(kb, compiled=compiled).derived_relation("path")
         assert len(second) == len(first) + 11
         assert compiled["path",].kernels == kernels  # the same objects, refired
-        compiled["path",].release()
-        assert all(
-            step._cache_rel is None
-            for kernel in kernels.values()
-            for step in kernel.kernel.steps
-        )
+        # ... over the tables edge kept through the write, not new ones.
+        assert all(edge._tables[s][c] is table for (s, c), table in tables.items())
+        edge.check_invariants()

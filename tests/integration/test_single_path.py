@@ -461,6 +461,53 @@ def test_relation_has_two_shapes():
     assert not {"_block", "_intblock", "_rowseq"} & set(vars(Relation(1)))
 
 
+def test_nothing_under_the_engine_defines_or_calls_release():
+    offenders = []
+    for source in sorted((PACKAGE / "engine").rglob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                name = node.func.attr
+            else:
+                continue
+            if name == "release":
+                offenders.append(f"{source.relative_to(ROOT)}:{node.lineno}")
+    assert offenders == []
+
+
+def test_kernel_steps_hold_no_build_side_memo():
+    slots = [
+        f"{name}.{slot}"
+        for name, value in vars(kernels).items()
+        if inspect.isclass(value) and value.__module__ == kernels.__name__
+        for slot in getattr(value, "__slots__", ())
+    ]
+    assert slots and not [slot for slot in slots if "_cache_" in slot]
+
+
+def test_a_relation_keeps_no_constant_keyed_index():
+    """One index family: whatever a relation keeps for its probes is keyed
+    by ids (``Relation.table``), never by ``Constant``."""
+    kb = chain_kb(6)
+    relation = kb.relation("edge")
+    list(relation.lookup([Constant(0), None]))
+    assert retrieve(kb, parse_atom("path(0, Y)")).rows
+    assert relation._tables
+    assert not {"_indexes", "_index_for"} & (set(dir(Relation)) | set(vars(relation)))
+
+    def constant_keys(value, depth=0):
+        if not isinstance(value, dict) or depth > 2:
+            return []
+        return [key for key in value if isinstance(key, Constant)] + [
+            key for inner in value.values() for key in constant_keys(inner, depth + 1)
+        ]
+
+    assert [
+        name for name, value in vars(relation).items() if constant_keys(value)
+    ] == []
+
+
 def test_retrieve_imports_no_numpy():
     script = (
         "import sys\n"
@@ -548,8 +595,9 @@ def test_relation_statistics_have_one_reader():
             for call in _calls(ast.parse(source.read_text()))
         )
     )
-    # relation.py's own call picks the index column of a lookup.
-    assert callers == ["catalog/relation.py", "engine/plan.py"]
+    # A lookup probes the id table keyed on all its pinned columns, so
+    # relation.py no longer reads its own statistics to pick one.
+    assert callers == ["engine/plan.py"]
 
 
 def test_only_repair_proofs_and_the_reference_import_the_resolver_join():
