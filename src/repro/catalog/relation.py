@@ -11,9 +11,10 @@ columns it fixes to constants, which it probes by, which it wants back —
 and gets the relation's one table of that shape (:meth:`Relation.table`):
 filled from the id rows on first request, kept, updated row by row by
 ``insert`` / ``delete``, and dropped by a wholesale change.  The join
-kernels and :meth:`Relation.lookup` (the resolver's probe) are such
-readers, so every step over one relation and shape probes the same table,
-across reads and writes.  Distinct counts are memoized per version beside
+kernels, :meth:`Relation.holds` (an id row's membership) and
+:meth:`Relation.lookup` (the reference oracle's probe) are such readers,
+so every step over one relation and shape probes the same table, across
+reads and writes.  Distinct counts are memoized per version beside
 it; :meth:`Relation.check_invariants` states the coherence rules.
 
 Either shape of the rows can be the one that is missing.  A stored
@@ -21,8 +22,8 @@ relation always has its row dict (ids cannot stand in for it: ``3`` and
 ``3.0`` share one) and builds the mirror on demand.  A *derived* relation,
 bulk-loaded from a fixpoint table (:meth:`Relation.load_interned`), starts
 **id-only**: the id rows are the relation and the row dict is built by the
-first caller that wants constants — which neither a ``retrieve`` nor a
-probe over it ever does.
+first caller that wants constants — which neither a ``retrieve``, a probe
+over it nor a view repair ever does.
 """
 
 from __future__ import annotations
@@ -151,8 +152,8 @@ class Relation:
         #: ``None`` in the id-only state (see :meth:`load_interned`):
         #: ``_introws`` is then the relation and :meth:`_constants` builds
         #: this dict on first need.  Only ``len``, ``int_rows``, ``table``,
-        #: ``lookup``, ``version``, ``distinct_count`` and ``freeze`` do
-        #: without it.
+        #: ``holds``, ``lookup``, ``apply_interned``, ``version``,
+        #: ``distinct_count`` and ``freeze`` do without it.
         self._rows: dict[Row, None] | None = {}
         #: Id tables by shape and constant part (:meth:`table`): built
         #: from the interned mirror, so one exists only while the mirror
@@ -220,10 +221,26 @@ class Relation:
         storage (:meth:`restore`, :meth:`clear`) just drop the shared flag.
         """
         if self._shared:
-            self._rows = dict(self._rows)
+            if self._rows is not None:
+                self._rows = dict(self._rows)
             if self._introws is not None:
                 self._introws = list(self._introws)
             self._shared = False
+
+    def _track(self, op: str, row: Row, irow: tuple[int, ...] | None) -> None:
+        """Record one inserted (``"+"``) or deleted row: version, journal,
+        and — given its id row — every kept table it belongs to."""
+        self._version += 1
+        self._log(op, row)
+        if irow is None:
+            return
+        for shape, filled in self._tables.items():
+            table = filled.get(key_reader(shape.consts)(irow))
+            if table is not None:
+                if op == "+":
+                    shape.extend(table, (irow,))
+                else:
+                    shape.remove(table, irow)
 
     def _coerce(self, row: Sequence[object]) -> Row:
         if len(row) != self.arity:
@@ -244,15 +261,11 @@ class Relation:
             return False
         self._unshare()
         self._rows[coerced] = None
-        self._version += 1
-        self._log("+", coerced)
+        irow = None
         if self._introws is not None:
             irow = SYMBOLS.intern_row(coerced)
             self._introws.append(irow)
-            for shape, filled in self._tables.items():
-                table = filled.get(key_reader(shape.consts)(irow))
-                if table is not None:
-                    shape.extend(table, (irow,))
+        self._track("+", coerced, irow)
         return True
 
     def insert_many(self, rows: Iterable[Sequence[object]]) -> int:
@@ -305,6 +318,35 @@ class Relation:
     # TARGETS row still resolves; nothing calls it.
     load_interned_block = load_interned
 
+    def apply_interned(
+        self,
+        removed: Sequence[tuple[int, ...]],
+        added: Sequence[tuple[int, ...]],
+    ) -> None:
+        """Delete the *removed* id rows (each present) and insert the
+        *added* ones (each absent), row by row as :meth:`delete` and
+        :meth:`insert` go — view repair's write.  An id-only relation stays
+        id-only (an emptied one takes the empty row dict)."""
+        if self._frozen:
+            self._begin_mutation()  # raises: a published relation is immutable
+        self._unshare()
+        rows, mirror = self._rows, self.int_rows()
+        if removed:
+            gone = set(removed)
+            mirror = self._introws = [irow for irow in mirror if irow not in gone]
+        mirror.extend(added)
+        for op, irows in (("-", removed), ("+", added)):
+            for irow in irows:
+                row = SYMBOLS.extern_row(irow)
+                if rows is not None:
+                    if op == "+":
+                        rows[row] = None
+                    else:
+                        del rows[row]
+                self._track(op, row, irow)
+        if not mirror:
+            self._rows = {}
+
     def delete(self, row: Sequence[object]) -> bool:
         """Delete a row; returns ``False`` if it was absent.
 
@@ -318,15 +360,11 @@ class Relation:
             return False
         self._unshare()
         del self._rows[coerced]
-        self._version += 1
-        self._log("-", coerced)
+        irow = None
         if self._introws is not None:
             irow = SYMBOLS.intern_row(coerced)
             self._introws.remove(irow)
-            for shape, filled in self._tables.items():
-                table = filled.get(key_reader(shape.consts)(irow))
-                if table is not None:
-                    shape.remove(table, irow)
+        self._track("-", coerced, irow)
         return True
 
     def clear(self) -> None:
@@ -455,6 +493,15 @@ class Relation:
             rows = shape.screen(self.int_rows(), const)
             table = filled[const] = shape.extend({}, rows)
         return table
+
+    def holds(self, irow: Sequence[int]) -> bool:
+        """Whether the id row is one of the relation's rows: a probe of its
+        table keyed on every column, so membership neither interns nor
+        builds the row dict."""
+        if len(irow) != self.arity:
+            raise ArityError(f"expected {self.arity} columns, got {len(irow)}")
+        columns = tuple(range(self.arity))
+        return key_reader(columns)(irow) in self.table(Shape((), columns, (), ()))
 
     def lookup(self, pattern: Sequence[Term | None]) -> Iterator[Row]:
         """Rows matching a pattern of constants and wildcards.

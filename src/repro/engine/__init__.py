@@ -9,12 +9,11 @@ A goal that binds every recursive predicate it reads, over views that are
 not fresh, is routed by :mod:`repro.engine.evaluate` to the same evaluator
 run over the magic-sets rewriting for its shape (:mod:`repro.engine.magic`);
 both hand ``retrieve`` an id batch and the answer is externalized once.  The
-tuple-at-a-time joins of :mod:`repro.engine.joins` (``join_conjunction``,
-``Resolver``, ``bind_row``) answer no query: they serve ``explain`` proof
-trees (:mod:`repro.engine.provenance`), the view cache's one-pass repair
-of non-recursive views (:mod:`repro.engine.incremental`, which only
-:mod:`repro.engine.viewcache` imports), and — as
-:mod:`repro.engine.reference`, which nothing here imports — the oracle
+same kernels find ``explain``'s body solutions (:mod:`repro.engine.provenance`)
+and fire the view cache's one-pass repair of non-recursive views over the
+changed id rows (:mod:`repro.engine.incremental`, which only
+:mod:`repro.engine.viewcache` imports).  The one tuple-at-a-time join is
+the oracle's: :mod:`repro.engine.reference`, which nothing here imports and
 the test suites compare the production path against."""
 
 from repro.engine.evaluate import (

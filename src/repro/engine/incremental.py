@@ -9,37 +9,37 @@ reaches this module: delete-and-rederive through recursion lost to the
 kernel fixpoint by 4-10x when measured (``docs/ALGORITHMS.md`` section 9).
 
 Without recursion, repair needs no fixpoint: one bottom-up pass, one
-predicate per stratum.  Every relation a predicate's rules read is final
-before the predicate is visited, and the predicate never reads itself.
-Rules fire with one body occurrence restricted to the delta through the
-generic resolver join (:func:`repro.engine.joins.join_conjunction`); delta
-rows are few, so each firing is a handful of index probes.
+predicate per stratum, each visited after everything it reads.  Every step
+fires integer kernels over id rows with the changed rows as the delta (the
+insert half of a delta-lifted join).  *Fresh* rows come from each rule's
+semi-naive variants (:func:`~repro.engine.plan.delta_rewritings`) over the
+added rows.  *Suspects* come from the removed rows over the old state —
+each changed atom's current rows plus its removed ones — presented without
+building that union: a variant reads the removed rows at a non-empty subset
+of the changed positions and the current rows at the rest, so a derivation
+through several removed rows is found too.  The suspects that
+``p(H) <- delta p(H) and body`` no longer derives are *lost*.  A repaired
+view stays id-only (:meth:`Relation.apply_interned`).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from itertools import combinations
 
 from repro.errors import CatalogError
 from repro.catalog.database import KnowledgeBase
 from repro.catalog.relation import Relation, Row
-from repro.engine.joins import (
-    Resolver,
-    bind_row,
-    join_conjunction,
-    relation_resolver,
-)
+from repro.catalog.symbols import SYMBOLS
+from repro.engine.kernels import IntTable, RuleKernel, compile_rule_kernel
+from repro.engine.plan import DELTA_PREFIX, delta_rewritings, relation_cost_estimator
 from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule
-from repro.logic.substitution import Substitution
-from repro.logic.unify import match
 
 #: A per-predicate set of rows.
 Delta = dict[str, set[Row]]
 
 
-# Named for the standalone maintained database this class once was; the name
-# stays only because benchmarks/e2e/trace.py patches
+# The name is the benchmark's: benchmarks/e2e/trace.py patches
 # ``MaterializedDatabase.apply_edb_delta`` by string.
 class MaterializedDatabase:
     """Maintainer over the view cache's relations for *predicates*.
@@ -49,7 +49,9 @@ class MaterializedDatabase:
     the current one.  *predicates* must be self-contained (every IDB
     predicate one of their rules reads is a member), and each must be
     positive and non-recursive — anything else raises
-    :class:`~repro.errors.CatalogError`.  Nothing is computed here.
+    :class:`~repro.errors.CatalogError`.  *compiled* maps each rule fired
+    to its lowered kernel; a caller that keeps one rule set hands in the
+    same mapping every time and lowers nothing twice.
     """
 
     def __init__(
@@ -58,6 +60,7 @@ class MaterializedDatabase:
         derived: dict[str, Relation],
         predicates: set[str],
         guard=None,
+        compiled: dict[Rule, RuleKernel] | None = None,
     ) -> None:
         graph = kb.dependency_graph()
         for predicate in sorted(predicates):
@@ -74,8 +77,9 @@ class MaterializedDatabase:
         self._kb = kb
         self._derived = derived
         #: Optional :class:`~repro.engine.guard.ResourceGuard`; ticks once
-        #: per delta row fired.
+        #: per delta row a firing reads, and at the kernels' step boundaries.
         self._guard = guard
+        self._compiled = {} if compiled is None else compiled
         # Singleton components (nothing here is recursive), dependency order.
         self._order: list[str] = [
             predicate
@@ -87,88 +91,88 @@ class MaterializedDatabase:
         """Propagate already-applied EDB changes into the materialisations.
 
         The stored relations must already reflect the change: *removed* rows
-        are gone from them, *added* rows are present.  Each predicate is
-        visited once, after everything it reads: rows whose derivation may
-        have used a removed row are *suspects*; a suspect no rule still
-        derives is *lost* (deleted, and a removed row for the predicates
-        above); a row some rule derives from an added row and the view lacks
-        is *fresh* (inserted, and an added row for the predicates above).
+        are gone from them, *added* rows are present.  Each predicate's lost
+        rows are deleted and its fresh rows inserted, and both become the
+        delta of the predicates above.
         """
-        # Private copies: derived deltas are added as the pass climbs.
-        added = {p: rows for p, rows in added.items() if rows}
-        removed = {p: rows for p, rows in removed.items() if rows}
-        # Both resolvers read the relations (and *removed*, which grows as
-        # the pass climbs) at call time, so they serve the whole pass.
-        current = relation_resolver(self._relation_for)
-        # Offering the removed rows back makes the join read a superset of
-        # the old state, so no old derivation is missed; the view itself
-        # filters out what the added rows let through.  They were physically
-        # removed, so the relation yields none of them a second time.
-        before = relation_resolver(self._relation_for, offered=removed)
+        plus = _id_delta(added, SYMBOLS.intern_row)
+        minus = _id_delta(removed, _known_ids)
         for predicate in self._order:
             relation = self._derived[predicate]
             rules = self._kb.rules_for(predicate)
-            suspects = {
-                row
-                for rule in rules
-                for row in self._fire(rule, removed, before)
-                if row in relation
-            }
-            lost = {
-                row for row in suspects if not self._derivable(rules, row, current)
-            }
-            for row in lost:
-                relation.delete(row)
-            fresh = {
-                row
-                for rule in rules
-                for row in self._fire(rule, added, current)
-                if row not in relation
-            }
-            relation.insert_many(fresh)
+            old = [v for rule in rules for v in _old_state_variants(rule, minus)]
+            suspects = [r for r in self._fire(old, minus, relation) if relation.holds(r)]
+            kept: set[tuple[int, ...]] = set()
+            if suspects:
+                again = [rule.with_body([_delta(rule.head), *rule.body]) for rule in rules]
+                kept = set(self._fire(again, {predicate: _table(suspects)}, relation))
+            lost = [row for row in suspects if row not in kept]
+            new = [v for rule in rules for _, v in delta_rewritings(rule, plus)]
+            fresh = [r for r in self._fire(new, plus, relation) if not relation.holds(r)]
+            relation.apply_interned(lost, fresh)
             if lost:
-                removed[predicate] = lost
+                minus[predicate] = _table(lost)
             if fresh:
-                added[predicate] = fresh
+                plus[predicate] = _table(fresh)
 
-    # -- internals --------------------------------------------------------------------
+    def _fire(
+        self, rules: list[Rule], deltas: dict[str, IntTable], head: Relation
+    ) -> list[tuple[int, ...]]:
+        """The distinct head rows *rules* derive, each delta atom reading
+        *deltas* and every other atom the current relations."""
 
-    def _relation_for(self, predicate: str) -> Relation | None:
-        if self._kb.is_edb(predicate):
-            return self._kb.relation(predicate)
-        return self._derived.get(predicate)
+        def view(predicate: str):
+            if predicate.startswith(DELTA_PREFIX):
+                return deltas.get(predicate[len(DELTA_PREFIX):])
+            if self._kb.is_edb(predicate):
+                return self._kb.relation(predicate)
+            return self._derived.get(predicate)
 
-    def _fire(self, rule: Rule, delta: Delta, resolver: Resolver) -> Iterator[Row]:
-        """Head rows of *rule* whose derivation uses at least one delta row.
-
-        One body occurrence at a time is restricted to the delta; the others
-        read the full relations through *resolver* (the standard semi-naive
-        rewriting).
-        """
-        for index, atom in enumerate(rule.body):
-            if atom.is_comparison() or atom.predicate not in delta:
-                continue
-            rest = tuple(rule.body[:index]) + tuple(rule.body[index + 1 :])
-            # Bind the delta row first so the remaining join is driven by
-            # its constants (index probes instead of full scans).
-            for row in delta[atom.predicate]:
-                if self._guard is not None:
-                    self._guard.tick()
-                theta = bind_row(atom, row, Substitution.EMPTY)
-                if theta is None:
-                    continue
-                for theta2 in join_conjunction(resolver, rest, theta):
-                    head = theta2.apply(rule.head)
-                    if head.is_ground():
-                        yield tuple(head.args)  # type: ignore[misc]
-
-    def _derivable(self, rules: Sequence[Rule], row: Row, resolver: Resolver) -> bool:
-        """Whether some rule derives *row* from what *resolver* reads."""
+        guard = self._guard
+        heads = IntTable(head.arity)
         for rule in rules:
-            theta = match(rule.head, Atom(rule.head.predicate, row))
-            if theta is None:
-                continue
-            body = theta.apply_all(rule.body)
-            if next(join_conjunction(resolver, body), None) is not None:
-                return True
-        return False
+            kernel = self._compiled.get(rule)
+            if kernel is None:
+                estimate = relation_cost_estimator(view)
+                kernel = self._compiled[rule] = compile_rule_kernel(rule, estimate)
+            if guard is not None:
+                delta_atoms = [a for a in rule.body if a.predicate.startswith(DELTA_PREFIX)]
+                # One tick per delta row, not tick(n): each tick is a
+                # cancellation and fault-injection checkpoint.
+                for _ in range(sum(len(view(a.predicate)) for a in delta_atoms)):
+                    guard.tick()
+            kernel.execute(view, heads, guard)
+        return list(heads.pending)
+
+
+def _table(rows: list[tuple[int, ...]]) -> IntTable:
+    return IntTable(len(rows[0]), rows)
+
+
+def _id_delta(delta: Delta, to_ids) -> dict[str, IntTable]:
+    """*delta* as id tables, without the rows *to_ids* maps to ``None``."""
+    ids = {p: [r for r in map(to_ids, rows) if r is not None] for p, rows in delta.items()}
+    return {p: _table(irows) for p, irows in ids.items() if irows}
+
+
+def _known_ids(row: Row) -> tuple[int, ...] | None:
+    """The ids of a removed row, or ``None`` when a constant has none: no
+    kernel read the row then, so no view row was derived through it."""
+    ids = tuple(map(SYMBOLS.id_of, row))
+    return None if None in ids else ids  # type: ignore[return-value]
+
+
+def _delta(atom: Atom) -> Atom:
+    return Atom(DELTA_PREFIX + atom.predicate, atom.args)
+
+
+def _old_state_variants(rule: Rule, removed: dict[str, IntTable]) -> list[Rule]:
+    """*rule* reading the delta at each non-empty subset of the body
+    positions whose predicate lost rows."""
+    body = rule.body
+    changed = [i for i, atom in enumerate(body) if atom.predicate in removed]
+    return [
+        rule.with_body([_delta(a) if i in chosen else a for i, a in enumerate(body)])
+        for size in range(1, len(changed) + 1)
+        for chosen in combinations(changed, size)
+    ]

@@ -660,10 +660,10 @@ def compile_rule_kernel(
     return RuleKernel(rule, kernelize_conjunction(plan.plan), template)
 
 
-# Only :func:`repro.engine.evaluate.evaluate_conjunction` streams
-# substitutions (``retrieve`` externalizes whole answers instead); the
-# function stays in this module because benchmarks/e2e/trace.py patches
-# ``kernels.substitutions_from_kernel_batch`` by string.
+# Only :func:`repro.engine.evaluate.evaluate_conjunction` and ``explain``
+# proof search stream substitutions (``retrieve`` externalizes whole answers
+# instead); the function stays in this module because benchmarks/e2e/trace.py
+# patches ``kernels.substitutions_from_kernel_batch`` by string.
 def substitutions_from_kernel_batch(schema: Sequence[Variable], batch: IntBatch):
     """Externalize an id batch, one :class:`Substitution` per binding:
     column *i* of *batch* binds ``schema[i]`` (a kernel's slot schema)."""

@@ -38,9 +38,11 @@ from repro.logic.terms import Constant, Variable, is_constant
 #: which of its variables are already bound.  ``None`` = unknown predicate.
 CostEstimator = Callable[[Atom, set[Variable]], float | None]
 
-#: Marker prefix of the one delta occurrence inside a semi-naive rewritten
-#: body (:func:`delta_rewritings`; the reference evaluator rewrites with the
-#: same marker), which :func:`order_conjuncts` puts first.
+#: Marker prefix of a delta occurrence inside a rewritten body: the one of a
+#: semi-naive variant (:func:`delta_rewritings`; the reference evaluator
+#: rewrites with the same marker), or the several of a view repair's
+#: firing (:mod:`repro.engine.incremental`).  :func:`order_conjuncts` puts
+#: them first.
 DELTA_PREFIX = "\x7fdelta\x7f:"
 
 
@@ -56,9 +58,7 @@ def _boundness(atom: Atom, bound: set[Variable]) -> float:
 
 
 def order_conjuncts(
-    conjuncts: Sequence[Atom],
-    initially_bound: set[Variable] | None = None,
-    estimate: CostEstimator | None = None,
+    conjuncts: Sequence[Atom], estimate: CostEstimator | None = None
 ) -> list[Atom]:
     """Greedy join order: cheapest positive atom next; comparisons ASAP.
 
@@ -67,7 +67,7 @@ def order_conjuncts(
     is the lowest expected row count — a small relation beats a large one
     even at equal boundness, the classic cardinality-aware improvement.
 
-    A delta occurrence (:data:`DELTA_PREFIX`) is always the first positive
+    A delta occurrence (:data:`DELTA_PREFIX`) is always the next positive
     atom, whatever it would cost: the delta is the one operand that is new
     on every iteration of a fixpoint, so scanning it makes every other
     atom a build side, a table its relation keeps, and the iteration's work
@@ -80,7 +80,7 @@ def order_conjuncts(
     ground (the conjunction is unsafe).
     """
     remaining = list(conjuncts)
-    bound: set[Variable] = set(initially_bound or ())
+    bound: set[Variable] = set()
     ordered: list[Atom] = []
     while remaining:
         # 1. Any comparison that is ready?  '=' is ready when one side is

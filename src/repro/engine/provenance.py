@@ -10,7 +10,11 @@ built-in comparisons.
 ``explain(kb, atom)`` proves one ground instance; ``explain_all`` yields a
 proof per answer row of a query.  Proof search is top-down with on-path
 loop avoidance, so it terminates on recursive predicates (every derivable
-fact has a finite derivation).
+fact has a finite derivation).  The body solutions of one ground head come
+from an integer kernel (:func:`~repro.engine.kernels.compile_conjunction_kernel`
+over the body with the head's bindings applied), whose anti-join drops
+every solution a negated atom has a row for; stored and derived heads are
+checked by id (:meth:`Relation.holds <repro.catalog.relation.Relation.holds>`).
 
 A :class:`~repro.engine.guard.ResourceGuard` governs the whole statement:
 the fixpoint under the proof, every rule application tried and the depth
@@ -26,15 +30,18 @@ from typing import Sequence
 
 from repro.errors import EngineError, EvaluationLimitError
 from repro.catalog.database import KnowledgeBase
+from repro.catalog.symbols import SYMBOLS
 from repro.engine.evaluate import retrieve
 from repro.engine.guard import BUDGET_DEPTH, ResourceGuard, require_strict
-from repro.engine.joins import join_conjunction, relation_resolver
+from repro.engine.kernels import (
+    compile_conjunction_kernel,
+    substitutions_from_kernel_batch,
+)
 from repro.engine.seminaive import SemiNaiveEngine
 from repro.logic.atoms import Atom
 from repro.logic.builtins import evaluate_comparison
 from repro.logic.clauses import Rule
 from repro.logic.rename import VariableRenamer
-from repro.logic.substitution import Substitution
 from repro.logic.unify import unify
 
 #: How a proof node is justified.
@@ -85,9 +92,11 @@ class ProofNode:
 class ProofSearch:
     """Top-down proof construction over a knowledge base.
 
-    Body solutions come from the bottom-up engine's materialised relations
-    (complete and cheap to probe); the tree structure comes from replaying
-    rule applications over those relations.
+    Body solutions come from kernels over the bottom-up engine's
+    materialised relations (complete and cheap to probe), in the order a
+    nested-loops join over the same conjunct order would find them; the
+    tree structure comes from replaying rule applications over those
+    relations.
     """
 
     def __init__(self, kb: KnowledgeBase, guard: ResourceGuard | None = None) -> None:
@@ -125,59 +134,52 @@ class ProofSearch:
             return ProofNode(atom, KIND_BUILTIN) if evaluate_comparison(atom) else None
         predicate = atom.predicate
         if self._kb.is_edb(predicate):
-            relation = self._kb.relation(predicate)
-            if next(relation.lookup(list(atom.args)), None) is not None:
-                return ProofNode(atom, KIND_FACT)
-            return None
+            stored = _holds(self._kb.relation(predicate), atom)
+            return ProofNode(atom, KIND_FACT) if stored else None
         if not self._kb.is_idb(predicate):
             return None
         if atom in _path:
             return None  # avoid cyclic justification; another branch exists
-        derived = self._engine.derived_relation(predicate)
-        if next(derived.lookup(list(atom.args)), None) is None:
+        if not _holds(self._engine.derived_relation(predicate), atom):
             return None
         path = _path | {atom}
         guard = self._guard
         if guard is not None:
             guard.check_depth(len(path))
         self._deepest = max(self._deepest, len(path))
-        resolver = relation_resolver(self._relation_for)
         for rule in self._kb.rules_for(predicate):
             renamed = self._renamer.rename_rule(rule)
             theta = unify(renamed.head, atom)
             if theta is None:
                 continue
-            for solution in join_conjunction(
-                resolver, theta.apply_all(renamed.body), theta
-            ):
+            body = theta.apply_all(renamed.body)
+            negated = theta.apply_all(renamed.negated)
+            # The anti-join drops every solution a negated atom has a row for.
+            kernel = compile_conjunction_kernel(body, negated)
+            batch = kernel.execute(self._relation_for, guard)
+            for solution in substitutions_from_kernel_batch(kernel.schema, batch):
                 if guard is not None:
                     guard.tick()
-                if renamed.negated and not self._negatives_absent(renamed, solution):
-                    continue
                 children = []
-                failed = False
-                for body_atom in solution.apply_all(renamed.body):
+                for body_atom in solution.apply_all(body):
                     child = self._prove(body_atom, path)
                     if child is None:
-                        failed = True
                         break
                     children.append(child)
-                if failed:
-                    continue
-                for negated_atom in solution.apply_all(renamed.negated):
-                    children.append(ProofNode(negated_atom, KIND_ABSENT))
-                return ProofNode(atom, KIND_RULE, rule=rule, children=children)
+                else:
+                    children.extend(
+                        ProofNode(negated_atom, KIND_ABSENT)
+                        for negated_atom in solution.apply_all(negated)
+                    )
+                    return ProofNode(atom, KIND_RULE, rule=rule, children=children)
         return None
 
-    def _negatives_absent(self, rule: Rule, theta: Substitution) -> bool:
-        for atom in rule.negated:
-            instantiated = theta.apply(atom)
-            relation = self._relation_for(instantiated.predicate)
-            if relation is None:
-                continue
-            if next(relation.lookup(list(instantiated.args)), None) is not None:
-                return False
-        return True
+
+def _holds(relation, atom: Atom) -> bool:
+    """Whether a ground atom is a row of *relation*; a constant without a
+    symbol id is in no row."""
+    ids = tuple(map(SYMBOLS.id_of, atom.args))  # type: ignore[arg-type]
+    return None not in ids and relation.holds(ids)
 
 
 @dataclass

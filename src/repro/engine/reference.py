@@ -2,25 +2,26 @@
 
 This is the tuple-at-a-time semi-naive loop the engine started from, kept
 word for word where it could be: rule bodies are solved by the depth-first
-nested-loops join of :mod:`repro.engine.joins` (one
-:class:`~repro.logic.substitution.Substitution` per extension), facts live
-in ordinary :class:`~repro.catalog.relation.Relation` objects, and there is
-no interning, no kernel, no resource guard, no tracer and no analysis.  It
-shares only the dependency graph, the safety check and the join-order
-heuristic with :mod:`repro.engine.seminaive`, which makes it the baseline
-the differential and parity suites compare the production evaluator
-against.  Nothing under ``src/repro`` imports it
+nested-loops join below (:func:`join_conjunction`, one
+:class:`~repro.logic.substitution.Substitution` per extension, atoms
+resolved by :meth:`Relation.lookup <repro.catalog.relation.Relation.lookup>`),
+facts live in ordinary :class:`~repro.catalog.relation.Relation` objects, and
+there is no interning, no kernel, no resource guard, no tracer and no
+analysis.  It shares only the dependency graph, the safety check and the
+join-order heuristic with :mod:`repro.engine.seminaive`, which makes it the
+baseline the differential and parity suites compare the production
+evaluator against.  It is the one nested-loops join and the one caller of
+``Relation.lookup`` under ``src/repro``, and nothing there imports it
 (``tests/integration/test_single_path.py`` checks).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.errors import SafetyError
 from repro.catalog.database import KnowledgeBase
 from repro.catalog.relation import Relation, Row
-from repro.engine.joins import bind_row, join_conjunction
 from repro.engine.plan import (
     DELTA_PREFIX as _DELTA_PREFIX,
     order_conjuncts,
@@ -28,8 +29,68 @@ from repro.engine.plan import (
 )
 from repro.engine.safety import check_rule_safety
 from repro.logic.atoms import Atom
+from repro.logic.builtins import evaluate_comparison
 from repro.logic.clauses import Rule
 from repro.logic.substitution import Substitution
+from repro.logic.terms import is_variable
+from repro.logic.unify import unify_terms
+
+#: A positive atom (bindings applied) -> the substitutions extending the
+#: bindings that make it true.
+Resolver = Callable[[Atom, Substitution], Iterator[Substitution]]
+
+
+def solve_comparison(atom: Atom, theta: Substitution) -> Iterator[Substitution]:
+    """``=`` binds an unbound side, a ground comparison filters, and a
+    non-ground order comparison raises :class:`SafetyError`."""
+    instantiated = theta.apply(atom)
+    left, right = instantiated.args
+    if instantiated.predicate == "=":
+        extended = unify_terms(left, right, theta)
+        if extended is not None:
+            yield extended
+        return
+    if not instantiated.is_ground():
+        raise SafetyError(f"comparison {instantiated} is not ground at evaluation time")
+    if evaluate_comparison(instantiated):
+        yield theta
+
+
+def join_conjunction(
+    resolver: Resolver, conjuncts: Sequence[Atom], theta: Substitution | None = None
+) -> Iterator[Substitution]:
+    """The substitutions satisfying every conjunct, joined depth-first in
+    the order given (the caller orders them): nested loops."""
+
+    def recurse(index: int, current: Substitution) -> Iterator[Substitution]:
+        if index == len(conjuncts):
+            yield current
+            return
+        atom = conjuncts[index]
+        if atom.is_comparison():
+            for extended in solve_comparison(atom, current):
+                yield from recurse(index + 1, extended)
+            return
+        for extended in resolver(current.apply(atom), current):
+            yield from recurse(index + 1, extended)
+
+    yield from recurse(0, theta if theta is not None else Substitution.EMPTY)
+
+
+def bind_row(atom: Atom, row: Sequence[object], theta: Substitution) -> Substitution | None:
+    """*theta* extended so *atom* (bindings applied) matches a ground row,
+    or ``None`` when a constant argument disagrees with it."""
+    current = theta
+    for arg, value in zip(atom.args, row):
+        if is_variable(arg):
+            applied = current.apply_term(arg)
+            if is_variable(applied):
+                current = current.bind(applied, value)  # type: ignore[arg-type]
+            elif applied != value:
+                return None
+        elif arg != value:
+            return None
+    return current
 
 
 def reference_fixpoint(
@@ -134,7 +195,7 @@ class _ReferenceEngine:
             ordered = order_conjuncts(rule.body, estimate=estimate)
             self._orders[plan_key] = ordered
         rows: list[Row] = []
-        for theta in join_conjunction(self._resolver, ordered, reorder=False):
+        for theta in join_conjunction(self._resolver, ordered):
             if rule.negated and not self._negatives_absent(rule, theta):
                 continue
             rows.append(self._head_row(rule, theta))

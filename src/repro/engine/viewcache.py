@@ -26,7 +26,8 @@ The per-relation change journal (:meth:`~repro.catalog.relation.Relation.changes
 reconstructs the net EDB delta since the stamped versions; when it is small
 (:data:`REPAIR_MAX_DELTA_ROWS`) and the closure is positive and
 **non-recursive**, the cached relations are repaired in place by the
-one-pass maintainer of :mod:`repro.engine.incremental`.  A closure that
+one-pass maintainer of :mod:`repro.engine.incremental`, which fires kernels
+over the changed id rows and leaves a view id-only.  A closure that
 contains a recursive predicate is recomputed on the kernels — the fixpoint
 is faster there than any repair through recursion was — and so are negated
 rule sets, large deltas, journal gaps, and rule changes.  A ``cache.probe``
@@ -38,6 +39,10 @@ is left to goal-directed evaluation (:mod:`repro.engine.magic`), the cache
 remembers that state — one per closure — and a second miss on the *same*
 state materialises: readers of a base that stopped changing get lookups,
 and one that changes between reads never pays for a closure nobody rereads.
+
+Both refresh routes run on kernels the cache keeps in one mapping for as
+long as the rule set stands: a repair or recompute under an unchanged
+``rules_version`` lowers nothing it has lowered before.
 
 A failure mid-refresh (guard trip, cancellation, injected fault) drops the
 affected entries before propagating: the cache is always either consistent
@@ -282,6 +287,8 @@ class ViewCache:
         #: The engine of an in-flight full recompute; degrade-mode callers
         #: read sound partial relations from it after a budget trip.
         self._inflight: SemiNaiveEngine | None = None
+        #: ``(rules_version, kernels)``: see :meth:`_kernels`.
+        self._compiled: tuple[int, dict] = (kb.rules_version, {})
         self.stats = CacheStats()
 
     @property
@@ -519,7 +526,9 @@ class ViewCache:
                 # kernel fixpoint beats repair through recursion.
                 return "recursive"
             derived = {p: entries[p].relation for p in members}
-            maintainer = MaterializedDatabase(kb, derived, set(members), guard=guard)
+            maintainer = MaterializedDatabase(
+                kb, derived, set(members), guard=guard, compiled=self._kernels()
+            )
             try:
                 with traced_span(
                     tracer,
@@ -556,7 +565,9 @@ class ViewCache:
             if entry is not None and entry.stamp != stamps[predicate]:
                 del self._views[predicate]
                 self.stats.invalidations += 1
-        engine = SemiNaiveEngine(self._kb, guard=guard, tracer=tracer)
+        engine = SemiNaiveEngine(
+            self._kb, guard=guard, tracer=tracer, compiled=self._kernels()
+        )
         # On a ResourceExhausted trip ``_inflight`` deliberately stays set:
         # the degrade path reads sound partial fixpoints from it via
         # :meth:`partial_relation`.  The next probe overwrites it.
@@ -570,6 +581,14 @@ class ViewCache:
                 stamp=stamps[predicate],
                 tick=self._clock,
             )
+
+    def _kernels(self) -> dict:
+        """The kernels lowered under the current rule set, by stratum
+        members (recompute) and by rule fired (repair); a rule change
+        starts an empty mapping."""
+        if self._compiled[0] != self._kb.rules_version:
+            self._compiled = (self._kb.rules_version, {})
+        return self._compiled[1]
 
     def _evict(self) -> None:
         """Enforce the rows budget, least-recently-used views first."""

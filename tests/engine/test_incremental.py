@@ -10,9 +10,11 @@ import random
 
 import pytest
 
+from repro.engine import incremental, kernels, seminaive
 from repro.engine.seminaive import SemiNaiveEngine
 from repro.engine.viewcache import ViewCache
 from repro.catalog.database import KnowledgeBase
+from repro.catalog.symbols import SYMBOLS
 from repro.datasets import chain_graph_kb, random_graph_kb
 from repro.lang.parser import parse_atom, parse_rule
 
@@ -183,3 +185,73 @@ class TestNegationFallback:
         kb.add_fact("person", "bob", "usa")
         assert not holds(cache, "foreign(bob)")
         assert cache.stats.incremental_refreshes == 0
+
+
+def both_kb(a_rows, b_rows):
+    kb = KnowledgeBase()
+    kb.declare_edb("a", 1)
+    kb.declare_edb("b", 1)
+    kb.add_facts("a", a_rows)
+    kb.add_facts("b", b_rows)
+    kb.add_rule(parse_rule("p(X) <- a(X) and b(X)."))
+    return kb
+
+
+class TestOneTransaction:
+    def test_two_removed_rows_of_one_derivation(self):
+        kb = both_kb([(1,), (2,)], [(1,), (2,)])
+        cache = warm(kb)
+        with kb.transaction():
+            kb.relation("a").delete((1,))
+            kb.relation("b").delete((1,))
+        assert not holds(cache, "p(1)")
+        assert holds(cache, "p(2)")
+        assert cache.stats.incremental_refreshes == 1
+        assert cache.stats.full_refreshes == 1  # the warm-up
+        assert rows(cache, "p") == fresh_rows(kb, "p")
+
+    def test_two_inserted_rows_derive_together(self):
+        kb = both_kb([(2,)], [(2,)])
+        cache = warm(kb)
+        with kb.transaction():
+            kb.add_fact("a", 1)
+            kb.add_fact("b", 1)
+        assert holds(cache, "p(1)")
+        assert cache.stats.incremental_refreshes == 1
+        assert rows(cache, "p") == fresh_rows(kb, "p")
+
+
+class TestRepairedViews:
+    def test_a_repaired_view_stays_id_only_and_interns_nothing(self, uni):
+        cache = warm(uni)
+        uni.add_fact("student", "dave", "math", 3.95)
+        uni.relation("student").delete(("ann", "math", 3.9))
+        symbols = len(SYMBOLS)
+        views = cache.evaluate(["can_ta"])
+        assert cache.stats.incremental_refreshes == 1
+        assert len(SYMBOLS) == symbols
+        for predicate in ("honor", "can_ta"):
+            view = cache._views[predicate].relation
+            assert view._rows is None, predicate
+            view.check_invariants()
+        assert set(views["can_ta"].rows()) == fresh_rows(uni, "can_ta")
+
+    def test_a_second_repair_lowers_no_kernel(self, uni, monkeypatch):
+        lowered = []
+        original = kernels.compile_rule_kernel
+
+        def counted(*args, **kwargs):
+            lowered.append(args[0])
+            return original(*args, **kwargs)
+
+        for module in (kernels, seminaive, incremental):
+            if hasattr(module, "compile_rule_kernel"):
+                monkeypatch.setattr(module, "compile_rule_kernel", counted)
+        cache = warm(uni)
+        uni.add_fact("student", "zoe", "math", 3.99)
+        assert holds(cache, "can_ta(zoe, databases)") is False
+        lowered.clear()
+        uni.add_fact("student", "yan", "math", 3.98)
+        assert holds(cache, "honor(yan)")
+        assert cache.stats.incremental_refreshes == 2
+        assert lowered == []

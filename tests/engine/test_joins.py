@@ -1,10 +1,11 @@
-"""Unit tests for the shared join machinery."""
+"""Unit tests for the reference oracle's nested-loops join and the
+planner's conjunct order it is handed."""
 
 import pytest
 
 from repro.errors import SafetyError
-from repro.engine.joins import bind_row, join_conjunction, solve_comparison
 from repro.engine.plan import order_conjuncts
+from repro.engine.reference import bind_row, join_conjunction, solve_comparison
 from repro.lang.parser import parse_atom, parse_body
 from repro.logic.atoms import Atom
 from repro.logic.substitution import Substitution

@@ -48,7 +48,7 @@ def assert_cache_consistent(kb, cache: ViewCache) -> None:
     and no relation — stored or cached — may be internally incoherent."""
     check_relations(kb)
     for predicate, entry in cache._views.items():
-        # As cached: a recomputed view is id-only, a repaired one is not.
+        # As cached: id-only, whether recomputed or repaired.
         entry.relation.check_invariants()
         if entry.stamp != kb.dependency_stamp((predicate,)):
             continue

@@ -412,19 +412,6 @@ def test_no_legacy_fact_cap_parameter(entry_point):
     assert not retired & set(inspect.signature(entry_point).parameters)
 
 
-def test_tuple_at_a_time_joins_answer_no_query():
-    importers = [
-        str(source.relative_to(PACKAGE))
-        for source in sorted(PACKAGE.rglob("*.py"))
-        if "repro.engine.joins.join_conjunction" in _imported_names(source)
-    ]
-    assert importers == [
-        "engine/incremental.py",
-        "engine/provenance.py",
-        "engine/reference.py",
-    ]
-
-
 def test_the_array_backend_module_is_gone():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.catalog.columnar")
@@ -600,20 +587,45 @@ def test_relation_statistics_have_one_reader():
     assert callers == ["engine/plan.py"]
 
 
-def test_only_repair_proofs_and_the_reference_import_the_resolver_join():
-    importers = [
+def test_the_resolver_join_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.engine.joins")
+    assert not [
         str(source.relative_to(PACKAGE))
         for source in sorted(PACKAGE.rglob("*.py"))
+        if any(name.startswith("repro.engine.joins") for name in _imported_names(source))
+    ]
+
+
+def test_only_the_reference_probes_a_relation_by_lookup():
+    """One join: repair and proofs run on the kernels, so the nested-loops
+    join and its probe, ``Relation.lookup``, serve only the oracle.  (The
+    answer memos' ``lookup`` is a different method.)"""
+    memos = {"_answers", "_statements"}
+    callers = sorted(
+        str(source.relative_to(PACKAGE))
+        for source in PACKAGE.rglob("*.py")
         if any(
-            name == "repro.engine.joins" or name.startswith("repro.engine.joins.")
-            for name in _imported_names(source)
+            isinstance(call.func, ast.Attribute)
+            and call.func.attr == "lookup"
+            and not (
+                isinstance(call.func.value, ast.Attribute)
+                and call.func.value.attr in memos
+            )
+            for call in _calls(ast.parse(source.read_text()))
         )
-    ]
-    assert importers == [
-        "engine/incremental.py",
-        "engine/provenance.py",
-        "engine/reference.py",
-    ]
+    )
+    assert callers == ["engine/reference.py"]
+
+
+def test_proofs_check_negation_by_the_kernel_anti_join():
+    tree = ast.parse((PACKAGE / "engine" / "provenance.py").read_text())
+    defined = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    assert "_negatives_absent" not in defined
 
 
 def test_a_cached_view_is_fresh_by_its_stamp_alone():

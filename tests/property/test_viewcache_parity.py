@@ -9,12 +9,12 @@ shrink *uncached* answers (sound under-approximation), so under degradation
 the invariant weakens to: the cached answer is complete and the uncached
 answer is a subset of it.
 
-In-place repair joins through the substitution resolver
-(:mod:`repro.engine.joins`) while every other answer comes from the integer
-kernels, so the last property drives repair over a *typed* layered program
-— numeric columns that mix ``3`` / ``3.0``, order and equality comparisons,
-``!=`` self-joins, repeated variables — where the two operator sets could
-disagree, and through a row that makes an order comparison ill-typed.
+In-place repair fires the integer kernels over changed id rows, with its
+own rewritings (old-state variants, rederivation), so the last property
+drives repair over a *typed* layered program — numeric columns that mix
+``3`` / ``3.0``, order and equality comparisons, ``!=`` self-joins,
+repeated variables — where a repair and a cold evaluation could disagree,
+and through a row that makes an order comparison ill-typed.
 """
 
 import os
@@ -29,8 +29,9 @@ from repro.errors import LogicError
 from repro.lang.parser import parse_rule
 from repro.session import Session
 
-#: Examples for the typed-repair property (CI's differential step raises it).
+#: Examples for the repair properties (CI's differential step raises both).
 TYPED_EXAMPLES = int(os.environ.get("DIFFERENTIAL_EXAMPLES", "40"))
+REFRESH_EXAMPLES = int(os.environ.get("DIFFERENTIAL_EXAMPLES", "25"))
 
 NODES = ["a", "b", "c", "d", "e", "f"]
 
@@ -180,7 +181,7 @@ def test_degraded_answers_stay_sound(facts, max_facts):
     assert degraded.to_set() <= complete.to_set(), "degraded answer unsound"
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=REFRESH_EXAMPLES, deadline=None)
 @given(
     facts=st.lists(edges, min_size=1, max_size=8, unique=True),
     delta=st.lists(edges, min_size=1, max_size=3, unique=True),
