@@ -290,8 +290,48 @@ class KnowledgeBase:
     # -- rules --------------------------------------------------------------------
 
     def add_rule(self, rule: Rule) -> None:
-        """Add one IDB rule, validating schema and recursion discipline."""
+        """Add one IDB rule, validating schema and recursion discipline.
+
+        All-or-nothing: a rejected rule leaves no rule, no declaration of its
+        head and no version bump behind (nothing for the log to record).
+        """
+        self.add_rules((rule,))
+
+    def add_rules(self, rules: Iterable[Rule]) -> None:
+        """Add many rules, all or none.
+
+        Mutually recursive groups should be added through this entry point:
+        discipline checking is deferred until the whole group is in place.
+        If any rule is rejected, every rule and head declaration of the
+        group is undone before the error propagates.  On a durable
+        knowledge base the group is one log record.
+        """
         self._assert_mutable()
+        rules = tuple(rules)
+        kept = len(self._rules)
+        declared: list[str] = []
+        try:
+            for rule in rules:
+                self._stage_rule(rule, declared)
+            if self.enforce_recursion_discipline:
+                for rule in rules:
+                    self._check_recursion_discipline(rule)
+        except BaseException:
+            for rule in self._rules[kept:]:
+                self._rules_by_head[rule.head.predicate].pop()
+            del self._rules[kept:]
+            for name in declared:
+                del self._schemas[name]
+                self._rules_by_head.pop(name, None)
+            self._graph = None
+            raise
+        if rules:
+            self._rules_version += 1
+            self._autocommit()
+
+    def _stage_rule(self, rule: Rule, declared: list[str]) -> None:
+        """Append one rule after its schema and stratification checks,
+        declaring its head if needed (recorded in *declared*)."""
         head = rule.head
         if is_builtin_predicate(head.predicate):
             raise SchemaError(f"rule head may not be a built-in predicate: {head}")
@@ -301,7 +341,10 @@ class KnowledgeBase:
             )
         existing = self._schemas.get(head.predicate)
         if existing is None:
-            self.declare_idb(head.predicate, head.arity)
+            self._schemas[head.predicate] = PredicateSchema(
+                head.predicate, head.arity, PredicateKind.IDB
+            )
+            declared.append(head.predicate)
         else:
             existing.check_arity(head.arity)
         for body_atom in (*rule.body, *rule.negated):
@@ -314,18 +357,11 @@ class KnowledgeBase:
         if rule.negated or any(r.negated for r in self._rules):
             violations = self.dependency_graph().negation_violations()
             if violations:
-                self._rules.pop()
-                self._rules_by_head[head.predicate].pop()
-                self._graph = None
                 pairs = ", ".join(f"{h} -> not {n}" for h, n in violations)
                 raise TypingError(
                     f"rule {rule} creates recursion through negation ({pairs}); "
                     "only stratified rule sets are supported"
                 )
-        self._rules_version += 1
-        if self.enforce_recursion_discipline:
-            self._check_recursion_discipline(rule)
-        self._autocommit()
 
     def _check_body_atom(self, atom: Atom) -> None:
         if atom.is_comparison():
@@ -357,31 +393,6 @@ class KnowledgeBase:
                 raise TypingError(
                     f"recursive rule is not typed w.r.t. {head}: {rule}"
                 )
-
-    def add_rules(self, rules: Iterable[Rule]) -> None:
-        """Add many rules.
-
-        Mutually recursive groups should be added through this entry point:
-        discipline checking is deferred until the whole group is in place.
-        On a durable knowledge base the group batches into one transaction
-        (one log record) instead of syncing per rule.
-        """
-        if self._durability is not None and self._tx is None:
-            with self.transaction():
-                self.add_rules(rules)
-            return
-        saved = self.enforce_recursion_discipline
-        self.enforce_recursion_discipline = False
-        added: list[Rule] = []
-        try:
-            for rule in rules:
-                self.add_rule(rule)
-                added.append(rule)
-        finally:
-            self.enforce_recursion_discipline = saved
-        if saved:
-            for rule in added:
-                self._check_recursion_discipline(rule)
 
     def rules(self) -> list[Rule]:
         """All IDB rules, in insertion order."""
@@ -471,10 +482,9 @@ class KnowledgeBase:
         constraints only: its stamp is that of no predicates.  This is the
         one definition behind every cached thing in the process: a
         materialised view and the goal-directed first-miss state
-        (:mod:`repro.engine.viewcache`, one stamp per view), the session's
-        statement memo (:meth:`ViewCache.dependency_fingerprint
-        <repro.engine.viewcache.ViewCache.dependency_fingerprint>`) and the
-        server's answer memo (:mod:`repro.server.pool`).
+        (:mod:`repro.engine.viewcache`, one stamp per view) and a kept
+        answer, which only the server's answer memo stamps and restamps
+        (:mod:`repro.server.pool`).
         """
         predicates = tuple(predicates)
         names = set(predicates)

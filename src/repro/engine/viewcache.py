@@ -15,8 +15,9 @@ exactly while the knowledge base still stamps the predicate the same —
   fact inserted into ``enroll`` retires ``honor`` but not ``path``, and
 * the dependencies nothing defines yet (declaring one retires the view).
 
-It is the rule every kept answer is valid by too (:class:`AnswerMemo`);
-there is no other.  Nothing subscribes to anything: a mutation simply
+It is the rule the server's kept answers are valid by too
+(:mod:`repro.server.pool`); there is no other.  Nothing subscribes to
+anything: a mutation simply
 bumps a counter, and the next probe notices the mismatch.  Transaction
 rollback (:meth:`~repro.catalog.relation.Relation.restore`) bumps the same
 counters, so a cache can never serve state from a rolled-back world.
@@ -48,28 +49,21 @@ A failure mid-refresh (guard trip, cancellation, injected fault) drops the
 affected entries before propagating: the cache is always either consistent
 or invalidated, never serving a half-refreshed view.
 
-The cache also owns a session's **statement memo**, an :class:`AnswerMemo`
-of whole answers keyed by statement; the server's answer memo
-(:mod:`repro.server.pool`) is the other instance of that class.
-
-Only *complete* results are ever kept: an evaluation that tripped a
-resource budget (a sound under-approximation) is returned to the caller but
-not stored.  Serving a complete kept answer under a budget is always
-sound — that is the point: the hot path for an unchanged knowledge base
-becomes a dict probe that no budget can trip.
+The cache holds views only; whole answers are kept by the server's answer
+memo alone.  Only *complete* views are ever stored: a recompute that tripped
+a resource budget (a sound under-approximation) answers its caller but is
+not kept.
 
 Memory is bounded by ``max_rows`` (total derived rows pinned) with
-least-recently-used eviction, and by :data:`DEFAULT_MAX_STATEMENTS` for the
-statement memo.  :attr:`ViewCache.stats` reports hits, misses, invalidations,
-incremental vs full refreshes, evictions, and rows/bytes pinned — surfaced
-through ``Session.cache_stats()`` and the ``dbk cache`` subcommand.
+least-recently-used eviction.  :attr:`ViewCache.stats` reports hits,
+misses, invalidations, incremental vs full refreshes, evictions, and
+rows/bytes pinned — surfaced through ``Session.cache_stats()`` and the
+``dbk cache`` subcommand.
 """
 
 from __future__ import annotations
 
 import sys
-import weakref
-from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -85,99 +79,6 @@ DEFAULT_MAX_ROWS = 1_000_000
 #: Net-delta size (rows) above which a stale view is recomputed cold
 #: instead of repaired in place.
 REPAIR_MAX_DELTA_ROWS = 64
-
-#: Ceiling on the answers one :class:`AnswerMemo` keeps.
-DEFAULT_MAX_STATEMENTS = 256
-
-
-class LRUCache(OrderedDict):
-    """A bounded least-recently-used mapping whose :meth:`get` counts hits
-    and misses: the one eviction policy, under a session's plan cache
-    (:data:`repro.session.PlanCache`) and every :class:`AnswerMemo`."""
-
-    def __init__(self, limit: int = 256) -> None:
-        super().__init__()
-        self.limit = limit
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key, default=None):
-        found = super().get(key, default)
-        if found is default:
-            self.misses += 1
-        else:
-            self.hits += 1
-            self.move_to_end(key)
-        return found
-
-    def __setitem__(self, key, value) -> None:
-        super().__setitem__(key, value)
-        self.move_to_end(key)
-        while len(self) > self.limit:
-            self.popitem(last=False)
-
-
-@dataclass
-class Answer:
-    """A result plus what it is valid by.
-
-    The evaluating session sets ``reads`` (:meth:`Session.reads
-    <repro.session.Session.reads>`) and their dependency ``stamp`` on an
-    answer a memo may keep; the HTTP front end keeps the encoded response
-    ``tail`` here, so a memoized answer is serialized once.  ``pinned`` is a
-    *weak* reference to the knowledge base the entry was last validated
-    against, or every kept answer would pin a superseded publication.
-    """
-
-    result: object
-    reads: tuple[str, ...] | None = None
-    stamp: DependencyStamp | None = None
-    tail: bytes | None = None
-    pinned: "weakref.ref | None" = None
-
-
-class AnswerMemo(LRUCache):
-    """Complete answers, each served while the knowledge base stamps what it
-    read the same.
-
-    A hit on the frozen knowledge base an entry is pinned to is a dict probe.
-    Under any other — another snapshot, or a live one, which no pin vouches
-    for — :meth:`lookup` restamps what the entry reads once: equal, the entry
-    is *carried* and pinned there; otherwise it is *retired* on the spot.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(DEFAULT_MAX_STATEMENTS)
-        self.carried = 0  # hits validated by their stamp, not their pin
-        self.retired = 0  # entries a change to what they read made stale
-
-    def lookup(
-        self, key, kb: KnowledgeBase, guard: ResourceGuard | None = None
-    ) -> Answer | None:
-        """The answer kept under *key* if it is valid on *kb*, else ``None``.
-
-        A valid entry passes *guard*'s checkpoint before it counts as a hit:
-        a hit evaluates nothing, yet must still observe cancellation."""
-        entry = OrderedDict.get(self, key)
-        if entry is not None and (entry.pinned() is not kb or not kb.frozen):
-            if kb.dependency_stamp(entry.reads) == entry.stamp:
-                entry.pinned = weakref.ref(kb)
-                self.carried += 1
-            else:
-                del self[key]
-                self.retired += 1
-                entry = None
-        if entry is not None and guard is not None:
-            guard.check()
-        return self.get(key)
-
-    def keep(self, key, answer: Answer, kb: KnowledgeBase) -> None:
-        """Store *answer*, stamped on *kb*, unless another got there first
-        (of two racing evaluations the later pin may finish first, and
-        :meth:`lookup` re-validates whichever is kept)."""
-        if key not in self:
-            answer.pinned = weakref.ref(kb)
-            self[key] = answer
 
 
 @dataclass
@@ -200,8 +101,6 @@ class CacheStats:
     incremental_refreshes: int = 0
     full_refreshes: int = 0
     evictions: int = 0
-    statement_hits: int = 0
-    statement_misses: int = 0
     rows_pinned: int = 0
     bytes_pinned: int = 0
 
@@ -261,7 +160,7 @@ def _net_delta(changes: Sequence[tuple[str, Row]]) -> tuple[set[Row], set[Row]]:
 
 
 class ViewCache:
-    """Materialized IDB views plus a statement memo for one KB.
+    """Materialized IDB views for one KB.
 
     Parameters
     ----------
@@ -280,7 +179,6 @@ class ViewCache:
         self._kb = kb
         self.max_rows = max_rows
         self._views: dict[str, _ViewEntry] = {}
-        self._statements = AnswerMemo()
         #: Closure members -> their stamps at the last goal-directed miss.
         self._first_miss: dict[tuple[str, ...], dict[str, DependencyStamp]] = {}
         self._clock = 0
@@ -419,42 +317,19 @@ class ViewCache:
         return dropped
 
     def clear(self) -> None:
-        """Drop every cached view and memoized statement result."""
+        """Drop every cached view and every remembered goal-directed miss."""
         self.invalidate()
-        self._statements.clear()
         self._first_miss.clear()
 
+    # Only so benchmarks/e2e/trace.py's ``ViewCache.dependency_fingerprint``
+    # TARGETS row still resolves; nothing calls it (ROADMAP item 2 drops it).
     def dependency_fingerprint(self, predicates: Sequence[str]) -> DependencyStamp:
-        """A hashable digest of everything the given predicates depend on.
-
-        The knowledge base's :meth:`dependency stamp
-        <repro.catalog.database.KnowledgeBase.dependency_stamp>` of them: the
-        rule- and constraint-set versions, the version of every EDB relation
-        any of the predicates transitively depends on (including the
-        predicates themselves when stored), and the set of undefined
-        dependencies.  Two equal fingerprints guarantee equal answers for
-        any query over these predicates, so an answer stamped with one is
-        valid for as long as the knowledge base fingerprints them the same —
-        what the statement memo checks — and never needs invalidating.
-        """
         return self._kb.dependency_stamp(predicates)
 
-    # -- statement memo ------------------------------------------------------------
-
-    def lookup_statement(self, key: tuple) -> Answer | None:
-        """The answer kept under *key* — the parsed statement (printing
-        cannot tell every pair of distinct terms apart) and the
-        answer-shaping knobs — if still valid (:meth:`AnswerMemo.lookup`)."""
-        answer = self._statements.lookup(key, self._kb)
-        if answer is None:
-            self.stats.statement_misses += 1
-        else:
-            self.stats.statement_hits += 1
-        return answer
-
-    def store_statement(self, key: tuple, answer: Answer) -> None:
-        """Keep a complete, stamped answer (first writer wins, LRU-bounded)."""
-        self._statements.keep(key, answer, self._kb)
+    # Only so benchmarks/e2e/trace.py's ``ViewCache.lookup_statement`` TARGETS
+    # row still resolves; nothing calls it (ROADMAP item 2 drops it).
+    def lookup_statement(self, key: object) -> None:
+        return None
 
     # -- internals -----------------------------------------------------------------
 
@@ -608,7 +483,4 @@ class ViewCache:
         )
 
     def __repr__(self) -> str:
-        return (
-            f"ViewCache({len(self._views)} views, {self.stats.rows_pinned} rows, "
-            f"{len(self._statements)} memoized statements)"
-        )
+        return f"ViewCache({len(self._views)} views, {self.stats.rows_pinned} rows)"

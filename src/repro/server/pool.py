@@ -11,17 +11,16 @@ exclusive to its thread, the session (and its tracer) needs no locking;
 because sessions are bound to *frozen* snapshot knowledge bases, two slots
 sharing one snapshot never race on catalog state either.
 
-In front of the slots sits the *answer memo*, an
-:class:`~repro.engine.viewcache.AnswerMemo` keyed by statement text: a
-complete answer is a pure function of what its statement reads, the slot
-session stamps it with exactly that (:meth:`Session.answer
-<repro.session.Session.answer>`), and :meth:`SessionPool.query` serves a
+In front of the slots sits the *answer memo*, an :class:`AnswerMemo` keyed
+by statement text, the one place in the process that keeps whole answers:
+a complete answer is a pure function of what its statement reads, the pool
+stamps it with exactly that once, after the slot session evaluates it
+(:meth:`SessionPool.query_sync`), and :meth:`SessionPool.query` serves a
 repeat from a dict on the event-loop thread — no worker hop, no parse, no
 slot session — under *any* pinned snapshot that stamps the statement the
 same.  A publication therefore retires only the answers that read what it
-wrote.  A served statement consults this memo only: a miss evaluates past
-the slot session's own.  An entry holds no snapshot and no relation, so the
-memo pins no superseded publication.
+wrote.  An entry holds no snapshot and no relation, so the memo pins no
+superseded publication.
 """
 
 from __future__ import annotations
@@ -29,19 +28,121 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+import weakref
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from repro.catalog.database import DependencyStamp, KnowledgeBase
 from repro.catalog.snapshot import KBSnapshot
 from repro.engine.guard import ResourceGuard
-from repro.engine.viewcache import Answer, AnswerMemo
+from repro.lang.ast import CompareStatement, DescribeStatement, RetrieveStatement, Statement
 from repro.lang.parser import parse_statement
 from repro.obs.trace import traced_span
-from repro.session import Session
+from repro.session import LRUCache, Session
 
 #: The stages of one served ``/query`` the HTTP front end times, in request
 #: order (``docs/OBSERVABILITY.md``); :attr:`SessionPool.stage_ms` totals them.
 STAGES = ("read_ms", "decode_ms", "queue_wait_ms", "evaluate_ms", "encode_ms")
+
+#: Ceiling on the answers the memo keeps.
+DEFAULT_MAX_STATEMENTS = 256
+
+
+def _reads(statement: Statement) -> tuple[str, ...] | None:
+    """The predicates whose stored facts *statement*'s answer reads.
+
+    Together with the rule and constraint sets that is all a complete answer
+    is a function of, so it is what the pool stamps an answer with
+    (:meth:`KnowledgeBase.dependency_stamp
+    <repro.catalog.database.KnowledgeBase.dependency_stamp>`, which adds
+    everything the named predicates depend on).  A ``retrieve`` reads the
+    predicates its atoms name; ``describe`` and ``compare`` read no stored
+    fact; ``None`` for a statement the memo never keeps (a definition, an
+    ``explain``).
+    """
+    if isinstance(statement, RetrieveStatement):
+        atoms = (statement.subject, *statement.qualifier, *statement.negated_qualifier)
+        return tuple(sorted({atom.predicate for atom in atoms if not atom.is_comparison()}))
+    if isinstance(statement, (DescribeStatement, CompareStatement)):
+        return ()
+    return None
+
+
+def _complete(result: object) -> bool:
+    """Whether a query result is exhaustive (no resource budget degraded it).
+
+    Results without diagnostics (possibility tests, comparisons — which only
+    run under strict guards) count as complete; a wildcard describe is
+    complete iff every per-predicate answer is.
+    """
+    if isinstance(result, dict):
+        return all(_complete(value) for value in result.values())
+    diagnostics = getattr(result, "diagnostics", None)
+    return diagnostics is None or diagnostics.complete
+
+
+@dataclass
+class Answer:
+    """A result plus what it is valid by.
+
+    :meth:`SessionPool.query_sync` sets ``reads`` (:func:`_reads`) and their
+    dependency ``stamp`` on an answer the memo may keep; the HTTP front end
+    keeps the encoded response ``tail`` here, so a kept answer is serialized
+    once.  ``pinned`` is a *weak* reference to the knowledge base the entry
+    was last validated against, or every kept answer would pin a superseded
+    publication.
+    """
+
+    result: object
+    reads: tuple[str, ...] | None = None
+    stamp: DependencyStamp | None = None
+    tail: bytes | None = None
+    pinned: "weakref.ref | None" = None
+
+
+class AnswerMemo(LRUCache):
+    """Complete answers, each served while the knowledge base stamps what it
+    read the same.
+
+    A hit on the frozen knowledge base an entry is pinned to is a dict probe.
+    Under any other — another snapshot, or a live one, which no pin vouches
+    for — :meth:`lookup` restamps what the entry reads once: equal, the entry
+    is *carried* and pinned there; otherwise it is *retired* on the spot.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(DEFAULT_MAX_STATEMENTS)
+        self.carried = 0  # hits validated by their stamp, not their pin
+        self.retired = 0  # entries a change to what they read made stale
+
+    def lookup(
+        self, key, kb: KnowledgeBase, guard: ResourceGuard | None = None
+    ) -> Answer | None:
+        """The answer kept under *key* if it is valid on *kb*, else ``None``.
+
+        A valid entry passes *guard*'s checkpoint before it counts as a hit:
+        a hit evaluates nothing, yet must still observe cancellation."""
+        entry = OrderedDict.get(self, key)
+        if entry is not None and (entry.pinned() is not kb or not kb.frozen):
+            if kb.dependency_stamp(entry.reads) == entry.stamp:
+                entry.pinned = weakref.ref(kb)
+                self.carried += 1
+            else:
+                del self[key]
+                self.retired += 1
+                entry = None
+        if entry is not None and guard is not None:
+            guard.check()
+        return self.get(key)
+
+    def keep(self, key, answer: Answer, kb: KnowledgeBase) -> None:
+        """Store *answer*, stamped on *kb*, unless another got there first
+        (of two racing evaluations the later pin may finish first, and
+        :meth:`lookup` re-validates whichever is kept)."""
+        if key not in self:
+            answer.pinned = weakref.ref(kb)
+            self[key] = answer
 
 
 @dataclass
@@ -142,9 +243,9 @@ class SessionPool:
         on, the evaluation runs under a ``server.request`` root span (the
         session's own ``query`` span nests inside it) annotated with the
         snapshot attribution and, afterwards, the admission attributes.
-        The slot session evaluates past its statement memo
-        (:meth:`Session.answer <repro.session.Session.answer>`) and stamps
-        an answer a memo may keep with what it read.
+        The slot session evaluates (:meth:`Session.execute
+        <repro.session.Session.execute>`); a complete answer the memo may
+        keep is then stamped, once, with what it read on *snapshot*.
         """
         session = self._session_for(snapshot)
         with self._lock:
@@ -161,7 +262,13 @@ class SessionPool:
         ):
             if tracer is not None:
                 tracer.count("server_requests")
-            answer = session.answer(parse_statement(statement), guard=guard)
+            parsed = parse_statement(statement)
+            result = session.execute(parsed, guard=guard)
+        reads = _reads(parsed)
+        if reads is None or not _complete(result):
+            answer = Answer(result)
+        else:
+            answer = Answer(result, reads, snapshot.kb.dependency_stamp(reads))
         last = tracer.last if tracer is not None else None
         trace = last.as_dict() if last is not None else None
         if session.cache.stats.goal_directed != routed:
@@ -182,12 +289,12 @@ class SessionPool:
         """Answer from the memo, or evaluate on a pool thread.
 
         A repeat whose stored answer is valid for *snapshot*
-        (:meth:`AnswerMemo.lookup <repro.engine.viewcache.AnswerMemo.lookup>`;
-        an invalid one is retired, whichever way the pin moved) returns
-        right here on the event loop, after a *guard* checkpoint (a hit must
-        still observe cancellation, as the session's own memo does).
-        Anything else takes a worker slot, and its answer is kept if the
-        slot session stamped it and no other evaluation got there first.  A
+        (:meth:`AnswerMemo.lookup`; an invalid one is retired, whichever way
+        the pin moved) returns right here on the event loop, after a *guard*
+        checkpoint (a hit evaluates nothing, yet must still observe
+        cancellation).  Anything else takes a worker slot, and its answer is
+        kept if :meth:`query_sync` stamped it and no other evaluation got
+        there first.  A
         request that wants its trace (*want_trace*) neither reads nor feeds
         the memo: it is asking for the span tree of an evaluation.
         """

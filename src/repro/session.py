@@ -14,13 +14,14 @@ to the right evaluator over one knowledge base.
     >>> session.query("describe honor(X)")
     ...
 
-:meth:`Session.execute` goes through the session's statement memo;
-:meth:`Session.answer` evaluates past it, for the server's pool, which
-keeps answers in a memo of its own.
+:meth:`Session.execute` is the one evaluation path: a session keeps
+materialised views and compiled plans, never whole answers (the server's
+pool keeps those, :mod:`repro.server.pool`).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Union
 
 from repro.errors import CoreError
@@ -34,7 +35,7 @@ from repro.core.search import SearchConfig
 from repro.core.wildcard import describe_wildcard
 from repro.engine.evaluate import RetrieveResult, retrieve
 from repro.engine.guard import ResourceGuard
-from repro.engine.viewcache import Answer, LRUCache, ViewCache
+from repro.engine.viewcache import ViewCache
 from repro.lang.ast import (
     CompareStatement,
     ConstraintStatement,
@@ -59,29 +60,43 @@ QueryResult = Union[
 ]
 
 
+class LRUCache(OrderedDict):
+    """A bounded least-recently-used mapping whose :meth:`get` counts hits
+    and misses: the one eviction policy, under a session's plan cache
+    (:data:`PlanCache`) and the server's answer memo
+    (:class:`repro.server.pool.AnswerMemo`)."""
+
+    def __init__(self, limit: int = 256) -> None:
+        super().__init__()
+        self.limit = limit
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key, default=None):
+        found = super().get(key, default)
+        if found is default:
+            self.misses += 1
+        else:
+            self.hits += 1
+            self.move_to_end(key)
+        return found
+
+    def __setitem__(self, key, value) -> None:
+        super().__setitem__(key, value)
+        self.move_to_end(key)
+        while len(self) > self.limit:
+            self.popitem(last=False)
+
+
 #: What a retrieve compiled — conjunction kernels and the goal-directed
 #: programs of bound goals — in the one bounded LRU mapping.  Keys start with
 #: ``kb.rules_version`` and go on with the conjunction's atoms or, for a
 #: goal-directed program, its shape (:func:`repro.engine.magic.goal_shape`),
 #: so a rule change keys out every stale plan while fact-only mutations keep
-#: plans warm — that is the point: a repeat lookup after EDB churn misses the
-#: statement memo (the answer read a relation that changed) but still skips
-#: rewriting and compilation.  Entries under dead rule versions age out of
-#: the LRU bound.
+#: plans warm — that is the point: a requery after EDB churn re-derives its
+#: answer but skips rewriting and compilation.  Entries under dead rule
+#: versions age out of the LRU bound.
 PlanCache = LRUCache
-
-
-def _complete(result: object) -> bool:
-    """Whether a query result is exhaustive (no resource budget degraded it).
-
-    Results without diagnostics (possibility tests, comparisons — which only
-    run under strict guards) count as complete; a wildcard describe is
-    complete iff every per-predicate answer is.
-    """
-    if isinstance(result, dict):
-        return all(_complete(value) for value in result.values())
-    diagnostics = getattr(result, "diagnostics", None)
-    return diagnostics is None or diagnostics.complete
 
 
 class Session:
@@ -105,12 +120,12 @@ class Session:
     ``True`` (the default) builds one over the knowledge base, ``False`` /
     ``None`` disables caching, and a :class:`ViewCache` instance (bound to
     the same knowledge base) is adopted as-is — useful for sharing one cache
-    across sessions or tuning its budgets.  The cache memoizes both
-    materialised IDB views for ``retrieve`` and statement answers
-    (``retrieve``/``describe``/``compare``); each is valid while the
-    dependency stamp of what it reads is unchanged, which catalog mutation
-    and transaction rollback change, and only complete (non-degraded)
-    answers are ever stored.  :meth:`cache_stats` reports its behaviour.
+    across sessions or tuning its budgets.  The cache keeps materialised
+    IDB views for ``retrieve``; each is valid while the dependency stamp of
+    its predicate is unchanged, which catalog mutation and transaction
+    rollback change, and only complete (non-degraded) views are ever
+    stored.  Every statement evaluates: a session keeps no whole answers.
+    :meth:`cache_stats` reports the cache's behaviour.
 
     ``trace`` turns on query tracing: ``True`` builds a fresh
     :class:`~repro.obs.trace.Tracer`, a :class:`Tracer` instance is adopted
@@ -204,61 +219,20 @@ class Session:
         """
         return self.execute(parse_statement(source), guard=guard)
 
-    @staticmethod
-    def reads(statement: Statement) -> tuple[str, ...] | None:
-        """The predicates whose stored facts *statement*'s answer reads.
-
-        Together with the rule and constraint sets that is all a memoized
-        answer is a function of, so it is what the session stamps an answer
-        with (:meth:`KnowledgeBase.dependency_stamp
-        <repro.catalog.database.KnowledgeBase.dependency_stamp>`, which adds
-        everything the named predicates depend on).  A ``retrieve`` reads
-        the predicates its atoms name; ``describe`` and ``compare`` read no
-        stored fact; ``None`` for a statement no memo keeps (a definition,
-        an ``explain``).
-        """
-        if isinstance(statement, RetrieveStatement):
-            atoms = (
-                statement.subject,
-                *statement.qualifier,
-                *statement.negated_qualifier,
-            )
-            return tuple(
-                sorted({atom.predicate for atom in atoms if not atom.is_comparison()})
-            )
-        if isinstance(statement, (DescribeStatement, CompareStatement)):
-            return ()
-        return None
-
     def execute(
         self, statement: Statement, guard: ResourceGuard | None = None
     ) -> QueryResult:
-        """Evaluate a parsed statement, through the statement memo.
+        """Evaluate a parsed statement under its guard.
 
         With tracing on (:attr:`tracer`), every query runs under a root
         ``query`` span annotated, on completion, with the guard's consumed
         budgets and the cache-stats delta — one trace object tells the whole
         story (see ``docs/OBSERVABILITY.md``).
         """
-        return self._run(statement, guard, memoize=True).result
-
-    def answer(
-        self, statement: Statement, guard: ResourceGuard | None = None
-    ) -> Answer:
-        """Evaluate a parsed statement past the statement memo, for a caller
-        that has missed a memo of its own (:mod:`repro.server.pool`).  A
-        caching session stamps a complete answer with what it reads."""
-        return self._run(statement, guard, memoize=False)
-
-    def _run(
-        self, statement: Statement, guard: ResourceGuard | None, memoize: bool
-    ) -> Answer:
-        """One statement under its guard and, when tracing, its ``query``
-        span."""
         active = self._activate(guard)
         tracer = self.tracer
         if tracer is None:
-            return self._answer(statement, active, None, memoize)
+            return self._dispatch(statement, active, None)
         stats_before = self.cache.stats.as_dict() if self.cache is not None else None
         with tracer.span(
             "query",
@@ -266,7 +240,7 @@ class Session:
             kind=type(statement).__name__,
         ):
             try:
-                return self._answer(statement, active, tracer, memoize)
+                return self._dispatch(statement, active, tracer)
             finally:
                 if active is not None:
                     tracer.annotate(
@@ -306,6 +280,10 @@ class Session:
         if isinstance(statement, ConstraintStatement):
             self.kb.add_constraint(statement.constraint)
             return f"constrained: {statement.constraint}"
+        if active is not None:
+            # A query observes a cancellation made before it began, even one
+            # that finishes before its evaluation's first stride checkpoint.
+            active.check()
         if isinstance(statement, RetrieveStatement):
             return self._retrieve(statement, active, tracer)
         if isinstance(statement, DescribeStatement):
@@ -335,43 +313,6 @@ class Session:
             tracer=tracer,
             plan_cache=self.plan_cache,
         )
-
-    # -- statement memo ------------------------------------------------------------------
-
-    def _answer(self, statement, guard, tracer, memoize: bool) -> Answer:
-        """Evaluate a statement, through the statement memo if *memoize*.
-
-        The key is the statement (its class is its kind) and the
-        answer-shaping knobs; an entry is served while the knowledge base
-        stamps what the statement reads (:meth:`reads`) the same, so fact
-        mutations leave describe/compare answers warm and a mutation a
-        retrieve could see retires its entry.  Definitions, ``explain``
-        proofs and degraded (budget-tripped) results are never kept.  A
-        caching session stamps every answer it could keep once
-        (:meth:`ViewCache.dependency_fingerprint`), memo or not.
-        """
-        reads = self.reads(statement)
-        if reads is None:
-            return Answer(self._dispatch(statement, guard, tracer))
-        memo = self.cache if memoize else None
-        if memo is not None:
-            if guard is not None:
-                guard.check()  # a memo hit must still observe cancellation
-            key = (statement, self.style, repr(self.config))
-            kept = memo.lookup_statement(key)
-            if kept is not None:
-                if tracer is not None:
-                    tracer.count("statement_memo_hits")
-                return kept
-            if tracer is not None:
-                tracer.count("statement_memo_misses")
-        result = self._dispatch(statement, guard, tracer)
-        if self.cache is None or not _complete(result):
-            return Answer(result)
-        answer = Answer(result, reads, self.cache.dependency_fingerprint(reads))
-        if memo is not None:
-            memo.store_statement(key, answer)
-        return answer
 
     def cache_stats(self) -> dict:
         """A JSON-friendly snapshot of the view cache's behaviour.

@@ -6,6 +6,7 @@ from repro.errors import (
     ArityError,
     DuplicatePredicateError,
     IntegrityError,
+    SafetyError,
     SchemaError,
     TypingError,
     UnknownPredicateError,
@@ -13,6 +14,7 @@ from repro.errors import (
 from repro.catalog.database import KnowledgeBase
 from repro.lang.parser import parse_body, parse_rule
 from repro.logic.clauses import IntegrityConstraint
+from repro.session import Session
 
 
 class TestSchema:
@@ -159,6 +161,61 @@ class TestRecursionDiscipline:
             ]
         )
         assert kb.depends_on_recursion("advanced")
+
+
+class TestRejectedRulesLeaveNothing:
+    """``add_rule`` / ``add_rules`` are all-or-nothing: a rule outside the
+    paper's fragment (stratified, strongly linear, typed) is rejected
+    without a trace — no rule, no head declaration, no version bump, and
+    nothing for the write-ahead log to record."""
+
+    NON_LINEAR = "p(X, Y) <- e(X, Z) and p(Z, W) and p(W, Y)."
+
+    def test_recursion_through_negation_declares_nothing(self):
+        session = Session()
+        before = session.kb.rules_version
+        with pytest.raises(TypingError):
+            session.query("p(X) <- q(X) and not p(X).")
+        assert not session.kb.has_predicate("p")
+        assert session.kb.rules_version == before
+        with pytest.raises(SafetyError):
+            session.query("retrieve p(X)")
+
+    def test_a_rule_that_is_not_strongly_linear_is_not_kept(self):
+        kb = KnowledgeBase()
+        kb.declare_edb("e", 2)
+        kb.add_rule(parse_rule("q(X) <- e(X, Y)."))
+        rules, version = kb.rules(), kb.rules_version
+        with pytest.raises(TypingError, match="not strongly linear"):
+            kb.add_rule(parse_rule(self.NON_LINEAR))
+        assert kb.rules() == rules and kb.rules_for("p") == []
+        assert not kb.has_predicate("p") and kb.rules_version == version
+
+    def test_a_rejected_rule_is_neither_logged_nor_recovered(self, tmp_path):
+        directory = str(tmp_path / "durable")
+        session = Session(durable=directory)
+        session.query("e(a, b).")
+        with pytest.raises(TypingError):
+            session.query(self.NON_LINEAR)
+        session.query("e(b, c).")  # the next commit
+        session.kb.durability.log.close()
+        recovered = Session(durable=directory).kb
+        assert recovered.rules() == [] and not recovered.has_predicate("p")
+        assert len(recovered.facts("e")) == 2
+        recovered.durability.log.close()
+
+    def test_a_group_with_one_bad_rule_adds_none(self):
+        kb = KnowledgeBase()
+        kb.declare_edb("e", 2)
+        with pytest.raises(TypingError):
+            kb.add_rules([parse_rule("r(X) <- e(X, Y)."), parse_rule(self.NON_LINEAR)])
+        assert kb.rules() == [] and kb.idb_predicates() == []
+
+    def test_a_head_rejected_by_its_own_body_is_not_declared(self):
+        kb = KnowledgeBase()
+        with pytest.raises(ArityError):
+            kb.add_rule(parse_rule("p(X) <- p(X, Y)."))
+        assert not kb.has_predicate("p")
 
 
 class TestConstraints:

@@ -317,6 +317,20 @@ class TestSessionGuard:
         with pytest.raises(QueryCancelled):
             session.query("retrieve path(X, Y)")
 
+    @pytest.mark.parametrize(
+        "statement",
+        ["describe path(X, Y)", "compare (describe path(X, Y)) with (describe edge(X, Y))"],
+    )
+    def test_a_short_knowledge_query_observes_a_prior_cancellation(self, statement):
+        """Such a search finishes before its first stride checkpoint; the
+        session checks once before evaluating, definitions aside."""
+        token = CancellationToken()
+        session = Session(chain_kb(3), guard=ResourceGuard(token=token))
+        token.cancel()
+        with pytest.raises(QueryCancelled):
+            session.query(statement)
+        assert session.query("edge(7, 8).") == "stored: edge(7, 8)."
+
 
 class TestDiagnostics:
     def test_complete_record(self):

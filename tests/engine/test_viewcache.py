@@ -186,7 +186,6 @@ class TestGoalDirectedRoute:
         session = Session(chain_kb(), trace=True)
         read = lambda node: self.probes(session, f"retrieve path({node}, Y)")  # noqa: E731
         assert read(0) == [{"outcome": "goal_directed", "reason": "cold"}]
-        assert read(0) == []  # the statement memo answered: no probe at all
         assert read(1) == [
             {"outcome": "recompute", "reason": "cold", "not_goal_directed": "second_miss"}
         ]
@@ -264,7 +263,6 @@ class TestFreshByOneStamp:
         session.query(change)
         moved = session.kb.dependency_stamp(("fork",)) != before
         assert moved == (probe["outcome"] != "hit")
-        # Another statement over the same view: the memo cannot answer it.
         assert self.probes(session, "retrieve fork(Y)") == [probe]
         for predicate, entry in session.cache._views.items():
             assert entry.stamp == session.kb.dependency_stamp((predicate,))
@@ -313,7 +311,8 @@ class TestSessionIntegration:
         session.query("retrieve path(X, Y)")
         session.query("retrieve path(X, Y)")
         stats = session.cache_stats()
-        assert stats["enabled"] and stats["statement_hits"] == 1
+        assert stats["enabled"] and stats["hits"] == 1
+        assert not [name for name in stats if name.startswith("statement_")]
         assert Session(chain_kb(), cache=False).cache_stats() == {
             "enabled": False,
             "journal_resets": 0,
@@ -333,24 +332,32 @@ class TestSessionIntegration:
         assert len(result) == 6
         assert cache.stats.probes == 0
 
+    # The three tests below are named for the session statement memo they
+    # once guarded.  A session keeps no whole answers now: every repeat
+    # evaluates again, and must see the change a memo entry would have missed.
+
     def test_describe_memo_invalidated_by_rule_change(self):
         kb = chain_kb(4)
         session = Session(kb)
         first = session.query("describe path(X, Y)")
-        assert session.query("describe path(X, Y)") is first
+        repeat = session.query("describe path(X, Y)")
+        assert repeat is not first and str(repeat) == str(first)
         kb.add_rule(parse_rule("path(X, X) <- edge(X, Y)"))
-        assert session.query("describe path(X, Y)") is not first
+        assert str(session.query("describe path(X, Y)")) != str(first)
 
     def test_describe_memo_invalidated_by_constraint_change(self):
         kb = chain_kb(4)
         session = Session(kb)
-        first = session.query("describe path(X, Y)")
+        session.query("describe path(X, Y)")
         session.query("not (edge(X, X) and path(X, X)).")
-        assert session.query("describe path(X, Y)") is not first
+        assert str(session.query("describe path(X, Y)")) == str(
+            Session(kb).query("describe path(X, Y)")
+        )
 
     def test_retrieve_memo_keyed_on_facts(self):
         session = Session(chain_kb(4))
         first = session.query("retrieve path(X, Y)")
-        assert session.query("retrieve path(X, Y)") is first
+        assert session.query("retrieve path(X, Y)").to_set() == first.to_set()
         session.kb.add_fact("edge", 100, 0)
-        assert session.query("retrieve path(X, Y)") is not first
+        grown = session.query("retrieve path(X, Y)").to_set()
+        assert grown > first.to_set() and session.cache_stats()["hits"] == 1

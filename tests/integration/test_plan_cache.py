@@ -3,9 +3,9 @@
 The :class:`repro.session.PlanCache` keeps compiled conjunction kernels
 and goal-directed programs warm across queries.  Its key embeds
 ``kb.rules_version``, so rule changes invalidate implicitly while
-fact-only mutations keep plans warm — that is the payoff: a repeat lookup
-after EDB churn misses the statement memo (keyed on relation versions) but
-skips rewriting, plan compilation and kernel lowering.
+fact-only mutations keep plans warm — that is the payoff: a requery after
+EDB churn re-derives its answer but skips rewriting, plan compilation and
+kernel lowering.
 """
 
 import gc
@@ -53,8 +53,8 @@ class TestSessionPlanCache:
         session = seeded_session()
         session.query("retrieve path(a, X)")
         compile_misses = session.plan_cache.misses
-        # New fact: statement memo (relation-version keyed) misses, but
-        # the compiled plan is reused — no new cache misses.
+        # New fact: the answer is derived again, but the compiled plan is
+        # reused — no new cache misses.
         session.query("edge(d, e).")
         answers = session.query("retrieve path(a, X)")
         assert (Constant("e"),) in answers.to_set()

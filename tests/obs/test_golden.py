@@ -59,7 +59,7 @@ def _university_describe():
 def _cache_warm_hit():
     session = Session(university_kb(), trace=True)
     session.query("retrieve honor(X)")
-    session.query("retrieve honor(X)")  # memoized: the trace shows the hit
+    session.query("retrieve honor(X)")  # warm: the trace shows the view hit
     return session.last_trace
 
 

@@ -1,9 +1,9 @@
 """Trace counters must reconcile with the engine's own accounting.
 
-The span tree is a *second* set of books: facts derived, cache traffic,
-and memo hits are independently counted by the resource guard and the
-view-cache statistics.  These tests assert the two ledgers agree, so the
-tracer can be trusted for perf debugging.
+The span tree is a *second* set of books: facts derived and view-cache
+traffic are independently counted by the resource guard and the view-cache
+statistics.  These tests assert the two ledgers agree, so the tracer can be
+trusted for perf debugging.
 """
 
 from repro.datasets import routing_kb, university_kb
@@ -48,21 +48,20 @@ class TestCacheReconciliation:
         root = session.last_trace
         delta = root.attributes["cache_delta"]
         assert root.total("cache_misses") == delta["misses"] == 1
-        assert root.total("statement_memo_misses") == delta["statement_misses"] == 1
+        assert set(delta) <= set(session.cache.stats.as_dict())
 
-    def test_warm_query_counts_statement_hit(self):
+    def test_a_repeated_query_counts_one_view_hit(self):
         session = traced_session(university_kb())
         session.query("retrieve honor(X)")
         session.query("retrieve honor(X)")
         root = session.last_trace
-        assert root.total("statement_memo_hits") == 1
-        assert root.attributes["cache_delta"]["statement_hits"] == 1
+        assert root.find("cache.probe")[0].attributes["outcome"] == "hit"
+        assert root.total("cache_hits") == root.attributes["cache_delta"]["hits"] == 1
         assert root.total("cache_misses") == 0
 
     def test_fingerprint_hit_traced_as_probe_outcome(self):
         session = traced_session(university_kb())
         session.query("retrieve honor(X)")
-        # Different statement text misses the memo but hits the view cache.
         session.query("retrieve honor(Y)")
         root = session.last_trace
         probes = root.find("cache.probe")

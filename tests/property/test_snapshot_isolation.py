@@ -27,8 +27,8 @@ nothing the statement reads.  The same attribution statement is therefore
 checked a second time through ``query``, over schedules that also commit to
 relations some statements do not read, add a rule, and declare a predicate
 a rule had been reading as undefined — and a third time on one live
-session, whose statement memo is the same class validating against a
-knowledge base that changes under it.
+session, whose views and plans stay warm over a knowledge base that
+changes under it.
 """
 
 import asyncio
@@ -301,7 +301,7 @@ def test_memo_reads_equal_full_evaluation_of_the_pinned_snapshot(ops):
         pool.shutdown()
 
 
-# -- the same memo in a session over a live knowledge base --------------------------------
+# -- the same stamps in a session over a live knowledge base ------------------------------
 
 #: Asked of one live session after every change.  ``j`` reads ``e`` (and
 #: ``u`` once the widening rule is in), ``k`` reads ``e`` and ``late``,
@@ -339,14 +339,14 @@ def session_changes(draw):
 
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(session_changes())
-def test_session_memo_reads_equal_a_fresh_session_across_changes(changes):
+def test_a_live_session_reads_equal_a_fresh_session_across_changes(changes):
     state = {
         "e": frozenset({("a", "b"), ("b", "c")}), "u": frozenset(), "late": None,
         "widened": False, "constrained": False,
     }
     session = Session(memo_kb(state))
     kb = session.kb
-    # A first round evaluates, a second (after no change) is all hits.
+    # A first round computes the views, a second (after no change) hits them.
     for change in (None, None, *changes):
         state = dict(state)
         kind, *payload = change or ("none",)
@@ -374,9 +374,12 @@ def test_session_memo_reads_equal_a_fresh_session_across_changes(changes):
             assert shown(session.query(statement)) == shown(fresh.query(statement)), (
                 f"{statement!r} after {change} diverged from a fresh session on {state}"
             )
-        # A stale entry is retired when found, not left to age out of the LRU.
-        assert len(session.cache._statements) <= len(SESSION_STATEMENTS)
-    assert session.cache_stats()["statement_hits"] >= len(SESSION_STATEMENTS)
+        # Every view the round read is current, and its plans were taken
+        # under the current rule set.
+        for predicate, entry in session.cache._views.items():
+            assert entry.stamp == kb.dependency_stamp((predicate,))
+        assert any(key[0] == kb.rules_version for key in session.plan_cache)
+    assert session.cache_stats()["hits"] >= 2  # both retrieves, second round
 
 
 @settings(max_examples=max(EXAMPLES // 3, 5), deadline=None)

@@ -151,9 +151,9 @@ def counting(monkeypatch, owner, name) -> list:
 )
 def test_a_served_miss_stamps_once_and_consults_one_memo(statement, monkeypatch):
     """The pool's memo is the only one a served statement consults: a miss
-    evaluates on the slot session past the session's own memo, which stamps
-    the answer once for the pool to keep.  A request for its trace consults
-    no memo at all."""
+    evaluates on the slot session, which keeps no answers, and the pool
+    stamps the answer once to keep it.  A request for its trace consults no
+    memo at all."""
     catalog = MultiVersionCatalog(university_kb())
     stamps = counting(monkeypatch, KnowledgeBase, "dependency_stamp")
     lookups = counting(monkeypatch, ViewCache, "lookup_statement")
