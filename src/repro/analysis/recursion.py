@@ -5,9 +5,10 @@ defined by recursive rules that are *strongly linear* (the head predicate
 occurs exactly once in the body) and *typed* with respect to their head
 (across all occurrences of the head predicate in the rule, every variable
 sits at one fixed argument position).  Outside that fragment the describe
-transformation is unsound, so the knowledge base enforces it at rule entry;
-this pass reports the same conditions as per-rule diagnostics instead of a
-boolean, plus the two tolerated shapes as informational findings.
+transformation is unsound, so the knowledge base enforces it at rule entry
+by raising from this pass's error findings (:func:`rule_recursion_diagnostics`);
+the pass reports the same conditions as per-rule diagnostics, plus the two
+tolerated shapes as informational findings.
 """
 
 from __future__ import annotations
@@ -34,10 +35,14 @@ PERMUTATION_RULE = "KB204"
     (NOT_STRONGLY_LINEAR, NOT_TYPED, MUTUAL_RECURSION, PERMUTATION_RULE),
 )
 def run(model) -> Iterator[Diagnostic]:
-    graph = model.graph
     for rule in model.rules:
-        if not graph.is_recursive_rule(rule):
-            continue
+        yield from rule_recursion_diagnostics(rule, model.graph)
+
+
+def rule_recursion_diagnostics(rule, graph) -> Iterator[Diagnostic]:
+    """The findings of one rule under the dependency *graph* (none unless
+    it is recursive)."""
+    if graph.is_recursive_rule(rule):
         head = rule.head.predicate
 
         def emit(
@@ -63,7 +68,7 @@ def run(model) -> Iterator[Diagnostic]:
                 "no action needed; the engines bound its applications by the "
                 "permutation order",
             )
-            continue
+            return
         if head not in rule.body_predicates():
             yield emit(
                 MUTUAL_RECURSION,
@@ -73,7 +78,7 @@ def run(model) -> Iterator[Diagnostic]:
                 "the data engines evaluate this; only the describe "
                 "transformation is restricted to direct recursion",
             )
-            continue
+            return
         if not is_strongly_linear(rule):
             yield emit(
                 NOT_STRONGLY_LINEAR,

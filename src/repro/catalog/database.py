@@ -29,11 +29,6 @@ from repro.catalog.schema import PredicateKind, PredicateSchema
 from repro.logic.atoms import Atom
 from repro.logic.builtins import is_builtin_predicate
 from repro.logic.clauses import IntegrityConstraint, Rule
-from repro.logic.typing import (
-    is_permutation_rule,
-    is_strongly_linear,
-    is_typed_with_respect_to,
-)
 
 #: Issues :attr:`KnowledgeBase.lineage` numbers, one per live knowledge base.
 _LINEAGES = itertools.count()
@@ -375,24 +370,21 @@ class KnowledgeBase:
         # recursion may define them later); safety analysis re-checks.
 
     def _check_recursion_discipline(self, new_rule: Rule) -> None:
+        """Raise from the error findings (KB201, KB202) of the ``recursion``
+        lint pass on the rules of the new rule's head: rule entry and the
+        analyzer make one decision, as unsafe rules do with ``safety``."""
+        from repro.analysis.diagnostics import Severity
+        from repro.analysis.recursion import rule_recursion_diagnostics
+
         graph = self.dependency_graph()
         for rule in self.rules_for(new_rule.head.predicate):
-            if not graph.is_recursive_rule(rule):
-                continue
-            if is_permutation_rule(rule):
-                continue  # handled by bounded application (section 5.3)
-            head = rule.head.predicate
-            if head not in rule.body_predicates():
-                # Mutual recursion without a direct self-occurrence: the
-                # data engines evaluate it fine; only the describe
-                # transformation is restricted (it raises TransformError).
-                continue
-            if not is_strongly_linear(rule):
-                raise TypingError(f"recursive rule is not strongly linear: {rule}")
-            if not is_typed_with_respect_to(rule, head):
-                raise TypingError(
-                    f"recursive rule is not typed w.r.t. {head}: {rule}"
-                )
+            errors = [
+                finding.message
+                for finding in rule_recursion_diagnostics(rule, graph)
+                if finding.severity is Severity.ERROR
+            ]
+            if errors:
+                raise TypingError(f"{'; '.join(errors)} (rule {rule})")
 
     def rules(self) -> list[Rule]:
         """All IDB rules, in insertion order."""

@@ -20,8 +20,11 @@ recovery got and why it stopped.  The stages:
    shape behind).
 3. **replaying_log** — scan the log, truncating a torn tail by checksum
    (a record is dropped whole: commits are single records, so no
-   half-applied transaction can survive), then apply every record with an
-   LSN past the snapshot in order.
+   half-applied transaction can survive), check that its LSNs run
+   contiguously from the snapshot's ``wal_lsn + 1`` (or that the snapshot
+   supersedes all of it: a crash between snapshot replace and log
+   truncation, after which the log is cut back to its header), then apply
+   every record with an LSN past the snapshot in order.
 4. **verified** — compare the reconstruction against the final record's
    version stamps (fact/rule/constraint counts and the per-relation row
    vector); a mismatch fails recovery rather than serving a wrong
@@ -183,6 +186,9 @@ class Recoverer:
                 # Nothing intact at all: a corrupt header with no snapshot
                 # cannot be distinguished from a foreign file.
                 self._fail(torn_reason or "unreadable log", path=log.log_path, offset=0)
+        self._check_sequence(records, snapshot_lsn, log)
+        if repair and records and records[-1].lsn == snapshot_lsn:
+            log.truncate_at(records[0].offset)  # superseded whole: see above
         last_stamps = snapshot_stamps
         discipline = kb.enforce_recursion_discipline
         kb.enforce_recursion_discipline = False
@@ -210,6 +216,30 @@ class Recoverer:
         report.states = list(self.transitions)
         report.verified = bool(verify)
         return report
+
+    def _check_sequence(self, records: list, wal_lsn: int, log: DurableLog) -> None:
+        """Fail unless the log's LSNs are contiguous and join the snapshot's.
+
+        The first record is ``wal_lsn + 1``, or the last is ``wal_lsn`` —
+        the snapshot supersedes the whole log.  A superseded prefix
+        followed by newer records is refused: recovery never leaves one
+        behind, and it is what a rewritten ``wal_lsn`` would look like.
+        """
+        for previous, record in zip(records, records[1:]):
+            if record.lsn != previous.lsn + 1:
+                self._fail(
+                    f"log record lsn={record.lsn} follows lsn={previous.lsn}; "
+                    "log sequence numbers must be contiguous",
+                    path=log.log_path,
+                    offset=record.offset,
+                )
+        if records and wal_lsn + 1 != records[0].lsn and wal_lsn != records[-1].lsn:
+            self._fail(
+                f"log records lsn={records[0].lsn}..{records[-1].lsn} do not "
+                f"continue the snapshot, which covers up to lsn={wal_lsn}",
+                path=log.log_path,
+                offset=records[0].offset,
+            )
 
     def _load_snapshot(self, log: DurableLog) -> tuple[KnowledgeBase, int, dict]:
         from repro.catalog.persist import kb_from_dict

@@ -227,6 +227,13 @@ class DurableLog:
         ack means the commit survives a crash.  One commit, one record:
         a torn write is dropped whole by recovery, so no reader ever sees
         a half-applied transaction.
+
+        An append that fails with an exception (a full disk, a failed
+        fsync) cuts the log back to its size before the append, fsynced,
+        and re-raises: the next record must not land on bytes recovery
+        would stop at, and must not repeat this record's LSN.  A process
+        that dies mid-append (anything not an :class:`Exception`) leaves
+        its torn bytes for recovery to drop.
         """
         lsn = self.last_lsn + 1
         body = json.dumps(
@@ -235,25 +242,34 @@ class DurableLog:
         ).encode()
         line = _crc(body).encode() + b" " + body + b"\n"
         handle = self._open_for_append()
-        self._hook("append:before")
-        half = len(line) // 2
-        handle.write(line[:half])
-        handle.flush()
-        self._hook("append:mid")
-        handle.write(line[half:])
-        handle.flush()
-        self._hook("append:written")
-        os.fsync(handle.fileno())
-        self._hook("append:synced")
+        size = os.fstat(handle.fileno()).st_size
+        try:
+            self._hook("append:before")
+            half = len(line) // 2
+            handle.write(line[:half])
+            handle.flush()
+            self._hook("append:mid")
+            handle.write(line[half:])
+            handle.flush()
+            self._hook("append:written")
+            os.fsync(handle.fileno())
+            self._hook("append:synced")
+        except Exception:
+            try:
+                self.close()
+            except OSError:
+                pass  # bytes still buffered are cut with the rest
+            self.truncate_at(size)
+            raise
         self.last_lsn = lsn
         self.records_since_snapshot += 1
         return lsn
 
     def close(self) -> None:
         """Release the append handle (records stay on disk)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            handle.close()
 
     def truncate_at(self, offset: int) -> int:
         """Cut the log at *offset* (drop a torn tail); returns bytes dropped.

@@ -138,11 +138,8 @@ def render(result: object) -> str:
 
 def format_cache_stats(session: Session) -> str:
     """The ``.cache`` meta command's rendering of the session cache."""
-    stats = session.cache_stats()
-    if not stats.pop("enabled"):
-        return "cache disabled (start without --no-cache to enable)"
     lines = ["materialized view cache:"]
-    for key, value in stats.items():
+    for key, value in session.cache_stats().items():
         lines.append(f"  {key:22} {value}")
     return "\n".join(lines)
 
@@ -400,7 +397,7 @@ def run_serve(args: argparse.Namespace, out=None) -> int:
     kb = _build_kb(args) if (args.durable is None or args.dataset) else None
     catalog = MultiVersionCatalog(kb=kb, durable=args.durable)
     if args.load:
-        loader = Session(catalog.kb, cache=False)
+        loader = Session(catalog.kb)
         with open(args.load) as handle:
             count = loader.load(handle.read())
         catalog.republish()
@@ -550,11 +547,8 @@ def run_repl(session: Session, stream=None, out=None) -> None:
             emit(format_cache_stats(session))
             continue
         if line == ".cache clear":
-            if session.cache is None:
-                emit("cache disabled")
-            else:
-                session.cache.clear()
-                emit("cache cleared")
+            session.cache.clear()
+            emit("cache cleared")
             continue
         if line == ".trace on":
             if session.tracer is None:
@@ -814,10 +808,6 @@ def main(argv: list[str] | None = None) -> int:
         "answer tagged as a sound under-approximation (partial)",
     )
     parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the materialized view cache (every query recomputes)",
-    )
-    parser.add_argument(
         "--durable", metavar="DIR",
         help="crash-safe persistence: write-ahead log and snapshots in DIR "
         "(an existing DIR is recovered on startup)",
@@ -839,8 +829,7 @@ def main(argv: list[str] | None = None) -> int:
     kb = _build_kb(args) if (args.durable is None or args.dataset) else None
     try:
         session = Session(
-            kb, style=args.style, guard=guard,
-            cache=not args.no_cache, durable=args.durable,
+            kb, style=args.style, guard=guard, durable=args.durable,
         )
         if args.load:
             with open(args.load) as handle:

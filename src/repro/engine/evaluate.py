@@ -6,9 +6,14 @@ whose substitution for the variables of ``p`` and ``psi`` satisfies
 When ``p`` uses a predicate unknown to the database, it is an ad-hoc
 predicate defined by ``psi`` (the paper's Example 2 ``answer`` predicate).
 
+Every call reads through one evaluation context, a
+:class:`~repro.engine.viewcache.ViewCache`: the caller's (a session passes
+its own) or a fresh one for the call.  The context is the one materialiser
+and the one place compiled plans are kept.
+
 The answer is a *set of constant tuples*, and it is built as one on both
 routes: :func:`_answer_batch` solves the conjunction over interned symbol
-ids — bottom-up over the whole relevant IDB, or over its magic-sets
+ids — bottom-up over the context's views, or over the magic-sets
 rewriting when the goal binds every recursive predicate it reads and no
 fresh view answers it by lookup (chosen there, never by the caller) — and
 ``retrieve`` projects that id batch onto the free variables, deduplicates
@@ -22,7 +27,7 @@ bindings rather than an answer set (integrity constraints, ``derivable``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, MutableMapping, Sequence
+from typing import Iterator, Sequence
 
 from repro.errors import EngineError, ResourceExhausted, SafetyError
 from repro.catalog.database import KnowledgeBase
@@ -36,19 +41,10 @@ from repro.engine.kernels import (
 )
 from repro.engine.magic import magic_conjunction
 from repro.engine.plan import relation_cost_estimator
-from repro.engine.seminaive import SemiNaiveEngine
+from repro.engine.viewcache import ViewCache, context_for
 from repro.logic.atoms import Atom, atoms_variables
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Constant, Variable, is_constant, is_variable
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.viewcache import ViewCache
-
-#: A compiled-plan cache: ``(rules_version, conjunction)`` -> compiled
-#: conjunction kernel, and ``(rules_version, "__goal", shape)`` -> rewritten
-#: goal-directed program.  Sessions pass a bounded mapping so repeat lookups
-#: skip recompilation (see :class:`repro.session.Session`).
-PlanCache = MutableMapping[tuple, object]
 
 
 @dataclass
@@ -111,9 +107,8 @@ def evaluate_conjunction(
     conjuncts: Sequence[Atom],
     negated: Sequence[Atom] = (),
     guard: ResourceGuard | None = None,
-    cache: "ViewCache | None" = None,
+    cache: ViewCache | None = None,
     tracer=None,
-    plan_cache: PlanCache | None = None,
 ) -> Iterator[Substitution]:
     """Enumerate substitutions satisfying a conjunction over the database.
 
@@ -124,10 +119,6 @@ def evaluate_conjunction(
     interned symbol ids (:mod:`repro.engine.kernels`); the substitutions
     are built from the finished id batch.
 
-    ``plan_cache`` (a mutable mapping, usually a session's bounded cache)
-    keeps what was compiled for the conjunction — its kernel, or the
-    goal-directed program of its shape — under ``kb.rules_version``.
-
     ``guard`` governs the whole evaluation (deadline, fact budget,
     cancellation).  In strict mode exhaustion raises a
     :class:`~repro.errors.ResourceExhausted` error; in degrade mode the
@@ -135,13 +126,15 @@ def evaluate_conjunction(
     derivable, a sound under-approximation — and the trip is recorded on
     ``guard.tripped``.
 
-    ``cache`` (a :class:`~repro.engine.viewcache.ViewCache` bound to *kb*;
-    ignored for another knowledge base) serves IDB materialisations from
-    warm views, repairs stale non-recursive ones in place, and decides
-    whether a bound goal over a stale view is answered goal-directed.
+    ``cache`` is the evaluation context (:class:`~repro.engine.viewcache.
+    ViewCache`) the call reads through: it serves IDB materialisations from
+    warm views, repairs stale non-recursive ones in place, decides whether a
+    bound goal over a stale view is answered goal-directed, and keeps what
+    was compiled.  Without one, or with one bound to another knowledge base,
+    the call gets a fresh context of its own.
     """
     schema, batch = _answer_batch(
-        kb, conjuncts, negated, guard, cache, tracer, plan_cache
+        context_for(kb, cache), conjuncts, negated, guard, tracer
     )
     yield from substitutions_from_kernel_batch(schema, batch)
 
@@ -169,23 +162,21 @@ def goal_verdict(
 
 
 def _answer_batch(
-    kb: KnowledgeBase,
+    cache: ViewCache,
     conjuncts: Sequence[Atom],
     negated: Sequence[Atom],
     guard: ResourceGuard | None,
-    cache: "ViewCache | None",
     tracer,
-    plan_cache: PlanCache | None,
 ) -> tuple[tuple[Variable, ...], IntBatch]:
-    """Solve a conjunction: ``(schema, batch)``, one symbol-id tuple per
-    solution, column *i* binding ``schema[i]``.
+    """Solve a conjunction in the context *cache*: ``(schema, batch)``, one
+    symbol-id tuple per solution, column *i* binding ``schema[i]``.
 
     The route is chosen here.  A conjunction :func:`goal_verdict` calls
-    bound goes to :func:`magic_conjunction` unless *cache* holds a fresh
-    view of what it reads (a lookup beats any derivation) or has seen this
-    very dependency state miss once already (a second reader is served by
-    materialising for all that follow) — without a cache, always: nothing
-    would keep a materialisation.  Everything else materialises.
+    bound goes to :func:`magic_conjunction` unless the context holds a
+    fresh view of what it reads (a lookup beats any derivation) or has seen
+    this very dependency state miss once already (a second reader is served
+    by materialising for all that follow) — so a fresh context always sends
+    it there.  Everything else materialises.
 
     Callers decide where ids become constants — :func:`retrieve` after
     projection and dedup, :func:`evaluate_conjunction` per substitution.
@@ -193,52 +184,38 @@ def _answer_batch(
     short, the batch is a sound under-approximation and the trip is on
     ``guard.tripped``.
     """
-    if cache is not None and cache.kb is not kb:
-        cache = None  # a cache only applies when bound to this knowledge base
-    verdict = goal_verdict(kb, conjuncts, negated)
-    if cache is not None or verdict != "bound":
-        answer = _seminaive_batch(
-            kb, conjuncts, negated, guard, cache, tracer, plan_cache, verdict
-        )
-        if answer is not None:
-            return answer
-    return magic_conjunction(kb, conjuncts, guard, tracer, plan_cache)
+    verdict = goal_verdict(cache.kb, conjuncts, negated)
+    answer = _seminaive_batch(cache, conjuncts, negated, guard, tracer, verdict)
+    if answer is not None:
+        return answer
+    return magic_conjunction(cache, conjuncts, guard, tracer)
 
 
 def _seminaive_batch(
-    kb: KnowledgeBase,
+    cache: ViewCache,
     conjuncts: Sequence[Atom],
     negated: Sequence[Atom],
     guard: ResourceGuard | None,
-    cache: "ViewCache | None",
     tracer,
-    plan_cache: PlanCache | None,
     verdict: str | None = None,
 ) -> tuple[tuple[Variable, ...], IntBatch] | None:
     """Solve a conjunction bottom-up, staying in the id domain.
 
-    Materialises the IDB views the conjunction reads (through *cache*, bound
-    to *kb*, or a fresh :class:`SemiNaiveEngine`) and runs its kernel over
-    them.  A degraded batch is empty when only that is sound.  *verdict*
-    (:func:`goal_verdict`) is for the cache's probe: given ``"bound"`` it
-    may leave the views alone and the answer — ``None`` — to the
-    goal-directed route; without it this always materialises.
+    Materialises the IDB views the conjunction reads through the context
+    *cache* and runs its kernel over them.  A degraded batch is empty when
+    only that is sound.  *verdict* (:func:`goal_verdict`) is for the
+    context's probe: given ``"bound"`` it may leave the views alone and the
+    answer — ``None`` — to the goal-directed route; without it this always
+    materialises.
     """
+    kb = cache.kb
     positive_predicates = {
         a.predicate for a in conjuncts if not a.is_comparison() and kb.is_idb(a.predicate)
     }
     negated_predicates = {a.predicate for a in negated if kb.is_idb(a.predicate)}
     wanted = sorted(positive_predicates | negated_predicates)
-    materializer = (
-        cache if cache is not None else SemiNaiveEngine(kb, guard=guard, tracer=tracer)
-    )
     try:
-        if cache is not None:
-            derived = cache.evaluate(wanted, guard, tracer, goal=verdict)
-            if derived is None:
-                return None
-        else:
-            derived = materializer.evaluate(wanted)
+        derived = cache.evaluate(wanted, guard, tracer, goal=verdict)
     except ResourceExhausted as error:
         # Degrade: the partial fixpoint is sound (derivation is monotone),
         # so finish the query over whatever was materialised before the
@@ -250,7 +227,9 @@ def _seminaive_batch(
             # over-approximate (rows could pass that a complete evaluation
             # rejects); the only sound degraded answer is the empty one.
             return (), []
-        derived = {p: materializer.partial_relation(p) for p in wanted}
+        derived = {p: cache.partial_relation(p) for p in wanted}
+    if derived is None:
+        return None
 
     def relation_view(predicate: str):
         if kb.is_edb(predicate):
@@ -258,17 +237,16 @@ def _seminaive_batch(
         return derived.get(predicate)
 
     # The query conjunction runs as an integer kernel: compile (or fetch
-    # from the plan cache) and execute over interned rows.  The key is the
-    # atoms, not their text (printing cannot tell every pair of distinct
+    # from the context's plans) and execute over interned rows.  The key is
+    # the atoms, not their text (printing cannot tell every pair of distinct
     # terms apart), under ``rules_version``: a fact-only mutation keeps it,
     # and the join order of the first compilation, which any order may be.
     key = (kb.rules_version, tuple(conjuncts), tuple(negated))
-    kernel = plan_cache.get(key) if plan_cache is not None else None
+    kernel = cache.plans.get(key)
     if kernel is None:
         estimate = relation_cost_estimator(relation_view)
         kernel = compile_conjunction_kernel(conjuncts, negated, estimate=estimate)
-        if plan_cache is not None:
-            plan_cache[key] = kernel
+        cache.plans[key] = kernel
     try:
         batch = kernel.execute(relation_view, guard, tracer)
     except ResourceExhausted as error:
@@ -328,9 +306,8 @@ def retrieve(
     qualifier: Sequence[Atom] = (),
     negated_qualifier: Sequence[Atom] = (),
     guard: ResourceGuard | None = None,
-    cache: "ViewCache | None" = None,
+    cache: ViewCache | None = None,
     tracer=None,
-    plan_cache: PlanCache | None = None,
 ) -> RetrieveResult:
     """Evaluate a data query ``retrieve subject where qualifier``.
 
@@ -346,6 +323,9 @@ def retrieve(
     returns the rows found so far with ``result.diagnostics`` marking the
     answer a sound under-approximation.  The guard is one activation — a
     :class:`~repro.session.Session` hands each query a fresh one.
+
+    ``cache`` is the evaluation context to read through, as for
+    :func:`evaluate_conjunction`: a session passes its own.
     """
     free_vars, conjunction = query_conjunction(kb, subject, qualifier)
     negated = tuple(negated_qualifier)
@@ -354,7 +334,7 @@ def retrieve(
     # The span stringifies the subject if it is ever serialized.
     with traced_span(tracer, "retrieve", subject=subject):
         schema, batch = _answer_batch(
-            kb, conjunction, negated, guard, cache, tracer, plan_cache
+            context_for(kb, cache), conjunction, negated, guard, tracer
         )
         rows = _distinct_answers(schema, batch, free_vars)
         if tracer is not None:
@@ -372,7 +352,7 @@ def derivable(
     kb: KnowledgeBase,
     atom: Atom,
     guard: ResourceGuard | None = None,
-    cache: "ViewCache | None" = None,
+    cache: ViewCache | None = None,
 ) -> bool:
     """Whether some instance of *atom* is derivable from the database."""
     for _ in evaluate_conjunction(kb, (atom,), guard=guard, cache=cache):

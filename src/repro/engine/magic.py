@@ -30,8 +30,9 @@ The rewritten program runs on the one bottom-up engine
 :func:`magic_conjunction` hands its goal relation back as an id batch —
 goal direction is a rewrite, not a second evaluator.  A program depends on
 the rule set and the goal's shape only and reads the stored relations live,
-so the caller's plan cache keeps it, kernels and all: a later evaluation
-re-seeds it and pays for the fixpoint alone.
+so the evaluation context it ran in keeps it among its plans
+(:attr:`ViewCache.plans <repro.engine.viewcache.ViewCache.plans>`), kernels
+and all: a later evaluation re-seeds it and pays for the fixpoint alone.
 
 Scope: goals whose *reachable* rules are positive (:func:`magic_rewrite`
 raises otherwise; :mod:`repro.engine.evaluate` never routes one here).
@@ -40,7 +41,7 @@ raises otherwise; :mod:`repro.engine.evaluate` never routes one here).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import MutableMapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import EngineError, ResourceExhausted
 from repro.analysis.absint.modes import ModeTable
@@ -52,6 +53,9 @@ from repro.engine.seminaive import CompiledStratum, SemiNaiveEngine
 from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule
 from repro.logic.terms import Constant, Variable, is_constant
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.engine.viewcache import ViewCache
 
 #: Synthetic goal predicate for conjunction queries.
 GOAL = "__goal"
@@ -93,8 +97,7 @@ def goal_shape(
 class MagicProgram:
     """The rewritten program of one goal shape, kept for re-evaluation."""
 
-    source: KnowledgeBase  # the knowledge base whose stored relations it reads
-    kb: KnowledgeBase  # the rewritten rules over those relations, live
+    kb: KnowledgeBase  # the rewritten rules over the stored relations, live
     goal: Atom  # adorned goal atom: the parameters, then the free variables
     schema: tuple[Variable, ...]  # the conjunction's variables, in order
     seeds: Relation  # the magic seed relation: one row, the goal's constants
@@ -181,7 +184,6 @@ def magic_rewrite(kb: KnowledgeBase, conjunction: Sequence[Atom]) -> MagicProgra
     for rule in new_rules:
         rewritten.add_rule(rule)
     program = MagicProgram(
-        source=kb,
         kb=rewritten,
         goal=Atom(adorned_name(GOAL, goal_adornment), [*parameters, *free_vars]),
         schema=tuple(free_vars),
@@ -194,11 +196,10 @@ def magic_rewrite(kb: KnowledgeBase, conjunction: Sequence[Atom]) -> MagicProgra
 
 
 def magic_conjunction(
-    kb: KnowledgeBase,
+    cache: "ViewCache",
     conjunction: Sequence[Atom],
     guard: ResourceGuard | None = None,
     tracer=None,
-    plan_cache: MutableMapping[tuple, object] | None = None,
 ) -> tuple[tuple[Variable, ...], IntBatch]:
     """Solve a conjunction via magic-sets evaluation, in the id domain.
 
@@ -207,19 +208,20 @@ def magic_conjunction(
     per solution — the contract of the bottom-up producer in
     :mod:`repro.engine.evaluate`.  *guard* governs the inner evaluation; in
     degrade mode a tripped budget returns the goal rows derived so far (a
-    sound under-approximation).  *plan_cache* keeps the program under
+    sound under-approximation).  The evaluation context *cache* (its
+    knowledge base is the one read) keeps the program among its plans under
     ``(rules_version, shape)``: a hit re-seeds it and neither rewrites nor
     compiles.  *tracer* records a ``magic.rewrite`` event per rewrite.
     """
+    kb = cache.kb
     shape, constants = goal_shape(conjunction)
     key = (kb.rules_version, GOAL, shape)
-    program = plan_cache.get(key) if plan_cache is not None else None
-    if program is not None and program.source is kb:
+    program = cache.plans.get(key)
+    if program is not None:
         program.seed(constants)
     else:
         program = magic_rewrite(kb, conjunction)
-        if plan_cache is not None:
-            plan_cache[key] = program
+        cache.plans[key] = program
         if tracer is not None:
             tracer.event(
                 "magic.rewrite",

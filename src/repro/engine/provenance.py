@@ -16,6 +16,10 @@ over the body with the head's bindings applied), whose anti-join drops
 every solution a negated atom has a row for; stored and derived heads are
 checked by id (:meth:`Relation.holds <repro.catalog.relation.Relation.holds>`).
 
+The derived relations under a proof are the views of the statement's
+evaluation context (:class:`~repro.engine.viewcache.ViewCache`), which
+``explain_all``'s ``retrieve`` shares; a session passes its own.
+
 A :class:`~repro.engine.guard.ResourceGuard` governs the whole statement:
 the fixpoint under the proof, every rule application tried and the depth
 of the descent.  Strict guards only — a partial proof is not a proof.  A
@@ -37,7 +41,7 @@ from repro.engine.kernels import (
     compile_conjunction_kernel,
     substitutions_from_kernel_batch,
 )
-from repro.engine.seminaive import SemiNaiveEngine
+from repro.engine.viewcache import ViewCache, context_for
 from repro.logic.atoms import Atom
 from repro.logic.builtins import evaluate_comparison
 from repro.logic.clauses import Rule
@@ -92,27 +96,36 @@ class ProofNode:
 class ProofSearch:
     """Top-down proof construction over a knowledge base.
 
-    Body solutions come from kernels over the bottom-up engine's
-    materialised relations (complete and cheap to probe), in the order a
-    nested-loops join over the same conjunct order would find them; the
-    tree structure comes from replaying rule applications over those
-    relations.
+    Body solutions come from kernels over the relations the evaluation
+    context *cache* materialises (complete and cheap to probe), in the
+    order a nested-loops join over the same conjunct order would find them;
+    the tree structure comes from replaying rule applications over those
+    relations.  Each IDB relation is asked of the context once.
     """
 
-    def __init__(self, kb: KnowledgeBase, guard: ResourceGuard | None = None) -> None:
+    def __init__(
+        self, kb: KnowledgeBase, guard: ResourceGuard | None = None,
+        cache: ViewCache | None = None, tracer=None,
+    ) -> None:
         require_strict(guard, "explain", error=EngineError)
         self._kb = kb
         self._guard = guard
-        self._engine = SemiNaiveEngine(kb, guard=guard)
+        self._cache = context_for(kb, cache)
+        self._tracer = tracer
+        self._derived: dict = {}
         self._renamer = VariableRenamer()
         self._deepest = 0
 
     def _relation_for(self, predicate: str):
         if self._kb.is_edb(predicate):
             return self._kb.relation(predicate)
-        if self._kb.is_idb(predicate):
-            return self._engine.derived_relation(predicate)
-        return None
+        if not self._kb.is_idb(predicate):
+            return None
+        if predicate not in self._derived:
+            self._derived.update(
+                self._cache.evaluate([predicate], self._guard, self._tracer)
+            )
+        return self._derived[predicate]
 
     def prove(self, atom: Atom) -> ProofNode | None:
         """A proof of a ground atom, or ``None`` when it is not derivable."""
@@ -133,15 +146,13 @@ class ProofSearch:
         if atom.is_comparison():
             return ProofNode(atom, KIND_BUILTIN) if evaluate_comparison(atom) else None
         predicate = atom.predicate
-        if self._kb.is_edb(predicate):
-            stored = _holds(self._kb.relation(predicate), atom)
-            return ProofNode(atom, KIND_FACT) if stored else None
-        if not self._kb.is_idb(predicate):
+        relation = self._relation_for(predicate)
+        if relation is None or not _holds(relation, atom):
             return None
+        if self._kb.is_edb(predicate):
+            return ProofNode(atom, KIND_FACT)
         if atom in _path:
             return None  # avoid cyclic justification; another branch exists
-        if not _holds(self._engine.derived_relation(predicate), atom):
-            return None
         path = _path | {atom}
         guard = self._guard
         if guard is not None:
@@ -211,22 +222,22 @@ def explain_statement(
     qualifier: Sequence[Atom] = (),
     limit: int | None = 10,
     guard: ResourceGuard | None = None,
+    cache: ViewCache | None = None,
+    tracer=None,
 ) -> Explanation:
     """Evaluate ``explain subject [where qualifier]``.
 
     A ground subject without qualifier yields at most one proof; otherwise
     each answer row is explained (capped by *limit*).  *guard* (strict
-    mode only) is one budget for the whole statement.
+    mode only) is one budget for the whole statement; *cache* is the
+    evaluation context it reads through (a session passes its own).
     """
     if subject.is_ground() and not qualifier:
-        proof = ProofSearch(kb, guard).prove(subject)
+        proof = ProofSearch(kb, guard, cache, tracer).prove(subject)
         proofs = [(subject, proof)] if proof is not None else []
         return Explanation(subject, (), proofs)
-    return Explanation(
-        subject,
-        tuple(qualifier),
-        explain_all(kb, subject, qualifier, limit=limit, guard=guard),
-    )
+    proofs = explain_all(kb, subject, qualifier, limit, guard, cache, tracer)
+    return Explanation(subject, tuple(qualifier), proofs)
 
 
 def explain(kb: KnowledgeBase, atom: Atom) -> ProofNode | None:
@@ -240,14 +251,18 @@ def explain_all(
     qualifier: Sequence[Atom] = (),
     limit: int | None = None,
     guard: ResourceGuard | None = None,
+    cache: ViewCache | None = None,
+    tracer=None,
 ) -> list[tuple[Atom, ProofNode]]:
     """One proof per answer of ``retrieve subject where qualifier``.
 
     Returns (ground subject instance, proof) pairs; ``limit`` caps how many
-    answers are explained.
+    answers are explained.  The ``retrieve`` and the proofs read through
+    one evaluation context, *cache* or a fresh one.
     """
-    search = ProofSearch(kb, guard)
-    result = retrieve(kb, subject, qualifier, guard=guard)
+    cache = context_for(kb, cache)
+    search = ProofSearch(kb, guard, cache, tracer)
+    result = retrieve(kb, subject, qualifier, guard=guard, cache=cache, tracer=tracer)
     proofs: list[tuple[Atom, ProofNode]] = []
     for index, row in enumerate(result.rows):
         if limit is not None and index >= limit:

@@ -1,9 +1,10 @@
-"""Version-keyed materialized IDB view cache with in-place view repair.
+"""The evaluation context of a knowledge base: views, kernels and plans.
 
-Serving workloads re-issue the same queries against a slowly changing
-knowledge base, yet every ``retrieve`` recomputes the full semi-naive
-fixpoint from scratch.  :class:`ViewCache` closes that gap: each computed
-IDB relation is kept with the **dependency stamp** of its predicate
+Every read (``retrieve``, ``derivable``, ``explain``) runs in one
+:class:`ViewCache`: a session's own, or a fresh one for a library call
+without one (:func:`context_for`).  Beside the views it keeps the kernels
+they are computed with and the compiled plans (:attr:`ViewCache.plans`).
+Each computed IDB relation is kept with the **dependency stamp** of its predicate
 (:meth:`KnowledgeBase.dependency_stamp
 <repro.catalog.database.KnowledgeBase.dependency_stamp>`) and is fresh
 exactly while the knowledge base still stamps the predicate the same —
@@ -49,10 +50,10 @@ A failure mid-refresh (guard trip, cancellation, injected fault) drops the
 affected entries before propagating: the cache is always either consistent
 or invalidated, never serving a half-refreshed view.
 
-The cache holds views only; whole answers are kept by the server's answer
-memo alone.  Only *complete* views are ever stored: a recompute that tripped
-a resource budget (a sound under-approximation) answers its caller but is
-not kept.
+The context holds views, kernels and plans; whole answers are kept by the
+server's answer memo alone.  Only *complete* views are ever stored: a
+recompute that tripped a resource budget (a sound under-approximation)
+answers its caller but is not kept.
 
 Memory is bounded by ``max_rows`` (total derived rows pinned) with
 least-recently-used eviction.  :attr:`ViewCache.stats` reports hits,
@@ -64,6 +65,7 @@ rows/bytes pinned — surfaced through ``Session.cache_stats()`` and the
 from __future__ import annotations
 
 import sys
+from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -79,6 +81,46 @@ DEFAULT_MAX_ROWS = 1_000_000
 #: Net-delta size (rows) above which a stale view is recomputed cold
 #: instead of repaired in place.
 REPAIR_MAX_DELTA_ROWS = 64
+
+
+class LRUCache(OrderedDict):
+    """A bounded least-recently-used mapping whose :meth:`get` counts hits
+    and misses: the one eviction policy, under a context's plans
+    (:data:`PlanCache`) and the server's answer memo
+    (:class:`repro.server.pool.AnswerMemo`)."""
+
+    def __init__(self, limit: int = 256) -> None:
+        super().__init__()
+        self.limit = limit
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key, default=None):
+        found = super().get(key, default)
+        if found is default:
+            self.misses += 1
+        else:
+            self.hits += 1
+            self.move_to_end(key)
+        return found
+
+    def __setitem__(self, key, value) -> None:
+        super().__setitem__(key, value)
+        self.move_to_end(key)
+        while len(self) > self.limit:
+            self.popitem(last=False)
+
+
+#: What a read compiled — conjunction kernels and the goal-directed programs
+#: of bound goals — in the one bounded LRU mapping, :attr:`ViewCache.plans`.
+#: Keys start with ``kb.rules_version`` and go on with the conjunction's
+#: atoms or, for a goal-directed program, its shape
+#: (:func:`repro.engine.magic.goal_shape`), so a rule change keys out every
+#: stale plan while fact-only mutations keep plans warm — that is the point:
+#: a requery after EDB churn re-derives its answer but skips rewriting and
+#: compilation.  Entries under dead rule versions age out of the LRU bound.
+#: A context's plans only ever serve its own knowledge base.
+PlanCache = LRUCache
 
 
 @dataclass
@@ -159,15 +201,22 @@ def _net_delta(changes: Sequence[tuple[str, Row]]) -> tuple[set[Row], set[Row]]:
     return added, removed
 
 
+def context_for(kb: KnowledgeBase, cache: "ViewCache | None") -> "ViewCache":
+    """The evaluation context of one call: *cache* when it is bound to *kb*,
+    else a fresh one that lives as long as the call."""
+    return cache if cache is not None and cache.kb is kb else ViewCache(kb)
+
+
 class ViewCache:
-    """Materialized IDB views for one KB.
+    """The evaluation context of one KB: materialized IDB views, the
+    kernels they are computed with, and compiled plans (:attr:`plans`).
 
     Parameters
     ----------
     kb:
-        The knowledge base the cache serves.  A cache is bound to one
+        The knowledge base the context serves.  A context is bound to one
         instance; callers handing a different ``kb`` to the evaluation API
-        bypass the cache automatically.
+        get a fresh context for that call (:func:`context_for`).
     max_rows:
         Total derived rows the cache may pin; least-recently-used views are
         evicted past it.
@@ -187,6 +236,9 @@ class ViewCache:
         self._inflight: SemiNaiveEngine | None = None
         #: ``(rules_version, kernels)``: see :meth:`_kernels`.
         self._compiled: tuple[int, dict] = (kb.rules_version, {})
+        #: Compiled conjunction kernels and goal-directed programs (see
+        #: :data:`PlanCache`).
+        self.plans = PlanCache()
         self.stats = CacheStats()
 
     @property
@@ -286,9 +338,12 @@ class ViewCache:
                 if tracer is not None:
                     tracer.annotate(outcome="recompute", reason=reason)
                     tracer.count("cache_misses")
+            # Taken before eviction: a view larger than the budget still
+            # answers the probe that computed it.
+            derived = {p: self._views[p].relation for p in wanted}
             self._evict()
             self._update_gauges()
-            return {p: self._views[p].relation for p in wanted}
+            return derived
 
     def partial_relation(self, predicate: str) -> Relation:
         """A sound (possibly incomplete) relation after a budget trip.

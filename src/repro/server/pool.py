@@ -36,10 +36,11 @@ from dataclasses import dataclass
 from repro.catalog.database import DependencyStamp, KnowledgeBase
 from repro.catalog.snapshot import KBSnapshot
 from repro.engine.guard import ResourceGuard
+from repro.engine.viewcache import LRUCache
 from repro.lang.ast import CompareStatement, DescribeStatement, RetrieveStatement, Statement
 from repro.lang.parser import parse_statement
 from repro.obs.trace import traced_span
-from repro.session import LRUCache, Session
+from repro.session import Session
 
 #: The stages of one served ``/query`` the HTTP front end times, in request
 #: order (``docs/OBSERVABILITY.md``); :attr:`SessionPool.stage_ms` totals them.

@@ -14,14 +14,15 @@ to the right evaluator over one knowledge base.
     >>> session.query("describe honor(X)")
     ...
 
-:meth:`Session.execute` is the one evaluation path: a session keeps
-materialised views and compiled plans, never whole answers (the server's
-pool keeps those, :mod:`repro.server.pool`).
+:meth:`Session.execute` is the one evaluation path, and every read it
+makes — ``explain`` included — goes through the session's one evaluation
+context (:class:`~repro.engine.viewcache.ViewCache`): materialised views,
+their kernels and compiled plans, never whole answers (the server's pool
+keeps those, :mod:`repro.server.pool`).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Union
 
 from repro.errors import CoreError
@@ -35,7 +36,7 @@ from repro.core.search import SearchConfig
 from repro.core.wildcard import describe_wildcard
 from repro.engine.evaluate import RetrieveResult, retrieve
 from repro.engine.guard import ResourceGuard
-from repro.engine.viewcache import ViewCache
+from repro.engine.viewcache import PlanCache, ViewCache
 from repro.lang.ast import (
     CompareStatement,
     ConstraintStatement,
@@ -60,45 +61,6 @@ QueryResult = Union[
 ]
 
 
-class LRUCache(OrderedDict):
-    """A bounded least-recently-used mapping whose :meth:`get` counts hits
-    and misses: the one eviction policy, under a session's plan cache
-    (:data:`PlanCache`) and the server's answer memo
-    (:class:`repro.server.pool.AnswerMemo`)."""
-
-    def __init__(self, limit: int = 256) -> None:
-        super().__init__()
-        self.limit = limit
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key, default=None):
-        found = super().get(key, default)
-        if found is default:
-            self.misses += 1
-        else:
-            self.hits += 1
-            self.move_to_end(key)
-        return found
-
-    def __setitem__(self, key, value) -> None:
-        super().__setitem__(key, value)
-        self.move_to_end(key)
-        while len(self) > self.limit:
-            self.popitem(last=False)
-
-
-#: What a retrieve compiled — conjunction kernels and the goal-directed
-#: programs of bound goals — in the one bounded LRU mapping.  Keys start with
-#: ``kb.rules_version`` and go on with the conjunction's atoms or, for a
-#: goal-directed program, its shape (:func:`repro.engine.magic.goal_shape`),
-#: so a rule change keys out every stale plan while fact-only mutations keep
-#: plans warm — that is the point: a requery after EDB churn re-derives its
-#: answer but skips rewriting and compilation.  Entries under dead rule
-#: versions age out of the LRU bound.
-PlanCache = LRUCache
-
-
 class Session:
     """A knowledge base plus the query language on top of it.
 
@@ -116,16 +78,14 @@ class Session:
     ``"off"`` skips analysis.  A ``lint=`` passed to :meth:`load` overrides
     the session policy for that one program.
 
-    ``cache`` controls the session's :class:`~repro.engine.viewcache.ViewCache`:
-    ``True`` (the default) builds one over the knowledge base, ``False`` /
-    ``None`` disables caching, and a :class:`ViewCache` instance (bound to
-    the same knowledge base) is adopted as-is — useful for sharing one cache
-    across sessions or tuning its budgets.  The cache keeps materialised
-    IDB views for ``retrieve``; each is valid while the dependency stamp of
-    its predicate is unchanged, which catalog mutation and transaction
-    rollback change, and only complete (non-degraded) views are ever
-    stored.  Every statement evaluates: a session keeps no whole answers.
-    :meth:`cache_stats` reports the cache's behaviour.
+    :attr:`cache` is the session's evaluation context, one
+    :class:`~repro.engine.viewcache.ViewCache` over the knowledge base that
+    every ``retrieve`` and ``explain`` reads through.  It keeps materialised
+    IDB views, each valid while the dependency stamp of its predicate is
+    unchanged (catalog mutation and transaction rollback change it; only
+    complete, non-degraded views are ever stored), and compiled plans
+    (:attr:`plan_cache`).  Every statement evaluates: a session keeps no
+    whole answers.  :meth:`cache_stats` reports the cache's behaviour.
 
     ``trace`` turns on query tracing: ``True`` builds a fresh
     :class:`~repro.obs.trace.Tracer`, a :class:`Tracer` instance is adopted
@@ -151,7 +111,6 @@ class Session:
         style: str = "standard",
         config: SearchConfig | None = None,
         guard: ResourceGuard | None = None,
-        cache: "ViewCache | bool | None" = True,
         lint: str = "warn",
         trace: "Tracer | bool | None" = False,
         durable: str | None = None,
@@ -168,9 +127,8 @@ class Session:
             self.kb = kb if kb is not None else KnowledgeBase()
         self.style = style
         self.config = config
-        #: Compiled-plan cache for retrieve conjunctions (see
-        #: :data:`PlanCache`).
-        self.plan_cache = PlanCache()
+        #: The evaluation context every read goes through (see class doc).
+        self.cache = ViewCache(self.kb)
         #: Session-wide resource governance specification (see class doc).
         self.guard = guard
         from repro.catalog.loader import LINT_POLICIES
@@ -184,13 +142,6 @@ class Session:
         #: The :class:`~repro.analysis.AnalysisReport` of the most recent
         #: linted :meth:`load` (``None`` before any, or under ``lint="off"``).
         self.last_lint = None
-        #: Materialised-view cache, or ``None`` when disabled (see class doc).
-        if isinstance(cache, ViewCache):
-            if cache.kb is not self.kb:
-                raise CoreError("the supplied cache is bound to a different knowledge base")
-            self.cache: ViewCache | None = cache
-        else:
-            self.cache = ViewCache(self.kb) if cache else None
         #: Span collector for query tracing, or ``None`` when tracing is off
         #: (see class doc).  Assignable at any time: the REPL's ``.trace``
         #: command simply swaps it.
@@ -199,6 +150,11 @@ class Session:
             self.tracer = trace
         else:
             self.tracer = Tracer() if trace else None
+
+    @property
+    def plan_cache(self) -> PlanCache:
+        """The compiled plans of :attr:`cache` (``cache.plans``)."""
+        return self.cache.plans
 
     @property
     def last_trace(self):
@@ -233,7 +189,7 @@ class Session:
         tracer = self.tracer
         if tracer is None:
             return self._dispatch(statement, active, None)
-        stats_before = self.cache.stats.as_dict() if self.cache is not None else None
+        stats_before = self.cache.stats.as_dict()
         with tracer.span(
             "query",
             statement=str(statement),
@@ -249,15 +205,14 @@ class Session:
                         guard_iterations=active.iterations,
                         guard_complete=active.tripped is None,
                     )
-                if stats_before is not None:
-                    after = self.cache.stats.as_dict()
-                    tracer.annotate(
-                        cache_delta={
-                            name: after[name] - before
-                            for name, before in stats_before.items()
-                            if isinstance(before, int) and after[name] != before
-                        }
-                    )
+                after = self.cache.stats.as_dict()
+                tracer.annotate(
+                    cache_delta={
+                        name: after[name] - before
+                        for name, before in stats_before.items()
+                        if isinstance(before, int) and after[name] != before
+                    }
+                )
 
     def _dispatch(
         self,
@@ -292,7 +247,8 @@ class Session:
             from repro.engine.provenance import explain_statement
 
             return explain_statement(
-                self.kb, statement.subject, statement.qualifier, guard=active
+                self.kb, statement.subject, statement.qualifier, guard=active,
+                cache=self.cache, tracer=tracer,
             )
         if isinstance(statement, CompareStatement):
             return self._compare(statement, active, tracer)
@@ -311,15 +267,13 @@ class Session:
             guard=guard,
             cache=self.cache,
             tracer=tracer,
-            plan_cache=self.plan_cache,
         )
 
     def cache_stats(self) -> dict:
         """A JSON-friendly snapshot of the view cache's behaviour.
 
-        ``{"enabled": False}`` when the session runs uncached; otherwise the
-        :class:`~repro.engine.viewcache.CacheStats` counters plus hit rate.
-        ``journal_resets`` (always present) totals the per-relation
+        The :class:`~repro.engine.viewcache.CacheStats` counters plus hit
+        rate, and ``journal_resets``, which totals the per-relation
         :attr:`~repro.catalog.relation.Relation.journal_resets` counters:
         each reset strands incremental consumers, so a rising value
         explains view-cache full-recompute fallbacks after bulk mutations.
@@ -327,13 +281,7 @@ class Session:
         journal_resets = sum(
             relation.journal_resets for relation in self.kb._relations.values()
         )
-        if self.cache is None:
-            return {"enabled": False, "journal_resets": journal_resets}
-        return {
-            "enabled": True,
-            "journal_resets": journal_resets,
-            **self.cache.stats.as_dict(),
-        }
+        return {"journal_resets": journal_resets, **self.cache.stats.as_dict()}
 
     # -- describe dispatch ------------------------------------------------------------
 

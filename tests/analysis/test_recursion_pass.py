@@ -1,6 +1,11 @@
 """Pass 2 (recursion discipline) — KB201-KB204 golden diagnostics."""
 
+import pytest
+
 from repro.analysis.analyzer import analyze
+from repro.catalog.database import KnowledgeBase
+from repro.errors import TypingError
+from repro.lang.parser import parse_rule
 
 BASE = "edge(a, b).\nedge(b, c).\n"
 
@@ -65,3 +70,34 @@ class TestRecursionDiscipline:
 
     def test_nonrecursive_rules_are_ignored(self):
         assert codes("hop(X, Y) <- edge(X, Y).\n") == []
+
+
+PROGRAMS = {
+    "disciplined": "path(X, Y) <- edge(X, Y).\npath(X, Y) <- edge(X, Z) and path(Z, Y).",
+    "nonlinear": "path(X, Y) <- edge(X, Y).\npath(X, Y) <- path(X, Z) and path(Z, Y).",
+    "untyped": "grows(X, Y) <- grows(Y, X) and edge(X, Y).",
+    "both": "t(X, Y) <- t(Y, X) and t(X, Z) and edge(Z, Y).",
+    "mutual": "even(X) <- edge(X, Y) and odd(Y).\nodd(X) <- edge(X, Y) and even(Y).",
+    "permutation": "sym(X, Y) <- edge(X, Y).\nsym(X, Y) <- sym(Y, X).",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_rule_entry_raises_exactly_the_passs_errors(name):
+    """The knowledge base raises ``TypingError`` at rule entry from this
+    pass's error findings, so the two cannot drift apart."""
+    source = PROGRAMS[name]
+    errors = [
+        d.message
+        for d in analyze(BASE + source, passes=["recursion"])
+        if d.severity.value == "error"
+    ]
+    kb = KnowledgeBase()
+    kb.declare_edb("edge", 2)
+    rules = [parse_rule(line) for line in source.splitlines()]
+    if not errors:
+        kb.add_rules(rules)
+        return
+    with pytest.raises(TypingError) as info:
+        kb.add_rules(rules)
+    assert all(message in str(info.value) for message in errors)

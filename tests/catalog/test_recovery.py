@@ -192,6 +192,79 @@ class TestStagedRecovery:
         assert report.kb.rule_count() == 3
 
 
+def swap_log(directory: str) -> list[bytes]:
+    """A durable kb whose log swaps ``a`` for ``b`` in its middle record;
+    returns the log's lines (header first)."""
+    kb = open_durable(directory)
+    kb.declare_edb("e", 1)
+    kb.add_fact("e", "a")
+    with kb.transaction():
+        kb.relation("e").delete(("a",))
+        kb.add_fact("e", "b")
+    kb.add_fact("e", "c")
+    kb.durability.log.close()
+    with open(os.path.join(directory, "wal.log"), "rb") as handle:
+        return handle.read().splitlines(keepends=True)
+
+
+class TestLogSequence:
+    """Replay accepts only LSNs that run contiguously from the snapshot."""
+
+    def recover_rewritten(self, directory: str, lines: list[bytes]) -> RecoveryError:
+        log_path = os.path.join(directory, "wal.log")
+        with open(log_path, "wb") as handle:
+            handle.write(b"".join(lines))
+        with pytest.raises(RecoveryError) as info:
+            Recoverer(directory).recover()
+        assert info.value.path == log_path
+        return info.value
+
+    def test_a_missing_middle_record_fails_at_the_record_after_it(self, tmp_path):
+        directory = str(tmp_path / "d")
+        header, declare, add_a, swap, add_c = swap_log(directory)
+        error = self.recover_rewritten(directory, [header, declare, add_a, add_c])
+        assert error.offset == len(header + declare + add_a)
+        assert "lsn=4 follows lsn=2" in str(error)
+
+    def test_a_duplicated_record_fails(self, tmp_path):
+        directory = str(tmp_path / "d")
+        header, declare, add_a, swap, add_c = swap_log(directory)
+        lines = [header, declare, add_a, swap, swap, add_c]
+        error = self.recover_rewritten(directory, lines)
+        assert error.offset == len(header + declare + add_a + swap)
+
+    def test_a_snapshot_past_the_log_fails_instead_of_discarding_it(self, tmp_path):
+        directory = str(tmp_path / "d")
+        lines = swap_log(directory)
+        snapshot_path = os.path.join(directory, "snapshot.json")
+        with open(snapshot_path) as handle:
+            document = json.load(handle)
+        document["wal_lsn"] = len(lines) + 3  # outside the payload checksum
+        with open(snapshot_path, "w") as handle:
+            json.dump(document, handle)
+        error = self.recover_rewritten(directory, lines)
+        assert error.offset == len(lines[0])
+
+    def test_a_wholly_superseded_log_is_cut_back_to_its_header(self, tmp_path):
+        directory = str(tmp_path / "d")
+        lines = swap_log(directory)
+        log = DurableLog(directory)
+
+        def crash(stage: str) -> None:
+            if stage == "snapshot:replaced":  # before the log is truncated
+                raise RuntimeError(stage)
+
+        log.crash_hook = crash
+        with pytest.raises(RuntimeError):
+            log.snapshot(Recoverer(directory).recover().kb)
+        log.close()
+        report = Recoverer(directory).recover()
+        assert report.verified and report.records_replayed == 0
+        assert sorted(row[0].value for row in report.kb.facts("e")) == ["b", "c"]
+        with open(os.path.join(directory, "wal.log"), "rb") as handle:
+            assert handle.read() == lines[0]
+
+
 class TestRecoveryTracer:
     def test_transitions_surface_through_the_tracer(self, tmp_path):
         from repro.obs.trace import Tracer

@@ -322,8 +322,3 @@ class TestJournalResetExposure:
         assert session.cache_stats()["journal_resets"] == 0
         session.kb.relation("parent").clear()
         assert session.cache_stats()["journal_resets"] == 1
-
-    def test_cache_stats_reports_resets_even_when_cache_disabled(self):
-        session = Session(small_kb(), cache=False)
-        stats = session.cache_stats()
-        assert "journal_resets" in stats

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 
 import pytest
 
-from repro.catalog import KnowledgeBase, open_durable
+from repro.catalog import KnowledgeBase, Recoverer, open_durable
 from repro.catalog.wal import (
     DEFAULT_SNAPSHOT_EVERY,
     LOG_FORMAT,
@@ -134,6 +135,66 @@ class TestCrashHooks:
         log.close()
         records, torn, _ = DurableLog(str(tmp_path)).scan()
         assert [r.lsn for r in records] == [1] and torn is None
+
+
+class TestFailedAppend:
+    """An append that fails with an exception, in a process that carries on:
+    the failed record must not take the next acknowledged one down with it
+    at recovery, nor leave its LSN behind for the next one to repeat."""
+
+    def durable(self, directory) -> KnowledgeBase:
+        kb = open_durable(str(directory))
+        kb.declare_edb("e", 1)
+        kb.add_fact("e", "a")
+        return kb
+
+    def assert_recovers_the_live_state(self, directory, kb) -> None:
+        kb.durability.log.close()
+        lsns = [record.lsn for record in DurableLog(str(directory)).records()]
+        assert lsns == list(range(1, len(lsns) + 1))
+        report = Recoverer(str(directory)).recover()
+        assert report.verified and report.torn_reason is None
+        assert set(report.kb.facts("e")) == set(kb.facts("e"))
+
+    def test_a_failure_mid_append_is_cut_back(self, tmp_path):
+        kb = self.durable(tmp_path)
+        log = kb.durability.log
+
+        def disk_full(stage: str) -> None:
+            if stage == "append:mid":
+                raise OSError(errno.ENOSPC, "disk full")
+
+        log.crash_hook = disk_full
+        with pytest.raises(OSError):
+            kb.add_fact("e", "b")
+        log.crash_hook = None
+        kb.add_fact("e", "c")  # commits again: the b it failed to log, and c
+        assert {value.value for (value,) in kb.facts("e")} == {"a", "b", "c"}
+        self.assert_recovers_the_live_state(tmp_path, kb)
+
+    def test_a_failed_fsync_of_written_bytes_is_cut_back(self, tmp_path, monkeypatch):
+        kb = self.durable(tmp_path)
+        fsync, failing = os.fsync, []
+
+        def flaky_fsync(fd: int) -> None:
+            if failing:
+                failing.pop()
+                raise OSError(errno.EIO, "fsync failed")
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", flaky_fsync)
+        log = kb.durability.log
+
+        def fail_the_next_fsync(stage: str) -> None:
+            if stage == "append:written":  # every byte is written
+                failing.append(stage)
+
+        log.crash_hook = fail_the_next_fsync
+        with pytest.raises(OSError):
+            kb.add_fact("e", "b")
+        log.crash_hook = None
+        kb.add_fact("e", "c")
+        self.assert_recovers_the_live_state(tmp_path, kb)
 
 
 class TestSnapshots:

@@ -88,13 +88,13 @@ class TestRewrite:
         kb.add_rule(parse_rule("oneway(X, Y) <- path(X, Y) and not path(Y, X)."))
         subject = parse_atom("oneway(n0, Y)")
         with pytest.raises(EngineError):
-            magic_conjunction(kb, [subject])
+            magic_conjunction(ViewCache(kb), [subject])
         cache = ViewCache(kb)
         result = retrieve(kb, subject, cache=cache)
         assert result.to_set() == reference_answers(kb, subject)
         assert len(result.rows) == 4
         assert (cache.stats.goal_directed, cache.stats.misses) == (0, 1)
-        assert retrieve(kb, subject).to_set() == result.to_set()  # uncached too
+        assert retrieve(kb, subject).to_set() == result.to_set()  # a fresh context too
 
     def test_rewritten_program_shares_the_stored_rows_copy_on_write(self):
         """The rewritten program holds the stored relations themselves (the
@@ -125,14 +125,14 @@ class TestRewrite:
 
     def test_kept_program_is_reseeded_and_reads_live_facts(self):
         kb = chain_graph_kb(6)
-        plans: dict = {}
+        context = ViewCache(kb)
         for node in ("n0", "n4", "n0"):
             subject = parse_atom(f"path({node}, Y)")
-            schema, batch = magic_conjunction(kb, [subject], plan_cache=plans)
+            schema, batch = magic_conjunction(context, [subject])
             assert schema == (Variable("Y"),)
             assert len(batch) == len(reference_answers(kb, subject))
-        assert len(plans) == 1
-        (program,) = plans.values()
+        assert len(context.plans) == 1
+        (program,) = context.plans.values()
         def kernels():
             return {
                 (members, key): id(kernel)
@@ -143,18 +143,23 @@ class TestRewrite:
         lowered = kernels()
         kb.relation("edge").delete(("n2", "n3"))
         kb.add_fact("edge", "n6", "n7")
-        _, batch = magic_conjunction(kb, parse_body("path(n3, Y)"), plan_cache=plans)
+        _, batch = magic_conjunction(context, parse_body("path(n3, Y)"))
         assert len(batch) == 4  # n4..n7: the delete and the insert are both seen
-        assert magic_conjunction(kb, parse_body("path(n0, Y)"), plan_cache=plans)[1]
+        assert magic_conjunction(context, parse_body("path(n0, Y)"))[1]
         assert kernels() == lowered  # the same kernel objects, refired
 
     def test_kept_program_is_not_served_to_another_knowledge_base(self):
-        plans: dict = {}
+        """Plans live in a context, and a context serves one knowledge base:
+        two knowledge bases at one rules version read through two."""
         short, long = chain_graph_kb(3), chain_graph_kb(6)
         assert short.rules_version == long.rules_version
         goal = parse_body("path(n0, Y)")
-        assert len(magic_conjunction(short, goal, plan_cache=plans)[1]) == 3
-        assert len(magic_conjunction(long, goal, plan_cache=plans)[1]) == 6
+        assert len(magic_conjunction(ViewCache(short), goal)[1]) == 3
+        assert len(magic_conjunction(ViewCache(long), goal)[1]) == 6
+        context = ViewCache(short)
+        retrieve(short, goal[0], cache=context)
+        assert len(retrieve(long, goal[0], cache=context)) == 6
+        assert len(context.plans) == 1
 
     def test_statistics_populated(self):
         kb = chain_graph_kb(4)

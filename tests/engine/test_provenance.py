@@ -13,6 +13,7 @@ from repro.engine.provenance import (
 )
 from repro.catalog.database import KnowledgeBase
 from repro.lang.parser import parse_atom, parse_body, parse_rule
+from repro.session import Session
 
 
 class TestExplain:
@@ -103,3 +104,23 @@ class TestExplainAll:
     def test_limit(self, uni):
         proofs = explain_all(uni, parse_atom("honor(X)"), limit=2)
         assert len(proofs) == 2
+
+
+class TestExplainReadsTheStatementContext:
+    def test_a_proof_after_a_warm_retrieve_reads_the_sessions_view(self, uni):
+        """``explain ... where ...`` neither materialises in a private
+        engine nor retrieves through a context of its own: after a warm
+        ``retrieve``, every view it asks for is a hit on the session's."""
+        session = Session(uni, trace=True)
+        session.query("retrieve honor(X)")
+        misses = session.cache_stats()["misses"]
+        explanation = session.query("explain honor(X) where enroll(X, databases)")
+        assert sorted(atom.args[0].value for atom, _ in explanation.proofs) == [
+            "ann", "bob", "carol",
+        ]
+        probes = [
+            span for span in session.last_trace.walk() if span.name == "cache.probe"
+        ]
+        assert len(probes) == 2  # the retrieve's, then the proofs'
+        assert {span.attributes["outcome"] for span in probes} == {"hit"}
+        assert session.cache_stats()["misses"] == misses

@@ -1,7 +1,9 @@
 """Session-level compiled-plan cache behaviour.
 
-The :class:`repro.session.PlanCache` keeps compiled conjunction kernels
-and goal-directed programs warm across queries.  Its key embeds
+The :class:`repro.engine.viewcache.PlanCache` of a session's evaluation
+context (``session.cache.plans``, read as ``session.plan_cache``) keeps
+compiled conjunction kernels and goal-directed programs warm across
+queries.  Its key embeds
 ``kb.rules_version``, so rule changes invalidate implicitly while
 fact-only mutations keep plans warm — that is the payoff: a requery after
 EDB churn re-derives its answer but skips rewriting, plan compilation and
@@ -14,8 +16,9 @@ import weakref
 import pytest
 
 from repro.catalog.relation import Relation
+from repro.engine.viewcache import PlanCache
 from repro.logic.terms import Constant
-from repro.session import PlanCache, Session
+from repro.session import Session
 
 
 def seeded_session(**kwargs):
@@ -92,18 +95,17 @@ class TestKeysTellTermsApart:
     """``Constant("1")`` and ``Constant(1)`` used to print alike, and the
     plan cache and the statement memo were keyed on text: whichever of
     ``retrieve p("1")`` / ``retrieve p(1)`` came second was answered with
-    the other's compiled plan (``cache=False``) or stored answer."""
+    the other's compiled plan or stored answer."""
 
     PROGRAM = "p(1). p(2). q(\"2\")."
 
-    @pytest.mark.parametrize("cache", [False, True], ids=["plans", "memo"])
     @pytest.mark.parametrize(
         "order",
         [('retrieve p("1")', "retrieve p(1)"), ("retrieve p(1)", 'retrieve p("1")')],
         ids=["string-first", "number-first"],
     )
-    def test_a_string_is_not_answered_as_the_number_it_spells(self, cache, order):
-        session = Session(cache=cache)
+    def test_a_string_is_not_answered_as_the_number_it_spells(self, order):
+        session = Session()
         session.load(self.PROGRAM)
         for statement in (*order, *order):
             assert str(session.query(statement)) == (

@@ -61,6 +61,12 @@ The join half: ``engine/joins.py`` holds the resolver join only; the join
 order and the one cardinality estimator are the planner's
 (``engine/plan.py``), and only repair, proof search and the reference
 evaluator import the resolver.
+
+The context half: every read runs in one evaluation context, a
+``ViewCache`` that keeps the views, their kernels and the plans.  There is
+no uncached route and no knob that selects one: no ``Session(cache=)``, no
+``dbk --no-cache``, no ``plan_cache`` argument, and a bottom-up engine is
+built only by the context, the magic-sets route and the audit.
 """
 
 import ast
@@ -93,7 +99,7 @@ from repro.engine.kernels import (
     kernelize_conjunction,
 )
 from repro.engine.incremental import MaterializedDatabase
-from repro.engine.magic import magic_conjunction, magic_rewrite
+from repro.engine.magic import MagicProgram, magic_conjunction, magic_rewrite
 from repro.engine.viewcache import CacheStats, ViewCache, _ViewEntry
 from repro.errors import CatalogError
 from repro.lang.parser import parse_atom
@@ -650,7 +656,7 @@ def test_one_class_evicts_least_recently_used():
             ):
                 owner = next((c.name for c in classes if call in ast.walk(c)), None)
                 owners.add(f"{source.relative_to(PACKAGE)}::{owner}")
-    assert owners == {"session.py::LRUCache"}
+    assert owners == {"engine/viewcache.py::LRUCache"}
 
 
 def test_no_session_memo_grows_back():
@@ -692,3 +698,43 @@ def test_the_trace_only_names_have_no_caller():
     """Two ``ViewCache`` methods stay only so the benchmark tracer's
     ``TARGETS`` rows resolve; nothing under the package may call them."""
     assert _callers("lookup_statement", "dependency_fingerprint", "store_statement") == {}
+
+
+def test_a_session_has_one_evaluation_context():
+    assert "cache" not in inspect.signature(Session.__init__).parameters
+    session = Session(chain_kb(2))
+    assert isinstance(session.cache, ViewCache)
+    assert session.plan_cache is session.cache.plans
+
+
+def test_no_function_takes_or_passes_a_plan_cache():
+    offenders = []
+    for source in sorted(PACKAGE.rglob("*.py")):
+        where = str(source.relative_to(ROOT))
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                spec = node.args
+                names = [a.arg for a in spec.posonlyargs + spec.args + spec.kwonlyargs]
+                if "plan_cache" in names:
+                    offenders.append(f"{where}:{node.lineno} {node.name}(plan_cache)")
+            elif isinstance(node, ast.Call):
+                if any(keyword.arg == "plan_cache" for keyword in node.keywords):
+                    offenders.append(f"{where}:{node.lineno} plan_cache=")
+    assert offenders == []
+
+
+def test_only_the_context_the_goal_route_and_the_audit_build_an_engine():
+    assert sorted(_callers("SemiNaiveEngine")) == [
+        "core/diagnostics.py", "engine/magic.py", "engine/viewcache.py",
+    ]
+
+
+def test_a_goal_program_names_no_source_knowledge_base():
+    assert "source" not in {field.name for field in dataclasses.fields(MagicProgram)}
+
+
+def test_cli_rejects_the_no_cache_flag(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--no-cache", "--dataset", "university"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --no-cache" in capsys.readouterr().err

@@ -16,6 +16,7 @@ from repro.engine.evaluate import (
 )
 from repro.engine.magic import magic_conjunction
 from repro.engine.reference import reference_fixpoint
+from repro.engine.viewcache import ViewCache
 from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule
 from repro.logic.terms import is_variable
@@ -28,22 +29,21 @@ ANSWER = "__answer"
 ROUTES = ("seminaive", "magic")
 
 
-def forced_retrieve(route, kb, subject, qualifier=(), guard=None, cache=None):
+def forced_retrieve(route, kb, subject, qualifier=(), guard=None):
     """``retrieve subject where qualifier`` on a forced route.
 
     ``"magic"`` calls :func:`magic_conjunction`, ``"seminaive"``
-    :func:`_seminaive_batch` (through *cache* when given, never deferring
-    to the goal); the batch becomes a :class:`RetrieveResult` the way
+    :func:`_seminaive_batch` (never deferring to the goal), each in a fresh
+    evaluation context; the batch becomes a :class:`RetrieveResult` the way
     ``retrieve`` makes one.
     """
     free, conjunction = query_conjunction(kb, subject, qualifier)
+    context = ViewCache(kb)
     if route == "magic":
-        schema, batch = magic_conjunction(kb, conjunction, guard=guard)
+        schema, batch = magic_conjunction(context, conjunction, guard=guard)
     else:
         assert route == "seminaive", route
-        schema, batch = _seminaive_batch(
-            kb, conjunction, (), guard, cache, None, None
-        )
+        schema, batch = _seminaive_batch(context, conjunction, (), guard, None)
     return RetrieveResult(
         subject=subject,
         variables=tuple(free),

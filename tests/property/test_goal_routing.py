@@ -100,7 +100,7 @@ OPS = st.one_of(
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(graph_programs(), st.lists(OPS, min_size=3, max_size=10), st.integers(0, 8))
 def test_routed_forced_and_reference_agree_through_writes(kb, ops, pick):
-    cache, plans = ViewCache(kb), {}
+    cache = ViewCache(kb)
     edge = kb.relation("edge")
     for op, (a, b) in [*ops, ("read", ("n0", "n1"))]:
         if op == "insert":
@@ -116,14 +116,14 @@ def test_routed_forced_and_reference_agree_through_writes(kb, ops, pick):
         candidates = goals(a, b)
         subject, qualifier = candidates[pick % len(candidates)]
         expected = reference_answers(kb, subject, qualifier)
-        routed = retrieve(kb, subject, qualifier, cache=cache, plan_cache=plans)
+        routed = retrieve(kb, subject, qualifier, cache=cache)
         assert routed.to_set() == expected, (subject, qualifier)
         assert forced_retrieve("seminaive", kb, subject, qualifier).to_set() == expected
-        assert retrieve(kb, subject, qualifier).to_set() == expected  # no cache
+        assert retrieve(kb, subject, qualifier).to_set() == expected  # a fresh context
         pick += 1
     reads = 1 + sum(op == "read" for op, _ in ops)
     assert cache.stats.probes == reads  # one probe a read, whatever the route
-    assert len(plans) <= len(goals("a", "b"))  # one entry a shape, not a constant
+    assert len(cache.plans) <= len(goals("a", "b"))  # one entry a shape, not a constant
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
@@ -149,11 +149,11 @@ def test_every_adornment_agrees_on_one_state(kb, a, b):
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(graph_programs(), st.sampled_from(NODES), st.integers(1, 12))
 def test_a_degrade_trip_on_the_goal_directed_route_is_a_subset(kb, a, budget):
-    cache, plans = ViewCache(kb), {}
+    cache = ViewCache(kb)
     subject = parse_atom(f"path({a}, Y)")
     full = reference_answers(kb, subject)
     guard = ResourceGuard(max_facts=budget, mode="degrade")
-    partial = retrieve(kb, subject, guard=guard, cache=cache, plan_cache=plans)
+    partial = retrieve(kb, subject, guard=guard, cache=cache)
     assert cache.stats.goal_directed == 1
     assert partial.to_set() <= full
     assert partial.complete == (guard.tripped is None)
@@ -161,9 +161,9 @@ def test_a_degrade_trip_on_the_goal_directed_route_is_a_subset(kb, a, budget):
         assert partial.to_set() == full
     # The kept program survives the trip: re-seeded, it answers in full.
     kb.add_fact("edge", a, "fresh")
-    again = retrieve(kb, subject, cache=cache, plan_cache=plans)
+    again = retrieve(kb, subject, cache=cache)
     assert again.to_set() == reference_answers(kb, subject)
-    assert cache.stats.goal_directed == 2 and len(plans) == 1
+    assert cache.stats.goal_directed == 2 and len(cache.plans) == 1
 
 
 @settings(max_examples=EXAMPLES, deadline=None)

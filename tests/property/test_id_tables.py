@@ -173,13 +173,13 @@ def test_routed_answers_over_kept_tables_equal_the_reference(kb, ops):
     kb.enforce_recursion_discipline = False  # conn is not strongly linear
     kb.add_rule(parse_rule("conn(X, Y) <- edge(X, Y)."))
     kb.add_rule(parse_rule("conn(X, Y) <- conn(X, Z) and conn(Z, Y)."))
-    cache, plans = ViewCache(kb), {}
+    cache = ViewCache(kb)
     edge = kb.relation("edge")
     for op, arg in [*ops, ("read", 0)]:
         if op == "read":
             for subject, qualifier in all_goals(f"n{arg % 7}", f"n{(arg * 3) % 7}"):
                 expected = reference_answers(kb, subject, qualifier)
-                routed = retrieve(kb, subject, qualifier, cache=cache, plan_cache=plans)
+                routed = retrieve(kb, subject, qualifier, cache=cache)
                 assert routed.to_set() == expected, (subject, qualifier)
             continue
         kept = {(s, c): t for s, filled in edge._tables.items() for c, t in filled.items()}

@@ -409,7 +409,6 @@ def test_view_cache_keys_on_pinned_fingerprint(ops):
         assert cold == warm
         session = pool._session_for(snapshot)
         stats = session.cache_stats()
-        assert stats["enabled"]
         # Same slot, same snapshot id, same fingerprint: the repeat must
         # have been a view-cache hit, not a recomputation.
         assert stats["hits"] >= 1 and stats["full_refreshes"] == 1, stats

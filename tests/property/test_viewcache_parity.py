@@ -1,13 +1,14 @@
-"""Cache-enabled vs cache-disabled answer parity on randomized workloads.
+"""Warm-context vs cold-context answer parity on randomized workloads.
 
-The uncached engine is the view cache's correctness oracle: for any
-interleaving of mutations (``insert``/``delete``/``load``), queries
-(``retrieve``/``describe``), and mid-sequence transaction rollbacks, a
-cached session must produce exactly the answers of an uncached session
-driven through the identical sequence.  A degrade-mode resource guard may
-shrink *uncached* answers (sound under-approximation), so under degradation
-the invariant weakens to: the cached answer is complete and the uncached
-answer is a subset of it.
+A fresh session is the view cache's correctness oracle: its evaluation
+context is cold, so it materialises (or goes goal-directed) from the facts
+alone.  For any interleaving of mutations (``insert``/``delete``/``load``),
+queries (``retrieve``/``describe``), and mid-sequence transaction
+rollbacks, a long-lived session with warm views and plans must produce
+exactly the answers of a fresh session on the same knowledge base.  A
+degrade-mode resource guard may shrink the *cold* answer (sound
+under-approximation), so under degradation the invariant weakens to: the
+warm answer is complete and the cold answer is a subset of it.
 
 In-place repair fires the integer kernels over changed id rows, with its
 own rewritings (old-state variants, rederivation), so the last property
@@ -120,6 +121,12 @@ def apply_mutation(session: Session, op: str, payload) -> None:
         session.load(payload)
 
 
+def toggle(kb: KnowledgeBase, name: str, row) -> None:
+    """Delete the row when stored, insert it otherwise: never a no-op."""
+    if not kb.relation(name).delete(row):
+        kb.add_fact(name, *row)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     facts=st.lists(edges, min_size=1, max_size=8, unique=True),
@@ -127,36 +134,36 @@ def apply_mutation(session: Session, op: str, payload) -> None:
 )
 def test_interleaved_mutations_and_queries_parity(facts, ops):
     cached = Session(build_kb(facts))
-    uncached = Session(build_kb(facts), cache=False)
-    assert cached.cache is not None and uncached.cache is None
+
+    def cold(query):
+        return answer(Session(cached.kb).query(query))
+
     # Warm the cache before the interleaving so every mutation must
     # actually invalidate (a cold cache would trivially agree).
     cached.query("retrieve path(X, Y)")
 
     for op, payload in ops:
         if op == "query":
-            assert answer(cached.query(payload)) == answer(uncached.query(payload)), (
+            assert answer(cached.query(payload)) == cold(payload), (
                 f"cache diverged on {payload!r} after {ops}"
             )
         elif op == "rollback":
-            for session in (cached, uncached):
-                # Warm mid-transaction state into the cache, then abort:
-                # rollback must invalidate what the queries materialised.
-                try:
-                    with session.kb.transaction():
-                        for row in payload:
-                            session.kb.add_fact("edge", *row)
-                        session.query("retrieve path(X, Y)")
-                        session.query("retrieve reach(X)")
-                        raise Abort()
-                except Abort:
-                    pass
+            # Warm mid-transaction state into the cache, then abort:
+            # rollback must invalidate what the queries materialised.
+            try:
+                with cached.kb.transaction():
+                    for row in payload:
+                        cached.kb.add_fact("edge", *row)
+                    cached.query("retrieve path(X, Y)")
+                    cached.query("retrieve reach(X)")
+                    raise Abort()
+            except Abort:
+                pass
         else:
-            for session in (cached, uncached):
-                apply_mutation(session, op, payload)
+            apply_mutation(cached, op, payload)
 
     for query in QUERIES:
-        assert answer(cached.query(query)) == answer(uncached.query(query)), (
+        assert answer(cached.query(query)) == cold(query), (
             f"final parity broke on {query!r} after {ops}"
         )
 
@@ -167,15 +174,14 @@ def test_interleaved_mutations_and_queries_parity(facts, ops):
     max_facts=st.integers(1, 12),
 )
 def test_degraded_answers_stay_sound(facts, max_facts):
-    """A warm cache serves complete answers under any budget; an uncached
-    degraded answer is a subset of them."""
+    """A warm cache serves complete answers under any budget; a cold
+    context's degraded answer is a subset of them."""
     cached = Session(build_kb(facts))
-    uncached = Session(build_kb(facts), cache=False)
     complete = cached.query("retrieve path(X, Y)")  # ungoverned warm-up
 
     guard = ResourceGuard(max_facts=max_facts, mode="degrade")
     warm = cached.query("retrieve path(X, Y)", guard=guard.fresh())
-    degraded = uncached.query("retrieve path(X, Y)", guard=guard.fresh())
+    degraded = Session(cached.kb).query("retrieve path(X, Y)", guard=guard.fresh())
 
     assert warm.to_set() == complete.to_set(), "warm cached answer not complete"
     assert degraded.to_set() <= complete.to_set(), "degraded answer unsound"
@@ -196,17 +202,14 @@ def test_incremental_refresh_matches_recompute(facts, delta):
         "retrieve reach(X)",
     ]
     cached = Session(build_kb(facts))
-    uncached = Session(build_kb(facts), cache=False)
     for query in queries:
         cached.query(query)
 
     for row in delta:
         repairs = cached.cache_stats()["incremental_refreshes"]
-        for session in (cached, uncached):
-            if not session.kb.relation("edge").delete(row):
-                session.kb.add_fact("edge", *row)
+        toggle(cached.kb, "edge", row)
         for query in queries:
-            assert answer(cached.query(query)) == answer(uncached.query(query))
+            assert answer(cached.query(query)) == answer(Session(cached.kb).query(query))
         # Each row toggles one edge, so the delta is never a no-op and the
         # fork/two closure must have taken the repair route.
         assert cached.cache_stats()["incremental_refreshes"] > repairs
@@ -260,15 +263,9 @@ def typed_kb(scores, links) -> KnowledgeBase:
     return kb
 
 
-def toggle(kb: KnowledgeBase, name: str, row) -> None:
-    """Delete the row when stored, insert it otherwise: never a no-op."""
-    if not kb.relation(name).delete(row):
-        kb.add_fact(name, *row)
-
-
 def assert_typed_parity(warm: Session, context) -> None:
-    """The warm session agrees with an uncached one over the same state."""
-    fresh = Session(warm.kb, cache=False)
+    """The warm session agrees with a fresh one over the same state."""
+    fresh = Session(warm.kb)
     for query in TYPED_QUERIES:
         assert answer(warm.query(query)) == answer(fresh.query(query)), (
             f"repair diverged on {query!r} after {context}"
@@ -302,7 +299,7 @@ def test_typed_repair_parity(scores, links, steps):
             row = (payload, "db", "oops")
             warm.kb.add_fact("score", *row)
             with pytest.raises(LogicError) as cold:
-                Session(warm.kb, cache=False).query("retrieve hi(X)")
+                Session(warm.kb).query("retrieve hi(X)")
             with pytest.raises(LogicError) as repaired:
                 warm.query("retrieve hi(X)")
             assert str(repaired.value) == str(cold.value), context
