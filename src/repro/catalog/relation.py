@@ -274,21 +274,28 @@ class Relation:
 
     # benchmarks/e2e/trace.py patches ``Relation.load_interned`` by string
     # (``catalog.relation.flush``).
-    def load_interned(self, int_rows: Sequence[tuple[int, ...]]) -> int:
+    def load_interned(
+        self,
+        int_rows: Sequence[tuple[int, ...]] | dict[tuple[int, ...], None],
+    ) -> int:
         """Bulk-load rows given as symbol-id tuples (the kernel flush path).
 
         Semantically ``insert_many`` of the externalized rows, but
-        wholesale, with no per-row coercion or journaling.  An empty
+        wholesale, with no per-row coercion or journaling: duplicates
+        within the batch and rows already present count once.  An empty
         relation whose storage no snapshot shares — every derived relation
         at its flush — keeps the distinct id rows *as* the relation and
         externalizes nothing: it is id-only until a caller wants constants
-        (:meth:`_constants`).  Otherwise the rows are externalized in one
-        bulk :meth:`SymbolTable.extern_rows` pass and merged into the row
-        dict.  Because the mutation is not row-at-a-time, journal semantics
-        follow :meth:`restore` — derived structures drop, the version
-        bumps, and the journal resets so incremental consumers recompute.
-        A row of the wrong width raises before anything is loaded.
-        Returns how many rows were new.
+        (:meth:`_constants`).  Rows given as a dict — its keys, in order,
+        as a fixpoint table hands them over (:meth:`IntTable.flush`) — are
+        distinct already, and such a relation adopts them without hashing
+        them again.  Otherwise the rows are externalized in one bulk
+        :meth:`SymbolTable.extern_rows` pass and merged into the row dict.
+        Because the mutation is not row-at-a-time, journal semantics follow
+        :meth:`restore` — derived structures drop, the version bumps, and
+        the journal resets so incremental consumers recompute.  A row of
+        the wrong width raises before anything is loaded.  Returns how many
+        rows were new.
         """
         self._begin_mutation()
         if not int_rows:
@@ -300,7 +307,10 @@ class Relation:
         if not self._rows and not self._shared:
             # Id-equality is constant-equality, so distinct id rows are
             # exactly the distinct constant rows, in the same order.
-            distinct = list(dict.fromkeys(int_rows))
+            if isinstance(int_rows, dict):
+                distinct = list(int_rows)
+            else:
+                distinct = list(dict.fromkeys(int_rows))
             self._invalidate_derived()
             self._rows = None
             self._introws = distinct

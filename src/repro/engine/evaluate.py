@@ -17,7 +17,8 @@ ids — bottom-up over the context's views, or over the magic-sets
 rewriting when the goal binds every recursive predicate it reads and no
 fresh view answers it by lookup (chosen there, never by the caller) — and
 ``retrieve`` projects that id batch onto the free variables, deduplicates
-id tuples and turns the distinct rows into constants in one bulk
+id tuples only where the projection dropped a variable (a batch over its
+full schema is distinct already) and turns the rows into constants in one bulk
 :meth:`~repro.catalog.symbols.SymbolTable.extern_rows` call — no
 substitution is built.  :func:`evaluate_conjunction` is the
 substitution-stream view of the same batch, for the callers that want
@@ -262,9 +263,13 @@ def _distinct_answers(
 ) -> list[tuple[Constant, ...]]:
     """Project an id batch onto *free_vars*, dedup, externalize — once.
 
-    Id-equality is constant-equality, so deduplicating id tuples (in
-    first-occurrence order, ``dict`` insertion order) gives exactly the
-    distinct constant rows; they cross into constants in one
+    A batch over its full schema holds no row twice (the invariant of
+    :mod:`repro.engine.kernels`), so only a projection that drops a slot
+    can make two rows one: then the id tuples are deduplicated (in
+    first-occurrence order, ``dict`` insertion order) — id-equality is
+    constant-equality, so that gives exactly the distinct constant rows.
+    A projection that keeps every slot, a permutation included, is already
+    distinct.  The rows cross into constants in one
     :meth:`SymbolTable.extern_rows` call.
     """
     if not batch:
@@ -274,8 +279,11 @@ def _distinct_answers(
             raise SafetyError(f"free variable {variable} is not bound by the query")
     slots = [schema.index(variable) for variable in free_vars]
     if slots != list(range(len(schema))):  # else the batch is the projection
-        batch = map(projector(slots), batch)
-    return SYMBOLS.extern_rows(list(dict.fromkeys(batch)))
+        projected = map(projector(slots), batch)
+        # Only a dropped slot can make two rows one.
+        merged = len(slots) < len(schema)
+        batch = list(dict.fromkeys(projected) if merged else projected)
+    return SYMBOLS.extern_rows(batch)
 
 
 def query_conjunction(

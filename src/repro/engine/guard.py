@@ -135,7 +135,11 @@ class ResourceGuard:
     max_depth:
         Derivation-tree depth bound (describe queries).
     max_iterations:
-        Fixpoint iteration bound (bottom-up engines).
+        Fixpoint iteration bound (bottom-up engines): the delta rounds of
+        recursive strata.  The uncounted initial round fires the exit rules
+        only, so the first delta round does each recursive rule's full
+        firing — one round more per recursive stratum than if the initial
+        round fired them too.
     token:
         A shared :class:`CancellationToken`; checked at every checkpoint.
     mode:

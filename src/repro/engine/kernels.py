@@ -48,6 +48,17 @@ table) and ``flush``
 (hand the id rows to the derived relation, which keeps them as they are —
 :meth:`Relation.load_interned`).
 
+**A batch over its full schema holds no row twice**, so a derived fact is
+deduplicated once, by the fixpoint table that admits it, and never again
+downstream.  Each step keeps the batch distinct: the unit batch is one
+row; a :class:`_KJoin` extends each binding by the distinct entries of one
+id-table bucket (or by a relation's distinct id rows); a :class:`_KBind`
+adds a function of existing slots; a :class:`_KFilter` and a
+:class:`_KAntiJoin` only drop rows.  The magic route's batch is a goal
+relation's rows with their common constant prefix cut off.  An answer
+therefore deduplicates only what it projects away
+(:func:`repro.engine.evaluate._distinct_answers`).
+
 Ids become constants again at one boundary on the ``retrieve`` path, in
 one bulk call: the answer (:mod:`repro.engine.evaluate`, which consumes
 :meth:`ConjunctionKernel.execute` batches as they are).  Only
@@ -107,9 +118,11 @@ class IntTable:
     def __init__(self, arity: int, rows: Iterable[tuple[int, ...]] = ()) -> None:
         self.arity = arity
         self.rows: list[tuple[int, ...]] = list(rows)
-        #: Membership set of ``rows``; ``None`` on a delta table, which is
-        #: scanned and probed but never asked whether it holds a row.
-        self.index: set[tuple[int, ...]] | None = set(self.rows)
+        #: Membership of ``rows``, its keys in the same order (so the rows
+        #: leave as a dict, distinct by construction: :meth:`flush`);
+        #: ``None`` on a delta table, which is scanned and probed but never
+        #: asked whether it holds a row.
+        self.index: dict[tuple[int, ...], None] | None = dict.fromkeys(self.rows)
         #: Rows admitted this round, not yet visible (insertion-ordered).
         #: A rule kernel's fused tail stages head rows here directly.
         self.pending: dict[tuple[int, ...], None] = {}
@@ -147,9 +160,12 @@ class IntTable:
 
     def flush(self, relation) -> None:
         """Hand the visible rows to *relation* (one bulk load; the rows
-        stay ids until a reader of the relation wants constants)."""
+        stay ids until a reader of the relation wants constants).  They
+        go as the membership dict, whose keys are the rows in order: a
+        dict's keys are distinct, so an empty relation adopts them without
+        hashing any again (:meth:`Relation.load_interned`)."""
         if self.rows:
-            relation.load_interned(self.rows)
+            relation.load_interned(self.index)
 
     def int_rows(self) -> list[tuple[int, ...]]:
         return self.rows

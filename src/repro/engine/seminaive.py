@@ -13,7 +13,8 @@ There is one stratum driver (:meth:`SemiNaiveEngine._evaluate_stratum`)
 and one planner: join order comes from the live statistics of the
 relations and kernel tables in view when a rule is first fired
 (:func:`repro.engine.plan.relation_cost_estimator`), nothing else.
-Each rule body is compiled once per ``(rule, delta-position)`` into a
+Each exit rule is compiled once in full and each recursive rule once per
+delta position (``(rule, delta-position)``) into a
 logical plan (:mod:`repro.engine.plan`), lowered to an integer kernel over
 interned symbol ids (:mod:`repro.engine.kernels`) and kept
 (:class:`CompiledStratum`) for the lifetime of the engine, or of the
@@ -45,9 +46,11 @@ from repro.logic.clauses import Rule
 
 class CompiledStratum:
     """One stratum's rules as the driver wants them, built once: safety
-    checked, with span labels and delta rewritings, plus the lowered kernel
-    of each ``(rule index, delta position)`` as first fired (``-1``: the
-    rule in full; any join order is correct, the first one is kept)."""
+    checked, with span labels, the exit rules (no stratum predicate in the
+    body) and the delta rewritings of the others, plus the lowered kernel of
+    each ``(rule index, delta position)`` as first fired (``-1``: an exit
+    rule in full — a recursive rule only ever fires as its delta variants;
+    any join order is correct, the first one is kept)."""
 
     def __init__(self, rules: list[Rule], stratum: set[str]) -> None:
         for rule in rules:
@@ -59,6 +62,8 @@ class CompiledStratum:
             for rule_index, rule in enumerate(rules)
             for position, rewritten in delta_rewritings(rule, stratum)
         ]
+        recursive = {rule_index for rule_index, _, _ in self.rewritten}
+        self.exits = [i for i in range(len(rules)) if i not in recursive]
         self.kernels: dict[tuple[int, int], RuleKernel] = {}
 
 
@@ -166,27 +171,31 @@ class SemiNaiveEngine:
     def _evaluate_stratum(self, stratum: set[str]) -> None:
         """The stratum fixpoint, over integer kernels and kernel tables.
 
-        An initial round fires every rule in full (recursive atoms see the
-        rows earlier rules of the round derived); then, while the last
-        round derived anything, every recursive rule fires once per
-        occurrence of a stratum predicate in its body with that occurrence
-        reading the *delta* — and, the planner puts it first, driving the
-        join: every other atom is a build side, an id table its relation
-        keeps (a stored relation across evaluations, a fixpoint table
-        across iterations, extended by each delta), so an iteration's work
-        is |delta| probes.  The stratum's derived and delta fact sets live
-        as kernel tables (:class:`~repro.engine.kernels.IntTable`) for the
-        whole fixpoint: no per-row coercion, journaling, or constant
-        hashing on the hot path.  Within an iteration the tables extend
-        only at the iteration boundary, so every rule of one iteration sees
-        the same facts.
+        An initial round fires the exit rules — those with no stratum
+        predicate in the body — in full; then, while the last round derived
+        anything, every recursive rule fires once per occurrence of a
+        stratum predicate in its body with that occurrence reading the
+        *delta* — and, the planner puts it first, driving the join: every
+        other atom is a build side, an id table its relation keeps (a
+        stored relation across evaluations, a fixpoint table across
+        iterations, extended by each delta), so an iteration's work is
+        |delta| probes.  A recursive rule never fires in full: its body
+        reads a stratum predicate, empty until an exit rule fires
+        (stratification), so the first iteration — whose delta is the whole
+        table — derives exactly what a full firing would.  The stratum's
+        derived and delta fact sets live as kernel tables
+        (:class:`~repro.engine.kernels.IntTable`) for the whole fixpoint: no
+        per-row coercion, journaling, or constant hashing on the hot path.
+        Within an iteration the tables extend only at the iteration
+        boundary, so every rule of one iteration sees the same facts.
 
         The id rows are bulk-loaded into the derived relations as they are
-        when the stratum finishes (a relation turns them into constants
-        only for a reader that wants constants).  The flush runs on the
-        way out even when a budget trips mid-fixpoint: bottom-up derivation
-        is monotone, so the partial table is a sound under-approximation
-        (the degrade contract).
+        when the stratum finishes: the table's rows are distinct by
+        construction, and the relation adopts them without hashing them
+        again (and turns them into constants only for a reader that wants
+        constants).  The flush runs on the way out even when a budget trips
+        mid-fixpoint: bottom-up derivation is monotone, so the partial table
+        is a sound under-approximation (the degrade contract).
         """
         members = tuple(sorted(stratum))
         program = self._compiled.get(members)
@@ -226,12 +235,10 @@ class SemiNaiveEngine:
             return new
 
         try:
-            # Initial round.  Each rule's rows become visible at once: a
-            # later rule of the round may read the relation an earlier one
-            # wrote (and a permutation rule reads the very relation its
-            # head writes, which is why admitted rows stay pending until
-            # the rule has fired in full).
-            for rule_index, rule in enumerate(rules):
+            # Initial round: the exit rules, each one's rows made visible
+            # at once (so a budget trip after it flushes them).
+            for rule_index in program.exits:
+                rule = rules[rule_index]
                 with traced_span(
                     tracer, "rule", rule=labels[rule_index], phase="initial"
                 ):
@@ -247,7 +254,9 @@ class SemiNaiveEngine:
                 return
 
             # The tables started empty, so the first delta is the tables
-            # themselves (nothing extends them until the iteration ends).
+            # themselves (nothing extends them until the iteration ends),
+            # and the first iteration fires each recursive rule over all
+            # the exit rules derived: a full firing, one variant at a time.
             deltas = dict(tables)
             delta_rows = sum(len(table) for table in tables.values())
             iteration = 0

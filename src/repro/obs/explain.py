@@ -18,9 +18,10 @@ The route is the one a first evaluation takes — nothing cached yet —
 (:func:`repro.engine.evaluate.goal_verdict`), printed with its reason:
 
 * ``materialise`` — the full picture: evaluation strata of the relevant IDB
-  predicates, one compiled kernel per rule, the query-conjunction plan,
-  and, in recursive strata, the delta variant the fixpoint iterates for
-  each delta-rewritten body position (its first join is the delta scan);
+  predicates, the kernels the fixpoint fires — an exit rule's in full, once,
+  in the initial round; a recursive rule's only as the delta variant of
+  each delta-rewritten body position, every iteration (its first join is
+  the delta scan) — and the query-conjunction plan;
 * ``goal_directed`` — the magic-sets rewrite is performed for real (same
   code path as evaluation) and the *rewritten* program's strata and plans
   are shown, plus rewrite statistics.
@@ -37,15 +38,23 @@ from repro.errors import EngineError
 from repro.lang.ast import RetrieveStatement
 
 
+#: What the text rendering says a rule of a recursive stratum fires as.
+_FIRES = {
+    "initial": "fires in full, once, in the initial round:",
+    "delta": "fires only as its delta variants, in every iteration",
+}
+
+
 @dataclass
 class RuleExplanation:
-    """One rule's compiled kernel."""
+    """One rule's compiled kernels: the ones the stratum driver fires."""
 
     rule: str
+    #: The rule in full, which the initial round fires once: an exit rule's
+    #: steps.  Empty for a recursive rule, which never fires in full.
     steps: list[str]
     #: Body position that references the rule's own stratum -> the steps of
-    #: the delta variant semi-naive iteration fires for it.  The rule's own
-    #: ``steps`` run once, in the initial round.
+    #: the delta variant semi-naive iteration fires for it.
     delta_variants: dict[int, list[str]] = field(default_factory=dict)
 
     @property
@@ -53,8 +62,19 @@ class RuleExplanation:
         """The delta-rewritten body positions."""
         return list(self.delta_variants)
 
+    @property
+    def fires(self) -> str:
+        """``"initial"`` for an exit rule (its ``steps``, in the initial
+        round), ``"delta"`` for a recursive one (its delta variants, in
+        every iteration, and nothing else)."""
+        return "delta" if self.delta_variants else "initial"
+
     def as_dict(self) -> dict:
-        entry: dict[str, object] = {"rule": self.rule, "steps": list(self.steps)}
+        entry: dict[str, object] = {
+            "rule": self.rule,
+            "fires": self.fires,
+            "steps": list(self.steps),
+        }
         if self.delta_variants:
             entry["delta_positions"] = self.delta_positions
             entry["delta_variants"] = {
@@ -157,6 +177,8 @@ class QueryExplanation:
             )
             for rule in stratum.rules:
                 lines.append(f"  rule {rule.rule}")
+                if stratum.recursive:
+                    lines.append(f"    {_FIRES[rule.fires]}")
                 for number, step in enumerate(rule.steps, 1):
                     lines.append(f"    {number}. {step}")
                 if rule.delta_variants:
@@ -250,11 +272,11 @@ def _strata_for(kb: KnowledgeBase, conjuncts, estimate) -> list[StratumExplanati
                     position: _rule_steps(rewritten, estimate)
                     for position, rewritten in delta_rewritings(rule, stratum_set)
                 }
-                if variants:
-                    recursive = True
-                rules.append(
-                    RuleExplanation(str(rule), _rule_steps(rule, estimate), variants)
-                )
+                # A recursive rule fires only as its variants: the driver
+                # never compiles it in full, and neither does this.
+                steps = [] if variants else _rule_steps(rule, estimate)
+                recursive = recursive or bool(variants)
+                rules.append(RuleExplanation(str(rule), steps, variants))
         strata.append(StratumExplanation(len(strata) + 1, members, recursive, rules))
     return strata
 

@@ -1,8 +1,10 @@
 """Unit tests for the semi-naive bottom-up engine."""
 
+import itertools
+
 import pytest
 
-from repro.errors import EvaluationLimitError, SafetyError
+from repro.errors import EvaluationLimitError, ResourceExhausted, SafetyError
 from repro.catalog.database import KnowledgeBase
 from repro.catalog.loader import load_program
 from repro.engine.evaluate import retrieve
@@ -183,6 +185,35 @@ class TestDeltaDrivenFixpoint:
             pytest.fail("the budget never stopped tripping")
         assert len(sizes) > 2 and max(sizes) > 0  # partials grow with the budget
 
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_every_flushed_relation_holds_each_row_once(self, name):
+        # The flush hands a table's rows over as distinct and the relation
+        # adopts them without hashing them again.  check_invariants rejects
+        # an id-only relation holding a row twice; it must pass on every
+        # derived relation after a trip at any step budget — one inside the
+        # first delta round among them — and after the full fixpoint.
+        kb = self.kb(name)
+        reference = {p: reference_rows(kb, p) for p in kb.idb_predicates()}
+        tripped_in_first_round = False
+        for steps in itertools.count(1):
+            guard = ResourceGuard(max_steps=steps, mode="degrade")
+            engine = SemiNaiveEngine(kb, guard=guard)
+            try:
+                engine.evaluate()
+                tripped = False
+            except ResourceExhausted:
+                tripped = True
+                tripped_in_first_round |= guard.iterations == 1
+            for predicate, rows in reference.items():
+                relation = engine.partial_relation(predicate)
+                relation.check_invariants()
+                assert set(relation.rows()) <= rows, (steps, predicate)
+                if not tripped:
+                    assert set(relation.rows()) == rows, predicate
+            if not tripped:
+                break
+        assert tripped_in_first_round
+
     def test_strict_trip_leaves_the_partial_relation_flushed(self):
         kb = chain_graph_kb(30)
         engine = SemiNaiveEngine(kb, guard=ResourceGuard(max_iterations=5))
@@ -205,7 +236,10 @@ class TestDeltaDrivenFixpoint:
         tracer = Tracer()
         with tracer.span("test"):
             SemiNaiveEngine(kb, tracer=tracer).derived_relation("path")
-        assert len(tracer.last.find("iteration")) == 39
+        # The initial round fires the exit rule alone, so the first of the
+        # delta rounds does the recursive rule's full firing: one round
+        # per path length.
+        assert len(tracer.last.find("iteration")) == 40
         assert len(formatted) == 2  # two rules, whatever the iteration count
         labels = {span.attributes["rule"] for span in tracer.last.find("rule")}
         assert labels == {original(rule) for rule in kb.rules_for("path")}

@@ -68,6 +68,22 @@ class TestExplain:
             for rule in stratum["rules"]
         )
 
+    def test_says_which_steps_fire(self):
+        """An exit rule fires in full in the initial round; a recursive rule
+        fires only as its delta variants, so it shows no full steps."""
+        explanation = explain_plan(routing_kb(), "retrieve reach(X, Y)")
+        (stratum,) = [s for s in explanation.strata if s.recursive]
+        exit_rule, recursive_rule = stratum.rules
+        assert (exit_rule.fires, recursive_rule.fires) == ("initial", "delta")
+        assert exit_rule.steps and not recursive_rule.steps
+        assert recursive_rule.delta_variants
+        rendered = explanation.format()
+        assert "fires in full, once, in the initial round:" in rendered
+        assert "fires only as its delta variants, in every iteration" in rendered
+        tree = explanation.as_dict()
+        fires = [rule["fires"] for s in tree["strata"] for rule in s["rules"]]
+        assert fires == ["initial", "initial", "delta"]
+
     def test_qualifier_becomes_query_steps(self, uni):
         explanation = explain_plan(
             uni, "retrieve honor(X) where enroll(X, databases)"

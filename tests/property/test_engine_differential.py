@@ -7,7 +7,8 @@ bottom-up over the integer kernels for a free goal, the magic-sets
 rewriting for a goal that binds the recursion it reads — must produce the
 baseline's answer set for every data query.  Hypothesis
 generates random safe programs (layered non-recursive programs with
-comparisons, and recursive graph programs) plus full-scan and
+comparisons, and recursive graph programs of the shapes the stratum
+driver's initial round treats differently) plus full-scan and
 bound-constant subjects; any divergence shrinks to a minimal program.
 Each route forced against the other, across every adornment and through
 writes, is ``test_goal_routing.py``.
@@ -44,9 +45,12 @@ VARIABLES = [Variable(n) for n in ("X", "Y", "Z", "W")]
 
 
 def assert_engines_agree(kb, subject):
-    """The routed ``retrieve`` returns the reference answer set."""
+    """The routed ``retrieve`` returns the reference answer set, each row
+    once."""
     baseline = reference_answers(kb, subject)
-    rows = retrieve(kb, subject).to_set()
+    answer = retrieve(kb, subject).rows
+    rows = set(answer)
+    assert len(answer) == len(rows), f"a row repeats in the answer to {subject}"
     assert rows == baseline, (
         f"retrieve diverged from the reference evaluator on {subject}:\n"
         f"  baseline={sorted(baseline)}\n  got={sorted(rows)}\n"
@@ -115,9 +119,17 @@ def positive_layered_program(draw):
     return kb, idb
 
 
+#: The recursive strata :func:`recursive_graph_program` draws: linear
+#: transitive closure with its exit rule first or last, odd / even path
+#: lengths (two mutually recursive predicates), and a two-member SCC whose
+#: one exit rule defines only one member.
+RECURSIVE_SHAPES = ("exit_first", "recursive_first", "odd_even", "one_exit_scc")
+
+
 @st.composite
 def recursive_graph_program(draw):
-    """A random edge relation plus recursive reachability-style rules."""
+    """A random edge relation plus a recursive stratum of a drawn shape
+    (:data:`RECURSIVE_SHAPES`), with a second stratum on top of it."""
     kb = KnowledgeBase()
     nodes = draw(st.integers(3, 8))
     pool = [f"n{i}" for i in range(nodes)]
@@ -132,18 +144,47 @@ def recursive_graph_program(draw):
     kb.declare_edb("edge", 2)
     kb.add_facts("edge", edges)
     x, y, z = VARIABLES[:3]
-    kb.add_rule(Rule(Atom("path", [x, y]), [Atom("edge", [x, y])]))
-    if draw(st.booleans()):  # right-linear vs left-linear recursion
-        kb.add_rule(
-            Rule(Atom("path", [x, y]), [Atom("edge", [x, z]), Atom("path", [z, y])])
-        )
+    shape = draw(st.sampled_from(RECURSIVE_SHAPES))
+    if shape == "odd_even":
+        rules = [
+            Rule(Atom("odd", [x, y]), [Atom("edge", [x, y])]),
+            Rule(Atom("odd", [x, y]), [Atom("even", [x, z]), Atom("edge", [z, y])]),
+            Rule(Atom("even", [x, y]), [Atom("odd", [x, z]), Atom("edge", [z, y])]),
+            Rule(Atom("path", [x, y]), [Atom("even", [x, y])]),
+        ]
+    elif shape == "one_exit_scc":
+        for name in ("e1", "e2"):
+            kb.declare_edb(name, 1)
+            kb.add_facts(name, [(node,) for node in draw(st.sets(st.sampled_from(pool)))])
+        rules = [
+            Rule(Atom("a", [x]), [Atom("b", [x])]),
+            Rule(Atom("b", [x]), [Atom("a", [x]), Atom("e2", [x])]),
+            Rule(Atom("a", [x]), [Atom("e1", [x])]),
+            Rule(Atom("path", [x, y]), [Atom("b", [x]), Atom("edge", [x, y])]),
+        ]
     else:
-        kb.add_rule(
-            Rule(Atom("path", [x, y]), [Atom("path", [x, z]), Atom("edge", [z, y])])
-        )
+        if draw(st.booleans()):  # right-linear vs left-linear recursion
+            body = [Atom("edge", [x, z]), Atom("path", [z, y])]
+        else:
+            body = [Atom("path", [x, z]), Atom("edge", [z, y])]
+        rules = [
+            Rule(Atom("path", [x, y]), [Atom("edge", [x, y])]),
+            Rule(Atom("path", [x, y]), body),
+        ]
+        if shape == "recursive_first":
+            rules.reverse()
+    kb.add_rules(rules)
     # A second stratum on top of the recursive one.
     kb.add_rule(Rule(Atom("reaches", [x]), [Atom("path", [x, y])]))
     return kb, pool
+
+
+def idb_subjects(kb):
+    """One all-variable subject per IDB predicate."""
+    return [
+        Atom(predicate, VARIABLES[: kb.schema(predicate).arity])
+        for predicate in sorted(kb.idb_predicates())
+    ]
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
@@ -160,18 +201,22 @@ def test_layered_programs_agree(program):
 @given(recursive_graph_program())
 def test_recursive_programs_agree(program):
     kb, _ = program
-    assert_engines_agree(kb, Atom("path", [VARIABLES[0], VARIABLES[1]]))
-    assert_engines_agree(kb, Atom("reaches", [VARIABLES[0]]))
+    for subject in idb_subjects(kb):
+        assert_engines_agree(kb, subject)
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(recursive_graph_program(), st.data())
 def test_bound_subjects_agree(program, data):
-    """Bound-constant subjects (where magic sieving actually bites)."""
+    """Bound-constant subjects (where magic sieving actually bites): each
+    argument of each IDB predicate bound in turn."""
     kb, pool = program
     node = Constant(data.draw(st.sampled_from(pool), label="bound node"))
-    assert_engines_agree(kb, Atom("path", [node, VARIABLES[1]]))
-    assert_engines_agree(kb, Atom("path", [VARIABLES[0], node]))
+    for subject in idb_subjects(kb):
+        for position in range(subject.arity):
+            args = list(subject.args)
+            args[position] = node
+            assert_engines_agree(kb, Atom(subject.predicate, args))
 
 
 def test_deep_chain_goals_agree():
