@@ -8,14 +8,14 @@ exercises the implemented extensions on a visa-office case file:
 * ``explain`` — derivation trees showing *why* an answer holds;
 * intensional answers — a data query answered with rules plus residue
   (the paper's mechanism 2);
-* the rule-base audit — the redundancy detection section 6 calls for.
+* the rule-base lint — the redundancy detection section 6 calls for.
 
 Run with::
 
     python examples/proofs_and_negation.py
 """
 
-from repro import Session, audit, intensional_answer, parse_atom
+from repro import Session, intensional_answer, parse_atom
 from repro.cli import render
 
 
@@ -67,9 +67,9 @@ def main() -> None:
     banner("Intensional answer: the fast-track list, abstracted into rules")
     print(intensional_answer(session.kb, parse_atom("fast_track(X)")))
 
-    banner("Auditing the rule base (section 6's redundancy concern)")
+    banner("Linting the rule base (section 6's redundancy concern)")
     session.query("married(X) <- person(X, C, married) and sponsor(X, E).")
-    report = audit(session.kb)
+    report = session.lint_report()
     print(report)
     print("\n  The added rule is a needless specialisation — exactly the")
     print("  'body of one rule is a consequence of the body of the other'")

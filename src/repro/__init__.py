@@ -15,7 +15,8 @@ query statements behind one coherent instrument:
   (necessity tests), subjectless describe (possibility tests), wildcard
   describe, disjunctive hypotheses, and ``compare``;
 * the surrounding system: proof trees (``explain``), intensional answers,
-  rule-base diagnostics, a materialized view cache, and persistence.
+  rule-base lint (``analyze``, ``dbk lint``), a materialized view cache,
+  and persistence.
 
 Quick start::
 
@@ -43,7 +44,6 @@ from repro.catalog.persist import export_csv, import_csv, load_kb, save_kb
 from repro.core.answers import DescribeResult, KnowledgeAnswer
 from repro.core.compare import ConceptComparison, compare_concepts
 from repro.core.describe import describe
-from repro.core.diagnostics import audit
 from repro.core.disjunction import describe_disjunctive
 from repro.core.intensional import intensional_answer
 from repro.core.necessity import describe_necessary, describe_without
@@ -91,7 +91,6 @@ __all__ = [
     "ConceptComparison",
     "compare_concepts",
     "describe",
-    "audit",
     "describe_disjunctive",
     "intensional_answer",
     "describe_necessary",

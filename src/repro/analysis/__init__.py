@@ -17,9 +17,9 @@ consistency KB601-604 arities agree; no EDB/IDB/keyword shadowing
 ======  ========  ===========================================================
 
 See ``docs/LINT.md`` for the full catalogue with minimal triggering
-programs.  The package ``__init__`` stays import-light on purpose:
-:mod:`repro.engine.safety` wraps the safety pass and must be importable
-without the full evaluation stack, so the analyzer driver loads lazily.
+programs.  The package ``__init__`` stays import-light on purpose: the
+engine imports :func:`repro.analysis.safety.check_rule_safety` and must not
+pull in the whole analyzer with it, so the analyzer driver loads lazily.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ Findings that mean part of the rule base can never matter:
   (the rules theta-subsume each other);
 * **KB505** — a rule subsumed by a sibling rule with the same head (the
   redundancy the paper's section 6 worries about, via theta-subsumption
-  with semantic comparison handling).
+  with semantic comparison handling; a rule with more negated atoms is the
+  more specific one).
 """
 
 from __future__ import annotations
@@ -126,18 +127,7 @@ def _duplicates_and_subsumed(model) -> Iterator[Diagnostic]:
     # Local import: core.redundancy pulls in the answer model (and through
     # it the engine package); loading it lazily keeps this module importable
     # from low-level contexts without the full evaluation stack.
-    from repro.core.redundancy import subsumes
-
-    def equivalent(one, other):
-        # Equal as written, or alphabetic variants / logically equivalent
-        # bodies: each theta-subsumes the other (negated parts agreeing).
-        if one == other:
-            return True
-        return (
-            set(one.negated) == set(other.negated)
-            and subsumes(one, other)
-            and subsumes(other, one)
-        )
+    from repro.core.redundancy import equivalent, subsumes
 
     for predicate in sorted(model.idb_predicates):
         rules = model.rules_for(predicate)
@@ -156,11 +146,8 @@ def _duplicates_and_subsumed(model) -> Iterator[Diagnostic]:
                     )
                     break
             else:
-                # Subsumption only among non-identical siblings whose
-                # negated parts agree (subsumption with negation is not
-                # antitone-safe; cf. repro.core.diagnostics).
                 for other in rules:
-                    if other is rule or set(other.negated) != set(rule.negated):
+                    if other is rule:
                         continue
                     if subsumes(other, rule) and not subsumes(rule, other):
                         yield Diagnostic(

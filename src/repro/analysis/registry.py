@@ -2,9 +2,10 @@
 
 Each pass module registers one entry point with :func:`register`; the
 analyzer asks :func:`all_passes` for the full ordered suite.  Pass modules
-are imported lazily on first use so that low-level consumers (notably
-:mod:`repro.engine.safety`, which wraps the safety pass) can import their
-pass directly without dragging the whole analyzer — and its heavier
+are imported lazily on first use so that low-level consumers (notably the
+engine, which raises the safety pass's findings through
+:func:`repro.analysis.safety.check_rule_safety`) can import their pass
+directly without dragging the whole analyzer — and its heavier
 dependencies — into the import graph.
 """
 

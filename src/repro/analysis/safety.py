@@ -10,8 +10,9 @@ without naming finitely many values, so none of them can ground a variable:
 ``p(X) <- (X != 3)`` and ``p(X) <- (X > 3)`` both denote infinite
 relations and are rejected (codes KB101/KB102).
 
-This module is the analyzer's home for the check; :mod:`repro.engine.safety`
-keeps the historical raise-based API as a thin wrapper over it.
+This module is the one home of the check: the lint pass reports it, and
+:func:`check_rule_safety` raises it for the engine, which refuses an unsafe
+rule before it fires.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.registry import register
+from repro.errors import SafetyError
 from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule
 from repro.logic.terms import Variable, is_constant, is_variable
@@ -102,6 +104,14 @@ def rule_safety_diagnostics(rule: Rule) -> list[Diagnostic]:
                     f"negated atom {atom} uses unbound variable {variable}",
                 )
     return diagnostics
+
+
+def check_rule_safety(rule: Rule) -> None:
+    """Raise :class:`SafetyError` (with diagnostics attached) when unsafe."""
+    diagnostics = rule_safety_diagnostics(rule)
+    if diagnostics:
+        messages = "; ".join(d.message for d in diagnostics)
+        raise SafetyError(f"unsafe rule {rule}: {messages}", diagnostics=diagnostics)
 
 
 @register(

@@ -11,10 +11,9 @@ columns it fixes to constants, which it probes by, which it wants back —
 and gets the relation's one table of that shape (:meth:`Relation.table`):
 filled from the id rows on first request, kept, updated row by row by
 ``insert`` / ``delete``, and dropped by a wholesale change.  The join
-kernels, :meth:`Relation.holds` (an id row's membership) and
-:meth:`Relation.lookup` (the reference oracle's probe) are such readers,
-so every step over one relation and shape probes the same table, across
-reads and writes.  Distinct counts are memoized per version beside
+kernels and :meth:`Relation.holds` (an id row's membership) are such
+readers, so every step over one relation and shape probes the same table,
+across reads and writes.  Distinct counts are memoized per version beside
 it; :meth:`Relation.check_invariants` states the coherence rules.
 
 Either shape of the rows can be the one that is missing.  A stored
@@ -34,7 +33,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.catalog.symbols import SYMBOLS
 from repro.errors import ArityError, CatalogError
-from repro.logic.terms import Constant, Term, is_constant, make_term
+from repro.logic.terms import Constant, is_constant, make_term
 
 #: A stored tuple: constants only.
 Row = tuple[Constant, ...]
@@ -152,8 +151,8 @@ class Relation:
         #: ``None`` in the id-only state (see :meth:`load_interned`):
         #: ``_introws`` is then the relation and :meth:`_constants` builds
         #: this dict on first need.  Only ``len``, ``int_rows``, ``table``,
-        #: ``holds``, ``lookup``, ``apply_interned``, ``version``,
-        #: ``distinct_count`` and ``freeze`` do without it.
+        #: ``holds``, ``apply_interned``, ``version``, ``distinct_count``
+        #: and ``freeze`` do without it.
         self._rows: dict[Row, None] | None = {}
         #: Id tables by shape and constant part (:meth:`table`): built
         #: from the interned mirror, so one exists only while the mirror
@@ -398,7 +397,7 @@ class Relation:
         (rebuilt lazily), the version is bumped so external caches keyed on
         ``(relation, version)`` cannot serve stale state, and the journal is
         reset so incremental consumers fall back to full recomputation.  A
-        missed step here is a stale probe in :meth:`lookup` or a kernel —
+        missed step here is a stale probe in :meth:`table` or a kernel —
         pinned by ``tests/catalog/test_relation_invalidation.py``.
         """
         self._tables.clear()
@@ -512,36 +511,6 @@ class Relation:
             raise ArityError(f"expected {self.arity} columns, got {len(irow)}")
         columns = tuple(range(self.arity))
         return key_reader(columns)(irow) in self.table(Shape((), columns, (), ()))
-
-    def lookup(self, pattern: Sequence[Term | None]) -> Iterator[Row]:
-        """Rows matching a pattern of constants and wildcards.
-
-        *pattern* has one entry per column: a :class:`Constant` pins the
-        column, a variable or ``None`` leaves it free.  The pinned columns
-        are the constant part of one id table (:meth:`table`): the first
-        probe of a value screens the rows holding it, a later one looks it
-        up.  Rows come back as the symbol table's representatives
-        (``3`` for a stored ``3.0`` when ``3`` was interned first), as
-        ``retrieve`` answers do, and the probe interns nothing: a constant
-        the symbol table has never seen matches no row.  An id-only
-        relation stays id-only.
-        """
-        if len(pattern) != self.arity:
-            raise ArityError(f"pattern arity {len(pattern)} != relation arity {self.arity}")
-        bound = tuple(
-            i for i, term in enumerate(pattern) if term is not None and is_constant(term)
-        )
-        # The id rows first: they intern every stored constant, so a
-        # pattern constant without an id is one no row holds.
-        rows: Iterable[tuple[int, ...]] = self.int_rows()
-        if bound:
-            ids = [SYMBOLS.id_of(pattern[i]) for i in bound]  # type: ignore[arg-type]
-            if None in ids:
-                return
-            shape = Shape(bound, (), (), tuple(range(self.arity)))
-            const = ids[0] if len(ids) == 1 else tuple(ids)
-            rows = self.table(shape, const).get((), ())
-        yield from map(SYMBOLS.extern_row, rows)
 
     def distinct_count(self, column: int) -> int:
         """Number of distinct values in a column.

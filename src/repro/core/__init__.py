@@ -5,7 +5,6 @@ from repro.core.algorithm1 import algorithm1_config, run_algorithm1
 from repro.core.algorithm2 import algorithm2_config, run_algorithm2
 from repro.core.compare import ConceptComparison, compare_concepts
 from repro.core.describe import ALGORITHMS, describe
-from repro.core.diagnostics import RuleBaseReport, audit, find_redundant_rules
 from repro.core.disjunction import DisjunctiveDescribeResult, describe_disjunctive
 from repro.core.intensional import IntensionalAnswer, intensional_answer
 from repro.core.necessity import (
@@ -36,9 +35,6 @@ __all__ = [
     "compare_concepts",
     "ALGORITHMS",
     "describe",
-    "RuleBaseReport",
-    "audit",
-    "find_redundant_rules",
     "DisjunctiveDescribeResult",
     "describe_disjunctive",
     "IntensionalAnswer",

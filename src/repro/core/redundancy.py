@@ -54,14 +54,16 @@ def _match_rigid(pattern: Atom, target: Atom, theta: Substitution) -> Substituti
 
 
 class _Split:
-    """One rule with its body split once into positive and comparison parts."""
+    """One rule with its body split once into positive, comparison and
+    negated parts."""
 
-    __slots__ = ("head", "positive", "comparisons", "predicates")
+    __slots__ = ("head", "positive", "comparisons", "negated", "predicates")
 
     def __init__(self, rule: Rule) -> None:
         self.head = rule.head
         self.positive = [b for b in rule.body if not b.is_comparison()]
         self.comparisons = [b for b in rule.body if b.is_comparison()]
+        self.negated = frozenset(rule.negated)
         self.predicates = frozenset(b.predicate for b in self.positive)
 
 
@@ -81,7 +83,13 @@ def _can_subsume(general: _Split, specific: _Split) -> bool:
 
 
 def _subsumes_split(general: _Split, specific: _Split) -> bool:
-    """Theta-subsumption between split rules; *general* is renamed apart."""
+    """Theta-subsumption between split rules; *general* is renamed apart.
+
+    A negated atom of *general* must map onto a negated atom of *specific*
+    under the final substitution: more negated conditions only make a rule
+    more specific.  Safety binds every negated variable positively, so that
+    substitution grounds each one in *specific*'s variables.
+    """
     head_theta = _match_rigid(general.head, specific.head, Substitution.EMPTY)
     if head_theta is None:
         return False
@@ -90,6 +98,8 @@ def _subsumes_split(general: _Split, specific: _Split) -> bool:
     def extend(theta: Substitution, remaining: list[Atom]) -> bool:
         if not remaining:
             return all(
+                theta.apply(atom) in specific.negated for atom in general.negated
+            ) and all(
                 implies(specific.comparisons, theta.apply(comparison))
                 for comparison in general.comparisons
             )
@@ -109,8 +119,9 @@ def subsumes(general: Rule, specific: Rule) -> bool:
 
 
 def equivalent(left: Rule, right: Rule) -> bool:
-    """Mutual subsumption (the rules are logically the same answer)."""
-    return subsumes(left, right) and subsumes(right, left)
+    """Equal as written, or mutual subsumption (the rules are logically the
+    same answer)."""
+    return left == right or (subsumes(left, right) and subsumes(right, left))
 
 
 def eliminate_redundant(answers: Sequence[KnowledgeAnswer]) -> list[KnowledgeAnswer]:

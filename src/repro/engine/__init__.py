@@ -12,9 +12,7 @@ both hand ``retrieve`` an id batch and the answer is externalized once.  The
 same kernels find ``explain``'s body solutions (:mod:`repro.engine.provenance`)
 and fire the view cache's one-pass repair of non-recursive views over the
 changed id rows (:mod:`repro.engine.incremental`, which only
-:mod:`repro.engine.viewcache` imports).  The one tuple-at-a-time join is
-the oracle's: :mod:`repro.engine.reference`, which nothing here imports and
-the test suites compare the production path against."""
+:mod:`repro.engine.viewcache` imports)."""
 
 from repro.engine.evaluate import (
     RetrieveResult,
@@ -49,7 +47,6 @@ from repro.engine.provenance import (
     explain_all,
     explain_statement,
 )
-from repro.engine.safety import check_rule_safety, safety_problems
 from repro.engine.seminaive import SemiNaiveEngine
 from repro.engine.viewcache import CacheStats, ViewCache
 
@@ -79,8 +76,6 @@ __all__ = [
     "explain",
     "explain_all",
     "explain_statement",
-    "check_rule_safety",
-    "safety_problems",
     "SemiNaiveEngine",
     "CacheStats",
     "ViewCache",

@@ -21,15 +21,13 @@ interned symbol ids (:mod:`repro.engine.kernels`) and kept
 mapping its caller handed in; the stratum's facts live in kernel tables for
 the whole fixpoint and are externalized back into relations when the
 stratum completes.
-
-The tuple-at-a-time evaluator this engine started from survives as
-:mod:`repro.engine.reference` — a test oracle, imported by nothing here.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from repro.analysis.safety import check_rule_safety
 from repro.catalog.database import KnowledgeBase
 from repro.catalog.relation import Relation
 from repro.engine.guard import ResourceGuard
@@ -39,7 +37,6 @@ from repro.engine.plan import (
     delta_rewritings,
     relation_cost_estimator,
 )
-from repro.engine.safety import check_rule_safety
 from repro.obs.trace import traced_span
 from repro.logic.clauses import Rule
 

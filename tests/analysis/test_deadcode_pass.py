@@ -7,6 +7,11 @@ def run(source):
     return analyze(source, passes=["deadcode"])
 
 
+def findings(target, *codes):
+    """``(code, rule)`` of each finding of *target* with one of *codes*."""
+    return [(d.code, d.rule) for d in run(target) if d.code in codes]
+
+
 class TestUndefinedReference:
     def test_typo_reference_is_kb501(self):
         source = "enroll(ann, db).\nhonor(X) <- enrol(X, C).\n"
@@ -91,3 +96,47 @@ class TestDuplicatesAndSubsumption:
         )
         codes = {d.code for d in run(source)}
         assert "KB504" not in codes and "KB505" not in codes
+
+
+class TestNegatedAtoms:
+    """A negated atom of the general rule must map onto one of the specific
+    rule's negated atoms: more negated conditions, a more specific rule."""
+
+    FACTS = "q(a).\nr(b).\ns(c).\n"
+
+    def test_negated_variant_is_kb504(self):
+        source = self.FACTS + (
+            "p(X) <- q(X) and not r(X).\n"
+            "p(A) <- q(A) and not r(A).\n"
+        )
+        assert findings(source, "KB504", "KB505") == [
+            ("KB504", "p(A) <- q(A) and not r(A)."),
+        ]
+
+    def test_an_added_negated_atom_is_kb505(self):
+        source = self.FACTS + "p(X) <- q(X).\np(X) <- q(X) and not r(X).\n"
+        assert findings(source, "KB504", "KB505") == [
+            ("KB505", "p(X) <- q(X) and not r(X)."),
+        ]
+
+    def test_a_negated_rule_does_not_subsume_the_positive_one(self):
+        source = self.FACTS + "p(X) <- q(X) and not r(X).\np(X) <- q(X).\n"
+        assert findings(source, "KB504", "KB505") == [
+            ("KB505", "p(X) <- q(X) and not r(X)."),
+        ]
+
+    def test_verbatim_duplicate_with_an_unbound_negated_variable_is_kb504(self):
+        # Y is bound by no positive atom (KB103), so the negated atoms do
+        # not map; the rules are still equal as written.
+        rule = "p(X) <- q(X) and not t(X, Y).\n"
+        source = "q(a).\nt(a, b).\n" + rule + rule
+        assert findings(source, "KB504", "KB505") == [
+            ("KB504", rule.strip()),
+        ]
+
+    def test_different_negated_atoms_are_silent(self):
+        source = self.FACTS + (
+            "p(X) <- q(X) and not r(X).\n"
+            "p(A) <- q(A) and not s(A).\n"
+        )
+        assert findings(source, "KB504", "KB505") == []

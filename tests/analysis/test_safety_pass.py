@@ -1,4 +1,4 @@
-"""Pass 1 (safety) — golden diagnostics, binding rules, wrapper parity.
+"""Pass 1 (safety) — golden diagnostics, binding rules, the raising check.
 
 The binding rules the paper's range restriction needs (and which satellite
 tests below pin down): a positive body atom binds its variables; ``=``
@@ -9,8 +9,11 @@ order comparisons never bind** — they constrain an already-grounded value.
 import pytest
 
 from repro.analysis.analyzer import analyze
-from repro.analysis.safety import bound_variables, rule_safety_diagnostics
-from repro.engine.safety import check_rule_safety, safety_problems
+from repro.analysis.safety import (
+    bound_variables,
+    check_rule_safety,
+    rule_safety_diagnostics,
+)
 from repro.errors import SafetyError
 from repro.lang.parser import parse_body, parse_rule
 
@@ -80,7 +83,7 @@ class TestRuleSafetyDiagnostics:
 
 
 class TestEngineWrapperParity:
-    """The historical raise-based API is a thin veneer over the pass."""
+    """The engine's raising check, :func:`check_rule_safety`, is the pass."""
 
     CASES = [
         "p(X) <- q(X).",
@@ -105,9 +108,14 @@ class TestEngineWrapperParity:
     @pytest.mark.parametrize("text", CASES)
     def test_problem_strings_are_the_diagnostic_messages(self, text):
         rule = parse_rule(text)
-        assert safety_problems(rule) == [
-            d.message for d in rule_safety_diagnostics(rule)
-        ]
+        diagnostics = rule_safety_diagnostics(rule)
+        if not diagnostics:
+            return
+        with pytest.raises(SafetyError) as excinfo:
+            check_rule_safety(rule)
+        messages = "; ".join(d.message for d in diagnostics)
+        assert str(excinfo.value) == f"unsafe rule {rule}: {messages}"
+        assert excinfo.value.diagnostics == tuple(diagnostics)
 
     def test_safety_error_carries_code_and_span(self):
         rule = parse_rule("p(X, W) <- q(X).")

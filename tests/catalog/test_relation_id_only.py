@@ -11,8 +11,9 @@ operations allow and a twin that bulk-loads eagerly — externalize, then
 holds them to the same rows, order, versions, journal answers, probes and
 copies, with ``check_invariants()`` on both after every step.
 
-The pins after it say which calls leave a relation id-only (``lookup``
-among them: it reads id tables), which force the dict, and that a frozen
+The pins after it say which calls leave a relation id-only (the oracle's
+``lookup`` probe among them: it reads id tables), which force the dict, and
+that a frozen
 id-only relation read from several threads at once materialises one
 coherent dict.
 """
@@ -29,6 +30,8 @@ from repro.catalog.relation import Relation, Shape
 from repro.catalog.symbols import SYMBOLS
 from repro.errors import CatalogError
 from repro.logic.terms import Constant
+
+from tests.reference import lookup
 
 #: 3 and 3.0 are one constant and share one id; True and 1 are two.
 VALUES = ["a", "b", "c", 3, 3.0, True, 1]
@@ -126,7 +129,7 @@ class IdOnlyAgainstEager(RuleBasedStateMachine):
     def lookup(self, pattern):
         was_id_only = id_only(self.lazy)
         terms = [None if value is None else Constant(value) for value in pattern]
-        assert list(self.lazy.lookup(terms)) == list(self.eager.lookup(terms))
+        assert list(lookup(self.lazy, terms)) == list(lookup(self.eager, terms))
         assert id_only(self.lazy) == was_id_only
 
     # -- readers that force it -----------------------------------------------------
@@ -232,11 +235,11 @@ class TestWhatForcesTheDict:
         relation = loaded()
         frozen = relation.freeze()
         for probed in (relation, frozen):
-            assert list(probed.lookup([Constant("a"), None])) == [
+            assert list(lookup(probed, [Constant("a"), None])) == [
                 SYMBOLS.extern_row(ids(("a", "b"))),
                 SYMBOLS.extern_row(ids(("a", "c"))),
             ]
-            assert list(probed.lookup([None, None])) == SYMBOLS.extern_rows(
+            assert list(lookup(probed, [None, None])) == SYMBOLS.extern_rows(
                 probed.int_rows()
             )
             assert id_only(probed) and probed._tables

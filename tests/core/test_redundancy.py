@@ -51,6 +51,22 @@ class TestSubsumes:
         specific = rule("p(X) <- (X > 5).")
         assert subsumes(general, specific)
 
+    def test_negation_does_not_subsume_its_positive_part(self):
+        negated = rule("p(X) <- q(X) and not r(X).")
+        assert not subsumes(negated, rule("p(X) <- q(X)."))
+        assert subsumes(rule("p(X) <- q(X)."), negated)
+
+    def test_negation_does_not_subsume_another_negation(self):
+        negated = rule("p(X) <- q(X) and not r(X).")
+        other = rule("p(A) <- q(A) and not s(A).")
+        assert not subsumes(negated, other)
+        assert not subsumes(other, negated)
+
+    def test_negated_atoms_map_onto_negated_atoms(self):
+        negated = rule("p(X) <- q(X) and not r(X).")
+        assert subsumes(negated, rule("p(A) <- q(A) and not r(A) and not s(A)."))
+        assert equivalent(negated, rule("p(A) <- q(A) and not r(A)."))
+
 
 class TestEliminateRedundant:
     def test_paper_example_5_shape(self):

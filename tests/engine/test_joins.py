@@ -5,11 +5,12 @@ import pytest
 
 from repro.errors import SafetyError
 from repro.engine.plan import order_conjuncts
-from repro.engine.reference import bind_row, join_conjunction, solve_comparison
 from repro.lang.parser import parse_atom, parse_body
 from repro.logic.atoms import Atom
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Constant, Variable
+
+from tests.reference import bind_row, join_conjunction, solve_comparison
 
 
 def toy_resolver(facts):

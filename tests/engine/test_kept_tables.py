@@ -1,7 +1,8 @@
 """One id table per relation and shape, kept across reads and writes.
 
-Every hashed build side a kernel step probes, and every
-``Relation.lookup``, is the relation's own table of the reader's
+Every hashed build side a kernel step probes, and every probe of the
+reference oracle (``tests/reference.py::lookup``), is the relation's own
+table of the reader's
 :class:`~repro.catalog.relation.Shape` (``Relation.table``): built on first
 request, updated by ``insert`` / ``delete``, dropped by a wholesale change.
 These tests count the builds on the workload shape that motivated it — a
@@ -24,6 +25,7 @@ from repro.logic.terms import Constant
 from repro.session import Session
 
 from tests.oracle import reference_answers
+from tests.reference import lookup
 
 #: The goal program's join of ``edge`` from a bound source: join-key
 #: column 0, the entry column 1.
@@ -129,7 +131,7 @@ def test_bound_constants_share_one_table_per_shape():
     edge = session.kb.relation("edge")
     for i in range(200):
         assert session.query(f"retrieve edge(n{i}, Y)").rows == [(Constant(f"n{i + 1}"),)]
-        assert list(edge.lookup([Constant(f"n{i}"), None])) == [
+        assert list(lookup(edge, [Constant(f"n{i}"), None])) == [
             (Constant(f"n{i}"), Constant(f"n{i + 1}"))
         ]
     for i in range(0, 200, 20):
@@ -152,11 +154,11 @@ def test_a_probe_with_an_unseen_constant_interns_nothing():
     unseen = Constant("never interned by any test: 7f3a")
     assert unseen not in SYMBOLS
     before = len(SYMBOLS)
-    assert list(relation.lookup([unseen, None])) == []
-    assert list(relation.lookup([Constant("a"), unseen])) == []
+    assert list(lookup(relation, [unseen, None])) == []
+    assert list(lookup(relation, [Constant("a"), unseen])) == []
     assert len(SYMBOLS) == before and unseen not in SYMBOLS
     # A seen constant reads an id table; neither probe built the row dict.
-    assert list(relation.lookup([Constant("a"), None])) == [(Constant("a"), Constant("b"))]
+    assert list(lookup(relation, [Constant("a"), None])) == [(Constant("a"), Constant("b"))]
     assert relation._rows is None and relation._tables
     relation.check_invariants()
 
@@ -188,7 +190,7 @@ def test_slot_threads_racing_on_a_frozen_relation_each_get_whole_tables():
         try:
             for probe in probes[index % 3:] + probes[: index % 3]:
                 seen.append(frozen.table(*probe) == expected[probe])
-            seen.append(len(list(frozen.lookup([Constant("n3"), None, None]))) == n3)
+            seen.append(len(list(lookup(frozen, [Constant("n3"), None, None]))) == n3)
         except BaseException as error:  # surfaced by the assertion below
             seen.append(error)
             raise
@@ -216,7 +218,7 @@ def test_lookup_answers_the_symbol_tables_representatives():
     SYMBOLS.intern(Constant(3))
     relation = Relation(2, [(3.0, "x"), ("y", 3.0)])
     assert relation.rows() == [(Constant(3.0), Constant("x")), (Constant("y"), Constant(3.0))]
-    found = list(relation.lookup([Constant(3.0), None]))
+    found = list(lookup(relation, [Constant(3.0), None]))
     assert found == [(Constant(3), Constant("x"))]
     assert isinstance(found[0][0].value, int)
-    assert list(relation.lookup([None, Constant(3)])) == [(Constant("y"), Constant(3))]
+    assert list(lookup(relation, [None, Constant(3)])) == [(Constant("y"), Constant(3))]

@@ -3,7 +3,7 @@
 Compiled plans are lowered into symbol-id space
 (:mod:`repro.engine.kernels`).  These tests pin the lowering itself:
 answer parity with the tuple-at-a-time reference evaluator
-(:mod:`repro.engine.reference`, via ``tests/oracle.py``), comparison
+(``tests/reference.py``, via ``tests/oracle.py``), comparison
 fusion into the preceding join's probe loop, order-comparison semantics
 over externalized values (including the incompatible-type
 ``LogicError``), head projection — fused into a rule's last join or not

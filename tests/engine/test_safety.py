@@ -1,9 +1,14 @@
-"""Unit tests for rule/query safety analysis."""
+"""The engine's rule safety check, :func:`check_rule_safety`, and the binding
+rules it rests on (both live in the safety pass)."""
 
 import pytest
 
+from repro.analysis.safety import (
+    bound_variables,
+    check_rule_safety,
+    rule_safety_diagnostics,
+)
 from repro.errors import SafetyError
-from repro.engine.safety import bound_variables, check_rule_safety, safety_problems
 from repro.lang.parser import parse_body, parse_rule
 from repro.logic.terms import Variable
 
@@ -32,10 +37,10 @@ class TestRuleSafety:
         check_rule_safety(parse_rule("honor(X) <- student(X, Y, Z) and (Z > 3.7)."))
 
     def test_unbound_head_variable(self):
-        problems = safety_problems(parse_rule("p(X, W) <- q(X)."))
-        assert any("W" in p for p in problems)
+        rule = parse_rule("p(X, W) <- q(X).")
+        assert any("W" in d.message for d in rule_safety_diagnostics(rule))
         with pytest.raises(SafetyError):
-            check_rule_safety(parse_rule("p(X, W) <- q(X)."))
+            check_rule_safety(rule)
 
     def test_unbound_comparison_variable(self):
         with pytest.raises(SafetyError):

@@ -47,7 +47,7 @@ class TestExamples:
         output = run_example("proofs_and_negation.py")
         assert "fred" in output                    # the review-list answer
         assert "[stored fact]" in output           # a proof leaf
-        assert "redundant" in output               # the audit finding
+        assert "KB505" in output                   # the lint finding
 
     def test_family_tree(self):
         output = run_example("family_tree.py")

@@ -1,12 +1,12 @@
-"""A full lifecycle: import, define, query, persist, update, audit.
+"""A full lifecycle: import, define, query, persist, update, lint.
 
 One scenario driving most subsystems in sequence, the way a downstream
 user would: CSV data in, knowledge defined in the language, data and
 knowledge queries, a JSON snapshot, updates under a warm view cache, a
-final audit.
+final lint.
 """
 
-from repro import Session, audit, load_kb, save_kb
+from repro import Session, analyze, load_kb, save_kb
 from repro.catalog.persist import import_csv
 from repro.engine import explain, retrieve
 from repro.lang.parser import parse_atom
@@ -63,6 +63,7 @@ def test_full_lifecycle(tmp_path):
     assert serving.query("retrieve anchor(X)").values() == ["grace"]
     assert serving.cache_stats()["incremental_refreshes"] == 2
 
-    # 7. The rule base stays clean.
-    report = audit(restored)
-    assert report.clean
+    # 7. The rule base stays clean: no error or warning (an unreferenced
+    # entry point is only informational).
+    report = analyze(restored)
+    assert not report.errors and not report.warnings

@@ -4,8 +4,9 @@ Bottom-up evaluation has exactly one production path.  These tests keep it
 that way from the outside: the names the statement-level benchmark's tracer
 patches by string still resolve (a traced run crashes at install otherwise,
 and nothing else in tier-1 would notice), the reference evaluator stays a
-test oracle that no production module imports, and no ``executor`` selector
-is reachable from the library API or the command line.
+test oracle that lives under ``tests/`` (no production module can import
+it), and no ``executor`` selector is reachable from the library API or the
+command line.
 
 The planner half: the engine orders joins from live relation statistics
 and consumes nothing of the abstract interpretation (which stays a lint
@@ -57,16 +58,18 @@ path.  One LRU class holds every ``popitem`` / ``move_to_end``; only
 the pinned snapshot changes.  A cached view is fresh by the same stamp: an
 entry holds its relation, its stamp and its LRU tick, nothing else.
 
-The join half: ``engine/joins.py`` holds the resolver join only; the join
+The join half: the integer kernels are the one join of the package.  The
+resolver module ``engine/joins.py`` is gone; the tuple-at-a-time
+nested-loops join and its probe serve only the reference evaluator
+(``tests/reference.py``), and ``Relation`` has no ``lookup``.  The join
 order and the one cardinality estimator are the planner's
-(``engine/plan.py``), and only repair, proof search and the reference
-evaluator import the resolver.
+(``engine/plan.py``).
 
 The context half: every read runs in one evaluation context, a
 ``ViewCache`` that keeps the views, their kernels and the plans.  There is
 no uncached route and no knob that selects one: no ``Session(cache=)``, no
 ``dbk --no-cache``, no ``plan_cache`` argument, and a bottom-up engine is
-built only by the context, the magic-sets route and the audit.
+built only by the context and the magic-sets route.
 """
 
 import ast
@@ -112,6 +115,7 @@ from repro.session import Session
 
 from tests.engine.test_guard import chain_kb
 from tests.oracle import ROUTES, forced_retrieve, reference_answers
+from tests.reference import lookup
 
 ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = ROOT / "src" / "repro"
@@ -157,10 +161,10 @@ def _imported_names(source: Path) -> list[str]:
 
 
 def test_reference_evaluator_is_imported_by_no_production_module():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.engine.reference")
     importers = []
     for source in sorted(PACKAGE.rglob("*.py")):
-        if source == PACKAGE / "engine" / "reference.py":
-            continue
         if any(name.split(".")[-1] == "reference" for name in _imported_names(source)):
             importers.append(str(source.relative_to(ROOT)))
     assert importers == []
@@ -484,7 +488,7 @@ def test_a_relation_keeps_no_constant_keyed_index():
     by ids (``Relation.table``), never by ``Constant``."""
     kb = chain_kb(6)
     relation = kb.relation("edge")
-    list(relation.lookup([Constant(0), None]))
+    list(lookup(relation, [Constant(0), None]))
     assert retrieve(kb, parse_atom("path(0, Y)")).rows
     assert relation._tables
     assert not {"_indexes", "_index_for"} & (set(dir(Relation)) | set(vars(relation)))
@@ -588,8 +592,8 @@ def test_relation_statistics_have_one_reader():
             for call in _calls(ast.parse(source.read_text()))
         )
     )
-    # A lookup probes the id table keyed on all its pinned columns, so
-    # relation.py no longer reads its own statistics to pick one.
+    # A probe reads the id table keyed on all its pinned columns, so
+    # relation.py does not read its own statistics to pick one.
     assert callers == ["engine/plan.py"]
 
 
@@ -605,8 +609,10 @@ def test_the_resolver_join_module_is_gone():
 
 def test_only_the_reference_probes_a_relation_by_lookup():
     """One join: repair and proofs run on the kernels, so the nested-loops
-    join and its probe, ``Relation.lookup``, serve only the oracle.  (The
-    answer memo's ``lookup`` is a different method.)"""
+    join and its probe serve only the oracle under ``tests/``: ``Relation``
+    has no ``lookup`` and nothing under the package calls one.  (The answer
+    memo's ``lookup`` is a different method.)"""
+    assert not hasattr(Relation, "lookup")
     memos = {"_answers"}
     callers = sorted(
         str(source.relative_to(PACKAGE))
@@ -621,7 +627,7 @@ def test_only_the_reference_probes_a_relation_by_lookup():
             for call in _calls(ast.parse(source.read_text()))
         )
     )
-    assert callers == ["engine/reference.py"]
+    assert callers == []
 
 
 def test_proofs_check_negation_by_the_kernel_anti_join():
@@ -723,10 +729,8 @@ def test_no_function_takes_or_passes_a_plan_cache():
     assert offenders == []
 
 
-def test_only_the_context_the_goal_route_and_the_audit_build_an_engine():
-    assert sorted(_callers("SemiNaiveEngine")) == [
-        "core/diagnostics.py", "engine/magic.py", "engine/viewcache.py",
-    ]
+def test_only_the_context_and_the_goal_route_build_an_engine():
+    assert sorted(_callers("SemiNaiveEngine")) == ["engine/magic.py", "engine/viewcache.py"]
 
 
 def test_a_goal_program_names_no_source_knowledge_base():

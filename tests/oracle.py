@@ -1,6 +1,6 @@
 """Baseline answers from the reference evaluator, and forced routes.
 
-:func:`repro.engine.reference.reference_fixpoint` is the tuple-at-a-time
+:func:`tests.reference.reference_fixpoint` is the tuple-at-a-time
 semi-naive loop kept as a test oracle.  These helpers phrase its output the
 way the production API answers, so a parity assertion is one ``==``.
 
@@ -15,11 +15,12 @@ from repro.engine.evaluate import (
     query_conjunction,
 )
 from repro.engine.magic import magic_conjunction
-from repro.engine.reference import reference_fixpoint
 from repro.engine.viewcache import ViewCache
 from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule
 from repro.logic.terms import is_variable
+
+from tests.reference import reference_fixpoint
 
 #: Head predicate of the scratch rule a query is turned into.
 ANSWER = "__answer"

@@ -1,6 +1,6 @@
 """Routed vs reference: differential testing on randomized positive programs.
 
-The baseline is the reference evaluator (``repro.engine.reference``: the
+The baseline is the reference evaluator (``tests/reference.py``: the
 tuple-at-a-time semi-naive loop, kept as a test oracle and reachable from
 no production path).  ``retrieve`` — which picks its own route: semi-naive
 bottom-up over the integer kernels for a free goal, the magic-sets

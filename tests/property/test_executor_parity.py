@@ -2,7 +2,7 @@
 
 The bottom-up engine (plans lowered to integer kernels, one stratum
 driver) must derive relations *identical* to those of the tuple-at-a-time
-reference evaluator (``repro.engine.reference``) on every program —
+reference evaluator (``tests/reference.py``) on every program —
 including rules with comparisons and stratified negation, which the
 positive-fragment differential matrix cannot cover.  Workloads come from
 ``repro.datasets.generators`` plus hypothesis-generated layered programs.

