@@ -18,8 +18,9 @@ Run with::
 
 from repro import Session
 from repro.cli import render
-from repro.core import run_algorithm1, algorithm1_config, transform_knowledge_base
+from repro.core import run_algorithm1, transform_knowledge_base
 from repro.datasets import university_kb
+from repro.engine.guard import ResourceGuard
 from repro.errors import SearchBudgetExceeded
 from repro.lang import parse_atom, parse_body
 
@@ -77,8 +78,7 @@ def main() -> None:
             kb,
             parse_atom("prior(X, Y)"),
             parse_body("prior(databases, Y)"),
-            config=algorithm1_config(max_steps=10_000),
-            check_precondition=False,
+            guard=ResourceGuard(max_steps=10_000),
         )
     except SearchBudgetExceeded as error:
         print(f"  -> {error}")

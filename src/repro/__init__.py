@@ -48,7 +48,6 @@ from repro.core.disjunction import describe_disjunctive
 from repro.core.intensional import intensional_answer
 from repro.core.necessity import describe_necessary, describe_without
 from repro.core.possibility import is_possible
-from repro.core.search import SearchConfig
 from repro.core.transform import transform_knowledge_base
 from repro.core.wildcard import describe_wildcard
 from repro.engine.evaluate import RetrieveResult, retrieve
@@ -96,7 +95,6 @@ __all__ = [
     "describe_necessary",
     "describe_without",
     "is_possible",
-    "SearchConfig",
     "transform_knowledge_base",
     "describe_wildcard",
     "RetrieveResult",

@@ -1,10 +1,10 @@
 """Knowledge-query core: the paper's describe machinery and extensions."""
 
 from repro.core.answers import DescribeResult, KnowledgeAnswer, SearchStatistics
-from repro.core.algorithm1 import algorithm1_config, run_algorithm1
-from repro.core.algorithm2 import algorithm2_config, run_algorithm2
+from repro.core.algorithm1 import run_algorithm1
+from repro.core.algorithm2 import run_algorithm2
 from repro.core.compare import ConceptComparison, compare_concepts
-from repro.core.describe import ALGORITHMS, describe
+from repro.core.describe import describe
 from repro.core.disjunction import DisjunctiveDescribeResult, describe_disjunctive
 from repro.core.intensional import IntensionalAnswer, intensional_answer
 from repro.core.necessity import (
@@ -14,7 +14,7 @@ from repro.core.necessity import (
 )
 from repro.core.possibility import PossibilityResult, is_possible
 from repro.core.redundancy import eliminate_redundant, equivalent, subsumes
-from repro.core.search import DerivationSearch, FullExpansion, SearchConfig
+from repro.core.search import DerivationSearch, FullExpansion
 from repro.core.transform import (
     TransformedProgram,
     transform_knowledge_base,
@@ -27,13 +27,10 @@ __all__ = [
     "DescribeResult",
     "KnowledgeAnswer",
     "SearchStatistics",
-    "algorithm1_config",
     "run_algorithm1",
-    "algorithm2_config",
     "run_algorithm2",
     "ConceptComparison",
     "compare_concepts",
-    "ALGORITHMS",
     "describe",
     "DisjunctiveDescribeResult",
     "describe_disjunctive",
@@ -49,7 +46,6 @@ __all__ = [
     "subsumes",
     "DerivationSearch",
     "FullExpansion",
-    "SearchConfig",
     "TransformedProgram",
     "transform_knowledge_base",
     "transform_rules",

@@ -12,33 +12,16 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.catalog.database import KnowledgeBase
-from repro.core.search import DerivationSearch, RawAnswer, SearchConfig, SearchStatistics
-from repro.core.transform import TransformedProgram, transform_knowledge_base
+from repro.core.search import DerivationSearch, RawAnswer, SearchStatistics
+from repro.core.transform import transform_knowledge_base
 from repro.logic.atoms import Atom
-
-
-def algorithm2_config(
-    max_steps: int = 2_000_000,
-    bare_rules: str = "include",
-    maximal_identification: bool = True,
-) -> SearchConfig:
-    """The search configuration that realises Algorithm 2 (Figure 3)."""
-    return SearchConfig(
-        max_steps=max_steps,
-        use_tags=True,
-        typing_guard=True,
-        bare_rules=bare_rules,
-        maximal_identification=maximal_identification,
-    )
 
 
 def run_algorithm2(
     kb: KnowledgeBase,
     subject: Atom,
     hypothesis: Sequence[Atom] = (),
-    config: SearchConfig | None = None,
     style: str = "standard",
-    program: TransformedProgram | None = None,
     guard=None,
     tracer=None,
 ) -> tuple[list[RawAnswer], SearchStatistics]:
@@ -46,16 +29,11 @@ def run_algorithm2(
 
     ``style`` selects the transformation variant (``"standard"`` uses the
     auxiliary chain predicate; ``"modified"`` avoids it where applicable —
-    the paper prefers the latter's answers when they exist).  A caller that
-    already holds a :class:`TransformedProgram` can pass it to skip
-    re-transformation.  ``guard`` (a
-    :class:`~repro.engine.guard.ResourceGuard`) adds a deadline/step budget
-    and cancellation on top of the config bounds.
+    the paper prefers the latter's answers when they exist).  ``guard`` (a
+    :class:`~repro.engine.guard.ResourceGuard`) bounds the run: deadline,
+    step budget and cancellation.
     """
-    if program is None:
-        program = transform_knowledge_base(kb, style=style)
-    search = DerivationSearch(
-        program, config or algorithm2_config(), guard=guard, tracer=tracer
-    )
+    program = transform_knowledge_base(kb, style=style)
+    search = DerivationSearch(program, guard=guard, tracer=tracer)
     answers = search.describe(subject, tuple(hypothesis))
     return answers, search.statistics

@@ -24,13 +24,14 @@ from typing import Sequence
 from repro.errors import CoreError
 from repro.catalog.database import KnowledgeBase
 from repro.core.redundancy import subsumes
-from repro.core.search import DerivationSearch, SearchConfig
+from repro.core.search import DerivationSearch
 from repro.core.transform import transform_knowledge_base
 from repro.engine.guard import ResourceGuard, require_strict
 from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule
 from repro.logic.formulas import format_conjunction
 from repro.logic.lgg import lgg_conjunctions
+from repro.logic.rename import numbered_variables
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Variable, is_variable
 
@@ -76,26 +77,27 @@ def _aligned_definitions(
     kb: KnowledgeBase,
     subject: Atom,
     hypothesis: Sequence[Atom],
-    config: SearchConfig | None,
+    anchors: Sequence[Variable],
     style: str,
-    guard: ResourceGuard | None = None,
+    guard: ResourceGuard | None,
 ) -> list[Rule]:
     """EDB-level definitions of a concept, subject variables normalised.
 
-    The subject's argument variables are renamed positionally to
-    ``S1, S2, ...`` so two concepts' definitions can be compared and
-    generalized against each other.  Hypothesis conjuncts are appended to
-    each definition body (the concept under those circumstances).
+    The subject's argument variables are renamed positionally to the
+    *anchors* (``S1, S2, ...``, none of them a hypothesis variable) so two
+    concepts' definitions can be compared and generalized against each
+    other.  Hypothesis conjuncts are appended to each definition body (the
+    concept under those circumstances).
     """
     if not kb.is_idb(subject.predicate):
         raise CoreError(
             f"compare subjects must use IDB predicates, got {subject.predicate!r}"
         )
     program = transform_knowledge_base(kb, style=style)
-    search = DerivationSearch(program, config or SearchConfig(), guard=guard)
+    search = DerivationSearch(program, guard=guard)
     alignment = Substitution(
         {
-            arg: Variable(f"S{position + 1}")
+            arg: anchors[position]
             for position, arg in enumerate(subject.args)
             if is_variable(arg)
         }  # type: ignore[arg-type]
@@ -118,18 +120,18 @@ def _readable(rule: Rule) -> Rule:
 
 
 def _set_subsumes(
-    generals: Sequence[Rule], specifics: Sequence[Rule], anchor_count: int
+    generals: Sequence[Rule], specifics: Sequence[Rule], anchors: Sequence[Variable]
 ) -> bool:
     """Whether every specific definition is covered by some general one."""
     if not specifics:
         return False
     return all(
-        any(_body_subsumes(general, specific, anchor_count) for general in generals)
+        any(_body_subsumes(general, specific, anchors) for general in generals)
         for specific in specifics
     )
 
 
-def _body_subsumes(general: Rule, specific: Rule, anchor_count: int) -> bool:
+def _body_subsumes(general: Rule, specific: Rule, anchors: Sequence[Variable]) -> bool:
     """Body-only theta-subsumption with the aligned subject variables anchored.
 
     The surrogate head carries the shared alignment variables ``S1..Sk`` so
@@ -137,8 +139,7 @@ def _body_subsumes(general: Rule, specific: Rule, anchor_count: int) -> bool:
     ``sibling`` would "subsume" ``cousin`` (a sibling pair exists *somewhere*
     in every cousin derivation, but not between the compared individuals).
     """
-    anchor = [Variable(f"S{i + 1}") for i in range(anchor_count)]
-    surrogate_head = Atom("_concept", anchor)
+    surrogate_head = Atom("_concept", anchors)
     return subsumes(
         Rule(surrogate_head, general.body), Rule(surrogate_head, specific.body)
     )
@@ -150,7 +151,6 @@ def compare_concepts(
     right_subject: Atom,
     left_hypothesis: Sequence[Atom] = (),
     right_hypothesis: Sequence[Atom] = (),
-    config: SearchConfig | None = None,
     style: str = "standard",
     guard: ResourceGuard | None = None,
 ) -> ConceptComparison:
@@ -161,16 +161,18 @@ def compare_concepts(
     truncating a definition set and flipping the relation).
     """
     require_strict(guard, "compare", error=CoreError)
+    arity = max(left_subject.arity, right_subject.arity)
+    anchors = numbered_variables("S", arity, (*left_hypothesis, *right_hypothesis))
     left_defs = _aligned_definitions(
-        kb, left_subject, left_hypothesis, config, style, guard=guard
+        kb, left_subject, left_hypothesis, anchors, style, guard
     )
     right_defs = _aligned_definitions(
-        kb, right_subject, right_hypothesis, config, style, guard=guard
+        kb, right_subject, right_hypothesis, anchors, style, guard
     )
 
-    anchor_count = min(left_subject.arity, right_subject.arity)
-    left_covers = _set_subsumes(left_defs, right_defs, anchor_count)
-    right_covers = _set_subsumes(right_defs, left_defs, anchor_count)
+    shared_anchors = anchors[: min(left_subject.arity, right_subject.arity)]
+    left_covers = _set_subsumes(left_defs, right_defs, shared_anchors)
+    right_covers = _set_subsumes(right_defs, left_defs, shared_anchors)
     if left_covers and right_covers:
         relation = RELATION_EQUIVALENT
     elif left_covers:

@@ -14,8 +14,8 @@ from typing import Sequence
 
 from repro.errors import CoreError, ResourceExhausted
 from repro.catalog.database import KnowledgeBase
-from repro.core.algorithm1 import algorithm1_config, run_algorithm1
-from repro.core.algorithm2 import algorithm2_config, run_algorithm2
+from repro.core.algorithm1 import run_algorithm1
+from repro.core.algorithm2 import run_algorithm2
 from repro.core.answers import (
     DescribeResult,
     KnowledgeAnswer,
@@ -25,21 +25,16 @@ from repro.core.answers import (
 )
 from repro.core.comparisons import postprocess_answer
 from repro.core.redundancy import eliminate_redundant
-from repro.core.search import SearchConfig
+from repro.core.search import RawAnswer
 from repro.engine.guard import ResourceGuard, degrade_catch
 from repro.logic.atoms import Atom
-
-#: Accepted values for the ``algorithm`` parameter.
-ALGORITHMS = ("auto", "algorithm1", "algorithm2")
 
 
 def describe(
     kb: KnowledgeBase,
     subject: Atom,
     hypothesis: Sequence[Atom] = (),
-    algorithm: str = "auto",
     style: str = "standard",
-    config: SearchConfig | None = None,
     guard: ResourceGuard | None = None,
     tracer=None,
 ) -> DescribeResult:
@@ -49,15 +44,11 @@ def describe(
     ----------
     subject:
         An atom whose predicate is an IDB predicate (the paper requires
-        this: knowledge answers describe *defined* concepts).
+        this: knowledge answers describe *defined* concepts).  A subject
+        that depends on recursion is answered by Algorithm 2, any other by
+        Algorithm 1 (``result.algorithm`` says which).
     hypothesis:
         A positive formula (conjunction of atoms and comparisons).
-    algorithm:
-        ``"auto"`` picks Algorithm 2 when the subject depends on recursion
-        and Algorithm 1 otherwise; the explicit names force a choice
-        (forcing Algorithm 1 onto a recursive subject raises
-        :class:`~repro.errors.NonRecursiveSubjectRequired` unless the caller
-        passes a bounded ``config`` and catches the budget error).
     style:
         Transformation style for Algorithm 2 (``"standard"``/``"modified"``).
     guard:
@@ -67,8 +58,6 @@ def describe(
         mode post-processes the answers found so far and returns them with
         ``result.diagnostics`` marking a sound under-approximation.
     """
-    if algorithm not in ALGORITHMS:
-        raise CoreError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if subject.is_comparison():
         raise CoreError("the subject of describe may not be a comparison")
     if not kb.is_idb(subject.predicate):
@@ -86,14 +75,9 @@ def describe(
                 "uses negation"
             )
     hypothesis = tuple(hypothesis)
-
-    # ``auto`` settles the precondition here, once; a forced Algorithm 1
-    # still has run_algorithm1 check it (and refuse a recursive subject).
-    forced = algorithm != "auto"
-    if not forced:
-        algorithm = (
-            "algorithm2" if graph.depends_on_recursion(subject.predicate) else "algorithm1"
-        )
+    # The paper's precondition, settled here once.
+    recursive = graph.depends_on_recursion(subject.predicate)
+    algorithm = "algorithm2" if recursive else "algorithm1"
 
     from repro.obs.trace import traced_span
 
@@ -102,15 +86,13 @@ def describe(
         with traced_span(
             tracer, "describe", subject=str(subject), algorithm=algorithm
         ):
-            if algorithm == "algorithm1":
-                raw_answers, statistics = run_algorithm1(
-                    kb, subject, hypothesis, config=config or algorithm1_config(),
-                    check_precondition=forced, guard=guard, tracer=tracer,
+            if recursive:
+                raw_answers, statistics = run_algorithm2(
+                    kb, subject, hypothesis, style=style, guard=guard, tracer=tracer
                 )
             else:
-                raw_answers, statistics = run_algorithm2(
-                    kb, subject, hypothesis, config=config or algorithm2_config(),
-                    style=style, guard=guard, tracer=tracer,
+                raw_answers, statistics = run_algorithm1(
+                    kb, subject, hypothesis, guard=guard, tracer=tracer
                 )
     except ResourceExhausted as error:
         # Degrade: every raw answer found before the trip is a soundly
@@ -123,6 +105,29 @@ def describe(
         if guard is not None:
             diagnostics = guard.diagnostics()
 
+    answers, discarded = finish_answers(raw_answers, hypothesis, statistics)
+    return DescribeResult(
+        subject=subject,
+        hypothesis=hypothesis,
+        answers=answers,
+        contradiction=bool(discarded) and not answers,
+        algorithm=algorithm,
+        statistics=statistics,
+        diagnostics=diagnostics,
+    )
+
+
+def finish_answers(
+    raw_answers: Sequence[RawAnswer],
+    hypothesis: tuple[Atom, ...],
+    statistics: SearchStatistics,
+) -> tuple[list[KnowledgeAnswer], int]:
+    """Post-process raw search answers; returns them and the discard count.
+
+    Comparison post-processing discards answers that contradict the
+    hypothesis; the rest are renamed readably, deduplicated and freed of
+    redundant answers, and *statistics* records both removals.
+    """
     answers: list[KnowledgeAnswer] = []
     discarded = 0
     for raw in raw_answers:
@@ -143,13 +148,4 @@ def describe(
     before = len(answers)
     answers = eliminate_redundant(answers)
     statistics.removed_as_redundant += before - len(answers)
-
-    return DescribeResult(
-        subject=subject,
-        hypothesis=hypothesis,
-        answers=answers,
-        contradiction=bool(discarded) and not answers,
-        algorithm=algorithm,
-        statistics=statistics,
-        diagnostics=diagnostics,
-    )
+    return answers, discarded

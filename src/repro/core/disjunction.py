@@ -21,7 +21,6 @@ from repro.catalog.database import KnowledgeBase
 from repro.core.answers import DescribeResult, KnowledgeAnswer
 from repro.core.describe import describe
 from repro.core.redundancy import equivalent
-from repro.core.search import SearchConfig
 from repro.engine.guard import ResourceGuard
 from repro.logic.atoms import Atom
 from repro.logic.formulas import format_conjunction
@@ -60,9 +59,7 @@ def describe_disjunctive(
     kb: KnowledgeBase,
     subject: Atom,
     disjuncts: Sequence[Sequence[Atom]],
-    algorithm: str = "auto",
     style: str = "standard",
-    config: SearchConfig | None = None,
     guard: ResourceGuard | None = None,
 ) -> DisjunctiveDescribeResult:
     """Evaluate a describe query whose hypothesis is a disjunction.
@@ -75,10 +72,7 @@ def describe_disjunctive(
     if not disjuncts:
         raise CoreError("a disjunctive describe needs at least one disjunct")
     cases = [
-        describe(
-            kb, subject, tuple(disjunct), algorithm=algorithm, style=style,
-            config=config, guard=guard,
-        )
+        describe(kb, subject, tuple(disjunct), style=style, guard=guard)
         for disjunct in disjuncts
     ]
 

@@ -26,7 +26,6 @@ from repro.errors import SafetyError
 from repro.catalog.database import KnowledgeBase
 from repro.core.answers import KnowledgeAnswer
 from repro.core.describe import describe
-from repro.core.search import SearchConfig
 from repro.engine.evaluate import RetrieveResult, retrieve
 from repro.engine.guard import ResourceGuard
 from repro.logic.atoms import Atom
@@ -79,7 +78,6 @@ def intensional_answer(
     kb: KnowledgeBase,
     subject: Atom,
     qualifier: Sequence[Atom] = (),
-    config: SearchConfig | None = None,
     guard: ResourceGuard | None = None,
 ) -> IntensionalAnswer:
     """Answer a data query with rules plus residue (mechanism 2).
@@ -92,7 +90,7 @@ def intensional_answer(
     """
     qualifier = tuple(qualifier)
     extension = retrieve(kb, subject, qualifier, guard=guard)
-    description = describe(kb, subject, qualifier, config=config, guard=guard)
+    description = describe(kb, subject, qualifier, guard=guard)
 
     all_rows = list(extension.rows)
     covered_rows: set[tuple[Constant, ...]] = set()

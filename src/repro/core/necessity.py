@@ -17,14 +17,14 @@ Two of the paper's sketched describe extensions live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from repro.errors import CoreError
 from repro.catalog.database import KnowledgeBase
 from repro.core.answers import DescribeResult, KnowledgeAnswer, cleanup_answer
 from repro.core.describe import describe
-from repro.core.search import DerivationSearch, SearchConfig
+from repro.core.search import DerivationSearch
 from repro.core.transform import transform_knowledge_base
 from repro.engine.guard import ResourceGuard, require_strict
 from repro.logic.atoms import Atom, atoms_variables
@@ -51,9 +51,7 @@ def describe_necessary(
     kb: KnowledgeBase,
     subject: Atom,
     hypothesis: Sequence[Atom],
-    algorithm: str = "auto",
     style: str = "standard",
-    config: SearchConfig | None = None,
     guard: ResourceGuard | None = None,
 ) -> DescribeResult:
     """``describe subject where necessary hypothesis``.
@@ -66,10 +64,7 @@ def describe_necessary(
     sound under-approximation), flagged via ``result.diagnostics``.
     """
     hypothesis = tuple(hypothesis)
-    result = describe(
-        kb, subject, hypothesis, algorithm=algorithm, style=style, config=config,
-        guard=guard,
-    )
+    result = describe(kb, subject, hypothesis, style=style, guard=guard)
     required_indices = {
         index for index, atom in enumerate(hypothesis) if not atom.is_comparison()
     }
@@ -85,15 +80,7 @@ def describe_necessary(
         if not all(_comparison_used(atom, answer) for _, atom in comparison_indices):
             continue
         filtered.append(answer)
-    return DescribeResult(
-        subject=result.subject,
-        hypothesis=result.hypothesis,
-        answers=filtered,
-        contradiction=result.contradiction,
-        algorithm=result.algorithm,
-        statistics=result.statistics,
-        diagnostics=result.diagnostics,
-    )
+    return replace(result, answers=filtered)
 
 
 @dataclass
@@ -126,7 +113,6 @@ def describe_without(
     kb: KnowledgeBase,
     subject: Atom,
     negated: Atom,
-    config: SearchConfig | None = None,
     style: str = "standard",
     guard: ResourceGuard | None = None,
 ) -> NecessityResult:
@@ -146,7 +132,7 @@ def describe_without(
             f"the subject of describe must use an IDB predicate, got {subject.predicate!r}"
         )
     program = transform_knowledge_base(kb, style=style)
-    search = DerivationSearch(program, config or SearchConfig(), guard=guard)
+    search = DerivationSearch(program, guard=guard)
     avoiding: list[KnowledgeAnswer] = []
     saw_expansion = False
     for expansion in search.expand_subject(subject):

@@ -22,7 +22,6 @@ from typing import Sequence
 from repro.errors import CoreError
 from repro.catalog.database import KnowledgeBase
 from repro.core.describe import describe
-from repro.core.search import SearchConfig
 from repro.engine.guard import ResourceGuard, require_strict
 from repro.logic.atoms import Atom
 from repro.logic.intervals import satisfiable
@@ -59,12 +58,10 @@ def _violates_constraint(kb: KnowledgeBase, hypothesis: Sequence[Atom]) -> str |
     renamer = VariableRenamer()
     for constraint in kb.constraints():
         body = renamer.rename_atoms(constraint.body)
-        theta: Substitution | None = Substitution.EMPTY
-        remaining = list(body)
         # Greedy cover: every non-comparison constraint conjunct must unify
         # with some hypothesis conjunct; comparisons must then be consistent.
-        positive = [a for a in remaining if not a.is_comparison()]
-        comparisons = [a for a in remaining if a.is_comparison()]
+        positive = [a for a in body if not a.is_comparison()]
+        comparisons = [a for a in body if a.is_comparison()]
 
         def cover(theta: Substitution, todo: list[Atom]) -> Substitution | None:
             if not todo:
@@ -93,7 +90,6 @@ def _violates_constraint(kb: KnowledgeBase, hypothesis: Sequence[Atom]) -> str |
 def is_possible(
     kb: KnowledgeBase,
     hypothesis: Sequence[Atom],
-    config: SearchConfig | None = None,
     style: str = "standard",
     guard: ResourceGuard | None = None,
 ) -> PossibilityResult:
@@ -116,7 +112,7 @@ def is_possible(
             if atom.is_comparison() or not kb.is_idb(atom.predicate):
                 continue
             rest = hypothesis[:index] + hypothesis[index + 1 :]
-            result = describe(kb, atom, rest, config=config, style=style, guard=guard)
+            result = describe(kb, atom, rest, style=style, guard=guard)
             if result.contradiction:
                 rest_text = " and ".join(str(a) for a in rest)
                 reasons.append(

@@ -9,11 +9,9 @@ conjuncts into ``r2``'s body — with comparison conjuncts handled
 semantically (``r2``'s comparisons must imply the image of each ``r1``
 comparison).
 
-Implementation note: the subsuming rule is renamed apart first and only its
-(freshly renamed) variables may be bound; the subsumed rule's variables are
-rigid.  Without this, two rules sharing variable names would let the head
-match silently rebind a head variable (identity bindings carry no record),
-wrongly making ``prior(X,Y) <- prereq(X,Y)`` subsume
+The subsuming rule is renamed apart first and only its (freshly renamed)
+variables may be bound (:mod:`repro.logic.subsumption`); without this,
+``prior(X,Y) <- prereq(X,Y)`` would subsume
 ``prior(X,Y) <- prereq(X,Z) and prior(Z,Y)``.
 """
 
@@ -22,35 +20,11 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.answers import KnowledgeAnswer
-from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule
 from repro.logic.intervals import implies
 from repro.logic.rename import VariableRenamer
 from repro.logic.substitution import Substitution
-from repro.logic.terms import Term, is_variable
-
-
-def _match_rigid_terms(pattern: Term, target: Term, theta: Substitution) -> Substitution | None:
-    """Match where only *fresh* pattern variables may be bound."""
-    pattern = theta.apply_term(pattern)
-    if pattern == target:
-        return theta
-    if is_variable(pattern) and pattern.is_fresh():  # type: ignore[union-attr]
-        return theta.bind(pattern, target)  # type: ignore[arg-type]
-    return None
-
-
-def _match_rigid(pattern: Atom, target: Atom, theta: Substitution) -> Substitution | None:
-    """One-way atom matching binding only fresh (renamed-apart) variables."""
-    if pattern.predicate != target.predicate or pattern.arity != target.arity:
-        return None
-    result = theta
-    for p_arg, t_arg in zip(pattern.args, target.args):
-        extended = _match_rigid_terms(p_arg, t_arg, result)
-        if extended is None:
-            return None
-        result = extended
-    return result
+from repro.logic.subsumption import maps_into, match_rigid
 
 
 class _Split:
@@ -90,27 +64,19 @@ def _subsumes_split(general: _Split, specific: _Split) -> bool:
     more specific.  Safety binds every negated variable positively, so that
     substitution grounds each one in *specific*'s variables.
     """
-    head_theta = _match_rigid(general.head, specific.head, Substitution.EMPTY)
+    head_theta = match_rigid(general.head, specific.head, Substitution.EMPTY)
     if head_theta is None:
         return False
-    specific_positive = specific.positive
 
-    def extend(theta: Substitution, remaining: list[Atom]) -> bool:
-        if not remaining:
-            return all(
-                theta.apply(atom) in specific.negated for atom in general.negated
-            ) and all(
-                implies(specific.comparisons, theta.apply(comparison))
-                for comparison in general.comparisons
-            )
-        first, *rest = remaining
-        for target in specific_positive:
-            extended = _match_rigid(theta.apply(first), target, theta)
-            if extended is not None and extend(extended, rest):
-                return True
-        return False
+    def accept(theta: Substitution) -> bool:
+        return all(
+            theta.apply(atom) in specific.negated for atom in general.negated
+        ) and all(
+            implies(specific.comparisons, theta.apply(comparison))
+            for comparison in general.comparisons
+        )
 
-    return extend(head_theta, general.positive)
+    return maps_into(general.positive, specific.positive, head_theta, accept)
 
 
 def subsumes(general: Rule, specific: Rule) -> bool:

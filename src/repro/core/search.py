@@ -62,25 +62,12 @@ from repro.logic.unify import unify
 Tag = int | None
 
 
-@dataclass
-class SearchConfig:
-    """Knobs of the derivation-tree search.
-
-    ``use_tags`` and ``typing_guard`` distinguish Algorithm 2 (both on)
-    from Algorithm 1 (both off).  ``bare_rules`` controls flowchart box 19
-    ("include" is faithful; "suppress" matches the paper's elided listings).
-    ``maximal_identification`` keeps, per root rule, only answers whose set
-    of used hypothesis conjuncts is maximal — the paper's worked examples
-    print exactly these.
-    """
-
-    max_steps: int = 200_000
-    max_depth: int = 150
-    max_answers: int | None = None
-    use_tags: bool = True
-    typing_guard: bool = True
-    bare_rules: str = "include"  # "include" | "suppress"
-    maximal_identification: bool = True
+#: Backstops on every search, not options: a tag-bounded search stays far
+#: below both, and the depth ceiling keeps a runaway one (Algorithm 1 on a
+#: recursive subject) off the interpreter stack.  A caller's own budget is
+#: a :class:`~repro.engine.guard.ResourceGuard`.
+MAX_STEPS = 2_000_000
+MAX_DEPTH = 150
 
 
 @dataclass(frozen=True)
@@ -125,10 +112,14 @@ class RawAnswer:
 class DerivationSearch:
     """Enumerates knowledge answers for one describe query.
 
-    ``guard`` (a :class:`~repro.engine.guard.ResourceGuard`) adds a
-    wall-clock deadline, step budget, and cooperative cancellation on top of
-    the :class:`SearchConfig` bounds; budget errors raised here are
-    :class:`~repro.errors.SearchBudgetExceeded` (catchable as
+    What the search does follows from *program*: tags fire only on the
+    transformation's ``rT``/``rC`` rules, and the typing guard covers only
+    the predicates the program records as recursive (an untransformed
+    program records none, so Algorithm 1 runs without it).  ``guard`` (a
+    :class:`~repro.engine.guard.ResourceGuard`) is the caller's budget —
+    deadline, steps, depth, cancellation — under the fixed
+    :data:`MAX_STEPS` / :data:`MAX_DEPTH` ceilings.  Budget errors raised
+    here are :class:`~repro.errors.SearchBudgetExceeded` (catchable as
     :class:`~repro.errors.ResourceExhausted`) carrying the answers found so
     far in ``answers_so_far`` and the search counters in ``statistics``.
     """
@@ -136,12 +127,10 @@ class DerivationSearch:
     def __init__(
         self,
         program: TransformedProgram,
-        config: SearchConfig | None = None,
         guard: ResourceGuard | None = None,
         tracer=None,
     ) -> None:
         self._program = program
-        self._config = config or SearchConfig()
         self._guard = guard
         self._tracer = tracer
         self._rules_by_pred: dict[str, list[Rule]] = {}
@@ -283,12 +272,7 @@ class DerivationSearch:
                         root_rule=rule_index,
                     )
                 )
-                if (
-                    self._config.max_answers is not None
-                    and len(answers) >= self._config.max_answers
-                ):
-                    return
-            if not productive and self._config.bare_rules == "include":
+            if not productive:
                 answers.append(
                     RawAnswer(
                         head=subject,
@@ -356,8 +340,6 @@ class DerivationSearch:
 
     def _finalize(self, answers: list[RawAnswer]) -> list[RawAnswer]:
         self.statistics.raw_answers += len(answers)
-        if not self._config.maximal_identification:
-            return answers
         # Per root rule, keep only answers whose used-hypothesis set is
         # maximal (the paper's printed answers are exactly these).
         keep: list[RawAnswer] = []
@@ -413,15 +395,15 @@ class DerivationSearch:
     ) -> Iterator[_Expansion]:
         """The three choices for one tree formula (see module docstring)."""
         self._tick()
-        if depth > self._config.max_depth:
+        if depth > MAX_DEPTH:
             raise SearchBudgetExceeded(
                 reason=(
-                    f"derivation tree exceeded depth {self._config.max_depth} "
+                    f"derivation tree exceeded depth {MAX_DEPTH} "
                     f"after {self.statistics.steps} steps"
                 ),
                 budget="depth",
                 consumed=depth,
-                limit=self._config.max_depth,
+                limit=MAX_DEPTH,
             )
         if self._guard is not None:
             self._guard.check_depth(depth, error=SearchBudgetExceeded)
@@ -453,9 +435,8 @@ class DerivationSearch:
         #    subtree collapses to choice 3 below).
         for rule in self._rules_by_pred.get(current.predicate, ()):
             kind = self._program.kind_of(rule)
-            if self._config.use_tags and kind in (KIND_TRANSFORMATION, KIND_CONTINUATION):
-                if tag == 0:
-                    continue
+            if tag == 0 and kind in (KIND_TRANSFORMATION, KIND_CONTINUATION):
+                continue
             if kind == KIND_PERMUTATION:
                 remaining = perm_budget.get(id(rule), self._perm_orders[id(rule)] - 1)
                 if remaining <= 0:
@@ -464,18 +445,15 @@ class DerivationSearch:
             extended = unify(renamed.head, current, theta)
             if extended is None:
                 continue
-            if not self._typing_ok(extended, tree_atoms + tuple(renamed.body)):
+            new_tree = tree_atoms + tuple(renamed.body)
+            if not self._typing_ok(extended, new_tree):
                 self.statistics.typing_rejections += 1
                 continue
             self.statistics.rule_applications += 1
             child_tags = self._child_tags(rule, tag, renamed.body)
             child_budget: Mapping[int, int] = perm_budget
             if kind == KIND_PERMUTATION:
-                child_budget = dict(perm_budget)
-                child_budget[id(rule)] = (
-                    perm_budget.get(id(rule), self._perm_orders[id(rule)] - 1) - 1
-                )
-            new_tree = tree_atoms + tuple(renamed.body)
+                child_budget = {**perm_budget, id(rule): remaining - 1}
             for expansion in self._expand_sequence(
                 renamed.body, extended, new_tree, child_tags, child_budget, depth + 1
             ):
@@ -498,8 +476,6 @@ class DerivationSearch:
     def _child_tags(self, rule: Rule, tag: Tag, body: Sequence[Atom]) -> list[Tag]:
         """Tags for a rule's body formulas (Figure 3 boxes 9a-9e)."""
         kind = self._program.kind_of(rule)
-        if not self._config.use_tags:
-            return [None] * len(body)
         if kind == KIND_TRANSFORMATION:
             # The recursive child is frozen; the auxiliary child may chain.
             tags: list[Tag] = []
@@ -530,8 +506,8 @@ class DerivationSearch:
 
     def _typing_ok(self, theta: Substitution, tree_atoms: Sequence[Atom]) -> bool:
         """Whether *theta* preserves the typing of recursive predicates."""
-        if not self._config.typing_guard:
-            return True
+        if not self._recursive:
+            return True  # an untransformed program (Algorithm 1) records none
         by_pred: dict[str, list[Atom]] = {}
         for atom in tree_atoms:
             if atom.predicate in self._recursive:
@@ -540,7 +516,7 @@ class DerivationSearch:
 
     def _tick(self) -> None:
         self.statistics.steps += 1
-        if self.statistics.steps > self._config.max_steps:
-            raise SearchBudgetExceeded(self._config.max_steps)
+        if self.statistics.steps > MAX_STEPS:
+            raise SearchBudgetExceeded(MAX_STEPS)
         if self._guard is not None:
             self._guard.tick(error=SearchBudgetExceeded)

@@ -79,7 +79,7 @@ class TransformedProgram:
     rules: list[Rule] = field(default_factory=list)
     kinds: dict[int, str] = field(default_factory=dict)  # id(rule) -> kind
     aux_predicates: dict[str, str] = field(default_factory=dict)  # aux -> source
-    recursive_predicates: frozenset[str] = frozenset()
+    recursive_predicates: frozenset[str] = frozenset()  # typing-guarded
 
     def add(self, rule: Rule, kind: str) -> None:
         """Append a rule with its kind label."""
@@ -384,12 +384,12 @@ def transform_knowledge_base(kb: KnowledgeBase, style: str = "standard") -> Tran
 def untransformed_program(
     rules: Sequence[Rule], graph: DependencyGraph | None = None
 ) -> TransformedProgram:
-    """Wrap raw rules without transforming (for Algorithm 1 and baselines).
+    """Wrap raw rules without transforming (Algorithm 1's program).
 
-    Recursive rules keep honest kind labels (``rT``-style limiting does not
-    apply to them; the search treats any non-plain recursive kind as
-    tag-limited, so here they are all labelled ``plain`` — Algorithm 1
-    simply has no tag machinery).  ``graph`` as for :func:`transform_rules`.
+    Every rule is ``plain`` except a recursive permutation rule, so no tag
+    ever fires, and the program records no recursive predicate, so the
+    search applies no typing guard: Algorithm 1 as the paper states it.
+    ``graph`` as for :func:`transform_rules`.
     """
     if graph is None:
         graph = DependencyGraph(rules)
@@ -399,5 +399,4 @@ def untransformed_program(
             program.add(rule, KIND_PERMUTATION)
         else:
             program.add(rule, KIND_PLAIN)
-    program.recursive_predicates = graph.recursive_predicates()
     return program

@@ -3,28 +3,27 @@
 "The wildcard subject would express all the subjects that are derivable
 from this qualifier" — e.g. ``describe * where honor(X)`` inquires about
 the advantages of honor status.  We run an ordinary describe for every IDB
-predicate (over fresh variables) under the hypothesis and keep only results
-whose answers actually *used* the hypothesis; everything else would merely
-restate the IDB.
+predicate (over variables ``W1..Wn`` the hypothesis does not use) under the
+hypothesis and keep only results whose answers actually *used* the
+hypothesis; everything else would merely restate the IDB.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
 from repro.catalog.database import KnowledgeBase
 from repro.core.answers import DescribeResult
 from repro.core.describe import describe
-from repro.core.search import SearchConfig
 from repro.engine.guard import ResourceGuard
 from repro.logic.atoms import Atom
-from repro.logic.terms import Variable
+from repro.logic.rename import numbered_variables
 
 
 def describe_wildcard(
     kb: KnowledgeBase,
     hypothesis: Sequence[Atom],
-    config: SearchConfig | None = None,
     style: str = "standard",
     guard: ResourceGuard | None = None,
 ) -> dict[str, DescribeResult]:
@@ -47,19 +46,11 @@ def describe_wildcard(
         if predicate in hypothesis_predicates:
             continue  # would only restate the hypothesis about itself
         schema = kb.schema(predicate)
-        subject = Atom(predicate, [Variable(f"W{i + 1}") for i in range(schema.arity)])
-        result = describe(kb, subject, hypothesis, config=config, style=style, guard=guard)
+        subject = Atom(predicate, numbered_variables("W", schema.arity, hypothesis))
+        result = describe(kb, subject, hypothesis, style=style, guard=guard)
         engaged = [a for a in result.answers if a.used_hypotheses and not a.bare]
         if engaged:
-            results[predicate] = DescribeResult(
-                subject=result.subject,
-                hypothesis=result.hypothesis,
-                answers=engaged,
-                contradiction=result.contradiction,
-                algorithm=result.algorithm,
-                statistics=result.statistics,
-                diagnostics=result.diagnostics,
-            )
+            results[predicate] = replace(result, answers=engaged)
         if not result.complete:
             break  # shared budget exhausted; remaining predicates unexplored
     return results

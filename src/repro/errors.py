@@ -250,10 +250,6 @@ class CoreError(ReproError):
     """Errors raised by the knowledge-query (describe) core."""
 
 
-class NonRecursiveSubjectRequired(CoreError):
-    """Algorithm 1 was invoked on a subject that depends on recursion."""
-
-
 class TransformError(CoreError):
     """The Imielinski transformation could not be applied to a rule set."""
 

@@ -17,9 +17,9 @@ import itertools
 from typing import Sequence
 
 from repro.logic.atoms import Atom
-from repro.logic.substitution import Substitution
+from repro.logic.rename import VariableRenamer
+from repro.logic.subsumption import maps_into
 from repro.logic.terms import Term, Variable
-from repro.logic.unify import match
 
 
 class GeneralizationTable:
@@ -59,24 +59,6 @@ def lgg_atoms(left: Atom, right: Atom, table: GeneralizationTable | None = None)
     return Atom(left.predicate, args)
 
 
-def _subsumes_conjunction(general: Sequence[Atom], specific: Sequence[Atom]) -> bool:
-    """Whether *general* theta-subsumes *specific* (as atom sets)."""
-    specific_set = list(specific)
-
-    def extend(theta: Substitution, remaining: list[Atom]) -> bool:
-        if not remaining:
-            return True
-        first, *rest = remaining
-        for target in specific_set:
-            extended = match(theta.apply(first), target)
-            if extended is not None:
-                if extend(theta.compose(extended), rest):
-                    return True
-        return False
-
-    return extend(Substitution.EMPTY, list(general))
-
-
 def reduce_conjunction(formula: Sequence[Atom]) -> tuple[Atom, ...]:
     """Drop conjuncts that are redundant under conjunctive-query containment.
 
@@ -89,9 +71,12 @@ def reduce_conjunction(formula: Sequence[Atom]) -> tuple[Atom, ...]:
     changed = True
     while changed:
         changed = False
-        for i, atom in enumerate(atoms):
+        # Renamed apart, so the full conjunction's variables are the only
+        # ones the map may bind (the remainder's stay rigid).
+        renamed = VariableRenamer().rename_atoms(atoms)
+        for i in range(len(atoms)):
             rest = atoms[:i] + atoms[i + 1 :]
-            if rest and _subsumes_conjunction(atoms, rest):
+            if rest and maps_into(renamed, rest):
                 atoms = rest
                 changed = True
                 break

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from repro.logic.atoms import Atom
+from repro.logic.atoms import Atom, atoms_variables
 from repro.logic.clauses import Rule
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Variable
@@ -62,3 +62,12 @@ class VariableRenamer:
         """Variants of *atoms* with shared variables renamed consistently."""
         theta = self.renaming_for(v for atom in atoms for v in atom.variables())
         return theta.apply_all(atoms)
+
+
+def numbered_variables(prefix: str, count: int, avoid: Iterable[Atom]) -> list[Variable]:
+    """*count* variables ``{prefix}1, {prefix}2, ...``, skipping every
+    variable of *avoid* (the statement they are generated for)."""
+    taken = {v.name for v in atoms_variables(avoid)}
+    names = (f"{prefix}{n}" for n in itertools.count(1))
+    free = (name for name in names if name not in taken)
+    return [Variable(name) for name in itertools.islice(free, count)]

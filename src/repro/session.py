@@ -32,7 +32,6 @@ from repro.core.compare import ConceptComparison, compare_concepts
 from repro.core.describe import describe
 from repro.core.necessity import NecessityResult, describe_necessary, describe_without
 from repro.core.possibility import PossibilityResult, is_possible
-from repro.core.search import SearchConfig
 from repro.core.wildcard import describe_wildcard
 from repro.engine.evaluate import RetrieveResult, retrieve
 from repro.engine.guard import ResourceGuard
@@ -109,7 +108,6 @@ class Session:
         self,
         kb: KnowledgeBase | None = None,
         style: str = "standard",
-        config: SearchConfig | None = None,
         guard: ResourceGuard | None = None,
         lint: str = "warn",
         trace: "Tracer | bool | None" = False,
@@ -126,7 +124,6 @@ class Session:
         else:
             self.kb = kb if kb is not None else KnowledgeBase()
         self.style = style
-        self.config = config
         #: The evaluation context every read goes through (see class doc).
         self.cache = ViewCache(self.kb)
         #: Session-wide resource governance specification (see class doc).
@@ -295,16 +292,12 @@ class Session:
             if statement.negated_qualifier:
                 raise CoreError("wildcard describe does not take negated conjuncts")
             return describe_wildcard(
-                self.kb, statement.qualifier, config=self.config, style=self.style,
-                guard=guard,
+                self.kb, statement.qualifier, style=self.style, guard=guard
             )
         if statement.subject is None:
             if statement.negated_qualifier:
                 raise CoreError("subjectless describe does not take negated conjuncts")
-            return is_possible(
-                self.kb, statement.qualifier, config=self.config, style=self.style,
-                guard=guard,
-            )
+            return is_possible(self.kb, statement.qualifier, style=self.style, guard=guard)
         if statement.negated_qualifier:
             if len(statement.negated_qualifier) != 1 or statement.qualifier:
                 raise CoreError(
@@ -315,7 +308,6 @@ class Session:
                 self.kb,
                 statement.subject,
                 statement.negated_qualifier[0],
-                config=self.config,
                 style=self.style,
                 guard=guard,
             )
@@ -329,7 +321,6 @@ class Session:
                 statement.subject,
                 (statement.qualifier, *statement.alternatives),
                 style=self.style,
-                config=self.config,
                 guard=guard,
             )
         if statement.necessary:
@@ -338,7 +329,6 @@ class Session:
                 statement.subject,
                 statement.qualifier,
                 style=self.style,
-                config=self.config,
                 guard=guard,
             )
         return describe(
@@ -346,7 +336,6 @@ class Session:
             statement.subject,
             statement.qualifier,
             style=self.style,
-            config=self.config,
             guard=guard,
             tracer=tracer,
         )
@@ -366,7 +355,6 @@ class Session:
             right.subject,
             left_hypothesis=left.qualifier,
             right_hypothesis=right.qualifier,
-            config=self.config,
             style=self.style,
             guard=guard,
         )

@@ -1,28 +1,21 @@
 """Tests for Algorithm 1 (Figure 1): the non-recursive describe.
 
 Covers the flowchart's behavioural contract — identification order,
-productivity cuts, box-19 bare answers — and the paper's precondition.
+productivity cuts, box-19 bare answers — and the paper's precondition:
+``describe`` runs Algorithm 1 only on a subject that does not depend on
+recursion, and on one that does, Algorithm 1 diverges until a guard stops it.
 """
 
 import pytest
 
-from repro.errors import NonRecursiveSubjectRequired, SearchBudgetExceeded
+from repro.errors import SearchBudgetExceeded
 from repro.core import describe
-from repro.core.algorithm1 import algorithm1_config, run_algorithm1
+from repro.core.algorithm1 import run_algorithm1
+from repro.engine.guard import ResourceGuard
 from repro.lang.parser import parse_atom, parse_body
 
 
 class TestPrecondition:
-    def test_recursive_subject_rejected(self, uni):
-        with pytest.raises(NonRecursiveSubjectRequired):
-            run_algorithm1(uni, parse_atom("prior(X, Y)"))
-
-    def test_subject_depending_on_recursion_rejected(self, routing):
-        # reach depends on the recursive reach... reach itself is recursive;
-        # connected is fine.
-        with pytest.raises(NonRecursiveSubjectRequired):
-            run_algorithm1(routing, parse_atom("reach(X, Y)"))
-
     def test_nonrecursive_subject_accepted(self, uni):
         answers, stats = run_algorithm1(uni, parse_atom("honor(X)"))
         assert len(answers) == 1
@@ -38,8 +31,7 @@ class TestDivergenceOnRecursion:
                 uni,
                 parse_atom("prior(X, Y)"),
                 parse_body("prior(databases, Y)"),
-                config=algorithm1_config(max_steps=20_000),
-                check_precondition=False,
+                guard=ResourceGuard(max_steps=20_000),
             )
 
     def test_example_8_hangs_over_one_answer(self):
@@ -62,8 +54,7 @@ class TestDivergenceOnRecursion:
                 kb,
                 parse_atom("p(X, Y)"),
                 parse_body("r(a, Y)"),
-                config=algorithm1_config(max_steps=20_000),
-                check_precondition=False,
+                guard=ResourceGuard(max_steps=20_000),
             )
 
 
@@ -73,8 +64,8 @@ class TestPaperAnswers:
             uni,
             parse_atom("can_ta(X, databases)"),
             parse_body("student(X, math, V) and (V > 3.7)"),
-            algorithm="algorithm1",
         )
+        assert result.algorithm == "algorithm1"
         texts = sorted(str(a) for a in result.answers)
         assert texts == [
             "can_ta(X, databases) <- complete(X, databases, Z, 4.0).",
@@ -85,7 +76,8 @@ class TestPaperAnswers:
         ]
 
     def test_example_4(self, uni):
-        result = describe(uni, parse_atom("honor(X)"), algorithm="algorithm1")
+        result = describe(uni, parse_atom("honor(X)"))
+        assert result.algorithm == "algorithm1"
         assert [str(a) for a in result.answers] == [
             "honor(X) <- student(X, Y, Z) and (Z > 3.7)."
         ]
@@ -95,8 +87,8 @@ class TestPaperAnswers:
             uni,
             parse_atom("can_ta(X, Y)"),
             parse_body("honor(X) and teach(susan, Y)"),
-            algorithm="algorithm1",
         )
+        assert result.algorithm == "algorithm1"
         texts = sorted(str(a) for a in result.answers)
         assert texts == [
             "can_ta(X, Y) <- complete(X, Y, Z, 4.0).",
@@ -112,7 +104,6 @@ class TestPaperAnswers:
             uni,
             parse_atom("can_ta(X, Y)"),
             parse_body("honor(X) and teach(susan, Y)"),
-            algorithm="algorithm1",
         )
         hypothesis = parse_body("honor(X) and teach(susan, Y)")
         for answer in result.answers:

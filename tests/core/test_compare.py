@@ -83,6 +83,44 @@ class TestSharedConcept:
         assert plain.relation == RELATION_EQUIVALENT
 
 
+class TestVariableCapture:
+    @pytest.mark.parametrize("name", ["S1", "S2", "A", "Z"])
+    def test_alignment_variables_avoid_the_hypotheses(self, uni, name):
+        # The aligned subject variables (S1, S2, ...) may not capture a
+        # hypothesis variable: renaming one changes no verdict or concept.
+        from tests.core.describe_corpus import canonical
+
+        def compared(variable):
+            result = compare_concepts(
+                uni,
+                parse_atom("honor(X)"),
+                parse_atom("honor(X)"),
+                left_hypothesis=parse_body(f"student(X, {variable}, G)"),
+                right_hypothesis=parse_body("student(X, M, G)"),
+            )
+            return result.relation, canonical(str(result))
+
+        assert compared(name) == compared("Q")
+        assert compared(name)[0] == RELATION_EQUIVALENT
+
+    def test_shared_concept_keeps_a_conjunct_that_shares_a_name(self):
+        # The generalization of e(X, X) and e(Y, a) with e(X, X) and
+        # e(Z, a) and f(Z) keeps both conjuncts: reducing it must not match
+        # one conjunct's variables against the other's same-named ones.
+        from repro.session import Session
+
+        session = Session()
+        session.load(
+            "e(a, a). f(a). c1(X) <- e(X, X) and e(Y, a). "
+            "c2(X) <- e(X, X) and e(Z, a) and f(Z)."
+        )
+        result = session.query("compare (describe c1(X)) with (describe c2(X))")
+        assert result.relation == RELATION_LEFT_SUBSUMES
+        assert [str(a) for a in result.shared_concept] == ["e(S1, S1)", "e(G4, a)"]
+        assert result.left_only == ()
+        assert [str(a) for a in result.right_only] == ["f(Z)"]
+
+
 class TestValidation:
     def test_edb_subject_rejected(self, uni):
         with pytest.raises(CoreError):

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.errors import CoreError, NonRecursiveSubjectRequired
-from repro.core import describe
-from repro.core.search import SearchConfig
+from repro.errors import CoreError
+from repro.core import describe, run_algorithm1, run_algorithm2
+from repro.core.describe import finish_answers
+from repro.engine.guard import ResourceGuard
 from repro.lang.parser import parse_atom, parse_body
 
 
@@ -16,10 +17,6 @@ class TestDispatch:
     def test_auto_uses_algorithm2_for_recursive(self, uni):
         result = describe(uni, parse_atom("prior(X, Y)"))
         assert result.algorithm == "algorithm2"
-
-    def test_forcing_algorithm1_on_recursion_raises(self, uni):
-        with pytest.raises(NonRecursiveSubjectRequired):
-            describe(uni, parse_atom("prior(X, Y)"), algorithm="algorithm1")
 
     @pytest.mark.parametrize("subject", ["honor(X)", "prior(X, Y)"])
     def test_auto_checks_the_precondition_once(self, uni, subject, monkeypatch):
@@ -58,13 +55,22 @@ class TestDispatch:
         assert len(built) == graphs_built
 
     def test_algorithm2_works_on_nonrecursive_subjects(self, uni):
-        auto = describe(uni, parse_atom("honor(X)"))
-        forced = describe(uni, parse_atom("honor(X)"), algorithm="algorithm2")
-        assert {str(r) for r in forced.rules()} == {str(r) for r in auto.rules()}
-
-    def test_unknown_algorithm_rejected(self, uni):
-        with pytest.raises(CoreError):
-            describe(uni, parse_atom("honor(X)"), algorithm="algorithm3")
+        """Algorithm 2 agrees with Algorithm 1 where both apply, once their
+        raw answers are post-processed as ``describe`` does."""
+        for subject, hypothesis in [
+            ("honor(X)", ""),
+            ("can_ta(X, Y)", "honor(X) and teach(susan, Y)"),
+            ("can_ta(X, databases)", "student(X, math, V) and (V > 3.7)"),
+        ]:
+            subject = parse_atom(subject)
+            hypothesis = parse_body(hypothesis) if hypothesis else ()
+            finished = []
+            for run in (run_algorithm1, run_algorithm2):
+                raw, statistics = run(uni, subject, hypothesis)
+                answers, _discarded = finish_answers(raw, hypothesis, statistics)
+                finished.append({str(a) for a in answers})
+            expected = {str(a) for a in describe(uni, subject, hypothesis).answers}
+            assert finished == [expected, expected], subject
 
 
 class TestValidation:
@@ -117,6 +123,7 @@ class TestPipeline:
         assert result.statistics.raw_answers >= len(result.answers)
 
     def test_custom_config_respected(self, uni):
+        # The guard is the one budget a caller sets.
         from repro.errors import SearchBudgetExceeded
 
         with pytest.raises(SearchBudgetExceeded):
@@ -124,7 +131,7 @@ class TestPipeline:
                 uni,
                 parse_atom("can_ta(X, Y)"),
                 parse_body("honor(X)"),
-                config=SearchConfig(max_steps=2, use_tags=False, typing_guard=False),
+                guard=ResourceGuard(max_steps=2),
             )
 
     def test_answer_variables_are_readable(self, uni):

@@ -1,10 +1,9 @@
 """Further describe edge cases: ground subjects, repeated predicates,
-multi-column recursion, answer caps, session engine plumbing."""
+multi-column recursion, session engine plumbing."""
 
 import pytest
 
 from repro.core import describe
-from repro.core.search import SearchConfig
 from repro.core.transform import transform_rules
 from repro.engine import SemiNaiveEngine, retrieve
 from repro.datasets import genealogy_kb
@@ -108,22 +107,6 @@ class TestRecursionVariants:
         result = describe(kb, parse_atom("walk(X, N, Y, M)"), parse_body("walk(a, 1, Y, M)"))
         texts = {str(a) for a in result.answers}
         assert any("(X = a)" in t and "(N = 1)" in t for t in texts)
-
-
-class TestAnswerCaps:
-    def test_max_answers_caps_search(self, uni):
-        config = SearchConfig(
-            use_tags=False, typing_guard=False, max_answers=1,
-            maximal_identification=False,
-        )
-        result = describe(
-            uni,
-            parse_atom("can_ta(X, Y)"),
-            parse_body("honor(X) and teach(susan, Y)"),
-            algorithm="algorithm1",
-            config=config,
-        )
-        assert len(result.answers) <= 1
 
 
 class TestEnginePlumbing:

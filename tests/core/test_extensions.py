@@ -149,6 +149,23 @@ class TestDescribeWildcard:
         results = describe_wildcard(uni, parse_body("honor(X)"))
         assert "honor" not in results
 
+    @pytest.mark.parametrize("name", ["W2", "W3", "Y"])
+    def test_subject_variables_avoid_the_hypothesis(self, uni, name):
+        # The generated subject variables (W1, W2, ...) may not capture a
+        # hypothesis variable: the answers are those for honor(X), up to
+        # renaming.  (Each name sorts after W1, so the unifier keeps the
+        # subject's variable as it does for X.)
+        from tests.core.describe_corpus import canonical
+
+        def answers(variable):
+            results = describe_wildcard(uni, parse_body(f"honor({variable})"))
+            return {
+                predicate: sorted(canonical(str(a)) for a in result.answers)
+                for predicate, result in results.items()
+            }
+
+        assert answers(name) == answers("X")
+
     def test_unrelated_hypothesis_yields_nothing(self, uni):
         results = describe_wildcard(uni, parse_body("professor(P, D, N)"))
         assert results == {}

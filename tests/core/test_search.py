@@ -3,17 +3,18 @@
 import pytest
 
 from repro.errors import SearchBudgetExceeded
-from repro.core.search import DerivationSearch, SearchConfig
+from repro.core.search import DerivationSearch
 from repro.core.transform import transform_rules, untransformed_program
+from repro.engine.guard import ResourceGuard
 from repro.lang.parser import parse_atom, parse_body, parse_rule
 
 
-def search_over(rule_texts, transform=False, **config):
+def search_over(rule_texts, transform=False, guard=None):
+    """Algorithm 2's search over the transformed rules, or Algorithm 1's
+    over the rules as written."""
     rules = [parse_rule(t) for t in rule_texts]
     program = transform_rules(rules) if transform else untransformed_program(rules)
-    defaults = dict(use_tags=transform, typing_guard=transform)
-    defaults.update(config)
-    return DerivationSearch(program, SearchConfig(**defaults))
+    return DerivationSearch(program, guard=guard)
 
 
 HONOR = ["honor(X) <- student(X, Y, Z) and (Z > 3.7)."]
@@ -39,8 +40,10 @@ class TestBareAnswers:
         assert with_hyp[0].bare
 
     def test_bare_answers_suppressible(self):
-        search = search_over(HONOR, bare_rules="suppress")
-        assert search.describe(parse_atom("honor(X)"), ()) == []
+        # The paper's elided listings are the answers not flagged bare.
+        search = search_over(HONOR)
+        answers = search.describe(parse_atom("honor(X)"), ())
+        assert [a for a in answers if not a.bare] == []
 
 
 class TestIdentification:
@@ -88,15 +91,6 @@ class TestIdentification:
         # With the filter on, the partially-identified variants are dropped.
         assert all(a.used == frozenset({0, 1}) or a.bare for a in answers)
 
-    def test_maximal_identification_can_be_disabled(self):
-        search = search_over(
-            ["p(X) <- q(X) and r(X)."], maximal_identification=False
-        )
-        answers = search.describe(parse_atom("p(X)"), parse_body("q(X) and r(X)"))
-        used_sets = {a.used for a in answers}
-        assert frozenset({0}) in used_sets
-        assert frozenset({0, 1}) in used_sets
-
 
 class TestProductivityCut:
     def test_unproductive_subtree_collapses_to_general_concept(self):
@@ -129,18 +123,14 @@ class TestBudgets:
         search = search_over(
             ["prior(X, Y) <- prereq(X, Y).",
              "prior(X, Y) <- prereq(X, Z) and prior(Z, Y)."],
-            max_steps=50,
+            guard=ResourceGuard(max_steps=50),
         )
         with pytest.raises(SearchBudgetExceeded):
             search.describe(parse_atom("prior(X, Y)"), parse_body("prior(databases, Y)"))
 
     def test_depth_budget(self):
-        search = search_over(
-            ["p(X) <- p(X)."],  # order-1 permutation rule: immediately barred
-            transform=False,
-            use_tags=False,
-            max_steps=10_000,
-        )
+        # order-1 permutation rule: immediately barred
+        search = search_over(["p(X) <- p(X)."])
         # The permutation bound (order 1 => 0 applications) stops recursion
         # even without tags.
         answers = search.describe(parse_atom("p(X)"), parse_body("q(X)"))

@@ -167,4 +167,6 @@ class TestUntransformed:
         program = untransformed_program(rules)
         kinds = [program.kind_of(r) for r in program.rules]
         assert kinds == [KIND_PLAIN, KIND_PLAIN, KIND_PERMUTATION]
-        assert program.recursive_predicates == frozenset({"prior", "link"})
+        # No predicate is typing-guarded: Algorithm 1 searches the rules as
+        # written.
+        assert program.recursive_predicates == frozenset()

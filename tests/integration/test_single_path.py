@@ -70,6 +70,13 @@ The context half: every read runs in one evaluation context, a
 no uncached route and no knob that selects one: no ``Session(cache=)``, no
 ``dbk --no-cache``, no ``plan_cache`` argument, and a bottom-up engine is
 built only by the context and the magic-sets route.
+
+The search half: the paper's derivation search has no configuration.
+Whether the subject depends on recursion picks the algorithm, the searched
+program fixes tags and typing, and a ``ResourceGuard`` is the only budget
+a caller sets.  No search configuration class, algorithm selector or
+precondition switch may grow back, and no statement function, ``Session``
+or ``DerivationSearch`` takes a ``config`` or ``algorithm`` parameter.
 """
 
 import ast
@@ -88,12 +95,25 @@ from pathlib import Path
 
 import pytest
 
+import repro.core
 import repro.engine
+import repro.errors
 from repro.analysis.absint import fixpoint
 from repro.catalog.database import KnowledgeBase
 from repro.catalog.relation import Relation
 from repro.catalog.symbols import SymbolTable
 from repro.cli import main
+from repro.core import (
+    algorithm1,
+    algorithm2,
+    compare,
+    disjunction,
+    intensional,
+    necessity,
+    possibility,
+    search,
+    wildcard,
+)
 from repro.engine import SemiNaiveEngine, evaluate_conjunction, retrieve
 from repro.engine import kernels
 from repro.engine.kernels import (
@@ -118,6 +138,8 @@ from tests.oracle import ROUTES, forced_retrieve, reference_answers
 from tests.reference import lookup
 
 ROOT = Path(__file__).resolve().parents[2]
+#: ``repro.core.describe`` the module (``repro.core`` exports the function).
+DESCRIBE = importlib.import_module("repro.core.describe")
 PACKAGE = ROOT / "src" / "repro"
 
 
@@ -742,3 +764,49 @@ def test_cli_rejects_the_no_cache_flag(capsys):
         main(["--no-cache", "--dataset", "university"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --no-cache" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        (search, "SearchConfig"),
+        (algorithm1, "algorithm1_config"),
+        (algorithm2, "algorithm2_config"),
+        (DESCRIBE, "ALGORITHMS"),
+        (repro.errors, "NonRecursiveSubjectRequired"),
+        (repro.core, "SearchConfig"),
+        (repro, "SearchConfig"),
+    ],
+    ids=lambda value: getattr(value, "__name__", value),
+)
+def test_the_search_configuration_is_gone(module, name):
+    assert not hasattr(module, name)
+
+
+@pytest.mark.parametrize(
+    "entry_point",
+    [
+        DESCRIBE.describe,
+        necessity.describe_necessary,
+        necessity.describe_without,
+        possibility.is_possible,
+        wildcard.describe_wildcard,
+        disjunction.describe_disjunctive,
+        compare.compare_concepts,
+        compare._aligned_definitions,
+        intensional.intensional_answer,
+        Session.__init__,
+        search.DerivationSearch.__init__,
+        algorithm1.run_algorithm1,
+        algorithm2.run_algorithm2,
+    ],
+    ids=lambda entry_point: entry_point.__qualname__,
+)
+def test_no_search_entry_point_takes_a_configuration(entry_point):
+    # The guard is the one budget; the subject picks the algorithm.
+    retired = {"config", "algorithm", "check_precondition"}
+    assert not retired & set(inspect.signature(entry_point).parameters)
+
+
+def test_algorithm2_transforms_its_own_program():
+    assert "program" not in inspect.signature(algorithm2.run_algorithm2).parameters

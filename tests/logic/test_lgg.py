@@ -1,14 +1,13 @@
 """Unit tests for least general generalization (anti-unification)."""
 
 from repro.lang.parser import parse_atom, parse_body
-from repro.logic.atoms import Atom
 from repro.logic.lgg import (
     GeneralizationTable,
     lgg_atoms,
     lgg_conjunctions,
     reduce_conjunction,
 )
-from repro.logic.terms import Variable, is_variable
+from repro.logic.terms import is_variable
 from repro.logic.unify import match
 
 
@@ -61,6 +60,15 @@ class TestReduce:
         formula = parse_body("p(V) and p(a)")
         reduced = reduce_conjunction(formula)
         assert reduced == (parse_atom("p(a)"),)
+
+
+    def test_shared_names_are_not_captured(self):
+        # No conjunct is redundant: the conjunction maps into no part of
+        # itself, though matching it against itself without renaming it
+        # apart would bind Y and X to themselves and "find" a map onto
+        # q(Y, a) alone.
+        formula = parse_body("q(Y, X) and q(X, W) and q(Y, a)")
+        assert reduce_conjunction(formula) == formula
 
 
 class TestLggConjunctions:

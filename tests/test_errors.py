@@ -25,7 +25,6 @@ class TestHierarchy:
             errors.SafetyError,
             errors.EvaluationLimitError,
             errors.CoreError,
-            errors.NonRecursiveSubjectRequired,
             errors.TransformError,
         ],
     )
