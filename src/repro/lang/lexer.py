@@ -1,167 +1,135 @@
-"""Hand-rolled lexer for the query and rule language.
+"""The lexer of the query and rule language: one compiled pattern, one pass.
 
-Conventions follow the paper: identifiers beginning with a capital letter
-(or underscore) are variables; other identifiers are constants or predicate
-symbols.  ``%`` starts a comment running to end of line.
+:data:`_TOKEN` is a single alternation with one named group per token
+class.  :func:`tokenize` runs it with ``finditer`` from the start of the
+source to its end; the pattern's last alternative matches any one
+character, so the matches tile the text with no gap and no alternative
+ever backtracks into an earlier one.  Whitespace runs and comments are
+matches of their own and make no token.  Newlines occur only in
+whitespace runs (a string or a comment stops before one), so line and
+column come from the newline count of each whitespace run: a token's
+column is its offset from the last newline before it.
+
+Character classes (``docs/LANGUAGE.md``, "Lexical rules"):
+
+* a *word* starts with a letter (``str.isalpha``) or ``_`` and continues
+  with letters, digits (``str.isalnum``), ``_`` or ``#``.  Reserved words
+  are keywords; a word starting with an upper-case letter or ``_`` is a
+  variable, any other an identifier (constant or predicate symbol);
+* a *number* is made of decimal digits (``str.isdecimal``, which ``int`` and
+  ``float`` accept): an optional ``-``, digits, and at most one ``.``
+  followed by a digit.  A ``.`` is a number's start only when a digit
+  follows it (``retrieve p.`` ends the statement);
+* a *string* is quoted with ``'`` or ``"`` on one line; inside it, a
+  backslash before the quote or before a backslash escapes it, and any
+  other backslash is itself;
+* ``%`` starts a comment running to the end of the line; spaces, tabs,
+  ``\\r`` and ``\\n`` separate tokens, a tab counting as one column.
+
+Any other character is a :class:`~repro.errors.LexError` at its line and
+column, and so is a quote that no closing quote follows on its line
+("unterminated string literal").
 """
 
 from __future__ import annotations
+
+import re
 
 from repro.errors import LexError
 from repro.lang.tokens import Token, TokenType
 from repro.logic.terms import RESERVED_WORDS as KEYWORDS
 
-_SINGLE_CHAR = {
-    "(": TokenType.LPAREN,
-    ")": TokenType.RPAREN,
-    ",": TokenType.COMMA,
-    "*": TokenType.STAR,
+# Each string alternative is unambiguous — a backslash pairs with a quote or
+# backslash after it, and stands alone only when neither follows — so a
+# failing match is linear in the text it scanned.
+_STRING_BODY = r"(?:[^{q}\\\n]|\\[{q}\\]|\\(?![{q}\\]))*"
+
+_TOKEN = re.compile(
+    "|".join(
+        (
+            r"(?P<space>[ \t\r\n]+)",
+            r"(?P<word>[^\W\d][\w#]*)",
+            r"(?P<punct><-|:-|!=|<=|>=|[(),*=<>]|\.(?!\d))",
+            r"(?P<number>-?\d+(?:\.\d+)?|\.\d+)",
+            "(?P<string>'"
+            + _STRING_BODY.format(q="'")
+            + "'|\""
+            + _STRING_BODY.format(q='"')
+            + '")',
+            r"(?P<comment>%[^\n]*)",
+            r"(?P<other>.)",
+        )
+    ),
+    re.DOTALL,
+)
+
+_PUNCTUATION = {
+    "(": (TokenType.LPAREN, "("),
+    ")": (TokenType.RPAREN, ")"),
+    ",": (TokenType.COMMA, ","),
+    "*": (TokenType.STAR, "*"),
+    ".": (TokenType.PERIOD, "."),
+    "<-": (TokenType.ARROW, "<-"),
+    ":-": (TokenType.ARROW, "<-"),
+    **{op: (TokenType.COMPARE_OP, op) for op in ("=", "!=", "<", "<=", ">", ">=")},
 }
 
-_COMPARE_STARTERS = "=!<>"
+_UNESCAPE = {
+    "'": re.compile(r"\\(['\\])"),
+    '"': re.compile(r'\\(["\\])'),
+}
 
-
-class Lexer:
-    """Tokenises a source string into a list of tokens ending with EOF."""
-
-    def __init__(self, source: str) -> None:
-        self._source = source
-        self._pos = 0
-        self._line = 1
-        self._column = 1
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        return self._source[index] if index < len(self._source) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos < len(self._source):
-                if self._source[self._pos] == "\n":
-                    self._line += 1
-                    self._column = 1
-                else:
-                    self._column += 1
-                self._pos += 1
-
-    def tokens(self) -> list[Token]:
-        """Lex the whole source; raises :class:`LexError` on bad input."""
-        result: list[Token] = []
-        while True:
-            self._skip_whitespace_and_comments()
-            if self._pos >= len(self._source):
-                result.append(Token(TokenType.EOF, "", self._line, self._column))
-                return result
-            result.append(self._next_token())
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self._pos < len(self._source):
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "%":
-                while self._pos < len(self._source) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        line, column = self._line, self._column
-        char = self._peek()
-
-        if char in _SINGLE_CHAR:
-            self._advance()
-            return Token(_SINGLE_CHAR[char], char, line, column)
-
-        if char == ".":
-            # A period is a number only when followed by a digit ("retrieve p."
-            # must end the statement, not start a float).
-            if self._peek(1).isdigit():
-                return self._lex_number(line, column)
-            self._advance()
-            return Token(TokenType.PERIOD, ".", line, column)
-
-        if char == "<" and self._peek(1) == "-":
-            self._advance(2)
-            return Token(TokenType.ARROW, "<-", line, column)
-        if char == ":" and self._peek(1) == "-":
-            self._advance(2)
-            return Token(TokenType.ARROW, "<-", line, column)
-
-        if char in _COMPARE_STARTERS:
-            return self._lex_comparison(line, column)
-
-        if char.isdigit() or (char == "-" and self._peek(1).isdigit()):
-            return self._lex_number(line, column)
-
-        if char in "'\"":
-            return self._lex_string(line, column)
-
-        if char.isalpha() or char == "_":
-            return self._lex_word(line, column)
-
-        raise LexError(f"unexpected character {char!r}", line, column)
-
-    def _lex_comparison(self, line: int, column: int) -> Token:
-        char = self._peek()
-        two = char + self._peek(1)
-        if two in ("!=", "<=", ">="):
-            self._advance(2)
-            return Token(TokenType.COMPARE_OP, two, line, column)
-        if char in "=<>":
-            self._advance()
-            return Token(TokenType.COMPARE_OP, char, line, column)
-        raise LexError(f"unexpected character {char!r}", line, column)
-
-    def _lex_number(self, line: int, column: int) -> Token:
-        start = self._pos
-        if self._peek() == "-":
-            self._advance()
-        saw_dot = False
-        while True:
-            char = self._peek()
-            if char.isdigit():
-                self._advance()
-            elif char == "." and not saw_dot and self._peek(1).isdigit():
-                saw_dot = True
-                self._advance()
-            else:
-                break
-        text = self._source[start : self._pos]
-        return Token(TokenType.NUMBER, text, line, column)
-
-    def _lex_string(self, line: int, column: int) -> Token:
-        quote = self._peek()
-        self._advance()
-        chars: list[str] = []
-        while True:
-            char = self._peek()
-            if not char or char == "\n":
-                raise LexError("unterminated string literal", line, column)
-            if char == quote:
-                self._advance()
-                return Token(TokenType.STRING, "".join(chars), line, column)
-            if char == "\\" and self._peek(1) in (quote, "\\"):
-                chars.append(self._peek(1))
-                self._advance(2)
-            else:
-                chars.append(char)
-                self._advance()
-
-    def _lex_word(self, line: int, column: int) -> Token:
-        start = self._pos
-        # Note: _peek() returns "" at end of input, and "" is a substring of
-        # any string — the explicit truthiness check prevents an EOF spin.
-        while self._peek() and (self._peek().isalnum() or self._peek() in "_#"):
-            self._advance()
-        text = self._source[start : self._pos]
-        if text in KEYWORDS:
-            return Token(TokenType.KEYWORD, text, line, column)
-        if text[0].isupper() or text[0] == "_":
-            return Token(TokenType.VARIABLE, text, line, column)
-        return Token(TokenType.IDENT, text, line, column)
+# ``tuple.__new__`` builds a token at about half the cost of ``Token(...)``.
+_new_token = tuple.__new__
+# Enum members as module names: a global is read far faster than a member.
+_IDENT, _VARIABLE, _KEYWORD = TokenType.IDENT, TokenType.VARIABLE, TokenType.KEYWORD
+_NUMBER, _STRING = TokenType.NUMBER, TokenType.STRING
 
 
 def tokenize(source: str) -> list[Token]:
-    """Lex *source* into tokens (EOF-terminated)."""
-    return Lexer(source).tokens()
+    """Lex *source* into tokens ending with EOF; raises :class:`LexError`."""
+    tokens: list[Token] = []
+    append = tokens.append
+    line = 1
+    line_start = 0  # offset of the first character of the current line
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        text = match.group()
+        if kind == "word":
+            first = text[0]
+            if text in KEYWORDS:
+                type_ = _KEYWORD
+            elif first.isalpha():
+                type_ = _VARIABLE if first.isupper() else _IDENT
+            elif first == "_":
+                type_ = _VARIABLE
+            else:  # a digit no decimal system reads ("²") or a numeral ("Ⅷ")
+                raise LexError(
+                    f"unexpected character {first!r}",
+                    line,
+                    match.start() - line_start + 1,
+                )
+        elif kind == "punct":
+            type_, text = _PUNCTUATION[text]
+        elif kind == "space":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = match.start() + text.rindex("\n") + 1
+            continue
+        elif kind == "number":
+            type_ = _NUMBER
+        elif kind == "string":
+            type_ = _STRING
+            quote, text = text[0], text[1:-1]
+            if "\\" in text:
+                text = _UNESCAPE[quote].sub(r"\1", text)
+        elif kind == "comment":  # it ends before its newline
+            continue
+        else:
+            column = match.start() - line_start + 1
+            if text in "'\"":
+                raise LexError("unterminated string literal", line, column)
+            raise LexError(f"unexpected character {text!r}", line, column)
+        append(_new_token(Token, (type_, text, line, match.start() - line_start + 1)))
+    append(_new_token(Token, (TokenType.EOF, "", line, len(source) - line_start + 1)))
+    return tokens

@@ -44,9 +44,30 @@ from repro.logic.atoms import Atom
 from repro.logic.clauses import IntegrityConstraint, Rule
 from repro.logic.terms import Constant, Term, Variable
 
+# Module-level names: reading an ``Enum`` member off its class costs about ten
+# times a global lookup, and the parser compares token types on every token.
+_EOF, _KEYWORD, _IDENT, _VARIABLE = (
+    TokenType.EOF, TokenType.KEYWORD, TokenType.IDENT, TokenType.VARIABLE
+)
+_NUMBER, _STRING, _PERIOD, _ARROW, _STAR = (
+    TokenType.NUMBER, TokenType.STRING, TokenType.PERIOD, TokenType.ARROW, TokenType.STAR
+)
+_LPAREN, _RPAREN, _COMMA, _COMPARE_OP = (
+    TokenType.LPAREN, TokenType.RPAREN, TokenType.COMMA, TokenType.COMPARE_OP
+)
+#: The token types after which ``describe`` has no subject.
+_DESCRIBE_ENDS = frozenset((_PERIOD, _EOF, _RPAREN))
+
 
 class Parser:
-    """Parses one statement or a whole program from source text."""
+    """Parses one statement or a whole program from source text.
+
+    The token list always ends with EOF, and the parser only ever consumes
+    a token whose type it has checked and that is never EOF, so
+    ``self._tokens[self._pos]`` is always a token, and so is the one after
+    any token that is not EOF.  The productions read the list directly;
+    the helpers serve the keyword-led statements.
+    """
 
     def __init__(self, source: str) -> None:
         self._tokens = tokenize(source)
@@ -54,38 +75,31 @@ class Parser:
 
     # -- token stream helpers -----------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
-
-    def _advance(self) -> Token:
-        token = self._peek()
-        if token.type is not TokenType.EOF:
-            self._pos += 1
-        return token
-
     def _check(self, type_: TokenType, text: str | None = None) -> bool:
-        token = self._peek()
+        token = self._tokens[self._pos]
         return token.type is type_ and (text is None or token.text == text)
 
     def _accept(self, type_: TokenType, text: str | None = None) -> Token | None:
-        if self._check(type_, text):
-            return self._advance()
+        token = self._tokens[self._pos]
+        if token.type is type_ and (text is None or token.text == text):
+            self._pos += 1
+            return token
         return None
 
     def _expect(self, type_: TokenType, text: str | None = None) -> Token:
-        token = self._peek()
-        if not self._check(type_, text):
+        token = self._tokens[self._pos]
+        if token.type is not type_ or (text is not None and token.text != text):
             wanted = text or type_.value
             raise ParseError(
                 f"expected {wanted!r}, found {token.text or token.type.value!r}",
                 token.line,
                 token.column,
             )
-        return self._advance()
+        self._pos += 1
+        return token
 
     def _error(self, message: str) -> ParseError:
-        token = self._peek()
+        token = self._tokens[self._pos]
         return ParseError(message, token.line, token.column)
 
     def _span_from(self, start: Token) -> SourceSpan:
@@ -100,86 +114,85 @@ class Parser:
     def parse_statement(self) -> Statement:
         """Parse exactly one statement; the whole input must be consumed."""
         statement = self._statement()
-        self._accept(TokenType.PERIOD)
-        if not self._check(TokenType.EOF):
+        self._accept(_PERIOD)
+        if self._tokens[self._pos].type is not _EOF:
             raise self._error("unexpected input after statement")
         return statement
 
     def parse_program(self) -> Program:
         """Parse a sequence of definitions and queries."""
         program = Program()
-        while not self._check(TokenType.EOF):
-            program.statements.append(self._statement())
-            self._accept(TokenType.PERIOD)
+        append = program.statements.append
+        tokens = self._tokens
+        while tokens[self._pos].type is not _EOF:
+            append(self._statement())
+            if tokens[self._pos].type is _PERIOD:
+                self._pos += 1
         return program
 
     # -- statements ---------------------------------------------------------------------
 
     def _statement(self) -> Statement:
-        if self._check(TokenType.KEYWORD, "retrieve"):
-            return self._retrieve()
-        if self._check(TokenType.KEYWORD, "describe"):
-            return self._describe()
-        if self._check(TokenType.KEYWORD, "explain"):
-            return self._explain()
-        if self._check(TokenType.KEYWORD, "compare"):
-            return self._compare()
-        if self._check(TokenType.KEYWORD, "not"):
-            return self._constraint()
+        token = self._tokens[self._pos]
+        if token.type is _KEYWORD:
+            production = _STATEMENT_KEYWORDS.get(token.text)
+            if production is not None:
+                return production(self)
         return self._rule()
 
     def _explain(self) -> ExplainStatement:
-        self._expect(TokenType.KEYWORD, "explain")
+        self._expect(_KEYWORD, "explain")
         subject = self._atom()
         if subject.is_comparison():
             raise self._error("the subject of explain may not be a comparison")
         qualifier: tuple[Atom, ...] = ()
-        if self._accept(TokenType.KEYWORD, "where"):
+        if self._accept(_KEYWORD, "where"):
             qualifier = self._body()
         return ExplainStatement(subject, qualifier)
 
     def _rule(self) -> RuleStatement:
-        start = self._peek()
+        start = self._tokens[self._pos]
         head = self._atom()
         if head.is_comparison():
             raise self._error("a rule head may not be a comparison")
         body: tuple[Atom, ...] = ()
         negated: tuple[Atom, ...] = ()
-        if self._accept(TokenType.ARROW):
+        if self._tokens[self._pos].type is _ARROW:
+            self._pos += 1
             body, negated = self._signed_body()
         return RuleStatement(Rule(head, body, negated, span=self._span_from(start)))
 
     def _constraint(self) -> ConstraintStatement:
-        start = self._expect(TokenType.KEYWORD, "not")
-        self._expect(TokenType.LPAREN)
+        start = self._expect(_KEYWORD, "not")
+        self._expect(_LPAREN)
         body = self._body()
-        self._expect(TokenType.RPAREN)
+        self._expect(_RPAREN)
         return ConstraintStatement(
             IntegrityConstraint(body, span=self._span_from(start))
         )
 
     def _retrieve(self) -> RetrieveStatement:
-        self._expect(TokenType.KEYWORD, "retrieve")
+        self._expect(_KEYWORD, "retrieve")
         subject = self._atom()
         if subject.is_comparison():
             raise self._error("the subject of retrieve may not be a comparison")
         qualifier: tuple[Atom, ...] = ()
         negated: tuple[Atom, ...] = ()
-        if self._accept(TokenType.KEYWORD, "where"):
+        if self._accept(_KEYWORD, "where"):
             qualifier, negated = self._signed_body()
         return RetrieveStatement(subject, qualifier, negated)
 
     def _describe(self) -> DescribeStatement:
-        self._expect(TokenType.KEYWORD, "describe")
+        self._expect(_KEYWORD, "describe")
         subject: Atom | None = None
         wildcard = False
-        if self._accept(TokenType.STAR):
+        token = self._tokens[self._pos]
+        if token.type is _STAR:
+            self._pos += 1
             wildcard = True
         elif not (
-            self._check(TokenType.KEYWORD, "where")
-            or self._check(TokenType.PERIOD)
-            or self._check(TokenType.EOF)
-            or self._check(TokenType.RPAREN)
+            (token.type is _KEYWORD and token.text == "where")
+            or token.type in _DESCRIBE_ENDS
         ):
             subject = self._atom()
             if subject.is_comparison():
@@ -188,17 +201,17 @@ class Parser:
         qualifier: list[Atom] = []
         negated: list[Atom] = []
         alternatives: list[tuple[Atom, ...]] = []
-        if self._accept(TokenType.KEYWORD, "where"):
-            if self._accept(TokenType.KEYWORD, "necessary"):
+        if self._accept(_KEYWORD, "where"):
+            if self._accept(_KEYWORD, "necessary"):
                 necessary = True
             while True:
-                if self._accept(TokenType.KEYWORD, "not"):
+                if self._accept(_KEYWORD, "not"):
                     negated.append(self._conjunct())
                 else:
                     qualifier.append(self._conjunct())
-                if not (self._accept(TokenType.KEYWORD, "and") or self._accept(TokenType.COMMA)):
+                if not self._accept_and():
                     break
-            while self._accept(TokenType.KEYWORD, "or"):
+            while self._accept(_KEYWORD, "or"):
                 if negated:
                     raise self._error("'not' conjuncts cannot be combined with 'or'")
                 alternatives.append(self._body())
@@ -212,21 +225,29 @@ class Parser:
         )
 
     def _compare(self) -> CompareStatement:
-        self._expect(TokenType.KEYWORD, "compare")
-        self._expect(TokenType.LPAREN)
+        self._expect(_KEYWORD, "compare")
+        self._expect(_LPAREN)
         left = self._describe()
-        self._expect(TokenType.RPAREN)
-        self._expect(TokenType.KEYWORD, "with")
-        self._expect(TokenType.LPAREN)
+        self._expect(_RPAREN)
+        self._expect(_KEYWORD, "with")
+        self._expect(_LPAREN)
         right = self._describe()
-        self._expect(TokenType.RPAREN)
+        self._expect(_RPAREN)
         return CompareStatement(left, right)
 
     # -- formulas ------------------------------------------------------------------------
 
+    def _accept_and(self) -> bool:
+        """Consume one conjunction separator, ``and`` or ``,``."""
+        token = self._tokens[self._pos]
+        if token.type is _COMMA or (token.type is _KEYWORD and token.text == "and"):
+            self._pos += 1
+            return True
+        return False
+
     def _body(self) -> tuple[Atom, ...]:
         conjuncts = [self._conjunct()]
-        while self._accept(TokenType.KEYWORD, "and") or self._accept(TokenType.COMMA):
+        while self._accept_and():
             conjuncts.append(self._conjunct())
         return tuple(conjuncts)
 
@@ -235,7 +256,7 @@ class Parser:
         positive: list[Atom] = []
         negated: list[Atom] = []
         while True:
-            if self._accept(TokenType.KEYWORD, "not"):
+            if self._accept(_KEYWORD, "not"):
                 atom = self._conjunct()
                 if atom.is_comparison():
                     raise self._error(
@@ -244,66 +265,96 @@ class Parser:
                 negated.append(atom)
             else:
                 positive.append(self._conjunct())
-            if not (self._accept(TokenType.KEYWORD, "and") or self._accept(TokenType.COMMA)):
+            if not self._accept_and():
                 return tuple(positive), tuple(negated)
 
     def _conjunct(self) -> Atom:
         # A parenthesised conjunct is a comparison: "(U > 3.3)".
-        if self._check(TokenType.LPAREN):
-            self._expect(TokenType.LPAREN)
+        token = self._tokens[self._pos]
+        if token.type is _LPAREN:
+            self._pos += 1
             left = self._term()
-            op = self._expect(TokenType.COMPARE_OP)
+            op = self._expect(_COMPARE_OP)
             right = self._term()
-            self._expect(TokenType.RPAREN)
-            return Atom(op.text, [left, right])
-        # Otherwise: either an atom, or a bare comparison "U > 3.3".
-        if self._check(TokenType.IDENT) and self._peek(1).type is TokenType.LPAREN:
+            self._expect(_RPAREN)
+            return Atom.of_terms(op.text, (left, right))
+        # Otherwise: either an atom, or a bare comparison "U > 3.3".  An IDENT
+        # is never the EOF that ends the list, so the next token exists.
+        if token.type is _IDENT and self._tokens[self._pos + 1].type is _LPAREN:
             return self._atom()
         left = self._term()
-        op_token = self._accept(TokenType.COMPARE_OP)
+        op_token = self._accept(_COMPARE_OP)
         if op_token is not None:
             right = self._term()
-            return Atom(op_token.text, [left, right])
+            return Atom.of_terms(op_token.text, (left, right))
         if isinstance(left, Constant) and isinstance(left.value, str):
             # A bare identifier: a propositional (0-ary) atom.
-            return Atom(left.value, [])
+            if not left.value:
+                raise ParseError(
+                    "a predicate name may not be empty", token.line, token.column
+                )
+            return Atom.of_terms(left.value, ())
         raise self._error("expected an atom or a comparison")
 
     def _atom(self) -> Atom:
+        tokens = self._tokens
+        token = tokens[self._pos]
+        type_ = token.type
         # Comparison disguised as an atom position: "X > 3" or "(X > 3)".
-        if self._check(TokenType.LPAREN) or self._check(TokenType.VARIABLE):
+        if type_ is _LPAREN or type_ is _VARIABLE:
             return self._conjunct()
-        name = self._expect(TokenType.IDENT).text
-        if not self._accept(TokenType.LPAREN):
-            return Atom(name, [])
+        if type_ is not _IDENT:
+            self._expect(_IDENT)  # raises
+        self._pos += 1
+        name = token.text
+        if tokens[self._pos].type is not _LPAREN:
+            return Atom.of_terms(name, ())
+        self._pos += 1
         args: list[Term] = []
-        if not self._check(TokenType.RPAREN):
-            args.append(self._term())
-            while self._accept(TokenType.COMMA):
-                args.append(self._term())
-        self._expect(TokenType.RPAREN)
-        return Atom(name, args)
+        if tokens[self._pos].type is not _RPAREN:
+            term = self._term
+            args.append(term())
+            while tokens[self._pos].type is _COMMA:
+                self._pos += 1
+                args.append(term())
+        self._expect(_RPAREN)
+        return Atom.of_terms(name, tuple(args))
 
     def _term(self) -> Term:
-        token = self._peek()
-        if token.type is TokenType.VARIABLE:
-            self._advance()
-            return Variable(token.text)
-        if token.type is TokenType.IDENT:
-            self._advance()
+        token = self._tokens[self._pos]
+        type_ = token.type
+        if type_ is _IDENT or type_ is _STRING:
+            self._pos += 1
             return Constant(token.text)
-        if token.type is TokenType.NUMBER:
-            self._advance()
+        if type_ is _VARIABLE:
+            self._pos += 1
+            return Variable(token.text)
+        if type_ is _NUMBER:
+            self._pos += 1
             if "." in token.text:
                 return Constant(float(token.text))
-            return Constant(int(token.text))
-        if token.type is TokenType.STRING:
-            self._advance()
-            return Constant(token.text)
-        if token.type is TokenType.KEYWORD and token.text == "true":
-            self._advance()
+            try:
+                return Constant(int(token.text))
+            except ValueError:  # more digits than int() converts
+                raise ParseError(
+                    f"integer literal too long ({len(token.text)} characters)",
+                    token.line,
+                    token.column,
+                ) from None
+        if type_ is _KEYWORD and token.text == "true":
+            self._pos += 1
             return Constant(True)
         raise self._error(f"expected a term, found {token.text or token.type.value!r}")
+
+
+#: The keywords that open a statement other than a rule.
+_STATEMENT_KEYWORDS = {
+    "retrieve": Parser._retrieve,
+    "describe": Parser._describe,
+    "explain": Parser._explain,
+    "compare": Parser._compare,
+    "not": Parser._constraint,
+}
 
 
 def parse_statement(source: str) -> Statement:

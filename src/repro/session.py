@@ -217,21 +217,8 @@ class Session:
         active: ResourceGuard | None,
         tracer: "Tracer | None",
     ) -> QueryResult:
-        if isinstance(statement, RuleStatement):
-            rule = statement.rule
-            if rule.is_fact():
-                # Ground, bodiless clauses are stored facts: they belong to
-                # an EDB predicate (declared on first use).
-                predicate = rule.head.predicate
-                if not self.kb.has_predicate(predicate):
-                    self.kb.declare_edb(predicate, rule.head.arity)
-                self.kb.add_fact(predicate, *rule.head.args)
-                return f"stored: {rule}"
-            self.kb.add_rule(rule)
-            return f"defined: {rule}"
-        if isinstance(statement, ConstraintStatement):
-            self.kb.add_constraint(statement.constraint)
-            return f"constrained: {statement.constraint}"
+        if isinstance(statement, (RuleStatement, ConstraintStatement)):
+            return f"{self._define(statement)}: {statement}"
         if active is not None:
             # A query observes a cancellation made before it began, even one
             # that finishes before its evaluation's first stride checkpoint.
@@ -250,6 +237,24 @@ class Session:
         if isinstance(statement, CompareStatement):
             return self._compare(statement, active, tracer)
         raise CoreError(f"cannot execute statement: {statement!r}")
+
+    def _define(self, statement: RuleStatement | ConstraintStatement) -> str:
+        """Add one definition to the knowledge base; returns what it was
+        (``stored`` a fact, ``defined`` a rule, ``constrained``)."""
+        if isinstance(statement, ConstraintStatement):
+            self.kb.add_constraint(statement.constraint)
+            return "constrained"
+        rule = statement.rule
+        if rule.is_fact():
+            # Ground, bodiless clauses are stored facts: they belong to an
+            # EDB predicate (declared on first use).
+            predicate = rule.head.predicate
+            if not self.kb.has_predicate(predicate):
+                self.kb.declare_edb(predicate, rule.head.arity)
+            self.kb.add_fact(predicate, *rule.head.args)
+            return "stored"
+        self.kb.add_rule(rule)
+        return "defined"
 
     # -- retrieve ----------------------------------------------------------------------
 
@@ -381,7 +386,7 @@ class Session:
         with self.kb.transaction():
             for statement in program.statements:
                 if isinstance(statement, (RuleStatement, ConstraintStatement)):
-                    self.execute(statement)
+                    self._define(statement)
                     count += 1
                 else:
                     raise CoreError("load() accepts definitions only; use query()")

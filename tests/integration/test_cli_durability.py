@@ -119,6 +119,14 @@ class TestDurableRepl:
         assert main(["--load", str(tmp_path / "missing.dbk")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_load_file_with_a_non_decimal_digit_exits_2(self, capsys, tmp_path):
+        defs = tmp_path / "defs.dbk"
+        defs.write_text("p(a).\np(²).\n", encoding="utf-8")
+        assert main(["--load", str(defs)]) == 2
+        assert capsys.readouterr().err == (
+            "error: unexpected character '²' (line 2, column 3)\n"
+        )
+
     def test_durable_dir_with_garbage_snapshot_exits_2(self, capsys, tmp_path):
         directory = tmp_path / "d"
         os.makedirs(directory)

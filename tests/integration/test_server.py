@@ -74,6 +74,13 @@ class TestReadPath:
         assert caught.value.error_type == "ParseError"
         assert "line 1" in caught.value.error["message"]
 
+    def test_non_decimal_digit_is_a_structured_400(self, client):
+        with pytest.raises(ServerClientError) as caught:
+            client.query("retrieve path(0, ²)")
+        assert caught.value.status == 400
+        assert caught.value.error_type == "LexError"
+        assert "(line 1, column 18)" in caught.value.error["message"]
+
     def test_unknown_tier_and_unknown_route(self, client):
         with pytest.raises(ServerClientError) as caught:
             client.query("retrieve path(0, Y)", tier="platinum")

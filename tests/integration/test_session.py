@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Session
-from repro.errors import CoreError, ReproError
+from repro.errors import CoreError, LexError, ReproError
 from repro.catalog.database import KnowledgeBase
 from repro.core.answers import DescribeResult
 from repro.core.compare import ConceptComparison
@@ -11,6 +11,9 @@ from repro.core.necessity import NecessityResult
 from repro.core.possibility import PossibilityResult
 from repro.engine.evaluate import RetrieveResult
 from repro.lang.parser import parse_atom, parse_body
+from repro.datasets import university_kb
+from repro.logic.atoms import Atom
+from repro.logic.clauses import Rule
 from tests.oracle import reference_answers
 
 
@@ -48,6 +51,41 @@ class TestDefinitions:
         session = Session()
         with pytest.raises(CoreError):
             session.load("retrieve p(X)")
+
+    def test_load_of_a_non_decimal_digit_is_a_located_lex_error(self):
+        session = Session()
+        with pytest.raises(LexError) as error:
+            session.load("p(a).\nq(1²).\n")
+        assert (error.value.line, error.value.column) == (2, 4)
+        assert not session.kb.has_predicate("p")
+
+    def test_load_formats_no_echo(self, monkeypatch):
+        """``load`` stores each definition without rendering the REPL's
+        ``stored: ...`` line; only ``query`` / ``execute`` build it.  (Lint is
+        off: a diagnostic quotes the rule it names, here the unreferenced
+        ``can_ta``.)"""
+        kb = university_kb()
+        program = "\n".join(
+            [
+                f"{Atom(name, row)}."
+                for name in kb.edb_predicates()
+                for row in kb.facts(name)
+            ]
+            + [str(rule) for rule in kb.rules()]
+        )
+        calls = []
+        rendered = Rule.__str__
+
+        def counting(rule):
+            calls.append(rule)
+            return rendered(rule)
+
+        monkeypatch.setattr(Rule, "__str__", counting)
+        session = Session(lint="off")
+        assert session.load(program) == kb.fact_count() + kb.rule_count()
+        assert calls == []
+        assert session.query("p(a).") == "stored: p(a)."
+        assert len(calls) == 1
 
 
 class TestQueryDispatch:

@@ -77,6 +77,12 @@ program fixes tags and typing, and a ``ResourceGuard`` is the only budget
 a caller sets.  No search configuration class, algorithm selector or
 precondition switch may grow back, and no statement function, ``Session``
 or ``DerivationSearch`` takes a ``config`` or ``algorithm`` parameter.
+
+The lexer half: the language has one lexer, the compiled pattern of
+``lang/lexer.py``.  The character walker it replaced is the test oracle
+``tests/lang/reference_lexer.py``; no ``Lexer`` class or second tokenizer
+may grow back under ``src/repro``, and no production module imports the
+oracle.
 """
 
 import ast
@@ -810,3 +816,21 @@ def test_no_search_entry_point_takes_a_configuration(entry_point):
 
 def test_algorithm2_transforms_its_own_program():
     assert "program" not in inspect.signature(algorithm2.run_algorithm2).parameters
+
+
+def test_the_language_has_one_lexer():
+    lexer = importlib.import_module("repro.lang.lexer")
+    assert not hasattr(lexer, "Lexer")
+    tokenizers = []
+    for source in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(source.read_text())
+        tokenizers.extend(
+            f"{source.relative_to(ROOT)}:{node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name in {"tokenize", "Lexer", "reference_tokenize"}
+        )
+        assert not any(
+            name.split(".")[-1] == "reference_lexer" for name in _imported_names(source)
+        ), source
+    assert tokenizers == ["src/repro/lang/lexer.py:tokenize"]

@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro.errors import ParseError
+from repro.errors import LexError, ParseError
 from repro.lang.ast import (
     CompareStatement,
     ConstraintStatement,
     DescribeStatement,
     RetrieveStatement,
-    RuleStatement,
 )
 from repro.lang.parser import (
     parse_atom,
@@ -18,7 +17,7 @@ from repro.lang.parser import (
     parse_statement,
 )
 from repro.logic.atoms import Atom, comparison
-from repro.logic.terms import Constant, Variable
+from repro.logic.terms import Constant
 
 
 class TestAtomsAndBodies:
@@ -173,3 +172,28 @@ class TestPrograms:
         with pytest.raises(ParseError) as error:
             parse_statement("retrieve where")
         assert error.value.line == 1
+
+
+class TestMalformedInputIsALocatedLanguageError:
+    """Text the language does not read never escapes as a bare exception."""
+
+    @pytest.mark.parametrize("digit", ["²", "³", ".²", "1²", "-²"])
+    def test_a_non_decimal_digit(self, digit):
+        with pytest.raises(LexError) as error:
+            parse_statement(f"retrieve p({digit})")
+        assert error.value.line == 1
+        assert 12 <= error.value.column <= 13
+
+    def test_decimal_digits_of_any_script_are_numbers(self):
+        statement = parse_statement("retrieve p(١٢, ٣.٥)")
+        assert statement.subject.args == (Constant(12), Constant(3.5))
+
+    def test_an_empty_string_as_a_predicate_name(self):
+        with pytest.raises(ParseError) as error:
+            parse_statement("retrieve p(X) where ''")
+        assert (error.value.line, error.value.column) == (1, 21)
+
+    def test_an_integer_literal_too_long_to_convert(self):
+        with pytest.raises(ParseError) as error:
+            parse_statement("p(" + "9" * 5000 + ").")
+        assert (error.value.line, error.value.column) == (1, 3)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ParseError
-from repro.lang.ast import ExplainStatement, RetrieveStatement, RuleStatement
+from repro.lang.ast import ExplainStatement, RetrieveStatement
 from repro.lang.parser import parse_rule, parse_statement
 from repro.logic.atoms import Atom
 
