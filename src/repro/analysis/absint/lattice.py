@@ -42,7 +42,10 @@ __all__ = [
 #: All primitive kinds a constant can have (see ``repro.logic.terms``).
 KINDS = frozenset({"int", "float", "str", "bool"})
 _NUMERIC = frozenset({"int", "float"})
-_NONNUMERIC = frozenset({"str", "bool"})
+#: The kinds an order comparison accepts together, as
+#: :func:`repro.logic.builtins.comparable` groups them: numbers with
+#: numbers, strings with strings, booleans with booleans.
+_ORDER_CLASSES = (_NUMERIC, frozenset({"str"}), frozenset({"bool"}))
 
 #: Enum-facet width: beyond this many distinct values the exact value set
 #: is dropped (widened), keeping only kinds and the numeric interval.
@@ -88,18 +91,18 @@ class ColumnDomain:
         return bool(self.kinds & _NUMERIC)
 
     @property
-    def has_nonnumeric(self) -> bool:
-        return bool(self.kinds & _NONNUMERIC)
-
-    @property
     def numeric_only(self) -> bool:
         """Provably numeric (non-empty and every kind is int/float)."""
         return bool(self.kinds) and self.kinds <= _NUMERIC
 
-    @property
-    def nonnumeric_only(self) -> bool:
-        """Provably non-numeric (non-empty and every kind is str/bool)."""
-        return bool(self.kinds) and self.kinds <= _NONNUMERIC
+    def order_partners(self) -> frozenset[str]:
+        """The kinds an order comparison accepts against this domain: the
+        union of the order classes it has a member of."""
+        partners: frozenset[str] = frozenset()
+        for members in _ORDER_CLASSES:
+            if self.kinds & members:
+                partners |= members
+        return partners
 
     def contains(self, constant: Constant) -> bool:
         """Whether the domain admits *constant* (soundness check)."""
@@ -164,17 +167,12 @@ class ColumnDomain:
         """Refinement for an order comparison ``self op other``.
 
         Rows surviving the comparison have this operand comparable with the
-        other one, so kinds narrow to those with a counterpart on the other
-        side; when the other side is provably numeric with known bounds,
-        the interval facet tightens too (bounds are kept inclusive — an
-        over-approximation, which is all soundness needs).
+        other one, so kinds narrow to those of an order class the other
+        side has a member of; when the other side is provably numeric with
+        known bounds, the interval facet tightens too (bounds are kept
+        inclusive — an over-approximation, which is all soundness needs).
         """
-        allowed: set[str] = set()
-        if other.has_numeric:
-            allowed |= _NUMERIC
-        if other.has_nonnumeric:
-            allowed |= _NONNUMERIC
-        restricted = self.meet(make(frozenset(allowed), None, None, None))
+        restricted = self.meet(make(other.order_partners(), None, None, None))
         if not other.numeric_only:
             return restricted
         if op in ("<", "<=") and other.high is not None:
@@ -254,15 +252,13 @@ def from_constant(constant: Constant) -> ColumnDomain:
 def order_incomparable(left: ColumnDomain, right: ColumnDomain) -> bool:
     """Whether an order comparison of the operands *provably* errors.
 
-    True only when both domains are non-empty and one is provably numeric
-    while the other is provably non-numeric — exactly the condition under
-    which :func:`repro.logic.builtins.comparable` rejects every value pair.
+    True only when both domains are non-empty and share no order class
+    (numbers, strings, booleans) — exactly the condition under which
+    :func:`repro.logic.builtins.comparable` rejects every value pair.
     """
     if left.is_bottom or right.is_bottom:
         return False
-    return (left.numeric_only and right.nonnumeric_only) or (
-        left.nonnumeric_only and right.numeric_only
-    )
+    return not (left.kinds & right.order_partners())
 
 
 #: The empty domain (no value possible).

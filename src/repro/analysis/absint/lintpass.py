@@ -78,7 +78,8 @@ def _type_findings(
                     rule=str(rule),
                     span=rule.span,
                     hint=(
-                        "numeric and non-numeric values are never comparable; "
+                        "numbers, strings and booleans are never comparable "
+                        "with each other; "
                         "fix the joined columns or drop the comparison"
                     ),
                     pass_name="absint",

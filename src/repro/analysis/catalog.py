@@ -234,8 +234,9 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         "warning",
         "absint",
         "Type inference proves the two sides of an order comparison can "
-        "only hold values of incomparable kinds (one side purely numeric, "
-        "the other purely non-numeric), so the comparison raises or "
+        "only hold values of incomparable kinds (no side shares an order "
+        "class — numbers, strings, booleans — with the other), so the "
+        "comparison raises or "
         "eliminates every row at evaluation time.",
         "q(1). r(a).\np(X, Y) <- q(X) and r(Y) and (X < Y).",
     ),

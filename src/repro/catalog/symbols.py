@@ -11,7 +11,9 @@ asks a derived relation for constants (:meth:`Relation.load_interned`
 keeps a flushed table's rows as ids) — through
 :meth:`SymbolTable.extern_rows` / :meth:`SymbolTable.extern_block`; the
 per-id :meth:`SymbolTable.extern` and per-row :meth:`SymbolTable.extern_row`
-serve order comparisons and substitution streams.
+serve substitution streams.  Order comparisons never externalize: they
+index :attr:`SymbolTable.values`, each id's payload, kept next to its
+constant.
 
 Design points:
 
@@ -49,11 +51,12 @@ __all__ = ["SymbolTable", "SYMBOLS"]
 class SymbolTable:
     """A bidirectional, append-only ``Constant`` <-> ``int`` mapping."""
 
-    __slots__ = ("_ids", "_constants", "_lock")
+    __slots__ = ("_ids", "_constants", "_values", "_lock")
 
     def __init__(self) -> None:
         self._ids: dict[Constant, int] = {}
         self._constants: list[Constant] = []
+        self._values: list[object] = []
         self._lock = threading.Lock()
 
     def intern(self, constant: Constant) -> int:
@@ -66,6 +69,7 @@ class SymbolTable:
             if sid is None:
                 sid = len(self._constants)
                 self._constants.append(constant)
+                self._values.append(constant.value)
                 self._ids[constant] = sid
         return sid
 
@@ -82,6 +86,14 @@ class SymbolTable:
     def extern(self, sid: int) -> Constant:
         """The constant for an id (first-interned representative)."""
         return self._constants[sid]
+
+    @property
+    def values(self) -> list[object]:
+        """The live id -> payload list (``values[sid] is
+        extern(sid).value``): what an order comparison reads per row.  It
+        grows with the table and is never replaced, so a closure may keep
+        it; callers index it and never write to it."""
+        return self._values
 
     def extern_row(self, row: Sequence[int]) -> tuple[Constant, ...]:
         """Map a row of ids back to constants."""

@@ -29,11 +29,16 @@ it:
   cache pins no relation.
 
 Order comparisons (``<``, ``>=``, …) are about *values*, not identities,
-so their closures externalize ids back to constants before comparing —
-they keep the semantics of
-:func:`repro.logic.builtins.evaluate_comparison`, including the
-incompatible-type :class:`~repro.errors.LogicError`: the comparability
-check runs on every row.
+so their closures read each id's payload from the symbol table's value
+list (:attr:`SymbolTable.values`) — one list index, one type test and one
+compare per row for a slot against a constant — and never build a
+constant.  A row the type test does not clear takes the exact path of
+:func:`repro.logic.builtins.evaluate_comparison`, so the filters raise its
+incompatible-type :class:`~repro.errors.LogicError` on exactly the rows it
+raises on.
+
+A kernel holds no text either: ``explain`` renders a plan's step lines
+itself (:func:`repro.obs.explain.plan_lines`).
 
 A batch is a list of id tuples, passed from one step's ``run`` to the
 next.  :class:`IntTable` is the fixpoint table the one stratum driver
@@ -88,9 +93,9 @@ from repro.engine.plan import (
     compile_rule,
 )
 from repro.logic.atoms import Atom
-from repro.logic.builtins import comparable
+from repro.logic.builtins import comparable, order_kind
 from repro.logic.clauses import Rule
-from repro.logic.terms import Constant, Variable
+from repro.logic.terms import Variable
 
 #: An intermediate batch: one symbol-id tuple per binding.
 IntBatch = list[tuple[int, ...]]
@@ -103,6 +108,14 @@ _ORDER_OPS: dict[str, Callable[[object, object], bool]] = {
     "<=": operator.le,
     ">": operator.gt,
     ">=": operator.ge,
+}
+
+#: The payload types an order class accepts without a second look (a
+#: payload of any other type, a subclass say, takes the exact path).
+_ORDER_TYPES: dict[str, tuple[type, ...]] = {
+    "number": (int, float),
+    "str": (str,),
+    "bool": (bool,),
 }
 
 
@@ -247,7 +260,7 @@ class _KJoin:
     """
 
     __slots__ = (
-        "predicate", "arity", "out_cols", "fused", "shape", "_key_of", "_const",
+        "predicate", "arity", "out_cols", "check", "shape", "_key_of", "_const",
         "_lower", "_keyless", "_head_binding", "_head_build_first",
     )
 
@@ -264,7 +277,8 @@ class _KJoin:
         self.predicate = predicate
         self.arity = arity
         self.out_cols = out_cols
-        self.fused: list[RowFilter] = []
+        #: The fused comparison filters, as one check (``None``: none).
+        self.check: RowFilter | None = None
         self._head_binding: Callable | None = None
         self._head_build_first = False
         # The build side's shape, but for the columns its entries keep.
@@ -283,6 +297,14 @@ class _KJoin:
         else:
             self.shape, self._key_of, self._const = self._lower(cols)
 
+    def fuse(self, check: RowFilter) -> None:
+        """Fold one more comparison filter into the probe loop's check;
+        the filters run in the order fused, the first false one ending it."""
+        first = self.check
+        self.check = check if first is None else (
+            lambda row: first(row) and check(row)
+        )
+
     def fuse_head(self, head_slots: Sequence[int], bound: int) -> bool:
         """Specialize this join — a rule kernel's last step, probed by
         bindings of *bound* slots — to emit the rule's head.
@@ -300,7 +322,7 @@ class _KJoin:
         """
         from_build = [slot >= bound for slot in head_slots]
         switches = sum(a != b for a, b in zip(from_build, from_build[1:]))
-        if self.fused or switches > 1:
+        if self.check is not None or switches > 1:
             return False
         self._head_build_first = bool(from_build) and from_build[0]
         self._head_binding = projector([slot for slot in head_slots if slot < bound])
@@ -334,11 +356,14 @@ class _KJoin:
                 built = built.get(())  # type: ignore[attr-defined]
                 if not built:
                     return [] if table is None else 0
+        check = self.check
         if key_of is None:
-            if table is None and not self.fused and batch == [()]:
+            if table is None and batch == [()]:
                 # The first step of a kernel: the unit batch extends to
                 # the build side itself.
-                return list(built)  # type: ignore[call-overload]
+                if check is None:
+                    return list(built)  # type: ignore[call-overload]
+                return list(filter(check, built))  # type: ignore[call-overload]
             matched: Iterable = repeat(built)
         else:
             matched = map(built.get, map(key_of, batch))  # type: ignore[attr-defined]
@@ -364,23 +389,20 @@ class _KJoin:
                             if row not in index:
                                 pending[row] = None
             return len(pending) - before
-        fused = self.fused
-        if not fused:
+        if check is None:
             return [
                 binding + extension
                 for binding, matches in zip(batch, matched)
                 if matches
                 for extension in matches
             ]
-        result: IntBatch = []
-        append = result.append
-        for binding, matches in zip(batch, matched):
-            if matches:
-                for extension in matches:
-                    row = binding + extension
-                    if all(check(row) for check in fused):
-                        append(row)
-        return result
+        return [
+            row
+            for binding, matches in zip(batch, matched)
+            if matches
+            for extension in matches
+            if check(row := binding + extension)
+        ]
 
 
 class _KBind:
@@ -408,8 +430,7 @@ class _KFilter:
         self.check = check
 
     def run(self, batch: IntBatch, relations) -> IntBatch:
-        check = self.check
-        return [binding for binding in batch if check(binding)]
+        return list(filter(self.check, batch))
 
 
 class _KAntiJoin:
@@ -449,22 +470,31 @@ class _KAntiJoin:
         return [binding for binding in batch if key_of(binding) not in keys]
 
 
-def _operand_reader(
-    slot: int | None, const: Constant | None
-) -> Callable[[tuple[int, ...]], Constant]:
-    """Read a comparison operand as a *constant* from an id row."""
-    if slot is not None:
-        extern = SYMBOLS.extern
-        return lambda row, s=slot: extern(row[s])
-    return lambda row, c=const: c  # type: ignore[misc]
+def _exact_order(step: _Compare, row: tuple[int, ...]) -> bool:
+    """An order comparison over *row* as :func:`evaluate_comparison` runs
+    it: both operands as constants, and a :class:`~repro.errors.LogicError`
+    when they are not :func:`comparable`."""
+    extern = SYMBOLS.extern
+    left_slot, right_slot = step.left_slot, step.right_slot
+    left = step.left_const if left_slot is None else extern(row[left_slot])
+    right = step.right_const if right_slot is None else extern(row[right_slot])
+    if not comparable(left, right):  # type: ignore[arg-type]
+        raise LogicError(
+            f"cannot order-compare {left!r} and {right!r} (incompatible types)"
+        )
+    return _ORDER_OPS[step.op](left.value, right.value)  # type: ignore[union-attr]
 
 
 def _compare_filter(step: _Compare) -> RowFilter:
     """Specialize one comparison into an id-row filter closure.
 
     Equality/disequality compare ids directly (id-equality is
-    constant-equality); order operators externalize to values and raise
-    :class:`~repro.errors.LogicError` on incompatible types.
+    constant-equality).  Order operators compare the ids' payloads
+    (:attr:`SymbolTable.values`) when a type test shows them comparable —
+    a slot's payload of its constant's order class, or two slots'
+    payloads of one type — and otherwise take the exact path, which
+    compares or raises :class:`~repro.errors.LogicError` as
+    :func:`evaluate_comparison` does.
     """
     op = step.op
     left_slot, right_slot = step.left_slot, step.right_slot
@@ -484,18 +514,39 @@ def _compare_filter(step: _Compare) -> RowFilter:
             return lambda row: row[slot] == sid
         return lambda row: row[slot] != sid
     compare = _ORDER_OPS[op]
-    left = _operand_reader(left_slot, step.left_const)
-    right = _operand_reader(right_slot, step.right_const)
+    values = SYMBOLS.values
+    if left_slot is not None and right_slot is not None:
 
-    def check(row: tuple[int, ...]) -> bool:
-        l, r = left(row), right(row)
-        if not comparable(l, r):
-            raise LogicError(
-                f"cannot order-compare {l!r} and {r!r} (incompatible types)"
-            )
-        return compare(l.value, r.value)
+        def slots_check(row: tuple[int, ...]) -> bool:
+            left, right = values[row[left_slot]], values[row[right_slot]]
+            if type(left) is type(right):
+                return compare(left, right)
+            return _exact_order(step, row)
 
-    return check
+        return slots_check
+    if left_slot is None and right_slot is None:
+        return partial(_exact_order, step)
+    if left_slot is not None:
+        value = step.right_const.value  # type: ignore[union-attr]
+        types = _ORDER_TYPES[order_kind(value)]
+
+        def left_check(row: tuple[int, ...]) -> bool:
+            left = values[row[left_slot]]
+            if type(left) in types:
+                return compare(left, value)
+            return _exact_order(step, row)
+
+        return left_check
+    value = step.left_const.value  # type: ignore[union-attr]
+    types = _ORDER_TYPES[order_kind(value)]
+
+    def right_check(row: tuple[int, ...]) -> bool:
+        right = values[row[right_slot]]  # type: ignore[index]
+        if type(right) in types:
+            return compare(value, right)
+        return _exact_order(step, row)
+
+    return right_check
 
 
 def _run_steps(steps: Sequence, relations, guard, tracer) -> IntBatch:
@@ -517,17 +568,11 @@ def _run_steps(steps: Sequence, relations, guard, tracer) -> IntBatch:
 class ConjunctionKernel:
     """A lowered plan: the logical plan's schema, id-domain steps."""
 
-    __slots__ = ("schema", "steps", "described")
+    __slots__ = ("schema", "steps")
 
-    def __init__(
-        self,
-        schema: tuple[Variable, ...],
-        steps: list,
-        described: list[str],
-    ) -> None:
+    def __init__(self, schema: tuple[Variable, ...], steps: list) -> None:
         self.schema = schema
         self.steps = steps
-        self.described = described
 
     def execute(self, relations, guard=None, tracer=None) -> IntBatch:
         """Run the kernel under *guard* (a
@@ -537,24 +582,25 @@ class ConjunctionKernel:
 
 
 class RuleKernel:
-    """A rule's body steps plus its head, firing into a fixpoint table.
+    """A rule plan lowered: its body steps plus its head, firing into a
+    fixpoint table.
 
     The head is carried by the last step when that is a join of the right
     shape (:meth:`_KJoin.fuse_head`); otherwise the finished bindings are
-    projected onto ``head_template`` and admitted as a batch.
+    projected onto ``head_template`` (a head constant as its id) and
+    admitted as a batch.
     """
 
     __slots__ = ("rule", "kernel", "head_template", "_project", "_body", "_tail")
 
-    def __init__(
-        self,
-        rule: Rule,
-        kernel: ConjunctionKernel,
-        head_template: list[tuple[bool, int]],
-    ) -> None:
-        self.rule = rule
-        self.kernel = kernel
-        self.head_template = head_template
+    def __init__(self, plan: RulePlan) -> None:
+        self.rule = plan.rule
+        # A head constant becomes its id (interned before the body's).
+        self.head_template = head_template = [
+            (True, SYMBOLS.intern(value)) if is_const else (False, value)  # type: ignore[arg-type]
+            for is_const, value in plan.head_template
+        ]
+        self.kernel = kernel = kernelize_conjunction(plan.plan)
         self._body = kernel.steps
         self._tail: _KJoin | None = None
         if all(not is_const for is_const, _ in head_template):
@@ -567,13 +613,17 @@ class RuleKernel:
                 slots, len(kernel.schema) - len(last.out_cols)
             ):
                 self._body, self._tail = kernel.steps[:-1], last
-                kernel.described[-1] += " [head fused]"
         else:
             # Heads with constant arguments take the generic template loop.
             self._project = lambda binding: tuple(
                 value if is_const else binding[value]
                 for is_const, value in head_template
             )
+
+    @property
+    def head_fused(self) -> bool:
+        """Whether the last join builds the head rows itself."""
+        return self._tail is not None
 
     def execute(self, relations, table: IntTable, guard=None, tracer=None) -> int:
         """Fire the rule into *table*, the head predicate's fixpoint
@@ -601,8 +651,7 @@ def kernelize_conjunction(plan: ConjunctionPlan) -> ConjunctionKernel:
     join all fuse, since filters do not change the slot schema.
     """
     steps: list = []
-    described: list[str] = []
-    for step, line in zip(plan.steps, plan.described):
+    for step in plan.steps:
         if isinstance(step, _HashJoin):
             steps.append(
                 _KJoin(
@@ -615,7 +664,6 @@ def kernelize_conjunction(plan: ConjunctionPlan) -> ConjunctionKernel:
                     step.out_cols,
                 )
             )
-            described.append(line)
         elif isinstance(step, _Bind):
             source_id = (
                 None
@@ -623,15 +671,12 @@ def kernelize_conjunction(plan: ConjunctionPlan) -> ConjunctionKernel:
                 else SYMBOLS.intern(step.source_const)
             )
             steps.append(_KBind(step.source_slot, source_id))
-            described.append(line)
         elif isinstance(step, _Compare):
             check = _compare_filter(step)
             if steps and isinstance(steps[-1], _KJoin):
-                steps[-1].fused.append(check)
-                described.append(f"{line} [fused]")
+                steps[-1].fuse(check)
             else:
                 steps.append(_KFilter(check))
-                described.append(line)
         elif isinstance(step, _AntiJoin):
             steps.append(
                 _KAntiJoin(
@@ -642,10 +687,9 @@ def kernelize_conjunction(plan: ConjunctionPlan) -> ConjunctionKernel:
                     [(col, SYMBOLS.intern(value)) for col, value in step.const_checks],
                 )
             )
-            described.append(line)
         else:  # pragma: no cover - the four step kinds are exhaustive
             raise TypeError(f"cannot kernelize plan step {type(step).__name__}")
-    return ConjunctionKernel(plan.schema, steps, described)
+    return ConjunctionKernel(plan.schema, steps)
 
 
 def compile_conjunction_kernel(
@@ -668,12 +712,7 @@ def compile_rule_kernel(
     rule: Rule, estimate: CostEstimator | None = None
 ) -> RuleKernel:
     """Compile one rule to an integer kernel with head projection."""
-    plan: RulePlan = compile_rule(rule, estimate=estimate)
-    template: list[tuple[bool, int]] = [
-        (True, SYMBOLS.intern(value)) if is_const else (is_const, value)  # type: ignore[arg-type]
-        for is_const, value in plan.head_template
-    ]
-    return RuleKernel(rule, kernelize_conjunction(plan.plan), template)
+    return RuleKernel(compile_rule(rule, estimate=estimate))
 
 
 # Only :func:`repro.engine.evaluate.evaluate_conjunction` and ``explain``

@@ -66,6 +66,7 @@ def order_conjuncts(
     that are constants or already-bound variables).  With an estimator, it
     is the lowest expected row count — a small relation beats a large one
     even at equal boundness, the classic cardinality-aware improvement.
+    Ties go to the conjunct written first.
 
     A delta occurrence (:data:`DELTA_PREFIX`) is always the next positive
     atom, whatever it would cost: the delta is the one operand that is new
@@ -79,54 +80,66 @@ def order_conjuncts(
     Raises :class:`SafetyError` if an order comparison can never become
     ground (the conjunction is unsafe).
     """
-    remaining = list(conjuncts)
+    # Each conjunct is classified once, keeping its variables: a comparison
+    # with whether it is an '=' and whether it has a constant side, a
+    # positive atom with its position (the tie-break) and whether it reads
+    # a delta.  Both lists keep the conjuncts' written order.
+    comparisons: list[tuple[Atom, list[Variable], bool, bool]] = []
+    positives: list[tuple[Atom, list[Variable], int, bool]] = []
+    for position, atom in enumerate(conjuncts):
+        if atom.is_comparison():
+            constant_side = any(is_constant(arg) for arg in atom.args)
+            comparisons.append(
+                (atom, atom.variables(), atom.predicate == "=", constant_side)
+            )
+        else:
+            delta = atom.predicate.startswith(DELTA_PREFIX)
+            positives.append((atom, atom.variables(), position, delta))
     bound: set[Variable] = set()
     ordered: list[Atom] = []
-    while remaining:
-        # 1. Any comparison that is ready?  '=' is ready when one side is
-        #    bound/constant; other comparisons when both sides are.
-        ready = None
-        for atom in remaining:
-            if not atom.is_comparison():
-                continue
-            sides_bound = [
-                is_constant(arg) or arg in bound for arg in atom.args
-            ]
-            if atom.predicate == "=" and any(sides_bound):
-                ready = atom
-                break
-            if all(sides_bound):
-                ready = atom
-                break
-        if ready is None:
-            # 2. The cheapest positive atom.
-            positives = [a for a in remaining if not a.is_comparison()]
-            delta = next(
-                (a for a in positives if a.predicate.startswith(DELTA_PREFIX)), None
-            )
-            if delta is not None:
-                ready = delta
-            elif positives:
-                if estimate is not None:
-                    def cost(atom: Atom) -> tuple:
-                        estimated = estimate(atom, bound)
-                        if estimated is None:
-                            estimated = float("inf")
-                        return (estimated, -_boundness(atom, bound), remaining.index(atom))
 
-                    ready = min(positives, key=cost)
+    def ready(entry: tuple[Atom, list[Variable], bool, bool]) -> bool:
+        """'=' is ready when one side is bound or constant; any other
+        comparison when both sides are."""
+        _, variables, equality, constant_side = entry
+        if equality and (constant_side or not bound.isdisjoint(variables)):
+            return True
+        return bound.issuperset(variables)
+
+    def cost(i: int) -> tuple:
+        """Lower is cheaper: the estimate, then boundness, then position."""
+        atom, _, position, _ = positives[i]
+        estimated = estimate(atom, bound)  # type: ignore[misc]
+        if estimated is None:
+            estimated = float("inf")
+        return (estimated, -_boundness(atom, bound), position)
+
+    def boundness(i: int) -> tuple:
+        """Higher is cheaper: boundness, then the earlier position."""
+        atom, _, position, _ = positives[i]
+        return (_boundness(atom, bound), -position)
+
+    while comparisons or positives:
+        # 1. The first comparison that is ready.
+        index = next((i for i, entry in enumerate(comparisons) if ready(entry)), -1)
+        if index >= 0:
+            atom, variables, _, _ = comparisons.pop(index)
+        elif not positives:
+            # Only comparisons left and none ready.
+            leftovers = " and ".join(str(entry[0]) for entry in comparisons)
+            raise SafetyError(f"comparisons can never become ground: {leftovers}")
+        else:
+            # 2. The delta occurrence, else the cheapest positive atom.
+            index = next((i for i, entry in enumerate(positives) if entry[3]), -1)
+            if index < 0:
+                candidates = range(len(positives))
+                if estimate is not None:
+                    index = min(candidates, key=cost)
                 else:
-                    ready = max(
-                        positives,
-                        key=lambda a: (_boundness(a, bound), -remaining.index(a)),
-                    )
-            else:
-                # Only comparisons left and none ready.
-                leftovers = " and ".join(str(a) for a in remaining)
-                raise SafetyError(f"comparisons can never become ground: {leftovers}")
-        remaining.remove(ready)
-        ordered.append(ready)
-        bound.update(ready.variables())
+                    index = max(candidates, key=boundness)
+            atom, variables, _, _ = positives.pop(index)
+        ordered.append(atom)
+        bound.update(variables)
     return ordered
 
 
@@ -170,11 +183,6 @@ def delta_rewritings(rule: Rule, stratum) -> list[tuple[int, Rule]]:
             body[position] = Atom(DELTA_PREFIX + atom.predicate, atom.args)
             variants.append((position, rule.with_body(body)))
     return variants
-
-
-def _show(atom: Atom) -> str:
-    """An atom as a step line prints it (the delta marker made readable)."""
-    return str(atom).replace(DELTA_PREFIX, "delta:")
 
 
 class _HashJoin(NamedTuple):
@@ -235,22 +243,19 @@ class ConjunctionPlan:
 
     ``schema`` is the ordered tuple of variables the conjunction binds,
     one slot per variable; ``steps`` are the step records in execution
-    order.  ``described`` carries one human-readable line per step,
-    recorded at compile time (when the slot→variable mapping is known)
-    for ``explain``.
+    order, and ``atoms[i]`` is the conjunct step *i* came from.  A plan
+    holds no text: ``explain`` renders its lines from these
+    (:func:`repro.obs.explain.plan_lines`), and evaluation never does.
     """
 
-    __slots__ = ("schema", "steps", "described")
+    __slots__ = ("schema", "steps", "atoms")
 
     def __init__(
-        self,
-        schema: tuple[Variable, ...],
-        steps: list,
-        described: list[str] | None = None,
+        self, schema: tuple[Variable, ...], steps: list, atoms: list[Atom]
     ) -> None:
         self.schema = schema
         self.steps = steps
-        self.described = described or []
+        self.atoms = atoms
 
 
 class RulePlan:
@@ -289,7 +294,6 @@ def compile_conjunction(
     ordered = order_conjuncts(conjuncts, estimate=estimate)
     slots: dict[Variable, int] = {}
     steps: list = []
-    described: list[str] = []
 
     def operand(term: object) -> tuple[int | None, Constant | None]:
         if is_constant(term):
@@ -306,7 +310,6 @@ def compile_conjunction(
                 target = right if left_bound else left
                 source_slot, source_const = operand(source)
                 steps.append(_Bind(source_slot, source_const))
-                described.append(f"bind {target} = {source}")
                 slots[target] = len(slots)  # type: ignore[index]
             else:
                 left_slot, left_const = operand(left)
@@ -314,7 +317,6 @@ def compile_conjunction(
                 steps.append(
                     _Compare(atom.predicate, left_slot, left_const, right_slot, right_const)
                 )
-                described.append(f"filter {atom}")
             continue
         key_slots: list[int] = []
         key_cols: list[int] = []
@@ -341,28 +343,6 @@ def compile_conjunction(
                 const_checks, dup_checks, out_cols,
             )
         )
-        join_vars = [
-            variable for variable, slot in slots.items() if slot in key_slots
-        ]
-        notes: list[str] = []
-        if join_vars:
-            notes.append("join on " + ", ".join(str(v) for v in join_vars))
-        elif slots:
-            notes.append("cartesian")
-        else:
-            notes.append("scan")
-        if const_checks:
-            notes.append(
-                "filter "
-                + ", ".join(f"col{col}={value}" for col, value in const_checks)
-            )
-        if out_vars:
-            notes.append("binds " + ", ".join(str(v) for v in out_vars))
-        if estimate is not None:
-            expected = estimate(atom, set(slots))
-            if expected is not None:
-                notes.append(f"est~{expected:.0f} rows")
-        described.append(f"hash_join {_show(atom)} [{'; '.join(notes)}]")
         for variable in out_vars:
             slots[variable] = len(slots)
 
@@ -384,10 +364,9 @@ def compile_conjunction(
         steps.append(
             _AntiJoin(atom.predicate, atom.arity, key_slots, key_cols, const_checks)
         )
-        described.append(f"anti_join not {atom}")
 
-    schema = tuple(sorted(slots, key=slots.__getitem__))
-    return ConjunctionPlan(schema, steps, described)
+    # Slots are numbered in insertion order: the dict's keys are the schema.
+    return ConjunctionPlan(tuple(slots), steps, ordered + list(negated))
 
 
 def compile_rule(rule: Rule, estimate: CostEstimator | None = None) -> RulePlan:

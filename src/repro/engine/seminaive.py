@@ -25,6 +25,7 @@ stratum completes.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 from repro.analysis.safety import check_rule_safety
@@ -43,17 +44,16 @@ from repro.logic.clauses import Rule
 
 class CompiledStratum:
     """One stratum's rules as the driver wants them, built once: safety
-    checked, with span labels, the exit rules (no stratum predicate in the
-    body) and the delta rewritings of the others, plus the lowered kernel of
-    each ``(rule index, delta position)`` as first fired (``-1``: an exit
-    rule in full — a recursive rule only ever fires as its delta variants;
-    any join order is correct, the first one is kept)."""
+    checked, the exit rules (no stratum predicate in the body) and the delta
+    rewritings of the others, plus the lowered kernel of each ``(rule
+    index, delta position)`` as first fired (``-1``: an exit rule in full —
+    a recursive rule only ever fires as its delta variants; any join order
+    is correct, the first one is kept)."""
 
     def __init__(self, rules: list[Rule], stratum: set[str]) -> None:
         for rule in rules:
             check_rule_safety(rule)
         self.rules = rules
-        self.labels = [str(rule) for rule in rules]
         self.rewritten = [
             (rule_index, position, rewritten)
             for rule_index, rule in enumerate(rules)
@@ -62,6 +62,12 @@ class CompiledStratum:
         recursive = {rule_index for rule_index, _, _ in self.rewritten}
         self.exits = [i for i in range(len(rules)) if i not in recursive]
         self.kernels: dict[tuple[int, int], RuleKernel] = {}
+
+    @cached_property
+    def labels(self) -> list[str]:
+        """The rules' span labels: text, formatted once, on the first
+        evaluation a tracer records."""
+        return [str(rule) for rule in self.rules]
 
 
 class SemiNaiveEngine:
@@ -200,9 +206,12 @@ class SemiNaiveEngine:
             program = self._compiled[members] = CompiledStratum(
                 [r for p in members for r in self._kb.rules_for(p)], stratum
             )
-        rules, labels, kernels = program.rules, program.labels, program.kernels
+        rules, kernels = program.rules, program.kernels
         guard = self._guard
         tracer = self._tracer
+        # The rule spans' labels are text: an untraced evaluation formats none.
+        recording = tracer is not None and tracer.enabled
+        labels = program.labels if recording else [None] * len(rules)
         tables = {p: IntTable(self._relation(p).arity) for p in stratum}
         deltas: dict[str, IntTable] = {}
 

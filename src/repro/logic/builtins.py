@@ -66,14 +66,23 @@ def flip_operator(op: str) -> str:
         raise LogicError(f"unknown comparison operator: {op!r}") from None
 
 
+def order_kind(value: object) -> str:
+    """The order class of a constant's payload: ``"number"`` (int and
+    float, which order together), ``"bool"`` or ``"str"``."""
+    if isinstance(value, bool):
+        return "bool"
+    return "number" if isinstance(value, (int, float)) else "str"
+
+
 def comparable(left: Constant, right: Constant) -> bool:
     """Whether two constants may be compared with an order operator.
 
-    Numbers compare with numbers; strings with strings.  Cross-type order
-    comparisons are rejected rather than silently false, since they almost
-    always indicate a schema error in the rules.
+    Numbers compare with numbers, strings with strings and booleans with
+    booleans.  Cross-class order comparisons are rejected rather than
+    silently false, since they almost always indicate a schema error in
+    the rules.
     """
-    return left.is_numeric() == right.is_numeric()
+    return order_kind(left.value) == order_kind(right.value)
 
 
 def evaluate_comparison(atom: Atom) -> bool:

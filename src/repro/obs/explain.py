@@ -1,9 +1,11 @@
 """Pre-execution plan rendering: what a retrieve *would* do.
 
-``explain_plan`` compiles the same plans and kernels the engines cache at
-evaluation time (:mod:`repro.engine.plan`, :mod:`repro.engine.kernels`) and
-renders them — per stratum, per rule, per step — as text or JSON, *before*
-running anything.  Join
+``explain_plan`` compiles the same plans the engines cache at evaluation
+time (:mod:`repro.engine.plan`; a rule's is lowered too,
+:mod:`repro.engine.kernels`, to see whether its head is fused) and renders
+them — per stratum, per rule, per step — as text or JSON, *before* running
+anything.  Plans and kernels carry no text; :func:`plan_lines` writes each
+step's line from its step record.  Join
 orders and the per-step ``est~N rows`` come from the one cardinality
 estimator (:func:`repro.engine.plan.relation_cost_estimator`) over the
 stored EDB relations; IDB sizes are unknown pre-execution, so the
@@ -32,8 +34,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.catalog.database import KnowledgeBase
-from repro.engine.kernels import compile_conjunction_kernel, compile_rule_kernel
-from repro.engine.plan import delta_rewritings, relation_cost_estimator
+from repro.engine.kernels import RuleKernel
+from repro.engine.plan import (
+    DELTA_PREFIX,
+    ConjunctionPlan,
+    CostEstimator,
+    _Bind,
+    _Compare,
+    _HashJoin,
+    compile_conjunction,
+    compile_rule,
+    delta_rewritings,
+    relation_cost_estimator,
+)
 from repro.errors import EngineError
 from repro.lang.ast import RetrieveStatement
 
@@ -249,9 +262,67 @@ def _analysis_entries(summary, predicates) -> list[PredicateAnalysis]:
     return entries
 
 
+def plan_lines(
+    plan: ConjunctionPlan,
+    estimate: CostEstimator | None = None,
+    head_fused: bool = False,
+) -> list[str]:
+    """One line per step of *plan*, as its kernel runs it.
+
+    A join shows its key, constant filters and new bindings, and — with
+    *estimate* — the rows it expects given the variables bound before it.
+    A comparison that follows a join, directly or after other such
+    comparisons, runs inside that join's probe loop (``[fused]``), and
+    *head_fused* marks the last join as building the rule's head rows
+    (:attr:`RuleKernel.head_fused`).
+    """
+    schema = plan.schema
+    lines: list[str] = []
+    bound = 0  # slots bound before the step
+    after_join = False
+    for step, atom in zip(plan.steps, plan.atoms):
+        if isinstance(step, _HashJoin):
+            joined = sorted(set(step.key_slots))
+            if joined:
+                notes = ["join on " + ", ".join(str(schema[s]) for s in joined)]
+            else:
+                notes = ["cartesian" if bound else "scan"]
+            if step.const_checks:
+                notes.append(
+                    "filter "
+                    + ", ".join(f"col{col}={value}" for col, value in step.const_checks)
+                )
+            binds = schema[bound:bound + len(step.out_cols)]
+            if binds:
+                notes.append("binds " + ", ".join(str(v) for v in binds))
+            if estimate is not None:
+                expected = estimate(atom, set(schema[:bound]))
+                if expected is not None:
+                    notes.append(f"est~{expected:.0f} rows")
+            shown = str(atom).replace(DELTA_PREFIX, "delta:")
+            lines.append(f"hash_join {shown} [{'; '.join(notes)}]")
+            bound += len(step.out_cols)
+            after_join = True
+        elif isinstance(step, _Bind):
+            slot = step.source_slot
+            source = step.source_const if slot is None else schema[slot]
+            lines.append(f"bind {schema[bound]} = {source}")
+            bound += 1
+            after_join = False
+        elif isinstance(step, _Compare):
+            lines.append(f"filter {atom}" + (" [fused]" if after_join else ""))
+        else:
+            lines.append(f"anti_join not {atom}")
+            after_join = False
+    if head_fused:
+        lines[-1] += " [head fused]"
+    return lines
+
+
 def _rule_steps(rule, estimate) -> list[str]:
     """Step lines of the kernel a rule compiles to, head included."""
-    return list(compile_rule_kernel(rule, estimate=estimate).kernel.described)
+    plan = compile_rule(rule, estimate=estimate)
+    return plan_lines(plan.plan, estimate, RuleKernel(plan).head_fused)
 
 
 def _strata_for(kb: KnowledgeBase, conjuncts, estimate) -> list[StratumExplanation]:
@@ -324,14 +395,14 @@ def explain_plan(
             f"{program.magic_rules} magic rules"
         )
         kb, conjuncts, estimate = program.kb, [program.goal], _cold_estimator(program.kb)
-    kernel = compile_conjunction_kernel(conjuncts, negated, estimate=estimate)
-    schema = kernel.schema if program is None else program.schema
+    plan = compile_conjunction(conjuncts, negated, estimate=estimate)
+    schema = plan.schema if program is None else program.schema
     return QueryExplanation(
         statement=str(parsed),
         route="materialise" if program is None else "goal_directed",
         reason=reason,
         strata=_strata_for(kb, conjuncts + negated, estimate),
-        query_steps=list(kernel.described),
+        query_steps=plan_lines(plan, estimate),
         answer_variables=[str(v) for v in schema],
         notes=notes,
         analysis=analysis,

@@ -29,6 +29,16 @@ class TestIncomparableOrder:
         source = "q(a). q(b).\np(X, Y) <- q(X) and q(Y) and (X < Y).\n"
         assert [d for d in run(source) if d.code == "KB701"] == []
 
+    def test_boolean_vs_symbolic_order_is_kb701(self):
+        # Booleans order only with booleans, as evaluation raises on
+        # ``true < abc`` the LogicError it raises on ``1 < abc``.
+        source = (
+            "c(true).\n"
+            "p(X) <- c(X) and (X < abc).\n"
+            "q(X) <- c(X) and (X < true).\n"
+        )
+        assert [d.predicate for d in run(source) if d.code == "KB701"] == ["p"]
+
 
 class TestEmptyJoin:
     def test_disjoint_kinds_join_is_kb702(self):

@@ -45,6 +45,17 @@ class TestSymbolTable:
         assert representative == Constant(3)
         assert isinstance(representative.value, int)
 
+    def test_values_are_the_representatives_payloads(self):
+        # Order comparisons read this list per row: it grows with the
+        # table and stays the same object.
+        table = SymbolTable()
+        values = table.values
+        ids = [table.intern(Constant(v)) for v in (3, 3.0, True, "x", 2.5)]
+        assert table.values is values and len(values) == len(table) == 4
+        assert [values[sid] for sid in ids] == [3, 3, True, "x", 2.5]
+        assert all(values[sid] is table.extern(sid).value for sid in ids)
+        assert type(values[ids[1]]) is int
+
     def test_table_is_append_only(self):
         table = SymbolTable()
         before = len(table)

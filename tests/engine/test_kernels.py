@@ -5,7 +5,7 @@ Compiled plans are lowered into symbol-id space
 answer parity with the tuple-at-a-time reference evaluator
 (``tests/reference.py``, via ``tests/oracle.py``), comparison
 fusion into the preceding join's probe loop, order-comparison semantics
-over externalized values (including the incompatible-type
+over the ids' payloads (including the incompatible-type
 ``LogicError``), head projection — fused into a rule's last join or not
 —, build-side screening, probe accounting, and the :class:`IntTable`
 fixpoint table.
@@ -23,7 +23,8 @@ from repro.engine.kernels import (
     compile_rule_kernel,
     substitutions_from_kernel_batch,
 )
-from repro.engine.plan import compile_conjunction
+from repro.engine.plan import compile_conjunction, compile_rule
+from repro.obs.explain import plan_lines
 from repro.errors import LogicError
 from repro.lang.parser import parse_atom, parse_rule
 from repro.logic.atoms import Atom, comparison
@@ -100,9 +101,9 @@ class TestComparisonFusion:
         plan = compile_conjunction(conjuncts)
         kernel = compile_conjunction_kernel(conjuncts)
         # The comparison folded into the join: one fewer executable step,
-        # and its described line is marked.
+        # and its explain line is marked.
         assert len(kernel.steps) == len(plan.steps) - 1
-        assert any(line.endswith("[fused]") for line in kernel.described)
+        assert any(line.endswith("[fused]") for line in plan_lines(plan))
         rows = {SYMBOLS.extern_row(r) for r in kernel.execute(kb.relation)}
         assert rows == nested_rows(kb, conjuncts, (), kernel.schema)
         assert {row[0] for row in rows} == {Constant("b"), Constant("c")}
@@ -240,10 +241,9 @@ class TestFusedHead:
     def test_rows_match_the_reference(self, wide, text):
         rule = parse_rule(text)
         kernel = compile_rule_kernel(rule)
-        assert (kernel._tail is not None) == (text in self.FUSED)
-        assert kernel.kernel.described[-1].endswith("[head fused]") == (
-            text in self.FUSED
-        )
+        assert kernel.head_fused == (text in self.FUSED)
+        lines = plan_lines(compile_rule(rule).plan, head_fused=kernel.head_fused)
+        assert lines[-1].endswith("[head fused]") == (text in self.FUSED)
         rows = fired_rows(kernel, wide.relation, rule.head.arity)
         assert rows == nested_head_rows(wide, rule) and rows
 

@@ -9,6 +9,7 @@ from repro.catalog.database import KnowledgeBase
 from repro.catalog.loader import load_program
 from repro.engine.evaluate import retrieve
 from repro.engine.guard import ResourceGuard
+from repro.engine.plan import DELTA_PREFIX
 from repro.engine.seminaive import SemiNaiveEngine
 from repro.datasets import chain_graph_kb, random_graph_kb
 from repro.lang.parser import parse_atom, parse_rule
@@ -160,9 +161,9 @@ class TestDeltaDrivenFixpoint:
         variants = {key: k for key, k in stratum.kernels.items() if key[1] >= 0}
         assert sorted(variants) == [(1, 0), (1, 1)]
         for kernel in variants.values():
-            first, second = kernel.kernel.described
-            assert first.startswith("hash_join delta:path(") and "scan" in first
-            assert second.startswith("hash_join path(") and "[head fused]" in second
+            first, second = kernel.kernel.steps
+            assert first.predicate == DELTA_PREFIX + "path" and first.shape is None
+            assert second.predicate == "path" and kernel.head_fused
 
     def test_a_trip_at_any_checkpoint_leaves_a_sound_flushed_partial(self):
         # The tail stages head rows straight into the table, so a budget
@@ -243,6 +244,40 @@ class TestDeltaDrivenFixpoint:
         assert len(formatted) == 2  # two rules, whatever the iteration count
         labels = {span.attributes["rule"] for span in tracer.last.find("rule")}
         assert labels == {original(rule) for rule in kb.rules_for("path")}
+
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "retrieve answer(X) where can_ta(X, databases) and student(X, math, V)"
+            " and (V > 3.7)",
+            "retrieve outsider(X) where student(X, M, V) and not honor(X)",
+            "retrieve prior(databases, Y)",
+            "retrieve prior(X, Y) where (X != Y)",
+            "retrieve student(X, M, V) where (V >= 3) and (W = V)",
+        ],
+    )
+    def test_an_untraced_cold_read_formats_no_text(self, monkeypatch, statement):
+        # Plans, kernels and rule labels are text only for explain and a
+        # recording tracer: a plain read compiles and evaluates without
+        # formatting an atom, a rule or a constant.
+        from repro.datasets.university import university_kb
+        from repro.logic.atoms import Atom
+        from repro.logic.clauses import Rule
+        from repro.logic.terms import Constant
+        from repro.session import Session
+
+        session = Session(university_kb())
+        formatted = []
+        for cls in (Atom, Rule, Constant):
+            original = cls.__str__
+            def counted(term, original=original):
+                formatted.append(term)
+                return original(term)
+
+            monkeypatch.setattr(cls, "__str__", counted)
+        assert session.query(statement).rows
+        assert formatted == []
 
 
 class TestLimitsAndErrors:
