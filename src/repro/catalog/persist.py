@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 from typing import Sequence
@@ -131,16 +132,21 @@ def load_kb(path: str) -> KnowledgeBase:
 
 
 def _coerce_cell(cell: str) -> object:
-    """CSV cells: numbers become numbers, everything else stays a string."""
+    """CSV cells: numbers become numbers, everything else stays a string.
+
+    Words that :func:`float` reads as non-finite (``inf``, ``nan``,
+    ``infinity``) are text: an infinite or NaN constant is no number the
+    language can write, and NaN is not even equal to itself.
+    """
     try:
         return int(cell)
     except ValueError:
         pass
     try:
-        return float(cell)
+        number = float(cell)
     except ValueError:
-        pass
-    return cell
+        return cell
+    return number if math.isfinite(number) else cell
 
 
 def import_csv(

@@ -96,6 +96,14 @@ class TestCsv:
         values = {row[1].value for row in kb.facts("score")}
         assert values == {3.9, 4}
 
+    def test_import_keeps_non_finite_words_as_text(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("k,v\n1,inf\n2,nan\n3,infinity\n4,-inf\n")
+        kb = KnowledgeBase()
+        import_csv(kb, "cell", str(path))
+        values = {row[1].value for row in kb.facts("cell")}
+        assert values == {"inf", "nan", "infinity", "-inf"}
+
     def test_import_without_header(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,b\nc,d\n")
