@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.logic.builtins import ORDER_CLASSES
 from repro.logic.terms import Constant
 
 __all__ = [
@@ -42,10 +43,11 @@ __all__ = [
 #: All primitive kinds a constant can have (see ``repro.logic.terms``).
 KINDS = frozenset({"int", "float", "str", "bool"})
 _NUMERIC = frozenset({"int", "float"})
-#: The kinds an order comparison accepts together, as
-#: :func:`repro.logic.builtins.comparable` groups them: numbers with
-#: numbers, strings with strings, booleans with booleans.
-_ORDER_CLASSES = (_NUMERIC, frozenset({"str"}), frozenset({"bool"}))
+#: The kinds an order comparison accepts together: the order classes of
+#: :data:`repro.logic.builtins.ORDER_CLASSES`, each type by its kind name.
+_ORDER_CLASSES = tuple(
+    frozenset(kind.__name__ for kind in types) for types in ORDER_CLASSES.values()
+)
 
 #: Enum-facet width: beyond this many distinct values the exact value set
 #: is dropped (widened), keeping only kinds and the numeric interval.

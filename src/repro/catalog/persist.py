@@ -201,7 +201,12 @@ def import_csv(
 def export_csv(
     kb: KnowledgeBase, predicate: str, path: str, header: bool = True
 ) -> int:
-    """Write one EDB relation to a CSV file, atomically; returns the row count."""
+    """Write one EDB relation to a CSV file, atomically; returns the row count.
+
+    A non-finite float is written as ``inf`` / ``nan``, which
+    :func:`import_csv` reads back as text: unlike :func:`save_kb`, a CSV
+    round trip keeps only finite numbers.
+    """
     schema = kb.schema(predicate)
     rows = kb.facts(predicate)
     buffer = io.StringIO()

@@ -32,13 +32,16 @@ Order comparisons (``<``, ``>=``, …) are about *values*, not identities,
 so their closures read each id's payload from the symbol table's value
 list (:attr:`SymbolTable.values`) — one list index, one type test and one
 compare per row for a slot against a constant — and never build a
-constant.  A row the type test does not clear takes the exact path of
+constant.  A row the type test does not clear, and a comparison between
+two slots, takes the exact path of
 :func:`repro.logic.builtins.evaluate_comparison`, so the filters raise its
 incompatible-type :class:`~repro.errors.LogicError` on exactly the rows it
 raises on.
 
-A kernel holds no text either: ``explain`` renders a plan's step lines
-itself (:func:`repro.obs.explain.plan_lines`).
+A kernel holds no text either: it records which plan steps it fused
+(:attr:`ConjunctionKernel.fused`, :attr:`RuleKernel.head_fused`), and
+``explain`` renders the step lines from that record
+(:func:`repro.obs.explain.plan_lines`).
 
 A batch is a list of id tuples, passed from one step's ``run`` to the
 next.  :class:`IntTable` is the fixpoint table the one stratum driver
@@ -93,7 +96,7 @@ from repro.engine.plan import (
     compile_rule,
 )
 from repro.logic.atoms import Atom
-from repro.logic.builtins import comparable, order_kind
+from repro.logic.builtins import ORDER_CLASSES, comparable, flip_operator, order_kind
 from repro.logic.clauses import Rule
 from repro.logic.terms import Variable
 
@@ -109,15 +112,6 @@ _ORDER_OPS: dict[str, Callable[[object, object], bool]] = {
     ">": operator.gt,
     ">=": operator.ge,
 }
-
-#: The payload types an order class accepts without a second look (a
-#: payload of any other type, a subclass say, takes the exact path).
-_ORDER_TYPES: dict[str, tuple[type, ...]] = {
-    "number": (int, float),
-    "str": (str,),
-    "bool": (bool,),
-}
-
 
 class IntTable:
     """An append-only set of interned rows: the stratum fixpoint table.
@@ -489,12 +483,12 @@ def _compare_filter(step: _Compare) -> RowFilter:
     """Specialize one comparison into an id-row filter closure.
 
     Equality/disequality compare ids directly (id-equality is
-    constant-equality).  Order operators compare the ids' payloads
-    (:attr:`SymbolTable.values`) when a type test shows them comparable —
-    a slot's payload of its constant's order class, or two slots'
-    payloads of one type — and otherwise take the exact path, which
-    compares or raises :class:`~repro.errors.LogicError` as
-    :func:`evaluate_comparison` does.
+    constant-equality).  An order operator between a slot and a constant
+    compares the slot's payload (:attr:`SymbolTable.values`) with the
+    constant's when a type test puts it in the constant's order class
+    (:data:`~repro.logic.builtins.ORDER_CLASSES`); any other row, and any
+    other operand layout, takes the exact path, which compares or raises
+    :class:`~repro.errors.LogicError` as :func:`evaluate_comparison` does.
     """
     op = step.op
     left_slot, right_slot = step.left_slot, step.right_slot
@@ -513,40 +507,24 @@ def _compare_filter(step: _Compare) -> RowFilter:
         if want_equal:
             return lambda row: row[slot] == sid
         return lambda row: row[slot] != sid
-    compare = _ORDER_OPS[op]
-    values = SYMBOLS.values
-    if left_slot is not None and right_slot is not None:
-
-        def slots_check(row: tuple[int, ...]) -> bool:
-            left, right = values[row[left_slot]], values[row[right_slot]]
-            if type(left) is type(right):
-                return compare(left, right)
-            return _exact_order(step, row)
-
-        return slots_check
-    if left_slot is None and right_slot is None:
+    if (left_slot is None) == (right_slot is None):
         return partial(_exact_order, step)
     if left_slot is not None:
-        value = step.right_const.value  # type: ignore[union-attr]
-        types = _ORDER_TYPES[order_kind(value)]
+        slot, const, compare = left_slot, step.right_const, _ORDER_OPS[op]
+    else:  # the constant on the left: compare with the operator flipped
+        slot, const = right_slot, step.left_const
+        compare = _ORDER_OPS[flip_operator(op)]
+    value = const.value  # type: ignore[union-attr]
+    types = ORDER_CLASSES[order_kind(value)]
+    values = SYMBOLS.values
 
-        def left_check(row: tuple[int, ...]) -> bool:
-            left = values[row[left_slot]]
-            if type(left) in types:
-                return compare(left, value)
-            return _exact_order(step, row)
-
-        return left_check
-    value = step.left_const.value  # type: ignore[union-attr]
-    types = _ORDER_TYPES[order_kind(value)]
-
-    def right_check(row: tuple[int, ...]) -> bool:
-        right = values[row[right_slot]]  # type: ignore[index]
-        if type(right) in types:
-            return compare(value, right)
+    def check(row: tuple[int, ...]) -> bool:
+        payload = values[row[slot]]
+        if type(payload) in types:
+            return compare(payload, value)
         return _exact_order(step, row)
 
-    return right_check
+    return check
 
 
 def _run_steps(steps: Sequence, relations, guard, tracer) -> IntBatch:
@@ -566,13 +544,18 @@ def _run_steps(steps: Sequence, relations, guard, tracer) -> IntBatch:
 
 
 class ConjunctionKernel:
-    """A lowered plan: the logical plan's schema, id-domain steps."""
+    """A lowered plan: the logical plan's schema, id-domain steps, and
+    ``fused`` — per plan step, whether it runs inside the preceding join's
+    probe loop instead of as a step of its own."""
 
-    __slots__ = ("schema", "steps")
+    __slots__ = ("schema", "steps", "fused")
 
-    def __init__(self, schema: tuple[Variable, ...], steps: list) -> None:
+    def __init__(
+        self, schema: tuple[Variable, ...], steps: list, fused: tuple[bool, ...]
+    ) -> None:
         self.schema = schema
         self.steps = steps
+        self.fused = fused
 
     def execute(self, relations, guard=None, tracer=None) -> IntBatch:
         """Run the kernel under *guard* (a
@@ -651,7 +634,9 @@ def kernelize_conjunction(plan: ConjunctionPlan) -> ConjunctionKernel:
     join all fuse, since filters do not change the slot schema.
     """
     steps: list = []
+    fused: list[bool] = []
     for step in plan.steps:
+        fused.append(False)
         if isinstance(step, _HashJoin):
             steps.append(
                 _KJoin(
@@ -675,6 +660,7 @@ def kernelize_conjunction(plan: ConjunctionPlan) -> ConjunctionKernel:
             check = _compare_filter(step)
             if steps and isinstance(steps[-1], _KJoin):
                 steps[-1].fuse(check)
+                fused[-1] = True
             else:
                 steps.append(_KFilter(check))
         elif isinstance(step, _AntiJoin):
@@ -689,7 +675,7 @@ def kernelize_conjunction(plan: ConjunctionPlan) -> ConjunctionKernel:
             )
         else:  # pragma: no cover - the four step kinds are exhaustive
             raise TypeError(f"cannot kernelize plan step {type(step).__name__}")
-    return ConjunctionKernel(plan.schema, steps)
+    return ConjunctionKernel(plan.schema, steps, tuple(fused))
 
 
 def compile_conjunction_kernel(

@@ -66,12 +66,23 @@ def flip_operator(op: str) -> str:
         raise LogicError(f"unknown comparison operator: {op!r}") from None
 
 
+#: The order classes: an order comparison accepts two payloads of one
+#: class and raises across classes.  Numbers (int and float) order
+#: together; ``bool`` is listed first because it subclasses ``int``.
+ORDER_CLASSES: dict[str, tuple[type, ...]] = {
+    "bool": (bool,),
+    "number": (int, float),
+    "str": (str,),
+}
+
+
 def order_kind(value: object) -> str:
-    """The order class of a constant's payload: ``"number"`` (int and
-    float, which order together), ``"bool"`` or ``"str"``."""
-    if isinstance(value, bool):
-        return "bool"
-    return "number" if isinstance(value, (int, float)) else "str"
+    """The order class of a constant's payload (a key of
+    :data:`ORDER_CLASSES`)."""
+    for kind, types in ORDER_CLASSES.items():
+        if isinstance(value, types):
+            return kind
+    raise LogicError(f"no order class for a {type(value).__name__} payload")
 
 
 def comparable(left: Constant, right: Constant) -> bool:

@@ -1,11 +1,11 @@
 """Pre-execution plan rendering: what a retrieve *would* do.
 
 ``explain_plan`` compiles the same plans the engines cache at evaluation
-time (:mod:`repro.engine.plan`; a rule's is lowered too,
-:mod:`repro.engine.kernels`, to see whether its head is fused) and renders
+time (:mod:`repro.engine.plan`), lowers them as evaluation does
+(:mod:`repro.engine.kernels`, which records the steps it fuses) and renders
 them — per stratum, per rule, per step — as text or JSON, *before* running
 anything.  Plans and kernels carry no text; :func:`plan_lines` writes each
-step's line from its step record.  Join
+step's line from its step record and the kernel's fusion record.  Join
 orders and the per-step ``est~N rows`` come from the one cardinality
 estimator (:func:`repro.engine.plan.relation_cost_estimator`) over the
 stored EDB relations; IDB sizes are unknown pre-execution, so the
@@ -32,9 +32,10 @@ The route is the one a first evaluation takes — nothing cached yet —
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.catalog.database import KnowledgeBase
-from repro.engine.kernels import RuleKernel
+from repro.engine.kernels import RuleKernel, kernelize_conjunction
 from repro.engine.plan import (
     DELTA_PREFIX,
     ConjunctionPlan,
@@ -264,6 +265,7 @@ def _analysis_entries(summary, predicates) -> list[PredicateAnalysis]:
 
 def plan_lines(
     plan: ConjunctionPlan,
+    fused: Sequence[bool],
     estimate: CostEstimator | None = None,
     head_fused: bool = False,
 ) -> list[str]:
@@ -271,16 +273,15 @@ def plan_lines(
 
     A join shows its key, constant filters and new bindings, and — with
     *estimate* — the rows it expects given the variables bound before it.
-    A comparison that follows a join, directly or after other such
-    comparisons, runs inside that join's probe loop (``[fused]``), and
+    *fused* is the kernel's record of the steps it runs inside a join's
+    probe loop (:attr:`ConjunctionKernel.fused`), marked ``[fused]``;
     *head_fused* marks the last join as building the rule's head rows
     (:attr:`RuleKernel.head_fused`).
     """
     schema = plan.schema
     lines: list[str] = []
     bound = 0  # slots bound before the step
-    after_join = False
-    for step, atom in zip(plan.steps, plan.atoms):
+    for step, atom, in_join in zip(plan.steps, plan.atoms, fused):
         if isinstance(step, _HashJoin):
             joined = sorted(set(step.key_slots))
             if joined:
@@ -302,18 +303,15 @@ def plan_lines(
             shown = str(atom).replace(DELTA_PREFIX, "delta:")
             lines.append(f"hash_join {shown} [{'; '.join(notes)}]")
             bound += len(step.out_cols)
-            after_join = True
         elif isinstance(step, _Bind):
             slot = step.source_slot
             source = step.source_const if slot is None else schema[slot]
             lines.append(f"bind {schema[bound]} = {source}")
             bound += 1
-            after_join = False
         elif isinstance(step, _Compare):
-            lines.append(f"filter {atom}" + (" [fused]" if after_join else ""))
+            lines.append(f"filter {atom}" + (" [fused]" if in_join else ""))
         else:
             lines.append(f"anti_join not {atom}")
-            after_join = False
     if head_fused:
         lines[-1] += " [head fused]"
     return lines
@@ -322,7 +320,8 @@ def plan_lines(
 def _rule_steps(rule, estimate) -> list[str]:
     """Step lines of the kernel a rule compiles to, head included."""
     plan = compile_rule(rule, estimate=estimate)
-    return plan_lines(plan.plan, estimate, RuleKernel(plan).head_fused)
+    kernel = RuleKernel(plan)
+    return plan_lines(plan.plan, kernel.kernel.fused, estimate, kernel.head_fused)
 
 
 def _strata_for(kb: KnowledgeBase, conjuncts, estimate) -> list[StratumExplanation]:
@@ -402,7 +401,7 @@ def explain_plan(
         route="materialise" if program is None else "goal_directed",
         reason=reason,
         strata=_strata_for(kb, conjuncts + negated, estimate),
-        query_steps=plan_lines(plan, estimate),
+        query_steps=plan_lines(plan, kernelize_conjunction(plan).fused, estimate),
         answer_variables=[str(v) for v in schema],
         notes=notes,
         analysis=analysis,

@@ -104,6 +104,16 @@ class TestCsv:
         values = {row[1].value for row in kb.facts("cell")}
         assert values == {"inf", "nan", "infinity", "-inf"}
 
+    def test_non_finite_floats_come_back_from_csv_as_text(self, tmp_path):
+        kb = KnowledgeBase()
+        kb.declare_edb("cell", 2)
+        kb.add_fact("cell", 1, float("inf"))
+        path = str(tmp_path / "cell.csv")
+        export_csv(kb, "cell", path)
+        back = KnowledgeBase()
+        import_csv(back, "cell", path)
+        assert [row[1].value for row in back.facts("cell")] == ["inf"]
+
     def test_import_without_header(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,b\nc,d\n")

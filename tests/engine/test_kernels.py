@@ -103,7 +103,8 @@ class TestComparisonFusion:
         # The comparison folded into the join: one fewer executable step,
         # and its explain line is marked.
         assert len(kernel.steps) == len(plan.steps) - 1
-        assert any(line.endswith("[fused]") for line in plan_lines(plan))
+        assert kernel.fused == (False, True)
+        assert plan_lines(plan, kernel.fused)[-1].endswith("[fused]")
         rows = {SYMBOLS.extern_row(r) for r in kernel.execute(kb.relation)}
         assert rows == nested_rows(kb, conjuncts, (), kernel.schema)
         assert {row[0] for row in rows} == {Constant("b"), Constant("c")}
@@ -242,7 +243,9 @@ class TestFusedHead:
         rule = parse_rule(text)
         kernel = compile_rule_kernel(rule)
         assert kernel.head_fused == (text in self.FUSED)
-        lines = plan_lines(compile_rule(rule).plan, head_fused=kernel.head_fused)
+        lines = plan_lines(
+            compile_rule(rule).plan, kernel.kernel.fused, head_fused=kernel.head_fused
+        )
         assert lines[-1].endswith("[head fused]") == (text in self.FUSED)
         rows = fired_rows(kernel, wide.relation, rule.head.arity)
         assert rows == nested_head_rows(wide, rule) and rows

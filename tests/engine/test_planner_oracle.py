@@ -3,7 +3,8 @@
 :func:`repro.engine.plan.order_conjuncts` classifies each conjunct once
 and :func:`~repro.engine.plan.compile_conjunction` builds no text;
 ``explain`` renders the step lines itself
-(:func:`repro.obs.explain.plan_lines`).  The planner they replaced lives on
+(:func:`repro.obs.explain.plan_lines`) from the step records and the
+kernel's record of the steps it fused.  The planner they replaced lives on
 in :mod:`tests.engine.reference_planner`.  Over generated conjunctions —
 constants, repeated variables, ``=`` binds, order comparisons, delta
 markers, negated atoms, predicates the estimator does not know — with and
@@ -25,6 +26,7 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from repro.catalog.database import KnowledgeBase
+from repro.engine.kernels import kernelize_conjunction
 from repro.engine.plan import (
     DELTA_PREFIX,
     compile_conjunction,
@@ -125,4 +127,5 @@ def test_plans_match_the_reference_planner(conjuncts, negated, rows):
     assert plan.schema == expected.schema
     assert plan.steps == expected.steps
     assert [type(step) for step in plan.steps] == [type(s) for s in expected.steps]
-    assert plan_lines(plan, estimate) == reference_lines(expected)
+    fused = kernelize_conjunction(plan).fused
+    assert plan_lines(plan, fused, estimate) == reference_lines(expected)
