@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.errors import (
     ArityError,
@@ -100,10 +100,12 @@ class KnowledgeBase:
         """An all-or-nothing mutation span.
 
         Every mutation inside the ``with`` block — facts, rules,
-        constraints, declarations — lands atomically: if the block raises,
-        the knowledge base is restored to its state at entry and the
-        exception propagates.  Nested ``transaction()`` blocks join the
-        outermost one (a single atomic span).
+        constraints, declarations, direct writes to a stored
+        :class:`~repro.catalog.relation.Relation` — lands atomically: if the
+        block raises, or the commit's log append fails, the knowledge base
+        is restored to its state at entry and the exception propagates.
+        Nested ``transaction()`` blocks join the outermost one (a single
+        atomic span).
         """
         from repro.catalog.transaction import KBTransaction  # local: avoid cycle
 
@@ -135,24 +137,26 @@ class KnowledgeBase:
         """Whether this knowledge base is a published, immutable snapshot."""
         return self._frozen
 
-    def _tx_touch(self, predicate: str) -> None:
-        """Checkpoint a relation for the open transaction, if any."""
-        if self._tx is not None:
-            self._tx.touch(predicate)
-
-    def _autocommit(self) -> None:
+    def _autocommit(self, undo: Callable[[], object] | None = None) -> None:
         """Make a mutation outside any transaction durable immediately.
 
         Mutations inside a transaction batch into one log record at
         :meth:`KBTransaction.commit
         <repro.catalog.transaction.KBTransaction.commit>`; outside one,
-        each mutating call syncs on its own (one record, one fsync).
+        each mutating call syncs on its own (one record, one fsync).  If
+        the append fails, *undo* takes the caller's change back before the
+        error propagates, as a transaction's rollback would.
         Mutations that bypass the KnowledgeBase API (direct
         :class:`~repro.catalog.relation.Relation` calls) are captured by
         the next commit's diff instead of immediately.
         """
         if self._tx is None and self._durability is not None:
-            self._durability.commit()
+            try:
+                self._durability.commit()
+            except BaseException:
+                if undo is not None:
+                    undo()
+                raise
 
     @property
     def durability(self):
@@ -165,14 +169,7 @@ class KnowledgeBase:
         self, name: str, arity: int, attributes: Sequence[str] | None = None
     ) -> PredicateSchema:
         """Declare a stored (EDB) predicate."""
-        schema = PredicateSchema(name, arity, PredicateKind.EDB, attributes)
-        self._register(schema)
-        # Declaring again is a no-op: a fresh relation here would restart the
-        # version counter under rows the version-keyed caches already saw.
-        if name not in self._relations:
-            self._relations[name] = Relation(arity)
-        self._autocommit()
-        return schema
+        return self._declare(PredicateSchema(name, arity, PredicateKind.EDB, attributes))
 
     def declare_idb(
         self, name: str, arity: int, attributes: Sequence[str] | None = None
@@ -182,30 +179,41 @@ class KnowledgeBase:
         Declaration is optional — adding a rule auto-declares its head — but
         lets applications fix attribute names and catch arity drift early.
         """
-        schema = PredicateSchema(name, arity, PredicateKind.IDB, attributes)
-        self._register(schema)
-        self._autocommit()
-        return schema
+        return self._declare(PredicateSchema(name, arity, PredicateKind.IDB, attributes))
 
-    def _register(self, schema: PredicateSchema) -> None:
+    def _declare(self, schema: PredicateSchema) -> PredicateSchema:
+        """Add *schema* to the catalog, with an empty relation for a stored
+        predicate.  Declaring again is a no-op: a fresh relation here would
+        restart the version counter under rows the version-keyed caches
+        already saw."""
         self._assert_mutable()
-        if is_builtin_predicate(schema.name):
+        name = schema.name
+        if is_builtin_predicate(name):
             raise DuplicatePredicateError(
-                f"{schema.name} is a built-in predicate and cannot be redeclared"
+                f"{name} is a built-in predicate and cannot be redeclared"
             )
-        existing = self._schemas.get(schema.name)
+        existing = self._schemas.get(name)
         if existing is not None:
             if existing.kind != schema.kind:
                 raise DuplicatePredicateError(
-                    f"predicate {schema.name} already declared as {existing.kind.value}"
+                    f"predicate {name} already declared as {existing.kind.value}"
                 )
             if existing.arity != schema.arity:
                 raise SchemaError(
-                    f"predicate {schema.name} already declared with arity {existing.arity}"
+                    f"predicate {name} already declared with arity {existing.arity}"
                 )
-            return
-        self._schemas[schema.name] = schema
+            return schema
+        self._schemas[name] = schema
+        if schema.kind is PredicateKind.EDB:
+            self._relations[name] = Relation(schema.arity)
         self._rules_version += 1
+
+        def undo() -> None:
+            del self._schemas[name]
+            self._relations.pop(name, None)
+
+        self._autocommit(undo)
+        return schema
 
     def schema(self, name: str) -> PredicateSchema:
         """The schema of a declared predicate (raises if unknown)."""
@@ -251,10 +259,10 @@ class KnowledgeBase:
                     f"{predicate} is an IDB predicate; facts belong to EDB predicates"
                 )
             raise UnknownPredicateError(f"unknown EDB predicate: {predicate}")
-        self._tx_touch(predicate)
-        inserted = self._relations[predicate].insert(values)
+        relation = self._relations[predicate]
+        inserted = relation.insert(values)
         if inserted:
-            self._autocommit()
+            self._autocommit(lambda: relation.delete(values))
         return inserted
 
     def add_facts(self, predicate: str, rows: Iterable[Sequence[object]]) -> int:
@@ -297,9 +305,10 @@ class KnowledgeBase:
 
         Mutually recursive groups should be added through this entry point:
         discipline checking is deferred until the whole group is in place.
-        If any rule is rejected, every rule and head declaration of the
-        group is undone before the error propagates.  On a durable
-        knowledge base the group is one log record.
+        If any rule is rejected, or the group's log append fails, every
+        rule and head declaration of the group is undone before the error
+        propagates.  On a durable knowledge base the group is one log
+        record.
         """
         self._assert_mutable()
         rules = tuple(rules)
@@ -311,6 +320,9 @@ class KnowledgeBase:
             if self.enforce_recursion_discipline:
                 for rule in rules:
                     self._check_recursion_discipline(rule)
+            if rules:
+                self._rules_version += 1
+                self._autocommit()
         except BaseException:
             for rule in self._rules[kept:]:
                 self._rules_by_head[rule.head.predicate].pop()
@@ -320,9 +332,6 @@ class KnowledgeBase:
                 self._rules_by_head.pop(name, None)
             self._graph = None
             raise
-        if rules:
-            self._rules_version += 1
-            self._autocommit()
 
     def _stage_rule(self, rule: Rule, declared: list[str]) -> None:
         """Append one rule after its schema and stratification checks,
@@ -405,7 +414,7 @@ class KnowledgeBase:
         self._assert_mutable()
         self._constraints.append(constraint)
         self._constraints_version += 1
-        self._autocommit()
+        self._autocommit(self._constraints.pop)
 
     def constraints(self) -> list[IntegrityConstraint]:
         """All integrity constraints."""

@@ -120,9 +120,9 @@ class Shape(NamedTuple):
 
 
 #: How many recent mutations a relation's change journal retains.  Deltas
-#: older than the journal window (or spanning a :meth:`Relation.restore` /
-#: :meth:`Relation.clear`) are reported as unavailable, forcing dependent
-#: caches to fall back to full recomputation.
+#: older than the journal window (or spanning a wholesale change: a
+#: :meth:`Relation.clear`, a bulk load, a rollback) are reported as
+#: unavailable, forcing dependent caches to fall back to full recomputation.
 JOURNAL_LIMIT = 1024
 
 
@@ -143,9 +143,10 @@ class Relation:
         #: holding it need no locks.
         self._frozen = False
         #: Whether ``_rows``/``_introws`` are currently shared with a frozen
-        #: snapshot copy.  The first mutation after a :meth:`freeze` rebinds
-        #: them to private copies (copy-on-write), so publication itself is
-        #: O(1) per relation and the copy is paid only by relations that
+        #: copy — a published snapshot's or a transaction's :meth:`pin`.  The
+        #: first mutation after a :meth:`freeze` rebinds them to private
+        #: copies (copy-on-write), so publication and a transaction's begin
+        #: are O(1) per relation and the copy is paid only by relations that
         #: actually change afterwards.
         self._shared = False
         #: ``None`` in the id-only state (see :meth:`load_interned`):
@@ -169,7 +170,7 @@ class Relation:
         self._journal: deque[tuple[str, Row]] = deque()
         self._journal_base = 0
         #: How many times the journal was reset by a wholesale state change
-        #: (clear/restore/bulk load).  Each reset strands incremental
+        #: (clear, bulk load, rollback).  Each reset strands incremental
         #: consumers — view-cache repairs and WAL diffs fall back to full
         #: recompute/reload — so the counter makes those fallbacks
         #: diagnosable (surfaced via ``Session.cache_stats``).
@@ -216,8 +217,8 @@ class Relation:
 
         Called on entry to every in-place mutator: the frozen copy made by
         :meth:`freeze` keeps the *original* dict/list, the live relation
-        continues on private copies.  Mutators that wholesale-rebind their
-        storage (:meth:`restore`, :meth:`clear`) just drop the shared flag.
+        continues on private copies.  A mutator that wholesale-rebinds the
+        storage (:meth:`clear`) just drops the shared flag.
         """
         if self._shared:
             if self._rows is not None:
@@ -291,7 +292,7 @@ class Relation:
         them again.  Otherwise the rows are externalized in one bulk
         :meth:`SymbolTable.extern_rows` pass and merged into the row dict.
         Because the mutation is not row-at-a-time, journal semantics follow
-        :meth:`restore` — derived structures drop, the version bumps, and
+        :meth:`clear` — derived structures drop, the version bumps, and
         the journal resets so incremental consumers recompute.  A row of
         the wrong width raises before anything is loaded.  Returns how many
         rows were new.
@@ -391,8 +392,8 @@ class Relation:
     def _invalidate_derived(self) -> None:
         """Drop every derived structure after a wholesale row-set change.
 
-        One sequence shared by :meth:`clear`, :meth:`restore` and
-        :meth:`load_interned` so they can never diverge: the interned
+        One sequence shared by :meth:`clear`, :meth:`load_interned` and a
+        rollback (:meth:`unpin`) so they can never diverge: the interned
         mirror, the id tables and memoized per-column statistics are dropped
         (rebuilt lazily), the version is bumped so external caches keyed on
         ``(relation, version)`` cannot serve stale state, and the journal is
@@ -413,7 +414,7 @@ class Relation:
             self._journal_base += 1
 
     def _reset_journal(self) -> None:
-        """Forget the journal after a wholesale state change (clear/restore).
+        """Forget the journal after a wholesale state change.
 
         Deltas spanning the reset become unreconstructable, which is exactly
         right: the mutation was not row-at-a-time, so version-keyed caches
@@ -428,9 +429,9 @@ class Relation:
 
         Each entry is ``("+", row)`` for an insert or ``("-", row)`` for a
         delete.  ``None`` means the journal cannot reconstruct the delta —
-        *version* predates the journal window, or a :meth:`clear` /
-        :meth:`restore` intervened — and the caller must treat the whole
-        relation as changed.
+        *version* predates the journal window, or a wholesale change
+        intervened — and the caller must treat the whole relation as
+        changed.
         """
         if version == self._version:
             return []
@@ -650,21 +651,26 @@ class Relation:
 
     # -- transactions -----------------------------------------------------------------
 
-    def checkpoint(self) -> dict[Row, None]:
-        """A snapshot of the row set, for transactional rollback.
+    def pin(self) -> tuple["Relation", bool]:
+        """Hold the current rows for a transaction: a :meth:`freeze` — O(1),
+        and from here on the first write copies the storage, as after a
+        publication — and whether the storage was shared already.  Hand
+        both back to :meth:`unpin`."""
+        shared = self._shared
+        return self.freeze(), shared
 
-        O(rows) shallow dict copy; rows themselves are immutable tuples.
+    def unpin(self, pin: "Relation", shared: bool, revert: bool) -> None:
+        """End a transaction's :meth:`pin`.
+
+        A relation not written since (same version) gets its *shared* flag
+        back, so the pin cost it no copy.  A written one keeps its rows —
+        a commit — or, with *revert*, takes the pin's storage back: id
+        tables and statistics drop, the version bumps past every
+        mid-transaction value (caches keyed on ``(relation, version)``
+        cannot serve the rolled-back state) and the journal resets.
         """
-        return dict(self._constants())
-
-    def restore(self, snapshot: dict[Row, None]) -> None:
-        """Reset the row set to a :meth:`checkpoint` snapshot.
-
-        Id tables and memoized statistics are dropped (rebuilt lazily) and
-        the version is bumped past every mid-transaction value, so external
-        caches keyed on ``(relation, version)`` cannot serve stale state.
-        """
-        self._begin_mutation()
-        self._rows = dict(snapshot)
-        self._shared = False  # rebinding privatizes the row storage
-        self._invalidate_derived()
+        if self._version == pin._version:
+            self._shared = shared
+        elif revert:
+            self._invalidate_derived()
+            self._rows, self._introws, self._shared = pin._rows, pin._introws, shared

@@ -2,16 +2,20 @@
 
 :class:`KBTransaction` makes a span of catalog mutations atomic: either
 every fact/rule/constraint/declaration lands, or — on any exception,
-including a :class:`~repro.errors.ResourceExhausted` trip or an injected
-fault — the knowledge base is restored to its pre-transaction state.
+including a :class:`~repro.errors.ResourceExhausted` trip, an injected
+fault or a failed write-ahead-log append — the knowledge base is restored
+to its pre-transaction state.
 
 Catalog metadata (schemas, rule lists, constraints) is snapshotted eagerly
 on begin: those structures are small and the copies are shallow.  Stored
-relations are the bulk of the state, so they are staged **copy-on-touch**:
-the first mutation of a relation inside the transaction checkpoints its row
-set (:meth:`~repro.catalog.relation.Relation.checkpoint`); untouched
-relations cost nothing.  Relations *declared* inside the transaction are
-dropped wholesale on rollback.
+relations are the bulk of the state, so they are **pinned**: each is
+frozen on begin (:meth:`~repro.catalog.relation.Relation.pin`, O(1)), and
+the first write to it afterwards — through any mutator, the knowledge
+base's or the relation's own — copies its storage, the copy-on-write that
+publication uses (:mod:`repro.catalog.snapshot`).  Rollback rebinds each
+written relation to its pinned storage; relations *declared* inside the
+transaction are dropped.  Commit hands each unwritten relation its shared
+flag back, so the pin never costs it a copy.
 
 Use through :meth:`KnowledgeBase.transaction`::
 
@@ -29,7 +33,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.catalog.database import KnowledgeBase
-    from repro.catalog.relation import Relation, Row
 
 
 class KBTransaction:
@@ -39,34 +42,16 @@ class KBTransaction:
         self._kb = kb
         # Eager, cheap metadata snapshot (shallow copies of small structures).
         self._schemas = dict(kb._schemas)
-        self._relation_names = set(kb._relations)
         self._rules = list(kb._rules)
         self._rules_by_head = {h: list(rs) for h, rs in kb._rules_by_head.items()}
         self._constraints = list(kb._constraints)
-        # Copy-on-touch relation snapshots: name -> checkpointed row set.
-        self._touched: dict[str, dict["Row", None]] = {}
-        #: Whether the transaction is still open (neither committed nor
-        #: rolled back).
-        self.active = True
-
-    def touch(self, predicate: str) -> None:
-        """Checkpoint a relation before its first mutation in this span.
-
-        Relations created inside the transaction are not checkpointed —
-        rollback removes them entirely.
-        """
-        if not self.active or predicate in self._touched:
-            return
-        if predicate not in self._relation_names:
-            return  # created inside the transaction; dropped on rollback
-        relation = self._kb._relations.get(predicate)
-        if relation is not None:
-            self._touched[predicate] = relation.checkpoint()
+        #: name -> (relation, its pin, whether its storage was shared before).
+        self._pins = {
+            name: (relation, *relation.pin()) for name, relation in kb._relations.items()
+        }
 
     def rollback(self) -> None:
         """Restore the knowledge base to its pre-transaction state."""
-        if not self.active:
-            return
         kb = self._kb
         kb._schemas = self._schemas
         kb._rules = self._rules
@@ -77,26 +62,25 @@ class KBTransaction:
         # entries: bump the counters past every mid-transaction value.
         kb._rules_version += 1
         kb._constraints_version += 1
-        for name in list(kb._relations):
-            if name not in self._relation_names:
-                del kb._relations[name]
-        for name, snapshot in self._touched.items():
-            relation = kb._relations.get(name)
-            if relation is not None:
-                relation.restore(snapshot)
-        self.active = False
+        kb._relations = {name: pinned[0] for name, pinned in self._pins.items()}
+        for relation, pin, shared in self._pins.values():
+            relation.unpin(pin, shared, revert=True)
 
     def commit(self) -> None:
-        """Discard the staged snapshots; the mutations stand.
+        """Make the span durable, then let go of the pins; the mutations stand.
 
         On a durable knowledge base (:mod:`repro.catalog.wal`) the whole
-        span is then appended to the write-ahead log as **one** record and
-        fsynced before this method returns — the ack point of the commit.
-        If the append raises, the in-memory mutations stand but are not
-        durable; the caller must treat the commit as failed (the next
-        successful commit re-captures the gap by diffing).
+        span is first appended to the write-ahead log as **one** record and
+        fsynced — the ack point of the commit.  If the append raises, the
+        span is rolled back and the error propagates: a commit its caller
+        sees fail changes nothing, in memory or in the log.
         """
-        self._touched.clear()
-        self.active = False
-        if self._kb._durability is not None:
-            self._kb._durability.commit()
+        durability = self._kb._durability
+        if durability is not None:
+            try:
+                durability.commit()
+            except BaseException:
+                self.rollback()
+                raise
+        for relation, pin, shared in self._pins.values():
+            relation.unpin(pin, shared, revert=False)

@@ -24,17 +24,20 @@ Three layers:
   :class:`~repro.catalog.database.KnowledgeBase` and its log.
   :meth:`KBTransaction.commit <repro.catalog.transaction.KBTransaction.commit>`
   calls :meth:`Durability.commit`, which *diffs* the knowledge base
-  against the last durable state — new schemas, each touched relation's
+  against the last durable state — new schemas, each changed relation's
   change journal (:meth:`~repro.catalog.relation.Relation.changes_since`,
   the same ``(op, row)`` event shape, extended here with rule, constraint
   and schema events), new rules and constraints — and appends the batch.
-  Mutations outside a transaction auto-commit one record each.
+  Mutations outside a transaction auto-commit one record each.  A commit
+  whose append raises is taken back in memory by its caller.
 
 Diffing at commit time (rather than hooking every mutation site) means
-bulk paths that bypass the journal (``load_interned``, ``clear``,
-``restore`` — anything that resets it) degrade gracefully: the relation
-is logged wholesale as a ``reload`` event, and when the reload is large
-the commit is folded into a fresh snapshot instead.
+direct :class:`~repro.catalog.relation.Relation` writes outside a
+transaction are logged too, and bulk paths that bypass the journal
+(``load_interned``, ``clear``, a rollback — anything that resets it)
+degrade gracefully: the relation is logged wholesale as a ``reload``
+event, and when the reload is large the commit is written as a fresh
+snapshot instead.
 
 Entry points: :func:`open_durable` attaches (or recovers) a durable
 knowledge base; ``Session(durable=path)`` and ``dbk --durable`` build on
@@ -65,9 +68,9 @@ LOG_NAME = "wal.log"
 #: Default snapshot file name inside a durable directory.
 SNAPSHOT_NAME = "snapshot.json"
 
-#: Default number of log records after which :class:`Durability` folds the
-#: log into a fresh snapshot.
-DEFAULT_SNAPSHOT_EVERY = 256
+#: How many records the log holds at most: the commit after that many is
+#: written as a fresh snapshot instead of a record.
+SNAPSHOT_EVERY = 256
 
 #: A commit whose ``reload`` events carry more rows than this is written
 #: as a snapshot instead of a log record (re-logging a bulk-loaded
@@ -373,17 +376,9 @@ class Durability:
     diff-at-commit is the right capture point.
     """
 
-    def __init__(
-        self,
-        log: DurableLog,
-        kb: "KnowledgeBase",
-        snapshot_every: int | None = DEFAULT_SNAPSHOT_EVERY,
-    ) -> None:
+    def __init__(self, log: DurableLog, kb: "KnowledgeBase") -> None:
         self.log = log
         self.kb = kb
-        #: Fold the log into a snapshot after this many records
-        #: (``None`` disables automatic snapshots).
-        self.snapshot_every = snapshot_every
         self._versions: dict[str, int] = {}
         self._schemas: set[str] = set()
         self._rule_count = 0
@@ -430,7 +425,7 @@ class Durability:
                 reload_rows += len(rows)
                 events.append(["reload", name, rows])
             else:
-                for op, row in changes:
+                for op, row in _net(changes):
                     events.append([op, name, [c.value for c in row]])
         if kb.rule_count() < self._rule_count or len(kb.constraints()) < self._constraint_count:
             raise WalError(
@@ -449,31 +444,26 @@ class Durability:
         Called by :meth:`KBTransaction.commit
         <repro.catalog.transaction.KBTransaction.commit>` and by each
         mutation outside a transaction.  No-op (``None``) when the live
-        state already matches the mirror.  The append fsyncs before
-        returning — a caller that gets an LSN back holds a durable commit;
-        a caller that sees an exception must treat the commit as not
-        durable (the in-memory mutation stands, and the next successful
-        commit re-captures it).
+        state already matches the mirror.  The commit is one write, fsynced
+        before this returns: a log record, or a snapshot when the log is
+        full (:data:`SNAPSHOT_EVERY`) or the batch would re-log a bulk load
+        row by row.  A caller that gets an LSN back holds a durable commit;
+        one that sees an exception must take its mutation back — nothing of
+        it is durable.
         """
         try:
             events, reload_rows = self.collect()
         except WalError:
-            self.snapshot()
-            return self.log.last_lsn
+            return self.snapshot()
         if not events:
             return None
-        if reload_rows > RELOAD_SNAPSHOT_THRESHOLD:
-            # The batch would re-log a bulk load row by row; a snapshot is
-            # both smaller and faster to recover from.
-            self.snapshot()
-            return self.log.last_lsn
+        if (
+            reload_rows > RELOAD_SNAPSHOT_THRESHOLD
+            or self.log.records_since_snapshot >= SNAPSHOT_EVERY
+        ):
+            return self.snapshot()
         lsn = self.log.append(events, collect_stamps(self.kb))
         self.refresh_mirror()
-        if (
-            self.snapshot_every is not None
-            and self.log.records_since_snapshot >= self.snapshot_every
-        ):
-            self.snapshot()
         return lsn
 
     def snapshot(self) -> int:
@@ -483,10 +473,23 @@ class Durability:
         return lsn
 
 
+def _net(changes: list) -> list:
+    """*changes* without each row inserted and then deleted within them,
+    as an auto-committed insert undone after a failed append leaves it: the
+    pair leaves the relation, and the order of its other rows, as it was."""
+    inserted: dict = {}
+    paired: set[int] = set()
+    for index, (op, row) in enumerate(changes):
+        if op == "+":
+            inserted[row] = index
+        elif row in inserted:
+            paired.update((inserted.pop(row), index))
+    return [change for index, change in enumerate(changes) if index not in paired]
+
+
 def open_durable(
     directory: str,
     kb: "KnowledgeBase | None" = None,
-    snapshot_every: int | None = DEFAULT_SNAPSHOT_EVERY,
     tracer=None,
 ) -> "KnowledgeBase":
     """Open (recovering) or create a durable knowledge base in *directory*.
@@ -509,13 +512,10 @@ def open_durable(
         log.close()
         report = Recoverer(directory, tracer=tracer).recover()
         recovered = report.kb
-        durability = Durability(
-            DurableLog(directory), recovered, snapshot_every=snapshot_every
-        )
-        recovered._durability = durability
+        recovered._durability = Durability(DurableLog(directory), recovered)
         return recovered
     target = kb if kb is not None else KnowledgeBase("durable")
-    durability = Durability(log, target, snapshot_every=snapshot_every)
+    durability = Durability(log, target)
     durability.snapshot()
     target._durability = durability
     return target

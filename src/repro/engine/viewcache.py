@@ -20,7 +20,7 @@ It is the rule the server's kept answers are valid by too
 (:mod:`repro.server.pool`); there is no other.  Nothing subscribes to
 anything: a mutation simply
 bumps a counter, and the next probe notices the mismatch.  Transaction
-rollback (:meth:`~repro.catalog.relation.Relation.restore`) bumps the same
+rollback (:meth:`~repro.catalog.relation.Relation.unpin`) bumps the same
 counters, so a cache can never serve state from a rolled-back world.
 
 On a stale probe the cache picks one of two routes from what it observes.
@@ -433,7 +433,7 @@ class ViewCache:
                 continue
             changes = relation.changes_since(cached_version)
             if changes is None:
-                # Journal gap (restore/clear or window overrun): the delta
+                # Journal gap (rollback/clear or window overrun): the delta
                 # cannot be reconstructed (see Relation.journal_resets and
                 # Session.cache_stats).
                 return "journal_gap"

@@ -149,8 +149,10 @@ class TestStatistics:
         else:
             for row in rows:
                 rel.insert(row)
-            if state == "dirty":
-                rel.restore(rel.checkpoint())
+            if state == "dirty":  # a wholesale change drops the mirror
+                rel.clear()
+                for row in rows:
+                    rel.insert(row)
                 assert rel._introws is None
             else:
                 assert rel._introws is not None

@@ -5,11 +5,12 @@ the relation and builds the ``Constant`` row dict only for a caller that
 wants constants.  That is a third *state* of the two shapes, not a new
 representation, so nothing observable may depend on it: the state machine
 below drives one relation that is left id-only for as long as the drawn
-operations allow and a twin that bulk-loads eagerly — externalize, then
-``restore`` the merged row dict, which is the wholesale mutation
-``load_interned`` is documented to be — through the same operations, and
-holds them to the same rows, order, versions, journal answers, probes and
-copies, with ``check_invariants()`` on both after every step.
+operations allow and a twin that bulk-loads eagerly — ``load_interned``
+into storage a freeze shares, which externalizes the rows and merges them
+into the row dict, the wholesale mutation ``load_interned`` is documented
+to be — through the same operations, rolled-back transactions among them,
+and holds them to the same rows, order, versions, journal answers, probes
+and copies, with ``check_invariants()`` on both after every step.
 
 The pins after it say which calls leave a relation id-only (the oracle's
 ``lookup`` probe among them: it reads id tables), which force the dict, and
@@ -24,8 +25,9 @@ import threading
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.catalog.database import KnowledgeBase
 from repro.catalog.relation import Relation, Shape
 from repro.catalog.symbols import SYMBOLS
 from repro.errors import CatalogError
@@ -52,13 +54,10 @@ def id_only(relation):
 
 
 def eager_load(relation, int_rows):
-    """``load_interned`` without an id-only state: constants at once."""
-    rows = relation.checkpoint()
-    before = len(rows)
-    rows.update(dict.fromkeys(SYMBOLS.extern_rows(int_rows)))
-    if len(rows) > before:
-        relation.restore(rows)
-    return len(rows) - before
+    """``load_interned`` without an id-only state: storage a frozen copy
+    shares is never adopted as id rows, so the rows go in as constants."""
+    relation.freeze()
+    return relation.load_interned(int_rows)
 
 
 class IdOnlyAgainstEager(RuleBasedStateMachine):
@@ -68,7 +67,6 @@ class IdOnlyAgainstEager(RuleBasedStateMachine):
         self.eager = Relation(2)
         #: Frozen copies taken along the way, compared again at the end.
         self.frozen: list[tuple[Relation, Relation]] = []
-        self.checkpoints: list[tuple[dict, dict]] = []
         self.marks: list[int] = [0]
 
     # -- mutators ------------------------------------------------------------------
@@ -100,17 +98,23 @@ class IdOnlyAgainstEager(RuleBasedStateMachine):
         self.lazy.clear()
         self.eager.clear()
 
-    @rule()
-    def checkpoint(self):
-        self.checkpoints.append((self.lazy.checkpoint(), self.eager.checkpoint()))
-        assert list(self.checkpoints[-1][0]) == list(self.checkpoints[-1][1])
-
-    @precondition(lambda self: self.checkpoints)
-    @rule(data=st.data())
-    def restore(self, data):
-        lazy_snapshot, eager_snapshot = data.draw(st.sampled_from(self.checkpoints))
-        self.lazy.restore(lazy_snapshot)
-        self.eager.restore(eager_snapshot)
+    @rule(batch=BATCHES)
+    def rolled_back(self, batch):
+        """A transaction that writes both twins, then fails: each takes
+        its pinned storage back, id-only or not."""
+        was_id_only, before = id_only(self.lazy), list(self.lazy.int_rows())
+        for relation in (self.lazy, self.eager):
+            kb = KnowledgeBase()
+            kb.declare_edb("r", 2)
+            kb._relations["r"] = relation
+            with pytest.raises(RuntimeError):
+                with kb.transaction():
+                    relation.insert(batch[0])
+                    relation.delete(batch[-1])
+                    relation.load_interned([ids(row) for row in batch])
+                    raise RuntimeError("rolled back")
+        assert self.lazy.int_rows() == before
+        assert id_only(self.lazy) == was_id_only
 
     # -- readers that must not force the dict ---------------------------------------
 
@@ -214,14 +218,13 @@ class TestWhatForcesTheDict:
             lambda r: r.rows(),
             lambda r: list(r),
             lambda r: ("a", "b") in r,
-            lambda r: r.checkpoint(),
             lambda r: r.copy(),
             lambda r: r.insert(("z", "z")),
             lambda r: r.delete(("a", "b")),
             lambda r: r.load_interned([ids(("z", "z"))]),
         ],
         ids=[
-            "rows", "iter", "contains", "checkpoint", "copy",
+            "rows", "iter", "contains", "copy",
             "insert", "delete", "second_load",
         ],
     )

@@ -2,10 +2,10 @@
 
 ``Relation`` keeps id tables for its probes and memoizes per-column
 ``distinct_count`` statistics keyed on the mutation version, and the
-change journal feeds incremental view maintenance.  ``restore()`` and
-``clear()`` replace the row set wholesale, so every derived structure must
-drop together — these tests pin the mutate → rollback → lookup sequence
-that would surface a stale table or stale statistics.
+change journal feeds incremental view maintenance.  A transaction's
+rollback and ``clear()`` replace the row set wholesale, so every derived
+structure must drop together — these tests pin the mutate → rollback →
+lookup sequence that would surface a stale table or stale statistics.
 
 ``Relation.check_invariants`` states the same coherence rules as one
 executable check; the last class pins that it holds after every mutator
@@ -16,6 +16,7 @@ import re
 
 import pytest
 
+from repro.catalog.database import KnowledgeBase
 from repro.catalog.relation import Relation, Shape
 from repro.catalog.symbols import SYMBOLS
 from repro.errors import CatalogError
@@ -30,6 +31,23 @@ def fresh_relation():
     )
 
 
+def stored(relation):
+    """A knowledge base whose stored ``r`` is *relation*."""
+    kb = KnowledgeBase()
+    kb.declare_edb("r", relation.arity)
+    kb._relations["r"] = relation
+    return kb
+
+
+def rolled_back(relation, mutate):
+    """Run *mutate* on *relation* inside a transaction that then fails."""
+    kb = stored(relation)
+    with pytest.raises(RuntimeError):
+        with kb.transaction():
+            mutate(relation)
+            raise RuntimeError("rolled back")
+
+
 def lookup_rows(relation, pattern):
     terms = [None if value is None else make_term(value) for value in pattern]
     return sorted(
@@ -41,14 +59,16 @@ def lookup_rows(relation, pattern):
 class TestRestoreInvalidation:
     def test_mutate_rollback_lookup_uses_valid_probe_column(self):
         relation = fresh_relation()
-        snapshot = relation.checkpoint()
-        # Build tables and memoize statistics against the mutated state:
-        # column 0 becomes far more selective than column 1.
-        for n in range(20):
-            relation.insert((f"k{n}", "x"))
-        assert lookup_rows(relation, ["a", "x"]) == [("a", "x")]
-        assert relation.distinct_count(0) == 23
-        relation.restore(snapshot)
+
+        def mutate(relation):
+            # Build tables and memoize statistics against the mutated state:
+            # column 0 becomes far more selective than column 1.
+            for n in range(20):
+                relation.insert((f"k{n}", "x"))
+            assert lookup_rows(relation, ["a", "x"]) == [("a", "x")]
+            assert relation.distinct_count(0) == 23
+
+        rolled_back(relation, mutate)
         # The memoized stats and tables reflected the pre-rollback rows;
         # a multi-bound lookup must still probe correctly.
         assert lookup_rows(relation, ["a", "x"]) == [("a", "x")]
@@ -58,32 +78,30 @@ class TestRestoreInvalidation:
 
     def test_restore_to_empty_snapshot(self):
         relation = Relation(2)
-        snapshot = relation.checkpoint()
-        relation.insert(("a", "x"))
-        assert relation.distinct_count(0) == 1
-        relation.restore(snapshot)
+
+        def mutate(relation):
+            relation.insert(("a", "x"))
+            assert relation.distinct_count(0) == 1
+
+        rolled_back(relation, mutate)
         assert len(relation) == 0
         assert relation.distinct_count(0) == 0
         assert lookup_rows(relation, ["a", None]) == []
 
     def test_version_never_reused_across_restore(self):
         relation = fresh_relation()
-        snapshot = relation.checkpoint()
-        version_at_checkpoint = relation.version
-        relation.insert(("d", "w"))
-        relation.restore(snapshot)
-        # Same rows as at the checkpoint, but a *newer* version: caches
-        # keyed on (relation, version) may not serve the mid-transaction
-        # state.
-        assert relation.rows() == list(snapshot)
-        assert relation.version > version_at_checkpoint
+        rows, version_at_begin = relation.rows(), relation.version
+        rolled_back(relation, lambda relation: relation.insert(("d", "w")))
+        # Same rows as at the transaction's begin, but a *newer* version
+        # than any inside it: caches keyed on (relation, version) may not
+        # serve the mid-transaction state.
+        assert relation.rows() == rows
+        assert relation.version > version_at_begin + 1
 
     def test_journal_unavailable_across_restore(self):
         relation = fresh_relation()
         version = relation.version
-        snapshot = relation.checkpoint()
-        relation.insert(("d", "w"))
-        relation.restore(snapshot)
+        rolled_back(relation, lambda relation: relation.insert(("d", "w")))
         assert relation.changes_since(version) is None
         assert relation.changes_since(relation.version) == []
 
@@ -139,10 +157,11 @@ def _clear(relation):
 
 
 def _restore(relation):
-    snapshot = relation.checkpoint()
-    relation.insert(("d", "w"))
-    warm(relation)
-    relation.restore(snapshot)
+    def mutate(relation):
+        relation.insert(("d", "w"))
+        warm(relation)
+
+    rolled_back(relation, mutate)
 
 
 def _load_onto_rows(relation):

@@ -9,6 +9,7 @@ mutation version — the invariants the join kernels'
 
 import pytest
 
+from repro.catalog.database import KnowledgeBase
 from repro.catalog.relation import Relation
 from repro.catalog.symbols import SYMBOLS, SymbolTable
 from repro.errors import ArityError
@@ -92,12 +93,19 @@ class TestRelationInternedMirror:
         assert len(relation.int_rows()) == 1
 
     def test_restore_drops_mirror_with_other_derived_state(self):
-        relation = Relation(1, [("a",)])
-        snapshot = relation.checkpoint()
-        relation.insert(("b",))
-        relation.int_rows()
-        relation.restore(snapshot)
+        """A rollback drops the mirror the transaction grew with the rest
+        of its derived state; the pinned rows' mirror is back."""
+        kb = KnowledgeBase()
+        kb.declare_edb("r", 1)
+        kb.add_fact("r", "a")
+        relation = kb.relation("r")
+        with pytest.raises(RuntimeError):
+            with kb.transaction():
+                relation.insert(("b",))
+                relation.int_rows()
+                raise RuntimeError("boom")
         assert relation.int_rows() == [SYMBOLS.intern_row((Constant("a"),))]
+        relation.check_invariants()
 
 
 class TestExternRows:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import pytest
 
 from repro.catalog import KnowledgeBase, export_csv, import_csv, load_kb, save_kb
 from repro.catalog.loader import load_program
 from repro.catalog.relation import Relation
+from repro.catalog.snapshot import publish_snapshot
 from repro.engine.guard import ResourceGuard
 from repro.errors import ArityError, CatalogError, ReproError, ResourceExhausted
 from repro.lang.parser import parse_rule
@@ -36,23 +38,37 @@ def state(kb: KnowledgeBase) -> tuple:
     )
 
 
+def pairs_kb(rows) -> KnowledgeBase:
+    kb = KnowledgeBase("pairs")
+    kb.declare_edb("r", 2)
+    kb.add_facts("r", rows)
+    return kb
+
+
 class TestRelationCheckpoint:
+    """A rollback restores each relation to what its transaction's pin
+    holds, whichever mutator wrote it."""
+
     def test_restore_resets_rows(self):
-        relation = Relation(2, [(1, 2), (3, 4)])
-        snapshot = relation.checkpoint()
-        relation.insert((5, 6))
-        relation.delete(relation.rows()[0])
-        relation.restore(snapshot)
+        kb = pairs_kb([(1, 2), (3, 4)])
+        relation = kb.relation("r")
+        with pytest.raises(RuntimeError):
+            with kb.transaction():
+                relation.insert((5, 6))
+                relation.delete(relation.rows()[0])
+                raise RuntimeError("boom")
         assert {tuple(c.value for c in row) for row in relation.rows()} == {(1, 2), (3, 4)}
 
     def test_restore_bumps_version_and_rebuilds_indexes(self):
-        relation = Relation(2, [(1, 2), (1, 3), (2, 4)])
+        kb = pairs_kb([(1, 2), (1, 3), (2, 4)])
+        relation = kb.relation("r")
         list(lookup(relation, [relation.rows()[0][0], None]))  # force a table
-        snapshot = relation.checkpoint()
-        relation.insert((9, 9))
-        assert relation._tables
-        version = relation.version
-        relation.restore(snapshot)
+        with pytest.raises(RuntimeError):
+            with kb.transaction():
+                relation.insert((9, 9))
+                assert relation._tables
+                version = relation.version
+                raise RuntimeError("boom")
         assert relation.version > version
         assert relation._tables == {}  # dropped with the row set
         probe = relation.rows()[0][0]
@@ -95,14 +111,84 @@ class TestKBTransaction:
                 raise RuntimeError("boom")
         assert state(kb) == before
 
-    def test_untouched_relations_are_not_copied(self):
+    def test_a_direct_relation_delete_is_rolled_back(self):
+        kb = small_kb()
+        before = state(kb)
+        with pytest.raises(RuntimeError):
+            with kb.transaction():
+                kb.relation("parent").delete(("ann", "bob"))
+                raise RuntimeError("boom")
+        assert state(kb) == before
+
+
+def count_copies(monkeypatch) -> Counter:
+    """Row-storage copies per relation from here on: a copy-on-write
+    privatisation (``Relation._unshare`` of shared storage) is the one
+    place a relation copies its rows."""
+    copies: Counter = Counter()
+    unshare = Relation._unshare
+
+    def counting(relation):
+        if relation._shared:
+            copies[relation] += 1
+        unshare(relation)
+
+    monkeypatch.setattr(Relation, "_unshare", counting)
+    return copies
+
+
+class TestPinCopies:
+    """A transaction pins every relation in O(1); a write copies a
+    relation's rows once, and a relation it does not write is never
+    copied, then or later."""
+
+    def kb(self) -> KnowledgeBase:
         kb = small_kb()
         kb.declare_edb("big", 1)
         kb.add_facts("big", [(i,) for i in range(100)])
-        with kb.transaction() as tx:
+        return kb
+
+    @pytest.mark.parametrize("outcome", ["commit", "rollback"])
+    def test_a_written_relation_is_copied_at_most_once(self, monkeypatch, outcome):
+        kb = self.kb()
+        parent, big = kb.relation("parent"), kb.relation("big")
+        copies = count_copies(monkeypatch)
+        try:
+            with kb.transaction():
+                for i in range(5):
+                    kb.add_fact("parent", f"p{i}", "q")
+                parent.delete(("ann", "bob"))
+                parent.insert(("ann", "bob"))
+                if outcome == "rollback":
+                    raise RuntimeError("boom")
+        except RuntimeError:
+            pass
+        assert copies == {parent: 1}
+        # The pins are gone: no later write copies either relation.
+        kb.add_fact("parent", "x", "y")
+        big.insert((1000,))
+        big.delete((0,))
+        assert copies == {parent: 1}
+
+    def test_a_relation_shared_with_a_published_snapshot_is_copied_once(
+        self, monkeypatch
+    ):
+        kb = self.kb()
+        parent, big = kb.relation("parent"), kb.relation("big")
+        snapshot = publish_snapshot(kb)
+        copies = count_copies(monkeypatch)
+        with kb.transaction():
             kb.add_fact("parent", "cal", "dan")
-            assert "parent" in tx._touched
-            assert "big" not in tx._touched
+            kb.add_fact("parent", "dan", "eve")
+        assert copies == {parent: 1}
+        assert len(snapshot.kb.facts("parent")) == 2
+        kb.add_fact("parent", "eve", "fay")
+        assert copies == {parent: 1}
+        # big is still shared with the snapshot: its first write copies it
+        # once, as without the transaction.
+        big.insert((1000,))
+        assert copies == {parent: 1, big: 1}
+        assert len(snapshot.kb.facts("big")) == 100
 
 
 class TestAtomicLoad:
@@ -256,13 +342,16 @@ class TestTransactionEdgeCases:
             pass
         assert kb.durability.log.last_lsn == lsn
 
-    def test_exception_during_commit_leaves_versions_unchanged(self, tmp_path, monkeypatch):
-        """A failed durable append must not bump catalog version counters."""
+    def test_exception_during_commit_rolls_the_span_back(self, tmp_path, monkeypatch):
+        """A failed durable append rolls the transaction back, as any
+        exception inside it would: the version counters move past every
+        mid-transaction value, so nothing cached in the span is served."""
         from repro.catalog.wal import Durability, open_durable
 
         kb = open_durable(str(tmp_path / "dur"))
         kb.declare_edb("p", 1)
         kb.add_fact("p", "a")
+        before = state(kb)
         rules_version = kb._rules_version
         constraints_version = kb._constraints_version
         relation_version = kb.relation("p").version
@@ -274,12 +363,10 @@ class TestTransactionEdgeCases:
         with pytest.raises(OSError):
             with kb.transaction():
                 kb.add_fact("p", "b")
-        # The in-memory mutation stands (commit already cleared the staged
-        # snapshots), but no rollback-style version churn happened.
-        assert len(kb.facts("p")) == 2
-        assert kb._rules_version == rules_version
-        assert kb._constraints_version == constraints_version
-        assert kb.relation("p").version == relation_version + 1  # one insert
+        assert state(kb) == before
+        assert kb._rules_version > rules_version
+        assert kb._constraints_version > constraints_version
+        assert kb.relation("p").version > relation_version + 1
 
 
 class TestAtomicWriterFsync:

@@ -10,8 +10,8 @@ import pytest
 
 from repro.catalog import KnowledgeBase, Recoverer, open_durable
 from repro.catalog.wal import (
-    DEFAULT_SNAPSHOT_EVERY,
     LOG_FORMAT,
+    SNAPSHOT_EVERY,
     DurableLog,
     collect_stamps,
 )
@@ -137,10 +137,27 @@ class TestCrashHooks:
         assert [r.lsn for r in records] == [1] and torn is None
 
 
+def logged_rows(records) -> list:
+    """Every row any event of *records* carries."""
+    rows = []
+    for record in records:
+        for event in record.events:
+            if event[0] in ("+", "-"):
+                rows.append(event[2])
+            elif event[0] == "reload":
+                rows.extend(event[2])
+    return rows
+
+
 class TestFailedAppend:
     """An append that fails with an exception, in a process that carries on:
-    the failed record must not take the next acknowledged one down with it
-    at recovery, nor leave its LSN behind for the next one to repeat."""
+    the failed commit changes nothing — the live knowledge base takes it
+    back, the log is cut back to its size before the append — so the next
+    commit neither carries the failed write nor repeats its LSN.  Each
+    history commits ``a``, fails to commit ``b``, then commits ``c``, here
+    auto-committed."""
+
+    style = "autocommit"
 
     def durable(self, directory) -> KnowledgeBase:
         kb = open_durable(str(directory))
@@ -148,29 +165,39 @@ class TestFailedAppend:
         kb.add_fact("e", "a")
         return kb
 
-    def assert_recovers_the_live_state(self, directory, kb) -> None:
-        kb.durability.log.close()
-        lsns = [record.lsn for record in DurableLog(str(directory)).records()]
+    def add(self, kb, value) -> None:
+        if self.style == "autocommit":
+            kb.add_fact("e", value)
+        else:
+            with kb.transaction():
+                kb.add_fact("e", value)
+
+    def assert_history(self, directory, kb, fail) -> None:
+        log = kb.durability.log
+        log.crash_hook = fail
+        with pytest.raises(OSError):
+            self.add(kb, "b")
+        log.crash_hook = None
+        assert [value.value for (value,) in kb.facts("e")] == ["a"]
+        self.add(kb, "c")
+        assert [value.value for (value,) in kb.facts("e")] == ["a", "c"]
+        log.close()
+        records = DurableLog(str(directory)).records()
+        lsns = [record.lsn for record in records]
         assert lsns == list(range(1, len(lsns) + 1))
+        assert ["b"] not in logged_rows(records) and ["c"] in logged_rows(records)
         report = Recoverer(str(directory)).recover()
         assert report.verified and report.torn_reason is None
-        assert set(report.kb.facts("e")) == set(kb.facts("e"))
+        assert report.kb.facts("e") == kb.facts("e")
 
     def test_a_failure_mid_append_is_cut_back(self, tmp_path):
         kb = self.durable(tmp_path)
-        log = kb.durability.log
 
         def disk_full(stage: str) -> None:
             if stage == "append:mid":
                 raise OSError(errno.ENOSPC, "disk full")
 
-        log.crash_hook = disk_full
-        with pytest.raises(OSError):
-            kb.add_fact("e", "b")
-        log.crash_hook = None
-        kb.add_fact("e", "c")  # commits again: the b it failed to log, and c
-        assert {value.value for (value,) in kb.facts("e")} == {"a", "b", "c"}
-        self.assert_recovers_the_live_state(tmp_path, kb)
+        self.assert_history(tmp_path, kb, disk_full)
 
     def test_a_failed_fsync_of_written_bytes_is_cut_back(self, tmp_path, monkeypatch):
         kb = self.durable(tmp_path)
@@ -183,18 +210,43 @@ class TestFailedAppend:
             fsync(fd)
 
         monkeypatch.setattr(os, "fsync", flaky_fsync)
-        log = kb.durability.log
 
         def fail_the_next_fsync(stage: str) -> None:
             if stage == "append:written":  # every byte is written
                 failing.append(stage)
 
-        log.crash_hook = fail_the_next_fsync
+        self.assert_history(tmp_path, kb, fail_the_next_fsync)
+
+
+class TestFailedAppendInATransaction(TestFailedAppend):
+    """The same histories, each commit a transaction: a failed append rolls
+    it back."""
+
+    style = "transaction"
+
+
+def test_failed_declarations_rules_and_constraints_are_taken_back(tmp_path):
+    kb = TestFailedAppend().durable(tmp_path)
+    log = kb.durability.log
+
+    def disk_full(stage: str) -> None:
+        if stage == "append:before":
+            raise OSError(errno.ENOSPC, "disk full")
+
+    log.crash_hook = disk_full
+    for mutate in (
+        lambda: kb.declare_edb("f", 1),
+        lambda: kb.declare_idb("g", 1),
+        lambda: kb.add_rule(parse_rule("q(X) <- e(X)")),
+        lambda: kb.add_constraint(IntegrityConstraint(parse_body("e(X) and e(X)"))),
+    ):
         with pytest.raises(OSError):
-            kb.add_fact("e", "b")
-        log.crash_hook = None
-        kb.add_fact("e", "c")
-        self.assert_recovers_the_live_state(tmp_path, kb)
+            mutate()
+    log.crash_hook = None
+    assert kb.edb_predicates() == ["e"] and kb.idb_predicates() == []
+    assert kb.rules() == [] and kb.constraints() == []
+    kb.declare_edb("f", 1)  # the failed declaration left nothing behind
+    assert len(kb.durability.log.records()) == 3
 
 
 class TestSnapshots:
@@ -315,14 +367,20 @@ class TestDurabilityDiffing:
         assert log.records() == []  # folded into the snapshot, not logged
         assert log.snapshot_header()[1]["facts"] == 50
 
-    def test_snapshot_every_folds_the_log(self, tmp_path):
-        kb = open_durable(str(tmp_path / "d"), snapshot_every=5)
+    def test_snapshot_every_folds_the_log(self, tmp_path, monkeypatch):
+        import repro.catalog.wal as wal
+
+        monkeypatch.setattr(wal, "SNAPSHOT_EVERY", 5)
+        kb = open_durable(str(tmp_path / "d"))
         kb.declare_edb("p", 1)
         for i in range(12):
             kb.add_fact("p", f"v{i}")
+            assert kb.durability.log.records_since_snapshot <= 5
         log = kb.durability.log
-        assert log.records_since_snapshot < 5
         assert log.snapshot_header()[0] > 0
+        log.close()
+        recovered = Recoverer(str(tmp_path / "d")).recover().kb
+        assert recovered.facts("p") == kb.facts("p")
 
     def test_empty_commit_is_skipped(self, tmp_path):
         kb = open_durable(str(tmp_path / "d"))
@@ -373,7 +431,7 @@ class TestOpenDurable:
         assert {tuple(c.value for c in row) for row in recovered.facts("p")} == {("a",)}
 
     def test_default_snapshot_cadence_is_sane(self):
-        assert 1 < DEFAULT_SNAPSHOT_EVERY <= 4096
+        assert 1 < SNAPSHOT_EVERY <= 4096
 
 
 class TestCollectStamps:

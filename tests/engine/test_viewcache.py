@@ -46,15 +46,19 @@ class TestChangeJournal:
         assert relation.changes_since(relation.version) == []
 
     def test_clear_and_restore_forget_the_journal(self):
-        relation = Relation(1)
+        kb = KnowledgeBase()
+        kb.declare_edb("r", 1)
+        relation = kb.relation("r")
         v0 = relation.version
         relation.insert(("a",))
-        snapshot = relation.checkpoint()
-        relation.clear()
-        assert relation.changes_since(v0) is None
-        v1 = relation.version
-        relation.restore(snapshot)
+        with pytest.raises(RuntimeError):
+            with kb.transaction():
+                relation.clear()
+                assert relation.changes_since(v0) is None
+                v1 = relation.version
+                raise RuntimeError("rolled back")
         assert relation.changes_since(v1) is None
+        assert values(relation) == {("a",)}
 
     def test_window_overrun_reports_unavailable(self):
         relation = Relation(1)

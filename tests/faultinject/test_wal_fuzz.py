@@ -1,10 +1,13 @@
 """Structure-aware fuzzing of the write-ahead log and its snapshot.
 
-A generated sequence of commits runs on a durable knowledge base; then one
-mutation is applied to the directory it leaves: a log record dropped,
-duplicated or swapped with its successor, one bit flipped anywhere in
-``wal.log`` or ``snapshot.json``, the log truncated at any byte, or the
-snapshot's ``wal_lsn`` rewritten.  Recovery must end in one of three ways:
+A generated sequence of commits runs on a durable knowledge base, some of
+them with a write that fails (``OSError`` mid-record, before the fsync,
+or staging the snapshot a commit on a full log is written as): a failed
+commit must leave the live state as it was, and recovery of the directory
+then must equal it.  Then one mutation is applied to the directory the
+sequence leaves: a log record dropped, duplicated or swapped with its
+successor, one bit flipped anywhere in ``wal.log`` or ``snapshot.json``,
+the log truncated at any byte, or the snapshot's ``wal_lsn`` rewritten.  Recovery must end in one of three ways:
 
 1. a :class:`~repro.errors.RecoveryError` located at the log or the
    snapshot file;
@@ -21,14 +24,16 @@ job runs the default and a fresh seed).
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import tempfile
+from unittest import mock
 
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from repro.catalog import KnowledgeBase, Recoverer, open_durable
+from repro.catalog import KnowledgeBase, Recoverer, open_durable, wal
 from repro.catalog.persist import kb_to_dict
 from repro.errors import RecoveryError
 from repro.lang.parser import parse_rule
@@ -49,6 +54,13 @@ commits = st.lists(
     ),
     min_size=1,
     max_size=10,
+)
+
+#: Commit index -> the stage at which that commit's write fails.
+failures = st.dictionaries(
+    st.integers(0, 9),
+    st.sampled_from(["append:mid", "append:written", "snapshot:staged"]),
+    max_size=5,
 )
 
 mutations = st.one_of(
@@ -78,6 +90,14 @@ def apply_commit(kb: KnowledgeBase, commit) -> None:
                 kb.add_fact("e", value)
             else:
                 kb.relation("e").delete((value,))
+
+
+def fail_at(stage: str):
+    def hook(reached: str) -> None:
+        if reached == stage:
+            raise OSError(errno.ENOSPC, f"disk full at {stage}")
+
+    return hook
 
 
 def mutate(directory: str, mutation) -> None:
@@ -123,19 +143,32 @@ def mutate(directory: str, mutation) -> None:
 )
 @given(
     commits=commits,
-    snapshot_every=st.sampled_from([None, None, 3]),
+    snapshot_every=st.sampled_from([wal.SNAPSHOT_EVERY, wal.SNAPSHOT_EVERY, 3]),
+    failures=failures,
     mutation=mutations,
 )
 def test_a_mutated_directory_recovers_to_a_commit_boundary_or_fails_located(
-    commits, snapshot_every, mutation
+    commits, snapshot_every, failures, mutation
 ):
-    with tempfile.TemporaryDirectory() as directory:
-        kb = open_durable(directory, snapshot_every=snapshot_every)
+    with tempfile.TemporaryDirectory() as directory, mock.patch.object(
+        wal, "SNAPSHOT_EVERY", snapshot_every
+    ):
+        kb = open_durable(directory)
         boundaries = [canonical(kb)]
         kb.declare_edb("e", 1)
         boundaries.append(canonical(kb))
-        for commit in commits:
-            apply_commit(kb, commit)
+        log = kb.durability.log
+        for index, commit in enumerate(commits):
+            before = canonical(kb)
+            log.crash_hook = fail_at(failures[index]) if index in failures else None
+            try:
+                apply_commit(kb, commit)
+            except OSError:
+                # The failed commit changed nothing, and nothing of it is
+                # in the directory.
+                assert canonical(kb) == before
+                assert canonical(Recoverer(directory).recover().kb) == before
+            log.crash_hook = None
             boundaries.append(canonical(kb))
         kb.durability.log.close()
         mutate(directory, mutation)

@@ -5,12 +5,14 @@ the same wiring ``dbk serve`` uses — so the hand-rolled HTTP layer, the
 admission path, and the writer thread are all exercised end to end.
 """
 
+import errno
 import socket
 import threading
 import time
 
 import pytest
 
+from repro.catalog import Recoverer
 from repro.cli import main
 from repro.server import (
     MultiVersionCatalog,
@@ -247,6 +249,38 @@ class TestDurable:
                 recovered_handle.stop()
         finally:
             reopened.close()
+
+    def test_a_commit_whose_append_fails_is_an_error_and_never_shows(self, tmp_path):
+        durable = str(tmp_path / "served")
+        catalog = MultiVersionCatalog(durable=durable)
+        log = catalog.kb.durability.log
+
+        def disk_full(stage: str) -> None:
+            if stage == "append:mid":
+                raise OSError(errno.ENOSPC, "disk full")
+
+        def rows(client) -> list:
+            return sorted(client.query("retrieve e(X)")["result"]["rows"])
+
+        handle = serve_in_thread(catalog, trace=False)
+        try:
+            with ServerClient(handle.host, handle.port) as client:
+                client.commit("e(a).")
+                published = client.snapshot()["id"]
+                log.crash_hook = disk_full
+                with pytest.raises(ServerClientError) as failed:
+                    client.commit("e(b).")
+                log.crash_hook = None
+                assert failed.value.status == 500
+                assert client.snapshot()["id"] == published  # nothing published
+                assert rows(client) == [["a"]]
+                client.commit("e(c).")
+                assert rows(client) == [["a"], ["c"]]
+        finally:
+            handle.stop()
+            catalog.close()
+        recovered = Recoverer(durable).recover().kb
+        assert sorted(value.value for (value,) in recovered.facts("e")) == ["a", "c"]
 
 
 class TestServeCli:

@@ -110,11 +110,14 @@ def test_kept_tables_equal_a_fresh_build_through_every_step(rows, kept, steps):
             held = relation.int_rows()
             if held:
                 assert relation.delete(SYMBOLS.extern_row(held[arg % len(held)]))
-        elif op == "rollback":  # what a failed transaction does to it
+        elif op == "rollback":  # a failed transaction that wrote it
             before = relation.rows()
-            snapshot = relation.checkpoint()
-            relation.insert(arg)
-            relation.restore(snapshot)
+            try:
+                with kb.transaction():
+                    relation.insert(arg)
+                    raise RuntimeError("rolled back")
+            except RuntimeError:
+                pass
             assert relation.rows() == before
         elif op == "load_interned":
             relation.load_interned([SYMBOLS.intern_row(relation._coerce(row)) for row in arg])
@@ -126,7 +129,7 @@ def test_kept_tables_equal_a_fresh_build_through_every_step(rows, kept, steps):
         elif op == "clear":
             relation.clear()
         elif op == "flush":  # a derived relation's first mutation: id-only
-            relation = Relation(3)
+            relation = kb._relations["r"] = Relation(3)
             relation.load_interned([SYMBOLS.intern_row(relation._coerce(row)) for row in rows])
             for probe in kept:
                 relation.table(*probe)

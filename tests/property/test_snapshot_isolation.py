@@ -130,7 +130,6 @@ def test_reads_equal_full_evaluation_of_one_snapshot(ops):
                             if kb.add_fact("e", *row):
                                 facts.add(row)
                         else:
-                            kb._tx_touch("e")
                             if kb.relation("e").delete(row):
                                 facts.discard(row)
 
@@ -283,7 +282,6 @@ def test_memo_reads_equal_full_evaluation_of_the_pinned_snapshot(ops):
                         kb.add_fact(name, *row)
                         state[name] = state[name] | {row}
                     else:
-                        kb._tx_touch(name)
                         kb.relation(name).delete(row)
                         state[name] = state[name] - {row}
 
@@ -399,7 +397,6 @@ def test_view_cache_keys_on_pinned_fingerprint(ops):
                     if op == "add":
                         kb.add_fact("e", *row)
                     else:
-                        kb._tx_touch("e")
                         kb.relation("e").delete(row)
 
             catalog.commit(mutate)

@@ -307,7 +307,6 @@ def test_a_relation_replaced_wholesale_never_serves_a_carried_answer(monkeypatch
         return {tuple(c.value for c in row) for row in outcome.result.rows}
 
     def reload(kb):
-        kb._tx_touch("edge")
         kb.relation("edge").clear()
         for source in range(3):  # as many rows as before, none of them the same
             kb.add_fact("edge", source, source + 10)
