@@ -6,7 +6,8 @@ analysis propagates adornments top-down through the program under the
 same left-to-right sideways-information-passing strategy (SIPS) the
 magic-sets rewrite uses: inside a rule body, an atom's arguments are bound
 when they are constants, head arguments bound by the call, or variables
-bound by any earlier body atom or comparison.
+bound by any earlier body atom or by an earlier ``=`` whose other side is
+bound (no other comparison grounds a variable).
 
 Two consumers share this module:
 
@@ -47,6 +48,21 @@ def adornment_of(atom: Atom, bound: set[Variable] | frozenset[Variable]) -> str:
         else:
             letters.append("f")
     return "".join(letters)
+
+
+def _pass_comparison(atom: Atom, bound: set[Variable]) -> None:
+    """Bind what a comparison grounds when it is passed: the variable of an
+    ``=`` whose other side is a constant or bound.  ``(Y != X)`` before
+    ``Y``'s atom binds nothing; counting it bound would hand an unbound
+    ``Y`` to a magic rule's head."""
+    if atom.predicate != "=":
+        return
+    left, right = atom.args
+    if is_constant(left) or left in bound:
+        if is_variable(right):
+            bound.add(right)  # type: ignore[arg-type]
+    elif is_constant(right) or right in bound:
+        bound.add(left)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -111,8 +127,9 @@ class ModeTable:
         """The SIPS walk of one rule called with *adornment*.
 
         Mirrors the magic rewrite's bookkeeping exactly: head arguments
-        marked ``b`` start bound; comparisons bind their variables as they
-        are passed; every body atom binds its variables after it runs.
+        marked ``b`` start bound; a comparison binds what it grounds as it
+        is passed (:func:`_pass_comparison`); every body atom binds its
+        variables after it runs.
         """
         bound: set[Variable] = {
             arg
@@ -122,7 +139,7 @@ class ModeTable:
         entries: list[ScheduleEntry] = []
         for index, atom in enumerate(rule.body):
             if atom.is_comparison():
-                bound.update(atom.variables())
+                _pass_comparison(atom, bound)
                 continue
             entries.append(
                 ScheduleEntry(index, atom, adornment_of(atom, bound), frozenset(bound))
@@ -138,7 +155,7 @@ def _constraint_seeds(constraints) -> dict[str, set[str]]:
         bound: set[Variable] = set()
         for atom in constraint.body:
             if atom.is_comparison():
-                bound.update(atom.variables())
+                _pass_comparison(atom, bound)
                 continue
             seeds.setdefault(atom.predicate, set()).add(adornment_of(atom, bound))
             bound.update(atom.variables())

@@ -34,6 +34,21 @@ so the evaluation context it ran in keeps it among its plans
 (:attr:`ViewCache.plans <repro.engine.viewcache.ViewCache.plans>`), kernels
 and all: a later evaluation re-seeds it and pays for the fixpoint alone.
 
+Right-linear recursion is then *factored* (:func:`_factor`; Naughton,
+Ramakrishnan, Sagiv and Ullman, "Argument reduction by factoring", VLDB
+1989).  Above, ``path__bf(m, y)`` is derived for every node ``m`` the seed
+reaches, O(reached²) facts for one bound goal.  But every ``path__bf``
+derivation is a chain of recursive steps ending in an exit rule, and the
+steps are exactly what ``magic_path__bf`` already closes over, so
+``path(n0, Y)`` holds iff some ``m`` in ``magic_path__bf`` has
+``edge(m, Y)``.  When only one seed feeds the magic set, the adorned
+predicate keeps its free columns alone and its recursive rules go:
+
+    magic_path__bf($0) <- magic___goal__bf($0).
+    magic_path__bf(Z) <- magic_path__bf(X) and edge(X, Z).
+    path__bf_f(Y) <- magic_path__bf(X) and edge(X, Y).
+    __goal__bf($0, Y) <- magic___goal__bf($0) and path__bf_f(Y).
+
 Scope: goals whose *reachable* rules are positive (:func:`magic_rewrite`
 raises otherwise; :mod:`repro.engine.evaluate` never routes one here).
 """
@@ -52,7 +67,8 @@ from repro.engine.kernels import IntBatch
 from repro.engine.seminaive import CompiledStratum, SemiNaiveEngine
 from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule
-from repro.logic.terms import Constant, Variable, is_constant
+from repro.logic.terms import Constant, Variable, is_constant, is_variable
+from repro.logic.typing import is_strongly_linear
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.viewcache import ViewCache
@@ -74,8 +90,19 @@ def magic_name(predicate: str, adornment: str) -> str:
     return MAGIC_PREFIX + adorned_name(predicate, adornment)
 
 
+def factored_name(adorned: str) -> str:
+    """The factored predicate's name, e.g. ``path__bf`` -> ``path__bf_f``:
+    the adorned predicate's free columns, for the one seed its magic set
+    grows from."""
+    return adorned + "_f"
+
+
 def _bound_args(atom: Atom, adornment: str) -> list:
     return [arg for arg, letter in zip(atom.args, adornment) if letter == "b"]
+
+
+def _free_args(atom: Atom, adornment: str) -> list:
+    return [arg for arg, letter in zip(atom.args, adornment) if letter == "f"]
 
 
 def goal_shape(
@@ -103,6 +130,8 @@ class MagicProgram:
     seeds: Relation  # the magic seed relation: one row, the goal's constants
     adorned_predicates: int = 0
     magic_rules: int = 0
+    #: The adorned predicates whose right-linear recursion was factored.
+    factored: tuple[str, ...] = ()
     #: Handed to every engine that runs the program.
     compiled: dict[tuple[str, ...], CompiledStratum] = field(default_factory=dict)
 
@@ -159,12 +188,19 @@ def magic_rewrite(kb: KnowledgeBase, conjunction: Sequence[Atom]) -> MagicProgra
                 assert entry is not None  # every non-comparison atom has one
                 if kb.is_idb(body_atom.predicate):
                     body_adornment = entry.adornment
-                    # Magic rule: the bindings reaching this subgoal.
+                    # Magic rule: the bindings reaching this subgoal, under
+                    # the comparisons that can be checked by then.
                     magic_head = Atom(
                         magic_name(body_atom.predicate, body_adornment),
                         _bound_args(body_atom, body_adornment),
                     )
-                    new_rules[Rule(magic_head, list(new_body))] = None
+                    magic_body = [
+                        atom
+                        for atom in new_body
+                        if not atom.is_comparison()
+                        or entry.bound_before.issuperset(atom.variables())
+                    ]
+                    new_rules[Rule(magic_head, magic_body)] = None
                     worklist.append((body_atom.predicate, body_adornment))
                     new_body.append(
                         Atom(
@@ -178,10 +214,11 @@ def magic_rewrite(kb: KnowledgeBase, conjunction: Sequence[Atom]) -> MagicProgra
                 Rule(Atom(adorned_name(predicate, adornment), head.args), new_body)
             ] = None
 
+    rules, factored = _factor(list(new_rules), processed)
     rewritten = kb.with_rules([])
     seed_predicate = magic_name(GOAL, goal_adornment)
     rewritten.declare_edb(seed_predicate, len(parameters))
-    for rule in new_rules:
+    for rule in rules:
         rewritten.add_rule(rule)
     program = MagicProgram(
         kb=rewritten,
@@ -189,10 +226,90 @@ def magic_rewrite(kb: KnowledgeBase, conjunction: Sequence[Atom]) -> MagicProgra
         schema=tuple(free_vars),
         seeds=rewritten.relation(seed_predicate),
         adorned_predicates=len(processed),
-        magic_rules=sum(1 for r in new_rules if r.head.predicate.startswith(MAGIC_PREFIX)),
+        magic_rules=sum(1 for r in rules if r.head.predicate.startswith(MAGIC_PREFIX)),
+        factored=factored,
     )
     program.seed(constants)
     return program
+
+
+def _calls_itself(rule: Rule) -> bool:
+    return any(atom.predicate == rule.head.predicate for atom in rule.body)
+
+
+def _right_linear(rule: Rule, adornment: str) -> bool:
+    """Whether a rewritten rule that calls its own head predicate calls it
+    once, last, with the head's free columns: distinct variables that occur
+    nowhere else in the rule (so the step to the call's bound columns is
+    all the rule adds, and the magic rule for the call already takes it)."""
+    call, head = rule.body[-1], rule.head
+    free = _free_args(head, adornment)
+    if not is_strongly_linear(rule) or call.predicate != head.predicate:
+        return False
+    if _free_args(call, adornment) != free or len(set(free)) != len(free):
+        return False
+    elsewhere = [*_bound_args(head, adornment), *_bound_args(call, adornment)]
+    elsewhere.extend(arg for atom in rule.body[:-1] for arg in atom.args)
+    return all(is_variable(arg) for arg in free) and not set(free) & set(elsewhere)
+
+
+def _is_seed_argument(term) -> bool:
+    """A constant, or a goal parameter ``$i`` (a name the lexer cannot
+    produce, so it occurs only in the goal rule and its magic rules)."""
+    return is_constant(term) or term.name.startswith("$")
+
+
+def _factor(
+    rules: list[Rule], called: set[tuple[str, str]]
+) -> tuple[list[Rule], tuple[str, ...]]:
+    """Factor every adorned predicate ``p^a`` whose recursion is right-linear
+    and whose magic set grows from one seed.
+
+    ``p^a`` (at least one bound and one free column; the goal itself keeps
+    its parameter columns) is factored when every rule for it is an exit
+    rule (no ``p^a`` in its body) or :func:`_right_linear`, and every other
+    occurrence of ``p^a`` — magic-rule bodies included — has the same bound
+    arguments ``c``, each a constant or a goal parameter.  Then
+    ``magic_p^a`` is ``c`` closed under the recursive steps, and
+    ``p^a(c, Y)`` holds iff some ``m`` in it has ``exit(m, Y)``: each exit
+    rule becomes ``p^a_f(Y) <- <same body>``, the recursive rules go (their
+    magic rules stay), and each outside ``p^a(c, Y)`` becomes
+    ``p^a_f(Y)``.  Returns the rules and the factored adorned names.
+    """
+    adornments = {
+        adorned_name(predicate, adornment): adornment
+        for predicate, adornment in called
+        if predicate != GOAL and "b" in adornment and "f" in adornment
+    }
+    factored: dict[str, str] = {}
+    for name, adornment in adornments.items():
+        steps = [r for r in rules if r.head.predicate == name and _calls_itself(r)]
+        seeds = {
+            tuple(_bound_args(atom, adornment))
+            for rule in rules
+            if rule.head.predicate != name
+            for atom in rule.body
+            if atom.predicate == name
+        }
+        if (
+            all(_right_linear(rule, adornment) for rule in steps)
+            and len(seeds) == 1
+            and all(_is_seed_argument(arg) for arg in next(iter(seeds)))
+        ):
+            factored[name] = adornment
+
+    def project(atom: Atom) -> Atom:
+        adornment = factored.get(atom.predicate)
+        if adornment is None:
+            return atom
+        return Atom(factored_name(atom.predicate), _free_args(atom, adornment))
+
+    result: dict[Rule, None] = {}
+    for rule in rules:
+        if rule.head.predicate in factored and _calls_itself(rule):
+            continue  # a right-linear step: its magic rule carries it
+        result[Rule(project(rule.head), [project(atom) for atom in rule.body])] = None
+    return list(result), tuple(sorted(factored))
 
 
 def magic_conjunction(
@@ -227,6 +344,7 @@ def magic_conjunction(
                 "magic.rewrite",
                 adorned_predicates=program.adorned_predicates,
                 magic_rules=program.magic_rules,
+                factored=list(program.factored),
                 goal=str(program.goal),
             )
     engine = SemiNaiveEngine(

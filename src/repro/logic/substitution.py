@@ -22,7 +22,8 @@ class Substitution:
     Invariant: for every binding ``v -> t``, no variable in ``t`` (``t``
     itself, for our function-free terms) is in the substitution's domain.
     The constructor normalises input bindings to restore the invariant and
-    rejects cyclic binding sets (``X -> Y, Y -> X``).
+    rejects cyclic binding sets (``X -> Y, Y -> X``).  The one exception is
+    a one-way match (:meth:`of_match`), whose target variables are rigid.
     """
 
     __slots__ = ("_map",)
@@ -158,6 +159,18 @@ class Substitution:
                 new_map[v] = t
         result = Substitution.__new__(Substitution)
         result._map = {v: t for v, t in new_map.items() if t != v}
+        return result
+
+    @staticmethod
+    def of_match(bindings: Mapping[Variable, Term]) -> "Substitution":
+        """A one-way match's bindings, taken as they are: a bound value
+        may be a variable of the domain (the target's variables are rigid,
+        so ``X -> Y, Y -> Z`` is not the chain ``X -> Z``), which the
+        resolving constructor would follow.  Identity bindings are
+        dropped.  Application is then a simultaneous replacement, not
+        idempotent."""
+        result = Substitution.__new__(Substitution)
+        result._map = {v: t for v, t in bindings.items() if t != v}
         return result
 
     def restrict(self, variables: Iterable[Variable]) -> "Substitution":

@@ -88,32 +88,35 @@ def unify_sequences(
     return result
 
 
-def match_terms(pattern: Term, target: Term, theta: Substitution) -> Substitution | None:
-    """Extend *theta* to match *pattern* onto *target* (one-way)."""
-    pattern = theta.apply_term(pattern)
-    if pattern == target:
-        return theta
+def match_terms(pattern: Term, target: Term, bindings: dict[Variable, Term]) -> bool:
+    """Extend *bindings* to match *pattern* onto *target* (one-way).
+
+    A pattern variable is looked up in its own binding and compared with
+    ``==``; the target is never resolved through the bindings, because its
+    variables are rigid even when they share a name with a pattern
+    variable (``X -> Y`` and ``Y -> Z`` are two independent bindings).
+    """
     if is_variable(pattern):
-        return theta.bind(pattern, target)  # type: ignore[arg-type]
-    return None
+        bound = bindings.setdefault(pattern, target)  # type: ignore[arg-type]
+        return bound == target
+    return pattern == target
 
 
-def match(pattern: Atom, target: Atom, theta: Substitution | None = None) -> Substitution | None:
+def match(pattern: Atom, target: Atom) -> Substitution | None:
     """One-way matching: substitution theta with ``pattern.theta == target``.
 
     Only variables of *pattern* are bound; variables of *target* are treated
-    as constants (they may appear as binding values).  Returns ``None`` when
-    no such substitution exists.
+    as constants (they may appear as binding values, also when they share a
+    name with a pattern variable: ``p(X, Y)`` onto ``p(Y, Z)`` gives
+    ``{X->Y, Y->Z}``).  Returns ``None`` when no such substitution exists.
     """
     if pattern.predicate != target.predicate or pattern.arity != target.arity:
         return None
-    result = theta if theta is not None else Substitution.EMPTY
+    bindings: dict[Variable, Term] = {}
     for p_arg, t_arg in zip(pattern.args, target.args):
-        extended = match_terms(p_arg, t_arg, result)
-        if extended is None:
+        if not match_terms(p_arg, t_arg, bindings):
             return None
-        result = extended
-    return result
+    return Substitution.of_match(bindings)
 
 
 def variant(left: Atom, right: Atom) -> bool:

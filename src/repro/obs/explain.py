@@ -389,9 +389,10 @@ def explain_plan(
     program = None
     if reason == "bound":  # no negation: the rewritten program is what runs
         reason, program = "cold", magic_rewrite(kb, conjuncts)
+        factored = ", ".join(program.factored) or "none"
         notes.append(
             f"magic-sets rewrite: {program.adorned_predicates} adorned call patterns, "
-            f"{program.magic_rules} magic rules"
+            f"{program.magic_rules} magic rules; factored: {factored}"
         )
         kb, conjuncts, estimate = program.kb, [program.goal], _cold_estimator(program.kb)
     plan = compile_conjunction(conjuncts, negated, estimate=estimate)

@@ -30,6 +30,8 @@ from tests.reference import lookup
 #: The goal program's join of ``edge`` from a bound source: join-key
 #: column 0, the entry column 1.
 FORWARD = Shape((), (0,), (), (1,))
+#: The materialised recursive rule's delta variant: join-key column 1.
+BACKWARD = Shape((), (1,), (), (0,))
 
 
 def churn_edges():
@@ -71,21 +73,21 @@ def builds(monkeypatch):
 
 def kernel_steps(session, predicate):
     """Every compiled kernel step that probes *predicate*: the session's
-    conjunction kernels and the rule kernels of its goal programs."""
-    steps = []
+    conjunction kernels, the rule kernels of its goal programs and those
+    of the views it materialised."""
+    kernels, strata = [], list(session.cache._kernels().values())
     for entry in session.plan_cache.values():
-        kernels = [entry] if hasattr(entry, "steps") else [
-            rule_kernel.kernel
-            for stratum in entry.compiled.values()
-            for rule_kernel in stratum.kernels.values()
-        ]
-        steps += [
-            step
-            for kernel in kernels
-            for step in kernel.steps
-            if isinstance(step, (_KJoin, _KAntiJoin)) and step.predicate == predicate
-        ]
-    return steps
+        if hasattr(entry, "steps"):
+            kernels.append(entry)
+        else:
+            strata += entry.compiled.values()
+    kernels += [rule.kernel for stratum in strata for rule in stratum.kernels.values()]
+    return [
+        step
+        for kernel in kernels
+        for step in kernel.steps
+        if isinstance(step, (_KJoin, _KAntiJoin)) and step.predicate == predicate
+    ]
 
 
 def test_the_steps_that_join_edge_under_one_shape_build_one_table(builds):
@@ -93,11 +95,15 @@ def test_the_steps_that_join_edge_under_one_shape_build_one_table(builds):
     edge = session.kb.relation("edge")
     for source in ("n0", "c3_n0", "n40", "c7_n5"):
         assert session.query(f"retrieve path({source}, Y)")
-    shapes = Counter(step.shape for step in kernel_steps(session, "edge"))
-    # The magic guard's delta variant and the exit rule.  The recursive
-    # rule fires only as its delta variant, which joins edge on Z: its full
-    # kernel, a third FORWARD step, is never compiled.
-    assert shapes[FORWARD] == 2
+    steps = kernel_steps(session, "edge")
+    shapes = Counter(step.shape for step in steps if step.shape is not None)
+    # The goal program's two: the magic step's delta variant and the
+    # factored exit rule (the factored program has no recursive path rule).
+    # The second miss materialises path: its exit rule scans edge (no
+    # table), and its recursive rule fires only as its delta variant,
+    # which joins edge on Z, column 1: its full kernel, a third FORWARD
+    # step, is never compiled.
+    assert shapes == {FORWARD: 2, BACKWARD: 1}
     built = {shape: count for (owner, shape), count in builds.items() if owner == id(edge)}
     assert built == dict.fromkeys(shapes, 1)  # one build per shape, not per step
     assert edge._tables.keys() == shapes.keys()
@@ -139,8 +145,9 @@ def test_bound_constants_share_one_table_per_shape():
     bound, looked_up = Shape((0,), (), (), (1,)), Shape((0,), (), (), (0, 1))
     shapes = {step.shape for step in kernel_steps(session, "edge")} - {None}
     # The 200 one-step kernels share one shape; the goal program adds its
-    # joins, the lookups one more shape.
-    assert bound in shapes and FORWARD in shapes and len(shapes) == 3
+    # joins, the view the second miss materialises its delta join, the
+    # lookups one more shape.
+    assert shapes == {bound, FORWARD, BACKWARD}
     assert edge._tables.keys() == shapes | {looked_up}
     # One table per shape, holding each bound constant's part.
     assert len(edge._tables[bound]) == len(edge._tables[looked_up]) == 200

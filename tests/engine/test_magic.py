@@ -41,24 +41,72 @@ class TestAdornments:
 
 class TestRewrite:
     def test_textbook_program_shape(self):
+        """The textbook rewrite, with right-linear ``path__bf`` factored:
+        its exit rule keeps the free column, its recursive rule goes (the
+        magic rule takes the step) and the goal reads the factored
+        relation."""
         kb = chain_graph_kb(4)
         program = magic_rewrite(kb, parse_body("path(n0, Y)"))
+        assert {str(r) for r in program.kb.rules()} == {
+            "magic_path__bf($0) <- magic___goal__bf($0).",
+            "magic_path__bf(Z) <- magic_path__bf(X) and edge(X, Z).",
+            "path__bf_f(Y) <- magic_path__bf(X) and edge(X, Y).",
+            "__goal__bf($0, Y) <- magic___goal__bf($0) and path__bf_f(Y).",
+        }
+        assert program.factored == ("path__bf",)
+        assert (program.adorned_predicates, program.magic_rules) == (2, 2)
+
+    def test_a_comparison_before_the_call_binds_nothing(self):
+        """``(Y != X)`` ahead of ``Y``'s atom grounds no ``Y``: the call is
+        ``path__bf`` and the magic rule leaves the comparison out (counting
+        ``Y`` bound made ``magic_path__bb(Z, Y)``, an unsafe rule, and
+        every goal-directed read raised).  ``Y`` in the comparison also
+        keeps the recursion from being factored."""
+        kb = KnowledgeBase()
+        kb.declare_edb("edge", 2)
+        kb.add_facts("edge", [("n0", "n1"), ("n1", "n2"), ("n2", "n0"), ("n1", "n0")])
+        kb.add_rule(parse_rule("path(X, Y) <- edge(X, Y)."))
+        kb.add_rule(parse_rule("path(X, Y) <- edge(X, Z) and (Y != X) and path(Z, Y)."))
+        subject = parse_atom("path(n0, Y)")
+        program = magic_rewrite(kb, [subject])
         texts = {str(r) for r in program.kb.rules()}
-        assert "path__bf(X, Y) <- magic_path__bf(X) and edge(X, Y)." in texts
-        assert (
-            "path__bf(X, Y) <- magic_path__bf(X) and edge(X, Z) and path__bf(Z, Y)."
-            in texts
-        )
         assert "magic_path__bf(Z) <- magic_path__bf(X) and edge(X, Z)." in texts
+        assert program.factored == ()
+        expected = reference_answers(kb, subject)
+        assert expected == {(Constant("n1"),), (Constant("n2"),)}
+        assert forced_retrieve("magic", kb, subject).to_set() == expected
+        assert retrieve(kb, subject).to_set() == expected
 
     def test_magic_restricts_computation(self):
         kb = component_graph_kb(components=10, size=6, seed=1)
         program = magic_rewrite(kb, parse_body("path(c0_n0, Y)"))
         engine = SemiNaiveEngine(program.kb)
-        engine.derived_relation(program.goal.predicate)
-        magic_paths = engine.derived_relation("path__bf")
+        answers = engine.derived_relation(program.goal.predicate)
+        magic_paths = engine.derived_relation("path__bf_f")
+        assert len(magic_paths) == len(answers) > 0
         full = len(SemiNaiveEngine(kb).derived_relation("path"))
         assert len(magic_paths) < full / 5  # only c0's component derived
+
+    @pytest.mark.parametrize("n", [20, 80])
+    def test_a_bound_chain_goal_derives_linearly_many_facts(self, n):
+        """``path(n0, Y)`` on an n-edge chain: the factored program derives
+        the n + 1 nodes of its magic set and the n answers twice (the
+        factored relation and the goal), 3n + 1 facts, where the unfactored
+        rewrite derived the n(n+1)/2 paths from every reached node."""
+        kb = chain_graph_kb(n)
+        program = magic_rewrite(kb, parse_body("path(n0, Y)"))
+        engine = SemiNaiveEngine(program.kb)
+        assert len(engine.derived_relation(program.goal.predicate)) == n
+        derived = {
+            predicate: len(engine.derived_relation(predicate))
+            for predicate in program.kb.idb_predicates()
+        }
+        assert derived == {
+            "magic_path__bf": n + 1,
+            "path__bf_f": n,
+            "__goal__bf": n,
+        }
+        assert sum(derived.values()) < n * (n + 1) // 2
 
     def test_negation_rejected(self):
         kb = KnowledgeBase()

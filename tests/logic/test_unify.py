@@ -78,6 +78,21 @@ class TestMatch:
         theta = match(Atom("p", ["X", "X"]), Atom("p", ["a", "a"]))
         assert theta is not None
 
+    def test_a_pattern_variable_bound_to_a_target_variable_stays_put(self):
+        # Y -> Z, then X -> Y: X's own binding is Y, which differs from X.
+        assert match(Atom("p", ["Y", "X", "X"]), Atom("p", ["Z", "Y", "X"])) is None
+
+    def test_target_variables_are_not_resolved_through_the_bindings(self):
+        pattern, target = Atom("p", ["X", "Y"]), Atom("p", ["Y", "Z"])
+        theta = match(pattern, target)
+        assert theta.apply(pattern) == target
+        assert theta.apply_term(Variable("X")) == Variable("Y")
+
+    def test_an_identity_binding_still_constrains(self):
+        assert match(Atom("p", ["X", "X"]), Atom("p", ["X", "Y"])) is None
+        theta = match(Atom("p", ["X", "Y"]), Atom("p", ["X", "Z"]))
+        assert theta.apply(Atom("p", ["X", "Y"])) == Atom("p", ["X", "Z"])
+
 
 class TestVariant:
     def test_renamed_atoms_are_variants(self):

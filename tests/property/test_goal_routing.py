@@ -18,6 +18,14 @@ a comparison — and compares three producers on the live facts:
 
 Every answer is also checked to hold no row twice (:func:`answer_set`).
 
+A second generator draws programs around the factoring of right-linear
+recursion (:func:`repro.engine.magic._factor`): programs it must factor and
+near misses it must not — a free variable reused in the body, the call not
+last, left-linear recursion, two call sites, a caller bound by an earlier
+atom, mutual recursion, a permutation rule — and a head constant in a bound
+position and two free columns, which it may.  Each pins the predicates the
+rewrite factored, and routed, forced and reference answers agree.
+
 Riding along: a degrade-mode trip on the goal-directed route returns a
 subset and leaves the kept program usable; the two-miss rule (first miss
 goal-directed, second miss on the same fingerprint materialises, third
@@ -30,13 +38,15 @@ with the rows through deletes, copy-on-write and rollback.
 
 import os
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.database import KnowledgeBase
 from repro.catalog.relation import Relation
 from repro.engine import ResourceGuard, ViewCache, retrieve
-from repro.engine.evaluate import goal_verdict
+from repro.engine.evaluate import goal_verdict, query_conjunction
+from repro.engine.magic import magic_rewrite
 from repro.lang.parser import parse_atom, parse_body, parse_rule
 
 from tests.oracle import forced_retrieve, reference_answers
@@ -197,6 +207,112 @@ def test_second_miss_materialises_and_the_third_read_is_a_hit(kb, a, b):
     kb.add_fact("edge", a, "fresh")
     assert answer_set(retrieve(kb, first, cache=cache)) == reference_answers(kb, first)
     assert counters() == (2, 1, 1)
+
+
+EXIT = "path(X, Y) <- edge(X, Y)."
+RIGHT = "path(X, Y) <- edge(X, Z) and path(Z, Y)."
+
+#: ``(rules, subject, qualifier, factored)`` over two drawn nodes ``{a}``
+#: and ``{b}``: the adorned predicates the rewrite must factor, or none.
+FACTORING_CASES = [
+    ([EXIT, RIGHT], "path({a}, Y)", "", {"path__bf"}),
+    (  # two steps and an exit rule that repeats its bound variable
+        [EXIT, RIGHT, "path(X, Y) <- edge(Z, X) and path(Z, Y).", "path(X, X) <- mark(X)."],
+        "path({a}, Y)", "", {"path__bf"},
+    ),
+    (  # a head constant in a bound position, in an exit and a step rule
+        [EXIT, RIGHT, "path(n0, Y) <- mark(Y).", "path(n1, Y) <- edge(n2, Z) and path(Z, Y)."],
+        "path({a}, Y)", "", {"path__bf"},
+    ),
+    (  # arity 3, two free columns
+        ["tri(X, Y, W) <- edge3(X, Y, W).", "tri(X, Y, W) <- edge(X, Z) and tri(Z, Y, W)."],
+        "tri({a}, Y, W)", "", {"tri__bff"},
+    ),
+    (  # a rule constant is the one seed; the layer above is factored too
+        [EXIT, RIGHT, "far(X, Y) <- mark(X) and path(n0, Y)."],
+        "far({a}, Y)", "", {"far__bf", "path__bf"},
+    ),
+    (  # mark(Y) binds Y first: the step calls path__bb, and path__bf's two
+        # rules are both exit rules for it
+        [EXIT, "path(X, Y) <- edge(X, Z) and mark(Y) and path(Z, Y)."],
+        "path({a}, Y)", "", {"path__bf"},
+    ),
+    (  # one call site per adornment: the second call is bound on both
+        [EXIT, RIGHT], "both(Y)", "path({a}, Y) and path({b}, Y)", {"path__bf"},
+    ),
+    # Near misses.
+    (  # a free variable reused in the body, by a comparison (which binds
+        # nothing, so the call stays path__bf)
+        [EXIT, "path(X, Y) <- edge(X, Z) and (Y != X) and path(Z, Y)."],
+        "path({a}, Y)", "", set(),
+    ),
+    (  # the call not last
+        [EXIT, "path(X, Y) <- edge(X, Z) and path(Z, Y) and mark(Z)."],
+        "path({a}, Y)", "", set(),
+    ),
+    (  # left-linear
+        [EXIT, "path(X, Y) <- path(X, Z) and edge(Z, Y)."], "path({a}, Y)", "", set(),
+    ),
+    (  # two call sites of one adornment, two seeds
+        [EXIT, RIGHT], "apart(Y, W)", "path({a}, Y) and path({b}, W)", set(),
+    ),
+    (  # two rule constants, two seeds (the layer above still factors)
+        [EXIT, RIGHT, "far(X, Y) <- mark(X) and path(n0, Y).", "far(X, Y) <- edge(X, n1) and path(n1, Y)."],
+        "far({a}, Y)", "", {"far__bf"},
+    ),
+    (  # the caller bound from an earlier atom: layered reaches
+        [EXIT, RIGHT, "reaches(X, Y) <- edge(X, Z) and path(Z, Y)."],
+        "reaches({a}, Y)", "", {"reaches__bf"},
+    ),
+    (  # the same, with the caller's binding kept in the answer
+        [EXIT, RIGHT, "via(X, Z, Y) <- edge(X, Z) and path(Z, Y)."],
+        "via({a}, Z, Y)", "", {"via__bff"},
+    ),
+    (  # mutual recursion
+        [EXIT, "path(X, Y) <- edge(X, Z) and step(Z, Y).", "step(X, Y) <- edge(X, Z) and path(Z, Y)."],
+        "path({a}, Y)", "", set(),
+    ),
+    (  # the permutation rule: each adornment calls the other
+        [EXIT, RIGHT, "path(X, Y) <- path(Y, X)."], "path({a}, Y)", "", set(),
+    ),
+]
+
+
+@st.composite
+def factoring_states(draw, rules):
+    """A knowledge base of *rules* over drawn ``edge``, ``edge3`` and
+    ``mark`` facts, and two drawn nodes."""
+    kb = KnowledgeBase()
+    kb.declare_edb("edge", 2)
+    kb.declare_edb("edge3", 3)
+    kb.declare_edb("mark", 1)
+    kb.add_facts("edge", draw(st.lists(EDGES, min_size=2, max_size=14, unique=True)))
+    triples = st.tuples(*[st.sampled_from(NODES)] * 3)
+    kb.add_facts("edge3", draw(st.lists(triples, max_size=6, unique=True)))
+    kb.add_facts("mark", [(n,) for n in draw(st.sets(st.sampled_from(NODES), max_size=4))])
+    for text in rules:
+        kb.add_rule(parse_rule(text))
+    return kb, {"a": draw(st.sampled_from(NODES)), "b": draw(st.sampled_from(NODES))}
+
+
+@pytest.mark.parametrize("rules, subject, qualifier, factored", FACTORING_CASES)
+@settings(max_examples=max(5, EXAMPLES // 3), deadline=None)
+@given(data=st.data())
+def test_factoring_keeps_every_answer_and_factors_what_it_may(
+    rules, subject, qualifier, factored, data
+):
+    kb, nodes = data.draw(factoring_states(rules))
+    subject = parse_atom(subject.format(**nodes))
+    qualifier = parse_body(qualifier.format(**nodes)) if qualifier else ()
+    conjuncts = query_conjunction(kb, subject, qualifier)[1]
+    assert goal_verdict(kb, conjuncts) == "bound"
+    assert set(magic_rewrite(kb, conjuncts).factored) == factored
+    expected = reference_answers(kb, subject, qualifier)
+    cache = ViewCache(kb)
+    assert answer_set(retrieve(kb, subject, qualifier, cache=cache)) == expected
+    assert cache.stats.goal_directed == 1
+    assert answer_set(forced_retrieve("magic", kb, subject, qualifier)) == expected
+    assert answer_set(forced_retrieve("seminaive", kb, subject, qualifier)) == expected
 
 
 ROWS = st.tuples(st.sampled_from("abcd"), st.integers(0, 3))

@@ -5,7 +5,7 @@ comparison conjunctions; the properties are the algebraic laws the engines
 and the describe machinery silently rely on.
 """
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.logic.atoms import Atom
@@ -87,8 +87,15 @@ class TestUnificationLaws:
         assert found.apply(atom) == instance
 
     @given(atoms(), atoms())
+    # Pattern and target share variable names: matching must not resolve
+    # the target through the bindings (it raised on the first pair and
+    # returned {X->Z, Y->Z}, which maps p(X, Y) to p(Z, Z), on the second).
+    @example(Atom("p", ["Y", "X", "X"]), Atom("p", ["Z", "Y", "X"]))
+    @example(Atom("p", ["X", "Y"]), Atom("p", ["Y", "Z"]))
     def test_match_implies_unify(self, pattern, target):
-        if match(pattern, target) is not None:
+        found = match(pattern, target)
+        if found is not None:
+            assert found.apply(pattern) == target
             assert unify(pattern, target) is not None
 
 
