@@ -122,8 +122,10 @@ class MaterializedDatabase:
         *deltas* and every other atom the current relations."""
 
         def view(predicate: str):
-            if predicate.startswith(DELTA_PREFIX):
-                return deltas.get(predicate[len(DELTA_PREFIX):])
+            # Only the delta atoms the rewriting made: a stored predicate
+            # may carry the prefix in its own name.
+            if predicate.startswith(DELTA_PREFIX) and predicate[len(DELTA_PREFIX):] in deltas:
+                return deltas[predicate[len(DELTA_PREFIX):]]
             if self._kb.is_edb(predicate):
                 return self._kb.relation(predicate)
             return self._derived.get(predicate)

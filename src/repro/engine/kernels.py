@@ -18,9 +18,22 @@ it:
   the same way — the probe loop builds each head row straight from the
   binding and the build-side row and stages it in the head's fixpoint
   table, so a derived fact is touched once (:meth:`_KJoin.fuse_head`);
-* each filter/operand is a small closure specialized at compile time over
-  the concrete slot indexes and interned constants — the hot loop carries
-  no interpretation of step metadata;
+* each join's probe loop is **generated Python source**, specialized over
+  the join's integer layout alone — binding width, key slots, entry
+  width, head (which binding slot or entry column feeds each head
+  argument) and whether filters are fused (:func:`loop_source`).  A
+  binding is unpacked into locals, and its key, the combined row and a
+  head row are tuple displays of them: the hot loop makes no call to read
+  a key or cut a row and concatenates no tuples.  The lowering generates
+  the loops (so the cost shows in ``engine.kernels.lower``), and
+  :func:`probe_loop` keeps them in one process-wide cache keyed by layout,
+  bounded at :data:`LOOP_CACHE_SIZE` (least recently used out first):
+  every cold read lowers its kernels afresh, and the layouts a rule base
+  lowers to are few.  Only ints of the layout reach the source — a
+  predicate name or a constant never does — and :func:`probe_loop` raises
+  :class:`TypeError` on any other layout element;
+* each comparison filter is a small closure specialized at compile time
+  over the concrete slot indexes and interned constants;
 * a step holds compiled code only: its build side is the relation's own id
   table of the step's :class:`~repro.catalog.relation.Shape`
   (:meth:`Relation.table`, :meth:`IntTable.table`), which the relation
@@ -77,8 +90,7 @@ callers that want a substitution per solution.
 from __future__ import annotations
 
 import operator
-from functools import partial
-from itertools import repeat
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Sequence
 
 from repro.errors import ArityError, LogicError
@@ -160,9 +172,15 @@ class IntTable:
         # pending dict deduplicated across rules: extend without re-probing.
         self.index.update(pending)
         self.rows.extend(pending)
-        delta = IntTable(self.arity)
+        # The delta is built bare: it is scanned and probed, never asked
+        # whether it holds a row, so it takes no membership dict.
+        delta = IntTable.__new__(IntTable)
+        delta.arity = self.arity
         delta.rows = list(pending)
         delta.index = None
+        delta.pending = {}
+        delta._stats = {}
+        delta._tables = {}
         return delta
 
     def flush(self, relation) -> None:
@@ -218,11 +236,12 @@ def _probe(
     const_checks: Sequence[tuple[int, int]],
     dup_checks: Sequence[tuple[int, int]],
     cols: Sequence[int],
-) -> tuple[Shape, Callable[[tuple[int, ...]], object] | None, object]:
-    """One atom's probe, lowered: ``(shape, key_of, const)``.  Constant and
-    join-key columns are each taken in column order; ``key_of`` reads a
-    binding's join key (``None`` without one: every binding probes key
-    ``()``), and ``const`` is the constants' ids as the table keys them."""
+) -> tuple[Shape, tuple[int, ...], object]:
+    """One atom's probe, lowered: ``(shape, slots, const)``.  Constant and
+    join-key columns are each taken in column order; ``slots`` are the
+    binding slots of the join key in that order (empty without one: every
+    binding probes key ``()``), and ``const`` is the constants' ids as the
+    table keys them."""
     consts = sorted(const_checks)
     joins = sorted(zip(key_cols, key_slots))
     shape = Shape(
@@ -231,9 +250,141 @@ def _probe(
         tuple(dup_checks),
         tuple(cols),
     )
-    key_of = key_reader([slot for _, slot in joins]) if joins else None
     sids = tuple(sid for _, sid in consts)
-    return shape, key_of, sids[0] if len(sids) == 1 else sids
+    return shape, tuple(slot for _, slot in joins), sids[0] if len(sids) == 1 else sids
+
+
+#: How many generated probe loops :func:`probe_loop` keeps, process-wide.
+#: A loop depends on its layout alone, and the layouts a rule base lowers
+#: to are few, so every cold read past the first finds its loops here.
+LOOP_CACHE_SIZE = 256
+
+
+def _display(names: Sequence[str]) -> str:
+    """A tuple display of *names*."""
+    return f"({names[0]},)" if len(names) == 1 else f"({', '.join(names)})"
+
+
+def _target(names: Sequence[str]) -> str:
+    """An unpacking target for a tuple of *names* (``_`` for none)."""
+    return f"{names[0]}," if len(names) == 1 else ", ".join(names) or "_"
+
+
+def loop_source(
+    width: int,
+    keys: tuple[int, ...],
+    entry: int,
+    head: tuple[int, ...] | None,
+    filtered: bool,
+) -> str:
+    """The source of the probe loop of one join layout.
+
+    A binding of *width* slots is unpacked into locals ``b0 …``, each
+    build-side entry of *entry* columns into ``e0 …``; the combined row is
+    ``(b0 …, e0 …)``.  A binding probes the key made of its *keys* slots
+    (``probe`` is the id table's ``get``), or, with no key, extends by
+    every entry of ``probe``, the one bucket.  Without a *head* the loop
+    returns the combined rows as a batch, those ``check`` passes if
+    *filtered*; with one — per head argument, its index in the combined
+    row, and never with filters (:meth:`_KJoin.fuse_head`) — it stages each
+    head row not in ``index`` in ``pending`` (a fixpoint table's membership
+    and this round's rows).
+
+    Only the ints of the layout reach the source: keys and rows are tuple
+    displays of local names, and no name, constant or text of a rule does.
+    """
+    binding = [f"b{slot}" for slot in range(width)]
+    extension = [f"e{col}" for col in range(entry)]
+    combined = binding + extension
+    if not keys:
+        matches = "probe"
+    elif len(keys) == 1:
+        matches = f"probe({binding[keys[0]]}) or ()"
+    else:
+        matches = f"probe({_display([binding[slot] for slot in keys])}) or ()"
+    if head is None:
+        if not width:
+            # The unit batch: the entries are the rows.
+            rows = "filter(check, probe)" if filtered else "probe"
+            return (
+                "def loop(batch, probe, check):\n"
+                f"    return list({rows}) if batch else []\n"
+            )
+        row, test = _display(combined), ""
+        if filtered:
+            row, test = "row", f" if check(row := {_display(combined)})"
+        return (
+            "def loop(batch, probe, check):\n"
+            f"    return [{row} for {_target(binding)} in batch"
+            f" for {_target(extension)} in {matches}{test}]\n"
+        )
+    out = [combined[index] for index in head]
+    # A head that is the entry, column for column, is taken as it is.
+    taken = out == extension
+    lines = [
+        "def loop(batch, probe, check, index, pending):",
+        f"    for {_target(binding)} in batch:",
+        f"        for {'row' if taken else _target(extension)} in {matches}:",
+    ]
+    if not taken:
+        lines.append(f"            row = {_display(out)}")
+    lines.append("            if row not in index:")
+    lines.append("                pending[row] = None")
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=LOOP_CACHE_SIZE)
+def _generated(
+    width: int,
+    keys: tuple[int, ...],
+    entry: int,
+    head: tuple[int, ...] | None,
+    filtered: bool,
+) -> Callable:
+    layout = (width, keys, entry, head, filtered)
+    namespace: dict[str, object] = {}
+    # The file name carries the layout, so a profile or a traceback tells
+    # one generated loop from another.
+    code = compile(loop_source(*layout), f"<probe loop {layout}>", "exec")
+    exec(code, namespace)  # the source is built from ints alone (probe_loop)
+    return namespace["loop"]  # type: ignore[return-value]
+
+
+def probe_loop(
+    width: int,
+    keys: tuple[int, ...],
+    entry: int,
+    head: tuple[int, ...] | None,
+    filtered: bool,
+) -> Callable:
+    """The generated probe loop of one join layout (:func:`loop_source`),
+    kept in a process-wide cache of :data:`LOOP_CACHE_SIZE` layouts.
+
+    Every element of the layout is checked first: a slot, width or head
+    index that is not an ``int`` (a ``bool`` is not) raises
+    :class:`TypeError`, one out of range (or a head with filters)
+    :class:`ValueError`, so nothing but ints can reach generated source.
+    """
+    if type(keys) is not tuple or (head is not None and type(head) is not tuple):
+        raise TypeError("probe loop keys and head must be tuples of ints")
+    if type(filtered) is not bool:
+        raise TypeError("probe loop filtered flag must be a bool")
+    for value in (width, entry, *keys, *(head or ())):
+        if type(value) is not int:
+            raise TypeError(f"probe loop layout element {value!r} is not an int")
+    combined = width + entry
+    if (
+        width < 0
+        or entry < 0
+        or not all(0 <= slot < width for slot in keys)
+        or not all(0 <= index < combined for index in head or ())
+        or (head is not None and filtered)
+    ):
+        raise ValueError(
+            f"probe loop layout out of range: width {width}, keys {keys}, "
+            f"entry {entry}, head {head}, filtered {filtered}"
+        )
+    return _generated(width, keys, entry, head, filtered)
 
 
 class _KJoin:
@@ -243,25 +394,29 @@ class _KJoin:
     is the relation's id table of the step's shape: rows passing the
     repeated-variable checks, keyed on the constant and join-key columns,
     each entry the columns that bind new variables.  The relation builds
-    it once and keeps it current, so the join holds no data.  The probe
-    loop applies any fused comparison filters before a combined row is
-    admitted to the output batch.  A keyless scan binding every column as
-    it is reads the relation's id rows themselves.
+    it once and keeps it current, so the join holds no data.  A keyless
+    scan binding every column as it is reads the relation's id rows
+    themselves.
 
-    As the last step of a rule kernel the join can also carry the rule's
-    head (:meth:`fuse_head`): the probe loop then emits head rows into the
-    head's fixpoint table instead of bindings into a batch.
+    The probe loop is generated source (:func:`probe_loop`), specialized
+    over the join's layout: the binding width, the key slots, the entry
+    width, any fused comparison filters (one :attr:`check` on the combined
+    row) and, as the last step of a rule kernel (:meth:`fuse_head`), the
+    rule's head — the loop then stages head rows in the head's fixpoint
+    table instead of returning a batch.  :meth:`lower` generates it, once
+    the lowering has fused all it will.
     """
 
     __slots__ = (
-        "predicate", "arity", "out_cols", "check", "shape", "_key_of", "_const",
-        "_lower", "_keyless", "_head_binding", "_head_build_first",
+        "predicate", "arity", "width", "out_cols", "check", "head", "shape",
+        "layout", "_cols", "_build", "_slots", "_const", "_loop",
     )
 
     def __init__(
         self,
         predicate: str,
         arity: int,
+        width: int,
         key_slots: list[int],
         key_cols: list[int],
         const_checks: list[tuple[int, int]],
@@ -270,26 +425,18 @@ class _KJoin:
     ) -> None:
         self.predicate = predicate
         self.arity = arity
+        #: The width of the bindings this join is probed by.
+        self.width = width
         self.out_cols = out_cols
         #: The fused comparison filters, as one check (``None``: none).
         self.check: RowFilter | None = None
-        self._head_binding: Callable | None = None
-        self._head_build_first = False
-        # The build side's shape, but for the columns its entries keep.
-        self._lower = partial(_probe, key_slots, key_cols, const_checks, dup_checks)
-        self._keyless = not (key_cols or const_checks or dup_checks)
-        self._extensions(out_cols)
-
-    def _extensions(self, cols: Sequence[int]) -> None:
-        """Take the build side's extensions as the row's *cols*: entries
-        of the step's shape, or — a keyless scan binding every column as
-        it is — the relation's id rows themselves (``shape`` ``None``)."""
-        self.shape: Shape | None
-        self._key_of: Callable | None
-        if self._keyless and list(cols) == list(range(self.arity)):
-            self.shape = self._key_of = self._const = None
-        else:
-            self.shape, self._key_of, self._const = self._lower(cols)
+        #: The fused head, per argument its index in the combined row
+        #: (``None``: the join returns a batch; see :meth:`fuse_head`).
+        self.head: tuple[int, ...] | None = None
+        # The columns an entry keeps (the head's, once fused) and the rest
+        # of the build side's shape: :meth:`lower` makes the shape.
+        self._cols = out_cols
+        self._build = (key_slots, key_cols, const_checks, dup_checks)
 
     def fuse(self, check: RowFilter) -> None:
         """Fold one more comparison filter into the probe loop's check;
@@ -299,31 +446,53 @@ class _KJoin:
             lambda row: first(row) and check(row)
         )
 
-    def fuse_head(self, head_slots: Sequence[int], bound: int) -> bool:
-        """Specialize this join — a rule kernel's last step, probed by
-        bindings of *bound* slots — to emit the rule's head.
+    def fuse_head(self, head_slots: Sequence[int]) -> bool:
+        """Specialize this join — a rule kernel's last step — to emit the
+        rule's head.
 
         ``head_slots`` names, per head argument, the slot its variable is
-        bound in: a slot below *bound* is read from the binding, any other
-        from the build-side row.  When the build-side columns sit together
-        at one end of the head, a head row is the concatenation of two
-        pre-cut pieces — the build side's entries *are* its piece (the
-        step's shape takes those columns, in head order), and the
-        binding's piece is cut once per binding — so
-        the probe loop builds no combined tuple.  Returns whether the head
-        has that shape (and the join now runs fused); comparison filters
-        read the combined row, so a join carrying any stays as it is.
+        bound in: a slot below :attr:`width` is read from the binding, any
+        other from the build side, whose entries then take those columns
+        in head order.  A join carrying comparison filters stays as it is,
+        and so does one whose head interleaves binding and build-side
+        arguments more than once.  Returns whether the join now runs fused.
         """
-        from_build = [slot >= bound for slot in head_slots]
+        width = self.width
+        from_build = [slot >= width for slot in head_slots]
         switches = sum(a != b for a, b in zip(from_build, from_build[1:]))
         if self.check is not None or switches > 1:
             return False
-        self._head_build_first = bool(from_build) and from_build[0]
-        self._head_binding = projector([slot for slot in head_slots if slot < bound])
-        self._extensions(
-            [self.out_cols[slot - bound] for slot in head_slots if slot >= bound]
-        )
+        head: list[int] = []
+        cols: list[int] = []
+        for slot in head_slots:
+            if slot < width:
+                head.append(slot)
+            else:
+                head.append(width + len(cols))
+                cols.append(self.out_cols[slot - width])
+        self.head, self._cols = tuple(head), cols
         return True
+
+    def lower(self) -> None:
+        """Make the build side's shape and generate the probe loop of the
+        join as fused so far.  Entries are the shape's columns or — a
+        keyless scan binding every column as it is — the relation's id
+        rows themselves (``shape`` ``None``)."""
+        key_slots, key_cols, const_checks, dup_checks = self._build
+        cols = self._cols
+        self.shape: Shape | None
+        if not (key_cols or const_checks or dup_checks) and cols == list(
+            range(self.arity)
+        ):
+            self.shape = self._const = None
+            self._slots: tuple[int, ...] = ()
+        else:
+            self.shape, self._slots, self._const = _probe(
+                key_slots, key_cols, const_checks, dup_checks, cols
+            )
+        filtered = self.check is not None
+        self.layout = (self.width, self._slots, len(cols), self.head, filtered)
+        self._loop = probe_loop(*self.layout)
 
     def run(self, batch: IntBatch, relations, table: "IntTable | None" = None):
         """Extend every binding of *batch* by its matching build-side rows.
@@ -341,62 +510,22 @@ class _KJoin:
                 f"atom {self.predicate}/{self.arity} does not match relation "
                 f"arity {relation.arity}"
             )
-        key_of = self._key_of
         if self.shape is None:
-            built: object = relation.int_rows()
+            probe: object = relation.int_rows()
         else:
             built = relation.table(self.shape, self._const)
-            if key_of is None:
-                built = built.get(())  # type: ignore[attr-defined]
-                if not built:
-                    return [] if table is None else 0
-        check = self.check
-        if key_of is None:
-            if table is None and batch == [()]:
-                # The first step of a kernel: the unit batch extends to
-                # the build side itself.
-                if check is None:
-                    return list(built)  # type: ignore[call-overload]
-                return list(filter(check, built))  # type: ignore[call-overload]
-            matched: Iterable = repeat(built)
-        else:
-            matched = map(built.get, map(key_of, batch))  # type: ignore[attr-defined]
-        if table is not None:
-            index = table.index
-            pending = table.pending
-            before = len(pending)
-            cut = self._head_binding
-            if self._head_build_first:
-                for binding, matches in zip(batch, matched):
-                    if matches:
-                        piece = cut(binding)
-                        for extension in matches:
-                            row = extension + piece
-                            if row not in index:
-                                pending[row] = None
+            if self._slots:
+                probe = built.get
             else:
-                for binding, matches in zip(batch, matched):
-                    if matches:
-                        piece = cut(binding)
-                        for extension in matches:
-                            row = piece + extension
-                            if row not in index:
-                                pending[row] = None
-            return len(pending) - before
-        if check is None:
-            return [
-                binding + extension
-                for binding, matches in zip(batch, matched)
-                if matches
-                for extension in matches
-            ]
-        return [
-            row
-            for binding, matches in zip(batch, matched)
-            if matches
-            for extension in matches
-            if check(row := binding + extension)
-        ]
+                probe = built.get(())
+                if not probe:
+                    return [] if table is None else 0
+        if table is None:
+            return self._loop(batch, probe, self.check)
+        pending = table.pending
+        before = len(pending)
+        self._loop(batch, probe, self.check, table.index, pending)
+        return len(pending) - before
 
 
 class _KBind:
@@ -444,9 +573,10 @@ class _KAntiJoin:
     ) -> None:
         self.predicate = predicate
         self.arity = arity
-        self.shape, self._key_of, self._const = _probe(
+        self.shape, slots, self._const = _probe(
             key_slots, key_cols, const_checks, (), ()
         )
+        self._key_of = key_reader(slots) if slots else None
 
     def run(self, batch: IntBatch, relations) -> IntBatch:
         relation = relations(self.predicate)
@@ -583,19 +713,18 @@ class RuleKernel:
             (True, SYMBOLS.intern(value)) if is_const else (False, value)  # type: ignore[arg-type]
             for is_const, value in plan.head_template
         ]
-        self.kernel = kernel = kernelize_conjunction(plan.plan)
+        variables = all(not is_const for is_const, _ in head_template)
+        slots = [value for _, value in head_template] if variables else None
+        self.kernel = kernel = kernelize_conjunction(plan.plan, slots)
+        last = kernel.steps[-1] if kernel.steps else None
         self._body = kernel.steps
         self._tail: _KJoin | None = None
-        if all(not is_const for is_const, _ in head_template):
+        if isinstance(last, _KJoin) and last.head is not None:
+            self._body, self._tail = kernel.steps[:-1], last
+        if slots is not None:
             # The all-variables head projects at C speed, or not at all
             # when the last join takes it over.
-            slots = [value for _, value in head_template]
             self._project = projector(slots)
-            last = kernel.steps[-1] if kernel.steps else None
-            if isinstance(last, _KJoin) and last.fuse_head(
-                slots, len(kernel.schema) - len(last.out_cols)
-            ):
-                self._body, self._tail = kernel.steps[:-1], last
         else:
             # Heads with constant arguments take the generic template loop.
             self._project = lambda binding: tuple(
@@ -626,15 +755,22 @@ class RuleKernel:
         return tail.run(batch, relations, table)
 
 
-def kernelize_conjunction(plan: ConjunctionPlan) -> ConjunctionKernel:
+def kernelize_conjunction(
+    plan: ConjunctionPlan, head: Sequence[int] | None = None
+) -> ConjunctionKernel:
     """Lower a compiled plan into the integer domain, fusing filters.
 
     A comparison step whose predecessor (after lowering) is a join is
     folded into that join's probe loop; chains of comparisons after one
-    join all fuse, since filters do not change the slot schema.
+    join all fuse, since filters do not change the slot schema.  With
+    *head* — a rule head of variables only, as the slot of each argument —
+    a last step that is a join may take the head over
+    (:meth:`_KJoin.fuse_head`).  Each join's loop is generated last, over
+    all it fused.
     """
     steps: list = []
     fused: list[bool] = []
+    width = 0
     for step in plan.steps:
         fused.append(False)
         if isinstance(step, _HashJoin):
@@ -642,6 +778,7 @@ def kernelize_conjunction(plan: ConjunctionPlan) -> ConjunctionKernel:
                 _KJoin(
                     step.predicate,
                     step.arity,
+                    width,
                     step.key_slots,
                     step.key_cols,
                     [(col, SYMBOLS.intern(value)) for col, value in step.const_checks],
@@ -649,6 +786,7 @@ def kernelize_conjunction(plan: ConjunctionPlan) -> ConjunctionKernel:
                     step.out_cols,
                 )
             )
+            width += len(step.out_cols)
         elif isinstance(step, _Bind):
             source_id = (
                 None
@@ -656,6 +794,7 @@ def kernelize_conjunction(plan: ConjunctionPlan) -> ConjunctionKernel:
                 else SYMBOLS.intern(step.source_const)
             )
             steps.append(_KBind(step.source_slot, source_id))
+            width += 1
         elif isinstance(step, _Compare):
             check = _compare_filter(step)
             if steps and isinstance(steps[-1], _KJoin):
@@ -675,6 +814,11 @@ def kernelize_conjunction(plan: ConjunctionPlan) -> ConjunctionKernel:
             )
         else:  # pragma: no cover - the four step kinds are exhaustive
             raise TypeError(f"cannot kernelize plan step {type(step).__name__}")
+    if head is not None and steps and isinstance(steps[-1], _KJoin):
+        steps[-1].fuse_head(head)
+    for step in steps:
+        if isinstance(step, _KJoin):
+            step.lower()
     return ConjunctionKernel(plan.schema, steps, tuple(fused))
 
 

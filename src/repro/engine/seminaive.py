@@ -20,7 +20,9 @@ interned symbol ids (:mod:`repro.engine.kernels`) and kept
 (:class:`CompiledStratum`) for the lifetime of the engine, or of the
 mapping its caller handed in; the stratum's facts live in kernel tables for
 the whole fixpoint and are externalized back into relations when the
-stratum completes.
+stratum completes.  Each evaluation binds the relations its rules read
+once, in one dict whose ``get`` the kernels call, and only the delta
+entries change from one iteration to the next.
 """
 
 from __future__ import annotations
@@ -62,6 +64,22 @@ class CompiledStratum:
         recursive = {rule_index for rule_index, _, _ in self.rewritten}
         self.exits = [i for i in range(len(rules)) if i not in recursive]
         self.kernels: dict[tuple[int, int], RuleKernel] = {}
+        fired = [rules[i] for i in self.exits] + [r for _, _, r in self.rewritten]
+        #: Every predicate a fired rule reads, positive or negated: the
+        #: driver resolves each once per evaluation.
+        self.reads = {
+            atom.predicate
+            for rule in fired
+            for atom in (*rule.body, *rule.negated)
+            if not atom.is_comparison()
+        }
+        #: ``(delta name, stratum predicate)`` per delta a rewriting reads
+        #: (:data:`DELTA_PREFIX`): the entries set anew every iteration.
+        self.deltas = [
+            (_DELTA_PREFIX + predicate, predicate)
+            for predicate in sorted(stratum)
+            if _DELTA_PREFIX + predicate in self.reads
+        ]
 
     @cached_property
     def labels(self) -> list[str]:
@@ -213,20 +231,14 @@ class SemiNaiveEngine:
         recording = tracer is not None and tracer.enabled
         labels = program.labels if recording else [None] * len(rules)
         tables = {p: IntTable(self._relation(p).arity) for p in stratum}
-        deltas: dict[str, IntTable] = {}
-
-        def view(predicate: str):
-            """Kernel-side relation view: kernel tables for in-flight
-            predicates, the ordinary relations (interned on demand) for
-            everything else."""
-            if predicate.startswith(_DELTA_PREFIX):
-                return deltas.get(predicate[len(_DELTA_PREFIX):])
-            table = tables.get(predicate)
-            if table is not None:
-                return table
-            return self._relation_view(predicate)
-
-        estimate = relation_cost_estimator(view)
+        # Every relation the rules read, resolved once per evaluation: the
+        # stored or already-derived relations, the kernel tables of the
+        # stratum's own predicates and, set per iteration, each delta the
+        # rewritings read (``None`` until there is one).
+        sources: dict[str, object] = {p: self._relation_view(p) for p in program.reads}
+        sources.update(tables)
+        relations = sources.get
+        estimate = relation_cost_estimator(relations)
 
         def fire(rule: Rule, plan_key: tuple[int, int]) -> int:
             """Fire one rule into its head's table; how many rows were new."""
@@ -235,7 +247,7 @@ class SemiNaiveEngine:
                 kernel = kernels[plan_key] = compile_rule_kernel(
                     rule, estimate=estimate
                 )
-            new = kernel.execute(view, tables[rule.head.predicate], guard, tracer)
+            new = kernel.execute(relations, tables[rule.head.predicate], guard, tracer)
             if tracer is not None and new:
                 tracer.count("facts_derived", new)
             return new
@@ -270,6 +282,8 @@ class SemiNaiveEngine:
                 iteration += 1
                 if guard is not None:
                     guard.iteration()
+                for name, predicate in program.deltas:
+                    sources[name] = deltas.get(predicate)
                 with traced_span(tracer, "iteration", index=iteration):
                     if tracer is not None:
                         tracer.count("delta_rows", delta_rows)
