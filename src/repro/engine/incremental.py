@@ -124,8 +124,9 @@ class MaterializedDatabase:
         def view(predicate: str):
             # Only the delta atoms the rewriting made: a stored predicate
             # may carry the prefix in its own name.
-            if predicate.startswith(DELTA_PREFIX) and predicate[len(DELTA_PREFIX):] in deltas:
-                return deltas[predicate[len(DELTA_PREFIX):]]
+            changed = predicate[len(DELTA_PREFIX):]
+            if predicate.startswith(DELTA_PREFIX) and changed in deltas:
+                return deltas[changed]
             if self._kb.is_edb(predicate):
                 return self._kb.relation(predicate)
             return self._derived.get(predicate)

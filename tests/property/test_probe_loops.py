@@ -217,6 +217,21 @@ def conjunction(text: str) -> list[Atom]:
     return list(parse_body(text))
 
 
+def test_bindings_whose_keys_find_no_bucket_extend_to_nothing():
+    # r2's keys 0 and 2 are absent from r3 and r1 is empty: every probe
+    # of a batch misses, one way or another, and the catalogue agrees.
+    kb = KnowledgeBase()
+    for predicate, arity in RELATIONS.items():
+        kb.declare_edb(predicate, arity)
+    kb.add_facts("r2", [(0, 1), (1, 2), (2, 3)])
+    kb.add_facts("r3", [(1, 1, 2), (3, 3, 3)])
+    for visible in (0, 1):
+        for conjuncts in map(conjunction, CONJUNCTIONS):
+            assert_conjunction_matches(kb, conjuncts, written_order(conjuncts))
+        for rule in map(parse_rule, RULES):
+            assert_rule_matches(kb, rule, visible, written_order(rule.body))
+
+
 def test_the_catalogue_reaches_every_layout():
     kernels = [
         compile_conjunction_kernel(conjuncts, estimate=written_order(conjuncts))
