@@ -30,7 +30,6 @@ Quick start::
 
 from repro.errors import (
     EvaluationLimitError,
-    LintError,
     QueryCancelled,
     ReproError,
     ResourceExhausted,
@@ -63,7 +62,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ReproError",
-    "LintError",
     "AnalysisReport",
     "Diagnostic",
     "Severity",

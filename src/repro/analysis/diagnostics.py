@@ -9,7 +9,8 @@ contract ``dbk lint --json`` exposes to CI gates.
 Severity semantics:
 
 * ``error`` — the program is outside the fragment the engines (or the
-  paper's algorithms) are sound on; a ``lint="strict"`` load rejects it;
+  paper's algorithms) are sound on; a caller that gates a load on the
+  analyzer (``dbk lint``, ``analyze_source(text).errors``) refuses it;
 * ``warning`` — the program loads and evaluates, but a definition can
   never contribute (unsatisfiable body, unreachable predicate, subsumed
   rule) or is very likely a mistake (arity drift in a body atom);

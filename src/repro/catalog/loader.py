@@ -12,120 +12,79 @@ surface language (``%`` comments allowed)::
 
 Ground bodiless clauses are stored as EDB facts (their predicate is
 declared on first use); everything else becomes IDB rules/constraints.
+:func:`define` is that dispatch, for one statement; :func:`load_statements`
+runs it over a program in one transaction.  Every way in — these
+functions, ``Session.load``, a definition typed at ``Session.query`` and a
+served ``POST /commit`` — goes through them.
 
-Loading can run the static analyzer (:mod:`repro.analysis`) first, under a
-``lint=`` policy:
-
-* ``"off"`` (default here) — no analysis;
-* ``"warn"`` — analyze and collect the findings (pass a list as
-  ``diagnostics=`` to receive them) but load regardless;
-* ``"strict"`` — reject the program with :class:`LintError` when the
-  analyzer reports any *error*; nothing is loaded.
+Loading never runs the static analyzer.  A caller that wants a program
+checked first runs :func:`repro.analysis.analyzer.analyze_source` (or
+``dbk lint``) on it and decides from the report.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import Iterable
 
-from repro.errors import CatalogError, LintError
+from repro.errors import CatalogError, ReproError
 from repro.catalog.database import KnowledgeBase
-from repro.lang.ast import ConstraintStatement, Program, RuleStatement
+from repro.lang.ast import ConstraintStatement, RuleStatement, Statement
 from repro.lang.parser import parse_program
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.diagnostics import AnalysisReport, Diagnostic
 
-#: The accepted lint policies.
-LINT_POLICIES = ("off", "warn", "strict")
-
-
-def lint_policy_check(program: Program, lint: str) -> "AnalysisReport | None":
-    """Analyze *program* under a lint policy; raise on ``strict`` errors.
-
-    Returns the report (``None`` when the policy is ``"off"``) so callers
-    can surface warnings however they like.
-    """
-    if lint not in LINT_POLICIES:
-        raise CatalogError(
-            f"unknown lint policy {lint!r}: expected one of {LINT_POLICIES}"
-        )
-    if lint == "off":
-        return None
-    from repro.analysis.analyzer import analyze  # local: lazy, heavy
-
-    report = analyze(program)
-    if lint == "strict" and report.errors:
-        details = "; ".join(
-            f"{d.code} {d.message}"
-            + (f" (line {d.span.line})" if d.span is not None else "")
-            for d in report.errors
-        )
-        raise LintError(
-            f"program rejected by strict lint: {details}", report=report
-        )
-    return report
+def define(kb: KnowledgeBase, statement: RuleStatement | ConstraintStatement) -> str:
+    """Add one definition to *kb*; returns what it was (``stored`` a fact,
+    ``defined`` a rule, ``constrained``)."""
+    if isinstance(statement, ConstraintStatement):
+        kb.add_constraint(statement.constraint)
+        return "constrained"
+    rule = statement.rule
+    if rule.is_fact():
+        predicate = rule.head.predicate
+        if not kb.has_predicate(predicate):
+            kb.declare_edb(predicate, rule.head.arity)
+        kb.add_fact(predicate, *rule.head.args)
+        return "stored"
+    kb.add_rule(rule)
+    return "defined"
 
 
-def load_program(
+def load_statements(
     kb: KnowledgeBase,
-    source: str,
-    *,
-    lint: str = "off",
-    diagnostics: "list[Diagnostic] | None" = None,
+    statements: Iterable[Statement],
+    error: type[ReproError] = CatalogError,
 ) -> int:
-    """Load definitions from *source* into *kb*, atomically; returns the count.
-
-    The whole program lands or none of it does: a parse error, an invalid
-    rule (arity clash, recursion-discipline violation), a strict-lint
-    rejection or any other failure part-way through restores *kb* to its
-    pre-load state.  Under ``lint="warn"`` the findings are appended to the
-    *diagnostics* list when one is given.
-    """
-    program = parse_program(source)
-    report = lint_policy_check(program, lint)
-    if report is not None and diagnostics is not None:
-        diagnostics.extend(report)
+    """:func:`define` each of *statements* in *kb*, atomically; returns the
+    count.  A query among them raises *error*; it, or any other failure
+    part-way through, leaves *kb* in its pre-load state."""
     count = 0
     with kb.transaction():
-        for statement in program.statements:
-            if isinstance(statement, RuleStatement):
-                rule = statement.rule
-                if rule.is_fact():
-                    predicate = rule.head.predicate
-                    if not kb.has_predicate(predicate):
-                        kb.declare_edb(predicate, rule.head.arity)
-                    kb.add_fact(predicate, *rule.head.args)
-                else:
-                    kb.add_rule(rule)
-                count += 1
-            elif isinstance(statement, ConstraintStatement):
-                kb.add_constraint(statement.constraint)
-                count += 1
-            else:
-                raise CatalogError(
-                    f"definition files may not contain queries: {statement}"
-                )
+        for statement in statements:
+            if not isinstance(statement, (RuleStatement, ConstraintStatement)):
+                raise error(f"a load takes definitions only, not queries: {statement}")
+            define(kb, statement)
+            count += 1
     return count
 
 
-def load_file(
-    kb: KnowledgeBase,
-    path: str,
-    *,
-    lint: str = "off",
-    diagnostics: "list[Diagnostic] | None" = None,
-) -> int:
+def load_program(kb: KnowledgeBase, source: str) -> int:
+    """Load definitions from *source* into *kb*, atomically; returns the count.
+
+    The whole program lands or none of it does: a parse error, an invalid
+    rule (arity clash, recursion-discipline violation), a query, or any
+    other failure part-way through restores *kb* to its pre-load state.
+    """
+    return load_statements(kb, parse_program(source).statements)
+
+
+def load_file(kb: KnowledgeBase, path: str) -> int:
     """Load definitions from a file into *kb*; returns the count."""
     with open(path) as handle:
-        return load_program(
-            kb, handle.read(), lint=lint, diagnostics=diagnostics
-        )
+        return load_program(kb, handle.read())
 
 
-def kb_from_program(
-    source: str, name: str = "loaded", *, lint: str = "off"
-) -> KnowledgeBase:
+def kb_from_program(source: str, name: str = "loaded") -> KnowledgeBase:
     """Build a fresh knowledge base from definition text."""
     kb = KnowledgeBase(name)
-    load_program(kb, source, lint=lint)
+    load_program(kb, source)
     return kb

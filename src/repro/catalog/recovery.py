@@ -147,22 +147,21 @@ class Recoverer:
         self._enter("failed", reason=message)
         raise RecoveryError(message, path=path, offset=offset, state=self.state)
 
-    def recover(self, repair: bool = True, verify: bool = True) -> RecoveryReport:
+    def recover(self, repair: bool = True) -> RecoveryReport:
         """Reconstruct the knowledge base; returns a :class:`RecoveryReport`.
 
         ``repair=False`` leaves a torn log tail on disk (the report still
-        notes it); ``verify=False`` skips the final stamp check — both are
-        for diagnostics only, never for serving traffic.
+        notes it) — for diagnostics only, never for serving traffic.
         """
         log = DurableLog(self.directory)
         try:
-            return self._recover(log, repair, verify)
+            return self._recover(log, repair)
         finally:
             log.close()
 
     # -- stages -----------------------------------------------------------------------
 
-    def _recover(self, log: DurableLog, repair: bool, verify: bool) -> RecoveryReport:
+    def _recover(self, log: DurableLog, repair: bool) -> RecoveryReport:
         if not log.exists():
             self._fail(
                 "no durable knowledge base found (neither snapshot nor log)",
@@ -211,10 +210,9 @@ class Recoverer:
         finally:
             kb.enforce_recursion_discipline = discipline
 
-        if verify:
-            self._verify(kb, last_stamps, log)
+        self._verify(kb, last_stamps, log)
         report.states = list(self.transitions)
-        report.verified = bool(verify)
+        report.verified = True
         return report
 
     def _check_sequence(self, records: list, wal_lsn: int, log: DurableLog) -> None:

@@ -63,8 +63,11 @@ class KBTransaction:
         kb._rules_version += 1
         kb._constraints_version += 1
         kb._relations = {name: pinned[0] for name, pinned in self._pins.items()}
-        for relation, pin, shared in self._pins.values():
+        durability = kb._durability
+        for name, (relation, pin, shared) in self._pins.items():
             relation.unpin(pin, shared, revert=True)
+            if durability is not None:
+                durability.reverted(name, pin.version, relation.version)
 
     def commit(self) -> None:
         """Make the span durable, then let go of the pins; the mutations stand.

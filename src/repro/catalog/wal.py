@@ -395,6 +395,14 @@ class Durability:
         self._rule_count = kb.rule_count()
         self._constraint_count = len(kb.constraints())
 
+    def reverted(self, name: str, pinned: int, version: int) -> None:
+        """A rollback took relation *name* from version *pinned* back to its
+        rows there, now at *version*.  When *pinned* was the durable
+        version, so is *version*: the rollback reset the journal, and
+        without this :meth:`collect` would re-log the whole relation."""
+        if self._versions.get(name) == pinned:
+            self._versions[name] = version
+
     def collect(self) -> tuple[list, int]:
         """The events between the durable mirror and the live state.
 

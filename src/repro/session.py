@@ -27,6 +27,7 @@ from typing import Union
 
 from repro.errors import CoreError
 from repro.catalog.database import KnowledgeBase
+from repro.catalog.loader import define, load_statements
 from repro.core.answers import DescribeResult
 from repro.core.compare import ConceptComparison, compare_concepts
 from repro.core.describe import describe
@@ -45,7 +46,7 @@ from repro.lang.ast import (
     RuleStatement,
     Statement,
 )
-from repro.lang.parser import parse_statement
+from repro.lang.parser import parse_program, parse_statement
 from repro.obs.trace import Tracer
 
 #: Everything a query can evaluate to.
@@ -69,13 +70,9 @@ class Session:
     shared across the session.  A ``guard=`` passed to :meth:`query` /
     :meth:`execute` overrides the session guard for that one statement.
 
-    ``lint`` is the session's default static-analysis policy for
-    :meth:`load`: ``"warn"`` (the default) runs the analyzer
-    (:mod:`repro.analysis`) over every loaded program and stores the report
-    in :attr:`last_lint`; ``"strict"`` additionally rejects programs with
-    error findings (:class:`~repro.errors.LintError`, nothing loaded);
-    ``"off"`` skips analysis.  A ``lint=`` passed to :meth:`load` overrides
-    the session policy for that one program.
+    :meth:`load` and definitions given to :meth:`query` go through the one
+    loader (:mod:`repro.catalog.loader`) and never run the static analyzer;
+    :meth:`lint_report` runs it over the knowledge base when asked.
 
     :attr:`cache` is the session's evaluation context, one
     :class:`~repro.engine.viewcache.ViewCache` over the knowledge base that
@@ -109,7 +106,6 @@ class Session:
         kb: KnowledgeBase | None = None,
         style: str = "standard",
         guard: ResourceGuard | None = None,
-        lint: str = "warn",
         trace: "Tracer | bool | None" = False,
         durable: str | None = None,
     ) -> None:
@@ -128,17 +124,6 @@ class Session:
         self.cache = ViewCache(self.kb)
         #: Session-wide resource governance specification (see class doc).
         self.guard = guard
-        from repro.catalog.loader import LINT_POLICIES
-
-        if lint not in LINT_POLICIES:
-            raise CoreError(
-                f"unknown lint policy {lint!r}: expected one of {LINT_POLICIES}"
-            )
-        #: Default static-analysis policy for :meth:`load` (see class doc).
-        self.lint = lint
-        #: The :class:`~repro.analysis.AnalysisReport` of the most recent
-        #: linted :meth:`load` (``None`` before any, or under ``lint="off"``).
-        self.last_lint = None
         #: Span collector for query tracing, or ``None`` when tracing is off
         #: (see class doc).  Assignable at any time: the REPL's ``.trace``
         #: command simply swaps it.
@@ -218,7 +203,7 @@ class Session:
         tracer: "Tracer | None",
     ) -> QueryResult:
         if isinstance(statement, (RuleStatement, ConstraintStatement)):
-            return f"{self._define(statement)}: {statement}"
+            return f"{define(self.kb, statement)}: {statement}"
         if active is not None:
             # A query observes a cancellation made before it began, even one
             # that finishes before its evaluation's first stride checkpoint.
@@ -237,24 +222,6 @@ class Session:
         if isinstance(statement, CompareStatement):
             return self._compare(statement, active, tracer)
         raise CoreError(f"cannot execute statement: {statement!r}")
-
-    def _define(self, statement: RuleStatement | ConstraintStatement) -> str:
-        """Add one definition to the knowledge base; returns what it was
-        (``stored`` a fact, ``defined`` a rule, ``constrained``)."""
-        if isinstance(statement, ConstraintStatement):
-            self.kb.add_constraint(statement.constraint)
-            return "constrained"
-        rule = statement.rule
-        if rule.is_fact():
-            # Ground, bodiless clauses are stored facts: they belong to an
-            # EDB predicate (declared on first use).
-            predicate = rule.head.predicate
-            if not self.kb.has_predicate(predicate):
-                self.kb.declare_edb(predicate, rule.head.arity)
-            self.kb.add_fact(predicate, *rule.head.args)
-            return "stored"
-        self.kb.add_rule(rule)
-        return "defined"
 
     # -- retrieve ----------------------------------------------------------------------
 
@@ -366,39 +333,18 @@ class Session:
 
     # -- convenience ------------------------------------------------------------------
 
-    def load(self, source: str, lint: str | None = None) -> int:
+    def load(self, source: str) -> int:
         """Load a program (facts, rules, constraints), atomically.
 
         Returns the statement count.  All-or-nothing: if any definition is
-        invalid — or *lint* (defaulting to the session policy) is
-        ``"strict"`` and the static analyzer reports errors — the knowledge
-        base is left exactly as it was.  Under ``"warn"`` and ``"strict"``
-        the analysis report lands in :attr:`last_lint`.
+        invalid, or a statement is a query (:class:`CoreError`), the
+        knowledge base is left exactly as it was.
         """
-        from repro.catalog.loader import lint_policy_check
-        from repro.lang.parser import parse_program
-
-        program = parse_program(source)
-        report = lint_policy_check(program, lint if lint is not None else self.lint)
-        if report is not None:
-            self.last_lint = report
-        count = 0
-        with self.kb.transaction():
-            for statement in program.statements:
-                if isinstance(statement, (RuleStatement, ConstraintStatement)):
-                    self._define(statement)
-                    count += 1
-                else:
-                    raise CoreError("load() accepts definitions only; use query()")
-        return count
+        return load_statements(self.kb, parse_program(source).statements, CoreError)
 
     def lint_report(self):
-        """Run the static analyzer over the current knowledge base.
-
-        Unlike :attr:`last_lint` (the report of the most recent load) this
-        reflects everything in the knowledge base right now, including
-        definitions added through :meth:`query`.
-        """
+        """Run the static analyzer over the current knowledge base: every
+        definition in it, loaded or added through :meth:`query`."""
         from repro.analysis.analyzer import analyze
 
         return analyze(self.kb)

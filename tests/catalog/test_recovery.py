@@ -152,12 +152,6 @@ class TestStagedRecovery:
         assert "version" in str(info.value) and "stamps" in str(info.value)
         assert recoverer.transitions[-1] == "failed"
 
-    def test_verify_false_skips_the_stamp_check(self, tmp_path):
-        build(str(tmp_path / "d"))
-        report = Recoverer(str(tmp_path / "d")).recover(verify=False)
-        assert "verified" not in report.states
-        assert not report.verified
-
     def test_unreplayable_record_locates_the_offset(self, tmp_path):
         build(str(tmp_path / "d"))
         log = DurableLog(str(tmp_path / "d"))

@@ -186,6 +186,9 @@ class TestFailedAppend:
         lsns = [record.lsn for record in records]
         assert lsns == list(range(1, len(lsns) + 1))
         assert ["b"] not in logged_rows(records) and ["c"] in logged_rows(records)
+        # The failure leaves the durable mirror in step: the next commit logs
+        # its one row, not a reload of the whole relation.
+        assert records[-1].events == [["+", "e", ["c"]]]
         report = Recoverer(str(directory)).recover()
         assert report.verified and report.torn_reason is None
         assert report.kb.facts("e") == kb.facts("e")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.catalog.database import KnowledgeBase
 from repro.catalog.relation import JOURNAL_LIMIT, Relation
+from repro.engine import viewcache
 from repro.engine.evaluate import retrieve
 from repro.engine.viewcache import REPAIR_MAX_DELTA_ROWS, ViewCache
 from repro.lang.parser import parse_atom, parse_rule
@@ -285,34 +286,31 @@ class TestFreshByOneStamp:
 
 
 class TestEviction:
-    def test_lru_rows_budget(self):
+    def test_lru_rows_budget(self, monkeypatch):
         kb = chain_kb(12)  # path has 78 rows
         kb.declare_edb("color", 1)
         kb.add_fact("color", "red")
         kb.add_rule(parse_rule("tint(X) <- color(X)"))
-        cache = ViewCache(kb, max_rows=80)
+        monkeypatch.setattr(viewcache, "MAX_ROWS", 80)
+        cache = ViewCache(kb)
         cache.evaluate(["path"])
         cache.evaluate(["tint"])  # 78 + 1 < 80: both fit
         assert cache.stats.evictions == 0
         cache.evaluate(["tint"])  # tint most recent
         kb.add_fact("color", "blue")
         # Roomy enough for tint alone; path (LRU) must be evicted.
-        cache.max_rows = 50
+        monkeypatch.setattr(viewcache, "MAX_ROWS", 50)
         cache.evaluate(["tint"])
         assert cache.stats.evictions >= 1
         assert cache.stats.rows_pinned <= 50
 
-    def test_a_view_over_the_budget_still_answers_its_probe(self):
+    def test_a_view_over_the_budget_still_answers_its_probe(self, monkeypatch):
         kb = chain_kb(12)  # path has 78 rows
-        cache = ViewCache(kb, max_rows=10)
+        monkeypatch.setattr(viewcache, "MAX_ROWS", 10)
+        cache = ViewCache(kb)
         assert len(cache.evaluate(["path"])["path"]) == 78
         assert cache.stats.evictions == 1 and cache.stats.rows_pinned == 0
         assert len(retrieve(kb, parse_atom("path(X, Y)"), cache=cache)) == 78
-
-    def test_budget_validation(self):
-        kb = chain_kb(3)
-        with pytest.raises(ValueError):
-            ViewCache(kb, max_rows=0)
 
 
 class TestSessionIntegration:

@@ -61,9 +61,9 @@ class TestDefinitions:
 
     def test_load_formats_no_echo(self, monkeypatch):
         """``load`` stores each definition without rendering the REPL's
-        ``stored: ...`` line; only ``query`` / ``execute`` build it.  (Lint is
-        off: a diagnostic quotes the rule it names, here the unreferenced
-        ``can_ta``.)"""
+        ``stored: ...`` line; only ``query`` / ``execute`` build it.  (A load
+        runs no analyzer either, whose diagnostics quote the rules they name,
+        here the unreferenced ``can_ta``.)"""
         kb = university_kb()
         program = "\n".join(
             [
@@ -81,7 +81,7 @@ class TestDefinitions:
             return rendered(rule)
 
         monkeypatch.setattr(Rule, "__str__", counting)
-        session = Session(lint="off")
+        session = Session()
         assert session.load(program) == kb.fact_count() + kb.rule_count()
         assert calls == []
         assert session.query("p(a).") == "stored: p(a)."

@@ -1,14 +1,13 @@
-"""Soundness of strict lint: it never rejects an engine-evaluable program.
+"""Analyzer errors are sound: none on an engine-evaluable program.
 
-``lint="strict"`` refuses a load exactly when the analyzer reports an
-*error*-severity finding.  Errors are reserved for programs outside the
-sound fragment — programs the engines themselves refuse (unsafe rules,
+The analyzer reports an *error*-severity finding only for programs outside
+the sound fragment — programs the engines themselves refuse (unsafe rules,
 broken recursion discipline, unstratifiable negation, conflicting
 definitions).  So the defining property is one-directional: whenever a
 random program loads **and** every IDB predicate evaluates successfully
-on the data engines, strict lint must accept it.  Warnings (dead code,
-arity drift in a body atom, unsatisfiable comparisons) explicitly do not
-count: those programs run fine, they are just suspicious.
+on the data engines, the analyzer reports no error on it.  Warnings (dead
+code, arity drift in a body atom, unsatisfiable comparisons) explicitly
+do not count: those programs run fine, they are just suspicious.
 
 The generator deliberately produces defective programs — unbound head
 variables, misspelled body predicates, wrong-arity references, random
@@ -97,11 +96,11 @@ def random_program_text(draw):
 
 
 def engines_accept(source, idb):
-    """Load with lint off and evaluate every IDB predicate, on the engine
-    and on the reference evaluator."""
+    """Load and evaluate every IDB predicate, on the engine and on the
+    reference evaluator."""
     kb = KnowledgeBase()
     try:
-        load_program(kb, source, lint="off")
+        load_program(kb, source)
         for predicate, arity in idb:
             subject = Atom(
                 predicate, [Variable(f"V{i}") for i in range(arity)]
@@ -122,7 +121,7 @@ class TestStrictLintSoundness:
             return  # the implication constrains evaluable programs only
         report = analyze(parse_program(source))
         assert report.ok, (
-            "strict lint would reject an engine-evaluable program:\n"
+            "analyzer errors on an engine-evaluable program:\n"
             + source
             + report.format()
         )
