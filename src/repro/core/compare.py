@@ -25,7 +25,7 @@ from repro.errors import CoreError
 from repro.catalog.database import KnowledgeBase
 from repro.core.redundancy import subsumes
 from repro.core.search import DerivationSearch
-from repro.core.transform import transform_knowledge_base
+from repro.core.transform import TransformedProgram, transform_knowledge_base
 from repro.engine.guard import ResourceGuard, require_strict
 from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule
@@ -73,12 +73,18 @@ class ConceptComparison:
         return "\n".join(lines)
 
 
+def _require_idb(kb: KnowledgeBase, subject: Atom) -> None:
+    if not kb.is_idb(subject.predicate):
+        raise CoreError(
+            f"compare subjects must use IDB predicates, got {subject.predicate!r}"
+        )
+
+
 def _aligned_definitions(
-    kb: KnowledgeBase,
+    program: TransformedProgram,
     subject: Atom,
     hypothesis: Sequence[Atom],
     anchors: Sequence[Variable],
-    style: str,
     guard: ResourceGuard | None,
 ) -> list[Rule]:
     """EDB-level definitions of a concept, subject variables normalised.
@@ -87,13 +93,9 @@ def _aligned_definitions(
     *anchors* (``S1, S2, ...``, none of them a hypothesis variable) so two
     concepts' definitions can be compared and generalized against each
     other.  Hypothesis conjuncts are appended to each definition body (the
-    concept under those circumstances).
+    concept under those circumstances).  *program* is the knowledge base's
+    transformed rule base, made once for both concepts.
     """
-    if not kb.is_idb(subject.predicate):
-        raise CoreError(
-            f"compare subjects must use IDB predicates, got {subject.predicate!r}"
-        )
-    program = transform_knowledge_base(kb, style=style)
     search = DerivationSearch(program, guard=guard)
     alignment = Substitution(
         {
@@ -163,11 +165,12 @@ def compare_concepts(
     require_strict(guard, "compare", error=CoreError)
     arity = max(left_subject.arity, right_subject.arity)
     anchors = numbered_variables("S", arity, (*left_hypothesis, *right_hypothesis))
-    left_defs = _aligned_definitions(
-        kb, left_subject, left_hypothesis, anchors, style, guard
-    )
+    _require_idb(kb, left_subject)
+    program = transform_knowledge_base(kb, style=style)
+    left_defs = _aligned_definitions(program, left_subject, left_hypothesis, anchors, guard)
+    _require_idb(kb, right_subject)
     right_defs = _aligned_definitions(
-        kb, right_subject, right_hypothesis, anchors, style, guard
+        program, right_subject, right_hypothesis, anchors, guard
     )
 
     shared_anchors = anchors[: min(left_subject.arity, right_subject.arity)]

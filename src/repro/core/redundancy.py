@@ -81,7 +81,8 @@ def _subsumes_split(general: _Split, specific: _Split) -> bool:
 
 def subsumes(general: Rule, specific: Rule) -> bool:
     """Whether *general* theta-subsumes *specific* (so *specific* is redundant)."""
-    return _subsumes_split(_Split(VariableRenamer().rename_rule(general)), _Split(specific))
+    renamer = VariableRenamer(avoid=specific.ordered_variables())
+    return _subsumes_split(_Split(renamer.rename_rule(general)), _Split(specific))
 
 
 def equivalent(left: Rule, right: Rule) -> bool:
@@ -93,10 +94,12 @@ def equivalent(left: Rule, right: Rule) -> bool:
 def eliminate_redundant(answers: Sequence[KnowledgeAnswer]) -> list[KnowledgeAnswer]:
     """Drop answers subsumed by other answers; keep the first of variants.
 
-    Each answer is renamed apart and split once, and the matcher runs only
-    on the pairs that pass :func:`_can_subsume`.
+    Each answer is renamed apart (to names no answer uses) and split once,
+    and the matcher runs only on the pairs that pass :func:`_can_subsume`.
     """
-    renamer = VariableRenamer()
+    renamer = VariableRenamer(
+        avoid=[v for answer in answers for v in answer.rule.ordered_variables()]
+    )
     specifics = [_Split(answer.rule) for answer in answers]
     generals = [_Split(renamer.rename_rule(answer.rule)) for answer in answers]
 

@@ -22,6 +22,9 @@ post-processed (module ``comparisons``).
 We implement this as a recursive backtracking enumerator, threading the
 global substitution functionally (so "undoing" is free), which visits the
 same answer space as the flowchart's explicit save/restore traversal.
+Each applied rule is renamed apart with fresh variables
+(:class:`~repro.logic.rename.VariableRenamer`) whose names no variable of
+the statement has, so a user variable spelled ``X#0`` is never captured.
 
 Algorithm 2 adds, on top (Figure 3, boxes 9a-9e):
 
@@ -49,7 +52,7 @@ from repro.core.transform import (
     KIND_TRANSFORMATION,
     TransformedProgram,
 )
-from repro.logic.atoms import Atom
+from repro.logic.atoms import Atom, atoms_variables
 from repro.logic.clauses import Rule
 from repro.logic.formulas import dedupe
 from repro.logic.rename import VariableRenamer
@@ -70,23 +73,28 @@ MAX_STEPS = 2_000_000
 MAX_DEPTH = 150
 
 
-@dataclass(frozen=True)
 class _Expansion:
     """One way a subtree can come out: new bindings, leaves, hypotheses used.
 
     ``internal`` records the expanded (non-leaf) formulas — full-expansion
     mode uses it to reason about which concepts every derivation of a
-    subject must pass through (the ``not`` hypothesis extension).
+    subject must pass through (the ``not`` hypothesis extension).  Made
+    once per yield of the search, so a plain slotted class, never mutated.
     """
 
-    theta: Substitution
-    leaves: tuple[Atom, ...]
-    used: frozenset[int]
-    internal: tuple[Atom, ...] = ()
+    __slots__ = ("theta", "leaves", "used", "internal")
 
-    @property
-    def productive(self) -> bool:
-        return bool(self.used)
+    def __init__(
+        self,
+        theta: Substitution,
+        leaves: tuple[Atom, ...],
+        used: frozenset[int],
+        internal: tuple[Atom, ...] = (),
+    ) -> None:
+        self.theta = theta
+        self.leaves = leaves
+        self.used = used
+        self.internal = internal
 
 
 @dataclass(frozen=True)
@@ -170,6 +178,7 @@ class DerivationSearch:
         from repro.obs.trace import traced_span
 
         self._mode = "describe"
+        self._renamer = VariableRenamer(avoid=atoms_variables((subject, *hypothesis)))
         hyp_positive = [
             (index, atom)
             for index, atom in enumerate(hypothesis)
@@ -260,7 +269,7 @@ class DerivationSearch:
             for expansion in self._expand_sequence(
                 renamed.body, theta0, tree_atoms, child_tag, {}
             ):
-                if not expansion.productive:
+                if not expansion.used:
                     continue
                 productive = True
                 body = self._assemble_body(subject, expansion)
@@ -295,6 +304,7 @@ class DerivationSearch:
         """
         self._mode = "expand"
         self._hypothesis = []
+        self._renamer = VariableRenamer(avoid=subject.variables())
         try:
             for rule in self._rules_by_pred.get(subject.predicate, ()):
                 renamed = self._renamer.rename_rule(rule)
@@ -464,7 +474,7 @@ class DerivationSearch:
                         expansion.used,
                         (atom, *expansion.internal),
                     )
-                elif expansion.productive:
+                elif expansion.used:
                     yield expansion
 
         # 3. Unidentified leaf.  Full-expansion mode must expand every

@@ -42,13 +42,7 @@ def substitute(formula: Sequence[Atom], theta: Substitution) -> Conjunction:
 
 def dedupe(formula: Sequence[Atom]) -> Conjunction:
     """Remove duplicate conjuncts, preserving first-occurrence order."""
-    seen: set[Atom] = set()
-    result: list[Atom] = []
-    for atom in formula:
-        if atom not in seen:
-            seen.add(atom)
-            result.append(atom)
-    return tuple(result)
+    return tuple(dict.fromkeys(formula))
 
 
 def format_conjunction(formula: Sequence[Atom]) -> str:

@@ -9,79 +9,53 @@ variables (paper, section 4):
   (then the whole answer is discarded).
 
 Both reduce to (un)satisfiability of a conjunction of atoms over
-``=, !=, <, <=, >, >=`` with variables and constants.  The decision
-procedure here:
+``=, !=, <, <=, >, >=`` with variables and constants.
 
-1. merges equality classes with union-find (constants are pinned nodes);
-2. collapses cycles of ``<=`` edges (a strict edge inside a cycle is a
+Values fall into the three order classes of
+:data:`repro.logic.builtins.ORDER_CLASSES`, as the engine evaluates them:
+numbers (``int`` and ``float`` together), strings, and booleans, so
+``true`` is not ``1``.  An order comparison across classes is false, and
+``=`` across classes is false; ``!=`` across classes is true.  Numbers and
+strings are treated as *dense* orders without end points (real numbers /
+unbounded strings): integer gap reasoning such as ``X > 1 and X < 2``
+being unsatisfiable over integers is intentionally out of scope, exactly
+as in the paper's model where comparisons range over an abstract ordered
+domain.  Booleans are the finite order ``false < true``: ``X < false`` is
+unsatisfiable, and so are three booleans that differ pairwise.
+
+The decision procedure numbers the distinct terms of the conjunction and
+works on those integers:
+
+1. merges equality classes with union-find; two constants in one class
+   are a contradiction (equal constants are one term);
+2. orders the classes topologically along the order edges, merging the
+   strongly connected components of a cycle (a strict edge inside one is a
    contradiction; a non-strict cycle forces equality);
-3. propagates constant lower/upper bounds along the order edges to a
-   fixpoint;
-4. checks every class's interval and every disequality.
-
-The domain is treated as *dense* (real numbers / unbounded strings): integer
-gap reasoning such as ``X > 1 and X < 2`` being unsatisfiable over integers
-is intentionally out of scope, exactly as in the paper's model where
-comparisons range over an abstract ordered domain.  Order comparisons across
-sorts (a number against a string) are unsatisfiable.
+3. gives every weakly connected part of the order graph the one order
+   class of the constants in it (two classes are a contradiction), and
+   every unpinned boolean class the bounds ``[false, true]``;
+4. propagates constant lower/upper bounds forwards and backwards along the
+   topological order (a strict boolean bound is rounded to the other
+   value), and checks every class's interval and every disequality;
+5. assigns the free boolean classes under the remaining disequalities and
+   non-strict edges, a 2-SAT problem: each class is tried ``false`` then
+   ``true`` with unit propagation, and the first assignment that
+   propagates without a conflict is kept (Even, Itai and Shamir).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import LogicError
 from repro.logic.atoms import Atom
-from repro.logic.builtins import negate_comparison
+from repro.logic.builtins import negate_comparison, order_kind
 from repro.logic.graphs import strongly_connected_components
-from repro.logic.terms import Term, is_constant, is_variable
+from repro.logic.terms import Constant, Term
 
-
-@dataclass(frozen=True)
-class Bound:
-    """One end of an interval: a value plus strictness (open endpoint)."""
-
-    value: object
-    strict: bool
-
-    def sort(self) -> str:
-        """'num' or 'str' — the sort of the bound's value."""
-        return "str" if isinstance(self.value, str) else "num"
-
-
-def _as_orderable(value: object) -> object:
-    """Map constant values into an orderable space (bools become ints)."""
-    if isinstance(value, bool):
-        return int(value)
-    return value
-
-
-class _UnionFind:
-    """Union-find over hashable node keys."""
-
-    def __init__(self) -> None:
-        self._parent: dict[Hashable, Hashable] = {}
-
-    def add(self, node: Hashable) -> None:
-        self._parent.setdefault(node, node)
-
-    def find(self, node: Hashable) -> Hashable:
-        self.add(node)
-        root = node
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[node] != root:
-            self._parent[node], node = root, self._parent[node]
-        return root
-
-    def union(self, left: Hashable, right: Hashable) -> None:
-        left_root, right_root = self.find(left), self.find(right)
-        if left_root != right_root:
-            self._parent[left_root] = right_root
-
-    def nodes(self) -> list[Hashable]:
-        return list(self._parent)
+#: The order comparisons, as (swap the arguments, strict): each becomes an
+#: edge from the lower side to the higher one.
+_ORDER = {"<": (False, True), "<=": (False, False), ">": (True, True), ">=": (True, False)}
 
 
 class ComparisonSystem:
@@ -98,222 +72,265 @@ class ComparisonSystem:
 
     def add(self, atom: Atom) -> None:
         """Add one comparison atom to the conjunction."""
-        if not atom.is_comparison():
-            raise LogicError(f"not a comparison atom: {atom}")
-        if atom.arity != 2:
-            raise LogicError(f"comparison atoms are binary: {atom}")
+        _check(atom)
         self._atoms.append(atom)
 
     def atoms(self) -> tuple[Atom, ...]:
         """The atoms of the conjunction, in insertion order."""
         return tuple(self._atoms)
 
-    # -- node encoding --------------------------------------------------------
-
-    @staticmethod
-    def _node(term: Term) -> Hashable:
-        if is_variable(term):
-            return ("v", term.name)
-        assert is_constant(term)
-        return ("c", _as_orderable(term.value))  # type: ignore[union-attr]
-
-    # -- decision ---------------------------------------------------------------
-
     def is_satisfiable(self) -> bool:
-        """Decide satisfiability of the conjunction over a dense domain."""
-        union = _UnionFind()
-        order_edges: list[tuple[Hashable, Hashable, bool]] = []  # (lo, hi, strict)
-        disequalities: list[tuple[Hashable, Hashable]] = []
+        """Decide satisfiability of the conjunction (see the module)."""
+        return _decide(self._atoms)
 
-        for atom in self._atoms:
-            left, right = atom.args
-            left_node, right_node = self._node(left), self._node(right)
-            union.add(left_node)
-            union.add(right_node)
-            op = atom.predicate
-            if op == "=":
-                union.union(left_node, right_node)
-            elif op == "!=":
-                disequalities.append((left_node, right_node))
-            elif op == "<":
-                order_edges.append((left_node, right_node, True))
-            elif op == "<=":
-                order_edges.append((left_node, right_node, False))
-            elif op == ">":
-                order_edges.append((right_node, left_node, True))
-            elif op == ">=":
-                order_edges.append((right_node, left_node, False))
 
-        # Resolve classes; detect constant clashes inside a class.
-        pins: dict[Hashable, object] = {}
-        for node in union.nodes():
-            if node[0] != "c":
-                continue
-            root = union.find(node)
-            value = node[1]
-            if root in pins and pins[root] != value:
+def _check(atom: Atom) -> None:
+    if not atom.is_comparison():
+        raise LogicError(f"not a comparison atom: {atom}")
+    if len(atom.args) != 2:
+        raise LogicError(f"comparison atoms are binary: {atom}")
+
+
+def _decide(atoms: Iterable[Atom]) -> bool:
+    """Whether the conjunction of comparison *atoms* is satisfiable."""
+    nodes: dict[Term, int] = {}  # equal constants (3 and 3.0) are one term
+    equal: list[tuple[int, int]] = []
+    unequal: list[tuple[int, int]] = []
+    order: list[tuple[int, int, bool]] = []  # (lower, higher, strict)
+    for atom in atoms:
+        op = atom.predicate
+        shape = _ORDER.get(op)
+        if (shape is None and op != "=" and op != "!=") or len(atom.args) != 2:
+            _check(atom)
+        left, right = atom.args
+        if shape is not None and shape[0]:
+            left, right = right, left
+        pair = (nodes.setdefault(left, len(nodes)), nodes.setdefault(right, len(nodes)))
+        if shape is not None:
+            order.append((*pair, shape[1]))
+        else:
+            (equal if op == "=" else unequal).append(pair)
+
+    # 1-2. Classes (each node labelled with its class's node), their pins
+    # and the order graph over them; a cycle merges its classes.
+    label = list(range(len(nodes)))
+    for left_node, right_node in equal:
+        _relabel(label, label[left_node], label[right_node])
+    while True:
+        pins: dict[int, object] = {}
+        for term, node in nodes.items():
+            if term.__class__ is Constant:
+                root = label[node]
+                if root in pins:
+                    return False  # two different constants are equal
+                pins[root] = term.value  # type: ignore[union-attr]
+        edges: list[tuple[int, int, bool]] = []
+        for lower, higher, strict in order:
+            lower, higher = label[lower], label[higher]
+            if lower != higher:
+                edges.append((lower, higher, strict))
+            elif strict:
                 return False
-            pins[root] = value
+        graph = _topological_order(edges)
+        if graph is not None:
+            topological, above = graph
+            break
+        successors: dict[int, list[int]] = {}
+        for lower, higher, _strict in edges:
+            successors.setdefault(lower, []).append(higher)
+            successors.setdefault(higher, [])
+        for component in strongly_connected_components(successors, successors.__getitem__):
+            for member in component[1:]:
+                _relabel(label, member, component[0])
 
-        edges = [
-            (union.find(lo), union.find(hi), strict) for lo, hi, strict in order_edges
-        ]
-
-        # Collapse <= cycles: SCCs of the order graph must be equal; a strict
-        # edge within an SCC is a contradiction.
-        component = self._condense(edges, union.nodes(), union)
-        merged_pins: dict[int, object] = {}
-        for root, value in pins.items():
-            comp = component[root]
-            if comp in merged_pins:
-                if not self._same_sort_equal(merged_pins[comp], value):
-                    return False
-            else:
-                merged_pins[comp] = value
-
-        comp_edges: list[tuple[int, int, bool]] = []
-        for lo, hi, strict in edges:
-            lo_comp, hi_comp = component[lo], component[hi]
-            if lo_comp == hi_comp:
-                if strict:
-                    return False
-                continue
-            comp_edges.append((lo_comp, hi_comp, strict))
-
-        if not self._propagate_bounds(component, comp_edges, merged_pins):
+    # 3. One order class per weakly connected part of the order graph.
+    part = list(range(len(nodes)))
+    for lower, higher, _strict in edges:
+        _relabel(part, part[lower], part[higher])
+    kinds: dict[int, str] = {}  # part -> order class
+    for root, value in pins.items():
+        kind = order_kind(value)
+        if kinds.setdefault(part[root], kind) != kind:
             return False
+    low: dict[int, tuple[object, bool]] = {
+        root: (value, False) for root, value in pins.items()
+    }
+    high = dict(low)
+    free_booleans: list[int] = []
+    if "bool" in kinds.values():
+        for root in topological:
+            if root not in pins and kinds.get(part[root]) == "bool":
+                low[root], high[root] = (False, False), (True, False)
+                free_booleans.append(root)
 
-        # Disequalities after all merging.
-        for left_node, right_node in disequalities:
-            left_comp = component[union.find(left_node)]
-            right_comp = component[union.find(right_node)]
-            if left_comp == right_comp:
-                return False
-            left_pin = self._pinned.get(left_comp)
-            right_pin = self._pinned.get(right_comp)
+    # 4. Bounds, (value, strict): lower ones forwards, upper ones backwards.
+    for lower in topological:
+        bound = low.get(lower)
+        if bound is None:
+            continue
+        for higher, strict in above.get(lower, ()):
+            value, open_end = bound[0], bound[1] or strict
+            if open_end and value.__class__ is bool:
+                if value:
+                    return False  # nothing is above true
+                value, open_end = True, False
+            current = low.get(higher)
             if (
-                left_pin is not None
-                and right_pin is not None
-                and self._same_sort_equal(left_pin, right_pin)
+                current is None
+                or value > current[0]  # type: ignore[operator]
+                or (open_end and not current[1] and value == current[0])
             ):
-                return False
-        return True
-
-    @staticmethod
-    def _same_sort_equal(left: object, right: object) -> bool:
-        if isinstance(left, str) != isinstance(right, str):
-            return False
-        return left == right
-
-    def _condense(
-        self,
-        edges: list[tuple[Hashable, Hashable, bool]],
-        nodes: list[Hashable],
-        union: _UnionFind,
-    ) -> dict[Hashable, int]:
-        """Map each class root to its SCC id in the order graph."""
-        roots = sorted({union.find(n) for n in nodes}, key=repr)
-        adjacency: dict[Hashable, list[Hashable]] = {r: [] for r in roots}
-        for lo, hi, _strict in edges:
-            adjacency[lo].append(hi)
-        components = strongly_connected_components(roots, adjacency.__getitem__)
-        return {
-            member: number
-            for number, members in enumerate(components)
-            for member in members
-        }
-
-    def _propagate_bounds(
-        self,
-        component: dict[Hashable, int],
-        comp_edges: list[tuple[int, int, bool]],
-        pins: dict[int, object],
-    ) -> bool:
-        """Fixpoint propagation of lower/upper bounds; False on conflict."""
-        comps = sorted(set(component.values()))
-        lows: dict[int, Bound | None] = {c: None for c in comps}
-        highs: dict[int, Bound | None] = {c: None for c in comps}
-        self._pinned: dict[int, object] = dict(pins)
-
-        for comp, value in pins.items():
-            lows[comp] = Bound(value, strict=False)
-            highs[comp] = Bound(value, strict=False)
-
-        def tighter_low(old: Bound | None, new: Bound) -> Bound | None:
-            """The tighter of two lower bounds; None on sort conflict."""
-            if old is None:
-                return new
-            if old.sort() != new.sort():
-                return None
-            if new.value > old.value or (new.value == old.value and new.strict and not old.strict):
-                return new
-            return old
-
-        def tighter_high(old: Bound | None, new: Bound) -> Bound | None:
-            if old is None:
-                return new
-            if old.sort() != new.sort():
-                return None
-            if new.value < old.value or (new.value == old.value and new.strict and not old.strict):
-                return new
-            return old
-
-        for _ in range(len(comps) + 1):
-            changed = False
-            for lo, hi, strict in comp_edges:
-                lo_bound = lows[lo]
-                if lo_bound is not None:
-                    candidate = Bound(lo_bound.value, lo_bound.strict or strict)
-                    updated = tighter_low(lows[hi], candidate)
-                    if updated is None:
-                        return False
-                    if updated != lows[hi]:
-                        lows[hi] = updated
-                        changed = True
-                hi_bound = highs[hi]
-                if hi_bound is not None:
-                    candidate = Bound(hi_bound.value, hi_bound.strict or strict)
-                    updated = tighter_high(highs[lo], candidate)
-                    if updated is None:
-                        return False
-                    if updated != highs[lo]:
-                        highs[lo] = updated
-                        changed = True
-            if not changed:
-                break
-
-        for comp in comps:
-            low, high = lows[comp], highs[comp]
-            if low is None or high is None:
+                low[higher] = (value, open_end)
+    for lower in reversed(topological):
+        for higher, strict in above.get(lower, ()):
+            bound = high.get(higher)
+            if bound is None:
                 continue
-            if low.sort() != high.sort():
+            value, open_end = bound[0], bound[1] or strict
+            if open_end and value.__class__ is bool:
+                if not value:
+                    return False  # nothing is below false
+                value, open_end = False, False
+            current = high.get(lower)
+            if (
+                current is None
+                or value < current[0]  # type: ignore[operator]
+                or (open_end and not current[1] and value == current[0])
+            ):
+                high[lower] = (value, open_end)
+    single: dict[int, tuple[str, object]] = {}  # class -> (order class, its one value)
+    for root, (low_value, low_open) in low.items():
+        bound = high.get(root)
+        if bound is None:
+            continue
+        high_value, high_open = bound
+        if low_value > high_value:  # type: ignore[operator]
+            return False
+        if low_value == high_value:
+            if low_open or high_open:
                 return False
-            if low.value > high.value:
+            single[root] = (kinds[part[root]], low_value)
+
+    # 5. Disequalities, then the free booleans.
+    classes_unequal: list[tuple[int, int]] = []
+    for left_node, right_node in unequal:
+        left_root, right_root = label[left_node], label[right_node]
+        if left_root == right_root:
+            return False
+        left_value = single.get(left_root)
+        if left_value is not None and left_value == single.get(right_root):
+            return False
+        classes_unequal.append((left_root, right_root))
+    free = [root for root in free_booleans if root not in single]
+    return not free or _assign_booleans(free, single, classes_unequal, above)
+
+
+def _relabel(label: list[int], old: int, new: int) -> None:
+    """Move every node labelled *old* to *new*."""
+    if old != new:
+        for index, current in enumerate(label):
+            if current == old:
+                label[index] = new
+
+
+def _topological_order(
+    edges: list[tuple[int, int, bool]],
+) -> tuple[list[int], dict[int, list[tuple[int, bool]]]] | None:
+    """The classes on order edges, each after its lower ones (Kahn), with
+    each class's (higher class, strict) edges; ``None`` when the edges
+    close a cycle."""
+    waiting: dict[int, int] = {}
+    above: dict[int, list[tuple[int, bool]]] = {}
+    for lower, higher, strict in edges:
+        waiting.setdefault(lower, 0)
+        waiting[higher] = waiting.get(higher, 0) + 1
+        above.setdefault(lower, []).append((higher, strict))
+    ready = [node for node, count in waiting.items() if not count]
+    ordered: list[int] = []
+    while ready:
+        node = ready.pop()
+        ordered.append(node)
+        for higher, _strict in above.get(node, ()):
+            waiting[higher] -= 1
+            if not waiting[higher]:
+                ready.append(higher)
+    return (ordered, above) if len(ordered) == len(waiting) else None
+
+
+def _assign_booleans(
+    free: list[int],
+    single: dict[int, tuple[str, object]],
+    unequal: list[tuple[int, int]],
+    above: dict[int, list[tuple[int, bool]]],
+) -> bool:
+    """Whether the free boolean classes take values under the disequalities
+    and order edges between boolean classes: a 2-SAT problem, solved by
+    trying each free class ``false``, then ``true``, with unit propagation
+    (a strict edge's ends are single-valued already)."""
+    booleans = set(free) | {root for root, (kind, _) in single.items() if kind == "bool"}
+    other: dict[int, list[int]] = {}
+    for left, right in unequal:
+        if left in booleans and right in booleans:
+            other.setdefault(left, []).append(right)
+            other.setdefault(right, []).append(left)
+    higher: dict[int, list[int]] = {}
+    lower: dict[int, list[int]] = {}
+    for low_end, edges in above.items():
+        if low_end in booleans:
+            for high_end, _strict in edges:
+                higher.setdefault(low_end, []).append(high_end)
+                lower.setdefault(high_end, []).append(low_end)
+
+    def propagate(values: dict[int, bool], start: int, value: bool) -> dict[int, bool] | None:
+        trial = dict(values)
+        pending = [(start, value)]
+        while pending:
+            root, value = pending.pop()
+            have = trial.get(root)
+            if have is not None:
+                if have != value:
+                    return None
+                continue
+            trial[root] = value
+            pending.extend((peer, not value) for peer in other.get(root, ()))
+            # true forces the classes above true, false those below false
+            forced = higher if value else lower
+            pending.extend((peer, value) for peer in forced.get(root, ()))
+        return trial
+
+    values: dict[int, bool] = {}
+    for root, (kind, value) in single.items():
+        if kind == "bool":
+            assigned = propagate(values, root, value)  # type: ignore[arg-type]
+            if assigned is None:
                 return False
-            if low.value == high.value:
-                if low.strict or high.strict:
-                    return False
-                self._pinned.setdefault(comp, low.value)
-        return True
+            values = assigned
+    for root in free:
+        if root not in values:
+            assigned = propagate(values, root, False) or propagate(values, root, True)
+            if assigned is None:
+                return False
+            values = assigned
+    return True
 
 
 def satisfiable(atoms: Sequence[Atom]) -> bool:
     """Whether the conjunction of comparison atoms is satisfiable."""
-    return ComparisonSystem(atoms).is_satisfiable()
+    return _decide(atoms)
 
 
 def implies(alphas: Sequence[Atom], beta: Atom) -> bool:
-    """Whether ``alpha_1 and ... and alpha_k |- beta`` (dense domain).
+    """Whether ``alpha_1 and ... and alpha_k |- beta``.
 
     Decided as unsatisfiability of ``alphas and not beta``.  An empty
     *alphas* still implies tautologies such as ``X = X`` or ``3 < 5``.
     """
-    return not satisfiable([*alphas, negate_comparison(beta)])
+    return not _decide([*alphas, negate_comparison(beta)])
 
 
 def contradicts(alphas: Sequence[Atom], beta: Atom) -> bool:
     """Whether ``alphas and beta`` is unsatisfiable."""
-    return not satisfiable([*alphas, beta])
+    return not _decide([*alphas, beta])
 
 
 def implies_all(alphas: Sequence[Atom], betas: Sequence[Atom]) -> bool:

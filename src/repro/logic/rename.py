@@ -2,10 +2,12 @@
 
 When a rule is applied during evaluation or derivation-tree construction, its
 variables must not collide with variables already in use (the paper's
-footnote 3).  :class:`VariableRenamer` hands out fresh variables by suffixing
-the base name with ``#<counter>``; the suffix marks the variable as *fresh*,
-which steers unification orientation (see :mod:`repro.logic.unify`) so that
-answers keep the user's variable names.
+footnote 3).  :class:`VariableRenamer` hands out *fresh* variables
+(:attr:`Variable.fresh`), spelled by suffixing the base name with
+``#<counter>``.  Freshness steers unification orientation (see
+:mod:`repro.logic.unify`) so that answers keep the user's variable names,
+and marks the variables a rigid match may bind
+(:mod:`repro.logic.subsumption`).
 """
 
 from __future__ import annotations
@@ -23,15 +25,21 @@ class VariableRenamer:
     """Produces fresh variables and consistently renamed rules.
 
     A single renamer should be shared across one evaluation/derivation so
-    counters never repeat.
+    counters never repeat.  *avoid* lists variables whose names no fresh
+    variable may take (the statement a search runs for): a user may spell
+    a variable ``X#0`` too.
     """
 
-    def __init__(self, start: int = 0) -> None:
+    def __init__(self, start: int = 0, avoid: Iterable[Variable] = ()) -> None:
         self._counter = itertools.count(start)
+        self._avoid = frozenset(v.name for v in avoid)
 
     def fresh(self, base: str = "V") -> Variable:
         """A brand-new variable whose base name is *base*."""
-        return Variable(f"{base}#{next(self._counter)}")
+        name = f"{base}#{next(self._counter)}"
+        while name in self._avoid:
+            name = f"{base}#{next(self._counter)}"
+        return Variable(name, fresh=True)
 
     def fresh_like(self, variable: Variable) -> Variable:
         """A brand-new variable sharing *variable*'s base name."""
@@ -41,18 +49,20 @@ class VariableRenamer:
         """A substitution renaming each of *variables* to a fresh variable.
 
         Fresh names are handed out in the order *variables* lists them, so
-        the numbering never follows a set's iteration order.  Substitution
-        bindings resolve through chains, so no fresh name may collide with
-        another variable of the input (possible when the input already
-        contains mechanically renamed variables).
+        the numbering never follows a set's iteration order.  No fresh name
+        is the name of a variable of the input (possible when the input
+        already contains mechanically renamed variables, or a user variable
+        spelled ``X#0``), so the renaming is built as it is: no binding
+        chains through another.
         """
         mapping: dict[Variable, Variable] = dict.fromkeys(variables)  # type: ignore[assignment]
+        taken = {variable.name for variable in mapping}
         for variable in mapping:
             fresh = self.fresh_like(variable)
-            while fresh in mapping:
+            while fresh.name in taken:
                 fresh = self.fresh_like(variable)
             mapping[variable] = fresh
-        return Substitution(mapping)  # type: ignore[arg-type]
+        return Substitution.of_bindings(mapping)  # type: ignore[arg-type]
 
     def rename_rule(self, rule: Rule) -> Rule:
         """A variant of *rule* whose variables are all fresh."""

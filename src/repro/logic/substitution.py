@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import LogicError
 from repro.logic.atoms import Atom
-from repro.logic.terms import Term, Variable, is_variable, make_term
+from repro.logic.terms import Constant, Term, Variable, is_variable, make_term
 
 
 class Substitution:
@@ -24,9 +24,19 @@ class Substitution:
     The constructor normalises input bindings to restore the invariant and
     rejects cyclic binding sets (``X -> Y, Y -> X``).  The one exception is
     a one-way match (:meth:`of_match`), whose target variables are rigid.
+
+    Besides the map, a substitution may carry its *users* index: each
+    variable that is a bound value, mapped to the domain variables bound
+    to it.  Extending a substitution then copies the two dicts once and
+    rewrites only the bindings whose value the new binding eliminates,
+    instead of comparing every binding.  :meth:`bind` extends by one
+    binding; the unifier and the rigid matcher extend by all the bindings
+    one atom needs (:func:`repro.logic.unify.unify`,
+    :func:`repro.logic.subsumption.match_rigid`).  The index is built on
+    first extension for substitutions made otherwise.
     """
 
-    __slots__ = ("_map",)
+    __slots__ = ("_map", "_users")
 
     EMPTY: "Substitution"
 
@@ -39,6 +49,7 @@ class Substitution:
         self._map: dict[Variable, Term] = {
             v: t for v, t in resolved.items() if t != v
         }
+        self._users: dict[Variable, tuple[Variable, ...]] | None = None
 
     @staticmethod
     def _resolve(var: Variable, raw: Mapping[Variable, Term]) -> Term:
@@ -55,6 +66,37 @@ class Substitution:
             seen.add(term)  # type: ignore[arg-type]
             term = raw[term]  # type: ignore[index]
         return term
+
+    @staticmethod
+    def of_bindings(
+        mapping: dict[Variable, Term],
+        users: dict[Variable, tuple[Variable, ...]] | None = None,
+    ) -> "Substitution":
+        """A substitution over *mapping* (and its users index), taken as
+        they are: not copied, not resolved, not checked for identity
+        bindings (the caller guarantees there are none)."""
+        result = Substitution.__new__(Substitution)
+        result._map = mapping
+        result._users = users
+        return result
+
+    def working_copy(
+        self,
+    ) -> tuple[dict[Variable, Term], dict[Variable, tuple[Variable, ...]]]:
+        """Copies of the map and the users index, for :func:`push_binding`
+        to extend and :meth:`of_bindings` to seal."""
+        return self._map.copy(), self._user_index().copy()
+
+    def _user_index(self) -> dict[Variable, tuple[Variable, ...]]:
+        """The users index (value variable -> domain variables bound to it)."""
+        users = self._users
+        if users is None:
+            users = {}
+            for var, term in self._map.items():
+                if isinstance(term, Variable):
+                    users[term] = users.get(term, ()) + (var,)
+            self._users = users
+        return users
 
     # -- mapping protocol -----------------------------------------------------
 
@@ -95,7 +137,7 @@ class Substitution:
 
     def apply_term(self, term: Term) -> Term:
         """The image of a single term."""
-        if is_variable(term):
+        if term.__class__ is Variable:
             return self._map.get(term, term)  # type: ignore[arg-type]
         return term
 
@@ -120,7 +162,8 @@ class Substitution:
         """The image of a sequence of atoms."""
         if not self._map:
             return tuple(atoms)
-        return tuple(self.apply(a) for a in atoms)
+        apply = self.apply
+        return tuple([apply(a) for a in atoms])
 
     # -- construction -----------------------------------------------------------
 
@@ -131,35 +174,36 @@ class Substitution:
         invariant is preserved.  Binding a variable already in the domain to
         a different term raises :class:`LogicError`.
         """
-        term = make_term(term)
-        if var in self._map:
-            if self._map[var] == term:
+        if term.__class__ is not Variable and term.__class__ is not Constant:
+            term = make_term(term)
+        bound = self._map.get(var)
+        if bound is not None:
+            if bound == term:
                 return self
-            raise LogicError(f"variable {var} already bound to {self._map[var]}")
+            raise LogicError(f"variable {var} already bound to {bound}")
         if term == var:
             return self
-        new_map: dict[Variable, Term] = {}
-        for v, t in self._map.items():
-            new_map[v] = term if t == var else t
-        new_map[var] = term
-        result = Substitution.__new__(Substitution)
-        result._map = {v: t for v, t in new_map.items() if t != v}
-        return result
+        mapping, users = self.working_copy()
+        push_binding(mapping, users, var, term)
+        return Substitution.of_bindings(mapping, users)
 
     def compose(self, other: "Substitution") -> "Substitution":
         """The substitution equivalent to applying ``self`` then ``other``.
 
         ``(self.compose(other)).apply(x) == other.apply(self.apply(x))``.
         """
-        new_map: dict[Variable, Term] = {}
+        after = other._map
+        mapping: dict[Variable, Term] = {}
         for v, t in self._map.items():
-            new_map[v] = other.apply_term(t)
-        for v, t in other._map.items():
-            if v not in new_map:
-                new_map[v] = t
-        result = Substitution.__new__(Substitution)
-        result._map = {v: t for v, t in new_map.items() if t != v}
-        return result
+            if t.__class__ is Variable:
+                t = after.get(t, t)  # type: ignore[arg-type]
+            if t != v:
+                mapping[v] = t
+        first = self._map
+        for v, t in after.items():
+            if v not in first:
+                mapping[v] = t
+        return Substitution.of_bindings(mapping)
 
     @staticmethod
     def of_match(bindings: Mapping[Variable, Term]) -> "Substitution":
@@ -169,28 +213,50 @@ class Substitution:
         resolving constructor would follow.  Identity bindings are
         dropped.  Application is then a simultaneous replacement, not
         idempotent."""
-        result = Substitution.__new__(Substitution)
-        result._map = {v: t for v, t in bindings.items() if t != v}
-        return result
+        return Substitution.of_bindings({v: t for v, t in bindings.items() if t != v})
 
     def restrict(self, variables: Iterable[Variable]) -> "Substitution":
         """The sub-substitution whose domain is limited to *variables*."""
         keep = set(variables)
-        result = Substitution.__new__(Substitution)
-        result._map = {v: t for v, t in self._map.items() if v in keep}
-        return result
+        return Substitution.of_bindings({v: t for v, t in self._map.items() if v in keep})
 
     def without(self, variables: Iterable[Variable]) -> "Substitution":
         """The sub-substitution with *variables* removed from the domain."""
         drop = set(variables)
-        result = Substitution.__new__(Substitution)
-        result._map = {v: t for v, t in self._map.items() if v not in drop}
-        return result
+        return Substitution.of_bindings({v: t for v, t in self._map.items() if v not in drop})
 
     def is_renaming(self) -> bool:
         """Whether the substitution maps variables to distinct variables."""
         values = list(self._map.values())
         return all(is_variable(t) for t in values) and len(set(values)) == len(values)
+
+
+def push_binding(
+    mapping: dict[Variable, Term],
+    users: dict[Variable, tuple[Variable, ...]],
+    var: Variable,
+    term: Term,
+) -> None:
+    """Add ``var -> term`` to a working copy of a substitution's map and
+    users index (:meth:`Substitution.working_copy`): the bindings whose
+    value is *var* now take *term*, and one that would become
+    ``term -> term`` is dropped.  *term* differs from *var*.  A *var*
+    already bound (only in a substitution that breaks the resolved
+    invariant) must be bound to *term*, else :class:`LogicError`."""
+    bound = mapping.get(var)
+    if bound is not None:
+        if bound == term:
+            return
+        raise LogicError(f"variable {var} already bound to {bound}")
+    moved = users.pop(var, ())
+    for user in moved:
+        mapping[user] = term
+    mapping[var] = term
+    if isinstance(term, Variable):
+        if term in moved:
+            del mapping[term]
+            moved = tuple(user for user in moved if user != term)
+        users[term] = users.get(term, ()) + moved + (var,)
 
 
 Substitution.EMPTY = Substitution()

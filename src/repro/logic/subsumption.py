@@ -14,24 +14,35 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.logic.atoms import Atom
-from repro.logic.substitution import Substitution
-from repro.logic.terms import is_variable
+from repro.logic.substitution import Substitution, push_binding
+from repro.logic.terms import Variable
 
 
 def match_rigid(pattern: Atom, target: Atom, theta: Substitution) -> Substitution | None:
     """Extend *theta* to match *pattern* onto *target*, binding only fresh
-    (renamed-apart) pattern variables."""
-    if pattern.predicate != target.predicate or pattern.arity != target.arity:
+    (renamed-apart) pattern variables.
+
+    Each pattern argument is resolved through the bindings made so far and
+    bound as by :meth:`Substitution.bind`, into one working copy of
+    *theta* per atom.
+    """
+    if pattern.predicate != target.predicate or len(pattern.args) != len(target.args):
         return None
-    result = theta
+    mapping = theta._map  # read until the first binding, then the copy
+    users: dict[Variable, tuple[Variable, ...]] | None = None
     for p_arg, t_arg in zip(pattern.args, target.args):
-        p_arg = result.apply_term(p_arg)
-        if p_arg == t_arg:
+        if p_arg.__class__ is Variable:
+            p_arg = mapping.get(p_arg, p_arg)  # type: ignore[arg-type]
+        if p_arg is t_arg or p_arg == t_arg:
             continue
-        if not (is_variable(p_arg) and p_arg.is_fresh()):  # type: ignore[union-attr]
+        if p_arg.__class__ is not Variable or not p_arg.fresh:  # type: ignore[union-attr]
             return None
-        result = result.bind(p_arg, t_arg)  # type: ignore[arg-type]
-    return result
+        if users is None:
+            mapping, users = theta.working_copy()
+        push_binding(mapping, users, p_arg, t_arg)  # type: ignore[arg-type]
+    if users is None:
+        return theta
+    return Substitution.of_bindings(mapping, users)
 
 
 def _always(theta: Substitution) -> bool:

@@ -28,24 +28,32 @@ RESERVED_WORDS = frozenset(
 
 
 class Variable:
-    """A logical variable, identified by its name.
+    """A logical variable, identified by its name and its freshness.
 
-    Two variables are equal iff their names are equal.  Renaming (see
-    :mod:`repro.logic.rename`) produces fresh variables by suffixing names.
+    Two variables are equal iff their names are equal and both are user
+    variables or both are fresh.  Freshness is a property of the object,
+    not of the spelling: only :class:`repro.logic.rename.VariableRenamer`
+    makes fresh variables (spelled ``base#n``), so a user variable written
+    ``X#0`` is never taken for one, nor equal to the renamer's ``X#0``.
     """
 
-    __slots__ = ("name", "_hash")
+    __slots__ = ("name", "fresh", "_hash")
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, fresh: bool = False) -> None:
         if not name:
             raise LogicError("variable name must be non-empty")
         self.name = name
+        self.fresh = fresh
         # Carried, not recomputed: unification and substitution hash the
         # same few variables tens of thousands of times per statement.
         self._hash = hash(("var", name))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Variable) and self.name == other.name
+        return self is other or (
+            other.__class__ is Variable
+            and self.name == other.name  # type: ignore[attr-defined]
+            and self.fresh is other.fresh  # type: ignore[attr-defined]
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -53,9 +61,11 @@ class Variable:
     def __reduce__(self):
         # Rebuild from the name: a pickled hash is stale under another
         # PYTHONHASHSEED.
-        return (Variable, (self.name,))
+        return (Variable, (self.name, self.fresh))
 
     def __repr__(self) -> str:
+        if self.fresh:
+            return f"Variable({self.name!r}, fresh=True)"
         return f"Variable({self.name!r})"
 
     def __str__(self) -> str:
@@ -63,7 +73,7 @@ class Variable:
 
     def is_fresh(self) -> bool:
         """Whether this variable was introduced by mechanical renaming."""
-        return "#" in self.name
+        return self.fresh
 
     def base_name(self) -> str:
         """The user-facing part of the name (before any renaming suffix)."""

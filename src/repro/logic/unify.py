@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.logic.atoms import Atom
-from repro.logic.substitution import Substitution
+from repro.logic.substitution import Substitution, push_binding
 from repro.logic.terms import Term, Variable, is_variable
 
 
@@ -30,30 +30,48 @@ def _prefer_left(left: Variable, right: Variable) -> bool:
     the lexicographically larger name is eliminated so results are
     deterministic.
     """
-    left_fresh = left.is_fresh()
-    right_fresh = right.is_fresh()
-    if left_fresh != right_fresh:
-        return left_fresh
+    if left.fresh is not right.fresh:
+        return left.fresh
     return left.name > right.name
+
+
+def _unify_args(
+    lefts: Sequence[Term], rights: Sequence[Term], theta: Substitution
+) -> Substitution | None:
+    """Extend *theta* to unify two argument lists pairwise, or ``None``.
+
+    Each pair is resolved through the bindings made so far and bound as by
+    :meth:`Substitution.bind`, into one working copy of *theta*: the map is
+    copied at the first binding of the atom, not at every one.
+    """
+    mapping = theta._map  # read until the first binding, then the copy
+    users: dict[Variable, tuple[Variable, ...]] | None = None
+    for left, right in zip(lefts, rights):
+        if left.__class__ is Variable:
+            left = mapping.get(left, left)  # type: ignore[arg-type]
+        if right.__class__ is Variable:
+            right = mapping.get(right, right)  # type: ignore[arg-type]
+        if left is right or left == right:
+            continue
+        if left.__class__ is Variable and (
+            right.__class__ is not Variable or _prefer_left(left, right)  # type: ignore[arg-type]
+        ):
+            var, term = left, right
+        elif right.__class__ is Variable:
+            var, term = right, left
+        else:
+            return None  # two distinct constants
+        if users is None:
+            mapping, users = theta.working_copy()
+        push_binding(mapping, users, var, term)  # type: ignore[arg-type]
+    if users is None:
+        return theta
+    return Substitution.of_bindings(mapping, users)
 
 
 def unify_terms(left: Term, right: Term, theta: Substitution) -> Substitution | None:
     """Extend *theta* to unify two terms, or return ``None``."""
-    left = theta.apply_term(left)
-    right = theta.apply_term(right)
-    if left == right:
-        return theta
-    left_var = is_variable(left)
-    right_var = is_variable(right)
-    if left_var and right_var:
-        if _prefer_left(left, right):  # type: ignore[arg-type]
-            return theta.bind(left, right)  # type: ignore[arg-type]
-        return theta.bind(right, left)  # type: ignore[arg-type]
-    if left_var:
-        return theta.bind(left, right)  # type: ignore[arg-type]
-    if right_var:
-        return theta.bind(right, left)  # type: ignore[arg-type]
-    return None  # two distinct constants
+    return _unify_args((left,), (right,), theta)
 
 
 def unify(left: Atom, right: Atom, theta: Substitution | None = None) -> Substitution | None:
@@ -62,15 +80,11 @@ def unify(left: Atom, right: Atom, theta: Substitution | None = None) -> Substit
     Returns ``None`` when the atoms do not unify (different predicates,
     different arities, or clashing constants).
     """
-    if left.predicate != right.predicate or left.arity != right.arity:
+    if left.predicate != right.predicate or len(left.args) != len(right.args):
         return None
-    result = theta if theta is not None else Substitution.EMPTY
-    for l_arg, r_arg in zip(left.args, right.args):
-        extended = unify_terms(l_arg, r_arg, result)
-        if extended is None:
-            return None
-        result = extended
-    return result
+    return _unify_args(
+        left.args, right.args, theta if theta is not None else Substitution.EMPTY
+    )
 
 
 def unify_sequences(

@@ -8,10 +8,22 @@ from repro.core.answers import (
     dedupe_answers,
 )
 from repro.lang.parser import parse_atom, parse_rule
+from repro.logic.substitution import Substitution
+from repro.logic.terms import Variable
+
+
+def marking(*parsed):
+    """The renaming that marks the ``#``-spelled variables of *parsed* fresh,
+    as the search's renamer makes them (parsing makes user variables)."""
+    return Substitution(
+        {v: Variable(v.name, fresh=True) for item in parsed for v in item.variables()
+         if "#" in v.name}
+    )
 
 
 def answer(text, **kwargs):
-    return KnowledgeAnswer(rule=parse_rule(text), **kwargs)
+    rule = parse_rule(text)
+    return KnowledgeAnswer(rule=rule.substitute(marking(rule)), **kwargs)
 
 
 class TestCleanup:
@@ -28,14 +40,19 @@ class TestCleanup:
         names = {str(v) for v in cleaned.rule.variables()}
         assert names == {"X", "Z", "Z2"}
 
+    def test_a_user_variable_spelled_with_a_marker_is_kept(self):
+        original = KnowledgeAnswer(rule=parse_rule("p(X) <- q(X, Y#3)."))
+        assert cleanup_answer(original) is original
+
     def test_no_fresh_variables_is_identity(self):
         original = answer("p(X) <- q(X, Y).")
         assert cleanup_answer(original) is original
 
     def test_dropped_comparisons_renamed_too(self):
+        rule, comparison = parse_rule("p(X) <- q(X, Z#1)."), parse_atom("(Z#1 > 3)")
+        fresh = marking(rule, comparison)
         original = KnowledgeAnswer(
-            rule=parse_rule("p(X) <- q(X, Z#1)."),
-            dropped_comparisons=(parse_atom("(Z#1 > 3)"),),
+            rule=rule.substitute(fresh), dropped_comparisons=(fresh.apply(comparison),)
         )
         cleaned = cleanup_answer(original)
         assert str(cleaned.dropped_comparisons[0]) == "(Z > 3)"

@@ -130,3 +130,37 @@ class TestEnginePlumbing:
             for route in ROUTES:
                 answers = forced_retrieve(route, royals, parse_atom(subject)).to_set()
                 assert answers == baseline, route
+
+
+class TestKernelSoundness:
+    """Statements the comparison solver and the renamer once got wrong."""
+
+    def answers(self, program, *statements):
+        from repro import Session
+
+        session = Session()
+        session.load(program)
+        return [str(session.query(statement)) for statement in statements]
+
+    def test_true_is_not_one(self):
+        # The engine keeps booleans their own order class; so does describe:
+        # (X = true) contradicts (X = 1), it does not imply it.
+        contradiction, alone, one, rows = self.answers(
+            "q(1). q(true). p(X) <- q(X) and (X = 1).",
+            "describe p(X) where q(X) and (X = true)",
+            "describe p(X) where (X = true)",
+            "describe p(X) where (X = 1)",
+            "retrieve p(X) where (X = true)",
+        )
+        assert contradiction == alone == "** the hypothesis contradicts the IDB **"
+        assert one == "p(X) <- q(X)."
+        assert rows == "{X: 0 rows}"
+
+    def test_a_variable_spelled_like_a_renamed_one_is_not_captured(self):
+        program = "q(a, b). r(b). p(X) <- q(X, Y) and r(Y)."
+        assert self.answers(
+            program,
+            "describe p(A) where q(A, W)",
+            "describe p(A) where q(A, X#0)",
+            "describe p(X#0) where q(X#0, Y#1)",
+        ) == ["p(A) <- r(W).", "p(A) <- r(X#0).", "p(X#0) <- r(Y#1)."]

@@ -5,7 +5,9 @@ These are the decision procedures behind the paper's ``alpha |- beta``
 """
 
 from repro.lang.parser import parse_body
+from repro.logic.atoms import Atom
 from repro.logic.intervals import contradicts, implies, implies_all, satisfiable
+from repro.logic.terms import Constant, Variable
 
 
 def atoms(text):
@@ -118,3 +120,43 @@ class TestContradiction:
     def test_equality_contradiction(self):
         assert contradicts(atoms("(X = ann)"), atom("(X = bob)"))
         assert contradicts(atoms("(X = 3)"), atom("(X != 3)"))
+
+
+class TestBooleans:
+    """Booleans are their own order class, the two-element order
+    ``false < true`` (the language spells only ``true``)."""
+
+    X = Variable("X")
+    Y = Variable("Y")
+    Z = Variable("Z")
+
+    def system(self, *triples):
+        return [Atom(op, [left, right]) for left, op, right in triples]
+
+    def test_true_is_not_one(self):
+        X = self.X
+        assert not satisfiable(self.system((X, "=", Constant(True)), (X, "=", Constant(1))))
+        assert not implies(atoms("(X = true)"), atom("(X = 1)"))
+        assert not satisfiable(self.system((Constant(True), "<", Constant(2))))
+
+    def test_nothing_is_below_false_or_above_true(self):
+        X = self.X
+        assert not satisfiable(self.system((X, "<", Constant(False))))
+        assert not satisfiable(atoms("(X > true)"))
+        assert not satisfiable(self.system((X, ">", Constant(False)), (X, "<", Constant(True))))
+        assert implies(self.system((X, ">", Constant(False))), atom("(X = true)"))
+
+    def test_two_values_only(self):
+        X, Y, Z = self.X, self.Y, self.Z
+        falsity = Constant(False)
+        assert not satisfiable(
+            self.system((X, ">=", falsity), (X, "!=", falsity), (X, "!=", Constant(True)))
+        )
+        assert not satisfiable(self.system((X, ">=", falsity), (X, "<", Y), (Y, "<", Z)))
+        assert not satisfiable(
+            self.system((X, ">=", falsity), (Y, ">=", falsity), (Z, ">=", falsity),
+                        (X, "!=", Y), (Y, "!=", Z), (X, "!=", Z))
+        )
+        assert satisfiable(self.system((X, ">=", falsity), (Y, ">=", falsity), (X, "!=", Y)))
+        # Unordered, X may be a number or a string.
+        assert satisfiable(self.system((X, "!=", falsity), (X, "!=", Constant(True))))

@@ -1,11 +1,12 @@
-"""The ComparisonSystem incremental API and Bound helper."""
+"""The ComparisonSystem incremental API and the order classes it decides over."""
 
 import pytest
 
 from repro.errors import LogicError
 from repro.lang.parser import parse_atom
 from repro.logic.atoms import Atom
-from repro.logic.intervals import Bound, ComparisonSystem
+from repro.logic.intervals import ComparisonSystem, satisfiable
+from repro.logic.terms import Constant, Variable
 
 
 class TestComparisonSystem:
@@ -34,11 +35,13 @@ class TestComparisonSystem:
         assert system.is_satisfiable()  # no hidden state corruption
 
 
-class TestBound:
-    def test_sort_of_numbers_and_strings(self):
-        assert Bound(3.5, strict=False).sort() == "num"
-        assert Bound("ann", strict=True).sort() == "str"
-
-    def test_bounds_are_value_objects(self):
-        assert Bound(1, False) == Bound(1, False)
-        assert Bound(1, False) != Bound(1, True)
+class TestOrderClasses:
+    def test_order_classes_follow_order_kind(self):
+        x = Variable("X")
+        # Numbers order together across int and float; strings and
+        # booleans are classes of their own.
+        assert satisfiable([Atom("<", [x, Constant(3.5)]), Atom(">", [x, Constant(1)])])
+        assert not satisfiable([Atom("<", [x, Constant(3)]), Atom(">", [x, Constant("a")])])
+        assert not satisfiable([Atom("=", [x, Constant(True)]), Atom("=", [x, Constant(1)])])
+        assert not satisfiable([Atom("<", [Constant(True), Constant(2)])])
+        assert satisfiable([Atom("!=", [Constant(True), Constant(1)])])

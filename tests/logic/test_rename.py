@@ -66,5 +66,5 @@ class TestVariableRenamer:
     def test_renaming_avoids_names_already_present(self):
         renamer = VariableRenamer()
         theta = renamer.renaming_for([Variable("X"), Variable("X#0"), Variable("X")])
-        assert theta.apply_term(Variable("X")) == Variable("X#1")
-        assert theta.apply_term(Variable("X#0")) == Variable("X#2")
+        assert theta.apply_term(Variable("X")) == Variable("X#1", fresh=True)
+        assert theta.apply_term(Variable("X#0")) == Variable("X#2", fresh=True)

@@ -23,7 +23,10 @@ class TestVariable:
 
     def test_freshness_marker(self):
         assert not Variable("X").is_fresh()
-        assert Variable("X#3").is_fresh()
+        assert Variable("X#3", fresh=True).is_fresh()
+        # Freshness is not read off the spelling: a user may write X#3.
+        assert not Variable("X#3").is_fresh()
+        assert Variable("X#3") != Variable("X#3", fresh=True)
 
     def test_base_name(self):
         assert Variable("X#3").base_name() == "X"
