@@ -19,6 +19,11 @@ of domains is plain structural equality.  ``join`` is the lattice union
 (used along one rule body — shared variables, constant arguments,
 comparison refinements).  Everything here is pure data over plain python
 values; symbol ids never appear.
+
+``int`` and ``float`` are two kinds of one value class: ``4`` and ``4.0``
+are the same constant, and a stored relation holds whichever of the two
+the symbol table met first.  So membership and ``meet`` compare numbers by
+value, never by kind.
 """
 
 from __future__ import annotations
@@ -110,7 +115,7 @@ class ColumnDomain:
         """Whether the domain admits *constant* (soundness check)."""
         value = constant.value
         kind = kind_of(value)
-        if kind not in self.kinds:
+        if kind not in self.kinds and not (kind in _NUMERIC and self.has_numeric):
             return False
         if self.values is not None:
             return value in self.values
@@ -155,6 +160,8 @@ class ColumnDomain:
         if other.values is not None:
             return from_values(v for v in other.values if self.contains(Constant(v)))
         kinds = self.kinds & other.kinds
+        if self.has_numeric and other.has_numeric:
+            kinds |= (self.kinds | other.kinds) & _NUMERIC  # 3 = 3.0
         lows = [x for x in (self.low, other.low) if x is not None]
         highs = [x for x in (self.high, other.high) if x is not None]
         return make(kinds, max(lows) if lows else None, min(highs) if highs else None, None)

@@ -81,8 +81,7 @@ def _subsumes_split(general: _Split, specific: _Split) -> bool:
 
 def subsumes(general: Rule, specific: Rule) -> bool:
     """Whether *general* theta-subsumes *specific* (so *specific* is redundant)."""
-    renamer = VariableRenamer(avoid=specific.ordered_variables())
-    return _subsumes_split(_Split(renamer.rename_rule(general)), _Split(specific))
+    return _subsumes_split(_Split(VariableRenamer().rename_rule(general)), _Split(specific))
 
 
 def equivalent(left: Rule, right: Rule) -> bool:
@@ -94,12 +93,10 @@ def equivalent(left: Rule, right: Rule) -> bool:
 def eliminate_redundant(answers: Sequence[KnowledgeAnswer]) -> list[KnowledgeAnswer]:
     """Drop answers subsumed by other answers; keep the first of variants.
 
-    Each answer is renamed apart (to names no answer uses) and split once,
-    and the matcher runs only on the pairs that pass :func:`_can_subsume`.
+    Each answer is renamed apart and split once, and the matcher runs only
+    on the pairs that pass :func:`_can_subsume`.
     """
-    renamer = VariableRenamer(
-        avoid=[v for answer in answers for v in answer.rule.ordered_variables()]
-    )
+    renamer = VariableRenamer()
     specifics = [_Split(answer.rule) for answer in answers]
     generals = [_Split(renamer.rename_rule(answer.rule)) for answer in answers]
 

@@ -23,8 +23,8 @@ We implement this as a recursive backtracking enumerator, threading the
 global substitution functionally (so "undoing" is free), which visits the
 same answer space as the flowchart's explicit save/restore traversal.
 Each applied rule is renamed apart with fresh variables
-(:class:`~repro.logic.rename.VariableRenamer`) whose names no variable of
-the statement has, so a user variable spelled ``X#0`` is never captured.
+(:class:`~repro.logic.rename.VariableRenamer`), which never equal a user
+variable, so one spelled ``X#0`` is never captured.
 
 Algorithm 2 adds, on top (Figure 3, boxes 9a-9e):
 
@@ -52,7 +52,7 @@ from repro.core.transform import (
     KIND_TRANSFORMATION,
     TransformedProgram,
 )
-from repro.logic.atoms import Atom, atoms_variables
+from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule
 from repro.logic.formulas import dedupe
 from repro.logic.rename import VariableRenamer
@@ -178,7 +178,6 @@ class DerivationSearch:
         from repro.obs.trace import traced_span
 
         self._mode = "describe"
-        self._renamer = VariableRenamer(avoid=atoms_variables((subject, *hypothesis)))
         hyp_positive = [
             (index, atom)
             for index, atom in enumerate(hypothesis)
@@ -304,7 +303,6 @@ class DerivationSearch:
         """
         self._mode = "expand"
         self._hypothesis = []
-        self._renamer = VariableRenamer(avoid=subject.variables())
         try:
             for rule in self._rules_by_pred.get(subject.predicate, ()):
                 renamed = self._renamer.rename_rule(rule)

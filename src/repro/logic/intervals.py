@@ -26,11 +26,12 @@ unsatisfiable, and so are three booleans that differ pairwise.
 The decision procedure numbers the distinct terms of the conjunction and
 works on those integers:
 
-1. merges equality classes with union-find; two constants in one class
+1. merges equality classes by relabelling; two constants in one class
    are a contradiction (equal constants are one term);
-2. orders the classes topologically along the order edges, merging the
-   strongly connected components of a cycle (a strict edge inside one is a
-   contradiction; a non-strict cycle forces equality);
+2. merges each strongly connected component of the order graph (one
+   Tarjan pass, whose reversed component list is the classes' topological
+   order); a strict edge inside one is a contradiction, a non-strict cycle
+   forces equality;
 3. gives every weakly connected part of the order graph the one order
    class of the constants in it (two classes are a contradiction), and
    every unpinned boolean class the bounds ``[false, true]``;
@@ -111,42 +112,43 @@ def _decide(atoms: Iterable[Atom]) -> bool:
         else:
             (equal if op == "=" else unequal).append(pair)
 
-    # 1-2. Classes (each node labelled with its class's node), their pins
-    # and the order graph over them; a cycle merges its classes.
+    # 1-2. Classes (each node labelled with its class's node): equalities
+    # merge, then so does each strongly connected component of the order
+    # graph; the components come in reverse topological order.
     label = list(range(len(nodes)))
     for left_node, right_node in equal:
         _relabel(label, label[left_node], label[right_node])
-    while True:
-        pins: dict[int, object] = {}
-        for term, node in nodes.items():
-            if term.__class__ is Constant:
-                root = label[node]
-                if root in pins:
-                    return False  # two different constants are equal
-                pins[root] = term.value  # type: ignore[union-attr]
-        edges: list[tuple[int, int, bool]] = []
-        for lower, higher, strict in order:
-            lower, higher = label[lower], label[higher]
-            if lower != higher:
-                edges.append((lower, higher, strict))
-            elif strict:
-                return False
-        graph = _topological_order(edges)
-        if graph is not None:
-            topological, above = graph
-            break
-        successors: dict[int, list[int]] = {}
-        for lower, higher, _strict in edges:
-            successors.setdefault(lower, []).append(higher)
-            successors.setdefault(higher, [])
-        for component in strongly_connected_components(successors, successors.__getitem__):
-            for member in component[1:]:
-                _relabel(label, member, component[0])
+    successors: dict[int, list[int]] = {}
+    for lower, higher, _strict in order:
+        lower, higher = label[lower], label[higher]
+        successors.setdefault(lower, []).append(higher)
+        successors.setdefault(higher, [])
+    components = strongly_connected_components(successors, successors.__getitem__)
+    topological: list[int] = []
+    for component in reversed(components):
+        for member in component[1:]:
+            _relabel(label, member, component[0])
+        topological.append(component[0])
+    pins: dict[int, object] = {}
+    for term, node in nodes.items():
+        if term.__class__ is Constant:
+            root = label[node]
+            if root in pins:
+                return False  # two different constants are equal
+            pins[root] = term.value  # type: ignore[union-attr]
+    above: dict[int, list[tuple[int, bool]]] = {}  # class -> (higher class, strict)
+    for lower, higher, strict in order:
+        lower, higher = label[lower], label[higher]
+        if lower != higher:
+            above.setdefault(lower, []).append((higher, strict))
+        elif strict:
+            return False
 
     # 3. One order class per weakly connected part of the order graph.
     part = list(range(len(nodes)))
-    for lower, higher, _strict in edges:
-        _relabel(part, part[lower], part[higher])
+    for lower, higher_edges in above.items():
+        for higher, _strict in higher_edges:
+            _relabel(part, part[lower], part[higher])
     kinds: dict[int, str] = {}  # part -> order class
     for root, value in pins.items():
         kind = order_kind(value)
@@ -231,30 +233,6 @@ def _relabel(label: list[int], old: int, new: int) -> None:
         for index, current in enumerate(label):
             if current == old:
                 label[index] = new
-
-
-def _topological_order(
-    edges: list[tuple[int, int, bool]],
-) -> tuple[list[int], dict[int, list[tuple[int, bool]]]] | None:
-    """The classes on order edges, each after its lower ones (Kahn), with
-    each class's (higher class, strict) edges; ``None`` when the edges
-    close a cycle."""
-    waiting: dict[int, int] = {}
-    above: dict[int, list[tuple[int, bool]]] = {}
-    for lower, higher, strict in edges:
-        waiting.setdefault(lower, 0)
-        waiting[higher] = waiting.get(higher, 0) + 1
-        above.setdefault(lower, []).append((higher, strict))
-    ready = [node for node, count in waiting.items() if not count]
-    ordered: list[int] = []
-    while ready:
-        node = ready.pop()
-        ordered.append(node)
-        for higher, _strict in above.get(node, ()):
-            waiting[higher] -= 1
-            if not waiting[higher]:
-                ready.append(higher)
-    return (ordered, above) if len(ordered) == len(waiting) else None
 
 
 def _assign_booleans(

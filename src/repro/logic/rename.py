@@ -25,21 +25,16 @@ class VariableRenamer:
     """Produces fresh variables and consistently renamed rules.
 
     A single renamer should be shared across one evaluation/derivation so
-    counters never repeat.  *avoid* lists variables whose names no fresh
-    variable may take (the statement a search runs for): a user may spell
-    a variable ``X#0`` too.
+    counters never repeat.  A fresh variable never equals a user variable,
+    even one spelled ``X#0``, so no name needs avoiding.
     """
 
-    def __init__(self, start: int = 0, avoid: Iterable[Variable] = ()) -> None:
+    def __init__(self, start: int = 0) -> None:
         self._counter = itertools.count(start)
-        self._avoid = frozenset(v.name for v in avoid)
 
     def fresh(self, base: str = "V") -> Variable:
         """A brand-new variable whose base name is *base*."""
-        name = f"{base}#{next(self._counter)}"
-        while name in self._avoid:
-            name = f"{base}#{next(self._counter)}"
-        return Variable(name, fresh=True)
+        return Variable(f"{base}#{next(self._counter)}", fresh=True)
 
     def fresh_like(self, variable: Variable) -> Variable:
         """A brand-new variable sharing *variable*'s base name."""
@@ -49,17 +44,15 @@ class VariableRenamer:
         """A substitution renaming each of *variables* to a fresh variable.
 
         Fresh names are handed out in the order *variables* lists them, so
-        the numbering never follows a set's iteration order.  No fresh name
-        is the name of a variable of the input (possible when the input
-        already contains mechanically renamed variables, or a user variable
-        spelled ``X#0``), so the renaming is built as it is: no binding
-        chains through another.
+        the numbering never follows a set's iteration order.  No fresh
+        variable is a variable of the input (possible when the input already
+        contains fresh variables of another renamer), so the renaming is
+        built as it is: no binding chains through another.
         """
         mapping: dict[Variable, Variable] = dict.fromkeys(variables)  # type: ignore[assignment]
-        taken = {variable.name for variable in mapping}
         for variable in mapping:
             fresh = self.fresh_like(variable)
-            while fresh.name in taken:
+            while fresh in mapping:
                 fresh = self.fresh_like(variable)
             mapping[variable] = fresh
         return Substitution.of_bindings(mapping)  # type: ignore[arg-type]

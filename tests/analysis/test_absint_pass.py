@@ -66,6 +66,18 @@ class TestEmptyJoin:
         source = "role(admin, 1).\np(Y) <- role(admin, Y).\n"
         assert "KB702" not in {d.code for d in run(source)}
 
+    def test_int_and_float_of_one_value_match(self):
+        # 4 and 4.0 are one constant, whichever spelling a column holds.
+        source = "q(4).\nr(4.0).\np(X) <- q(X) and r(X).\ns(X) <- q(X) and r(4).\n"
+        assert "KB702" not in {d.code for d in run(source)}
+
+    def test_widened_int_and_float_columns_overlap(self):
+        # Past the enum cap only kinds and intervals are left to compare.
+        ints = "".join(f"q({n}).\n" for n in range(40))
+        floats = "".join(f"r({n}.5).\n" for n in range(40))
+        source = ints + floats + "p(X) <- q(X) and r(X).\n"
+        assert "KB702" not in {d.code for d in run(source)}
+
 
 class TestUnboundedRecursion:
     def test_disconnected_atom_in_recursion_is_kb703(self):

@@ -164,3 +164,13 @@ class TestKernelSoundness:
             "describe p(A) where q(A, X#0)",
             "describe p(X#0) where q(X#0, Y#1)",
         ) == ["p(A) <- r(W).", "p(A) <- r(X#0).", "p(X#0) <- r(Y#1)."]
+
+    def test_a_fresh_variable_left_in_an_answer_prints_apart(self):
+        # The rule's Z survives the search as a fresh variable spelled like
+        # the user's Z#2; the answer names it Z, never Z#2.
+        program = "q(a, b). r(c). p(X) <- q(X, Y) and r(Z)."
+        assert self.answers(
+            program,
+            "describe p(A) where q(A, Z#2)",
+            "describe p(Z#2) where q(Z#2, W)",
+        ) == ["p(A) <- r(Z).", "p(Z#2) <- r(Z)."]

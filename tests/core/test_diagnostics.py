@@ -8,6 +8,7 @@ informational, so a report with nothing else is still clean.
 from repro.analysis.analyzer import analyze
 from repro.catalog.database import KnowledgeBase
 from repro.lang.parser import parse_rule
+from tests.hashseed import run_under_seed
 
 
 def redundant(kb):
@@ -54,6 +55,19 @@ class TestAudit:
         report = analyze(uni)
         assert report.clean
         assert redundant(uni) == []
+
+    def test_clean_after_the_int_spelling_is_interned(self):
+        # The symbol table keeps the first of 4 and 4.0 it meets; the
+        # base's complete(..., 4.0) must match a column stored as 4.
+        code = (
+            "from repro.catalog.symbols import SYMBOLS\n"
+            "from repro.logic.terms import Constant\n"
+            "SYMBOLS.intern(Constant(4))\n"
+            "from repro.analysis.analyzer import analyze\n"
+            "from repro.datasets.university import university_kb\n"
+            "print(analyze(university_kb()).clean)\n"
+        )
+        assert run_under_seed(code, 0).strip() == b"True"
 
     def test_unused_is_informational(self, uni):
         report = analyze(uni)

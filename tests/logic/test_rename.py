@@ -65,6 +65,12 @@ class TestVariableRenamer:
 
     def test_renaming_avoids_names_already_present(self):
         renamer = VariableRenamer()
-        theta = renamer.renaming_for([Variable("X"), Variable("X#0"), Variable("X")])
+        renamed = Variable("X#0", fresh=True)  # from an earlier renaming
+        theta = renamer.renaming_for([Variable("X"), renamed, Variable("X")])
         assert theta.apply_term(Variable("X")) == Variable("X#1", fresh=True)
-        assert theta.apply_term(Variable("X#0")) == Variable("X#2", fresh=True)
+        assert theta.apply_term(renamed) == Variable("X#2", fresh=True)
+
+    def test_a_user_variable_spelled_like_a_fresh_one_is_renamed_apart(self):
+        theta = VariableRenamer().renaming_for([Variable("X"), Variable("X#0")])
+        assert theta.apply_term(Variable("X")) == Variable("X#0", fresh=True)
+        assert theta.apply_term(Variable("X#0")) == Variable("X#1", fresh=True)

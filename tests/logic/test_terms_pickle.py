@@ -12,8 +12,11 @@ DUMP = """
 import pickle, sys
 from repro.logic.atoms import Atom
 from repro.logic.terms import Constant, Variable
-terms = [Constant("abc"), Constant(3), Variable("X"), Atom("p", ["X", "abc"])]
-assert len({term: 1 for term in terms}) == 4  # every hash is computed, and cached
+terms = [
+    Constant("abc"), Constant(3), Variable("X"), Variable("X#3", fresh=True),
+    Atom("p", ["X", "abc"]),
+]
+assert len({term: 1 for term in terms}) == 5  # every hash is computed, and cached
 sys.stdout.buffer.write(pickle.dumps(terms))
 """
 
@@ -22,8 +25,12 @@ import pickle, sys
 from repro.logic.atoms import Atom
 from repro.logic.terms import Constant, Variable
 loaded = pickle.loads(sys.stdin.buffer.read())
-fresh = [Constant("abc"), Constant(3), Variable("X"), Atom("p", ["X", "abc"])]
+fresh = [
+    Constant("abc"), Constant(3), Variable("X"), Variable("X#3", fresh=True),
+    Atom("p", ["X", "abc"]),
+]
 assert loaded == fresh
+assert loaded[3].fresh and loaded[3] != Variable("X#3")
 for old, new in zip(loaded, fresh):
     assert hash(old) == hash(new), old
     assert new in {old: 1} and old in {new: 1}, old
@@ -41,7 +48,13 @@ def test_terms_round_trip_in_process():
 
     from repro.logic.terms import Constant, Variable
 
-    for term in (Constant("abc"), Constant(2.5), Constant(True), Variable("X#3")):
+    terms = (
+        Constant("abc"), Constant(2.5), Constant(True),
+        Variable("X#3"), Variable("X#3", fresh=True),
+    )
+    for term in terms:
         for clone in (pickle.loads(pickle.dumps(term)), copy.deepcopy(term)):
             assert clone == term and hash(clone) == hash(term)
             assert type(clone) is type(term)
+            if isinstance(term, Variable):
+                assert clone.fresh is term.fresh

@@ -36,9 +36,13 @@ class TestUnify:
         assert theta.apply(left) == theta.apply(right)
 
     def test_fresh_variables_eliminated_first(self):
-        # The orientation that keeps answers in the user's variables.
-        theta = unify(Atom("p", ["X#1"]), Atom("p", ["V"]))
-        assert theta.apply_term(Variable("X#1")) == Variable("V")
+        # The orientation that keeps answers in the user's variables.  The
+        # names alone would eliminate V ("V" > "A#1"); freshness decides.
+        fresh = Variable("A#1", fresh=True)
+        for left, right in ((fresh, Variable("V")), (Variable("V"), fresh)):
+            theta = unify(Atom("p", [left]), Atom("p", [right]))
+            assert theta.apply_term(fresh) == Variable("V")
+            assert theta.apply_term(Variable("V")) == Variable("V")
 
     def test_extending_existing_substitution(self):
         base = unify(Atom("p", ["X"]), Atom("p", ["a"]))
