@@ -40,8 +40,8 @@ Design points:
 from __future__ import annotations
 
 import threading
-from itertools import chain
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, Sequence
 
 from repro.logic.terms import Constant
 
@@ -109,10 +109,11 @@ class SymbolTable:
 
         The one externalization call of every id -> constant boundary: a
         ``retrieve`` answer, and a bulk-loaded relation's row dict if a
-        reader ever wants it.  The rows are flattened at C level and cut
-        back into tuples by :meth:`extern_block`, so the cost per row is a
-        few list lookups, not a Python frame.  Every row must have the
-        width of the first (one relation's rows, one answer's rows).
+        reader ever wants it.  The rows go through :meth:`extern_block`,
+        one comprehension specialized to their width, so the cost per row
+        is an unpacking and a few list lookups, not a Python frame.  Every
+        row must have the width of the first (one relation's rows, one
+        answer's rows).
         """
         if not isinstance(rows, (list, tuple)):
             rows = list(rows)
@@ -121,19 +122,26 @@ class SymbolTable:
         width = len(rows[0])
         if not width:
             return [()] * len(rows)
-        return self.extern_block(chain.from_iterable(rows), width)
+        return self.extern_block(rows, width)
 
     def extern_block(
-        self, flat_ids: Iterable[int], width: int
+        self, rows: Iterable[Sequence[int]], width: int
     ) -> list[tuple[Constant, ...]]:
-        """Externalize a flattened row-major block into *width*-tuples.
+        """Externalize id rows of *width* columns into constant tuples.
 
-        One C-level ``map``/``zip`` pass instead of a per-row
-        :meth:`extern_row` call.  ``width`` must be positive (zero-arity
-        rows have nothing to externalize).
+        One generated comprehension per width (:func:`extern_source`),
+        ``[(c[r0], c[r1]) for r0, r1 in rows]`` for two columns: each row
+        is unpacked into locals and rebuilt as a tuple display of list
+        lookups.  ``width`` must be a positive ``int`` (zero-arity rows
+        have nothing to externalize; a ``bool`` is not an ``int`` here), so
+        nothing else reaches the source; a row of another width raises
+        :class:`ValueError`.
         """
-        source = map(self._constants.__getitem__, flat_ids)
-        return list(zip(*([source] * width)))
+        if type(width) is not int:
+            raise TypeError(f"extern block width {width!r} is not an int")
+        if width < 1:
+            raise ValueError(f"extern block width must be positive, got {width}")
+        return _generated(width)(rows, self._constants)
 
     def constants(self) -> list[Constant]:
         """A snapshot of the id -> constant mapping (index = id)."""
@@ -144,6 +152,32 @@ class SymbolTable:
 
     def __contains__(self, constant: object) -> bool:
         return constant in self._ids
+
+
+#: How many generated comprehensions :meth:`SymbolTable.extern_block`
+#: keeps, process-wide, one per width.
+EXTERN_CACHE_SIZE = 64
+
+def extern_source(width: int) -> str:
+    """The source of the externalizing comprehension of *width* columns:
+    ``rows`` of ids in, a list of tuples of ``c`` (the constants) out."""
+    names = [f"r{column}" for column in range(width)]
+    target = f"{names[0]}," if width == 1 else ", ".join(names)
+    display = ", ".join(f"c[{name}]" for name in names)
+    if width == 1:
+        display += ","
+    return (
+        "def block(rows, c):\n"
+        f"    return [({display}) for {target} in rows]\n"
+    )
+
+
+@lru_cache(maxsize=EXTERN_CACHE_SIZE)
+def _generated(width: int) -> Callable[..., list[tuple[Constant, ...]]]:
+    namespace: dict[str, object] = {}
+    code = compile(extern_source(width), f"<extern block {width}>", "exec")
+    exec(code, namespace)  # the source is built from one int (extern_block)
+    return namespace["block"]  # type: ignore[return-value]
 
 
 #: The process-wide table.  Relations intern into it at insert time; the

@@ -31,7 +31,12 @@ from repro.catalog.database import KnowledgeBase
 from repro.catalog.relation import Relation, Row
 from repro.catalog.symbols import SYMBOLS
 from repro.engine.kernels import IntTable, RuleKernel, compile_rule_kernel
-from repro.engine.plan import DELTA_PREFIX, delta_rewritings, relation_cost_estimator
+from repro.engine.plan import (
+    DeltaName,
+    delta_name,
+    delta_rewritings,
+    relation_cost_estimator,
+)
 from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule
 
@@ -124,9 +129,8 @@ class MaterializedDatabase:
         def view(predicate: str):
             # Only the delta atoms the rewriting made: a stored predicate
             # may carry the prefix in its own name.
-            changed = predicate[len(DELTA_PREFIX):]
-            if predicate.startswith(DELTA_PREFIX) and changed in deltas:
-                return deltas[changed]
+            if type(predicate) is DeltaName:
+                return deltas.get(predicate.member)
             if self._kb.is_edb(predicate):
                 return self._kb.relation(predicate)
             return self._derived.get(predicate)
@@ -139,13 +143,13 @@ class MaterializedDatabase:
                 estimate = relation_cost_estimator(view)
                 kernel = self._compiled[rule] = compile_rule_kernel(rule, estimate)
             if guard is not None:
-                delta_atoms = [a for a in rule.body if a.predicate.startswith(DELTA_PREFIX)]
+                delta_atoms = [a for a in rule.body if type(a.predicate) is DeltaName]
                 # One tick per delta row, not tick(n): each tick is a
                 # cancellation and fault-injection checkpoint.
                 for _ in range(sum(len(view(a.predicate)) for a in delta_atoms)):
                     guard.tick()
             kernel.execute(view, heads, guard)
-        return list(heads.pending)
+        return heads.pending
 
 
 def _table(rows: list[tuple[int, ...]]) -> IntTable:
@@ -166,7 +170,7 @@ def _known_ids(row: Row) -> tuple[int, ...] | None:
 
 
 def _delta(atom: Atom) -> Atom:
-    return Atom(DELTA_PREFIX + atom.predicate, atom.args)
+    return Atom(delta_name(atom.predicate), atom.args)
 
 
 def _old_state_variants(rule: Rule, removed: dict[str, IntTable]) -> list[Rule]:

@@ -62,12 +62,19 @@ next.  :class:`IntTable` is the fixpoint table the one stratum driver
 ``(arity, int_rows, table, distinct_count)`` read surface of a
 :class:`~repro.catalog.relation.Relation`, so the steps and the
 cardinality estimator read either alike, plus the three calls the driver
-makes: ``admit`` (screen fired rows against the table and the round's
-pending rows), ``extend`` (make the pending rows visible — a kept id table
-takes them on its next request — and hand them back as the next delta
-table) and ``flush``
-(hand the id rows to the derived relation, which keeps them as they are —
-:meth:`Relation.load_interned`).
+makes.  The table is one insertion-ordered dict, ``index``, of every row it
+has admitted, and ``rows``, the visible ones — the first keys of
+``index``; the keys past them are the round's *staged* rows, so a derived
+fact is hashed and stored once.  ``admit`` stores fired rows in ``index``
+(a head-fused join's loop stores its head rows there itself), ``extend``
+takes the staged rows off the end of ``index`` — their cost alone —,
+appends them to ``rows`` (a kept id table takes them on its next request)
+and hands them back as the next delta table, and ``flush`` hands the
+visible rows to the derived relation, which keeps them as they are
+(:meth:`Relation.load_interned`): ``index`` itself when nothing is staged,
+the visible rows alone after a budget trip mid-round.  Every read surface
+— ``int_rows``, ``table``, ``len``, ``version`` — sees the visible rows
+only, so a rule firing in one round never reads that round's rows.
 
 **A batch over its full schema holds no row twice**, so a derived fact is
 deduplicated once, by the fixpoint table that admits it, and never again
@@ -91,6 +98,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache, partial
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from repro.errors import ArityError, LogicError
@@ -128,69 +136,80 @@ _ORDER_OPS: dict[str, Callable[[object, object], bool]] = {
 class IntTable:
     """An append-only set of interned rows: the stratum fixpoint table.
 
-    ``version`` is the row count: rows are only ever appended, so the
-    count is a valid monotone version, as :attr:`Relation.version` is.
+    ``index`` is one insertion-ordered dict of every row the table has
+    admitted; ``rows`` is the visible ones, the first ``len(rows)`` keys
+    of ``index`` in the same order.  The keys past them are the rows
+    *staged* this round (:attr:`pending`): a fused tail stores a head row
+    once, as a key of ``index``, and :meth:`extend` makes the staged rows
+    visible at the round's end.  ``version`` is the visible row count:
+    rows are only ever appended, so the count is a valid monotone version,
+    as :attr:`Relation.version` is.
     """
 
-    __slots__ = ("arity", "rows", "index", "pending", "_stats", "_tables")
+    __slots__ = ("arity", "rows", "index", "_stats", "_tables")
 
     def __init__(self, arity: int, rows: Iterable[tuple[int, ...]] = ()) -> None:
         self.arity = arity
-        self.rows: list[tuple[int, ...]] = list(rows)
-        #: Membership of ``rows``, its keys in the same order (so the rows
-        #: leave as a dict, distinct by construction: :meth:`flush`);
+        #: Every admitted row, visible then staged, in admission order;
         #: ``None`` on a delta table, which is scanned and probed but never
         #: asked whether it holds a row.
-        self.index: dict[tuple[int, ...], None] | None = dict.fromkeys(self.rows)
-        #: Rows admitted this round, not yet visible (insertion-ordered).
-        #: A rule kernel's fused tail stages head rows here directly.
-        self.pending: dict[tuple[int, ...], None] = {}
+        self.index: dict[tuple[int, ...], None] = dict.fromkeys(rows)
+        self.rows: list[tuple[int, ...]] = list(self.index)
         self._stats: dict[int, tuple[int, int]] = {}
         #: Id tables by shape and constant part, as :meth:`Relation.table`
         #: keeps them, with the number of rows they cover (see :meth:`table`).
         self._tables: dict[Shape, tuple[dict[object, IdTable], int]] = {}
 
     def admit(self, fired: Iterable[tuple[int, ...]]) -> int:
-        """Stage the fired rows that are neither visible nor already
-        pending this round; returns how many were new."""
+        """Stage the fired rows the table has not admitted yet (visible or
+        staged), storing each as the fused tail does; returns how many
+        were new."""
         index = self.index
-        pending = self.pending
-        before = len(pending)
+        before = len(index)
         for row in fired:
-            if row not in index:
-                pending[row] = None
-        return len(pending) - before
+            index[row] = None
+        return len(index) - before
+
+    @property
+    def pending(self) -> list[tuple[int, ...]]:
+        """The rows staged this round, not yet visible (a copy, in order)."""
+        staged = list(islice(reversed(self.index), len(self.index) - len(self.rows)))
+        staged.reverse()
+        return staged
 
     def extend(self) -> "IntTable | None":
-        """Make the pending rows visible; returns them as the next delta
+        """Make the staged rows visible; returns them as the next delta
         table (``None`` when the round admitted nothing)."""
-        pending = self.pending
-        if not pending:
+        rows = self.rows
+        count = len(self.index) - len(rows)
+        if not count:
             return None
-        self.pending = {}
-        # Rows were screened against the table when admitted and the
-        # pending dict deduplicated across rules: extend without re-probing.
-        self.index.update(pending)
-        self.rows.extend(pending)
+        # The staged rows are the last keys of ``index``, read from its
+        # end (their cost alone) and distinct: extend without probing.
+        staged = list(islice(reversed(self.index), count))
+        staged.reverse()
+        rows.extend(staged)
         # The delta is built bare: it is scanned and probed, never asked
-        # whether it holds a row, so it takes no membership dict.
+        # whether it holds a row, so it takes no ``index``.
         delta = IntTable.__new__(IntTable)
         delta.arity = self.arity
-        delta.rows = list(pending)
-        delta.index = None
-        delta.pending = {}
+        delta.rows = staged
+        delta.index = None  # type: ignore[assignment]
         delta._stats = {}
         delta._tables = {}
         return delta
 
     def flush(self, relation) -> None:
         """Hand the visible rows to *relation* (one bulk load; the rows
-        stay ids until a reader of the relation wants constants).  They
-        go as the membership dict, whose keys are the rows in order: a
-        dict's keys are distinct, so an empty relation adopts them without
-        hashing any again (:meth:`Relation.load_interned`)."""
+        stay ids until a reader of the relation wants constants).  With
+        nothing staged they go as ``index``, whose keys are the rows in
+        order: a dict's keys are distinct, so an empty relation adopts them
+        without hashing any again (:meth:`Relation.load_interned`).  A
+        budget trip mid-round leaves rows staged; then only the visible
+        rows go, as a list."""
         if self.rows:
-            relation.load_interned(self.index)
+            index = self.index
+            relation.load_interned(index if len(index) == len(self.rows) else self.rows)
 
     def int_rows(self) -> list[tuple[int, ...]]:
         return self.rows
@@ -218,6 +237,7 @@ class IntTable:
         return len(self.rows)
 
     def __contains__(self, row: object) -> bool:
+        """Whether the table has admitted *row*, visible or staged."""
         return row in self.index
 
     def distinct_count(self, column: int) -> int:
@@ -286,9 +306,9 @@ def loop_source(
     every entry of ``probe``, the one bucket.  Without a *head* the loop
     returns the combined rows as a batch, those ``check`` passes if
     *filtered*; with one — per head argument, its index in the combined
-    row, and never with filters (:meth:`_KJoin.fuse_head`) — it stages each
-    head row not in ``index`` in ``pending`` (a fixpoint table's membership
-    and this round's rows).
+    row, and never with filters (:meth:`_KJoin.fuse_head`) — it stores each
+    head row as a key of ``index``, a fixpoint table's one dict of admitted
+    rows, where a row it already holds stays as it is.
 
     Only the ints of the layout reach the source: keys and rows are tuple
     displays of local names, and no name, constant or text of a rule does.
@@ -322,14 +342,13 @@ def loop_source(
     # A head that is the entry, column for column, is taken as it is.
     taken = out == extension
     lines = [
-        "def loop(batch, probe, check, index, pending):",
+        "def loop(batch, probe, check, index):",
         f"    for {_target(binding)} in batch:",
         f"        for {'row' if taken else _target(extension)} in {matches}:",
     ]
     if not taken:
         lines.append(f"            row = {_display(out)}")
-    lines.append("            if row not in index:")
-    lines.append("                pending[row] = None")
+    lines.append("            index[row] = None")
     return "\n".join(lines) + "\n"
 
 
@@ -522,10 +541,10 @@ class _KJoin:
                     return [] if table is None else 0
         if table is None:
             return self._loop(batch, probe, self.check)
-        pending = table.pending
-        before = len(pending)
-        self._loop(batch, probe, self.check, table.index, pending)
-        return len(pending) - before
+        index = table.index
+        before = len(index)
+        self._loop(batch, probe, self.check, index)
+        return len(index) - before
 
 
 class _KBind:
@@ -739,8 +758,8 @@ class RuleKernel:
 
     def execute(self, relations, table: IntTable, guard=None, tracer=None) -> int:
         """Fire the rule into *table*, the head predicate's fixpoint
-        table: stage every head row that is neither visible nor pending
-        there and return how many were new.  *guard* and *tracer* see the
+        table: stage every head row it has not admitted yet (visible or
+        staged) and return how many were new.  *guard* and *tracer* see the
         same step boundaries as :meth:`ConjunctionKernel.execute`."""
         batch = _run_steps(self._body, relations, guard, tracer)
         if not batch:

@@ -26,6 +26,7 @@ a stratum evaluation (:meth:`SemiNaiveEngine._evaluate_stratum`);
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, NamedTuple, Sequence
 
 from repro.errors import SafetyError
@@ -44,6 +45,42 @@ CostEstimator = Callable[[Atom, set[Variable]], float | None]
 #: firing (:mod:`repro.engine.incremental`).  :func:`order_conjuncts` puts
 #: them first.
 DELTA_PREFIX = "\x7fdelta\x7f:"
+
+
+class DeltaName(str):
+    """The predicate of a delta occurrence: :data:`DELTA_PREFIX` and the
+    name of the predicate whose delta it reads (:attr:`member`).
+
+    Only a rewriting makes one (:func:`delta_name`), and it is never equal
+    to a plain ``str``: a stored predicate whose name is spelled the same
+    stays a different key of every relation mapping, so it is never read
+    as the member's delta (nor a delta as it).
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is DeltaName and str.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = str.__hash__
+
+    @property
+    def member(self) -> str:
+        """The predicate whose delta this occurrence reads."""
+        return self[len(DELTA_PREFIX):]
+
+
+@cache
+def delta_name(predicate: str) -> DeltaName:
+    """The predicate of an occurrence of *predicate* reading its delta.
+
+    One object per predicate: a relation mapping keyed by it is then
+    looked up by identity, never through :meth:`DeltaName.__eq__`, a
+    Python call (~5x the lookup)."""
+    return DeltaName(DELTA_PREFIX + predicate)
 
 
 def _boundness(atom: Atom, bound: set[Variable]) -> float:
@@ -93,7 +130,7 @@ def order_conjuncts(
                 (atom, atom.variables(), atom.predicate == "=", constant_side)
             )
         else:
-            delta = atom.predicate.startswith(DELTA_PREFIX)
+            delta = type(atom.predicate) is DeltaName
             positives.append((atom, atom.variables(), position, delta))
     bound: set[Variable] = set()
     ordered: list[Atom] = []
@@ -180,7 +217,7 @@ def delta_rewritings(rule: Rule, stratum) -> list[tuple[int, Rule]]:
     for position, atom in enumerate(rule.body):
         if atom.predicate in stratum:
             body = list(rule.body)
-            body[position] = Atom(DELTA_PREFIX + atom.predicate, atom.args)
+            body[position] = Atom(delta_name(atom.predicate), atom.args)
             variants.append((position, rule.with_body(body)))
     return variants
 

@@ -35,11 +35,7 @@ from repro.catalog.database import KnowledgeBase
 from repro.catalog.relation import Relation
 from repro.engine.guard import ResourceGuard
 from repro.engine.kernels import IntTable, RuleKernel, compile_rule_kernel
-from repro.engine.plan import (
-    DELTA_PREFIX as _DELTA_PREFIX,
-    delta_rewritings,
-    relation_cost_estimator,
-)
+from repro.engine.plan import delta_name, delta_rewritings, relation_cost_estimator
 from repro.obs.trace import traced_span
 from repro.logic.clauses import Rule
 
@@ -74,11 +70,12 @@ class CompiledStratum:
             if not atom.is_comparison()
         }
         #: ``(delta name, stratum predicate)`` per delta a rewriting reads
-        #: (:data:`DELTA_PREFIX`): the entries set anew every iteration.
+        #: (:func:`~repro.engine.plan.delta_name`): the entries set anew
+        #: every iteration.
         self.deltas = [
-            (_DELTA_PREFIX + predicate, predicate)
+            (delta_name(predicate), predicate)
             for predicate in sorted(stratum)
-            if _DELTA_PREFIX + predicate in self.reads
+            if delta_name(predicate) in self.reads
         ]
 
     @cached_property

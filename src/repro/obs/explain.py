@@ -40,6 +40,7 @@ from repro.engine.plan import (
     DELTA_PREFIX,
     ConjunctionPlan,
     CostEstimator,
+    DeltaName,
     _Bind,
     _Compare,
     _HashJoin,
@@ -300,7 +301,9 @@ def plan_lines(
                 expected = estimate(atom, set(schema[:bound]))
                 if expected is not None:
                     notes.append(f"est~{expected:.0f} rows")
-            shown = str(atom).replace(DELTA_PREFIX, "delta:")
+            shown = str(atom)
+            if type(atom.predicate) is DeltaName:
+                shown = "delta:" + shown[len(DELTA_PREFIX):]
             lines.append(f"hash_join {shown} [{'; '.join(notes)}]")
             bound += len(step.out_cols)
         elif isinstance(step, _Bind):

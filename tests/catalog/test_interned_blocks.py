@@ -1,7 +1,7 @@
 """Bulk interning boundaries: ``extern_block`` and ``load_interned``.
 
 The fixpoint flushes its results as one batch of symbol-id rows; these
-tests pin the flush contract — flat one-pass externalization, arity
+tests pin the flush contract — one-pass externalization, arity
 checking, dedup against existing rows and inside the batch, and the
 interned mirror: kept as loaded when nothing collapsed, rebuilt from the
 rows otherwise.
@@ -21,22 +21,41 @@ def _ids(*values):
 
 class TestExternBlock:
     def test_matches_extern_row(self):
-        flat = _ids("a", "b", "c", "d")
-        rows = SYMBOLS.extern_block(flat, 2)
-        assert rows == [
-            SYMBOLS.extern_row(flat[0:2]),
-            SYMBOLS.extern_row(flat[2:4]),
+        rows = [_ids("a", "b"), _ids("c", "d")]
+        assert SYMBOLS.extern_block(rows, 2) == [
+            SYMBOLS.extern_row(rows[0]),
+            SYMBOLS.extern_row(rows[1]),
         ]
 
     def test_width_one(self):
-        flat = _ids("x", "y")
-        assert SYMBOLS.extern_block(flat, 1) == [
+        rows = [_ids("x"), _ids("y")]
+        assert SYMBOLS.extern_block(rows, 1) == [
             (Constant("x"),),
             (Constant("y"),),
         ]
 
     def test_empty(self):
         assert SYMBOLS.extern_block([], 2) == []
+
+    def test_rows_of_another_width_raise(self):
+        with pytest.raises(ValueError):
+            SYMBOLS.extern_block([_ids("a", "b"), _ids("c")], 2)
+
+    @pytest.mark.parametrize("width", [0, -1, True, 2.0, "2"])
+    def test_only_a_positive_int_width_reaches_the_source(self, width):
+        with pytest.raises((TypeError, ValueError)):
+            SYMBOLS.extern_block([], width)
+
+    def test_source_is_one_comprehension_per_width(self):
+        from repro.catalog.symbols import extern_source
+
+        assert extern_source(1) == (
+            "def block(rows, c):\n    return [(c[r0],) for r0, in rows]\n"
+        )
+        assert extern_source(3) == (
+            "def block(rows, c):\n"
+            "    return [(c[r0], c[r1], c[r2]) for r0, r1, r2 in rows]\n"
+        )
 
 
 class TestLoadInternedBlock:
@@ -112,8 +131,8 @@ class TestBulkLoadersAgree:
 
     def test_extern_rows_equals_extern_block(self):
         int_rows = [_ids(*row) for row in self.ROWS]
-        flat = [sid for row in int_rows for sid in row]
-        assert SYMBOLS.extern_rows(int_rows) == SYMBOLS.extern_block(flat, 2)
+        assert SYMBOLS.extern_rows(int_rows) == SYMBOLS.extern_block(int_rows, 2)
+        assert SYMBOLS.extern_rows(int_rows) == list(map(SYMBOLS.extern_row, int_rows))
 
     def test_zero_width_block_collapses_to_one_row(self):
         rel = Relation(0)

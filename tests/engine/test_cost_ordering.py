@@ -3,7 +3,7 @@
 from repro.catalog.database import KnowledgeBase
 from repro.catalog.relation import Relation
 from repro.engine import retrieve
-from repro.engine.plan import DELTA_PREFIX, order_conjuncts, relation_cost_estimator
+from repro.engine.plan import delta_name, order_conjuncts, relation_cost_estimator
 from repro.logic.atoms import Atom
 from repro.lang.parser import parse_atom, parse_body, parse_rule
 from repro.logic.terms import Variable
@@ -50,24 +50,24 @@ class TestDeltaFirst:
 
     BODY = [
         parse_atom("edge(X, Z)"),
-        Atom(DELTA_PREFIX + "path", parse_atom("path(Z, Y)").args),
+        Atom(delta_name("path"), parse_atom("path(Z, Y)").args),
     ]
 
     def test_delta_beats_a_cheaper_relation(self):
         estimate = make_estimator(
             {
                 "edge": [("a", "b")],
-                DELTA_PREFIX + "path": [(f"x{i}", f"y{i}") for i in range(50)],
+                delta_name("path"): [(f"x{i}", f"y{i}") for i in range(50)],
             }
         )
         ordered = order_conjuncts(self.BODY, estimate=estimate)
-        assert [a.predicate for a in ordered] == [DELTA_PREFIX + "path", "edge"]
+        assert [a.predicate for a in ordered] == [delta_name("path"), "edge"]
 
     def test_delta_wins_the_first_iteration_size_tie(self):
         # The first delta of path is path itself, as large as the edge
         # relation it was copied from: the tie used to go to body order.
         rows = [(f"n{i}", f"n{i + 1}") for i in range(20)]
-        estimate = make_estimator({"edge": rows, DELTA_PREFIX + "path": rows})
+        estimate = make_estimator({"edge": rows, delta_name("path"): rows})
         assert order_conjuncts(self.BODY, estimate=estimate)[0] is self.BODY[1]
         assert order_conjuncts(self.BODY)[0] is self.BODY[1]  # no estimator either
 

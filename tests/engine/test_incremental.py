@@ -255,3 +255,29 @@ class TestRepairedViews:
         assert holds(cache, "honor(yan)")
         assert cache.stats.incremental_refreshes == 2
         assert lowered == []
+
+
+class TestDeltaNames:
+    def test_a_stored_predicate_spelled_like_a_delta_is_read_as_itself(self):
+        # Repair fires ``v``'s variant with ``e``'s delta; the stored
+        # relation named like that delta must still be read as stored.
+        from repro.engine.plan import DELTA_PREFIX
+        from repro.logic.atoms import Atom
+        from repro.logic.clauses import Rule
+        from repro.logic.terms import Variable
+
+        name = DELTA_PREFIX + "e"
+        kb = KnowledgeBase()
+        kb.declare_edb("e", 2)
+        kb.add_facts("e", [("a", "b")])
+        kb.declare_edb(name, 2)
+        kb.add_facts(name, [("b", "c")])
+        X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
+        kb.add_rule(Rule(Atom("v", [X, Y]), [Atom("e", [X, Z]), Atom(name, [Z, Y])]))
+        cache = warm(kb)
+        kb.add_fact("e", "q", "b")
+        assert holds(cache, "v(q, c)")
+        kb.relation("e").delete(("a", "b"))
+        assert not holds(cache, "v(a, c)")
+        assert cache.stats.incremental_refreshes == 2
+        assert rows(cache, "v") == fresh_rows(kb, "v")

@@ -28,8 +28,8 @@ from hypothesis import strategies as st
 from repro.catalog.database import KnowledgeBase
 from repro.engine.kernels import kernelize_conjunction
 from repro.engine.plan import (
-    DELTA_PREFIX,
     compile_conjunction,
+    delta_name,
     order_conjuncts,
     relation_cost_estimator,
 )
@@ -62,7 +62,7 @@ def positive_atoms(draw, deltas: bool = True) -> Atom:
     name = draw(st.sampled_from(sorted(ARITIES)))
     args = draw(st.lists(terms, min_size=ARITIES[name], max_size=ARITIES[name]))
     if deltas and draw(st.integers(0, 3)) == 0:
-        name = DELTA_PREFIX + name
+        name = delta_name(name)
     return Atom(name, args)
 
 
@@ -100,7 +100,7 @@ def estimator_over(rows: dict[str, list[tuple]]):
         kb.declare_edb(name, ARITIES[name])
         kb.add_facts(name, rows[name])
     relations = {name: kb.relation(name) for name in STORED}
-    relations.update({DELTA_PREFIX + name: kb.relation(name) for name in STORED})
+    relations.update({delta_name(name): kb.relation(name) for name in STORED})
     return relation_cost_estimator(relations.get)
 
 

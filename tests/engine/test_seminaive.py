@@ -9,7 +9,8 @@ from repro.catalog.database import KnowledgeBase
 from repro.catalog.loader import load_program
 from repro.engine.evaluate import retrieve
 from repro.engine.guard import ResourceGuard
-from repro.engine.plan import DELTA_PREFIX
+from repro.engine.kernels import IntTable
+from repro.engine.plan import DELTA_PREFIX, DeltaName, delta_name
 from repro.engine.seminaive import SemiNaiveEngine
 from repro.datasets import chain_graph_kb, random_graph_kb
 from repro.lang.parser import parse_atom, parse_rule
@@ -130,6 +131,12 @@ class TestDeltaDrivenFixpoint:
             "odd(X, Y) <- edge(X, Y).\n"
             "odd(X, Y) <- edge(X, Z) and even(Z, Y).\n"
         ),
+        # The same, through the admit path: no head here is fused.
+        "mutual_unfused": (
+            "even(X, Y, k) <- edge(X, Z) and odd(Z, Y, k).\n"
+            "odd(X, Y, k) <- edge(X, Y).\n"
+            "odd(X, Y, k) <- edge(X, Z) and even(Z, Y, k).\n"
+        ),
         # Heads the last join cannot carry (a constant, an interleaving).
         "unfused_heads": (
             "path(X, Y) <- edge(X, Y).\npath(X, Y) <- edge(X, Z) and path(Z, Y).\n"
@@ -162,7 +169,7 @@ class TestDeltaDrivenFixpoint:
         assert sorted(variants) == [(1, 0), (1, 1)]
         for kernel in variants.values():
             first, second = kernel.kernel.steps
-            assert first.predicate == DELTA_PREFIX + "path" and first.shape is None
+            assert first.predicate == delta_name("path") and first.shape is None
             assert second.predicate == "path" and kernel.head_fused
 
     def test_a_trip_at_any_checkpoint_leaves_a_sound_flushed_partial(self):
@@ -214,6 +221,61 @@ class TestDeltaDrivenFixpoint:
             if not tripped:
                 break
         assert tripped_in_first_round
+
+    @pytest.mark.parametrize("name", ["mutual", "mutual_unfused", "non_linear"])
+    def test_a_trip_inside_a_round_flushes_the_rows_visible_before_it(
+        self, name, monkeypatch
+    ):
+        # The rows a round stages sit in the table's index past its visible
+        # rows; a trip at any step of round k must flush exactly what the
+        # rounds before it made visible — the rows an iteration budget of
+        # k - 1 leaves — and none of the staged ones.
+        kb = self.kb(name)
+        staged_at_flush = []
+        flush = IntTable.flush
+
+        def recording(table, relation):
+            staged_at_flush.append(len(table.pending))
+            flush(table, relation)
+
+        monkeypatch.setattr(IntTable, "flush", recording)
+
+        class TripInRound(ResourceGuard):
+            """Trips at the *at*-th step checkpoint of delta round *round*."""
+
+            def __init__(self, round, at):
+                super().__init__(mode="degrade")
+                self.round, self.at, self.seen = round, at, 0
+
+            def tick(self, steps=1, error=None):
+                super().tick(steps, error)
+                if self.iterations == self.round:
+                    self.seen += 1
+                    if self.seen == self.at:
+                        self._trip("steps", self.seen, self.at, "inside the round", error)
+
+        def rows_after(guard):
+            engine = SemiNaiveEngine(kb, guard=guard)
+            try:
+                engine.evaluate()
+            except ResourceExhausted:
+                pass
+            return {p: engine.partial_relation(p).rows() for p in kb.idb_predicates()}
+
+        full = rows_after(None)
+        dropped_staged = False
+        for round in (2, 3):
+            before = rows_after(ResourceGuard(max_iterations=round - 1, mode="degrade"))
+            assert before != full
+            for at in itertools.count(1):
+                guard = TripInRound(round, at)
+                staged_at_flush.clear()
+                partial = rows_after(guard)
+                if guard.tripped is None:
+                    break  # the round ended before its at-th step
+                assert partial == before, (round, at)
+                dropped_staged |= any(staged_at_flush)
+        assert dropped_staged, "no trip found rows staged"
 
     def test_strict_trip_leaves_the_partial_relation_flushed(self):
         kb = chain_graph_kb(30)
@@ -278,6 +340,44 @@ class TestDeltaDrivenFixpoint:
             monkeypatch.setattr(cls, "__str__", counted)
         assert session.query(statement).rows
         assert formatted == []
+
+
+class TestDeltaNames:
+    """A delta occurrence is told apart by what the rewriting made, not by
+    the spelling of its predicate: a stored predicate named exactly like
+    a member's delta is read as itself."""
+
+    NAME = DELTA_PREFIX + "path"
+
+    def kb(self):
+        from repro.logic.atoms import Atom
+        from repro.logic.clauses import Rule
+        from repro.logic.terms import Variable
+
+        kb = KnowledgeBase()
+        load_program(kb, "edge(a, b). edge(b, c). path(X, Y) <- edge(X, Y).")
+        kb.declare_edb(self.NAME, 2)
+        kb.add_facts(self.NAME, [("c", "z")])
+        X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
+        kb.add_rule(
+            Rule(Atom("path", [X, Y]), [Atom("path", [X, Z]), Atom(self.NAME, [Z, Y])])
+        )
+        return kb
+
+    def test_retrieve_reads_the_stored_predicate(self):
+        kb = self.kb()
+        answer = retrieve(kb, parse_atom("path(X, Y)")).rows
+        assert {tuple(c.value for c in row) for row in answer} == {
+            ("a", "b"), ("b", "c"), ("b", "z"),
+        }
+        assert set(answer) == reference_rows(kb, "path")
+
+    def test_a_delta_name_equals_no_plain_name(self):
+        made = delta_name("path")
+        assert isinstance(made, DeltaName) and made.member == "path"
+        assert made == delta_name("path") and str(made) == self.NAME
+        assert made != self.NAME and self.NAME != made
+        assert {self.NAME: 1}.get(made) is None and {made: 1}.get(self.NAME) is None
 
 
 class TestLimitsAndErrors:

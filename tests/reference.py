@@ -24,7 +24,8 @@ from repro.catalog.database import KnowledgeBase
 from repro.catalog.relation import Relation, Row, Shape
 from repro.catalog.symbols import SYMBOLS
 from repro.engine.plan import (
-    DELTA_PREFIX as _DELTA_PREFIX,
+    DeltaName,
+    delta_name,
     order_conjuncts,
     relation_cost_estimator,
 )
@@ -168,8 +169,8 @@ class _ReferenceEngine:
 
     def _relation_view(self, predicate: str) -> Relation | None:
         """The relation an atom of *predicate* currently reads (or ``None``)."""
-        if predicate.startswith(_DELTA_PREFIX):
-            return self._delta.get(predicate[len(_DELTA_PREFIX):])
+        if type(predicate) is DeltaName:
+            return self._delta.get(predicate.member)
         if self._kb.is_edb(predicate):
             return self._kb.relation(predicate)
         if self._kb.is_idb(predicate):
@@ -263,7 +264,7 @@ class _ReferenceEngine:
             for position in occurrences:
                 body = list(rule.body)
                 original = body[position]
-                body[position] = Atom(_DELTA_PREFIX + original.predicate, original.args)
+                body[position] = Atom(delta_name(original.predicate), original.args)
                 rewritten_rules.append((rule_index, position, rule.with_body(body)))
 
         while any(delta_rows.values()):
