@@ -11,8 +11,8 @@ recursive predicates).
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from contextlib import contextmanager, nullcontext
+from typing import ContextManager, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.errors import (
     ArityError,
@@ -26,6 +26,7 @@ from repro.errors import (
 from repro.catalog.dependencies import DependencyGraph
 from repro.catalog.relation import Relation, Row
 from repro.catalog.schema import PredicateKind, PredicateSchema
+from repro.catalog.transaction import KBTransaction
 from repro.logic.atoms import Atom
 from repro.logic.builtins import is_builtin_predicate
 from repro.logic.clauses import IntegrityConstraint, Rule
@@ -105,25 +106,32 @@ class KnowledgeBase:
         block raises, or the commit's log append fails, the knowledge base
         is restored to its state at entry and the exception propagates.
         Nested ``transaction()`` blocks join the outermost one (a single
-        atomic span).
+        atomic span).  On a durable knowledge base the span is one log
+        record, and the only place its stored relations take direct writes.
         """
-        from repro.catalog.transaction import KBTransaction  # local: avoid cycle
-
         self._assert_mutable()
         if self._tx is not None:
             yield self._tx  # join the enclosing transaction
             return
-        tx = KBTransaction(self)
-        self._tx = tx
         try:
-            yield tx
+            with KBTransaction(self) as tx:
+                yield tx
         except BaseException:
-            self._tx = None
-            tx.rollback()
+            # The block may have cached what it read under mid-transaction
+            # counters: move them past every such value.
+            self._rules_version += 1
+            self._constraints_version += 1
             raise
-        else:
-            self._tx = None
-            tx.commit()
+
+    def _logged(self) -> ContextManager[object]:
+        """The span of one public mutator: outside a transaction on a
+        durable knowledge base, a one-mutation transaction — one record,
+        one fsync, rolled back if the append fails.  Nothing reads inside
+        it, so its rollback leaves the counters where the mutation put
+        them."""
+        if self._tx is None and self._durability is not None:
+            return KBTransaction(self)
+        return nullcontext()
 
     def _assert_mutable(self) -> None:
         if self._frozen:
@@ -136,27 +144,6 @@ class KnowledgeBase:
     def frozen(self) -> bool:
         """Whether this knowledge base is a published, immutable snapshot."""
         return self._frozen
-
-    def _autocommit(self, undo: Callable[[], object] | None = None) -> None:
-        """Make a mutation outside any transaction durable immediately.
-
-        Mutations inside a transaction batch into one log record at
-        :meth:`KBTransaction.commit
-        <repro.catalog.transaction.KBTransaction.commit>`; outside one,
-        each mutating call syncs on its own (one record, one fsync).  If
-        the append fails, *undo* takes the caller's change back before the
-        error propagates, as a transaction's rollback would.
-        Mutations that bypass the KnowledgeBase API (direct
-        :class:`~repro.catalog.relation.Relation` calls) are captured by
-        the next commit's diff instead of immediately.
-        """
-        if self._tx is None and self._durability is not None:
-            try:
-                self._durability.commit()
-            except BaseException:
-                if undo is not None:
-                    undo()
-                raise
 
     @property
     def durability(self):
@@ -203,16 +190,13 @@ class KnowledgeBase:
                     f"predicate {name} already declared with arity {existing.arity}"
                 )
             return schema
-        self._schemas[name] = schema
-        if schema.kind is PredicateKind.EDB:
-            self._relations[name] = Relation(schema.arity)
-        self._rules_version += 1
-
-        def undo() -> None:
-            del self._schemas[name]
-            self._relations.pop(name, None)
-
-        self._autocommit(undo)
+        with self._logged():
+            self._schemas[name] = schema
+            if schema.kind is PredicateKind.EDB:
+                relation = self._relations[name] = Relation(schema.arity)
+                if self._durability is not None:
+                    relation._owner = self
+            self._rules_version += 1
         return schema
 
     def schema(self, name: str) -> PredicateSchema:
@@ -259,22 +243,17 @@ class KnowledgeBase:
                     f"{predicate} is an IDB predicate; facts belong to EDB predicates"
                 )
             raise UnknownPredicateError(f"unknown EDB predicate: {predicate}")
-        relation = self._relations[predicate]
-        inserted = relation.insert(values)
-        if inserted:
-            self._autocommit(lambda: relation.delete(values))
-        return inserted
+        with self._logged():
+            return self._relations[predicate].insert(values)
 
     def add_facts(self, predicate: str, rows: Iterable[Sequence[object]]) -> int:
         """Store many facts; returns how many were new.
 
-        On a durable knowledge base the rows batch into one transaction
-        (one log record, one fsync) instead of syncing per row.
+        On a durable knowledge base the rows are one transaction (one log
+        record, one fsync) instead of one per row.
         """
-        if self._durability is not None and self._tx is None:
-            with self.transaction():
-                return sum(1 for row in rows if self.add_fact(predicate, *row))
-        return sum(1 for row in rows if self.add_fact(predicate, *row))
+        with self._logged():
+            return sum(1 for row in rows if self.add_fact(predicate, *row))
 
     def relation(self, predicate: str) -> Relation:
         """The stored relation behind an EDB predicate."""
@@ -312,26 +291,26 @@ class KnowledgeBase:
         """
         self._assert_mutable()
         rules = tuple(rules)
-        kept = len(self._rules)
-        declared: list[str] = []
-        try:
-            for rule in rules:
-                self._stage_rule(rule, declared)
-            if self.enforce_recursion_discipline:
+        with self._logged():
+            kept = len(self._rules)
+            declared: list[str] = []
+            try:
                 for rule in rules:
-                    self._check_recursion_discipline(rule)
+                    self._stage_rule(rule, declared)
+                if self.enforce_recursion_discipline:
+                    for rule in rules:
+                        self._check_recursion_discipline(rule)
+            except BaseException:
+                for rule in self._rules[kept:]:
+                    self._rules_by_head[rule.head.predicate].pop()
+                del self._rules[kept:]
+                for name in declared:
+                    del self._schemas[name]
+                    self._rules_by_head.pop(name, None)
+                self._graph = None
+                raise
             if rules:
                 self._rules_version += 1
-                self._autocommit()
-        except BaseException:
-            for rule in self._rules[kept:]:
-                self._rules_by_head[rule.head.predicate].pop()
-            del self._rules[kept:]
-            for name in declared:
-                del self._schemas[name]
-                self._rules_by_head.pop(name, None)
-            self._graph = None
-            raise
 
     def _stage_rule(self, rule: Rule, declared: list[str]) -> None:
         """Append one rule after its schema and stratification checks,
@@ -412,9 +391,9 @@ class KnowledgeBase:
     def add_constraint(self, constraint: IntegrityConstraint) -> None:
         """Add an integrity constraint (used for validation, not inference)."""
         self._assert_mutable()
-        self._constraints.append(constraint)
-        self._constraints_version += 1
-        self._autocommit(self._constraints.pop)
+        with self._logged():
+            self._constraints.append(constraint)
+            self._constraints_version += 1
 
     def constraints(self) -> list[IntegrityConstraint]:
         """All integrity constraints."""

@@ -142,6 +142,10 @@ class Relation:
         #: (:mod:`repro.catalog.snapshot`): every mutator raises, so readers
         #: holding it need no locks.
         self._frozen = False
+        #: The durable knowledge base storing this relation, if any: every
+        #: mutator then refuses to run outside one of its transactions,
+        #: the only writes its write-ahead log records.
+        self._owner = None
         #: Whether ``_rows``/``_introws`` are currently shared with a frozen
         #: copy — a published snapshot's or a transaction's :meth:`pin`.  The
         #: first mutation after a :meth:`freeze` rebinds them to private
@@ -171,7 +175,7 @@ class Relation:
         self._journal_base = 0
         #: How many times the journal was reset by a wholesale state change
         #: (clear, bulk load, rollback).  Each reset strands incremental
-        #: consumers — view-cache repairs and WAL diffs fall back to full
+        #: consumers — view-cache repairs and WAL records fall back to full
         #: recompute/reload — so the counter makes those fallbacks
         #: diagnosable (surfaced via ``Session.cache_stats``).
         self.journal_resets = 0
@@ -186,13 +190,21 @@ class Relation:
     # -- mutation -----------------------------------------------------------------
 
     def _begin_mutation(self) -> None:
-        """Entry of every mutator: raises on a frozen relation, and leaves
-        the id-only state (mutators and their journal entries work on
-        ``Constant`` rows)."""
+        """Entry of every mutator: raises on a frozen relation and on a
+        durable one outside a transaction, and leaves the id-only state
+        (mutators and their journal entries work on ``Constant`` rows)."""
         if self._frozen:
             raise CatalogError(
                 "relation belongs to a published snapshot and is immutable; "
                 "mutate the live knowledge base instead"
+            )
+        owner = self._owner
+        if owner is not None and owner._tx is None:
+            name = next((n for n, r in owner._relations.items() if r is self), "(dropped)")
+            raise CatalogError(
+                f"stored relation {name} of durable knowledge base "
+                f"{owner.name!r} written outside a transaction; write it "
+                "inside kb.transaction() so the write-ahead log records it"
             )
         if self._rows is None:
             self._constants()
@@ -337,8 +349,8 @@ class Relation:
         *added* ones (each absent), row by row as :meth:`delete` and
         :meth:`insert` go — view repair's write.  An id-only relation stays
         id-only (an emptied one takes the empty row dict)."""
-        if self._frozen:
-            self._begin_mutation()  # raises: a published relation is immutable
+        if self._frozen or self._owner is not None:
+            self._begin_mutation()  # a published relation, or a durable one
         self._unshare()
         rows, mirror = self._rows, self.int_rows()
         if removed:
@@ -632,6 +644,7 @@ class Relation:
         clone = Relation.__new__(Relation)
         clone.arity = self.arity
         clone._frozen = True
+        clone._owner = None
         clone._shared = False
         clone._rows = self._rows
         clone._tables = {}

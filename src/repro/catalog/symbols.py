@@ -39,6 +39,7 @@ Design points:
 
 from __future__ import annotations
 
+import linecache
 import threading
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
@@ -172,12 +173,20 @@ def extern_source(width: int) -> str:
     )
 
 
+def define_generated(source: str, filename: str, name: str) -> Callable:
+    """The function *name* generated *source* defines, compiled under
+    *filename* (unique to the source, like ``<extern block 2>``) and
+    registered under it with :mod:`linecache`, so tracebacks show its lines."""
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace: dict[str, object] = {}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]  # type: ignore[return-value]
+
+
 @lru_cache(maxsize=EXTERN_CACHE_SIZE)
 def _generated(width: int) -> Callable[..., list[tuple[Constant, ...]]]:
-    namespace: dict[str, object] = {}
-    code = compile(extern_source(width), f"<extern block {width}>", "exec")
-    exec(code, namespace)  # the source is built from one int (extern_block)
-    return namespace["block"]  # type: ignore[return-value]
+    # The source is built from one int (extern_block).
+    return define_generated(extern_source(width), f"<extern block {width}>", "block")
 
 
 #: The process-wide table.  Relations intern into it at insert time; the

@@ -17,6 +17,9 @@ written relation to its pinned storage; relations *declared* inside the
 transaction are dropped.  Commit hands each unwritten relation its shared
 flag back, so the pin never costs it a copy.
 
+On a durable knowledge base a transaction is the one unit of the
+write-ahead log (:meth:`~repro.catalog.wal.Durability.commit`).
+
 Use through :meth:`KnowledgeBase.transaction`::
 
     with kb.transaction():
@@ -50,30 +53,37 @@ class KBTransaction:
             name: (relation, *relation.pin()) for name, relation in kb._relations.items()
         }
 
+    def __enter__(self) -> "KBTransaction":
+        self._kb._tx = self
+        return self
+
+    def __exit__(self, kind, error, trace) -> None:
+        """Commit the span, or roll it back if it raised (which propagates)."""
+        self._kb._tx = None
+        if kind is None:
+            self.commit()
+        else:
+            self.rollback()
+
     def rollback(self) -> None:
-        """Restore the knowledge base to its pre-transaction state."""
+        """Restore the knowledge base to its pre-transaction state (the
+        catalog counters are :meth:`KnowledgeBase.transaction`'s to move)."""
         kb = self._kb
         kb._schemas = self._schemas
         kb._rules = self._rules
         kb._rules_by_head = self._rules_by_head
         kb._constraints = self._constraints
         kb._graph = None
-        # Restoring older catalog state must not revive version-keyed cache
-        # entries: bump the counters past every mid-transaction value.
-        kb._rules_version += 1
-        kb._constraints_version += 1
         kb._relations = {name: pinned[0] for name, pinned in self._pins.items()}
-        durability = kb._durability
-        for name, (relation, pin, shared) in self._pins.items():
+        for relation, pin, shared in self._pins.values():
             relation.unpin(pin, shared, revert=True)
-            if durability is not None:
-                durability.reverted(name, pin.version, relation.version)
 
     def commit(self) -> None:
         """Make the span durable, then let go of the pins; the mutations stand.
 
-        On a durable knowledge base (:mod:`repro.catalog.wal`) the whole
-        span is first appended to the write-ahead log as **one** record and
+        On a durable knowledge base (:mod:`repro.catalog.wal`) the span is
+        first appended to the write-ahead log as **one** record built from
+        this transaction (:meth:`~repro.catalog.wal.Durability.commit`) and
         fsynced — the ack point of the commit.  If the append raises, the
         span is rolled back and the error propagates: a commit its caller
         sees fail changes nothing, in memory or in the log.
@@ -81,7 +91,7 @@ class KBTransaction:
         durability = self._kb._durability
         if durability is not None:
             try:
-                durability.commit()
+                durability.commit(self)
             except BaseException:
                 self.rollback()
                 raise

@@ -21,23 +21,17 @@ Three layers:
   :func:`~repro.catalog.persist.save_kb`, stamped with the log position
   it covers, then truncates the log; recovery is snapshot + tail replay.
 * :class:`Durability` — the binding between a live
-  :class:`~repro.catalog.database.KnowledgeBase` and its log.
-  :meth:`KBTransaction.commit <repro.catalog.transaction.KBTransaction.commit>`
-  calls :meth:`Durability.commit`, which *diffs* the knowledge base
-  against the last durable state — new schemas, each changed relation's
-  change journal (:meth:`~repro.catalog.relation.Relation.changes_since`,
-  the same ``(op, row)`` event shape, extended here with rule, constraint
-  and schema events), new rules and constraints — and appends the batch.
-  Mutations outside a transaction auto-commit one record each.  A commit
-  whose append raises is taken back in memory by its caller.
-
-Diffing at commit time (rather than hooking every mutation site) means
-direct :class:`~repro.catalog.relation.Relation` writes outside a
-transaction are logged too, and bulk paths that bypass the journal
-(``load_interned``, ``clear``, a rollback — anything that resets it)
-degrade gracefully: the relation is logged wholesale as a ``reload``
-event, and when the reload is large the commit is written as a fresh
-snapshot instead.
+  :class:`~repro.catalog.database.KnowledgeBase` and its log.  A
+  transaction is the one durable unit: :meth:`KBTransaction.commit
+  <repro.catalog.transaction.KBTransaction.commit>` calls
+  :meth:`Durability.commit`, which builds the record from the transaction
+  — the schemas it declared, each relation's change journal since its pin
+  (:meth:`~repro.catalog.relation.Relation.changes_since`, or a ``reload``
+  across a journal gap), the rules and constraints it appended — and
+  appends it; a failed append rolls the transaction back.  A mutator
+  called outside a transaction runs as a one-mutation transaction, and a
+  direct :class:`~repro.catalog.relation.Relation` write outside one
+  raises, so no write lands that the log would not carry.
 
 Entry points: :func:`open_durable` attaches (or recovers) a durable
 knowledge base; ``Session(durable=path)`` and ``dbk --durable`` build on
@@ -55,6 +49,7 @@ from repro.errors import WalError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.catalog.database import KnowledgeBase
+    from repro.catalog.transaction import KBTransaction
 
 #: Format marker on the first line of every log file.
 LOG_FORMAT = "repro-wal/1"
@@ -367,102 +362,55 @@ def collect_stamps(kb: "KnowledgeBase") -> dict:
 
 
 class Durability:
-    """Binds a live knowledge base to its :class:`DurableLog`.
-
-    The binding keeps a mirror of the *durable* state — per-relation
-    versions, schema names, rule and constraint counts as of the last
-    acknowledged record — and turns the gap between mirror and live state
-    into an event batch at each commit.  See the module docstring for why
-    diff-at-commit is the right capture point.
-    """
+    """Binds a live knowledge base to its :class:`DurableLog`, and marks
+    its stored relations durable: each refuses a write outside a
+    transaction, so every change passes through :meth:`commit`."""
 
     def __init__(self, log: DurableLog, kb: "KnowledgeBase") -> None:
         self.log = log
         self.kb = kb
-        self._versions: dict[str, int] = {}
-        self._schemas: set[str] = set()
-        self._rule_count = 0
-        self._constraint_count = 0
-        self.refresh_mirror()
+        kb._durability = self
+        for relation in kb._relations.values():
+            relation._owner = kb
 
-    def refresh_mirror(self) -> None:
-        """Declare the live state durable (after a snapshot or recovery)."""
-        kb = self.kb
-        self._versions = {
-            name: kb.relation(name).version for name in kb.edb_predicates()
-        }
-        self._schemas = set(kb._schemas)
-        self._rule_count = kb.rule_count()
-        self._constraint_count = len(kb.constraints())
+    def commit(self, tx: "KBTransaction") -> int | None:
+        """Make transaction *tx* durable before it lets go of its pins;
+        returns the LSN, or ``None`` when *tx* changed nothing.
 
-    def reverted(self, name: str, pinned: int, version: int) -> None:
-        """A rollback took relation *name* from version *pinned* back to its
-        rows there, now at *version*.  When *pinned* was the durable
-        version, so is *version*: the rollback reset the journal, and
-        without this :meth:`collect` would re-log the whole relation."""
-        if self._versions.get(name) == pinned:
-            self._versions[name] = version
-
-    def collect(self) -> tuple[list, int]:
-        """The events between the durable mirror and the live state.
-
-        Returns ``(events, reload_rows)`` where ``reload_rows`` counts
-        rows carried by wholesale ``reload`` events (journal gaps), so
-        :meth:`commit` can fold oversized batches into a snapshot.
+        The events: the schemas *tx* declared; by name, each stored
+        relation's changes since *tx* pinned it (since version 0 for one
+        declared in *tx*), or its rows as one ``reload`` across a journal
+        gap; the rules, then the constraints *tx* appended.  One write,
+        fsynced: a log record, or a snapshot when the log is full
+        (:data:`SNAPSHOT_EVERY`) or the batch would re-log a bulk load row
+        by row.  On an exception nothing of *tx* is durable.
         """
         kb = self.kb
         events: list = []
         for name, schema in kb._schemas.items():
-            if name in self._schemas:
-                continue
-            kind = "edb" if kb.is_edb(name) else "idb"
-            attributes = list(schema.attributes) if schema.attributes else None
-            events.append([kind, name, schema.arity, attributes])
+            if name not in tx._schemas:
+                kind = "edb" if kb.is_edb(name) else "idb"
+                attributes = list(schema.attributes) if schema.attributes else None
+                events.append([kind, name, schema.arity, attributes])
         reload_rows = 0
         for name in kb.edb_predicates():
             relation = kb.relation(name)
-            # A relation declared this commit starts at version 0 with its
-            # whole history in the journal, so the default base replays it
-            # row by row in insertion order.
-            durable = self._versions.get(name, 0)
-            if durable == relation.version:
+            pinned = tx._pins.get(name)
+            since = 0 if pinned is None else pinned[1].version
+            if since == relation.version:
                 continue
-            changes = relation.changes_since(durable)
+            changes = relation.changes_since(since)
             if changes is None:
                 rows = [[c.value for c in row] for row in relation.rows()]
                 reload_rows += len(rows)
                 events.append(["reload", name, rows])
             else:
-                for op, row in _net(changes):
-                    events.append([op, name, [c.value for c in row]])
-        if kb.rule_count() < self._rule_count or len(kb.constraints()) < self._constraint_count:
-            raise WalError(
-                "knowledge base shrank below its durable mirror; "
-                "snapshot required (rules/constraints are append-only in the log)"
-            )
-        for rule in kb.rules()[self._rule_count:]:
-            events.append(["rule", str(rule)])
-        for constraint in kb.constraints()[self._constraint_count:]:
-            events.append(["constraint", str(constraint)])
-        return events, reload_rows
-
-    def commit(self) -> int | None:
-        """Make everything committed in memory durable; returns the LSN.
-
-        Called by :meth:`KBTransaction.commit
-        <repro.catalog.transaction.KBTransaction.commit>` and by each
-        mutation outside a transaction.  No-op (``None``) when the live
-        state already matches the mirror.  The commit is one write, fsynced
-        before this returns: a log record, or a snapshot when the log is
-        full (:data:`SNAPSHOT_EVERY`) or the batch would re-log a bulk load
-        row by row.  A caller that gets an LSN back holds a durable commit;
-        one that sees an exception must take its mutation back — nothing of
-        it is durable.
-        """
-        try:
-            events, reload_rows = self.collect()
-        except WalError:
-            return self.snapshot()
+                events.extend([op, name, [c.value for c in row]] for op, row in changes)
+        events.extend(["rule", str(rule)] for rule in kb._rules[len(tx._rules):])
+        events.extend(
+            ["constraint", str(constraint)]
+            for constraint in kb._constraints[len(tx._constraints):]
+        )
         if not events:
             return None
         if (
@@ -470,29 +418,11 @@ class Durability:
             or self.log.records_since_snapshot >= SNAPSHOT_EVERY
         ):
             return self.snapshot()
-        lsn = self.log.append(events, collect_stamps(self.kb))
-        self.refresh_mirror()
-        return lsn
+        return self.log.append(events, collect_stamps(kb))
 
     def snapshot(self) -> int:
         """Fold the log into a fresh snapshot of the live state."""
-        lsn = self.log.snapshot(self.kb)
-        self.refresh_mirror()
-        return lsn
-
-
-def _net(changes: list) -> list:
-    """*changes* without each row inserted and then deleted within them,
-    as an auto-committed insert undone after a failed append leaves it: the
-    pair leaves the relation, and the order of its other rows, as it was."""
-    inserted: dict = {}
-    paired: set[int] = set()
-    for index, (op, row) in enumerate(changes):
-        if op == "+":
-            inserted[row] = index
-        elif row in inserted:
-            paired.update((inserted.pop(row), index))
-    return [change for index, change in enumerate(changes) if index not in paired]
+        return self.log.snapshot(self.kb)
 
 
 def open_durable(
@@ -519,11 +449,8 @@ def open_durable(
             )
         log.close()
         report = Recoverer(directory, tracer=tracer).recover()
-        recovered = report.kb
-        recovered._durability = Durability(DurableLog(directory), recovered)
-        return recovered
+        Durability(DurableLog(directory), report.kb)
+        return report.kb
     target = kb if kb is not None else KnowledgeBase("durable")
-    durability = Durability(log, target)
-    durability.snapshot()
-    target._durability = durability
+    Durability(log, target).snapshot()
     return target

@@ -103,7 +103,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.errors import ArityError, LogicError
 from repro.catalog.relation import IdTable, Shape, key_reader, projector
-from repro.catalog.symbols import SYMBOLS
+from repro.catalog.symbols import SYMBOLS, define_generated
 from repro.engine.plan import (
     CostEstimator,
     ConjunctionPlan,
@@ -361,12 +361,10 @@ def _generated(
     filtered: bool,
 ) -> Callable:
     layout = (width, keys, entry, head, filtered)
-    namespace: dict[str, object] = {}
     # The file name carries the layout, so a profile or a traceback tells
-    # one generated loop from another.
-    code = compile(loop_source(*layout), f"<probe loop {layout}>", "exec")
-    exec(code, namespace)  # the source is built from ints alone (probe_loop)
-    return namespace["loop"]  # type: ignore[return-value]
+    # one generated loop from another.  The source is built from ints
+    # alone (probe_loop).
+    return define_generated(loop_source(*layout), f"<probe loop {layout}>", "loop")
 
 
 def probe_loop(

@@ -356,7 +356,7 @@ class TestTransactionEdgeCases:
         constraints_version = kb._constraints_version
         relation_version = kb.relation("p").version
 
-        def explode(self):
+        def explode(self, tx):
             raise OSError("disk full")
 
         monkeypatch.setattr(Durability, "commit", explode)

@@ -9,15 +9,17 @@ import os
 import pytest
 
 from repro.catalog import KnowledgeBase, Recoverer, open_durable
+from repro.catalog.symbols import SYMBOLS
 from repro.catalog.wal import (
     LOG_FORMAT,
     SNAPSHOT_EVERY,
     DurableLog,
     collect_stamps,
 )
-from repro.errors import WalError
+from repro.errors import CatalogError, WalError
 from repro.lang.parser import parse_body, parse_rule
 from repro.logic.clauses import IntegrityConstraint
+from repro.logic.terms import Constant
 
 
 class Crash(BaseException):
@@ -388,19 +390,92 @@ class TestDurabilityDiffing:
     def test_empty_commit_is_skipped(self, tmp_path):
         kb = open_durable(str(tmp_path / "d"))
         kb.declare_edb("p", 1)
-        assert kb.durability.commit() is None
+        with kb.transaction() as tx:
+            pass
+        assert kb.durability.commit(tx) is None
 
-    def test_shrunk_catalog_forces_snapshot(self, tmp_path):
-        kb = open_durable(str(tmp_path / "d"))
-        kb.declare_edb("p", 1)
-        kb.add_rule(parse_rule("q(X) <- p(X)"))
-        kb._rules.clear()  # bypasses the transaction layer entirely
-        kb._rules_by_head.clear()
-        kb._rules_version += 1
-        with pytest.raises(WalError):
-            kb.durability.collect()
-        kb.durability.commit()  # degrades to a snapshot instead of failing
-        assert kb.durability.log.snapshot_header()[1]["rules"] == 0
+
+def x_id() -> tuple[int, ...]:
+    """The id row of ``("x",)``."""
+    return SYMBOLS.intern_row((Constant("x"),))
+
+
+class TestTheTransactionIsTheDurableUnit:
+    """A durable knowledge base changes only through transactions, whose
+    records the log holds: a direct relation write outside one is refused,
+    and the same write inside one is logged."""
+
+    WRITES = {
+        "insert": lambda relation: relation.insert(("x",)),
+        "delete": lambda relation: relation.delete(("a",)),
+        "clear": lambda relation: relation.clear(),
+        "load_interned": lambda relation: relation.load_interned([x_id()]),
+        "apply_interned": lambda relation: relation.apply_interned([], [x_id()]),
+    }
+
+    def durable(self, directory) -> KnowledgeBase:
+        kb = open_durable(str(directory))
+        kb.declare_edb("e", 1)
+        kb.add_facts("e", [("a",), ("b",)])
+        return kb
+
+    @pytest.mark.parametrize("write", sorted(WRITES))
+    def test_a_direct_write_outside_a_transaction_is_refused(self, tmp_path, write):
+        kb = self.durable(tmp_path)
+        relation = kb.relation("e")
+        rows, version = relation.rows(), relation.version
+        log_bytes = open(kb.durability.log.log_path, "rb").read()
+        with pytest.raises(CatalogError, match="stored relation e .* outside a transaction"):
+            self.WRITES[write](relation)
+        assert relation.rows() == rows and relation.version == version
+        relation.check_invariants()
+        assert open(kb.durability.log.log_path, "rb").read() == log_bytes
+
+    @pytest.mark.parametrize("write", sorted(WRITES))
+    def test_the_same_write_inside_a_transaction_is_logged(self, tmp_path, write):
+        kb = self.durable(tmp_path)
+        lsn = kb.durability.log.last_lsn
+        with kb.transaction():
+            self.WRITES[write](kb.relation("e"))
+        assert kb.durability.log.last_lsn == lsn + 1
+        kb.durability.log.close()
+        report = Recoverer(str(tmp_path)).recover()
+        assert report.verified
+        assert report.kb.facts("e") == kb.facts("e")
+
+    def test_a_relation_declared_or_recovered_later_is_refused_too(self, tmp_path):
+        kb = self.durable(tmp_path)
+        kb.declare_edb("f", 1)
+        with pytest.raises(CatalogError):
+            kb.relation("f").insert(("x",))
+        kb.durability.log.close()
+        recovered = open_durable(str(tmp_path))
+        for name in ("e", "f"):
+            with pytest.raises(CatalogError):
+                recovered.relation(name).insert(("x",))
+        recovered.durability.log.close()
+
+    def test_an_unlogged_write_never_reaches_a_later_commit(self, tmp_path):
+        kb = self.durable(tmp_path)
+        with pytest.raises(CatalogError):
+            kb.relation("e").insert(("x",))
+        kb.add_fact("e", "c")
+        kb.durability.log.close()
+        report = Recoverer(str(tmp_path)).recover()
+        assert report.verified
+        assert [v.value for (v,) in report.kb.facts("e")] == ["a", "b", "c"]
+
+    def test_an_insert_deleted_in_the_same_transaction_logs_both(self, tmp_path):
+        kb = self.durable(tmp_path)
+        before = kb.facts("e")
+        with kb.transaction():
+            kb.add_fact("e", "x")
+            kb.relation("e").delete(("x",))
+        records = kb.durability.log.records()
+        assert records[-1].events == [["+", "e", ["x"]], ["-", "e", ["x"]]]
+        kb.durability.log.close()
+        report = Recoverer(str(tmp_path)).recover()
+        assert report.verified and report.kb.facts("e") == before == kb.facts("e")
 
 
 class TestOpenDurable:

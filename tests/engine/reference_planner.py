@@ -1,7 +1,9 @@
 """The reference planner: the planner tests' differential oracle.
 
 This is the join orderer and plan compiler as they were while plans
-carried their own text, kept word for word: :func:`reference_order`
+carried their own text, kept word for word but for one change — a delta
+occurrence is told by its type (:class:`~repro.engine.plan.DeltaName`),
+as the planner tells it, not by its spelling: :func:`reference_order`
 rebuilds its candidate lists and looks conjuncts up by
 ``remaining.index`` every round, and :func:`reference_compile` writes each
 step's ``explain`` line (with the join's ``est~N rows``, from one more
@@ -22,6 +24,7 @@ from typing import NamedTuple, Sequence
 from repro.engine.plan import (
     DELTA_PREFIX,
     CostEstimator,
+    DeltaName,
     _AntiJoin,
     _Bind,
     _Compare,
@@ -62,7 +65,7 @@ def reference_order(
     is the lowest expected row count — a small relation beats a large one
     even at equal boundness, the classic cardinality-aware improvement.
 
-    A delta occurrence (:data:`DELTA_PREFIX`) is always the next positive
+    A delta occurrence (a :class:`DeltaName`) is always the next positive
     atom, whatever it would cost: the delta is the one operand that is new
     on every iteration of a fixpoint, so scanning it makes every other
     atom a build side, a table its relation keeps, and the iteration's work
@@ -97,7 +100,7 @@ def reference_order(
             # 2. The cheapest positive atom.
             positives = [a for a in remaining if not a.is_comparison()]
             delta = next(
-                (a for a in positives if a.predicate.startswith(DELTA_PREFIX)), None
+                (a for a in positives if type(a.predicate) is DeltaName), None
             )
             if delta is not None:
                 ready = delta
@@ -127,8 +130,11 @@ def reference_order(
 
 
 def _show(atom: Atom) -> str:
-    """An atom as a step line prints it (the delta marker made readable)."""
-    return str(atom).replace(DELTA_PREFIX, "delta:")
+    """An atom as a step line prints it (a delta occurrence's marker made
+    readable; a stored predicate spelled like one prints as it is)."""
+    if type(atom.predicate) is DeltaName:
+        return "delta:" + str(atom)[len(DELTA_PREFIX):]
+    return str(atom)
 
 
 

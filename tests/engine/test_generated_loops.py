@@ -13,6 +13,7 @@ bound evicts loops, and the reads that need them again still answer.
 from __future__ import annotations
 
 import re
+import traceback
 
 import pytest
 
@@ -173,3 +174,27 @@ def test_overflowing_the_loop_cache_still_answers():
     assert kernels._generated.cache_info().misses > misses  # generated again
     assert kernels._generated.cache_info().currsize == LOOP_CACHE_SIZE
     kernels._generated.cache_clear()
+
+
+def test_a_failure_inside_generated_code_shows_its_source_line():
+    """Generated code is registered with ``linecache`` under its unique
+    file name, so a traceback through it prints the generated line."""
+    from repro.catalog import symbols
+
+    def rendered(call) -> str:
+        with pytest.raises(ValueError) as caught:
+            call()
+        return "".join(
+            traceback.format_exception(caught.type, caught.value, caught.tb)
+        )
+
+    layout = (2, (0,), 1, None, False)
+    loop = probe_loop(*layout)
+    shown = rendered(lambda: loop([(1, 2, 3)], None, None))  # a row too wide
+    assert f'File "<probe loop {layout}>", line 2, in loop' in shown
+    assert loop_source(*layout).splitlines()[1].strip() in shown
+
+    block = symbols._generated(2)
+    shown = rendered(lambda: block([(1,)], []))  # a row too narrow
+    assert 'File "<extern block 2>", line 2, in block' in shown
+    assert symbols.extern_source(2).splitlines()[1].strip() in shown

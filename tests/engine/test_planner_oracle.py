@@ -7,7 +7,8 @@ and :func:`~repro.engine.plan.compile_conjunction` builds no text;
 kernel's record of the steps it fused.  The planner they replaced lives on
 in :mod:`tests.engine.reference_planner`.  Over generated conjunctions —
 constants, repeated variables, ``=`` binds, order comparisons, delta
-markers, negated atoms, predicates the estimator does not know — with and
+markers, a stored predicate spelled like one, negated atoms, predicates
+the estimator does not know — with and
 without a cardinality estimator over generated relations, both must choose
 the same order (ties included), build equal step records and slot
 schemas, print the same lines, or refuse the conjunction with the same
@@ -28,6 +29,7 @@ from hypothesis import strategies as st
 from repro.catalog.database import KnowledgeBase
 from repro.engine.kernels import kernelize_conjunction
 from repro.engine.plan import (
+    DELTA_PREFIX,
     compile_conjunction,
     delta_name,
     order_conjuncts,
@@ -47,10 +49,13 @@ SEED = int(os.environ.get("FAULTINJECT_SEED", "20261017"))
 
 VARIABLES = [Variable(name) for name in ("X", "Y", "Z", "W")]
 CONSTANTS = [Constant(value) for value in ("a", "b", 1, 2, 2.5, True)]
+#: A stored predicate spelled like a delta occurrence of ``q``: a plain
+#: ``str``, so both planners must read it as itself, not as a delta.
+SPELLED_DELTA = DELTA_PREFIX + "q"
 #: Stored predicates and their arities; ``u`` has no relation, so the
 #: estimator answers ``None`` for it.
-ARITIES = {"p": 1, "q": 2, "r": 2, "s": 3, "u": 2}
-STORED = ("p", "q", "r", "s")
+ARITIES = {"p": 1, "q": 2, "r": 2, "s": 3, "u": 2, SPELLED_DELTA: 2}
+STORED = ("p", "q", "r", "s", SPELLED_DELTA)
 
 terms = st.one_of(
     st.sampled_from(VARIABLES), st.sampled_from(VARIABLES), st.sampled_from(CONSTANTS)
