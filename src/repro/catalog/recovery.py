@@ -48,15 +48,41 @@ from repro.catalog.wal import (
     SNAPSHOT_FORMAT,
     _crc,
     collect_stamps,
+    snapshot_position,
 )
 
 #: The recovery states, in the order a successful run visits them.
 STATES = ("inspecting", "loading_snapshot", "replaying_log", "verified", "failed")
 
 
+#: Per event kind, the types of the fields after the kind.
+_EVENT_FIELDS: dict[str, tuple] = {
+    "edb": (str, int, (list, type(None))),
+    "idb": (str, int, (list, type(None))),
+    "+": (str, list),
+    "-": (str, list),
+    "reload": (str, list),
+    "rule": (str,),
+    "constraint": (str,),
+}
+
+
 def apply_event(kb: KnowledgeBase, event: list) -> None:
-    """Apply one log event to a knowledge base being reconstructed."""
-    kind = event[0]
+    """Apply one log event to a knowledge base being reconstructed.
+
+    An event whose shape is not its kind's — a missing or extra field, a
+    name, row or source text of the wrong type — raises
+    :class:`~repro.errors.CatalogError` before anything is applied."""
+    kind = event[0] if event else None
+    fields = _EVENT_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise CatalogError(f"unknown log event kind {kind!r}")
+    if (
+        len(event) != 1 + len(fields)
+        or not all(isinstance(value, t) for value, t in zip(event[1:], fields))
+        or (kind == "reload" and not all(isinstance(row, list) for row in event[2]))
+    ):
+        raise CatalogError(f"malformed {kind!r} log event {event!r}")
     if kind == "edb":
         _, name, arity, attributes = event
         if not kb.has_predicate(name):
@@ -78,7 +104,7 @@ def apply_event(kb: KnowledgeBase, event: list) -> None:
         from repro.lang.parser import parse_rule
 
         kb.add_rule(parse_rule(event[1]))
-    elif kind == "constraint":
+    else:
         from repro.lang.ast import ConstraintStatement
         from repro.lang.parser import parse_statement
 
@@ -86,8 +112,6 @@ def apply_event(kb: KnowledgeBase, event: list) -> None:
         if not isinstance(statement, ConstraintStatement):
             raise CatalogError(f"logged constraint is not a constraint: {event[1]}")
         kb.add_constraint(statement.constraint)
-    else:
-        raise CatalogError(f"unknown log event kind {kind!r}")
 
 
 class RecoveryReport:
@@ -153,7 +177,12 @@ class Recoverer:
         ``repair=False`` leaves a torn log tail on disk (the report still
         notes it) — for diagnostics only, never for serving traffic.
         """
-        log = DurableLog(self.directory)
+        try:
+            log = DurableLog(self.directory)
+        except RecoveryError as error:  # a framed record that is no commit
+            self._enter("failed", reason=str(error))
+            error.state = self.state
+            raise
         try:
             return self._recover(log, repair)
         finally:
@@ -270,7 +299,10 @@ class Recoverer:
             kb = kb_from_dict(document.get("kb", {}))
         except ReproError as error:
             self._fail(f"snapshot does not rebuild: {error}", path=path)
-        return kb, int(document.get("wal_lsn", 0)), dict(document.get("stamps", {}))
+        position = snapshot_position(document)
+        if position is None:
+            self._fail("snapshot wal_lsn or stamps are malformed", path=path)
+        return kb, *position
 
     def _verify(self, kb: KnowledgeBase, expected: dict, log: DurableLog) -> None:
         if not expected:

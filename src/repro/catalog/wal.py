@@ -45,7 +45,7 @@ import os
 import zlib
 from typing import TYPE_CHECKING, Callable
 
-from repro.errors import WalError
+from repro.errors import RecoveryError, WalError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.catalog.database import KnowledgeBase
@@ -76,6 +76,36 @@ RELOAD_SNAPSHOT_THRESHOLD = 10_000
 def _crc(payload: bytes) -> str:
     """The 8-hex-digit CRC32 framing every record."""
     return f"{zlib.crc32(payload) & 0xFFFFFFFF:08x}"
+
+
+def _malformed(payload: object) -> str | None:
+    """Why a parsed record body is not a commit record (``None``: it is)."""
+    if not isinstance(payload, dict):
+        return "the body is not a JSON object"
+    lsn, events, stamps = (payload.get(key) for key in ("lsn", "events", "stamps"))
+    if type(lsn) is not int:
+        return f"lsn {lsn!r} is not an integer"
+    if type(events) is not list or not all(type(event) is list for event in events):
+        return "events are not a list of lists"
+    if not _stamps(stamps):
+        return "stamps are not an object of counts"
+    return None
+
+
+def _stamps(value: object) -> bool:
+    """Whether *value* has the shape of a stamps object (what
+    :func:`collect_stamps` writes): a dict whose ``relations``, when
+    present, is a dict too."""
+    return type(value) is dict and type(value.get("relations", {})) is dict
+
+
+def snapshot_position(document: dict) -> tuple[int, dict] | None:
+    """A snapshot document's ``(wal_lsn, stamps)``, or ``None`` when either
+    is malformed — both sit outside the payload checksum."""
+    wal_lsn, stamps = document.get("wal_lsn", 0), document.get("stamps", {})
+    if type(wal_lsn) is not int or not _stamps(stamps):
+        return None
+    return wal_lsn, stamps
 
 
 class WalRecord:
@@ -147,9 +177,10 @@ class DurableLog:
         """Parse the log: ``(records, torn_offset, torn_reason)``.
 
         ``torn_offset`` is the byte offset of the first record that fails
-        its frame (truncated line, checksum mismatch, unparsable body) —
-        everything from there on is unreliable, matching standard WAL
-        semantics — or ``None`` for a clean log.
+        its frame (truncated line, checksum mismatch) — everything from
+        there on is unreliable, matching standard WAL semantics — or
+        ``None`` for a clean log.  A framed record whose body is not a
+        commit raises a located :class:`RecoveryError`.
         """
         records: list[WalRecord] = []
         if not os.path.exists(self.log_path):
@@ -178,8 +209,17 @@ class DurableLog:
             offset = newline + 1
         return records, None, None
 
-    @staticmethod
-    def _parse_record(line: bytes, offset: int) -> tuple[WalRecord | None, str | None]:
+    def _parse_record(
+        self, line: bytes, offset: int
+    ) -> tuple[WalRecord | None, str | None]:
+        """The record of one log line, or ``(None, reason)`` when its frame
+        fails — what a torn write leaves.  A record whose frame checks out
+        is what some writer wrote; when its body is not a commit — an
+        object with an integer ``lsn``, a list of lists ``events`` and an
+        object ``stamps`` — no version of :meth:`append` wrote it, and a
+        :class:`RecoveryError` locates it instead of letting it pass for a
+        torn tail (which recovery would cut off, records after it
+        included)."""
         if b" " not in line:
             return None, "unframed record (no checksum field)"
         frame, body = line.split(b" ", 1)
@@ -188,18 +228,14 @@ class DurableLog:
         try:
             payload = json.loads(body)
         except ValueError:
-            return None, "unparsable record body"
-        if not isinstance(payload, dict) or "lsn" not in payload:
-            return None, "record body is not a commit object"
-        return (
-            WalRecord(
-                int(payload["lsn"]),
-                list(payload.get("events", ())),
-                dict(payload.get("stamps", {})),
-                offset,
-            ),
-            None,
-        )
+            payload = None
+        problem = _malformed(payload)
+        if problem is not None:
+            raise RecoveryError(
+                f"malformed log record: {problem}", path=self.log_path, offset=offset
+            )
+        record = WalRecord(payload["lsn"], payload["events"], payload["stamps"], offset)
+        return record, None
 
     # -- log writing ----------------------------------------------------------------
 
@@ -296,7 +332,7 @@ class DurableLog:
             return 0, {}
         if not isinstance(document, dict):
             return 0, {}
-        return int(document.get("wal_lsn", 0)), dict(document.get("stamps", {}))
+        return snapshot_position(document) or (0, {})
 
     def snapshot(self, kb: "KnowledgeBase") -> int:
         """Write a full snapshot covering the log so far, then truncate it.
@@ -338,6 +374,9 @@ class DurableLog:
             handle.write(f"{LOG_FORMAT}\n".encode())
             handle.flush()
             os.fsync(handle.fileno())
+        # The first snapshot creates the log: its name must be durable too,
+        # or a power loss leaves a snapshot without the log that follows it.
+        fsync_directory(self.directory)
         self.records_since_snapshot = 0
         return self.last_lsn
 

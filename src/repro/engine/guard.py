@@ -30,10 +30,17 @@ Two exhaustion **modes**:
     the boundary API (:func:`~repro.engine.evaluate.retrieve`,
     :func:`~repro.core.describe.describe`) catches the error, *disarms* the
     guard, and returns the partial answer computed so far, tagged with a
-    :class:`Diagnostics` record marking it a **sound under-approximation**
-    (every returned row/rule is genuinely derivable — bottom-up derivation
-    and the derivation-tree search only ever produce sound answers, so
-    stopping early loses completeness, never soundness).
+    :class:`Diagnostics` record marking it an **under-approximation**:
+    stopping early loses completeness and adds nothing.  A degraded
+    ``retrieve`` is sound — every returned row is derivable, since
+    bottom-up derivation is monotone.  A degraded ``describe`` is only as
+    sound as the search it cut short, and that search is not sound yet:
+    it drops the bindings identification makes to variables that occur
+    only in the hypothesis, so a rule it returns, degraded or complete,
+    can claim more than the hypothesis implies (over ``q(a, d1). q(b,
+    d2). r(a). r(b). p(X) <- q(X, d1) and r(X).``, ``describe p(A) where
+    q(A, H)`` answers ``p(A) <- r(A).``, which makes ``b`` a ``p``).
+    ROADMAP item 1 tracks the fix.
 
 A guard attached to a :class:`~repro.session.Session` is a *specification*;
 each query runs under a fresh activation (:meth:`ResourceGuard.fresh`) so

@@ -107,6 +107,7 @@ from repro.catalog.symbols import SYMBOLS, define_generated
 from repro.engine.plan import (
     CostEstimator,
     ConjunctionPlan,
+    DeltaName,
     RulePlan,
     _AntiJoin,
     _Bind,
@@ -404,6 +405,16 @@ def probe_loop(
     return _generated(width, keys, entry, head, filtered)
 
 
+def _no_rows(batch: IntBatch) -> IntBatch:
+    """A bound step no binding survives: a join whose build side is empty."""
+    return []
+
+
+def _every_row(batch: IntBatch) -> IntBatch:
+    """A bound step every binding survives: an anti-join over no rows."""
+    return batch
+
+
 class _KJoin:
     """A hash join specialized over symbol ids, with fused row filters.
 
@@ -511,6 +522,24 @@ class _KJoin:
         self.layout = (self.width, self._slots, len(cols), self.head, filtered)
         self._loop = probe_loop(*self.layout)
 
+    def _probe_side(self, relation) -> object:
+        """What the probe loop reads of *relation*: its id rows (a keyless
+        full scan), its id table's ``get``, or the one bucket of a keyless
+        table — ``None`` when no binding can match."""
+        if relation is None or len(relation) == 0:
+            return None
+        if relation.arity != self.arity:
+            raise ArityError(
+                f"atom {self.predicate}/{self.arity} does not match relation "
+                f"arity {relation.arity}"
+            )
+        if self.shape is None:
+            return relation.int_rows()
+        built = relation.table(self.shape, self._const)
+        if self._slots:
+            return built.get
+        return built.get(()) or None
+
     def run(self, batch: IntBatch, relations, table: "IntTable | None" = None):
         """Extend every binding of *batch* by its matching build-side rows.
 
@@ -519,30 +548,29 @@ class _KJoin:
         and staged in *table* in the same loop, and the number of rows
         that were new is returned instead of a batch.
         """
-        relation = relations(self.predicate)
-        if relation is None or len(relation) == 0:
+        probe = self._probe_side(relations(self.predicate))
+        if probe is None:
             return [] if table is None else 0
-        if relation.arity != self.arity:
-            raise ArityError(
-                f"atom {self.predicate}/{self.arity} does not match relation "
-                f"arity {relation.arity}"
-            )
-        if self.shape is None:
-            probe: object = relation.int_rows()
-        else:
-            built = relation.table(self.shape, self._const)
-            if self._slots:
-                probe = built.get
-            else:
-                probe = built.get(())
-                if not probe:
-                    return [] if table is None else 0
         if table is None:
             return self._loop(batch, probe, self.check)
         index = table.index
         before = len(index)
         self._loop(batch, probe, self.check, index)
         return len(index) - before
+
+    def bind(self, relations, table: "IntTable | None" = None) -> Callable:
+        """This join with its build side resolved now, for as long as that
+        relation cannot change: a callable from a batch to the extended
+        batch or, with *table* (a head-fused join), to nothing — its loop
+        stages the head rows in *table* as :meth:`run` does."""
+        probe = self._probe_side(relations(self.predicate))
+        if probe is None:
+            return _no_rows
+        loop, check = self._loop, self.check
+        if table is None:
+            return lambda batch: loop(batch, probe, check)
+        index = table.index
+        return lambda batch: loop(batch, probe, check, index)
 
 
 class _KBind:
@@ -596,9 +624,14 @@ class _KAntiJoin:
         self._key_of = key_reader(slots) if slots else None
 
     def run(self, batch: IntBatch, relations) -> IntBatch:
+        return self.bind(relations)(batch)
+
+    def bind(self, relations) -> Callable[[IntBatch], IntBatch]:
+        """This anti-join with its relation's id table resolved now, for
+        as long as that relation cannot change: a callable over a batch."""
         relation = relations(self.predicate)
         if relation is None or len(relation) == 0:
-            return batch
+            return _every_row
         if relation.arity != self.arity:
             raise ArityError(
                 f"negated atom {self.predicate}/{self.arity} does not match "
@@ -607,8 +640,8 @@ class _KAntiJoin:
         keys = relation.table(self.shape, self._const)
         key_of = self._key_of
         if key_of is None:
-            return [] if () in keys else batch
-        return [binding for binding in batch if key_of(binding) not in keys]
+            return _no_rows if () in keys else _every_row
+        return lambda batch: [b for b in batch if key_of(b) not in keys]
 
 
 def _exact_order(step: _Compare, row: tuple[int, ...]) -> bool:
@@ -770,6 +803,86 @@ class RuleKernel:
         if tracer is not None:
             tracer.count("join_probes", len(batch))
         return tail.run(batch, relations, table)
+
+    def bind(
+        self, relations, table: IntTable, varying, guard=None, tracer=None
+    ) -> Callable[[], int]:
+        """Bind the kernel to one stratum evaluation: a zero-argument
+        firing into *table* that returns how many rows were new, as
+        :meth:`execute` would.
+
+        *varying* names what changes while the evaluation runs: the
+        stratum's own tables and their deltas.  Every other build side — a
+        stored relation, a lower stratum's — is resolved here, once: its
+        relation, arity check and id table (:meth:`_KJoin.bind`).  A body
+        that opens with the keyless scan of a delta binding every column
+        takes the delta's rows as its batch, not a copy: a firing only
+        reads a batch, and no batch outlives it.  *guard* sees the same
+        step boundaries as :meth:`execute` and *tracer* the same
+        ``join_probes``, plus ``facts_derived`` for the new rows.
+        """
+        body = self._body
+        opening = None
+        if body and isinstance(body[0], _KJoin):
+            first = body[0]
+            if (
+                type(first.predicate) is DeltaName
+                and first.shape is None
+                and first.check is None
+            ):
+                opening, body = first.predicate, body[1:]
+
+        def bound(step) -> Callable[[IntBatch], IntBatch]:
+            if isinstance(step, (_KJoin, _KAntiJoin)) and step.predicate not in varying:
+                return step.bind(relations)
+            return lambda batch: step.run(batch, relations)
+
+        steps = [bound(step) for step in body]
+        tail = self._tail
+        if tail is None:
+            project = self._project
+            finish = lambda batch: table.admit(map(project, batch))  # noqa: E731
+        elif tail.predicate in varying:
+            finish = lambda batch: tail.run(batch, relations, table)  # noqa: E731
+        else:
+            finish = tail.bind(relations, table)
+        charge = None
+        if guard is not None or tracer is not None:
+
+            def charge(size: int) -> None:
+                if guard is not None:
+                    guard.tick(size)
+                if tracer is not None:
+                    tracer.count("join_probes", size)
+
+        index = table.index
+
+        def fire() -> int:
+            before = len(index)
+            if opening is None:
+                batch: IntBatch = [()]
+            else:
+                if charge is not None:
+                    charge(1)
+                delta = relations(opening)
+                if delta is None or not delta.rows:
+                    return 0
+                batch = delta.rows
+            for run in steps:
+                if charge is not None:
+                    charge(len(batch))
+                batch = run(batch)
+                if not batch:
+                    return 0
+            if tail is not None and charge is not None:
+                charge(len(batch))
+            finish(batch)
+            new = len(index) - before
+            if tracer is not None and new:
+                tracer.count("facts_derived", new)
+            return new
+
+        return fire
 
 
 def kernelize_conjunction(

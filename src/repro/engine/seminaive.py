@@ -20,9 +20,21 @@ interned symbol ids (:mod:`repro.engine.kernels`) and kept
 (:class:`CompiledStratum`) for the lifetime of the engine, or of the
 mapping its caller handed in; the stratum's facts live in kernel tables for
 the whole fixpoint and are externalized back into relations when the
-stratum completes.  Each evaluation binds the relations its rules read
+stratum completes.  Each evaluation resolves the relations its rules read
 once, in one dict whose ``get`` the kernels call, and only the delta
 entries change from one iteration to the next.
+
+An iteration is its *bound firings* and nothing else.  The first one
+lowers every delta variant and binds it to the evaluation
+(:meth:`~repro.engine.kernels.RuleKernel.bind`): a zero-argument call
+whose build sides outside the stratum — stored relations and lower strata,
+which no fixpoint changes — are resolved to their id tables once, and
+whose opening delta scan hands the delta's rows on as they are.  The loop
+then calls each firing and extends the tables; it opens no span unless a
+recording tracer is attached, which gets the same ``iteration`` and
+``rule`` spans and counters from the same loop.  An exit rule fires once,
+in the initial round, and runs its kernel directly: binding it would only
+add allocation.
 """
 
 from __future__ import annotations
@@ -77,6 +89,10 @@ class CompiledStratum:
             for predicate in sorted(stratum)
             if delta_name(predicate) in self.reads
         ]
+        #: What changes while the stratum is evaluated — its tables and
+        #: their deltas; a firing resolves every other build side once
+        #: (:meth:`~repro.engine.kernels.RuleKernel.bind`).
+        self.varying = frozenset(stratum).union(name for name, _ in self.deltas)
 
     @cached_property
     def labels(self) -> list[str]:
@@ -205,7 +221,10 @@ class SemiNaiveEngine:
         (:class:`~repro.engine.kernels.IntTable`) for the whole fixpoint: no
         per-row coercion, journaling, or constant hashing on the hot path.
         Within an iteration the tables extend only at the iteration
-        boundary, so every rule of one iteration sees the same facts.
+        boundary, so every rule of one iteration sees the same facts, and
+        the first iteration lowers and binds every delta variant at once
+        from the statistics a first firing of each would see; the later
+        iterations only call the bound firings.
 
         The id rows are bulk-loaded into the derived relations as they are
         when the stratum finishes: the table's rows are distinct by
@@ -223,10 +242,12 @@ class SemiNaiveEngine:
             )
         rules, kernels = program.rules, program.kernels
         guard = self._guard
+        # Only a recording tracer gets spans and counters; the rule spans'
+        # labels are text, so an untraced evaluation formats none.
         tracer = self._tracer
-        # The rule spans' labels are text: an untraced evaluation formats none.
-        recording = tracer is not None and tracer.enabled
-        labels = program.labels if recording else [None] * len(rules)
+        if tracer is not None and not tracer.enabled:
+            tracer = None
+        labels = program.labels if tracer is not None else None
         tables = {p: IntTable(self._relation(p).arity) for p in stratum}
         # Every relation the rules read, resolved once per evaluation: the
         # stored or already-derived relations, the kernel tables of the
@@ -237,35 +258,37 @@ class SemiNaiveEngine:
         relations = sources.get
         estimate = relation_cost_estimator(relations)
 
-        def fire(rule: Rule, plan_key: tuple[int, int]) -> int:
-            """Fire one rule into its head's table; how many rows were new."""
-            kernel = kernels.get(plan_key)
+        def kernel_of(rule_index: int, position: int, rule: Rule) -> RuleKernel:
+            """The rule's kernel, lowered on its first firing from the
+            statistics then in view."""
+            kernel = kernels.get((rule_index, position))
             if kernel is None:
-                kernel = kernels[plan_key] = compile_rule_kernel(
+                kernel = kernels[rule_index, position] = compile_rule_kernel(
                     rule, estimate=estimate
                 )
-            new = kernel.execute(relations, tables[rule.head.predicate], guard, tracer)
-            if tracer is not None and new:
-                tracer.count("facts_derived", new)
-            return new
+            return kernel
 
         try:
-            # Initial round: the exit rules, each one's rows made visible
-            # at once (so a budget trip after it flushes them).
+            # Initial round: the exit rules, each fired once and its rows
+            # made visible at once (so a budget trip after it flushes them,
+            # and the next exit rule is planned over them).
             for rule_index in program.exits:
                 rule = rules[rule_index]
-                with traced_span(
-                    tracer, "rule", rule=labels[rule_index], phase="initial"
-                ):
-                    new = fire(rule, (rule_index, -1))
-                    if new:
-                        tables[rule.head.predicate].extend()
-                        if guard is not None:
-                            guard.count_facts(new)
+                kernel = kernel_of(rule_index, -1, rule)
+                table = tables[rule.head.predicate]
+                if tracer is not None:
+                    tracer.start("rule", rule=labels[rule_index], phase="initial")
+                new = kernel.execute(relations, table, guard, tracer)
+                if new:
+                    if tracer is not None:
+                        tracer.count("facts_derived", new)
+                    table.extend()
+                    if guard is not None:
+                        guard.count_facts(new)
+                if tracer is not None:
+                    tracer.end()
 
-            # Per-iteration work is pure kernel execution.
-            rewritten_rules = program.rewritten
-            if not rewritten_rules:
+            if not program.rewritten:
                 return
 
             # The tables started empty, so the first delta is the tables
@@ -274,6 +297,7 @@ class SemiNaiveEngine:
             # the exit rules derived: a full firing, one variant at a time.
             deltas = dict(tables)
             delta_rows = sum(len(table) for table in tables.values())
+            firings = None
             iteration = 0
             while delta_rows:
                 iteration += 1
@@ -281,26 +305,47 @@ class SemiNaiveEngine:
                     guard.iteration()
                 for name, predicate in program.deltas:
                     sources[name] = deltas.get(predicate)
-                with traced_span(tracer, "iteration", index=iteration):
+                if firings is None:
+                    # Every variant lowered and bound at once, planned from
+                    # the statistics a lazy first firing would see: nothing
+                    # extends a table before the iteration ends.
+                    firings = [
+                        (
+                            rule_index,
+                            position,
+                            kernel_of(rule_index, position, rewritten).bind(
+                                relations,
+                                tables[rewritten.head.predicate],
+                                program.varying,
+                                guard,
+                                tracer,
+                            ),
+                        )
+                        for rule_index, position, rewritten in program.rewritten
+                    ]
+                if tracer is not None:
+                    span = tracer.start("iteration", index=iteration)
+                    tracer.count("delta_rows", delta_rows)
+                # Per-iteration work is the bound firings alone.
+                for rule_index, position, fire in firings:
                     if tracer is not None:
-                        tracer.count("delta_rows", delta_rows)
-                    for rule_index, position, rewritten in rewritten_rules:
-                        with traced_span(
-                            tracer,
-                            "rule",
-                            rule=labels[rule_index],
-                            delta_position=position,
-                        ):
-                            fire(rewritten, (rule_index, position))
-                    deltas = {}
-                    delta_rows = 0
-                    for predicate, table in tables.items():
-                        delta = table.extend()
-                        if delta is not None:
-                            deltas[predicate] = delta
-                            delta_rows += len(delta)
-                            if guard is not None:
-                                guard.count_facts(len(delta))
+                        tracer.start(
+                            "rule", rule=labels[rule_index], delta_position=position
+                        )
+                    fire()
+                    if tracer is not None:
+                        tracer.end()
+                deltas = {}
+                delta_rows = 0
+                for predicate, table in tables.items():
+                    delta = table.extend()
+                    if delta is not None:
+                        deltas[predicate] = delta
+                        delta_rows += len(delta.rows)
+                        if guard is not None:
+                            guard.count_facts(len(delta.rows))
+                if tracer is not None:
+                    tracer.end(span)
         finally:
             # Runs on the exception path too, so a tripped budget leaves the
             # usual sound partial materialisation behind.

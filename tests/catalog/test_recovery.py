@@ -167,6 +167,57 @@ class TestStagedRecovery:
         assert info.value.offset == offset
         assert f"wal.log:{offset}" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "forged",
+        [
+            {"events": [["+"]], "stamps": {}},  # a short event
+            {"events": [["+", "parent", ["dan", "eve"]]], "stamps": "x"},
+            {"events": [["rule", 5]], "stamps": {}},  # rule text not text
+            {"events": [], "stamps": {}, "lsn": "next"},
+            {"events": [], "stamps": {}, "lsn": 3.0},
+            {"events": [], "stamps": {"relations": 5}},
+        ],
+        ids=["short_event", "stamps_not_an_object", "rule_not_text", "lsn_text",
+             "lsn_float", "relation_counts_not_an_object"],
+    )
+    def test_a_forged_record_fails_located(self, tmp_path, forged):
+        # A record framed with a correct checksum but malformed is nothing a
+        # crash leaves behind: recovery fails at its path and offset
+        # instead of raising a bare IndexError / ValueError / TypeError.
+        directory = str(tmp_path / "d")
+        build(directory)
+        log = DurableLog(directory)
+        body = json.dumps(
+            {"lsn": log.last_lsn + 1, **forged}, separators=(",", ":"), sort_keys=True
+        ).encode()
+        offset = os.path.getsize(log.log_path)
+        with open(log.log_path, "ab") as handle:
+            handle.write(_crc(body).encode() + b" " + body + b"\n")
+        recoverer = Recoverer(directory)
+        with pytest.raises(RecoveryError) as info:
+            recoverer.recover()
+        assert (info.value.path, info.value.offset) == (log.log_path, offset)
+        assert recoverer.transitions[-1] == "failed" == info.value.state
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("wal_lsn", "2"), ("wal_lsn", [1]), ("stamps", "x"),
+         ("stamps", {"relations": 5})],
+    )
+    def test_a_malformed_snapshot_position_fails_located(self, tmp_path, field, value):
+        # wal_lsn and stamps sit outside the snapshot's payload checksum.
+        directory = str(tmp_path / "d")
+        build(directory)
+        path = os.path.join(directory, "snapshot.json")
+        with open(path) as handle:
+            document = json.load(handle)
+        document[field] = value
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        with pytest.raises(RecoveryError) as info:
+            Recoverer(directory).recover()
+        assert info.value.path == path
+
     def test_recursion_discipline_restored_after_replay(self, tmp_path):
         build(str(tmp_path / "d"))
         report = Recoverer(str(tmp_path / "d")).recover()

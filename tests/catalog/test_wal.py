@@ -302,6 +302,37 @@ class TestSnapshots:
         assert not os.path.exists(log.snapshot_path + ".tmp")
 
 
+    def test_the_log_name_is_durable_before_the_snapshot_returns(
+        self, tmp_path, monkeypatch
+    ):
+        # The snapshot's rename and the log it creates each live in the
+        # directory entry: without a directory fsync after the log's own,
+        # a power loss can drop the log's name, and recovery would then
+        # silently return the snapshot alone.
+        from repro.catalog import persist
+
+        directory = str(tmp_path / "d")
+        synced = []
+        fsync = os.fsync
+
+        def file_fsync(fd: int) -> None:
+            synced.append(os.fstat(fd).st_ino)
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", file_fsync)
+        monkeypatch.setattr(
+            persist, "fsync_directory", lambda path: synced.append(path)
+        )
+        open_durable(directory)
+        files = {
+            os.stat(os.path.join(directory, name)).st_ino: name
+            for name in ("snapshot.json", "wal.log")
+        }
+        assert [files.get(entry, entry) for entry in synced] == [
+            "snapshot.json", directory, "wal.log", directory,
+        ]
+
+
 class TestDurabilityDiffing:
     def test_one_commit_one_record(self, tmp_path):
         kb = open_durable(str(tmp_path / "d"))

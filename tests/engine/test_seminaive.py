@@ -277,6 +277,34 @@ class TestDeltaDrivenFixpoint:
                 dropped_staged |= any(staged_at_flush)
         assert dropped_staged, "no trip found rows staged"
 
+    def test_a_bound_firing_resolves_a_stored_id_table_once_per_evaluation(
+        self, monkeypatch
+    ):
+        # A stored relation cannot change during a fixpoint, so the delta
+        # variant's build side on edge is resolved when the firing is
+        # bound, once per evaluation, not once per iteration.
+        from repro.catalog.relation import Relation
+
+        kb = chain_graph_kb(30)
+        edge = kb.relation("edge")
+        requested = []
+        table = Relation.table
+
+        def counting(relation, shape, const=()):
+            if relation is edge:
+                requested.append(shape)
+            return table(relation, shape, const)
+
+        monkeypatch.setattr(Relation, "table", counting)
+        compiled: dict = {}
+        for evaluation in (1, 2):
+            guard = ResourceGuard()
+            engine = SemiNaiveEngine(kb, guard=guard, compiled=compiled)
+            assert len(engine.derived_relation("path")) == 465
+            assert guard.iterations == 30
+            assert len(requested) == evaluation  # one shape, once per evaluation
+        assert len(set(requested)) == 1
+
     def test_strict_trip_leaves_the_partial_relation_flushed(self):
         kb = chain_graph_kb(30)
         engine = SemiNaiveEngine(kb, guard=ResourceGuard(max_iterations=5))

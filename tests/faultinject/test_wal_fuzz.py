@@ -7,7 +7,14 @@ commit must leave the live state as it was, and recovery of the directory
 then must equal it.  Then one mutation is applied to the directory the
 sequence leaves: a log record dropped, duplicated or swapped with its
 successor, one bit flipped anywhere in ``wal.log`` or ``snapshot.json``,
-the log truncated at any byte, or the snapshot's ``wal_lsn`` rewritten.  Recovery must end in one of three ways:
+the log truncated at any byte, the snapshot's ``wal_lsn`` rewritten, or a
+record *forged*: its JSON body broken in structure (``events`` missing or
+not a list, an event short or not a list, ``stamps`` or its relation
+counts not an object, a non-integer ``lsn``, rule or constraint text that
+is not text) and framed again with a valid checksum.  Only malformed
+forgeries are drawn: a CRC is not a MAC, so a well-formed forged record —
+a commit nobody made, framed correctly — is indistinguishable from a real
+one, and nothing can detect it.  Recovery must end in one of three ways:
 
 1. a :class:`~repro.errors.RecoveryError` located at the log or the
    snapshot file;
@@ -63,12 +70,30 @@ failures = st.dictionaries(
     max_size=5,
 )
 
+def _append(event):
+    return lambda body: body["events"].append(event)
+
+
+#: Structural breakages of a record body, each leaving it no commit.
+FORGERIES = {
+    "events_missing": lambda body: body.pop("events"),
+    "events_not_a_list": lambda body: body.update(events={"+": "e"}),
+    "short_event": _append(["+", "e"]),
+    "event_not_a_list": _append("+"),
+    "stamps_not_an_object": lambda body: body.update(stamps="x"),
+    "relation_counts_not_an_object": lambda body: body.update(stamps={"relations": 5}),
+    "lsn_not_an_int": lambda body: body.update(lsn=str(body["lsn"])),
+    "rule_not_text": _append(["rule", 5]),
+    "constraint_not_text": _append(["constraint", ["e(a)"]]),
+}
+
 mutations = st.one_of(
     st.tuples(st.sampled_from(["drop", "duplicate", "swap"]), st.integers(0, 20)),
     st.tuples(st.just("flip"), st.sampled_from(["wal.log", "snapshot.json"]),
               st.integers(0, 2**20)),
     st.tuples(st.just("truncate"), st.integers(0, 2**16)),
     st.tuples(st.just("wal_lsn"), st.integers(0, 12)),
+    st.tuples(st.just("forge"), st.sampled_from(sorted(FORGERIES)), st.integers(0, 20)),
 )
 
 
@@ -110,6 +135,18 @@ def mutate(directory: str, mutation) -> None:
         document["wal_lsn"] = mutation[1]
         with open(path, "w") as handle:
             json.dump(document, handle, sort_keys=True)
+        return
+    if kind == "forge":
+        with open(log_path, "rb") as handle:
+            header, *records = handle.read().splitlines(keepends=True)
+        if records:
+            index = mutation[2] % len(records)
+            body = json.loads(records[index].split(b" ", 1)[1])
+            FORGERIES[mutation[1]](body)
+            framed = json.dumps(body, separators=(",", ":"), sort_keys=True).encode()
+            records[index] = wal._crc(framed).encode() + b" " + framed + b"\n"
+            with open(log_path, "wb") as handle:
+                handle.write(header + b"".join(records))
         return
     path = os.path.join(directory, mutation[1]) if kind == "flip" else log_path
     with open(path, "rb") as handle:

@@ -6,10 +6,20 @@ dict of every admitted row, the first keys of which are the visible rows.
 A head-fused tail stores its head rows in that dict itself; any other rule
 admits its finished batch.  Over generated recursive strata — linear
 recursion on either side, non-linear recursion, two mutually recursive
-members, head constants (which always take the admit path) and comparison
-filters on the last join (which keep a tail from fusing) — every derived
-relation must equal the tuple-at-a-time reference
-(``tests/reference.py::reference_fixpoint``) and hold each id row once.
+members (so a delta is now and then ``None``), head constants (which always
+take the admit path), comparison filters on the last join (which keep a
+tail from fusing) and equalities with a constant (which open the body, so
+the delta becomes a build side) — every derived relation must equal the
+tuple-at-a-time reference (``tests/reference.py::reference_fixpoint``) and
+hold each id row once.
+
+Each drawn program runs four ways through the one stratum driver, whose
+iterations are bound firings
+(:meth:`~repro.engine.kernels.RuleKernel.bind`): untraced, traced, under a
+generous :class:`~repro.engine.guard.ResourceGuard`, and under a degrade
+guard whose step budget trips mid-round.  The complete runs must agree
+with the reference and the guard's counters with the tracer's; the
+tripped run must leave sound subsets, the same traced or not.
 
 Runs are seeded like the planner oracle: set ``FAULTINJECT_SEED`` to
 explore other sequences (CI runs a fixed and a fresh seed);
@@ -24,10 +34,14 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.catalog.database import KnowledgeBase
+from repro.engine.guard import ResourceGuard
+from repro.engine.plan import DeltaName
 from repro.engine.seminaive import SemiNaiveEngine
+from repro.errors import EvaluationLimitError
 from repro.logic.atoms import Atom, comparison
 from repro.logic.clauses import Rule
 from repro.logic.terms import Constant, Variable
+from repro.obs.trace import Tracer
 
 from tests.reference import reference_fixpoint
 
@@ -53,6 +67,9 @@ FILTERS = [
     comparison(Y, ">=", Constant(2)),
     comparison(Z, "<", Y),
     comparison(X, "=", Z),
+    # Ready before any atom: the body opens with it, and the delta is then
+    # joined on X as a build side instead of scanned.
+    comparison(X, "=", Constant(1)),
 ]
 
 
@@ -126,9 +143,73 @@ def test_the_stratum_fixpoint_equals_the_reference(kb):
     assert_fixpoint_matches(kb)
 
 
+def run(kb: KnowledgeBase, guard=None, traced=False):
+    """Evaluate every predicate of *kb* once: ``(rows per predicate, whether
+    it completed, the tracer's totals)``."""
+    tracer = Tracer() if traced else None
+    engine = SemiNaiveEngine(kb, guard=guard, tracer=tracer)
+    complete = True
+    try:
+        if tracer is None:
+            engine.evaluate()
+        else:
+            with tracer.span("query"):
+                engine.evaluate()
+    except EvaluationLimitError:
+        complete = False
+    rows = {p: set(engine.partial_relation(p).rows()) for p in kb.idb_predicates()}
+    totals = None
+    if tracer is not None:
+        totals = dict(tracer.last.totals())
+        totals["iterations"] = len(tracer.last.find("iteration"))
+    return rows, complete, totals
+
+
+def counters(guard: ResourceGuard) -> tuple[int, int, int]:
+    return guard.steps, guard.facts, guard.iterations
+
+
+@seed(SEED)
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(programs())
+def test_traced_and_guarded_runs_agree(kb):
+    expected = {p: set(r.rows()) for p, r in reference_fixpoint(kb).items()}
+    untraced, complete, _ = run(kb)
+    assert complete and untraced == expected
+    traced, complete, totals = run(kb, traced=True)
+    assert complete and traced == expected
+    generous = ResourceGuard(max_steps=10**9, max_facts=10**9, max_iterations=10**6)
+    guarded, complete, _ = run(kb, guard=generous)
+    assert complete and guarded == expected
+    both = ResourceGuard(max_steps=10**9, max_facts=10**9, max_iterations=10**6)
+    run(kb, guard=both, traced=True)
+    # The tracer counts exactly what the guard is charged with: a tick per
+    # step boundary is a join probe, each admitted row a derived fact.
+    assert counters(generous) == counters(both) == (
+        totals.get("join_probes", 0),
+        totals.get("facts_derived", 0),
+        totals["iterations"],
+    )
+    # A degrade budget of half the steps trips inside a firing: what it
+    # leaves is a sound subset, flushed alike traced or not.
+    budget = generous.steps // 2
+    if budget < 1:
+        return
+    tripped = []
+    for traced_run in (False, True):
+        guard = ResourceGuard(max_steps=budget, mode="degrade")
+        partial, complete, _ = run(kb, guard=guard, traced=traced_run)
+        assert not complete and guard.tripped is not None
+        for predicate, rows in partial.items():
+            assert rows <= expected[predicate], predicate
+        tripped.append((partial, counters(guard)))
+    assert tripped[0] == tripped[1]
+
+
 def test_the_drawn_shapes_cover_fused_and_admitted_tails():
     # One program per shape the strategy draws from, pinned: a fused
-    # tail, a head constant, a filtered tail and two members.
+    # tail, a head constant, a filtered tail, two members (the second
+    # round has no delta of p) and a delta joined as a build side.
     texts = [
         [Rule(Atom("p", [X, Y]), [Atom("edge", [X, Y])]),
          Rule(Atom("p", [X, Y]), SHAPES["non_linear"]("p", "p"))],
@@ -139,17 +220,27 @@ def test_the_drawn_shapes_cover_fused_and_admitted_tails():
         [Rule(Atom("p", [X, Y]), [Atom("edge", [X, Y])]),
          Rule(Atom("q", [X, Y]), SHAPES["left"]("p", "p")),
          Rule(Atom("p", [X, Y]), SHAPES["right"]("q", "q"))],
+        [Rule(Atom("p", [X, Y]), [Atom("edge", [X, Y])]),
+         Rule(Atom("p", [X, Y]), [*SHAPES["non_linear"]("p", "p"), FILTERS[4]])],
     ]
     fused: set[bool] = set()
+    delta_build_sides = 0
     for rules in texts:
         kb = KnowledgeBase(enforce_recursion_discipline=False)
         kb.declare_edb("edge", 2)
         kb.add_facts("edge", [(0, 1), (1, 2), (2, 3), (3, 1), (3, 4), (5, 0)])
         kb.add_rules(rules)
         engine = assert_fixpoint_matches(kb)
-        fused |= {
-            kernel.head_fused
+        kernels = [
+            kernel
             for stratum in engine._compiled.values()
             for kernel in stratum.kernels.values()
-        }
+        ]
+        fused |= {kernel.head_fused for kernel in kernels}
+        delta_build_sides += sum(
+            type(getattr(step, "predicate", None)) is DeltaName
+            for kernel in kernels
+            for step in kernel.kernel.steps[1:]
+        )
     assert fused == {True, False}
+    assert delta_build_sides
