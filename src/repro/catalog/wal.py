@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.errors import RecoveryError, WalError
 
@@ -132,17 +132,11 @@ class WalRecord:
 class DurableLog:
     """The on-disk write-ahead log and snapshot of one durable directory.
 
-    ``crash_hook`` is the fault-injection seam: when set, it is called
-    with a stage name at every durability-critical point (see
-    ``tests/faultinject/test_crash_recovery.py``); a hook that raises
-    simulates a crash at exactly that stage.  Stages:
-
-    - ``append:before`` — nothing written yet;
-    - ``append:mid`` — half the record's bytes written (a torn record);
-    - ``append:written`` — all bytes written, not yet fsynced;
-    - ``append:synced`` — record durable, ack not yet returned;
-    - ``snapshot:staged`` — snapshot temp file written, not yet renamed;
-    - ``snapshot:replaced`` — snapshot durable, log not yet truncated.
+    A commit reaches the disk through three calls — one ``write`` of the
+    framed line, one ``flush``, one :func:`os.fsync` — and a snapshot
+    through :func:`~repro.catalog.persist._atomic_write` followed by a
+    fresh log; a crash anywhere in either leaves a directory recovery
+    reads back to a commit boundary.
     """
 
     def __init__(self, directory: str) -> None:
@@ -150,7 +144,6 @@ class DurableLog:
         os.makedirs(self.directory, exist_ok=True)
         self.log_path = os.path.join(self.directory, LOG_NAME)
         self.snapshot_path = os.path.join(self.directory, SNAPSHOT_NAME)
-        self.crash_hook: Callable[[str], None] | None = None
         self._handle = None
         self.last_lsn = 0
         self.records_since_snapshot = 0
@@ -239,10 +232,6 @@ class DurableLog:
 
     # -- log writing ----------------------------------------------------------------
 
-    def _hook(self, stage: str) -> None:
-        if self.crash_hook is not None:
-            self.crash_hook(stage)
-
     def _open_for_append(self):
         if self._handle is None:
             fresh = not os.path.exists(self.log_path) or (
@@ -278,16 +267,9 @@ class DurableLog:
         handle = self._open_for_append()
         size = os.fstat(handle.fileno()).st_size
         try:
-            self._hook("append:before")
-            half = len(line) // 2
-            handle.write(line[:half])
+            handle.write(line)
             handle.flush()
-            self._hook("append:mid")
-            handle.write(line[half:])
-            handle.flush()
-            self._hook("append:written")
             os.fsync(handle.fileno())
-            self._hook("append:synced")
         except Exception:
             try:
                 self.close()
@@ -339,11 +321,13 @@ class DurableLog:
 
         The snapshot document is the :func:`~repro.catalog.persist.save_kb`
         payload plus the covered LSN, a payload checksum, and the version
-        stamps — staged, fsynced, and renamed atomically.  Only after the
-        snapshot is durable is the log reset; a crash between the two
-        leaves superseded records behind, which recovery skips by LSN.
+        stamps, written by :func:`~repro.catalog.persist._atomic_write`
+        (staged in a uniquely named temporary file, fsynced, renamed over
+        ``snapshot.json``, directory fsynced).  Only after the snapshot is
+        durable is the log reset; a crash between the two leaves superseded
+        records behind, which recovery skips by LSN.
         """
-        from repro.catalog.persist import fsync_directory, kb_to_dict
+        from repro.catalog.persist import _atomic_write, fsync_directory, kb_to_dict
 
         payload = json.dumps(kb_to_dict(kb), sort_keys=True, separators=(",", ":"))
         document = {
@@ -353,22 +337,7 @@ class DurableLog:
             "stamps": collect_stamps(kb),
             "kb": json.loads(payload),
         }
-        staged = self.snapshot_path + ".tmp"
-        try:
-            with open(staged, "w") as handle:
-                json.dump(document, handle, sort_keys=True)
-                handle.flush()
-                os.fsync(handle.fileno())
-            self._hook("snapshot:staged")
-            os.replace(staged, self.snapshot_path)
-            fsync_directory(self.directory)
-        except BaseException:
-            try:
-                os.unlink(staged)
-            except OSError:
-                pass
-            raise
-        self._hook("snapshot:replaced")
+        _atomic_write(self.snapshot_path, json.dumps(document, sort_keys=True))
         self.close()
         with open(self.log_path, "wb") as handle:
             handle.write(f"{LOG_FORMAT}\n".encode())

@@ -13,6 +13,8 @@ from repro.catalog.wal import DurableLog, _crc
 from repro.errors import RecoveryError
 from repro.lang.parser import parse_rule
 
+from tests.faultinject.disk import Disk
+
 
 def canonical(kb: KnowledgeBase) -> str:
     """A byte-identical fingerprint via the save_kb payload."""
@@ -290,7 +292,9 @@ class TestLogSequence:
         error = self.recover_rewritten(directory, lines)
         assert error.offset == len(lines[0])
 
-    def test_a_wholly_superseded_log_is_cut_back_to_its_header(self, tmp_path):
+    def test_a_wholly_superseded_log_is_cut_back_to_its_header(
+        self, tmp_path, monkeypatch
+    ):
         directory = str(tmp_path / "d")
         lines = swap_log(directory)
         log = DurableLog(directory)
@@ -299,7 +303,7 @@ class TestLogSequence:
             if stage == "snapshot:replaced":  # before the log is truncated
                 raise RuntimeError(stage)
 
-        log.crash_hook = crash
+        Disk(monkeypatch, directory, crash)
         with pytest.raises(RuntimeError):
             log.snapshot(Recoverer(directory).recover().kb)
         log.close()

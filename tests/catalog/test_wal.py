@@ -21,17 +21,7 @@ from repro.lang.parser import parse_body, parse_rule
 from repro.logic.clauses import IntegrityConstraint
 from repro.logic.terms import Constant
 
-
-class Crash(BaseException):
-    """Raised by a crash hook: not an Exception, nothing may swallow it."""
-
-
-def crash_at(log: DurableLog, stage: str) -> None:
-    def hook(reached: str) -> None:
-        if reached == stage:
-            raise Crash(stage)
-
-    log.crash_hook = hook
+from tests.faultinject.disk import Crash, Disk, crash_at
 
 
 class TestDurableLogFraming:
@@ -108,10 +98,11 @@ class TestDurableLogFraming:
 
 
 class TestCrashHooks:
-    def test_crash_mid_append_leaves_a_torn_record(self, tmp_path):
+    def test_crash_mid_append_leaves_a_torn_record(self, tmp_path, monkeypatch):
+        disk = Disk(monkeypatch, str(tmp_path))
         log = DurableLog(str(tmp_path))
         log.append([["+", "p", ["a"]]], {})
-        crash_at(log, "append:mid")
+        disk.hook = crash_at("append:mid")
         with pytest.raises(Crash):
             log.append([["+", "p", ["b"]]], {})
         log.close()
@@ -119,19 +110,20 @@ class TestCrashHooks:
         assert [r.lsn for r in records] == [1]
         assert torn is not None
 
-    def test_crash_before_append_writes_nothing(self, tmp_path):
+    def test_crash_before_append_writes_nothing(self, tmp_path, monkeypatch):
+        disk = Disk(monkeypatch, str(tmp_path))
         log = DurableLog(str(tmp_path))
         log.append([["+", "p", ["a"]]], {})
         size = os.path.getsize(log.log_path)
-        crash_at(log, "append:before")
+        disk.hook = crash_at("append:before")
         with pytest.raises(Crash):
             log.append([["+", "p", ["b"]]], {})
         log.close()
         assert os.path.getsize(log.log_path) == size
 
-    def test_crash_after_sync_preserves_the_record(self, tmp_path):
+    def test_crash_after_sync_preserves_the_record(self, tmp_path, monkeypatch):
+        Disk(monkeypatch, str(tmp_path), crash_at("append:synced"))
         log = DurableLog(str(tmp_path))
-        crash_at(log, "append:synced")
         with pytest.raises(Crash):
             log.append([["+", "p", ["a"]]], {})
         log.close()
@@ -174,12 +166,12 @@ class TestFailedAppend:
             with kb.transaction():
                 kb.add_fact("e", value)
 
-    def assert_history(self, directory, kb, fail) -> None:
+    def assert_history(self, directory, disk, kb, fail) -> None:
         log = kb.durability.log
-        log.crash_hook = fail
+        disk.hook = fail
         with pytest.raises(OSError):
             self.add(kb, "b")
-        log.crash_hook = None
+        disk.hook = None
         assert [value.value for (value,) in kb.facts("e")] == ["a"]
         self.add(kb, "c")
         assert [value.value for (value,) in kb.facts("e")] == ["a", "c"]
@@ -195,32 +187,25 @@ class TestFailedAppend:
         assert report.verified and report.torn_reason is None
         assert report.kb.facts("e") == kb.facts("e")
 
-    def test_a_failure_mid_append_is_cut_back(self, tmp_path):
+    def test_a_failure_mid_append_is_cut_back(self, tmp_path, monkeypatch):
+        disk = Disk(monkeypatch, str(tmp_path))
         kb = self.durable(tmp_path)
 
         def disk_full(stage: str) -> None:
             if stage == "append:mid":
                 raise OSError(errno.ENOSPC, "disk full")
 
-        self.assert_history(tmp_path, kb, disk_full)
+        self.assert_history(tmp_path, disk, kb, disk_full)
 
     def test_a_failed_fsync_of_written_bytes_is_cut_back(self, tmp_path, monkeypatch):
+        disk = Disk(monkeypatch, str(tmp_path))
         kb = self.durable(tmp_path)
-        fsync, failing = os.fsync, []
 
-        def flaky_fsync(fd: int) -> None:
-            if failing:
-                failing.pop()
-                raise OSError(errno.EIO, "fsync failed")
-            fsync(fd)
-
-        monkeypatch.setattr(os, "fsync", flaky_fsync)
-
-        def fail_the_next_fsync(stage: str) -> None:
+        def failed_fsync(stage: str) -> None:
             if stage == "append:written":  # every byte is written
-                failing.append(stage)
+                raise OSError(errno.EIO, "fsync failed")
 
-        self.assert_history(tmp_path, kb, fail_the_next_fsync)
+        self.assert_history(tmp_path, disk, kb, failed_fsync)
 
 
 class TestFailedAppendInATransaction(TestFailedAppend):
@@ -230,15 +215,17 @@ class TestFailedAppendInATransaction(TestFailedAppend):
     style = "transaction"
 
 
-def test_failed_declarations_rules_and_constraints_are_taken_back(tmp_path):
+def test_failed_declarations_rules_and_constraints_are_taken_back(
+    tmp_path, monkeypatch
+):
+    disk = Disk(monkeypatch, str(tmp_path))
     kb = TestFailedAppend().durable(tmp_path)
-    log = kb.durability.log
 
     def disk_full(stage: str) -> None:
         if stage == "append:before":
             raise OSError(errno.ENOSPC, "disk full")
 
-    log.crash_hook = disk_full
+    disk.hook = disk_full
     for mutate in (
         lambda: kb.declare_edb("f", 1),
         lambda: kb.declare_idb("g", 1),
@@ -247,7 +234,7 @@ def test_failed_declarations_rules_and_constraints_are_taken_back(tmp_path):
     ):
         with pytest.raises(OSError):
             mutate()
-    log.crash_hook = None
+    disk.hook = None
     assert kb.edb_predicates() == ["e"] and kb.idb_predicates() == []
     assert kb.rules() == [] and kb.constraints() == []
     kb.declare_edb("f", 1)  # the failed declaration left nothing behind
@@ -272,12 +259,14 @@ class TestSnapshots:
         assert log.snapshot_header()[0] == 1
         assert log.snapshot_header()[1]["facts"] == 1
 
-    def test_crash_between_replace_and_truncate_is_harmless(self, tmp_path):
+    def test_crash_between_replace_and_truncate_is_harmless(
+        self, tmp_path, monkeypatch
+    ):
         """Superseded records left behind are skipped by LSN on replay."""
         log = DurableLog(str(tmp_path))
         log.append([["edb", "parent", 2, None]], {})
         log.append([["+", "parent", ["ann", "bob"]]], {})
-        crash_at(log, "snapshot:replaced")
+        Disk(monkeypatch, str(tmp_path), crash_at("snapshot:replaced"))
         with pytest.raises(Crash):
             log.snapshot(self.small_kb())
         log.close()
@@ -290,17 +279,17 @@ class TestSnapshots:
         assert report.records_replayed == 0  # both records superseded
         assert report.kb.fact_count() == 1
 
-    def test_crash_while_staging_leaves_old_snapshot(self, tmp_path):
+    def test_crash_while_staging_leaves_old_snapshot(self, tmp_path, monkeypatch):
         log = DurableLog(str(tmp_path))
         log.snapshot(self.small_kb())
         header = log.snapshot_header()
-        crash_at(log, "snapshot:staged")
+        Disk(monkeypatch, str(tmp_path), crash_at("snapshot:staged"))
         with pytest.raises(Crash):
             log.snapshot(self.small_kb())
-        log.crash_hook = None
         assert log.snapshot_header() == header
-        assert not os.path.exists(log.snapshot_path + ".tmp")
-
+        # The staged file is gone with the failed rename: nothing but the
+        # two durable files is left.
+        assert sorted(os.listdir(tmp_path)) == ["snapshot.json", "wal.log"]
 
     def test_the_log_name_is_durable_before_the_snapshot_returns(
         self, tmp_path, monkeypatch

@@ -33,6 +33,7 @@ from repro.catalog.wal import DurableLog
 from repro.lang.parser import parse_body, parse_rule
 from repro.logic.clauses import IntegrityConstraint
 
+from tests.faultinject.disk import Disk
 from tests.faultinject.test_crash_recovery import WORKLOADS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -66,15 +67,17 @@ def failed_append(style: str):
             raise OSError(errno.ENOSPC, "disk full")
 
     def history(directory: str) -> None:
-        kb = open_durable(directory)
-        kb.declare_edb("e", 1)
-        add(kb, "a")
-        kb.durability.log.crash_hook = disk_full
-        with pytest.raises(OSError):
-            add(kb, "b")
-        kb.durability.log.crash_hook = None
-        add(kb, "c")
-        kb.durability.log.close()
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            disk = Disk(monkeypatch, directory)
+            kb = open_durable(directory)
+            kb.declare_edb("e", 1)
+            add(kb, "a")
+            disk.hook = disk_full
+            with pytest.raises(OSError):
+                add(kb, "b")
+            disk.hook = None
+            add(kb, "c")
+            kb.durability.log.close()
 
     return history
 

@@ -1,12 +1,15 @@
 """Fault-injection harness: kill-and-replay crash recovery.
 
-The durable write-ahead log exposes a crash seam
-(:attr:`~repro.catalog.wal.DurableLog.crash_hook`) at every
-durability-critical stage of an append and a snapshot.  This harness
-drives seeded workloads commit by commit, "kills the process" at each
-stage of each commit (the hook raises, the kb is abandoned, the log
-handle dropped), recovers the directory with the staged
-:class:`~repro.catalog.recovery.Recoverer`, and asserts:
+The durable write-ahead log has no crash seam of its own: the test-side
+layer :class:`tests.faultinject.disk.Disk` reaches every
+durability-critical stage of an append and a snapshot (its six
+:data:`~tests.faultinject.disk.STAGES`) by wrapping the disk calls the
+durable path makes in one directory.  This harness drives seeded workloads
+commit by commit, "kills the process" at each stage of each commit (the
+layer's hook raises :class:`~tests.faultinject.disk.Crash`, the kb is
+abandoned, the log handle dropped, the layer uninstalled), recovers the
+directory with the staged :class:`~repro.catalog.recovery.Recoverer`, and
+asserts:
 
 1. **byte-identical recovery** — the recovered knowledge base serialises
    (via the :func:`~repro.catalog.persist.kb_to_dict` ``save_kb`` payload)
@@ -31,10 +34,14 @@ import json
 import os
 import random
 
+import pytest
+
 from repro.catalog import KnowledgeBase, Recoverer, open_durable
 from repro.catalog.persist import kb_to_dict
 from repro.lang.parser import parse_body, parse_rule
 from repro.logic.clauses import IntegrityConstraint
+
+from tests.faultinject.disk import STAGES, Crash, Disk, crash_at
 
 #: Seed for workload-data selection; override with FAULTINJECT_SEED.
 SEED = int(os.environ.get("FAULTINJECT_SEED", "20260806"))
@@ -43,7 +50,7 @@ SEED = int(os.environ.get("FAULTINJECT_SEED", "20260806"))
 TARGET_TOTAL = 200
 
 #: Every durability-critical stage of one log append, in order.
-APPEND_STAGES = ("append:before", "append:mid", "append:written", "append:synced")
+APPEND_STAGES = STAGES[:4]
 
 #: A crash at these stages happens *after* the record's bytes reached the
 #: log file (the fsync may or may not have landed), so recovery replays
@@ -51,22 +58,10 @@ APPEND_STAGES = ("append:before", "append:mid", "append:written", "append:synced
 STAGES_WITH_COMMIT_APPLIED = ("append:written", "append:synced")
 
 #: Crash stages of a snapshot rewrite.
-SNAPSHOT_STAGES = ("snapshot:staged", "snapshot:replaced")
+SNAPSHOT_STAGES = STAGES[4:]
 
 #: Running total of kill points actually exercised, per scenario family.
 _EXERCISED: dict[str, int] = {}
-
-
-class Crash(BaseException):
-    """The simulated process death: not an Exception, never swallowed."""
-
-
-def crash_at(log, stage: str) -> None:
-    def hook(reached: str) -> None:
-        if reached == stage:
-            raise Crash(stage)
-
-    log.crash_hook = hook
 
 
 def canonical(kb: KnowledgeBase) -> str:
@@ -197,19 +192,20 @@ def reference_canonicals(steps: list) -> list[str]:
 
 def kill_and_recover(directory: str, steps: list, k: int, stage: str):
     """Run commits 0..k-1, kill at *stage* of commit k, recover the dir."""
-    kb = open_durable(directory)
-    for step in steps[:k]:
-        with kb.transaction():
-            step(kb)
-    log = kb.durability.log
-    crash_at(log, stage)
-    crashed = False
-    try:
-        with kb.transaction():
-            steps[k](kb)
-    except Crash:
-        crashed = True
-    log.close()  # the process is dead; drop the append handle
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        disk = Disk(monkeypatch, directory)
+        kb = open_durable(directory)
+        for step in steps[:k]:
+            with kb.transaction():
+                step(kb)
+        disk.hook = crash_at(stage)
+        crashed = False
+        try:
+            with kb.transaction():
+                steps[k](kb)
+        except Crash:
+            crashed = True
+        kb.durability.log.close()  # the process is dead; drop the append handle
     assert crashed, f"stage {stage} never fired for commit {k}"
     return Recoverer(directory).recover()
 
@@ -264,18 +260,18 @@ class TestKillMidSnapshot:
                 directory = str(
                     tmp_path / f"{name}-snap-{stage.replace(':', '_')}"
                 )
-                kb = open_durable(directory)
-                for step in steps:
-                    with kb.transaction():
-                        step(kb)
-                log = kb.durability.log
-                crash_at(log, stage)
-                crashed = False
-                try:
-                    kb.durability.snapshot()
-                except Crash:
-                    crashed = True
-                log.close()
+                with pytest.MonkeyPatch.context() as monkeypatch:
+                    kb = open_durable(directory)
+                    for step in steps:
+                        with kb.transaction():
+                            step(kb)
+                    Disk(monkeypatch, directory, crash_at(stage))
+                    crashed = False
+                    try:
+                        kb.durability.snapshot()
+                    except Crash:
+                        crashed = True
+                    kb.durability.log.close()
                 assert crashed, f"stage {stage} never fired"
                 report = Recoverer(directory).recover()
                 assert canonical(report.kb) == final, (

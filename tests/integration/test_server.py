@@ -21,6 +21,7 @@ from repro.server import (
     ServerClientError,
     serve_in_thread,
 )
+from tests.faultinject.disk import Disk
 from tests.faultinject.test_atomicity import chain_kb
 
 
@@ -250,10 +251,12 @@ class TestDurable:
         finally:
             reopened.close()
 
-    def test_a_commit_whose_append_fails_is_an_error_and_never_shows(self, tmp_path):
+    def test_a_commit_whose_append_fails_is_an_error_and_never_shows(
+        self, tmp_path, monkeypatch
+    ):
         durable = str(tmp_path / "served")
+        disk = Disk(monkeypatch, durable)
         catalog = MultiVersionCatalog(durable=durable)
-        log = catalog.kb.durability.log
 
         def disk_full(stage: str) -> None:
             if stage == "append:mid":
@@ -267,10 +270,10 @@ class TestDurable:
             with ServerClient(handle.host, handle.port) as client:
                 client.commit("e(a).")
                 published = client.snapshot()["id"]
-                log.crash_hook = disk_full
+                disk.hook = disk_full
                 with pytest.raises(ServerClientError) as failed:
                     client.commit("e(b).")
-                log.crash_hook = None
+                disk.hook = None
                 assert failed.value.status == 500
                 assert client.snapshot()["id"] == published  # nothing published
                 assert rows(client) == [["a"]]

@@ -83,6 +83,13 @@ The lexer half: the language has one lexer, the compiled pattern of
 ``tests/lang/reference_lexer.py``; no ``Lexer`` class or second tokenizer
 may grow back under ``src/repro``, and no production module imports the
 oracle.
+
+The durability half: nothing under ``src/repro`` exists for fault
+injection.  The crash stages live in the test-side layer
+``tests/faultinject/disk.py``; no crash hook may grow back in the product,
+a log append reaches the file in one ``write`` of its whole framed line,
+and ``persist._atomic_write`` is the one place that stages a temporary
+file and renames it over a destination.
 """
 
 import ast
@@ -105,6 +112,7 @@ import repro.core
 import repro.engine
 import repro.errors
 from repro.analysis.absint import fixpoint
+from repro.catalog import open_durable
 from repro.catalog.database import KnowledgeBase
 from repro.catalog.relation import Relation
 from repro.catalog.symbols import SymbolTable
@@ -140,6 +148,7 @@ from repro.server import MultiVersionCatalog, SessionPool
 from repro.session import Session
 
 from tests.engine.test_guard import chain_kb
+from tests.faultinject.disk import STAGES, Disk
 from tests.oracle import ROUTES, forced_retrieve, reference_answers
 from tests.reference import lookup
 
@@ -834,3 +843,72 @@ def test_the_language_has_one_lexer():
             name.split(".")[-1] == "reference_lexer" for name in _imported_names(source)
         ), source
     assert tokenizers == ["src/repro/lang/lexer.py:tokenize"]
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every identifier *tree* binds, reads or passes as a keyword."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+            names.add(node.arg)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
+
+
+def test_the_product_has_no_crash_hook():
+    offenders = [
+        f"{source.relative_to(ROOT)}: {name}"
+        for source in sorted(PACKAGE.rglob("*.py"))
+        for name in sorted(_names(ast.parse(source.read_text())) & {"crash_hook", "_hook"})
+    ]
+    assert offenders == []
+
+
+def test_only_the_atomic_write_stages_and_renames_a_file():
+    staging = {("os", "replace"), ("tempfile", "mkstemp")}
+    uses: list[str] = []
+
+    def visit(node: ast.AST, where: str, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, where, child.name)
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and isinstance(child.value, ast.Name)
+                and (child.value.id, child.attr) in staging
+            ):
+                uses.append(f"{where}:{function}:{child.value.id}.{child.attr}")
+            elif isinstance(child, ast.ImportFrom):
+                uses.extend(
+                    f"{where}:{function}:from {child.module} import {alias.name}"
+                    for alias in child.names
+                    if (child.module, alias.name) in staging
+                )
+            visit(child, where, function)
+
+    for source in sorted(PACKAGE.rglob("*.py")):
+        visit(ast.parse(source.read_text()), str(source.relative_to(PACKAGE)), "")
+    assert sorted(uses) == [
+        "catalog/persist.py:_atomic_write:os.replace",
+        "catalog/persist.py:_atomic_write:tempfile.mkstemp",
+    ]
+
+
+def test_an_append_reaches_the_log_in_one_write_of_its_line(tmp_path, monkeypatch):
+    directory = str(tmp_path / "d")
+    disk = Disk(monkeypatch, directory)
+    kb = open_durable(directory)  # the initial snapshot, through _atomic_write
+    assert disk.reached == list(STAGES[4:]) and disk.writes == []
+    kb.declare_edb("e", 1)
+    with open(disk.log_path, "rb") as handle:
+        line = handle.read().splitlines(keepends=True)[-1]
+    assert disk.writes == [line] and line.endswith(b"\n")
+    assert disk.reached[2:] == list(STAGES[:4])

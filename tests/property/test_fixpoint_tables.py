@@ -11,7 +11,16 @@ take the admit path), comparison filters on the last join (which keep a
 tail from fusing) and equalities with a constant (which open the body, so
 the delta becomes a build side) — every derived relation must equal the
 tuple-at-a-time reference (``tests/reference.py::reference_fixpoint``) and
-hold each id row once.
+hold each id row once.  Now and then a chain of edges over nodes of its own
+rides along, long enough that doubling (non-linear recursion) and walking
+(linear recursion) take different rounds to close it.
+
+The least model alone cannot tell a recursive build side read stale — a
+non-linear rule over a stratum table frozen at its exit rows turns linear
+and only needs more rounds.  So the rounds are checked too: the
+``delta_rows`` of each recursive stratum's traced ``iteration`` spans must
+be the sizes of the naive (Jacobi) rounds, Tᵢ − Tᵢ₋₁ with every rule of the
+stratum fired over Tᵢ₋₁, built from the reference's nested-loops join.
 
 Each drawn program runs four ways through the one stratum driver, whose
 iterations are bound firings
@@ -34,8 +43,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.catalog.database import KnowledgeBase
+from repro.catalog.relation import Relation
 from repro.engine.guard import ResourceGuard
-from repro.engine.plan import DeltaName
+from repro.engine.plan import DeltaName, order_conjuncts
 from repro.engine.seminaive import SemiNaiveEngine
 from repro.errors import EvaluationLimitError
 from repro.logic.atoms import Atom, comparison
@@ -43,13 +53,15 @@ from repro.logic.clauses import Rule
 from repro.logic.terms import Constant, Variable
 from repro.obs.trace import Tracer
 
-from tests.reference import reference_fixpoint
+from tests.reference import bind_row, join_conjunction, lookup, reference_fixpoint
 
 SEED = int(os.environ.get("FAULTINJECT_SEED", "20261018"))
 EXAMPLES = int(os.environ.get("DIFFERENTIAL_EXAMPLES", "60"))
 
 X, Y, Z = (Variable(name) for name in "XYZ")
 NODES = list(range(7))
+#: The nodes a drawn chain runs through: none of them is in ``NODES``.
+CHAIN = list(range(100, 110))
 MEMBERS = ("p", "q")
 
 #: Recursive bodies over a head ``(X, Y)``: ``m`` and ``n`` are stratum
@@ -99,6 +111,8 @@ def programs(draw) -> KnowledgeBase:
             )
         ),
     )
+    chain = CHAIN[: draw(st.sampled_from([0, 0, 6, len(CHAIN)]))]
+    kb.add_facts("edge", list(zip(chain, chain[1:])))
     members = MEMBERS[: draw(st.integers(1, 2))]
     rules: list[Rule] = []
     for member in members:
@@ -141,6 +155,69 @@ def assert_fixpoint_matches(kb: KnowledgeBase) -> SemiNaiveEngine:
 @given(programs())
 def test_the_stratum_fixpoint_equals_the_reference(kb):
     assert_fixpoint_matches(kb)
+
+
+def naive_rounds(kb: KnowledgeBase, stratum: list[str], model: dict) -> list[int]:
+    """How many rows each naive round of *stratum* adds, while it adds any:
+    |Tᵢ − Tᵢ₋₁| for T₀ empty and Tᵢ every rule of the stratum fired over
+    Tᵢ₋₁, every other relation at its stored rows or its least model
+    (*model*).  Empty for a stratum whose rules read no member: it takes
+    no iteration."""
+    rules = [rule for p in stratum for rule in kb.rules_for(p)]
+    if not any(atom.predicate in stratum for rule in rules for atom in rule.body):
+        return []
+    previous: dict[str, set] = {p: set() for p in stratum}
+    sizes: list[int] = []
+    while True:
+        members = {}
+        for p, rows in previous.items():
+            members[p] = Relation(kb.schema(p).arity)
+            for row in rows:
+                members[p].insert(row)
+
+        def resolve(atom, theta):
+            if atom.predicate in members:
+                relation = members[atom.predicate]
+            elif kb.is_edb(atom.predicate):
+                relation = kb.relation(atom.predicate)
+            else:
+                relation = model[atom.predicate]
+            for row in lookup(relation, atom.args):
+                extended = bind_row(atom, row, theta)
+                if extended is not None:
+                    yield extended
+
+        current: dict[str, set] = {p: set() for p in stratum}
+        for rule in rules:
+            for theta in join_conjunction(resolve, order_conjuncts(rule.body)):
+                current[rule.head.predicate].add(tuple(theta.apply(rule.head).args))
+        added = sum(len(current[p] - previous[p]) for p in stratum)
+        if not added:
+            return sizes
+        sizes.append(added)
+        previous = current
+
+
+@seed(SEED)
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(programs())
+def test_each_iteration_derives_one_naive_round(kb):
+    tracer = Tracer()
+    with tracer.span("query"):
+        SemiNaiveEngine(kb, tracer=tracer).evaluate()
+    traced = {
+        tuple(span.attributes["predicates"]): [
+            iteration.counters["delta_rows"] for iteration in span.find("iteration")
+        ]
+        for span in tracer.last.find("stratum")
+    }
+    model = reference_fixpoint(kb)
+    expected = {
+        tuple(stratum): naive_rounds(kb, stratum, model)
+        for stratum in kb.dependency_graph().evaluation_strata(set(kb.idb_predicates()))
+    }
+    program = "\n".join(str(rule) for rule in kb.rules())
+    assert traced == expected, program
 
 
 def run(kb: KnowledgeBase, guard=None, traced=False):
