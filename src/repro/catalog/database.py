@@ -93,6 +93,9 @@ class KnowledgeBase:
         #: :class:`~repro.catalog.snapshot.KBSnapshot`: every mutator
         #: raises, so concurrent readers need no locks.
         self._frozen = False
+        #: ``(rules_version, {predicates: (stored names, undefined names)})``:
+        #: the names :meth:`dependency_stamp` reads, per rule set.
+        self._stamped: tuple[int, dict] = (-1, {})
 
     # -- transactions -------------------------------------------------------------
 
@@ -467,28 +470,35 @@ class KnowledgeBase:
         (:mod:`repro.server.pool`).
         """
         predicates = tuple(predicates)
-        names = set(predicates)
-        if predicates:
-            graph = self.dependency_graph()
-            names.update(*map(graph.dependencies, predicates))
-        # Rule-defined and built-in names appear in neither list: what they
-        # mean is the rule set's business (``rules_version``).
-        relations, schemas = self._relations, self._schemas
-        versions: list[tuple[str, int]] = []
-        undefined: set[str] = set()
-        for name in names:
-            relation = relations.get(name)
-            if relation is not None:
-                versions.append((name, relation.version))
-            elif name not in schemas and not is_builtin_predicate(name):
-                undefined.add(name)
-        versions.sort()
+        kept = self._stamped
+        if kept[0] != self._rules_version:
+            kept = self._stamped = (self._rules_version, {})
+        found = kept[1].get(predicates)
+        if found is None:
+            # Which names the stamp reads is a rule-set fact, worked out
+            # once per rule set (at most 256 predicate sets are kept).
+            names = set(predicates)
+            if predicates:
+                graph = self.dependency_graph()
+                names.update(*map(graph.dependencies, predicates))
+            # Rule-defined and built-in names appear in neither list: what
+            # they mean is the rule set's business (``rules_version``).
+            stored = sorted(name for name in names if name in self._relations)
+            undefined = frozenset(
+                name
+                for name in names
+                if name not in self._schemas and not is_builtin_predicate(name)
+            )
+            if len(kept[1]) >= 256:
+                kept[1].clear()
+            found = kept[1][predicates] = (stored, undefined)
+        relations = self._relations
         return DependencyStamp(
             self._lineage,
             self._rules_version,
             self._constraints_version,
-            tuple(versions),
-            frozenset(undefined),
+            tuple([(name, relations[name].version) for name in found[0]]),
+            found[1],
         )
 
     def is_recursive(self, predicate: str) -> bool:

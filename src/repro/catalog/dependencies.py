@@ -42,6 +42,10 @@ class DependencyGraph:
                 self._component_of[predicate] = index
         self._reachable_cache: dict[str, frozenset[str]] = {}
         self._recursive: frozenset[str] | None = None
+        #: Per predicate of the graph: :meth:`depends_on_recursion` and
+        #: :meth:`reaches_negation`, rule-set facts every bound read asks.
+        self._on_recursion: dict[str, bool] = {}
+        self._to_negation: dict[str, bool] = {}
 
     # -- basic relations -------------------------------------------------------
 
@@ -114,8 +118,16 @@ class DependencyGraph:
 
         This is the precondition Algorithm 1 requires to be *false*.
         """
-        recursive = self.recursive_predicates()
-        return predicate in recursive or bool(self.dependencies(predicate) & recursive)
+        known = self._on_recursion.get(predicate)
+        if known is None:
+            if predicate not in self._component_of:
+                return False  # no rule reads or defines it
+            recursive = self.recursive_predicates()
+            known = self._on_recursion[predicate] = (
+                predicate in recursive
+                or not recursive.isdisjoint(self.dependencies(predicate))
+            )
+        return known
 
     def recursion_class(self, predicate: str) -> frozenset[str]:
         """Predicates mutually recursive with *predicate* (its SCC)."""
@@ -141,8 +153,15 @@ class DependencyGraph:
 
     def reaches_negation(self, predicate: str) -> bool:
         """Whether a rule of *predicate*, or of a dependency, negates an atom."""
-        heads = self._negated_heads
-        return predicate in heads or not heads.isdisjoint(self.dependencies(predicate))
+        known = self._to_negation.get(predicate)
+        if known is None:
+            if predicate not in self._component_of:
+                return False
+            heads = self._negated_heads
+            known = self._to_negation[predicate] = (
+                predicate in heads or not heads.isdisjoint(self.dependencies(predicate))
+            )
+        return known
 
     def is_stratified(self) -> bool:
         """Whether no predicate depends negatively on its own recursion class."""

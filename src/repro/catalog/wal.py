@@ -40,6 +40,7 @@ it.  See ``docs/ROBUSTNESS.md`` ("Durability & recovery").
 
 from __future__ import annotations
 
+import fnmatch
 import json
 import os
 import zlib
@@ -316,6 +317,16 @@ class DurableLog:
             return 0, {}
         return snapshot_position(document) or (0, {})
 
+    def remove_staged(self) -> None:
+        """Delete the snapshot files a killed writer staged and never
+        renamed: the names :func:`~repro.catalog.persist._atomic_write`
+        gives ``snapshot.json``'s staged copy (``.snapshot.json.*.tmp``),
+        and nothing else.  Only the one writer of the directory calls it,
+        before it stages a snapshot of its own."""
+        staged = f".{SNAPSHOT_NAME}.?*.tmp"
+        for name in fnmatch.filter(os.listdir(self.directory), staged):
+            os.unlink(os.path.join(self.directory, name))
+
     def snapshot(self, kb: "KnowledgeBase") -> int:
         """Write a full snapshot covering the log so far, then truncate it.
 
@@ -329,6 +340,7 @@ class DurableLog:
         """
         from repro.catalog.persist import _atomic_write, fsync_directory, kb_to_dict
 
+        self.remove_staged()
         payload = json.dumps(kb_to_dict(kb), sort_keys=True, separators=(",", ":"))
         document = {
             "format": SNAPSHOT_FORMAT,
@@ -449,6 +461,7 @@ def open_durable(
     from repro.catalog.recovery import Recoverer
 
     log = DurableLog(directory)
+    log.remove_staged()
     if log.exists() and (os.path.exists(log.snapshot_path) or log.records()):
         if kb is not None:
             raise WalError(

@@ -46,6 +46,7 @@ from repro.engine.viewcache import ViewCache, context_for
 from repro.logic.atoms import Atom, atoms_variables
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Constant, Variable, is_constant, is_variable
+from repro.obs.trace import traced_span
 
 
 @dataclass
@@ -151,15 +152,19 @@ def goal_verdict(
     and every such conjunct carries a constant argument, else why not:
     ``"negation"`` or ``"free_goal"``."""
     graph = kb.dependency_graph()
-    idb = [a for a in conjuncts if not a.is_comparison() and kb.is_idb(a.predicate)]
-    recursive = [a for a in idb if graph.depends_on_recursion(a.predicate)]
+    recursive = free = False
+    negation = bool(negated)
+    for atom in conjuncts:
+        predicate = atom.predicate
+        if atom.is_comparison() or not kb.is_idb(predicate):
+            continue
+        negation = negation or graph.reaches_negation(predicate)
+        if graph.depends_on_recursion(predicate):
+            recursive = True
+            free = free or not any(map(is_constant, atom.args))
     if not recursive:
         return None
-    if negated or any(graph.reaches_negation(a.predicate) for a in idb):
-        return "negation"
-    if not all(any(map(is_constant, a.args)) for a in recursive):
-        return "free_goal"
-    return "bound"
+    return "negation" if negation else "free_goal" if free else "bound"
 
 
 def _answer_batch(
@@ -337,8 +342,6 @@ def retrieve(
     """
     free_vars, conjunction = query_conjunction(kb, subject, qualifier)
     negated = tuple(negated_qualifier)
-    from repro.obs.trace import traced_span
-
     # The span stringifies the subject if it is ever serialized.
     with traced_span(tracer, "retrieve", subject=subject):
         schema, batch = _answer_batch(

@@ -61,7 +61,8 @@ next.  :class:`IntTable` is the fixpoint table the one stratum driver
 (:meth:`SemiNaiveEngine._evaluate_stratum`) runs over.  It presents the
 ``(arity, int_rows, table, distinct_count)`` read surface of a
 :class:`~repro.catalog.relation.Relation`, so the steps and the
-cardinality estimator read either alike, plus the three calls the driver
+cardinality estimator read either alike — a finished stratum's tables are
+the build sides of the strata above it — plus the three calls the driver
 makes.  The table is one insertion-ordered dict, ``index``, of every row it
 has admitted, and ``rows``, the visible ones — the first keys of
 ``index``; the keys past them are the round's *staged* rows, so a derived
@@ -70,11 +71,12 @@ fact is hashed and stored once.  ``admit`` stores fired rows in ``index``
 takes the staged rows off the end of ``index`` — their cost alone —,
 appends them to ``rows`` (a kept id table takes them on its next request)
 and hands them back as the next delta table, and ``flush`` hands the
-visible rows to the derived relation, which keeps them as they are
-(:meth:`Relation.load_interned`): ``index`` itself when nothing is staged,
-the visible rows alone after a budget trip mid-round.  Every read surface
-— ``int_rows``, ``table``, ``len``, ``version`` — sees the visible rows
-only, so a rule firing in one round never reads that round's rows.
+visible rows to a derived relation a caller asks for, which keeps them
+as they are (:meth:`Relation.load_interned`): ``index`` itself when
+nothing is staged, the visible rows alone after a budget trip mid-round.
+Every read surface — ``int_rows``, ``table``, ``len``, ``version`` — sees
+the visible rows only, so a rule firing in one round never reads that
+round's rows.
 
 **A batch over its full schema holds no row twice**, so a derived fact is
 deduplicated once, by the fixpoint table that admits it, and never again
@@ -187,8 +189,11 @@ class IntTable:
             return None
         # The staged rows are the last keys of ``index``, read from its
         # end (their cost alone) and distinct: extend without probing.
-        staged = list(islice(reversed(self.index), count))
-        staged.reverse()
+        if count == 1:  # a goal-directed round's usual one row: no copy
+            staged = [next(reversed(self.index))]
+        else:
+            staged = list(islice(reversed(self.index), count))
+            staged.reverse()
         rows.extend(staged)
         # The delta is built bare: it is scanned and probed, never asked
         # whether it holds a row, so it takes no ``index``.

@@ -17,7 +17,8 @@ Arbitrary conjunctive queries are handled through a synthetic goal rule
 conjunction: every constant becomes a parameter variable (``$0``, ``$1``,
 ... — names the lexer cannot produce) and a leading bound argument, so
 ``path(n0, Y)`` and ``path(n7, Y)`` rewrite to one program and differ only
-in the one row of the magic seed relation (``magic___goal__bf``).  The
+in the one row of the magic seed (``magic___goal__bf``), a table a run is
+handed.  The
 sideways information passing (left-to-right SIPS) then adorns each body
 atom with whatever is bound by parameters and earlier atoms.  The SIPS walk is
 :meth:`repro.analysis.absint.modes.ModeTable.schedule_rule`, run per
@@ -27,12 +28,15 @@ from the abstract interpretation.
 
 The rewritten program runs on the one bottom-up engine
 (:class:`~repro.engine.seminaive.SemiNaiveEngine`), and
-:func:`magic_conjunction` hands its goal relation back as an id batch —
+:func:`magic_conjunction` hands the goal's table rows back as an id batch —
 goal direction is a rewrite, not a second evaluator.  A program depends on
-the rule set and the goal's shape only and reads the stored relations live,
-so the evaluation context it ran in keeps it among its plans
-(:attr:`ViewCache.plans <repro.engine.viewcache.ViewCache.plans>`), kernels
-and all: a later evaluation re-seeds it and pays for the fixpoint alone.
+the rule set and the goal's shape only: it is *prepared* once — rewritten,
+its strata ordered and compiled — and kept among the plans of the
+evaluation context it ran in (:attr:`ViewCache.plans
+<repro.engine.viewcache.ViewCache.plans>`), kernels and all.  A run
+(:meth:`MagicProgram.run`) hands it the goal's constants as a one-row seed
+table and the reading knowledge base's stored relations, writes no
+relation, and pays for the fixpoint alone.
 
 Right-linear recursion is then *factored* (:func:`_factor`; Naughton,
 Ramakrishnan, Sagiv and Ullman, "Argument reduction by factoring", VLDB
@@ -61,10 +65,15 @@ from typing import TYPE_CHECKING, Sequence
 from repro.errors import EngineError, ResourceExhausted
 from repro.analysis.absint.modes import ModeTable
 from repro.catalog.database import KnowledgeBase
-from repro.catalog.relation import Relation
+from repro.catalog.symbols import SYMBOLS
 from repro.engine.guard import ResourceGuard, degrade_catch
-from repro.engine.kernels import IntBatch
-from repro.engine.seminaive import CompiledStratum, SemiNaiveEngine
+from repro.engine.kernels import IntBatch, IntTable
+from repro.engine.seminaive import (
+    CompiledStrata,
+    CompiledStratum,
+    SemiNaiveEngine,
+    evaluation_order,
+)
 from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule
 from repro.logic.terms import Constant, Variable, is_constant, is_variable
@@ -122,23 +131,52 @@ def goal_shape(
 
 @dataclass
 class MagicProgram:
-    """The rewritten program of one goal shape, kept for re-evaluation."""
+    """The prepared program of one goal shape: rewritten, ordered and
+    compiled once, and read-only from then on.  A run (:meth:`run`) takes
+    the goal's constants, as the one row of the seed table, and the
+    relations of the knowledge base that reads; it writes no relation."""
 
-    kb: KnowledgeBase  # the rewritten rules over the stored relations, live
+    #: The rewritten rules over the stored relations; its seed relation
+    #: holds the rewrite's own constants, for a reader of the program as
+    #: written (``explain``).  A run reads its rules, not its relations.
+    kb: KnowledgeBase
     goal: Atom  # adorned goal atom: the parameters, then the free variables
     schema: tuple[Variable, ...]  # the conjunction's variables, in order
-    seeds: Relation  # the magic seed relation: one row, the goal's constants
+    seed: str  # the magic seed predicate: a run's one-row table
     adorned_predicates: int = 0
     magic_rules: int = 0
     #: The adorned predicates whose right-linear recursion was factored.
     factored: tuple[str, ...] = ()
     #: Handed to every engine that runs the program.
-    compiled: dict[tuple[str, ...], CompiledStratum] = field(default_factory=dict)
+    compiled: CompiledStrata = field(default_factory=CompiledStrata)
+    #: The strata the goal needs, in evaluation order.
+    strata: tuple[CompiledStratum, ...] = ()
 
-    def seed(self, constants: Sequence[Constant]) -> None:
-        """Make *constants* the one row of the magic seed relation."""
-        self.seeds.clear()
-        self.seeds.insert(constants)
+    def run(
+        self,
+        kb: KnowledgeBase,
+        constants: Sequence[Constant],
+        guard: ResourceGuard | None = None,
+        tracer=None,
+    ) -> IntBatch:
+        """The goal relation's id rows for *constants*, over *kb*'s stored
+        relations.  In degrade mode a tripped budget returns the rows
+        derived so far (a sound under-approximation)."""
+        seed = IntTable(len(constants), (tuple(map(SYMBOLS.intern, constants)),))
+        relation = kb.relation
+
+        def stored(predicate: str):
+            return seed if predicate == self.seed else relation(predicate)
+
+        engine = SemiNaiveEngine(
+            self.kb, guard=guard, tracer=tracer, compiled=self.compiled, stored=stored
+        )
+        goal = self.goal.predicate
+        try:
+            engine.evaluate((goal,))
+        except ResourceExhausted as error:
+            degrade_catch(guard, error)  # re-raises unless the guard degrades
+        return engine.rows(goal)
 
 
 def magic_rewrite(kb: KnowledgeBase, conjunction: Sequence[Atom]) -> MagicProgram:
@@ -218,19 +256,22 @@ def magic_rewrite(kb: KnowledgeBase, conjunction: Sequence[Atom]) -> MagicProgra
     rewritten = kb.with_rules([])
     seed_predicate = magic_name(GOAL, goal_adornment)
     rewritten.declare_edb(seed_predicate, len(parameters))
+    rewritten.relation(seed_predicate).insert(constants)
     for rule in rules:
         rewritten.add_rule(rule)
-    program = MagicProgram(
+    goal = Atom(adorned_name(GOAL, goal_adornment), [*parameters, *free_vars])
+    compiled = CompiledStrata()
+    return MagicProgram(
         kb=rewritten,
-        goal=Atom(adorned_name(GOAL, goal_adornment), [*parameters, *free_vars]),
+        goal=goal,
         schema=tuple(free_vars),
-        seeds=rewritten.relation(seed_predicate),
+        seed=seed_predicate,
         adorned_predicates=len(processed),
         magic_rules=sum(1 for r in rules if r.head.predicate.startswith(MAGIC_PREFIX)),
         factored=factored,
+        compiled=compiled,
+        strata=evaluation_order(rewritten, frozenset((goal.predicate,)), compiled),
     )
-    program.seed(constants)
-    return program
 
 
 def _calls_itself(rule: Rule) -> bool:
@@ -327,16 +368,21 @@ def magic_conjunction(
     degrade mode a tripped budget returns the goal rows derived so far (a
     sound under-approximation).  The evaluation context *cache* (its
     knowledge base is the one read) keeps the program among its plans under
-    ``(rules_version, shape)``: a hit re-seeds it and neither rewrites nor
-    compiles.  *tracer* records a ``magic.rewrite`` event per rewrite.
+    ``(rules_version, shape)``: a hit runs it with this goal's constants
+    and neither rewrites nor compiles.  *tracer* records a
+    ``magic.rewrite`` event per rewrite.
     """
     kb = cache.kb
-    shape, constants = goal_shape(conjunction)
+    # The shape as a plain key, the constants' places as ``None``: the
+    # parameters are numbered by place, so this keys the shape unbuilt.
+    shape = tuple(
+        [(a.predicate, tuple([None if is_constant(t) else t for t in a.args]))
+         for a in conjunction]
+    )
+    constants = tuple([t for a in conjunction for t in a.args if is_constant(t)])
     key = (kb.rules_version, GOAL, shape)
     program = cache.plans.get(key)
-    if program is not None:
-        program.seed(constants)
-    else:
+    if program is None:
         program = magic_rewrite(kb, conjunction)
         cache.plans[key] = program
         if tracer is not None:
@@ -347,14 +393,6 @@ def magic_conjunction(
                 factored=list(program.factored),
                 goal=str(program.goal),
             )
-    engine = SemiNaiveEngine(
-        program.kb, guard=guard, tracer=tracer, compiled=program.compiled
-    )
-    try:
-        relation = engine.derived_relation(program.goal.predicate)
-    except ResourceExhausted as error:
-        degrade_catch(guard, error)  # re-raises unless the guard degrades
-        relation = engine.partial_relation(program.goal.predicate)
-    rows = relation.int_rows()
+    rows = program.run(kb, constants, guard, tracer)
     bound = len(constants)
     return program.schema, [row[bound:] for row in rows] if bound else rows

@@ -7,7 +7,10 @@ rule against the *delta* (facts new in the previous iteration) in one body
 position at a time, so no derivation is recomputed.
 
 Evaluation is *relevance-restricted*: only predicates the query (transitively)
-depends on are materialised.
+depends on are materialised.  Which strata those are, in evaluation order,
+is worked out once per set of wanted predicates and kept beside the
+compiled strata (:class:`CompiledStrata`), which their owners keep per
+rule set.
 
 There is one stratum driver (:meth:`SemiNaiveEngine._evaluate_stratum`)
 and one planner: join order comes from the live statistics of the
@@ -18,11 +21,12 @@ delta position (``(rule, delta-position)``) into a
 logical plan (:mod:`repro.engine.plan`), lowered to an integer kernel over
 interned symbol ids (:mod:`repro.engine.kernels`) and kept
 (:class:`CompiledStratum`) for the lifetime of the engine, or of the
-mapping its caller handed in; the stratum's facts live in kernel tables for
-the whole fixpoint and are externalized back into relations when the
-stratum completes.  Each evaluation resolves the relations its rules read
-once, in one dict whose ``get`` the kernels call, and only the delta
-entries change from one iteration to the next.
+mapping its caller handed in.  A stratum's facts live in kernel tables,
+and a finished stratum hands its tables to the strata above it as their
+build sides; a table becomes a :class:`~repro.catalog.relation.Relation`
+only when a caller asks for that relation.  Each evaluation resolves the
+relations its rules read once, in one dict whose ``get`` the kernels call,
+and only the delta entries change from one iteration to the next.
 
 An iteration is its *bound firings* and nothing else.  The first one
 lowers every delta variant and binds it to the evaluation
@@ -40,7 +44,7 @@ add allocation.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.analysis.safety import check_rule_safety
 from repro.catalog.database import KnowledgeBase
@@ -53,17 +57,20 @@ from repro.logic.clauses import Rule
 
 
 class CompiledStratum:
-    """One stratum's rules as the driver wants them, built once: safety
-    checked, the exit rules (no stratum predicate in the body) and the delta
-    rewritings of the others, plus the lowered kernel of each ``(rule
-    index, delta position)`` as first fired (``-1``: an exit rule in full —
-    a recursive rule only ever fires as its delta variants; any join order
-    is correct, the first one is kept)."""
+    """One stratum's rules as the driver wants them, built once from *kb*'s
+    rule set: safety checked, the exit rules (no stratum predicate in the
+    body) and the delta rewritings of the others, plus the lowered kernel
+    of each ``(rule index, delta position)`` as first fired (``-1``: an
+    exit rule in full — a recursive rule only ever fires as its delta
+    variants; any join order is correct, the first one is kept)."""
 
-    def __init__(self, rules: list[Rule], stratum: set[str]) -> None:
+    def __init__(self, kb: KnowledgeBase, members: tuple[str, ...]) -> None:
+        self.members = members
+        self.arities = [(p, kb.schema(p).arity) for p in members]
+        self.rules = rules = [r for p in members for r in kb.rules_for(p)]
         for rule in rules:
             check_rule_safety(rule)
-        self.rules = rules
+        stratum = set(members)
         self.rewritten = [
             (rule_index, position, rewritten)
             for rule_index, rule in enumerate(rules)
@@ -93,12 +100,59 @@ class CompiledStratum:
         #: their deltas; a firing resolves every other build side once
         #: (:meth:`~repro.engine.kernels.RuleKernel.bind`).
         self.varying = frozenset(stratum).union(name for name, _ in self.deltas)
+        #: What the rules read from outside the stratum, resolved once per
+        #: evaluation: stored relations, and the tables of lower strata.
+        inputs = sorted(self.reads - self.varying)
+        self.stored = [p for p in inputs if kb.is_edb(p)]
+        self.lower = [p for p in inputs if kb.is_idb(p)]
+
+    def kernel(self, key: tuple[int, int], rule: Rule, relations) -> RuleKernel:
+        """The kernel of ``(rule index, delta position)`` *key*, lowered on
+        its first firing from the statistics of *relations* then."""
+        kernel = self.kernels.get(key)
+        if kernel is None:
+            estimate = relation_cost_estimator(relations)
+            kernel = self.kernels[key] = compile_rule_kernel(rule, estimate=estimate)
+        return kernel
 
     @cached_property
     def labels(self) -> list[str]:
         """The rules' span labels: text, formatted once, on the first
         evaluation a tracer records."""
         return [str(rule) for rule in self.rules]
+
+
+class CompiledStrata(dict):
+    """Stratum members -> :class:`CompiledStratum`, as an owner keeps them
+    for one rule set, and ``orders``: per set of wanted predicates, the
+    strata they need in evaluation order (:func:`evaluation_order`)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.orders: dict[frozenset[str], tuple[CompiledStratum, ...]] = {}
+
+
+def evaluation_order(kb: KnowledgeBase, wanted: frozenset[str], compiled) -> tuple:
+    """The strata *wanted* depends on, bottom up, each compiled into
+    *compiled*: relevance and order are rule-set facts, worked out once and
+    kept when *compiled* is a :class:`CompiledStrata`."""
+    orders = getattr(compiled, "orders", {})
+    order = orders.get(wanted)
+    if order is None:
+        graph = kb.dependency_graph()
+        relevant = set(wanted)
+        for predicate in wanted:
+            relevant.update(p for p in graph.dependencies(predicate) if kb.is_idb(p))
+        strata = []
+        for stratum in graph.evaluation_strata(set(kb.idb_predicates())):
+            members = tuple(p for p in stratum if p in relevant)
+            if members:
+                program = compiled.get(members)
+                if program is None:
+                    program = compiled[members] = CompiledStratum(kb, members)
+                strata.append(program)
+        order = orders[wanted] = tuple(strata)
+    return order
 
 
 class SemiNaiveEngine:
@@ -121,7 +175,11 @@ class SemiNaiveEngine:
         Stratum members -> :class:`CompiledStratum`.  A caller that keeps
         one rule set hands in the same mapping every time and compiles
         nothing after the first evaluation; the kernels hold no data, so
-        the mapping pins no relation.
+        the mapping pins no relation.  A :class:`CompiledStrata` (the
+        default) keeps the evaluation orders too.
+    stored:
+        ``predicate -> relation`` for the stored predicates the rules read
+        (default ``kb.relation``): what a prepared program is run against.
     """
 
     def __init__(
@@ -130,79 +188,77 @@ class SemiNaiveEngine:
         guard: ResourceGuard | None = None,
         tracer=None,
         compiled: dict[tuple[str, ...], CompiledStratum] | None = None,
+        stored=None,
     ) -> None:
         self._kb = kb
         self._guard = guard
         self._tracer = tracer
+        self._stored = kb.relation if stored is None else stored
+        #: Every evaluated predicate's fixpoint table, and the relations
+        #: flushed from them on request.
+        self._tables: dict[str, IntTable] = {}
         self._derived: dict[str, Relation] = {}
-        self._evaluated: set[str] = set()
-        self._compiled = {} if compiled is None else compiled
+        self._compiled = CompiledStrata() if compiled is None else compiled
 
     # -- public API ---------------------------------------------------------------
 
-    def evaluate(self, predicates: Sequence[str] | None = None) -> dict[str, Relation]:
+    def evaluate(
+        self, predicates: Sequence[str] | None = None
+    ) -> Mapping[str, Relation]:
         """Materialise the requested IDB predicates (all, when ``None``).
 
-        Returns a mapping from predicate name to its derived relation.
-        Repeated calls reuse earlier materialisations.
+        Returns a mapping from predicate name to its derived relation,
+        flushed from the predicate's table when first read.  Repeated calls
+        reuse earlier materialisations.
         """
         kb = self._kb
-        if predicates is None:
-            wanted = set(kb.idb_predicates())
-        else:
-            wanted = {p for p in predicates if kb.is_idb(p)}
-        graph = kb.dependency_graph()
-        relevant = set(wanted)
-        for predicate in wanted:
-            relevant.update(p for p in graph.dependencies(predicate) if kb.is_idb(p))
-        todo = relevant - self._evaluated
-        if todo:
-            for stratum in graph.evaluation_strata(set(kb.idb_predicates())):
-                members = [p for p in stratum if p in todo]
-                if members:
-                    evaluated = set(stratum) & relevant
-                    with traced_span(
-                        self._tracer, "stratum", predicates=sorted(evaluated)
-                    ):
-                        self._evaluate_stratum(evaluated)
-                    self._evaluated.update(evaluated)
-        return {p: self._relation(p) for p in wanted}
+        wanted = frozenset(
+            kb.idb_predicates() if predicates is None else filter(kb.is_idb, predicates)
+        )
+        for program in evaluation_order(kb, wanted, self._compiled):
+            if program.members[0] not in self._tables:
+                members = list(program.members)
+                with traced_span(self._tracer, "stratum", predicates=members):
+                    self._evaluate_stratum(program)
+        return _Flushed(self, wanted)
 
     def derived_relation(self, predicate: str) -> Relation:
         """The materialised relation for one IDB predicate (evaluating it)."""
         self.evaluate([predicate])
-        return self._relation(predicate)
+        return self.partial_relation(predicate)
+
+    def rows(self, predicate: str) -> list[tuple[int, ...]]:
+        """The visible id rows of an evaluated predicate's table, as they
+        are (nothing is flushed); empty before its stratum ran.  After a
+        budget trip, the sound partial rows."""
+        table = self._tables.get(predicate)
+        return [] if table is None else table.rows
 
     def fact_count(self) -> int:
         """Total number of derived facts materialised so far."""
-        return sum(len(r) for r in self._derived.values())
+        return sum(len(table) for table in self._tables.values())
 
     def partial_relation(self, predicate: str) -> Relation:
-        """The current (possibly incomplete) materialisation of a predicate.
+        """The current (possibly incomplete) materialisation of a predicate,
+        flushed from its table's visible rows on the first request.
 
-        Used by degrade-mode callers after a budget trips mid-fixpoint: the
+        Used by degrade-mode callers after a budget trip mid-fixpoint: the
         rows present are genuinely derivable (bottom-up derivation is
         monotone), so the partial relation is a sound under-approximation.
         """
-        return self._relation(predicate)
+        relation = self._derived.get(predicate)
+        if relation is None:
+            kb = self._kb
+            arity = kb.schema(predicate).arity if kb.has_predicate(predicate) else 0
+            relation = self._derived[predicate] = Relation(arity)
+            table = self._tables.get(predicate)
+            if table is not None:
+                table.flush(relation)
+        return relation
 
     # -- internals -------------------------------------------------------------------
 
-    def _relation(self, predicate: str) -> Relation:
-        if predicate not in self._derived:
-            arity = self._kb.schema(predicate).arity if self._kb.has_predicate(predicate) else 0
-            self._derived[predicate] = Relation(arity)
-        return self._derived[predicate]
-
-    def _relation_view(self, predicate: str) -> Relation | None:
-        """The stored or already-derived relation of *predicate* (or ``None``)."""
-        if self._kb.is_edb(predicate):
-            return self._kb.relation(predicate)
-        if self._kb.is_idb(predicate):
-            return self._relation(predicate)
-        return None
-
-    def _evaluate_stratum(self, stratum: set[str]) -> None:
+    def _evaluate_stratum(self, program: CompiledStratum) -> None:
         """The stratum fixpoint, over integer kernels and kernel tables.
 
         An initial round fires the exit rules — those with no stratum
@@ -221,26 +277,32 @@ class SemiNaiveEngine:
         (:class:`~repro.engine.kernels.IntTable`) for the whole fixpoint: no
         per-row coercion, journaling, or constant hashing on the hot path.
         Within an iteration the tables extend only at the iteration
-        boundary, so every rule of one iteration sees the same facts, and
-        the first iteration lowers and binds every delta variant at once
-        from the statistics a first firing of each would see; the later
-        iterations only call the bound firings.
+        boundary, so every rule of one iteration sees the same facts.  Every
+        delta variant is lowered after the initial round, from the
+        statistics a first firing of each would see, whether or not one
+        fires (a kept stratum lowers nothing on a later evaluation), and
+        bound at the first iteration; the later iterations only call the
+        bound firings.
 
-        The id rows are bulk-loaded into the derived relations as they are
-        when the stratum finishes: the table's rows are distinct by
-        construction, and the relation adopts them without hashing them
-        again (and turns them into constants only for a reader that wants
-        constants).  The flush runs on the way out even when a budget trips
-        mid-fixpoint: bottom-up derivation is monotone, so the partial table
-        is a sound under-approximation (the degrade contract).
+        The tables are the stratum's result: the strata above read them as
+        build sides, and a relation is flushed from one only when asked
+        for (:meth:`partial_relation`).  They are registered before the first
+        firing, so a budget trip mid-fixpoint leaves the visible rows as
+        the stratum's partial result: bottom-up derivation is monotone, so
+        they are a sound under-approximation (the degrade contract).
         """
-        members = tuple(sorted(stratum))
-        program = self._compiled.get(members)
-        if program is None:
-            program = self._compiled[members] = CompiledStratum(
-                [r for p in members for r in self._kb.rules_for(p)], stratum
-            )
-        rules, kernels = program.rules, program.kernels
+        tables = {p: IntTable(arity) for p, arity in program.arities}
+        # Every relation the rules read, resolved once per evaluation: the
+        # stored relations and the tables of lower strata, the kernel
+        # tables of the stratum's own predicates and, set per iteration,
+        # each delta the rewritings read (``None`` until there is one).
+        stored, derived = self._stored, self._tables
+        sources: dict[str, object] = {p: stored(p) for p in program.stored}
+        for p in program.lower:
+            sources[p] = derived.get(p)
+        sources.update(tables)
+        derived.update(tables)
+        rules = program.rules
         guard = self._guard
         # Only a recording tracer gets spans and counters; the rule spans'
         # labels are text, so an untraced evaluation formats none.
@@ -248,106 +310,103 @@ class SemiNaiveEngine:
         if tracer is not None and not tracer.enabled:
             tracer = None
         labels = program.labels if tracer is not None else None
-        tables = {p: IntTable(self._relation(p).arity) for p in stratum}
-        # Every relation the rules read, resolved once per evaluation: the
-        # stored or already-derived relations, the kernel tables of the
-        # stratum's own predicates and, set per iteration, each delta the
-        # rewritings read (``None`` until there is one).
-        sources: dict[str, object] = {p: self._relation_view(p) for p in program.reads}
-        sources.update(tables)
         relations = sources.get
-        estimate = relation_cost_estimator(relations)
 
-        def kernel_of(rule_index: int, position: int, rule: Rule) -> RuleKernel:
-            """The rule's kernel, lowered on its first firing from the
-            statistics then in view."""
-            kernel = kernels.get((rule_index, position))
-            if kernel is None:
-                kernel = kernels[rule_index, position] = compile_rule_kernel(
-                    rule, estimate=estimate
-                )
-            return kernel
-
-        try:
-            # Initial round: the exit rules, each fired once and its rows
-            # made visible at once (so a budget trip after it flushes them,
-            # and the next exit rule is planned over them).
-            for rule_index in program.exits:
-                rule = rules[rule_index]
-                kernel = kernel_of(rule_index, -1, rule)
-                table = tables[rule.head.predicate]
+        # Initial round: the exit rules, each fired once and its rows made
+        # visible at once (so a budget trip after it keeps them, and the
+        # next exit rule is planned over them).
+        for rule_index in program.exits:
+            rule = rules[rule_index]
+            kernel = program.kernel((rule_index, -1), rule, relations)
+            table = tables[rule.head.predicate]
+            if tracer is not None:
+                tracer.start("rule", rule=labels[rule_index], phase="initial")
+            new = kernel.execute(relations, table, guard, tracer)
+            if new:
                 if tracer is not None:
-                    tracer.start("rule", rule=labels[rule_index], phase="initial")
-                new = kernel.execute(relations, table, guard, tracer)
-                if new:
-                    if tracer is not None:
-                        tracer.count("facts_derived", new)
-                    table.extend()
-                    if guard is not None:
-                        guard.count_facts(new)
+                    tracer.count("facts_derived", new)
+                table.extend()
+                if guard is not None:
+                    guard.count_facts(new)
+            if tracer is not None:
+                tracer.end()
+
+        if not program.rewritten:
+            return
+
+        # The tables started empty, so the first delta is the tables
+        # themselves (nothing extends them until the iteration ends),
+        # and the first iteration fires each recursive rule over all
+        # the exit rules derived: a full firing, one variant at a time.
+        deltas = dict(tables)
+        for name, predicate in program.deltas:
+            sources[name] = deltas.get(predicate)
+        # Nothing extends a table before the first iteration ends: these
+        # are the statistics every variant's first firing would see.
+        variants = [
+            (
+                rule_index,
+                position,
+                program.kernel((rule_index, position), rewritten, relations),
+                tables[rewritten.head.predicate],
+            )
+            for rule_index, position, rewritten in program.rewritten
+        ]
+        delta_rows = sum(len(table) for table in tables.values())
+        firings = None
+        iteration = 0
+        while delta_rows:
+            iteration += 1
+            if guard is not None:
+                guard.iteration()
+            for name, predicate in program.deltas:
+                sources[name] = deltas.get(predicate)
+            if firings is None:
+                firings = [
+                    (index, position, kernel.bind(
+                        relations, table, program.varying, guard, tracer
+                    ))
+                    for index, position, kernel, table in variants
+                ]
+            if tracer is not None:
+                span = tracer.start("iteration", index=iteration)
+                tracer.count("delta_rows", delta_rows)
+            # Per-iteration work is the bound firings alone.
+            for rule_index, position, fire in firings:
+                if tracer is not None:
+                    tracer.start(
+                        "rule", rule=labels[rule_index], delta_position=position
+                    )
+                fire()
                 if tracer is not None:
                     tracer.end()
-
-            if not program.rewritten:
-                return
-
-            # The tables started empty, so the first delta is the tables
-            # themselves (nothing extends them until the iteration ends),
-            # and the first iteration fires each recursive rule over all
-            # the exit rules derived: a full firing, one variant at a time.
-            deltas = dict(tables)
-            delta_rows = sum(len(table) for table in tables.values())
-            firings = None
-            iteration = 0
-            while delta_rows:
-                iteration += 1
-                if guard is not None:
-                    guard.iteration()
-                for name, predicate in program.deltas:
-                    sources[name] = deltas.get(predicate)
-                if firings is None:
-                    # Every variant lowered and bound at once, planned from
-                    # the statistics a lazy first firing would see: nothing
-                    # extends a table before the iteration ends.
-                    firings = [
-                        (
-                            rule_index,
-                            position,
-                            kernel_of(rule_index, position, rewritten).bind(
-                                relations,
-                                tables[rewritten.head.predicate],
-                                program.varying,
-                                guard,
-                                tracer,
-                            ),
-                        )
-                        for rule_index, position, rewritten in program.rewritten
-                    ]
-                if tracer is not None:
-                    span = tracer.start("iteration", index=iteration)
-                    tracer.count("delta_rows", delta_rows)
-                # Per-iteration work is the bound firings alone.
-                for rule_index, position, fire in firings:
-                    if tracer is not None:
-                        tracer.start(
-                            "rule", rule=labels[rule_index], delta_position=position
-                        )
-                    fire()
-                    if tracer is not None:
-                        tracer.end()
-                deltas = {}
-                delta_rows = 0
-                for predicate, table in tables.items():
-                    delta = table.extend()
-                    if delta is not None:
-                        deltas[predicate] = delta
-                        delta_rows += len(delta.rows)
-                        if guard is not None:
-                            guard.count_facts(len(delta.rows))
-                if tracer is not None:
-                    tracer.end(span)
-        finally:
-            # Runs on the exception path too, so a tripped budget leaves the
-            # usual sound partial materialisation behind.
+            deltas = {}
+            delta_rows = 0
             for predicate, table in tables.items():
-                table.flush(self._relation(predicate))
+                delta = table.extend()
+                if delta is not None:
+                    deltas[predicate] = delta
+                    delta_rows += len(delta.rows)
+                    if guard is not None:
+                        guard.count_facts(len(delta.rows))
+            if tracer is not None:
+                tracer.end(span)
+
+
+class _Flushed(Mapping):
+    """The relations :meth:`SemiNaiveEngine.evaluate` was asked for, each
+    flushed from its table when first read."""
+
+    def __init__(self, evaluator: SemiNaiveEngine, wanted: frozenset[str]) -> None:
+        self._evaluator, self._wanted = evaluator, wanted
+
+    def __getitem__(self, predicate: str) -> Relation:
+        if predicate not in self._wanted:
+            raise KeyError(predicate)
+        return self._evaluator.partial_relation(predicate)
+
+    def __iter__(self):
+        return iter(self._wanted)
+
+    def __len__(self) -> int:
+        return len(self._wanted)

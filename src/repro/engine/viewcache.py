@@ -73,11 +73,15 @@ from repro.catalog.database import DependencyStamp, KnowledgeBase
 from repro.catalog.relation import Relation, Row
 from repro.engine.guard import ResourceGuard
 from repro.engine.incremental import Delta, MaterializedDatabase
-from repro.engine.seminaive import SemiNaiveEngine
+from repro.engine.seminaive import CompiledStrata, SemiNaiveEngine
+from repro.obs.trace import traced_span
 
 #: Ceiling on derived rows pinned across all cached views of one context;
 #: least-recently-used views are evicted past it.
 MAX_ROWS = 1_000_000
+
+#: Ceiling on the predicate sets whose closure a context keeps per rule set.
+MAX_CLOSURES = 256
 
 #: Net-delta size (rows) above which a stale view is recomputed cold
 #: instead of repaired in place.
@@ -229,8 +233,9 @@ class ViewCache:
         #: The engine of an in-flight full recompute; degrade-mode callers
         #: read sound partial relations from it after a budget trip.
         self._inflight: SemiNaiveEngine | None = None
-        #: ``(rules_version, kernels)``: see :meth:`_kernels`.
-        self._compiled: tuple[int, dict] = (kb.rules_version, {})
+        #: ``(rules_version, kernels, closures)``: what the current rule
+        #: set alone decides (:meth:`_kernels`, :meth:`_closure`).
+        self._by_rules: tuple[int, CompiledStrata, dict] | None = None
         #: Compiled conjunction kernels and goal-directed programs (see
         #: :data:`PlanCache`).
         self.plans = PlanCache()
@@ -270,23 +275,16 @@ class ViewCache:
         other probe of a goal its ``not_goal_directed`` (``free_goal``,
         ``negation``, ``fresh_view``, ``second_miss``).
         """
-        from repro.obs.trace import traced_span
-
         self._inflight = None  # drop partials from any previous trip
         if guard is not None:
             # Even a warm probe must observe cancellation and deadlines: a
             # hit performs no derivation, so this is its one checkpoint.
             guard.check()
         kb = self._kb
-        wanted = [p for p in predicates if kb.is_idb(p)]
+        wanted, members = self._closure(tuple(predicates))
         if not wanted:
             return {}
-        graph = kb.dependency_graph()
-        closure = set(wanted)
-        for predicate in wanted:
-            closure.update(q for q in graph.dependencies(predicate) if kb.is_idb(q))
-        members = sorted(closure)
-        with traced_span(tracer, "cache.probe", predicates=members):
+        with traced_span(tracer, "cache.probe", predicates=list(members)):
             stamps = {p: kb.dependency_stamp((p,)) for p in members}
             fresh = all(
                 p in self._views and self._views[p].stamp == stamps[p]
@@ -295,10 +293,10 @@ class ViewCache:
             if goal == "bound":
                 if fresh:
                     goal = "fresh_view"
-                elif self._first_miss.get(tuple(members)) == stamps:
+                elif self._first_miss.get(members) == stamps:
                     goal = "second_miss"
                 else:
-                    self._first_miss[tuple(members)] = stamps
+                    self._first_miss[members] = stamps
                     self.stats.goal_directed += 1
                     if tracer is not None:
                         cold = any(p not in self._views for p in members)
@@ -326,7 +324,7 @@ class ViewCache:
                     tracer.annotate(outcome="incremental")
                     tracer.count("cache_incremental_refreshes")
             else:
-                with traced_span(tracer, "cache.recompute", predicates=members):
+                with traced_span(tracer, "cache.recompute", predicates=list(members)):
                     self._recompute(members, stamps, guard, tracer)
                 self.stats.misses += 1
                 self.stats.full_refreshes += 1
@@ -442,8 +440,6 @@ class ViewCache:
                 removed[name] = remove
 
         if total:
-            from repro.obs.trace import traced_span
-
             graph = kb.dependency_graph()
             if any(graph.is_recursive_predicate(p) for p in members):
                 # The closure holds every IDB dependency, so a view that
@@ -507,13 +503,40 @@ class ViewCache:
                 tick=self._clock,
             )
 
-    def _kernels(self) -> dict:
+    def _rule_state(self) -> tuple[int, CompiledStrata, dict]:
+        """What the current rule set alone decides; a rule change starts
+        it afresh."""
+        version, state = self._kb.rules_version, self._by_rules
+        if state is None or state[0] != version:
+            state = self._by_rules = (version, CompiledStrata(), {})
+        return state
+
+    def _kernels(self) -> CompiledStrata:
         """The kernels lowered under the current rule set, by stratum
-        members (recompute) and by rule fired (repair); a rule change
-        starts an empty mapping."""
-        if self._compiled[0] != self._kb.rules_version:
-            self._compiled = (self._kb.rules_version, {})
-        return self._compiled[1]
+        members (recompute) and by rule fired (repair), with the strata
+        orders of the recomputes."""
+        return self._rule_state()[1]
+
+    def _closure(
+        self, predicates: tuple[str, ...]
+    ) -> tuple[list[str], tuple[str, ...]]:
+        """The IDB predicates among *predicates* and, sorted, those they
+        depend on with them: the views a probe of *predicates* stamps,
+        worked out once per rule set and kept by predicates alone (at most
+        :data:`MAX_CLOSURES` sets; past that the kept ones are dropped)."""
+        closures = self._rule_state()[2]
+        found = closures.get(predicates)
+        if found is None:
+            if len(closures) >= MAX_CLOSURES:
+                closures.clear()
+            kb = self._kb
+            wanted = [p for p in predicates if kb.is_idb(p)]
+            graph = kb.dependency_graph()
+            closure = set(wanted)
+            for predicate in wanted:
+                closure.update(q for q in graph.dependencies(predicate) if kb.is_idb(q))
+            found = closures[predicates] = (wanted, tuple(sorted(closure)))
+        return found
 
     def _evict(self) -> None:
         """Enforce the rows budget, least-recently-used views first."""

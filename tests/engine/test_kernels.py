@@ -365,6 +365,23 @@ class TestSubstitutions:
 
 
 class TestIntTable:
+    @pytest.mark.parametrize("staged", [0, 1, 5])
+    def test_extend_hands_over_the_staged_rows_in_order(self, staged):
+        """One staged row takes the no-copy path, more take the slice: the
+        delta is the staged rows in admission order either way, and the
+        visible rows stay the first keys of ``index``."""
+        table = IntTable(2, [(0, 1), (1, 2)])
+        fired = [(9 - i, i) for i in range(staged)]
+        assert table.admit(fired + fired[:1]) == staged
+        delta = table.extend()
+        if staged:
+            assert delta.rows == fired
+        else:
+            assert delta is None
+        assert table.rows == list(table.index)[: len(table.rows)] == list(table.index)
+        assert table.rows == [(0, 1), (1, 2), *fired]
+        assert table.extend() is None
+
     def test_add_deduplicates(self):
         table = IntTable(2)
         assert table.admit([(1, 2), (1, 2)]) == 1  # within one batch

@@ -17,6 +17,7 @@ from repro.engine.magic import (
 from repro.engine.viewcache import ViewCache
 from repro.engine.seminaive import SemiNaiveEngine
 from repro.catalog.database import KnowledgeBase
+from repro.catalog.symbols import SYMBOLS
 from repro.datasets import chain_graph_kb, component_graph_kb, random_graph_kb
 from repro.lang.parser import parse_atom, parse_body, parse_rule
 from repro.logic.terms import Constant, Variable
@@ -145,17 +146,19 @@ class TestRewrite:
         assert retrieve(kb, subject).to_set() == result.to_set()  # a fresh context too
 
     def test_rewritten_program_shares_the_stored_rows_copy_on_write(self):
-        """The rewritten program holds the stored relations themselves (the
-        test id predates that: it used to hold copy-on-write clones, which
-        a kept program could not read later writes through)."""
+        """A run of the program reads the stored relations it is handed,
+        live (the test id predates that: the program used to hold
+        copy-on-write clones, which a kept program could not read later
+        writes through)."""
         kb = chain_graph_kb(6)
         live = kb.relation("edge")
         before = live.int_rows()
         program = magic_rewrite(kb, parse_body("path(n0, Y)"))
-        assert program.kb.relation("edge") is live
+        assert len(program.run(kb, (Constant("n0"),))) == 6
         assert live.int_rows() is before  # no copy, no re-interning
         kb.add_fact("edge", "n6", "n7")
         assert live.int_rows() is before  # nor does a write pay for a clone
+        assert len(program.run(kb, (Constant("n0"),))) == 7  # the write is read
         live.check_invariants()
 
     def test_program_depends_on_the_goal_shape_only(self):
@@ -168,7 +171,11 @@ class TestRewrite:
         program = magic_rewrite(kb, parse_body("path(n0, Y)"))
         assert str(program.goal) == "__goal__bf($0, Y)"
         assert program.schema == (Variable("Y"),)
-        assert program.seeds.rows() == [(Constant("n0"),)]
+        # The seed is the one row a run is handed: the goal's constants
+        # head every goal row; the rules carry none.
+        for node in ("n0", "n4"):
+            rows = program.run(kb, (Constant(node),))
+            assert rows and {row[0] for row in rows} == {SYMBOLS.intern(Constant(node))}
         assert not any("n0" in str(rule) for rule in program.kb.rules())
 
     def test_kept_program_is_reseeded_and_reads_live_facts(self):

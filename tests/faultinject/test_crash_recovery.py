@@ -33,6 +33,8 @@ from __future__ import annotations
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -40,6 +42,7 @@ from repro.catalog import KnowledgeBase, Recoverer, open_durable
 from repro.catalog.persist import kb_to_dict
 from repro.lang.parser import parse_body, parse_rule
 from repro.logic.clauses import IntegrityConstraint
+from repro.logic.terms import Constant
 
 from tests.faultinject.disk import STAGES, Crash, Disk, crash_at
 
@@ -293,6 +296,66 @@ class TestKillDuringRecovery:
         second = Recoverer(directory).recover()
         assert canonical(first.kb) == canonical(second.kb)
         assert second.torn_reason is None  # the tail stayed truncated
+
+
+#: A child that commits, then dies at ``snapshot:staged`` of a snapshot:
+#: ``os._exit`` runs no cleanup, so the staged file stays, as after a kill.
+KILLED_WHILE_STAGING = """
+import os, sys
+import pytest
+from repro.catalog import open_durable
+from tests.faultinject.disk import Disk
+
+def die(stage):
+    if stage == "snapshot:staged":
+        os._exit(9)
+
+kb = open_durable(sys.argv[1])
+kb.declare_edb("e", 1)
+kb.add_facts("e", [("a",), ("b",)])
+with pytest.MonkeyPatch.context() as monkeypatch:
+    Disk(monkeypatch, sys.argv[1], die)
+    kb.durability.snapshot()
+"""
+
+
+class TestKillWhileStaging:
+    def test_a_reopen_removes_the_staged_snapshot_a_kill_left(self, tmp_path):
+        """A kill between the staged snapshot's fsync and its rename leaves
+        ``.snapshot.json.<random>.tmp``; the next open deletes it, and the
+        state is what the log holds."""
+        import repro
+
+        directory = str(tmp_path / "staged")
+        root = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(repro.__file__)), root]
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", KILLED_WHILE_STAGING, directory],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 9, child.stderr
+        staged = [name for name in os.listdir(directory) if name.endswith(".tmp")]
+        assert len(staged) == 1 and staged[0].startswith(".snapshot.json."), staged
+        kb = open_durable(directory)
+        assert sorted(os.listdir(directory)) == ["snapshot.json", "wal.log"]
+        assert set(kb.facts("e")) == {(Constant("a"),), (Constant("b"),)}
+        kb.durability.log.close()
+
+    def test_the_next_snapshot_removes_staged_snapshots_and_nothing_else(self, tmp_path):
+        directory = str(tmp_path / "by_hand")
+        kb = open_durable(directory)
+        kb.declare_edb("e", 1)
+        kept = [".snapshot.json.tmp", "snapshot.json.x.tmp", ".other.json.abc.tmp", "notes"]
+        for name in [".snapshot.json.abcd1234.tmp", *kept]:
+            with open(os.path.join(directory, name), "w") as handle:
+                handle.write("{}")
+        kb.durability.snapshot()
+        kb.durability.log.close()
+        assert sorted(os.listdir(directory)) == sorted(["snapshot.json", "wal.log", *kept])
+        assert canonical(Recoverer(directory).recover().kb) == canonical(kb)
 
 
 def test_total_kill_points_meet_target():

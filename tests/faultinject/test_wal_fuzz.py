@@ -2,7 +2,8 @@
 
 A generated sequence of commits runs on a durable knowledge base, some of
 them with a write that fails (``OSError`` mid-record, before the fsync,
-or staging the snapshot a commit on a full log is written as): a failed
+or staging the snapshot a commit on a full log is written as — drawn
+among the commits that write one): a failed
 commit must leave the live state as it was, and recovery of the directory
 then must equal it.  Then one mutation is applied to the directory the
 sequence leaves: a log record dropped, duplicated or swapped with its
@@ -70,11 +71,19 @@ commits = st.lists(
     max_size=10,
 )
 
-#: Commit index -> the stage at which that commit's write fails.
+#: Commit index -> the stage at which that commit's log append fails.
 failures = st.dictionaries(
     st.integers(0, 9),
-    st.sampled_from(["append:mid", "append:written", "snapshot:staged"]),
+    st.sampled_from(["append:mid", "append:written"]),
     max_size=5,
+)
+
+#: ``(SNAPSHOT_EVERY, k)``: the log's record limit, and which of the
+#: snapshots the history's commits write fails staging (``None``: none) —
+#: drawn among the commits that write one, so only with a short log.
+snapshots = st.one_of(
+    st.tuples(st.sampled_from([wal.SNAPSHOT_EVERY, wal.SNAPSHOT_EVERY, 3]), st.none()),
+    st.tuples(st.just(3), st.integers(0, 1)),
 )
 
 def _append(event):
@@ -124,12 +133,26 @@ def apply_commit(kb: KnowledgeBase, commit) -> None:
                 kb.relation("e").delete((value,))
 
 
-def fail_at(stage: str):
-    def hook(reached: str) -> None:
-        if reached == stage:
-            raise OSError(errno.ENOSPC, f"disk full at {stage}")
+class Failures:
+    """The disk hook of one history: fails the drawn append stage of the
+    commit under way (:attr:`commit`) and the *snapshot*-th snapshot any
+    commit stages; :attr:`fired` is the stage of the last failure."""
 
-    return hook
+    def __init__(self, appends: dict, snapshot: int | None) -> None:
+        self.appends, self.snapshot = appends, snapshot
+        self.commit: int | None = None
+        self.staged = 0
+        self.fired: str | None = None
+
+    def __call__(self, reached: str) -> None:
+        if reached == "snapshot:staged":
+            self.staged += 1
+            failing = self.staged - 1 == self.snapshot
+        else:
+            failing = reached == self.appends.get(self.commit)
+        if failing:
+            self.fired = reached
+            raise OSError(errno.ENOSPC, f"disk full at {reached}")
 
 
 def mutate(directory: str, mutation) -> None:
@@ -187,13 +210,14 @@ def mutate(directory: str, mutation) -> None:
 )
 @given(
     commits=commits,
-    snapshot_every=st.sampled_from([wal.SNAPSHOT_EVERY, wal.SNAPSHOT_EVERY, 3]),
+    snapshots=snapshots,
     failures=failures,
     mutation=mutations,
 )
 def test_a_mutated_directory_recovers_to_a_commit_boundary_or_fails_located(
-    commits, snapshot_every, failures, mutation
+    commits, snapshots, failures, mutation
 ):
+    snapshot_every, failing_snapshot = snapshots
     with tempfile.TemporaryDirectory() as directory, mock.patch.object(
         wal, "SNAPSHOT_EVERY", snapshot_every
     ), pytest.MonkeyPatch.context() as monkeypatch:
@@ -202,13 +226,15 @@ def test_a_mutated_directory_recovers_to_a_commit_boundary_or_fails_located(
         boundaries = [canonical(kb)]
         kb.declare_edb("e", 1)
         boundaries.append(canonical(kb))
+        hook = Failures(failures, failing_snapshot)
         for index, commit in enumerate(commits):
             before = canonical(kb)
-            disk.hook = fail_at(failures[index]) if index in failures else None
+            hook.commit, disk.hook = index, hook
             try:
                 apply_commit(kb, commit)
             except OSError:
-                INJECTED[failures[index]] += 1
+                disk.hook = None
+                INJECTED[hook.fired] += 1
                 # The failed commit changed nothing, and nothing of it is
                 # in the directory.
                 assert canonical(kb) == before
@@ -233,6 +259,6 @@ def test_a_mutated_directory_recovers_to_a_commit_boundary_or_fails_located(
 
 def test_the_histories_failed_appends():
     """Must run after the fuzz: failed appends were injected, mid-record and
-    before the fsync (a failure staging a snapshot needs a commit on a full
-    log and is drawn too rarely to count on)."""
+    before the fsync, and failed snapshots often enough to count on."""
     assert {"append:mid", "append:written"} <= set(INJECTED), INJECTED
+    assert INJECTED["snapshot:staged"] >= 20, INJECTED
