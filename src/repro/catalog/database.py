@@ -93,9 +93,6 @@ class KnowledgeBase:
         #: :class:`~repro.catalog.snapshot.KBSnapshot`: every mutator
         #: raises, so concurrent readers need no locks.
         self._frozen = False
-        #: ``(rules_version, {predicates: (stored names, undefined names)})``:
-        #: the names :meth:`dependency_stamp` reads, per rule set.
-        self._stamped: tuple[int, dict] = (-1, {})
 
     # -- transactions -------------------------------------------------------------
 
@@ -122,9 +119,15 @@ class KnowledgeBase:
         except BaseException:
             # The block may have cached what it read under mid-transaction
             # counters: move them past every such value.
-            self._rules_version += 1
+            self._rules_changed()
             self._constraints_version += 1
             raise
+
+    def _rules_changed(self) -> None:
+        """Move :attr:`rules_version` and drop the dependency graph with it:
+        the graph, and all it keeps, is one rule set's and catalog's."""
+        self._rules_version += 1
+        self._graph = None
 
     def _logged(self) -> ContextManager[object]:
         """The span of one public mutator: outside a transaction on a
@@ -199,7 +202,7 @@ class KnowledgeBase:
                 relation = self._relations[name] = Relation(schema.arity)
                 if self._durability is not None:
                     relation._owner = self
-            self._rules_version += 1
+            self._rules_changed()
         return schema
 
     def schema(self, name: str) -> PredicateSchema:
@@ -313,7 +316,10 @@ class KnowledgeBase:
                 self._graph = None
                 raise
             if rules:
-                self._rules_version += 1
+                # Any graph the checks built is the new rule set's: keep it.
+                graph = self._graph
+                self._rules_changed()
+                self._graph = graph
 
     def _stage_rule(self, rule: Rule, declared: list[str]) -> None:
         """Append one rule after its schema and stratification checks,
@@ -444,10 +450,31 @@ class KnowledgeBase:
         return self._lineage
 
     def dependency_graph(self) -> DependencyGraph:
-        """The (cached) dependency graph of the current rule set."""
-        if self._graph is None:
-            self._graph = DependencyGraph(self._rules)
-        return self._graph
+        """The dependency graph of the current rule set and catalog: built
+        once per :attr:`rules_version`, shared by every snapshot published
+        at it, and the home of what they decide."""
+        graph = self._graph
+        if graph is None:
+            graph = self._graph = DependencyGraph(self._rules)
+        return graph
+
+    def idb_closure(
+        self, predicates: tuple[str, ...]
+    ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The IDB predicates among *predicates* and, sorted, those with
+        every IDB predicate they depend on: the views a read of
+        *predicates* needs, worked out once per rule set."""
+        graph = self.dependency_graph()
+        facts = graph.facts(predicates)
+        found = facts.closure
+        if found is None:
+            is_idb = self.is_idb
+            wanted = tuple(dict.fromkeys(filter(is_idb, predicates)))
+            closure = set(wanted)
+            for predicate in wanted:
+                closure.update(filter(is_idb, graph.dependencies(predicate)))
+            found = facts.closure = (wanted, tuple(sorted(closure)))
+        return found
 
     def dependency_stamp(self, predicates: Iterable[str] = ()) -> DependencyStamp:
         """Everything an answer over *predicates* is a function of, as one
@@ -470,17 +497,14 @@ class KnowledgeBase:
         (:mod:`repro.server.pool`).
         """
         predicates = tuple(predicates)
-        kept = self._stamped
-        if kept[0] != self._rules_version:
-            kept = self._stamped = (self._rules_version, {})
-        found = kept[1].get(predicates)
+        graph = self.dependency_graph()
+        facts = graph.facts(predicates)
+        found = facts.stamp
         if found is None:
             # Which names the stamp reads is a rule-set fact, worked out
-            # once per rule set (at most 256 predicate sets are kept).
+            # once per rule set.
             names = set(predicates)
-            if predicates:
-                graph = self.dependency_graph()
-                names.update(*map(graph.dependencies, predicates))
+            names.update(*map(graph.dependencies, predicates))
             # Rule-defined and built-in names appear in neither list: what
             # they mean is the rule set's business (``rules_version``).
             stored = sorted(name for name in names if name in self._relations)
@@ -489,9 +513,7 @@ class KnowledgeBase:
                 for name in names
                 if name not in self._schemas and not is_builtin_predicate(name)
             )
-            if len(kept[1]) >= 256:
-                kept[1].clear()
-            found = kept[1][predicates] = (stored, undefined)
+            found = facts.stamp = (stored, undefined)
         relations = self._relations
         return DependencyStamp(
             self._lineage,

@@ -9,6 +9,10 @@ it heads at least one recursive rule.
 :class:`DependencyGraph` computes all of this from a rule list, plus the
 strongly connected components and a topological ordering of the component
 DAG, which the semi-naive engine uses as evaluation strata.
+
+A knowledge base keeps one graph per rule set and catalog, shared by every
+snapshot published under it, so the graph also keeps what they decide
+(:meth:`DependencyGraph.facts`, :attr:`DependencyGraph.compiled`).
 """
 
 from __future__ import annotations
@@ -17,6 +21,26 @@ from typing import Iterable, Sequence
 
 from repro.logic.clauses import Rule
 from repro.logic.graphs import strongly_connected_components
+
+#: Ceiling on the predicate sets one graph keeps facts about
+#: (:meth:`DependencyGraph.facts`); past it, the kept ones are dropped.
+MAX_PREDICATE_SETS = 256
+
+
+class PredicateSetFacts:
+    """What the rule set and catalog decide about one predicate set, each
+    filled in by its one reader: the names its dependency stamp reads
+    (``stamp``), its IDB closure (``closure``) and its compiled strata,
+    bottom up (``order``).  A value is built whole, then bound: a reader
+    on another thread sees ``None`` or a finished value, and racing
+    builders bind equal ones."""
+
+    __slots__ = ("stamp", "closure", "order")
+
+    def __init__(self) -> None:
+        self.stamp: tuple | None = None
+        self.closure: tuple | None = None
+        self.order: tuple | None = None
 
 
 class DependencyGraph:
@@ -46,6 +70,21 @@ class DependencyGraph:
         #: :meth:`reaches_negation`, rule-set facts every bound read asks.
         self._on_recursion: dict[str, bool] = {}
         self._to_negation: dict[str, bool] = {}
+        self._facts: dict[tuple[str, ...], PredicateSetFacts] = {}
+        #: What the engine compiles from the rules: strata by their members,
+        #: repair kernels by the rule fired (values the engine owns).
+        self.compiled: dict = {}
+
+    def facts(self, predicates: tuple[str, ...]) -> PredicateSetFacts:
+        """The kept facts of the predicate set *predicates* (see
+        :class:`PredicateSetFacts`), empty on first asking; at most
+        :data:`MAX_PREDICATE_SETS` sets are kept."""
+        found = self._facts.get(predicates)
+        if found is None:
+            if len(self._facts) >= MAX_PREDICATE_SETS:
+                self._facts.clear()
+            found = self._facts[predicates] = PredicateSetFacts()
+        return found
 
     # -- basic relations -------------------------------------------------------
 
@@ -54,9 +93,13 @@ class DependencyGraph:
         return frozenset(self._direct.get(predicate, ()))
 
     def dependencies(self, predicate: str) -> frozenset[str]:
-        """All predicates that *predicate* depends on (transitively)."""
-        if predicate in self._reachable_cache:
-            return self._reachable_cache[predicate]
+        """All predicates that *predicate* depends on (transitively); a
+        name no rule reads or defines depends on nothing, and is not kept."""
+        found = self._reachable_cache.get(predicate)
+        if found is not None:
+            return found
+        if predicate not in self._component_of:
+            return frozenset()
         seen: set[str] = set()
         stack = list(self._direct.get(predicate, ()))
         while stack:

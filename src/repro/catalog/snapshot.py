@@ -65,8 +65,9 @@ class KBSnapshot:
     kb:
         The frozen clone.  Safe for any number of concurrent reader
         threads: every mutator raises, and the remaining lazy
-        memoizations (indexes, the interned mirror, the dependency graph's
-        reachability cache) are idempotent.
+        memoizations (indexes, the interned mirror) are idempotent, and
+        the dependency graph it shares with every snapshot of its rule set
+        keeps build-then-bind memos: racing builders bind equivalent values.
     snapshot_id:
         Monotone publication counter.  Clients observing ids go
         backwards would be seeing time travel; the isolation property
@@ -150,10 +151,9 @@ def publish_snapshot(
     clone._rules = list(kb._rules)
     clone._rules_by_head = {h: list(rs) for h, rs in kb._rules_by_head.items()}
     clone._constraints = list(kb._constraints)
-    # The graph is derived purely from the (copied) rule list; the live
-    # side only ever rebinds it, and its reachability memo is idempotent,
-    # so sharing a built instance is safe and keeps snapshot reads warm.
-    clone._graph = kb._graph
+    # The live side drops its graph rather than change it, so every
+    # snapshot of one rule set shares one built graph and what it keeps.
+    clone._graph = kb.dependency_graph()
     clone._rules_version = kb._rules_version
     clone._constraints_version = kb._constraints_version
     clone._lineage = kb._lineage

@@ -67,13 +67,14 @@ def describe(
         )
     kb.schema(subject.predicate).check_arity(subject.arity)
     graph = kb.dependency_graph()
-    relevant = {subject.predicate} | set(graph.dependencies(subject.predicate))
-    for rule in kb.rules():
-        if rule.negated and rule.head.predicate in relevant:
-            raise CoreError(
-                f"describe covers the positive fragment only; rule {rule} "
-                "uses negation"
-            )
+    if graph.reaches_negation(subject.predicate):
+        # Only the error names the rule: find the first one that negates.
+        relevant = {subject.predicate} | graph.dependencies(subject.predicate)
+        rule = next(r for r in kb.rules() if r.negated and r.head.predicate in relevant)
+        raise CoreError(
+            f"describe covers the positive fragment only; rule {rule} "
+            "uses negation"
+        )
     hypothesis = tuple(hypothesis)
     # The paper's precondition, settled here once.
     recursive = graph.depends_on_recursion(subject.predicate)

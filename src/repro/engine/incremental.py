@@ -54,9 +54,8 @@ class MaterializedDatabase:
     the current one.  *predicates* must be self-contained (every IDB
     predicate one of their rules reads is a member), and each must be
     positive and non-recursive — anything else raises
-    :class:`~repro.errors.CatalogError`.  *compiled* maps each rule fired
-    to its lowered kernel; a caller that keeps one rule set hands in the
-    same mapping every time and lowers nothing twice.
+    :class:`~repro.errors.CatalogError`.  The kernel of each rule fired is
+    lowered once per rule set, and kept on the dependency graph.
     """
 
     def __init__(
@@ -65,7 +64,6 @@ class MaterializedDatabase:
         derived: dict[str, Relation],
         predicates: set[str],
         guard=None,
-        compiled: dict[Rule, RuleKernel] | None = None,
     ) -> None:
         graph = kb.dependency_graph()
         for predicate in sorted(predicates):
@@ -84,7 +82,7 @@ class MaterializedDatabase:
         #: Optional :class:`~repro.engine.guard.ResourceGuard`; ticks once
         #: per delta row a firing reads, and at the kernels' step boundaries.
         self._guard = guard
-        self._compiled = {} if compiled is None else compiled
+        self._compiled: dict[Rule, RuleKernel] = graph.compiled
         # Singleton components (nothing here is recursive), dependency order.
         self._order: list[str] = [
             predicate

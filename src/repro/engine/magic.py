@@ -30,9 +30,10 @@ The rewritten program runs on the one bottom-up engine
 (:class:`~repro.engine.seminaive.SemiNaiveEngine`), and
 :func:`magic_conjunction` hands the goal's table rows back as an id batch —
 goal direction is a rewrite, not a second evaluator.  A program depends on
-the rule set and the goal's shape only: it is *prepared* once — rewritten,
-its strata ordered and compiled — and kept among the plans of the
-evaluation context it ran in (:attr:`ViewCache.plans
+the rule set and the goal's shape only: it is *prepared* once — rewritten
+into a knowledge base of its own, whose dependency graph keeps its strata
+ordered and compiled — and kept among the plans of the evaluation context
+it ran in (:attr:`ViewCache.plans
 <repro.engine.viewcache.ViewCache.plans>`), kernels and all.  A run
 (:meth:`MagicProgram.run`) hands it the goal's constants as a one-row seed
 table and the reading knowledge base's stored relations, writes no
@@ -59,7 +60,7 @@ raises otherwise; :mod:`repro.engine.evaluate` never routes one here).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import EngineError, ResourceExhausted
@@ -68,12 +69,7 @@ from repro.catalog.database import KnowledgeBase
 from repro.catalog.symbols import SYMBOLS
 from repro.engine.guard import ResourceGuard, degrade_catch
 from repro.engine.kernels import IntBatch, IntTable
-from repro.engine.seminaive import (
-    CompiledStrata,
-    CompiledStratum,
-    SemiNaiveEngine,
-    evaluation_order,
-)
+from repro.engine.seminaive import SemiNaiveEngine
 from repro.logic.atoms import Atom
 from repro.logic.clauses import Rule
 from repro.logic.terms import Constant, Variable, is_constant, is_variable
@@ -131,8 +127,9 @@ def goal_shape(
 
 @dataclass
 class MagicProgram:
-    """The prepared program of one goal shape: rewritten, ordered and
-    compiled once, and read-only from then on.  A run (:meth:`run`) takes
+    """The prepared program of one goal shape: rewritten once, ordered and
+    compiled on its first run (on its knowledge base's dependency graph),
+    and read-only from then on.  A run (:meth:`run`) takes
     the goal's constants, as the one row of the seed table, and the
     relations of the knowledge base that reads; it writes no relation."""
 
@@ -147,10 +144,6 @@ class MagicProgram:
     magic_rules: int = 0
     #: The adorned predicates whose right-linear recursion was factored.
     factored: tuple[str, ...] = ()
-    #: Handed to every engine that runs the program.
-    compiled: CompiledStrata = field(default_factory=CompiledStrata)
-    #: The strata the goal needs, in evaluation order.
-    strata: tuple[CompiledStratum, ...] = ()
 
     def run(
         self,
@@ -168,9 +161,7 @@ class MagicProgram:
         def stored(predicate: str):
             return seed if predicate == self.seed else relation(predicate)
 
-        engine = SemiNaiveEngine(
-            self.kb, guard=guard, tracer=tracer, compiled=self.compiled, stored=stored
-        )
+        engine = SemiNaiveEngine(self.kb, guard=guard, tracer=tracer, stored=stored)
         goal = self.goal.predicate
         try:
             engine.evaluate((goal,))
@@ -260,7 +251,6 @@ def magic_rewrite(kb: KnowledgeBase, conjunction: Sequence[Atom]) -> MagicProgra
     for rule in rules:
         rewritten.add_rule(rule)
     goal = Atom(adorned_name(GOAL, goal_adornment), [*parameters, *free_vars])
-    compiled = CompiledStrata()
     return MagicProgram(
         kb=rewritten,
         goal=goal,
@@ -269,8 +259,6 @@ def magic_rewrite(kb: KnowledgeBase, conjunction: Sequence[Atom]) -> MagicProgra
         adorned_predicates=len(processed),
         magic_rules=sum(1 for r in rules if r.head.predicate.startswith(MAGIC_PREFIX)),
         factored=factored,
-        compiled=compiled,
-        strata=evaluation_order(rewritten, frozenset((goal.predicate,)), compiled),
     )
 
 

@@ -8,9 +8,8 @@ position at a time, so no derivation is recomputed.
 
 Evaluation is *relevance-restricted*: only predicates the query (transitively)
 depends on are materialised.  Which strata those are, in evaluation order,
-is worked out once per set of wanted predicates and kept beside the
-compiled strata (:class:`CompiledStrata`), which their owners keep per
-rule set.
+is worked out once per set of wanted predicates and each stratum compiled
+once per rule set, both kept on the dependency graph (:func:`evaluation_order`).
 
 There is one stratum driver (:meth:`SemiNaiveEngine._evaluate_stratum`)
 and one planner: join order comes from the live statistics of the
@@ -20,13 +19,13 @@ Each exit rule is compiled once in full and each recursive rule once per
 delta position (``(rule, delta-position)``) into a
 logical plan (:mod:`repro.engine.plan`), lowered to an integer kernel over
 interned symbol ids (:mod:`repro.engine.kernels`) and kept
-(:class:`CompiledStratum`) for the lifetime of the engine, or of the
-mapping its caller handed in.  A stratum's facts live in kernel tables,
-and a finished stratum hands its tables to the strata above it as their
-build sides; a table becomes a :class:`~repro.catalog.relation.Relation`
-only when a caller asks for that relation.  Each evaluation resolves the
-relations its rules read once, in one dict whose ``get`` the kernels call,
-and only the delta entries change from one iteration to the next.
+(:class:`CompiledStratum`) for as long as the rule set stands.  A
+stratum's facts live in kernel tables, and a finished stratum hands its
+tables to the strata above it as their build sides; a table becomes a
+:class:`~repro.catalog.relation.Relation` only when a caller asks for it.
+Each evaluation resolves the relations its rules read once, in one dict
+whose ``get`` the kernels call, and only the delta entries change from one
+iteration to the next.
 
 An iteration is its *bound firings* and nothing else.  The first one
 lowers every delta variant and binds it to the evaluation
@@ -122,36 +121,24 @@ class CompiledStratum:
         return [str(rule) for rule in self.rules]
 
 
-class CompiledStrata(dict):
-    """Stratum members -> :class:`CompiledStratum`, as an owner keeps them
-    for one rule set, and ``orders``: per set of wanted predicates, the
-    strata they need in evaluation order (:func:`evaluation_order`)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.orders: dict[frozenset[str], tuple[CompiledStratum, ...]] = {}
-
-
-def evaluation_order(kb: KnowledgeBase, wanted: frozenset[str], compiled) -> tuple:
-    """The strata *wanted* depends on, bottom up, each compiled into
-    *compiled*: relevance and order are rule-set facts, worked out once and
-    kept when *compiled* is a :class:`CompiledStrata`."""
-    orders = getattr(compiled, "orders", {})
-    order = orders.get(wanted)
+def evaluation_order(
+    kb: KnowledgeBase, predicates: tuple[str, ...]
+) -> tuple[CompiledStratum, ...]:
+    """The strata the IDB predicates among *predicates* need, bottom up,
+    kept on *kb*'s dependency graph with each stratum compiled once."""
+    graph = kb.dependency_graph()
+    facts = graph.facts(predicates)
+    order = facts.order
     if order is None:
-        graph = kb.dependency_graph()
-        relevant = set(wanted)
-        for predicate in wanted:
-            relevant.update(p for p in graph.dependencies(predicate) if kb.is_idb(p))
+        compiled = graph.compiled
         strata = []
-        for stratum in graph.evaluation_strata(set(kb.idb_predicates())):
-            members = tuple(p for p in stratum if p in relevant)
-            if members:
-                program = compiled.get(members)
-                if program is None:
-                    program = compiled[members] = CompiledStratum(kb, members)
-                strata.append(program)
-        order = orders[wanted] = tuple(strata)
+        for stratum in graph.evaluation_strata(set(kb.idb_closure(predicates)[1])):
+            members = tuple(stratum)
+            program = compiled.get(members)
+            if program is None:
+                program = compiled.setdefault(members, CompiledStratum(kb, members))
+            strata.append(program)
+        order = facts.order = tuple(strata)
     return order
 
 
@@ -171,12 +158,6 @@ class SemiNaiveEngine:
         A :class:`~repro.obs.trace.Tracer` recording stratum / iteration /
         rule spans with ``facts_derived``, ``delta_rows`` and ``join_probes``
         counters.  ``None`` (the default) keeps the hot path untraced.
-    compiled:
-        Stratum members -> :class:`CompiledStratum`.  A caller that keeps
-        one rule set hands in the same mapping every time and compiles
-        nothing after the first evaluation; the kernels hold no data, so
-        the mapping pins no relation.  A :class:`CompiledStrata` (the
-        default) keeps the evaluation orders too.
     stored:
         ``predicate -> relation`` for the stored predicates the rules read
         (default ``kb.relation``): what a prepared program is run against.
@@ -187,7 +168,6 @@ class SemiNaiveEngine:
         kb: KnowledgeBase,
         guard: ResourceGuard | None = None,
         tracer=None,
-        compiled: dict[tuple[str, ...], CompiledStratum] | None = None,
         stored=None,
     ) -> None:
         self._kb = kb
@@ -198,7 +178,6 @@ class SemiNaiveEngine:
         #: flushed from them on request.
         self._tables: dict[str, IntTable] = {}
         self._derived: dict[str, Relation] = {}
-        self._compiled = CompiledStrata() if compiled is None else compiled
 
     # -- public API ---------------------------------------------------------------
 
@@ -212,15 +191,13 @@ class SemiNaiveEngine:
         reuse earlier materialisations.
         """
         kb = self._kb
-        wanted = frozenset(
-            kb.idb_predicates() if predicates is None else filter(kb.is_idb, predicates)
-        )
-        for program in evaluation_order(kb, wanted, self._compiled):
+        predicates = tuple(kb.idb_predicates() if predicates is None else predicates)
+        for program in evaluation_order(kb, predicates):
             if program.members[0] not in self._tables:
                 members = list(program.members)
                 with traced_span(self._tracer, "stratum", predicates=members):
                     self._evaluate_stratum(program)
-        return _Flushed(self, wanted)
+        return _Flushed(self, kb.idb_closure(predicates)[0])
 
     def derived_relation(self, predicate: str) -> Relation:
         """The materialised relation for one IDB predicate (evaluating it)."""
@@ -397,7 +374,7 @@ class _Flushed(Mapping):
     """The relations :meth:`SemiNaiveEngine.evaluate` was asked for, each
     flushed from its table when first read."""
 
-    def __init__(self, evaluator: SemiNaiveEngine, wanted: frozenset[str]) -> None:
+    def __init__(self, evaluator: SemiNaiveEngine, wanted: tuple[str, ...]) -> None:
         self._evaluator, self._wanted = evaluator, wanted
 
     def __getitem__(self, predicate: str) -> Relation:

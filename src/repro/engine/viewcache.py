@@ -1,9 +1,9 @@
-"""The evaluation context of a knowledge base: views, kernels and plans.
+"""The evaluation context of a knowledge base: views and plans.
 
 Every read (``retrieve``, ``derivable``, ``explain``) runs in one
 :class:`ViewCache`: a session's own, or a fresh one for a library call
-without one (:func:`context_for`).  Beside the views it keeps the kernels
-they are computed with and the compiled plans (:attr:`ViewCache.plans`).
+without one (:func:`context_for`).  Beside the views it keeps the compiled
+plans (:attr:`ViewCache.plans`).
 Each computed IDB relation is kept with the **dependency stamp** of its predicate
 (:meth:`KnowledgeBase.dependency_stamp
 <repro.catalog.database.KnowledgeBase.dependency_stamp>`) and is fresh
@@ -42,15 +42,15 @@ remembers that state — one per closure — and a second miss on the *same*
 state materialises: readers of a base that stopped changing get lookups,
 and one that changes between reads never pays for a closure nobody rereads.
 
-Both refresh routes run on kernels the cache keeps in one mapping for as
-long as the rule set stands: a repair or recompute under an unchanged
-``rules_version`` lowers nothing it has lowered before.
+Both refresh routes run on kernels the knowledge base's dependency graph
+keeps for as long as the rule set stands: a repair or recompute under an
+unchanged ``rules_version`` lowers nothing lowered before, in any context.
 
 A failure mid-refresh (guard trip, cancellation, injected fault) drops the
 affected entries before propagating: the cache is always either consistent
 or invalidated, never serving a half-refreshed view.
 
-The context holds views, kernels and plans; whole answers are kept by the
+The context holds views and plans; whole answers are kept by the
 server's answer memo alone.  Only *complete* views are ever stored: a
 recompute that tripped a resource budget (a sound under-approximation)
 answers its caller but is not kept.
@@ -73,15 +73,12 @@ from repro.catalog.database import DependencyStamp, KnowledgeBase
 from repro.catalog.relation import Relation, Row
 from repro.engine.guard import ResourceGuard
 from repro.engine.incremental import Delta, MaterializedDatabase
-from repro.engine.seminaive import CompiledStrata, SemiNaiveEngine
+from repro.engine.seminaive import SemiNaiveEngine
 from repro.obs.trace import traced_span
 
 #: Ceiling on derived rows pinned across all cached views of one context;
 #: least-recently-used views are evicted past it.
 MAX_ROWS = 1_000_000
-
-#: Ceiling on the predicate sets whose closure a context keeps per rule set.
-MAX_CLOSURES = 256
 
 #: Net-delta size (rows) above which a stale view is recomputed cold
 #: instead of repaired in place.
@@ -213,8 +210,8 @@ def context_for(kb: KnowledgeBase, cache: "ViewCache | None") -> "ViewCache":
 
 
 class ViewCache:
-    """The evaluation context of one KB: materialized IDB views, the
-    kernels they are computed with, and compiled plans (:attr:`plans`).
+    """The evaluation context of one KB: materialized IDB views and
+    compiled plans (:attr:`plans`).
 
     Parameters
     ----------
@@ -233,9 +230,6 @@ class ViewCache:
         #: The engine of an in-flight full recompute; degrade-mode callers
         #: read sound partial relations from it after a budget trip.
         self._inflight: SemiNaiveEngine | None = None
-        #: ``(rules_version, kernels, closures)``: what the current rule
-        #: set alone decides (:meth:`_kernels`, :meth:`_closure`).
-        self._by_rules: tuple[int, CompiledStrata, dict] | None = None
         #: Compiled conjunction kernels and goal-directed programs (see
         #: :data:`PlanCache`).
         self.plans = PlanCache()
@@ -281,7 +275,7 @@ class ViewCache:
             # hit performs no derivation, so this is its one checkpoint.
             guard.check()
         kb = self._kb
-        wanted, members = self._closure(tuple(predicates))
+        wanted, members = kb.idb_closure(tuple(predicates))
         if not wanted:
             return {}
         with traced_span(tracer, "cache.probe", predicates=list(members)):
@@ -383,7 +377,7 @@ class ViewCache:
 
     def _refresh_incrementally(
         self,
-        members: list[str],
+        members: tuple[str, ...],
         stamps: dict[str, DependencyStamp],
         guard: ResourceGuard | None,
         tracer=None,
@@ -447,9 +441,7 @@ class ViewCache:
                 # kernel fixpoint beats repair through recursion.
                 return "recursive"
             derived = {p: entries[p].relation for p in members}
-            maintainer = MaterializedDatabase(
-                kb, derived, set(members), guard=guard, compiled=self._kernels()
-            )
+            maintainer = MaterializedDatabase(kb, derived, set(members), guard=guard)
             try:
                 with traced_span(
                     tracer,
@@ -475,7 +467,7 @@ class ViewCache:
 
     def _recompute(
         self,
-        members: list[str],
+        members: tuple[str, ...],
         stamps: dict[str, DependencyStamp],
         guard: ResourceGuard | None,
         tracer=None,
@@ -486,9 +478,7 @@ class ViewCache:
             if entry is not None and entry.stamp != stamps[predicate]:
                 del self._views[predicate]
                 self.stats.invalidations += 1
-        engine = SemiNaiveEngine(
-            self._kb, guard=guard, tracer=tracer, compiled=self._kernels()
-        )
+        engine = SemiNaiveEngine(self._kb, guard=guard, tracer=tracer)
         # On a ResourceExhausted trip ``_inflight`` deliberately stays set:
         # the degrade path reads sound partial fixpoints from it via
         # :meth:`partial_relation`.  The next probe overwrites it.
@@ -502,41 +492,6 @@ class ViewCache:
                 stamp=stamps[predicate],
                 tick=self._clock,
             )
-
-    def _rule_state(self) -> tuple[int, CompiledStrata, dict]:
-        """What the current rule set alone decides; a rule change starts
-        it afresh."""
-        version, state = self._kb.rules_version, self._by_rules
-        if state is None or state[0] != version:
-            state = self._by_rules = (version, CompiledStrata(), {})
-        return state
-
-    def _kernels(self) -> CompiledStrata:
-        """The kernels lowered under the current rule set, by stratum
-        members (recompute) and by rule fired (repair), with the strata
-        orders of the recomputes."""
-        return self._rule_state()[1]
-
-    def _closure(
-        self, predicates: tuple[str, ...]
-    ) -> tuple[list[str], tuple[str, ...]]:
-        """The IDB predicates among *predicates* and, sorted, those they
-        depend on with them: the views a probe of *predicates* stamps,
-        worked out once per rule set and kept by predicates alone (at most
-        :data:`MAX_CLOSURES` sets; past that the kept ones are dropped)."""
-        closures = self._rule_state()[2]
-        found = closures.get(predicates)
-        if found is None:
-            if len(closures) >= MAX_CLOSURES:
-                closures.clear()
-            kb = self._kb
-            wanted = [p for p in predicates if kb.is_idb(p)]
-            graph = kb.dependency_graph()
-            closure = set(wanted)
-            for predicate in wanted:
-                closure.update(q for q in graph.dependencies(predicate) if kb.is_idb(q))
-            found = closures[predicates] = (wanted, tuple(sorted(closure)))
-        return found
 
     def _evict(self) -> None:
         """Enforce the rows budget, least-recently-used views first."""

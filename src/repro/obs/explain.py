@@ -46,7 +46,6 @@ from repro.engine.plan import (
     _HashJoin,
     compile_conjunction,
     compile_rule,
-    delta_rewritings,
     relation_cost_estimator,
 )
 from repro.errors import EngineError
@@ -234,18 +233,10 @@ def _cold_estimator(kb: KnowledgeBase):
     return relation_cost_estimator(relation_for)
 
 
-def _relevant_idb(kb: KnowledgeBase, conjuncts) -> set[str]:
-    """The IDB predicates a conjunction depends on (directly or below)."""
-    graph = kb.dependency_graph()
-    wanted = {
-        a.predicate
-        for a in conjuncts
-        if not a.is_comparison() and kb.is_idb(a.predicate)
-    }
-    relevant = set(wanted)
-    for predicate in wanted:
-        relevant.update(p for p in graph.dependencies(predicate) if kb.is_idb(p))
-    return relevant
+def _read_predicates(conjuncts) -> tuple[str, ...]:
+    """The predicates a conjunction reads, as evaluation asks the
+    dependency graph about them."""
+    return tuple(a.predicate for a in conjuncts if not a.is_comparison())
 
 
 def _analysis_entries(summary, predicates) -> list[PredicateAnalysis]:
@@ -328,28 +319,27 @@ def _rule_steps(rule, estimate) -> list[str]:
 
 
 def _strata_for(kb: KnowledgeBase, conjuncts, estimate) -> list[StratumExplanation]:
-    """Evaluation strata for the IDB predicates the conjunction needs."""
-    graph = kb.dependency_graph()
-    relevant = _relevant_idb(kb, conjuncts)
+    """The strata evaluation runs for the conjunction, each rule with the
+    steps it compiles to cold: an exit rule's own, a recursive rule's per
+    delta variant."""
+    # Imported here: repro.engine.seminaive reaches this package (through
+    # repro.obs.trace) while it is itself being imported.
+    from repro.engine.seminaive import evaluation_order
+
     strata: list[StratumExplanation] = []
-    for stratum in graph.evaluation_strata(set(kb.idb_predicates())):
-        members = sorted(set(stratum) & relevant)
-        if not members:
-            continue
-        stratum_set = set(stratum)
+    for stratum in evaluation_order(kb, _read_predicates(conjuncts)):
         rules: list[RuleExplanation] = []
-        recursive = False
-        for predicate in members:
-            for rule in kb.rules_for(predicate):
-                variants = {
-                    position: _rule_steps(rewritten, estimate)
-                    for position, rewritten in delta_rewritings(rule, stratum_set)
-                }
-                # A recursive rule fires only as its variants: the driver
-                # never compiles it in full, and neither does this.
-                steps = [] if variants else _rule_steps(rule, estimate)
-                recursive = recursive or bool(variants)
-                rules.append(RuleExplanation(str(rule), steps, variants))
+        for index, rule in enumerate(stratum.rules):
+            variants = {
+                position: _rule_steps(rewritten, estimate)
+                for rule_index, position, rewritten in stratum.rewritten
+                if rule_index == index
+            }
+            # A recursive rule fires only as its variants: the driver
+            # never compiles it in full, and neither does this.
+            steps = [] if variants else _rule_steps(rule, estimate)
+            rules.append(RuleExplanation(str(rule), steps, variants))
+        members, recursive = list(stratum.members), bool(stratum.rewritten)
         strata.append(StratumExplanation(len(strata) + 1, members, recursive, rules))
     return strata
 
@@ -385,7 +375,7 @@ def explain_plan(
     from repro.analysis.absint.summary import summary_for
 
     analysis = _analysis_entries(
-        summary_for(kb), _relevant_idb(kb, conjuncts + negated)
+        summary_for(kb), kb.idb_closure(_read_predicates(conjuncts + negated))[1]
     )
 
     reason = goal_verdict(kb, conjuncts, negated)

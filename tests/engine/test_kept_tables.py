@@ -75,12 +75,12 @@ def kernel_steps(session, predicate):
     """Every compiled kernel step that probes *predicate*: the session's
     conjunction kernels, the rule kernels of its goal programs and those
     of the views it materialised."""
-    kernels, strata = [], list(session.cache._kernels().values())
+    kernels, strata = [], list(session.kb.dependency_graph().compiled.values())
     for entry in session.plan_cache.values():
         if hasattr(entry, "steps"):
             kernels.append(entry)
         else:
-            strata += entry.compiled.values()
+            strata += entry.kb.dependency_graph().compiled.values()
     kernels += [rule.kernel for stratum in strata for rule in stratum.kernels.values()]
     return [
         step

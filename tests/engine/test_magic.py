@@ -191,7 +191,7 @@ class TestRewrite:
         def kernels():
             return {
                 (members, key): id(kernel)
-                for members, stratum in program.compiled.items()
+                for members, stratum in program.kb.dependency_graph().compiled.items()
                 for key, kernel in stratum.kernels.items()
             }
 

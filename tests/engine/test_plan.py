@@ -187,27 +187,29 @@ class TestPlanCaching:
     def test_kernels_cached_per_stratum(self):
         from repro.datasets import chain_graph_kb
 
-        engine = SemiNaiveEngine(chain_graph_kb(10))
-        engine.derived_relation("path")
+        kb = chain_graph_kb(10)
+        SemiNaiveEngine(kb).derived_relation("path")
         # Two rules: the exit rule fires in full, the recursive one only as
         # its delta variant (the initial round skips it, so it has no
         # ``(1, -1)`` kernel).
-        assert list(engine._compiled) == [("path",)]
-        keys = set(engine._compiled["path",].kernels)
+        compiled = kb.dependency_graph().compiled
+        assert list(compiled) == [("path",)]
+        keys = set(compiled["path",].kernels)
         assert keys == {(0, -1), (1, 1)}
 
     def test_a_kept_mapping_compiles_each_stratum_once(self):
         from repro.datasets import chain_graph_kb
 
         kb = chain_graph_kb(10)
-        compiled: dict = {}
-        first = SemiNaiveEngine(kb, compiled=compiled).derived_relation("path")
+        compiled = kb.dependency_graph().compiled
+        first = SemiNaiveEngine(kb).derived_relation("path")
         kernels = dict(compiled["path",].kernels)
         edge = kb.relation("edge")
         tables = {(s, c): t for s, filled in edge._tables.items() for c, t in filled.items()}
         assert tables  # the recursive rule's join on edge
         kb.add_fact("edge", "n10", "n11")
-        second = SemiNaiveEngine(kb, compiled=compiled).derived_relation("path")
+        second = SemiNaiveEngine(kb).derived_relation("path")
+        assert kb.dependency_graph().compiled is compiled  # a fact kept the graph
         assert len(second) == len(first) + 11
         assert compiled["path",].kernels == kernels  # the same objects, refired
         # ... over the tables edge kept through the write, not new ones.

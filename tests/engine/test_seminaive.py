@@ -162,9 +162,9 @@ class TestDeltaDrivenFixpoint:
             relation.check_invariants()
 
     def test_every_delta_kernel_scans_its_delta_first(self):
-        engine = SemiNaiveEngine(self.kb("non_linear"))
-        engine.evaluate()
-        (stratum,) = engine._compiled.values()
+        kb = self.kb("non_linear")
+        SemiNaiveEngine(kb).evaluate()
+        (stratum,) = kb.dependency_graph().compiled.values()
         variants = {key: k for key, k in stratum.kernels.items() if key[1] >= 0}
         assert sorted(variants) == [(1, 0), (1, 1)]
         for kernel in variants.values():
@@ -296,10 +296,9 @@ class TestDeltaDrivenFixpoint:
             return table(relation, shape, const)
 
         monkeypatch.setattr(Relation, "table", counting)
-        compiled: dict = {}
         for evaluation in (1, 2):
             guard = ResourceGuard()
-            engine = SemiNaiveEngine(kb, guard=guard, compiled=compiled)
+            engine = SemiNaiveEngine(kb, guard=guard)
             assert len(engine.derived_relation("path")) == 465
             assert guard.iterations == 30
             assert len(requested) == evaluation  # one shape, once per evaluation

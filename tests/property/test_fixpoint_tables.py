@@ -307,10 +307,10 @@ def test_the_drawn_shapes_cover_fused_and_admitted_tails():
         kb.declare_edb("edge", 2)
         kb.add_facts("edge", [(0, 1), (1, 2), (2, 3), (3, 1), (3, 4), (5, 0)])
         kb.add_rules(rules)
-        engine = assert_fixpoint_matches(kb)
+        assert_fixpoint_matches(kb)
         kernels = [
             kernel
-            for stratum in engine._compiled.values()
+            for stratum in kb.dependency_graph().compiled.values()
             for kernel in stratum.kernels.values()
         ]
         fused |= {kernel.head_fused for kernel in kernels}
